@@ -50,8 +50,6 @@
 // clippy.toml). Test code is exempt, as under audit.toml.
 #![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
 use pfair_core::weight::Weight;
@@ -59,7 +57,8 @@ use pfair_obs::{NoopProbe, Probe};
 use pfair_sched::engine::{Engine, SimConfig};
 use pfair_sched::event::{Event, EventKind, Workload};
 use pfair_sched::trace::SimResult;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -198,12 +197,13 @@ impl<P: Probe> ExecutorBuilder<P> {
             })
             .collect();
 
-        let (job_tx, job_rx) = unbounded::<Job>();
-        let (done_tx, done_rx) = unbounded::<usize>();
+        let (job_tx, job_rx) = channel::<Job>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let (done_tx, done_rx) = channel::<usize>();
         let workers = (0..self.workers)
             .map(|w| spawn_worker(w, job_rx.clone(), done_tx.clone()))
             .collect();
-        let (ctl_tx, ctl_rx) = unbounded();
+        let (ctl_tx, ctl_rx) = channel();
 
         Executor {
             engine,
@@ -228,19 +228,27 @@ struct Job {
     tick: Tick,
 }
 
-fn spawn_worker(idx: u32, jobs: Receiver<Job>, done: Sender<usize>) -> JoinHandle<()> {
+/// Both mutexes are locked ignoring poison: a body that panicked left
+/// nothing half-updated behind either lock (the job queue is only
+/// received from, and a body is re-entered whole), so the rest of the
+/// pool keeps running as it did under a non-poisoning mutex.
+fn spawn_worker(idx: u32, jobs: Arc<Mutex<Receiver<Job>>>, done: Sender<usize>) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("pfair-worker-{idx}"))
-        .spawn(move || {
-            while let Ok(job) = jobs.recv() {
-                {
-                    let mut body = job.body.lock();
-                    (body)(job.tick);
-                }
-                // The dispatcher may have shut down mid-run; a send
-                // failure is then expected and harmless.
-                let _ = done.send(job.task_idx);
+        .spawn(move || loop {
+            // Receive in a statement of its own: the queue guard must
+            // drop before the body runs, or the pool would run one body
+            // at a time.
+            let job = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+            // A closed job channel means shutdown.
+            let Ok(job) = job else { break };
+            {
+                let mut body = job.body.lock().unwrap_or_else(PoisonError::into_inner);
+                (body)(job.tick);
             }
+            // The dispatcher may have shut down mid-run; a send
+            // failure is then expected and harmless.
+            let _ = done.send(job.task_idx);
         })
         // audit: allow(panic, OS thread-spawn failure is unrecoverable at this layer)
         .expect("spawning worker thread")
@@ -426,12 +434,8 @@ impl<P: Probe> Executor<P> {
     }
 
     fn drain_done(&mut self) {
-        loop {
-            match self.done_rx.try_recv() {
-                Ok(idx) => self.busy[idx] = false,
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break,
-            }
+        while let Ok(idx) = self.done_rx.try_recv() {
+            self.busy[idx] = false;
         }
     }
 
@@ -703,6 +707,35 @@ mod concurrency_tests {
             "adaptive task should have grown past its initial 10% share: {ticks} ticks"
         );
         assert!(report.sim.max_abs_drift_delta() <= rat(2, 1));
+    }
+
+    /// The workers share one job `Receiver` behind a mutex, and a worker
+    /// must hand the guard back before it runs a body. Two bodies that
+    /// meet at a barrier inside one slot finish only if both workers got
+    /// their job; `shutdown` then drops the job sender and joins both.
+    #[test]
+    fn workers_release_the_job_queue_while_a_body_runs() {
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let mut b = ExecutorBuilder::new(2).virtual_time();
+        let handles = ["a", "b"].map(|name| {
+            let barrier = barrier.clone();
+            b.task(name, Weight::new(rat(1, 1)), move |_| {
+                barrier.wait();
+            })
+        });
+        let mut exec = b.build();
+        let (tx, rx) = channel();
+        // Off-thread so a deadlocked pool fails the test, not hangs it.
+        std::thread::spawn(move || {
+            exec.run(3);
+            let _ = tx.send(exec.shutdown());
+        });
+        let report = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("pool deadlocked: a worker held the job queue while its body ran");
+        for h in handles {
+            assert_eq!(report.ticks(h), 3);
+        }
     }
 
     /// Two controllers (clones) from two threads do not race the engine.

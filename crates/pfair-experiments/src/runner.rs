@@ -5,8 +5,7 @@
 //! pure function of its inputs. The pool itself now lives in
 //! [`pfair_core::pool`] (the shard supervisor in `pfair-sched` drives
 //! the same machinery); this module keeps the experiment-facing CLI
-//! policy — the `--threads` override and the `--timing` switch — and
-//! re-exports the pool so existing sweep code is unchanged.
+//! policy: the `--threads` override and the `--timing` switch.
 //!
 //! The worker count comes from the `--threads` CLI override, then the
 //! `PFAIR_THREADS` environment variable, then the machine's available
@@ -14,7 +13,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-pub use pfair_core::pool::par_map_threads;
+use pfair_core::pool::par_map_threads;
 
 /// Process-wide override set by the `--threads` CLI flag (0 = unset).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -83,43 +82,9 @@ where
     timed.into_iter().unzip()
 }
 
-/// Fans independent simulation runs across the pool: one
-/// [`simulate`](pfair_sched::engine::simulate) call per
-/// `(SimConfig, Workload)` job, results in job order.
-#[cfg_attr(not(test), allow(dead_code))] // consumed by the determinism tests; kept public API for future sweeps
-pub fn run_sims(
-    jobs: Vec<(pfair_sched::engine::SimConfig, pfair_sched::event::Workload)>,
-) -> Vec<pfair_sched::trace::SimResult> {
-    par_map(jobs, |(cfg, w)| pfair_sched::engine::simulate(cfg, &w))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_preserves_input_order() {
-        let items: Vec<u64> = (0..257).collect();
-        let expected: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
-        for workers in [1, 2, 3, 4, 7] {
-            let got = par_map_threads(workers, items.clone(), |x| x * x + 1);
-            assert_eq!(got, expected, "order broken at {workers} workers");
-        }
-    }
-
-    #[test]
-    fn par_map_handles_empty_and_singleton_inputs() {
-        let empty: Vec<u64> = Vec::new();
-        assert!(par_map_threads(4, empty, |x| x).is_empty());
-        assert_eq!(par_map_threads(4, vec![9u64], |x| x + 1), vec![10]);
-    }
-
-    #[test]
-    fn worker_count_never_exceeds_item_count() {
-        // 100 workers over 3 items must still produce all 3 results.
-        let got = par_map_threads(100, vec![1u64, 2, 3], |x| x * 10);
-        assert_eq!(got, vec![10, 20, 30]);
-    }
 
     /// A mixed PD²-OI / PD²-LJ / hybrid job list over phase-staggered
     /// sawtooth workloads: 12 jobs, three schemes × four periods.
@@ -168,7 +133,8 @@ mod tests {
             );
         }
         // And through the env-configured entry point used by sweeps.
-        assert_eq!(render(&run_sims(mixed_scheme_jobs())), serial);
+        let swept = par_map(mixed_scheme_jobs(), |(cfg, w)| simulate(cfg, &w));
+        assert_eq!(render(&swept), serial);
     }
 
     #[test]

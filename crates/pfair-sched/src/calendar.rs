@@ -119,16 +119,6 @@ impl CalendarRing {
         out
     }
 
-    /// Number of entries registered at exactly slot `t` (without
-    /// consuming them) — the tickless layer's fits-on-M precheck.
-    pub fn due_count(&self, t: Slot) -> usize {
-        if t >= self.base && t < self.base.saturating_add(WINDOW_SLOTS) {
-            self.buckets[Self::bucket_of(t)].len() // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-        } else {
-            self.overflow.iter().filter(|(at, _)| *at == t).count()
-        }
-    }
-
     /// The earliest occupied slot `≥ from`, or `None` when the ring
     /// holds nothing at or after `from`. This is exact (overflow
     /// entries included via their maintained minimum), so batching can
@@ -304,18 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn due_count_matches_without_consuming() {
-        let mut r = CalendarRing::new(0);
-        r.insert(7, TaskId(1));
-        r.insert(7, TaskId(2));
-        assert_eq!(r.due_count(7), 2);
-        assert_eq!(r.due_count(6), 0);
-        assert_eq!(r.len(), 2);
-        assert_eq!(ids(r.take(7)), vec![1, 2]);
-        assert_eq!(r.due_count(7), 0);
-    }
-
-    #[test]
     fn next_occupied_is_exact_within_the_window() {
         let mut r = CalendarRing::new(0);
         assert_eq!(r.next_occupied(0), None);
@@ -337,7 +315,6 @@ mod tests {
         r.insert(far, TaskId(3));
         r.insert(far + 700, TaskId(4)); // beyond even the rotated window
         assert_eq!(r.next_occupied(0), Some(far));
-        assert_eq!(r.due_count(far), 1);
         // Consuming slots in order up to `far` crosses a rotation.
         for t in 0..far {
             assert_eq!(r.take(t), Vec::new());

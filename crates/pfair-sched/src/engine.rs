@@ -72,22 +72,25 @@ pub struct SimConfig {
     /// Retain full subtask traces and per-slot ideal series.
     pub record_history: bool,
     /// Closed-form slot batching: advance over quiet spans (empty ready
-    /// queue, no event due) in one jump instead of per-slot pipeline
-    /// iterations. Output is bit-identical to the per-slot oracle —
-    /// probes included, since batched spans replay the per-slot hooks —
-    /// so this is on by default; disable via [`SimConfig::per_slot`] to
-    /// run the oracle. History runs always use the per-slot path (the
-    /// per-slot ideal series must be materialized anyway).
+    /// queue, no release or event due) in one jump instead of per-slot
+    /// pipeline iterations. Output is bit-identical to the per-slot
+    /// oracle — probes included: a span is reported through
+    /// `Probe::on_quiet_span`, whose default replays the per-slot
+    /// hooks — so this is on by default; disable via
+    /// [`SimConfig::per_slot`] to run the oracle. History runs always
+    /// use the per-slot path (the per-slot ideal series must be
+    /// materialized anyway).
     pub tickless: bool,
     /// Steady busy-span batching on top of the tickless driver: when
     /// the engine detects that the whole system is repeating with a
     /// common period (no event due, every queued task's windows
     /// recurring), it verifies one full period against the per-slot
     /// oracle and then enacts the remaining whole periods up to the
-    /// next event boundary in closed form. Only engaged under the
-    /// no-op probe (a probed run must emit every per-slot hook);
-    /// output is bit-identical either way. Disable via
-    /// [`SimConfig::without_busy_span`] to benchmark the plain
+    /// next event boundary in closed form. Engaged whenever the
+    /// attached probe declares `Probe::SPAN_AWARE` (it then rebuilds
+    /// its observation from the span-level hooks; a legacy probe forces
+    /// per-slot stepping); output is bit-identical either way. Disable
+    /// via [`SimConfig::without_busy_span`] to benchmark the plain
     /// tickless driver.
     pub busy_span: bool,
 }
@@ -541,72 +544,56 @@ impl<P: Probe> Engine<P> {
 
     /// Runs every remaining slot up to the horizon.
     ///
-    /// With `config.tickless` (the default) quiet spans — empty ready
-    /// queue, no event due — are advanced in closed form; the result,
-    /// counters, and probe stream are bit-identical to stepping every
-    /// slot (see DESIGN.md, "Tickless invariant"). History runs always
-    /// take the per-slot path: they materialize per-slot ideal series.
+    /// With `config.tickless` (the default) quiet and steady busy spans
+    /// are advanced in closed form; the result, counters, and probe
+    /// stream are bit-identical to stepping every slot (see DESIGN.md,
+    /// "The driver ladder"). History runs always take the per-slot
+    /// path: they materialize per-slot ideal series.
     pub fn run(&mut self) {
         self.run_to(self.config.horizon);
     }
 
     /// Runs every remaining slot up to `min(until, horizon)` — the
-    /// segmented form of [`Engine::run`]. A run split into segments is
-    /// bit-identical to one unsegmented run: every driver below is
-    /// equivalent to per-slot stepping regardless of where the
-    /// boundaries land, so the shard supervisor can interleave event
-    /// routing between segments without perturbing any shard's
-    /// trajectory.
+    /// segmented form of [`Engine::run`], and the engine's only driver
+    /// loop. Every slot that can change state runs the full per-slot
+    /// [`Engine::step`]; unless the run is the per-slot oracle
+    /// ([`SimConfig::per_slot`]) or records history, two closed forms
+    /// ride on top of it: the busy-span verifier observes every point
+    /// the driver reaches, and when the ready queue is empty the span up
+    /// to the next release, event boundary (enactment, departure,
+    /// stream or injected event) or `until` is skipped in one jump.
+    ///
+    /// A run split into segments is bit-identical to one unsegmented
+    /// run: both closed forms are equivalent to per-slot stepping
+    /// regardless of where the boundaries land, so the shard supervisor
+    /// can interleave event routing between segments without perturbing
+    /// any shard's trajectory.
     pub fn run_to(&mut self, until: Slot) {
         let until = until.min(self.config.horizon);
         self.run_limit = until;
-        if self.config.tickless && !self.config.record_history {
-            self.run_tickless(until);
-        } else {
-            while self.now < until {
-                self.step();
-            }
-        }
-        self.run_limit = self.config.horizon;
-    }
-
-    /// Event-horizon driver. Each iteration runs one full per-slot
-    /// [`Engine::step`], then — while the ready queue is empty and no
-    /// enactment/departure/stream/injected event is due — consumes the
-    /// quiet span ahead in one of two closed forms: a pure skip to the
-    /// next event horizon, or a "quick release slot" for release-only
-    /// slots whose due set fits on the `M` processors.
-    fn run_tickless(&mut self, until: Slot) {
+        let spans = self.config.tickless && !self.config.record_history;
         while self.now < until {
             self.step();
+            if !spans {
+                continue;
+            }
             self.busy_span_tick();
-            while self.now < until && self.queue.is_empty() && self.injected_min > self.now {
-                let t = self.now;
-                let boundary = self.next_boundary(t).min(until);
-                if boundary <= t {
-                    break; // a non-release event needs the full pipeline now
-                }
-                let next_release = self.release_at.next_occupied(t).unwrap_or(NEVER);
-                if next_release >= boundary {
-                    self.skip_quiet_span(t, boundary);
-                    self.busy_span_tick();
-                    break;
-                }
-                if next_release > t {
-                    self.skip_quiet_span(t, next_release);
-                    // The busy-span verifier needs to observe every
-                    // boundary the driver reaches (a probe's verify slot
-                    // may land right here); restart the scan in case it
-                    // armed or jumped.
-                    self.busy_span_tick();
-                    continue;
-                }
-                if !self.quick_release_slot(next_release) {
-                    break; // crowded or stale slot: the full pipeline takes it
-                }
+            if !self.queue.is_empty() {
+                continue;
+            }
+            // `next_boundary` includes the earliest injection, so a due
+            // (or overdue) one leaves no span to skip.
+            let t = self.now;
+            let next_release = self.release_at.next_occupied(t).unwrap_or(NEVER);
+            let end = self.next_boundary(t).min(next_release).min(until);
+            if end > t {
+                self.skip_quiet_span(t, end);
+                // The verifier must see this boundary too: an armed
+                // probe's verification slot may land right here.
                 self.busy_span_tick();
             }
         }
+        self.run_limit = self.config.horizon;
     }
 
     /// The earliest upcoming slot at which anything other than a
@@ -650,37 +637,6 @@ impl<P: Probe> Engine<P> {
             self.probe.on_quiet_span(start + 1, end, holes);
         }
         self.now = end;
-    }
-
-    /// Runs a release-only slot without the full pipeline: every due
-    /// release fires through the shared [`Engine::release_batch`], and —
-    /// because the queue held nothing else — PD² selection schedules
-    /// exactly the released heads. Returns `false` (leaving all state
-    /// untouched) when the due set might not fit on the processors, in
-    /// which case the caller falls back to a full [`Engine::step`].
-    fn quick_release_slot(&mut self, t: Slot) -> bool {
-        let m = self.config.processors as usize; // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
-        let due_count = self.release_at.due_count(t);
-        if due_count == 0 || due_count > m {
-            return false;
-        }
-        self.probe.on_slot_start(t);
-        let due = self.release_at.take(t);
-        self.release_batch(t, due);
-        let chosen = self.pop_and_schedule(t);
-        let last = std::mem::take(&mut self.last_chosen);
-        self.sweep_ran_flags(t, &last, &chosen);
-        self.promote_successors(&chosen);
-        // Only touched (= released, = chosen) tasks changed state;
-        // pruning them matches the oracle's all-task prune, which no-ops
-        // elsewhere.
-        let touched = std::mem::take(&mut self.touched);
-        for id in touched {
-            self.tasks.task_mut(id).prune(false);
-        }
-        self.now = t + 1;
-        self.last_chosen = chosen;
-        true
     }
 
     /// Delta form of the oracle's ran-flag/preemption scan: only tasks
@@ -737,10 +693,12 @@ impl<P: Probe> Engine<P> {
         // sweep over `prev ∪ chosen` (see `sweep_ran_flags` for the
         // equivalence argument against the oracle's all-task scan).
         let chosen = self.pop_and_schedule(t);
-        let last = std::mem::take(&mut self.last_chosen);
+        let mut last = std::mem::take(&mut self.last_chosen);
         self.sweep_ran_flags(t, &last, &chosen);
         self.promote_successors(&chosen);
-        self.last_chosen.clone_from(&chosen);
+        // Refill last slot's buffer instead of allocating a second one.
+        last.clone_from(&chosen);
+        self.last_chosen = last;
 
         // Step 6: per-slot ideal-schedule advance — history mode only,
         // where the per-slot I_SW series must be materialized anyway.
@@ -768,10 +726,11 @@ impl<P: Probe> Engine<P> {
             self.touched.clear();
             self.tasks.prune_all(true);
         } else {
-            let touched = std::mem::take(&mut self.touched);
-            for id in touched {
+            let mut touched = std::mem::take(&mut self.touched);
+            for id in touched.drain(..) {
                 self.tasks.task_mut(id).prune(false);
             }
+            self.touched = touched;
         }
         self.now = t + 1;
         chosen
@@ -1326,19 +1285,14 @@ impl<P: Probe> Engine<P> {
 
     // ---- step 4: releases ---------------------------------------------
 
+    /// Releases every valid entry of slot `t`'s due list: window
+    /// arithmetic, tracker syncs, drift samples, queue pushes, and probe
+    /// emissions.
     fn fire_releases(&mut self, t: Slot) {
         let due = self.release_at.take(t);
         if due.is_empty() {
             return;
         }
-        self.release_batch(t, due);
-    }
-
-    /// Releases every valid entry of a slot's due list. Shared verbatim
-    /// between the per-slot pipeline and the tickless quick path, so
-    /// window arithmetic, tracker syncs, drift samples, queue pushes,
-    /// and probe emissions are one code path.
-    fn release_batch(&mut self, t: Slot, due: Vec<TaskId>) {
         // Span-aware probes get the slot's releases as one batch; legacy
         // probes keep the per-release emission order unchanged.
         let mut batch: Vec<ReleaseRec> = Vec::new();
@@ -1446,8 +1400,7 @@ impl<P: Probe> Engine<P> {
 
     /// PD² selection proper: pops up to `M` live subtasks from the ready
     /// queue, marks them scheduled, counts holes, and assigns
-    /// processors. Shared verbatim between the per-slot pipeline and the
-    /// tickless quick path.
+    /// processors.
     fn pop_and_schedule(&mut self, t: Slot) -> Vec<TaskId> {
         let m = self.config.processors as usize; // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
         let mut chosen: Vec<TaskId> = Vec::with_capacity(m);
@@ -1589,11 +1542,9 @@ impl<P: Probe> Engine<P> {
     /// rebuilds the watch) — validate away here.
     ///
     /// Entries can surface with `deadline ≤ t` only when their slot was
-    /// consumed by a closed-form driver, and those slots provably hold
-    /// no miss: a quiet span has an empty ready queue (no pending
-    /// released subtask exists at all), and a quick release slot
-    /// schedules everything it releases. The debug assertion pins that
-    /// argument.
+    /// consumed by a quiet-span skip, and those slots provably hold no
+    /// miss: a quiet span has an empty ready queue (no pending released
+    /// subtask exists at all). The debug assertion pins that argument.
     fn check_misses(&mut self, t: Slot) {
         while let Some(&Reverse((deadline, raw_task, index))) = self.miss_watch.peek() {
             if deadline > t + 1 {

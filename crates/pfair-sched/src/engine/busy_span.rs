@@ -1,6 +1,6 @@
 //! Steady busy-span batching: closed-form advance over saturated spans.
 //!
-//! The tickless driver ([`Engine::run_tickless`]) already jumps *quiet*
+//! The driver loop ([`Engine::run_to`]) already jumps *quiet*
 //! spans — empty ready queue, no event due. Saturated systems never
 //! have a quiet slot, yet between scheduling-relevant events their
 //! trajectory is exactly periodic: every in-system task's subtask
@@ -178,11 +178,11 @@ impl TaskDelta {
 }
 
 impl<P: Probe> Engine<P> {
-    /// One busy-span state-machine transition, called by the tickless
-    /// driver after every full per-slot step. Either advances an armed
-    /// probe toward its verification slot, verifies-and-jumps at that
-    /// slot, or considers arming a fresh probe. O(1) when nothing is
-    /// armed and arming is not due.
+    /// One busy-span state-machine transition, called by the driver
+    /// loop after every full per-slot step and every quiet-span skip.
+    /// Either advances an armed probe toward its verification slot,
+    /// verifies-and-jumps at that slot, or considers arming a fresh
+    /// probe. O(1) when nothing is armed and arming is not due.
     pub(super) fn busy_span_tick(&mut self) {
         if !P::SPAN_AWARE || !self.config.busy_span {
             return;

@@ -89,15 +89,11 @@ pub struct ShardSpec {
     /// Worker-pool width for driving shards (output is byte-identical
     /// at any width; see the module docs).
     pub threads: usize,
-    /// Enable per-shard busy-span batching. Off by default: arming
-    /// clones the whole task slab per attempt, which is the wrong trade
-    /// at population scale (10⁵–10⁶ tasks per shard).
-    pub busy_span: bool,
 }
 
 impl ShardSpec {
     /// A spec with the scale-out defaults: PD²-OI, policing admission,
-    /// 64-slot segments, no rebalancing, single worker, no busy-span.
+    /// 64-slot segments, no rebalancing, single worker.
     pub fn new(shards: usize, processors_per_shard: u32, horizon: Slot) -> ShardSpec {
         ShardSpec {
             shards: shards.max(1),
@@ -108,7 +104,6 @@ impl ShardSpec {
             segment: 64,
             rebalance: false,
             threads: 1,
-            busy_span: false,
         }
     }
 
@@ -142,15 +137,14 @@ impl ShardSpec {
         self
     }
 
+    /// Shards never batch busy spans: arming clones the whole task slab
+    /// per attempt, which is the wrong trade at population scale
+    /// (10⁵–10⁶ tasks per shard).
     fn engine_config(&self) -> SimConfig {
-        let cfg = SimConfig::oi(self.processors_per_shard, self.horizon)
+        SimConfig::oi(self.processors_per_shard, self.horizon)
             .with_scheme(self.scheme.clone())
-            .with_admission(self.admission);
-        if self.busy_span {
-            cfg
-        } else {
-            cfg.without_busy_span()
-        }
+            .with_admission(self.admission)
+            .without_busy_span()
     }
 }
 
