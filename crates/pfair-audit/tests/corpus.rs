@@ -74,6 +74,12 @@ fn corpus_produces_exactly_the_expected_diagnostics() {
         ("sched/panics.rs", 4, NO_PANIC),
         ("sched/panics.rs", 9, NO_PANIC),
         ("sched/panics.rs", 13, NO_PANIC),
+        ("sched/rational_small.rs", 11, NO_FLOAT),
+        ("sched/rational_small.rs", 11, NO_LOSSY_CASTS),
+        ("sched/rational_small.rs", 16, NO_LOSSY_CASTS),
+        ("sched/rational_small.rs", 16, RAW_ARITH),
+        ("sched/rational_small.rs", 21, NO_PANIC),
+        ("sched/rational_small.rs", 29, OVERFLOW_INTERVAL),
         ("sched/raw_arithmetic.rs", 6, NO_LOSSY_CASTS),
         ("sched/raw_arithmetic.rs", 6, RAW_ARITH),
         ("sched/raw_arithmetic.rs", 11, RAW_ARITH),
@@ -213,6 +219,19 @@ fn sanctioned_span_digest_scaling_is_clean() {
     assert!(
         !findings.iter().any(|f| f.path == "sched/span_digest_ok.rs"),
         "checked digest scaling and a value-surfaced task lookup should audit clean"
+    );
+}
+
+#[test]
+fn sanctioned_small_operand_rational_path_is_clean() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let findings = audit_root(&root, &fixture_config()).expect("fixture tree readable");
+    assert!(
+        !findings
+            .iter()
+            .any(|f| f.path == "sched/rational_small_ok.rs"),
+        "a value-surfaced gate and a cross product under the ±2^31 \
+         contracts should audit clean"
     );
 }
 

@@ -59,6 +59,15 @@ impl pfair_json::ToJson for DriftSample {
     fn to_json(&self) -> pfair_json::Json {
         pfair_json::obj([("at", self.at.to_json()), ("drift", self.drift.to_json())])
     }
+
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object();
+        w.key("at");
+        self.at.write_json(w);
+        w.key("drift");
+        self.drift.write_json(w);
+        w.end_object();
+    }
 }
 
 impl pfair_json::FromJson for DriftSample {
@@ -126,6 +135,17 @@ impl DriftTrack {
     /// All recorded samples, in time order.
     pub fn samples(&self) -> &[DriftSample] {
         &self.samples
+    }
+
+    /// Releases the growth slack of the sample buffer — for a track
+    /// that is done recording and about to be kept in a result.
+    pub fn shrink_to_fit(&mut self) {
+        self.samples.shrink_to_fit();
+    }
+
+    /// Consumes the track into its samples, in time order.
+    pub fn into_samples(self) -> Vec<DriftSample> {
+        self.samples
     }
 
     /// The drift *added* by each reweighting event: successive

@@ -471,24 +471,35 @@ impl IswTracker {
     /// # Panics
     /// Panics if `t` is behind the tracker's current slot.
     pub fn advance_to(&mut self, t: Slot) -> (Rational, Vec<CompletionEvent>) {
+        let mut completions = Vec::new();
+        let added = self.advance_to_into(t, &mut completions);
+        (added, completions)
+    }
+
+    /// [`IswTracker::advance_to`] with the completions appended to a
+    /// caller-owned buffer — the engine synchronizes a tracker at every
+    /// release and reuses one buffer instead of allocating a vector per
+    /// call. Returns the allocation over the interval.
+    ///
+    /// # Panics
+    /// Panics if `t` is behind the tracker's current slot.
+    pub fn advance_to_into(&mut self, t: Slot, completions: &mut Vec<CompletionEvent>) -> Rational {
         assert!(t >= self.now, "cannot advance a tracker backwards"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
         if self.record_slot_allocs {
             let mut total = crate::rational::Accumulator::new();
-            let mut completions = Vec::new();
             while self.now < t {
                 let (slot_total, mut done) = self.advance(self.now);
                 total.push(slot_total);
                 completions.append(&mut done);
             }
-            return (total.finish(), completions);
+            return total.finish();
         }
         let from = self.now;
         if from == t {
-            return (Rational::ZERO, Vec::new());
+            return Rational::ZERO;
         }
         self.now = t;
         let mut interval_total = crate::rational::Accumulator::new();
-        let mut completions = Vec::new();
         // Index order matters for the same reason as in `advance`: a
         // successor's release-slot allocation reads the predecessor's
         // final-slot allocation, which this very call may compute.
@@ -543,7 +554,7 @@ impl IswTracker {
             if cum == Rational::ONE {
                 // Completed in its release slot (weight-1 era).
                 // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-                Self::complete(&mut self.subs[i], start, cum, &mut completions);
+                Self::complete(&mut self.subs[i], start, cum, completions);
             } else if start < t && self.swt.is_positive() {
                 let remaining = Rational::ONE - cum;
                 // Slots still needed at `swt` apiece; ≥ 1 since cum < 1.
@@ -554,7 +565,7 @@ impl IswTracker {
                     let final_alloc = remaining - self.swt.mul_int(k - 1);
                     interval_total.push(remaining);
                     // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-                    Self::complete(&mut self.subs[i], start + k, final_alloc, &mut completions);
+                    Self::complete(&mut self.subs[i], start + k, final_alloc, completions);
                 } else {
                     // Still incomplete at t: every slot allocates swt.
                     let added = self.swt.mul_int(t - start);
@@ -568,7 +579,7 @@ impl IswTracker {
         let added = interval_total.finish();
         self.total += added;
         self.retire();
-        (added, completions)
+        added
     }
 
     /// Marks a subtask complete at boundary `done_at` with the given

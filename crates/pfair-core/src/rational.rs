@@ -20,6 +20,22 @@
 //! representation, overflow is unreachable for the workloads in this
 //! repository (denominators stay below ~10^7 over 10^4-slot horizons).
 //!
+//! ## Small operands
+//!
+//! Those workloads' components are in fact tiny, and the checked `i128`
+//! code pays for its width on every operation (128-bit multiplies and,
+//! inside the gcd, the `__umodti3` software division). So `new`, `+`,
+//! `−`, `·`, [`Rational::mul_int`], [`Rational::div_ceil`] and `cmp`
+//! first test whether every component involved lies in
+//! `−2³¹ ..= 2³¹ − 1`; if so they run in native `i64` — products stay
+//! below 2⁶², sums below 2⁶³, so nothing can wrap (the `*_small`
+//! functions carry that proof for the static audit) — with a binary
+//! `u64` gcd. Otherwise they fall through to the checked `i128` code.
+//! Both compute the canonical form of the same exact value, which is
+//! unique, so the result is identical bit for bit; and since nothing
+//! inside the gate can overflow, every documented panic still fires
+//! exactly where it did.
+//!
 //! ```
 //! use pfair_core::rational::{rat, Rational};
 //!
@@ -50,6 +66,15 @@ impl pfair_json::ToJson for Rational {
             ("num", pfair_json::Json::Int(self.num)),
             ("den", pfair_json::Json::Int(self.den)),
         ])
+    }
+
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object();
+        w.key("num");
+        w.int(self.num);
+        w.key("den");
+        w.int(self.den);
+        w.end_object();
     }
 }
 
@@ -82,6 +107,172 @@ fn gcd(mut a: u128, mut b: u128) -> u128 {
     a
 }
 
+/// Greatest common divisor of two `u64`s by the binary algorithm:
+/// shifts and subtractions only, no division.
+#[inline]
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 {
+        return b;
+    }
+    if b == 0 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            core::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `gcd(|a|, b)` for `b > 0`, as a positive `i64` divisor.
+#[inline]
+fn gcd_small(a: i64, b: i64) -> i64 {
+    // The gcd divides the positive `b`, so it fits and is at least 1.
+    i64::try_from(gcd_u64(a.unsigned_abs(), b.unsigned_abs()))
+        .unwrap_or(1)
+        .max(1)
+}
+
+/// The small-operand gate: `x` as an `i64` when it lies in
+/// `−2³¹ ..= 2³¹ − 1`.
+#[inline]
+fn small(x: i128) -> Option<i64> {
+    i32::try_from(x).ok().map(i64::from)
+}
+
+/// `num/den` in lowest terms, for `den > 0`.
+#[inline]
+fn reduced_small(num: i64, den: i64) -> Rational {
+    let g = gcd_small(num, den);
+    if g == 1 {
+        return Rational {
+            num: i128::from(num),
+            den: i128::from(den),
+        };
+    }
+    Rational {
+        num: i128::from(num / g), // audit: allow(panic-reach, gcd_small returns a divisor of a positive denominator, at least 1)
+        den: i128::from(den / g), // audit: allow(panic-reach, gcd_small returns a divisor of a positive denominator, at least 1)
+    }
+}
+
+/// [`Rational::new`] inside the gate (`den ≠ 0`).
+// audit: prove(overflow-bounds)
+// audit: assume(num in -2147483648..=2147483647)
+// audit: assume(den in -2147483648..=2147483647)
+#[inline]
+fn new_small(num: i64, den: i64) -> Rational {
+    if den < 0 {
+        reduced_small(-num, -den)
+    } else {
+        reduced_small(num, den)
+    }
+}
+
+/// `a/b + c/d` inside the gate, for canonical operands (`a ⟂ b`,
+/// `c ⟂ d`). With `g = gcd(b, d)` and `t = a·(d/g) + c·(b/g)`, `t` is
+/// coprime to both `b/g` and `d/g`, so the only factor the sum can
+/// still share with its denominator divides `g` (Knuth, TAOCP 4.5.1):
+/// coprime denominators need no reduction at all, and otherwise the
+/// reducing gcd runs against `g` instead of the full product. `c` may
+/// be a negated numerator (`−(−2³¹) = 2³¹`), hence the symmetric bound.
+// audit: prove(overflow-bounds)
+// audit: assume(a in -2147483648..=2147483648)
+// audit: assume(b in 1..=2147483647)
+// audit: assume(c in -2147483648..=2147483648)
+// audit: assume(d in 1..=2147483647)
+// audit: assume(g in 1..=2147483647)
+// audit: assume(g2 in 1..=2147483647)
+#[inline]
+fn add_small(a: i64, b: i64, c: i64, d: i64) -> Rational {
+    if b == d {
+        return reduced_small(a + c, b);
+    }
+    let g = gcd_small(b, d);
+    if g == 1 {
+        return Rational {
+            num: i128::from(a * d + c * b),
+            den: i128::from(b * d),
+        };
+    }
+    let bg = b / g; // audit: allow(panic-reach, gcd_small returns a divisor of a positive denominator, at least 1)
+    let dg = d / g; // audit: allow(panic-reach, gcd_small returns a divisor of a positive denominator, at least 1)
+    let t = a * dg + c * bg;
+    let g2 = gcd_small(t, g);
+    let dg2 = d / g2; // audit: allow(panic-reach, gcd_small returns a divisor of a positive denominator, at least 1)
+    Rational {
+        num: i128::from(t / g2), // audit: allow(panic-reach, gcd_small returns a divisor of a positive denominator, at least 1)
+        den: i128::from(bg * dg2),
+    }
+}
+
+/// `a/b · c/d` inside the gate.
+// audit: prove(overflow-bounds)
+// audit: assume(a in -2147483648..=2147483647)
+// audit: assume(b in 1..=2147483647)
+// audit: assume(c in -2147483648..=2147483647)
+// audit: assume(d in 1..=2147483647)
+#[inline]
+fn mul_small(a: i64, b: i64, c: i64, d: i64) -> Rational {
+    reduced_small(a * c, b * d)
+}
+
+/// `a/b · n` inside the gate; canonical without a final reduction for
+/// the reason given at [`Rational::mul_int`].
+// audit: prove(overflow-bounds)
+// audit: assume(a in -2147483648..=2147483647)
+// audit: assume(b in 1..=2147483647)
+// audit: assume(n in -2147483648..=2147483647)
+// audit: assume(g in 1..=2147483647)
+#[inline]
+fn mul_int_small(a: i64, b: i64, n: i64) -> Rational {
+    let g = gcd_small(n, b);
+    let ng = n / g; // audit: allow(panic-reach, gcd_small returns a divisor of a positive denominator, at least 1)
+    Rational {
+        num: i128::from(a * ng),
+        den: i128::from(b / g), // audit: allow(panic-reach, gcd_small returns a divisor of a positive denominator, at least 1)
+    }
+}
+
+/// `⌈(a/b) / (c/d)⌉` inside the gate, for `c > 0`.
+// audit: prove(overflow-bounds)
+// audit: assume(a in -2147483648..=2147483647)
+// audit: assume(b in 1..=2147483647)
+// audit: assume(c in 1..=2147483647)
+// audit: assume(d in 1..=2147483647)
+#[inline]
+fn div_ceil_small(a: i64, b: i64, c: i64, d: i64) -> i64 {
+    let num = a * d;
+    let den = c * b;
+    // Truncation rounds a negative quotient up already; a positive
+    // inexact one is one short of its ceiling.
+    let q = num / den; // audit: allow(panic-reach, den is a product of two positive factors)
+    let r = num % den; // audit: allow(panic-reach, den is a product of two positive factors)
+    if r > 0 {
+        q + 1
+    } else {
+        q
+    }
+}
+
+/// `a/b ? c/d` inside the gate.
+// audit: prove(overflow-bounds)
+// audit: assume(a in -2147483648..=2147483647)
+// audit: assume(b in 1..=2147483647)
+// audit: assume(c in -2147483648..=2147483647)
+// audit: assume(d in 1..=2147483647)
+#[inline]
+fn cmp_small(a: i64, b: i64, c: i64, d: i64) -> Ordering {
+    (a * d).cmp(&(c * b))
+}
+
 impl Rational {
     /// The rational zero.
     pub const ZERO: Rational = Rational { num: 0, den: 1 };
@@ -95,6 +286,15 @@ impl Rational {
     #[inline]
     pub fn new(num: i128, den: i128) -> Rational {
         assert!(den != 0, "Rational with zero denominator"); // audit: allow(panic-reach, documented contract: zero denominators and non-positive divisors panic)
+        if let (Some(n), Some(d)) = (small(num), small(den)) {
+            return new_small(n, d);
+        }
+        Rational::new_wide(num, den)
+    }
+
+    /// Normalization in checked `i128` — any components, `den ≠ 0`.
+    #[inline]
+    fn new_wide(num: i128, den: i128) -> Rational {
         let (num, den) = if den < 0 {
             (
                 num.checked_neg() // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
@@ -220,6 +420,15 @@ impl Rational {
     /// Panics if the product numerator overflows `i128`.
     #[inline]
     pub fn mul_int(self, n: i64) -> Rational {
+        if let (Some((a, b)), Ok(n)) = (self.small_parts(), i32::try_from(n)) {
+            return mul_int_small(a, b, i64::from(n));
+        }
+        self.mul_int_wide(n)
+    }
+
+    /// Integer multiple in checked `i128` — any operands.
+    #[inline]
+    fn mul_int_wide(self, n: i64) -> Rational {
         let n = i128::from(n);
         let g = i128::try_from(gcd(n.unsigned_abs(), self.den.unsigned_abs())) // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
             // audit: allow(panic, unreachable: gcd divides the positive denominator)
@@ -237,9 +446,25 @@ impl Rational {
         }
     }
 
+    /// Both components as `i64`s when they pass the small-operand gate
+    /// (module docs).
+    #[inline]
+    fn small_parts(self) -> Option<(i64, i64)> {
+        small(self.num).zip(small(self.den))
+    }
+
     /// Checked addition used by the operator impls.
     #[inline]
     fn checked_add(self, rhs: Rational) -> Rational {
+        if let (Some((a, b)), Some((c, d))) = (self.small_parts(), rhs.small_parts()) {
+            return add_small(a, b, c, d);
+        }
+        self.add_wide(rhs)
+    }
+
+    /// Addition in checked `i128` — any operands.
+    #[inline]
+    fn add_wide(self, rhs: Rational) -> Rational {
         if self.den == rhs.den {
             // Same-denominator fast path: a/d + c/d = (a+c)/d, skipping
             // the denominator gcd and the two cross-multiplies. The
@@ -274,6 +499,15 @@ impl Rational {
     /// Checked multiplication used by the operator impls.
     #[inline]
     fn checked_mul(self, rhs: Rational) -> Rational {
+        if let (Some((a, b)), Some((c, d))) = (self.small_parts(), rhs.small_parts()) {
+            return mul_small(a, b, c, d);
+        }
+        self.mul_wide(rhs)
+    }
+
+    /// Multiplication in checked `i128` — any operands.
+    #[inline]
+    fn mul_wide(self, rhs: Rational) -> Rational {
         // Cross-reduce before multiplying to keep intermediates small.
         // Each gcd divides a positive denominator, so both fit in i128.
         let g1 = i128::try_from(gcd(self.num.unsigned_abs(), rhs.den.unsigned_abs())) // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
@@ -349,8 +583,17 @@ impl Rational {
     #[inline]
     pub fn div_ceil(self, rhs: Rational) -> i128 {
         assert!(rhs.is_positive(), "div_ceil by non-positive rational"); // audit: allow(panic-reach, documented contract: zero denominators and non-positive divisors panic)
-                                                                         // (a/b) / (c/d) = a·d / (b·c), with b, d > 0 canonical.
-                                                                         // audit: allow(panic, documented overflow contract of Rational arithmetic); allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        if let (Some((a, b)), Some((c, d))) = (self.small_parts(), rhs.small_parts()) {
+            return i128::from(div_ceil_small(a, b, c, d));
+        }
+        self.div_ceil_wide(rhs)
+    }
+
+    /// Ceiling quotient in checked `i128` — any operands, `rhs > 0`.
+    #[inline]
+    fn div_ceil_wide(self, rhs: Rational) -> i128 {
+        // (a/b) / (c/d) = a·d / (b·c), with b, d > 0 canonical.
+        // audit: allow(panic, documented overflow contract of Rational arithmetic); allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
         let num = self.num.checked_mul(rhs.den).expect("div_ceil overflow");
         // audit: allow(panic, documented overflow contract of Rational arithmetic); allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
         let den = rhs.num.checked_mul(self.den).expect("div_ceil overflow");
@@ -500,7 +743,10 @@ impl Sub for Rational {
     type Output = Rational;
     #[inline]
     fn sub(self, rhs: Rational) -> Rational {
-        self.checked_add(-rhs)
+        if let (Some((a, b)), Some((c, d))) = (self.small_parts(), rhs.small_parts()) {
+            return add_small(a, b, -c, d);
+        }
+        self.add_wide(-rhs)
     }
 }
 
@@ -560,6 +806,17 @@ impl PartialOrd for Rational {
 impl Ord for Rational {
     #[inline]
     fn cmp(&self, other: &Rational) -> Ordering {
+        if let (Some((a, b)), Some((c, d))) = (self.small_parts(), other.small_parts()) {
+            return cmp_small(a, b, c, d);
+        }
+        self.cmp_wide(other)
+    }
+}
+
+impl Rational {
+    /// Comparison in checked `i128` — any operands.
+    #[inline]
+    fn cmp_wide(&self, other: &Rational) -> Ordering {
         // a/b ? c/d  <=>  a*d ? c*b  (b, d > 0). Overflow-checked.
         // audit: allow(panic-reach, documented overflow contract of Rational arithmetic)
         let lhs = self
@@ -730,6 +987,105 @@ mod tests {
         let mut acc = Accumulator::new();
         acc.push(Rational::new(i128::MAX - 1, i128::MAX));
         acc.push(Rational::new(i128::MAX - 1, i128::MAX - 2));
+    }
+}
+
+/// The small-operand path against the checked `i128` path it shadows:
+/// operands are drawn on both sides of the `±2³¹` gate and exactly at
+/// it, negatives and zero included, and every gated operation must
+/// return the wide path's value bit for bit (derived `==` compares the
+/// stored components, so a non-canonical result cannot pass).
+#[cfg(test)]
+mod small_path_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const EDGE_HI: i128 = i32::MAX as i128;
+    const EDGE_LO: i128 = i32::MIN as i128;
+
+    /// One component: tiny, mid-range, straddling either edge of the
+    /// gate (offset 0 is the edge itself), halfway in (so products of
+    /// reduced operands approach 2⁶²), or far outside.
+    fn arb_component() -> impl Strategy<Value = i128> {
+        (0u8..7, -40i128..=40).prop_map(|(zone, k)| match zone {
+            0 => k,
+            1 => k * 1_000_003,
+            2 => EDGE_HI + k,
+            3 => EDGE_LO + k,
+            4 => EDGE_HI - k.abs(),
+            5 => EDGE_LO + k.abs(),
+            _ => (1 << 40) + k,
+        })
+    }
+
+    fn arb_operand() -> impl Strategy<Value = Rational> {
+        (arb_component(), arb_component())
+            .prop_map(|(n, d)| Rational::new(n, if d == 0 { 1 } else { d }))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn new_matches_the_wide_path(n in arb_component(), d in arb_component()) {
+            prop_assume!(d != 0);
+            let r = Rational::new(n, d);
+            prop_assert_eq!(r, Rational::new_wide(n, d));
+            prop_assert!(r.den > 0);
+            prop_assert_eq!(gcd(r.num.unsigned_abs(), r.den.unsigned_abs()), 1);
+        }
+
+        #[test]
+        fn add_sub_mul_match_the_wide_path(a in arb_operand(), b in arb_operand()) {
+            prop_assert_eq!(a + b, a.add_wide(b));
+            prop_assert_eq!(a - b, a.add_wide(-b));
+            prop_assert_eq!(a * b, a.mul_wide(b));
+        }
+
+        #[test]
+        fn mul_int_matches_the_wide_path(a in arb_operand(), n in arb_component()) {
+            let n = i64::try_from(n).expect("components fit i64");
+            prop_assert_eq!(a.mul_int(n), a.mul_int_wide(n));
+        }
+
+        #[test]
+        fn div_ceil_and_cmp_match_the_wide_path(a in arb_operand(), b in arb_operand()) {
+            prop_assert_eq!(a.cmp(&b), a.cmp_wide(&b));
+            if b.is_positive() {
+                prop_assert_eq!(a.div_ceil(b), a.div_ceil_wide(b));
+            }
+        }
+    }
+
+    /// The gate itself: `i32::MIN` and `i32::MAX` are inside, their
+    /// outer neighbours are not, and `new(i32::MIN, i32::MIN)` — whose
+    /// sign fix-up negates both edges — stays exact.
+    #[test]
+    fn gate_edges() {
+        assert_eq!(small(EDGE_HI), Some(i64::from(i32::MAX)));
+        assert_eq!(small(EDGE_LO), Some(i64::from(i32::MIN)));
+        assert_eq!(small(EDGE_HI + 1), None);
+        assert_eq!(small(EDGE_LO - 1), None);
+        assert_eq!(Rational::new(EDGE_LO, EDGE_LO), Rational::ONE);
+        let r = Rational::new(EDGE_HI, EDGE_LO);
+        assert_eq!((r.numer(), r.denom()), (-EDGE_HI, -EDGE_LO));
+        assert_eq!(r, Rational::new_wide(EDGE_HI, EDGE_LO));
+    }
+
+    #[test]
+    fn binary_gcd_matches_euclid() {
+        for (a, b) in [
+            (0, 0),
+            (0, 7),
+            (7, 0),
+            (12, 18),
+            (1 << 40, 1 << 20),
+            (97, 89),
+        ] {
+            assert_eq!(u128::from(gcd_u64(a, b)), gcd(u128::from(a), u128::from(b)));
+        }
+        assert_eq!(gcd_u64(u64::MAX, u64::MAX - 1), 1);
+        assert_eq!(gcd_u64(1 << 63, 1 << 62), 1 << 62);
     }
 }
 

@@ -14,6 +14,10 @@
 //! end to end; non-integer numbers are a *parse error* by design, and
 //! rationals serialize structurally as `{"num": …, "den": …}`.
 //!
+//! Serialization has one formatter, [`JsonWriter`]: a [`Json`] tree is
+//! replayed into it, and [`ToJson::write_json`] lets large reports
+//! stream into it without building the tree — same bytes either way.
+//!
 //! ```
 //! use pfair_json::{Json, ToJson, FromJson};
 //!
@@ -71,6 +75,23 @@ impl std::error::Error for JsonError {}
 pub trait ToJson {
     /// The JSON representation of `self`.
     fn to_json(&self) -> Json;
+
+    /// Streams `self` into `w`: the same bytes `self.to_json()` writes
+    /// through the same writer, without building the tree. The default
+    /// builds it; types that dominate large reports (integers,
+    /// rationals, vectors, the shard report rows) override it.
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.to_json().write(w);
+    }
+
+    /// Pretty rendering (two-space indentation) streamed through
+    /// [`ToJson::write_json`]; byte-identical to
+    /// `self.to_json().to_string_pretty()`.
+    fn to_json_pretty(&self) -> String {
+        let mut w = JsonWriter::pretty();
+        self.write_json(&mut w);
+        w.into_string()
+    }
 }
 
 /// Validated deserialization from [`Json`] values.
@@ -125,36 +146,33 @@ impl Json {
 
     /// Pretty serialization with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        let mut w = JsonWriter::pretty();
+        self.write(&mut w);
+        w.into_string()
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    /// Replays the tree into `w` — the tree rendering is the streamed
+    /// one, so both produce the same bytes by construction.
+    pub fn write(&self, w: &mut JsonWriter) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => {
-                // i128 display is pure digits; no float formatting anywhere.
-                out.push_str(&n.to_string());
-            }
-            Json::Str(s) => write_string(out, s),
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Int(n) => w.int(*n),
+            Json::Str(s) => w.string(s),
             Json::Array(items) => {
-                write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-                    items[i].write(out, indent, depth + 1); // audit: allow(panic-reach, write_seq calls back with i < items.len() by construction)
-                });
+                w.begin_array();
+                for item in items {
+                    item.write(w);
+                }
+                w.end_array();
             }
             Json::Object(fields) => {
-                write_seq(out, indent, depth, '{', '}', fields.len(), |out, i| {
-                    let (k, v) = &fields[i]; // audit: allow(panic-reach, write_seq calls back with i < fields.len() by construction)
-                    write_string(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
-                });
+                w.begin_object();
+                for (k, v) in fields {
+                    w.key(k);
+                    v.write(w);
+                }
+                w.end_object();
             }
         }
     }
@@ -163,63 +181,218 @@ impl Json {
 /// Compact serialization comes from `Display`: `value.to_string()`.
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        f.write_str(&out)
+        let mut w = JsonWriter::compact();
+        self.write(&mut w);
+        f.write_str(&w.into_string())
     }
 }
 
-fn write_seq(
-    out: &mut String,
+/// Streaming JSON serializer: the one formatter behind [`Json`]'s
+/// renderings and [`ToJson::write_json`].
+///
+/// Callers emit a value as a sequence of calls — scalars, or
+/// `begin_*` … `end_*` around the members, with [`JsonWriter::key`]
+/// before each object member — and the writer places commas, newlines
+/// and indentation. It does not check that the calls nest into a valid
+/// document; [`Json::write`] and the `write_json` overrides are the
+/// callers, and the equivalence tests pin their output to the tree's.
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    /// Spaces per nesting level; `None` renders compactly.
     indent: Option<usize>,
     depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut write_item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(width) = indent {
-            out.push('\n');
-            for _ in 0..(width * (depth + 1)) {
-                out.push(' ');
-            }
-        }
-        write_item(out, i);
-    }
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..(width * depth) {
-            out.push(' ');
-        }
-    }
-    out.push(close);
+    /// The open container already holds a member.
+    has_items: bool,
+    /// A key was just written: the next value continues its line.
+    after_key: bool,
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+impl JsonWriter {
+    /// A writer for the pretty rendering (two-space indentation).
+    pub fn pretty() -> JsonWriter {
+        JsonWriter::new(Some(2))
+    }
+
+    /// A writer for the compact rendering (no whitespace).
+    pub fn compact() -> JsonWriter {
+        JsonWriter::new(None)
+    }
+
+    fn new(indent: Option<usize>) -> JsonWriter {
+        JsonWriter {
+            out: String::new(),
+            indent,
+            depth: 0,
+            has_items: false,
+            after_key: false,
         }
     }
-    out.push('"');
+
+    /// The text written so far.
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    /// In the pretty rendering: an optional comma, a line break and the
+    /// current indentation, in one copy for up to 64 columns.
+    fn break_line(&mut self, comma: bool) {
+        const PAD: &str = ",\n                                                                ";
+        let Some(width) = self.indent else {
+            if comma {
+                self.out.push(',');
+            }
+            return;
+        };
+        let columns = width * self.depth;
+        let start = usize::from(!comma);
+        match PAD.get(start..columns + 2) {
+            Some(line) => self.out.push_str(line),
+            None => {
+                self.out.push_str(PAD.get(start..).unwrap_or(""));
+                for _ in PAD.len()..columns + 2 {
+                    self.out.push(' ');
+                }
+            }
+        }
+    }
+
+    /// Separator and line break before an array element, a key, or a
+    /// top-level value; nothing after a key.
+    fn item(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+            return;
+        }
+        // A document has one top-level value: nothing precedes it.
+        if self.depth > 0 {
+            self.break_line(self.has_items);
+        }
+        self.has_items = true;
+    }
+
+    fn begin(&mut self, open: char) {
+        self.item();
+        self.out.push(open);
+        self.depth += 1;
+        self.has_items = false;
+    }
+
+    fn end(&mut self, close: char) {
+        self.depth = self.depth.saturating_sub(1);
+        if self.has_items {
+            self.break_line(false);
+        }
+        self.out.push(close);
+        self.has_items = true;
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) {
+        self.begin('{');
+    }
+
+    /// Closes the innermost open object.
+    pub fn end_object(&mut self) {
+        self.end('}');
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) {
+        self.begin('[');
+    }
+
+    /// Closes the innermost open array.
+    pub fn end_array(&mut self) {
+        self.end(']');
+    }
+
+    /// The key of the next object member; its value follows.
+    pub fn key(&mut self, key: &str) {
+        self.item();
+        self.push_string(key);
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
+        }
+        self.after_key = true;
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.item();
+        self.out.push_str("null");
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, value: bool) {
+        self.item();
+        self.out.push_str(if value { "true" } else { "false" });
+    }
+
+    /// An integer: pure digits, no float formatting anywhere.
+    /// Magnitudes below 2⁶⁴ — every count, slot and small rational
+    /// component — take a native `u64` digit loop instead of the
+    /// 128-bit division `i128`'s `Display` performs.
+    pub fn int(&mut self, n: i128) {
+        use fmt::Write;
+        self.item();
+        let Ok(mut mag) = u64::try_from(n.unsigned_abs()) else {
+            // Writing to a `String` cannot fail.
+            let _ = write!(self.out, "{n}");
+            return;
+        };
+        if n < 0 {
+            self.out.push('-');
+        }
+        let mut buf = [b'0'; 20]; // u64::MAX has 20 digits
+        let mut len = 0;
+        for digit in buf.iter_mut().rev() {
+            *digit = b'0' + u8::try_from(mag % 10).unwrap_or(0);
+            mag /= 10;
+            len += 1;
+            if mag == 0 {
+                break;
+            }
+        }
+        self.out
+            .extend(buf.iter().skip(buf.len() - len).map(|&d| char::from(d)));
+    }
+
+    /// A string, escaped.
+    pub fn string(&mut self, s: &str) {
+        self.item();
+        self.push_string(s);
+    }
+
+    fn push_string(&mut self, s: &str) {
+        use fmt::Write;
+        let escaped = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
+        self.out.push('"');
+        // Unescaped runs are copied whole (keys are one run); every
+        // escaped byte is ASCII, so run boundaries are character
+        // boundaries.
+        let mut rest = s;
+        while let Some(i) = rest.bytes().position(escaped) {
+            let (run, tail) = rest.split_at(i);
+            self.out.push_str(run);
+            match tail.as_bytes().first() {
+                Some(b'"') => self.out.push_str("\\\""),
+                Some(b'\\') => self.out.push_str("\\\\"),
+                Some(b'\n') => self.out.push_str("\\n"),
+                Some(b'\r') => self.out.push_str("\\r"),
+                Some(b'\t') => self.out.push_str("\\t"),
+                Some(b) => {
+                    // Writing to a `String` cannot fail.
+                    let _ = write!(self.out, "\\u{b:04x}");
+                }
+                None => {}
+            }
+            rest = tail.get(1..).unwrap_or("");
+        }
+        self.out.push_str(rest);
+        self.out.push('"');
+    }
 }
 
 struct Parser<'a> {
@@ -418,6 +591,9 @@ macro_rules! impl_json_ints {
             fn to_json(&self) -> Json {
                 Json::Int(i128::from(*self))
             }
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.int(i128::from(*self));
+            }
         }
         impl FromJson for $t {
             fn from_json(value: &Json) -> Result<Self, JsonError> {
@@ -441,6 +617,9 @@ impl ToJson for i128 {
     fn to_json(&self) -> Json {
         Json::Int(*self)
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.int(*self);
+    }
 }
 
 impl FromJson for i128 {
@@ -454,6 +633,9 @@ impl FromJson for i128 {
 impl ToJson for usize {
     fn to_json(&self) -> Json {
         Json::Int(*self as i128)
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.int(*self as i128);
     }
 }
 
@@ -517,6 +699,13 @@ impl<T: FromJson> FromJson for Option<T> {
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Array(self.iter().map(ToJson::to_json).collect())
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array();
+        for item in self {
+            item.write_json(w);
+        }
+        w.end_array();
     }
 }
 
@@ -595,6 +784,104 @@ mod tests {
         for text in [v.to_string(), v.to_string_pretty()] {
             assert_eq!(Json::parse(&text).unwrap(), v);
         }
+    }
+
+    /// The streamed calls and the tree replay share one formatter: the
+    /// same document written call by call equals both tree renderings,
+    /// empty containers and escapes included.
+    #[test]
+    fn streamed_calls_equal_the_tree_renderings() {
+        let tree = obj([
+            ("empty_array", Json::Array(vec![])),
+            ("empty_object", Json::Object(vec![])),
+            ("text", Json::Str("a\"b\\c\n\r\t\u{1}é🦀".into())),
+            (
+                "nested",
+                Json::Array(vec![
+                    Json::Int(-7),
+                    obj([("k", Json::Null)]),
+                    Json::Array(vec![Json::Bool(true)]),
+                ]),
+            ),
+        ]);
+        let stream = |mut w: JsonWriter| {
+            w.begin_object();
+            w.key("empty_array");
+            w.begin_array();
+            w.end_array();
+            w.key("empty_object");
+            w.begin_object();
+            w.end_object();
+            w.key("text");
+            w.string("a\"b\\c\n\r\t\u{1}é🦀");
+            w.key("nested");
+            w.begin_array();
+            w.int(-7);
+            w.begin_object();
+            w.key("k");
+            w.null();
+            w.end_object();
+            w.begin_array();
+            w.bool(true);
+            w.end_array();
+            w.end_array();
+            w.end_object();
+            w.into_string()
+        };
+        assert_eq!(stream(JsonWriter::pretty()), tree.to_string_pretty());
+        assert_eq!(stream(JsonWriter::compact()), tree.to_string());
+        assert_eq!(Json::parse(&tree.to_string_pretty()).unwrap(), tree);
+        assert!(tree.to_string().contains("\\u0001"));
+    }
+
+    /// Indentation deeper than the writer's one-copy padding (64
+    /// columns) still comes out at two spaces per level.
+    #[test]
+    fn deep_nesting_indents_past_the_padding_block() {
+        let depth = 40;
+        let mut tree = Json::Int(0);
+        let mut expected = String::new();
+        for level in 0..depth {
+            tree = Json::Array(vec![tree]);
+            expected.push_str("[\n");
+            expected.push_str(&" ".repeat(2 * (level + 1)));
+        }
+        expected.push('0');
+        for level in (0..depth).rev() {
+            expected.push('\n');
+            expected.push_str(&" ".repeat(2 * level));
+            expected.push(']');
+        }
+        assert_eq!(tree.to_string_pretty(), expected);
+    }
+
+    /// The `u64` digit loop and the wide fallback agree with `Display`
+    /// on both sides of the 2⁶⁴ gate.
+    #[test]
+    fn integer_digits_match_display_across_the_u64_gate() {
+        let gate = i128::from(u64::MAX);
+        let cases = [
+            0,
+            1,
+            -1,
+            9,
+            10,
+            -10,
+            1_000_000_007,
+            gate,
+            gate + 1,
+            -gate,
+            -gate - 1,
+        ];
+        for n in cases.into_iter().chain([i128::MAX, i128::MIN]) {
+            assert_eq!(n.to_json_pretty(), n.to_string());
+            assert_eq!(Json::Int(n).to_string(), n.to_string());
+        }
+        assert_eq!(
+            vec![3u64, 40, 500].to_json_pretty(),
+            "[\n  3,\n  40,\n  500\n]"
+        );
+        assert_eq!(Vec::<u8>::new().to_json_pretty(), "[]");
     }
 
     #[test]

@@ -104,6 +104,16 @@ impl CalendarRing {
     /// Removes and returns every entry registered at slot `t`.
     /// Callers consume slots in nondecreasing order.
     pub fn take(&mut self, t: Slot) -> Vec<TaskId> {
+        let mut out = Vec::new();
+        self.take_into(t, &mut out);
+        out
+    }
+
+    /// [`CalendarRing::take`] into a caller-owned buffer: the entries
+    /// registered at slot `t` are appended to `out` in insertion order
+    /// and the bucket keeps its allocation for the next lap of the
+    /// ring, so a consumer that visits every slot allocates nothing.
+    pub fn take_into(&mut self, t: Slot, out: &mut Vec<TaskId>) {
         if t >= self.base.saturating_add(WINDOW_SLOTS) {
             self.rotate(t);
         }
@@ -111,12 +121,12 @@ impl CalendarRing {
         let b = Self::bucket_of(t);
         // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
         if self.occupied[b / 64] & (1u64 << (b % 64)) == 0 {
-            return Vec::new();
+            return;
         }
         self.occupied[b / 64] &= !(1u64 << (b % 64)); // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-        let out = std::mem::take(&mut self.buckets[b]); // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-        self.in_window -= out.len();
-        out
+        let bucket = &mut self.buckets[b]; // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
+        self.in_window -= bucket.len();
+        out.append(bucket);
     }
 
     /// The earliest occupied slot `≥ from`, or `None` when the ring
@@ -291,6 +301,29 @@ mod tests {
         assert_eq!(ids(r.take(3)), Vec::<u32>::new());
         assert_eq!(ids(r.take(4)), vec![9]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn take_into_appends_and_matches_take() {
+        let mut a = CalendarRing::new(0);
+        let mut b = CalendarRing::new(0);
+        for r in [&mut a, &mut b] {
+            r.insert(3, TaskId(5));
+            r.insert(3, TaskId(2));
+            r.insert(600, TaskId(9)); // overflow, migrates at rotation
+        }
+        let mut out = vec![TaskId(77)];
+        b.take_into(2, &mut out);
+        b.take_into(3, &mut out);
+        assert_eq!(ids(out), vec![77, 5, 2]);
+        assert_eq!(ids(a.take(3)), vec![5, 2]);
+        let mut out = Vec::new();
+        b.take_into(600, &mut out);
+        assert_eq!(ids(out), ids(a.take(600)));
+        assert!(a.is_empty() && b.is_empty());
+        // The drained bucket is reusable on the next lap.
+        b.insert(600 + WINDOW_SLOTS, TaskId(1));
+        assert_eq!(ids(b.take(600 + WINDOW_SLOTS)), vec![1]);
     }
 
     #[test]

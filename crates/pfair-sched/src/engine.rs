@@ -29,7 +29,9 @@
 //!    `max(t_c, D + b)` in a later slot's step 2).
 //! 7. **Miss check**: any released, unhalted, unscheduled subtask whose
 //!    deadline is `t + 1` is recorded as a miss (Theorem 2: never under
-//!    PD²-OI with admission policing).
+//!    PD²-OI with admission policing). The ready queue's front deadline
+//!    rules the slot out in O(1) whenever nothing queued is due (see
+//!    `check_misses`).
 
 use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::calendar::CalendarRing;
@@ -40,6 +42,7 @@ use crate::queue::{compaction_threshold, QueueEntry, ReadyQueue};
 use crate::reweight::{RuleChoice, RuleSelector, Scheme};
 use crate::trace::{Miss, SimResult, SubtaskRecord, TaskHistory, TaskResult};
 use pfair_core::drift::DriftTrack;
+use pfair_core::ideal::isw::CompletionEvent;
 use pfair_core::ideal::{IswTracker, PsTracker};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
@@ -47,8 +50,7 @@ use pfair_core::time::{slot_index, Slot, NEVER};
 use pfair_core::weight::Weight;
 use pfair_core::window::{SubtaskWindow, WindowCache};
 use pfair_obs::{NoopProbe, Probe, ReleaseRec, ReweightCost, Rule};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 mod busy_span;
 mod persist;
@@ -308,18 +310,35 @@ impl TaskState {
     /// bit-identical to the per-slot oracle (`IswTracker::advance_to`).
     /// In history mode step 6 advances the trackers every slot, making
     /// this a no-op.
-    fn sync_ideals_to(&mut self, t: Slot) {
+    ///
+    /// `done` is the caller's completion buffer (cleared here). The one
+    /// pass over the retained records that folds the completions in
+    /// also answers what a release at `t` asks of them, so that path
+    /// never rescans: see [`SubsScan`].
+    fn sync_ideals_to(&mut self, t: Slot, done: &mut Vec<CompletionEvent>) -> SubsScan {
+        done.clear();
         if self.isw.now() < t {
-            let (_, completions) = self.isw.advance_to(t);
-            for c in completions {
-                if let Some(sub) = self.sub_mut(c.index) {
-                    sub.isw_completion = Some(c.complete_at);
-                }
-            }
+            self.isw.advance_to_into(t, done);
         }
         if self.ps.now() < t {
             self.ps.advance_to(t);
         }
+        let mut scan = SubsScan {
+            pred_b: None,
+            head_deadline: None,
+        };
+        for s in &mut self.subs {
+            if let Some(c) = done.iter().find(|c| c.index == s.index) {
+                s.isw_completion = Some(c.complete_at);
+            }
+            if s.halted_at.is_none() {
+                scan.pred_b = Some(s.window.b);
+                if s.scheduled_at.is_none() && scan.head_deadline.is_none() {
+                    scan.head_deadline = Some(s.window.deadline);
+                }
+            }
+        }
+        scan
     }
 
     /// Drops records that can no longer influence the rules. Keeps every
@@ -343,6 +362,45 @@ impl TaskState {
             }
         }
     }
+}
+
+/// What [`TaskState::sync_ideals_to`]'s pass over the retained records
+/// saw, for the release that may follow the synchronization.
+#[derive(Clone, Copy, Debug)]
+struct SubsScan {
+    /// b-bit of the most recent non-halted record: the predecessor of
+    /// the next subtask to be released.
+    pred_b: Option<bool>,
+    /// Deadline of the schedulable head (the first unscheduled,
+    /// unhalted record), if the task has one.
+    head_deadline: Option<Slot>,
+}
+
+/// Buffers the slot pipeline refills every slot, owned by the engine so
+/// a slot allocates nothing once they have grown to the slot's size.
+/// Each phase clears what it uses; nothing here carries state from one
+/// phase to the next, so none of it is observable (not persisted, not
+/// compared).
+#[derive(Clone, Debug, Default)]
+struct SlotScratch {
+    /// A calendar ring's due list (departures, enactments, releases).
+    due: Vec<TaskId>,
+    /// The slot's releases, for span-aware probes.
+    batch: Vec<ReleaseRec>,
+    /// Completions of one tracker synchronization.
+    completions: Vec<CompletionEvent>,
+    /// The buffer the next slot's chosen set is built in (last slot's
+    /// `last_chosen`, recycled).
+    chosen: Vec<TaskId>,
+    /// Tasks that stopped running this slot.
+    stopped: Vec<TaskId>,
+    /// `assign_processors`: processors taken, tasks without their
+    /// previous processor, free processors.
+    cpu_taken: Vec<bool>,
+    unplaced: Vec<TaskId>,
+    free_cpus: Vec<u32>,
+    /// Miss candidates `(task, index)` of the slot.
+    missed: Vec<(u32, u64)>,
 }
 
 /// The PD² simulation engine. Construct with [`Engine::new`], drive with
@@ -383,12 +441,8 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// halted) — the only candidates for pruning, drained at the end of
     /// each slot. Replaces the oracle's all-task prune sweep.
     touched: Vec<TaskId>,
-    /// Min-heap of `(deadline, task, index)` over released, pending
-    /// subtasks: miss detection pops due entries instead of scanning
-    /// every task's records. Entries are validated against the live
-    /// record when popped (halts/schedules/leaves make them stale);
-    /// rebuilt after busy-span jumps (windows translate) and restores.
-    miss_watch: BinaryHeap<Reverse<(Slot, u32, u64)>>,
+    /// Per-slot buffers (see [`SlotScratch`]).
+    scratch: SlotScratch,
     /// Current run boundary (`run_to`); the busy-span verifier must not
     /// step past it. Reset to the horizon outside `run_to`.
     run_limit: Slot,
@@ -447,7 +501,7 @@ impl<P: Probe> Engine<P> {
             injected_min: NEVER,
             last_chosen: Vec::new(),
             touched: Vec::new(),
-            miss_watch: BinaryHeap::new(),
+            scratch: SlotScratch::default(),
             run_limit: config.horizon,
             tie: TieTable::new(&config.tie_break, n),
             release_at: CalendarRing::new(0),
@@ -468,15 +522,16 @@ impl<P: Probe> Engine<P> {
     /// Event-driven tracker synchronization with observation: wraps
     /// [`TaskState::sync_ideals_to`] and reports the closed-form jump
     /// (when one happened) to the probe.
-    fn sync_task(&mut self, id: TaskId, t: Slot) {
+    fn sync_task(&mut self, id: TaskId, t: Slot) -> SubsScan {
         // A sync can settle completions, changing prunability.
         self.touched.push(id);
         let task = self.tasks.task_mut(id);
         let from = task.isw.now();
-        task.sync_ideals_to(t);
+        let scan = task.sync_ideals_to(t, &mut self.scratch.completions);
         if from < t {
             self.probe.on_tracker_advance(id, from, t);
         }
+        scan
     }
 
     /// Number of ready-queue entries, stale ones included (compaction
@@ -573,7 +628,7 @@ impl<P: Probe> Engine<P> {
         self.run_limit = until;
         let spans = self.config.tickless && !self.config.record_history;
         while self.now < until {
-            self.step();
+            self.step_slot();
             if !spans {
                 continue;
             }
@@ -628,8 +683,10 @@ impl<P: Probe> Engine<P> {
         // the oracle's ran-flag scan would record. Later slots change no
         // flags at all (nothing runs, nothing ran).
         self.probe.on_slot_start(start);
-        let last = std::mem::take(&mut self.last_chosen);
+        let mut last = std::mem::take(&mut self.last_chosen);
         self.sweep_ran_flags(start, &last, &[]);
+        last.clear();
+        self.last_chosen = last;
         if start + 1 < end {
             let holes = u64::try_from(end - (start + 1))
                 .unwrap_or(0)
@@ -647,30 +704,41 @@ impl<P: Probe> Engine<P> {
     /// already clear left and rejoined this slot (the join resets the
     /// flag); the oracle would neither flip its flag nor count a
     /// preemption, so it is skipped.
+    ///
+    /// Membership in `chosen` is read off the `ran` bitmap itself:
+    /// clear the set bits of `prev`, set the bits of `chosen`, and a
+    /// cleared task whose bit is set again kept running.
     fn sweep_ran_flags(&mut self, t: Slot, prev: &[TaskId], chosen: &[TaskId]) {
-        let mut preempted: Vec<TaskId> = Vec::new();
+        let mut stopped = std::mem::take(&mut self.scratch.stopped);
         for &id in prev {
-            if chosen.contains(&id) || !self.tasks.ran_last_slot(id) {
-                continue;
-            }
-            self.tasks.set_ran(id, false);
-            if self.tasks.task(id).head_pos().is_some() {
-                self.counters.preemptions += 1;
-                preempted.push(id);
+            if self.tasks.ran_last_slot(id) {
+                self.tasks.set_ran(id, false);
+                stopped.push(id);
             }
         }
         for &id in chosen {
             self.tasks.set_ran(id, true);
         }
-        preempted.sort_unstable_by_key(|id| id.0);
-        for id in preempted {
+        let tasks = &self.tasks;
+        stopped.retain(|&id| !tasks.ran_last_slot(id) && tasks.task(id).head_pos().is_some());
+        self.counters.preemptions += stopped.len() as u64; // audit: allow(lossy-cast, usize→u64 is lossless on the supported targets)
+        stopped.sort_unstable_by_key(|id| id.0);
+        for id in stopped.drain(..) {
             self.probe.on_preempt(id, t);
         }
+        self.scratch.stopped = stopped;
     }
 
     /// Simulates one slot. Returns the tasks scheduled in it (at most
     /// `M`), in no particular order.
     pub fn step(&mut self) -> Vec<TaskId> {
+        self.step_slot();
+        self.last_chosen.clone()
+    }
+
+    /// One slot of the pipeline (module docs); the slot's chosen set is
+    /// left in `last_chosen`.
+    fn step_slot(&mut self) {
         let t = self.now;
         assert!(t < self.config.horizon, "stepping past the horizon"); // audit: allow(panic-reach, run-invariant assertion, a violation is a scheduler bug and must abort)
         self.probe.on_slot_start(t);
@@ -693,12 +761,12 @@ impl<P: Probe> Engine<P> {
         // sweep over `prev ∪ chosen` (see `sweep_ran_flags` for the
         // equivalence argument against the oracle's all-task scan).
         let chosen = self.pop_and_schedule(t);
-        let mut last = std::mem::take(&mut self.last_chosen);
+        let last = std::mem::take(&mut self.last_chosen);
         self.sweep_ran_flags(t, &last, &chosen);
         self.promote_successors(&chosen);
-        // Refill last slot's buffer instead of allocating a second one.
-        last.clone_from(&chosen);
-        self.last_chosen = last;
+        // Last slot's buffer is the one the next slot's set is built in.
+        self.scratch.chosen = last;
+        self.last_chosen = chosen;
 
         // Step 6: per-slot ideal-schedule advance — history mode only,
         // where the per-slot I_SW series must be materialized anyway.
@@ -733,7 +801,6 @@ impl<P: Probe> Engine<P> {
             self.touched = touched;
         }
         self.now = t + 1;
-        chosen
     }
 
     /// Compacts the ready queue once stale entries can dominate it.
@@ -820,23 +887,28 @@ impl<P: Probe> Engine<P> {
         let tasks = tasks
             .into_cold()
             .into_iter()
-            .map(|mut ts| TaskResult {
-                id: ts.id,
-                scheduled_count: ts.scheduled_count,
-                ps_total: ts.ps.total(),
-                isw_total: ts.isw.isw_total(),
-                icsw_total: ts.isw.icsw_total(),
-                drift: ts.drift.clone(),
-                history: record_history.then(|| {
-                    let mut subtasks = std::mem::take(&mut ts.archived);
-                    subtasks.extend(ts.subs.iter().map(TaskState::to_record));
-                    TaskHistory {
-                        subtasks,
-                        scheduled_slots: std::mem::take(&mut ts.scheduled_slots),
-                        isw_per_slot: std::mem::take(&mut ts.isw_per_slot),
-                        halted_corrections: std::mem::take(&mut ts.halted_corrections),
-                    }
-                }),
+            .map(|mut ts| {
+                // The drift track moves into the result; the growth slack
+                // of its buffer would stay allocated as long as that lives.
+                ts.drift.shrink_to_fit();
+                TaskResult {
+                    id: ts.id,
+                    scheduled_count: ts.scheduled_count,
+                    ps_total: ts.ps.total(),
+                    isw_total: ts.isw.isw_total(),
+                    icsw_total: ts.isw.icsw_total(),
+                    drift: std::mem::take(&mut ts.drift),
+                    history: record_history.then(|| {
+                        let mut subtasks = std::mem::take(&mut ts.archived);
+                        subtasks.extend(ts.subs.iter().map(TaskState::to_record));
+                        TaskHistory {
+                            subtasks,
+                            scheduled_slots: std::mem::take(&mut ts.scheduled_slots),
+                            isw_per_slot: std::mem::take(&mut ts.isw_per_slot),
+                            halted_corrections: std::mem::take(&mut ts.halted_corrections),
+                        }
+                    }),
+                }
             })
             .collect();
         let result = SimResult {
@@ -852,11 +924,10 @@ impl<P: Probe> Engine<P> {
     // ---- step 1: joins & leaves -------------------------------------
 
     fn fire_departures(&mut self, t: Slot) {
-        let due = self.leave_at.take(t);
-        if due.is_empty() {
-            return;
-        }
-        for id in Self::in_task_order(due) {
+        let mut due = std::mem::take(&mut self.scratch.due);
+        self.leave_at.take_into(t, &mut due);
+        Self::in_task_order(&mut due);
+        for id in due.drain(..) {
             if self.tasks.task(id).leaving != Some(t) {
                 continue;
             }
@@ -866,25 +937,24 @@ impl<P: Probe> Engine<P> {
             self.tasks.set_in_system(id, false);
             self.admission.release(id);
         }
+        self.scratch.due = due;
     }
 
     /// Deduplicates a slot-index bucket and restores the task-index
     /// iteration order the per-slot scans used, keeping slot processing
     /// deterministic and independent of insertion history.
-    fn in_task_order(mut due: Vec<TaskId>) -> Vec<TaskId> {
+    fn in_task_order(due: &mut Vec<TaskId>) {
         due.sort_unstable_by_key(|id| id.0);
         due.dedup();
-        due
     }
 
     // ---- step 2: enactments ------------------------------------------
 
     fn fire_enactments(&mut self, t: Slot) {
-        let due = self.enact_at.take(t);
-        if due.is_empty() {
-            return;
-        }
-        for id in Self::in_task_order(due) {
+        let mut due = std::mem::take(&mut self.scratch.due);
+        self.enact_at.take_into(t, &mut due);
+        Self::in_task_order(&mut due);
+        for id in due.drain(..) {
             let fire = matches!(
                 self.tasks.task(id).pending,
                 Some(Pending { at, .. }) if at == t
@@ -918,6 +988,7 @@ impl<P: Probe> Engine<P> {
             self.note_release(id, t);
             self.probe.on_reweight_enacted(id, t, pending.initiated_at);
         }
+        self.scratch.due = due;
     }
 
     /// Records `id`'s `next_release` slot in the release index. Stale
@@ -1289,34 +1360,35 @@ impl<P: Probe> Engine<P> {
     /// arithmetic, tracker syncs, drift samples, queue pushes, and probe
     /// emissions.
     fn fire_releases(&mut self, t: Slot) {
-        let due = self.release_at.take(t);
-        if due.is_empty() {
-            return;
-        }
+        let mut due = std::mem::take(&mut self.scratch.due);
+        self.release_at.take_into(t, &mut due);
+        Self::in_task_order(&mut due);
         // Span-aware probes get the slot's releases as one batch; legacy
         // probes keep the per-release emission order unchanged.
-        let mut batch: Vec<ReleaseRec> = Vec::new();
-        for id in Self::in_task_order(due) {
+        let mut batch = std::mem::take(&mut self.scratch.batch);
+        for id in due.drain(..) {
             if !self.tasks.in_system(id) || self.tasks.next_release(id) != Some(t) {
                 continue; // moved, suppressed, or already fired
             }
             // Per-release synchronization boundary: drift samples read
             // A(·, 0, t) below, and settling completions here also keeps
             // `subs` and the tracker's retained records bounded.
-            self.sync_task(id, t);
+            let scan = self.sync_task(id, t);
             let tie_rank = self.tie.rank(id);
             let swt = self.tasks.swt(id);
             let task = self.tasks.task_mut(id);
             let index = task.next_index;
             task.next_index += 1;
             let rank = index - task.era_base;
-            // audit: allow(panic, engine invariant: reweight rules keep swt within (0 and 1]); allow(panic-reach, present by the engine's slab and queue liveness invariants)
-            let weight = Weight::try_new(swt).expect("invalid scheduling weight");
             // One era memo serves every release until the next
             // enactment changes the scheduling weight.
             let cache = match &mut task.win_cache {
                 Some(c) if c.weight().value() == swt => c,
-                stale => stale.insert(WindowCache::new(weight)),
+                stale => {
+                    // audit: allow(panic, engine invariant: reweight rules keep swt within (0 and 1]); allow(panic-reach, present by the engine's slab and queue liveness invariants)
+                    let weight = Weight::try_new(swt).expect("invalid scheduling weight");
+                    stale.insert(WindowCache::new(weight))
+                }
             };
             let (window, gd) = cache.window_and_group_deadline(rank, t);
             let era_first = task.era_open_pending;
@@ -1337,8 +1409,7 @@ impl<P: Probe> Engine<P> {
                 false
             } else {
                 // audit: allow(panic-reach, within an era the predecessor record is retained until its successor releases)
-                task.pred_of(index)
-                    .map(|p| p.window.b)
+                scan.pred_b
                     // audit: allow(panic, engine invariant: within an era the predecessor record is retained)
                     .expect("non-era-first release without predecessor")
             };
@@ -1359,26 +1430,28 @@ impl<P: Probe> Engine<P> {
             let successor =
                 (task.pending.is_none() && task.leaving.is_none()).then(|| window.next_release());
 
-            // New schedulable head?
-            // audit: allow(panic-reach, head_pos returns an in-range position into subs)
-            let new_head = task.head_pos().map(|p| task.subs[p].index) == Some(index);
             self.tasks.set_next_release(id, successor);
-            if new_head {
-                let entry = QueueEntry {
-                    priority: Priority::pack(window.deadline, window.b, gd, tie_rank),
-                    task: id,
-                    index,
-                };
-                self.queue.push(entry, &mut self.counters);
+            match scan.head_deadline {
+                // The task already has a schedulable head; this subtask
+                // waits behind it. Miss detection relies on the head's
+                // deadline bounding those of the records behind it.
+                Some(head) => debug_assert!(
+                    head <= window.deadline,
+                    "{id}: head deadline {head} after its successor's {}",
+                    window.deadline
+                ),
+                None => {
+                    let entry = QueueEntry {
+                        priority: Priority::pack(window.deadline, window.b, gd, tie_rank),
+                        task: id,
+                        index,
+                    };
+                    self.queue.push(entry, &mut self.counters);
+                }
             }
             if let Some(r) = successor {
                 self.note_release(id, r);
             }
-            // Miss detection watches every released subtask by deadline;
-            // stale entries (scheduled, halted, departed, translated by a
-            // busy-span jump) are validated away when they pop.
-            self.miss_watch
-                .push(Reverse((window.deadline, id.0, index)));
             if P::SPAN_AWARE {
                 batch.push(ReleaseRec {
                     task: id,
@@ -1393,7 +1466,10 @@ impl<P: Probe> Engine<P> {
         }
         if !batch.is_empty() {
             self.probe.on_release_batch(t, &batch);
+            batch.clear();
         }
+        self.scratch.batch = batch;
+        self.scratch.due = due;
     }
 
     // ---- step 5: PD² selection -----------------------------------------
@@ -1403,7 +1479,8 @@ impl<P: Probe> Engine<P> {
     /// processors.
     fn pop_and_schedule(&mut self, t: Slot) -> Vec<TaskId> {
         let m = self.config.processors as usize; // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
-        let mut chosen: Vec<TaskId> = Vec::with_capacity(m);
+        let mut chosen = std::mem::take(&mut self.scratch.chosen);
+        chosen.clear();
         while chosen.len() < m {
             let tasks = &self.tasks;
             let probe = &mut self.probe;
@@ -1480,8 +1557,14 @@ impl<P: Probe> Engine<P> {
     /// free; otherwise they migrate (and are counted).
     fn assign_processors(&mut self, chosen: &[TaskId]) {
         let m = self.config.processors as usize; // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
-        let mut cpu_taken = vec![false; m];
-        let mut unplaced: Vec<TaskId> = Vec::new();
+        let SlotScratch {
+            cpu_taken,
+            unplaced,
+            free_cpus,
+            ..
+        } = &mut self.scratch;
+        cpu_taken.clear();
+        cpu_taken.resize(m, false);
         for &id in chosen {
             let last = self.tasks.task(id).last_cpu;
             match last {
@@ -1490,21 +1573,26 @@ impl<P: Probe> Engine<P> {
                 _ => unplaced.push(id),
             }
         }
-        let mut free: Vec<u32> = (0..self.config.processors)
-            // audit: allow(lossy-cast, u32→usize is lossless on the supported targets); allow(panic-reach, cpu ids are < processors, the length of cpu_taken)
-            .filter(|c| !cpu_taken[*c as usize])
-            .collect();
-        free.reverse(); // pop from the low end first
-        for id in unplaced {
+        if unplaced.is_empty() {
+            return; // everyone kept their processor
+        }
+        // Highest first, so `pop` hands out the lowest free processor.
+        free_cpus.extend(
+            (0..self.config.processors)
+                .rev()
+                // audit: allow(lossy-cast, u32→usize is lossless on the supported targets); allow(panic-reach, cpu ids are < processors, the length of cpu_taken)
+                .filter(|c| !cpu_taken[*c as usize]),
+        );
+        for id in unplaced.drain(..) {
             // audit: allow(panic, PD² selection never chooses more than `processors` tasks); allow(panic-reach, present by the engine's slab and queue liveness invariants)
-            let cpu = free.pop().expect("more chosen tasks than processors");
-            cpu_taken[cpu as usize] = true; // audit: allow(lossy-cast, u32→usize is lossless on the supported targets); allow(panic-reach, cpu ids are < processors, the length of cpu_taken)
+            let cpu = free_cpus.pop().expect("more chosen tasks than processors");
             let task = self.tasks.task_mut(id);
             if task.last_cpu.is_some() {
                 self.counters.migrations += 1;
             }
             task.last_cpu = Some(cpu);
         }
+        free_cpus.clear();
     }
 
     // ---- step 6 (history mode): per-slot ideal advance ------------------
@@ -1533,71 +1621,73 @@ impl<P: Probe> Engine<P> {
 
     // ---- step 7: miss detection -----------------------------------------
 
-    /// Pops the miss-watch heap instead of scanning every task: each
-    /// release pushed `(deadline, task, index)`, so the due entries at
-    /// a full step are exactly the candidates the oracle's scan would
-    /// visit, in the same `(task, index)` order within the deadline.
-    /// Entries whose record is no longer a pending miss — scheduled,
-    /// halted, departed, or re-windowed by a busy-span jump (which
-    /// rebuilds the watch) — validate away here.
+    /// Records every released, unhalted, unscheduled subtask whose
+    /// deadline is `t + 1`, in `(task, index)` order.
     ///
-    /// Entries can surface with `deadline ≤ t` only when their slot was
-    /// consumed by a quiet-span skip, and those slots provably hold no
-    /// miss: a quiet span has an empty ready queue (no pending released
-    /// subtask exists at all). The debug assertion pins that argument.
+    /// No task is scanned on a slot that cannot miss. The ready queue
+    /// orders deadline-first and holds the schedulable head of every
+    /// task that has a pending subtask (releases and promotions push
+    /// it; halts, schedules and departures leave at most stale entries
+    /// behind — the invariant `skip_quiet_span` relies on), and a
+    /// task's head has the earliest deadline among its pending records
+    /// (asserted at release). So a pending subtask due at `t + 1`
+    /// implies a queue entry whose deadline field is `≤ t + 1`: when
+    /// the queue's front is later than that, the slot is done in O(1).
+    /// Otherwise the entries up to `t + 1` — tardy heads, heads due
+    /// now, stale leftovers — name the only tasks that can miss, and
+    /// their records are checked against the *recorded* window
+    /// deadline, so a deadline outside the packed key's exact band
+    /// (which saturates low, never high, relative to a slot the run can
+    /// reach) only costs a walk, never a wrong answer.
+    ///
+    /// Slots consumed by a quiet-span skip or a busy-span jump need no
+    /// check: the first has an empty ready queue (no pending subtask
+    /// exists at all), the second is verified miss-free.
     fn check_misses(&mut self, t: Slot) {
-        while let Some(&Reverse((deadline, raw_task, index))) = self.miss_watch.peek() {
-            if deadline > t + 1 {
-                break;
+        let due = t + 1;
+        if self.queue.front_deadline().is_none_or(|d| d > due) {
+            return;
+        }
+        let mut missed = std::mem::take(&mut self.scratch.missed);
+        let tasks = &self.tasks;
+        self.queue.for_each_due(due, |e| {
+            if !tasks.in_system(e.task) {
+                return;
             }
-            self.miss_watch.pop();
+            let Some(task) = tasks.get(e.task) else {
+                return;
+            };
+            for s in &task.subs {
+                if s.scheduled_at.is_none() && s.halted_at.is_none() && !s.missed {
+                    debug_assert!(
+                        s.window.deadline >= due,
+                        "miss slipped through a batched slot: {} index {} deadline {}",
+                        e.task,
+                        s.index,
+                        s.window.deadline
+                    );
+                    if s.window.deadline == due {
+                        missed.push((e.task.0, s.index));
+                    }
+                }
+            }
+        });
+        // A task with a stale and a live entry was visited twice.
+        missed.sort_unstable();
+        missed.dedup();
+        for (raw_task, index) in missed.drain(..) {
             let id = TaskId(raw_task);
-            let live_pending = self.tasks.in_system(id)
-                && self.tasks.get(id).is_some_and(|task| {
-                    task.subs.iter().any(|s| {
-                        s.index == index
-                            && s.scheduled_at.is_none()
-                            && s.halted_at.is_none()
-                            && !s.missed
-                            && s.window.deadline == deadline
-                    })
-                });
-            if deadline < t + 1 {
-                debug_assert!(
-                    !live_pending,
-                    "miss slipped through a batched slot: {id} index {index} deadline {deadline}"
-                );
-                continue;
-            }
-            if !live_pending {
-                continue;
-            }
             if let Some(sub) = self.tasks.task_mut(id).sub_mut(index) {
                 sub.missed = true;
             }
-            self.probe.on_miss(id, index, t, deadline);
+            self.probe.on_miss(id, index, t, due);
             self.misses.push(Miss {
                 task: id,
                 index,
-                deadline,
+                deadline: due,
             });
         }
-    }
-
-    /// Rebuilds the miss-watch heap from the live records — required
-    /// after any transformation that moves windows (a busy-span jump
-    /// translates every pending deadline by the jump length) or
-    /// replaces the record set wholesale (snapshot restore).
-    fn rebuild_miss_watch(&mut self) {
-        self.miss_watch.clear();
-        for id in self.tasks.present_ids() {
-            for s in &self.tasks.task(id).subs {
-                if s.scheduled_at.is_none() && s.halted_at.is_none() && !s.missed {
-                    self.miss_watch
-                        .push(Reverse((s.window.deadline, id.0, s.index)));
-                }
-            }
-        }
+        self.scratch.missed = missed;
     }
 }
 

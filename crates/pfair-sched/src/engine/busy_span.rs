@@ -454,10 +454,6 @@ impl<P: Probe> Engine<P> {
         // membership is ever read — `sweep_ran_flags` treats it as a
         // set and reports preemptions in ascending id order anyway).
         self.last_chosen = self.tasks.ran_ids();
-        // Miss-watch entries name pre-jump deadlines; every pending
-        // subtask window just translated by k·P, so rebuild the watch
-        // from the committed slab.
-        self.rebuild_miss_watch();
         true
     }
 

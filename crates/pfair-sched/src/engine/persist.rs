@@ -539,7 +539,7 @@ impl<P: Probe> Engine<P> {
         }
         let stop = slot.min(self.config.horizon);
         while self.now < stop {
-            self.step();
+            self.step_slot();
         }
         self.snapshot()
     }
@@ -573,9 +573,9 @@ impl<P: Probe> Engine<P> {
         }
         // Derived per-run state rebuilt rather than trusted: last slot's
         // chosen set from the ran column, the injected-event floor from
-        // the injected list, the miss watch from pending subtasks, and
-        // the run-segment limit back at the horizon (a restored engine
-        // is not inside any `run_to` segment).
+        // the injected list, and the run-segment limit back at the
+        // horizon (a restored engine is not inside any `run_to`
+        // segment).
         let last_chosen = tasks.ran_ids();
         let injected_min = snapshot
             .injected
@@ -584,7 +584,7 @@ impl<P: Probe> Engine<P> {
             .min()
             .unwrap_or(NEVER);
         let run_limit = snapshot.config.horizon;
-        let mut engine = Engine {
+        Ok(Engine {
             probe,
             selector: snapshot.selector,
             admission: AdmissionController::from_parts(
@@ -603,7 +603,7 @@ impl<P: Probe> Engine<P> {
             injected_min,
             last_chosen,
             touched: Vec::new(),
-            miss_watch: std::collections::BinaryHeap::new(),
+            scratch: super::SlotScratch::default(),
             run_limit,
             tie,
             release_at,
@@ -616,9 +616,7 @@ impl<P: Probe> Engine<P> {
             busy: super::busy_span::BusySpanState::default(),
             busy_span_jumps: 0,
             config: snapshot.config,
-        };
-        engine.rebuild_miss_watch();
-        Ok(engine)
+        })
     }
 }
 
@@ -671,6 +669,15 @@ mod tests {
         let parsed: EngineSnapshot =
             FromJson::from_json(&Json::parse(&first).expect("parse")).expect("decode");
         assert_eq!(first, parsed.to_json().to_string_pretty());
+    }
+
+    /// A snapshot streams to the bytes its tree renders to (nested
+    /// options, tuples, rationals and strings through one formatter).
+    #[test]
+    fn streamed_snapshot_equals_the_tree() {
+        let mut engine = Engine::new(SimConfig::oi(2, 40), &busy_workload());
+        let snap = engine.snapshot_at(14).expect("snapshot");
+        assert_eq!(snap.to_json_pretty(), snap.to_json().to_string_pretty());
     }
 
     /// History-mode engines refuse to snapshot.

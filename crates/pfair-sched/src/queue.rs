@@ -248,16 +248,16 @@ impl ReadyQueue {
         all
     }
 
-    /// The earliest occupied bucket's deadline, scanning masked bitmap
-    /// words from the window base (the
+    /// The earliest occupied in-window deadline `≥ from`, scanning
+    /// masked bitmap words (the
     /// [`CalendarRing`](crate::calendar::CalendarRing) idiom: `WINDOW`
     /// is a multiple of 64, so slots sharing `s div 64` share a word).
-    fn min_deadline(&self) -> Option<Slot> {
+    fn next_bucket(&self, from: Slot) -> Option<Slot> {
         if self.in_window == 0 {
             return None;
         }
         let end = self.base.saturating_add(DEADLINE_SLOTS);
-        let mut s = self.scan_min.max(self.base).min(end);
+        let mut s = from.max(self.base).min(end);
         while s < end {
             let b = Self::bucket_of(s);
             let bit = s.rem_euclid(64);
@@ -275,6 +275,38 @@ impl ReadyQueue {
         None
     }
 
+    /// The deadline field of the queue's minimum entry, stale or live
+    /// (`None` when empty) — a lower bound on the deadline of every
+    /// queued subtask, which is what lets the engine skip miss
+    /// detection in O(1) on slots where nothing queued is due.
+    pub fn front_deadline(&self) -> Option<Slot> {
+        // In-window deadlines precede every overflow deadline.
+        self.next_bucket(self.scan_min)
+            .or_else(|| self.overflow.peek().map(|Reverse(e)| e.priority.deadline()))
+    }
+
+    /// Visits every entry (stale or live, in no particular order) whose
+    /// deadline field is `≤ limit`, without removing it. Cost is the
+    /// occupied buckets up to `limit` plus their entries; the overflow
+    /// heap is walked only when its minimum is itself due.
+    pub fn for_each_due(&self, limit: Slot, mut visit: impl FnMut(&QueueEntry)) {
+        let mut from = self.scan_min;
+        while let Some(d) = self.next_bucket(from).filter(|d| *d <= limit) {
+            // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
+            for Reverse(e) in &self.buckets[Self::bucket_of(d)] {
+                visit(e);
+            }
+            from = d.saturating_add(1);
+        }
+        if self.overflow_min() <= limit {
+            for Reverse(e) in &self.overflow {
+                if e.priority.deadline() <= limit {
+                    visit(e);
+                }
+            }
+        }
+    }
+
     /// Removes and returns the minimum entry (stale or live), serving
     /// straight from the overflow heap once the window has drained.
     fn pop_min(&mut self) -> Option<QueueEntry> {
@@ -289,7 +321,7 @@ impl ReadyQueue {
             self.base = self.overflow_min().saturating_sub(DEADLINE_SLOTS);
             return Some(entry);
         }
-        let d = self.min_deadline()?;
+        let d = self.next_bucket(self.scan_min)?;
         self.scan_min = d;
         let b = Self::bucket_of(d);
         let bucket = &mut self.buckets[b]; // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
@@ -649,6 +681,41 @@ mod tests {
             .map(|e| e.task.0)
             .collect();
         assert_eq!(order, vec![2, 1]);
+    }
+
+    /// `front_deadline` and `for_each_due` read what `pop` would
+    /// remove: the minimum deadline across window and overflow, and
+    /// exactly the entries at or below a limit — unchanged by the walk.
+    #[test]
+    fn front_and_due_walk_see_window_and_overflow() {
+        let mut q = ReadyQueue::new();
+        let mut c = Counters::default();
+        assert_eq!(q.front_deadline(), None);
+        q.for_each_due(Slot::MAX, |_| panic!("empty queue has no due entry"));
+        q.push(entry(100, false, 0, 1), &mut c); // base anchors at 100
+        q.push(entry(100, true, 1, 1), &mut c);
+        q.push(entry(104, false, 2, 1), &mut c);
+        q.push(entry(700, false, 3, 1), &mut c); // overflow (≥ 100 + 512)
+        q.push(entry(9_000, false, 4, 1), &mut c); // overflow
+        let due = |q: &ReadyQueue, limit: Slot| {
+            let mut seen = Vec::new();
+            q.for_each_due(limit, |e| seen.push(e.task.0));
+            seen.sort_unstable();
+            seen
+        };
+        assert_eq!(q.front_deadline(), Some(100));
+        assert_eq!(due(&q, 99), Vec::<u32>::new());
+        assert_eq!(due(&q, 100), vec![0, 1]);
+        assert_eq!(due(&q, 103), vec![0, 1]);
+        assert_eq!(due(&q, 700), vec![0, 1, 2, 3]);
+        assert_eq!(q.len(), 5, "the walk removes nothing");
+        // Drain the window: the front moves into the overflow heap.
+        for _ in 0..3 {
+            q.pop_live(&mut c, |_| true);
+        }
+        assert_eq!(q.front_deadline(), Some(700));
+        assert_eq!(due(&q, 699), Vec::<u32>::new());
+        assert_eq!(due(&q, 9_000), vec![3, 4]);
     }
 
     /// Differential check: the radix queue and the reference heap pop

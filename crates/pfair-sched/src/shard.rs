@@ -57,7 +57,7 @@ use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
 use pfair_core::weight::Weight;
-use pfair_json::{obj, Json, ToJson};
+use pfair_json::{obj, Json, JsonWriter, ToJson};
 use pfair_obs::{MetricsProbe, Registry};
 
 // Shards cross thread boundaries inside `run`; keep the engine's
@@ -257,7 +257,10 @@ impl ShardSet {
     }
 
     /// Routes every pending global event due before `until` into its
-    /// shard (in stream order, which injection order preserves).
+    /// shard (in stream order, which injection order preserves), then
+    /// grows each shard's tables once to cover the local ids the
+    /// segment's joins took — injected joins fire inside `drive_to`, so
+    /// the capacity is only needed by then.
     fn route_events_before(&mut self, until: Slot) {
         while let Some(&event) = self.events.get(self.next_event) {
             if event.at >= until {
@@ -265,6 +268,9 @@ impl ShardSet {
             }
             self.next_event += 1;
             self.route_event(event);
+        }
+        for (engine, &locals) in self.engines.iter_mut().zip(&self.local_count) {
+            engine.ensure_task_capacity(locals);
         }
     }
 
@@ -324,25 +330,28 @@ impl ShardSet {
     /// back to the least-utilized shard overall (whose admission policy
     /// then clamps or rejects) when no shard fits.
     fn place(&self, w: Rational) -> usize {
-        let cap = Rational::from_int(i128::from(self.spec.processors_per_shard));
+        // `u + w ≤ cap` as `u ≤ cap − w`: one subtraction per join, one
+        // comparison per shard.
+        let room = Rational::from_int(i128::from(self.spec.processors_per_shard)) - w;
         let mut fitting: Option<usize> = None;
         let mut least = 0usize;
         for (s, u) in self.util.iter().enumerate() {
             if *u < self.util[least] {
                 least = s;
             }
-            if *u + w <= cap && fitting.is_none_or(|b| *u < self.util[b]) {
+            if *u <= room && fitting.is_none_or(|b| *u < self.util[b]) {
                 fitting = Some(s);
             }
         }
         fitting.unwrap_or(least)
     }
 
-    /// Admits global task `g` into `shard` under a fresh local id.
+    /// Admits global task `g` into `shard` under a fresh local id. The
+    /// caller grows the shard's tables to `local_count[shard]` before
+    /// the shard next runs.
     fn admit(&mut self, g: usize, shard: usize, w: Weight, at: Slot) {
         let local = TaskId(self.local_count[shard]);
         self.local_count[shard] += 1;
-        self.engines[shard].ensure_task_capacity(local.0 + 1);
         self.engines[shard].inject(Event {
             at,
             task: local,
@@ -392,6 +401,7 @@ impl ShardSet {
         });
         self.depart(g, p.shard);
         self.admit(g, to, w, self.now);
+        self.engines[to].ensure_task_capacity(self.local_count[to]);
         self.migrations += 1;
         true
     }
@@ -479,11 +489,19 @@ impl ShardSet {
                     drift: Vec::new(),
                 };
                 for p in placements {
-                    let tr = results[p.shard].task(p.local);
+                    // Each incarnation is read once, so its drift samples
+                    // move out of the shard's result instead of being
+                    // copied.
+                    let tr = &mut results[p.shard].tasks[p.local.idx()];
                     summary.scheduled_count += tr.scheduled_count;
                     summary.ps_total += tr.ps_total;
                     summary.isw_total += tr.isw_total;
-                    summary.drift.extend_from_slice(tr.drift.samples());
+                    let mut samples = std::mem::take(&mut tr.drift).into_samples();
+                    if summary.drift.is_empty() {
+                        summary.drift = samples;
+                    } else {
+                        summary.drift.append(&mut samples);
+                    }
                 }
                 summary
             })
@@ -526,6 +544,21 @@ impl ToJson for ShardSummary {
             ("counters", self.counters.to_json()),
         ])
     }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("shard");
+        self.shard.write_json(w);
+        w.key("local_tasks");
+        self.local_tasks.write_json(w);
+        w.key("scheduled_quanta");
+        self.scheduled_quanta.write_json(w);
+        w.key("misses");
+        self.misses.write_json(w);
+        w.key("counters");
+        self.counters.write_json(w);
+        w.end_object();
+    }
 }
 
 /// One global task's outcome, summed over its incarnations (placements
@@ -553,6 +586,21 @@ impl ToJson for GlobalTaskSummary {
             ("isw_total", self.isw_total.to_json()),
             ("drift", self.drift.to_json()),
         ])
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("id");
+        self.id.write_json(w);
+        w.key("scheduled_count");
+        self.scheduled_count.write_json(w);
+        w.key("ps_total");
+        self.ps_total.write_json(w);
+        w.key("isw_total");
+        self.isw_total.write_json(w);
+        w.key("drift");
+        self.drift.write_json(w);
+        w.end_object();
     }
 }
 
@@ -593,15 +641,23 @@ impl ShardReport {
     }
 
     /// The partition-invariant subset (see the type docs), rendered
-    /// canonically.
+    /// canonically — streamed, like [`ToJson::to_json_pretty`] renders
+    /// the full report: at population scale the per-task rows are tens
+    /// of megabytes, and a [`Json`] tree of them costs more than the
+    /// text.
     pub fn invariant_json(&self) -> String {
-        obj([
-            ("horizon", self.horizon.to_json()),
-            ("scheduled_quanta", self.scheduled_quanta().to_json()),
-            ("misses", self.misses().to_json()),
-            ("tasks", self.tasks.to_json()),
-        ])
-        .to_string_pretty()
+        let mut w = JsonWriter::pretty();
+        w.begin_object();
+        w.key("horizon");
+        self.horizon.write_json(&mut w);
+        w.key("scheduled_quanta");
+        self.scheduled_quanta().write_json(&mut w);
+        w.key("misses");
+        self.misses().write_json(&mut w);
+        w.key("tasks");
+        self.tasks.write_json(&mut w);
+        w.end_object();
+        w.into_string()
     }
 }
 
@@ -618,6 +674,29 @@ impl ToJson for ShardReport {
             ("tasks", self.tasks.to_json()),
             ("metrics", self.registry.snapshot_text().to_json()),
         ])
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("shards");
+        self.shards.write_json(w);
+        w.key("processors_per_shard");
+        self.processors_per_shard.write_json(w);
+        w.key("horizon");
+        self.horizon.write_json(w);
+        w.key("migrations");
+        self.migrations.write_json(w);
+        w.key("scheduled_quanta");
+        self.scheduled_quanta().write_json(w);
+        w.key("misses");
+        self.misses().write_json(w);
+        w.key("per_shard");
+        self.per_shard.write_json(w);
+        w.key("tasks");
+        self.tasks.write_json(w);
+        w.key("metrics");
+        w.string(&self.registry.snapshot_text());
+        w.end_object();
     }
 }
 
@@ -681,6 +760,75 @@ mod tests {
         let report = set.finish();
         assert_eq!(report.migrations, 1);
         assert_eq!(report.misses(), 0);
+    }
+
+    /// The invariant rendering's tree, as it was built before the
+    /// report was streamed.
+    fn invariant_tree(report: &ShardReport) -> Json {
+        obj([
+            ("horizon", report.horizon.to_json()),
+            ("scheduled_quanta", report.scheduled_quanta().to_json()),
+            ("misses", report.misses().to_json()),
+            ("tasks", report.tasks.to_json()),
+        ])
+    }
+
+    fn assert_streamed_equals_tree(report: &ShardReport) {
+        assert_eq!(
+            report.to_json_pretty(),
+            report.to_json().to_string_pretty(),
+            "full rendering"
+        );
+        assert_eq!(
+            report.invariant_json(),
+            invariant_tree(report).to_string_pretty(),
+            "invariant rendering"
+        );
+        assert!(Json::parse(&report.to_json_pretty()).is_ok());
+    }
+
+    /// Streamed and tree renderings are the same bytes: on real
+    /// reports (reweights make negative drift, a gap in the global ids
+    /// makes a row with no incarnation and an empty drift list, the
+    /// metrics snapshot is a multi-line string), on a run with no tasks
+    /// at all, and on a hand-built report with values no run produces
+    /// (components beyond `u64`, a counter name that needs every
+    /// escape).
+    #[test]
+    fn streamed_renderings_equal_the_tree() {
+        let mut w = Workload::new();
+        w.join(0, 0, 1, 4);
+        w.join(2, 0, 2, 5); // global id 1 never joins
+        w.join(3, 3, 1, 3);
+        w.reweight(2, 6, 1, 10);
+        w.reweight(0, 9, 2, 5);
+        w.leave(3, 20);
+        let report = ShardSet::new(ShardSpec::new(2, 1, 48).with_segment(8), &w).finish();
+        assert!(report.tasks[1].drift.is_empty());
+        assert!(report
+            .tasks
+            .iter()
+            .flat_map(|t| &t.drift)
+            .any(|s| s.drift.is_negative()));
+        assert_streamed_equals_tree(&report);
+
+        let empty = ShardSet::new(ShardSpec::new(3, 1, 16), &Workload::new()).finish();
+        assert!(empty.tasks.is_empty());
+        assert_streamed_equals_tree(&empty);
+
+        let mut odd = report;
+        odd.registry.inc("quote\" slash\\ tab\t bell\u{7} é", 1);
+        odd.tasks.push(GlobalTaskSummary {
+            id: u32::MAX,
+            scheduled_count: u64::MAX,
+            ps_total: rat(-(1 << 70), 3),
+            isw_total: Rational::new(i128::MIN + 1, i128::MAX),
+            drift: vec![DriftSample {
+                at: -5,
+                drift: rat(-7, 1 << 40),
+            }],
+        });
+        assert_streamed_equals_tree(&odd);
     }
 
     #[test]
