@@ -16,9 +16,9 @@
 //!   nothing but CI minutes).
 //! * `slab/{aos,soa}_step/100k` — the storage refactor's microbench:
 //!   one whole-set hot scan (present? next release due?) over 10⁵
-//!   tasks, laid out as ~300-byte array-of-structs rows (the engine's
-//!   pre-PR-10 layout) vs the slab's bitmap-plus-column
-//!   structure-of-arrays. The pair is the evidence that the per-slot
+//!   tasks, laid out as array-of-structs rows the size of the engine's
+//!   `TaskState` (928 bytes; the hot fields sat inside it before PR 10)
+//!   vs the slab's bitmap-plus-column structure-of-arrays. The pair is the evidence that the per-slot
 //!   path became cache-linear.
 
 use criterion::{criterion_group, BenchResult, BenchmarkId, Criterion};
@@ -82,15 +82,18 @@ fn bench_shard_population() {
     });
 }
 
-/// The engine's pre-PR-10 per-task row: hot fields buried in a
-/// ~300-byte struct, so a whole-set scan strides a cache line (or
-/// more) per task.
+/// The engine's pre-PR-10 per-task layout: hot fields buried in the
+/// row, so a whole-set scan strides the whole row — 928 bytes, the
+/// measured size of `TaskState` (which `engine.rs` `const`-asserts to
+/// stay within 1024), some fifteen cache lines per task.
 struct AosTask {
     in_system: bool,
     _ran: bool,
     next_release: i64,
-    _cold: [u64; 34],
+    _cold: [u64; 114],
 }
+
+const _: () = assert!(std::mem::size_of::<AosTask>() == 928);
 
 /// The slab layout: presence as bitmap words, next releases as a flat
 /// column.
@@ -105,7 +108,7 @@ fn aos_fixture(n: usize) -> Vec<AosTask> {
             in_system: i % 2 == 0,
             _ran: i % 3 == 0,
             next_release: (i as i64) % 509,
-            _cold: [0; 34],
+            _cold: [0; 114],
         })
         .collect()
 }

@@ -1,4 +1,5 @@
-//! Dense-id arena primitives: word-scanned membership bitmaps.
+//! Dense-id arena primitives: word-scanned membership bitmaps and
+//! inline small vectors.
 //!
 //! The engine keys every per-task table by the small dense integer
 //! inside [`TaskId`](crate::task::TaskId). Hot per-slot questions —
@@ -8,6 +9,15 @@
 //! idiom the calendar ring and radix ready queue already use for slot
 //! buckets. A membership sweep over 10⁶ tasks touches ~16 KB of words
 //! instead of walking 10⁶ heterogeneous structs.
+//!
+//! The per-task rows themselves hold short queues — the two or three
+//! subtask records a task keeps, the same few subtasks its `I_SW`
+//! tracker follows. An [`InlineVec`] stores those inside the row, so a
+//! task in steady state owns no heap block for them and a release
+//! touches one contiguous run of cache lines.
+
+use core::fmt;
+use core::ops::{Deref, DerefMut};
 
 /// Bits per occupancy word.
 const WORD_BITS: usize = 64;
@@ -105,6 +115,165 @@ impl IdBitmap {
     }
 }
 
+/// A queue of `Copy` records that lives inside its owner while it
+/// holds at most `N` of them and moves to the heap beyond that.
+///
+/// The operations are the ones the engine's record queues use:
+/// [`push_back`](InlineVec::push_back), [`pop_front`](InlineVec::pop_front)
+/// / [`drop_front`](InlineVec::drop_front), and everything a slice
+/// offers (it derefs to `[T]`, front first). Either all records are in
+/// the inline array or all are in `spill`, so the contents are always
+/// one contiguous slice; dropping back to `N` records moves them inline
+/// again (the spill buffer keeps its capacity for the next excursion).
+/// No operation panics and none is `unsafe`. Equality and `Debug` see
+/// the records only, never the representation.
+#[derive(Clone)]
+pub struct InlineVec<T, const N: usize> {
+    inline: [T; N],
+    /// Records held in `inline`; 0 while spilled.
+    len: usize,
+    /// Every record, once there are more than `N`; empty otherwise.
+    spill: Vec<T>,
+}
+
+impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
+    /// An empty queue (no allocation).
+    pub fn new() -> InlineVec<T, N> {
+        InlineVec {
+            inline: [T::default(); N],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    /// The records, front first.
+    pub fn as_slice(&self) -> &[T] {
+        if self.spill.is_empty() {
+            self.inline.get(..self.len).unwrap_or_default()
+        } else {
+            &self.spill
+        }
+    }
+
+    /// The records, front first, mutably.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        if self.spill.is_empty() {
+            self.inline.get_mut(..self.len).unwrap_or_default()
+        } else {
+            &mut self.spill
+        }
+    }
+
+    /// The most recently pushed record.
+    pub fn back(&self) -> Option<&T> {
+        self.as_slice().last()
+    }
+
+    /// Appends a record; the `N + 1`-th moves the queue to the heap.
+    pub fn push_back(&mut self, value: T) {
+        if self.spill.is_empty() {
+            if let Some(slot) = self.inline.get_mut(self.len) {
+                *slot = value;
+                self.len += 1;
+                return;
+            }
+            // Only a full inline array gets here (`len == N`).
+            self.spill.extend_from_slice(&self.inline);
+            self.len = 0;
+        }
+        self.spill.push(value);
+    }
+
+    /// Removes and returns the front record.
+    pub fn pop_front(&mut self) -> Option<T> {
+        let front = self.as_slice().first().copied()?;
+        self.drop_front(1);
+        Some(front)
+    }
+
+    /// Removes the first `n` records (all of them if there are fewer).
+    pub fn drop_front(&mut self, n: usize) {
+        if self.spill.is_empty() {
+            let n = n.min(self.len);
+            if let Some(live) = self.inline.get_mut(..self.len) {
+                live.rotate_left(n);
+            }
+            self.len -= n;
+            return;
+        }
+        let n = n.min(self.spill.len());
+        self.spill.drain(..n);
+        if self.spill.len() <= N {
+            self.len = self.spill.len();
+            for (slot, value) in self.inline.iter_mut().zip(self.spill.drain(..)) {
+                *slot = value;
+            }
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
+    fn default() -> Self {
+        InlineVec::new()
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Deref for InlineVec<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        self.as_slice()
+    }
+}
+
+impl<T: Copy + Default, const N: usize> DerefMut for InlineVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        self.as_mut_slice()
+    }
+}
+
+impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut v = InlineVec::new();
+        for value in iter {
+            v.push_back(value);
+        }
+        v
+    }
+}
+
+impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a InlineVec<T, N> {
+    type Item = &'a T;
+    type IntoIter = core::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a mut InlineVec<T, N> {
+    type Item = &'a mut T;
+    type IntoIter = core::slice::IterMut<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_mut_slice().iter_mut()
+    }
+}
+
+impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<T: Copy + Default + Eq, const N: usize> Eq for InlineVec<T, N> {}
+
+impl<T: Copy + Default + fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,5 +332,139 @@ mod tests {
         assert_ne!(a, b);
         b.set(69, true);
         assert_eq!(a, b);
+    }
+}
+
+#[cfg(test)]
+mod inline_vec_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// One queue operation of the model test.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Push(u32),
+        PopFront,
+        DropFront(usize),
+        /// Add to every element through `iter_mut`.
+        Bump(u32),
+        /// Overwrite the element at `position % len` through `IndexMut`.
+        Set(usize, u32),
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        // Five pushes to three removals, one of which takes several
+        // elements: the length wanders around N, so a 60-op script
+        // crosses the inline boundary in both directions.
+        let op = (0u8..9, 0u32..1000, 0usize..7).prop_map(|(kind, v, n)| match kind {
+            0..=4 => Op::Push(v),
+            5 | 6 => Op::PopFront,
+            7 => Op::DropFront(n),
+            _ if n % 2 == 0 => Op::Bump(v),
+            _ => Op::Set(n, v),
+        });
+        prop::collection::vec(op, 0..60)
+    }
+
+    /// Applies `ops` to an `InlineVec<u32, N>` and a `VecDeque<u32>` and
+    /// compares everything observable after every step.
+    fn check_against_model<const N: usize>(ops: &[Op]) {
+        let mut v: InlineVec<u32, N> = InlineVec::new();
+        let mut model: VecDeque<u32> = VecDeque::new();
+        for &op in ops {
+            match op {
+                Op::Push(x) => {
+                    v.push_back(x);
+                    model.push_back(x);
+                }
+                Op::PopFront => assert_eq!(v.pop_front(), model.pop_front()),
+                Op::DropFront(n) => {
+                    v.drop_front(n);
+                    model.drain(..n.min(model.len()));
+                }
+                Op::Bump(by) => {
+                    for x in &mut v {
+                        *x = x.wrapping_add(by);
+                    }
+                    for x in &mut model {
+                        *x = x.wrapping_add(by);
+                    }
+                }
+                Op::Set(at, x) => {
+                    if !model.is_empty() {
+                        let at = at % model.len();
+                        v[at] = x;
+                        model[at] = x;
+                    }
+                }
+            }
+            assert_eq!(v.len(), model.len());
+            assert_eq!(v.is_empty(), model.is_empty());
+            assert_eq!(v.back(), model.back());
+            assert!(v.iter().eq(model.iter()));
+            assert!((&v).into_iter().eq(model.iter()));
+            for i in 0..model.len() {
+                assert_eq!(v[i], model[i]);
+                assert_eq!(v.get(i), model.get(i));
+            }
+            assert_eq!(v.get(model.len()), None);
+            // Equality and clones see the elements, not where they live.
+            let rebuilt: InlineVec<u32, N> = model.iter().copied().collect();
+            assert_eq!(&v, &rebuilt);
+            assert_eq!(&v.clone(), &v);
+            assert_eq!(format!("{v:?}"), format!("{model:?}"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn matches_vecdeque_at_n3(ops in arb_ops()) {
+            check_against_model::<3>(&ops);
+        }
+
+        #[test]
+        fn matches_vecdeque_at_n1(ops in arb_ops()) {
+            check_against_model::<1>(&ops);
+        }
+    }
+
+    /// The boundary walked by hand: inline → spill → inline → spill,
+    /// with the spilled elements in order at every step.
+    #[test]
+    fn crosses_the_inline_boundary_both_ways() {
+        let mut v: InlineVec<u32, 3> = InlineVec::new();
+        for x in 1..=3 {
+            v.push_back(x);
+        }
+        assert!(v.spill.is_empty(), "three elements stay inline");
+        v.push_back(4);
+        v.push_back(5);
+        assert_eq!(v.as_slice(), [1, 2, 3, 4, 5]);
+        assert_eq!(v.spill.len(), 5, "past N everything lives in the spill");
+        assert_eq!(v.pop_front(), Some(1));
+        assert_eq!(v.as_slice(), [2, 3, 4, 5]);
+        assert_eq!(v.pop_front(), Some(2));
+        assert!(v.spill.is_empty(), "back at N the elements move inline");
+        assert_eq!(v.as_slice(), [3, 4, 5]);
+        v.push_back(6);
+        assert_eq!(v.as_slice(), [3, 4, 5, 6]);
+        v.drop_front(9);
+        assert!(v.is_empty());
+        assert_eq!(v.pop_front(), None);
+        assert_eq!(v.back(), None);
+    }
+
+    /// A fresh queue owns no heap block, and neither does its clone.
+    #[test]
+    fn inline_queues_do_not_allocate() {
+        let mut v: InlineVec<u64, 3> = InlineVec::new();
+        v.push_back(7);
+        v.push_back(8);
+        v.push_back(9);
+        assert_eq!(v.spill.capacity(), 0);
+        assert_eq!(v.clone().spill.capacity(), 0);
     }
 }

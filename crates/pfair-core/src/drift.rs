@@ -116,6 +116,12 @@ impl DriftTrack {
             // audit: allow(panic-reach, monotone-time invariant of the drift track, a violation is an engine bug)
             assert!(last.at <= u, "drift samples must be recorded in time order");
         }
+        if self.samples.is_empty() {
+            // Most tasks never reweight and keep the one sample their
+            // join records: give it a one-sample block, not the four a
+            // first `push` would reserve.
+            self.samples.reserve_exact(1);
+        }
         self.samples.push(DriftSample {
             at: u,
             drift: ps_total - icsw_total,

@@ -29,8 +29,10 @@
 //! the per-slot breakdown in a [`HaltRecord`] for post-hoc per-slot
 //! analyses.
 
+use crate::arena::InlineVec;
 use crate::rational::Rational;
-use crate::time::{Slot, NEVER};
+use crate::time::{ever, shift_ever, Slot, NEVER};
+use std::collections::BTreeMap;
 
 /// Emitted by [`IswTracker::advance`] when a subtask's cumulative `I_SW`
 /// allocation reaches one quantum during the processed slot.
@@ -65,72 +67,97 @@ pub struct HaltRecord {
     pub slot_allocs: Vec<(Slot, Rational)>,
 }
 
-/// How the release-slot allocation of a subtask is computed (line 4 of
-/// Fig. 5): either the subtask opens an era / follows a `b = 0`
-/// predecessor (full `swt`), or it shares its release slot with a `b = 1`
-/// predecessor's final slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ReleaseRule {
-    /// `i = Id(T_i)` or `b(T_{i−1}) = 0`: release-slot allocation is `swt`.
-    Full,
-    /// `b(T_{i−1}) = 1`: release-slot allocation is
-    /// `swt − final_slot_alloc(T_{i−1})`; the predecessor is identified by
-    /// its index so its final allocation can be looked up at processing
-    /// time (it is known by then — the predecessor completes no later
-    /// than the successor's release slot).
-    SharedWithPred(u64),
-}
-
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One subtask as `I_SW` follows it: 72 bytes of fields in an 80-byte
+/// record (a [`Rational`] is 16-aligned), three to a tracker inline.
+/// `const`-asserted below, so a new field cannot silently outgrow it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct IswSub {
     index: u64,
     release: Slot,
-    rule: ReleaseRule,
-    /// `A(I_SW, T_i, 0, now)`.
-    cum: Rational,
-    /// `Some(D)` once complete.
-    complete_at: Option<Slot>,
-    final_slot_alloc: Rational,
-    halted_at: Slot, // NEVER if not halted
-    /// Per-slot allocations while incomplete (cleared on completion; a
-    /// completed subtask can no longer halt).
-    slot_allocs: Vec<(Slot, Rational)>,
+    /// How the release-slot allocation is computed (line 4 of Fig. 5).
+    /// `0`: the subtask opens an era or follows a `b = 0` predecessor and
+    /// gets the full `swt`. Otherwise it shares its release slot with the
+    /// final slot of the `b = 1` predecessor `T_{index − pred_gap}` and
+    /// gets `swt` minus that predecessor's final-slot allocation, which
+    /// is known by then: the predecessor completes no later than the
+    /// successor's release slot. A distance, not an index, so a
+    /// translated tracker carries it unchanged.
+    pred_gap: u64,
+    /// `A(I_SW, T_i, 0, now)` until the subtask completes; from then on
+    /// that is exactly one quantum and this holds the allocation of the
+    /// final slot `D(I_SW, T_i) − 1` instead (the two are never needed
+    /// together).
+    alloc: Rational,
+    /// `D(I_SW, T_i)`; [`NEVER`] while incomplete.
+    complete_at: Slot,
+    /// `H(T_i)`; [`NEVER`] if not halted.
+    halted_at: Slot,
 }
 
+const _: () = assert!(core::mem::size_of::<IswSub>() <= 80);
+
 impl IswSub {
-    fn is_live_at(&self, t: Slot) -> bool {
-        self.complete_at.is_none() && self.halted_at == NEVER && self.release <= t
+    fn is_complete(&self) -> bool {
+        self.complete_at != NEVER
+    }
+
+    /// Complete or halted: `I_SW` allocates nothing more to it.
+    fn is_retired(&self) -> bool {
+        self.is_complete() || self.halted_at != NEVER
+    }
+
+    /// `A(I_SW, T_i, 0, now)`.
+    fn cum(&self) -> Rational {
+        if self.is_complete() {
+            Rational::ONE
+        } else {
+            self.alloc
+        }
     }
 }
 
-impl pfair_json::ToJson for IswSub {
+/// Per-slot allocations of the incomplete subtasks, keyed by (subtask
+/// index, slot): what [`HaltRecord::slot_allocs`] reports. A subtask's
+/// entries go when it completes (it can no longer halt) or halts.
+type SlotHistory = BTreeMap<(u64, Slot), Rational>;
+
+/// The interchange form of one subtask: the record plus its per-slot
+/// breakdown, as the field set the format has always had — whatever the
+/// record in memory looks like.
+struct SubImage {
+    sub: IswSub,
+    slot_allocs: Vec<(Slot, Rational)>,
+}
+
+impl pfair_json::ToJson for SubImage {
     fn to_json(&self) -> pfair_json::Json {
-        // `ReleaseRule` flattens to an optional predecessor index: absent
-        // means `Full`, present means `SharedWithPred`.
-        let pred = match self.rule {
-            ReleaseRule::Full => None,
-            ReleaseRule::SharedWithPred(p) => Some(p),
+        let sub = &self.sub;
+        let pred = (sub.pred_gap != 0).then(|| sub.index - sub.pred_gap);
+        let final_slot_alloc = if sub.is_complete() {
+            sub.alloc
+        } else {
+            Rational::ZERO
         };
         pfair_json::obj([
-            ("index", self.index.to_json()),
-            ("release", self.release.to_json()),
+            ("index", sub.index.to_json()),
+            ("release", sub.release.to_json()),
             ("pred", pred.to_json()),
-            ("cum", self.cum.to_json()),
-            ("complete_at", self.complete_at.to_json()),
-            ("final_slot_alloc", self.final_slot_alloc.to_json()),
-            ("halted_at", self.halted_at.to_json()),
+            ("cum", sub.cum().to_json()),
+            ("complete_at", ever(sub.complete_at).to_json()),
+            ("final_slot_alloc", final_slot_alloc.to_json()),
+            ("halted_at", sub.halted_at.to_json()),
             ("slot_allocs", self.slot_allocs.to_json()),
         ])
     }
 }
 
-impl pfair_json::FromJson for IswSub {
+impl pfair_json::FromJson for SubImage {
     fn from_json(value: &pfair_json::Json) -> Result<Self, pfair_json::JsonError> {
         let index: u64 = value.field("index")?;
         let pred: Option<u64> = value.field("pred")?;
-        let rule = match pred {
-            None => ReleaseRule::Full,
-            Some(p) if p < index => ReleaseRule::SharedWithPred(p),
+        let pred_gap = match pred {
+            None => 0,
+            Some(p) if p < index => index - p,
             Some(_) => {
                 return Err(pfair_json::JsonError::new(
                     "I_SW predecessor index must precede the subtask",
@@ -149,14 +176,25 @@ impl pfair_json::FromJson for IswSub {
                 "completed I_SW subtask must hold exactly one quantum",
             ));
         }
-        Ok(IswSub {
-            index,
-            release: value.field("release")?,
-            rule,
-            cum,
-            complete_at,
-            final_slot_alloc: value.field("final_slot_alloc")?,
-            halted_at: value.field("halted_at")?,
+        let final_slot_alloc: Rational = value.field("final_slot_alloc")?;
+        if complete_at.is_none() && !final_slot_alloc.is_zero() {
+            return Err(pfair_json::JsonError::new(
+                "incomplete I_SW subtask with a final-slot allocation",
+            ));
+        }
+        Ok(SubImage {
+            sub: IswSub {
+                index,
+                release: value.field("release")?,
+                pred_gap,
+                alloc: if complete_at.is_some() {
+                    final_slot_alloc
+                } else {
+                    cum
+                },
+                complete_at: complete_at.unwrap_or(NEVER),
+                halted_at: value.field("halted_at")?,
+            },
             slot_allocs: value.field("slot_allocs")?,
         })
     }
@@ -164,14 +202,22 @@ impl pfair_json::FromJson for IswSub {
 
 impl pfair_json::ToJson for IswTracker {
     fn to_json(&self) -> pfair_json::Json {
+        let subs: Vec<SubImage> = self
+            .subs
+            .iter()
+            .map(|&sub| SubImage {
+                sub,
+                slot_allocs: self.slot_allocs_of(sub.index),
+            })
+            .collect();
         pfair_json::obj([
             ("swt", self.swt.to_json()),
-            ("subs", self.subs.to_json()),
+            ("subs", subs.to_json()),
             ("total", self.total.to_json()),
             ("halted_loss", self.halted_loss.to_json()),
             ("now", self.now.to_json()),
             ("keep_retired", self.keep_retired.to_json()),
-            ("record_slot_allocs", self.record_slot_allocs.to_json()),
+            ("record_slot_allocs", self.slot_history.is_some().to_json()),
         ])
     }
 }
@@ -181,20 +227,33 @@ impl pfair_json::FromJson for IswTracker {
     /// strictly index-sorted, cumulative allocations inside `[0, 1]`
     /// (checked per subtask), completion implying a full quantum.
     fn from_json(value: &pfair_json::Json) -> Result<Self, pfair_json::JsonError> {
-        let subs: Vec<IswSub> = value.field("subs")?;
-        if subs.windows(2).any(|w| w[0].index >= w[1].index) {
+        let images: Vec<SubImage> = value.field("subs")?;
+        if images.windows(2).any(|w| w[0].sub.index >= w[1].sub.index) {
             return Err(pfair_json::JsonError::new(
                 "I_SW subtasks out of index order",
             ));
         }
+        let record_slot_allocs: bool = value.field("record_slot_allocs")?;
+        if !record_slot_allocs && images.iter().any(|i| !i.slot_allocs.is_empty()) {
+            return Err(pfair_json::JsonError::new(
+                "per-slot I_SW breakdown on a tracker that records none",
+            ));
+        }
+        let slot_history = record_slot_allocs.then(|| {
+            let entries = images.iter().flat_map(|i| {
+                let index = i.sub.index;
+                i.slot_allocs.iter().map(move |&(t, a)| ((index, t), a))
+            });
+            Box::new(entries.collect::<SlotHistory>())
+        });
         Ok(IswTracker {
             swt: value.field("swt")?,
-            subs,
+            subs: images.iter().map(|i| i.sub).collect(),
             total: value.field("total")?,
             halted_loss: value.field("halted_loss")?,
             now: value.field("now")?,
             keep_retired: value.field("keep_retired")?,
-            record_slot_allocs: value.field("record_slot_allocs")?,
+            slot_history,
         })
     }
 }
@@ -210,7 +269,9 @@ impl pfair_json::FromJson for IswTracker {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IswTracker {
     swt: Rational,
-    subs: Vec<IswSub>,
+    /// Index-sorted. `retire` keeps two retired subtasks plus the live
+    /// ones — three in steady state — so the records stay inline.
+    subs: InlineVec<IswSub, 3>,
     /// `A(I_SW, T, 0, now)`.
     total: Rational,
     /// Σ over halted subtasks of their lost allocation.
@@ -220,10 +281,10 @@ pub struct IswTracker {
     /// When true, completed/halted subtasks are never dropped — needed by
     /// table builders that read back per-subtask cumulative values.
     keep_retired: bool,
-    /// When true, incomplete subtasks keep a per-slot allocation
+    /// `Some` when incomplete subtasks keep a per-slot allocation
     /// breakdown for [`HaltRecord::slot_allocs`]. Opt-in: the breakdown
     /// grows with the horizon for slow subtasks.
-    record_slot_allocs: bool,
+    slot_history: Option<Box<SlotHistory>>,
 }
 
 impl IswTracker {
@@ -233,12 +294,12 @@ impl IswTracker {
     pub fn new(swt: Rational, join_at: Slot) -> IswTracker {
         IswTracker {
             swt,
-            subs: Vec::new(),
+            subs: InlineVec::new(),
             total: Rational::ZERO,
             halted_loss: Rational::ZERO,
             now: join_at,
             keep_retired: false,
-            record_slot_allocs: false,
+            slot_history: None,
         }
     }
 
@@ -262,7 +323,7 @@ impl IswTracker {
     /// oracle (a closed-form jump has no per-slot story to record).
     #[must_use]
     pub fn with_slot_history(mut self) -> IswTracker {
-        self.record_slot_allocs = true;
+        self.slot_history.get_or_insert_with(Box::default);
         self
     }
 
@@ -313,8 +374,8 @@ impl IswTracker {
             release,
             self.now
         );
-        let rule = if era_first || !pred_b {
-            ReleaseRule::Full
+        let pred_gap = if era_first || !pred_b {
+            0
         } else {
             let pred = self // audit: allow(panic-reach, predecessor is recorded at release and retained until its successor retires)
                 .subs
@@ -324,21 +385,19 @@ impl IswTracker {
                 .map(|s| s.index)
                 // audit: allow(panic, caller-contract violation; documented precondition of add_subtask)
                 .expect("non-era-first subtask with b=1 predecessor must have a live predecessor");
-            ReleaseRule::SharedWithPred(pred)
+            index - pred
         };
-        if let Some(last) = self.subs.last() {
+        if let Some(last) = self.subs.back() {
             // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
             assert!(last.index < index, "subtasks must be added in index order");
         }
-        self.subs.push(IswSub {
+        self.subs.push_back(IswSub {
             index,
             release,
-            rule,
-            cum: Rational::ZERO,
-            complete_at: None,
-            final_slot_alloc: Rational::ZERO,
+            pred_gap,
+            alloc: Rational::ZERO,
+            complete_at: NEVER,
             halted_at: NEVER,
-            slot_allocs: Vec::new(),
         });
     }
 
@@ -357,15 +416,36 @@ impl IswTracker {
             .find(|s| s.index == index)
             // audit: allow(panic, caller-contract violation; documented precondition of halt)
             .expect("halting unknown subtask");
-        assert!(sub.complete_at.is_none(), "halting a complete subtask"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
+        assert!(!sub.is_complete(), "halting a complete subtask"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
         assert!(sub.halted_at == NEVER, "halting a halted subtask"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
         sub.halted_at = t;
-        self.halted_loss += sub.cum;
+        let lost = sub.alloc;
+        self.halted_loss += lost;
+        let slot_allocs = self.slot_allocs_of(index);
+        self.forget_slot_allocs(index);
         HaltRecord {
             index,
             halted_at: t,
-            lost: sub.cum,
-            slot_allocs: std::mem::take(&mut sub.slot_allocs),
+            lost,
+            slot_allocs,
+        }
+    }
+
+    /// The recorded per-slot allocations of subtask `index`, in slot
+    /// order (empty unless [`IswTracker::with_slot_history`] is on).
+    fn slot_allocs_of(&self, index: u64) -> Vec<(Slot, Rational)> {
+        self.slot_history.as_deref().map_or_else(Vec::new, |h| {
+            h.range((index, Slot::MIN)..=(index, Slot::MAX))
+                .map(|(&(_, t), &a)| (t, a))
+                .collect()
+        })
+    }
+
+    /// Drops the per-slot allocations of a subtask that completed (it
+    /// can no longer halt) or halted (they are reported exactly once).
+    fn forget_slot_allocs(&mut self, index: u64) {
+        if let Some(h) = self.slot_history.as_deref_mut() {
+            h.retain(|&(i, _), _| i != index);
         }
     }
 
@@ -374,13 +454,36 @@ impl IswTracker {
         self.subs
             .iter()
             .find(|s| s.index == index)
-            .and_then(|s| s.complete_at)
+            .and_then(|s| ever(s.complete_at))
     }
 
     /// Cumulative allocation `A(I_SW, T_index, 0, now)` of a tracked
     /// subtask (`None` if unknown/retired).
     pub fn subtask_cum(&self, index: u64) -> Option<Rational> {
-        self.subs.iter().find(|s| s.index == index).map(|s| s.cum)
+        self.subs.iter().find(|s| s.index == index).map(IswSub::cum)
+    }
+
+    /// Final-slot allocation of the predecessor `pred_gap` indices
+    /// before `sub` — the quantity line 7 of Fig. 5 subtracts from the
+    /// successor's release-slot allocation. `subs` is index-sorted
+    /// (asserted in `add_subtask`), so the lookup is logarithmic — an
+    /// era jump may process many thousands of subtasks in one call, and
+    /// a linear scan would make the jump quadratic.
+    fn pred_final_alloc(&self, sub: &IswSub) -> Rational {
+        let p = sub.index - sub.pred_gap;
+        let pred = self // audit: allow(panic-reach, predecessor is recorded at release and retained until its successor retires)
+            .subs
+            .binary_search_by_key(&p, |s| s.index)
+            .ok()
+            .and_then(|j| self.subs.get(j))
+            // audit: allow(panic, tracker invariant; a missing predecessor means corrupted state)
+            .expect("predecessor retired too early");
+        // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
+        assert!(
+            pred.is_complete(),
+            "predecessor T_{p} not complete at successor release"
+        );
+        pred.alloc
     }
 
     /// Processes slot `t` (which must be the tracker's `now`): computes
@@ -396,50 +499,33 @@ impl IswTracker {
         // reference the predecessor's final-slot allocation computed
         // earlier in this very call (their windows overlap by b = 1).
         for i in 0..self.subs.len() {
-            // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-            if !self.subs[i].is_live_at(t) {
+            let Some(&sub) = self.subs.get(i) else { break };
+            if sub.is_retired() || sub.release > t {
                 continue;
             }
-            // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-            let alloc = if t == self.subs[i].release {
-                // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-                match self.subs[i].rule {
-                    ReleaseRule::Full => self.swt,
-                    ReleaseRule::SharedWithPred(p) => {
-                        let pred = self // audit: allow(panic-reach, predecessor is recorded at release and retained until its successor retires)
-                            .subs
-                            .iter()
-                            .find(|s| s.index == p)
-                            // audit: allow(panic, tracker invariant; a missing predecessor means corrupted state)
-                            .expect("predecessor retired too early");
-                        // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
-                        assert!(
-                            pred.complete_at.is_some(),
-                            "predecessor T_{p} not complete at successor release {t}"
-                        );
-                        self.swt - pred.final_slot_alloc
-                    }
-                }
+            let alloc = if t != sub.release {
+                self.swt.min(Rational::ONE - sub.alloc)
+            } else if sub.pred_gap == 0 {
+                self.swt
             } else {
-                self.swt.min(Rational::ONE - self.subs[i].cum) // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
+                self.swt - self.pred_final_alloc(&sub)
             };
             debug_assert!(!alloc.is_negative(), "negative I_SW allocation");
-            let sub = &mut self.subs[i]; // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-            sub.cum += alloc;
             slot_total += alloc;
-            if self.record_slot_allocs && !alloc.is_zero() {
-                sub.slot_allocs.push((t, alloc));
+            let cum = sub.alloc + alloc;
+            debug_assert!(cum <= Rational::ONE);
+            if cum == Rational::ONE {
+                self.forget_slot_allocs(sub.index); // complete subtasks can no longer halt
+                Self::complete(self.subs.get_mut(i), t + 1, alloc, &mut completions);
+                continue;
             }
-            debug_assert!(sub.cum <= Rational::ONE);
-            if sub.cum == Rational::ONE {
-                sub.complete_at = Some(t + 1);
-                sub.final_slot_alloc = alloc;
-                sub.slot_allocs.clear(); // complete subtasks can no longer halt
-                completions.push(CompletionEvent {
-                    index: sub.index,
-                    complete_at: t + 1,
-                    final_slot_alloc: alloc,
-                });
+            if let Some(live) = self.subs.get_mut(i) {
+                live.alloc = cum;
+            }
+            if let Some(h) = self.slot_history.as_deref_mut() {
+                if !alloc.is_zero() {
+                    h.insert((sub.index, t), alloc);
+                }
             }
         }
         self.total += slot_total;
@@ -485,7 +571,7 @@ impl IswTracker {
     /// Panics if `t` is behind the tracker's current slot.
     pub fn advance_to_into(&mut self, t: Slot, completions: &mut Vec<CompletionEvent>) -> Rational {
         assert!(t >= self.now, "cannot advance a tracker backwards"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
-        if self.record_slot_allocs {
+        if self.slot_history.is_some() {
             let mut total = crate::rational::Accumulator::new();
             while self.now < t {
                 let (slot_total, mut done) = self.advance(self.now);
@@ -507,40 +593,19 @@ impl IswTracker {
         // match the per-slot discovery order (a predecessor always
         // completes strictly before its successor).
         for i in 0..self.subs.len() {
-            if self.subs[i].complete_at.is_some() // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-                || self.subs[i].halted_at != NEVER // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-                // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-                || self.subs[i].release >= t
-            {
+            let Some(&sub) = self.subs.get(i) else { break };
+            if sub.is_retired() || sub.release >= t {
                 continue;
             }
-            let mut cum = self.subs[i].cum; // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-                                            // First slot of this subtask not yet folded into `cum`.
+            let mut cum = sub.alloc;
+            // First slot of this subtask not yet folded into `cum`.
             let mut start = from;
-            // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-            if self.subs[i].release >= from {
+            if sub.release >= from {
                 // The release slot lies inside the jump: Fig. 5 line 4.
-                // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-                let alloc = match self.subs[i].rule {
-                    ReleaseRule::Full => self.swt,
-                    ReleaseRule::SharedWithPred(p) => {
-                        // `subs` is index-sorted (asserted in
-                        // `add_subtask`), so the predecessor lookup is
-                        // logarithmic — an era jump may process many
-                        // thousands of subtasks in one call, and a
-                        // linear scan here would make the jump
-                        // quadratic.
-                        let Ok(j) = self.subs.binary_search_by_key(&p, |s| s.index) else {
-                            unreachable!("predecessor retired too early") // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
-                        };
-                        let pred = &self.subs[j]; // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-                                                  // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
-                        assert!(
-                            pred.complete_at.is_some(),
-                            "predecessor T_{p} not complete at successor release"
-                        );
-                        self.swt - pred.final_slot_alloc
-                    }
+                let alloc = if sub.pred_gap == 0 {
+                    self.swt
+                } else {
+                    self.swt - self.pred_final_alloc(&sub)
                 };
                 debug_assert!(!alloc.is_negative(), "negative I_SW allocation");
                 // `cum` is always zero before the release slot; skip the
@@ -548,14 +613,15 @@ impl IswTracker {
                 debug_assert!(cum.is_zero());
                 cum = alloc;
                 interval_total.push(alloc);
-                start = self.subs[i].release + 1; // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
+                start = sub.release + 1;
             }
             debug_assert!(cum <= Rational::ONE);
             if cum == Rational::ONE {
                 // Completed in its release slot (weight-1 era).
-                // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-                Self::complete(&mut self.subs[i], start, cum, completions);
-            } else if start < t && self.swt.is_positive() {
+                Self::complete(self.subs.get_mut(i), start, cum, completions);
+                continue;
+            }
+            if start < t && self.swt.is_positive() {
                 let remaining = Rational::ONE - cum;
                 // Slots still needed at `swt` apiece; ≥ 1 since cum < 1.
                 let k = crate::time::slot_from_i128(remaining.div_ceil(self.swt));
@@ -564,16 +630,16 @@ impl IswTracker {
                     // the remainder in slot start + k − 1.
                     let final_alloc = remaining - self.swt.mul_int(k - 1);
                     interval_total.push(remaining);
-                    // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-                    Self::complete(&mut self.subs[i], start + k, final_alloc, completions);
-                } else {
-                    // Still incomplete at t: every slot allocates swt.
-                    let added = self.swt.mul_int(t - start);
-                    self.subs[i].cum = cum + added; // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
-                    interval_total.push(added);
+                    Self::complete(self.subs.get_mut(i), start + k, final_alloc, completions);
+                    continue;
                 }
-            } else {
-                self.subs[i].cum = cum; // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
+                // Still incomplete at t: every slot allocates swt.
+                let added = self.swt.mul_int(t - start);
+                cum += added;
+                interval_total.push(added);
+            }
+            if let Some(live) = self.subs.get_mut(i) {
+                live.alloc = cum;
             }
         }
         let added = interval_total.finish();
@@ -584,17 +650,16 @@ impl IswTracker {
 
     /// Marks a subtask complete at boundary `done_at` with the given
     /// final-slot allocation and emits the event (shared by the
-    /// closed-form completion sites of `advance_to`).
+    /// completion sites of `advance` and `advance_to`).
     fn complete(
-        sub: &mut IswSub,
+        sub: Option<&mut IswSub>,
         done_at: Slot,
         final_alloc: Rational,
         completions: &mut Vec<CompletionEvent>,
     ) {
-        sub.cum = Rational::ONE;
-        sub.complete_at = Some(done_at);
-        sub.final_slot_alloc = final_alloc;
-        sub.slot_allocs.clear();
+        let Some(sub) = sub else { return };
+        sub.complete_at = done_at;
+        sub.alloc = final_alloc;
         completions.push(CompletionEvent {
             index: sub.index,
             complete_at: done_at,
@@ -614,13 +679,13 @@ impl IswTracker {
     /// weight.
     pub fn projected_completion(&self, index: u64) -> Option<Slot> {
         let sub = self.subs.iter().find(|s| s.index == index)?;
-        if sub.complete_at.is_some() {
-            return sub.complete_at;
+        if sub.is_complete() {
+            return Some(sub.complete_at);
         }
         if sub.halted_at != NEVER || sub.release >= self.now || !self.swt.is_positive() {
             return None;
         }
-        let remaining = Rational::ONE - sub.cum;
+        let remaining = Rational::ONE - sub.alloc;
         // Slots still needed at `swt` apiece; the last one is now+k−1,
         // so the completion boundary is now+k.
         let k = crate::time::slot_from_i128((remaining / self.swt).ceil()); // audit: allow(panic-reach, swt is a positive weight by the Weight::try_new contract)
@@ -631,9 +696,9 @@ impl IswTracker {
     /// indices, and `dt` total allocation — the image of this state
     /// under one steady busy-span period. Every slot-valued field
     /// shifts by `ds` (`NEVER` sentinels stay put), every subtask index
-    /// (including `SharedWithPred` back-references) by `di`, and the
-    /// running totals by `dt`; `swt` and the per-subtask cumulative
-    /// fractions are period-invariant so they are copied unchanged.
+    /// by `di` (predecessor back-references are distances and do not
+    /// move), and the running totals by `dt`; `swt` and the per-subtask
+    /// allocations are period-invariant so they are copied unchanged.
     /// `None` when any shifted field would overflow — the caller then
     /// simply declines to batch the span.
     #[must_use]
@@ -642,38 +707,23 @@ impl IswTracker {
             .subs
             .iter()
             .map(|s| {
-                let rule = match s.rule {
-                    ReleaseRule::Full => ReleaseRule::Full,
-                    ReleaseRule::SharedWithPred(p) => {
-                        ReleaseRule::SharedWithPred(p.checked_add(di)?)
-                    }
-                };
-                let complete_at = match s.complete_at {
-                    None => None,
-                    Some(d) => Some(d.checked_add(ds)?),
-                };
-                let halted_at = if s.halted_at == NEVER {
-                    NEVER
-                } else {
-                    s.halted_at.checked_add(ds)?
-                };
-                let slot_allocs = s
-                    .slot_allocs
-                    .iter()
-                    .map(|&(t, a)| Some((t.checked_add(ds)?, a)))
-                    .collect::<Option<Vec<_>>>()?;
                 Some(IswSub {
                     index: s.index.checked_add(di)?,
                     release: s.release.checked_add(ds)?,
-                    rule,
-                    cum: s.cum,
-                    complete_at,
-                    final_slot_alloc: s.final_slot_alloc,
-                    halted_at,
-                    slot_allocs,
+                    complete_at: shift_ever(s.complete_at, ds)?,
+                    halted_at: shift_ever(s.halted_at, ds)?,
+                    ..*s
                 })
             })
-            .collect::<Option<Vec<_>>>()?;
+            .collect::<Option<InlineVec<_, 3>>>()?;
+        let slot_history = match self.slot_history.as_deref() {
+            None => None,
+            Some(h) => Some(Box::new(
+                h.iter()
+                    .map(|(&(i, t), &a)| Some(((i.checked_add(di)?, t.checked_add(ds)?), a)))
+                    .collect::<Option<SlotHistory>>()?,
+            )),
+        };
         Some(IswTracker {
             swt: self.swt,
             subs,
@@ -681,7 +731,7 @@ impl IswTracker {
             halted_loss: self.halted_loss,
             now: self.now.checked_add(ds)?,
             keep_retired: self.keep_retired,
-            record_slot_allocs: self.record_slot_allocs,
+            slot_history,
         })
     }
 
@@ -690,7 +740,7 @@ impl IswTracker {
     /// [`IswTracker::with_slot_history`] was used — the bounded-memory
     /// regression test pins that.
     pub fn slot_history_len(&self) -> usize {
-        self.subs.iter().map(|s| s.slot_allocs.len()).sum()
+        self.slot_history.as_deref().map_or(0, BTreeMap::len)
     }
 
     /// Drops subtasks that can no longer influence anything: completed or
@@ -701,15 +751,17 @@ impl IswTracker {
         if self.keep_retired {
             return;
         }
-        // One drain instead of repeated `remove(0)`: a closed-form era
-        // jump can retire thousands of subtasks in a single call, and
-        // front-removals would make that quadratic.
+        // One front drop instead of repeated `pop_front`: a closed-form
+        // era jump can retire thousands of subtasks in a single call,
+        // and front-removals would make that quadratic.
         let max_drop = self.subs.len().saturating_sub(2);
-        let n = self.subs[..max_drop] // audit: allow(panic-reach, indices come from the tracker's own bounded iteration over subs)
+        let n = self
+            .subs
             .iter()
-            .take_while(|s| s.complete_at.is_some() || s.halted_at != NEVER)
+            .take(max_drop)
+            .take_while(|s| s.is_retired())
             .count();
-        self.subs.drain(..n);
+        self.subs.drop_front(n);
     }
 }
 
@@ -1020,6 +1072,59 @@ mod advance_to_tests {
         assert_eq!(rich.slot_history_len(), 2); // X_2's slots 6 and 7
         let rec = rich.halt(2, 8);
         assert_eq!(rec.slot_allocs, vec![(6, rat(2, 19)), (7, rat(3, 19))]);
+    }
+
+    /// The interchange form does not know where the per-slot breakdown
+    /// lives: a tracker with slot history renders each incomplete
+    /// subtask's breakdown under that subtask, a completed subtask
+    /// reports `cum = 1` beside its final-slot allocation, and decoding
+    /// the text gives back a tracker that is equal, re-renders to the
+    /// same bytes and halts with the same record.
+    #[test]
+    fn slot_history_round_trips_through_json() {
+        use pfair_json::{FromJson, Json, ToJson};
+        let mut tr = IswTracker::new(rat(3, 19), 0).with_slot_history();
+        tr.add_subtask(1, 0, true, false);
+        tr.add_subtask(2, 6, false, true);
+        for t in 0..8 {
+            tr.advance(t);
+        }
+        let text = tr.to_json().to_string();
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"swt":{"num":3,"den":19},"subs":["#,
+                r#"{"index":1,"release":0,"pred":null,"cum":{"num":1,"den":1},"complete_at":7,"#,
+                r#""final_slot_alloc":{"num":1,"den":19},"halted_at":9223372036854775807,"slot_allocs":[]},"#,
+                r#"{"index":2,"release":6,"pred":1,"cum":{"num":5,"den":19},"complete_at":null,"#,
+                r#""final_slot_alloc":{"num":0,"den":1},"halted_at":9223372036854775807,"#,
+                r#""slot_allocs":[[6,{"num":2,"den":19}],[7,{"num":3,"den":19}]]}],"#,
+                r#""total":{"num":24,"den":19},"halted_loss":{"num":0,"den":1},"now":8,"#,
+                r#""keep_retired":false,"record_slot_allocs":true}"#
+            )
+        );
+        let mut back = IswTracker::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, tr);
+        assert_eq!(back.to_json().to_string(), text);
+        let rec = back.halt(2, 8);
+        assert_eq!(rec, tr.halt(2, 8));
+        assert_eq!(rec.slot_allocs, vec![(6, rat(2, 19)), (7, rat(3, 19))]);
+        assert_eq!(back.slot_history_len(), 0);
+        assert_eq!(back.to_json().to_string(), tr.to_json().to_string());
+
+        // A breakdown on a tracker that records none, or a final-slot
+        // allocation on an incomplete subtask, is not a state the
+        // tracker can be in.
+        let lean = text.replace(
+            "\"record_slot_allocs\":true",
+            "\"record_slot_allocs\":false",
+        );
+        assert!(IswTracker::from_json(&Json::parse(&lean).unwrap()).is_err());
+        let odd = text.replace(
+            r#""final_slot_alloc":{"num":0,"den":1}"#,
+            r#""final_slot_alloc":{"num":1,"den":19}"#,
+        );
+        assert!(IswTracker::from_json(&Json::parse(&odd).unwrap()).is_err());
     }
 
     /// The with-history fallback still jumps correctly (delegating to

@@ -24,7 +24,8 @@
 //! * [`analysis`] — feasibility tests (condition (W)), hyperperiods,
 //!   capacity arithmetic.
 //! * [`drift`] — the per-reweighting-event allocation error (Eqn (5)).
-//! * [`arena`] — dense-id occupancy bitmaps for arena/SoA task storage.
+//! * [`arena`] — dense-id occupancy bitmaps and inline small vectors for
+//!   arena/SoA task storage.
 //! * [`pool`] — the deterministic scoped-thread worker pool (input-order
 //!   results, byte-identical across pool widths).
 //!
@@ -57,7 +58,7 @@ pub mod weight;
 pub mod window;
 
 pub use analysis::{classify, hyperperiod, is_feasible, total_weight, SetClass};
-pub use arena::IdBitmap;
+pub use arena::{IdBitmap, InlineVec};
 pub use drift::{DriftSample, DriftTrack};
 pub use ideal::{is_ideal_table, CompletionEvent, HaltRecord, IswTracker, PsTracker};
 pub use rational::{rat, Accumulator, Rational};

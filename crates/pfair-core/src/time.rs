@@ -51,6 +51,24 @@ pub fn index_from_rank(i: u64) -> usize {
 /// halted, `H(T_j) = ∞` in the paper).
 pub const NEVER: Slot = Slot::MAX;
 
+/// The slot a [`NEVER`]-sentinel field holds, if any (the sentinel
+/// keeps such fields one word wide where an `Option<Slot>` takes two).
+#[inline]
+pub fn ever(slot: Slot) -> Option<Slot> {
+    (slot != NEVER).then_some(slot)
+}
+
+/// A [`NEVER`]-sentinel field moved `ds` slots later: the sentinel stays
+/// put, and `None` reports an overflowing shift.
+#[inline]
+pub fn shift_ever(slot: Slot, ds: Slot) -> Option<Slot> {
+    if slot == NEVER {
+        Some(NEVER)
+    } else {
+        slot.checked_add(ds)
+    }
+}
+
 /// Inclusive-exclusive slot range `[start, end)`, used for windows and
 /// measurement intervals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -166,130 +166,41 @@ pub fn periodic_windows(weight: Weight, n: u64, join_at: Slot) -> Vec<SubtaskWin
 /// function returns the subtask deadline itself, which compares
 /// neutrally.
 pub fn group_deadline(weight: Weight, k: u64, release: Slot) -> Slot {
+    window_and_group_deadline(weight, k, release).1
+}
+
+/// `(window_in_era(..), group_deadline(..))` from one evaluation of the
+/// window — what the engine computes at every release, with no memo: a
+/// light window is two ceilings and two floors (about 20 ns), less than
+/// fetching a per-task memo of them from a row that is not in cache.
+///
+/// A heavy group deadline is a closed form as well. A task of weight
+/// `w > 1/2` idles at rate `1 − w`; the cascade that starts when `T_i`
+/// runs in its last slot ends with the next idle slot the task is owed,
+/// i.e. at the deadline of a subtask of the *complementary* task of
+/// weight `1 − w`. With times relative to the era's origin and
+/// `d = ⌈i/w⌉` (Anderson & Srinivasan):
+///
+/// ```text
+/// D(T_i) = ⌈ ⌈d · (1 − w)⌉ / (1 − w) ⌉
+/// ```
+///
+/// which the tests compare against the definition's successor walk for
+/// every heavy weight with a denominator below 40.
+pub fn window_and_group_deadline(weight: Weight, k: u64, release: Slot) -> (SubtaskWindow, Slot) {
     let win = window_in_era(weight, k, release);
     if weight.is_light() {
-        return win.deadline;
+        return (win, win.deadline);
     }
-    // Walk successors of the same (virtual, fresh) heavy task, taking
-    // the first absorbing boundary at or after d(T_i). The walk
-    // terminates within one period: b = 0 at the rank where k/w is an
-    // integer, at the latest.
-    let d_i = win.deadline;
-    let mut rank = k;
-    let mut w = win;
-    loop {
-        if w.len() >= 3 && w.deadline > d_i {
-            return w.deadline - 1;
-        }
-        if !w.b && w.deadline >= d_i {
-            return w.deadline;
-        }
-        rank += 1;
-        w = window_in_era(weight, rank, w.next_release());
+    let w: Rational = weight.value();
+    let idle = Rational::ONE - w;
+    if idle.is_zero() {
+        return (win, win.deadline);
     }
-}
-
-/// Memoized per-era window arithmetic for one scheduling weight.
-///
-/// Within an era every window is determined by the era's scheduling
-/// weight `w = n/d` and the subtask's within-era rank `k`: the window
-/// *length* and b-bit (Eqns (2)–(3)) and the group-deadline *offset*
-/// `D(T_i) − r(T_i)` are all invariant under translating the release
-/// slot, and periodic in `k` with period `n` (after `n` subtasks the
-/// window pattern repeats `d` slots later). The engine releases one
-/// subtask per task per window, so caching the per-rank triple removes
-/// the rational `⌈·⌉`/`⌊·⌋` arithmetic — and for heavy weights the
-/// whole group-deadline successor walk — from steady-state releases.
-///
-/// Construct once per era (the cache carries its weight, so a stale
-/// cache is detected by comparing [`WindowCache::weight`]) and query
-/// with [`WindowCache::window_and_group_deadline`].
-#[derive(Clone, Debug)]
-pub struct WindowCache {
-    weight: Weight,
-    /// Rank period: the weight's numerator (ranks repeat modulo this),
-    /// or 0 when the numerator exceeds [`WindowCache::MEMO_CAP`] and
-    /// memoization is bypassed.
-    period: usize,
-    /// `memo[(k − 1) mod period]` = (window length, b-bit, group
-    /// deadline − release), filled lazily.
-    memo: Vec<Option<(i64, bool, i64)>>,
-}
-
-impl WindowCache {
-    /// Largest numerator for which per-rank memoization is attempted;
-    /// weights with longer rank periods fall back to direct
-    /// computation. The cap is deliberately small: a cache is rebuilt
-    /// on every weight change, so under sustained reweighting (where
-    /// eras last only a handful of releases) a large-numerator memo
-    /// would be paid for — one `O(numerator)` allocation per enactment
-    /// — and never filled, let alone hit twice. Small numerators cover
-    /// the weights that actually stay stable (1/d sporadic-style tasks,
-    /// m/(2n) uniform fixtures) at a per-era cost of ≤ ~1.5 KiB.
-    pub const MEMO_CAP: usize = 64;
-
-    /// An empty cache for one era's scheduling weight.
-    pub fn new(weight: Weight) -> WindowCache {
-        let numer = weight.value().numer();
-        let period = usize::try_from(numer)
-            .ok()
-            .filter(|n| (1..=Self::MEMO_CAP).contains(n))
-            .unwrap_or(0);
-        WindowCache {
-            weight,
-            period,
-            memo: vec![None; period],
-        }
-    }
-
-    /// The weight this cache was built for.
-    pub fn weight(&self) -> Weight {
-        self.weight
-    }
-
-    fn triple(&mut self, k: u64) -> (i64, bool, i64) {
-        debug_assert!(k >= 1, "within-era ranks are 1-based");
-        let slot = match u64::try_from(self.period) {
-            Ok(p) if p >= 1 => usize::try_from((k - 1) % p).ok(), // audit: allow(panic-reach, guarded by the p >= 1 match arm)
-            _ => None,
-        };
-        if let Some(i) = slot {
-            // audit: allow(panic-reach, memo index is (k-1) mod period, within the table by construction)
-            if let Some(t) = self.memo[i] {
-                return t;
-            }
-        }
-        let win = window_in_era(self.weight, k, 0);
-        let gd = group_deadline(self.weight, k, 0);
-        let t = (win.len(), win.b, gd);
-        if let Some(i) = slot {
-            self.memo[i] = Some(t); // audit: allow(panic-reach, memo index is (k-1) mod period, within the table by construction)
-        }
-        t
-    }
-
-    /// Cached equivalent of [`window_in_era`].
-    pub fn window(&mut self, k: u64, release: Slot) -> SubtaskWindow {
-        let (len, b, _) = self.triple(k);
-        SubtaskWindow {
-            release,
-            deadline: release + len,
-            b,
-        }
-    }
-
-    /// Cached equivalent of `(window_in_era(..), group_deadline(..))`.
-    pub fn window_and_group_deadline(&mut self, k: u64, release: Slot) -> (SubtaskWindow, Slot) {
-        let (len, b, gd_off) = self.triple(k);
-        (
-            SubtaskWindow {
-                release,
-                deadline: release + len,
-                b,
-            },
-            release + gd_off,
-        )
-    }
+    let rank = i128::from(k);
+    let owed = idle.mul_int(slot_from_i128(w.div_ceil_int(rank))).ceil();
+    let origin = release - slot_from_i128(w.div_floor_int(rank - 1));
+    (win, origin + slot_from_i128(idle.div_ceil_int(owed)))
 }
 
 #[cfg(test)]
@@ -454,79 +365,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod window_cache_tests {
-    use super::*;
-    use crate::rational::rat;
-
-    fn w(n: i128, d: i128) -> Weight {
-        Weight::new(rat(n, d))
-    }
-
-    /// The cache agrees with direct computation for light and heavy
-    /// weights, across several rank periods and arbitrary releases.
-    #[test]
-    fn cache_matches_direct_computation() {
-        for (n, d) in [
-            (1i128, 2i128),
-            (2, 5),
-            (5, 16),
-            (3, 19),
-            (1, 10),
-            (8, 11),
-            (3, 4),
-            (7, 9),
-            (11, 12),
-            (1, 1),
-        ] {
-            let wt = w(n, d);
-            let mut cache = WindowCache::new(wt);
-            let mut release = 17; // arbitrary era start
-            for k in 1..=(3 * d as u64 + 2) {
-                let (win, gd) = cache.window_and_group_deadline(k, release);
-                assert_eq!(win, window_in_era(wt, k, release), "{n}/{d} rank {k}");
-                assert_eq!(gd, group_deadline(wt, k, release), "{n}/{d} rank {k}");
-                assert_eq!(win, cache.window(k, release));
-                release = win.next_release();
-            }
-        }
-    }
-
-    /// Translation invariance: the same rank at two different releases
-    /// yields windows and group deadlines shifted by the difference.
-    #[test]
-    fn cache_is_translation_invariant() {
-        let wt = w(8, 11);
-        let mut cache = WindowCache::new(wt);
-        let (w0, g0) = cache.window_and_group_deadline(3, 0);
-        let (w9, g9) = cache.window_and_group_deadline(3, 900);
-        assert_eq!(w9.deadline - w0.deadline, 900);
-        assert_eq!(g9 - g0, 900);
-        assert_eq!(w9.b, w0.b);
-    }
-
-    /// A numerator beyond the memo cap bypasses memoization but still
-    /// computes correct values.
-    #[test]
-    fn oversized_numerator_bypasses_memo() {
-        let wt = Weight::new(Rational::new(4099, 8209)); // both prime
-        let mut cache = WindowCache::new(wt);
-        for k in [1u64, 2, 4099, 5000] {
-            let win = cache.window(k, 5);
-            assert_eq!(win, window_in_era(wt, k, 5), "rank {k}");
-        }
-    }
-
-    /// The cache records the weight it was built for, so callers can
-    /// detect staleness across era changes.
-    #[test]
-    fn cache_reports_its_weight() {
-        let wt = w(2, 5);
-        let cache = WindowCache::new(wt);
-        assert_eq!(cache.weight().value(), rat(2, 5));
-    }
-}
-
-#[cfg(test)]
 mod group_deadline_tests {
     use super::*;
     use crate::rational::rat;
@@ -587,6 +425,19 @@ mod group_deadline_tests {
         }
     }
 
+    /// Translation invariance: the same rank at two different releases
+    /// yields windows and group deadlines shifted by the difference.
+    #[test]
+    fn group_deadlines_are_translation_invariant() {
+        let wt = w(8, 11);
+        let (w0, g0) = window_and_group_deadline(wt, 3, 0);
+        let (w9, g9) = window_and_group_deadline(wt, 3, 900);
+        assert_eq!(w0, window_in_era(wt, 3, 0));
+        assert_eq!(w9.deadline - w0.deadline, 900);
+        assert_eq!(g9 - g0, 900);
+        assert_eq!(w9.b, w0.b);
+    }
+
     /// Light tasks return their own deadline (neutral in comparisons).
     #[test]
     fn light_tasks_are_neutral() {
@@ -595,8 +446,51 @@ mod group_deadline_tests {
         assert_eq!(group_deadline(wt, 1, win.release), win.deadline);
     }
 
-    /// Group deadlines are non-decreasing in the subtask index and the
-    /// walk always terminates (bounded by one period).
+    /// The definition, walked: the earliest absorbing boundary at or
+    /// after `d(T_i)` among the successors of the same (virtual, fresh)
+    /// heavy task. Terminates within one period (b = 0 at the rank where
+    /// k/w is an integer, at the latest).
+    fn group_deadline_by_walk(weight: Weight, k: u64, release: Slot) -> Slot {
+        let win = window_in_era(weight, k, release);
+        let d_i = win.deadline;
+        let mut rank = k;
+        let mut w = win;
+        loop {
+            if w.len() >= 3 && w.deadline > d_i {
+                return w.deadline - 1;
+            }
+            if !w.b && w.deadline >= d_i {
+                return w.deadline;
+            }
+            rank += 1;
+            w = window_in_era(weight, rank, w.next_release());
+        }
+    }
+
+    /// The closed form is the definition: every heavy weight with a
+    /// denominator below 40 (weight 1 included), three periods of
+    /// ranks, two era origins.
+    #[test]
+    fn closed_form_matches_the_successor_walk() {
+        for den in 2i128..40 {
+            for num in (den / 2 + 1)..=den {
+                let wt = w(num, den);
+                for k in 1..=(3 * den as u64 + 1) {
+                    for origin in [0, 17] {
+                        let release =
+                            origin + slot_from_i128(wt.value().div_floor_int(i128::from(k) - 1));
+                        assert_eq!(
+                            group_deadline(wt, k, release),
+                            group_deadline_by_walk(wt, k, release),
+                            "weight {num}/{den} rank {k} origin {origin}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Group deadlines are non-decreasing in the subtask index.
     #[test]
     fn group_deadlines_are_monotone() {
         for (n, d) in [(8i128, 11i128), (3, 4), (7, 9), (5, 8), (11, 12)] {

@@ -260,24 +260,26 @@ impl CalendarRing {
         if self.overflow.is_empty() {
             return;
         }
+        // Filtered in place: the list keeps its buffer from one lap of
+        // the ring to the next instead of regrowing a fresh one.
         let end = t.saturating_add(WINDOW_SLOTS);
-        let mut kept: Vec<(Slot, TaskId)> = Vec::new();
+        let mut overflow = std::mem::take(&mut self.overflow);
         let mut kept_min = NEVER;
-        for (at, id) in std::mem::take(&mut self.overflow) {
-            if at < end {
-                debug_assert!(at >= t, "overflow entry at {at} already passed");
-                if at >= t {
-                    let b = Self::bucket_of(at);
-                    self.buckets[b].push(id); // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-                    self.occupied[b / 64] |= 1u64 << (b % 64); // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-                    self.in_window += 1;
-                }
-            } else {
+        overflow.retain(|&(at, id)| {
+            if at >= end {
                 kept_min = kept_min.min(at);
-                kept.push((at, id));
+                return true;
             }
-        }
-        self.overflow = kept;
+            debug_assert!(at >= t, "overflow entry at {at} already passed");
+            if at >= t {
+                let b = Self::bucket_of(at);
+                self.buckets[b].push(id); // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
+                self.occupied[b / 64] |= 1u64 << (b % 64); // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
+                self.in_window += 1;
+            }
+            false
+        });
+        self.overflow = overflow;
         self.overflow_min = kept_min;
     }
 }

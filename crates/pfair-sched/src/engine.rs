@@ -41,16 +41,16 @@ use crate::priority::{Priority, TieBreak, TieTable};
 use crate::queue::{compaction_threshold, QueueEntry, ReadyQueue};
 use crate::reweight::{RuleChoice, RuleSelector, Scheme};
 use crate::trace::{Miss, SimResult, SubtaskRecord, TaskHistory, TaskResult};
+use pfair_core::arena::InlineVec;
 use pfair_core::drift::DriftTrack;
 use pfair_core::ideal::isw::CompletionEvent;
 use pfair_core::ideal::{IswTracker, PsTracker};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
-use pfair_core::time::{slot_index, Slot, NEVER};
+use pfair_core::time::{ever, slot_index, Slot, NEVER};
 use pfair_core::weight::Weight;
-use pfair_core::window::{SubtaskWindow, WindowCache};
+use pfair_core::window::{window_and_group_deadline, SubtaskWindow};
 use pfair_obs::{NoopProbe, Probe, ReleaseRec, ReweightCost, Rule};
-use std::collections::VecDeque;
 
 mod busy_span;
 mod persist;
@@ -187,18 +187,42 @@ struct Pending {
     initiated_at: Slot,
 }
 
-/// A released subtask the engine still tracks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A released subtask the engine still tracks: 59 bytes of fields in a
+/// 64-byte record, three to a task row inline. Slots not (yet) set hold
+/// [`NEVER`], and the window is stored flat — an `Option<Slot>` takes
+/// two words and a nested [`SubtaskWindow`] pads its b-bit to a third.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct SubRec {
     index: u64,
-    window: SubtaskWindow,
+    /// `r(T_i)`.
+    release: Slot,
+    /// `d(T_i)`.
+    deadline: Slot,
     /// PD² group deadline (equals the deadline for light tasks).
     group_deadline: Slot,
+    scheduled_at: Slot,
+    halted_at: Slot,
+    /// `D(I_SW, T_i)`, once a tracker synchronization has reported it.
+    isw_completion: Slot,
+    /// `b(T_i)`.
+    b: bool,
     era_first: bool,
-    scheduled_at: Option<Slot>,
-    halted_at: Option<Slot>,
-    isw_completion: Option<Slot>,
     missed: bool,
+}
+
+impl SubRec {
+    fn window(&self) -> SubtaskWindow {
+        SubtaskWindow {
+            release: self.release,
+            deadline: self.deadline,
+            b: self.b,
+        }
+    }
+
+    /// Released, not scheduled, not halted: PD² still owes it a quantum.
+    fn is_pending(&self) -> bool {
+        self.scheduled_at == NEVER && self.halted_at == NEVER
+    }
 }
 
 /// Per-task runtime state: the *cold row* of the [`TaskSlab`] arena.
@@ -207,6 +231,10 @@ struct SubRec {
 /// flag, the scheduling weight `swt(T, t)`, and the next release slot —
 /// live in the slab's dense columns instead of here, so whole-set scans
 /// never touch these rows (see `engine/slab.rs`).
+///
+/// One contiguous row: the subtask records and the `I_SW` tracker's
+/// subtasks are inline, so in steady state the only heap block a task
+/// owns is its drift track's (`tests/footprint.rs` pins both figures).
 #[derive(Clone, Debug)]
 struct TaskState {
     id: TaskId,
@@ -218,27 +246,28 @@ struct TaskState {
     next_index: u64,
     /// The next release opens an era (`Id(T_i) = i`).
     era_open_pending: bool,
-    /// Recent subtask records (all of them in history mode).
-    subs: VecDeque<SubRec>,
+    /// Recent subtask records: `prune` keeps two, and the one a release
+    /// adds is settled a slot later; only a tardy task holds more.
+    subs: InlineVec<SubRec, 3>,
     pending: Option<Pending>,
     /// Time at which an initiated leave takes effect.
     leaving: Option<Slot>,
     /// Window of the most recently *scheduled* subtask (rule L).
     last_scheduled: Option<SubtaskWindow>,
-    /// Per-era memo of window lengths, b-bits, and group-deadline
-    /// offsets; rebuilt when the scheduling weight changes.
-    win_cache: Option<WindowCache>,
     isw: IswTracker,
     ps: PsTracker,
     drift: DriftTrack,
     scheduled_count: u64,
     last_cpu: Option<u32>,
-    // History-mode accumulators.
-    archived: Vec<SubtaskRecord>,
-    scheduled_slots: Vec<Slot>,
-    isw_per_slot: Vec<Rational>,
-    halted_corrections: Vec<(Slot, Rational)>,
+    /// History-mode accumulators (`subtasks` holds the pruned records);
+    /// allocated when the task joins a `record_history` run.
+    history: Option<Box<TaskHistory>>,
 }
+
+const _: () = {
+    assert!(std::mem::size_of::<SubRec>() <= 64);
+    assert!(std::mem::size_of::<TaskState>() <= 1024);
+};
 
 impl TaskState {
     fn placeholder(id: TaskId) -> TaskState {
@@ -248,20 +277,16 @@ impl TaskState {
             era_base: 0,
             next_index: 1,
             era_open_pending: false,
-            subs: VecDeque::new(),
+            subs: InlineVec::new(),
             pending: None,
             leaving: None,
             last_scheduled: None,
-            win_cache: None,
             isw: IswTracker::new(Rational::ONE, 0),
             ps: PsTracker::new(Rational::ONE, 0),
             drift: DriftTrack::new(),
             scheduled_count: 0,
             last_cpu: None,
-            archived: Vec::new(),
-            scheduled_slots: Vec::new(),
-            isw_per_slot: Vec::new(),
-            halted_corrections: Vec::new(),
+            history: None,
         }
     }
 
@@ -270,12 +295,10 @@ impl TaskState {
         self.subs.back()
     }
 
-    /// Index (into `subs`) of the first unscheduled, unhalted subtask —
-    /// the task's schedulable head.
-    fn head_pos(&self) -> Option<usize> {
-        self.subs
-            .iter()
-            .position(|s| s.scheduled_at.is_none() && s.halted_at.is_none())
+    /// The first unscheduled, unhalted subtask — the task's schedulable
+    /// head.
+    fn head(&self) -> Option<&SubRec> {
+        self.subs.iter().find(|s| s.is_pending())
     }
 
     /// Find the most recent non-halted subtask strictly before `index`.
@@ -283,7 +306,7 @@ impl TaskState {
         self.subs
             .iter()
             .rev()
-            .find(|s| s.index < index && s.halted_at.is_none())
+            .find(|s| s.index < index && s.halted_at == NEVER)
     }
 
     fn sub_mut(&mut self, index: u64) -> Option<&mut SubRec> {
@@ -293,10 +316,10 @@ impl TaskState {
     fn to_record(s: &SubRec) -> SubtaskRecord {
         SubtaskRecord {
             index: s.index,
-            window: s.window,
-            scheduled_at: s.scheduled_at,
-            halted_at: s.halted_at,
-            isw_completion: s.isw_completion,
+            window: s.window(),
+            scheduled_at: ever(s.scheduled_at),
+            halted_at: ever(s.halted_at),
+            isw_completion: ever(s.isw_completion),
             era_first: s.era_first,
         }
     }
@@ -329,12 +352,12 @@ impl TaskState {
         };
         for s in &mut self.subs {
             if let Some(c) = done.iter().find(|c| c.index == s.index) {
-                s.isw_completion = Some(c.complete_at);
+                s.isw_completion = c.complete_at;
             }
-            if s.halted_at.is_none() {
-                scan.pred_b = Some(s.window.b);
-                if s.scheduled_at.is_none() && scan.head_deadline.is_none() {
-                    scan.head_deadline = Some(s.window.deadline);
+            if s.halted_at == NEVER {
+                scan.pred_b = Some(s.b);
+                if s.scheduled_at == NEVER && scan.head_deadline.is_none() {
+                    scan.head_deadline = Some(s.deadline);
                 }
             }
         }
@@ -344,23 +367,23 @@ impl TaskState {
     /// Drops records that can no longer influence the rules. Keeps every
     /// unscheduled/unhalted subtask, anything whose `I_SW` completion is
     /// still unknown (rule O may need to watch it), and the two most
-    /// recent records.
-    fn prune(&mut self, record_history: bool) {
-        while self.subs.len() > 2 {
-            let s = &self.subs[0]; // audit: allow(panic-reach, guarded by the subs.len() > 2 loop condition)
-            let settled = s.halted_at.is_some() || s.isw_completion.is_some();
-            let done = s.scheduled_at.is_some() || s.halted_at.is_some();
-            if settled && done && !s.missed {
-                let Some(rec) = self.subs.pop_front() else {
-                    break;
-                };
-                if record_history {
-                    self.archived.push(Self::to_record(&rec));
-                }
-            } else {
-                break;
-            }
+    /// recent records. History runs archive what is dropped.
+    fn prune(&mut self) {
+        let n = self
+            .subs
+            .iter()
+            .take(self.subs.len().saturating_sub(2))
+            .take_while(|s| {
+                let settled = s.halted_at != NEVER || s.isw_completion != NEVER;
+                settled && !s.is_pending() && !s.missed
+            })
+            .count();
+        if let Some(history) = &mut self.history {
+            history
+                .subtasks
+                .extend(self.subs.iter().take(n).map(Self::to_record));
         }
+        self.subs.drop_front(n);
     }
 }
 
@@ -720,7 +743,7 @@ impl<P: Probe> Engine<P> {
             self.tasks.set_ran(id, true);
         }
         let tasks = &self.tasks;
-        stopped.retain(|&id| !tasks.ran_last_slot(id) && tasks.task(id).head_pos().is_some());
+        stopped.retain(|&id| !tasks.ran_last_slot(id) && tasks.task(id).head().is_some());
         self.counters.preemptions += stopped.len() as u64; // audit: allow(lossy-cast, usize→u64 is lossless on the supported targets)
         stopped.sort_unstable_by_key(|id| id.0);
         for id in stopped.drain(..) {
@@ -792,11 +815,11 @@ impl<P: Probe> Engine<P> {
         // task-by-task iteration exactly (history runs are small-n).
         if self.config.record_history {
             self.touched.clear();
-            self.tasks.prune_all(true);
+            self.tasks.prune_all();
         } else {
             let mut touched = std::mem::take(&mut self.touched);
             for id in touched.drain(..) {
-                self.tasks.task_mut(id).prune(false);
+                self.tasks.task_mut(id).prune();
             }
             self.touched = touched;
         }
@@ -822,40 +845,49 @@ impl<P: Probe> Engine<P> {
             |e| {
                 tasks.in_system(e.task)
                     && tasks.get(e.task).is_some_and(|task| {
-                        task.subs.iter().any(|s| {
-                            s.index == e.index && s.scheduled_at.is_none() && s.halted_at.is_none()
-                        })
+                        task.subs
+                            .iter()
+                            .any(|s| s.index == e.index && s.is_pending())
                     })
             },
             |e| probe.on_stale_drop(e.task, e.index, t),
         );
     }
 
-    /// Applies injected events due at or before `t`. The retain scan
-    /// only runs on slots that can fire something (`injected_min`
-    /// gates it), so a long-lived backlog of future-dated injections
-    /// costs nothing per slot.
+    /// Applies injected events due at or before `t`, in injection
+    /// order, and drops them from the backlog in the same pass (no
+    /// handler touches the backlog, so it can be taken for the scan).
+    /// The scan only runs on slots that can fire something
+    /// (`injected_min` gates it), so a long-lived backlog of
+    /// future-dated injections costs nothing per slot; a backlog that
+    /// fired completely gives its buffer back — a shard's whole
+    /// population arrives through here at slot 0 and nothing after.
     fn fire_injected(&mut self, t: Slot) {
         if self.injected_min > t {
             return;
         }
-        let mut due: Vec<Event> = Vec::new();
-        self.injected.retain(|e| {
-            if e.at <= t {
-                due.push(*e);
-                false
-            } else {
-                true
+        let mut backlog = std::mem::take(&mut self.injected);
+        backlog.retain(|ev| {
+            if ev.at > t {
+                return true;
             }
+            self.apply_event(*ev, t);
+            false
         });
-        self.injected_min = self.injected.iter().map(|e| e.at).min().unwrap_or(NEVER);
-        for ev in due {
-            match ev.kind {
-                EventKind::Join(w) => self.handle_join(ev.task, t, w),
-                EventKind::Leave => self.handle_leave(ev.task, t),
-                EventKind::Reweight(w) => self.handle_reweight(ev.task, t, w),
-                EventKind::Delay(by) => self.handle_delay(ev.task, t, by),
-            }
+        if backlog.is_empty() {
+            backlog = Vec::new();
+        }
+        self.injected_min = backlog.iter().map(|e| e.at).min().unwrap_or(NEVER);
+        self.injected = backlog;
+    }
+
+    /// Dispatches one stream or injected event firing at slot `t`.
+    fn apply_event(&mut self, ev: Event, t: Slot) {
+        match ev.kind {
+            EventKind::Join(w) => self.handle_join(ev.task, t, w),
+            EventKind::Leave => self.handle_leave(ev.task, t),
+            EventKind::Reweight(w) => self.handle_reweight(ev.task, t, w),
+            EventKind::Delay(by) => self.handle_delay(ev.task, t, by),
         }
     }
 
@@ -899,14 +931,13 @@ impl<P: Probe> Engine<P> {
                     icsw_total: ts.isw.icsw_total(),
                     drift: std::mem::take(&mut ts.drift),
                     history: record_history.then(|| {
-                        let mut subtasks = std::mem::take(&mut ts.archived);
-                        subtasks.extend(ts.subs.iter().map(TaskState::to_record));
-                        TaskHistory {
-                            subtasks,
-                            scheduled_slots: std::mem::take(&mut ts.scheduled_slots),
-                            isw_per_slot: std::mem::take(&mut ts.isw_per_slot),
-                            halted_corrections: std::mem::take(&mut ts.halted_corrections),
-                        }
+                        // A task that never joined has no accumulators.
+                        let mut history =
+                            ts.history.take().map_or_else(TaskHistory::default, |h| *h);
+                        history
+                            .subtasks
+                            .extend(ts.subs.iter().map(TaskState::to_record));
+                        history
                     }),
                 }
             })
@@ -1012,12 +1043,7 @@ impl<P: Probe> Engine<P> {
                 "event at {} outside simulated range",
                 ev.at
             );
-            match ev.kind {
-                EventKind::Join(w) => self.handle_join(ev.task, t, w),
-                EventKind::Leave => self.handle_leave(ev.task, t),
-                EventKind::Reweight(w) => self.handle_reweight(ev.task, t, w),
-                EventKind::Delay(by) => self.handle_delay(ev.task, t, by),
-            }
+            self.apply_event(ev, t);
         }
     }
 
@@ -1041,10 +1067,7 @@ impl<P: Probe> Engine<P> {
         let r_new = r_old + i64::from(by);
         self.tasks.set_next_release(id, Some(r_new));
         let task = self.tasks.task_mut(id);
-        let inactive_from = task
-            .last_released()
-            .map_or(r_old, |s| s.window.deadline)
-            .max(t);
+        let inactive_from = task.last_released().map_or(r_old, |s| s.deadline).max(t);
         task.ps.suspend_between(inactive_from, r_new);
         self.note_release(id, r_new);
     }
@@ -1073,6 +1096,9 @@ impl<P: Probe> Engine<P> {
             ps: PsTracker::new(g, t),
             ..std::mem::replace(task, TaskState::placeholder(id))
         };
+        if record_history {
+            task.history.get_or_insert_with(Box::default);
+        }
         self.tasks.set_in_system(id, true);
         self.tasks.set_swt(id, g);
         self.tasks.set_ran(id, false);
@@ -1087,24 +1113,8 @@ impl<P: Probe> Engine<P> {
         // Totals must be settled through `t` before the task can depart
         // immediately (leave_at == t) or halt its unscheduled subtasks.
         self.sync_task(id, t);
-        let (withdraw, leave_at) = {
-            let task = self.tasks.task(id);
-            let withdraw: Vec<u64> = task
-                .subs
-                .iter()
-                .filter(|s| s.scheduled_at.is_none() && s.halted_at.is_none())
-                .map(|s| s.index)
-                .collect();
-            // Rule L: leave no earlier than d(T_i) + b(T_i) of the
-            // last-scheduled subtask.
-            let leave_at = task
-                .last_scheduled
-                .map_or(t, |w| (w.deadline + i64::from(w.b)).max(t));
-            (withdraw, leave_at)
-        };
-        for index in withdraw {
-            self.halt_subtask(id, index, t);
-        }
+        self.halt_pending(id, t);
+        let leave_at = self.rule_l_time(id, t);
         self.tasks.set_next_release(id, None);
         self.tasks.task_mut(id).pending = None;
         if leave_at == t {
@@ -1116,6 +1126,29 @@ impl<P: Probe> Engine<P> {
         }
     }
 
+    /// Withdraws every released subtask of `id` that PD² has not run
+    /// yet (a leave, or the leave half of an LJ reweight). Halting
+    /// changes neither the number nor the order of the records, so they
+    /// are walked by position, one copied out at a time.
+    fn halt_pending(&mut self, id: TaskId, t: Slot) {
+        let mut pos = 0;
+        while let Some(s) = self.tasks.task(id).subs.get(pos).copied() {
+            if s.is_pending() {
+                self.halt_subtask(id, s.index, t);
+            }
+            pos += 1;
+        }
+    }
+
+    /// Rule L: a task may leave (or rejoin under a new weight) no
+    /// earlier than `d(T_i) + b(T_i)` of its last-scheduled subtask.
+    fn rule_l_time(&self, id: TaskId, t: Slot) -> Slot {
+        self.tasks
+            .task(id)
+            .last_scheduled
+            .map_or(t, |w| (w.deadline + i64::from(w.b)).max(t))
+    }
+
     /// Halts `T_index` of task `id` at time `t` in both the PD² schedule
     /// (stale queue entry) and `I_SW` (allocations stop; `I_CSW` takes
     /// everything back).
@@ -1125,12 +1158,12 @@ impl<P: Probe> Engine<P> {
         self.sync_task(id, t);
         let task = self.tasks.task_mut(id);
         let rec = task.isw.halt(index, t);
-        if self.config.record_history {
-            task.halted_corrections.extend(rec.slot_allocs);
+        if let Some(history) = &mut task.history {
+            history.halted_corrections.extend(rec.slot_allocs);
         }
         // audit: allow(panic, caller-contract violation; rules only halt known live subtasks); allow(panic-reach, present by the engine's slab and queue liveness invariants)
         let sub = task.sub_mut(index).expect("halting unknown subtask");
-        sub.halted_at = Some(t);
+        sub.halted_at = t;
         self.counters.halts += 1;
         self.probe.on_halt(id, index, t);
     }
@@ -1201,7 +1234,7 @@ impl<P: Probe> Engine<P> {
         let (last, d_passed) = {
             let task = self.tasks.task(id);
             let last = task.last_released().copied();
-            let d_passed = last.is_some_and(|s| s.window.deadline <= t);
+            let d_passed = last.is_some_and(|s| s.deadline <= t);
             (last, d_passed)
         };
 
@@ -1221,13 +1254,13 @@ impl<P: Probe> Engine<P> {
 
         if d_passed {
             // d(T_j) ≤ t_c: enact at max(t_c, d + b).
-            let at = (tj.window.deadline + i64::from(tj.window.b)).max(t);
+            let at = (tj.deadline + i64::from(tj.b)).max(t);
             self.park_or_enact(id, t, v, at, PendKind::Enact);
             return Rule::O;
         }
 
-        let scheduled = tj.scheduled_at.is_some();
-        let already_halted = tj.halted_at.is_some();
+        let scheduled = tj.scheduled_at != NEVER;
+        let already_halted = tj.halted_at != NEVER;
         if scheduled {
             // Ideal-changeable (rule I). On a first initiation T_j cannot
             // yet be complete in I_SW, but a *superseding* initiation may
@@ -1256,15 +1289,14 @@ impl<P: Probe> Engine<P> {
             // change fires (a superseding initiation replaces it wholesale
             // and re-projects), so the projection equals the slot the
             // per-slot tracker would have discovered.
-            let proj = tj
-                .isw_completion
+            let proj = ever(tj.isw_completion)
                 .or_else(|| self.tasks.task(id).isw.projected_completion(tj.index));
             // audit: allow(panic-reach, run-invariant assertion, a violation is a scheduler bug and must abort)
             assert!(
                 proj.is_some(),
                 "scheduled incomplete subtask must project an I_SW completion"
             );
-            let at = proj.map_or(t, |d| (d + i64::from(tj.window.b)).max(t));
+            let at = proj.map_or(t, |d| (d + i64::from(tj.b)).max(t));
             self.park_or_enact(id, t, v, at, kind);
             Rule::I
         } else {
@@ -1282,15 +1314,14 @@ impl<P: Probe> Engine<P> {
                     // predecessor. A retired predecessor always has its
                     // completion recorded on the SubRec, so the record is
                     // consulted before the tracker.
-                    let proj = p
-                        .isw_completion
+                    let proj = ever(p.isw_completion)
                         .or_else(|| self.tasks.task(id).isw.projected_completion(p.index));
                     // audit: allow(panic-reach, run-invariant assertion, a violation is a scheduler bug and must abort)
                     assert!(
                         proj.is_some(),
                         "predecessor of a released subtask must project an I_SW completion"
                     );
-                    let at = proj.map_or(t, |d| (d + i64::from(p.window.b)).max(t));
+                    let at = proj.map_or(t, |d| (d + i64::from(p.b)).max(t));
                     self.park_or_enact(id, t, v, at, PendKind::Enact);
                 }
             }
@@ -1302,22 +1333,8 @@ impl<P: Probe> Engine<P> {
     /// wait out rule L on the last-scheduled subtask, rejoin with the new
     /// weight. Returns [`Rule::Lj`] (probe reporting).
     fn reweight_lj(&mut self, id: TaskId, t: Slot, v: Rational) -> Rule {
-        let withdraw: Vec<u64> = self
-            .tasks
-            .task(id)
-            .subs
-            .iter()
-            .filter(|s| s.scheduled_at.is_none() && s.halted_at.is_none())
-            .map(|s| s.index)
-            .collect();
-        for index in withdraw {
-            self.halt_subtask(id, index, t);
-        }
-        let at = self
-            .tasks
-            .task(id)
-            .last_scheduled
-            .map_or(t, |w| (w.deadline + i64::from(w.b)).max(t));
+        self.halt_pending(id, t);
+        let at = self.rule_l_time(id, t);
         self.park_or_enact(id, t, v, at, PendKind::Enact);
         Rule::Lj
     }
@@ -1380,17 +1397,9 @@ impl<P: Probe> Engine<P> {
             let index = task.next_index;
             task.next_index += 1;
             let rank = index - task.era_base;
-            // One era memo serves every release until the next
-            // enactment changes the scheduling weight.
-            let cache = match &mut task.win_cache {
-                Some(c) if c.weight().value() == swt => c,
-                stale => {
-                    // audit: allow(panic, engine invariant: reweight rules keep swt within (0 and 1]); allow(panic-reach, present by the engine's slab and queue liveness invariants)
-                    let weight = Weight::try_new(swt).expect("invalid scheduling weight");
-                    stale.insert(WindowCache::new(weight))
-                }
-            };
-            let (window, gd) = cache.window_and_group_deadline(rank, t);
+            // audit: allow(panic, engine invariant: reweight rules keep swt within (0 and 1]); allow(panic-reach, present by the engine's slab and queue liveness invariants)
+            let weight = Weight::try_new(swt).expect("invalid scheduling weight");
+            let (window, gd) = window_and_group_deadline(weight, rank, t);
             let era_first = task.era_open_pending;
             task.era_open_pending = false;
 
@@ -1416,12 +1425,14 @@ impl<P: Probe> Engine<P> {
             task.isw.add_subtask(index, t, era_first, pred_b);
             task.subs.push_back(SubRec {
                 index,
-                window,
+                release: window.release,
+                deadline: window.deadline,
                 group_deadline: gd,
+                scheduled_at: NEVER,
+                halted_at: NEVER,
+                isw_completion: NEVER,
+                b: window.b,
                 era_first,
-                scheduled_at: None,
-                halted_at: None,
-                isw_completion: None,
                 missed: false,
             });
 
@@ -1489,11 +1500,9 @@ impl<P: Probe> Engine<P> {
                 |e| {
                     tasks.in_system(e.task)
                         && tasks.get(e.task).is_some_and(|task| {
-                            task.subs.iter().any(|s| {
-                                s.index == e.index
-                                    && s.scheduled_at.is_none()
-                                    && s.halted_at.is_none()
-                            })
+                            task.subs
+                                .iter()
+                                .any(|s| s.index == e.index && s.is_pending())
                         })
                 },
                 |e| probe.on_stale_pop(e.task, e.index, t),
@@ -1509,12 +1518,11 @@ impl<P: Probe> Engine<P> {
                 .sub_mut(entry.index)
                 // audit: allow(panic, pop_live just verified the subtask is present and live)
                 .expect("live entry lost its subtask");
-            sub.scheduled_at = Some(t);
-            let win = sub.window;
-            task.last_scheduled = Some(win);
+            sub.scheduled_at = t;
+            task.last_scheduled = Some(sub.window());
             task.scheduled_count += 1;
-            if self.config.record_history {
-                task.scheduled_slots.push(t);
+            if let Some(history) = &mut task.history {
+                history.scheduled_slots.push(t);
             }
             self.counters.scheduled_quanta += 1;
             self.probe.on_schedule(entry.task, entry.index, t);
@@ -1536,15 +1544,9 @@ impl<P: Probe> Engine<P> {
         for &id in chosen {
             let tie_rank = self.tie.rank(id);
             let task = self.tasks.task(id);
-            if let Some(pos) = task.head_pos() {
-                let s = task.subs[pos]; // audit: allow(panic-reach, head_pos returns an in-range position into subs)
+            if let Some(s) = task.head() {
                 let entry = QueueEntry {
-                    priority: Priority::pack(
-                        s.window.deadline,
-                        s.window.b,
-                        s.group_deadline,
-                        tie_rank,
-                    ),
+                    priority: Priority::pack(s.deadline, s.b, s.group_deadline, tie_rank),
                     task: id,
                     index: s.index,
                 };
@@ -1606,14 +1608,16 @@ impl<P: Probe> Engine<P> {
             let task = self.tasks.task_mut(id);
             let (slot_alloc, completions) = task.isw.advance(t);
             task.ps.advance(t);
-            let idx = slot_index(t);
-            if task.isw_per_slot.len() <= idx {
-                task.isw_per_slot.resize(idx + 1, Rational::ZERO);
+            if let Some(history) = &mut task.history {
+                let idx = slot_index(t);
+                if history.isw_per_slot.len() <= idx {
+                    history.isw_per_slot.resize(idx + 1, Rational::ZERO);
+                }
+                history.isw_per_slot[idx] = slot_alloc; // audit: allow(panic-reach, idx is produced by the tracker for the recorded horizon)
             }
-            task.isw_per_slot[idx] = slot_alloc; // audit: allow(panic-reach, idx is produced by the tracker for the recorded horizon)
             for c in completions {
                 if let Some(sub) = task.sub_mut(c.index) {
-                    sub.isw_completion = Some(c.complete_at);
+                    sub.isw_completion = c.complete_at;
                 }
             }
         }
@@ -1658,15 +1662,15 @@ impl<P: Probe> Engine<P> {
                 return;
             };
             for s in &task.subs {
-                if s.scheduled_at.is_none() && s.halted_at.is_none() && !s.missed {
+                if s.is_pending() && !s.missed {
                     debug_assert!(
-                        s.window.deadline >= due,
+                        s.deadline >= due,
                         "miss slipped through a batched slot: {} index {} deadline {}",
                         e.task,
                         s.index,
-                        s.window.deadline
+                        s.deadline
                     );
-                    if s.window.deadline == due {
+                    if s.deadline == due {
                         missed.push((e.task.0, s.index));
                     }
                 }
@@ -1910,6 +1914,37 @@ mod tests {
             assert_eq!(a.icsw_total, b.icsw_total);
             assert_eq!(a.drift.samples(), b.drift.samples());
         }
+    }
+
+    /// A tardy task keeps every record PD² still owes a quantum, far
+    /// past the three its row holds inline; the records move to the heap
+    /// and the run renders exactly as the per-slot oracle's does.
+    #[test]
+    fn tardy_task_retains_more_records_than_fit_inline() {
+        use pfair_json::ToJson;
+        let mut w = Workload::new();
+        for t in 0..4 {
+            w.join(t, 0, 3, 4); // demand 3 on two processors
+        }
+        w.join(4, 0, 1, 6);
+        w.reweight(4, 2, 1, 5); // a halt and an era change among the tardy
+        let cfg = SimConfig::oi(2, 90).with_admission(AdmissionPolicy::Trusting);
+        let mut e = Engine::new(cfg.clone(), &w);
+        e.run_to(40);
+        let retained = (0..4).map(|i| e.tasks.task(TaskId(i)).subs.len());
+        assert!(
+            retained.clone().all(|n| n > 3),
+            "overloaded tasks retain {:?} records",
+            retained.collect::<Vec<_>>()
+        );
+        e.run();
+        let fast = e.finish();
+        assert!(!fast.is_miss_free());
+        let oracle = simulate(cfg.per_slot(), &w);
+        assert_eq!(
+            fast.to_json().to_string_pretty(),
+            oracle.to_json().to_string_pretty()
+        );
     }
 
     /// Holes are counted: an under-utilized system idles processors.

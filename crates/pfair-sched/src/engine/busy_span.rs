@@ -55,7 +55,7 @@ use crate::reweight::RuleSelector;
 use pfair_core::analysis::checked_lcm;
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
-use pfair_core::time::Slot;
+use pfair_core::time::{shift_ever, Slot};
 use pfair_core::window::SubtaskWindow;
 use pfair_obs::{Probe, SpanDigest, TaskSpanDelta};
 
@@ -638,12 +638,9 @@ fn task_delta(
 }
 
 /// Field-by-field equality for a task Φ must not move: all four hot
-/// columns plus the cold row. The window memo (`win_cache`) is excluded
-/// — it is a pure per-era cache whose fill level depends on query
-/// history, carries no semantics, and is not part of the persisted
-/// encoding either. History accumulators are excluded too: busy spans
-/// only run with history recording off, so they are empty on both
-/// sides.
+/// columns plus the cold row. The history accumulators are excluded:
+/// busy spans only run with history recording off, so there are none on
+/// either side.
 fn task_fixed_equal(a: &TaskSlab, b: &TaskSlab, id: TaskId) -> bool {
     let (Some(ta), Some(tb)) = (a.get(id), b.get(id)) else {
         return false;
@@ -698,13 +695,13 @@ fn translate_task(
 fn shift_sub(s: &SubRec, ds: Slot, di: u64) -> Option<SubRec> {
     Some(SubRec {
         index: s.index.checked_add(di)?,
-        window: shift_window(s.window, ds)?,
+        release: s.release.checked_add(ds)?,
+        deadline: s.deadline.checked_add(ds)?,
         group_deadline: s.group_deadline.checked_add(ds)?,
-        era_first: s.era_first,
-        scheduled_at: shift_opt(s.scheduled_at, ds)?,
-        halted_at: shift_opt(s.halted_at, ds)?,
-        isw_completion: shift_opt(s.isw_completion, ds)?,
-        missed: s.missed,
+        scheduled_at: shift_ever(s.scheduled_at, ds)?,
+        halted_at: shift_ever(s.halted_at, ds)?,
+        isw_completion: shift_ever(s.isw_completion, ds)?,
+        ..*s
     })
 }
 
@@ -714,13 +711,6 @@ fn shift_window(w: SubtaskWindow, ds: Slot) -> Option<SubtaskWindow> {
         deadline: w.deadline.checked_add(ds)?,
         b: w.b,
     })
-}
-
-fn shift_opt(s: Option<Slot>, ds: Slot) -> Option<Option<Slot>> {
-    match s {
-        None => Some(None),
-        Some(x) => Some(Some(x.checked_add(ds)?)),
-    }
 }
 
 /// A packed priority translated by `ds` slots: both deadline fields

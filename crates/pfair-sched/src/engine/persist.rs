@@ -22,13 +22,9 @@
 //!   selector state, probe-independent overhead counters, and the
 //!   event stream with its cursor.
 //!
-//! Two kinds of state are deliberately **not** serialized, because they
-//! are deterministic functions of what is:
-//!
-//! - the per-era window memo (`win_cache`): validated lazily against
-//!   the scheduling weight at every use, so a restored engine rebuilds
-//!   it on first release;
-//! - the tie table: rebuilt from `config.tie_break` and the task count.
+//! The tie table is deliberately **not** serialized: it is a
+//! deterministic function of `config.tie_break` and the task count, and
+//! is rebuilt from them.
 //!
 //! History-mode runs (`record_history`) are refused: their per-slot
 //! accumulators grow with the horizon and belong in a [`SimResult`]
@@ -51,7 +47,8 @@ use crate::reweight::RuleSelector;
 use crate::trace::Miss;
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
-use pfair_core::time::{Slot, NEVER};
+use pfair_core::time::{ever, Slot, NEVER};
+use pfair_core::window::SubtaskWindow;
 use pfair_json::{obj, FromJson, Json, JsonError, ToJson};
 use pfair_obs::Probe;
 
@@ -97,16 +94,19 @@ impl FromJson for Pending {
     }
 }
 
+// The interchange form keeps the nested window and the nullable slots
+// it has always had; the flat record with `NEVER` sentinels is an
+// in-memory layout.
 impl ToJson for SubRec {
     fn to_json(&self) -> Json {
         obj([
             ("index", self.index.to_json()),
-            ("window", self.window.to_json()),
+            ("window", self.window().to_json()),
             ("group_deadline", self.group_deadline.to_json()),
             ("era_first", self.era_first.to_json()),
-            ("scheduled_at", self.scheduled_at.to_json()),
-            ("halted_at", self.halted_at.to_json()),
-            ("isw_completion", self.isw_completion.to_json()),
+            ("scheduled_at", ever(self.scheduled_at).to_json()),
+            ("halted_at", ever(self.halted_at).to_json()),
+            ("isw_completion", ever(self.isw_completion).to_json()),
             ("missed", self.missed.to_json()),
         ])
     }
@@ -114,14 +114,18 @@ impl ToJson for SubRec {
 
 impl FromJson for SubRec {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
+        let window: SubtaskWindow = value.field("window")?;
+        let slot = |key| Ok(value.field::<Option<Slot>>(key)?.unwrap_or(NEVER));
         Ok(SubRec {
             index: value.field("index")?,
-            window: value.field("window")?,
+            release: window.release,
+            deadline: window.deadline,
             group_deadline: value.field("group_deadline")?,
+            scheduled_at: slot("scheduled_at")?,
+            halted_at: slot("halted_at")?,
+            isw_completion: slot("isw_completion")?,
+            b: window.b,
             era_first: value.field("era_first")?,
-            scheduled_at: value.field("scheduled_at")?,
-            halted_at: value.field("halted_at")?,
-            isw_completion: value.field("isw_completion")?,
             missed: value.field("missed")?,
         })
     }
@@ -208,9 +212,9 @@ struct TaskSnap {
 
 impl ToJson for TaskSnap {
     fn to_json(&self) -> Json {
-        // `win_cache` is a weight-validated memo and the four history
-        // accumulators are empty outside history mode (which `snapshot`
-        // refuses); neither is part of the interchange format.
+        // The history accumulators exist only in history mode, which
+        // `snapshot` refuses; they are not part of the interchange
+        // format.
         obj([
             ("id", self.state.id.to_json()),
             ("in_system", self.in_system.to_json()),
@@ -220,15 +224,7 @@ impl ToJson for TaskSnap {
             ("next_index", self.state.next_index.to_json()),
             ("era_open_pending", self.state.era_open_pending.to_json()),
             ("next_release", self.next_release.to_json()),
-            (
-                "subs",
-                self.state
-                    .subs
-                    .iter()
-                    .copied()
-                    .collect::<Vec<SubRec>>()
-                    .to_json(),
-            ),
+            ("subs", self.state.subs.to_vec().to_json()),
             ("pending", self.state.pending.to_json()),
             ("leaving", self.state.leaving.to_json()),
             ("last_scheduled", self.state.last_scheduled.to_json()),
@@ -270,16 +266,12 @@ impl FromJson for TaskSnap {
                 pending: value.field("pending")?,
                 leaving: value.field("leaving")?,
                 last_scheduled: value.field("last_scheduled")?,
-                win_cache: None,
                 isw: value.field("isw")?,
                 ps: value.field("ps")?,
                 drift: value.field("drift")?,
                 scheduled_count: value.field("scheduled_count")?,
                 last_cpu: value.field("last_cpu")?,
-                archived: Vec::new(),
-                scheduled_slots: Vec::new(),
-                isw_per_slot: Vec::new(),
-                halted_corrections: Vec::new(),
+                history: None,
             },
             in_system: value.field("in_system")?,
             swt: value.field("swt")?,
@@ -492,11 +484,8 @@ impl<P: Probe> Engine<P> {
             .map(|i| {
                 // audit: allow(lossy-cast, slab ids stay within u32 by construction)
                 let id = TaskId(i as u32);
-                let mut state = self.tasks.task(id).clone();
-                // Canonical form: the memo is rebuilt on first use.
-                state.win_cache = None;
                 TaskSnap {
-                    state,
+                    state: self.tasks.task(id).clone(),
                     in_system: self.tasks.in_system(id),
                     swt: self.tasks.swt(id),
                     next_release: self.tasks.next_release(id),
@@ -550,8 +539,7 @@ impl<P: Probe> Engine<P> {
     /// Derived state is reconstructed rather than trusted: the tie
     /// table comes from `config.tie_break`, the ready heap from the
     /// canonical sorted entry list (no push counters are re-counted —
-    /// the snapshot's [`Counters`] already include those pushes), and
-    /// the per-era window memos start cold.
+    /// the snapshot's [`Counters`] already include those pushes).
     pub fn restore(snapshot: EngineSnapshot, probe: P) -> Result<Engine<P>, String> {
         snapshot.validate()?;
         let n = u32::try_from(snapshot.tasks.len())

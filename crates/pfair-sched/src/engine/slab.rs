@@ -8,7 +8,8 @@
 //! the ran-flag sweep) actually touches. They live here as dense
 //! columns: two word-scanned [`IdBitmap`]s (the `CalendarRing`
 //! occupancy-map idiom) plus two flat `Vec`s, so a scan over 10⁶ tasks
-//! is cache-linear instead of striding over ~300-byte structs.
+//! is cache-linear instead of striding over ~1 KB rows (`TaskState` is
+//! `const`-asserted to stay within 1024 bytes).
 //! Everything else — subtask records, trackers, history — stays in the
 //! cold [`TaskState`] row, touched only for tasks an event or a
 //! scheduling decision actually names. (The fifth hot datum, the packed
@@ -75,6 +76,7 @@ impl TaskSlab {
         if n <= self.cold.len() {
             return;
         }
+        self.cold.reserve(n - self.cold.len());
         for i in self.cold.len()..n {
             // audit: allow(lossy-cast, ids stay within u32 by the check above)
             self.cold.push(TaskState::placeholder(TaskId(i as u32)));
@@ -191,9 +193,9 @@ impl TaskSlab {
 
     /// Prunes every cold row (the history-mode oracle prune; event-
     /// driven runs prune only touched tasks instead).
-    pub(super) fn prune_all(&mut self, record_history: bool) {
+    pub(super) fn prune_all(&mut self) {
         for task in &mut self.cold {
-            task.prune(record_history);
+            task.prune();
         }
     }
 

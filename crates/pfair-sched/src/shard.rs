@@ -164,9 +164,11 @@ pub struct ShardSet {
     next_event: usize,
     /// Current placement of each global task (`None` = not in system).
     route: Vec<Option<Placement>>,
-    /// Every placement each global task ever had, in join order — the
-    /// report maps per-incarnation results back to global ids with it.
-    incarnations: Vec<Vec<Placement>>,
+    /// Every placement any global task ever had, as `(global id,
+    /// placement)` in join order: one append-only log, not a list per
+    /// task. [`ShardSet::finish`] groups it by id to map
+    /// per-incarnation results back to global tasks.
+    incarnations: Vec<(u32, Placement)>,
     /// Last requested weight of each global task (migration rejoins
     /// re-request it; the target shard's admission re-polices).
     weights: Vec<Option<Weight>>,
@@ -277,7 +279,6 @@ impl ShardSet {
     fn ensure_global(&mut self, idx: usize) {
         if idx >= self.route.len() {
             self.route.resize(idx + 1, None);
-            self.incarnations.resize(idx + 1, Vec::new());
             self.weights.resize(idx + 1, None);
         }
     }
@@ -358,11 +359,12 @@ impl ShardSet {
             kind: EventKind::Join(w),
         });
         let placement = Placement { shard, local };
-        self.route[g] = Some(placement);
-        self.incarnations[g].push(placement);
-        self.weights[g] = Some(w);
         // audit: allow(lossy-cast, global event task ids are u32 by construction)
-        self.members[shard].insert(g as u32);
+        let global = g as u32;
+        self.route[g] = Some(placement);
+        self.incarnations.push((global, placement));
+        self.weights[g] = Some(w);
+        self.members[shard].insert(global);
         self.util[shard] += w.value();
     }
 
@@ -475,11 +477,32 @@ impl ShardSet {
             results.push(result);
         }
         registry.inc("shard.migrations", self.migrations);
-        let tasks = self
-            .incarnations
-            .iter()
+        // Group the incarnation log by global id with a counting sort
+        // (stable, so each task's placements stay in join order):
+        // `starts[g]..starts[g + 1]` is task `g`'s run of `grouped`.
+        let globals = self.route.len();
+        let mut starts = vec![0usize; globals + 1];
+        for &(g, _) in &self.incarnations {
+            starts[TaskId(g).idx() + 1] += 1;
+        }
+        for g in 0..globals {
+            starts[g + 1] += starts[g];
+        }
+        let mut next = starts.clone();
+        let unplaced = Placement {
+            shard: 0,
+            local: TaskId(0),
+        };
+        let mut grouped = vec![unplaced; self.incarnations.len()];
+        for &(g, placement) in &self.incarnations {
+            let at = &mut next[TaskId(g).idx()];
+            grouped[*at] = placement;
+            *at += 1;
+        }
+        let tasks = starts
+            .windows(2)
             .enumerate()
-            .map(|(g, placements)| {
+            .map(|(g, run)| {
                 let mut summary = GlobalTaskSummary {
                     // audit: allow(lossy-cast, global event task ids are u32 by construction)
                     id: g as u32,
@@ -488,7 +511,7 @@ impl ShardSet {
                     isw_total: Rational::ZERO,
                     drift: Vec::new(),
                 };
-                for p in placements {
+                for p in &grouped[run[0]..run[1]] {
                     // Each incarnation is read once, so its drift samples
                     // move out of the shard's result instead of being
                     // copied.
