@@ -196,7 +196,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         if self.spill.is_empty() {
             let n = n.min(self.len);
             if let Some(live) = self.inline.get_mut(..self.len) {
-                live.rotate_left(n);
+                live.copy_within(n.., 0);
             }
             self.len -= n;
             return;

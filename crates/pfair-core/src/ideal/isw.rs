@@ -30,7 +30,7 @@
 //! analyses.
 
 use crate::arena::InlineVec;
-use crate::rational::Rational;
+use crate::rational::{Accumulator, Rational, Units};
 use crate::time::{ever, shift_ever, Slot, NEVER};
 use std::collections::BTreeMap;
 
@@ -67,8 +67,8 @@ pub struct HaltRecord {
     pub slot_allocs: Vec<(Slot, Rational)>,
 }
 
-/// One subtask as `I_SW` follows it: 72 bytes of fields in an 80-byte
-/// record (a [`Rational`] is 16-aligned), three to a tracker inline.
+/// One subtask as `I_SW` follows it: 56 bytes of fields in a 64-byte
+/// record ([`Units`] is 16-aligned), three to a tracker inline.
 /// `const`-asserted below, so a new field cannot silently outgrow it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct IswSub {
@@ -83,18 +83,18 @@ struct IswSub {
     /// successor's release slot. A distance, not an index, so a
     /// translated tracker carries it unchanged.
     pred_gap: u64,
-    /// `A(I_SW, T_i, 0, now)` until the subtask completes; from then on
-    /// that is exactly one quantum and this holds the allocation of the
-    /// final slot `D(I_SW, T_i) − 1` instead (the two are never needed
-    /// together).
-    alloc: Rational,
+    /// In the tracker's era units: `A(I_SW, T_i, 0, now)` until the
+    /// subtask completes; from then on that is exactly one quantum and
+    /// this holds the allocation of the final slot `D(I_SW, T_i) − 1`
+    /// instead (the two are never needed together).
+    alloc: Units,
     /// `D(I_SW, T_i)`; [`NEVER`] while incomplete.
     complete_at: Slot,
     /// `H(T_i)`; [`NEVER`] if not halted.
     halted_at: Slot,
 }
 
-const _: () = assert!(core::mem::size_of::<IswSub>() <= 80);
+const _: () = assert!(core::mem::size_of::<IswSub>() <= 64);
 
 impl IswSub {
     fn is_complete(&self) -> bool {
@@ -106,13 +106,19 @@ impl IswSub {
         self.is_complete() || self.halted_at != NEVER
     }
 
-    /// `A(I_SW, T_i, 0, now)`.
-    fn cum(&self) -> Rational {
+    /// `A(I_SW, T_i, 0, now)`, for `alloc` counted in `unit`s.
+    fn cum(&self, unit: Units) -> Rational {
         if self.is_complete() {
             Rational::ONE
         } else {
-            self.alloc
+            self.alloc.over(unit)
         }
+    }
+
+    /// The same record, whichever units the two allocations count in.
+    fn same_as(&self, unit: Units, other: &IswSub, other_unit: Units) -> bool {
+        let rest = |s: &IswSub| (s.index, s.release, s.pred_gap, s.complete_at, s.halted_at);
+        rest(self) == rest(other) && self.alloc.over(unit) == other.alloc.over(other_unit)
     }
 }
 
@@ -123,9 +129,13 @@ type SlotHistory = BTreeMap<(u64, Slot), Rational>;
 
 /// The interchange form of one subtask: the record plus its per-slot
 /// breakdown, as the field set the format has always had — whatever the
-/// record in memory looks like.
+/// record in memory looks like. Allocations travel as rationals; the
+/// decoded record's `alloc` is filled in once the tracker's unit is
+/// known.
 struct SubImage {
     sub: IswSub,
+    /// `sub.alloc` as a value: cumulative, or final-slot once complete.
+    alloc: Rational,
     slot_allocs: Vec<(Slot, Rational)>,
 }
 
@@ -133,16 +143,16 @@ impl pfair_json::ToJson for SubImage {
     fn to_json(&self) -> pfair_json::Json {
         let sub = &self.sub;
         let pred = (sub.pred_gap != 0).then(|| sub.index - sub.pred_gap);
-        let final_slot_alloc = if sub.is_complete() {
-            sub.alloc
+        let (cum, final_slot_alloc) = if sub.is_complete() {
+            (Rational::ONE, self.alloc)
         } else {
-            Rational::ZERO
+            (self.alloc, Rational::ZERO)
         };
         pfair_json::obj([
             ("index", sub.index.to_json()),
             ("release", sub.release.to_json()),
             ("pred", pred.to_json()),
-            ("cum", sub.cum().to_json()),
+            ("cum", cum.to_json()),
             ("complete_at", ever(sub.complete_at).to_json()),
             ("final_slot_alloc", final_slot_alloc.to_json()),
             ("halted_at", sub.halted_at.to_json()),
@@ -164,8 +174,9 @@ impl pfair_json::FromJson for SubImage {
                 ))
             }
         };
+        let in_a_quantum = |r: Rational| !r.is_negative() && r <= Rational::ONE;
         let cum: Rational = value.field("cum")?;
-        if cum.is_negative() || cum > Rational::ONE {
+        if !in_a_quantum(cum) {
             return Err(pfair_json::JsonError::new(
                 "I_SW cumulative allocation outside [0, 1]",
             ));
@@ -182,18 +193,24 @@ impl pfair_json::FromJson for SubImage {
                 "incomplete I_SW subtask with a final-slot allocation",
             ));
         }
+        if !in_a_quantum(final_slot_alloc) {
+            return Err(pfair_json::JsonError::new(
+                "I_SW final-slot allocation outside [0, 1]",
+            ));
+        }
         Ok(SubImage {
             sub: IswSub {
                 index,
                 release: value.field("release")?,
                 pred_gap,
-                alloc: if complete_at.is_some() {
-                    final_slot_alloc
-                } else {
-                    cum
-                },
+                alloc: Units::ZERO,
                 complete_at: complete_at.unwrap_or(NEVER),
                 halted_at: value.field("halted_at")?,
+            },
+            alloc: if complete_at.is_some() {
+                final_slot_alloc
+            } else {
+                cum
             },
             slot_allocs: value.field("slot_allocs")?,
         })
@@ -202,18 +219,20 @@ impl pfair_json::FromJson for SubImage {
 
 impl pfair_json::ToJson for IswTracker {
     fn to_json(&self) -> pfair_json::Json {
+        let unit = self.unit();
         let subs: Vec<SubImage> = self
             .subs
             .iter()
             .map(|&sub| SubImage {
                 sub,
+                alloc: sub.alloc.over(unit),
                 slot_allocs: self.slot_allocs_of(sub.index),
             })
             .collect();
         pfair_json::obj([
-            ("swt", self.swt.to_json()),
+            ("swt", self.swt().to_json()),
             ("subs", subs.to_json()),
-            ("total", self.total.to_json()),
+            ("total", self.isw_total().to_json()),
             ("halted_loss", self.halted_loss.to_json()),
             ("now", self.now.to_json()),
             ("keep_retired", self.keep_retired.to_json()),
@@ -224,8 +243,11 @@ impl pfair_json::ToJson for IswTracker {
 
 impl pfair_json::FromJson for IswTracker {
     /// Re-validates the tracker invariants the methods rely on: subtasks
-    /// strictly index-sorted, cumulative allocations inside `[0, 1]`
-    /// (checked per subtask), completion implying a full quantum.
+    /// strictly index-sorted, allocations inside `[0, 1]` (checked per
+    /// subtask), completion implying a full quantum — and re-derives the
+    /// era unit from the decoded values the way
+    /// [`IswTracker::set_swt`] does, so a unit too large to represent is
+    /// a decoding error.
     fn from_json(value: &pfair_json::Json) -> Result<Self, pfair_json::JsonError> {
         let images: Vec<SubImage> = value.field("subs")?;
         if images.windows(2).any(|w| w[0].sub.index >= w[1].sub.index) {
@@ -246,10 +268,31 @@ impl pfair_json::FromJson for IswTracker {
             });
             Box::new(entries.collect::<SlotHistory>())
         });
+        let swt: Rational = value.field("swt")?;
+        let unit = images
+            .iter()
+            .try_fold(Units::new(swt.denom()), |unit, i| {
+                unit.checked_lcm(Units::new(i.alloc.denom()))
+            })
+            .ok_or_else(|| pfair_json::JsonError::new("I_SW era unit exceeds the i128 range"))?;
+        let count = |r: Rational| {
+            Units::checked_of(r, unit)
+                .ok_or_else(|| pfair_json::JsonError::new("I_SW quantity exceeds the i128 range"))
+        };
+        let mut total = Accumulator::from(value.field::<Rational>("total")?);
+        total.rebase(unit);
         Ok(IswTracker {
-            swt: value.field("swt")?,
-            subs: images.iter().map(|i| i.sub).collect(),
-            total: value.field("total")?,
+            rate: count(swt)?,
+            subs: images
+                .iter()
+                .map(|i| {
+                    Ok(IswSub {
+                        alloc: count(i.alloc)?,
+                        ..i.sub
+                    })
+                })
+                .collect::<Result<_, pfair_json::JsonError>>()?,
+            total,
             halted_loss: value.field("halted_loss")?,
             now: value.field("now")?,
             keep_retired: value.field("keep_retired")?,
@@ -265,15 +308,27 @@ impl pfair_json::FromJson for IswTracker {
 /// 2. [`IswTracker::add_subtask`] at (or before) each subtask release;
 /// 3. [`IswTracker::halt`] when a reweighting rule halts the
 ///    last-released subtask;
-/// 4. [`IswTracker::advance`] once per slot, in slot order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// 4. [`IswTracker::advance`] once per slot, in slot order — or
+///    [`IswTracker::sync_to`] / [`IswTracker::advance_to`] across any
+///    run of slots between two of the calls above.
+///
+/// The tracker computes in **era units** (DESIGN.md, "The era-unit
+/// invariant"): it keeps one positive `unit` such that the scheduling
+/// weight and every retained per-subtask allocation is an integer
+/// number of `1/unit`s, which every Fig. 5 allocation until the next
+/// `set_swt` then is too. Allocations are [`Units`] counts, the running
+/// total is an [`Accumulator`] counting in the same unit, and a
+/// [`Rational`] is built only where a value is read. Two trackers are
+/// equal when they hold the same values, whatever unit each counts in.
+#[derive(Clone, Debug)]
 pub struct IswTracker {
-    swt: Rational,
+    /// `swt(T, now)` in era units.
+    rate: Units,
     /// Index-sorted. `retire` keeps two retired subtasks plus the live
     /// ones — three in steady state — so the records stay inline.
     subs: InlineVec<IswSub, 3>,
-    /// `A(I_SW, T, 0, now)`.
-    total: Rational,
+    /// `A(I_SW, T, 0, now)`; the unit it counts in is the era unit.
+    total: Accumulator,
     /// Σ over halted subtasks of their lost allocation.
     halted_loss: Rational,
     /// Next slot to be processed by `advance`.
@@ -287,15 +342,41 @@ pub struct IswTracker {
     slot_history: Option<Box<SlotHistory>>,
 }
 
+impl PartialEq for IswTracker {
+    fn eq(&self, other: &IswTracker) -> bool {
+        let (unit, other_unit) = (self.unit(), other.unit());
+        self.now == other.now
+            && self.keep_retired == other.keep_retired
+            && self.halted_loss == other.halted_loss
+            && self.subs.len() == other.subs.len()
+            && if unit == other_unit {
+                self.rate == other.rate && self.subs == other.subs
+            } else {
+                self.swt() == other.swt()
+                    && self
+                        .subs
+                        .iter()
+                        .zip(other.subs.iter())
+                        .all(|(a, b)| a.same_as(unit, b, other_unit))
+            }
+            && self.total == other.total
+            && self.slot_history == other.slot_history
+    }
+}
+
+impl Eq for IswTracker {}
+
 impl IswTracker {
     /// Creates a tracker for a task whose first enacted weight is `swt`
     /// and which joins at slot `join_at` (no slots before `join_at` are
     /// processed).
     pub fn new(swt: Rational, join_at: Slot) -> IswTracker {
+        let mut total = Accumulator::new();
+        total.rebase(Units::new(swt.denom()));
         IswTracker {
-            swt,
+            rate: Units::new(swt.numer()),
             subs: InlineVec::new(),
-            total: Rational::ZERO,
+            total,
             halted_loss: Rational::ZERO,
             now: join_at,
             keep_retired: false,
@@ -319,17 +400,23 @@ impl IswTracker {
     /// default because the breakdown is O(horizon) memory for a subtask
     /// that never completes; without it a halt reports only the running
     /// `lost` total, which is all the drift accounting needs. While
-    /// enabled, [`IswTracker::advance_to`] falls back to the per-slot
-    /// oracle (a closed-form jump has no per-slot story to record).
+    /// enabled, [`IswTracker::advance_to`] walks the interval slot by
+    /// slot (a multi-slot jump has no per-slot story to record).
     #[must_use]
     pub fn with_slot_history(mut self) -> IswTracker {
         self.slot_history.get_or_insert_with(Box::default);
         self
     }
 
+    /// The era unit: every allocation the tracker holds or hands out
+    /// before the next [`IswTracker::set_swt`] is a multiple of `1/unit`.
+    fn unit(&self) -> Units {
+        self.total.unit()
+    }
+
     /// The current scheduling weight `swt(T, now)`.
     pub fn swt(&self) -> Rational {
-        self.swt
+        self.rate.over(self.unit())
     }
 
     /// The next slot `advance` will process.
@@ -339,20 +426,41 @@ impl IswTracker {
 
     /// `A(I_SW, T, 0, now)`.
     pub fn isw_total(&self) -> Rational {
-        self.total
+        self.total.finish()
     }
 
     /// `A(I_CSW, T, 0, now)`: the `I_SW` total minus everything granted
     /// to subtasks that have (so far) halted. Exact at era boundaries —
     /// see the module docs for why no later halt can invalidate it.
     pub fn icsw_total(&self) -> Rational {
-        self.total - self.halted_loss
+        self.isw_total() - self.halted_loss
     }
 
     /// Enacts a weight change: allocations from the current slot onward
     /// use `swt`.
+    ///
+    /// This is the one place the era unit is re-derived: canonically,
+    /// as the least common multiple of the new weight's denominator and
+    /// the reduced denominators of the retained per-subtask allocations
+    /// (rescaled here), so it is a function of the values alone and
+    /// whatever an earlier era contributed is shed as soon as no
+    /// retained record carries it.
+    ///
+    /// # Panics
+    /// Panics if the unit overflows `i128` (the documented `Rational`
+    /// overflow contract).
     pub fn set_swt(&mut self, swt: Rational) {
-        self.swt = swt;
+        let old = self.unit();
+        let unit = self.subs.iter().fold(Units::new(swt.denom()), |unit, s| {
+            unit.lcm(s.alloc.denom_over(old))
+        });
+        if unit != old {
+            for s in &mut self.subs {
+                s.alloc = s.alloc.rescaled(old, unit);
+            }
+            self.total.rebase(unit);
+        }
+        self.rate = Units::of(swt, unit);
     }
 
     /// Registers subtask `T_index` with the given release slot.
@@ -395,7 +503,7 @@ impl IswTracker {
             index,
             release,
             pred_gap,
-            alloc: Rational::ZERO,
+            alloc: Units::ZERO,
             complete_at: NEVER,
             halted_at: NEVER,
         });
@@ -410,6 +518,7 @@ impl IswTracker {
     /// halted — the reweighting rules only halt incomplete, unscheduled
     /// subtasks.
     pub fn halt(&mut self, index: u64, t: Slot) -> HaltRecord {
+        let unit = self.unit();
         let sub = self // audit: allow(panic-reach, predecessor is recorded at release and retained until its successor retires)
             .subs
             .iter_mut()
@@ -419,10 +528,12 @@ impl IswTracker {
         assert!(!sub.is_complete(), "halting a complete subtask"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
         assert!(sub.halted_at == NEVER, "halting a halted subtask"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
         sub.halted_at = t;
-        let lost = sub.alloc;
+        let lost = sub.alloc.over(unit);
         self.halted_loss += lost;
         let slot_allocs = self.slot_allocs_of(index);
-        self.forget_slot_allocs(index);
+        if let Some(h) = self.slot_history.as_deref_mut() {
+            forget_slot_allocs(h, index); // reported exactly once
+        }
         HaltRecord {
             index,
             halted_at: t,
@@ -441,14 +552,6 @@ impl IswTracker {
         })
     }
 
-    /// Drops the per-slot allocations of a subtask that completed (it
-    /// can no longer halt) or halted (they are reported exactly once).
-    fn forget_slot_allocs(&mut self, index: u64) {
-        if let Some(h) = self.slot_history.as_deref_mut() {
-            h.retain(|&(i, _), _| i != index);
-        }
-    }
-
     /// `D(I_SW, T_index)` if the subtask has completed.
     pub fn completion_of(&self, index: u64) -> Option<Slot> {
         self.subs
@@ -460,211 +563,173 @@ impl IswTracker {
     /// Cumulative allocation `A(I_SW, T_index, 0, now)` of a tracked
     /// subtask (`None` if unknown/retired).
     pub fn subtask_cum(&self, index: u64) -> Option<Rational> {
-        self.subs.iter().find(|s| s.index == index).map(IswSub::cum)
+        let unit = self.unit();
+        self.subs
+            .iter()
+            .find(|s| s.index == index)
+            .map(|s| s.cum(unit))
     }
 
-    /// Final-slot allocation of the predecessor `pred_gap` indices
-    /// before `sub` — the quantity line 7 of Fig. 5 subtracts from the
-    /// successor's release-slot allocation. `subs` is index-sorted
-    /// (asserted in `add_subtask`), so the lookup is logarithmic — an
-    /// era jump may process many thousands of subtasks in one call, and
-    /// a linear scan would make the jump quadratic.
-    fn pred_final_alloc(&self, sub: &IswSub) -> Rational {
-        let p = sub.index - sub.pred_gap;
-        let pred = self // audit: allow(panic-reach, predecessor is recorded at release and retained until its successor retires)
-            .subs
-            .binary_search_by_key(&p, |s| s.index)
-            .ok()
-            .and_then(|j| self.subs.get(j))
-            // audit: allow(panic, tracker invariant; a missing predecessor means corrupted state)
-            .expect("predecessor retired too early");
-        // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
-        assert!(
-            pred.is_complete(),
-            "predecessor T_{p} not complete at successor release"
-        );
-        pred.alloc
-    }
-
-    /// Processes slot `t` (which must be the tracker's `now`): computes
-    /// every live subtask's allocation per Fig. 5, in index order.
-    /// Returns the task's total allocation in the slot and any
-    /// completions that occurred.
-    pub fn advance(&mut self, t: Slot) -> (Rational, Vec<CompletionEvent>) {
-        assert_eq!(t, self.now, "slots must be advanced in order"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
-        self.now = t + 1;
-        let mut slot_total = Rational::ZERO;
-        let mut completions = Vec::new();
-        // Index order matters: a successor's release-slot allocation may
-        // reference the predecessor's final-slot allocation computed
-        // earlier in this very call (their windows overlap by b = 1).
-        for i in 0..self.subs.len() {
-            let Some(&sub) = self.subs.get(i) else { break };
-            if sub.is_retired() || sub.release > t {
-                continue;
-            }
-            let alloc = if t != sub.release {
-                self.swt.min(Rational::ONE - sub.alloc)
-            } else if sub.pred_gap == 0 {
-                self.swt
-            } else {
-                self.swt - self.pred_final_alloc(&sub)
-            };
-            debug_assert!(!alloc.is_negative(), "negative I_SW allocation");
-            slot_total += alloc;
-            let cum = sub.alloc + alloc;
-            debug_assert!(cum <= Rational::ONE);
-            if cum == Rational::ONE {
-                self.forget_slot_allocs(sub.index); // complete subtasks can no longer halt
-                Self::complete(self.subs.get_mut(i), t + 1, alloc, &mut completions);
-                continue;
-            }
-            if let Some(live) = self.subs.get_mut(i) {
-                live.alloc = cum;
-            }
-            if let Some(h) = self.slot_history.as_deref_mut() {
-                if !alloc.is_zero() {
-                    h.insert((sub.index, t), alloc);
-                }
-            }
-        }
-        self.total += slot_total;
-        self.retire();
-        (slot_total, completions)
-    }
-
-    /// Processes every slot in `[now, t)` in one closed-form jump,
-    /// returning the total allocation over the interval and all
-    /// completions that occurred in it (in completion order). Work is
-    /// O(subtasks released before `t`), not O(slots): within the
-    /// interval the scheduling weight is constant (the usage protocol
-    /// synchronizes before every `set_swt`/`halt`), so Fig. 5 collapses
-    /// per subtask to a release-slot allocation, `swt` per interior
-    /// slot, and the remainder `1 − cum − swt·(k−1)` in the final slot —
-    /// with the final-slot position `k = ⌈(1 − cum)/swt⌉` computed
-    /// directly from the era-constant weight. Interval totals are summed
-    /// through [`crate::rational::Accumulator`], whose same-denominator
-    /// pushes (all era allocations share the weight's denominator) defer
-    /// the gcd to one reduction per jump.
+    /// Fig. 5 over the slots `[now, t)`, `now < t`, in one closed-form
+    /// pass — the only copy of the allocation rule; every public way of
+    /// advancing the tracker is this pass plus what it materializes.
+    /// Work is O(subtasks released before `t`), not O(slots): within
+    /// the interval the scheduling weight is constant (the usage
+    /// protocol synchronizes before every `set_swt`/`halt`), so per
+    /// subtask the figure collapses to a release-slot allocation, `rate`
+    /// per interior slot, and the remainder `unit − cum − rate·(k−1)` in
+    /// the final slot, with the final-slot position `k = ⌈(unit −
+    /// cum)/rate⌉` computed directly — integers throughout, by the
+    /// era-unit invariant.
     ///
-    /// Bit-identical to calling [`IswTracker::advance`] once per slot —
-    /// exact rational arithmetic is associative, and each closed-form
-    /// quantity equals the per-slot recurrence's value at the same slot
-    /// (asserted by the equivalence proptests). With
-    /// [`IswTracker::with_slot_history`] enabled this delegates to the
-    /// per-slot oracle so the breakdown stays complete.
+    /// `touched` sees every subtask that was allocated anything, after
+    /// the fact, with the amount: a completed one reads
+    /// `is_complete()`, with `alloc` its final-slot allocation. Returns
+    /// the total allocated over the interval, already added to the
+    /// running total.
     ///
-    /// # Panics
-    /// Panics if `t` is behind the tracker's current slot.
-    pub fn advance_to(&mut self, t: Slot) -> (Rational, Vec<CompletionEvent>) {
-        let mut completions = Vec::new();
-        let added = self.advance_to_into(t, &mut completions);
-        (added, completions)
-    }
-
-    /// [`IswTracker::advance_to`] with the completions appended to a
-    /// caller-owned buffer — the engine synchronizes a tracker at every
-    /// release and reuses one buffer instead of allocating a vector per
-    /// call. Returns the allocation over the interval.
-    ///
-    /// # Panics
-    /// Panics if `t` is behind the tracker's current slot.
-    pub fn advance_to_into(&mut self, t: Slot, completions: &mut Vec<CompletionEvent>) -> Rational {
-        assert!(t >= self.now, "cannot advance a tracker backwards"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
-        if self.slot_history.is_some() {
-            let mut total = crate::rational::Accumulator::new();
-            while self.now < t {
-                let (slot_total, mut done) = self.advance(self.now);
-                total.push(slot_total);
-                completions.append(&mut done);
-            }
-            return total.finish();
-        }
+    /// Index order matters: a successor's release-slot allocation reads
+    /// the predecessor's final-slot allocation, which this very call
+    /// may compute. Index order is completion order too (a predecessor
+    /// always completes strictly before its successor), so `touched`
+    /// reports completions in the order a per-slot walk discovers them.
+    fn jump(&mut self, t: Slot, mut touched: impl FnMut(&IswSub, Units)) -> Units {
+        debug_assert!(self.now < t, "empty jump");
         let from = self.now;
-        if from == t {
-            return Rational::ZERO;
-        }
         self.now = t;
-        let mut interval_total = crate::rational::Accumulator::new();
-        // Index order matters for the same reason as in `advance`: a
-        // successor's release-slot allocation reads the predecessor's
-        // final-slot allocation, which this very call may compute.
-        // Index order is completion order here, so the emitted events
-        // match the per-slot discovery order (a predecessor always
-        // completes strictly before its successor).
-        for i in 0..self.subs.len() {
-            let Some(&sub) = self.subs.get(i) else { break };
+        let unit = self.unit();
+        let rate = self.rate;
+        let mut added = Units::ZERO;
+        let subs = self.subs.as_mut_slice();
+        for i in 0..subs.len() {
+            // A predecessor has a smaller index, so it is in `earlier`.
+            let (earlier, rest) = subs.split_at_mut(i);
+            let Some(sub) = rest.first_mut() else { break };
             if sub.is_retired() || sub.release >= t {
                 continue;
             }
-            let mut cum = sub.alloc;
+            let before = sub.alloc;
+            let mut cum = before;
             // First slot of this subtask not yet folded into `cum`.
             let mut start = from;
             if sub.release >= from {
-                // The release slot lies inside the jump: Fig. 5 line 4.
-                let alloc = if sub.pred_gap == 0 {
-                    self.swt
-                } else {
-                    self.swt - self.pred_final_alloc(&sub)
-                };
-                debug_assert!(!alloc.is_negative(), "negative I_SW allocation");
-                // `cum` is always zero before the release slot; skip the
-                // general add (this branch runs once per subtask).
+                // The release slot lies inside the jump: Fig. 5 line 4
+                // (nothing was allocated before it, so `cum` was zero).
                 debug_assert!(cum.is_zero());
-                cum = alloc;
-                interval_total.push(alloc);
+                cum = if sub.pred_gap == 0 {
+                    rate
+                } else {
+                    rate - pred_final_alloc(earlier, sub)
+                };
+                debug_assert!(!cum.is_negative(), "negative I_SW allocation");
                 start = sub.release + 1;
             }
-            debug_assert!(cum <= Rational::ONE);
-            if cum == Rational::ONE {
-                // Completed in its release slot (weight-1 era).
-                Self::complete(self.subs.get_mut(i), start, cum, completions);
-                continue;
-            }
-            if start < t && self.swt.is_positive() {
-                let remaining = Rational::ONE - cum;
-                // Slots still needed at `swt` apiece; ≥ 1 since cum < 1.
-                let k = crate::time::slot_from_i128(remaining.div_ceil(self.swt));
-                if k <= t - start {
-                    // Completes inside the jump: k − 1 full slots, then
-                    // the remainder in slot start + k − 1.
-                    let final_alloc = remaining - self.swt.mul_int(k - 1);
-                    interval_total.push(remaining);
-                    Self::complete(self.subs.get_mut(i), start + k, final_alloc, completions);
-                    continue;
-                }
-                // Still incomplete at t: every slot allocates swt.
-                let added = self.swt.mul_int(t - start);
-                cum += added;
-                interval_total.push(added);
-            }
-            if let Some(live) = self.subs.get_mut(i) {
-                live.alloc = cum;
-            }
+            debug_assert!(cum <= unit);
+            let remaining = unit - cum;
+            // Slots still needed at `rate` apiece: none if the release
+            // slot alone filled the quantum (a weight-1 era).
+            let k = remaining.slots_at(rate);
+            let given = if k <= t - start {
+                // Completes inside the jump: k − 1 full slots, then the
+                // remainder in slot start + k − 1.
+                sub.complete_at = start + k;
+                sub.alloc = if k == 0 {
+                    cum
+                } else {
+                    remaining - rate.times(k - 1)
+                };
+                unit - before
+            } else {
+                // Still incomplete at t: every slot allocates `rate`.
+                sub.alloc = cum + rate.times(t - start);
+                sub.alloc - before
+            };
+            added += given;
+            touched(sub, given);
         }
-        let added = interval_total.finish();
-        self.total += added;
+        self.total.add_units(added);
         self.retire();
         added
     }
 
-    /// Marks a subtask complete at boundary `done_at` with the given
-    /// final-slot allocation and emits the event (shared by the
-    /// completion sites of `advance` and `advance_to`).
-    fn complete(
-        sub: Option<&mut IswSub>,
-        done_at: Slot,
-        final_alloc: Rational,
-        completions: &mut Vec<CompletionEvent>,
-    ) {
-        let Some(sub) = sub else { return };
-        sub.complete_at = done_at;
-        sub.alloc = final_alloc;
-        completions.push(CompletionEvent {
-            index: sub.index,
-            complete_at: done_at,
-            final_slot_alloc: final_alloc,
+    /// [`IswTracker::jump`] to any `t ≥ now`, one slot at a time while
+    /// the per-slot breakdown is being recorded.
+    fn run_to(&mut self, t: Slot, mut touched: impl FnMut(&IswSub, Units)) -> Units {
+        assert!(t >= self.now, "cannot advance a tracker backwards"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
+        if self.now == t {
+            return Units::ZERO;
+        }
+        let Some(mut history) = self.slot_history.take() else {
+            return self.jump(t, touched);
+        };
+        let unit = self.unit();
+        let mut added = Units::ZERO;
+        while self.now < t {
+            let slot = self.now;
+            added += self.jump(slot + 1, |sub, given| {
+                if sub.is_complete() {
+                    forget_slot_allocs(&mut history, sub.index); // it can no longer halt
+                } else if !given.is_zero() {
+                    history.insert((sub.index, slot), given.over(unit));
+                }
+                touched(sub, given);
+            });
+        }
+        self.slot_history = Some(history);
+        added
+    }
+
+    /// Processes every slot in `[now, t)` and reports each completion
+    /// as `(index, D(I_SW, T_index))`, in completion order — all the
+    /// scheduler engine needs at a synchronization boundary, and the
+    /// form that builds no [`Rational`] at all: see
+    /// [`IswTracker::advance_to`] for the same jump with the interval's
+    /// allocation and the final-slot allocations materialized.
+    ///
+    /// # Panics
+    /// Panics if `t` is behind the tracker's current slot.
+    pub fn sync_to(&mut self, t: Slot, mut completed: impl FnMut(u64, Slot)) {
+        self.run_to(t, |sub, _| {
+            if sub.is_complete() {
+                completed(sub.index, sub.complete_at);
+            }
         });
+    }
+
+    /// Processes every slot in `[now, t)` in one closed-form jump,
+    /// returning the total allocation over the interval and all
+    /// completions that occurred in it (in completion order).
+    ///
+    /// Bit-identical to calling [`IswTracker::advance`] once per slot —
+    /// exact arithmetic is associative, and each closed-form quantity
+    /// equals the per-slot recurrence's value at the same slot (asserted
+    /// by the equivalence proptests, and against an independent
+    /// pure-`Rational` reading of Fig. 5 in `tests/reference_tracker.rs`).
+    ///
+    /// # Panics
+    /// Panics if `t` is behind the tracker's current slot.
+    pub fn advance_to(&mut self, t: Slot) -> (Rational, Vec<CompletionEvent>) {
+        let unit = self.unit();
+        let mut completions = Vec::new();
+        let added = self.run_to(t, |sub, _| {
+            if sub.is_complete() {
+                completions.push(CompletionEvent {
+                    index: sub.index,
+                    complete_at: sub.complete_at,
+                    final_slot_alloc: sub.alloc.over(unit),
+                });
+            }
+        });
+        (added.over(unit), completions)
+    }
+
+    /// Processes slot `t` (which must be the tracker's `now`): every
+    /// live subtask's allocation per Fig. 5, in index order. Returns the
+    /// task's total allocation in the slot and any completions that
+    /// occurred.
+    pub fn advance(&mut self, t: Slot) -> (Rational, Vec<CompletionEvent>) {
+        assert_eq!(t, self.now, "slots must be advanced in order"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
+        self.advance_to(t + 1)
     }
 
     /// `D(I_SW, T_index)`, discovered or projected: the recorded
@@ -682,14 +747,13 @@ impl IswTracker {
         if sub.is_complete() {
             return Some(sub.complete_at);
         }
-        if sub.halted_at != NEVER || sub.release >= self.now || !self.swt.is_positive() {
+        if sub.halted_at != NEVER || sub.release >= self.now || !self.rate.is_positive() {
             return None;
         }
-        let remaining = Rational::ONE - sub.alloc;
-        // Slots still needed at `swt` apiece; the last one is now+k−1,
+        // Slots still needed at `rate` apiece; the last one is now+k−1,
         // so the completion boundary is now+k.
-        let k = crate::time::slot_from_i128((remaining / self.swt).ceil()); // audit: allow(panic-reach, swt is a positive weight by the Weight::try_new contract)
-        Some(self.now + k)
+        let k = (self.unit() - sub.alloc).slots_at(self.rate);
+        self.now.checked_add(k)
     }
 
     /// The tracker translated forward by `ds` slots, `di` subtask
@@ -725,9 +789,9 @@ impl IswTracker {
             )),
         };
         Some(IswTracker {
-            swt: self.swt,
+            rate: self.rate,
             subs,
-            total: self.total + dt,
+            total: self.total.plus(dt),
             halted_loss: self.halted_loss,
             now: self.now.checked_add(ds)?,
             keep_retired: self.keep_retired,
@@ -761,8 +825,39 @@ impl IswTracker {
             .take(max_drop)
             .take_while(|s| s.is_retired())
             .count();
-        self.subs.drop_front(n);
+        if n > 0 {
+            self.subs.drop_front(n);
+        }
     }
+}
+
+/// Final-slot allocation of the predecessor `pred_gap` indices before
+/// `sub`, among the `earlier` records — the quantity line 7 of Fig. 5
+/// subtracts from the successor's release-slot allocation. The records
+/// are index-sorted (asserted in `add_subtask`), so the lookup is
+/// logarithmic — an era jump may process many thousands of subtasks in
+/// one call, and a linear scan would make the jump quadratic.
+fn pred_final_alloc(earlier: &[IswSub], sub: &IswSub) -> Units {
+    let p = sub.index - sub.pred_gap;
+    // audit: allow(panic-reach, predecessor is recorded at release and retained until its successor retires)
+    let pred = earlier
+        .binary_search_by_key(&p, |s| s.index)
+        .ok()
+        .and_then(|j| earlier.get(j))
+        // audit: allow(panic, tracker invariant; a missing predecessor means corrupted state)
+        .expect("predecessor retired too early");
+    // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
+    assert!(
+        pred.is_complete(),
+        "predecessor T_{p} not complete at successor release"
+    );
+    pred.alloc
+}
+
+/// Drops the per-slot allocations of a subtask that completed (it can
+/// no longer halt) or halted (they are reported exactly once).
+fn forget_slot_allocs(history: &mut SlotHistory, index: u64) {
+    history.retain(|&(i, _), _| i != index);
 }
 
 #[cfg(test)]
@@ -1155,5 +1250,69 @@ mod advance_to_tests {
     fn backwards_jump_panics() {
         let mut tr = IswTracker::new(rat(1, 2), 5);
         tr.advance_to(3);
+    }
+}
+
+/// The era unit itself, which nothing outside the tracker can see.
+#[cfg(test)]
+mod era_unit_tests {
+    use super::*;
+    use crate::rational::rat;
+
+    /// 10⁴ eras alternating between two coprime denominators, every
+    /// change enacted under a subtask that holds one slot of the old
+    /// weight: the unit carries both denominators for the straddle and
+    /// never more, whatever the run has seen before.
+    #[test]
+    fn unit_stays_within_the_lcm_over_alternating_straddles() {
+        let weights = [rat(3, 19), rat(2, 5)];
+        let mut tr = IswTracker::new(weights[0], 0);
+        let mut t = 0;
+        let mut completed = 0u64;
+        for era in 0..10_000usize {
+            let index = era as u64 + 1;
+            tr.add_subtask(index, t, true, false);
+            tr.sync_to(t + 1, |_, _| completed += 1);
+            tr.set_swt(weights[(era + 1) % 2]);
+            assert!(tr.unit() <= Units::new(95), "unit {:?}", tr.unit());
+            assert_eq!(tr.subtask_cum(index), Some(weights[era % 2]));
+            t = tr.projected_completion(index).expect("a live subtask");
+            tr.sync_to(t, |_, _| completed += 1);
+        }
+        assert_eq!(completed, 10_000);
+        assert_eq!(tr.isw_total(), Rational::from_int(10_000));
+    }
+
+    /// The unit is re-derived from the values at every enactment: it
+    /// holds a closed era's denominator exactly as long as a retained
+    /// record does.
+    #[test]
+    fn unit_falls_back_once_no_record_carries_the_old_denominator() {
+        let mut tr = IswTracker::new(rat(3, 19), 0);
+        assert_eq!(tr.unit(), Units::new(19));
+        tr.add_subtask(1, 0, true, false);
+        tr.sync_to(2, |_, _| ());
+        tr.set_swt(rat(2, 5)); // T_1 holds 6/19
+        assert_eq!(tr.unit(), Units::new(95));
+        assert_eq!(tr.swt(), rat(2, 5));
+        // Three subtasks of the 2/5 era push T_1 out of the records...
+        let mut t = tr.projected_completion(1).expect("a live subtask");
+        for index in 2..=4 {
+            tr.add_subtask(index, t, true, false);
+            t += 3;
+            tr.sync_to(t, |_, _| ());
+        }
+        assert_eq!(tr.subtask_cum(1), None);
+        assert_eq!(tr.unit(), Units::new(95)); // ...but only an enactment looks
+        tr.set_swt(rat(1, 3));
+        assert_eq!(tr.unit(), Units::new(15)); // final-slot allocations in fifths
+        for index in 5..=6 {
+            tr.add_subtask(index, t, true, false);
+            t += 3;
+            tr.sync_to(t, |_, _| ());
+        }
+        tr.set_swt(rat(1, 3));
+        assert_eq!(tr.unit(), Units::new(3));
+        assert_eq!(tr.isw_total(), Rational::from_int(6));
     }
 }

@@ -16,10 +16,20 @@ use crate::rational::Rational;
 use crate::time::Slot;
 
 /// Incremental `I_PS` allocation of a single task.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The running total is an *era sum*: a canonical base plus a count of
+/// active slots accrued at the current weight and not yet multiplied
+/// out. [`PsTracker::sync_to`] only counts slots; the one multiply and
+/// the gcds of an exact add happen when the weight changes
+/// ([`PsTracker::set_wt`]) and where the total is read. Two trackers are
+/// equal when they hold the same values, however each splits its total.
+#[derive(Clone, Debug)]
 pub struct PsTracker {
     wt: Rational,
-    total: Rational,
+    /// `A(I_PS, T, 0, now)` less the slots counted in `active`.
+    base: Rational,
+    /// Active (unsuspended) slots accrued at `wt` and not yet in `base`.
+    active: i64,
     now: Slot,
     /// Slot intervals `[from, until)` during which allocation is zero —
     /// the "zero between active subtasks" case that intra-sporadic
@@ -27,11 +37,22 @@ pub struct PsTracker {
     suspensions: Vec<(Slot, Slot)>,
 }
 
+impl PartialEq for PsTracker {
+    fn eq(&self, other: &PsTracker) -> bool {
+        self.wt == other.wt
+            && self.now == other.now
+            && self.suspensions == other.suspensions
+            && self.total() == other.total()
+    }
+}
+
+impl Eq for PsTracker {}
+
 impl pfair_json::ToJson for PsTracker {
     fn to_json(&self) -> pfair_json::Json {
         pfair_json::obj([
             ("wt", self.wt.to_json()),
-            ("total", self.total.to_json()),
+            ("total", self.total().to_json()),
             ("now", self.now.to_json()),
             ("suspensions", self.suspensions.to_json()),
         ])
@@ -48,7 +69,8 @@ impl pfair_json::FromJson for PsTracker {
         }
         Ok(PsTracker {
             wt: value.field("wt")?,
-            total: value.field("total")?,
+            base: value.field("total")?,
+            active: 0,
             now: value.field("now")?,
             suspensions,
         })
@@ -60,7 +82,8 @@ impl PsTracker {
     pub fn new(wt: Rational, join_at: Slot) -> PsTracker {
         PsTracker {
             wt,
-            total: Rational::ZERO,
+            base: Rational::ZERO,
+            active: 0,
             now: join_at,
             suspensions: Vec::new(),
         }
@@ -88,7 +111,10 @@ impl PsTracker {
 
     /// `A(I_PS, T, 0, now)`.
     pub fn total(&self) -> Rational {
-        self.total
+        if self.active == 0 {
+            return self.base;
+        }
+        self.base + self.wt.mul_int(self.active)
     }
 
     /// The next slot `advance` will process.
@@ -98,7 +124,12 @@ impl PsTracker {
 
     /// Initiates a weight change: slot allocations from the current slot
     /// onward use `wt`. (Under `I_PS`, initiation *is* enactment.)
+    #[inline]
     pub fn set_wt(&mut self, wt: Rational) {
+        if self.active != 0 {
+            self.base = self.total();
+            self.active = 0;
+        }
         self.wt = wt;
     }
 
@@ -106,19 +137,7 @@ impl PsTracker {
     /// suspended).
     pub fn advance(&mut self, t: Slot) -> Rational {
         assert_eq!(t, self.now, "slots must be advanced in order"); // audit: allow(panic-reach, fluid trackers advance monotonically by construction, a violation is a tracker bug)
-        self.now = t + 1;
-        if self
-            .suspensions
-            .iter()
-            .any(|(from, until)| *from <= t && t < *until)
-        {
-            // Drop intervals entirely in the past to keep the scan short.
-            self.suspensions.retain(|(_, until)| *until > t);
-            return Rational::ZERO;
-        }
-        self.suspensions.retain(|(_, until)| *until > t);
-        self.total += self.wt;
-        self.wt
+        self.advance_to(t + 1)
     }
 
     /// The tracker translated forward by `ds` slots and `dt` total
@@ -136,55 +155,91 @@ impl PsTracker {
             .collect::<Option<Vec<_>>>()?;
         Some(PsTracker {
             wt: self.wt,
-            total: self.total + dt,
+            base: self.base + dt,
+            active: self.active,
             now: self.now.checked_add(ds)?,
             suspensions,
         })
     }
 
-    /// Accrues all slots up to (but excluding) boundary `t` in one step:
-    /// `A(I_PS, T, now, t) = wt · |active slots in [now, t)|`, one
-    /// rational multiply plus one add, with the active-slot count
-    /// obtained from the suspension intervals — O(suspensions) work
-    /// instead of O(slots). Returns the allocation added.
-    ///
-    /// Callers change the weight only at synchronization boundaries
-    /// (`set_wt` after advancing to the initiation slot), so `wt` is
-    /// constant over the interval and the product equals the per-slot
-    /// sum exactly — [`PsTracker::advance`] called once per slot yields
-    /// a bit-identical total, which the equivalence proptests assert.
-    ///
-    /// # Panics
-    /// Panics if `t` is behind the tracker's current slot.
-    pub fn advance_to(&mut self, t: Slot) -> Rational {
+    /// Slots of `[from, t)` that at least one suspension covers. The
+    /// intervals are stored as they were requested — unordered, maybe
+    /// overlapping — so their union is walked left to right in place:
+    /// each round finds the first covered slot at or after the cursor
+    /// and the furthest end among the intervals covering it.
+    fn suspended_slots(&self, from: Slot, t: Slot) -> i64 {
+        let mut suspended = 0;
+        let mut cursor = from;
+        while cursor < t {
+            let first = self
+                .suspensions
+                .iter()
+                .filter(|&&(_, until)| until > cursor)
+                .map(|&(a, _)| a.max(cursor))
+                .min();
+            let Some(a) = first.filter(|&a| a < t) else {
+                break;
+            };
+            let b = self
+                .suspensions
+                .iter()
+                .filter(|&&(lo, hi)| lo <= a && a < hi)
+                .map(|&(_, hi)| hi)
+                .max()
+                .map_or(t, |hi| hi.min(t));
+            suspended += b - a;
+            cursor = b;
+        }
+        suspended
+    }
+
+    /// Moves the tracker to boundary `t` and returns how many of the
+    /// slots in `[now, t)` were active: O(suspensions) work instead of
+    /// O(slots), and no arithmetic beyond counting. Callers change the
+    /// weight only at synchronization boundaries (`set_wt` after
+    /// advancing to the initiation slot), so `wt` is constant over the
+    /// interval and the count is all either public form needs.
+    #[inline]
+    fn count_to(&mut self, t: Slot) -> i64 {
         assert!(t >= self.now, "cannot advance a tracker backwards"); // audit: allow(panic-reach, fluid trackers advance monotonically by construction, a violation is a tracker bug)
         if t == self.now {
-            return Rational::ZERO;
+            return 0;
         }
         let from = self.now;
         self.now = t;
-        // Suspended slots in [from, t): clip each interval, then sweep
-        // in order so overlapping intervals are not double-counted.
-        let mut clipped: Vec<(Slot, Slot)> = self
-            .suspensions
-            .iter()
-            .map(|&(a, b)| (a.max(from), b.min(t)))
-            .filter(|&(a, b)| a < b)
-            .collect();
-        clipped.sort_unstable();
-        let mut suspended = 0;
-        let mut cursor = from;
-        for (a, b) in clipped {
-            let a = a.max(cursor);
-            if a < b {
-                suspended += b - a;
-                cursor = b;
-            }
+        if self.suspensions.is_empty() {
+            return t - from;
         }
-        // Same retention as per-slot advance after processing slot t−1.
+        let suspended = self.suspended_slots(from, t);
+        // Intervals entirely in the past can never matter again.
         self.suspensions.retain(|&(_, until)| until >= t);
-        let added = self.wt.mul_int((t - from) - suspended);
-        self.total += added;
+        (t - from) - suspended
+    }
+
+    /// Accrues all slots up to (but excluding) boundary `t` in one step
+    /// without computing what they amount to — the form the scheduler
+    /// engine synchronizes with: the slots are counted into the era sum
+    /// and multiplied out when the weight changes or the total is read.
+    ///
+    /// # Panics
+    /// Panics if `t` is behind the tracker's current slot.
+    pub fn sync_to(&mut self, t: Slot) {
+        self.active += self.count_to(t);
+    }
+
+    /// Accrues all slots up to (but excluding) boundary `t` in one step
+    /// and returns the allocation added,
+    /// `A(I_PS, T, now, t) = wt · |active slots in [now, t)|` — exactly
+    /// the sum of [`PsTracker::advance`] called once per slot, which the
+    /// equivalence proptests assert. The product is in hand here, so it
+    /// goes straight into the total.
+    ///
+    /// # Panics
+    /// Panics if `t` is behind the tracker's current slot.
+    #[inline]
+    pub fn advance_to(&mut self, t: Slot) -> Rational {
+        let added = self.wt.mul_int(self.count_to(t));
+        self.base += added;
         added
     }
 }

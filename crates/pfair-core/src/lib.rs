@@ -61,7 +61,7 @@ pub use analysis::{classify, hyperperiod, is_feasible, total_weight, SetClass};
 pub use arena::{IdBitmap, InlineVec};
 pub use drift::{DriftSample, DriftTrack};
 pub use ideal::{is_ideal_table, CompletionEvent, HaltRecord, IswTracker, PsTracker};
-pub use rational::{rat, Accumulator, Rational};
+pub use rational::{rat, Accumulator, Rational, Units};
 pub use task::{SubtaskRef, TaskId, TaskSpec};
 pub use time::{Slot, SlotRange, NEVER};
 pub use weight::{Weight, WeightRangeError};

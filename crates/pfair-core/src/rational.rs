@@ -25,9 +25,9 @@
 //! Those workloads' components are in fact tiny, and the checked `i128`
 //! code pays for its width on every operation (128-bit multiplies and,
 //! inside the gcd, the `__umodti3` software division). So `new`, `+`,
-//! `−`, `·`, [`Rational::mul_int`], [`Rational::div_ceil`] and `cmp`
-//! first test whether every component involved lies in
-//! `−2³¹ ..= 2³¹ − 1`; if so they run in native `i64` — products stay
+//! `−`, `·`, [`Rational::mul_int`] and `cmp` first test whether every
+//! component involved lies in `−2³¹ ..= 2³¹ − 1`; if so they run in
+//! native `i64` — products stay
 //! below 2⁶², sums below 2⁶³, so nothing can wrap (the `*_small`
 //! functions carry that proof for the static audit) — with a binary
 //! `u64` gcd. Otherwise they fall through to the checked `i128` code.
@@ -35,6 +35,16 @@
 //! unique, so the result is identical bit for bit; and since nothing
 //! inside the gate can overflow, every documented panic still fires
 //! exactly where it did.
+//!
+//! ## Era units
+//!
+//! Between two weight changes the ideal trackers do not compute on
+//! `Rational`s at all: every quantity there is an integer multiple of
+//! one `1/unit`, so [`Units`] counts the multiples and [`Accumulator`]
+//! sums them — integer adds, one multiply and one division per subtask,
+//! no gcd — under the same checked-overflow contract and the same kind
+//! of native-`i64` gate, and a `Rational` is built only where a value
+//! is read.
 //!
 //! ```
 //! use pfair_core::rational::{rat, Rational};
@@ -238,27 +248,6 @@ fn mul_int_small(a: i64, b: i64, n: i64) -> Rational {
     Rational {
         num: i128::from(a * ng),
         den: i128::from(b / g), // audit: allow(panic-reach, gcd_small returns a divisor of a positive denominator, at least 1)
-    }
-}
-
-/// `⌈(a/b) / (c/d)⌉` inside the gate, for `c > 0`.
-// audit: prove(overflow-bounds)
-// audit: assume(a in -2147483648..=2147483647)
-// audit: assume(b in 1..=2147483647)
-// audit: assume(c in 1..=2147483647)
-// audit: assume(d in 1..=2147483647)
-#[inline]
-fn div_ceil_small(a: i64, b: i64, c: i64, d: i64) -> i64 {
-    let num = a * d;
-    let den = c * b;
-    // Truncation rounds a negative quotient up already; a positive
-    // inexact one is one short of its ceiling.
-    let q = num / den; // audit: allow(panic-reach, den is a product of two positive factors)
-    let r = num % den; // audit: allow(panic-reach, den is a product of two positive factors)
-    if r > 0 {
-        q + 1
-    } else {
-        q
     }
 }
 
@@ -572,41 +561,6 @@ impl Rational {
         prod.div_euclid(self.num)
     }
 
-    /// `⌈self / rhs⌉` as an integer, computed directly from the cross
-    /// products without materializing (and gcd-normalizing) the
-    /// intermediate quotient — the closed-form completion count of the
-    /// interval trackers calls this once per subtask, so the two spared
-    /// reductions matter.
-    ///
-    /// # Panics
-    /// Panics if `rhs` is not strictly positive.
-    #[inline]
-    pub fn div_ceil(self, rhs: Rational) -> i128 {
-        assert!(rhs.is_positive(), "div_ceil by non-positive rational"); // audit: allow(panic-reach, documented contract: zero denominators and non-positive divisors panic)
-        if let (Some((a, b)), Some((c, d))) = (self.small_parts(), rhs.small_parts()) {
-            return i128::from(div_ceil_small(a, b, c, d));
-        }
-        self.div_ceil_wide(rhs)
-    }
-
-    /// Ceiling quotient in checked `i128` — any operands, `rhs > 0`.
-    #[inline]
-    fn div_ceil_wide(self, rhs: Rational) -> i128 {
-        // (a/b) / (c/d) = a·d / (b·c), with b, d > 0 canonical.
-        // audit: allow(panic, documented overflow contract of Rational arithmetic); allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-        let num = self.num.checked_mul(rhs.den).expect("div_ceil overflow");
-        // audit: allow(panic, documented overflow contract of Rational arithmetic); allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-        let den = rhs.num.checked_mul(self.den).expect("div_ceil overflow");
-        // Same negation-free ceiling as `Rational::ceil`.
-        let q = num.div_euclid(den);
-        // audit: allow(panic-reach, den is a product of nonzero i128s, checked against overflow)
-        if num % den == 0 {
-            q
-        } else {
-            q + 1
-        }
-    }
-
     /// `⌈n / self⌉` for an integer `n` — the ceiling of `n` divided by this
     /// rational, computed exactly. Used for subtask deadlines
     /// `d(T_i) = ⌈i/wt⌉`.
@@ -629,68 +583,366 @@ impl Rational {
     }
 }
 
-/// Exact running sum with deferred reduction: a single un-normalized
-/// numerator over a running common denominator, reduced by one gcd only
-/// when [`Accumulator::finish`] is called — instead of gcd-normalizing
-/// after every `+=` the way the operator does.
+/// A quantity counted in *era units*: the numerator `n` of `n/unit`,
+/// where the positive `unit` is kept once by whoever owns the era (an
+/// ideal tracker, an [`Accumulator`]) instead of beside every value.
 ///
-/// The payoff is the era-constant case the interval trackers live in:
-/// every per-slot `I_SW`/`I_PS` allocation within an era shares the era
-/// weight's denominator, so each push is one checked `i128` add and no
-/// gcd at all. Mixed-denominator pushes rescale to the lcm (one gcd),
-/// matching chained `+` exactly in value; the intermediate numerator may
-/// grow larger than a reduced chain would, which is covered by the same
-/// documented overflow-panics contract as the rest of this module.
+/// Within one era of an ideal schedule every allocation is an integer
+/// multiple of `1/unit` (DESIGN.md, "The era-unit invariant"), so the
+/// bookkeeping needs integer adds, one multiply and one division per
+/// subtask and no gcd at all; a canonical [`Rational`] is built only
+/// where a value is read ([`Units::over`]). Same contract as
+/// `Rational`: every operation is overflow-checked and panics with the
+/// module's documented messages instead of wrapping, and operands
+/// inside the small-operand gate (module docs) run in native `i64`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Units(i128);
+
+/// `⌈a / b⌉` for positive native operands.
+// audit: prove(overflow-bounds)
+// audit: assume(a in 1..=9223372036854775806)
+// audit: assume(b in 1..=9223372036854775806)
+#[inline]
+fn ceil_div_native(a: i64, b: i64) -> i64 {
+    let q = a / b; // audit: allow(panic-reach, b is positive by the caller's gate)
+    let r = a % b; // audit: allow(panic-reach, b is positive by the caller's gate)
+    if r > 0 {
+        q + 1
+    } else {
+        q
+    }
+}
+
+/// `a · n` inside the gate.
+// audit: prove(overflow-bounds)
+// audit: assume(a in -2147483648..=2147483647)
+// audit: assume(n in -2147483648..=2147483647)
+#[inline]
+fn times_small(a: i64, n: i64) -> i64 {
+    a * n
+}
+
+/// `gcd(|a|, |b|)` as a non-negative `i128`: the binary `u64` gcd when
+/// both magnitudes fit, Euclid on `u128` otherwise.
+#[inline]
+fn gcd_i128(a: i128, b: i128) -> i128 {
+    let (ua, ub) = (a.unsigned_abs(), b.unsigned_abs());
+    let g = match (u64::try_from(ua), u64::try_from(ub)) {
+        (Ok(x), Ok(y)) => u128::from(gcd_u64(x, y)),
+        _ => gcd(ua, ub),
+    };
+    // audit: allow(panic, unreachable: the gcd divides a positive unit); allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+    i128::try_from(g).expect("Rational: gcd exceeds i128")
+}
+
+impl Units {
+    /// Nothing.
+    pub const ZERO: Units = Units(0);
+
+    /// `n` units.
+    #[inline]
+    pub const fn new(n: i128) -> Units {
+        Units(n)
+    }
+
+    /// The count itself.
+    #[inline]
+    pub const fn get(self) -> i128 {
+        self.0
+    }
+
+    /// `true` iff the count is zero.
+    #[inline]
+    pub const fn is_zero(self) -> bool {
+        self.0 == 0
+    }
+
+    /// `true` iff the count is strictly positive.
+    #[inline]
+    pub const fn is_positive(self) -> bool {
+        self.0 > 0
+    }
+
+    /// `true` iff the count is strictly negative.
+    #[inline]
+    pub const fn is_negative(self) -> bool {
+        self.0 < 0
+    }
+
+    /// `r` counted in `unit`s, for a `unit` that is a multiple of `r`'s
+    /// denominator (otherwise the count would not be an integer);
+    /// `None` if the count overflows `i128`.
+    #[inline]
+    pub fn checked_of(r: Rational, unit: Units) -> Option<Units> {
+        debug_assert!(unit.0 % r.den == 0, "{r} is not a multiple of 1/{}", unit.0);
+        if r.den == unit.0 {
+            return Some(Units(r.num));
+        }
+        let scale = unit.0 / r.den; // audit: allow(panic-reach, den is positive by the Rational invariant)
+        r.num.checked_mul(scale).map(Units)
+    }
+
+    /// [`Units::checked_of`] under the module's overflow contract.
+    ///
+    /// # Panics
+    /// Panics if the count overflows `i128`.
+    #[inline]
+    pub fn of(r: Rational, unit: Units) -> Units {
+        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        Units::checked_of(r, unit)
+            // audit: allow(panic, documented overflow contract of Rational arithmetic)
+            .expect("Rational mul_int overflow")
+    }
+
+    /// The value `self/unit` in canonical form — the one gcd of a
+    /// quantity kept in era units, paid where it is read.
+    ///
+    /// # Panics
+    /// Panics if `unit` is zero.
+    #[inline]
+    pub fn over(self, unit: Units) -> Rational {
+        Rational::new(self.0, unit.0)
+    }
+
+    /// The denominator of `self/unit` in lowest terms.
+    #[inline]
+    pub fn denom_over(self, unit: Units) -> Units {
+        if self.0 == 0 {
+            return Units(1);
+        }
+        let g = gcd_i128(self.0, unit.0);
+        Units(unit.0 / g) // audit: allow(panic-reach, the gcd of a nonzero count is at least 1)
+    }
+
+    /// The least common multiple of two positive units, `None` if it
+    /// overflows `i128`.
+    #[inline]
+    pub fn checked_lcm(self, other: Units) -> Option<Units> {
+        debug_assert!(self.0 > 0 && other.0 > 0, "units are positive");
+        // audit: allow(panic-reach, units are positive by contract)
+        if self.0 % other.0 == 0 {
+            return Some(self);
+        }
+        let g = gcd_i128(self.0, other.0);
+        // audit: allow(panic-reach, the gcd of positive units is at least 1)
+        (self.0 / g).checked_mul(other.0).map(Units)
+    }
+
+    /// The least common multiple of two positive units.
+    ///
+    /// # Panics
+    /// Panics if it overflows `i128`.
+    #[inline]
+    pub fn lcm(self, other: Units) -> Units {
+        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        self.checked_lcm(other)
+            // audit: allow(panic, documented overflow contract of Rational arithmetic)
+            .expect("Rational mul overflow")
+    }
+
+    /// The same quantity counted in `to` instead of `from`, for a `to`
+    /// that is a multiple of the quantity's reduced denominator.
+    ///
+    /// # Panics
+    /// Panics if the count overflows `i128`.
+    #[inline]
+    pub fn rescaled(self, from: Units, to: Units) -> Units {
+        if self.0 == 0 || from == to {
+            return self;
+        }
+        Units::of(self.over(from), to)
+    }
+
+    /// `self · n` for a slot count `n`.
+    ///
+    /// # Panics
+    /// Panics if the product overflows `i128`.
+    #[inline]
+    pub fn times(self, n: i64) -> Units {
+        if let (Some(a), Ok(n)) = (small(self.0), i32::try_from(n)) {
+            return Units(i128::from(times_small(a, i64::from(n))));
+        }
+        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        let product = self
+            .0
+            .checked_mul(i128::from(n))
+            // audit: allow(panic, documented overflow contract of Rational arithmetic)
+            .expect("Rational mul_int overflow");
+        Units(product)
+    }
+
+    /// Whole slots until a quantity growing by `rate` per slot has
+    /// covered `self`: `⌈self / rate⌉`, saturating at `i64::MAX` — the
+    /// one spelling of "slots until `I_SW` completes the subtask".
+    /// `0` for a non-positive `self`, and `i64::MAX` ("never") for a
+    /// non-positive `rate`.
+    #[inline]
+    pub fn slots_at(self, rate: Units) -> i64 {
+        if self.0 <= 0 {
+            return 0;
+        }
+        if rate.0 <= 0 {
+            return i64::MAX;
+        }
+        if let (Ok(a), Ok(b)) = (i64::try_from(self.0), i64::try_from(rate.0)) {
+            if a < i64::MAX && b < i64::MAX {
+                return ceil_div_native(a, b);
+            }
+        }
+        let q = self.0 / rate.0; // audit: allow(panic-reach, rate is positive on this path)
+        let r = self.0 % rate.0; // audit: allow(panic-reach, rate is positive on this path)
+        let k = if r > 0 { q + 1 } else { q }; // no overflow: a nonzero remainder means rate ≥ 2
+        i64::try_from(k).unwrap_or(i64::MAX)
+    }
+}
+
+impl Add for Units {
+    type Output = Units;
+    /// # Panics
+    /// Panics if the sum overflows `i128`.
+    #[inline]
+    fn add(self, rhs: Units) -> Units {
+        let sum = self
+            .0
+            .checked_add(rhs.0)
+            // audit: allow(panic, documented overflow contract of Rational arithmetic)
+            .expect("Rational add overflow");
+        Units(sum)
+    }
+}
+
+impl AddAssign for Units {
+    #[inline]
+    fn add_assign(&mut self, rhs: Units) {
+        *self = *self + rhs;
+    }
+}
+
+impl Sub for Units {
+    type Output = Units;
+    /// # Panics
+    /// Panics if the difference overflows `i128`.
+    #[inline]
+    fn sub(self, rhs: Units) -> Units {
+        let difference = self
+            .0
+            .checked_sub(rhs.0)
+            // audit: allow(panic, documented overflow contract of Rational arithmetic)
+            .expect("Rational add overflow");
+        Units(difference)
+    }
+}
+
+/// Exact running sum with the reduction deferred for a whole era: a
+/// canonical `base` plus an un-normalized count of `1/unit`s.
+///
+/// The payoff is the era-constant case the ideal trackers live in:
+/// every `I_SW` allocation within an era is a multiple of the era's
+/// unit, so [`Accumulator::add_units`] is one checked `i128` add and no
+/// gcd at all. The count is folded into the base — the only place a gcd
+/// runs — when the unit changes ([`Accumulator::rebase`], once per
+/// enacted weight change) and the value is materialized only where it
+/// is read ([`Accumulator::finish`]). [`Accumulator::push`] takes
+/// arbitrary rationals: one whose denominator is the current unit costs
+/// the same single add, any other rebases onto its denominator. The
+/// count may grow larger than a reduced chain would, which is covered
+/// by the same documented overflow-panics contract as the rest of this
+/// module. Equality compares values, not representations.
 #[derive(Clone, Copy, Debug)]
 pub struct Accumulator {
-    num: i128,
-    den: i128,
+    base: Rational,
+    num: Units,
+    unit: Units,
 }
 
 impl Accumulator {
-    /// An empty sum (zero over denominator one).
+    /// An empty sum (zero, counting in whole units).
     #[inline]
     pub const fn new() -> Accumulator {
-        Accumulator { num: 0, den: 1 }
+        Accumulator {
+            base: Rational::ZERO,
+            num: Units::ZERO,
+            unit: Units(1),
+        }
+    }
+
+    /// The unit [`Accumulator::add_units`] currently counts in.
+    #[inline]
+    pub const fn unit(&self) -> Units {
+        self.unit
+    }
+
+    /// Adds `n/unit` to the running sum.
+    ///
+    /// # Panics
+    /// Panics if the count overflows `i128`.
+    #[inline]
+    pub fn add_units(&mut self, n: Units) {
+        self.num += n;
+    }
+
+    /// Switches to counting in `unit`s, folding what was counted in the
+    /// old unit into the base (no work when the unit does not change or
+    /// nothing was counted).
+    ///
+    /// # Panics
+    /// Panics if `unit` is not positive, or on overflow (same contract
+    /// as `Rational` addition).
+    #[inline]
+    pub fn rebase(&mut self, unit: Units) {
+        assert!(unit.is_positive(), "Rational with zero denominator"); // audit: allow(panic-reach, documented contract: zero denominators and non-positive divisors panic)
+        if unit == self.unit {
+            return;
+        }
+        self.base = self.finish();
+        self.num = Units::ZERO;
+        self.unit = unit;
     }
 
     /// Adds `r` to the running sum.
     ///
     /// # Panics
-    /// Panics if the rescaled numerator or the lcm denominator
-    /// overflows `i128` (same contract as `Rational` addition).
+    /// Panics on overflow (same contract as `Rational` addition).
     #[inline]
     pub fn push(&mut self, r: Rational) {
-        if r.den == self.den {
-            self.num = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-                .num
-                .checked_add(r.num)
-                // audit: allow(panic, documented overflow contract of Rational arithmetic)
-                .expect("Accumulator overflow");
-            return;
-        }
-        // Rescale both sides to the lcm of the denominators.
-        let g = i128::try_from(gcd(self.den.unsigned_abs(), r.den.unsigned_abs())) // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-            // audit: allow(panic, unreachable: gcd divides the positive denominator)
-            .expect("Accumulator: gcd exceeds i128");
-        let (scale_self, scale_r) = (r.den / g, self.den / g); // audit: allow(panic-reach, divisor is a gcd or a normalized denominator, both nonzero by construction)
-        self.num = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-            .num
-            .checked_mul(scale_self)
-            .and_then(|x| r.num.checked_mul(scale_r).and_then(|y| x.checked_add(y)))
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
-            .expect("Accumulator overflow");
-        self.den = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-            .den
-            .checked_mul(scale_self)
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
-            .expect("Accumulator overflow");
+        self.rebase(Units(r.den));
+        self.num += Units(r.num);
     }
 
-    /// The exact sum so far, reduced to canonical form (the one gcd).
+    /// The sum with `r` added to its base: the count and its unit are
+    /// untouched, so an owner that counts in era units stays in step.
+    #[inline]
+    #[must_use]
+    pub fn plus(mut self, r: Rational) -> Accumulator {
+        self.base += r;
+        self
+    }
+
+    /// The exact sum so far in canonical form.
     #[inline]
     pub fn finish(&self) -> Rational {
-        Rational::new(self.num, self.den)
+        if self.num.is_zero() {
+            return self.base;
+        }
+        self.base + self.num.over(self.unit)
+    }
+}
+
+impl PartialEq for Accumulator {
+    fn eq(&self, other: &Accumulator) -> bool {
+        if self.unit == other.unit && self.base == other.base {
+            return self.num == other.num;
+        }
+        self.finish() == other.finish()
+    }
+}
+
+impl Eq for Accumulator {}
+
+impl From<Rational> for Accumulator {
+    /// A sum that starts at `r`, counting in whole units.
+    fn from(r: Rational) -> Accumulator {
+        Accumulator::new().plus(r)
     }
 }
 
@@ -976,17 +1228,92 @@ mod tests {
         for t in terms {
             acc.push(t);
             chained += t;
+            assert_eq!(acc.finish(), chained);
         }
-        assert_eq!(acc.finish(), chained);
         assert_eq!(Accumulator::new().finish(), Rational::ZERO);
     }
 
+    /// An era of unit counts is one fold: the base only moves when the
+    /// unit does, and equality sees through the representation.
     #[test]
-    #[should_panic(expected = "Accumulator overflow")]
+    fn accumulator_counts_in_era_units() {
+        let mut acc = Accumulator::from(rat(1, 3));
+        acc.rebase(Units::new(19));
+        for n in [3, 2, 7] {
+            acc.add_units(Units::new(n));
+        }
+        assert_eq!(acc.unit(), Units::new(19));
+        assert_eq!(acc.finish(), rat(1, 3) + rat(12, 19));
+        let folded = Accumulator::from(acc.finish());
+        assert_eq!(acc, folded);
+        assert_ne!(acc, folded.plus(rat(1, 19)));
+        acc.rebase(Units::new(5));
+        acc.add_units(Units::new(2));
+        assert_eq!(acc.finish(), rat(1, 3) + rat(12, 19) + rat(2, 5));
+        assert_eq!(acc.plus(rat(1, 2)).finish(), acc.finish() + rat(1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "Rational add overflow")]
     fn accumulator_overflow_is_descriptive() {
         let mut acc = Accumulator::new();
         acc.push(Rational::new(i128::MAX - 1, i128::MAX));
         acc.push(Rational::new(i128::MAX - 1, i128::MAX - 2));
+        let _ = acc.finish();
+    }
+
+    #[test]
+    fn units_arithmetic_is_exact() {
+        let unit = Units::new(95);
+        // Fig. 7: X_2 holds 5/19 when its weight becomes 2/5.
+        let cum = Units::of(rat(5, 19), unit);
+        let rate = Units::of(rat(2, 5), unit);
+        assert_eq!((cum.get(), rate.get()), (25, 38));
+        let remaining = unit - cum;
+        assert_eq!(remaining.slots_at(rate), 2);
+        assert_eq!((remaining - rate.times(1)).over(unit), rat(32, 95));
+        assert_eq!(cum.denom_over(unit), Units::new(19));
+        assert_eq!(Units::ZERO.denom_over(unit), Units::new(1));
+        assert_eq!(Units::new(19).lcm(Units::new(5)), unit);
+        assert_eq!(unit.lcm(Units::new(19)), unit);
+        assert_eq!(cum.rescaled(unit, Units::new(19)), Units::new(5));
+        assert_eq!(cum.rescaled(unit, Units::new(190)), Units::new(50));
+        // Ceiling division: exact, inexact, nothing left, never.
+        assert_eq!(Units::new(76).slots_at(rate), 2);
+        assert_eq!(Units::new(77).slots_at(rate), 3);
+        assert_eq!(Units::ZERO.slots_at(rate), 0);
+        assert_eq!(remaining.slots_at(Units::ZERO), i64::MAX);
+    }
+
+    /// Both sides of the native gates compute the same values, and what
+    /// does not fit panics instead of wrapping.
+    #[test]
+    fn units_wide_operands_stay_exact() {
+        let big = Units::new(1 << 100);
+        assert_eq!(big.times(3).get(), 3 << 100);
+        assert_eq!(Units::new(3 << 100).slots_at(big), 3);
+        assert_eq!(Units::new((3 << 100) + 1).slots_at(big), 4);
+        assert_eq!(Units::new(i128::MAX).slots_at(Units::new(1)), i64::MAX);
+        let (p, q) = (Units::new(2_147_483_629), Units::new(2_147_483_647));
+        let unit = p.lcm(q);
+        assert_eq!(unit.get(), 2_147_483_629 * 2_147_483_647);
+        let third = Units::of(rat(1, 2_147_483_629), unit);
+        assert_eq!(third, q);
+        assert_eq!(third.rescaled(unit, p), Units::new(1));
+        assert_eq!(third.denom_over(unit), p);
+        assert_eq!(Units::new(1 << 126).checked_lcm(Units::new(3)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "Rational mul_int overflow")]
+    fn units_times_overflow_panics() {
+        let _ = Units::new(i128::MAX / 2).times(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "Rational add overflow")]
+    fn units_add_overflow_panics() {
+        let _ = Units::new(i128::MAX) + Units::new(1);
     }
 }
 
@@ -1049,11 +1376,18 @@ mod small_path_tests {
         }
 
         #[test]
-        fn div_ceil_and_cmp_match_the_wide_path(a in arb_operand(), b in arb_operand()) {
+        fn cmp_matches_the_wide_path(a in arb_operand(), b in arb_operand()) {
             prop_assert_eq!(a.cmp(&b), a.cmp_wide(&b));
-            if b.is_positive() {
-                prop_assert_eq!(a.div_ceil(b), a.div_ceil_wide(b));
-            }
+        }
+
+        /// `Units::slots_at` on both sides of its native gate is the
+        /// ceiling of the exact quotient.
+        #[test]
+        fn slots_at_is_the_exact_ceiling(a in arb_component(), b in arb_component(), wide in 0u32..2) {
+            prop_assume!(a > 0 && b > 0);
+            let (a, b) = (a << (70 * wide), b << (70 * wide));
+            let k = Units::new(a).slots_at(Units::new(b));
+            prop_assert_eq!(i128::from(k), Rational::new(a, b).ceil());
         }
     }
 

@@ -43,7 +43,6 @@ use crate::reweight::{RuleChoice, RuleSelector, Scheme};
 use crate::trace::{Miss, SimResult, SubtaskRecord, TaskHistory, TaskResult};
 use pfair_core::arena::InlineVec;
 use pfair_core::drift::DriftTrack;
-use pfair_core::ideal::isw::CompletionEvent;
 use pfair_core::ideal::{IswTracker, PsTracker};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
@@ -266,7 +265,7 @@ struct TaskState {
 
 const _: () = {
     assert!(std::mem::size_of::<SubRec>() <= 64);
-    assert!(std::mem::size_of::<TaskState>() <= 1024);
+    assert!(std::mem::size_of::<TaskState>() <= 912);
 };
 
 impl TaskState {
@@ -330,30 +329,32 @@ impl TaskState {
     /// calls this wherever it reads or mutates ideal state — enactments,
     /// initiations, halts, delays, releases, departures, end-of-run — so
     /// the scheduling weight is constant between syncs and the jump is
-    /// bit-identical to the per-slot oracle (`IswTracker::advance_to`).
-    /// In history mode step 6 advances the trackers every slot, making
-    /// this a no-op.
+    /// bit-identical to the per-slot oracle. Both trackers count in era
+    /// units and report only what the engine reads — `(index,
+    /// D(I_SW, T_index))` per completion — so a synchronization builds no
+    /// `Rational` at all. In history mode step 6 advances the trackers
+    /// every slot, making this a no-op.
     ///
-    /// `done` is the caller's completion buffer (cleared here). The one
-    /// pass over the retained records that folds the completions in
-    /// also answers what a release at `t` asks of them, so that path
-    /// never rescans: see [`SubsScan`].
-    fn sync_ideals_to(&mut self, t: Slot, done: &mut Vec<CompletionEvent>) -> SubsScan {
-        done.clear();
+    /// The pass over the retained records that follows also answers
+    /// what a release at `t` asks of them, so that path never rescans:
+    /// see [`SubsScan`].
+    fn sync_ideals_to(&mut self, t: Slot) -> SubsScan {
         if self.isw.now() < t {
-            self.isw.advance_to_into(t, done);
+            let subs = &mut self.subs;
+            self.isw.sync_to(t, |index, complete_at| {
+                if let Some(s) = subs.iter_mut().find(|s| s.index == index) {
+                    s.isw_completion = complete_at;
+                }
+            });
         }
         if self.ps.now() < t {
-            self.ps.advance_to(t);
+            self.ps.sync_to(t);
         }
         let mut scan = SubsScan {
             pred_b: None,
             head_deadline: None,
         };
-        for s in &mut self.subs {
-            if let Some(c) = done.iter().find(|c| c.index == s.index) {
-                s.isw_completion = c.complete_at;
-            }
+        for s in &self.subs {
             if s.halted_at == NEVER {
                 scan.pred_b = Some(s.b);
                 if s.scheduled_at == NEVER && scan.head_deadline.is_none() {
@@ -410,8 +411,6 @@ struct SlotScratch {
     due: Vec<TaskId>,
     /// The slot's releases, for span-aware probes.
     batch: Vec<ReleaseRec>,
-    /// Completions of one tracker synchronization.
-    completions: Vec<CompletionEvent>,
     /// The buffer the next slot's chosen set is built in (last slot's
     /// `last_chosen`, recycled).
     chosen: Vec<TaskId>,
@@ -550,7 +549,7 @@ impl<P: Probe> Engine<P> {
         self.touched.push(id);
         let task = self.tasks.task_mut(id);
         let from = task.isw.now();
-        let scan = task.sync_ideals_to(t, &mut self.scratch.completions);
+        let scan = task.sync_ideals_to(t);
         if from < t {
             self.probe.on_tracker_advance(id, from, t);
         }
@@ -1000,16 +999,7 @@ impl<P: Probe> Engine<P> {
             // trackers across the closing era first, under its weight.
             self.sync_task(id, t);
             match pending.kind {
-                PendKind::Enact => {
-                    self.tasks.set_swt(id, pending.target);
-                    let task = self.tasks.task_mut(id);
-                    task.isw.set_swt(pending.target);
-                    task.era_base = task.next_index - 1;
-                    self.counters.reweight_enactments += 1;
-                    if let Ok(w) = Weight::try_new(pending.target) {
-                        self.admission.note_enacted(id, w);
-                    }
-                }
+                PendKind::Enact => self.enact_weight(id, pending.target),
                 PendKind::ReleaseOnly => {
                     // swt already switched at initiation (rule I, increase).
                 }
@@ -1020,6 +1010,24 @@ impl<P: Probe> Engine<P> {
             self.probe.on_reweight_enacted(id, t, pending.initiated_at);
         }
         self.scratch.due = due;
+    }
+
+    /// Enacts scheduling weight `v` for `id` — the one place a task's
+    /// `swt` changes after its join, and so the one place its `I_SW`
+    /// tracker re-derives its era unit. The slab column and the tracker
+    /// switch, the era base moves up to the last released subtask
+    /// (indices above it rank within the new era), and the enactment is
+    /// counted and reported to admission. The caller has synchronized
+    /// the trackers to the current slot, under the closing weight.
+    fn enact_weight(&mut self, id: TaskId, v: Rational) {
+        self.tasks.set_swt(id, v);
+        let task = self.tasks.task_mut(id);
+        task.isw.set_swt(v);
+        task.era_base = task.next_index - 1;
+        self.counters.reweight_enactments += 1;
+        if let Ok(w) = Weight::try_new(v) {
+            self.admission.note_enacted(id, w);
+        }
     }
 
     /// Records `id`'s `next_release` slot in the release index. Stale
@@ -1240,15 +1248,18 @@ impl<P: Probe> Engine<P> {
 
         let Some(tj) = last else {
             // No subtask released yet: enact immediately; the first
-            // release (already scheduled) will use the new weight.
-            self.tasks.set_swt(id, v);
-            let task = self.tasks.task_mut(id);
-            task.isw.set_swt(v);
-            task.pending = None;
-            self.counters.reweight_enactments += 1;
-            if let Ok(w) = Weight::try_new(v) {
-                self.admission.note_enacted(id, w);
-            }
+            // release (already scheduled) will use the new weight. The
+            // era the join opened has not begun, so the one thing an
+            // enactment does that must not happen here — moving the era
+            // base — has nothing to move: it already sits at the last
+            // released index.
+            debug_assert_eq!(
+                self.tasks.task(id).era_base + 1,
+                self.tasks.task(id).next_index,
+                "{id}: era base off the last released index before any release"
+            );
+            self.enact_weight(id, v);
+            self.tasks.task_mut(id).pending = None;
             return Rule::Immediate;
         };
 
@@ -1270,14 +1281,7 @@ impl<P: Probe> Engine<P> {
             if increase {
                 // I(i): enact immediately; era-opening release waits for
                 // D(I_SW, T_j) + b(T_j).
-                self.tasks.set_swt(id, v);
-                let task = self.tasks.task_mut(id);
-                task.isw.set_swt(v);
-                task.era_base = task.next_index - 1;
-                self.counters.reweight_enactments += 1;
-                if let Ok(w) = Weight::try_new(v) {
-                    self.admission.note_enacted(id, w);
-                }
+                self.enact_weight(id, v);
             }
             let kind = if increase {
                 PendKind::ReleaseOnly
@@ -1346,14 +1350,7 @@ impl<P: Probe> Engine<P> {
         self.tasks.set_next_release(id, None);
         if fire_now {
             if kind == PendKind::Enact {
-                self.tasks.set_swt(id, v);
-                let task = self.tasks.task_mut(id);
-                task.isw.set_swt(v);
-                task.era_base = task.next_index - 1;
-                self.counters.reweight_enactments += 1;
-                if let Ok(w) = Weight::try_new(v) {
-                    self.admission.note_enacted(id, w);
-                }
+                self.enact_weight(id, v);
             }
             let task = self.tasks.task_mut(id);
             task.era_open_pending = true;

@@ -1,12 +1,12 @@
 //! Tickless batching ≡ per-slot stepping at the engine level.
 //!
 //! The tickless driver (`SimConfig::tickless`, the default) advances
-//! quiet spans — empty ready queue, no event due — in closed form, and
-//! runs release-only slots through a reduced "quick" pipeline. Both
-//! shortcuts reuse the oracle's own release/selection/promotion code
-//! verbatim and report skipped spans through the span-level probe hooks
-//! (which legacy probes replay per-slot and span-aware probes aggregate
-//! exactly), so a batched run must be *bit-identical* to stepping every
+//! quiet spans — empty ready queue, no event due — in closed form and
+//! runs every other slot through the oracle's own full pipeline
+//! (`Engine::run_to` is the one loop). Skipped spans are reported
+//! through the span-level probe hooks (which legacy probes replay
+//! per-slot and span-aware probes aggregate exactly), so a batched run
+//! must be *bit-identical* to stepping every
 //! slot: the rendered `SimResult`, every drift sample, every overhead
 //! counter, and a `MetricsProbe`'s
 //! full registry snapshot. Randomized AIS scripts across OI, LJ, and
@@ -366,7 +366,7 @@ proptest! {
 
 /// A deterministic long-horizon whisper-style run: sparse weights open
 /// hundreds-of-slots quiet spans, rotating the calendar ring many times
-/// and mixing quick release slots with full boundary steps.
+/// and mixing skipped spans with full pipeline slots.
 #[test]
 fn long_sparse_run_is_bit_identical() {
     let mut w = Workload::new();
