@@ -14,7 +14,6 @@
 //! options: --runs N     (default 61, the paper's replication count)
 //!          --csv DIR    (also write the Fig. 11 curves as CSV files)
 //!          --threads N  (worker threads; overrides PFAIR_THREADS)
-//!          --timing     (append per-run wall-clock columns; nondeterministic)
 //! ```
 
 mod baselines;
@@ -55,7 +54,6 @@ fn main() {
                         .unwrap_or_else(|| die("--threads needs a number >= 1")),
                 );
             }
-            "--timing" => runner::set_timing(true),
             "--help" | "-h" => {
                 print_help();
                 return;
@@ -100,7 +98,7 @@ fn main() {
 
 fn print_help() {
     println!(
-        "usage: pfair-experiments [all|fig11-speed|fig11-radius|counterexamples|windows|tradeoff|baselines|extensions|scaling|sharding|room] [--runs N] [--threads N] [--csv DIR] [--timing]"
+        "usage: pfair-experiments [all|fig11-speed|fig11-radius|counterexamples|windows|tradeoff|baselines|extensions|scaling|sharding|room] [--runs N] [--threads N] [--csv DIR]"
     );
 }
 

@@ -5,34 +5,18 @@
 //! pure function of its inputs. The pool itself now lives in
 //! [`pfair_core::pool`] (the shard supervisor in `pfair-sched` drives
 //! the same machinery); this module keeps the experiment-facing CLI
-//! policy: the `--threads` override and the `--timing` switch.
+//! policy: the `--threads` override.
 //!
 //! The worker count comes from the `--threads` CLI override, then the
 //! `PFAIR_THREADS` environment variable, then the machine's available
 //! parallelism.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pfair_core::pool::par_map_threads;
 
 /// Process-wide override set by the `--threads` CLI flag (0 = unset).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide per-job timing switch (the `--timing` CLI flag).
-/// Off by default so sweep output stays byte-identical run to run;
-/// wall-clock figures are inherently nondeterministic.
-static TIMING: AtomicBool = AtomicBool::new(false);
-
-/// Enables (or disables) per-job wall-clock reporting in the sweeps
-/// that support it (the `--timing` CLI flag).
-pub fn set_timing(on: bool) {
-    TIMING.store(on, Ordering::Relaxed);
-}
-
-/// `true` iff `--timing` was requested.
-pub fn timing() -> bool {
-    TIMING.load(Ordering::Relaxed)
-}
 
 /// Installs a process-wide worker-count override (the `--threads` CLI
 /// flag). Takes precedence over `PFAIR_THREADS`.
@@ -62,24 +46,6 @@ where
     F: Fn(I) -> O + Sync,
 {
     par_map_threads(threads(), items, f)
-}
-
-/// [`par_map`], also measuring each job's wall time on its worker.
-/// Results stay in input order; the duration vector is index-aligned
-/// with them. The timings themselves are nondeterministic, which is
-/// why callers only *render* them behind [`timing`].
-pub fn par_map_timed<I, O, F>(items: Vec<I>, f: F) -> (Vec<O>, Vec<std::time::Duration>)
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    let timed = par_map(items, |item| {
-        let start = std::time::Instant::now();
-        let out = f(item);
-        (out, start.elapsed())
-    });
-    timed.into_iter().unzip()
 }
 
 #[cfg(test)]
@@ -135,13 +101,6 @@ mod tests {
         // And through the env-configured entry point used by sweeps.
         let swept = par_map(mixed_scheme_jobs(), |(cfg, w)| simulate(cfg, &w));
         assert_eq!(render(&swept), serial);
-    }
-
-    #[test]
-    fn par_map_timed_aligns_durations_with_results() {
-        let (out, times) = par_map_timed(vec![1u64, 2, 3, 4, 5], |x| x * 2);
-        assert_eq!(out, vec![2, 4, 6, 8, 10]);
-        assert_eq!(times.len(), out.len());
     }
 
     #[test]

@@ -77,33 +77,17 @@ pub fn schemes() -> Vec<(String, Scheme)> {
 /// worker busy. Results come back in job order (see [`runner::par_map`])
 /// and are regrouped per scheme, so output is identical to the serial
 /// nested loop.
-#[allow(dead_code)] // the timed variant below is the binary's entry; kept for external sweeps
 pub fn sweep(speed: f64, radius: f64, runs: u64) -> Vec<TradeoffPoint> {
-    sweep_timed(speed, radius, runs).0
-}
-
-/// [`sweep`], also returning the mean wall-clock milliseconds per run
-/// for each scheme (index-aligned with the points). The table only
-/// renders these under `--timing` — wall time is nondeterministic, and
-/// default output must be byte-identical across pool widths.
-pub fn sweep_timed(speed: f64, radius: f64, runs: u64) -> (Vec<TradeoffPoint>, Vec<f64>) {
     let ladder = schemes();
     let jobs: Vec<(usize, u64)> = (0..ladder.len())
         .flat_map(|si| (0..runs).map(move |seed| (si, seed)))
         .collect();
-    let (all_metrics, all_times) = runner::par_map_timed(jobs, |(si, seed)| {
+    let all_metrics = runner::par_map(jobs, |(si, seed)| {
         let sc = Scenario::new(speed, radius, true, seed);
         run_whisper(&sc, ladder[si].1.clone())
     });
     let chunk = usize::try_from(runs).expect("runs fits in usize").max(1);
-    let mean_ms: Vec<f64> = all_times
-        .chunks(chunk)
-        .map(|times| {
-            let total: f64 = times.iter().map(|d| d.as_secs_f64() * 1000.0).sum();
-            total / times.len() as f64
-        })
-        .collect();
-    let points = ladder
+    ladder
         .into_iter()
         .zip(all_metrics.chunks(chunk))
         .map(|((label, _scheme), metrics)| {
@@ -140,41 +124,20 @@ pub fn sweep_timed(speed: f64, radius: f64, runs: u64) -> (Vec<TradeoffPoint>, V
                 .mean,
             }
         })
-        .collect();
-    (points, mean_ms)
+        .collect()
 }
 
-/// Prints the frontier table. Under `--timing`, appends each scheme's
-/// mean wall-clock milliseconds per run (nondeterministic; off by
-/// default so the table stays reproducible).
+/// Prints the frontier table.
 pub fn run(runs: u64) {
     println!("\n=== Efficiency vs. accuracy: hybrid ladder (speed 2.9 m/s, radius 25 cm) ===");
-    let timing = runner::timing();
-    print!(
+    println!(
         "{:<22} {:>10} {:>12} {:>12} {:>9} {:>11}",
         "scheme", "max drift", "% of ideal", "heap ops", "halts", "enactments"
     );
-    println!(
-        "{}",
-        if timing {
-            format!(" {:>9}", "ms/run")
-        } else {
-            String::new()
-        }
-    );
-    let (points, mean_ms) = sweep_timed(2.9, 0.25, runs);
-    for (p, ms) in points.iter().zip(&mean_ms) {
-        print!(
+    for p in sweep(2.9, 0.25, runs) {
+        println!(
             "{:<22} {:>10.3} {:>12.2} {:>12.0} {:>9.1} {:>11.1}",
             p.label, p.max_drift, p.pct_of_ideal, p.heap_ops, p.halts, p.enactments
-        );
-        println!(
-            "{}",
-            if timing {
-                format!(" {ms:>9.2}")
-            } else {
-                String::new()
-            }
         );
     }
 }

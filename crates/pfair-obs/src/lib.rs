@@ -10,8 +10,8 @@
 //!
 //! * [`Probe`] — a statically dispatched event tap the engine and
 //!   executor are generic over. The default [`NoopProbe`] compiles
-//!   every hook to nothing (the `obs_overhead` bench in `crates/bench`
-//!   guards that it stays within noise of a probe-free engine).
+//!   every hook to nothing (`benchmark/`'s `obs.metrics_probe_ratio`
+//!   and `obs.trace_probe_ratio` price the real probes against it).
 //! * [`Registry`]/[`MetricsProbe`] — exact-integer counters and
 //!   power-of-two-bucket histograms with deterministic text/JSON
 //!   snapshots; no floats anywhere, so the crate sits inside

@@ -3,10 +3,9 @@
 //! The engine is generic over a probe (`Engine<P: Probe = NoopProbe>`),
 //! so every hook below is resolved by **static dispatch**. With the
 //! default [`NoopProbe`] each call monomorphizes to an empty inlined
-//! body and the compiled hot path is identical to a probe-free engine —
-//! an invariant the `obs_overhead` benchmark in `crates/bench` guards
-//! (NoopProbe within noise of the default entry point at 10k/100k-slot
-//! horizons).
+//! body and the compiled hot path is that of a probe-free engine: it is
+//! the baseline `benchmark/`'s `obs.metrics_probe_ratio` and
+//! `obs.trace_probe_ratio` divide the probed runs by.
 //!
 //! Hooks fire at the same slot-pipeline boundaries the paper's rules
 //! are stated at: slot starts, subtask releases/schedules/preemptions,

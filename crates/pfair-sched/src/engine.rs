@@ -151,8 +151,9 @@ impl SimConfig {
     }
 
     /// Builder-style: keep the tickless driver but disable busy-span
-    /// batching (the bench suite's `tickless` series measures this
-    /// against the default to isolate the busy-span multiplier).
+    /// batching (`benchmark/`'s `engine.driver.tickless_slots_per_s.*`
+    /// measures this against the default to isolate the busy-span
+    /// multiplier).
     pub fn without_busy_span(mut self) -> SimConfig {
         self.busy_span = false;
         self
@@ -1702,8 +1703,8 @@ const _: () = {
 /// Runs a full simulation: build, run to horizon, collect.
 ///
 /// Literally [`simulate_with`] instantiated at [`NoopProbe`] — one code
-/// path, so the `obs_overhead` bench's probe-free baseline and noop
-/// series exercise the same machine code.
+/// path, so the probe-free entry point and a [`NoopProbe`] engine are
+/// the same machine code.
 pub fn simulate(config: SimConfig, workload: &Workload) -> SimResult {
     simulate_with(config, workload, NoopProbe).0
 }

@@ -34,7 +34,8 @@
 //!
 //! The pop sequence is bit-identical to the previous binary-heap
 //! implementation, which is retained as [`HeapQueue`] — the reference
-//! for differential tests and the `queue/{heap,radix}` benchmark pair.
+//! for differential tests and `benchmark/`'s
+//! `queue.{heap,radix}_push_pop_ns.*` pair.
 
 use crate::overhead::Counters;
 use crate::priority::Priority;
@@ -464,8 +465,8 @@ impl ReadyQueue {
 /// The previous binary-heap ready queue, retained as the reference
 /// implementation: differential tests drive it in lockstep with the
 /// radix [`ReadyQueue`] (their pop sequences must be identical), and
-/// the `queue/{heap,radix}_push_pop` benchmark pair measures the
-/// replacement's win. Counter semantics match `ReadyQueue` exactly.
+/// `benchmark/`'s `queue.{heap,radix}_push_pop_ns.*` pair measures the
+/// two side by side. Counter semantics match `ReadyQueue` exactly.
 #[derive(Clone, Debug, Default)]
 pub struct HeapQueue {
     heap: BinaryHeap<Reverse<QueueEntry>>,

@@ -71,3 +71,25 @@ fn long_history_run_verifies() {
     let r = simulate(SimConfig::oi(2, horizon).with_history(), &w);
     pfair_sched::verify::assert_verified(&r);
 }
+
+/// The population-scale acceptance run: 10⁶ tasks to a 10⁴-slot horizon
+/// through an 8-shard `ShardSet`. Ignored by default (seconds of CPU,
+/// 1.45 GB); CI's `shard-smoke` job runs it by name, in release, and
+/// libtest's "finished in" line is its timing.
+#[test]
+#[ignore = "10⁶ tasks, 1.45 GB: run with --release -- --ignored"]
+fn population_1m_tasks_10k_slots() {
+    use pfair_sched::shard::{ShardSet, ShardSpec};
+
+    let tasks = 1_000_000u32;
+    // The population's worst-case utilization (n/512) split across the
+    // 8 shards, plus one processor of headroom each.
+    let processors = tasks.div_ceil(512).div_ceil(8) + 1;
+    let w = workloads::synthetic_population(tasks, 0x5eed);
+    let spec = ShardSpec::new(8, processors, 10_000).with_segment(512);
+    let mut set = ShardSet::new(spec, &w);
+    set.run();
+    let report = set.finish();
+    assert_eq!(report.misses(), 0);
+    assert_eq!(report.scheduled_quanta(), 8_001_803);
+}

@@ -12,7 +12,8 @@
 //!    actually jumps.
 //! 3. **Overhead** — that same probed busy-span run stays within 3× of
 //!    the `NoopProbe` busy-span run (generous floor for noisy CI
-//!    machines; the precise pairs live in `BENCH_pr9.json`).
+//!    machines; `benchmark/`'s `obs.metrics_probe_ratio` is the
+//!    interleaved measurement of what the probe costs slot by slot).
 
 use pfair_core::rational::rat;
 use pfair_core::task::TaskId;
@@ -184,8 +185,8 @@ fn saturated_100k_metrics_probe_is_exact_within_overhead_budget() {
 
     // Overhead pin: within 3× of the noop busy-span run, with a floor
     // so scheduler noise on tiny absolute times cannot flake the test.
-    // (The precise interleaved measurement is the bench pair in
-    // BENCH_pr9.json; this is the regression backstop.)
+    // (The precise interleaved measurement is `benchmark/`'s
+    // `obs.metrics_probe_ratio`; this is the regression backstop.)
     let budget = (noop_time * 3).max(std::time::Duration::from_millis(250));
     assert!(
         probed_time <= budget,

@@ -130,6 +130,9 @@ fn saturation_burst_is_policed_safely() {
     let r = simulate(SimConfig::oi(4, 200), &w);
     assert!(r.is_miss_free(), "misses: {:?}", r.misses);
     assert!(r.max_abs_drift_delta() <= rat(2, 1));
+    // The same all-N burst through rules L/J: coarser, still correct.
+    let lj = simulate(SimConfig::leave_join(4, 200), &w);
+    assert!(lj.is_miss_free(), "LJ misses: {:?}", lj.misses);
 }
 
 /// Over-subscription: requests beyond capacity get clamped, never
