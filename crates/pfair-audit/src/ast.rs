@@ -347,6 +347,9 @@ pub enum ExprKind {
         recv: Box<Expr>,
         /// Method name.
         name: String,
+        /// 1-based line of the method name, where the token lints see
+        /// the call (`Expr::line` is the receiver's first token).
+        name_line: u32,
         /// Arguments.
         args: Vec<Expr>,
     },

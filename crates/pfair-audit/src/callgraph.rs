@@ -282,7 +282,9 @@ fn walk_calls_expr(
     out: &mut BTreeSet<usize>,
 ) {
     match &e.kind {
-        ExprKind::MethodCall { recv, name, args } => {
+        ExprKind::MethodCall {
+            recv, name, args, ..
+        } => {
             walk_calls_expr(recv, locals, fields, g, out);
             for a in args {
                 walk_calls_expr(a, locals, fields, g, out);

@@ -50,7 +50,7 @@ use std::path::{Path, PathBuf};
 use config::Config;
 use lexer::LexFile;
 use lints::{parse_allows, run_lint, RawFinding, BAD_ANNOTATION, CATALOG, PARSE_ERROR};
-use passes::panic_reach::EntryStatus;
+use passes::panic_reach::{EntryStatus, PanicToken};
 use passes::{analyze_source, Workspace};
 
 /// One diagnostic attributed to a file.
@@ -144,10 +144,16 @@ fn token_findings(rel_path: &str, file: &LexFile, cfg: &Config) -> Vec<Finding> 
 /// line (trailing comment) or the line directly below. Missing
 /// reasons, unknown lint names, and allows that suppress nothing are
 /// findings themselves, so the escape hatch cannot rot silently.
+///
+/// One allow per panic site: a reasoned `allow(panic-reach, ..)` also
+/// discharges the `no-panic-in-library` finding of the same call
+/// (`tokens` links the two lines) — reachability from an entry point is
+/// the stronger statement. Not the reverse.
 fn discharge_file(
     rel_path: &str,
     lex: &LexFile,
     mut raw: Vec<Finding>,
+    tokens: &[PanicToken],
     cfg: &Config,
 ) -> Vec<AuditEntry> {
     let allows = parse_allows(lex);
@@ -156,21 +162,24 @@ fn discharge_file(
     raw.dedup();
     let mut out: Vec<AuditEntry> = Vec::new();
 
+    // A same-line (trailing) allow wins over one on the line above, so
+    // adjacent annotated lines each consume their own allow.
+    let covering = |lint: &str, line: u32| {
+        let at = |l: u32| {
+            allows
+                .iter()
+                .enumerate()
+                .find(|(_, a)| a.lint.as_deref() == Ok(lint) && a.line == l)
+        };
+        at(line).or_else(|| line.checked_sub(1).and_then(at))
+    };
     for f in raw {
-        // A same-line (trailing) allow wins over one on the line above,
-        // so adjacent annotated lines each consume their own allow.
-        let matching = |a: &&lints::Allow| matches!(&a.lint, Ok(l) if *l == f.lint);
-        let covering = allows
+        let via_reach = tokens
             .iter()
-            .enumerate()
-            .find(|(_, a)| matching(a) && a.line == f.line)
-            .or_else(|| {
-                allows
-                    .iter()
-                    .enumerate()
-                    .find(|(_, a)| matching(a) && a.line + 1 == f.line)
-            });
-        match covering {
+            .filter(|t| f.lint == lints::NO_PANIC && t.path == rel_path && t.token_line == f.line)
+            .find_map(|t| covering(lints::PANIC_REACH, t.site_line))
+            .filter(|(_, a)| !a.reason.is_empty());
+        match via_reach.or_else(|| covering(&f.lint, f.line)) {
             Some((idx, a)) if !a.reason.is_empty() => {
                 used_allow[idx] = true;
                 out.push(AuditEntry {
@@ -247,7 +256,7 @@ fn active(finding: Finding) -> AuditEntry {
 pub fn audit_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     let file = LexFile::lex(src);
     let raw = token_findings(rel_path, &file, cfg);
-    let mut out: Vec<Finding> = discharge_file(rel_path, &file, raw, cfg)
+    let mut out: Vec<Finding> = discharge_file(rel_path, &file, raw, &[], cfg)
         .into_iter()
         .filter(|e| !e.allowed)
         .map(|e| e.finding)
@@ -298,7 +307,13 @@ pub fn audit_workspace(ws: &Workspace, cfg: &Config) -> AuditReport {
     let mut entries = Vec::new();
     for file in &ws.files {
         let raw = grouped.remove(&file.path).unwrap_or_default();
-        entries.extend(discharge_file(&file.path, &file.lex, raw, cfg));
+        entries.extend(discharge_file(
+            &file.path,
+            &file.lex,
+            raw,
+            &pass_out.panic_tokens,
+            cfg,
+        ));
     }
     // Findings not attributed to a parsed file (e.g. unresolved entry
     // points, attributed to audit.toml) cannot be allow-discharged.
@@ -462,6 +477,64 @@ pub fn entry(v: &[u64]) -> u64 {
         assert_eq!(allowed.len(), 1);
         assert_eq!(allowed[0].finding.lint, lints::PANIC_REACH);
         assert!(report.entry_points[0].panic_free);
+    }
+
+    /// One allow per panic site: the reachability allow on a chain's
+    /// first line also discharges the token lint's finding on the
+    /// `.expect(` line, so a `panic` allow left beside it suppresses
+    /// nothing; a `panic` allow alone never discharges reachability.
+    #[test]
+    fn panic_reach_allow_discharges_the_sites_token_finding() {
+        let mut cfg = cfg_all();
+        cfg.lints
+            .get_mut(lints::PANIC_REACH)
+            .unwrap()
+            .entry_points
+            .push("entry".into());
+        let audit = |src: &str| {
+            let ws = Workspace {
+                files: vec![analyze_source("src/lib.rs", src)],
+            };
+            audit_workspace(&ws, &cfg)
+        };
+
+        let report = audit(
+            "\
+pub fn entry(v: Option<u64>) -> u64 {
+    // audit: allow(panic-reach, callers pass Some)
+    v
+        // audit: allow(panic, stale twin)
+        .expect(\"some\")
+}
+",
+        );
+        let allowed: Vec<(u32, &str)> = report
+            .entries
+            .iter()
+            .filter(|e| e.allowed && e.reason.as_deref() == Some("callers pass Some"))
+            .map(|e| (e.finding.line, e.finding.lint.as_str()))
+            .collect();
+        assert_eq!(allowed, [(3, lints::PANIC_REACH), (5, lints::NO_PANIC)]);
+        let active = report.active();
+        assert_eq!(active.len(), 1, "{active:?}");
+        assert_eq!(
+            (active[0].line, active[0].lint.as_str()),
+            (4, BAD_ANNOTATION)
+        );
+        assert!(report.entry_points[0].panic_free);
+
+        let report = audit(
+            "\
+pub fn entry(v: Option<u64>) -> u64 {
+    // audit: allow(panic, not the stronger statement)
+    v.expect(\"some\")
+}
+",
+        );
+        let active = report.active();
+        assert_eq!(active.len(), 1, "{active:?}");
+        assert_eq!(active[0].lint, lints::PANIC_REACH);
+        assert!(!report.entry_points[0].panic_free);
     }
 
     #[test]

@@ -1488,6 +1488,7 @@ impl<'a> Parser<'a> {
                 match self.peek() {
                     Some(t) if t.kind == TokKind::Ident => {
                         let name = t.text.clone();
+                        let name_line = t.line;
                         self.bump();
                         // Turbofish: `.collect::<Vec<_>>()`.
                         if self.at_punct("::") && self.punct_at(1, "<") {
@@ -1502,6 +1503,7 @@ impl<'a> Parser<'a> {
                                 ExprKind::MethodCall {
                                     recv: Box::new(e),
                                     name,
+                                    name_line,
                                     args,
                                 },
                             );

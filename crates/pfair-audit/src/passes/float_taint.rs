@@ -364,7 +364,9 @@ fn is_tainted(e: &Expr, tainted: &BTreeSet<String>, float_fns: &BTreeSet<String>
             };
             callee_float || args.iter().any(|a| is_tainted(a, tainted, float_fns))
         }
-        ExprKind::MethodCall { recv, name, args } => {
+        ExprKind::MethodCall {
+            recv, name, args, ..
+        } => {
             FLOAT_METHODS.contains(&name.as_str())
                 || float_fns.contains(name)
                 || is_tainted(recv, tainted, float_fns)

@@ -68,6 +68,8 @@ pub struct PassOutput {
     /// Panic-reach entry-point statuses (raw: `panic_free` before
     /// discharge; the report layer recomputes it afterwards).
     pub entry_points: Vec<panic_reach::EntryStatus>,
+    /// Token lines of the reported panic-reach sites.
+    pub panic_tokens: Vec<panic_reach::PanicToken>,
 }
 
 /// Runs all four passes in a fixed order.
@@ -80,5 +82,6 @@ pub fn run_all(ws: &Workspace, cfg: &Config) -> PassOutput {
     PassOutput {
         findings,
         entry_points: reach.entry_points,
+        panic_tokens: reach.tokens,
     }
 }

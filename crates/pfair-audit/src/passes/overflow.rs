@@ -406,7 +406,9 @@ fn eval_expr(e: &Expr, ctx: &mut Ctx<'_>) -> AbsVal {
             let vals: Vec<AbsVal> = args.iter().map(|a| eval_expr(a, ctx)).collect();
             eval_call(callee, &vals, ctx)
         }
-        ExprKind::MethodCall { recv, name, args } => {
+        ExprKind::MethodCall {
+            recv, name, args, ..
+        } => {
             let r = eval_expr(recv, ctx);
             let vals: Vec<AbsVal> = args.iter().map(|a| eval_expr(a, ctx)).collect();
             eval_method(r, name, &vals, e.line, ctx)

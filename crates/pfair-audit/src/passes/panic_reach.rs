@@ -57,6 +57,20 @@ pub struct EntryStatus {
     pub reachable: Vec<String>,
 }
 
+/// Where the token lints see a reported panic source: a finding sits
+/// on the line its expression starts (`site_line`), the
+/// `no-panic-in-library` token lint on the line of the `unwrap` /
+/// `expect` / `panic!` token itself (`token_line`).
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct PanicToken {
+    /// File of the source site.
+    pub path: String,
+    /// Line of the `panic-reach` finding.
+    pub site_line: u32,
+    /// Line of the panicking call's own token.
+    pub token_line: u32,
+}
+
 /// The pass's full output.
 #[derive(Debug, Default)]
 pub struct PanicReachReport {
@@ -64,6 +78,8 @@ pub struct PanicReachReport {
     pub findings: Vec<Finding>,
     /// Per-entry resolution status, in config order.
     pub entry_points: Vec<EntryStatus>,
+    /// One link per finding, for the driver's allow-discharge.
+    pub tokens: Vec<PanicToken>,
 }
 
 /// Runs the pass. Entry points come from the `panic-reach` lint scope;
@@ -85,7 +101,7 @@ pub fn run(ws: &Workspace, cfg: &Config) -> PanicReachReport {
         .collect();
 
     // Panic sources per node, computed once.
-    let mut sources: Vec<Vec<(u32, String)>> = Vec::with_capacity(graph.nodes.len());
+    let mut sources: Vec<Vec<(u32, u32, String)>> = Vec::with_capacity(graph.nodes.len());
     let mut bodies: BTreeMap<(String, u32), &FnItem> = BTreeMap::new();
     for file in &ws.files {
         index_fn_bodies(&file.path, &file.ast.items, &mut bodies);
@@ -128,7 +144,14 @@ pub fn run(ws: &Workspace, cfg: &Config) -> PanicReachReport {
             }
             panic_free = false;
             let chain = witness_chain(&graph, &parent, idx);
-            for (line, desc) in &sources[idx] {
+            for (line, token_line, desc) in &sources[idx] {
+                // Every source links (one finding can stand for two
+                // calls of one chain); findings are one per line.
+                report.tokens.push(PanicToken {
+                    path: graph.nodes[idx].path.clone(),
+                    site_line: *line,
+                    token_line: *token_line,
+                });
                 if !reported.insert((idx, *line)) {
                     continue;
                 }
@@ -152,6 +175,8 @@ pub fn run(ws: &Workspace, cfg: &Config) -> PanicReachReport {
         });
     }
     report.findings.sort();
+    report.tokens.sort();
+    report.tokens.dedup();
     report
 }
 
@@ -266,19 +291,26 @@ fn const_value(e: &Expr, env: &BTreeMap<String, i128>) -> Option<i128> {
     }
 }
 
-/// All panic source sites in a function body, as `(line, description)`.
+/// All panic source sites in a function body, as `(line, token line,
+/// description)`; the two lines differ only for a method call at the
+/// end of a multi-line chain.
 fn panic_sites(
     body: &Block,
     consts: &BTreeMap<String, i128>,
     self_ty: Option<&str>,
     own_methods: &BTreeSet<(String, String)>,
-) -> Vec<(u32, String)> {
+) -> Vec<(u32, u32, String)> {
     let mut out = Vec::new();
     walk_block(body, &mut |e| match &e.kind {
         ExprKind::Macro { name, .. } if PANIC_MACROS.contains(&name.as_str()) => {
-            out.push((e.line, format!("`{name}!` macro")));
+            out.push((e.line, e.line, format!("`{name}!` macro")));
         }
-        ExprKind::MethodCall { recv, name, .. } if PANIC_METHODS.contains(&name.as_str()) => {
+        ExprKind::MethodCall {
+            recv,
+            name,
+            name_line,
+            ..
+        } if PANIC_METHODS.contains(&name.as_str()) => {
             // `self.expect(..)` where the owning type defines its own
             // `expect` is that method (its body is analyzed on its
             // own), not the panicking `Option`/`Result` adapter.
@@ -287,11 +319,11 @@ fn panic_sites(
                     && own_methods.contains(&(ty.to_string(), name.clone()))
             });
             if !shadowed {
-                out.push((e.line, format!("`.{name}()` call")));
+                out.push((e.line, *name_line, format!("`.{name}()` call")));
             }
         }
         ExprKind::Index { .. } => {
-            out.push((e.line, "unchecked `[..]` index".to_string()));
+            out.push((e.line, e.line, "unchecked `[..]` index".to_string()));
         }
         ExprKind::Binary {
             op: op @ (BinOp::Div | BinOp::Rem),
@@ -299,7 +331,11 @@ fn panic_sites(
             ..
         } if !provably_nonzero(rhs, consts) => {
             let sym = if *op == BinOp::Div { "/" } else { "%" };
-            out.push((e.line, format!("`{sym}` with unproven-nonzero divisor")));
+            out.push((
+                e.line,
+                e.line,
+                format!("`{sym}` with unproven-nonzero divisor"),
+            ));
         }
         ExprKind::Assign {
             op: Some(BinOp::Div | BinOp::Rem),
@@ -307,6 +343,7 @@ fn panic_sites(
             ..
         } if !provably_nonzero(rhs, consts) => {
             out.push((
+                e.line,
                 e.line,
                 "compound divide with unproven-nonzero divisor".to_string(),
             ));

@@ -23,6 +23,10 @@ pub fn fixture_config() -> Config {
         .get_mut(PANIC_REACH)
         .unwrap()
         .entry_points
-        .extend(["Sched::run".into(), "SafeSched::run".into()]);
+        .extend([
+            "Sched::run".into(),
+            "SafeSched::run".into(),
+            "MacroSched::run".into(),
+        ]);
     cfg
 }

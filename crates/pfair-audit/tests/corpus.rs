@@ -61,6 +61,9 @@ fn corpus_produces_exactly_the_expected_diagnostics() {
         ("sched/lossy_casts.rs", 5, NO_LOSSY_CASTS),
         ("sched/lossy_casts.rs", 12, BAD_ANNOTATION),
         ("sched/lossy_casts.rs", 12, NO_LOSSY_CASTS),
+        ("sched/macro_args.rs", 20, NO_LOSSY_CASTS),
+        ("sched/macro_args.rs", 21, NO_PANIC),
+        ("sched/macro_args.rs", 22, NO_FLOAT),
         ("sched/obs_aggregation.rs", 8, NO_FLOAT),
         ("sched/obs_aggregation.rs", 8, NO_LOSSY_CASTS),
         ("sched/obs_aggregation.rs", 9, NO_FLOAT),
@@ -168,7 +171,9 @@ fn sanctioned_packed_priority_is_clean() {
 /// Each pass pair's `_ok` twin — checked lookups plus a typed allow
 /// (panic-reach), ordered collections and logical clocks
 /// (nondeterminism), `assume`-bounded arithmetic (overflow-interval),
-/// and float-free accounting (float-taint) — must audit clean.
+/// and float-free accounting (float-taint) — must audit clean, and so
+/// must the macro-argument pair's, whose values sit in checked `let`s
+/// where the passes can read them.
 #[test]
 fn sanctioned_pass_fixtures_are_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -178,6 +183,7 @@ fn sanctioned_pass_fixtures_are_clean() {
         "passes/nondeterminism_ok.rs",
         "passes/overflow_interval_ok.rs",
         "passes/float_taint_ok.rs",
+        "sched/macro_args_ok.rs",
     ] {
         assert!(
             !findings.iter().any(|f| f.path == ok),
@@ -194,7 +200,9 @@ fn sanctioned_pass_fixtures_are_clean() {
 
 /// Both fixture entry points resolve, and only the sanctioned one is
 /// panic-free: the pass's verdict, not just its findings, must track
-/// the fixture pair.
+/// the fixture pair. The third entry pins the passes' blind spot: its
+/// `.unwrap()` sits in a macro token tree no pass reads, so it proves
+/// panic-free and only the token lint (above) names the line.
 #[test]
 fn fixture_entry_points_split_on_panic_freedom() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -210,6 +218,8 @@ fn fixture_entry_points_split_on_panic_freedom() {
     assert!(bad.resolved && !bad.panic_free, "{bad:?}");
     let ok = by_spec("SafeSched::run");
     assert!(ok.resolved && ok.panic_free, "{ok:?}");
+    let blind = by_spec("MacroSched::run");
+    assert!(blind.resolved && blind.panic_free, "{blind:?}");
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! The `pfair slo` subcommand: run a Whisper scenario under the
 //! [`SloMonitor`] probe and report watermarks and exact breach records
 //! for the three service-level signals (sliding-window misses, Eqn (5)
-//! drift against a rational budget, reweight latency). The monitor is
-//! span-aware, so horizon-scale batched runs pay O(1) per span.
+//! drift against a rational budget, reweight latency). No signal reads
+//! a span, so horizon-scale batched runs pay O(1) per span.
 
 use pfair_core::rational::Rational;
 use pfair_json::{obj, Json, ToJson};

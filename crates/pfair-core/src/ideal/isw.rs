@@ -491,7 +491,6 @@ impl IswTracker {
                 .rev()
                 .find(|s| s.index < index && s.halted_at == NEVER)
                 .map(|s| s.index)
-                // audit: allow(panic, caller-contract violation; documented precondition of add_subtask)
                 .expect("non-era-first subtask with b=1 predecessor must have a live predecessor");
             index - pred
         };
@@ -523,7 +522,6 @@ impl IswTracker {
             .subs
             .iter_mut()
             .find(|s| s.index == index)
-            // audit: allow(panic, caller-contract violation; documented precondition of halt)
             .expect("halting unknown subtask");
         assert!(!sub.is_complete(), "halting a complete subtask"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
         assert!(sub.halted_at == NEVER, "halting a halted subtask"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
@@ -844,7 +842,6 @@ fn pred_final_alloc(earlier: &[IswSub], sub: &IswSub) -> Units {
         .binary_search_by_key(&p, |s| s.index)
         .ok()
         .and_then(|j| earlier.get(j))
-        // audit: allow(panic, tracker invariant; a missing predecessor means corrupted state)
         .expect("predecessor retired too early");
     // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
     assert!(

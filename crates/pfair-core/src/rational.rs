@@ -287,10 +287,8 @@ impl Rational {
         let (num, den) = if den < 0 {
             (
                 num.checked_neg() // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-                    // audit: allow(panic, documented overflow contract: ±i128::MIN inputs)
                     .expect("Rational::new overflow: numerator is i128::MIN"),
                 den.checked_neg() // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-                    // audit: allow(panic, documented overflow contract: ±i128::MIN inputs)
                     .expect("Rational::new overflow: denominator is i128::MIN"),
             )
         } else {
@@ -298,7 +296,7 @@ impl Rational {
         };
         // g divides the (positive) denominator, so it always fits in i128.
         let g = gcd(num.unsigned_abs(), den.unsigned_abs());
-        // audit: allow(panic, unreachable: gcd divides the positive denominator); allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        // audit: allow(panic-reach, unreachable: the gcd divides a positive denominator or unit and fits i128)
         let g = i128::try_from(g).expect("Rational::new: gcd exceeds i128");
         if g <= 1 {
             Rational { num, den }
@@ -361,7 +359,6 @@ impl Rational {
         let num = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
             .num
             .checked_abs()
-            // audit: allow(panic, documented overflow contract: numerator i128::MIN)
             .expect("Rational::abs overflow: numerator is i128::MIN");
         Rational { num, den: self.den }
     }
@@ -419,13 +416,11 @@ impl Rational {
     #[inline]
     fn mul_int_wide(self, n: i64) -> Rational {
         let n = i128::from(n);
-        let g = i128::try_from(gcd(n.unsigned_abs(), self.den.unsigned_abs())) // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-            // audit: allow(panic, unreachable: gcd divides the positive denominator)
+        let g = i128::try_from(gcd(n.unsigned_abs(), self.den.unsigned_abs())) // audit: allow(panic-reach, unreachable: the gcd divides a positive denominator or unit and fits i128)
             .expect("Rational mul_int: gcd exceeds i128");
         let num = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
             .num
             .checked_mul(n / g) // audit: allow(panic-reach, divisor is a gcd or a normalized denominator, both nonzero by construction)
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
             .expect("Rational mul_int overflow");
         // gcd(num·(n/g), den/g) = 1: num ⟂ den by canonical form and
         // (n/g) ⟂ (den/g) by construction, so no reduction is needed.
@@ -464,23 +459,20 @@ impl Rational {
             let num = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
                 .num
                 .checked_add(rhs.num)
-                // audit: allow(panic, documented overflow contract of Rational arithmetic)
                 .expect("Rational add overflow");
             return Rational::new(num, self.den);
         }
         // a/b + c/d = (a*d + c*b) / (b*d); reduce via g = gcd(b, d) first to
         // keep intermediates small (the classic Knuth trick).
-        let g = i128::try_from(gcd(self.den.unsigned_abs(), rhs.den.unsigned_abs())) // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-            // audit: allow(panic, unreachable: gcd divides the positive denominator)
+        let g = i128::try_from(gcd(self.den.unsigned_abs(), rhs.den.unsigned_abs())) // audit: allow(panic-reach, unreachable: the gcd divides a positive denominator or unit and fits i128)
             .expect("Rational add: gcd exceeds i128");
         let (b, d) = (self.den / g, rhs.den / g); // audit: allow(panic-reach, divisor is a gcd or a normalized denominator, both nonzero by construction)
         let num = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
             .num
             .checked_mul(d)
             .and_then(|x| rhs.num.checked_mul(b).and_then(|y| x.checked_add(y)))
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
             .expect("Rational add overflow");
-        // audit: allow(panic, documented overflow contract of Rational arithmetic); allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
         let den = self.den.checked_mul(d).expect("Rational add overflow");
         Rational::new(num, den)
     }
@@ -499,19 +491,15 @@ impl Rational {
     fn mul_wide(self, rhs: Rational) -> Rational {
         // Cross-reduce before multiplying to keep intermediates small.
         // Each gcd divides a positive denominator, so both fit in i128.
-        let g1 = i128::try_from(gcd(self.num.unsigned_abs(), rhs.den.unsigned_abs())) // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-            // audit: allow(panic, unreachable: gcd divides the positive denominator)
+        let g1 = i128::try_from(gcd(self.num.unsigned_abs(), rhs.den.unsigned_abs())) // audit: allow(panic-reach, unreachable: the gcd divides a positive denominator or unit and fits i128)
             .expect("Rational mul: gcd exceeds i128");
-        let g2 = i128::try_from(gcd(rhs.num.unsigned_abs(), self.den.unsigned_abs())) // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-            // audit: allow(panic, unreachable: gcd divides the positive denominator)
+        let g2 = i128::try_from(gcd(rhs.num.unsigned_abs(), self.den.unsigned_abs())) // audit: allow(panic-reach, unreachable: the gcd divides a positive denominator or unit and fits i128)
             .expect("Rational mul: gcd exceeds i128");
         let num = (self.num / g1) // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
             .checked_mul(rhs.num / g2) // audit: allow(panic-reach, divisor is a gcd or a normalized denominator, both nonzero by construction)
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
             .expect("Rational mul overflow");
         let den = (self.den / g2) // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
             .checked_mul(rhs.den / g1) // audit: allow(panic-reach, divisor is a gcd or a normalized denominator, both nonzero by construction)
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
             .expect("Rational mul overflow");
         Rational::new(num, den)
     }
@@ -556,7 +544,7 @@ impl Rational {
     pub fn div_floor_int(self, n: i128) -> i128 {
         assert!(self.is_positive(), "div_floor_int by non-positive rational"); // audit: allow(panic-reach, documented contract: zero denominators and non-positive divisors panic)
                                                                                // n / (num/den) = n*den / num
-                                                                               // audit: allow(panic, documented overflow contract of Rational arithmetic); allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+                                                                               // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
         let prod = n.checked_mul(self.den).expect("div_floor_int overflow");
         prod.div_euclid(self.num)
     }
@@ -570,7 +558,7 @@ impl Rational {
     #[inline]
     pub fn div_ceil_int(self, n: i128) -> i128 {
         assert!(self.is_positive(), "div_ceil_int by non-positive rational"); // audit: allow(panic-reach, documented contract: zero denominators and non-positive divisors panic)
-                                                                              // audit: allow(panic, documented overflow contract of Rational arithmetic); allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+                                                                              // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
         let prod = n.checked_mul(self.den).expect("div_ceil_int overflow");
         // Same negation-free ceiling as `Rational::ceil`.
         let q = prod.div_euclid(self.num);
@@ -631,7 +619,7 @@ fn gcd_i128(a: i128, b: i128) -> i128 {
         (Ok(x), Ok(y)) => u128::from(gcd_u64(x, y)),
         _ => gcd(ua, ub),
     };
-    // audit: allow(panic, unreachable: the gcd divides a positive unit); allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+    // audit: allow(panic-reach, unreachable: the gcd divides a positive denominator or unit and fits i128)
     i128::try_from(g).expect("Rational: gcd exceeds i128")
 }
 
@@ -689,9 +677,7 @@ impl Units {
     #[inline]
     pub fn of(r: Rational, unit: Units) -> Units {
         // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-        Units::checked_of(r, unit)
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
-            .expect("Rational mul_int overflow")
+        Units::checked_of(r, unit).expect("Rational mul_int overflow")
     }
 
     /// The value `self/unit` in canonical form — the one gcd of a
@@ -735,9 +721,7 @@ impl Units {
     #[inline]
     pub fn lcm(self, other: Units) -> Units {
         // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-        self.checked_lcm(other)
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
-            .expect("Rational mul overflow")
+        self.checked_lcm(other).expect("Rational mul overflow")
     }
 
     /// The same quantity counted in `to` instead of `from`, for a `to`
@@ -766,7 +750,6 @@ impl Units {
         let product = self
             .0
             .checked_mul(i128::from(n))
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
             .expect("Rational mul_int overflow");
         Units(product)
     }
@@ -1018,7 +1001,6 @@ impl Neg for Rational {
         let num = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
             .num
             .checked_neg()
-            // audit: allow(panic, documented overflow contract: numerator i128::MIN)
             .expect("Rational::neg overflow: numerator is i128::MIN");
         Rational { num, den: self.den }
     }
@@ -1074,13 +1056,11 @@ impl Rational {
         let lhs = self
             .num
             .checked_mul(other.den)
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
             .expect("Rational cmp overflow");
         // audit: allow(panic-reach, documented overflow contract of Rational arithmetic)
         let rhs = other
             .num
             .checked_mul(self.den)
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
             .expect("Rational cmp overflow");
         lhs.cmp(&rhs)
     }

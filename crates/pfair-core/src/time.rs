@@ -22,14 +22,14 @@ pub type Slot = i64;
 /// Narrows an exact `i128` window/lag quantity to a `Slot`.
 #[inline]
 pub fn slot_from_i128(x: i128) -> Slot {
-    // audit: allow(panic, window math is horizon-bounded; out-of-range means corrupted state); allow(panic-reach, slot quantities stay within the horizon enforced at admission)
+    // audit: allow(panic-reach, slot quantities stay within the horizon enforced at admission)
     Slot::try_from(x).expect("slot quantity exceeds the i64 range")
 }
 
 /// Converts a non-negative `Slot` to a container index.
 #[inline]
 pub fn slot_index(t: Slot) -> usize {
-    // audit: allow(panic, indexing requires a non-negative in-range slot; violation is a logic error); allow(panic-reach, slot quantities stay within the horizon enforced at admission)
+    // audit: allow(panic-reach, slot quantities stay within the horizon enforced at admission)
     usize::try_from(t).expect("slot is not a valid container index")
 }
 

@@ -53,7 +53,7 @@
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
 use pfair_core::weight::Weight;
-use pfair_obs::{NoopProbe, Probe};
+use pfair_obs::{NoopProbe, ObsEvent, Probe};
 use pfair_sched::engine::{Engine, SimConfig};
 use pfair_sched::event::{Event, EventKind, Workload};
 use pfair_sched::trace::SimResult;
@@ -386,8 +386,9 @@ impl<P: Probe> Executor<P> {
                     // Previous tick still running: the quantum is lost.
                     self.skips[idx] += 1;
                     self.overruns[idx] += 1;
-                    self.engine.probe_mut().on_exec_overrun(id, t);
-                    self.engine.probe_mut().on_exec_skip(id, t);
+                    let probe = self.engine.probe_mut();
+                    probe.on_event(ObsEvent::ExecOverrun { task: id, t });
+                    probe.on_event(ObsEvent::ExecSkip { task: id, t });
                     continue;
                 }
                 self.busy[idx] = true;

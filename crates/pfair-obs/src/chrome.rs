@@ -16,415 +16,12 @@
 //! are slot counts, and the export goes through `pfair-json`, whose
 //! only number type is `i128`.
 
-use crate::probe::{Probe, ReweightCost, Rule, SpanDigest};
-use pfair_core::rational::Rational;
+use crate::event::{slot_json, u64_json, ObsEvent};
+use crate::probe::{Probe, Rule};
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
-use pfair_json::{obj, FromJson, Json, JsonError, ToJson};
+use pfair_json::{obj, Json, ToJson};
 use std::collections::BTreeMap;
-
-/// One typed engine/executor event, in emission order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ObsEvent {
-    /// Subtask release (`era_first` marks an era-opening release).
-    Release {
-        /// Task released.
-        task: TaskId,
-        /// Subtask index.
-        index: u64,
-        /// Release slot.
-        t: Slot,
-        /// Subtask deadline.
-        deadline: Slot,
-        /// Whether this release opens an era.
-        era_first: bool,
-    },
-    /// Subtask scheduled in a slot.
-    Schedule {
-        /// Task scheduled.
-        task: TaskId,
-        /// Subtask index.
-        index: u64,
-        /// Slot it ran in.
-        t: Slot,
-    },
-    /// Task ran in the previous slot but lost its processor.
-    Preempt {
-        /// Task preempted.
-        task: TaskId,
-        /// Slot of the preemption.
-        t: Slot,
-    },
-    /// Subtask halted (rule O or a leave/LJ withdrawal).
-    Halt {
-        /// Task halted.
-        task: TaskId,
-        /// Subtask index.
-        index: u64,
-        /// Slot of the halt.
-        t: Slot,
-    },
-    /// Stale queue entry discarded by a pop.
-    StalePop {
-        /// Owning task.
-        task: TaskId,
-        /// Subtask index.
-        index: u64,
-        /// Slot of the pop.
-        t: Slot,
-    },
-    /// Stale queue entry dropped by a compaction sweep.
-    StaleDrop {
-        /// Owning task.
-        task: TaskId,
-        /// Subtask index.
-        index: u64,
-        /// Slot of the sweep.
-        t: Slot,
-    },
-    /// Reweighting initiation, with rule and direct cost.
-    ReweightInitiated {
-        /// Task reweighted.
-        task: TaskId,
-        /// Initiation slot.
-        t: Slot,
-        /// Rule that resolved it.
-        rule: Rule,
-        /// Direct cost measured while the rules ran.
-        cost: ReweightCost,
-        /// Projected enactment slot.
-        enact_at: Slot,
-    },
-    /// Reweighting enactment.
-    ReweightEnacted {
-        /// Task reweighted.
-        task: TaskId,
-        /// Enactment slot.
-        t: Slot,
-        /// Slot the event was initiated at.
-        initiated_at: Slot,
-    },
-    /// Closed-form tracker jump.
-    TrackerAdvance {
-        /// Task whose trackers jumped.
-        task: TaskId,
-        /// Jump start boundary.
-        from: Slot,
-        /// Jump end boundary.
-        to: Slot,
-    },
-    /// Executor tick overran its quantum budget.
-    ExecOverrun {
-        /// Task that overran.
-        task: TaskId,
-        /// Slot of the overrun.
-        t: Slot,
-    },
-    /// Executor quantum lost to a still-running previous tick.
-    ExecSkip {
-        /// Task that lost the quantum.
-        task: TaskId,
-        /// Slot of the skip.
-        t: Slot,
-    },
-    /// A quiet span `[from, to)` skipped in closed form — one event
-    /// for the whole span instead of O(width) slot starts.
-    QuietSpan {
-        /// First skipped slot.
-        from: Slot,
-        /// One past the last skipped slot.
-        to: Slot,
-        /// Idle processor-slots over the span.
-        holes: u64,
-    },
-    /// A verified busy-span jump — one event summarizing `periods`
-    /// closed-form repetitions of the verified period, instead of
-    /// O(periods·period) per-slot events.
-    BusySpanJump {
-        /// Arm slot (verification window start).
-        t0: Slot,
-        /// First jumped slot (end of the verified period).
-        t1: Slot,
-        /// Periods jumped in closed form.
-        periods: u64,
-        /// Period length in slots.
-        period: Slot,
-        /// Subtask releases per period (from the digest).
-        releases: u64,
-        /// Scheduled quanta per period (from the digest).
-        schedules: u64,
-        /// Queue pushes + pops per period (from the digest).
-        queue_ops: u64,
-    },
-    /// A deadline miss.
-    Miss {
-        /// Task that missed.
-        task: TaskId,
-        /// Subtask index.
-        index: u64,
-        /// Slot the miss was detected at.
-        t: Slot,
-        /// The missed deadline.
-        deadline: Slot,
-    },
-    /// An Eqn (5) drift sample at an era-opening release.
-    DriftSample {
-        /// Task sampled.
-        task: TaskId,
-        /// Sample slot.
-        t: Slot,
-        /// Exact drift (`ps_total − icsw_total`).
-        drift: Rational,
-    },
-}
-
-fn slot_json(t: Slot) -> Json {
-    Json::Int(i128::from(t))
-}
-
-fn u64_json(v: u64) -> Json {
-    Json::Int(i128::from(v))
-}
-
-impl ToJson for ObsEvent {
-    fn to_json(&self) -> Json {
-        match self {
-            ObsEvent::Release {
-                task,
-                index,
-                t,
-                deadline,
-                era_first,
-            } => obj([
-                ("kind", Json::Str("release".into())),
-                ("task", task.to_json()),
-                ("index", u64_json(*index)),
-                ("t", slot_json(*t)),
-                ("deadline", slot_json(*deadline)),
-                ("era_first", Json::Bool(*era_first)),
-            ]),
-            ObsEvent::Schedule { task, index, t } => obj([
-                ("kind", Json::Str("schedule".into())),
-                ("task", task.to_json()),
-                ("index", u64_json(*index)),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::Preempt { task, t } => obj([
-                ("kind", Json::Str("preempt".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::Halt { task, index, t } => obj([
-                ("kind", Json::Str("halt".into())),
-                ("task", task.to_json()),
-                ("index", u64_json(*index)),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::StalePop { task, index, t } => obj([
-                ("kind", Json::Str("stale_pop".into())),
-                ("task", task.to_json()),
-                ("index", u64_json(*index)),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::StaleDrop { task, index, t } => obj([
-                ("kind", Json::Str("stale_drop".into())),
-                ("task", task.to_json()),
-                ("index", u64_json(*index)),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::ReweightInitiated {
-                task,
-                t,
-                rule,
-                cost,
-                enact_at,
-            } => obj([
-                ("kind", Json::Str("reweight_initiated".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-                ("rule", Json::Str(rule.label().into())),
-                ("queue_ops", u64_json(cost.queue_ops)),
-                ("halts", u64_json(cost.halts)),
-                ("enact_at", slot_json(*enact_at)),
-            ]),
-            ObsEvent::ReweightEnacted {
-                task,
-                t,
-                initiated_at,
-            } => obj([
-                ("kind", Json::Str("reweight_enacted".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-                ("initiated_at", slot_json(*initiated_at)),
-            ]),
-            ObsEvent::TrackerAdvance { task, from, to } => obj([
-                ("kind", Json::Str("tracker_advance".into())),
-                ("task", task.to_json()),
-                ("from", slot_json(*from)),
-                ("to", slot_json(*to)),
-            ]),
-            ObsEvent::ExecOverrun { task, t } => obj([
-                ("kind", Json::Str("exec_overrun".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::ExecSkip { task, t } => obj([
-                ("kind", Json::Str("exec_skip".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::QuietSpan { from, to, holes } => obj([
-                ("kind", Json::Str("quiet_span".into())),
-                ("from", slot_json(*from)),
-                ("to", slot_json(*to)),
-                ("holes", u64_json(*holes)),
-            ]),
-            ObsEvent::BusySpanJump {
-                t0,
-                t1,
-                periods,
-                period,
-                releases,
-                schedules,
-                queue_ops,
-            } => obj([
-                ("kind", Json::Str("busy_span_jump".into())),
-                ("t0", slot_json(*t0)),
-                ("t1", slot_json(*t1)),
-                ("periods", u64_json(*periods)),
-                ("period", slot_json(*period)),
-                ("releases", u64_json(*releases)),
-                ("schedules", u64_json(*schedules)),
-                ("queue_ops", u64_json(*queue_ops)),
-            ]),
-            ObsEvent::Miss {
-                task,
-                index,
-                t,
-                deadline,
-            } => obj([
-                ("kind", Json::Str("miss".into())),
-                ("task", task.to_json()),
-                ("index", u64_json(*index)),
-                ("t", slot_json(*t)),
-                ("deadline", slot_json(*deadline)),
-            ]),
-            ObsEvent::DriftSample { task, t, drift } => obj([
-                ("kind", Json::Str("drift_sample".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-                ("drift", drift.to_json()),
-            ]),
-        }
-    }
-}
-
-impl FromJson for ObsEvent {
-    fn from_json(value: &Json) -> Result<ObsEvent, JsonError> {
-        let kind: String = value.field("kind")?;
-        // Span-level events carry no task; everything else does.
-        match kind.as_str() {
-            "quiet_span" => {
-                return Ok(ObsEvent::QuietSpan {
-                    from: value.field("from")?,
-                    to: value.field("to")?,
-                    holes: value.field("holes")?,
-                });
-            }
-            "busy_span_jump" => {
-                return Ok(ObsEvent::BusySpanJump {
-                    t0: value.field("t0")?,
-                    t1: value.field("t1")?,
-                    periods: value.field("periods")?,
-                    period: value.field("period")?,
-                    releases: value.field("releases")?,
-                    schedules: value.field("schedules")?,
-                    queue_ops: value.field("queue_ops")?,
-                });
-            }
-            _ => {}
-        }
-        let task: TaskId = value.field("task")?;
-        match kind.as_str() {
-            "release" => Ok(ObsEvent::Release {
-                task,
-                index: value.field("index")?,
-                t: value.field("t")?,
-                deadline: value.field("deadline")?,
-                era_first: value.field("era_first")?,
-            }),
-            "schedule" => Ok(ObsEvent::Schedule {
-                task,
-                index: value.field("index")?,
-                t: value.field("t")?,
-            }),
-            "preempt" => Ok(ObsEvent::Preempt {
-                task,
-                t: value.field("t")?,
-            }),
-            "halt" => Ok(ObsEvent::Halt {
-                task,
-                index: value.field("index")?,
-                t: value.field("t")?,
-            }),
-            "stale_pop" => Ok(ObsEvent::StalePop {
-                task,
-                index: value.field("index")?,
-                t: value.field("t")?,
-            }),
-            "stale_drop" => Ok(ObsEvent::StaleDrop {
-                task,
-                index: value.field("index")?,
-                t: value.field("t")?,
-            }),
-            "reweight_initiated" => {
-                let rule_label: String = value.field("rule")?;
-                let rule = Rule::from_label(&rule_label)
-                    .ok_or_else(|| JsonError::new(format!("unknown rule `{rule_label}`")))?;
-                Ok(ObsEvent::ReweightInitiated {
-                    task,
-                    t: value.field("t")?,
-                    rule,
-                    cost: ReweightCost {
-                        queue_ops: value.field("queue_ops")?,
-                        halts: value.field("halts")?,
-                    },
-                    enact_at: value.field("enact_at")?,
-                })
-            }
-            "reweight_enacted" => Ok(ObsEvent::ReweightEnacted {
-                task,
-                t: value.field("t")?,
-                initiated_at: value.field("initiated_at")?,
-            }),
-            "tracker_advance" => Ok(ObsEvent::TrackerAdvance {
-                task,
-                from: value.field("from")?,
-                to: value.field("to")?,
-            }),
-            "exec_overrun" => Ok(ObsEvent::ExecOverrun {
-                task,
-                t: value.field("t")?,
-            }),
-            "exec_skip" => Ok(ObsEvent::ExecSkip {
-                task,
-                t: value.field("t")?,
-            }),
-            "miss" => Ok(ObsEvent::Miss {
-                task,
-                index: value.field("index")?,
-                t: value.field("t")?,
-                deadline: value.field("deadline")?,
-            }),
-            "drift_sample" => Ok(ObsEvent::DriftSample {
-                task,
-                t: value.field("t")?,
-                drift: value.field("drift")?,
-            }),
-            other => Err(JsonError::new(format!("unknown event kind `{other}`"))),
-        }
-    }
-}
 
 /// One reweighting event from initiation to enactment, with its
 /// attributed cost.
@@ -741,288 +338,144 @@ fn instant(name: &str, cat: &str, t: Slot, task: TaskId, index: Option<u64>) -> 
     ])
 }
 
+/// Quiet spans and busy-span jumps are single collapsed events
+/// ([`ObsEvent::QuietSpan`], [`ObsEvent::BusySpanJump`]) instead of
+/// O(width) per-slot entries, so recording stays O(events), not
+/// O(horizon). The one verified period of each busy span is still
+/// recorded per-slot — the jump event summarizes the repetitions.
 impl Probe for TraceRecorder {
-    /// Span-aware: quiet spans and busy-span jumps become single
-    /// collapsed events ([`ObsEvent::QuietSpan`],
-    /// [`ObsEvent::BusySpanJump`]) instead of O(width) per-slot
-    /// entries, so recording stays O(events), not O(horizon). The one
-    /// verified period of each busy span is still recorded per-slot —
-    /// the jump event's digest args summarize the repetitions.
-    const SPAN_AWARE: bool = true;
-
-    fn on_release(&mut self, task: TaskId, index: u64, t: Slot, deadline: Slot, era_first: bool) {
-        self.events.push(ObsEvent::Release {
-            task,
-            index,
-            t,
-            deadline,
-            era_first,
-        });
-        // The era-opening push is deferred cost of the reweighting
-        // event whose enactment (this slot) released it.
-        if era_first {
-            if let Some(&idx) = self.last_enacted.get(&task) {
-                if self.spans.get(idx).is_some_and(|s| s.enacted_at == Some(t)) {
+    fn on_event(&mut self, ev: ObsEvent) {
+        match ev {
+            // The era-opening push is deferred cost of the reweighting
+            // event whose enactment (this slot) released it.
+            ObsEvent::Release {
+                task,
+                t,
+                era_first: true,
+                ..
+            } => {
+                if let Some(&idx) = self.last_enacted.get(&task) {
+                    if self.spans.get(idx).is_some_and(|s| s.enacted_at == Some(t)) {
+                        self.charge(idx, 1);
+                    }
+                }
+            }
+            ObsEvent::Halt { task, index, t } => self.unclaimed_halts.push((task, index, t)),
+            ObsEvent::StalePop { task, index, .. } | ObsEvent::StaleDrop { task, index, .. } => {
+                if let Some(idx) = self.halted_by.remove(&(task, index)) {
                     self.charge(idx, 1);
                 }
             }
-        }
-    }
-
-    fn on_schedule(&mut self, task: TaskId, index: u64, t: Slot) {
-        self.events.push(ObsEvent::Schedule { task, index, t });
-    }
-
-    fn on_preempt(&mut self, task: TaskId, t: Slot) {
-        self.events.push(ObsEvent::Preempt { task, t });
-    }
-
-    fn on_halt(&mut self, task: TaskId, index: u64, t: Slot) {
-        self.events.push(ObsEvent::Halt { task, index, t });
-        self.unclaimed_halts.push((task, index, t));
-    }
-
-    fn on_stale_pop(&mut self, task: TaskId, index: u64, t: Slot) {
-        self.events.push(ObsEvent::StalePop { task, index, t });
-        if let Some(idx) = self.halted_by.remove(&(task, index)) {
-            self.charge(idx, 1);
-        }
-    }
-
-    fn on_stale_drop(&mut self, task: TaskId, index: u64, t: Slot) {
-        self.events.push(ObsEvent::StaleDrop { task, index, t });
-        if let Some(idx) = self.halted_by.remove(&(task, index)) {
-            self.charge(idx, 1);
-        }
-    }
-
-    fn on_reweight_initiated(
-        &mut self,
-        task: TaskId,
-        t: Slot,
-        rule: Rule,
-        cost: ReweightCost,
-        enact_at: Slot,
-    ) {
-        self.events.push(ObsEvent::ReweightInitiated {
-            task,
-            t,
-            rule,
-            cost,
-            enact_at,
-        });
-        // A still-pending earlier event for this task is superseded.
-        if let Some(prev) = self.open.remove(&task) {
-            if let Some(span) = self.spans.get_mut(prev) {
-                span.superseded = true;
+            ObsEvent::ReweightInitiated {
+                task,
+                t,
+                rule,
+                cost,
+                ..
+            } => {
+                // A still-pending earlier event for this task is superseded.
+                if let Some(prev) = self.open.remove(&task) {
+                    if let Some(span) = self.spans.get_mut(prev) {
+                        span.superseded = true;
+                    }
+                }
+                let idx = self.spans.len();
+                self.spans.push(ReweightSpan {
+                    task,
+                    rule,
+                    initiated_at: t,
+                    enacted_at: None,
+                    halts: cost.halts,
+                    queue_ops: cost.queue_ops,
+                    superseded: false,
+                });
+                self.open.insert(task, idx);
+                // Claim this slot's halts of the reweighted task: stale queue
+                // entries they strand will be charged back to this span.
+                self.unclaimed_halts.retain(|&(h_task, h_index, h_t)| {
+                    if h_task == task && h_t == t {
+                        self.halted_by.insert((h_task, h_index), idx);
+                        false
+                    } else {
+                        true
+                    }
+                });
             }
-        }
-        let idx = self.spans.len();
-        self.spans.push(ReweightSpan {
-            task,
-            rule,
-            initiated_at: t,
-            enacted_at: None,
-            halts: cost.halts,
-            queue_ops: cost.queue_ops,
-            superseded: false,
-        });
-        self.open.insert(task, idx);
-        // Claim this slot's halts of the reweighted task: stale queue
-        // entries they strand will be charged back to this span.
-        self.unclaimed_halts.retain(|&(h_task, h_index, h_t)| {
-            if h_task == task && h_t == t {
-                self.halted_by.insert((h_task, h_index), idx);
-                false
-            } else {
-                true
+            ObsEvent::ReweightEnacted { task, t, .. } => {
+                if let Some(idx) = self.open.remove(&task) {
+                    if let Some(span) = self.spans.get_mut(idx) {
+                        span.enacted_at = Some(t);
+                    }
+                    self.last_enacted.insert(task, idx);
+                }
             }
-        });
-    }
-
-    fn on_reweight_enacted(&mut self, task: TaskId, t: Slot, initiated_at: Slot) {
-        self.events.push(ObsEvent::ReweightEnacted {
-            task,
-            t,
-            initiated_at,
-        });
-        if let Some(idx) = self.open.remove(&task) {
-            if let Some(span) = self.spans.get_mut(idx) {
-                span.enacted_at = Some(t);
-            }
-            self.last_enacted.insert(task, idx);
+            _ => {}
         }
-    }
-
-    fn on_tracker_advance(&mut self, task: TaskId, from: Slot, to: Slot) {
-        self.events
-            .push(ObsEvent::TrackerAdvance { task, from, to });
-    }
-
-    fn on_quiet_span(&mut self, from: Slot, to: Slot, holes: u64) {
-        self.events.push(ObsEvent::QuietSpan { from, to, holes });
-    }
-
-    fn on_busy_span_jump(&mut self, t0: Slot, t1: Slot, periods: u64, digest: &SpanDigest) {
-        self.events.push(ObsEvent::BusySpanJump {
-            t0,
-            t1,
-            periods,
-            period: digest.period,
-            releases: digest.releases_total(),
-            schedules: digest.scheduled_quanta,
-            queue_ops: digest.queue_pushes.saturating_add(digest.queue_pops),
-        });
-    }
-
-    fn on_miss(&mut self, task: TaskId, index: u64, t: Slot, deadline: Slot) {
-        self.events.push(ObsEvent::Miss {
-            task,
-            index,
-            t,
-            deadline,
-        });
-    }
-
-    fn on_drift_sample(&mut self, task: TaskId, t: Slot, drift: Rational) {
-        self.events.push(ObsEvent::DriftSample { task, t, drift });
-    }
-
-    fn on_exec_overrun(&mut self, task: TaskId, t: Slot) {
-        self.events.push(ObsEvent::ExecOverrun { task, t });
-    }
-
-    fn on_exec_skip(&mut self, task: TaskId, t: Slot) {
-        self.events.push(ObsEvent::ExecSkip { task, t });
+        self.events.push(ev);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::{ReweightCost, SpanDigest, TaskSpanDelta};
 
-    fn sample_events() -> Vec<ObsEvent> {
-        vec![
-            ObsEvent::Release {
-                task: TaskId(0),
-                index: 1,
-                t: 0,
-                deadline: 4,
-                era_first: true,
-            },
-            ObsEvent::Schedule {
-                task: TaskId(0),
-                index: 1,
-                t: 0,
-            },
-            ObsEvent::Preempt {
-                task: TaskId(1),
-                t: 2,
-            },
-            ObsEvent::Halt {
-                task: TaskId(0),
-                index: 2,
-                t: 3,
-            },
-            ObsEvent::StalePop {
-                task: TaskId(0),
-                index: 2,
-                t: 4,
-            },
-            ObsEvent::StaleDrop {
-                task: TaskId(1),
-                index: 5,
-                t: 4,
-            },
-            ObsEvent::ReweightInitiated {
-                task: TaskId(0),
-                t: 3,
-                rule: Rule::O,
-                cost: ReweightCost {
-                    queue_ops: 2,
-                    halts: 1,
-                },
-                enact_at: 8,
-            },
-            ObsEvent::ReweightEnacted {
-                task: TaskId(0),
-                t: 8,
-                initiated_at: 3,
-            },
-            ObsEvent::TrackerAdvance {
-                task: TaskId(0),
-                from: 3,
-                to: 8,
-            },
-            ObsEvent::ExecOverrun {
-                task: TaskId(2),
-                t: 5,
-            },
-            ObsEvent::ExecSkip {
-                task: TaskId(2),
-                t: 6,
-            },
-            ObsEvent::QuietSpan {
-                from: 10,
-                to: 40,
-                holes: 60,
-            },
-            ObsEvent::BusySpanJump {
-                t0: 40,
-                t1: 52,
-                periods: 1000,
-                period: 12,
-                releases: 7,
-                schedules: 24,
-                queue_ops: 14,
-            },
-            ObsEvent::Miss {
-                task: TaskId(1),
-                index: 9,
-                t: 13,
-                deadline: 13,
-            },
-            ObsEvent::DriftSample {
-                task: TaskId(0),
-                t: 8,
-                drift: pfair_core::rational::rat(-1, 3),
-            },
-        ]
+    fn initiated(task: u32, t: Slot, rule: Rule, queue_ops: u64, halts: u64) -> ObsEvent {
+        ObsEvent::ReweightInitiated {
+            task: TaskId(task),
+            t,
+            rule,
+            cost: ReweightCost { queue_ops, halts },
+            enact_at: t,
+        }
     }
 
-    #[test]
-    fn obs_events_round_trip_through_json() {
-        for ev in sample_events() {
-            let text = ev.to_json().to_string_pretty();
-            let parsed = Json::parse(&text).unwrap();
-            assert_eq!(ObsEvent::from_json(&parsed).unwrap(), ev);
+    fn enacted(task: u32, t: Slot, initiated_at: Slot) -> ObsEvent {
+        ObsEvent::ReweightEnacted {
+            task: TaskId(task),
+            t,
+            initiated_at,
+        }
+    }
+
+    fn era_release(index: u64, t: Slot) -> ObsEvent {
+        ObsEvent::Release {
+            task: TaskId(0),
+            index,
+            t,
+            deadline: t + 4,
+            era_first: true,
         }
     }
 
     #[test]
     fn recorder_attributes_direct_and_deferred_cost() {
         let mut rec = TraceRecorder::new();
+        let task = TaskId(0);
         // Rule-O event at t=3: one halt, two direct queue ops.
-        rec.on_halt(TaskId(0), 2, 3);
-        rec.on_reweight_initiated(
-            TaskId(0),
-            3,
-            Rule::O,
-            ReweightCost {
-                queue_ops: 2,
-                halts: 1,
-            },
-            8,
-        );
+        rec.on_event(ObsEvent::Halt {
+            task,
+            index: 2,
+            t: 3,
+        });
+        rec.on_event(initiated(0, 3, Rule::O, 2, 1));
         // Deferred: the halted subtask's queue entry goes stale.
-        rec.on_stale_pop(TaskId(0), 2, 5);
+        rec.on_event(ObsEvent::StalePop {
+            task,
+            index: 2,
+            t: 5,
+        });
         // Unrelated stale entry — not attributed.
-        rec.on_stale_drop(TaskId(1), 7, 5);
-        rec.on_reweight_enacted(TaskId(0), 8, 3);
+        rec.on_event(ObsEvent::StaleDrop {
+            task: TaskId(1),
+            index: 7,
+            t: 5,
+        });
+        rec.on_event(enacted(0, 8, 3));
         // Era-opening push at the enactment slot is deferred cost too.
-        rec.on_release(TaskId(0), 3, 8, 12, true);
+        rec.on_event(era_release(3, 8));
         // A later era release is NOT attributed (wrong slot).
-        rec.on_release(TaskId(0), 4, 10, 14, true);
+        rec.on_event(era_release(4, 10));
 
         let spans = rec.spans();
         assert_eq!(spans.len(), 1);
@@ -1040,9 +493,9 @@ mod tests {
     #[test]
     fn superseded_spans_are_marked() {
         let mut rec = TraceRecorder::new();
-        rec.on_reweight_initiated(TaskId(0), 2, Rule::I, ReweightCost::default(), 9);
-        rec.on_reweight_initiated(TaskId(0), 4, Rule::O, ReweightCost::default(), 11);
-        rec.on_reweight_enacted(TaskId(0), 11, 4);
+        rec.on_event(initiated(0, 2, Rule::I, 0, 0));
+        rec.on_event(initiated(0, 4, Rule::O, 0, 0));
+        rec.on_event(enacted(0, 11, 4));
         let spans = rec.spans();
         assert_eq!(spans.len(), 2);
         assert!(spans[0].superseded);
@@ -1054,37 +507,10 @@ mod tests {
     #[test]
     fn top_reweights_sorts_by_cost_then_time() {
         let mut rec = TraceRecorder::new();
-        rec.on_reweight_initiated(
-            TaskId(0),
-            1,
-            Rule::I,
-            ReweightCost {
-                queue_ops: 1,
-                halts: 0,
-            },
-            1,
-        );
-        rec.on_reweight_enacted(TaskId(0), 1, 1);
-        rec.on_reweight_initiated(
-            TaskId(1),
-            2,
-            Rule::O,
-            ReweightCost {
-                queue_ops: 3,
-                halts: 2,
-            },
-            7,
-        );
-        rec.on_reweight_initiated(
-            TaskId(2),
-            3,
-            Rule::Lj,
-            ReweightCost {
-                queue_ops: 4,
-                halts: 1,
-            },
-            5,
-        );
+        rec.on_event(initiated(0, 1, Rule::I, 1, 0));
+        rec.on_event(enacted(0, 1, 1));
+        rec.on_event(initiated(1, 2, Rule::O, 3, 2));
+        rec.on_event(initiated(2, 3, Rule::Lj, 4, 1));
         let top = rec.top_reweights(2);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].task, TaskId(1));
@@ -1102,21 +528,25 @@ mod tests {
     #[test]
     fn chrome_trace_round_trips_and_has_expected_shape() {
         let mut rec = TraceRecorder::new();
-        rec.on_release(TaskId(0), 1, 0, 4, true);
-        rec.on_schedule(TaskId(0), 1, 0);
-        rec.on_halt(TaskId(0), 2, 3);
-        rec.on_reweight_initiated(
-            TaskId(0),
-            3,
-            Rule::O,
-            ReweightCost {
-                queue_ops: 2,
-                halts: 1,
-            },
-            8,
-        );
-        rec.on_reweight_enacted(TaskId(0), 8, 3);
-        rec.on_tracker_advance(TaskId(0), 3, 8);
+        let task = TaskId(0);
+        rec.on_event(era_release(1, 0));
+        rec.on_event(ObsEvent::Schedule {
+            task,
+            index: 1,
+            t: 0,
+        });
+        rec.on_event(ObsEvent::Halt {
+            task,
+            index: 2,
+            t: 3,
+        });
+        rec.on_event(initiated(0, 3, Rule::O, 2, 1));
+        rec.on_event(enacted(0, 8, 3));
+        rec.on_event(ObsEvent::TrackerAdvance {
+            task,
+            from: 3,
+            to: 8,
+        });
 
         let json = rec.chrome_trace();
         let text = json.to_string_pretty();
@@ -1148,16 +578,25 @@ mod tests {
     #[test]
     fn chrome_trace_collapses_spans_to_single_slices() {
         let mut rec = TraceRecorder::new();
+        let task = TaskId(0);
         rec.on_slot_start(0);
-        rec.on_schedule(TaskId(0), 1, 0);
-        rec.on_quiet_span(1, 5001, 10_000);
+        rec.on_event(ObsEvent::Schedule {
+            task,
+            index: 1,
+            t: 0,
+        });
+        rec.on_event(ObsEvent::QuietSpan {
+            from: 1,
+            to: 5001,
+            holes: 10_000,
+        });
         let digest = SpanDigest {
             period: 12,
             queue_pushes: 4,
             queue_pops: 4,
             scheduled_quanta: 24,
-            per_task: vec![crate::probe::TaskSpanDelta {
-                task: TaskId(0),
+            per_task: vec![TaskSpanDelta {
+                task,
                 releases: 4,
                 schedules: 24,
             }],
@@ -1165,7 +604,12 @@ mod tests {
         };
         rec.on_span_armed(5001);
         rec.on_busy_span_jump(5001, 5013, 8000, &digest);
-        rec.on_miss(TaskId(0), 7, 5013, 5013);
+        rec.on_event(ObsEvent::Miss {
+            task,
+            index: 7,
+            t: 5013,
+            deadline: 5013,
+        });
 
         let json = rec.chrome_trace();
         let Some(Json::Array(events)) = json.get("traceEvents") else {

@@ -2,12 +2,12 @@
 //! events, frozen into an *incident* when something goes wrong.
 //!
 //! A [`FlightRecorder`] is a [`Probe`] that keeps the last `N` typed
-//! [`ObsEvent`]s (span-aware, so horizon-scale closed-form runs cost
-//! one ring entry per span, not per slot). When a deadline miss or a
-//! drift-budget breach is observed, the current ring contents are
-//! copied into a [`FlightIncident`] — the black-box snapshot of what
-//! led up to the failure — and recording continues. The whole state
-//! dumps to `pfair-json` ([`FlightRecorder::dump`]), which
+//! [`ObsEvent`]s (a closed-form span is one event, so horizon-scale
+//! runs cost one ring entry per span, not per slot). When a deadline
+//! miss or a drift-budget breach is observed, the current ring contents
+//! are copied into a [`FlightIncident`] — the black-box snapshot of
+//! what led up to the failure — and recording continues. The whole
+//! state dumps to `pfair-json` ([`FlightRecorder::dump`]), which
 //! `pfair trace --flight` writes to disk; an explicit dump needs no
 //! incident at all.
 //!
@@ -16,10 +16,9 @@
 //! counted (`dropped` events, `suppressed` incidents) rather than
 //! silently discarded.
 
-use crate::chrome::ObsEvent;
-use crate::probe::{Probe, ReweightCost, Rule, SpanDigest};
+use crate::event::ObsEvent;
+use crate::probe::Probe;
 use pfair_core::rational::Rational;
-use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
 use pfair_json::{obj, Json, ToJson};
 use std::collections::VecDeque;
@@ -197,123 +196,48 @@ impl FlightRecorder {
         self.incidents.push(FlightIncident {
             trigger,
             t,
-            events: self.ring.iter().cloned().collect(),
+            events: self.ring.iter().copied().collect(),
         });
     }
 }
 
 impl Probe for FlightRecorder {
-    /// Span-aware: a closed-form span costs one ring entry, so the
-    /// recorder never forces the engine back to per-slot stepping.
-    const SPAN_AWARE: bool = true;
-
-    fn on_release(&mut self, task: TaskId, index: u64, t: Slot, deadline: Slot, era_first: bool) {
-        self.push(ObsEvent::Release {
-            task,
-            index,
-            t,
-            deadline,
-            era_first,
-        });
-    }
-
-    fn on_schedule(&mut self, task: TaskId, index: u64, t: Slot) {
-        self.push(ObsEvent::Schedule { task, index, t });
-    }
-
-    fn on_preempt(&mut self, task: TaskId, t: Slot) {
-        self.push(ObsEvent::Preempt { task, t });
-    }
-
-    fn on_halt(&mut self, task: TaskId, index: u64, t: Slot) {
-        self.push(ObsEvent::Halt { task, index, t });
-    }
-
-    fn on_stale_pop(&mut self, task: TaskId, index: u64, t: Slot) {
-        self.push(ObsEvent::StalePop { task, index, t });
-    }
-
-    fn on_stale_drop(&mut self, task: TaskId, index: u64, t: Slot) {
-        self.push(ObsEvent::StaleDrop { task, index, t });
-    }
-
-    fn on_reweight_initiated(
-        &mut self,
-        task: TaskId,
-        t: Slot,
-        rule: Rule,
-        cost: ReweightCost,
-        enact_at: Slot,
-    ) {
-        self.push(ObsEvent::ReweightInitiated {
-            task,
-            t,
-            rule,
-            cost,
-            enact_at,
-        });
-    }
-
-    fn on_reweight_enacted(&mut self, task: TaskId, t: Slot, initiated_at: Slot) {
-        self.push(ObsEvent::ReweightEnacted {
-            task,
-            t,
-            initiated_at,
-        });
-    }
-
-    fn on_tracker_advance(&mut self, task: TaskId, from: Slot, to: Slot) {
-        self.push(ObsEvent::TrackerAdvance { task, from, to });
-    }
-
-    fn on_quiet_span(&mut self, from: Slot, to: Slot, holes: u64) {
-        self.push(ObsEvent::QuietSpan { from, to, holes });
-    }
-
-    fn on_busy_span_jump(&mut self, t0: Slot, t1: Slot, periods: u64, digest: &SpanDigest) {
-        self.push(ObsEvent::BusySpanJump {
-            t0,
-            t1,
-            periods,
-            period: digest.period,
-            releases: digest.releases_total(),
-            schedules: digest.scheduled_quanta,
-            queue_ops: digest.queue_pushes.saturating_add(digest.queue_pops),
-        });
-    }
-
-    fn on_miss(&mut self, task: TaskId, index: u64, t: Slot, deadline: Slot) {
-        self.push(ObsEvent::Miss {
-            task,
-            index,
-            t,
-            deadline,
-        });
-        self.capture(FlightTrigger::DeadlineMiss, t);
-    }
-
-    fn on_drift_sample(&mut self, task: TaskId, t: Slot, drift: Rational) {
-        self.push(ObsEvent::DriftSample { task, t, drift });
-        if let Some(budget) = self.cfg.drift_budget {
-            if drift.abs() > budget {
+    fn on_event(&mut self, ev: ObsEvent) {
+        self.push(ev);
+        match ev {
+            ObsEvent::Miss { t, .. } => self.capture(FlightTrigger::DeadlineMiss, t),
+            ObsEvent::DriftSample { t, drift, .. }
+                if self.cfg.drift_budget.is_some_and(|b| drift.abs() > b) =>
+            {
                 self.capture(FlightTrigger::DriftBreach, t);
             }
+            _ => {}
         }
-    }
-
-    fn on_exec_overrun(&mut self, task: TaskId, t: Slot) {
-        self.push(ObsEvent::ExecOverrun { task, t });
-    }
-
-    fn on_exec_skip(&mut self, task: TaskId, t: Slot) {
-        self.push(ObsEvent::ExecSkip { task, t });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::SpanDigest;
     use pfair_core::rational::rat;
+    use pfair_core::task::TaskId;
+
+    fn schedule(t: Slot) -> ObsEvent {
+        ObsEvent::Schedule {
+            task: TaskId(0),
+            index: 1,
+            t,
+        }
+    }
+
+    fn drift_sample(t: Slot, drift: Rational) -> ObsEvent {
+        ObsEvent::DriftSample {
+            task: TaskId(0),
+            t,
+            drift,
+        }
+    }
 
     #[test]
     fn ring_is_bounded_and_counts_drops() {
@@ -322,28 +246,28 @@ mod tests {
             ..FlightConfig::default()
         });
         for t in 0..10 {
-            fr.on_schedule(TaskId(0), 1, t);
+            fr.on_event(schedule(t));
         }
         assert_eq!(fr.recent().count(), 4);
         assert_eq!(fr.dropped(), 6);
         // Oldest entries were evicted: the ring starts at t = 6.
-        let first = fr.recent().next().cloned();
-        assert_eq!(
-            first,
-            Some(ObsEvent::Schedule {
-                task: TaskId(0),
-                index: 1,
-                t: 6
-            })
-        );
+        assert_eq!(fr.recent().next(), Some(&schedule(6)));
     }
 
     #[test]
     fn miss_freezes_the_ring_into_an_incident() {
         let mut fr = FlightRecorder::new();
-        fr.on_schedule(TaskId(0), 1, 10);
-        fr.on_preempt(TaskId(0), 11);
-        fr.on_miss(TaskId(0), 2, 12, 12);
+        fr.on_event(schedule(10));
+        fr.on_event(ObsEvent::Preempt {
+            task: TaskId(0),
+            t: 11,
+        });
+        fr.on_event(ObsEvent::Miss {
+            task: TaskId(0),
+            index: 2,
+            t: 12,
+            deadline: 12,
+        });
         assert_eq!(fr.incidents().len(), 1);
         let inc = &fr.incidents()[0];
         assert_eq!(inc.trigger, FlightTrigger::DeadlineMiss);
@@ -360,10 +284,10 @@ mod tests {
             max_incidents: 2,
             ..FlightConfig::default()
         });
-        fr.on_drift_sample(TaskId(0), 5, rat(1, 4)); // within budget
+        fr.on_event(drift_sample(5, rat(1, 4))); // within budget
         assert!(fr.incidents().is_empty());
         for t in [6, 7, 8] {
-            fr.on_drift_sample(TaskId(0), t, rat(-2, 3)); // |.| > 1/2
+            fr.on_event(drift_sample(t, rat(-2, 3))); // |.| > 1/2
         }
         assert_eq!(fr.incidents().len(), 2);
         assert_eq!(fr.suppressed(), 1);
@@ -373,7 +297,11 @@ mod tests {
     #[test]
     fn spans_cost_one_entry_and_dump_has_expected_shape() {
         let mut fr = FlightRecorder::new();
-        fr.on_quiet_span(0, 100_000, 400_000);
+        fr.on_event(ObsEvent::QuietSpan {
+            from: 0,
+            to: 100_000,
+            holes: 400_000,
+        });
         fr.on_busy_span_jump(100_000, 100_012, 5000, &SpanDigest::default());
         fr.capture_now(160_012);
         assert_eq!(fr.recent().count(), 2);

@@ -6,34 +6,43 @@
 //! say *how many* queue operations and halts a run cost; this crate
 //! says *which reweighting event* caused each of them.
 //!
-//! Three pieces:
+//! One vocabulary, one tap, four readers:
 //!
-//! * [`Probe`] — a statically dispatched event tap the engine and
-//!   executor are generic over. The default [`NoopProbe`] compiles
-//!   every hook to nothing (`benchmark/`'s `obs.metrics_probe_ratio`
-//!   and `obs.trace_probe_ratio` price the real probes against it).
-//! * [`Registry`]/[`MetricsProbe`] — exact-integer counters and
-//!   power-of-two-bucket histograms with deterministic text/JSON
-//!   snapshots; no floats anywhere, so the crate sits inside
+//! * [`event`] — [`ObsEvent`], the typed observation every probe
+//!   reads, and its JSON codecs. A new kind of observation is a new
+//!   variant plus an arm in whichever probe reads it.
+//! * [`probe`] — [`Probe`], a statically dispatched tap the engine and
+//!   executor are generic over: `on_event(ObsEvent)` plus the clock
+//!   tick and three hooks that lend an aggregate (a slot's release
+//!   batch, a busy span's arming and jump). The default [`NoopProbe`]
+//!   compiles every hook to nothing (`benchmark/`'s
+//!   `obs.metrics_probe_ratio` and `obs.trace_probe_ratio` price the
+//!   real probes against it); [`Fanout`] runs two probes on one run.
+//! * [`metrics`] — [`Registry`]/[`MetricsProbe`]: exact-integer
+//!   counters and power-of-two-bucket histograms with deterministic
+//!   text/JSON snapshots; no floats anywhere, so the crate sits inside
 //!   `pfair-audit`'s strict lint scope.
-//! * [`TraceRecorder`] — records the typed event stream, attributes
+//! * [`chrome`] — [`TraceRecorder`] keeps the event stream, attributes
 //!   direct *and deferred* cost to each reweighting event
 //!   ([`ReweightSpan`]), and exports Chrome trace-event JSON
 //!   ([`TraceRecorder::chrome_trace`]) viewable in `chrome://tracing`
 //!   or Perfetto.
-//!
-//! Combine probes with [`Fanout`] to record a trace and aggregate
-//! metrics in the same run.
+//! * [`flight`] / [`slo`] — [`FlightRecorder`], a bounded ring of the
+//!   latest events frozen into an incident on a miss or drift breach,
+//!   and [`SloMonitor`], windowed miss / drift / reweight-latency
+//!   watermarks with exact breach records.
 
 #![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod chrome;
+pub mod event;
 pub mod flight;
 pub mod metrics;
 pub mod probe;
 pub mod slo;
 
-pub use chrome::{ObsEvent, ReweightSpan, TraceRecorder};
+pub use chrome::{ReweightSpan, TraceRecorder};
+pub use event::ObsEvent;
 pub use flight::{FlightConfig, FlightIncident, FlightRecorder, FlightTrigger};
 pub use metrics::{Histogram, MetricsProbe, Registry};
 pub use probe::{

@@ -11,8 +11,8 @@
 //! allocation, no data-dependent layout — snapshots of identical runs
 //! are byte-identical regardless of arrival order.
 
-use crate::probe::{Probe, ReleaseRec, ReweightCost, Rule, SpanDigest};
-use pfair_core::task::TaskId;
+use crate::event::ObsEvent;
+use crate::probe::{Probe, ReleaseRec, Rule, SpanDigest};
 use pfair_core::time::Slot;
 use pfair_json::{FromJson, Json, JsonError, ToJson};
 
@@ -89,25 +89,6 @@ impl Histogram {
     /// Largest sample seen (0 when empty).
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Records `n` identical samples of `value` in O(1) — the exact
-    /// bulk path behind span aggregation: `n` repeats of one sample
-    /// land in one bucket, add `n·value` to the sum, and cannot move
-    /// the max beyond `value`.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let b = bucket_of(value);
-        if let Some(slot) = self.counts.get_mut(b) {
-            *slot = slot.saturating_add(n);
-        }
-        self.count = self.count.saturating_add(n);
-        self.sum = self
-            .sum
-            .saturating_add(u128::from(value).saturating_mul(u128::from(n)));
-        self.max = self.max.max(value);
     }
 
     /// The histogram of samples recorded since `base` (which must be
@@ -262,21 +243,6 @@ impl Registry {
         }
         let mut h = Histogram::new();
         h.record(value);
-        self.histograms.push((name.to_string(), h));
-    }
-
-    /// Records `n` identical samples of `value` into histogram `name`
-    /// in O(1) (see [`Histogram::record_n`]).
-    pub fn record_n(&mut self, name: &str, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if let Some((_, h)) = self.histograms.iter_mut().find(|(n_, _)| n_ == name) {
-            h.record_n(value, n);
-            return;
-        }
-        let mut h = Histogram::new();
-        h.record_n(value, n);
         self.histograms.push((name.to_string(), h));
     }
 
@@ -449,21 +415,20 @@ fn width(from: Slot, to: Slot) -> u64 {
 /// histograms of per-event direct cost, initiation→enactment latency,
 /// and tracker-jump interval widths.
 ///
-/// Span-aware ([`Probe::SPAN_AWARE`]), and **exactly** so: when the
-/// busy-span batcher arms a verification window the probe clones its
-/// registry ([`Probe::on_span_armed`]); when the engine jumps `k`
-/// verified periods, the registry delta accumulated over the one
-/// simulated period is scaled by `k` and merged back
-/// ([`Registry::add_scaled`]). Because the verified period's hook
-/// stream is what a per-slot run would emit — shifted in time, which
-/// no counter or histogram width depends on — the final registry is
-/// bit-identical to a per-slot oracle run's.
+/// **Exact** across busy-span jumps: when the batcher arms a
+/// verification window the probe clones its registry
+/// ([`Probe::on_span_armed`]); when the engine jumps `k` verified
+/// periods, the registry delta accumulated over the one simulated
+/// period is scaled by `k` and merged back ([`Registry::add_scaled`]).
+/// Because the verified period's hook stream is what a per-slot run
+/// would emit — shifted in time, which no counter or histogram width
+/// depends on — the final registry is bit-identical to a per-slot
+/// oracle run's.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsProbe {
     reg: Registry,
-    /// Registry snapshot taken at the last `on_span_armed`, keyed by
-    /// the arm slot so a stale snapshot (mismatch, quiet-span overrun)
-    /// can never be scaled against the wrong window.
+    /// Registry snapshot taken at the last `on_span_armed`, with the
+    /// arm slot its jump must name.
     armed: Option<(Slot, Registry)>,
 }
 
@@ -490,51 +455,60 @@ impl MetricsProbe {
     pub fn from_registry(reg: Registry) -> MetricsProbe {
         MetricsProbe { reg, armed: None }
     }
-
-    /// Digest-only fallback for a jump with no matching armed
-    /// snapshot (defensive; the engine always arms before jumping):
-    /// bulk-increments the counters the digest carries. Histograms
-    /// whose samples the digest cannot reconstruct (tracker jump
-    /// widths) are left to the snapshot path.
-    fn apply_digest(&mut self, periods: u64, digest: &SpanDigest) {
-        let slots = u64::try_from(digest.period)
-            .unwrap_or(0)
-            .saturating_mul(periods);
-        self.reg.inc("slots", slots);
-        self.reg
-            .inc("releases", digest.releases_total().saturating_mul(periods));
-        self.reg
-            .inc("schedules", digest.scheduled_quanta.saturating_mul(periods));
-        self.reg
-            .inc("preemptions", digest.preemptions.saturating_mul(periods));
-        self.reg.inc("halts", digest.halts.saturating_mul(periods));
-        self.reg.inc(
-            "queue.stale_pops",
-            digest.stale_pops.saturating_mul(periods),
-        );
-        self.reg.inc(
-            "queue.stale_drops",
-            digest.stale_drops.saturating_mul(periods),
-        );
-    }
 }
 
 impl Probe for MetricsProbe {
-    const SPAN_AWARE: bool = true;
-
-    fn on_slot_start(&mut self, _t: Slot) {
-        self.reg.inc("slots", 1);
-    }
-
-    fn on_release(&mut self, _task: TaskId, _index: u64, _t: Slot, _deadline: Slot, era: bool) {
-        self.reg.inc("releases", 1);
-        if era {
-            self.reg.inc("releases.era_first", 1);
+    // Forced inline: out of line, every call site in the slot pipeline
+    // materializes the event and pays a call for one counter bump.
+    #[inline(always)]
+    fn on_event(&mut self, ev: ObsEvent) {
+        match ev {
+            ObsEvent::Release { era_first, .. } => {
+                self.reg.inc("releases", 1);
+                if era_first {
+                    self.reg.inc("releases.era_first", 1);
+                }
+            }
+            ObsEvent::Schedule { .. } => self.reg.inc("schedules", 1),
+            ObsEvent::Preempt { .. } => self.reg.inc("preemptions", 1),
+            ObsEvent::Halt { .. } => self.reg.inc("halts", 1),
+            ObsEvent::StalePop { .. } => self.reg.inc("queue.stale_pops", 1),
+            ObsEvent::StaleDrop { .. } => self.reg.inc("queue.stale_drops", 1),
+            ObsEvent::ReweightInitiated {
+                t,
+                rule,
+                cost,
+                enact_at,
+                ..
+            } => {
+                self.reg.inc("reweight.initiated", 1);
+                match rule {
+                    Rule::O => self.reg.inc("reweight.rule.O", 1),
+                    Rule::I => self.reg.inc("reweight.rule.I", 1),
+                    Rule::Lj => self.reg.inc("reweight.rule.LJ", 1),
+                    Rule::Immediate => self.reg.inc("reweight.rule.immediate", 1),
+                }
+                self.reg.record(
+                    "reweight.direct_cost",
+                    cost.queue_ops.saturating_add(cost.halts),
+                );
+                self.reg.record("reweight.latency", width(t, enact_at));
+            }
+            ObsEvent::ReweightEnacted { .. } => self.reg.inc("reweight.enacted", 1),
+            ObsEvent::TrackerAdvance { from, to, .. } => {
+                self.reg.inc("tracker.advances", 1);
+                self.reg.record("tracker.jump_width", width(from, to));
+            }
+            ObsEvent::QuietSpan { from, to, .. } => self.reg.inc("slots", width(from, to)),
+            ObsEvent::Miss { .. } => self.reg.inc("misses", 1),
+            ObsEvent::ExecOverrun { .. } => self.reg.inc("exec.overruns", 1),
+            ObsEvent::ExecSkip { .. } => self.reg.inc("exec.skips", 1),
+            _ => {}
         }
     }
 
-    fn on_quiet_span(&mut self, from: Slot, to: Slot, _holes: u64) {
-        self.reg.inc("slots", width(from, to));
+    fn on_slot_start(&mut self, _t: Slot) {
+        self.reg.inc("slots", 1);
     }
 
     fn on_release_batch(&mut self, _t: Slot, releases: &[ReleaseRec]) {
@@ -553,86 +527,27 @@ impl Probe for MetricsProbe {
         self.armed = Some((t0, self.reg.clone()));
     }
 
-    fn on_busy_span_jump(&mut self, t0: Slot, _t1: Slot, periods: u64, digest: &SpanDigest) {
-        match self.armed.take() {
-            Some((at, base)) if at == t0 => {
-                // Everything recorded since arming is exactly one
-                // verified period's worth of hooks; the jump repeats
-                // that period `periods` more times.
-                let delta = self.reg.delta_since(&base);
-                self.reg.add_scaled(&delta, periods);
-            }
-            _ => self.apply_digest(periods, digest),
-        }
-    }
-
-    fn on_miss(&mut self, _task: TaskId, _index: u64, _t: Slot, _deadline: Slot) {
-        self.reg.inc("misses", 1);
-    }
-
-    fn on_schedule(&mut self, _task: TaskId, _index: u64, _t: Slot) {
-        self.reg.inc("schedules", 1);
-    }
-
-    fn on_preempt(&mut self, _task: TaskId, _t: Slot) {
-        self.reg.inc("preemptions", 1);
-    }
-
-    fn on_halt(&mut self, _task: TaskId, _index: u64, _t: Slot) {
-        self.reg.inc("halts", 1);
-    }
-
-    fn on_stale_pop(&mut self, _task: TaskId, _index: u64, _t: Slot) {
-        self.reg.inc("queue.stale_pops", 1);
-    }
-
-    fn on_stale_drop(&mut self, _task: TaskId, _index: u64, _t: Slot) {
-        self.reg.inc("queue.stale_drops", 1);
-    }
-
-    fn on_reweight_initiated(
-        &mut self,
-        _task: TaskId,
-        t: Slot,
-        rule: Rule,
-        cost: ReweightCost,
-        enact_at: Slot,
-    ) {
-        self.reg.inc("reweight.initiated", 1);
-        match rule {
-            Rule::O => self.reg.inc("reweight.rule.O", 1),
-            Rule::I => self.reg.inc("reweight.rule.I", 1),
-            Rule::Lj => self.reg.inc("reweight.rule.LJ", 1),
-            Rule::Immediate => self.reg.inc("reweight.rule.immediate", 1),
-        }
-        self.reg.record(
-            "reweight.direct_cost",
-            cost.queue_ops.saturating_add(cost.halts),
+    fn on_busy_span_jump(&mut self, t0: Slot, _t1: Slot, periods: u64, _digest: &SpanDigest) {
+        let armed = self.armed.take();
+        debug_assert!(
+            armed.as_ref().is_some_and(|(at, _)| *at == t0),
+            "busy-span jump from {t0} without its own arming"
         );
-        self.reg.record("reweight.latency", width(t, enact_at));
-    }
-
-    fn on_reweight_enacted(&mut self, _task: TaskId, _t: Slot, _initiated_at: Slot) {
-        self.reg.inc("reweight.enacted", 1);
-    }
-
-    fn on_tracker_advance(&mut self, _task: TaskId, from: Slot, to: Slot) {
-        self.reg.inc("tracker.advances", 1);
-        self.reg.record("tracker.jump_width", width(from, to));
-    }
-
-    fn on_exec_overrun(&mut self, _task: TaskId, _t: Slot) {
-        self.reg.inc("exec.overruns", 1);
-    }
-
-    fn on_exec_skip(&mut self, _task: TaskId, _t: Slot) {
-        self.reg.inc("exec.skips", 1);
+        if let Some((_, base)) = armed {
+            // Everything recorded since arming is exactly one verified
+            // period's worth of hooks; the jump repeats that period
+            // `periods` more times.
+            let delta = self.reg.delta_since(&base);
+            self.reg.add_scaled(&delta, periods);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::ReweightCost;
+    use pfair_core::task::TaskId;
 
     #[test]
     fn bucket_layout_is_power_of_two() {
@@ -704,18 +619,27 @@ mod tests {
         let mut p = MetricsProbe::new();
         p.on_slot_start(0);
         p.on_slot_start(1);
-        p.on_reweight_initiated(
-            TaskId(0),
-            1,
-            Rule::O,
-            ReweightCost {
+        let task = TaskId(0);
+        p.on_event(ObsEvent::ReweightInitiated {
+            task,
+            t: 1,
+            rule: Rule::O,
+            cost: ReweightCost {
                 queue_ops: 0,
                 halts: 1,
             },
-            9,
-        );
-        p.on_reweight_enacted(TaskId(0), 9, 1);
-        p.on_tracker_advance(TaskId(0), 1, 9);
+            enact_at: 9,
+        });
+        p.on_event(ObsEvent::ReweightEnacted {
+            task,
+            t: 9,
+            initiated_at: 1,
+        });
+        p.on_event(ObsEvent::TrackerAdvance {
+            task,
+            from: 1,
+            to: 9,
+        });
         let reg = p.into_registry();
         assert_eq!(reg.counter("slots"), 2);
         assert_eq!(reg.counter("reweight.initiated"), 1);
@@ -723,20 +647,6 @@ mod tests {
         assert_eq!(reg.counter("reweight.enacted"), 1);
         assert_eq!(reg.histogram("reweight.latency").unwrap().max(), 8);
         assert_eq!(reg.histogram("tracker.jump_width").unwrap().sum(), 8);
-    }
-
-    /// `record_n` is bit-identical to `n` calls of `record`.
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut bulk = Histogram::new();
-        let mut slow = Histogram::new();
-        for (value, n) in [(0, 3), (7, 2), (1024, 5), (u64::MAX, 1)] {
-            bulk.record_n(value, n);
-            for _ in 0..n {
-                slow.record(value);
-            }
-        }
-        assert_eq!(bulk, slow);
     }
 
     /// Snapshot → delta → scale-by-k equals replaying the same samples
@@ -780,12 +690,23 @@ mod tests {
         let mut fast = MetricsProbe::new();
         let mut oracle = MetricsProbe::new();
         let one_period = |p: &mut MetricsProbe, t0: Slot| {
+            let (task, index) = (TaskId(0), 3);
             p.on_slot_start(t0);
-            p.on_release(TaskId(0), 3, t0, t0 + 4, false);
-            p.on_schedule(TaskId(0), 3, t0);
+            p.on_event(ObsEvent::Release {
+                task,
+                index,
+                t: t0,
+                deadline: t0 + 4,
+                era_first: false,
+            });
+            p.on_event(ObsEvent::Schedule { task, index, t: t0 });
             p.on_slot_start(t0 + 1);
-            p.on_preempt(TaskId(0), t0 + 1);
-            p.on_tracker_advance(TaskId(0), t0, t0 + 2);
+            p.on_event(ObsEvent::Preempt { task, t: t0 + 1 });
+            p.on_event(ObsEvent::TrackerAdvance {
+                task,
+                from: t0,
+                to: t0 + 2,
+            });
         };
         for p in [&mut fast, &mut oracle] {
             p.on_slot_start(100);
@@ -808,27 +729,14 @@ mod tests {
         );
     }
 
-    /// A jump with a stale (or missing) arm snapshot falls back to the
-    /// digest's counters instead of scaling the wrong window.
-    #[test]
-    fn mismatched_arm_slot_uses_digest_fallback() {
-        let mut p = MetricsProbe::new();
-        p.on_span_armed(10);
-        p.on_slot_start(50); // drift between arm and jump
-        let digest = SpanDigest {
-            period: 4,
-            scheduled_quanta: 3,
-            ..SpanDigest::default()
-        };
-        p.on_busy_span_jump(40, 44, 2, &digest); // armed at 10 ≠ 40
-        assert_eq!(p.registry().counter("slots"), 1 + 8);
-        assert_eq!(p.registry().counter("schedules"), 6);
-    }
-
     #[test]
     fn quiet_span_and_release_batch_aggregate_exactly() {
         let mut p = MetricsProbe::new();
-        p.on_quiet_span(10, 25, 30);
+        p.on_event(ObsEvent::QuietSpan {
+            from: 10,
+            to: 25,
+            holes: 30,
+        });
         p.on_release_batch(
             25,
             &[
@@ -846,7 +754,12 @@ mod tests {
                 },
             ],
         );
-        p.on_miss(TaskId(1), 6, 27, 27);
+        p.on_event(ObsEvent::Miss {
+            task: TaskId(1),
+            index: 6,
+            t: 27,
+            deadline: 27,
+        });
         let reg = p.registry();
         assert_eq!(reg.counter("slots"), 15);
         assert_eq!(reg.counter("releases"), 2);

@@ -1,7 +1,7 @@
 //! SLO watermark monitor: sliding-window miss counts, drift budget,
 //! and reweight-latency thresholds — with exact breach records.
 //!
-//! [`SloMonitor`] is a span-aware [`Probe`] that watches the three
+//! [`SloMonitor`] is a [`Probe`] that watches the three
 //! service-level signals the paper's trade-off is about:
 //!
 //! * **deadline misses** over a sliding window of `window` slots,
@@ -20,9 +20,9 @@
 //! Rendered by [`SloMonitor::report`] and the `pfair slo` subcommand;
 //! serialized by [`SloMonitor::to_json`].
 
-use crate::probe::{Probe, ReleaseRec, ReweightCost, Rule, SpanDigest};
+use crate::event::ObsEvent;
+use crate::probe::{Probe, ReleaseRec};
 use pfair_core::rational::Rational;
-use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
 use pfair_json::{obj, Json, ToJson};
 use std::collections::VecDeque;
@@ -317,19 +317,8 @@ impl SloMonitor {
             }
         }
     }
-}
 
-impl Probe for SloMonitor {
-    /// Span-aware: verified spans contain no misses, reweights, or
-    /// era openings, so a span contributes nothing to any signal.
-    const SPAN_AWARE: bool = true;
-
-    // Spans are free: override the replay defaults with O(1) no-ops.
-    fn on_quiet_span(&mut self, _from: Slot, _to: Slot, _holes: u64) {}
-    fn on_release_batch(&mut self, _t: Slot, _releases: &[ReleaseRec]) {}
-    fn on_busy_span_jump(&mut self, _t0: Slot, _t1: Slot, _periods: u64, _digest: &SpanDigest) {}
-
-    fn on_miss(&mut self, _task: TaskId, _index: u64, t: Slot, _deadline: Slot) {
+    fn observe_miss(&mut self, t: Slot) {
         self.misses_total = self.misses_total.saturating_add(1);
         self.prune_window(t);
         self.miss_times.push_back(t);
@@ -353,7 +342,7 @@ impl Probe for SloMonitor {
         }
     }
 
-    fn on_drift_sample(&mut self, _task: TaskId, t: Slot, drift: Rational) {
+    fn observe_drift(&mut self, t: Slot, drift: Rational) {
         self.drift_samples = self.drift_samples.saturating_add(1);
         let abs = drift.abs();
         if abs > self.max_abs_drift {
@@ -367,18 +356,8 @@ impl Probe for SloMonitor {
         }
     }
 
-    fn on_reweight_initiated(
-        &mut self,
-        _task: TaskId,
-        _t: Slot,
-        _rule: Rule,
-        _cost: ReweightCost,
-        _enact_at: Slot,
-    ) {
-        // Latency is measured at enactment (actual, not projected).
-    }
-
-    fn on_reweight_enacted(&mut self, _task: TaskId, t: Slot, initiated_at: Slot) {
+    /// Latency is measured at enactment (actual, not projected).
+    fn observe_enactment(&mut self, t: Slot, initiated_at: Slot) {
         let latency = t
             .checked_sub(initiated_at)
             .and_then(|d| u64::try_from(d).ok())
@@ -400,10 +379,54 @@ impl Probe for SloMonitor {
     }
 }
 
+/// Verified spans contain no misses, reweights, or era openings, so a
+/// span contributes nothing to any signal.
+impl Probe for SloMonitor {
+    fn on_event(&mut self, ev: ObsEvent) {
+        match ev {
+            ObsEvent::Miss { t, .. } => self.observe_miss(t),
+            ObsEvent::DriftSample { t, drift, .. } => self.observe_drift(t, drift),
+            ObsEvent::ReweightEnacted {
+                t, initiated_at, ..
+            } => self.observe_enactment(t, initiated_at),
+            _ => {}
+        }
+    }
+
+    // No signal reads a release: skip building the batch's events.
+    fn on_release_batch(&mut self, _t: Slot, _releases: &[ReleaseRec]) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pfair_core::rational::rat;
+    use pfair_core::task::TaskId;
+
+    fn miss(index: u64, t: Slot) -> ObsEvent {
+        ObsEvent::Miss {
+            task: TaskId(0),
+            index,
+            t,
+            deadline: t,
+        }
+    }
+
+    fn drift_sample(t: Slot, drift: Rational) -> ObsEvent {
+        ObsEvent::DriftSample {
+            task: TaskId(0),
+            t,
+            drift,
+        }
+    }
+
+    fn enacted(t: Slot, initiated_at: Slot) -> ObsEvent {
+        ObsEvent::ReweightEnacted {
+            task: TaskId(0),
+            t,
+            initiated_at,
+        }
+    }
 
     #[test]
     fn miss_window_slides_and_records_one_breach_per_excursion() {
@@ -412,18 +435,18 @@ mod tests {
             max_misses: 1,
             ..SloConfig::default()
         });
-        m.on_miss(TaskId(0), 1, 5, 5);
+        m.on_event(miss(1, 5));
         assert!(m.is_clean(), "one miss is within threshold");
-        m.on_miss(TaskId(0), 2, 8, 8); // 2 misses in (−2, 8] → breach
+        m.on_event(miss(2, 8)); // 2 misses in (−2, 8] → breach
         assert_eq!(m.breaches().len(), 1);
         assert_eq!(m.breaches()[0].kind, SloKind::MissRate);
         assert_eq!(m.breaches()[0].observed, rat(2, 1));
-        m.on_miss(TaskId(0), 3, 9, 9); // still in excursion: no new record
+        m.on_event(miss(3, 9)); // still in excursion: no new record
         assert_eq!(m.breaches().len(), 1);
         assert_eq!(m.peak_window_misses(), (3, 9));
         // Far later: window slid, count resets, new excursion records.
-        m.on_miss(TaskId(0), 4, 100, 100);
-        m.on_miss(TaskId(0), 5, 101, 101);
+        m.on_event(miss(4, 100));
+        m.on_event(miss(5, 101));
         assert_eq!(m.breaches().len(), 2);
         assert_eq!(m.misses_total(), 5);
     }
@@ -434,9 +457,9 @@ mod tests {
             drift_budget: Some(rat(1, 2)),
             ..SloConfig::default()
         });
-        m.on_drift_sample(TaskId(0), 10, rat(1, 3));
+        m.on_event(drift_sample(10, rat(1, 3)));
         assert!(m.is_clean());
-        m.on_drift_sample(TaskId(1), 20, rat(-3, 4));
+        m.on_event(drift_sample(20, rat(-3, 4)));
         assert_eq!(m.breaches().len(), 1);
         let b = m.breaches()[0];
         assert_eq!(b.kind, SloKind::DriftBudget);
@@ -451,9 +474,9 @@ mod tests {
             max_reweight_latency: Some(4),
             ..SloConfig::default()
         });
-        m.on_reweight_enacted(TaskId(0), 13, 10); // latency 3: fine
+        m.on_event(enacted(13, 10)); // latency 3: fine
         assert!(m.is_clean());
-        m.on_reweight_enacted(TaskId(0), 29, 20); // latency 9: breach
+        m.on_event(enacted(29, 20)); // latency 9: breach
         assert_eq!(m.breaches().len(), 1);
         assert_eq!(m.breaches()[0].observed, rat(9, 1));
         assert_eq!(m.max_reweight_latency(), (9, 29));
@@ -467,8 +490,8 @@ mod tests {
             drift_budget: Some(rat(2, 1)),
             max_reweight_latency: Some(10),
         });
-        m.on_miss(TaskId(0), 1, 40, 40);
-        m.on_drift_sample(TaskId(0), 41, rat(5, 2));
+        m.on_event(miss(1, 40));
+        m.on_event(drift_sample(41, rat(5, 2)));
         let report = m.report();
         assert!(report.contains("SLO report (window 50 slots)"));
         assert!(report.contains("2 breach(es)"));
@@ -491,13 +514,16 @@ mod tests {
         );
     }
 
-    /// Spans deliver nothing to the monitor — the hooks it implements
-    /// never fire inside a verified span, and the span hooks it
-    /// inherits are free.
+    /// Spans deliver nothing to the monitor — the events it reads
+    /// never fire inside a verified span.
     #[test]
     fn spans_contribute_nothing() {
         let mut m = SloMonitor::default();
-        m.on_quiet_span(0, 1_000_000, 0);
+        m.on_event(ObsEvent::QuietSpan {
+            from: 0,
+            to: 1_000_000,
+            holes: 0,
+        });
         m.on_busy_span_jump(0, 12, 100_000, &crate::probe::SpanDigest::default());
         assert!(m.is_clean());
         assert_eq!(m.misses_total(), 0);

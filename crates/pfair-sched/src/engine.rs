@@ -49,7 +49,7 @@ use pfair_core::task::TaskId;
 use pfair_core::time::{ever, slot_index, Slot, NEVER};
 use pfair_core::weight::Weight;
 use pfair_core::window::{window_and_group_deadline, SubtaskWindow};
-use pfair_obs::{NoopProbe, Probe, ReleaseRec, ReweightCost, Rule};
+use pfair_obs::{NoopProbe, ObsEvent, Probe, ReleaseRec, ReweightCost, Rule};
 
 mod busy_span;
 mod persist;
@@ -75,10 +75,9 @@ pub struct SimConfig {
     /// Closed-form slot batching: advance over quiet spans (empty ready
     /// queue, no release or event due) in one jump instead of per-slot
     /// pipeline iterations. Output is bit-identical to the per-slot
-    /// oracle — probes included: a span is reported through
-    /// `Probe::on_quiet_span`, whose default replays the per-slot
-    /// hooks — so this is on by default; disable via
-    /// [`SimConfig::per_slot`] to run the oracle. History runs always
+    /// oracle, and a probe sees the span as one `ObsEvent::QuietSpan`
+    /// in place of its slot starts, so this is on by default; disable
+    /// via [`SimConfig::per_slot`] to run the oracle. History runs always
     /// use the per-slot path (the per-slot ideal series must be
     /// materialized anyway).
     pub tickless: bool,
@@ -87,12 +86,11 @@ pub struct SimConfig {
     /// common period (no event due, every queued task's windows
     /// recurring), it verifies one full period against the per-slot
     /// oracle and then enacts the remaining whole periods up to the
-    /// next event boundary in closed form. Engaged whenever the
-    /// attached probe declares `Probe::SPAN_AWARE` (it then rebuilds
-    /// its observation from the span-level hooks; a legacy probe forces
-    /// per-slot stepping); output is bit-identical either way. Disable
-    /// via [`SimConfig::without_busy_span`] to benchmark the plain
-    /// tickless driver.
+    /// next event boundary in closed form (the probe is told through
+    /// `Probe::on_span_armed` / `Probe::on_busy_span_jump`); output is
+    /// bit-identical either way. Disable via
+    /// [`SimConfig::without_busy_span`] to benchmark the plain tickless
+    /// driver.
     pub busy_span: bool,
 }
 
@@ -410,7 +408,7 @@ struct SubsScan {
 struct SlotScratch {
     /// A calendar ring's due list (departures, enactments, releases).
     due: Vec<TaskId>,
-    /// The slot's releases, for span-aware probes.
+    /// The slot's releases, for `Probe::on_release_batch`.
     batch: Vec<ReleaseRec>,
     /// The buffer the next slot's chosen set is built in (last slot's
     /// `last_chosen`, recycled).
@@ -537,7 +535,10 @@ impl<P: Probe> Engine<P> {
     }
 
     /// The engine's probe (live drivers emit executor-side events —
-    /// overruns, skips — through this).
+    /// overruns, skips — through this). The probe's span state belongs
+    /// to the run: do not swap the probe out between a
+    /// `Probe::on_span_armed` and its jump, which scales what the
+    /// probe accumulated since that arming.
     pub fn probe_mut(&mut self) -> &mut P {
         &mut self.probe
     }
@@ -552,7 +553,11 @@ impl<P: Probe> Engine<P> {
         let from = task.isw.now();
         let scan = task.sync_ideals_to(t);
         if from < t {
-            self.probe.on_tracker_advance(id, from, t);
+            self.probe.on_event(ObsEvent::TrackerAdvance {
+                task: id,
+                from,
+                to: t,
+            });
         }
         scan
     }
@@ -691,11 +696,8 @@ impl<P: Probe> Engine<P> {
     /// unhalted subtask — every head has a live queue entry) and no
     /// event of any kind is due in the span: each skipped slot would
     /// have scheduled nothing, preempted nothing, missed nothing, and
-    /// counted one hole. The span's remainder is reported through
-    /// [`Probe::on_quiet_span`]: span-aware probes aggregate it in
-    /// O(1), legacy probes get the default per-slot
-    /// `on_slot_start` replay and stay bit-identical, and under
-    /// [`NoopProbe`] the jump is O(1).
+    /// counted one hole. The span's remainder is reported as one
+    /// [`ObsEvent::QuietSpan`], so the jump is O(1) under any probe.
     fn skip_quiet_span(&mut self, start: Slot, end: Slot) {
         debug_assert!(start < end, "empty quiet span");
         debug_assert!(self.queue.is_empty(), "batching over a non-empty queue");
@@ -714,7 +716,11 @@ impl<P: Probe> Engine<P> {
             let holes = u64::try_from(end - (start + 1))
                 .unwrap_or(0)
                 .saturating_mul(u64::from(self.config.processors));
-            self.probe.on_quiet_span(start + 1, end, holes);
+            self.probe.on_event(ObsEvent::QuietSpan {
+                from: start + 1,
+                to: end,
+                holes,
+            });
         }
         self.now = end;
     }
@@ -747,7 +753,7 @@ impl<P: Probe> Engine<P> {
         self.counters.preemptions += stopped.len() as u64; // audit: allow(lossy-cast, usize→u64 is lossless on the supported targets)
         stopped.sort_unstable_by_key(|id| id.0);
         for id in stopped.drain(..) {
-            self.probe.on_preempt(id, t);
+            self.probe.on_event(ObsEvent::Preempt { task: id, t });
         }
         self.scratch.stopped = stopped;
     }
@@ -850,7 +856,13 @@ impl<P: Probe> Engine<P> {
                             .any(|s| s.index == e.index && s.is_pending())
                     })
             },
-            |e| probe.on_stale_drop(e.task, e.index, t),
+            |e| {
+                probe.on_event(ObsEvent::StaleDrop {
+                    task: e.task,
+                    index: e.index,
+                    t,
+                });
+            },
         );
     }
 
@@ -1008,7 +1020,11 @@ impl<P: Probe> Engine<P> {
             self.tasks.task_mut(id).era_open_pending = true;
             self.tasks.set_next_release(id, Some(t));
             self.note_release(id, t);
-            self.probe.on_reweight_enacted(id, t, pending.initiated_at);
+            self.probe.on_event(ObsEvent::ReweightEnacted {
+                task: id,
+                t,
+                initiated_at: pending.initiated_at,
+            });
         }
         self.scratch.due = due;
     }
@@ -1170,11 +1186,11 @@ impl<P: Probe> Engine<P> {
         if let Some(history) = &mut task.history {
             history.halted_corrections.extend(rec.slot_allocs);
         }
-        // audit: allow(panic, caller-contract violation; rules only halt known live subtasks); allow(panic-reach, present by the engine's slab and queue liveness invariants)
+        // audit: allow(panic-reach, rules only halt known live subtasks, present by the engine's slab and queue liveness invariants)
         let sub = task.sub_mut(index).expect("halting unknown subtask");
         sub.halted_at = t;
         self.counters.halts += 1;
-        self.probe.on_halt(id, index, t);
+        self.probe.on_event(ObsEvent::Halt { task: id, index, t });
     }
 
     fn handle_reweight(&mut self, id: TaskId, t: Slot, want: Weight) {
@@ -1226,12 +1242,21 @@ impl<P: Probe> Engine<P> {
         };
         let pending = self.tasks.task(id).pending;
         let enact_at = pending.map_or(t, |p| p.at);
-        self.probe
-            .on_reweight_initiated(id, t, rule, cost, enact_at);
+        self.probe.on_event(ObsEvent::ReweightInitiated {
+            task: id,
+            t,
+            rule,
+            cost,
+            enact_at,
+        });
         if pending.is_none() {
             // The rules fired on the spot: initiation and enactment
             // coincide (the probe sees them ordered).
-            self.probe.on_reweight_enacted(id, t, t);
+            self.probe.on_event(ObsEvent::ReweightEnacted {
+                task: id,
+                t,
+                initiated_at: t,
+            });
         }
     }
 
@@ -1378,8 +1403,7 @@ impl<P: Probe> Engine<P> {
         let mut due = std::mem::take(&mut self.scratch.due);
         self.release_at.take_into(t, &mut due);
         Self::in_task_order(&mut due);
-        // Span-aware probes get the slot's releases as one batch; legacy
-        // probes keep the per-release emission order unchanged.
+        // The probe gets the slot's releases as one batch.
         let mut batch = std::mem::take(&mut self.scratch.batch);
         for id in due.drain(..) {
             if !self.tasks.in_system(id) || self.tasks.next_release(id) != Some(t) {
@@ -1395,7 +1419,7 @@ impl<P: Probe> Engine<P> {
             let index = task.next_index;
             task.next_index += 1;
             let rank = index - task.era_base;
-            // audit: allow(panic, engine invariant: reweight rules keep swt within (0 and 1]); allow(panic-reach, present by the engine's slab and queue liveness invariants)
+            // audit: allow(panic-reach, engine invariant: reweight rules keep swt within (0 and 1])
             let weight = Weight::try_new(swt).expect("invalid scheduling weight");
             let (window, gd) = window_and_group_deadline(weight, rank, t);
             let era_first = task.era_open_pending;
@@ -1409,7 +1433,8 @@ impl<P: Probe> Engine<P> {
                 let icsw_total = task.isw.icsw_total();
                 let drift = ps_total - icsw_total;
                 task.drift.record(t, ps_total, icsw_total);
-                self.probe.on_drift_sample(id, t, drift);
+                self.probe
+                    .on_event(ObsEvent::DriftSample { task: id, t, drift });
             }
 
             let pred_b = if era_first {
@@ -1417,7 +1442,6 @@ impl<P: Probe> Engine<P> {
             } else {
                 // audit: allow(panic-reach, within an era the predecessor record is retained until its successor releases)
                 scan.pred_b
-                    // audit: allow(panic, engine invariant: within an era the predecessor record is retained)
                     .expect("non-era-first release without predecessor")
             };
             task.isw.add_subtask(index, t, era_first, pred_b);
@@ -1461,17 +1485,12 @@ impl<P: Probe> Engine<P> {
             if let Some(r) = successor {
                 self.note_release(id, r);
             }
-            if P::SPAN_AWARE {
-                batch.push(ReleaseRec {
-                    task: id,
-                    index,
-                    deadline: window.deadline,
-                    era_first,
-                });
-            } else {
-                self.probe
-                    .on_release(id, index, t, window.deadline, era_first);
-            }
+            batch.push(ReleaseRec {
+                task: id,
+                index,
+                deadline: window.deadline,
+                era_first,
+            });
         }
         if !batch.is_empty() {
             self.probe.on_release_batch(t, &batch);
@@ -1503,7 +1522,13 @@ impl<P: Probe> Engine<P> {
                                 .any(|s| s.index == e.index && s.is_pending())
                         })
                 },
-                |e| probe.on_stale_pop(e.task, e.index, t),
+                |e| {
+                    probe.on_event(ObsEvent::StalePop {
+                        task: e.task,
+                        index: e.index,
+                        t,
+                    });
+                },
             ) else {
                 break;
             };
@@ -1514,7 +1539,6 @@ impl<P: Probe> Engine<P> {
             // audit: allow(panic-reach, pop_live just verified the subtask is present and live)
             let sub = task
                 .sub_mut(entry.index)
-                // audit: allow(panic, pop_live just verified the subtask is present and live)
                 .expect("live entry lost its subtask");
             sub.scheduled_at = t;
             task.last_scheduled = Some(sub.window());
@@ -1523,7 +1547,11 @@ impl<P: Probe> Engine<P> {
                 history.scheduled_slots.push(t);
             }
             self.counters.scheduled_quanta += 1;
-            self.probe.on_schedule(entry.task, entry.index, t);
+            self.probe.on_event(ObsEvent::Schedule {
+                task: entry.task,
+                index: entry.index,
+                t,
+            });
             chosen.push(entry.task);
         }
 
@@ -1584,7 +1612,7 @@ impl<P: Probe> Engine<P> {
                 .filter(|c| !cpu_taken[*c as usize]),
         );
         for id in unplaced.drain(..) {
-            // audit: allow(panic, PD² selection never chooses more than `processors` tasks); allow(panic-reach, present by the engine's slab and queue liveness invariants)
+            // audit: allow(panic-reach, PD² selection never chooses more than `processors` tasks)
             let cpu = free_cpus.pop().expect("more chosen tasks than processors");
             let task = self.tasks.task_mut(id);
             if task.last_cpu.is_some() {
@@ -1682,7 +1710,12 @@ impl<P: Probe> Engine<P> {
             if let Some(sub) = self.tasks.task_mut(id).sub_mut(index) {
                 sub.missed = true;
             }
-            self.probe.on_miss(id, index, t, due);
+            self.probe.on_event(ObsEvent::Miss {
+                task: id,
+                index,
+                t,
+                deadline: due,
+            });
             self.misses.push(Miss {
                 task: id,
                 index,

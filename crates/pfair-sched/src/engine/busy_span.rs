@@ -32,15 +32,12 @@
 //!    trackers translate via their `translated` constructors, counters
 //!    accumulate `k` copies of the verified per-period delta.
 //!
-//! Batching engages whenever the attached probe declares
-//! [`Probe::SPAN_AWARE`]: a span-aware probe reconstructs its whole
-//! observation from span-level events — [`Probe::on_span_armed`] at the
-//! snapshot slot and [`Probe::on_busy_span_jump`] carrying the verified
-//! per-period [`SpanDigest`] — exactly (the verified period's hook
-//! stream repeats `k` times shifted, so multiplying one period's
-//! deltas by `k` is exact integer arithmetic, not sampling). Legacy
-//! probes keep `SPAN_AWARE = false` and force the per-slot oracle, so
-//! their hook streams stay bit-identical by construction. The
+//! The attached probe follows a jump through two hooks —
+//! [`Probe::on_span_armed`] at the snapshot slot and
+//! [`Probe::on_busy_span_jump`] carrying the verified per-period
+//! [`SpanDigest`] — and can stay exact across it: the verified period's
+//! hook stream repeats `k` times shifted, so multiplying one period's
+//! deltas by `k` is exact integer arithmetic, not sampling. The
 //! equivalence proptests assert the rendered results, counters,
 //! metrics snapshots, and engine snapshots of batched and per-slot
 //! runs are byte-identical.
@@ -184,7 +181,7 @@ impl<P: Probe> Engine<P> {
     /// verifies-and-jumps at that slot, or considers arming a fresh
     /// probe. O(1) when nothing is armed and arming is not due.
     pub(super) fn busy_span_tick(&mut self) {
-        if !P::SPAN_AWARE || !self.config.busy_span {
+        if !self.config.busy_span {
             return;
         }
         if let Some(probe) = self.busy.probe.take() {
@@ -790,8 +787,7 @@ fn insert_release(
 /// the verified counter delta plus each moving task's per-period rank
 /// (= release) and schedule gains. Everything here was checked bit-for-
 /// bit by [`Engine::verify_and_apply`] before the digest is built, so a
-/// span-aware probe may multiply any field by the jump count and stay
-/// exact.
+/// probe may multiply any field by the jump count and stay exact.
 fn span_digest(period: Slot, deltas: &[TaskDelta], delta: &Counters) -> SpanDigest {
     let per_task: Vec<TaskSpanDelta> = deltas
         .iter()

@@ -102,13 +102,13 @@ impl TaskSlab {
     /// from an admitted event or a queue entry, both within the dense
     /// id range, so the lookup cannot fail in a correct engine.
     pub(super) fn task(&self, id: TaskId) -> &TaskState {
-        // audit: allow(panic, admitted TaskIds are dense and in range for the whole run); allow(panic-reach, admitted TaskIds are dense and in range for the whole run)
+        // audit: allow(panic-reach, admitted TaskIds are dense and in range for the whole run)
         self.get(id).expect("task id outside the admitted range")
     }
 
     /// Mutable twin of [`TaskSlab::task`], under the same argument.
     pub(super) fn task_mut(&mut self, id: TaskId) -> &mut TaskState {
-        // audit: allow(panic, admitted TaskIds are dense and in range for the whole run); allow(panic-reach, admitted TaskIds are dense and in range for the whole run)
+        // audit: allow(panic-reach, admitted TaskIds are dense and in range for the whole run)
         self.get_mut(id).expect("task id outside admitted range")
     }
 

@@ -7,30 +7,36 @@
 //! judged by the definition — released, not scheduled and not halted
 //! before its deadline, deadline inside the simulated range. Each
 //! scenario must report exactly that list, in `(deadline, task, index)`
-//! order, in `SimResult::misses` and through `Probe::on_miss`, under
+//! order, in `SimResult::misses` and as `ObsEvent::Miss`es, under
 //! the per-slot oracle, the quiet-span driver and the busy-span driver;
 //! the totals are pinned to the figures the heap-based detector this
 //! replaced reported on the same inputs.
 
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
-use pfair_obs::Probe;
+use pfair_obs::{ObsEvent, Probe};
 use pfair_sched::admission::AdmissionPolicy;
 use pfair_sched::engine::{simulate, simulate_with, Engine, SimConfig};
 use pfair_sched::event::Workload;
 use pfair_sched::trace::Miss;
 use proptest::prelude::*;
 
-/// Collects the `on_miss` stream. Span-aware, so the busy-span batcher
-/// may engage (no miss can fall inside a verified jump).
+/// Collects the `ObsEvent::Miss` stream (no miss can fall inside a
+/// verified busy-span jump).
 #[derive(Default)]
 struct MissLog(Vec<(TaskId, u64, Slot, Slot)>);
 
 impl Probe for MissLog {
-    const SPAN_AWARE: bool = true;
-
-    fn on_miss(&mut self, task: TaskId, index: u64, t: Slot, deadline: Slot) {
-        self.0.push((task, index, t, deadline));
+    fn on_event(&mut self, ev: ObsEvent) {
+        if let ObsEvent::Miss {
+            task,
+            index,
+            t,
+            deadline,
+        } = ev
+        {
+            self.0.push((task, index, t, deadline));
+        }
     }
 }
 
@@ -74,7 +80,7 @@ fn assert_all_drivers_agree(cfg: &SimConfig, w: &Workload) -> Vec<Miss> {
             .iter()
             .map(|m| (m.task, m.index, m.deadline - 1, m.deadline))
             .collect();
-        assert_eq!(log.0, stream, "{name}: on_miss stream");
+        assert_eq!(log.0, stream, "{name}: miss event stream");
     }
     // Stepping by hand reports the same list as `run`.
     let mut engine = Engine::new(cfg.clone(), w);

@@ -2,13 +2,13 @@
 //!
 //! Three contracts pinned here:
 //!
-//! 1. **Compat** — a legacy probe (default `SPAN_AWARE = false`) sees a
-//!    hook stream from the tickless driver that is bit-identical to the
-//!    per-slot oracle's, because every span-level event's default
-//!    implementation replays the per-slot hooks.
-//! 2. **Exactness** — a span-aware `MetricsProbe` attached to a
-//!    saturated 100k-slot busy-span run rebuilds its registry from span
-//!    digests bit-identically to the per-slot oracle, while the batcher
+//! 1. **One stream** — the per-entity event stream a probe receives
+//!    from the default driver is bit-identical to the per-slot
+//!    oracle's; only the clock differs, and there slot starts and quiet
+//!    spans together cover every slot exactly once.
+//! 2. **Exactness** — a `MetricsProbe` attached to a saturated
+//!    100k-slot busy-span run scales its registry across the jumps
+//!    bit-identically to the per-slot oracle, while the batcher
 //!    actually jumps.
 //! 3. **Overhead** — that same probed busy-span run stays within 3× of
 //!    the `NoopProbe` busy-span run (generous floor for noisy CI
@@ -16,11 +16,10 @@
 //!    interleaved measurement of what the probe costs slot by slot).
 
 use pfair_core::rational::rat;
-use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
 use pfair_obs::{
-    Fanout, FlightRecorder, FlightTrigger, MetricsProbe, NoopProbe, Probe, ReleaseRec, SloConfig,
-    SloMonitor, SpanDigest,
+    Fanout, FlightRecorder, FlightTrigger, MetricsProbe, NoopProbe, ObsEvent, Probe, SloConfig,
+    SloMonitor,
 };
 use pfair_sched::admission::AdmissionPolicy;
 use pfair_sched::engine::{simulate_with, Engine, SimConfig};
@@ -39,54 +38,27 @@ fn uniform(tasks: u32, num: i128, den: i128) -> Workload {
 }
 
 // ---------------------------------------------------------------------
-// 1. Compat: legacy probes replay per-slot, bit-identically.
+// 1. One stream: per-entity events are driver-independent.
 // ---------------------------------------------------------------------
 
-/// A legacy probe: records the per-slot hooks it cares about and keeps
-/// the default `SPAN_AWARE = false`, so every span event it receives
-/// goes through the replaying default implementations.
+/// Keeps the clock (slot starts, quiet spans) apart from everything
+/// else the engine emits.
 #[derive(Default)]
-struct LegacyLog {
+struct StreamLog {
     slots: Vec<Slot>,
-    releases: Vec<(TaskId, u64, Slot)>,
-    schedules: Vec<(TaskId, u64, Slot)>,
-}
-
-impl Probe for LegacyLog {
-    fn on_slot_start(&mut self, t: Slot) {
-        self.slots.push(t);
-    }
-    fn on_release(&mut self, task: TaskId, index: u64, t: Slot, _deadline: Slot, _era: bool) {
-        self.releases.push((task, index, t));
-    }
-    fn on_schedule(&mut self, task: TaskId, index: u64, t: Slot) {
-        self.schedules.push((task, index, t));
-    }
-}
-
-/// A span-aware observer that keeps the spans it was offered, to prove
-/// the tickless driver actually used the span-level hooks.
-#[derive(Default)]
-struct SpanLog {
     quiet_spans: Vec<(Slot, Slot)>,
-    release_batches: Vec<(Slot, usize)>,
-    jumps: Vec<(Slot, Slot, u64)>,
-    slots: Vec<Slot>,
+    events: Vec<ObsEvent>,
 }
 
-impl Probe for SpanLog {
-    const SPAN_AWARE: bool = true;
+impl Probe for StreamLog {
+    fn on_event(&mut self, ev: ObsEvent) {
+        match ev {
+            ObsEvent::QuietSpan { from, to, .. } => self.quiet_spans.push((from, to)),
+            _ => self.events.push(ev),
+        }
+    }
     fn on_slot_start(&mut self, t: Slot) {
         self.slots.push(t);
-    }
-    fn on_quiet_span(&mut self, from: Slot, to: Slot, _holes: u64) {
-        self.quiet_spans.push((from, to));
-    }
-    fn on_release_batch(&mut self, t: Slot, releases: &[ReleaseRec]) {
-        self.release_batches.push((t, releases.len()));
-    }
-    fn on_busy_span_jump(&mut self, _t0: Slot, t1: Slot, periods: u64, digest: &SpanDigest) {
-        self.jumps.push((t1, digest.period, periods));
     }
 }
 
@@ -103,37 +75,36 @@ fn sparse_workload() -> Workload {
 }
 
 #[test]
-fn legacy_probe_stream_is_bit_identical_across_drivers() {
+fn per_entity_stream_is_bit_identical_across_drivers() {
     let w = sparse_workload();
     let cfg = SimConfig::oi(3, 2_500);
-    let (oracle, slow) = simulate_with(cfg.clone().per_slot(), &w, LegacyLog::default());
-    let (fast_res, fast) = simulate_with(cfg, &w, LegacyLog::default());
-    assert_eq!(slow.slots, fast.slots, "slot replay diverged");
-    assert_eq!(slow.releases, fast.releases, "release stream diverged");
-    assert_eq!(slow.schedules, fast.schedules, "schedule stream diverged");
+    let (oracle, slow) = simulate_with(cfg.clone().per_slot(), &w, StreamLog::default());
+    let (fast_res, fast) = simulate_with(cfg, &w, StreamLog::default());
     assert_eq!(oracle.counters, fast_res.counters);
-}
-
-#[test]
-fn span_aware_probe_receives_collapsed_spans() {
-    let w = sparse_workload();
-    let cfg = SimConfig::oi(3, 2_500);
-    let (_, spans) = simulate_with(cfg.clone(), &w, SpanLog::default());
     assert!(
-        !spans.quiet_spans.is_empty(),
+        slow.events
+            .iter()
+            .any(|e| matches!(e, ObsEvent::Release { .. })),
+        "release batches must reach on_event"
+    );
+    assert_eq!(slow.events, fast.events, "per-entity stream diverged");
+
+    // The clock: the oracle starts every slot and skips none; the
+    // default driver collapses quiet spans, and slot starts ∪ spans
+    // cover every slot exactly once.
+    assert!(slow.quiet_spans.is_empty());
+    assert_eq!(slow.slots, (0..2_500).collect::<Vec<Slot>>());
+    assert!(
+        !fast.quiet_spans.is_empty(),
         "a sparse tickless run must collapse at least one quiet span"
     );
-    assert!(!spans.release_batches.is_empty());
-    // Replaying the spans per-slot reconstructs exactly the oracle's
-    // slot set: each slot is either directly started or inside a span.
-    let (_, slow) = simulate_with(cfg.per_slot(), &w, LegacyLog::default());
-    let mut rebuilt: Vec<Slot> = spans.slots.clone();
-    for &(from, to) in &spans.quiet_spans {
-        rebuilt.extend(from..to);
+    let mut covered = fast.slots;
+    for &(from, to) in &fast.quiet_spans {
+        covered.extend(from..to);
     }
-    rebuilt.sort_unstable();
+    covered.sort_unstable();
     assert_eq!(
-        rebuilt, slow.slots,
+        covered, slow.slots,
         "span arithmetic lost or invented slots"
     );
 }
@@ -167,12 +138,12 @@ fn saturated_100k_metrics_probe_is_exact_within_overhead_budget() {
     assert!(noop_jumps > 0, "noop run never jumped");
     assert!(
         probed_jumps > 0,
-        "span-aware MetricsProbe must not disable busy-span batching"
+        "a probe must not disable busy-span batching"
     );
     assert_eq!(noop_res.counters, probed_res.counters);
 
-    // Exactness: the span-digest-rebuilt registry equals the per-slot
-    // oracle's hook-by-hook registry, bit for bit.
+    // Exactness: the registry scaled across the jumps equals the
+    // per-slot oracle's hook-by-hook registry, bit for bit.
     let (_, oracle_metrics) = simulate_with(cfg.per_slot(), &w, MetricsProbe::new());
     assert_eq!(
         oracle_metrics.registry().snapshot_text(),

@@ -268,10 +268,9 @@ fn arb_saturated_plan() -> impl Strategy<Value = Plan> {
 /// oracle — and that the batcher actually jumped (the tail is periodic
 /// with period ≤ 12, so at least one verified span must land even after
 /// maximum verification backoff). The batched run carries a
-/// span-aware `MetricsProbe`: batching must still engage under it
-/// (`SPAN_AWARE` gating, not a no-op check), and the registry it
-/// rebuilds from span digests must be bit-identical to the one the
-/// per-slot oracle accumulates hook by hook.
+/// `MetricsProbe`: batching must still engage under it, and the
+/// registry it scales across the jumps must be bit-identical to the one
+/// the per-slot oracle accumulates hook by hook.
 fn assert_busy_span_matches_oracle(plan: &Plan, cfg: SimConfig) {
     let w = workload_of(plan);
     let mut engine = Engine::with_probe(cfg.clone(), &w, MetricsProbe::new());
