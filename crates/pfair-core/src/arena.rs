@@ -14,7 +14,10 @@
 //! subtask records a task keeps, the same few subtasks its `I_SW`
 //! tracker follows. An [`InlineVec`] stores those inside the row, so a
 //! task in steady state owns no heap block for them and a release
-//! touches one contiguous run of cache lines.
+//! touches one contiguous run of cache lines. What a row holds only in
+//! exceptional states — the records past the inline three, the
+//! intervals of an intra-sporadic suspension — sits behind a
+//! [`ThinVec`], one pointer wide while empty where a `Vec` is three.
 
 use core::fmt;
 use core::ops::{Deref, DerefMut};
@@ -115,6 +118,88 @@ impl IdBitmap {
     }
 }
 
+/// A `Vec` for a list that is nearly always empty, one pointer wide:
+/// the vector itself lives in a box that the first write allocates.
+/// Reads go through the slice it derefs to (empty while unallocated);
+/// writes through [`ThinVec::vec_mut`], or [`ThinVec::allocated_mut`]
+/// for those that have nothing to do on an unallocated list. Equality,
+/// `Debug` and `Clone` see the elements only: an emptied list equals a
+/// fresh one, and its clone owns no heap block.
+// The extra allocation clippy warns of is the trade: it is paid in the
+// exceptional state, and every other row is two words smaller.
+#[allow(clippy::box_collection)]
+pub struct ThinVec<T>(Option<Box<Vec<T>>>);
+
+impl<T> ThinVec<T> {
+    /// An empty list (no allocation).
+    pub const fn new() -> ThinVec<T> {
+        ThinVec(None)
+    }
+
+    /// The vector, allocated (empty) if this is the first write.
+    pub fn vec_mut(&mut self) -> &mut Vec<T> {
+        self.0.get_or_insert_with(Box::default)
+    }
+
+    /// The vector, if a write ever allocated it. Emptied, it keeps its
+    /// capacity for the next excursion.
+    pub fn allocated_mut(&mut self) -> Option<&mut Vec<T>> {
+        self.0.as_deref_mut()
+    }
+}
+
+impl<T> Default for ThinVec<T> {
+    fn default() -> Self {
+        ThinVec::new()
+    }
+}
+
+impl<T> Deref for ThinVec<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Some(vec) => vec,
+            None => &[],
+        }
+    }
+}
+
+impl<T> DerefMut for ThinVec<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match &mut self.0 {
+            Some(vec) => vec,
+            None => &mut [],
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for ThinVec<T> {
+    fn from(vec: Vec<T>) -> Self {
+        ThinVec((!vec.is_empty()).then(|| Box::new(vec)))
+    }
+}
+
+impl<T: Clone> Clone for ThinVec<T> {
+    fn clone(&self) -> Self {
+        ThinVec::from(self.to_vec())
+    }
+}
+
+impl<T: PartialEq> PartialEq for ThinVec<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq> Eq for ThinVec<T> {}
+
+impl<T: fmt::Debug> fmt::Debug for ThinVec<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A queue of `Copy` records that lives inside its owner while it
 /// holds at most `N` of them and moves to the heap beyond that.
 ///
@@ -133,7 +218,7 @@ pub struct InlineVec<T, const N: usize> {
     /// Records held in `inline`; 0 while spilled.
     len: usize,
     /// Every record, once there are more than `N`; empty otherwise.
-    spill: Vec<T>,
+    spill: ThinVec<T>,
 }
 
 impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
@@ -142,7 +227,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         InlineVec {
             inline: [T::default(); N],
             len: 0,
-            spill: Vec::new(),
+            spill: ThinVec::new(),
         }
     }
 
@@ -178,10 +263,10 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
                 return;
             }
             // Only a full inline array gets here (`len == N`).
-            self.spill.extend_from_slice(&self.inline);
+            self.spill.vec_mut().extend_from_slice(&self.inline);
             self.len = 0;
         }
-        self.spill.push(value);
+        self.spill.vec_mut().push(value);
     }
 
     /// Removes and returns the front record.
@@ -193,19 +278,18 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
 
     /// Removes the first `n` records (all of them if there are fewer).
     pub fn drop_front(&mut self, n: usize) {
-        if self.spill.is_empty() {
+        let Some(spill) = self.spill.allocated_mut().filter(|s| !s.is_empty()) else {
             let n = n.min(self.len);
             if let Some(live) = self.inline.get_mut(..self.len) {
                 live.copy_within(n.., 0);
             }
             self.len -= n;
             return;
-        }
-        let n = n.min(self.spill.len());
-        self.spill.drain(..n);
-        if self.spill.len() <= N {
-            self.len = self.spill.len();
-            for (slot, value) in self.inline.iter_mut().zip(self.spill.drain(..)) {
+        };
+        spill.drain(..n.min(spill.len()));
+        if spill.len() <= N {
+            self.len = spill.len();
+            for (slot, value) in self.inline.iter_mut().zip(spill.drain(..)) {
                 *slot = value;
             }
         }
@@ -332,6 +416,32 @@ mod tests {
         assert_ne!(a, b);
         b.set(69, true);
         assert_eq!(a, b);
+    }
+}
+
+#[cfg(test)]
+mod thin_vec_tests {
+    use super::*;
+
+    /// One pointer wide, nothing allocated before the first write; an
+    /// emptied list keeps its buffer, equals a fresh list and clones
+    /// to one that owns nothing.
+    #[test]
+    fn empty_lists_are_one_word_and_own_nothing() {
+        assert_eq!(size_of::<ThinVec<(i64, i64)>>(), size_of::<usize>());
+        let mut v: ThinVec<u32> = ThinVec::new();
+        assert!(v.is_empty() && v.allocated_mut().is_none());
+        assert_eq!(format!("{v:?}"), "[]");
+        v.vec_mut().extend([3, 1, 2]);
+        v.sort_unstable();
+        assert_eq!(*v, [1, 2, 3]);
+        assert_eq!(v.clone(), v);
+        assert_eq!(ThinVec::from(vec![1, 2, 3]), v);
+        v.allocated_mut().expect("written to").clear();
+        assert!(v.0.as_ref().is_some_and(|vec| vec.capacity() >= 3));
+        assert_eq!(v, ThinVec::new());
+        assert!(v.clone().0.is_none());
+        assert!(ThinVec::<u32>::from(Vec::new()).0.is_none());
     }
 }
 
@@ -464,7 +574,7 @@ mod inline_vec_tests {
         v.push_back(7);
         v.push_back(8);
         v.push_back(9);
-        assert_eq!(v.spill.capacity(), 0);
-        assert_eq!(v.clone().spill.capacity(), 0);
+        assert!(v.spill.0.is_none());
+        assert!(v.clone().spill.0.is_none());
     }
 }

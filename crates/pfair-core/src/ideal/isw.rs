@@ -235,8 +235,11 @@ impl pfair_json::ToJson for IswTracker {
             ("total", self.isw_total().to_json()),
             ("halted_loss", self.halted_loss.to_json()),
             ("now", self.now.to_json()),
-            ("keep_retired", self.keep_retired.to_json()),
-            ("record_slot_allocs", self.slot_history.is_some().to_json()),
+            ("keep_retired", self.keep_retired().to_json()),
+            (
+                "record_slot_allocs",
+                self.slot_history().is_some().to_json(),
+            ),
         ])
     }
 }
@@ -266,8 +269,9 @@ impl pfair_json::FromJson for IswTracker {
                 let index = i.sub.index;
                 i.slot_allocs.iter().map(move |&(t, a)| ((index, t), a))
             });
-            Box::new(entries.collect::<SlotHistory>())
+            entries.collect::<SlotHistory>()
         });
+        let keep_retired: bool = value.field("keep_retired")?;
         let swt: Rational = value.field("swt")?;
         let unit = images
             .iter()
@@ -295,8 +299,12 @@ impl pfair_json::FromJson for IswTracker {
             total,
             halted_loss: value.field("halted_loss")?,
             now: value.field("now")?,
-            keep_retired: value.field("keep_retired")?,
-            slot_history,
+            retention: (keep_retired || slot_history.is_some()).then(|| {
+                Box::new(Retention {
+                    keep_retired,
+                    slot_history,
+                })
+            }),
         })
     }
 }
@@ -333,20 +341,29 @@ pub struct IswTracker {
     halted_loss: Rational,
     /// Next slot to be processed by `advance`.
     now: Slot,
+    /// What table builders and history runs opt into; `None` on the
+    /// trackers a long simulation keeps by the million.
+    retention: Option<Box<Retention>>,
+}
+
+/// The opt-in memory of an [`IswTracker`]. Equality and the interchange
+/// form see the two settings, not whether a box holds them.
+#[derive(Clone, Debug, Default)]
+struct Retention {
     /// When true, completed/halted subtasks are never dropped — needed by
     /// table builders that read back per-subtask cumulative values.
     keep_retired: bool,
     /// `Some` when incomplete subtasks keep a per-slot allocation
     /// breakdown for [`HaltRecord::slot_allocs`]. Opt-in: the breakdown
     /// grows with the horizon for slow subtasks.
-    slot_history: Option<Box<SlotHistory>>,
+    slot_history: Option<SlotHistory>,
 }
 
 impl PartialEq for IswTracker {
     fn eq(&self, other: &IswTracker) -> bool {
         let (unit, other_unit) = (self.unit(), other.unit());
         self.now == other.now
-            && self.keep_retired == other.keep_retired
+            && self.keep_retired() == other.keep_retired()
             && self.halted_loss == other.halted_loss
             && self.subs.len() == other.subs.len()
             && if unit == other_unit {
@@ -360,7 +377,7 @@ impl PartialEq for IswTracker {
                         .all(|(a, b)| a.same_as(unit, b, other_unit))
             }
             && self.total == other.total
-            && self.slot_history == other.slot_history
+            && self.slot_history() == other.slot_history()
     }
 }
 
@@ -379,8 +396,7 @@ impl IswTracker {
             total,
             halted_loss: Rational::ZERO,
             now: join_at,
-            keep_retired: false,
-            slot_history: None,
+            retention: None,
         }
     }
 
@@ -390,7 +406,7 @@ impl IswTracker {
     /// and tests, not long-running simulations.
     pub fn new_keeping_history(swt: Rational, join_at: Slot) -> IswTracker {
         let mut t = IswTracker::new(swt, join_at);
-        t.keep_retired = true;
+        t.retention.get_or_insert_default().keep_retired = true;
         t
     }
 
@@ -404,8 +420,21 @@ impl IswTracker {
     /// slot (a multi-slot jump has no per-slot story to record).
     #[must_use]
     pub fn with_slot_history(mut self) -> IswTracker {
-        self.slot_history.get_or_insert_with(Box::default);
+        let retention = self.retention.get_or_insert_default();
+        retention.slot_history.get_or_insert_default();
         self
+    }
+
+    fn keep_retired(&self) -> bool {
+        self.retention.as_deref().is_some_and(|r| r.keep_retired)
+    }
+
+    fn slot_history(&self) -> Option<&SlotHistory> {
+        self.retention.as_deref()?.slot_history.as_ref()
+    }
+
+    fn slot_history_mut(&mut self) -> Option<&mut SlotHistory> {
+        self.retention.as_deref_mut()?.slot_history.as_mut()
     }
 
     /// The era unit: every allocation the tracker holds or hands out
@@ -529,7 +558,7 @@ impl IswTracker {
         let lost = sub.alloc.over(unit);
         self.halted_loss += lost;
         let slot_allocs = self.slot_allocs_of(index);
-        if let Some(h) = self.slot_history.as_deref_mut() {
+        if let Some(h) = self.slot_history_mut() {
             forget_slot_allocs(h, index); // reported exactly once
         }
         HaltRecord {
@@ -543,7 +572,7 @@ impl IswTracker {
     /// The recorded per-slot allocations of subtask `index`, in slot
     /// order (empty unless [`IswTracker::with_slot_history`] is on).
     fn slot_allocs_of(&self, index: u64) -> Vec<(Slot, Rational)> {
-        self.slot_history.as_deref().map_or_else(Vec::new, |h| {
+        self.slot_history().map_or_else(Vec::new, |h| {
             h.range((index, Slot::MIN)..=(index, Slot::MAX))
                 .map(|(&(_, t), &a)| (t, a))
                 .collect()
@@ -657,7 +686,12 @@ impl IswTracker {
         if self.now == t {
             return Units::ZERO;
         }
-        let Some(mut history) = self.slot_history.take() else {
+        // Taken out for the walk: `jump` borrows the whole tracker.
+        let Some(mut history) = self
+            .retention
+            .as_deref_mut()
+            .and_then(|r| r.slot_history.take())
+        else {
             return self.jump(t, touched);
         };
         let unit = self.unit();
@@ -673,7 +707,9 @@ impl IswTracker {
                 touched(sub, given);
             });
         }
-        self.slot_history = Some(history);
+        if let Some(retention) = self.retention.as_deref_mut() {
+            retention.slot_history = Some(history);
+        }
         added
     }
 
@@ -778,13 +814,13 @@ impl IswTracker {
                 })
             })
             .collect::<Option<InlineVec<_, 3>>>()?;
-        let slot_history = match self.slot_history.as_deref() {
+        let slot_history = match self.slot_history() {
             None => None,
-            Some(h) => Some(Box::new(
+            Some(h) => Some(
                 h.iter()
                     .map(|(&(i, t), &a)| Some(((i.checked_add(di)?, t.checked_add(ds)?), a)))
                     .collect::<Option<SlotHistory>>()?,
-            )),
+            ),
         };
         Some(IswTracker {
             rate: self.rate,
@@ -792,8 +828,12 @@ impl IswTracker {
             total: self.total.plus(dt),
             halted_loss: self.halted_loss,
             now: self.now.checked_add(ds)?,
-            keep_retired: self.keep_retired,
-            slot_history,
+            retention: self.retention.as_deref().map(|r| {
+                Box::new(Retention {
+                    keep_retired: r.keep_retired,
+                    slot_history,
+                })
+            }),
         })
     }
 
@@ -802,7 +842,7 @@ impl IswTracker {
     /// [`IswTracker::with_slot_history`] was used — the bounded-memory
     /// regression test pins that.
     pub fn slot_history_len(&self) -> usize {
-        self.slot_history.as_deref().map_or(0, BTreeMap::len)
+        self.slot_history().map_or(0, BTreeMap::len)
     }
 
     /// Drops subtasks that can no longer influence anything: completed or
@@ -810,7 +850,7 @@ impl IswTracker {
     /// of the next subtask may still reference the most recent completed
     /// predecessor).
     fn retire(&mut self) {
-        if self.keep_retired {
+        if self.keep_retired() {
             return;
         }
         // One front drop instead of repeated `pop_front`: a closed-form

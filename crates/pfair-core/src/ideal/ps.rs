@@ -12,6 +12,7 @@
 //! `A(I_PS, T, t1, t2) = ∫ wt(T, u) du` reduces to a per-slot sum of the
 //! current weight, which this tracker accumulates exactly.
 
+use crate::arena::ThinVec;
 use crate::rational::Rational;
 use crate::time::Slot;
 
@@ -34,7 +35,8 @@ pub struct PsTracker {
     /// Slot intervals `[from, until)` during which allocation is zero —
     /// the "zero between active subtasks" case that intra-sporadic
     /// separations create when the early-release assumption is dropped.
-    suspensions: Vec<(Slot, Slot)>,
+    /// Empty for a task that is never delayed, hence thin.
+    suspensions: ThinVec<(Slot, Slot)>,
 }
 
 impl PartialEq for PsTracker {
@@ -54,7 +56,7 @@ impl pfair_json::ToJson for PsTracker {
             ("wt", self.wt.to_json()),
             ("total", self.total().to_json()),
             ("now", self.now.to_json()),
-            ("suspensions", self.suspensions.to_json()),
+            ("suspensions", self.suspensions.to_vec().to_json()),
         ])
     }
 }
@@ -72,7 +74,7 @@ impl pfair_json::FromJson for PsTracker {
             base: value.field("total")?,
             active: 0,
             now: value.field("now")?,
-            suspensions,
+            suspensions: suspensions.into(),
         })
     }
 }
@@ -85,7 +87,7 @@ impl PsTracker {
             base: Rational::ZERO,
             active: 0,
             now: join_at,
-            suspensions: Vec::new(),
+            suspensions: ThinVec::new(),
         }
     }
 
@@ -95,7 +97,7 @@ impl PsTracker {
     /// overlap; empty intervals are ignored.
     pub fn suspend_between(&mut self, from: Slot, until: Slot) {
         if from < until {
-            self.suspensions.push((from, until));
+            self.suspensions.vec_mut().push((from, until));
         }
     }
 
@@ -158,7 +160,7 @@ impl PsTracker {
             base: self.base + dt,
             active: self.active,
             now: self.now.checked_add(ds)?,
-            suspensions,
+            suspensions: suspensions.into(),
         })
     }
 
@@ -212,7 +214,9 @@ impl PsTracker {
         }
         let suspended = self.suspended_slots(from, t);
         // Intervals entirely in the past can never matter again.
-        self.suspensions.retain(|&(_, until)| until >= t);
+        if let Some(intervals) = self.suspensions.allocated_mut() {
+            intervals.retain(|&(_, until)| until >= t);
+        }
         (t - from) - suspended
     }
 

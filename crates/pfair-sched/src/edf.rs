@@ -22,7 +22,7 @@
 //! implementation reconstructs the natural versions of both modes rather
 //! than the companion paper's exact pseudo-code.
 
-use crate::event::{Event, EventKind, Workload};
+use crate::event::{EventKind, Workload};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{slot_from_i128, Slot};
@@ -135,7 +135,7 @@ pub fn run_global_edf(
             scheduled: 0,
         })
         .collect();
-    let events: Vec<Event> = workload.sorted_events();
+    let events = workload.stream();
     let mut next_event = 0usize;
     let mut misses = Vec::new();
 

@@ -50,6 +50,7 @@ use pfair_core::time::{ever, slot_index, Slot, NEVER};
 use pfair_core::weight::Weight;
 use pfair_core::window::{window_and_group_deadline, SubtaskWindow};
 use pfair_obs::{NoopProbe, ObsEvent, Probe, ReleaseRec, ReweightCost, Rule};
+use std::sync::Arc;
 
 mod busy_span;
 mod persist;
@@ -233,11 +234,11 @@ impl SubRec {
 /// One contiguous row: the subtask records and the `I_SW` tracker's
 /// subtasks are inline, so in steady state the only heap block a task
 /// owns is its drift track's (`tests/footprint.rs` pins both figures).
+/// The row holds nothing another place already does: the task's id is
+/// its position in the slab, its actual weight `wt(T, t)` is the `I_PS`
+/// tracker's.
 #[derive(Clone, Debug)]
 struct TaskState {
-    id: TaskId,
-    /// Actual weight `wt(T, t)` (changes at initiation).
-    wt: Rational,
     /// `z`: indices `> era_base` belong to the current era.
     era_base: u64,
     /// Index the next released subtask will get.
@@ -248,42 +249,47 @@ struct TaskState {
     /// adds is settled a slot later; only a tardy task holds more.
     subs: InlineVec<SubRec, 3>,
     pending: Option<Pending>,
-    /// Time at which an initiated leave takes effect.
-    leaving: Option<Slot>,
+    /// Time at which an initiated leave takes effect; [`NEVER`] while
+    /// none is.
+    leaving: Slot,
     /// Window of the most recently *scheduled* subtask (rule L).
     last_scheduled: Option<SubtaskWindow>,
     isw: IswTracker,
     ps: PsTracker,
     drift: DriftTrack,
     scheduled_count: u64,
-    last_cpu: Option<u32>,
+    /// Processor of the task's latest quantum; [`NO_CPU`] before the
+    /// first.
+    last_cpu: u32,
     /// History-mode accumulators (`subtasks` holds the pruned records);
     /// allocated when the task joins a `record_history` run.
     history: Option<Box<TaskHistory>>,
 }
 
+/// [`TaskState::last_cpu`] of a task that has not run yet. Processors
+/// are numbered below [`SimConfig::processors`], so none has this id.
+const NO_CPU: u32 = u32::MAX;
+
 const _: () = {
     assert!(std::mem::size_of::<SubRec>() <= 64);
-    assert!(std::mem::size_of::<TaskState>() <= 912);
+    assert!(std::mem::size_of::<TaskState>() <= 800);
 };
 
 impl TaskState {
-    fn placeholder(id: TaskId) -> TaskState {
+    fn placeholder() -> TaskState {
         TaskState {
-            id,
-            wt: Rational::ZERO,
             era_base: 0,
             next_index: 1,
             era_open_pending: false,
             subs: InlineVec::new(),
             pending: None,
-            leaving: None,
+            leaving: NEVER,
             last_scheduled: None,
             isw: IswTracker::new(Rational::ONE, 0),
             ps: PsTracker::new(Rational::ONE, 0),
             drift: DriftTrack::new(),
             scheduled_count: 0,
-            last_cpu: None,
+            last_cpu: NO_CPU,
             history: None,
         }
     }
@@ -438,7 +444,9 @@ struct SlotScratch {
 pub struct Engine<P: Probe = NoopProbe> {
     probe: P,
     config: SimConfig,
-    events: Vec<Event>,
+    /// The workload's time-ordered stream, shared with every other
+    /// consumer of that workload; the cursor is this engine's.
+    events: Arc<Vec<Event>>,
     next_event: usize,
     tasks: TaskSlab,
     queue: ReadyQueue,
@@ -511,7 +519,7 @@ impl<P: Probe> Engine<P> {
             probe,
             selector: RuleSelector::new(config.scheme.clone(), n),
             admission: AdmissionController::new(config.admission, config.processors, n),
-            events: workload.sorted_events(),
+            events: workload.stream(),
             next_event: 0,
             tasks: TaskSlab::new(n),
             queue: ReadyQueue::new(),
@@ -928,32 +936,32 @@ impl<P: Probe> Engine<P> {
             now,
             ..
         } = self;
-        let tasks = tasks
-            .into_cold()
-            .into_iter()
-            .map(|mut ts| {
-                // The drift track moves into the result; the growth slack
-                // of its buffer would stay allocated as long as that lives.
-                ts.drift.shrink_to_fit();
-                TaskResult {
-                    id: ts.id,
-                    scheduled_count: ts.scheduled_count,
-                    ps_total: ts.ps.total(),
-                    isw_total: ts.isw.isw_total(),
-                    icsw_total: ts.isw.icsw_total(),
-                    drift: std::mem::take(&mut ts.drift),
-                    history: record_history.then(|| {
-                        // A task that never joined has no accumulators.
-                        let mut history =
-                            ts.history.take().map_or_else(TaskHistory::default, |h| *h);
-                        history
-                            .subtasks
-                            .extend(ts.subs.iter().map(TaskState::to_record));
-                        history
-                    }),
-                }
-            })
-            .collect();
+        // A buffer of the results' own size: collecting would reuse the
+        // rows' allocation in place, and the result would hold a row's
+        // bytes per task for as long as it lives.
+        let cold = tasks.into_cold();
+        let mut tasks = Vec::with_capacity(cold.len());
+        tasks.extend(cold.into_iter().zip(0..).map(|(mut ts, id)| {
+            // The drift track moves into the result; the growth slack
+            // of its buffer would stay allocated as long as that lives.
+            ts.drift.shrink_to_fit();
+            TaskResult {
+                id: TaskId(id),
+                scheduled_count: ts.scheduled_count,
+                ps_total: ts.ps.total(),
+                isw_total: ts.isw.isw_total(),
+                icsw_total: ts.isw.icsw_total(),
+                drift: std::mem::take(&mut ts.drift),
+                history: record_history.then(|| {
+                    // A task that never joined has no accumulators.
+                    let mut history = ts.history.take().map_or_else(TaskHistory::default, |h| *h);
+                    history
+                        .subtasks
+                        .extend(ts.subs.iter().map(TaskState::to_record));
+                    history
+                }),
+            }
+        }));
         let result = SimResult {
             processors: config.processors,
             horizon: now,
@@ -971,12 +979,12 @@ impl<P: Probe> Engine<P> {
         self.leave_at.take_into(t, &mut due);
         Self::in_task_order(&mut due);
         for id in due.drain(..) {
-            if self.tasks.task(id).leaving != Some(t) {
+            if self.tasks.task(id).leaving != t {
                 continue;
             }
             // The ideals stop accruing at departure; close them out.
             self.sync_task(id, t);
-            self.tasks.task_mut(id).leaving = None;
+            self.tasks.task_mut(id).leaving = NEVER;
             self.tasks.set_in_system(id, false);
             self.admission.release(id);
         }
@@ -1112,15 +1120,13 @@ impl<P: Probe> Engine<P> {
         } else {
             IswTracker::new(g, t)
         };
+        // A rejoining id keeps the rest of its row: its indices go on
+        // counting, and its drift track, quanta and processor carry over.
         let task = self.tasks.task_mut(id);
-        *task = TaskState {
-            wt: g,
-            era_base: task.next_index - 1,
-            era_open_pending: true,
-            isw,
-            ps: PsTracker::new(g, t),
-            ..std::mem::replace(task, TaskState::placeholder(id))
-        };
+        task.era_base = task.next_index - 1;
+        task.era_open_pending = true;
+        task.isw = isw;
+        task.ps = PsTracker::new(g, t);
         if record_history {
             task.history.get_or_insert_with(Box::default);
         }
@@ -1146,7 +1152,7 @@ impl<P: Probe> Engine<P> {
             self.tasks.set_in_system(id, false);
             self.admission.release(id);
         } else {
-            self.tasks.task_mut(id).leaving = Some(leave_at);
+            self.tasks.task_mut(id).leaving = leave_at;
             self.leave_at.insert(leave_at, id);
         }
     }
@@ -1219,11 +1225,7 @@ impl<P: Probe> Engine<P> {
         self.sync_task(id, t);
 
         // The actual weight (and I_PS) changes at initiation, always.
-        {
-            let task = self.tasks.task_mut(id);
-            task.wt = v;
-            task.ps.set_wt(v);
-        }
+        self.tasks.task_mut(id).ps.set_wt(v);
 
         let current_drift = self.tasks.task(id).drift.at(t);
         let choice = self.selector.choose(id, t, old_swt, v, current_drift);
@@ -1403,7 +1405,8 @@ impl<P: Probe> Engine<P> {
         let mut due = std::mem::take(&mut self.scratch.due);
         self.release_at.take_into(t, &mut due);
         Self::in_task_order(&mut due);
-        // The probe gets the slot's releases as one batch.
+        // The probe gets the slot's releases as one batch; without a
+        // probe nothing reads it, and nothing is recorded.
         let mut batch = std::mem::take(&mut self.scratch.batch);
         for id in due.drain(..) {
             if !self.tasks.in_system(id) || self.tasks.next_release(id) != Some(t) {
@@ -1461,7 +1464,7 @@ impl<P: Probe> Engine<P> {
             // Eqn (4): the successor's release, unless a pending change
             // or leave suppresses it.
             let successor =
-                (task.pending.is_none() && task.leaving.is_none()).then(|| window.next_release());
+                (task.pending.is_none() && task.leaving == NEVER).then(|| window.next_release());
 
             self.tasks.set_next_release(id, successor);
             match scan.head_deadline {
@@ -1485,12 +1488,14 @@ impl<P: Probe> Engine<P> {
             if let Some(r) = successor {
                 self.note_release(id, r);
             }
-            batch.push(ReleaseRec {
-                task: id,
-                index,
-                deadline: window.deadline,
-                era_first,
-            });
+            if !P::IS_NOOP {
+                batch.push(ReleaseRec {
+                    task: id,
+                    index,
+                    deadline: window.deadline,
+                    era_first,
+                });
+            }
         }
         if !batch.is_empty() {
             self.probe.on_release_batch(t, &batch);
@@ -1594,10 +1599,11 @@ impl<P: Probe> Engine<P> {
         cpu_taken.clear();
         cpu_taken.resize(m, false);
         for &id in chosen {
-            let last = self.tasks.task(id).last_cpu;
-            match last {
-                // audit: allow(lossy-cast, u32→usize is lossless on the supported targets); allow(panic-reach, cpu ids are < processors, the length of cpu_taken)
-                Some(c) if !cpu_taken[c as usize] => cpu_taken[c as usize] = true,
+            // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+            let last = self.tasks.task(id).last_cpu as usize;
+            // `NO_CPU` names no processor.
+            match cpu_taken.get_mut(last) {
+                Some(taken) if !*taken => *taken = true,
                 _ => unplaced.push(id),
             }
         }
@@ -1615,10 +1621,10 @@ impl<P: Probe> Engine<P> {
             // audit: allow(panic-reach, PD² selection never chooses more than `processors` tasks)
             let cpu = free_cpus.pop().expect("more chosen tasks than processors");
             let task = self.tasks.task_mut(id);
-            if task.last_cpu.is_some() {
+            if task.last_cpu != NO_CPU {
                 self.counters.migrations += 1;
             }
-            task.last_cpu = Some(cpu);
+            task.last_cpu = cpu;
         }
         free_cpus.clear();
     }
@@ -1835,6 +1841,44 @@ mod tests {
         let r = simulate(SimConfig::oi(1, 30), &w);
         assert!(r.is_miss_free());
         assert!(r.task(TaskId(2)).scheduled_count >= 9);
+    }
+
+    /// A join on an id that was in the system before sets up a new
+    /// era and new trackers and leaves the rest of the row as the
+    /// departure left it: indices go on counting, and the quanta, the
+    /// drift track and the processor carry over.
+    #[test]
+    fn rejoin_keeps_the_row() {
+        let id = TaskId(0);
+        let mut w = Workload::new();
+        w.join(0, 0, 1, 2).join(1, 0, 1, 2).join(2, 0, 1, 2);
+        w.reweight(0, 5, 1, 3).leave(0, 12);
+        let mut e = Engine::new(SimConfig::oi(2, 60), &w);
+        e.run_to(30);
+        assert!(!e.tasks.in_system(id), "rule L has let the task go by now");
+        let before = e.tasks.task(id).clone();
+        assert!(before.next_index > 3 && before.scheduled_count > 3);
+        assert_eq!(before.drift.samples().len(), 2);
+
+        e.handle_join(id, 30, Weight::new(rat(1, 3)));
+        let after = e.tasks.task(id);
+        assert_eq!(after.next_index, before.next_index);
+        assert_eq!(after.scheduled_count, before.scheduled_count);
+        assert_eq!(after.drift, before.drift);
+        assert_eq!(after.last_cpu, before.last_cpu);
+        assert_eq!(after.last_scheduled, before.last_scheduled);
+        assert_eq!(after.era_base + 1, after.next_index);
+        assert!(after.era_open_pending);
+        assert_eq!((after.isw.now(), after.isw.swt()), (30, rat(1, 3)));
+        assert_eq!((after.ps.now(), after.ps.wt()), (30, rat(1, 3)));
+        assert!(after.ps.total().is_zero());
+
+        e.run();
+        let r = e.finish();
+        assert!(r.is_miss_free());
+        // 30 slots at 1/3, on top of what the first stay was given.
+        assert_eq!(r.task(id).scheduled_count, before.scheduled_count + 10);
+        assert_eq!(r.task(id).drift.samples().len(), 3);
     }
 
     /// The engine's step/finish API agrees with `simulate`.

@@ -52,7 +52,7 @@ use crate::reweight::RuleSelector;
 use pfair_core::analysis::checked_lcm;
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
-use pfair_core::time::{shift_ever, Slot};
+use pfair_core::time::{shift_ever, Slot, NEVER};
 use pfair_core::window::SubtaskWindow;
 use pfair_obs::{Probe, SpanDigest, TaskSpanDelta};
 
@@ -562,14 +562,13 @@ fn task_delta(
     // Advancing task: reweighting state must be quiescent and
     // era-stable (drift samples only appear at era boundaries, so
     // equality of the tracks is implied but checked anyway).
-    if ta.pending.is_some() || tb.pending.is_some() || ta.leaving.is_some() || tb.leaving.is_some()
-    {
+    if ta.pending.is_some() || tb.pending.is_some() || ta.leaving != NEVER || tb.leaving != NEVER {
         return Err(fail);
     }
     if ta.era_base != tb.era_base || ta.era_open_pending || tb.era_open_pending {
         return Err(fail);
     }
-    if ta.wt != tb.wt || a.swt(id) != b.swt(id) || ta.drift != tb.drift {
+    if a.swt(id) != b.swt(id) || ta.drift != tb.drift {
         return Err(fail);
     }
     if a.ran_last_slot(id) != b.ran_last_slot(id) {
@@ -646,8 +645,6 @@ fn task_fixed_equal(a: &TaskSlab, b: &TaskSlab, id: TaskId) -> bool {
         && a.swt(id) == b.swt(id)
         && a.next_release(id) == b.next_release(id)
         && a.ran_last_slot(id) == b.ran_last_slot(id)
-        && ta.id == tb.id
-        && ta.wt == tb.wt
         && ta.era_base == tb.era_base
         && ta.next_index == tb.next_index
         && ta.era_open_pending == tb.era_open_pending

@@ -36,7 +36,7 @@
 //! yields an `Err`, never a panicking or silently-wrong engine.
 
 use super::slab::TaskSlab;
-use super::{Engine, PendKind, Pending, SimConfig, SubRec, TaskState};
+use super::{Engine, PendKind, Pending, SimConfig, SubRec, TaskState, NO_CPU};
 use crate::admission::AdmissionController;
 use crate::calendar::CalendarRing;
 use crate::event::Event;
@@ -51,6 +51,7 @@ use pfair_core::time::{ever, Slot, NEVER};
 use pfair_core::window::SubtaskWindow;
 use pfair_json::{obj, FromJson, Json, JsonError, ToJson};
 use pfair_obs::Probe;
+use std::sync::Arc;
 
 impl ToJson for PendKind {
     fn to_json(&self) -> Json {
@@ -197,17 +198,32 @@ impl FromJson for SimConfig {
     }
 }
 
-/// One task in interchange form: the cold [`TaskState`] row plus the
-/// four hot slab columns, flattened into the same per-task JSON object
-/// the format has always used (the storage split is an in-memory
+/// One task in interchange form: its id, the cold [`TaskState`] row
+/// and the four hot slab columns, flattened into the same per-task JSON
+/// object the format has always used (the storage split is an in-memory
 /// layout decision, not an interchange change).
 #[derive(Clone, Debug)]
 struct TaskSnap {
+    id: TaskId,
     state: TaskState,
     in_system: bool,
     swt: Rational,
     next_release: Option<Slot>,
     ran_last_slot: bool,
+}
+
+impl TaskSnap {
+    /// The image's `wt` field, the actual weight `wt(T, t)`: the `I_PS`
+    /// tracker holds it, except that a row no task has joined yet —
+    /// whose trackers are stand-ins of weight one — reads zero.
+    fn wt(state: &TaskState) -> Rational {
+        let joined = state.era_open_pending || state.next_index > 1;
+        if joined {
+            state.ps.wt()
+        } else {
+            Rational::ZERO
+        }
+    }
 }
 
 impl ToJson for TaskSnap {
@@ -216,9 +232,9 @@ impl ToJson for TaskSnap {
         // `snapshot` refuses; they are not part of the interchange
         // format.
         obj([
-            ("id", self.state.id.to_json()),
+            ("id", self.id.to_json()),
             ("in_system", self.in_system.to_json()),
-            ("wt", self.state.wt.to_json()),
+            ("wt", TaskSnap::wt(&self.state).to_json()),
             ("swt", self.swt.to_json()),
             ("era_base", self.state.era_base.to_json()),
             ("next_index", self.state.next_index.to_json()),
@@ -226,13 +242,18 @@ impl ToJson for TaskSnap {
             ("next_release", self.next_release.to_json()),
             ("subs", self.state.subs.to_vec().to_json()),
             ("pending", self.state.pending.to_json()),
-            ("leaving", self.state.leaving.to_json()),
+            ("leaving", ever(self.state.leaving).to_json()),
             ("last_scheduled", self.state.last_scheduled.to_json()),
             ("isw", self.state.isw.to_json()),
             ("ps", self.state.ps.to_json()),
             ("drift", self.state.drift.to_json()),
             ("scheduled_count", self.state.scheduled_count.to_json()),
-            ("last_cpu", self.state.last_cpu.to_json()),
+            (
+                "last_cpu",
+                Some(self.state.last_cpu)
+                    .filter(|&cpu| cpu != NO_CPU)
+                    .to_json(),
+            ),
             ("ran_last_slot", self.ran_last_slot.to_json()),
         ])
     }
@@ -255,24 +276,29 @@ impl FromJson for TaskSnap {
         if subs.iter().any(|s| s.index >= next_index) {
             return Err(JsonError::new("subtask record at or past next_index"));
         }
+        let state = TaskState {
+            era_base,
+            next_index,
+            era_open_pending: value.field("era_open_pending")?,
+            subs: subs.into_iter().collect(),
+            pending: value.field("pending")?,
+            leaving: value.field::<Option<Slot>>("leaving")?.unwrap_or(NEVER),
+            last_scheduled: value.field("last_scheduled")?,
+            isw: value.field("isw")?,
+            ps: value.field("ps")?,
+            drift: value.field("drift")?,
+            scheduled_count: value.field("scheduled_count")?,
+            last_cpu: value.field::<Option<u32>>("last_cpu")?.unwrap_or(NO_CPU),
+            history: None,
+        };
+        if value.field::<Rational>("wt")? != TaskSnap::wt(&state) {
+            return Err(JsonError::new(
+                "task weight disagrees with its I_PS tracker",
+            ));
+        }
         Ok(TaskSnap {
-            state: TaskState {
-                id: value.field("id")?,
-                wt: value.field("wt")?,
-                era_base,
-                next_index,
-                era_open_pending: value.field("era_open_pending")?,
-                subs: subs.into_iter().collect(),
-                pending: value.field("pending")?,
-                leaving: value.field("leaving")?,
-                last_scheduled: value.field("last_scheduled")?,
-                isw: value.field("isw")?,
-                ps: value.field("ps")?,
-                drift: value.field("drift")?,
-                scheduled_count: value.field("scheduled_count")?,
-                last_cpu: value.field("last_cpu")?,
-                history: None,
-            },
+            id: value.field("id")?,
+            state,
             in_system: value.field("in_system")?,
             swt: value.field("swt")?,
             next_release: value.field("next_release")?,
@@ -338,7 +364,7 @@ impl FromJson for RingSnap {
 #[derive(Clone, Debug)]
 pub struct EngineSnapshot {
     config: SimConfig,
-    events: Vec<Event>,
+    events: Arc<Vec<Event>>,
     next_event: usize,
     injected: Vec<Event>,
     tasks: Vec<TaskSnap>,
@@ -385,11 +411,8 @@ impl EngineSnapshot {
         }
         let n = self.tasks.len();
         for (i, task) in self.tasks.iter().enumerate() {
-            if task.state.id.idx() != i {
-                return Err(format!(
-                    "task slab not dense: slot {i} holds {}",
-                    task.state.id
-                ));
+            if task.id.idx() != i {
+                return Err(format!("task slab not dense: slot {i} holds {}", task.id));
             }
         }
         if self.selector.task_slots() != n {
@@ -439,7 +462,7 @@ impl FromJson for EngineSnapshot {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         let snap = EngineSnapshot {
             config: value.field("config")?,
-            events: value.field("events")?,
+            events: Arc::new(value.field("events")?),
             next_event: value.field("next_event")?,
             injected: value.field("injected")?,
             tasks: value.field("tasks")?,
@@ -485,6 +508,7 @@ impl<P: Probe> Engine<P> {
                 // audit: allow(lossy-cast, slab ids stay within u32 by construction)
                 let id = TaskId(i as u32);
                 TaskSnap {
+                    id,
                     state: self.tasks.task(id).clone(),
                     in_system: self.tasks.in_system(id),
                     swt: self.tasks.swt(id),
@@ -495,7 +519,7 @@ impl<P: Probe> Engine<P> {
             .collect();
         Ok(EngineSnapshot {
             config: self.config.clone(),
-            events: self.events.clone(),
+            events: Arc::clone(&self.events),
             next_event: self.next_event,
             injected: self.injected.clone(),
             tasks,
@@ -552,7 +576,7 @@ impl<P: Probe> Engine<P> {
         // hot values back into the dense columns.
         let mut tasks = TaskSlab::new(n);
         for snap in snapshot.tasks {
-            let id = snap.state.id;
+            let id = snap.id;
             tasks.set_in_system(id, snap.in_system);
             tasks.set_swt(id, snap.swt);
             tasks.set_next_release(id, snap.next_release);

@@ -8,8 +8,9 @@
 //! the ran-flag sweep) actually touches. They live here as dense
 //! columns: two word-scanned [`IdBitmap`]s (the `CalendarRing`
 //! occupancy-map idiom) plus two flat `Vec`s, so a scan over 10⁶ tasks
-//! is cache-linear instead of striding over ~1 KB rows (`TaskState` is
-//! `const`-asserted to stay within 1024 bytes).
+//! is cache-linear instead of striding over 800-byte rows (`TaskState`
+//! is `const`-asserted to stay within that). A row's position is its
+//! task's id; the row does not repeat it.
 //! Everything else — subtask records, trackers, history — stays in the
 //! cold [`TaskState`] row, touched only for tasks an event or a
 //! scheduling decision actually names. (The fifth hot datum, the packed
@@ -76,11 +77,7 @@ impl TaskSlab {
         if n <= self.cold.len() {
             return;
         }
-        self.cold.reserve(n - self.cold.len());
-        for i in self.cold.len()..n {
-            // audit: allow(lossy-cast, ids stay within u32 by the check above)
-            self.cold.push(TaskState::placeholder(TaskId(i as u32)));
-        }
+        self.cold.resize_with(n, TaskState::placeholder);
         self.present.grow(n);
         self.ran.grow(n);
         self.swt.resize(n, Rational::ZERO);

@@ -16,7 +16,7 @@
 //! is *executable*: the `fig9` test and the `counterexamples` binary run
 //! the paper's two-processor system and observe the miss at time 9.
 
-use crate::event::{Event, EventKind, Workload};
+use crate::event::{EventKind, Workload};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{slot_from_i128, Slot};
@@ -86,7 +86,7 @@ pub fn run_projected_epdf(processors: u32, horizon: Slot, workload: &Workload) -
             missed_through: 0,
         })
         .collect();
-    let events: Vec<Event> = workload.sorted_events();
+    let events = workload.stream();
     let mut next_event = 0usize;
     let mut misses = Vec::new();
     let mut scheduled = vec![0u64; n];

@@ -19,7 +19,7 @@
 //! supplied text; this is the natural reconstruction used as a
 //! comparative baseline.
 
-use crate::event::{Event, EventKind, Workload};
+use crate::event::{EventKind, Workload};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{slot_from_i128, Slot};
@@ -119,7 +119,7 @@ pub fn run_partitioned_edf(processors: u32, horizon: Slot, workload: &Workload) 
             scheduled: 0,
         })
         .collect();
-    let events: Vec<Event> = workload.sorted_events();
+    let events = workload.stream();
     let mut next_event = 0usize;
     let mut out = PartitionedRun {
         scheduled: vec![0; n],

@@ -32,6 +32,15 @@
 //! the remaining overflow minimum — entries never migrate between the
 //! two structures on the pop path.
 //!
+//! Only occupied buckets own a heap buffer: a bucket that empties parks
+//! its buffer on a spare list and the next bucket to fill takes it, so
+//! the window holds as many buffers as buckets were ever occupied at
+//! once. Kept per bucket they would number one for every bucket the
+//! deadline front has passed over, each sized for its largest
+//! equal-deadline group: 0.5 MB for 50 tasks after 512 per-slot steps and
+//! next to nothing after a busy-span jump has rebuilt the queue, so the
+//! footprint would depend on which driver the events let run.
+//!
 //! The pop sequence is bit-identical to the previous binary-heap
 //! implementation, which is retained as [`HeapQueue`] — the reference
 //! for differential tests and `benchmark/`'s
@@ -105,6 +114,9 @@ pub struct ReadyQueue {
     /// per-bucket min-heap on the full entry order pops the true
     /// minimum without the memmove a sorted `Vec` insert would pay.
     buckets: Vec<BinaryHeap<Reverse<QueueEntry>>>,
+    /// Buffers of emptied buckets, handed to the next bucket that fills
+    /// (module docs): an unoccupied bucket has no allocation.
+    spare: Vec<BinaryHeap<Reverse<QueueEntry>>>,
     /// Bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WORDS],
     /// Entries with deadlines at or beyond `base + DEADLINE_SLOTS`,
@@ -134,6 +146,7 @@ impl ReadyQueue {
         ReadyQueue {
             base: 0,
             buckets: vec![BinaryHeap::new(); DEADLINE_BUCKETS],
+            spare: Vec::new(),
             occupied: [0; WORDS],
             overflow: BinaryHeap::new(),
             in_window: 0,
@@ -203,8 +216,10 @@ impl ReadyQueue {
                 continue;
             }
             let bi = Self::bucket_of(hit);
-            self.in_window -= self.buckets[bi].len(); // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
-            self.overflow.extend(self.buckets[bi].drain()); // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
+            let mut evicted = std::mem::take(&mut self.buckets[bi]); // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
+            self.in_window -= evicted.len();
+            self.overflow.extend(evicted.drain());
+            self.spare.push(evicted);
             self.occupied[bi / 64] &= !(1u64 << (bi % 64)); // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
             s = hit + 1;
         }
@@ -219,9 +234,15 @@ impl ReadyQueue {
             return;
         }
         let b = Self::bucket_of(d);
+        let bucket = &mut self.buckets[b]; // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
+        if bucket.capacity() == 0 {
+            if let Some(buffer) = self.spare.pop() {
+                *bucket = buffer;
+            }
+        }
         // Equal-deadline groups are small (one live head per task), so
         // the per-bucket heap sift is effectively constant work.
-        self.buckets[b].push(Reverse(entry)); // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
+        bucket.push(Reverse(entry));
         self.occupied[b / 64] |= 1u64 << (b % 64); // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
         self.in_window += 1;
         self.scan_min = self.scan_min.min(d);
@@ -240,7 +261,9 @@ impl ReadyQueue {
                 let bit = usize::try_from(word.trailing_zeros()).unwrap_or(0);
                 *word &= *word - 1;
                 // audit: allow(panic-reach, w indexes the 8 occupancy words and bit is below 64, so the bucket index is below DEADLINE_BUCKETS)
-                all.extend(self.buckets[w * 64 + bit].drain().map(|Reverse(e)| e));
+                let mut drained = std::mem::take(&mut self.buckets[w * 64 + bit]);
+                all.extend(drained.drain().map(|Reverse(e)| e));
+                self.spare.push(drained);
             }
         }
         all.extend(self.overflow.drain().map(|Reverse(e)| e));
@@ -328,6 +351,7 @@ impl ReadyQueue {
         let bucket = &mut self.buckets[b]; // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
         let Reverse(entry) = bucket.pop()?;
         if bucket.is_empty() {
+            self.spare.push(std::mem::take(bucket));
             self.occupied[b / 64] &= !(1u64 << (b % 64)); // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
         }
         self.in_window -= 1;
@@ -779,6 +803,57 @@ mod tests {
         assert_eq!(cr.heap_pops, ch.heap_pops);
         assert_eq!(cr.stale_pops, ch.stale_pops);
         assert_eq!(radix.entries_sorted(), heap.entries_sorted());
+    }
+
+    /// Only occupied buckets own a buffer, so a deadline front that
+    /// walks the window four times over holds as many buffers as
+    /// buckets were occupied at once — through pops, a compaction and a
+    /// below-window push alike.
+    #[test]
+    fn emptied_buckets_hand_their_buffers_on() {
+        fn buffers(q: &ReadyQueue) -> usize {
+            let held = q.buckets.iter().filter(|b| b.capacity() > 0).count();
+            let occupied: u32 = q.occupied.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(held, usize::try_from(occupied).unwrap_or(0));
+            held + q.spare.len()
+        }
+        let mut q = ReadyQueue::new();
+        let mut c = Counters::default();
+        // Twenty entries per deadline, three deadlines in flight; the
+        // all-live compactions re-anchor the window as the engine's do.
+        for t in 0..4 * DEADLINE_SLOTS {
+            if t % 64 == 0 {
+                q.compact(&mut c, |_| true);
+            }
+            for task in 0..20 {
+                q.push(
+                    entry(t + 3, false, task, u64::try_from(t).unwrap_or(0)),
+                    &mut c,
+                );
+            }
+            if t >= 2 {
+                for _ in 0..20 {
+                    let popped = q.pop_live(&mut c, |_| true);
+                    assert_eq!(popped.map(|e| e.priority.deadline()), Some(t + 1));
+                }
+            }
+            assert!(q.overflow.is_empty(), "slot {t}: the window is in use");
+            assert!(buffers(&q) <= 3, "slot {t}: {} buffers", buffers(&q));
+        }
+        let front = 4 * DEADLINE_SLOTS;
+        assert_eq!(q.front_deadline(), Some(front + 1));
+        q.compact(&mut c, |e| e.task.0 % 2 == 0);
+        assert_eq!((q.len(), buffers(&q)), (20, 3));
+        // Re-anchoring 511 slots lower evicts the later deadline to the
+        // overflow heap and parks its bucket's buffer.
+        q.push(entry(front - 510, false, 0, 0), &mut c);
+        assert_eq!((q.in_window, q.overflow.len(), buffers(&q)), (11, 10, 3));
+        let order: Vec<i64> = std::iter::from_fn(|| q.pop_live(&mut c, |_| true))
+            .map(|e| e.priority.deadline())
+            .collect();
+        assert_eq!(order.len(), 21);
+        assert!(order.is_sorted());
+        assert_eq!(buffers(&q), 3);
     }
 }
 

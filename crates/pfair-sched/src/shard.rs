@@ -44,6 +44,7 @@
 //! that strictly narrows the utilization gap.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use crate::admission::AdmissionPolicy;
 use crate::engine::{Engine, SimConfig};
@@ -159,8 +160,9 @@ struct Placement {
 pub struct ShardSet {
     spec: ShardSpec,
     engines: Vec<Engine<MetricsProbe>>,
-    /// Global event stream (time-sorted, insertion-stable), with cursor.
-    events: Vec<Event>,
+    /// Global event stream (time-sorted, insertion-stable; the
+    /// workload's shared buffer), with cursor.
+    events: Arc<Vec<Event>>,
     next_event: usize,
     /// Current placement of each global task (`None` = not in system).
     route: Vec<Option<Placement>>,
@@ -198,7 +200,7 @@ impl ShardSet {
         let shards = spec.shards;
         ShardSet {
             engines,
-            events: workload.sorted_events(),
+            events: workload.stream(),
             next_event: 0,
             route: Vec::new(),
             incarnations: Vec::new(),

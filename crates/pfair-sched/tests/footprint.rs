@@ -6,10 +6,13 @@
 //! inline — plus a single heap block for its drift track, and this test
 //! keeps it that way with a counting global allocator: it fails when a
 //! change gives every task another heap block, fattens the row past its
-//! budget, or makes the release path allocate again.
+//! budget, or makes the release path allocate again. The same counters
+//! pin the two buffers that exist once: the event stream every engine
+//! of a workload shares, and the result a finished engine hands over
+//! in place of its rows.
 //!
 //! The record and row sizes themselves are `const`-asserted where the
-//! types are defined (`SubRec` ≤ 64 and `TaskState` ≤ 912 bytes in
+//! types are defined (`SubRec` ≤ 64 and `TaskState` ≤ 800 bytes in
 //! `engine.rs`, `IswSub` ≤ 64 bytes in `pfair-core`'s `isw.rs`), so a
 //! new field that breaks the budget does not compile.
 
@@ -17,8 +20,11 @@
 // it forwards to `System` and touches nothing but three counters.
 #![allow(unsafe_code)]
 
+use pfair_core::drift::DriftSample;
 use pfair_obs::MetricsProbe;
 use pfair_sched::engine::{Engine, SimConfig};
+use pfair_sched::event::{Event, Workload};
+use pfair_sched::trace::TaskResult;
 use pfair_sched::workloads::{synthetic_population, POPULATION_ALIGNMENT};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
@@ -76,6 +82,11 @@ const ENGINE_BLOCKS: isize = 64;
 /// One test only: the counters are process-wide, and a second test
 /// running beside this one would be counted too.
 #[test]
+fn footprint() {
+    a_task_is_one_row_and_one_heap_block();
+    engines_of_one_workload_share_its_stream();
+}
+
 fn a_task_is_one_row_and_one_heap_block() {
     let workload = synthetic_population(TASKS, 1);
     let blocks_before = LIVE_BLOCKS.load(Relaxed);
@@ -95,8 +106,8 @@ fn a_task_is_one_row_and_one_heap_block() {
          (its drift track) plus the engine's own {ENGINE_BLOCKS}"
     );
     assert!(
-        bytes <= tasks * 1240,
-        "{bytes} live bytes for {TASKS} tasks: {} per task, budget 1240 (1235 measured)",
+        bytes <= tasks * 1065,
+        "{bytes} live bytes for {TASKS} tasks: {} per task, budget 1065 (1059 measured)",
         bytes / tasks
     );
 
@@ -114,4 +125,41 @@ fn a_task_is_one_row_and_one_heap_block() {
         allocations <= 16,
         "{allocations} allocations over slots 512..8192: the release path allocates again"
     );
+
+    // The engine is gone and its rows with it: what is live now that
+    // was not before it was built is the result, which holds a
+    // `TaskResult` and a drift block per task, not a row.
+    let live = LIVE_BYTES.load(Relaxed) - bytes_before;
+    let samples: usize = result.tasks.iter().map(|t| t.drift.samples().len()).sum();
+    let owed = result.tasks.len() * size_of::<TaskResult>() + samples * size_of::<DriftSample>();
+    assert!(
+        live * 4 <= signed(owed) * 5,
+        "{live} live bytes behind a result of {owed}: the engine's rows outlive it"
+    );
+}
+
+/// A workload's time-ordered stream exists once: an engine built from
+/// it costs its own tables and no copy of the events.
+fn engines_of_one_workload_share_its_stream() {
+    // Few tasks, many events: the stream dwarfs everything else.
+    let mut workload = Workload::new();
+    for task in 0..4 {
+        workload.join(task, 0, 1, 8);
+        for at in 1..5_000 {
+            workload.reweight(task, at, 1 + i128::from(at % 2), 16);
+        }
+    }
+    let stream = signed(workload.sorted_events().len() * size_of::<Event>());
+    let config = SimConfig::oi(1, 5_000);
+    let before = LIVE_BYTES.load(Relaxed);
+    let engines = [
+        Engine::new(config.clone(), &workload),
+        Engine::new(config, &workload),
+    ];
+    let grown = LIVE_BYTES.load(Relaxed) - before;
+    assert!(
+        grown < stream,
+        "two engines added {grown} live bytes to a stream of {stream}: one holds a copy"
+    );
+    drop(engines);
 }
