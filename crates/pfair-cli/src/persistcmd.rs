@@ -98,8 +98,10 @@ pub fn resume_file(
     }
 
     engine.run();
+    let mix = engine.driver_mix();
     let (result, probe) = engine.finish_with_probe();
     let mut out = crate::report::summary(&result);
+    out.push_str(&crate::report::driver_mix(&mix));
     if let Some(p) = &opts.json_out {
         std::fs::write(p, crate::to_json(&result)).map_err(|e| format!("writing {p}: {e}"))?;
         out.push_str(&format!("wrote {p}\n"));

@@ -1,6 +1,7 @@
 //! Human-readable run reports for the CLI.
 
 use pfair_core::rational::Rational;
+use pfair_sched::overhead::DriverMix;
 use pfair_sched::render::{render_task, ruler};
 use pfair_sched::trace::SimResult;
 use std::fmt::Write as _;
@@ -52,6 +53,30 @@ pub fn summary(result: &SimResult) -> String {
     out
 }
 
+/// Which rung of the driver ladder covered the run, and what the
+/// busy-span verifier did (`pfair resume`) — empty unless a span rung
+/// ran at all. History runs, `pfair run` among them, step every slot.
+pub fn driver_mix(mix: &DriverMix) -> String {
+    if mix.quiet_span_slots + mix.busy_span_slots == 0 {
+        return String::new();
+    }
+    format!(
+        "driver: {} slots stepped, {} skipped (quiet spans), {} jumped (busy spans)\n\
+         busy spans: {} armed on {} period scans; {} jumped, {} rotating (longest ×{}), \
+         {} mismatched (longest wait {} slots)\n",
+        mix.per_slot_slots,
+        mix.quiet_span_slots,
+        mix.busy_span_slots,
+        mix.arms,
+        mix.period_scans,
+        mix.jumps,
+        mix.cpu_rotations,
+        mix.longest_rotation,
+        mix.mismatches,
+        mix.longest_backoff,
+    )
+}
+
 /// Formats the window diagrams of every task (history mode required).
 pub fn diagrams(result: &SimResult) -> String {
     let mut out = String::new();
@@ -76,7 +101,7 @@ fn format_rat(r: Rational) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfair_sched::engine::{simulate, SimConfig};
+    use pfair_sched::engine::{simulate, Engine, SimConfig};
     use pfair_sched::event::Workload;
 
     #[test]
@@ -93,6 +118,25 @@ mod tests {
         assert!(s.contains("1 initiated"));
         assert!(s.contains("stale pops"));
         assert!(s.contains("compaction(s)"));
+    }
+
+    /// Only event-driven runs leave the per-slot rung; their report says
+    /// where the slots went.
+    #[test]
+    fn driver_mix_is_reported_once_a_span_rung_ran() {
+        let mut w = Workload::new();
+        for id in 0..4 {
+            w.join(id, 0, 1, 2);
+        }
+        let mut stepped = Engine::new(SimConfig::oi(2, 400).with_history(), &w);
+        stepped.run();
+        assert_eq!(driver_mix(&stepped.driver_mix()), "");
+        let mut spans = Engine::new(SimConfig::oi(2, 400), &w);
+        spans.run();
+        let line = driver_mix(&spans.driver_mix());
+        assert!(line.starts_with("driver: "), "{line}");
+        assert!(line.contains("jumped (busy spans)") && line.contains(" armed on "));
+        assert!(!line.contains("driver: 400 slots stepped"), "{line}");
     }
 
     #[test]

@@ -115,6 +115,17 @@ impl IswSub {
         }
     }
 
+    /// The record `ds` slots and `di` indices on; `None` on overflow.
+    fn shifted(&self, ds: Slot, di: u64) -> Option<IswSub> {
+        Some(IswSub {
+            index: self.index.checked_add(di)?,
+            release: self.release.checked_add(ds)?,
+            complete_at: shift_ever(self.complete_at, ds)?,
+            halted_at: shift_ever(self.halted_at, ds)?,
+            ..*self
+        })
+    }
+
     /// The same record, whichever units the two allocations count in.
     fn same_as(&self, unit: Units, other: &IswSub, other_unit: Units) -> bool {
         let rest = |s: &IswSub| (s.index, s.release, s.pred_gap, s.complete_at, s.halted_at);
@@ -790,51 +801,59 @@ impl IswTracker {
         self.now.checked_add(k)
     }
 
-    /// The tracker translated forward by `ds` slots, `di` subtask
-    /// indices, and `dt` total allocation — the image of this state
-    /// under one steady busy-span period. Every slot-valued field
-    /// shifts by `ds` (`NEVER` sentinels stay put), every subtask index
-    /// by `di` (predecessor back-references are distances and do not
-    /// move), and the running totals by `dt`; `swt` and the per-subtask
-    /// allocations are period-invariant so they are copied unchanged.
-    /// `None` when any shifted field would overflow — the caller then
-    /// simply declines to batch the span.
+    /// The steady busy-span question: is `later` this tracker one period
+    /// on — every slot-valued field `ds` later (`NEVER` sentinels stay
+    /// put), every subtask index `di` higher (predecessor
+    /// back-references are distances and do not move), and the rate,
+    /// the era unit, the total's base, the per-subtask allocations, the
+    /// halted loss and the retention settings as they were? If so,
+    /// returns how many era units the total grew by; `None` on any other
+    /// difference. Compares in place: nothing is built.
+    pub fn gain_over_shift(&self, later: &IswTracker, ds: Slot, di: u64) -> Option<Units> {
+        let (was, is) = (self.slot_history(), later.slot_history());
+        let same = self.now.checked_add(ds) == Some(later.now)
+            && self.rate == later.rate
+            && self.halted_loss == later.halted_loss
+            && self.keep_retired() == later.keep_retired()
+            && self.subs.len() == later.subs.len()
+            && (self.subs.iter().zip(later.subs.iter()))
+                .all(|(a, b)| a.shifted(ds, di) == Some(*b))
+            && was.map(BTreeMap::len) == is.map(BTreeMap::len)
+            // The shift is monotone, so a shifted history keeps its order.
+            && (was.into_iter().flatten().zip(is.into_iter().flatten()))
+                .all(|((key, a), (on, b))| key_on(key, ds, di) == Some(*on) && a == b);
+        later.total.units_since(&self.total).filter(|_| same)
+    }
+
+    /// Whether [`IswTracker::shift`] by these amounts stays in range.
+    pub fn shift_fits(&self, ds: Slot, di: u64, gain: Units) -> bool {
+        self.now.checked_add(ds).is_some()
+            && self.subs.iter().all(|s| s.shifted(ds, di).is_some())
+            && (self.slot_history().into_iter().flatten())
+                .all(|(key, _)| key_on(key, ds, di).is_some())
+            && self.total.counted().get().checked_add(gain.get()).is_some()
+    }
+
+    /// Moves the tracker `ds` slots, `di` subtask indices and `gain` era
+    /// units of total on, in place: `k` steady periods at once, given `k`
+    /// times what [`IswTracker::gain_over_shift`] reported for one.
+    /// Returns `false`, having changed nothing, if a shifted field would
+    /// overflow ([`IswTracker::shift_fits`]).
     #[must_use]
-    pub fn translated(&self, ds: Slot, di: u64, dt: Rational) -> Option<IswTracker> {
-        let subs = self
-            .subs
-            .iter()
-            .map(|s| {
-                Some(IswSub {
-                    index: s.index.checked_add(di)?,
-                    release: s.release.checked_add(ds)?,
-                    complete_at: shift_ever(s.complete_at, ds)?,
-                    halted_at: shift_ever(s.halted_at, ds)?,
-                    ..*s
-                })
-            })
-            .collect::<Option<InlineVec<_, 3>>>()?;
-        let slot_history = match self.slot_history() {
-            None => None,
-            Some(h) => Some(
-                h.iter()
-                    .map(|(&(i, t), &a)| Some(((i.checked_add(di)?, t.checked_add(ds)?), a)))
-                    .collect::<Option<SlotHistory>>()?,
-            ),
-        };
-        Some(IswTracker {
-            rate: self.rate,
-            subs,
-            total: self.total.plus(dt),
-            halted_loss: self.halted_loss,
-            now: self.now.checked_add(ds)?,
-            retention: self.retention.as_deref().map(|r| {
-                Box::new(Retention {
-                    keep_retired: r.keep_retired,
-                    slot_history,
-                })
-            }),
-        })
+    pub fn shift(&mut self, ds: Slot, di: u64, gain: Units) -> bool {
+        if !self.shift_fits(ds, di, gain) {
+            return false;
+        }
+        self.now += ds;
+        for s in &mut self.subs {
+            *s = s.shifted(ds, di).unwrap_or(*s);
+        }
+        if let Some(h) = self.slot_history_mut() {
+            let entries = std::mem::take(h).into_iter();
+            *h = (entries.filter_map(|(key, a)| Some((key_on(&key, ds, di)?, a)))).collect();
+        }
+        self.total.add_units(gain);
+        true
     }
 
     /// Number of per-slot breakdown entries currently retained across all
@@ -889,6 +908,11 @@ fn pred_final_alloc(earlier: &[IswSub], sub: &IswSub) -> Units {
         "predecessor T_{p} not complete at successor release"
     );
     pred.alloc
+}
+
+/// The key of a per-slot allocation `ds` slots and `di` indices on.
+fn key_on(&(index, slot): &(u64, Slot), ds: Slot, di: u64) -> Option<(u64, Slot)> {
+    Some((index.checked_add(di)?, slot.checked_add(ds)?))
 }
 
 /// Drops the per-slot allocations of a subtask that completed (it can
@@ -1351,5 +1375,165 @@ mod era_unit_tests {
         tr.set_swt(rat(1, 3));
         assert_eq!(tr.unit(), Units::new(3));
         assert_eq!(tr.isw_total(), Rational::from_int(6));
+    }
+}
+
+/// The busy-span pair: [`IswTracker::shift`] builds the image of a
+/// tracker under `(ds, di, gain)` in place and
+/// [`IswTracker::gain_over_shift`] recognizes exactly that image — any
+/// single field off and it refuses. Field access is what makes the
+/// perturbations possible, hence a unit test.
+#[cfg(test)]
+mod shift_tests {
+    use super::*;
+    use crate::rational::rat;
+    use crate::weight::Weight;
+    use crate::window::{b_bit, periodic_window};
+    use proptest::prelude::*;
+
+    /// A tracker some way into a run: `subs` periodic subtasks of weight
+    /// `num/den` released (possibly none), advanced to `extra` slots
+    /// past the last release, optionally with the last subtask halted
+    /// if it is still incomplete, a weight change enacted after that (so
+    /// the unit carries two denominators) and either retention setting
+    /// on.
+    fn arb_tracker() -> impl Strategy<Value = IswTracker> {
+        (
+            (1i128..=5, 2i128..=12),
+            (0u64..=6, 1i64..=5),
+            (0u8..4, 0u8..4),
+            (1i128..=3, 4i128..=9),
+        )
+            .prop_map(
+                |((num, den), (subs, extra), (retention, ending), (n1, d1))| {
+                    let w = Weight::new(rat(num.min(den - 1), den));
+                    let mut tr = match retention {
+                        0 => IswTracker::new(w.value(), 0),
+                        1 => IswTracker::new_keeping_history(w.value(), 0),
+                        _ => IswTracker::new(w.value(), 0).with_slot_history(),
+                    };
+                    let mut last = (0, 0);
+                    for i in 1..=subs {
+                        let win = periodic_window(w, i, 0);
+                        tr.add_subtask(i, win.release, i == 1, i > 1 && b_bit(w, i - 1));
+                        last = (i, win.release);
+                    }
+                    let stop = last.1 + extra;
+                    tr.sync_to(stop, |_, _| ());
+                    if ending >= 2 && subs > 0 && tr.completion_of(last.0).is_none() {
+                        let _ = tr.halt(last.0, stop);
+                    }
+                    if ending == 3 {
+                        tr.set_swt(rat(n1, d1));
+                        tr.sync_to(stop + 2, |_, _| ());
+                    }
+                    tr
+                },
+            )
+    }
+
+    /// Every way of getting one field of `image` wrong.
+    fn perturbations(image: &IswTracker) -> Vec<(&'static str, IswTracker)> {
+        let mut out: Vec<(&'static str, IswTracker)> = Vec::new();
+        let mut with = |what, edit: &dyn Fn(&mut IswTracker)| {
+            let mut t = image.clone();
+            edit(&mut t);
+            out.push((what, t));
+        };
+        with("now", &|t| t.now += 1);
+        with("rate", &|t| t.rate += Units::new(1));
+        with("halted loss", &|t| t.halted_loss += rat(1, 7));
+        with("unit", &|t| t.total.rebase(t.unit().times(2)));
+        with("total base", &|t| t.total = t.total.plus(rat(1, 3)));
+        with("keep_retired", &|t| {
+            let r = t.retention.get_or_insert_default();
+            r.keep_retired = !r.keep_retired;
+        });
+        with("a record more", &|t| {
+            let index = t.subs.back().map_or(1, |s| s.index + 1);
+            t.subs.push_back(IswSub {
+                index,
+                ..IswSub::default()
+            });
+        });
+        for i in 0..image.subs.len() {
+            let bump = |slot: &mut Slot| *slot = if *slot == NEVER { 0 } else { *slot + 1 };
+            with("index", &|t| t.subs.as_mut_slice()[i].index += 1);
+            with("release", &|t| t.subs.as_mut_slice()[i].release += 1);
+            with("pred_gap", &|t| t.subs.as_mut_slice()[i].pred_gap += 1);
+            with("alloc", &|t| {
+                t.subs.as_mut_slice()[i].alloc += Units::new(1);
+            });
+            with("complete_at", &|t| {
+                bump(&mut t.subs.as_mut_slice()[i].complete_at);
+            });
+            with("halted_at", &|t| {
+                bump(&mut t.subs.as_mut_slice()[i].halted_at);
+            });
+        }
+        if let Some((&(index, slot), &alloc)) = image.slot_history().and_then(|h| h.iter().next()) {
+            fn history(t: &mut IswTracker) -> &mut SlotHistory {
+                t.slot_history_mut().expect("cloned with its history")
+            }
+            with("history slot", &|t| {
+                history(t).remove(&(index, slot));
+                history(t).insert((index, slot + 1_000), alloc);
+            });
+            with("history alloc", &|t| {
+                history(t).insert((index, slot), alloc + rat(1, 5));
+            });
+            with("history entry", &|t| {
+                history(t).remove(&(index, slot));
+            });
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn shift_then_predicate_returns_the_gain(
+            tr in arb_tracker(),
+            ds in 0i64..5_000,
+            di in 0u64..5_000,
+            gain in 0i128..1_000_000,
+        ) {
+            let gain = Units::new(gain);
+            let mut image = tr.clone();
+            prop_assert!(image.shift_fits(ds, di, gain));
+            prop_assert!(image.shift(ds, di, gain));
+            prop_assert_eq!(tr.gain_over_shift(&image, ds, di), Some(gain));
+            // Same values, one period on: totals differ by the gain.
+            prop_assert_eq!(image.isw_total(), tr.isw_total() + gain.over(tr.unit()));
+            prop_assert_eq!(image.swt(), tr.swt());
+            prop_assert_eq!(image.slot_history_len(), tr.slot_history_len());
+            // The wrong shift is not the image either.
+            prop_assert_eq!(tr.gain_over_shift(&image, ds + 1, di), None);
+            if !tr.subs.is_empty() {
+                prop_assert_eq!(tr.gain_over_shift(&image, ds, di + 1), None);
+            }
+            for (what, wrong) in perturbations(&image) {
+                prop_assert_eq!(tr.gain_over_shift(&wrong, ds, di), None, "perturbed {}", what);
+            }
+        }
+
+        /// A shift that would overflow any field is refused whole.
+        #[test]
+        fn overflowing_shift_changes_nothing(tr in arb_tracker(), which in 0u8..3) {
+            let (ds, di, gain) = match which {
+                0 => (Slot::MAX, 0, Units::ZERO),
+                1 => (0, u64::MAX, Units::ZERO),
+                _ => (0, 0, Units::new(i128::MAX)),
+            };
+            let fits = tr.shift_fits(ds, di, gain);
+            // An index shift only overflows if there is a record to
+            // shift; a tracker that has counted nothing takes any gain.
+            prop_assert_eq!(fits, (which == 1 && tr.subs.is_empty())
+                || (which == 2 && tr.total.counted().is_zero()));
+            let mut image = tr.clone();
+            prop_assert_eq!(image.shift(ds, di, gain), fits);
+            if !fits {
+                prop_assert_eq!(tr.gain_over_shift(&image, 0, 0), Some(Units::ZERO));
+            }
+        }
     }
 }

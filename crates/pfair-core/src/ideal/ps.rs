@@ -142,26 +142,46 @@ impl PsTracker {
         self.advance_to(t + 1)
     }
 
-    /// The tracker translated forward by `ds` slots and `dt` total
-    /// allocation — the image of this state under one steady busy-span
-    /// period. `wt` is period-invariant; `now` and every suspension
-    /// interval shift by `ds`; the running total grows by `dt`. `None`
-    /// when a shifted slot would overflow, in which case the caller
-    /// declines to batch the span.
+    /// The steady busy-span question: is `later` this tracker one period
+    /// on — `now` and every suspension bound `ds` later, the weight and
+    /// the total's base as they were? If so, returns how many active
+    /// slots the era sum gained; `None` on any other difference.
+    /// Compares in place and builds nothing.
+    pub fn gain_over_shift(&self, later: &PsTracker, ds: Slot) -> Option<i64> {
+        let on = |(a, b): (Slot, Slot)| Some((a.checked_add(ds)?, b.checked_add(ds)?));
+        let same = self.wt == later.wt
+            && self.base == later.base
+            && self.now.checked_add(ds) == Some(later.now)
+            && self.suspensions.len() == later.suspensions.len()
+            && (self.suspensions.iter().zip(later.suspensions.iter()))
+                .all(|(&a, &b)| on(a) == Some(b));
+        later.active.checked_sub(self.active).filter(|_| same)
+    }
+
+    /// Whether [`PsTracker::shift`] by these amounts stays in range.
+    pub fn shift_fits(&self, ds: Slot, gain: i64) -> bool {
+        self.now.checked_add(ds).is_some()
+            && self.active.checked_add(gain).is_some()
+            && (self.suspensions.iter()).all(|&(_, until)| until.checked_add(ds).is_some())
+    }
+
+    /// Moves the tracker `ds` slots and `gain` active slots on, in
+    /// place: `k` steady periods at once, given `k` times what
+    /// [`PsTracker::gain_over_shift`] reported for one. Returns `false`,
+    /// having changed nothing, if a shifted field would overflow
+    /// ([`PsTracker::shift_fits`]).
     #[must_use]
-    pub fn translated(&self, ds: Slot, dt: Rational) -> Option<PsTracker> {
-        let suspensions = self
-            .suspensions
-            .iter()
-            .map(|&(a, b)| Some((a.checked_add(ds)?, b.checked_add(ds)?)))
-            .collect::<Option<Vec<_>>>()?;
-        Some(PsTracker {
-            wt: self.wt,
-            base: self.base + dt,
-            active: self.active,
-            now: self.now.checked_add(ds)?,
-            suspensions: suspensions.into(),
-        })
+    pub fn shift(&mut self, ds: Slot, gain: i64) -> bool {
+        if !self.shift_fits(ds, gain) {
+            return false;
+        }
+        self.now += ds;
+        self.active += gain;
+        for (from, until) in self.suspensions.iter_mut() {
+            *from += ds;
+            *until += ds;
+        }
+        true
     }
 
     /// Slots of `[from, t)` that at least one suspension covers. The
@@ -396,5 +416,73 @@ mod advance_to_tests {
     fn backwards_jump_panics() {
         let mut ps = PsTracker::new(rat(1, 3), 7);
         ps.advance_to(3);
+    }
+}
+
+/// The busy-span pair: [`PsTracker::shift`] builds the image of a
+/// tracker under `(ds, gain)` in place and
+/// [`PsTracker::gain_over_shift`] recognizes exactly that image.
+#[cfg(test)]
+mod shift_tests {
+    use super::*;
+    use crate::rational::rat;
+    use proptest::prelude::*;
+
+    /// A tracker some way into a run: suspensions past and future (some
+    /// overlapping), a weight change, a few slots counted at the new
+    /// weight.
+    fn arb_tracker() -> impl Strategy<Value = PsTracker> {
+        (
+            (1i128..=5, 2i128..=12),
+            prop::collection::vec((0i64..60, 1i64..20), 0..4),
+            (0i64..40, 0i64..10),
+        )
+            .prop_map(|((num, den), suspensions, (first, then))| {
+                let mut ps = PsTracker::new(rat(num.min(den), den), 3);
+                for (from, len) in suspensions {
+                    ps.suspend_between(3 + from, 3 + from + len);
+                }
+                ps.sync_to(3 + first);
+                ps.set_wt(rat(1, den + 1));
+                ps.sync_to(3 + first + then);
+                ps
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn shift_then_predicate_returns_the_gain(
+            ps in arb_tracker(),
+            ds in 0i64..5_000,
+            gain in 0i64..1_000_000,
+        ) {
+            let mut image = ps.clone();
+            prop_assert!(image.shift(ds, gain));
+            prop_assert_eq!(ps.gain_over_shift(&image, ds), Some(gain));
+            prop_assert_eq!(image.total(), ps.total() + ps.wt().mul_int(gain));
+            prop_assert_eq!(ps.gain_over_shift(&image, ds + 1), None);
+            let mut wrong: Vec<(&str, PsTracker)> = Vec::new();
+            let mut with = |what, edit: &dyn Fn(&mut PsTracker)| {
+                let mut t = image.clone();
+                edit(&mut t);
+                wrong.push((what, t));
+            };
+            with("wt", &|t| t.wt += rat(1, 64));
+            with("base", &|t| t.base += rat(1, 64));
+            with("now", &|t| t.now += 1);
+            with("a suspension more", &|t| t.suspend_between(t.now + 5, t.now + 6));
+            for i in 0..image.suspensions.len() {
+                with("suspension start", &|t| t.suspensions[i].0 -= 1);
+                with("suspension end", &|t| t.suspensions[i].1 += 1);
+            }
+            for (what, wrong) in wrong {
+                prop_assert_eq!(ps.gain_over_shift(&wrong, ds), None, "perturbed {}", what);
+            }
+            // An overflowing shift is refused whole.
+            let mut stays = ps.clone();
+            prop_assert!(!stays.shift(Slot::MAX, 0));
+            prop_assert!(ps.active == 0 || !stays.shift(0, i64::MAX));
+            prop_assert_eq!(ps.gain_over_shift(&stays, 0), Some(0));
+        }
     }
 }

@@ -129,32 +129,38 @@ impl CalendarRing {
         out.append(bucket);
     }
 
+    /// The earliest occupied in-window slot `≥ from`.
+    fn next_in_window(&self, from: Slot) -> Option<Slot> {
+        if self.in_window == 0 {
+            return None;
+        }
+        let end = self.base.saturating_add(WINDOW_SLOTS);
+        let mut s = from.max(self.base);
+        while s < end {
+            // Word-window alignment: buckets `s mod WINDOW` share a
+            // word exactly when the slots share `s div 64` (WINDOW
+            // is a multiple of 64), so one masked word covers slots
+            // `s ..= s | 63`.
+            let b = Self::bucket_of(s);
+            let bit = s.rem_euclid(64);
+            let word = self.occupied[b / 64]; // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
+            let masked = word & (u64::MAX << usize::try_from(bit).unwrap_or(0));
+            if masked != 0 {
+                let hit = s + i64::from(masked.trailing_zeros()) - bit;
+                return (hit < end).then_some(hit);
+            }
+            s = s + 64 - bit;
+        }
+        None
+    }
+
     /// The earliest occupied slot `≥ from`, or `None` when the ring
     /// holds nothing at or after `from`. This is exact (overflow
     /// entries included via their maintained minimum), so batching can
     /// trust a `None` to mean "nothing ahead at all".
     pub fn next_occupied(&self, from: Slot) -> Option<Slot> {
-        if self.in_window > 0 {
-            let end = self.base.saturating_add(WINDOW_SLOTS);
-            let mut s = from.max(self.base);
-            while s < end {
-                // Word-window alignment: buckets `s mod WINDOW` share a
-                // word exactly when the slots share `s div 64` (WINDOW
-                // is a multiple of 64), so one masked word covers slots
-                // `s ..= s | 63`.
-                let b = Self::bucket_of(s);
-                let bit = s.rem_euclid(64);
-                let word = self.occupied[b / 64]; // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-                let masked = word & (u64::MAX << usize::try_from(bit).unwrap_or(0));
-                if masked != 0 {
-                    let hit = s + i64::from(masked.trailing_zeros()) - bit;
-                    if hit < end {
-                        return Some(hit);
-                    }
-                    break;
-                }
-                s = s + 64 - bit;
-            }
+        if let Some(hit) = self.next_in_window(from) {
+            return Some(hit);
         }
         if self.overflow.is_empty() || self.overflow_min < from {
             // `overflow_min < from` cannot happen for in-order consumers
@@ -163,6 +169,55 @@ impl CalendarRing {
             None
         } else {
             Some(self.overflow_min)
+        }
+    }
+
+    /// Hands `visit` every entry as `(slot, task)`: the window in slot
+    /// order (insertion order within a slot), then the overflow list.
+    pub fn for_each(&self, mut visit: impl FnMut(Slot, TaskId)) {
+        let mut from = self.base;
+        while let Some(slot) = self.next_in_window(from) {
+            // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
+            for &id in &self.buckets[Self::bucket_of(slot)] {
+                visit(slot, id);
+            }
+            from = slot + 1;
+        }
+        for &(slot, id) in &self.overflow {
+            visit(slot, id);
+        }
+    }
+
+    /// Re-anchors the window at `base` and moves every entry to the slot
+    /// `map` names for it (at or after `base`), dropping those it maps
+    /// to `None` — in place: the entries are drained into `scratch` in
+    /// [`CalendarRing::for_each`] order and re-inserted in that order,
+    /// so every bucket keeps its buffer and a caller that keeps
+    /// `scratch` allocates nothing. Slot for slot the result takes like
+    /// a fresh ring at `base` given the same inserts.
+    pub fn remap(
+        &mut self,
+        base: Slot,
+        scratch: &mut Vec<(Slot, TaskId)>,
+        mut map: impl FnMut(Slot, TaskId) -> Option<Slot>,
+    ) {
+        scratch.clear();
+        let mut from = self.base;
+        while let Some(slot) = self.next_in_window(from) {
+            // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
+            let bucket = &mut self.buckets[Self::bucket_of(slot)];
+            scratch.extend(bucket.drain(..).map(|id| (slot, id)));
+            from = slot + 1;
+        }
+        scratch.append(&mut self.overflow);
+        self.base = base;
+        self.occupied = [0; WORDS];
+        self.overflow_min = NEVER;
+        self.in_window = 0;
+        for &(slot, id) in scratch.iter() {
+            if let Some(to) = map(slot, id) {
+                self.insert(to, id);
+            }
         }
     }
 
@@ -187,18 +242,11 @@ impl CalendarRing {
     /// and overflow minimum from this projection alone.
     pub fn persist_parts(&self) -> (Slot, RingBuckets, RingOverflow) {
         let mut bucketed = Vec::new();
-        if self.in_window > 0 {
-            let end = self.base.saturating_add(WINDOW_SLOTS);
-            let mut s = self.base;
-            while s < end {
-                let b = Self::bucket_of(s);
-                // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-                if self.occupied[b / 64] & (1u64 << (b % 64)) != 0 {
-                    // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-                    bucketed.push((s, self.buckets[b].clone()));
-                }
-                s += 1;
-            }
+        let mut from = self.base;
+        while let Some(slot) = self.next_in_window(from) {
+            // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
+            bucketed.push((slot, self.buckets[Self::bucket_of(slot)].clone()));
+            from = slot + 1;
         }
         (self.base, bucketed, self.overflow.clone())
     }
@@ -402,5 +450,76 @@ mod tests {
             }
         }
         assert_eq!(got, (0..2_000).step_by(7).collect::<Vec<i64>>());
+    }
+
+    /// In-place translation ([`CalendarRing::remap`]) against the
+    /// rebuild it replaced — a fresh ring at the target given the mapped
+    /// entries in projection order: window, overflow list, shifted and
+    /// kept hints ahead of the target, dropped ones behind it.
+    mod remap {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn in_place_remap_takes_like_a_rebuild(
+                start in 0i64..2_000,
+                consumed in 0i64..700,
+                inserts in prop::collection::vec((0i64..1_500, 0u32..8), 0..60),
+                ds in 0i64..4_000,
+                moving in prop::collection::vec(0u8..2, 8),
+            ) {
+                // A ring in mid-run: window rotated by `consumed` takes,
+                // entries in buckets and on the overflow list.
+                let mut ring = CalendarRing::new(start);
+                let now = start + consumed;
+                for t in start..now {
+                    ring.take(t);
+                }
+                for &(ahead, id) in &inserts {
+                    ring.insert(now + ahead, TaskId(id));
+                }
+                let to = now + ds;
+                let map = |slot: Slot, id: TaskId| {
+                    if moving[id.idx()] == 1 {
+                        Some(slot + ds)
+                    } else {
+                        (slot >= to).then_some(slot)
+                    }
+                };
+                let mut walked = Vec::new();
+                ring.for_each(|slot, id| walked.push((slot, id)));
+                let (_, buckets, overflow) = ring.persist_parts();
+                let projected: Vec<(Slot, TaskId)> = buckets
+                    .into_iter()
+                    .flat_map(|(slot, ids)| ids.into_iter().map(move |id| (slot, id)))
+                    .chain(overflow)
+                    .collect();
+                prop_assert_eq!(&walked, &projected);
+                let mut rebuilt = CalendarRing::new(to);
+                for &(slot, id) in &projected {
+                    if let Some(slot) = map(slot, id) {
+                        rebuilt.insert(slot, id);
+                    }
+                }
+                let mut scratch = vec![(7, TaskId(7))];
+                ring.remap(to, &mut scratch, map);
+                prop_assert_eq!(ring.len(), rebuilt.len());
+                prop_assert_eq!(ring.persist_parts(), rebuilt.persist_parts());
+                let (base, buckets, overflow) = ring.persist_parts();
+                let mut restored = CalendarRing::from_parts(base, buckets, overflow)
+                    .expect("a remapped ring is a valid projection");
+                // Same answers, slot for slot, until all three are empty.
+                let mut t = to;
+                while !rebuilt.is_empty() {
+                    prop_assert_eq!(ring.next_occupied(t), rebuilt.next_occupied(t));
+                    t = rebuilt.next_occupied(t).expect("a non-empty ring has a next slot");
+                    let due = rebuilt.take(t);
+                    prop_assert_eq!(&ring.take(t), &due);
+                    prop_assert_eq!(&restored.take(t), &due);
+                }
+                prop_assert!(ring.is_empty() && restored.is_empty());
+            }
+        }
     }
 }

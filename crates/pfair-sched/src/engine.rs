@@ -36,7 +36,7 @@
 use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::calendar::CalendarRing;
 use crate::event::{Event, EventKind, Workload};
-use crate::overhead::Counters;
+use crate::overhead::{Counters, DriverMix};
 use crate::priority::{Priority, TieBreak, TieTable};
 use crate::queue::{compaction_threshold, QueueEntry, ReadyQueue};
 use crate::reweight::{RuleChoice, RuleSelector, Scheme};
@@ -497,10 +497,9 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// which cannot change its trajectory (jumps are verified no-ops
     /// over per-slot stepping).
     busy: busy_span::BusySpanState,
-    /// Number of verified busy-span jumps enacted (diagnostic; not a
-    /// `Counters` field — the per-slot oracle never increments it, and
-    /// counters must stay bit-identical across drivers).
-    busy_span_jumps: u64,
+    /// Slots covered per driver rung and busy-span outcomes
+    /// ([`Engine::driver_mix`]).
+    mix: DriverMix,
 }
 
 impl Engine {
@@ -537,7 +536,7 @@ impl<P: Probe> Engine<P> {
             enact_at: CalendarRing::new(0),
             leave_at: CalendarRing::new(0),
             busy: busy_span::BusySpanState::default(),
-            busy_span_jumps: 0,
+            mix: DriverMix::default(),
             config,
         }
     }
@@ -586,6 +585,8 @@ impl<P: Probe> Engine<P> {
     /// This is how live drivers (the real-time executor) feed
     /// reweighting requests into a running engine.
     pub fn inject(&mut self, event: Event) {
+        // The event may fire inside a span found unarmable.
+        self.busy.forget_refusal();
         self.injected_min = self.injected_min.min(event.at);
         self.injected.push(event);
     }
@@ -633,6 +634,11 @@ impl<P: Probe> Engine<P> {
         &self.counters
     }
 
+    /// What each rung of the driver ladder did so far.
+    pub fn driver_mix(&self) -> DriverMix {
+        self.mix
+    }
+
     /// Runs every remaining slot up to the horizon.
     ///
     /// With `config.tickless` (the default) quiet and steady busy spans
@@ -662,6 +668,8 @@ impl<P: Probe> Engine<P> {
     pub fn run_to(&mut self, until: Slot) {
         let until = until.min(self.config.horizon);
         self.run_limit = until;
+        // A span refused under the last segment's limit may arm now.
+        self.busy.forget_refusal();
         let spans = self.config.tickless && !self.config.record_history;
         while self.now < until {
             self.step_slot();
@@ -709,6 +717,7 @@ impl<P: Probe> Engine<P> {
     fn skip_quiet_span(&mut self, start: Slot, end: Slot) {
         debug_assert!(start < end, "empty quiet span");
         debug_assert!(self.queue.is_empty(), "batching over a non-empty queue");
+        self.mix.quiet_span_slots += u64::try_from(end - start).unwrap_or(0);
         if self.config.processors > 0 {
             self.counters.slots_with_holes += u64::try_from(end - start).unwrap_or(0);
         }
@@ -837,6 +846,7 @@ impl<P: Probe> Engine<P> {
             }
             self.touched = touched;
         }
+        self.mix.per_slot_slots += 1;
         self.now = t + 1;
     }
 

@@ -626,7 +626,7 @@ impl<P: Probe> Engine<P> {
             // interchange format (jumps are verified no-ops, so a cold
             // restart cannot change the trajectory).
             busy: super::busy_span::BusySpanState::default(),
-            busy_span_jumps: 0,
+            mix: crate::overhead::DriverMix::default(),
             config: snapshot.config,
         })
     }

@@ -100,6 +100,38 @@ impl Counters {
         self.heap_pushes + self.heap_pops
     }
 
+    /// Per-field `self − earlier`; `None` if any counter went backwards
+    /// (it cannot — counters are monotone — but the busy-span batcher
+    /// bails rather than trusts).
+    pub fn checked_sub(&self, earlier: &Counters) -> Option<Counters> {
+        self.zip_with(earlier, u64::checked_sub)
+    }
+
+    /// Per-field `self + k · delta`, overflow-checked: the counters
+    /// after `k` more spans that each moved them by `delta`.
+    pub fn checked_add_scaled(&self, delta: &Counters, k: u64) -> Option<Counters> {
+        self.zip_with(delta, |base, d| base.checked_add(d.checked_mul(k)?))
+    }
+
+    /// `f` applied field by field; `None` as soon as it says so.
+    fn zip_with(&self, o: &Counters, f: impl Fn(u64, u64) -> Option<u64>) -> Option<Counters> {
+        Some(Counters {
+            heap_pushes: f(self.heap_pushes, o.heap_pushes)?,
+            heap_pops: f(self.heap_pops, o.heap_pops)?,
+            stale_pops: f(self.stale_pops, o.stale_pops)?,
+            reweight_initiations: f(self.reweight_initiations, o.reweight_initiations)?,
+            reweight_enactments: f(self.reweight_enactments, o.reweight_enactments)?,
+            halts: f(self.halts, o.halts)?,
+            scheduled_quanta: f(self.scheduled_quanta, o.scheduled_quanta)?,
+            slots_with_holes: f(self.slots_with_holes, o.slots_with_holes)?,
+            migrations: f(self.migrations, o.migrations)?,
+            preemptions: f(self.preemptions, o.preemptions)?,
+            rejected_heavy_reweights: f(self.rejected_heavy_reweights, o.rejected_heavy_reweights)?,
+            compactions: f(self.compactions, o.compactions)?,
+            compacted_stale: f(self.compacted_stale, o.compacted_stale)?,
+        })
+    }
+
     /// The counters as a `pfair-obs` [`Registry`](pfair_obs::Registry),
     /// one counter per field under its field name. `Counters` stays the
     /// engine-facing view (a flat `Copy` struct the hot path bumps
@@ -128,9 +160,77 @@ impl Counters {
     }
 }
 
+/// Which rung of the driver ladder covered how many slots, and what the
+/// busy-span state machine did on the way — what the *driver* cost, next
+/// to what scheduling did ([`Counters`]). Plain tallies read through
+/// `Engine::driver_mix`; deliberately not part of [`Counters`] or of a
+/// run's result (the per-slot oracle never leaves its rung, and those
+/// must stay bit-identical across drivers) and not persisted (a restored
+/// engine re-arms from scratch).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DriverMix {
+    /// Slots that ran the full per-slot pipeline.
+    pub per_slot_slots: u64,
+    /// Slots skipped by quiet-span jumps.
+    pub quiet_span_slots: u64,
+    /// Slots enacted in closed form by busy-span jumps.
+    pub busy_span_slots: u64,
+    /// Busy-span snapshots armed.
+    pub arms: u64,
+    /// Scans of the present tasks for a candidate span period.
+    pub period_scans: u64,
+    /// Verifications that jumped.
+    pub jumps: u64,
+    /// Verifications that found only the processor placement rotating.
+    pub cpu_rotations: u64,
+    /// Verifications that found the state not periodic (or refused an
+    /// overflowing jump).
+    pub mismatches: u64,
+    /// Largest multiple `q` of the base period a rotating probe reached.
+    pub longest_rotation: u64,
+    /// Longest wait, in slots, a failed verification imposed.
+    pub longest_backoff: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The span arithmetic covers every field: a `k`-fold delta added
+    /// and taken away again is the identity, and neither direction
+    /// wraps. Fields are set through the JSON form, so a field added to
+    /// the struct is a field checked here.
+    #[test]
+    fn span_arithmetic_is_per_field_and_checked() {
+        use pfair_json::{FromJson, Json, ToJson};
+        let numbered = |scale: u64| {
+            let Json::Object(mut fields) = Counters::default().to_json() else {
+                panic!("counters render as an object");
+            };
+            for (i, (_, value)) in (1u64..).zip(&mut fields) {
+                *value = (scale * i).to_json();
+            }
+            Counters::from_json(&Json::Object(fields)).expect("a counters image")
+        };
+        let (base, delta) = (numbered(100), numbered(1));
+        let later = base.checked_add_scaled(&delta, 7).expect("small numbers");
+        let (was, gain, is) = (base.to_registry(), delta.to_registry(), later.to_registry());
+        assert_eq!(was.counter_names().len(), 13);
+        for name in was.counter_names() {
+            assert!(gain.counter(name) > 0, "{name} was never set");
+            assert_eq!(is.counter(name), was.counter(name) + 7 * gain.counter(name));
+        }
+        assert_eq!(
+            later.checked_sub(&base),
+            Counters::default().checked_add_scaled(&delta, 7)
+        );
+        assert_eq!(
+            base.checked_sub(&later),
+            None,
+            "counters never run backwards"
+        );
+        assert_eq!(later.checked_add_scaled(&delta, u64::MAX), None);
+    }
 
     #[test]
     fn heap_ops_sums_pushes_and_pops() {

@@ -448,6 +448,34 @@ impl ReadyQueue {
         drop(self.drain_all());
     }
 
+    /// Hands `visit` every entry (stale ones included) in ascending
+    /// order until it returns `false`; returns whether the walk reached
+    /// the end. Buckets are visited in deadline order and the overflow
+    /// heap last (its deadlines lie beyond the window's); `scratch` holds
+    /// one of them at a time while it is sorted, so a caller that keeps
+    /// the buffer allocates nothing.
+    pub fn walk_sorted(
+        &self,
+        scratch: &mut Vec<QueueEntry>,
+        mut visit: impl FnMut(&QueueEntry) -> bool,
+    ) -> bool {
+        let mut group = |heap: &BinaryHeap<Reverse<QueueEntry>>| {
+            scratch.clear();
+            scratch.extend(heap.iter().map(|Reverse(e)| *e));
+            scratch.sort_unstable();
+            scratch.iter().all(&mut visit)
+        };
+        let mut from = self.base;
+        while let Some(d) = self.next_bucket(from) {
+            // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
+            if !group(&self.buckets[Self::bucket_of(d)]) {
+                return false;
+            }
+            from = d.saturating_add(1);
+        }
+        group(&self.overflow)
+    }
+
     /// Canonical persist projection: every entry (stale ones included —
     /// they carry observable cost via stale-pop counters) in ascending
     /// priority order. `QueueEntry`'s `Ord` is total over all fields,
@@ -456,18 +484,46 @@ impl ReadyQueue {
     /// regardless of its internal bucket layout.
     pub fn entries_sorted(&self) -> Vec<QueueEntry> {
         let mut entries: Vec<QueueEntry> = Vec::with_capacity(self.len());
-        for (w, word) in self.occupied.iter().enumerate() {
-            let mut word = *word;
-            while word != 0 {
-                let bit = usize::try_from(word.trailing_zeros()).unwrap_or(0);
-                word &= word - 1;
-                // audit: allow(panic-reach, w indexes the 8 occupancy words and bit is below 64, so the bucket index is below DEADLINE_BUCKETS)
-                entries.extend(self.buckets[w * 64 + bit].iter().map(|Reverse(e)| *e));
+        self.walk_sorted(&mut Vec::new(), |e| {
+            entries.push(*e);
+            true
+        });
+        entries
+    }
+
+    /// Moves the whole queue `ds ≥ 0` slots later without re-placing an
+    /// entry: `shift` rewrites each one (it must add exactly `ds` to the
+    /// deadline field and keep the order of any two entries — a uniform
+    /// slot shift plus a per-task index shift does, since entries order
+    /// priority, then task, then index), every bucket's heap moves to
+    /// the bucket its new deadline maps to — a rotation of the bucket
+    /// array by `ds mod 512`, after which the occupancy bits are read
+    /// back off the buckets — and the window anchor and the scan hint
+    /// move along. An order-preserving rewrite keeps each heap a heap,
+    /// so the pop sequence is the shifted image of what it was.
+    pub fn shift_deadlines(&mut self, ds: Slot, mut shift: impl FnMut(&mut QueueEntry)) {
+        let mut rewrite = |heap: &mut BinaryHeap<Reverse<QueueEntry>>| {
+            let mut entries = std::mem::take(heap).into_vec();
+            for Reverse(e) in &mut entries {
+                let was = e.priority.deadline();
+                shift(e);
+                debug_assert_eq!(e.priority.deadline(), was + ds, "uneven deadline shift");
+            }
+            *heap = BinaryHeap::from(entries);
+        };
+        self.buckets.rotate_right(Self::bucket_of(ds));
+        for (word, buckets) in self.occupied.iter_mut().zip(self.buckets.chunks_mut(64)) {
+            *word = 0;
+            for (bit, bucket) in buckets.iter_mut().enumerate() {
+                if !bucket.is_empty() {
+                    rewrite(bucket);
+                    *word |= 1u64 << bit;
+                }
             }
         }
-        entries.extend(self.overflow.iter().map(|Reverse(e)| *e));
-        entries.sort_unstable();
-        entries
+        rewrite(&mut self.overflow);
+        self.base = self.base.saturating_add(ds);
+        self.scan_min = self.scan_min.saturating_add(ds);
     }
 
     /// Rebuilds a queue from a [`ReadyQueue::entries_sorted`]
@@ -907,5 +963,118 @@ mod more_tests {
         );
         let first = q.pop_live(&mut c, |_| true).unwrap();
         assert_eq!(first.task, TaskId(1), "later group deadline is favored");
+    }
+}
+
+/// In-place translation ([`ReadyQueue::shift_deadlines`]) against the
+/// rebuild it replaced: a fresh queue from the shifted
+/// [`ReadyQueue::entries_sorted`] list.
+#[cfg(test)]
+mod shift_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Pushes clustered near a moving front, some far ahead (overflow
+    /// heap), some behind it (below-window re-anchoring); pops in
+    /// between, with every third index stale.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Push { ahead: i64, task: u32, b: bool },
+        Pop,
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        let push = (0u8..20, 0i64..90, 0u32..6, 0u8..2).prop_map(|(kind, near, task, b)| {
+            let ahead = match kind {
+                0 => 600 + near * 40, // beyond the bucket window
+                1 => -near,           // behind the front
+                _ => near,
+            };
+            Op::Push {
+                ahead,
+                task,
+                b: b == 1,
+            }
+        });
+        let op = (0u8..3, push).prop_map(|(k, push)| if k == 0 { Op::Pop } else { push });
+        prop::collection::vec(op, 0..120)
+    }
+
+    fn is_live(e: &QueueEntry) -> bool {
+        !e.index.is_multiple_of(3)
+    }
+
+    fn drive(q: &mut ReadyQueue, c: &mut Counters, ops: &[Op], front: i64) -> Vec<QueueEntry> {
+        let mut popped = Vec::new();
+        for (round, op) in (0u64..).zip(ops) {
+            match *op {
+                Op::Push { ahead, task, b } => {
+                    let deadline = front + i64::try_from(round / 3).unwrap_or(0) + ahead;
+                    let entry = QueueEntry {
+                        priority: Priority::pack(deadline, b, deadline + i64::from(task), task),
+                        task: TaskId(task),
+                        index: round,
+                    };
+                    q.push(entry, c);
+                }
+                Op::Pop => popped.extend(q.pop_live(c, is_live)),
+            }
+        }
+        popped
+    }
+
+    proptest! {
+        #[test]
+        fn in_place_shift_pops_like_a_rebuild(
+            before in arb_ops(),
+            after in arb_ops(),
+            ds in 0i64..3_000,
+            di in prop::collection::vec(0u64..1_000, 6),
+        ) {
+            let mut c = Counters::default();
+            let mut live = ReadyQueue::new();
+            drive(&mut live, &mut c, &before, 1_000);
+            let shift = |e: &mut QueueEntry| {
+                let p = e.priority;
+                e.priority =
+                    Priority::pack(p.deadline() + ds, p.b(), p.group_deadline() + ds, p.tie_rank());
+                e.index += di[e.task.idx()];
+            };
+            // The rebuild: shift the sorted list, keep it sorted, place.
+            let mut entries = live.entries_sorted();
+            entries.iter_mut().for_each(shift);
+            prop_assert!(entries.is_sorted(), "the shift keeps the order of entries");
+            let mut rebuilt = ReadyQueue::from_entries(entries.clone());
+            live.shift_deadlines(ds, shift);
+            prop_assert_eq!(live.len(), rebuilt.len());
+            prop_assert_eq!(live.front_deadline(), rebuilt.front_deadline());
+            prop_assert_eq!(live.entries_sorted(), entries);
+            // The sorted walk is the sorted list, and stops when told to.
+            let mut walked = Vec::new();
+            let mut scratch = Vec::new();
+            prop_assert!(live.walk_sorted(&mut scratch, |e| {
+                walked.push(*e);
+                true
+            }));
+            prop_assert_eq!(&walked, &live.entries_sorted());
+            let mut seen = 0;
+            let whole = live.walk_sorted(&mut scratch, |_| {
+                seen += 1;
+                seen < 2
+            });
+            prop_assert_eq!((whole, seen), (live.len() < 2, live.len().min(2)));
+            // From here on the two queues are indistinguishable.
+            let (mut c1, mut c2) = (c, c);
+            let front = 1_000 + ds;
+            prop_assert_eq!(
+                drive(&mut live, &mut c1, &after, front),
+                drive(&mut rebuilt, &mut c2, &after, front)
+            );
+            prop_assert_eq!(c1, c2);
+            let drain = |q: &mut ReadyQueue, c: &mut Counters| -> Vec<QueueEntry> {
+                std::iter::from_fn(|| q.pop_live(c, |_| true)).collect()
+            };
+            prop_assert_eq!(drain(&mut live, &mut c1), drain(&mut rebuilt, &mut c2));
+        }
     }
 }
