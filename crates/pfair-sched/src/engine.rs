@@ -37,9 +37,9 @@ use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::calendar::CalendarRing;
 use crate::event::{Event, EventKind, Workload};
 use crate::overhead::{Counters, DriverMix};
-use crate::priority::{Priority, TieBreak, TieTable};
-use crate::queue::{compaction_threshold, QueueEntry, ReadyQueue};
-use crate::reweight::{RuleChoice, RuleSelector, Scheme};
+use crate::priority::{TieBreak, TieTable};
+use crate::queue::{compaction_threshold, ReadyQueue};
+use crate::reweight::{RuleSelector, Scheme};
 use crate::trace::{Miss, SimResult, SubtaskRecord, TaskHistory, TaskResult};
 use pfair_core::arena::InlineVec;
 use pfair_core::drift::DriftTrack;
@@ -47,13 +47,15 @@ use pfair_core::ideal::{IswTracker, PsTracker};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{ever, slot_index, Slot, NEVER};
-use pfair_core::weight::Weight;
-use pfair_core::window::{window_and_group_deadline, SubtaskWindow};
-use pfair_obs::{NoopProbe, ObsEvent, Probe, ReleaseRec, ReweightCost, Rule};
+use pfair_core::window::SubtaskWindow;
+use pfair_obs::{NoopProbe, ObsEvent, Probe, ReleaseRec};
 use std::sync::Arc;
 
 mod busy_span;
 mod persist;
+mod release;
+mod rules;
+mod select;
 mod slab;
 pub use persist::EngineSnapshot;
 use slab::TaskSlab;
@@ -328,48 +330,6 @@ impl TaskState {
         }
     }
 
-    /// Event-driven tracker synchronization: advances the ideal trackers
-    /// to boundary `t` in one closed-form jump and folds any completions
-    /// discovered along the way into the subtask records. The engine
-    /// calls this wherever it reads or mutates ideal state — enactments,
-    /// initiations, halts, delays, releases, departures, end-of-run — so
-    /// the scheduling weight is constant between syncs and the jump is
-    /// bit-identical to the per-slot oracle. Both trackers count in era
-    /// units and report only what the engine reads — `(index,
-    /// D(I_SW, T_index))` per completion — so a synchronization builds no
-    /// `Rational` at all. In history mode step 6 advances the trackers
-    /// every slot, making this a no-op.
-    ///
-    /// The pass over the retained records that follows also answers
-    /// what a release at `t` asks of them, so that path never rescans:
-    /// see [`SubsScan`].
-    fn sync_ideals_to(&mut self, t: Slot) -> SubsScan {
-        if self.isw.now() < t {
-            let subs = &mut self.subs;
-            self.isw.sync_to(t, |index, complete_at| {
-                if let Some(s) = subs.iter_mut().find(|s| s.index == index) {
-                    s.isw_completion = complete_at;
-                }
-            });
-        }
-        if self.ps.now() < t {
-            self.ps.sync_to(t);
-        }
-        let mut scan = SubsScan {
-            pred_b: None,
-            head_deadline: None,
-        };
-        for s in &self.subs {
-            if s.halted_at == NEVER {
-                scan.pred_b = Some(s.b);
-                if s.scheduled_at == NEVER && scan.head_deadline.is_none() {
-                    scan.head_deadline = Some(s.deadline);
-                }
-            }
-        }
-        scan
-    }
-
     /// Drops records that can no longer influence the rules. Keeps every
     /// unscheduled/unhalted subtask, anything whose `I_SW` completion is
     /// still unknown (rule O may need to watch it), and the two most
@@ -550,25 +510,6 @@ impl<P: Probe> Engine<P> {
         &mut self.probe
     }
 
-    /// Event-driven tracker synchronization with observation: wraps
-    /// [`TaskState::sync_ideals_to`] and reports the closed-form jump
-    /// (when one happened) to the probe.
-    fn sync_task(&mut self, id: TaskId, t: Slot) -> SubsScan {
-        // A sync can settle completions, changing prunability.
-        self.touched.push(id);
-        let task = self.tasks.task_mut(id);
-        let from = task.isw.now();
-        let scan = task.sync_ideals_to(t);
-        if from < t {
-            self.probe.on_event(ObsEvent::TrackerAdvance {
-                task: id,
-                from,
-                to: t,
-            });
-        }
-        scan
-    }
-
     /// Number of ready-queue entries, stale ones included (compaction
     /// keeps this bounded; see [`ReadyQueue::compact`]).
     pub fn queue_len(&self) -> usize {
@@ -740,39 +681,6 @@ impl<P: Probe> Engine<P> {
             });
         }
         self.now = end;
-    }
-
-    /// Delta form of the oracle's ran-flag/preemption scan: only tasks
-    /// in last slot's chosen set can hold a set `ran` bit, so updating
-    /// `prev ∪ chosen` touches every flag the full scan would change.
-    /// Preempted tasks are reported in ascending id order, matching the
-    /// oracle's task-order iteration. A member of `prev` whose bit is
-    /// already clear left and rejoined this slot (the join resets the
-    /// flag); the oracle would neither flip its flag nor count a
-    /// preemption, so it is skipped.
-    ///
-    /// Membership in `chosen` is read off the `ran` bitmap itself:
-    /// clear the set bits of `prev`, set the bits of `chosen`, and a
-    /// cleared task whose bit is set again kept running.
-    fn sweep_ran_flags(&mut self, t: Slot, prev: &[TaskId], chosen: &[TaskId]) {
-        let mut stopped = std::mem::take(&mut self.scratch.stopped);
-        for &id in prev {
-            if self.tasks.ran_last_slot(id) {
-                self.tasks.set_ran(id, false);
-                stopped.push(id);
-            }
-        }
-        for &id in chosen {
-            self.tasks.set_ran(id, true);
-        }
-        let tasks = &self.tasks;
-        stopped.retain(|&id| !tasks.ran_last_slot(id) && tasks.task(id).head().is_some());
-        self.counters.preemptions += stopped.len() as u64; // audit: allow(lossy-cast, usize→u64 is lossless on the supported targets)
-        stopped.sort_unstable_by_key(|id| id.0);
-        for id in stopped.drain(..) {
-            self.probe.on_event(ObsEvent::Preempt { task: id, t });
-        }
-        self.scratch.stopped = stopped;
     }
 
     /// Simulates one slot. Returns the tasks scheduled in it (at most
@@ -1047,32 +955,6 @@ impl<P: Probe> Engine<P> {
         self.scratch.due = due;
     }
 
-    /// Enacts scheduling weight `v` for `id` — the one place a task's
-    /// `swt` changes after its join, and so the one place its `I_SW`
-    /// tracker re-derives its era unit. The slab column and the tracker
-    /// switch, the era base moves up to the last released subtask
-    /// (indices above it rank within the new era), and the enactment is
-    /// counted and reported to admission. The caller has synchronized
-    /// the trackers to the current slot, under the closing weight.
-    fn enact_weight(&mut self, id: TaskId, v: Rational) {
-        self.tasks.set_swt(id, v);
-        let task = self.tasks.task_mut(id);
-        task.isw.set_swt(v);
-        task.era_base = task.next_index - 1;
-        self.counters.reweight_enactments += 1;
-        if let Ok(w) = Weight::try_new(v) {
-            self.admission.note_enacted(id, w);
-        }
-    }
-
-    /// Records `id`'s `next_release` slot in the release index. Stale
-    /// entries (the release was moved, suppressed, or already fired)
-    /// are filtered by the `next_release == Some(t)` check when their
-    /// slot comes up.
-    fn note_release(&mut self, id: TaskId, at: Slot) {
-        self.release_at.insert(at, id);
-    }
-
     // ---- step 3: event-stream processing -----------------------------
 
     fn fire_events(&mut self, t: Slot) {
@@ -1088,555 +970,6 @@ impl<P: Probe> Engine<P> {
             );
             self.apply_event(ev, t);
         }
-    }
-
-    /// Intra-sporadic separation (Eqn (4)'s `θ(T_{j+1}) − θ(T_j)` term):
-    /// the next pending release moves `by` slots later, and `I_PS` owes
-    /// nothing between the predecessor's deadline and the new release
-    /// (the task has no active subtask there — cf. Fig. 1(b)'s inactive
-    /// slot 4). Ignored while a reweighting change is pending (no
-    /// release is scheduled to delay) or when the task is absent.
-    fn handle_delay(&mut self, id: TaskId, t: Slot, by: u32) {
-        if !self.tasks.in_system(id) || by == 0 {
-            return;
-        }
-        let Some(r_old) = self.tasks.next_release(id) else {
-            return;
-        };
-        if r_old < t {
-            return;
-        }
-        self.sync_task(id, t);
-        let r_new = r_old + i64::from(by);
-        self.tasks.set_next_release(id, Some(r_new));
-        let task = self.tasks.task_mut(id);
-        let inactive_from = task.last_released().map_or(r_old, |s| s.deadline).max(t);
-        task.ps.suspend_between(inactive_from, r_new);
-        self.note_release(id, r_new);
-    }
-
-    fn handle_join(&mut self, id: TaskId, t: Slot, want: Weight) {
-        let Some(granted) = self.admission.request(id, want) else {
-            return; // join rejected: no capacity at all
-        };
-        let record_history = self.config.record_history;
-        // audit: allow(panic-reach, run-invariant assertion, a violation is a scheduler bug and must abort)
-        assert!(!self.tasks.in_system(id), "{id} joined twice");
-        let g: Rational = granted.value();
-        // History runs retain per-slot halt corrections; event-driven runs
-        // keep the tracker's memory bounded instead.
-        let isw = if record_history {
-            IswTracker::new(g, t).with_slot_history()
-        } else {
-            IswTracker::new(g, t)
-        };
-        // A rejoining id keeps the rest of its row: its indices go on
-        // counting, and its drift track, quanta and processor carry over.
-        let task = self.tasks.task_mut(id);
-        task.era_base = task.next_index - 1;
-        task.era_open_pending = true;
-        task.isw = isw;
-        task.ps = PsTracker::new(g, t);
-        if record_history {
-            task.history.get_or_insert_with(Box::default);
-        }
-        self.tasks.set_in_system(id, true);
-        self.tasks.set_swt(id, g);
-        self.tasks.set_ran(id, false);
-        self.tasks.set_next_release(id, Some(t));
-        self.note_release(id, t);
-    }
-
-    fn handle_leave(&mut self, id: TaskId, t: Slot) {
-        if !self.tasks.in_system(id) {
-            return;
-        }
-        // Totals must be settled through `t` before the task can depart
-        // immediately (leave_at == t) or halt its unscheduled subtasks.
-        self.sync_task(id, t);
-        self.halt_pending(id, t);
-        let leave_at = self.rule_l_time(id, t);
-        self.tasks.set_next_release(id, None);
-        self.tasks.task_mut(id).pending = None;
-        if leave_at == t {
-            self.tasks.set_in_system(id, false);
-            self.admission.release(id);
-        } else {
-            self.tasks.task_mut(id).leaving = leave_at;
-            self.leave_at.insert(leave_at, id);
-        }
-    }
-
-    /// Withdraws every released subtask of `id` that PD² has not run
-    /// yet (a leave, or the leave half of an LJ reweight). Halting
-    /// changes neither the number nor the order of the records, so they
-    /// are walked by position, one copied out at a time.
-    fn halt_pending(&mut self, id: TaskId, t: Slot) {
-        let mut pos = 0;
-        while let Some(s) = self.tasks.task(id).subs.get(pos).copied() {
-            if s.is_pending() {
-                self.halt_subtask(id, s.index, t);
-            }
-            pos += 1;
-        }
-    }
-
-    /// Rule L: a task may leave (or rejoin under a new weight) no
-    /// earlier than `d(T_i) + b(T_i)` of its last-scheduled subtask.
-    fn rule_l_time(&self, id: TaskId, t: Slot) -> Slot {
-        self.tasks
-            .task(id)
-            .last_scheduled
-            .map_or(t, |w| (w.deadline + i64::from(w.b)).max(t))
-    }
-
-    /// Halts `T_index` of task `id` at time `t` in both the PD² schedule
-    /// (stale queue entry) and `I_SW` (allocations stop; `I_CSW` takes
-    /// everything back).
-    fn halt_subtask(&mut self, id: TaskId, index: u64, t: Slot) {
-        // `halt` takes back exactly the allocations accrued so far, so the
-        // tracker must first be caught up to the halt boundary.
-        self.sync_task(id, t);
-        let task = self.tasks.task_mut(id);
-        let rec = task.isw.halt(index, t);
-        if let Some(history) = &mut task.history {
-            history.halted_corrections.extend(rec.slot_allocs);
-        }
-        // audit: allow(panic-reach, rules only halt known live subtasks, present by the engine's slab and queue liveness invariants)
-        let sub = task.sub_mut(index).expect("halting unknown subtask");
-        sub.halted_at = t;
-        self.counters.halts += 1;
-        self.probe.on_event(ObsEvent::Halt { task: id, index, t });
-    }
-
-    fn handle_reweight(&mut self, id: TaskId, t: Slot, want: Weight) {
-        if !self.tasks.in_system(id) {
-            return;
-        }
-        // The paper's reweighting rules cover *light* tasks only (§2);
-        // heavy tasks schedule correctly (group-deadline tie-break) but
-        // may not reweight, nor may a task reweight into the heavy
-        // class. Such requests are rejected and counted.
-        let currently_heavy = self.tasks.swt(id) > Rational::new(1, 2);
-        if currently_heavy || want.is_heavy() {
-            self.counters.rejected_heavy_reweights += 1;
-            return;
-        }
-        let Some(granted) = self.admission.request(id, want) else {
-            return;
-        };
-        self.counters.reweight_initiations += 1;
-        let v: Rational = granted.value();
-        let old_swt = self.tasks.swt(id);
-
-        // Catch the trackers up to the initiation boundary first: `I_PS`
-        // accrues the old weight up to `t` before `set_wt`, and the rules
-        // below project `I_SW` completions from the current slot.
-        self.sync_task(id, t);
-
-        // The actual weight (and I_PS) changes at initiation, always.
-        self.tasks.task_mut(id).ps.set_wt(v);
-
-        let current_drift = self.tasks.task(id).drift.at(t);
-        let choice = self.selector.choose(id, t, old_swt, v, current_drift);
-        // Direct per-event cost: queue operations and halts performed
-        // while the rules run. Deferred cost (stale entries stranded by
-        // the halts) is attributed later via the stale-pop/drop hooks.
-        let ops_before = self.counters.heap_ops();
-        let halts_before = self.counters.halts;
-        let rule = match choice {
-            RuleChoice::FineGrained => self.reweight_oi(id, t, v),
-            RuleChoice::LeaveJoin => self.reweight_lj(id, t, v),
-        };
-        let cost = ReweightCost {
-            queue_ops: self.counters.heap_ops().saturating_sub(ops_before),
-            halts: self.counters.halts.saturating_sub(halts_before),
-        };
-        let pending = self.tasks.task(id).pending;
-        let enact_at = pending.map_or(t, |p| p.at);
-        self.probe.on_event(ObsEvent::ReweightInitiated {
-            task: id,
-            t,
-            rule,
-            cost,
-            enact_at,
-        });
-        if pending.is_none() {
-            // The rules fired on the spot: initiation and enactment
-            // coincide (the probe sees them ordered).
-            self.probe.on_event(ObsEvent::ReweightEnacted {
-                task: id,
-                t,
-                initiated_at: t,
-            });
-        }
-    }
-
-    /// Rules O and I of the paper (PD²-OI). A pre-existing pending change
-    /// is superseded: the rules re-run against the current state, which
-    /// realizes the "skipped event" semantics of §3.2 and property (C).
-    /// Returns the rule that resolved the initiation (probe reporting).
-    fn reweight_oi(&mut self, id: TaskId, t: Slot, v: Rational) -> Rule {
-        let (last, d_passed) = {
-            let task = self.tasks.task(id);
-            let last = task.last_released().copied();
-            let d_passed = last.is_some_and(|s| s.deadline <= t);
-            (last, d_passed)
-        };
-
-        let Some(tj) = last else {
-            // No subtask released yet: enact immediately; the first
-            // release (already scheduled) will use the new weight. The
-            // era the join opened has not begun, so the one thing an
-            // enactment does that must not happen here — moving the era
-            // base — has nothing to move: it already sits at the last
-            // released index.
-            debug_assert_eq!(
-                self.tasks.task(id).era_base + 1,
-                self.tasks.task(id).next_index,
-                "{id}: era base off the last released index before any release"
-            );
-            self.enact_weight(id, v);
-            self.tasks.task_mut(id).pending = None;
-            return Rule::Immediate;
-        };
-
-        if d_passed {
-            // d(T_j) ≤ t_c: enact at max(t_c, d + b).
-            let at = (tj.deadline + i64::from(tj.b)).max(t);
-            self.park_or_enact(id, t, v, at, PendKind::Enact);
-            return Rule::O;
-        }
-
-        let scheduled = tj.scheduled_at != NEVER;
-        let already_halted = tj.halted_at != NEVER;
-        if scheduled {
-            // Ideal-changeable (rule I). On a first initiation T_j cannot
-            // yet be complete in I_SW, but a *superseding* initiation may
-            // find its completion already known — then the wait resolves
-            // to a concrete time immediately.
-            let increase = v > self.tasks.swt(id);
-            if increase {
-                // I(i): enact immediately; era-opening release waits for
-                // D(I_SW, T_j) + b(T_j).
-                self.enact_weight(id, v);
-            }
-            let kind = if increase {
-                PendKind::ReleaseOnly
-            } else {
-                PendKind::Enact
-            };
-            // D(I_SW, T_j) is known in closed form the moment the wait is
-            // installed: `swt` cannot change again before this pending
-            // change fires (a superseding initiation replaces it wholesale
-            // and re-projects), so the projection equals the slot the
-            // per-slot tracker would have discovered.
-            let proj = ever(tj.isw_completion)
-                .or_else(|| self.tasks.task(id).isw.projected_completion(tj.index));
-            // audit: allow(panic-reach, run-invariant assertion, a violation is a scheduler bug and must abort)
-            assert!(
-                proj.is_some(),
-                "scheduled incomplete subtask must project an I_SW completion"
-            );
-            let at = proj.map_or(t, |d| (d + i64::from(tj.b)).max(t));
-            self.park_or_enact(id, t, v, at, kind);
-            Rule::I
-        } else {
-            // Omission-changeable (rule O): halt T_j (unless a superseded
-            // event already did) and enact at max(t_c, D(I_SW, T_{j−1}) +
-            // b(T_{j−1})).
-            if !already_halted {
-                self.halt_subtask(id, tj.index, t);
-            }
-            let pred = self.tasks.task(id).pred_of(tj.index).copied();
-            match pred {
-                None => self.park_or_enact(id, t, v, t, PendKind::Enact),
-                Some(p) => {
-                    // Same closed-form projection as rule I, against the
-                    // predecessor. A retired predecessor always has its
-                    // completion recorded on the SubRec, so the record is
-                    // consulted before the tracker.
-                    let proj = ever(p.isw_completion)
-                        .or_else(|| self.tasks.task(id).isw.projected_completion(p.index));
-                    // audit: allow(panic-reach, run-invariant assertion, a violation is a scheduler bug and must abort)
-                    assert!(
-                        proj.is_some(),
-                        "predecessor of a released subtask must project an I_SW completion"
-                    );
-                    let at = proj.map_or(t, |d| (d + i64::from(p.b)).max(t));
-                    self.park_or_enact(id, t, v, at, PendKind::Enact);
-                }
-            }
-            Rule::O
-        }
-    }
-
-    /// Leave/join reweighting (PD²-LJ): withdraw unscheduled subtasks,
-    /// wait out rule L on the last-scheduled subtask, rejoin with the new
-    /// weight. Returns [`Rule::Lj`] (probe reporting).
-    fn reweight_lj(&mut self, id: TaskId, t: Slot, v: Rational) -> Rule {
-        self.halt_pending(id, t);
-        let at = self.rule_l_time(id, t);
-        self.park_or_enact(id, t, v, at, PendKind::Enact);
-        Rule::Lj
-    }
-
-    /// Installs a pending change, or fires it on the spot when its time
-    /// is the current slot (enactments for slot `t` have already run).
-    fn park_or_enact(&mut self, id: TaskId, t: Slot, v: Rational, at: Slot, kind: PendKind) {
-        let fire_now = at <= t;
-        self.tasks.set_next_release(id, None);
-        if fire_now {
-            if kind == PendKind::Enact {
-                self.enact_weight(id, v);
-            }
-            let task = self.tasks.task_mut(id);
-            task.era_open_pending = true;
-            task.pending = None;
-            self.tasks.set_next_release(id, Some(t));
-            self.note_release(id, t);
-        } else {
-            self.tasks.task_mut(id).pending = Some(Pending {
-                target: v,
-                at,
-                kind,
-                initiated_at: t,
-            });
-            self.enact_at.insert(at, id);
-        }
-    }
-
-    // ---- step 4: releases ---------------------------------------------
-
-    /// Releases every valid entry of slot `t`'s due list: window
-    /// arithmetic, tracker syncs, drift samples, queue pushes, and probe
-    /// emissions.
-    fn fire_releases(&mut self, t: Slot) {
-        let mut due = std::mem::take(&mut self.scratch.due);
-        self.release_at.take_into(t, &mut due);
-        Self::in_task_order(&mut due);
-        // The probe gets the slot's releases as one batch; without a
-        // probe nothing reads it, and nothing is recorded.
-        let mut batch = std::mem::take(&mut self.scratch.batch);
-        for id in due.drain(..) {
-            if !self.tasks.in_system(id) || self.tasks.next_release(id) != Some(t) {
-                continue; // moved, suppressed, or already fired
-            }
-            // Per-release synchronization boundary: drift samples read
-            // A(·, 0, t) below, and settling completions here also keeps
-            // `subs` and the tracker's retained records bounded.
-            let scan = self.sync_task(id, t);
-            let tie_rank = self.tie.rank(id);
-            let swt = self.tasks.swt(id);
-            let task = self.tasks.task_mut(id);
-            let index = task.next_index;
-            task.next_index += 1;
-            let rank = index - task.era_base;
-            // audit: allow(panic-reach, engine invariant: reweight rules keep swt within (0 and 1])
-            let weight = Weight::try_new(swt).expect("invalid scheduling weight");
-            let (window, gd) = window_and_group_deadline(weight, rank, t);
-            let era_first = task.era_open_pending;
-            task.era_open_pending = false;
-
-            // Drift is sampled exactly at era-opening releases: `u` of
-            // Eqn (5) is this slot, and the trackers currently hold
-            // A(·, 0, t).
-            if era_first {
-                let ps_total = task.ps.total();
-                let icsw_total = task.isw.icsw_total();
-                let drift = ps_total - icsw_total;
-                task.drift.record(t, ps_total, icsw_total);
-                self.probe
-                    .on_event(ObsEvent::DriftSample { task: id, t, drift });
-            }
-
-            let pred_b = if era_first {
-                false
-            } else {
-                // audit: allow(panic-reach, within an era the predecessor record is retained until its successor releases)
-                scan.pred_b
-                    .expect("non-era-first release without predecessor")
-            };
-            task.isw.add_subtask(index, t, era_first, pred_b);
-            task.subs.push_back(SubRec {
-                index,
-                release: window.release,
-                deadline: window.deadline,
-                group_deadline: gd,
-                scheduled_at: NEVER,
-                halted_at: NEVER,
-                isw_completion: NEVER,
-                b: window.b,
-                era_first,
-                missed: false,
-            });
-
-            // Eqn (4): the successor's release, unless a pending change
-            // or leave suppresses it.
-            let successor =
-                (task.pending.is_none() && task.leaving == NEVER).then(|| window.next_release());
-
-            self.tasks.set_next_release(id, successor);
-            match scan.head_deadline {
-                // The task already has a schedulable head; this subtask
-                // waits behind it. Miss detection relies on the head's
-                // deadline bounding those of the records behind it.
-                Some(head) => debug_assert!(
-                    head <= window.deadline,
-                    "{id}: head deadline {head} after its successor's {}",
-                    window.deadline
-                ),
-                None => {
-                    let entry = QueueEntry {
-                        priority: Priority::pack(window.deadline, window.b, gd, tie_rank),
-                        task: id,
-                        index,
-                    };
-                    self.queue.push(entry, &mut self.counters);
-                }
-            }
-            if let Some(r) = successor {
-                self.note_release(id, r);
-            }
-            if !P::IS_NOOP {
-                batch.push(ReleaseRec {
-                    task: id,
-                    index,
-                    deadline: window.deadline,
-                    era_first,
-                });
-            }
-        }
-        if !batch.is_empty() {
-            self.probe.on_release_batch(t, &batch);
-            batch.clear();
-        }
-        self.scratch.batch = batch;
-        self.scratch.due = due;
-    }
-
-    // ---- step 5: PD² selection -----------------------------------------
-
-    /// PD² selection proper: pops up to `M` live subtasks from the ready
-    /// queue, marks them scheduled, counts holes, and assigns
-    /// processors.
-    fn pop_and_schedule(&mut self, t: Slot) -> Vec<TaskId> {
-        let m = self.config.processors as usize; // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
-        let mut chosen = std::mem::take(&mut self.scratch.chosen);
-        chosen.clear();
-        while chosen.len() < m {
-            let tasks = &self.tasks;
-            let probe = &mut self.probe;
-            let Some(entry) = self.queue.pop_live_traced(
-                &mut self.counters,
-                |e| {
-                    tasks.in_system(e.task)
-                        && tasks.get(e.task).is_some_and(|task| {
-                            task.subs
-                                .iter()
-                                .any(|s| s.index == e.index && s.is_pending())
-                        })
-                },
-                |e| {
-                    probe.on_event(ObsEvent::StalePop {
-                        task: e.task,
-                        index: e.index,
-                        t,
-                    });
-                },
-            ) else {
-                break;
-            };
-            // Scheduling settles the head record; the task must reach
-            // the end-of-slot prune.
-            self.touched.push(entry.task);
-            let task = self.tasks.task_mut(entry.task);
-            // audit: allow(panic-reach, pop_live just verified the subtask is present and live)
-            let sub = task
-                .sub_mut(entry.index)
-                .expect("live entry lost its subtask");
-            sub.scheduled_at = t;
-            task.last_scheduled = Some(sub.window());
-            task.scheduled_count += 1;
-            if let Some(history) = &mut task.history {
-                history.scheduled_slots.push(t);
-            }
-            self.counters.scheduled_quanta += 1;
-            self.probe.on_event(ObsEvent::Schedule {
-                task: entry.task,
-                index: entry.index,
-                t,
-            });
-            chosen.push(entry.task);
-        }
-
-        if chosen.len() < m {
-            self.counters.slots_with_holes += 1;
-        }
-
-        self.assign_processors(&chosen);
-        chosen
-    }
-
-    /// Pushes the new schedulable head of every just-scheduled task
-    /// (eligible from t + 1, but pushing now is safe: selection for
-    /// slot t is over).
-    fn promote_successors(&mut self, chosen: &[TaskId]) {
-        for &id in chosen {
-            let tie_rank = self.tie.rank(id);
-            let task = self.tasks.task(id);
-            if let Some(s) = task.head() {
-                let entry = QueueEntry {
-                    priority: Priority::pack(s.deadline, s.b, s.group_deadline, tie_rank),
-                    task: id,
-                    index: s.index,
-                };
-                self.queue.push(entry, &mut self.counters);
-            }
-        }
-    }
-
-    /// Greedy sticky assignment: tasks keep their previous processor when
-    /// free; otherwise they migrate (and are counted).
-    fn assign_processors(&mut self, chosen: &[TaskId]) {
-        let m = self.config.processors as usize; // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
-        let SlotScratch {
-            cpu_taken,
-            unplaced,
-            free_cpus,
-            ..
-        } = &mut self.scratch;
-        cpu_taken.clear();
-        cpu_taken.resize(m, false);
-        for &id in chosen {
-            // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
-            let last = self.tasks.task(id).last_cpu as usize;
-            // `NO_CPU` names no processor.
-            match cpu_taken.get_mut(last) {
-                Some(taken) if !*taken => *taken = true,
-                _ => unplaced.push(id),
-            }
-        }
-        if unplaced.is_empty() {
-            return; // everyone kept their processor
-        }
-        // Highest first, so `pop` hands out the lowest free processor.
-        free_cpus.extend(
-            (0..self.config.processors)
-                .rev()
-                // audit: allow(lossy-cast, u32→usize is lossless on the supported targets); allow(panic-reach, cpu ids are < processors, the length of cpu_taken)
-                .filter(|c| !cpu_taken[*c as usize]),
-        );
-        for id in unplaced.drain(..) {
-            // audit: allow(panic-reach, PD² selection never chooses more than `processors` tasks)
-            let cpu = free_cpus.pop().expect("more chosen tasks than processors");
-            let task = self.tasks.task_mut(id);
-            if task.last_cpu != NO_CPU {
-                self.counters.migrations += 1;
-            }
-            task.last_cpu = cpu;
-        }
-        free_cpus.clear();
     }
 
     // ---- step 6 (history mode): per-slot ideal advance ------------------
@@ -1663,82 +996,6 @@ impl<P: Probe> Engine<P> {
                 }
             }
         }
-    }
-
-    // ---- step 7: miss detection -----------------------------------------
-
-    /// Records every released, unhalted, unscheduled subtask whose
-    /// deadline is `t + 1`, in `(task, index)` order.
-    ///
-    /// No task is scanned on a slot that cannot miss. The ready queue
-    /// orders deadline-first and holds the schedulable head of every
-    /// task that has a pending subtask (releases and promotions push
-    /// it; halts, schedules and departures leave at most stale entries
-    /// behind — the invariant `skip_quiet_span` relies on), and a
-    /// task's head has the earliest deadline among its pending records
-    /// (asserted at release). So a pending subtask due at `t + 1`
-    /// implies a queue entry whose deadline field is `≤ t + 1`: when
-    /// the queue's front is later than that, the slot is done in O(1).
-    /// Otherwise the entries up to `t + 1` — tardy heads, heads due
-    /// now, stale leftovers — name the only tasks that can miss, and
-    /// their records are checked against the *recorded* window
-    /// deadline, so a deadline outside the packed key's exact band
-    /// (which saturates low, never high, relative to a slot the run can
-    /// reach) only costs a walk, never a wrong answer.
-    ///
-    /// Slots consumed by a quiet-span skip or a busy-span jump need no
-    /// check: the first has an empty ready queue (no pending subtask
-    /// exists at all), the second is verified miss-free.
-    fn check_misses(&mut self, t: Slot) {
-        let due = t + 1;
-        if self.queue.front_deadline().is_none_or(|d| d > due) {
-            return;
-        }
-        let mut missed = std::mem::take(&mut self.scratch.missed);
-        let tasks = &self.tasks;
-        self.queue.for_each_due(due, |e| {
-            if !tasks.in_system(e.task) {
-                return;
-            }
-            let Some(task) = tasks.get(e.task) else {
-                return;
-            };
-            for s in &task.subs {
-                if s.is_pending() && !s.missed {
-                    debug_assert!(
-                        s.deadline >= due,
-                        "miss slipped through a batched slot: {} index {} deadline {}",
-                        e.task,
-                        s.index,
-                        s.deadline
-                    );
-                    if s.deadline == due {
-                        missed.push((e.task.0, s.index));
-                    }
-                }
-            }
-        });
-        // A task with a stale and a live entry was visited twice.
-        missed.sort_unstable();
-        missed.dedup();
-        for (raw_task, index) in missed.drain(..) {
-            let id = TaskId(raw_task);
-            if let Some(sub) = self.tasks.task_mut(id).sub_mut(index) {
-                sub.missed = true;
-            }
-            self.probe.on_event(ObsEvent::Miss {
-                task: id,
-                index,
-                t,
-                deadline: due,
-            });
-            self.misses.push(Miss {
-                task: id,
-                index,
-                deadline: due,
-            });
-        }
-        self.scratch.missed = missed;
     }
 }
 
@@ -1770,6 +1027,7 @@ pub fn simulate_with<P: Probe>(config: SimConfig, workload: &Workload, probe: P)
 mod tests {
     use super::*;
     use pfair_core::rational::rat;
+    use pfair_core::weight::Weight;
 
     fn oi(m: u32, horizon: Slot) -> SimConfig {
         SimConfig::oi(m, horizon).with_history()
