@@ -7,7 +7,7 @@
 //! pass closes the laundering gap in the *float-exempt* paths
 //! (simulation geometry, metrics export): a float result may exist
 //! there, but it must never flow — even through an integer cast —
-//! into a [`Rational`]/`Weight`/`Priority` constructor or a
+//! into a `Rational`/`Weight`/`Priority` constructor or a
 //! slot-count-typed binding.
 //!
 //! Taint is tracked intra-procedurally per function, seeded by float

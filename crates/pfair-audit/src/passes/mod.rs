@@ -2,7 +2,7 @@
 //!
 //! Each pass consumes the parsed workspace ([`Workspace`]) and emits
 //! [`crate::Finding`]s under its own lint name; the central driver in
-//! [`crate::lib`] then discharges findings against typed
+//! the crate root then discharges findings against typed
 //! `// audit: allow(<lint>, <reason>)` annotations. See DESIGN.md
 //! "Audit v2" for each pass's soundness boundary.
 

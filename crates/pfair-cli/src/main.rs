@@ -13,7 +13,10 @@
 //! pfair example                 # print a documented sample file
 //! ```
 
+use pfair_cli::slocmd::parse_budget;
+use pfair_cli::tracecmd::parse_scheme;
 use pfair_cli::{parser, run_file, RunOptions};
+use std::str::FromStr;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,44 +70,16 @@ fn main() {
             let mut it = args.iter().skip(1);
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--whisper" => {
-                        opts.seed = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| die("--whisper needs a seed number"));
-                    }
+                    "--whisper" => opts.seed = value(&mut it, "--whisper", "a seed number"),
                     "--scheme" => {
-                        opts.scheme = it
-                            .next()
-                            .and_then(|v| pfair_cli::tracecmd::parse_scheme(v))
-                            .unwrap_or_else(|| die("--scheme needs 'oi' or 'lj'"));
+                        opts.scheme = parsed(&mut it, "--scheme", "'oi' or 'lj'", parse_scheme);
                     }
-                    "--horizon" => {
-                        opts.horizon = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&h| h > 0)
-                            .unwrap_or_else(|| die("--horizon needs a positive number"));
-                    }
-                    "--top" => {
-                        opts.top = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| die("--top needs a number"));
-                    }
-                    "--out" => {
-                        out_path = it
-                            .next()
-                            .cloned()
-                            .unwrap_or_else(|| die("--out needs a file path"));
-                    }
+                    "--horizon" => opts.horizon = positive(&mut it, "--horizon"),
+                    "--top" => opts.top = value(&mut it, "--top", "a number"),
+                    "--out" => out_path = file_path(&mut it, "--out"),
                     "--flight" => {
                         opts.flight = true;
-                        flight_path = Some(
-                            it.next()
-                                .cloned()
-                                .unwrap_or_else(|| die("--flight needs a file path")),
-                        );
+                        flight_path = Some(file_path(&mut it, "--flight"));
                     }
                     other => die(&format!("unknown trace option {other}")),
                 }
@@ -126,59 +101,22 @@ fn main() {
             let mut it = args.iter().skip(1);
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--whisper" => {
-                        opts.seed = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| die("--whisper needs a seed number"));
-                    }
+                    "--whisper" => opts.seed = value(&mut it, "--whisper", "a seed number"),
                     "--scheme" => {
-                        opts.scheme = it
-                            .next()
-                            .and_then(|v| pfair_cli::tracecmd::parse_scheme(v))
-                            .unwrap_or_else(|| die("--scheme needs 'oi' or 'lj'"));
+                        opts.scheme = parsed(&mut it, "--scheme", "'oi' or 'lj'", parse_scheme);
                     }
-                    "--horizon" => {
-                        opts.horizon = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&h| h > 0)
-                            .unwrap_or_else(|| die("--horizon needs a positive number"));
-                    }
-                    "--window" => {
-                        opts.window = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&w| w > 0)
-                            .unwrap_or_else(|| die("--window needs a positive number"));
-                    }
-                    "--max-misses" => {
-                        opts.max_misses = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| die("--max-misses needs a number"));
-                    }
+                    "--horizon" => opts.horizon = positive(&mut it, "--horizon"),
+                    "--window" => opts.window = positive(&mut it, "--window"),
+                    "--max-misses" => opts.max_misses = value(&mut it, "--max-misses", "a number"),
                     "--drift-budget" => {
-                        opts.drift_budget = Some(
-                            it.next()
-                                .and_then(|v| pfair_cli::slocmd::parse_budget(v))
-                                .unwrap_or_else(|| die("--drift-budget needs N or N/D")),
-                        );
+                        opts.drift_budget =
+                            Some(parsed(&mut it, "--drift-budget", "N or N/D", parse_budget));
                     }
                     "--max-reweight-latency" => {
-                        opts.max_reweight_latency = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| die("--max-reweight-latency needs a number")),
-                        );
+                        opts.max_reweight_latency =
+                            Some(value(&mut it, "--max-reweight-latency", "a number"));
                     }
-                    "--out" => {
-                        out_path = Some(
-                            it.next()
-                                .cloned()
-                                .unwrap_or_else(|| die("--out needs a file path")),
-                        );
-                    }
+                    "--out" => out_path = Some(file_path(&mut it, "--out")),
                     other => die(&format!("unknown slo option {other}")),
                 }
             }
@@ -198,26 +136,9 @@ fn main() {
             let mut it = args.iter().skip(2);
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--at" => {
-                        opts.at = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| die("--at needs a slot number")),
-                        );
-                    }
-                    "--out" => {
-                        opts.out = it
-                            .next()
-                            .cloned()
-                            .unwrap_or_else(|| die("--out needs a file path"));
-                    }
-                    "--metrics-out" => {
-                        opts.metrics_out = Some(
-                            it.next()
-                                .cloned()
-                                .unwrap_or_else(|| die("--metrics-out needs a file path")),
-                        );
-                    }
+                    "--at" => opts.at = Some(value(&mut it, "--at", "a slot number")),
+                    "--out" => opts.out = file_path(&mut it, "--out"),
+                    "--metrics-out" => opts.metrics_out = Some(file_path(&mut it, "--metrics-out")),
                     other => die(&format!("unknown snapshot option {other}")),
                 }
             }
@@ -240,41 +161,13 @@ fn main() {
             let mut it = args.iter().skip(2);
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--until" => {
-                        opts.until = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| die("--until needs a slot number")),
-                        );
-                    }
+                    "--until" => opts.until = Some(value(&mut it, "--until", "a slot number")),
                     "--snapshot-out" => {
-                        opts.snapshot_out = Some(
-                            it.next()
-                                .cloned()
-                                .unwrap_or_else(|| die("--snapshot-out needs a file path")),
-                        );
+                        opts.snapshot_out = Some(file_path(&mut it, "--snapshot-out"));
                     }
-                    "--metrics-in" => {
-                        opts.metrics_in = Some(
-                            it.next()
-                                .cloned()
-                                .unwrap_or_else(|| die("--metrics-in needs a file path")),
-                        );
-                    }
-                    "--metrics-out" => {
-                        opts.metrics_out = Some(
-                            it.next()
-                                .cloned()
-                                .unwrap_or_else(|| die("--metrics-out needs a file path")),
-                        );
-                    }
-                    "--json" => {
-                        opts.json_out = Some(
-                            it.next()
-                                .cloned()
-                                .unwrap_or_else(|| die("--json needs a file path")),
-                        );
-                    }
+                    "--metrics-in" => opts.metrics_in = Some(file_path(&mut it, "--metrics-in")),
+                    "--metrics-out" => opts.metrics_out = Some(file_path(&mut it, "--metrics-out")),
+                    "--json" => opts.json_out = Some(file_path(&mut it, "--json")),
                     other => die(&format!("unknown resume option {other}")),
                 }
             }
@@ -309,6 +202,33 @@ fn usage() {
     println!("       pfair resume <snapshot-file> [--until K --snapshot-out FILE]");
     println!("                    [--metrics-in FILE] [--metrics-out FILE] [--json OUT]");
     println!("       pfair example");
+}
+
+/// The argument after `flag` as `parse` reads it; without one, or with
+/// one it rejects, the run ends with `<flag> needs <what>`.
+fn parsed<'a, T>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+    what: &str,
+    parse: impl FnOnce(&'a str) -> Option<T>,
+) -> T {
+    it.next()
+        .and_then(|v| parse(v))
+        .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
+}
+
+fn value<'a, T: FromStr>(it: &mut impl Iterator<Item = &'a String>, flag: &str, what: &str) -> T {
+    parsed(it, flag, what, |v| v.parse().ok())
+}
+
+fn positive<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> i64 {
+    parsed(it, flag, "a positive number", |v| {
+        v.parse().ok().filter(|&n| n > 0)
+    })
+}
+
+fn file_path<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> String {
+    value(it, flag, "a file path")
 }
 
 fn die(msg: &str) -> ! {

@@ -5,9 +5,8 @@
 //! task set is schedulable on `M` processors iff its total weight is at
 //! most `M` — condition (W) of the paper, extended to adaptable systems
 //! by policing weight-change requests. This module provides that test,
-//! the related capacity arithmetic the admission controller builds on,
-//! and hyperperiod utilities for exact whole-schedule assertions in
-//! tests and benchmarks.
+//! the overflow-checked lcm the busy-span batcher folds over task
+//! periods, and the hyperperiod for exact whole-schedule assertions.
 //!
 //! ```
 //! use pfair_core::{rat, Weight};
@@ -19,7 +18,7 @@
 //! assert_eq!(hyperperiod(&set), 11);
 //! ```
 
-use crate::rational::Rational;
+use crate::rational::{Rational, Units};
 use crate::weight::Weight;
 
 /// Total weight (utilization) of a task set.
@@ -44,25 +43,6 @@ pub fn min_processors(weights: &[Weight]) -> u32 {
     u32::try_from(total_weight(weights).ceil().max(0)).unwrap_or(u32::MAX)
 }
 
-/// Spare capacity on `processors` processors (negative when infeasible).
-pub fn spare_capacity(weights: &[Weight], processors: u32) -> Rational {
-    Rational::from_int(i128::from(processors)) - total_weight(weights)
-}
-
-/// Least common multiple of two positive integers.
-fn lcm(a: i128, b: i128) -> i128 {
-    a / gcd(a, b) * b
-}
-
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    while b != 0 {
-        let r = a % b; // audit: allow(panic-reach, the loop guard proves b nonzero)
-        a = b;
-        b = r;
-    }
-    a
-}
-
 /// Overflow-checked least common multiple of two positive integers:
 /// `None` when `lcm(a, b)` does not fit in `i128` (or an argument is
 /// non-positive, for which no lcm is defined here).
@@ -75,18 +55,7 @@ pub fn checked_lcm(a: i128, b: i128) -> Option<i128> {
     if a <= 0 || b <= 0 {
         return None;
     }
-    (a / gcd(a, b)).checked_mul(b) // audit: allow(panic-reach, gcd of two positive integers is positive)
-}
-
-/// Overflow-checked [`hyperperiod`]: `None` on an empty set or when the
-/// least common multiple of the periods exceeds `i128`.
-pub fn checked_hyperperiod(weights: &[Weight]) -> Option<i128> {
-    if weights.is_empty() {
-        return None;
-    }
-    weights
-        .iter()
-        .try_fold(1i128, |acc, w| checked_lcm(acc, w.value().denom()))
+    Units::new(a).checked_lcm(Units::new(b)).map(Units::get)
 }
 
 /// The hyperperiod of a task set: the least common multiple of the
@@ -95,17 +64,12 @@ pub fn checked_hyperperiod(weights: &[Weight]) -> Option<i128> {
 /// `hyperperiod · e / p` quanta, and the window pattern repeats.
 ///
 /// # Panics
-/// Panics on an empty set (no hyperperiod exists).
+/// Panics on an empty set (no hyperperiod exists), or if the least
+/// common multiple overflows `i128`.
 pub fn hyperperiod(weights: &[Weight]) -> i128 {
     assert!(!weights.is_empty(), "hyperperiod of an empty task set");
-    weights.iter().map(|w| w.value().denom()).fold(1i128, lcm)
-}
-
-/// Exact quanta a task of weight `w` receives over `slots` slots of an
-/// ideal schedule (`w · slots`; integral whenever `slots` is a multiple
-/// of the period).
-pub fn ideal_quanta(weight: Weight, slots: i64) -> Rational {
-    weight.value() * i128::from(slots)
+    let periods = weights.iter().map(|w| Units::new(w.value().denom()));
+    periods.fold(Units::new(1), Units::lcm).get()
 }
 
 /// Classifies a task set for the reweighting rules: all-light sets can
@@ -143,8 +107,6 @@ mod tests {
         assert!(is_feasible(&set, 2));
         assert!(!is_feasible(&set, 1));
         assert_eq!(min_processors(&set), 2);
-        assert_eq!(spare_capacity(&set, 2), Rational::ZERO);
-        assert_eq!(spare_capacity(&set, 3), Rational::ONE);
     }
 
     #[test]
@@ -163,15 +125,6 @@ mod tests {
         assert_eq!(hyperperiod(&[w(3, 20), w(1, 2)]), 20);
         // Reduction matters: 2/4 has period 2.
         assert_eq!(hyperperiod(&[w(2, 4)]), 2);
-    }
-
-    #[test]
-    fn ideal_quanta_over_hyperperiod_is_integral() {
-        let set = [w(5, 16), w(2, 5)];
-        let h = hyperperiod(&set) as i64;
-        for t in set {
-            assert!(ideal_quanta(t, h).is_integer());
-        }
     }
 
     #[test]
@@ -206,16 +159,17 @@ mod tests {
         assert_eq!(checked_lcm(i128::MAX, i128::MAX), Some(i128::MAX));
     }
 
-    #[test]
-    fn checked_hyperperiod_matches_hyperperiod() {
-        let set = [w(5, 16), w(2, 5), w(3, 20)];
-        assert_eq!(checked_hyperperiod(&set), Some(hyperperiod(&set)));
-        assert_eq!(checked_hyperperiod(&[]), None);
-    }
-
     mod prop {
-        use super::super::{checked_lcm, gcd, lcm};
+        use super::super::checked_lcm;
         use proptest::prelude::*;
+
+        /// Euclid, as the reference the shared implementation is held to.
+        fn gcd(mut a: i128, mut b: i128) -> i128 {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        }
 
         proptest! {
             /// Near `i128::MAX` the checked lcm either returns the exact
@@ -250,7 +204,7 @@ mod tests {
             /// agree exactly.
             #[test]
             fn checked_lcm_agrees_small(a in 1i128..10_000, b in 1i128..10_000) {
-                prop_assert_eq!(checked_lcm(a, b), Some(lcm(a, b)));
+                prop_assert_eq!(checked_lcm(a, b), Some(a / gcd(a, b) * b));
             }
         }
     }

@@ -101,11 +101,6 @@ impl PsTracker {
         }
     }
 
-    /// Suspends allocation from the current slot up to `until`.
-    pub fn suspend_until(&mut self, until: Slot) {
-        self.suspend_between(self.now, until);
-    }
-
     /// The current actual weight `wt(T, now)`.
     pub fn wt(&self) -> Rational {
         self.wt
@@ -335,7 +330,7 @@ mod suspension_tests {
     fn suspension_zeroes_allocation() {
         let mut ps = PsTracker::new(rat(1, 2), 0);
         ps.advance(0);
-        ps.suspend_until(3);
+        ps.suspend_between(1, 3);
         assert_eq!(ps.advance(1), Rational::ZERO);
         assert_eq!(ps.advance(2), Rational::ZERO);
         assert_eq!(ps.advance(3), rat(1, 2));
@@ -345,8 +340,8 @@ mod suspension_tests {
     #[test]
     fn suspensions_do_not_shorten() {
         let mut ps = PsTracker::new(rat(1, 2), 0);
-        ps.suspend_until(5);
-        ps.suspend_until(2); // no effect
+        ps.suspend_between(0, 5);
+        ps.suspend_between(0, 2); // no effect
         for t in 0..5 {
             assert_eq!(ps.advance(t), Rational::ZERO);
         }

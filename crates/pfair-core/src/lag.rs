@@ -12,33 +12,6 @@
 //! simulation engine exposes its traces.
 
 use crate::rational::Rational;
-use crate::time::Slot;
-
-/// Lag evaluated at a sparse set of slot boundaries, from *cumulative*
-/// totals instead of per-slot series.
-///
-/// Each point is `(t, A(I, T, 0, t), A(S, T, 0, t))` — a boundary slot,
-/// the cumulative ideal allocation there, and the number of quanta the
-/// actual schedule has granted by then. This is the natural shape of
-/// event-driven bookkeeping: the interval trackers expose exact totals
-/// at synchronization boundaries without materializing any per-slot
-/// series, so lag costs `O(boundaries)` instead of `O(horizon)`.
-///
-/// Where [`lag_series`] and this function observe the same boundary,
-/// they agree exactly (the cumulative total is the per-slot prefix sum,
-/// and exact rational addition is associative).
-///
-/// # Panics
-/// Panics if boundary slots decrease.
-pub fn lag_at_boundaries(points: &[(Slot, Rational, u64)]) -> Vec<(Slot, Rational)> {
-    for w in points.windows(2) {
-        assert!(w[0].0 <= w[1].0, "lag boundaries must be non-decreasing");
-    }
-    points
-        .iter()
-        .map(|&(t, ideal, sched)| (t, ideal - Rational::from_int(i128::from(sched))))
-        .collect()
-}
 
 /// Per-slot-boundary lag series of one task.
 ///
@@ -62,40 +35,6 @@ pub fn lag_series(ideal: &[Rational], actual: &[u32]) -> Vec<Rational> {
     lags
 }
 
-/// `LAG(τ, t)` series: the element-wise sum of per-task lag series.
-///
-/// # Panics
-/// Panics if the per-task series have differing lengths.
-pub fn total_lag_series(per_task: &[Vec<Rational>]) -> Vec<Rational> {
-    let Some(first) = per_task.first() else {
-        return Vec::new();
-    };
-    let n = first.len();
-    let mut out = vec![Rational::ZERO; n];
-    for series in per_task {
-        assert_eq!(series.len(), n, "per-task lag series length mismatch");
-        for (o, s) in out.iter_mut().zip(series.iter()) {
-            *o += *s;
-        }
-    }
-    out
-}
-
-/// `true` iff every value lies strictly inside `(−bound, bound)` — the
-/// Pfair condition with `bound = 1`.
-pub fn within_open_bound(series: &[Rational], bound: Rational) -> bool {
-    series.iter().all(|l| -bound < *l && *l < bound)
-}
-
-/// The maximum absolute value of a lag series (`0` for an empty series).
-pub fn max_abs(series: &[Rational]) -> Rational {
-    series
-        .iter()
-        .map(|l| l.abs())
-        .max()
-        .unwrap_or(Rational::ZERO)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,64 +56,19 @@ mod tests {
                 Rational::ZERO,
             ]
         );
-        assert!(within_open_bound(&lags, Rational::ONE));
     }
 
     #[test]
     fn pfair_bound_violated_when_a_quantum_is_late() {
-        // Same task never scheduled: lag reaches 1 at t = 2.
+        // Same task never scheduled: lag reaches 1 at t = 2, 2 at t = 4.
         let ideal = vec![rat(1, 2); 4];
         let actual = vec![0, 0, 0, 0];
         let lags = lag_series(&ideal, &actual);
-        assert!(!within_open_bound(&lags, Rational::ONE));
-        assert_eq!(max_abs(&lags), rat(2, 1));
-    }
-
-    #[test]
-    fn total_lag_sums_tasks() {
-        let a = vec![rat(1, 4), rat(-1, 4)];
-        let b = vec![rat(1, 4), rat(1, 4)];
-        let total = total_lag_series(&[a, b]);
-        assert_eq!(total, vec![rat(1, 2), Rational::ZERO]);
-    }
-
-    #[test]
-    fn boundary_lag_matches_series_sampling() {
-        // Weight-2/5 task scheduled in slots 1 and 3 over [0, 5).
-        let ideal = vec![rat(2, 5); 5];
-        let actual = vec![0, 1, 0, 1, 0];
-        let lags = lag_series(&ideal, &actual);
-
-        // The same schedule observed only at boundaries 0, 2, and 5.
-        let mut cum_ideal = Rational::ZERO;
-        let mut cum_sched = 0u64;
-        let mut points = Vec::new();
-        for t in 0..=5u32 {
-            if [0, 2, 5].contains(&t) {
-                points.push((i64::from(t), cum_ideal, cum_sched));
-            }
-            if let Some(i) = ideal.get(t as usize) {
-                cum_ideal += *i;
-                cum_sched += u64::from(actual[t as usize]);
-            }
-        }
-        let sparse = lag_at_boundaries(&points);
-        assert_eq!(sparse.len(), 3);
-        for (t, lag) in sparse {
-            assert_eq!(lag, lags[usize::try_from(t).unwrap()], "boundary {t}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn decreasing_boundaries_panic() {
-        let _ = lag_at_boundaries(&[(5, Rational::ZERO, 0), (3, Rational::ZERO, 0)]);
+        assert_eq!(lags.last(), Some(&rat(2, 1)));
     }
 
     #[test]
     fn empty_inputs() {
-        assert!(total_lag_series(&[]).is_empty());
-        assert_eq!(max_abs(&[]), Rational::ZERO);
         assert_eq!(lag_series(&[], &[]), vec![Rational::ZERO]);
     }
 }

@@ -1,7 +1,7 @@
 //! # pfair-json
 //!
 //! A small, dependency-free JSON codec used to export simulation
-//! results ([`pfair-sched`]'s `SimResult` tree) for downstream tooling.
+//! results (`pfair-sched`'s `SimResult` tree) for downstream tooling.
 //!
 //! It exists instead of `serde_json` for two reasons. First, this build
 //! environment cannot fetch crates.io dependencies (see

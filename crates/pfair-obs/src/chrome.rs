@@ -136,6 +136,8 @@ impl TraceRecorder {
                     has_spans = true;
                     None
                 }
+                // Drawn through its jump, whose slice names this `t0`.
+                ObsEvent::SpanArmed { .. } => None,
             };
             if let Some(task) = task {
                 if !tids.contains(&task) {
@@ -418,7 +420,7 @@ impl Probe for TraceRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{ReweightCost, SpanDigest, TaskSpanDelta};
+    use crate::probe::ReweightCost;
 
     fn initiated(task: u32, t: Slot, rule: Rule, queue_ops: u64, halts: u64) -> ObsEvent {
         ObsEvent::ReweightInitiated {
@@ -574,7 +576,7 @@ mod tests {
     }
 
     /// One collapsed slice per closed-form span, on the dedicated
-    /// pid-3 lane, carrying the digest args — never O(width) slices.
+    /// pid-3 lane, carrying the per-period args — never O(width) slices.
     #[test]
     fn chrome_trace_collapses_spans_to_single_slices() {
         let mut rec = TraceRecorder::new();
@@ -590,20 +592,16 @@ mod tests {
             to: 5001,
             holes: 10_000,
         });
-        let digest = SpanDigest {
+        rec.on_event(ObsEvent::SpanArmed { t0: 5001 });
+        rec.on_event(ObsEvent::BusySpanJump {
+            t0: 5001,
+            t1: 5013,
+            periods: 8000,
             period: 12,
-            queue_pushes: 4,
-            queue_pops: 4,
-            scheduled_quanta: 24,
-            per_task: vec![TaskSpanDelta {
-                task,
-                releases: 4,
-                schedules: 24,
-            }],
-            ..SpanDigest::default()
-        };
-        rec.on_span_armed(5001);
-        rec.on_busy_span_jump(5001, 5013, 8000, &digest);
+            releases: 4,
+            schedules: 24,
+            queue_ops: 8,
+        });
         rec.on_event(ObsEvent::Miss {
             task,
             index: 7,
@@ -638,7 +636,8 @@ mod tests {
                 .any(|e| e.get("name").and_then(as_str) == Some("miss")),
             "miss instant present"
         );
-        // The recorded stream is 4 events, not 5000 + 96000.
-        assert_eq!(rec.events().len(), 4);
+        // The recorded stream is 5 events (the arming is one), not
+        // 5000 + 96000.
+        assert_eq!(rec.events().len(), 5);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Every per-entity fact the engine or executor reports — a release, a
 //! schedule, a halt, a stale queue entry, a reweight initiation or
-//! enactment, a tracker jump, a miss, a drift sample — and the two
-//! closed-form span summaries are variants of this one enum, handed to
+//! enactment, a tracker jump, a miss, a drift sample — and the
+//! closed-form spans (a quiet span; a busy span's arming and its jump)
+//! are variants of this one enum, handed to
 //! [`Probe::on_event`](crate::probe::Probe::on_event) by value. A new
 //! kind of observation is a new variant here plus an arm in whichever
 //! probe reads it; the JSON codecs below are the only exhaustive
@@ -132,9 +133,21 @@ pub enum ObsEvent {
         /// Idle processor-slots over the span.
         holes: u64,
     },
+    /// The busy-span batcher armed a verification window at `t0`: the
+    /// stream from here to the [`ObsEvent::BusySpanJump`] naming this
+    /// `t0` is the one period that jump repeats. An arming whose
+    /// verification fails has no jump — a later arming replaces it.
+    SpanArmed {
+        /// Arm slot (verification window start).
+        t0: Slot,
+    },
     /// A verified busy-span jump — one event summarizing `periods`
     /// closed-form repetitions of the verified period, instead of
-    /// O(periods·period) per-slot events.
+    /// O(periods·period) per-slot events. The stream since the
+    /// [`ObsEvent::SpanArmed`] at `t0` is the verified period `[t0,
+    /// t1)`, and what each of the `periods` skipped ones would have
+    /// emitted, shifted in time; a verified span holds no miss, halt,
+    /// reweight or era opening.
     BusySpanJump {
         /// Arm slot (verification window start).
         t0: Slot,
@@ -144,11 +157,11 @@ pub enum ObsEvent {
         periods: u64,
         /// Period length in slots.
         period: Slot,
-        /// Subtask releases per period (from the digest).
+        /// Subtask releases per period.
         releases: u64,
-        /// Scheduled quanta per period (from the digest).
+        /// Scheduled quanta per period.
         schedules: u64,
-        /// Queue pushes + pops per period (from the digest).
+        /// Queue pushes + pops per period.
         queue_ops: u64,
     },
     /// A deadline miss.
@@ -277,6 +290,10 @@ impl ToJson for ObsEvent {
                 ("to", slot_json(*to)),
                 ("holes", u64_json(*holes)),
             ]),
+            ObsEvent::SpanArmed { t0 } => obj([
+                ("kind", Json::Str("span_armed".into())),
+                ("t0", slot_json(*t0)),
+            ]),
             ObsEvent::BusySpanJump {
                 t0,
                 t1,
@@ -327,6 +344,11 @@ impl FromJson for ObsEvent {
                     from: value.field("from")?,
                     to: value.field("to")?,
                     holes: value.field("holes")?,
+                });
+            }
+            "span_armed" => {
+                return Ok(ObsEvent::SpanArmed {
+                    t0: value.field("t0")?,
                 });
             }
             "busy_span_jump" => {
@@ -498,6 +520,7 @@ mod tests {
                 to: 40,
                 holes: 60,
             },
+            ObsEvent::SpanArmed { t0: 40 },
             ObsEvent::BusySpanJump {
                 t0: 40,
                 t1: 52,

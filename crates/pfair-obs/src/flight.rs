@@ -2,8 +2,9 @@
 //! events, frozen into an *incident* when something goes wrong.
 //!
 //! A [`FlightRecorder`] is a [`Probe`] that keeps the last `N` typed
-//! [`ObsEvent`]s (a closed-form span is one event, so horizon-scale
-//! runs cost one ring entry per span, not per slot). When a deadline
+//! [`ObsEvent`]s (a quiet span is one event, a busy span its arming
+//! and its jump, so horizon-scale runs cost ring entries per span, not
+//! per slot). When a deadline
 //! miss or a drift-budget breach is observed, the current ring contents
 //! are copied into a [`FlightIncident`] — the black-box snapshot of
 //! what led up to the failure — and recording continues. The whole
@@ -219,7 +220,6 @@ impl Probe for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::SpanDigest;
     use pfair_core::rational::rat;
     use pfair_core::task::TaskId;
 
@@ -302,7 +302,15 @@ mod tests {
             to: 100_000,
             holes: 400_000,
         });
-        fr.on_busy_span_jump(100_000, 100_012, 5000, &SpanDigest::default());
+        fr.on_event(ObsEvent::BusySpanJump {
+            t0: 100_000,
+            t1: 100_012,
+            periods: 5000,
+            period: 12,
+            releases: 0,
+            schedules: 0,
+            queue_ops: 0,
+        });
         fr.capture_now(160_012);
         assert_eq!(fr.recent().count(), 2);
 

@@ -13,8 +13,8 @@
 //!   variant plus an arm in whichever probe reads it.
 //! * [`probe`] — [`Probe`], a statically dispatched tap the engine and
 //!   executor are generic over: `on_event(ObsEvent)` plus the clock
-//!   tick and three hooks that lend an aggregate (a slot's release
-//!   batch, a busy span's arming and jump). The default [`NoopProbe`]
+//!   tick and the hook that lends a slot's release batch whole. The
+//!   default [`NoopProbe`]
 //!   compiles every hook to nothing (`benchmark/`'s
 //!   `obs.metrics_probe_ratio` and `obs.trace_probe_ratio` price the
 //!   real probes against it); [`Fanout`] runs two probes on one run.
@@ -45,7 +45,5 @@ pub use chrome::{ReweightSpan, TraceRecorder};
 pub use event::ObsEvent;
 pub use flight::{FlightConfig, FlightIncident, FlightRecorder, FlightTrigger};
 pub use metrics::{Histogram, MetricsProbe, Registry};
-pub use probe::{
-    Fanout, NoopProbe, Probe, ReleaseRec, ReweightCost, Rule, SpanDigest, TaskSpanDelta,
-};
+pub use probe::{Fanout, NoopProbe, Probe, ReleaseRec, ReweightCost, Rule};
 pub use slo::{SloBreach, SloConfig, SloKind, SloMonitor};

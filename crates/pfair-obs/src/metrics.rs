@@ -11,8 +11,8 @@
 //! allocation, no data-dependent layout — snapshots of identical runs
 //! are byte-identical regardless of arrival order.
 
-use crate::event::ObsEvent;
-use crate::probe::{Probe, ReleaseRec, Rule, SpanDigest};
+use crate::event::{u64_json, ObsEvent};
+use crate::probe::{Probe, ReleaseRec, Rule};
 use pfair_core::time::Slot;
 use pfair_json::{FromJson, Json, JsonError, ToJson};
 
@@ -142,24 +142,20 @@ impl Histogram {
     }
 }
 
-fn int_to_json(v: u64) -> Json {
-    Json::Int(i128::from(v))
-}
-
 impl ToJson for Histogram {
     fn to_json(&self) -> Json {
         let buckets = self
             .buckets()
             .into_iter()
-            .map(|(lo, hi, c)| Json::Array(vec![int_to_json(lo), int_to_json(hi), int_to_json(c)]))
+            .map(|(lo, hi, c)| Json::Array(vec![u64_json(lo), u64_json(hi), u64_json(c)]))
             .collect();
         pfair_json::obj([
-            ("count", int_to_json(self.count)),
+            ("count", u64_json(self.count)),
             (
                 "sum",
                 Json::Int(i128::try_from(self.sum).unwrap_or(i128::MAX)),
             ),
-            ("max", int_to_json(self.max)),
+            ("max", u64_json(self.max)),
             ("buckets", Json::Array(buckets)),
         ])
     }
@@ -204,8 +200,8 @@ impl FromJson for Histogram {
 
 /// An exact-integer metrics registry: named `u64` counters plus named
 /// [`Histogram`]s. Lookup is a linear scan (registries hold tens of
-/// names, and the hot path — the engine with [`NoopProbe`]
-/// (`crate::probe::NoopProbe`) — never touches one).
+/// names, and the hot path — the engine with
+/// [`NoopProbe`](crate::probe::NoopProbe) — never touches one).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Registry {
     counters: Vec<(String, u64)>,
@@ -319,13 +315,6 @@ impl Registry {
             .map(|(_, h)| h)
     }
 
-    /// Counter names, sorted (the canonical snapshot order).
-    pub fn counter_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.counters.iter().map(|(n, _)| n.as_str()).collect();
-        names.sort_unstable();
-        names
-    }
-
     /// The canonical text snapshot: counters then histograms, each
     /// sorted by name, one per line, integers only. Identical runs
     /// produce byte-identical snapshots.
@@ -363,7 +352,7 @@ impl ToJson for Registry {
         let mut counters: Vec<(String, Json)> = self
             .counters
             .iter()
-            .map(|(n, v)| (n.clone(), int_to_json(*v)))
+            .map(|(n, v)| (n.clone(), u64_json(*v)))
             .collect();
         counters.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut hists: Vec<(String, Json)> = self
@@ -415,20 +404,20 @@ fn width(from: Slot, to: Slot) -> u64 {
 /// histograms of per-event direct cost, initiation→enactment latency,
 /// and tracker-jump interval widths.
 ///
-/// **Exact** across busy-span jumps: when the batcher arms a
-/// verification window the probe clones its registry
-/// ([`Probe::on_span_armed`]); when the engine jumps `k` verified
-/// periods, the registry delta accumulated over the one simulated
-/// period is scaled by `k` and merged back ([`Registry::add_scaled`]).
-/// Because the verified period's hook stream is what a per-slot run
-/// would emit — shifted in time, which no counter or histogram width
-/// depends on — the final registry is bit-identical to a per-slot
-/// oracle run's.
+/// **Exact** across busy-span jumps: at an [`ObsEvent::SpanArmed`] the
+/// probe clones its registry; at the [`ObsEvent::BusySpanJump`] of `k`
+/// verified periods, the registry delta accumulated over the one
+/// simulated period is scaled by `k` and merged back
+/// ([`Registry::add_scaled`]). Because the verified period's stream is
+/// what a per-slot run would emit — shifted in time, which no counter
+/// or histogram width depends on — the final registry is bit-identical
+/// to a per-slot oracle run's. Neither span event is counted itself:
+/// the oracle sees none.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsProbe {
     reg: Registry,
-    /// Registry snapshot taken at the last `on_span_armed`, with the
-    /// arm slot its jump must name.
+    /// Registry snapshot taken at the last `SpanArmed`, with the arm
+    /// slot its jump must name.
     armed: Option<(Slot, Registry)>,
 }
 
@@ -454,6 +443,32 @@ impl MetricsProbe {
     /// one's.
     pub fn from_registry(reg: Registry) -> MetricsProbe {
         MetricsProbe { reg, armed: None }
+    }
+
+    // The two span arms of `on_event`, out of line: that method is
+    // inlined into every call site of the slot pipeline, which must not
+    // carry a registry clone or a delta merge each.
+    #[cold]
+    #[inline(never)]
+    fn arm_span(&mut self, t0: Slot) {
+        self.armed = Some((t0, self.reg.clone()));
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn scale_span(&mut self, t0: Slot, periods: u64) {
+        let armed = self.armed.take();
+        debug_assert!(
+            armed.as_ref().is_some_and(|(at, _)| *at == t0),
+            "busy-span jump from {t0} without its own arming"
+        );
+        if let Some((_, base)) = armed {
+            // Everything recorded since arming is exactly one verified
+            // period's worth of events; the jump repeats that period
+            // `periods` more times.
+            let delta = self.reg.delta_since(&base);
+            self.reg.add_scaled(&delta, periods);
+        }
     }
 }
 
@@ -500,6 +515,8 @@ impl Probe for MetricsProbe {
                 self.reg.record("tracker.jump_width", width(from, to));
             }
             ObsEvent::QuietSpan { from, to, .. } => self.reg.inc("slots", width(from, to)),
+            ObsEvent::SpanArmed { t0 } => self.arm_span(t0),
+            ObsEvent::BusySpanJump { t0, periods, .. } => self.scale_span(t0, periods),
             ObsEvent::Miss { .. } => self.reg.inc("misses", 1),
             ObsEvent::ExecOverrun { .. } => self.reg.inc("exec.overruns", 1),
             ObsEvent::ExecSkip { .. } => self.reg.inc("exec.skips", 1),
@@ -520,25 +537,6 @@ impl Probe for MetricsProbe {
         if era > 0 {
             self.reg
                 .inc("releases.era_first", u64::try_from(era).unwrap_or(u64::MAX));
-        }
-    }
-
-    fn on_span_armed(&mut self, t0: Slot) {
-        self.armed = Some((t0, self.reg.clone()));
-    }
-
-    fn on_busy_span_jump(&mut self, t0: Slot, _t1: Slot, periods: u64, _digest: &SpanDigest) {
-        let armed = self.armed.take();
-        debug_assert!(
-            armed.as_ref().is_some_and(|(at, _)| *at == t0),
-            "busy-span jump from {t0} without its own arming"
-        );
-        if let Some((_, base)) = armed {
-            // Everything recorded since arming is exactly one verified
-            // period's worth of hooks; the jump repeats that period
-            // `periods` more times.
-            let delta = self.reg.delta_since(&base);
-            self.reg.add_scaled(&delta, periods);
         }
     }
 }
@@ -712,13 +710,17 @@ mod tests {
             p.on_slot_start(100);
         }
         // Fast path: arm at 102, simulate one period, jump 7 more.
-        fast.on_span_armed(102);
+        fast.on_event(ObsEvent::SpanArmed { t0: 102 });
         one_period(&mut fast, 102);
-        let digest = SpanDigest {
+        fast.on_event(ObsEvent::BusySpanJump {
+            t0: 102,
+            t1: 104,
+            periods: 7,
             period: 2,
-            ..SpanDigest::default()
-        };
-        fast.on_busy_span_jump(102, 104, 7, &digest);
+            releases: 1,
+            schedules: 1,
+            queue_ops: 2,
+        });
         // Oracle: all 8 periods per-slot.
         for k in 0..8 {
             one_period(&mut oracle, 102 + 2 * k);

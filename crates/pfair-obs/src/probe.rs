@@ -16,13 +16,12 @@
 //! [`ObsEvent::StaleDrop`]) are reported individually so a recorder
 //! can attribute the *deferred* queue cost of a reweighting event (the
 //! entries its halts stranded) back to that event — the per-operation
-//! cost accounting the aggregate [`Counters`]
-//! (`pfair_sched::overhead::Counters`) cannot express.
+//! cost accounting the aggregate `pfair_sched::overhead::Counters`
+//! cannot express.
 
 use crate::event::ObsEvent;
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
-use pfair_json::{obj, Json, ToJson};
 
 /// Which reweighting rule resolved an initiation (the paper's rules O
 /// and I, the leave/join pair L+J, or the trivial immediate enactment
@@ -100,115 +99,14 @@ pub struct ReleaseRec {
     pub era_first: bool,
 }
 
-/// Per-task slice of a [`SpanDigest`]: what one task did over one
-/// verified period of a busy span.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TaskSpanDelta {
-    /// The task.
-    pub task: TaskId,
-    /// Subtask releases per period (= index advance per period).
-    pub releases: u64,
-    /// Scheduled quanta per period.
-    pub schedules: u64,
-}
-
-/// The exact-integer aggregate of **one verified period** of a busy
-/// span — the per-period deltas `verify_and_apply` computed while
-/// proving `F^P(A) = Φ(A)` bit-for-bit against the per-slot oracle.
-///
-/// A digest is a *proof-carrying summary*: because the verifier
-/// compared a full simulated period against the closed-form translation
-/// before jumping, every count below is what a per-slot run would have
-/// produced over each of the `periods` skipped repetitions — exactly,
-/// not sampled. Halts and reweight activity are always zero inside a
-/// verified span (any of them voids the periodicity check), so their
-/// absence is itself part of what the digest proves.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SpanDigest {
-    /// Period length `P` in slots.
-    pub period: Slot,
-    /// Ready-queue pushes per period.
-    pub queue_pushes: u64,
-    /// Ready-queue pops per period (stale pops included).
-    pub queue_pops: u64,
-    /// Stale entries discarded by pops per period.
-    pub stale_pops: u64,
-    /// Stale entries dropped by compaction per period.
-    pub stale_drops: u64,
-    /// Preemptions per period.
-    pub preemptions: u64,
-    /// Halts per period — always 0 in a verified span (a halt voids
-    /// the periodicity check); carried so the digest states the proof.
-    pub halts: u64,
-    /// Scheduled quanta per period.
-    pub scheduled_quanta: u64,
-    /// Idle processor-slots per period.
-    pub holes: u64,
-    /// Migrations per period.
-    pub migrations: u64,
-    /// Per-task release/schedule counts per period (tasks with no
-    /// activity in the period are omitted).
-    pub per_task: Vec<TaskSpanDelta>,
-}
-
-impl SpanDigest {
-    /// Total subtask releases per period.
-    pub fn releases_total(&self) -> u64 {
-        self.per_task
-            .iter()
-            .fold(0u64, |acc, d| acc.saturating_add(d.releases))
-    }
-
-    /// Total scheduled quanta per period (per-task view; equals
-    /// [`SpanDigest::scheduled_quanta`]).
-    pub fn schedules_total(&self) -> u64 {
-        self.per_task
-            .iter()
-            .fold(0u64, |acc, d| acc.saturating_add(d.schedules))
-    }
-}
-
-impl ToJson for SpanDigest {
-    fn to_json(&self) -> Json {
-        let per_task: Vec<Json> = self
-            .per_task
-            .iter()
-            .map(|d| {
-                obj([
-                    ("task", d.task.to_json()),
-                    ("releases", Json::Int(i128::from(d.releases))),
-                    ("schedules", Json::Int(i128::from(d.schedules))),
-                ])
-            })
-            .collect();
-        obj([
-            ("period", Json::Int(i128::from(self.period))),
-            ("queue_pushes", Json::Int(i128::from(self.queue_pushes))),
-            ("queue_pops", Json::Int(i128::from(self.queue_pops))),
-            ("stale_pops", Json::Int(i128::from(self.stale_pops))),
-            ("stale_drops", Json::Int(i128::from(self.stale_drops))),
-            ("preemptions", Json::Int(i128::from(self.preemptions))),
-            ("halts", Json::Int(i128::from(self.halts))),
-            (
-                "scheduled_quanta",
-                Json::Int(i128::from(self.scheduled_quanta)),
-            ),
-            ("holes", Json::Int(i128::from(self.holes))),
-            ("migrations", Json::Int(i128::from(self.migrations))),
-            ("per_task", Json::Array(per_task)),
-        ])
-    }
-}
-
 /// Structured-event tap for the engine and executor. Every method has
 /// a default body, so an implementation overrides only what it
 /// observes and the rest compiles away.
 ///
-/// [`Probe::on_event`] carries everything that is one fact about one
-/// task (and the quiet-span summary) as an [`ObsEvent`] by value. The
-/// other four hooks are the clock tick and the calls that lend the
-/// probe an aggregate it may want whole: a slot's release batch, and
-/// the arm / jump pair of a verified busy span.
+/// [`Probe::on_event`] carries every observation as an [`ObsEvent`] by
+/// value. The other two hooks are the clock tick and the one call that
+/// lends the probe a borrowed aggregate it may want whole: a slot's
+/// release batch.
 ///
 /// # Spans
 ///
@@ -216,13 +114,13 @@ impl ToJson for SpanDigest {
 /// attached. A quiet span `[from, to)` (empty ready queue) arrives as
 /// one [`ObsEvent::QuietSpan`] in place of `to − from` slot starts, so
 /// a probe that counts slots adds the width. A verified busy span
-/// arrives as [`Probe::on_span_armed`] at `t0`, the per-slot stream of
-/// exactly one period, then [`Probe::on_busy_span_jump`] standing for
+/// arrives as [`ObsEvent::SpanArmed`] at `t0`, the per-slot stream of
+/// exactly one period, then [`ObsEvent::BusySpanJump`] standing for
 /// `periods` further repetitions of that stream shifted in time: a
 /// probe whose output must equal a per-slot run's snapshots its state
 /// at the arming and scales what it accumulated since by `periods` at
-/// the jump (what [`MetricsProbe`] does); a recorder keeps the one
-/// summary event the default pushes.
+/// the jump (what [`MetricsProbe`] does); a recorder keeps both events
+/// like any other.
 ///
 /// [`MetricsProbe`]: crate::metrics::MetricsProbe
 pub trait Probe {
@@ -233,8 +131,7 @@ pub trait Probe {
 
     /// One observation (see [`ObsEvent`] for what each variant states
     /// and when it fires). Releases reach this hook through
-    /// [`Probe::on_release_batch`]'s default, busy-span summaries
-    /// through [`Probe::on_busy_span_jump`]'s.
+    /// [`Probe::on_release_batch`]'s default.
     fn on_event(&mut self, ev: ObsEvent) {
         let _ = ev;
     }
@@ -258,33 +155,6 @@ pub trait Probe {
             });
         }
     }
-
-    /// The busy-span batcher armed a verification window at `t0`: the
-    /// next `on_busy_span_jump` carrying this `t0` (if verification
-    /// succeeds; a later arming replaces this one otherwise) stands for
-    /// repetitions of everything observed since this instant.
-    fn on_span_armed(&mut self, t0: Slot) {
-        let _ = t0;
-    }
-
-    /// The busy-span batcher verified one period starting at `t0`
-    /// against the per-slot oracle and jumped `periods` further
-    /// repetitions in closed form, skipping slots `[t1, t1 +
-    /// periods·digest.period)`. `digest` is the exact per-period
-    /// aggregate computed during verification; the default hands its
-    /// summary to [`Probe::on_event`] as an [`ObsEvent::BusySpanJump`].
-    /// Verified spans hold no miss, halt, reweight or era opening.
-    fn on_busy_span_jump(&mut self, t0: Slot, t1: Slot, periods: u64, digest: &SpanDigest) {
-        self.on_event(ObsEvent::BusySpanJump {
-            t0,
-            t1,
-            periods,
-            period: digest.period,
-            releases: digest.releases_total(),
-            schedules: digest.scheduled_quanta,
-            queue_ops: digest.queue_pushes.saturating_add(digest.queue_pops),
-        });
-    }
 }
 
 /// The default probe: observes nothing, costs nothing. Every hook
@@ -297,11 +167,10 @@ pub struct NoopProbe;
 impl Probe for NoopProbe {
     const IS_NOOP: bool = true;
 
-    // Empty bodies in place of the event-building defaults, so a batch
-    // or a jump is O(1) here whatever the optimizer makes of a loop
-    // around an empty `on_event`.
+    // An empty body in place of the event-building default, so a batch
+    // is O(1) here whatever the optimizer makes of a loop around an
+    // empty `on_event`.
     fn on_release_batch(&mut self, _t: Slot, _releases: &[ReleaseRec]) {}
-    fn on_busy_span_jump(&mut self, _t0: Slot, _t1: Slot, _periods: u64, _digest: &SpanDigest) {}
 }
 
 /// Fans every hook out to two probes (e.g. a [`TraceRecorder`] and a
@@ -330,16 +199,6 @@ impl<A: Probe, B: Probe> Probe for Fanout<A, B> {
         self.0.on_release_batch(t, releases);
         self.1.on_release_batch(t, releases);
     }
-
-    fn on_span_armed(&mut self, t0: Slot) {
-        self.0.on_span_armed(t0);
-        self.1.on_span_armed(t0);
-    }
-
-    fn on_busy_span_jump(&mut self, t0: Slot, t1: Slot, periods: u64, digest: &SpanDigest) {
-        self.0.on_busy_span_jump(t0, t1, periods, digest);
-        self.1.on_busy_span_jump(t0, t1, periods, digest);
-    }
 }
 
 #[cfg(test)]
@@ -354,42 +213,9 @@ mod tests {
         assert_eq!(Rule::from_label("nonsense"), None);
     }
 
-    #[test]
-    fn span_digest_totals_and_json_shape() {
-        let digest = SpanDigest {
-            period: 12,
-            queue_pushes: 7,
-            queue_pops: 7,
-            scheduled_quanta: 9,
-            per_task: vec![
-                TaskSpanDelta {
-                    task: TaskId(0),
-                    releases: 3,
-                    schedules: 4,
-                },
-                TaskSpanDelta {
-                    task: TaskId(1),
-                    releases: 2,
-                    schedules: 5,
-                },
-            ],
-            ..SpanDigest::default()
-        };
-        assert_eq!(digest.releases_total(), 5);
-        assert_eq!(digest.schedules_total(), 9);
-        let json = digest.to_json();
-        assert_eq!(json.get("period").and_then(Json::as_int), Some(12));
-        let Some(Json::Array(per_task)) = json.get("per_task") else {
-            panic!("per_task missing");
-        };
-        assert_eq!(per_task.len(), 2);
-        assert_eq!(per_task[0].get("releases").and_then(Json::as_int), Some(3));
-    }
-
     /// `Fanout` hands both sides the same stream (the `NoopProbe` in
-    /// the middle takes every hook), and the two event-building
-    /// defaults hold: a batch is one `Release` per record, a jump is
-    /// the digest's summary.
+    /// the middle takes every hook), and the event-building default
+    /// holds: a batch is one `Release` per record.
     #[test]
     fn fanout_forwards_to_both() {
         #[derive(Debug, Default, PartialEq)]
@@ -425,15 +251,6 @@ mod tests {
             index: 4,
             t: 8,
         });
-        f.on_span_armed(9);
-        let digest = SpanDigest {
-            period: 3,
-            queue_pushes: 2,
-            queue_pops: 2,
-            scheduled_quanta: 5,
-            ..SpanDigest::default()
-        };
-        f.on_busy_span_jump(9, 12, 6, &digest);
         assert_eq!(f.0.slots, vec![7]);
         assert_eq!(
             f.0.events,
@@ -449,15 +266,6 @@ mod tests {
                     task: TaskId(1),
                     index: 4,
                     t: 8,
-                },
-                ObsEvent::BusySpanJump {
-                    t0: 9,
-                    t1: 12,
-                    periods: 6,
-                    period: 3,
-                    releases: 0,
-                    schedules: 5,
-                    queue_ops: 4,
                 },
             ]
         );

@@ -524,7 +524,16 @@ mod tests {
             to: 1_000_000,
             holes: 0,
         });
-        m.on_busy_span_jump(0, 12, 100_000, &crate::probe::SpanDigest::default());
+        m.on_event(ObsEvent::SpanArmed { t0: 0 });
+        m.on_event(ObsEvent::BusySpanJump {
+            t0: 0,
+            t1: 12,
+            periods: 100_000,
+            period: 12,
+            releases: 0,
+            schedules: 0,
+            queue_ops: 0,
+        });
         assert!(m.is_clean());
         assert_eq!(m.misses_total(), 0);
     }

@@ -90,11 +90,6 @@ impl AdmissionController {
         }
     }
 
-    /// Total committed weight (the incrementally maintained `Σ`).
-    pub fn total_committed(&self) -> Rational {
-        self.total
-    }
-
     /// Capacity not yet committed.
     pub fn available(&self) -> Rational {
         self.capacity - self.total

@@ -9,7 +9,7 @@
 //! slots in nondecreasing order:
 //!
 //! - [`CalendarRing::insert`] is `O(1)` amortized: a push onto the
-//!   bucket `slot mod WINDOW` (or onto a small overflow list for the
+//!   bucket `slot mod WINDOW_SLOTS` (or onto a small overflow list for the
 //!   rare far-future key — long delays, distant rule-L departures).
 //! - [`CalendarRing::take`] is `O(1)` plus the entries returned: one
 //!   occupancy-bitmap test rejects empty slots without touching the
@@ -17,7 +17,7 @@
 //! - [`CalendarRing::next_occupied`] — the query the tickless batching
 //!   layer plans spans with — scans the occupancy bitmap a word (64
 //!   slots) at a time: `O(1)` when the ring is empty (the common case
-//!   in a quiet span), `O(WINDOW/64)` worst case.
+//!   in a quiet span), `O(WINDOW_SLOTS/64)` worst case.
 //!
 //! The window advances lazily: when `take(t)` is called past the
 //! current window, every bucketed entry is already consumed (per-slot
@@ -32,18 +32,9 @@
 //! `next_occupied` conservative (an earlier boundary than necessary) —
 //! batching then splits a span, which is slower but never wrong.
 
+use crate::occupancy::{Occupancy, BUCKETS, WINDOW_SLOTS};
 use pfair_core::task::TaskId;
 use pfair_core::time::{Slot, NEVER};
-
-/// Bucketed window span in slots. Must be a power of two (the bucket
-/// map is `slot mod WINDOW_SLOTS`). 512 covers every release/enactment
-/// horizon the reweighting rules produce for the weights in this repo's
-/// experiments; larger gaps (long IS delays) ride the overflow list.
-const WINDOW_SLOTS: Slot = 512;
-/// The same span as a bucket count.
-const WINDOW: usize = 512;
-/// Occupancy bitmap words (64 buckets per word).
-const WORDS: usize = WINDOW / 64;
 
 /// Occupied in-window buckets, projected as `(absolute slot, entries)`
 /// pairs — the slot-recoverable half of a persisted ring.
@@ -59,7 +50,7 @@ pub struct CalendarRing {
     /// One bucket per window slot, indexed `slot mod WINDOW_SLOTS`.
     buckets: Vec<Vec<TaskId>>,
     /// Bit per bucket: set iff the bucket is non-empty.
-    occupied: [u64; WORDS],
+    occupied: Occupancy,
     /// Entries beyond the window, migrated into buckets at rotation.
     overflow: Vec<(Slot, TaskId)>,
     /// Exact minimum slot in `overflow` (`NEVER` when it is empty).
@@ -73,17 +64,23 @@ impl CalendarRing {
     pub fn new(start: Slot) -> CalendarRing {
         CalendarRing {
             base: start,
-            buckets: vec![Vec::new(); WINDOW],
-            occupied: [0; WORDS],
+            buckets: vec![Vec::new(); BUCKETS],
+            occupied: Occupancy::default(),
             overflow: Vec::new(),
             overflow_min: NEVER,
             in_window: 0,
         }
     }
 
-    // audit: prove(overflow-bounds)
-    fn bucket_of(slot: Slot) -> usize {
-        usize::try_from(slot.rem_euclid(WINDOW_SLOTS)).unwrap_or(0)
+    /// Bucket `b`, an [`Occupancy::bucket_of`] value.
+    fn bucket(&self, b: usize) -> &Vec<TaskId> {
+        // audit: allow(panic-reach, a bucket index is below BUCKETS, the length `new` gives the array)
+        &self.buckets[b]
+    }
+
+    fn bucket_mut(&mut self, b: usize) -> &mut Vec<TaskId> {
+        // audit: allow(panic-reach, a bucket index is below BUCKETS, the length `new` gives the array)
+        &mut self.buckets[b]
     }
 
     /// Registers `id` at slot `at`. `at` must not precede the last
@@ -95,9 +92,14 @@ impl CalendarRing {
             self.overflow.push((at, id));
             return;
         }
-        let b = Self::bucket_of(at);
-        self.buckets[b].push(id); // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-        self.occupied[b / 64] |= 1u64 << (b % 64); // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
+        self.place(at, id);
+    }
+
+    /// Files `id` in the bucket of in-window slot `at`.
+    fn place(&mut self, at: Slot, id: TaskId) {
+        let b = Occupancy::bucket_of(at);
+        self.bucket_mut(b).push(id);
+        self.occupied.set(b);
         self.in_window += 1;
     }
 
@@ -118,15 +120,15 @@ impl CalendarRing {
             self.rotate(t);
         }
         debug_assert!(t >= self.base, "take at {t} before window base");
-        let b = Self::bucket_of(t);
-        // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-        if self.occupied[b / 64] & (1u64 << (b % 64)) == 0 {
+        let b = Occupancy::bucket_of(t);
+        if !self.occupied.is_set(b) {
             return;
         }
-        self.occupied[b / 64] &= !(1u64 << (b % 64)); // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-        let bucket = &mut self.buckets[b]; // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-        self.in_window -= bucket.len();
+        self.occupied.clear(b);
+        let bucket = self.bucket_mut(b);
+        let taken = bucket.len();
         out.append(bucket);
+        self.in_window -= taken;
     }
 
     /// The earliest occupied in-window slot `≥ from`.
@@ -135,23 +137,7 @@ impl CalendarRing {
             return None;
         }
         let end = self.base.saturating_add(WINDOW_SLOTS);
-        let mut s = from.max(self.base);
-        while s < end {
-            // Word-window alignment: buckets `s mod WINDOW` share a
-            // word exactly when the slots share `s div 64` (WINDOW
-            // is a multiple of 64), so one masked word covers slots
-            // `s ..= s | 63`.
-            let b = Self::bucket_of(s);
-            let bit = s.rem_euclid(64);
-            let word = self.occupied[b / 64]; // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-            let masked = word & (u64::MAX << usize::try_from(bit).unwrap_or(0));
-            if masked != 0 {
-                let hit = s + i64::from(masked.trailing_zeros()) - bit;
-                return (hit < end).then_some(hit);
-            }
-            s = s + 64 - bit;
-        }
-        None
+        self.occupied.next(from.max(self.base), end)
     }
 
     /// The earliest occupied slot `≥ from`, or `None` when the ring
@@ -177,8 +163,7 @@ impl CalendarRing {
     pub fn for_each(&self, mut visit: impl FnMut(Slot, TaskId)) {
         let mut from = self.base;
         while let Some(slot) = self.next_in_window(from) {
-            // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-            for &id in &self.buckets[Self::bucket_of(slot)] {
+            for &id in self.bucket(Occupancy::bucket_of(slot)) {
                 visit(slot, id);
             }
             from = slot + 1;
@@ -204,14 +189,13 @@ impl CalendarRing {
         scratch.clear();
         let mut from = self.base;
         while let Some(slot) = self.next_in_window(from) {
-            // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-            let bucket = &mut self.buckets[Self::bucket_of(slot)];
+            let bucket = self.bucket_mut(Occupancy::bucket_of(slot));
             scratch.extend(bucket.drain(..).map(|id| (slot, id)));
             from = slot + 1;
         }
         scratch.append(&mut self.overflow);
         self.base = base;
-        self.occupied = [0; WORDS];
+        self.occupied = Occupancy::default();
         self.overflow_min = NEVER;
         self.in_window = 0;
         for &(slot, id) in scratch.iter() {
@@ -235,8 +219,8 @@ impl CalendarRing {
     /// bucketed entries grouped by absolute slot in ascending slot
     /// order (insertion order preserved within a slot), and the
     /// overflow list verbatim. Each occupied bucket `b` corresponds to
-    /// the unique slot `s ∈ [base, base + WINDOW)` with
-    /// `s ≡ b (mod WINDOW)`, so the absolute slots are recoverable
+    /// the unique slot `s ∈ [base, base + WINDOW_SLOTS)` with
+    /// `s ≡ b (mod WINDOW_SLOTS)`, so the absolute slots are recoverable
     /// without storing the rotation offset separately —
     /// [`CalendarRing::from_parts`] rebuilds the bitmap, live count,
     /// and overflow minimum from this projection alone.
@@ -244,8 +228,7 @@ impl CalendarRing {
         let mut bucketed = Vec::new();
         let mut from = self.base;
         while let Some(slot) = self.next_in_window(from) {
-            // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-            bucketed.push((slot, self.buckets[Self::bucket_of(slot)].clone()));
+            bucketed.push((slot, self.bucket(Occupancy::bucket_of(slot)).clone()));
             from = slot + 1;
         }
         (self.base, bucketed, self.overflow.clone())
@@ -253,7 +236,7 @@ impl CalendarRing {
 
     /// Rebuilds a ring from a [`CalendarRing::persist_parts`]
     /// projection, re-validating the window invariants: bucketed slots
-    /// inside `[base, base + WINDOW)` with non-empty entry lists, and
+    /// inside `[base, base + WINDOW_SLOTS)` with non-empty entry lists, and
     /// overflow entries strictly beyond the window.
     pub fn from_parts(
         base: Slot,
@@ -301,7 +284,7 @@ impl CalendarRing {
             for bucket in &mut self.buckets {
                 bucket.clear();
             }
-            self.occupied = [0; WORDS];
+            self.occupied = Occupancy::default();
             self.in_window = 0;
         }
         self.base = t;
@@ -320,10 +303,7 @@ impl CalendarRing {
             }
             debug_assert!(at >= t, "overflow entry at {at} already passed");
             if at >= t {
-                let b = Self::bucket_of(at);
-                self.buckets[b].push(id); // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-                self.occupied[b / 64] |= 1u64 << (b % 64); // audit: allow(panic-reach, bucket index is reduced mod RING_BUCKETS and /64 fits the occupancy words)
-                self.in_window += 1;
+                self.place(at, id);
             }
             false
         });

@@ -32,6 +32,11 @@
 //!    PD²-OI with admission policing). The ready queue's front deadline
 //!    rules the slot out in O(1) whenever nothing queued is due (see
 //!    `check_misses`).
+//!
+//! The driver, the timed firings of steps 1–3 and step 6 are in this
+//! file; the rules those steps apply are in `engine/rules.rs`, step 4 in
+//! `engine/release.rs`, steps 5 and 7 in `engine/select.rs`, each under
+//! the text of the paper it implements.
 
 use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::calendar::CalendarRing;
@@ -89,9 +94,10 @@ pub struct SimConfig {
     /// common period (no event due, every queued task's windows
     /// recurring), it verifies one full period against the per-slot
     /// oracle and then enacts the remaining whole periods up to the
-    /// next event boundary in closed form (the probe is told through
-    /// `Probe::on_span_armed` / `Probe::on_busy_span_jump`); output is
-    /// bit-identical either way. Disable via
+    /// next event boundary in closed form (the probe sees an
+    /// `ObsEvent::SpanArmed` and, once verified, an
+    /// `ObsEvent::BusySpanJump`); output is bit-identical either way.
+    /// Disable via
     /// [`SimConfig::without_busy_span`] to benchmark the plain tickless
     /// driver.
     pub busy_span: bool,
@@ -503,9 +509,9 @@ impl<P: Probe> Engine<P> {
 
     /// The engine's probe (live drivers emit executor-side events —
     /// overruns, skips — through this). The probe's span state belongs
-    /// to the run: do not swap the probe out between a
-    /// `Probe::on_span_armed` and its jump, which scales what the
-    /// probe accumulated since that arming.
+    /// to the run: do not swap the probe out between an
+    /// `ObsEvent::SpanArmed` and its `ObsEvent::BusySpanJump`, which
+    /// scales what the probe accumulated since that arming.
     pub fn probe_mut(&mut self) -> &mut P {
         &mut self.probe
     }
@@ -541,13 +547,6 @@ impl<P: Probe> Engine<P> {
     /// Number of tasks currently in the system.
     pub fn present_count(&self) -> usize {
         self.tasks.present_count()
-    }
-
-    /// Total utilization currently committed by admission (the
-    /// condition-(W) left-hand side); the shard supervisor routes joins
-    /// to the least-committed shard by this figure.
-    pub fn committed_utilization(&self) -> Rational {
-        self.admission.total_committed()
     }
 
     /// Grows every per-task table to address ids `0..n` — the online

@@ -36,11 +36,14 @@
 //!    pre-flight that proves no shifted field overflows: a refused jump
 //!    has touched nothing ([`Engine::apply_jump`]).
 //!
-//! The attached probe follows a jump through [`Probe::on_span_armed`]
-//! at the snapshot slot and [`Probe::on_busy_span_jump`] with the
-//! verified per-period [`SpanDigest`], and stays exact across it: the
-//! verified period's hook stream repeats `k` times shifted, so `k` times
-//! one period's deltas is exact integer arithmetic, not sampling. The
+//! The attached probe follows a jump as two events through
+//! [`Probe::on_event`] like any other observation: an
+//! [`ObsEvent::SpanArmed`] at the snapshot slot, and — if verification
+//! succeeds — an [`ObsEvent::BusySpanJump`] carrying the period and the
+//! per-period sums verification already holds. A probe stays exact
+//! across the jump by scaling what it accumulated between the two: the
+//! verified period's stream repeats `k` times shifted, so `k` times one
+//! period's deltas is exact integer arithmetic, not sampling. The
 //! equivalence proptests hold batched and per-slot runs to identical
 //! rendered results, counters and metrics snapshots.
 
@@ -57,7 +60,7 @@ use pfair_core::rational::{Rational, Units};
 use pfair_core::task::TaskId;
 use pfair_core::time::{shift_ever, Slot, NEVER};
 use pfair_core::window::SubtaskWindow;
-use pfair_obs::{Probe, SpanDigest, TaskSpanDelta};
+use pfair_obs::{ObsEvent, Probe};
 
 /// Longest candidate period the batcher will verify. Spans with larger
 /// hyperperiods fall back to per-slot stepping: the verification cost
@@ -357,7 +360,7 @@ impl<P: Probe> Engine<P> {
         probe.selector = Some(self.selector.clone());
         (self.admission.committed_parts()).clone_into(&mut probe.committed);
         self.busy.armed = true;
-        self.probe.on_span_armed(now);
+        self.probe.on_event(ObsEvent::SpanArmed { t0: now });
     }
 
     /// Candidate period: lcm of the scheduling-weight denominators of
@@ -486,15 +489,23 @@ impl<P: Probe> Engine<P> {
         let end = probe.end.min(self.next_boundary(t1)).min(self.run_limit);
         // audit: allow(panic-reach, span_period returns a positive lcm, so the armed period is >= 1)
         let k = (end - t1) / period;
-        // The digest is the exact per-period aggregate just verified
-        // bit-for-bit; the no-op probe would discard it unread.
-        let digest = (!P::IS_NOOP).then(|| span_digest(period, deltas, &delta));
+        // Per-period sums, read before `apply_jump` leaves `deltas`
+        // holding `k` periods' worth; the no-op probe would discard the
+        // event unread.
+        let jump = (!P::IS_NOOP).then(|| ObsEvent::BusySpanJump {
+            t0: probe.t0,
+            t1,
+            periods: u64::try_from(k).unwrap_or(0),
+            period,
+            releases: (deltas.iter()).fold(0, |sum, d| sum.saturating_add(d.d_index)),
+            schedules: delta.scheduled_quanta,
+            queue_ops: delta.heap_pushes.saturating_add(delta.heap_pops),
+        });
         if k < 1 || !self.apply_jump(k, period, deltas, &delta, live) {
             return SpanVerdict::Mismatch;
         }
-        if let Some(digest) = digest {
-            self.probe
-                .on_busy_span_jump(probe.t0, t1, u64::try_from(k).unwrap_or(0), &digest);
+        if let Some(jump) = jump {
+            self.probe.on_event(jump);
         }
         SpanVerdict::Jumped
     }
@@ -780,37 +791,6 @@ fn ring_content(ring: &CalendarRing, out: &mut Vec<(Slot, TaskId)>) {
     out.clear();
     ring.for_each(|slot, id| out.push((slot, id)));
     out.sort_unstable_by_key(|&(s, id)| (s, id.0));
-}
-
-/// The exact per-period aggregate handed to [`Probe::on_busy_span_jump`]:
-/// the verified counter delta plus each moving task's per-period rank
-/// (= release) and schedule gains. Everything here was checked bit-for-
-/// bit by [`Engine::verify_and_apply`] before the digest is built, so a
-/// probe may multiply any field by the jump count and stay exact.
-fn span_digest(period: Slot, deltas: &[TaskDelta], delta: &Counters) -> SpanDigest {
-    let per_task: Vec<TaskSpanDelta> = deltas
-        .iter()
-        .zip(0u32..)
-        .filter(|(d, _)| d.d_index > 0 || d.sched > 0)
-        .map(|(d, i)| TaskSpanDelta {
-            task: TaskId(i),
-            releases: d.d_index,
-            schedules: d.sched,
-        })
-        .collect();
-    SpanDigest {
-        period,
-        queue_pushes: delta.heap_pushes,
-        queue_pops: delta.heap_pops,
-        stale_pops: delta.stale_pops,
-        stale_drops: delta.compacted_stale,
-        preemptions: delta.preemptions,
-        halts: delta.halts,
-        scheduled_quanta: delta.scheduled_quanta,
-        holes: delta.slots_with_holes,
-        migrations: delta.migrations,
-        per_task,
-    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //! is rebuilt from them.
 //!
 //! History-mode runs (`record_history`) are refused: their per-slot
-//! accumulators grow with the horizon and belong in a [`SimResult`]
+//! accumulators grow with the horizon and belong in a [`SimResult`](crate::trace::SimResult)
 //! (via [`Engine::finish`]), not in a checkpoint.
 //!
 //! Decoders re-validate every cross-field invariant they can state

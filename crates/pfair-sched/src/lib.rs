@@ -45,6 +45,7 @@ pub mod engine;
 pub mod epdf_ps;
 pub mod event;
 pub mod lag_analysis;
+mod occupancy;
 pub mod overhead;
 pub mod partitioned;
 pub mod priority;

@@ -131,33 +131,6 @@ impl Counters {
             compacted_stale: f(self.compacted_stale, o.compacted_stale)?,
         })
     }
-
-    /// The counters as a `pfair-obs` [`Registry`](pfair_obs::Registry),
-    /// one counter per field under its field name. `Counters` stays the
-    /// engine-facing view (a flat `Copy` struct the hot path bumps
-    /// unconditionally); the registry form is the unified snapshot
-    /// format shared with probe-collected metrics.
-    pub fn to_registry(&self) -> pfair_obs::Registry {
-        let mut reg = pfair_obs::Registry::new();
-        for (name, value) in [
-            ("heap_pushes", self.heap_pushes),
-            ("heap_pops", self.heap_pops),
-            ("stale_pops", self.stale_pops),
-            ("reweight_initiations", self.reweight_initiations),
-            ("reweight_enactments", self.reweight_enactments),
-            ("halts", self.halts),
-            ("scheduled_quanta", self.scheduled_quanta),
-            ("slots_with_holes", self.slots_with_holes),
-            ("migrations", self.migrations),
-            ("preemptions", self.preemptions),
-            ("rejected_heavy_reweights", self.rejected_heavy_reweights),
-            ("compactions", self.compactions),
-            ("compacted_stale", self.compacted_stale),
-        ] {
-            reg.inc(name, value);
-        }
-        reg
-    }
 }
 
 /// Which rung of the driver ladder covered how many slots, and what the
@@ -214,11 +187,17 @@ mod tests {
         };
         let (base, delta) = (numbered(100), numbered(1));
         let later = base.checked_add_scaled(&delta, 7).expect("small numbers");
-        let (was, gain, is) = (base.to_registry(), delta.to_registry(), later.to_registry());
-        assert_eq!(was.counter_names().len(), 13);
-        for name in was.counter_names() {
-            assert!(gain.counter(name) > 0, "{name} was never set");
-            assert_eq!(is.counter(name), was.counter(name) + 7 * gain.counter(name));
+        let values = |c: &Counters| -> Vec<i128> {
+            let Json::Object(fields) = c.to_json() else {
+                panic!("counters render as an object");
+            };
+            fields.iter().filter_map(|(_, v)| v.as_int()).collect()
+        };
+        let (was, gain, is) = (values(&base), values(&delta), values(&later));
+        assert_eq!(was.len(), 13);
+        for ((was, gain), is) in was.iter().zip(&gain).zip(&is) {
+            assert!(*gain > 0, "a field was never set");
+            assert_eq!(*is, was + 7 * gain);
         }
         assert_eq!(
             later.checked_sub(&base),
@@ -247,28 +226,5 @@ mod tests {
         let c = Counters::default();
         assert_eq!(c.heap_ops(), 0);
         assert_eq!(c.migrations, 0);
-    }
-
-    #[test]
-    fn registry_view_mirrors_every_field() {
-        let c = Counters {
-            heap_pushes: 1,
-            heap_pops: 2,
-            stale_pops: 3,
-            reweight_initiations: 4,
-            reweight_enactments: 5,
-            halts: 6,
-            scheduled_quanta: 7,
-            slots_with_holes: 8,
-            migrations: 9,
-            preemptions: 10,
-            rejected_heavy_reweights: 11,
-            compactions: 12,
-            compacted_stale: 13,
-        };
-        let reg = c.to_registry();
-        assert_eq!(reg.counter("heap_pushes"), 1);
-        assert_eq!(reg.counter("compacted_stale"), 13);
-        assert_eq!(reg.counter_names().len(), 13);
     }
 }

@@ -12,9 +12,9 @@
 //! fields (b-bit, group deadline, tie rank) only break ties *within*
 //! one deadline. [`ReadyQueue`] therefore buckets entries by the
 //! deadline field of the packed key over a moving 512-slot window —
-//! the same window/occupancy-bitmap idiom as
-//! [`CalendarRing`](crate::calendar::CalendarRing) — with a word-scanned
-//! bitmap locating the minimum bucket. Within the window each bucket
+//! the window [`CalendarRing`](crate::calendar::CalendarRing) keeps,
+//! over the same `occupancy::Occupancy` bitmap — whose word scan locates the
+//! minimum bucket. Within the window each bucket
 //! holds exactly one deadline, so a small per-bucket min-heap on the
 //! full entry order pops the true minimum:
 //!
@@ -46,6 +46,7 @@
 //! for differential tests and `benchmark/`'s
 //! `queue.{heap,radix}_push_pop_ns.*` pair.
 
+use crate::occupancy::{Occupancy, BUCKETS, WINDOW_SLOTS as DEADLINE_SLOTS};
 use crate::overhead::Counters;
 use crate::priority::Priority;
 use pfair_core::task::TaskId;
@@ -91,15 +92,8 @@ pub struct QueueEntry {
     pub index: u64,
 }
 
-/// Bucketed deadline span in slots. Must be a power of two (the bucket
-/// map is `deadline mod DEADLINE_SLOTS`). 512 covers every deadline
-/// spread a feasible ready set produces (a window length is at most
-/// the weight's period); farther deadlines ride the overflow list.
-const DEADLINE_SLOTS: Slot = 512;
-/// The same span as a bucket count.
-const DEADLINE_BUCKETS: usize = 512;
-/// Occupancy bitmap words (64 buckets per word).
-const WORDS: usize = DEADLINE_BUCKETS / 64;
+/// One deadline's entries: a min-heap on the full entry order.
+type Bucket = BinaryHeap<Reverse<QueueEntry>>;
 
 /// Min-priority ready queue with lazy invalidation: deadline-bucketed
 /// radix structure (module docs). Drop-in replacement for the binary
@@ -113,17 +107,17 @@ pub struct ReadyQueue {
     /// Within the window a bucket holds exactly one deadline, so a
     /// per-bucket min-heap on the full entry order pops the true
     /// minimum without the memmove a sorted `Vec` insert would pay.
-    buckets: Vec<BinaryHeap<Reverse<QueueEntry>>>,
+    buckets: Vec<Bucket>,
     /// Buffers of emptied buckets, handed to the next bucket that fills
     /// (module docs): an unoccupied bucket has no allocation.
-    spare: Vec<BinaryHeap<Reverse<QueueEntry>>>,
+    spare: Vec<Bucket>,
     /// Bit per bucket: set iff the bucket is non-empty.
-    occupied: [u64; WORDS],
+    occupied: Occupancy,
     /// Entries with deadlines at or beyond `base + DEADLINE_SLOTS`,
     /// kept as a min-heap (the packed key orders deadline-first, so
     /// the heap minimum is the earliest overflow deadline); popped
     /// directly when the window drains.
-    overflow: BinaryHeap<Reverse<QueueEntry>>,
+    overflow: Bucket,
     /// Live entry count across the buckets.
     in_window: usize,
     /// Lower bound on the minimum in-window deadline (`Slot::MAX` when
@@ -145,9 +139,9 @@ impl ReadyQueue {
     pub fn new() -> ReadyQueue {
         ReadyQueue {
             base: 0,
-            buckets: vec![BinaryHeap::new(); DEADLINE_BUCKETS],
+            buckets: vec![BinaryHeap::new(); BUCKETS],
             spare: Vec::new(),
-            occupied: [0; WORDS],
+            occupied: Occupancy::default(),
             overflow: BinaryHeap::new(),
             in_window: 0,
             scan_min: Slot::MAX,
@@ -171,9 +165,16 @@ impl ReadyQueue {
         self.len() == 0
     }
 
-    // audit: prove(overflow-bounds)
-    fn bucket_of(deadline: Slot) -> usize {
-        usize::try_from(deadline.rem_euclid(DEADLINE_SLOTS)).unwrap_or(0)
+    /// Bucket `b`: an [`Occupancy::bucket_of`] value, or one the bitmap
+    /// handed out.
+    fn bucket(&self, b: usize) -> &Bucket {
+        // audit: allow(panic-reach, a bucket index is below BUCKETS, the length `new` gives the array)
+        &self.buckets[b]
+    }
+
+    fn bucket_mut(&mut self, b: usize) -> &mut Bucket {
+        // audit: allow(panic-reach, a bucket index is below BUCKETS, the length `new` gives the array)
+        &mut self.buckets[b]
     }
 
     /// Pushes a subtask that has just become its task's schedulable head.
@@ -199,28 +200,13 @@ impl ReadyQueue {
         self.base = new_base;
         let end = old_base.min(new_base.saturating_add(DEADLINE_SLOTS));
         let mut s = new_base;
-        while s < end {
-            let b = Self::bucket_of(s);
-            let bit = s.rem_euclid(64);
-            let word = self.occupied[b / 64]; // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
-            let masked = word & (u64::MAX << usize::try_from(bit).unwrap_or(0));
-            if masked == 0 {
-                s = s + 64 - bit;
-                continue;
-            }
-            let hit = s + i64::from(masked.trailing_zeros()) - bit;
-            if hit >= end {
-                // The set bit belongs to the next word-aligned stretch;
-                // everything in range is clear.
-                s = s + 64 - bit;
-                continue;
-            }
-            let bi = Self::bucket_of(hit);
-            let mut evicted = std::mem::take(&mut self.buckets[bi]); // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
+        while let Some(hit) = self.occupied.next(s, end) {
+            let b = Occupancy::bucket_of(hit);
+            let mut evicted = std::mem::take(self.bucket_mut(b));
             self.in_window -= evicted.len();
             self.overflow.extend(evicted.drain());
             self.spare.push(evicted);
-            self.occupied[bi / 64] &= !(1u64 << (bi % 64)); // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
+            self.occupied.clear(b);
             s = hit + 1;
         }
     }
@@ -233,38 +219,34 @@ impl ReadyQueue {
             self.overflow.push(Reverse(entry));
             return;
         }
-        let b = Self::bucket_of(d);
-        let bucket = &mut self.buckets[b]; // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
-        if bucket.capacity() == 0 {
+        let b = Occupancy::bucket_of(d);
+        if self.bucket(b).capacity() == 0 {
             if let Some(buffer) = self.spare.pop() {
-                *bucket = buffer;
+                *self.bucket_mut(b) = buffer;
             }
         }
         // Equal-deadline groups are small (one live head per task), so
         // the per-bucket heap sift is effectively constant work.
-        bucket.push(Reverse(entry));
-        self.occupied[b / 64] |= 1u64 << (b % 64); // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
+        self.bucket_mut(b).push(Reverse(entry));
+        self.occupied.set(b);
         self.in_window += 1;
         self.scan_min = self.scan_min.min(d);
     }
 
     /// Drains every window bucket and the overflow list into one
     /// vector, leaving the queue structurally empty. Walks the
-    /// occupancy bitmap rather than all [`DEADLINE_BUCKETS`] buckets,
+    /// occupancy bitmap rather than all [`BUCKETS`] buckets,
     /// so the cost is O(len + occupied words) — the engine drains the
     /// window every few slots in a saturated run, and an O(bucket
     /// count) sweep here measurably regresses whole-run time.
     fn drain_all(&mut self) -> Vec<QueueEntry> {
         let mut all: Vec<QueueEntry> = Vec::with_capacity(self.len());
-        for (w, word) in self.occupied.iter_mut().enumerate() {
-            while *word != 0 {
-                let bit = usize::try_from(word.trailing_zeros()).unwrap_or(0);
-                *word &= *word - 1;
-                // audit: allow(panic-reach, w indexes the 8 occupancy words and bit is below 64, so the bucket index is below DEADLINE_BUCKETS)
-                let mut drained = std::mem::take(&mut self.buckets[w * 64 + bit]);
-                all.extend(drained.drain().map(|Reverse(e)| e));
-                self.spare.push(drained);
-            }
+        // Taken out whole, which leaves the queue's own bitmap clear.
+        let mut occupied = std::mem::take(&mut self.occupied);
+        for b in occupied.drain() {
+            let mut drained = std::mem::take(self.bucket_mut(b));
+            all.extend(drained.drain().map(|Reverse(e)| e));
+            self.spare.push(drained);
         }
         all.extend(self.overflow.drain().map(|Reverse(e)| e));
         self.in_window = 0;
@@ -272,31 +254,13 @@ impl ReadyQueue {
         all
     }
 
-    /// The earliest occupied in-window deadline `≥ from`, scanning
-    /// masked bitmap words (the
-    /// [`CalendarRing`](crate::calendar::CalendarRing) idiom: `WINDOW`
-    /// is a multiple of 64, so slots sharing `s div 64` share a word).
+    /// The earliest occupied in-window deadline `≥ from`.
     fn next_bucket(&self, from: Slot) -> Option<Slot> {
         if self.in_window == 0 {
             return None;
         }
         let end = self.base.saturating_add(DEADLINE_SLOTS);
-        let mut s = from.max(self.base).min(end);
-        while s < end {
-            let b = Self::bucket_of(s);
-            let bit = s.rem_euclid(64);
-            let word = self.occupied[b / 64]; // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
-            let masked = word & (u64::MAX << usize::try_from(bit).unwrap_or(0));
-            if masked != 0 {
-                let hit = s + i64::from(masked.trailing_zeros()) - bit;
-                if hit < end {
-                    return Some(hit);
-                }
-                break;
-            }
-            s = s + 64 - bit;
-        }
-        None
+        self.occupied.next(from.max(self.base), end)
     }
 
     /// The deadline field of the queue's minimum entry, stale or live
@@ -316,8 +280,7 @@ impl ReadyQueue {
     pub fn for_each_due(&self, limit: Slot, mut visit: impl FnMut(&QueueEntry)) {
         let mut from = self.scan_min;
         while let Some(d) = self.next_bucket(from).filter(|d| *d <= limit) {
-            // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
-            for Reverse(e) in &self.buckets[Self::bucket_of(d)] {
+            for Reverse(e) in self.bucket(Occupancy::bucket_of(d)) {
                 visit(e);
             }
             from = d.saturating_add(1);
@@ -347,12 +310,13 @@ impl ReadyQueue {
         }
         let d = self.next_bucket(self.scan_min)?;
         self.scan_min = d;
-        let b = Self::bucket_of(d);
-        let bucket = &mut self.buckets[b]; // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
+        let b = Occupancy::bucket_of(d);
+        let bucket = self.bucket_mut(b);
         let Reverse(entry) = bucket.pop()?;
         if bucket.is_empty() {
-            self.spare.push(std::mem::take(bucket));
-            self.occupied[b / 64] &= !(1u64 << (b % 64)); // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
+            let buffer = std::mem::take(bucket);
+            self.spare.push(buffer);
+            self.occupied.clear(b);
         }
         self.in_window -= 1;
         // `base` deliberately stays put while the window is non-empty:
@@ -443,11 +407,6 @@ impl ReadyQueue {
         }
     }
 
-    /// Drops every entry (used when a scheduler is reset between runs).
-    pub fn clear(&mut self) {
-        drop(self.drain_all());
-    }
-
     /// Hands `visit` every entry (stale ones included) in ascending
     /// order until it returns `false`; returns whether the walk reached
     /// the end. Buckets are visited in deadline order and the overflow
@@ -459,7 +418,7 @@ impl ReadyQueue {
         scratch: &mut Vec<QueueEntry>,
         mut visit: impl FnMut(&QueueEntry) -> bool,
     ) -> bool {
-        let mut group = |heap: &BinaryHeap<Reverse<QueueEntry>>| {
+        let mut group = |heap: &Bucket| {
             scratch.clear();
             scratch.extend(heap.iter().map(|Reverse(e)| *e));
             scratch.sort_unstable();
@@ -467,8 +426,7 @@ impl ReadyQueue {
         };
         let mut from = self.base;
         while let Some(d) = self.next_bucket(from) {
-            // audit: allow(panic-reach, bucket index is reduced mod DEADLINE_BUCKETS and /64 fits the occupancy words)
-            if !group(&self.buckets[Self::bucket_of(d)]) {
+            if !group(self.bucket(Occupancy::bucket_of(d))) {
                 return false;
             }
             from = d.saturating_add(1);
@@ -502,7 +460,7 @@ impl ReadyQueue {
     /// move along. An order-preserving rewrite keeps each heap a heap,
     /// so the pop sequence is the shifted image of what it was.
     pub fn shift_deadlines(&mut self, ds: Slot, mut shift: impl FnMut(&mut QueueEntry)) {
-        let mut rewrite = |heap: &mut BinaryHeap<Reverse<QueueEntry>>| {
+        let mut rewrite = |heap: &mut Bucket| {
             let mut entries = std::mem::take(heap).into_vec();
             for Reverse(e) in &mut entries {
                 let was = e.priority.deadline();
@@ -511,14 +469,12 @@ impl ReadyQueue {
             }
             *heap = BinaryHeap::from(entries);
         };
-        self.buckets.rotate_right(Self::bucket_of(ds));
-        for (word, buckets) in self.occupied.iter_mut().zip(self.buckets.chunks_mut(64)) {
-            *word = 0;
-            for (bit, bucket) in buckets.iter_mut().enumerate() {
-                if !bucket.is_empty() {
-                    rewrite(bucket);
-                    *word |= 1u64 << bit;
-                }
+        self.buckets.rotate_right(Occupancy::bucket_of(ds));
+        self.occupied = Occupancy::default();
+        for (b, bucket) in self.buckets.iter_mut().enumerate() {
+            if !bucket.is_empty() {
+                rewrite(bucket);
+                self.occupied.set(b);
             }
         }
         rewrite(&mut self.overflow);
@@ -869,8 +825,8 @@ mod tests {
     fn emptied_buckets_hand_their_buffers_on() {
         fn buffers(q: &ReadyQueue) -> usize {
             let held = q.buckets.iter().filter(|b| b.capacity() > 0).count();
-            let occupied: u32 = q.occupied.iter().map(|w| w.count_ones()).sum();
-            assert_eq!(held, usize::try_from(occupied).unwrap_or(0));
+            let occupied = (0..BUCKETS).filter(|&b| q.occupied.is_set(b)).count();
+            assert_eq!(held, occupied);
             held + q.spare.len()
         }
         let mut q = ReadyQueue::new();
@@ -919,26 +875,6 @@ mod more_tests {
     use crate::overhead::Counters;
     use crate::priority::Priority;
     use pfair_core::task::TaskId;
-
-    #[test]
-    fn clear_empties_the_queue() {
-        let mut q = ReadyQueue::new();
-        let mut c = Counters::default();
-        for i in 0..5u64 {
-            q.push(
-                QueueEntry {
-                    priority: Priority::pack(5, true, 5, 0),
-                    task: TaskId(0),
-                    index: i + 1,
-                },
-                &mut c,
-            );
-        }
-        assert_eq!(q.len(), 5);
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop_live(&mut c, |_| true).is_none());
-    }
 
     #[test]
     fn group_deadline_orders_equal_deadline_b1_entries() {

@@ -16,6 +16,7 @@
 use pfair_core::rational::{rat, Rational};
 use pfair_sched::engine::{simulate, SimConfig};
 use pfair_sched::event::Workload;
+use pfair_sched::lag_analysis::system_series;
 use pfair_sched::priority::TieBreak;
 use pfair_sched::reweight::{HybridPolicy, Scheme};
 use pfair_sched::verify::verify;
@@ -221,36 +222,16 @@ proptest! {
     /// Lemma 4 of the appendix: if LAG(τ, t) < LAG(τ, t+1) — the task
     /// set as a whole fell further behind its clairvoyant ideal across
     /// slot t — then slot t had a hole (an idle processor). Checked
-    /// from raw history: per-slot I_CSW minus per-slot scheduled counts.
+    /// from the recorded history by `lag_analysis::system_series`.
     #[test]
     fn lemma4_lag_increases_only_across_holes(plan in arb_plan()) {
         let w = workload_of(&plan);
         let cfg = SimConfig::oi(plan.processors, HORIZON).with_history();
         let r = simulate(cfg, &w);
         prop_assert!(r.is_miss_free());
-        // Per-slot totals across the task set.
-        let mut ideal = vec![Rational::ZERO; HORIZON as usize];
-        let mut actual = vec![0u32; HORIZON as usize];
-        for task in &r.tasks {
-            let hist = task.history.as_ref().unwrap();
-            for (t, a) in hist.icsw_per_slot().iter().enumerate() {
-                ideal[t] += *a;
-            }
-            for s in &hist.scheduled_slots {
-                actual[*s as usize] += 1;
-            }
-        }
-        let mut lag = Rational::ZERO;
-        for t in 0..HORIZON as usize {
-            let next = lag + ideal[t] - Rational::from_int(i128::from(actual[t]));
-            if next > lag {
-                prop_assert!(
-                    actual[t] < plan.processors,
-                    "LAG rose across slot {} ({} -> {}) with no hole ({} of {} CPUs busy)",
-                    t, lag, next, actual[t], plan.processors
-                );
-            }
-            lag = next;
-        }
+        prop_assert!(
+            system_series(&r).lemma4_holds(),
+            "LAG rose across a slot with no hole"
+        );
     }
 }

@@ -9,7 +9,8 @@
 //! 2. **Exactness** — a `MetricsProbe` attached to a saturated
 //!    100k-slot busy-span run scales its registry across the jumps
 //!    bit-identically to the per-slot oracle, while the batcher
-//!    actually jumps.
+//!    actually jumps — alone and inside a `Fanout`, whose recorder half
+//!    holds one `SpanArmed` per arming and one `BusySpanJump` per jump.
 //! 3. **Overhead** — that same probed busy-span run stays within 3× of
 //!    the `NoopProbe` busy-span run (generous floor for noisy CI
 //!    machines; `benchmark/`'s `obs.metrics_probe_ratio` is the
@@ -19,7 +20,7 @@ use pfair_core::rational::rat;
 use pfair_core::time::Slot;
 use pfair_obs::{
     Fanout, FlightRecorder, FlightTrigger, MetricsProbe, NoopProbe, ObsEvent, Probe, SloConfig,
-    SloMonitor,
+    SloMonitor, TraceRecorder,
 };
 use pfair_sched::admission::AdmissionPolicy;
 use pfair_sched::engine::{simulate_with, Engine, SimConfig};
@@ -41,12 +42,13 @@ fn uniform(tasks: u32, num: i128, den: i128) -> Workload {
 // 1. One stream: per-entity events are driver-independent.
 // ---------------------------------------------------------------------
 
-/// Keeps the clock (slot starts, quiet spans) apart from everything
-/// else the engine emits.
+/// Keeps the clock (slot starts, quiet spans, busy-span armings and
+/// jumps) apart from everything else the engine emits.
 #[derive(Default)]
 struct StreamLog {
     slots: Vec<Slot>,
     quiet_spans: Vec<(Slot, Slot)>,
+    busy_spans: Vec<ObsEvent>,
     events: Vec<ObsEvent>,
 }
 
@@ -54,6 +56,7 @@ impl Probe for StreamLog {
     fn on_event(&mut self, ev: ObsEvent) {
         match ev {
             ObsEvent::QuietSpan { from, to, .. } => self.quiet_spans.push((from, to)),
+            ObsEvent::SpanArmed { .. } | ObsEvent::BusySpanJump { .. } => self.busy_spans.push(ev),
             _ => self.events.push(ev),
         }
     }
@@ -92,7 +95,7 @@ fn per_entity_stream_is_bit_identical_across_drivers() {
     // The clock: the oracle starts every slot and skips none; the
     // default driver collapses quiet spans, and slot starts ∪ spans
     // cover every slot exactly once.
-    assert!(slow.quiet_spans.is_empty());
+    assert!(slow.quiet_spans.is_empty() && slow.busy_spans.is_empty());
     assert_eq!(slow.slots, (0..2_500).collect::<Vec<Slot>>());
     assert!(
         !fast.quiet_spans.is_empty(),
@@ -144,12 +147,42 @@ fn saturated_100k_metrics_probe_is_exact_within_overhead_budget() {
 
     // Exactness: the registry scaled across the jumps equals the
     // per-slot oracle's hook-by-hook registry, bit for bit.
-    let (_, oracle_metrics) = simulate_with(cfg.per_slot(), &w, MetricsProbe::new());
+    let (_, oracle_metrics) = simulate_with(cfg.clone().per_slot(), &w, MetricsProbe::new());
     assert_eq!(
         oracle_metrics.registry().snapshot_text(),
         probed_metrics.registry().snapshot_text(),
         "span-aggregated registry diverged from the per-slot oracle at 100k slots"
     );
+
+    // The same inside a `Fanout`, next to a recorder that must hold one
+    // `SpanArmed` per arming and one `BusySpanJump` per jump, each jump
+    // right after the arming it names (an arming with no jump is a
+    // failed verification).
+    let mut both = Engine::with_probe(cfg, &w, Fanout(TraceRecorder::new(), MetricsProbe::new()));
+    both.run();
+    let mix = both.driver_mix();
+    let (_, Fanout(recorder, metrics)) = both.finish_with_probe();
+    assert_eq!(
+        oracle_metrics.registry().snapshot_text(),
+        metrics.registry().snapshot_text(),
+        "registry inside a Fanout diverged from the per-slot oracle"
+    );
+    let (mut arms, mut jumps, mut armed_at) = (0, 0, None);
+    for &ev in recorder.events() {
+        match ev {
+            ObsEvent::SpanArmed { t0 } => {
+                arms += 1;
+                armed_at = Some(t0);
+            }
+            ObsEvent::BusySpanJump { t0, .. } => {
+                jumps += 1;
+                assert_eq!(armed_at.take(), Some(t0), "a jump without its arming");
+            }
+            _ => {}
+        }
+    }
+    assert_eq!((arms, jumps), (mix.arms, mix.jumps));
+    assert!(jumps > 0);
     let reg = probed_metrics.registry();
     assert_eq!(reg.counter("slots"), 100_000);
     assert_eq!(reg.counter("schedules"), 400_000);
