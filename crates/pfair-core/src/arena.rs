@@ -232,6 +232,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 
     /// The records, front first.
+    #[inline]
     pub fn as_slice(&self) -> &[T] {
         if self.spill.is_empty() {
             self.inline.get(..self.len).unwrap_or_default()
@@ -241,6 +242,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 
     /// The records, front first, mutably.
+    #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         if self.spill.is_empty() {
             self.inline.get_mut(..self.len).unwrap_or_default()
@@ -250,11 +252,13 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 
     /// The most recently pushed record.
+    #[inline]
     pub fn back(&self) -> Option<&T> {
         self.as_slice().last()
     }
 
     /// Appends a record; the `N + 1`-th moves the queue to the heap.
+    #[inline]
     pub fn push_back(&mut self, value: T) {
         if self.spill.is_empty() {
             if let Some(slot) = self.inline.get_mut(self.len) {
@@ -262,6 +266,15 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
                 self.len += 1;
                 return;
             }
+        }
+        self.push_spilled(value);
+    }
+
+    /// [`InlineVec::push_back`] past the inline array: onto the heap,
+    /// taking the inline records along the first time.
+    #[cold]
+    fn push_spilled(&mut self, value: T) {
+        if self.spill.is_empty() {
             // Only a full inline array gets here (`len == N`).
             self.spill.vec_mut().extend_from_slice(&self.inline);
             self.len = 0;
@@ -277,13 +290,23 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 
     /// Removes the first `n` records (all of them if there are fewer).
+    #[inline]
     pub fn drop_front(&mut self, n: usize) {
-        let Some(spill) = self.spill.allocated_mut().filter(|s| !s.is_empty()) else {
-            let n = n.min(self.len);
-            if let Some(live) = self.inline.get_mut(..self.len) {
-                live.copy_within(n.., 0);
-            }
-            self.len -= n;
+        if !self.spill.is_empty() {
+            return self.drop_front_spilled(n);
+        }
+        let n = n.min(self.len);
+        if let Some(live) = self.inline.get_mut(..self.len) {
+            live.copy_within(n.., 0);
+        }
+        self.len -= n;
+    }
+
+    /// [`InlineVec::drop_front`] on the heap; what is left moves back
+    /// inline once it fits.
+    #[cold]
+    fn drop_front_spilled(&mut self, n: usize) {
+        let Some(spill) = self.spill.allocated_mut() else {
             return;
         };
         spill.drain(..n.min(spill.len()));

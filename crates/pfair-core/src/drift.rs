@@ -111,6 +111,7 @@ impl DriftTrack {
     ///
     /// # Panics
     /// Panics if samples are recorded out of time order.
+    #[inline]
     pub fn record(&mut self, u: Slot, ps_total: Rational, icsw_total: Rational) {
         if let Some(last) = self.samples.last() {
             // audit: allow(panic-reach, monotone-time invariant of the drift track, a violation is an engine bug)
@@ -130,6 +131,7 @@ impl DriftTrack {
 
     /// `drift(T, t)`: the most recent sample at or before `t`, or zero if
     /// no era boundary has occurred yet.
+    #[inline]
     pub fn at(&self, t: Slot) -> Rational {
         self.samples
             .iter()

@@ -460,6 +460,7 @@ impl IswTracker {
     }
 
     /// The next slot `advance` will process.
+    #[inline]
     pub fn now(&self) -> Slot {
         self.now
     }
@@ -513,6 +514,9 @@ impl IswTracker {
     /// # Panics
     /// Panics if subtasks are added out of index order or with a release
     /// before an already-processed slot.
+    // `always`: with the hint alone the release path keeps this out of
+    // line in `Engine<P>::step_slot` (DESIGN.md "One quantum").
+    #[inline(always)]
     pub fn add_subtask(&mut self, index: u64, release: Slot, era_first: bool, pred_b: bool) {
         // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
         assert!(
@@ -868,6 +872,7 @@ impl IswTracker {
     /// halted subtasks other than the last two entries (the release rule
     /// of the next subtask may still reference the most recent completed
     /// predecessor).
+    #[inline]
     fn retire(&mut self) {
         if self.keep_retired() {
             return;

@@ -115,6 +115,7 @@ impl PsTracker {
     }
 
     /// The next slot `advance` will process.
+    #[inline]
     pub fn now(&self) -> Slot {
         self.now
     }
@@ -242,6 +243,7 @@ impl PsTracker {
     ///
     /// # Panics
     /// Panics if `t` is behind the tracker's current slot.
+    #[inline]
     pub fn sync_to(&mut self, t: Slot) {
         self.active += self.count_to(t);
     }

@@ -24,13 +24,16 @@
 //!
 //! Those workloads' components are in fact tiny, and the checked `i128`
 //! code pays for its width on every operation (128-bit multiplies and,
-//! inside the gcd, the `__umodti3` software division). So `new`, `+`,
-//! `−`, `·`, [`Rational::mul_int`] and `cmp` first test whether every
-//! component involved lies in `−2³¹ ..= 2³¹ − 1`; if so they run in
-//! native `i64` — products stay
-//! below 2⁶², sums below 2⁶³, so nothing can wrap (the `*_small`
-//! functions carry that proof for the static audit) — with a binary
-//! `u64` gcd. Otherwise they fall through to the checked `i128` code.
+//! inside the gcd and the window quotients, the `__umodti3` /
+//! `__divti3` software division). So `new`, `+`, `−`, `·`,
+//! [`Rational::mul_int`], `cmp` and the window quotients
+//! ([`Rational::div_floor_int`], [`Rational::div_ceil_int`],
+//! [`Rational::rank_window`]) first test whether every component
+//! involved lies in `−2³¹ ..= 2³¹ − 1`; if so they run in native `i64`
+//! — products stay below 2⁶², sums below 2⁶³, so nothing can wrap (the
+//! `*_small` functions carry that proof for the static audit) — with a
+//! binary `u64` gcd and the hardware divider. Otherwise they fall
+//! through to the checked `i128` code.
 //! Both compute the canonical form of the same exact value, which is
 //! unique, so the result is identical bit for bit; and since nothing
 //! inside the gate can overflow, every documented panic still fires
@@ -260,6 +263,61 @@ fn mul_int_small(a: i64, b: i64, n: i64) -> Rational {
 #[inline]
 fn cmp_small(a: i64, b: i64, c: i64, d: i64) -> Ordering {
     (a * d).cmp(&(c * b))
+}
+
+/// `⌊n · den / num⌋` inside the gate: truncation, one less when the
+/// (negative) product leaves a remainder. `num.max(1)` is the divisor
+/// itself (`num ≥ 1` by the caller's positivity assert) in the form the
+/// panic-reach pass reads as nonzero.
+// audit: prove(overflow-bounds)
+// audit: assume(n in -2147483648..=2147483647)
+// audit: assume(num in 1..=2147483647)
+// audit: assume(den in 1..=2147483647)
+#[inline]
+fn div_floor_small(n: i64, num: i64, den: i64) -> i64 {
+    let a = n * den;
+    let q = a / num.max(1);
+    if a % num.max(1) < 0 {
+        q - 1
+    } else {
+        q
+    }
+}
+
+/// `⌈n · den / num⌉` inside the gate (see [`div_floor_small`]).
+// audit: prove(overflow-bounds)
+// audit: assume(n in -2147483648..=2147483647)
+// audit: assume(num in 1..=2147483647)
+// audit: assume(den in 1..=2147483647)
+#[inline]
+fn div_ceil_small(n: i64, num: i64, den: i64) -> i64 {
+    let a = n * den;
+    let q = a / num.max(1);
+    if a % num.max(1) > 0 {
+        q + 1
+    } else {
+        q
+    }
+}
+
+/// [`Rational::rank_window`] inside the gate, for a rank `k ≥ 1`: with
+/// `a = k · den`, `⌈k/w⌉ = ⌊a / num⌋ + [a mod num ≠ 0]` and
+/// `⌊(k − 1)/w⌋ = (a − den) / num` — the dividend is non-negative, so
+/// truncation is the floor — two native divisions in all.
+// audit: prove(overflow-bounds)
+// audit: assume(k in 1..=2147483647)
+// audit: assume(num in 1..=2147483647)
+// audit: assume(den in 1..=2147483647)
+#[inline]
+fn rank_window_small(k: i64, num: i64, den: i64) -> (i64, bool) {
+    let a = k * den;
+    let b = a % num.max(1) != 0;
+    let ceil = if b {
+        a / num.max(1) + 1
+    } else {
+        a / num.max(1)
+    };
+    (ceil - (a - den) / num.max(1), b)
 }
 
 impl Rational {
@@ -543,8 +601,17 @@ impl Rational {
     #[inline]
     pub fn div_floor_int(self, n: i128) -> i128 {
         assert!(self.is_positive(), "div_floor_int by non-positive rational"); // audit: allow(panic-reach, documented contract: zero denominators and non-positive divisors panic)
-                                                                               // n / (num/den) = n*den / num
-                                                                               // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        if let (Some(n), Some((num, den))) = (small(n), self.small_parts()) {
+            return i128::from(div_floor_small(n, num, den));
+        }
+        self.div_floor_int_wide(n)
+    }
+
+    /// Floor quotient in checked `i128` — any operands, `self > 0`.
+    #[inline]
+    fn div_floor_int_wide(self, n: i128) -> i128 {
+        // n / (num/den) = n*den / num
+        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
         let prod = n.checked_mul(self.den).expect("div_floor_int overflow");
         prod.div_euclid(self.num)
     }
@@ -558,16 +625,52 @@ impl Rational {
     #[inline]
     pub fn div_ceil_int(self, n: i128) -> i128 {
         assert!(self.is_positive(), "div_ceil_int by non-positive rational"); // audit: allow(panic-reach, documented contract: zero denominators and non-positive divisors panic)
-                                                                              // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        if let (Some(n), Some((num, den))) = (small(n), self.small_parts()) {
+            return i128::from(div_ceil_small(n, num, den));
+        }
+        self.div_ceil_int_wide(n)
+    }
+
+    /// Ceiling quotient in checked `i128` — any operands, `self > 0`.
+    #[inline]
+    fn div_ceil_int_wide(self, n: i128) -> i128 {
+        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
         let prod = n.checked_mul(self.den).expect("div_ceil_int overflow");
         // Same negation-free ceiling as `Rational::ceil`.
         let q = prod.div_euclid(self.num);
-        // audit: allow(panic-reach, num is positive by the assert above)
+        // audit: allow(panic-reach, num is positive by the caller's assert)
         if prod % self.num == 0 {
             q
         } else {
             q + 1
         }
+    }
+
+    /// The window of the rank-`k` subtask (`k ≥ 1`) of a task of this
+    /// weight, relative to its release: the length
+    /// `⌈k/self⌉ − ⌊(k − 1)/self⌋` (the bracketed term of Eqn (2)) and
+    /// the b-bit `⌈k/self⌉ ≠ ⌊k/self⌋` (Eqn (3)) — what every subtask
+    /// release computes. Inside the gate the three quotients share one
+    /// product and cost two native divisions; outside it they are the
+    /// three [`Rational::div_ceil_int`] / [`Rational::div_floor_int`]
+    /// calls the definition spells.
+    ///
+    /// # Panics
+    /// Panics if `self` is not strictly positive.
+    #[inline]
+    pub fn rank_window(self, k: u64) -> (i128, bool) {
+        if let (Ok(k), Some((num, den))) = (i32::try_from(k), self.small_parts()) {
+            if k >= 1 && num >= 1 {
+                let (len, b) = rank_window_small(i64::from(k), num, den);
+                return (i128::from(len), b);
+            }
+        }
+        let k = i128::from(k);
+        let deadline = self.div_ceil_int(k);
+        (
+            deadline - self.div_floor_int(k - 1),
+            deadline != self.div_floor_int(k),
+        )
     }
 }
 
@@ -1377,6 +1480,29 @@ mod small_path_tests {
             prop_assert_eq!(a.cmp(&b), a.cmp_wide(&b));
         }
 
+        #[test]
+        fn div_int_matches_the_wide_path(a in arb_operand(), n in arb_component()) {
+            prop_assume!(a.is_positive());
+            prop_assert_eq!(a.div_floor_int(n), a.div_floor_int_wide(n));
+            prop_assert_eq!(a.div_ceil_int(n), a.div_ceil_int_wide(n));
+        }
+
+        /// The fused window against the three checked quotients of its
+        /// definition, rank 0 (outside the gate) included.
+        #[test]
+        fn rank_window_matches_the_wide_path(a in arb_operand(), k in arb_component()) {
+            prop_assume!(a.is_positive());
+            let rank = k.unsigned_abs();
+            let k = u64::try_from(rank).expect("components fit u64");
+            let rank = i128::from(k);
+            let deadline = a.div_ceil_int_wide(rank);
+            let wide = (
+                deadline - a.div_floor_int_wide(rank - 1),
+                deadline != a.div_floor_int_wide(rank),
+            );
+            prop_assert_eq!(a.rank_window(k), wide);
+        }
+
         /// `Units::slots_at` on both sides of its native gate is the
         /// ceiling of the exact quotient.
         #[test]
@@ -1401,6 +1527,36 @@ mod small_path_tests {
         let r = Rational::new(EDGE_HI, EDGE_LO);
         assert_eq!((r.numer(), r.denom()), (-EDGE_HI, -EDGE_LO));
         assert_eq!(r, Rational::new_wide(EDGE_HI, EDGE_LO));
+    }
+
+    /// The quotient gates at their edges: the largest in-gate product
+    /// (`(2³¹ − 1)²` over 1), negative dividends on either side of an
+    /// exact multiple, and the first operands outside.
+    #[test]
+    fn quotient_gate_edges() {
+        let unit = Rational::new(1, EDGE_HI);
+        assert_eq!(unit.div_floor_int(EDGE_HI), EDGE_HI * EDGE_HI);
+        assert_eq!(unit.div_ceil_int(EDGE_LO), EDGE_LO * EDGE_HI);
+        assert_eq!(unit.rank_window(u64::from(u32::MAX >> 1)), (EDGE_HI, false));
+        let w = Rational::new(EDGE_HI, EDGE_HI - 1);
+        for n in [
+            EDGE_LO,
+            -EDGE_HI,
+            -1,
+            0,
+            1,
+            EDGE_HI,
+            EDGE_HI + 1,
+            EDGE_LO - 1,
+        ] {
+            assert_eq!(w.div_floor_int(n), w.div_floor_int_wide(n), "floor {n}");
+            assert_eq!(w.div_ceil_int(n), w.div_ceil_int_wide(n), "ceil {n}");
+        }
+        // 3/19 (Fig. 3): −1/w = −6⅓, so ⌊·⌋ = −7 and ⌈·⌉ = −6.
+        assert_eq!(rat(3, 19).div_floor_int(-1), -7);
+        assert_eq!(rat(3, 19).div_ceil_int(-1), -6);
+        assert_eq!(rat(3, 19).div_floor_int(-3), -19);
+        assert_eq!(rat(3, 19).div_ceil_int(-3), -19);
     }
 
     #[test]

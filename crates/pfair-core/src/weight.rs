@@ -51,6 +51,7 @@ impl Weight {
     }
 
     /// Validates `value ∈ (0, 1]`.
+    #[inline]
     pub fn try_new(value: Rational) -> Result<Weight, WeightRangeError> {
         if value.is_positive() && value <= Rational::ONE {
             Ok(Weight(value))

@@ -119,10 +119,11 @@ pub fn window_len(weight: Weight, k: u64) -> i64 {
 #[inline]
 pub fn window_in_era(weight: Weight, k: u64, release: Slot) -> SubtaskWindow {
     debug_assert!(k >= 1, "within-era ranks are 1-based");
+    let (len, b) = weight.value().rank_window(k);
     SubtaskWindow {
         release,
-        deadline: release + window_len(weight, k),
-        b: b_bit(weight, k),
+        deadline: release + slot_from_i128(len),
+        b,
     }
 }
 
@@ -171,8 +172,9 @@ pub fn group_deadline(weight: Weight, k: u64, release: Slot) -> Slot {
 
 /// `(window_in_era(..), group_deadline(..))` from one evaluation of the
 /// window — what the engine computes at every release, with no memo: a
-/// light window is two ceilings and two floors (about 20 ns), less than
-/// fetching a per-task memo of them from a row that is not in cache.
+/// light window is two native divisions ([`Rational::rank_window`],
+/// about 4 ns for the workloads' operands), less than fetching a per-task
+/// memo of them from a row that is not in cache.
 ///
 /// A heavy group deadline is a closed form as well. A task of weight
 /// `w > 1/2` idles at rate `1 − w`; the cascade that starts when `T_i`
@@ -197,10 +199,13 @@ pub fn window_and_group_deadline(weight: Weight, k: u64, release: Slot) -> (Subt
     if idle.is_zero() {
         return (win, win.deadline);
     }
-    let rank = i128::from(k);
-    let owed = idle.mul_int(slot_from_i128(w.div_ceil_int(rank))).ceil();
-    let origin = release - slot_from_i128(w.div_floor_int(rank - 1));
-    (win, origin + slot_from_i128(idle.div_ceil_int(owed)))
+    // ⌈k/w⌉: the deadline relative to the era's origin.
+    let d = slot_from_i128(w.div_ceil_int(i128::from(k)));
+    let owed = idle.mul_int(d).ceil();
+    (
+        win,
+        win.deadline - d + slot_from_i128(idle.div_ceil_int(owed)),
+    )
 }
 
 #[cfg(test)]
@@ -484,6 +489,43 @@ mod group_deadline_tests {
                             group_deadline_by_walk(wt, k, release),
                             "weight {num}/{den} rank {k} origin {origin}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The whole table: every weight with a denominator up to 40, three
+    /// periods of ranks. The release-path evaluation must agree with
+    /// Eqns (2)–(4) read literally (`i128` floors and ceilings), with
+    /// the stand-alone window functions, and — for heavy weights — with
+    /// the successor walk.
+    #[test]
+    fn every_small_weight_matches_the_definition() {
+        for den in 1i128..=40 {
+            for num in 1..=den {
+                let wt = w(num, den);
+                let ranks = u64::try_from(3 * den).expect("small denominator");
+                for k in 1..=ranks {
+                    let rank = i128::from(k);
+                    let release = slot_from_i128(((rank - 1) * den).div_euclid(num));
+                    let deadline = slot_from_i128(-(-rank * den).div_euclid(num));
+                    let b = (rank * den) % num != 0;
+                    let expected = SubtaskWindow {
+                        release,
+                        deadline,
+                        b,
+                    };
+                    let case = format!("weight {num}/{den} rank {k}");
+                    assert_eq!(periodic_window(wt, k, 0), expected, "{case}");
+                    assert_eq!(b_bit(wt, k), b, "{case}");
+                    assert_eq!(window_len(wt, k), deadline - release, "{case}");
+                    let (win, gd) = window_and_group_deadline(wt, k, release);
+                    assert_eq!(win, expected, "{case}");
+                    if wt.is_light() {
+                        assert_eq!(gd, deadline, "{case}");
+                    } else {
+                        assert_eq!(gd, group_deadline_by_walk(wt, k, release), "{case}");
                     }
                 }
             }

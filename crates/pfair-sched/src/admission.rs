@@ -95,9 +95,15 @@ impl AdmissionController {
         self.capacity - self.total
     }
 
-    /// Writes one commitment slot, keeping the running total exact.
+    /// Writes one commitment slot, keeping the running total exact. A
+    /// slot that already holds `value` — a decrease request, or the
+    /// enactment of an increase committed at request time — leaves the
+    /// total alone: `total − x + x` is `total`, two gcds later.
     fn set_committed(&mut self, task: TaskId, value: Rational) {
         let slot = &mut self.committed[task.idx()]; // audit: allow(panic-reach, committed table is sized to the task-set, idx is validated at admission)
+        if *slot == value {
+            return;
+        }
         self.total = self.total - *slot + value;
         *slot = value;
     }
@@ -179,6 +185,7 @@ impl AdmissionController {
 mod tests {
     use super::*;
     use pfair_core::rational::rat;
+    use proptest::prelude::*;
 
     fn w(n: i128, d: i128) -> Weight {
         Weight::new(rat(n, d))
@@ -226,5 +233,84 @@ mod tests {
         ac.request(TaskId(0), w(1, 1));
         ac.release(TaskId(0));
         assert_eq!(ac.request(TaskId(1), w(1, 2)), Some(w(1, 2)));
+    }
+
+    /// The ledger a controller must agree with: the same policing
+    /// decisions over a table whose sum is folded afresh every time it
+    /// is read — no running total, hence no write to skip.
+    struct Recomputing {
+        capacity: Rational,
+        committed: Vec<Rational>,
+    }
+
+    impl Recomputing {
+        fn total(&self) -> Rational {
+            self.committed
+                .iter()
+                .fold(Rational::ZERO, |acc, c| acc + *c)
+        }
+
+        fn request(&mut self, task: usize, want: Rational) -> Option<Rational> {
+            let cur = self.committed[task];
+            let granted = if want <= cur {
+                want
+            } else {
+                (cur + (self.capacity - self.total())).min(want)
+            };
+            if !granted.is_positive() {
+                return None;
+            }
+            self.committed[task] = cur.max(granted);
+            Some(granted)
+        }
+    }
+
+    proptest! {
+        /// Random request / enact / release sequences — decreases (which
+        /// leave the commitment where it is), increases enacted at the
+        /// value committed at request time, clamped and refused requests:
+        /// the running total equals the fold over the table and the
+        /// recomputing twin's after every operation, and the two grant
+        /// the same weights.
+        #[test]
+        fn running_total_matches_a_recomputing_twin(
+            ops in prop::collection::vec((0u8..4, 0usize..6, 1i128..=12, 0usize..3), 0..120),
+        ) {
+            const DENS: [i128; 3] = [12, 20, 96];
+            let mut ac = AdmissionController::new(AdmissionPolicy::Police, 2, 6);
+            let mut twin = Recomputing {
+                capacity: Rational::from_int(2),
+                committed: vec![Rational::ZERO; 6],
+            };
+            // What each task was last granted: the weight an enactment
+            // settles its commitment at.
+            let mut granted = [Rational::ZERO; 6];
+            for (kind, task, num, den) in ops {
+                let id = TaskId(u32::try_from(task).expect("six tasks"));
+                match kind {
+                    0 | 1 => {
+                        let want = rat(num, DENS[den]);
+                        let got = ac.request(id, Weight::new(want)).map(Weight::value);
+                        prop_assert_eq!(got, twin.request(task, want));
+                        if let Some(g) = got {
+                            granted[task] = g;
+                        }
+                    }
+                    2 if granted[task].is_positive() => {
+                        ac.note_enacted(id, Weight::new(granted[task]));
+                        twin.committed[task] = granted[task];
+                    }
+                    2 => {}
+                    _ => {
+                        ac.release(id);
+                        twin.committed[task] = Rational::ZERO;
+                        granted[task] = Rational::ZERO;
+                    }
+                }
+                prop_assert_eq!(ac.committed_parts(), &twin.committed[..]);
+                prop_assert_eq!(ac.total, twin.total());
+                prop_assert_eq!(ac.available(), twin.capacity - twin.total());
+            }
+        }
     }
 }

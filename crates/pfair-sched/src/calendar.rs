@@ -85,6 +85,7 @@ impl CalendarRing {
 
     /// Registers `id` at slot `at`. `at` must not precede the last
     /// consumed slot (the engine only schedules future work).
+    #[inline]
     pub fn insert(&mut self, at: Slot, id: TaskId) {
         debug_assert!(at >= self.base, "insert at {at} before window base");
         if at >= self.base.saturating_add(WINDOW_SLOTS) {
@@ -96,6 +97,7 @@ impl CalendarRing {
     }
 
     /// Files `id` in the bucket of in-window slot `at`.
+    #[inline]
     fn place(&mut self, at: Slot, id: TaskId) {
         let b = Occupancy::bucket_of(at);
         self.bucket_mut(b).push(id);
@@ -115,6 +117,7 @@ impl CalendarRing {
     /// registered at slot `t` are appended to `out` in insertion order
     /// and the bucket keeps its allocation for the next lap of the
     /// ring, so a consumer that visits every slot allocates nothing.
+    #[inline]
     pub fn take_into(&mut self, t: Slot, out: &mut Vec<TaskId>) {
         if t >= self.base.saturating_add(WINDOW_SLOTS) {
             self.rotate(t);
@@ -144,6 +147,7 @@ impl CalendarRing {
     /// holds nothing at or after `from`. This is exact (overflow
     /// entries included via their maintained minimum), so batching can
     /// trust a `None` to mean "nothing ahead at all".
+    #[inline]
     pub fn next_occupied(&self, from: Slot) -> Option<Slot> {
         if let Some(hit) = self.next_in_window(from) {
             return Some(hit);

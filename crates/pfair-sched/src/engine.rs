@@ -43,7 +43,7 @@ use crate::calendar::CalendarRing;
 use crate::event::{Event, EventKind, Workload};
 use crate::overhead::{Counters, DriverMix};
 use crate::priority::{TieBreak, TieTable};
-use crate::queue::{compaction_threshold, ReadyQueue};
+use crate::queue::{compaction_threshold, QueueEntry, ReadyQueue};
 use crate::reweight::{RuleSelector, Scheme};
 use crate::trace::{Miss, SimResult, SubtaskRecord, TaskHistory, TaskResult};
 use pfair_core::arena::InlineVec;
@@ -218,6 +218,7 @@ struct SubRec {
 }
 
 impl SubRec {
+    #[inline]
     fn window(&self) -> SubtaskWindow {
         SubtaskWindow {
             release: self.release,
@@ -227,6 +228,7 @@ impl SubRec {
     }
 
     /// Released, not scheduled, not halted: PD² still owes it a quantum.
+    #[inline]
     fn is_pending(&self) -> bool {
         self.scheduled_at == NEVER && self.halted_at == NEVER
     }
@@ -303,17 +305,20 @@ impl TaskState {
     }
 
     /// Most recently released subtask record.
+    #[inline]
     fn last_released(&self) -> Option<&SubRec> {
         self.subs.back()
     }
 
     /// The first unscheduled, unhalted subtask — the task's schedulable
     /// head.
+    #[inline]
     fn head(&self) -> Option<&SubRec> {
         self.subs.iter().find(|s| s.is_pending())
     }
 
     /// Find the most recent non-halted subtask strictly before `index`.
+    #[inline]
     fn pred_of(&self, index: u64) -> Option<&SubRec> {
         self.subs
             .iter()
@@ -321,6 +326,7 @@ impl TaskState {
             .find(|s| s.index < index && s.halted_at == NEVER)
     }
 
+    #[inline]
     fn sub_mut(&mut self, index: u64) -> Option<&mut SubRec> {
         self.subs.iter_mut().find(|s| s.index == index)
     }
@@ -340,6 +346,7 @@ impl TaskState {
     /// unscheduled/unhalted subtask, anything whose `I_SW` completion is
     /// still unknown (rule O may need to watch it), and the two most
     /// recent records. History runs archive what is dropped.
+    #[inline]
     fn prune(&mut self) {
         let n = self
             .subs
@@ -385,6 +392,9 @@ struct SlotScratch {
     /// The buffer the next slot's chosen set is built in (last slot's
     /// `last_chosen`, recycled).
     chosen: Vec<TaskId>,
+    /// Queue entries of the chosen tasks' next heads, between
+    /// `pop_and_schedule` and `promote_successors`.
+    promoted: Vec<QueueEntry>,
     /// Tasks that stopped running this slot.
     stopped: Vec<TaskId>,
     /// `assign_processors`: processors taken, tasks without their
@@ -716,7 +726,7 @@ impl<P: Probe> Engine<P> {
         let chosen = self.pop_and_schedule(t);
         let last = std::mem::take(&mut self.last_chosen);
         self.sweep_ran_flags(t, &last, &chosen);
-        self.promote_successors(&chosen);
+        self.promote_successors();
         // Last slot's buffer is the one the next slot's set is built in.
         self.scratch.chosen = last;
         self.last_chosen = chosen;
@@ -773,14 +783,7 @@ impl<P: Probe> Engine<P> {
         let probe = &mut self.probe;
         self.queue.compact_traced(
             &mut self.counters,
-            |e| {
-                tasks.in_system(e.task)
-                    && tasks.get(e.task).is_some_and(|task| {
-                        task.subs
-                            .iter()
-                            .any(|s| s.index == e.index && s.is_pending())
-                    })
-            },
+            |e| tasks.live_position(e).is_some(),
             |e| {
                 probe.on_event(ObsEvent::StaleDrop {
                     task: e.task,

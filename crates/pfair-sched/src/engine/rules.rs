@@ -203,8 +203,10 @@ impl<P: Probe> Engine<P> {
         // The actual weight (and I_PS) changes at initiation, always.
         self.tasks.task_mut(id).ps.set_wt(v);
 
-        let current_drift = self.tasks.task(id).drift.at(t);
-        let choice = self.selector.choose(id, t, old_swt, v, current_drift);
+        let tasks = &self.tasks;
+        let choice = self
+            .selector
+            .choose(id, t, old_swt, v, || tasks.task(id).drift.at(t));
         // Direct per-event cost: queue operations and halts performed
         // while the rules run. Deferred cost (stale entries stranded by
         // the halts) is attributed later via the stale-pop/drop hooks.

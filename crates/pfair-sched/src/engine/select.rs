@@ -63,7 +63,11 @@ impl<P: Probe> Engine<P> {
 
     /// PD² selection proper: pops up to `M` live subtasks from the ready
     /// queue, marks them scheduled, counts holes, and assigns
-    /// processors.
+    /// processors. Each chosen task's records are read once: the
+    /// liveness test finds the popped subtask's record, scheduling
+    /// settles it in place, and the schedulable head behind it — the
+    /// task's next queue entry — is left in `scratch.promoted` for
+    /// [`Engine::promote_successors`].
     pub(super) fn pop_and_schedule(&mut self, t: Slot) -> Vec<TaskId> {
         let m = self.config.processors as usize; // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
         let mut chosen = std::mem::take(&mut self.scratch.chosen);
@@ -71,16 +75,10 @@ impl<P: Probe> Engine<P> {
         while chosen.len() < m {
             let tasks = &self.tasks;
             let probe = &mut self.probe;
+            let mut at = 0;
             let Some(entry) = self.queue.pop_live_traced(
                 &mut self.counters,
-                |e| {
-                    tasks.in_system(e.task)
-                        && tasks.get(e.task).is_some_and(|task| {
-                            task.subs
-                                .iter()
-                                .any(|s| s.index == e.index && s.is_pending())
-                        })
-                },
+                |e| tasks.live_position(e).inspect(|&pos| at = pos).is_some(),
                 |e| {
                     probe.on_event(ObsEvent::StalePop {
                         task: e.task,
@@ -96,14 +94,29 @@ impl<P: Probe> Engine<P> {
             self.touched.push(entry.task);
             let task = self.tasks.task_mut(entry.task);
             // audit: allow(panic-reach, pop_live just verified the subtask is present and live)
-            let sub = task
-                .sub_mut(entry.index)
-                .expect("live entry lost its subtask");
+            let sub = task.subs.get_mut(at).expect("live entry lost its subtask");
             sub.scheduled_at = t;
             task.last_scheduled = Some(sub.window());
             task.scheduled_count += 1;
             if let Some(history) = &mut task.history {
                 history.scheduled_slots.push(t);
+            }
+            // A live entry is its task's head (a successor is queued
+            // only once the head has been chosen), so the next head is
+            // the first pending record behind it.
+            debug_assert!(
+                task.subs.iter().take(at).all(|s| !s.is_pending()),
+                "{}: live entry {} behind the head",
+                entry.task,
+                entry.index
+            );
+            if let Some(s) = task.subs.iter().skip(at + 1).find(|s| s.is_pending()) {
+                let tie_rank = self.tie.rank(entry.task);
+                self.scratch.promoted.push(QueueEntry {
+                    priority: Priority::pack(s.deadline, s.b, s.group_deadline, tie_rank),
+                    task: entry.task,
+                    index: s.index,
+                });
             }
             self.counters.scheduled_quanta += 1;
             self.probe.on_event(ObsEvent::Schedule {
@@ -122,22 +135,15 @@ impl<P: Probe> Engine<P> {
         chosen
     }
 
-    /// Pushes the new schedulable head of every just-scheduled task
-    /// (eligible from t + 1, but pushing now is safe: selection for
-    /// slot t is over).
-    pub(super) fn promote_successors(&mut self, chosen: &[TaskId]) {
-        for &id in chosen {
-            let tie_rank = self.tie.rank(id);
-            let task = self.tasks.task(id);
-            if let Some(s) = task.head() {
-                let entry = QueueEntry {
-                    priority: Priority::pack(s.deadline, s.b, s.group_deadline, tie_rank),
-                    task: id,
-                    index: s.index,
-                };
-                self.queue.push(entry, &mut self.counters);
-            }
+    /// Pushes the new schedulable head of every just-scheduled task, in
+    /// the order the tasks were chosen (eligible from t + 1, but pushing
+    /// now is safe: selection for slot t is over).
+    pub(super) fn promote_successors(&mut self) {
+        let mut promoted = std::mem::take(&mut self.scratch.promoted);
+        for entry in promoted.drain(..) {
+            self.queue.push(entry, &mut self.counters);
         }
+        self.scratch.promoted = promoted;
     }
 
     /// Greedy sticky assignment: tasks keep their previous processor when

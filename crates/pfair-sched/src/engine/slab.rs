@@ -34,6 +34,7 @@ use pfair_core::task::TaskId;
 use pfair_core::time::{Slot, NEVER};
 
 use super::TaskState;
+use crate::queue::QueueEntry;
 
 /// Dense arena of per-task engine state: hot columns + cold rows.
 #[derive(Clone, Debug)]
@@ -85,11 +86,13 @@ impl TaskSlab {
     }
 
     /// Checked cold-row access.
+    #[inline]
     pub(super) fn get(&self, id: TaskId) -> Option<&TaskState> {
         self.cold.get(id.idx())
     }
 
     /// Checked mutable cold-row access.
+    #[inline]
     pub(super) fn get_mut(&mut self, id: TaskId) -> Option<&mut TaskState> {
         self.cold.get_mut(id.idx())
     }
@@ -98,43 +101,65 @@ impl TaskSlab {
     /// escape (see the module docs): every id the engine holds comes
     /// from an admitted event or a queue entry, both within the dense
     /// id range, so the lookup cannot fail in a correct engine.
+    #[inline]
     pub(super) fn task(&self, id: TaskId) -> &TaskState {
         // audit: allow(panic-reach, admitted TaskIds are dense and in range for the whole run)
         self.get(id).expect("task id outside the admitted range")
     }
 
     /// Mutable twin of [`TaskSlab::task`], under the same argument.
+    #[inline]
     pub(super) fn task_mut(&mut self, id: TaskId) -> &mut TaskState {
         // audit: allow(panic-reach, admitted TaskIds are dense and in range for the whole run)
         self.get_mut(id).expect("task id outside admitted range")
     }
 
+    /// Where among its task's records the subtask a queue entry names
+    /// sits, if the entry is live: the task is in the system and still
+    /// owes that subtask a quantum. `None` for a stale entry.
+    #[inline]
+    pub(super) fn live_position(&self, e: &QueueEntry) -> Option<usize> {
+        if !self.in_system(e.task) {
+            return None;
+        }
+        self.get(e.task)?
+            .subs
+            .iter()
+            .position(|s| s.index == e.index && s.is_pending())
+    }
+
     /// Hot column: is `id` in the system?
+    #[inline]
     pub(super) fn in_system(&self, id: TaskId) -> bool {
         self.present.get(id.idx())
     }
 
     /// Sets the presence bit.
+    #[inline]
     pub(super) fn set_in_system(&mut self, id: TaskId, value: bool) {
         self.present.set(id.idx(), value);
     }
 
     /// Hot column: did `id` run in the previous slot?
+    #[inline]
     pub(super) fn ran_last_slot(&self, id: TaskId) -> bool {
         self.ran.get(id.idx())
     }
 
     /// Sets the ran-last-slot bit.
+    #[inline]
     pub(super) fn set_ran(&mut self, id: TaskId, value: bool) {
         self.ran.set(id.idx(), value);
     }
 
     /// Hot column: scheduling weight of `id`.
+    #[inline]
     pub(super) fn swt(&self, id: TaskId) -> Rational {
         self.swt.get(id.idx()).copied().unwrap_or(Rational::ZERO)
     }
 
     /// Sets the scheduling weight.
+    #[inline]
     pub(super) fn set_swt(&mut self, id: TaskId, value: Rational) {
         if let Some(slot) = self.swt.get_mut(id.idx()) {
             *slot = value;
@@ -142,12 +167,14 @@ impl TaskSlab {
     }
 
     /// Hot column: next scheduled release of `id`.
+    #[inline]
     pub(super) fn next_release(&self, id: TaskId) -> Option<Slot> {
         let raw = self.next_release.get(id.idx()).copied().unwrap_or(NEVER);
         (raw != NEVER).then_some(raw)
     }
 
     /// Sets (or suppresses, with `None`) the next release.
+    #[inline]
     pub(super) fn set_next_release(&mut self, id: TaskId, value: Option<Slot>) {
         if let Some(slot) = self.next_release.get_mut(id.idx()) {
             *slot = value.unwrap_or(NEVER);

@@ -36,35 +36,41 @@ pub(crate) struct Occupancy {
 impl Occupancy {
     /// The bucket `slot` maps to, below [`BUCKETS`].
     // audit: prove(overflow-bounds)
+    #[inline]
     pub(crate) fn bucket_of(slot: Slot) -> usize {
         usize::try_from(slot.rem_euclid(WINDOW_SLOTS)).unwrap_or(0)
     }
 
     /// The word holding bucket `b`'s bit.
+    #[inline]
     fn word(&self, b: usize) -> u64 {
         // audit: allow(panic-reach, the word index is reduced mod WORDS)
         self.words[b / 64 % WORDS]
     }
 
     /// The same to write to, with the bit's mask.
+    #[inline]
     fn word_mut(&mut self, b: usize) -> (&mut u64, u64) {
         // audit: allow(panic-reach, the word index is reduced mod WORDS)
         (&mut self.words[b / 64 % WORDS], 1u64 << (b % 64))
     }
 
     /// Marks bucket `b` occupied.
+    #[inline]
     pub(crate) fn set(&mut self, b: usize) {
         let (word, mask) = self.word_mut(b);
         *word |= mask;
     }
 
     /// Marks bucket `b` empty.
+    #[inline]
     pub(crate) fn clear(&mut self, b: usize) {
         let (word, mask) = self.word_mut(b);
         *word &= !mask;
     }
 
     /// Whether bucket `b` is marked occupied.
+    #[inline]
     pub(crate) fn is_set(&self, b: usize) -> bool {
         self.word(b) & (1u64 << (b % 64)) != 0
     }
@@ -72,6 +78,7 @@ impl Occupancy {
     /// The earliest slot in `[from, end)` whose bucket is occupied.
     /// The range must lie inside one window (`end − from ≤ 512`), where
     /// slot and bucket correspond one to one.
+    #[inline]
     pub(crate) fn next(&self, from: Slot, end: Slot) -> Option<Slot> {
         let mut s = from;
         while s < end {

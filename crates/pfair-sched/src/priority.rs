@@ -198,6 +198,7 @@ const GROUP_DEADLINE_SHIFT: u32 = 32;
 /// saturate to the nearest representable value, which preserves their
 /// order relative to every in-band slot.
 // audit: prove(overflow-bounds)
+#[inline]
 fn biased(slot: Slot) -> u128 {
     let clamped = slot.clamp(-SLOT_BOUND, SLOT_BOUND - 1);
     // In range by construction: clamped + 2^46 ∈ [0, 2^47).
@@ -206,6 +207,7 @@ fn biased(slot: Slot) -> u128 {
 
 /// Recovers a slot from its biased 47-bit field.
 // audit: prove(overflow-bounds)
+#[inline]
 fn unbiased(field: u128) -> Slot {
     i64::try_from(field & FIELD_MASK).unwrap_or(0) - SLOT_BOUND
 }
@@ -225,6 +227,7 @@ impl Priority {
     /// `b`, and group deadline `group_deadline` (pass the subtask
     /// deadline itself for light tasks), with tie rank `tie_rank` from
     /// the engine's [`TieTable`].
+    #[inline]
     pub fn pack(deadline: Slot, b: bool, group_deadline: Slot, tie_rank: u32) -> Priority {
         let b_rank: u128 = if b { 0 } else { 1 };
         Priority(
@@ -236,6 +239,7 @@ impl Priority {
     }
 
     /// The packed subtask deadline.
+    #[inline]
     pub fn deadline(self) -> Slot {
         unbiased(self.0 >> DEADLINE_SHIFT)
     }

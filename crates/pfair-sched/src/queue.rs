@@ -178,6 +178,9 @@ impl ReadyQueue {
     }
 
     /// Pushes a subtask that has just become its task's schedulable head.
+    // `always`, here and on `place`: with the hint alone both stay out
+    // of line in `Engine<P>::step_slot` (DESIGN.md "One quantum").
+    #[inline(always)]
     pub fn push(&mut self, entry: QueueEntry, counters: &mut Counters) {
         counters.heap_pushes += 1;
         let d = entry.priority.deadline();
@@ -213,6 +216,7 @@ impl ReadyQueue {
 
     /// Drops `entry` into its bucket (or the overflow list) without
     /// touching `base`. Callers guarantee `deadline ≥ base`.
+    #[inline(always)]
     fn place(&mut self, entry: QueueEntry) {
         let d = entry.priority.deadline();
         if d >= self.base.saturating_add(DEADLINE_SLOTS) {
@@ -267,6 +271,7 @@ impl ReadyQueue {
     /// (`None` when empty) — a lower bound on the deadline of every
     /// queued subtask, which is what lets the engine skip miss
     /// detection in O(1) on slots where nothing queued is due.
+    #[inline]
     pub fn front_deadline(&self) -> Option<Slot> {
         // In-window deadlines precede every overflow deadline.
         self.next_bucket(self.scan_min)

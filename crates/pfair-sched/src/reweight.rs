@@ -232,15 +232,16 @@ impl RuleSelector {
         self.state.len()
     }
 
-    /// Chooses how to handle the event `task: old → new` at time `at`,
-    /// given the task's current accumulated drift.
+    /// Chooses how to handle the event `task: old → new` at time `at`.
+    /// `drift` reads the task's current accumulated drift; only
+    /// [`HybridPolicy::DriftFeedback`] asks for it.
     pub fn choose(
         &mut self,
         task: TaskId,
         at: Slot,
         old: Rational,
         new: Rational,
-        drift: Rational,
+        drift: impl FnOnce() -> Rational,
     ) -> RuleChoice {
         match &self.scheme {
             Scheme::Oi => RuleChoice::FineGrained,
@@ -278,7 +279,7 @@ impl RuleSelector {
                         }
                     }
                     HybridPolicy::DriftFeedback(threshold) => {
-                        if drift.abs() >= *threshold {
+                        if drift().abs() >= *threshold {
                             RuleChoice::FineGrained
                         } else {
                             RuleChoice::LeaveJoin
@@ -301,11 +302,11 @@ mod tests {
         let mut lj = RuleSelector::new(Scheme::LeaveJoin, 1);
         for t in 0..5 {
             assert_eq!(
-                oi.choose(TaskId(0), t, rat(1, 10), rat(1, 2), Rational::ZERO),
+                oi.choose(TaskId(0), t, rat(1, 10), rat(1, 2), || Rational::ZERO),
                 RuleChoice::FineGrained
             );
             assert_eq!(
-                lj.choose(TaskId(0), t, rat(1, 10), rat(1, 2), Rational::ZERO),
+                lj.choose(TaskId(0), t, rat(1, 10), rat(1, 2), || Rational::ZERO),
                 RuleChoice::LeaveJoin
             );
         }
@@ -319,17 +320,17 @@ mod tests {
         );
         // 1/10 → 1/2 is a 4× change: fine-grained.
         assert_eq!(
-            s.choose(TaskId(0), 0, rat(1, 10), rat(1, 2), Rational::ZERO),
+            s.choose(TaskId(0), 0, rat(1, 10), rat(1, 2), || Rational::ZERO),
             RuleChoice::FineGrained
         );
         // 1/10 → 11/100 is a 10% change: leave/join.
         assert_eq!(
-            s.choose(TaskId(0), 1, rat(1, 10), rat(11, 100), Rational::ZERO),
+            s.choose(TaskId(0), 1, rat(1, 10), rat(11, 100), || Rational::ZERO),
             RuleChoice::LeaveJoin
         );
         // Decreases count by magnitude too.
         assert_eq!(
-            s.choose(TaskId(0), 2, rat(1, 2), rat(1, 10), Rational::ZERO),
+            s.choose(TaskId(0), 2, rat(1, 2), rat(1, 10), || Rational::ZERO),
             RuleChoice::FineGrained
         );
     }
@@ -344,20 +345,20 @@ mod tests {
             1,
         );
         assert_eq!(
-            s.choose(TaskId(0), 0, rat(1, 10), rat(1, 5), Rational::ZERO),
+            s.choose(TaskId(0), 0, rat(1, 10), rat(1, 5), || Rational::ZERO),
             RuleChoice::FineGrained
         );
         assert_eq!(
-            s.choose(TaskId(0), 1, rat(1, 5), rat(1, 4), Rational::ZERO),
+            s.choose(TaskId(0), 1, rat(1, 5), rat(1, 4), || Rational::ZERO),
             RuleChoice::FineGrained
         );
         assert_eq!(
-            s.choose(TaskId(0), 2, rat(1, 4), rat(1, 3), Rational::ZERO),
+            s.choose(TaskId(0), 2, rat(1, 4), rat(1, 3), || Rational::ZERO),
             RuleChoice::LeaveJoin
         );
         // New window: budget refreshes.
         assert_eq!(
-            s.choose(TaskId(0), 10, rat(1, 3), rat(1, 2), Rational::ZERO),
+            s.choose(TaskId(0), 10, rat(1, 3), rat(1, 2), || Rational::ZERO),
             RuleChoice::FineGrained
         );
     }
@@ -366,7 +367,7 @@ mod tests {
     fn every_nth_interleaves() {
         let mut s = RuleSelector::new(Scheme::Hybrid(HybridPolicy::EveryNth(3)), 1);
         let choices: Vec<_> = (0..6)
-            .map(|t| s.choose(TaskId(0), t, rat(1, 10), rat(1, 5), Rational::ZERO))
+            .map(|t| s.choose(TaskId(0), t, rat(1, 10), rat(1, 5), || Rational::ZERO))
             .collect();
         assert_eq!(
             choices,
@@ -391,15 +392,15 @@ mod tests {
             2,
         );
         assert_eq!(
-            s.choose(TaskId(0), 0, rat(1, 10), rat(1, 5), Rational::ZERO),
+            s.choose(TaskId(0), 0, rat(1, 10), rat(1, 5), || Rational::ZERO),
             RuleChoice::FineGrained
         );
         assert_eq!(
-            s.choose(TaskId(1), 0, rat(1, 10), rat(1, 5), Rational::ZERO),
+            s.choose(TaskId(1), 0, rat(1, 10), rat(1, 5), || Rational::ZERO),
             RuleChoice::FineGrained
         );
         assert_eq!(
-            s.choose(TaskId(0), 1, rat(1, 5), rat(1, 4), Rational::ZERO),
+            s.choose(TaskId(0), 1, rat(1, 5), rat(1, 4), || Rational::ZERO),
             RuleChoice::LeaveJoin
         );
     }
@@ -415,17 +416,17 @@ mod feedback_tests {
         let mut s = RuleSelector::new(Scheme::Hybrid(HybridPolicy::DriftFeedback(rat(1, 1))), 1);
         // Under budget: cheap path.
         assert_eq!(
-            s.choose(TaskId(0), 0, rat(1, 10), rat(1, 5), rat(1, 2)),
+            s.choose(TaskId(0), 0, rat(1, 10), rat(1, 5), || rat(1, 2)),
             RuleChoice::LeaveJoin
         );
         // Budget exhausted (|drift| ≥ 1): fine-grained path.
         assert_eq!(
-            s.choose(TaskId(0), 1, rat(1, 5), rat(1, 4), rat(3, 2)),
+            s.choose(TaskId(0), 1, rat(1, 5), rat(1, 4), || rat(3, 2)),
             RuleChoice::FineGrained
         );
         // Negative drift counts by magnitude.
         assert_eq!(
-            s.choose(TaskId(0), 2, rat(1, 4), rat(1, 5), rat(-3, 2)),
+            s.choose(TaskId(0), 2, rat(1, 4), rat(1, 5), || rat(-3, 2)),
             RuleChoice::FineGrained
         );
     }
