@@ -403,14 +403,7 @@ fn run_plan(plan: &[Era], chunks: Vec<i64>) {
     pair.advance_both(end);
 }
 
-fn cases() -> u32 {
-    let raised = std::env::var("PROPTEST_CASES").ok();
-    raised.and_then(|v| v.parse().ok()).unwrap_or(256)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
-
     #[test]
     fn trackers_match_the_reference_at_every_boundary(
         plan in prop::collection::vec(arb_era(), 2..7),

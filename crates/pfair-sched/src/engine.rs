@@ -527,7 +527,7 @@ impl<P: Probe> Engine<P> {
     }
 
     /// Number of ready-queue entries, stale ones included (compaction
-    /// keeps this bounded; see [`ReadyQueue::compact`]).
+    /// keeps this bounded; see [`ReadyQueue::compact_traced`]).
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
@@ -874,7 +874,7 @@ impl<P: Probe> Engine<P> {
                 drift: std::mem::take(&mut ts.drift),
                 history: record_history.then(|| {
                     // A task that never joined has no accumulators.
-                    let mut history = ts.history.take().map_or_else(TaskHistory::default, |h| *h);
+                    let mut history = ts.history.take().unwrap_or_default();
                     history
                         .subtasks
                         .extend(ts.subs.iter().map(TaskState::to_record));

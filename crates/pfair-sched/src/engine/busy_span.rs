@@ -172,10 +172,9 @@ struct SpanProbe {
     next_event: usize,
     selector: Option<RuleSelector>,
     committed: Vec<Rational>,
-    /// Verification's working memory: per-task deltas, one deadline
-    /// group of the live queue, ring contents under comparison.
+    /// Verification's working memory: per-task deltas, ring contents
+    /// under comparison.
     deltas: Vec<TaskDelta>,
-    entries: Vec<QueueEntry>,
     hints: [Vec<(Slot, TaskId)>; 2],
 }
 
@@ -347,7 +346,7 @@ impl<P: Probe> Engine<P> {
             })
         }));
         probe.queue.clear();
-        self.queue.walk_sorted(&mut probe.entries, |e| {
+        self.queue.walk_sorted(|e| {
             probe.queue.push(*e);
             true
         });
@@ -450,7 +449,7 @@ impl<P: Probe> Engine<P> {
         // schedulable inside the span, contradicting its stasis. Φ keeps
         // the order of entries, so the two sorted walks run in step.
         let mut armed = probe.queue.iter();
-        let queue_shifted = self.queue.walk_sorted(&mut probe.entries, |live| {
+        let queue_shifted = self.queue.walk_sorted(|live| {
             armed.next().is_some_and(|e| {
                 e.task == live.task
                     && advancing(e.task).and_then(|d| e.index.checked_add(d)) == Some(live.index)

@@ -213,8 +213,7 @@ fn unbiased(field: u128) -> Slot {
 }
 
 /// A fully-resolved PD² priority, packed into one `u128` key. Smaller
-/// compares as *higher* priority; the ready queue wraps it in `Reverse`
-/// for its max-heap.
+/// compares as *higher* priority: the ready queue's runs ascend.
 ///
 /// Comparison order: earlier deadline, then `b = 1` over `b = 0`, then
 /// — the heavy-task tie-break — the *later* group deadline, then the

@@ -1,4 +1,4 @@
-//! The PD² ready queue: deadline-bucketed radix structure with lazy
+//! The PD² ready queue: one sorted run per deadline, with lazy
 //! invalidation.
 //!
 //! Because a released subtask's priority is immutable, the queue never
@@ -6,44 +6,40 @@
 //! leave a stale entry behind, which is skipped (and counted) when
 //! popped.
 //!
-//! ## Radix layout
+//! ## Deadline runs
 //!
 //! PD² priorities order first on the deadline; the packed key's lower
-//! fields (b-bit, group deadline, tie rank) only break ties *within*
-//! one deadline. [`ReadyQueue`] therefore buckets entries by the
-//! deadline field of the packed key over a moving 512-slot window —
-//! the window [`CalendarRing`](crate::calendar::CalendarRing) keeps,
-//! over the same `occupancy::Occupancy` bitmap — whose word scan locates the
-//! minimum bucket. Within the window each bucket
-//! holds exactly one deadline, so a small per-bucket min-heap on the
-//! full entry order pops the true minimum:
+//! fields only break ties *within* one deadline. [`ReadyQueue`] keeps
+//! one *run* per deadline: its entries in ascending order, in a
+//! `VecDeque`. The runs of a moving 512-slot window sit in buckets
+//! indexed `deadline mod 512` — the window
+//! [`CalendarRing`](crate::calendar::CalendarRing) keeps, over the same
+//! `occupancy::Occupancy` bitmap, whose word scan finds the first run.
+//! Runs beyond the window sit in a `BTreeMap` keyed by deadline.
 //!
-//! * `push` is O(1) amortized: one per-bucket heap sift (over the
-//!   handful of equal-deadline entries) plus a bitmap bit, with the
-//!   rare below-window push paying an O(len) rebase.
-//! * `pop` is near-O(1) amortized: a masked word scan that resumes at
-//!   the last popped deadline (pops between pushes are non-decreasing)
-//!   plus one per-bucket heap pop.
+//! * `pop` is a masked word scan that resumes at the last popped
+//!   deadline (pops between pushes are non-decreasing) plus one
+//!   `pop_front`: O(1) amortized.
+//! * `push` appends when the entry is not below its run's back — the
+//!   common case, since every task of one period releases in the same
+//!   slot, in task order. **Worst case:** an out-of-order push costs a
+//!   binary search plus a `VecDeque::insert`, which shifts the shorter
+//!   side of the run. A reversed burst (`TieBreak::TaskIdDesc`) is
+//!   therefore all front inserts; a shuffled burst of `k` moves `k/4`
+//!   entries per push on average. Nothing is ever sifted.
+//! * Runs move whole. When the window drains it re-anchors at the first
+//!   overflow deadline and takes in every run it now covers; a push
+//!   below the window lowers the anchor, and each run the window no
+//!   longer covers moves into the map under its own deadline.
 //!
-//! Deadlines more than 512 slots out ride an overflow min-heap (they
-//! exceed every in-window deadline, so the minimum always lives in the
-//! window while it is non-empty). When the window drains, pops come
-//! straight off the overflow root and the window re-anchors just below
-//! the remaining overflow minimum — entries never migrate between the
-//! two structures on the pop path.
+//! Only live runs own a buffer: an emptied run parks its buffer on a
+//! spare list for the next run that opens, so the queue holds as many
+//! buffers as runs were ever live at once — not one per bucket the
+//! deadline front has passed over, which would depend on the driver.
 //!
-//! Only occupied buckets own a heap buffer: a bucket that empties parks
-//! its buffer on a spare list and the next bucket to fill takes it, so
-//! the window holds as many buffers as buckets were ever occupied at
-//! once. Kept per bucket they would number one for every bucket the
-//! deadline front has passed over, each sized for its largest
-//! equal-deadline group: 0.5 MB for 50 tasks after 512 per-slot steps and
-//! next to nothing after a busy-span jump has rebuilt the queue, so the
-//! footprint would depend on which driver the events let run.
-//!
-//! The pop sequence is bit-identical to the previous binary-heap
-//! implementation, which is retained as [`HeapQueue`] — the reference
-//! for differential tests and `benchmark/`'s
+//! `QueueEntry`'s order is total, so the pop sequence is bit-identical
+//! to a binary heap's over the same pushes; [`HeapQueue`] keeps that
+//! heap as the reference for differential tests and `benchmark/`'s
 //! `queue.{heap,radix}_push_pop_ns.*` pair.
 
 use crate::occupancy::{Occupancy, BUCKETS, WINDOW_SLOTS as DEADLINE_SLOTS};
@@ -52,19 +48,19 @@ use crate::priority::Priority;
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Stale-entry growth factor the compaction threshold allows over the
 /// live-entry bound. At most one live entry per task is ever enqueued
 /// (a task's head, pushed at release or promotion), so a factor of 2
 /// means compaction fires only once stale entries can outnumber live
-/// ones — below that, the `O(len)` sweep would cost more than the sift
+/// ones — below that, the `O(len)` sweep would cost more than the scan
 /// inflation it removes.
 pub const COMPACT_GROWTH_FACTOR: usize = 2;
 
 /// Flat slack added to the compaction threshold so tiny task sets
 /// (where `2·tasks` is a handful of entries) don't compact on every
-/// few pushes. 64 entries keep the heap within one cache page's worth
+/// few pushes. 64 entries keep the queue within one cache page's worth
 /// of `QueueEntry`s while letting small systems run sweep-free.
 pub const COMPACT_SLACK: usize = 64;
 
@@ -92,39 +88,47 @@ pub struct QueueEntry {
     pub index: u64,
 }
 
-/// One deadline's entries: a min-heap on the full entry order.
-type Bucket = BinaryHeap<Reverse<QueueEntry>>;
+/// One deadline's entries, ascending in the full entry order.
+type Run = VecDeque<QueueEntry>;
 
-/// Min-priority ready queue with lazy invalidation: deadline-bucketed
-/// radix structure (module docs). Drop-in replacement for the binary
-/// heap it superseded — identical pop sequence, counter semantics, and
-/// canonical [`ReadyQueue::entries_sorted`] projection.
+/// Adds `entry` to `run`, keeping it sorted (module docs).
+#[inline]
+fn insert_sorted(run: &mut Run, entry: QueueEntry) {
+    if run.back().is_none_or(|back| *back <= entry) {
+        run.push_back(entry);
+    } else {
+        run.insert(run.partition_point(|e| *e <= entry), entry);
+    }
+}
+
+/// Min-priority ready queue with lazy invalidation: sorted deadline
+/// runs over a moving window (module docs). Same pop sequence, counter
+/// semantics and canonical [`ReadyQueue::entries_sorted`] projection as
+/// the binary heap it superseded.
 #[derive(Clone, Debug)]
 pub struct ReadyQueue {
     /// First deadline the bucket window covers.
     base: Slot,
-    /// One bucket per window slot, indexed `deadline mod DEADLINE_SLOTS`.
-    /// Within the window a bucket holds exactly one deadline, so a
-    /// per-bucket min-heap on the full entry order pops the true
-    /// minimum without the memmove a sorted `Vec` insert would pay.
-    buckets: Vec<Bucket>,
-    /// Buffers of emptied buckets, handed to the next bucket that fills
+    /// One run per window slot, indexed `deadline mod DEADLINE_SLOTS`:
+    /// within the window a bucket holds exactly one deadline.
+    buckets: Vec<Run>,
+    /// Buffers of emptied runs, handed to the next run that opens
     /// (module docs): an unoccupied bucket has no allocation.
-    spare: Vec<Bucket>,
+    spare: Vec<Run>,
     /// Bit per bucket: set iff the bucket is non-empty.
     occupied: Occupancy,
-    /// Entries with deadlines at or beyond `base + DEADLINE_SLOTS`,
-    /// kept as a min-heap (the packed key orders deadline-first, so
-    /// the heap minimum is the earliest overflow deadline); popped
-    /// directly when the window drains.
-    overflow: Bucket,
-    /// Live entry count across the buckets.
+    /// The non-empty runs at or beyond `base + DEADLINE_SLOTS`, keyed by
+    /// deadline: the minimum lives in the window while it has entries.
+    overflow: BTreeMap<Slot, Run>,
+    /// Entry count, window and overflow.
+    len: usize,
+    /// Entry count across the buckets.
     in_window: usize,
     /// Lower bound on the minimum in-window deadline (`Slot::MAX` when
-    /// the window is empty): the min scan starts here instead of at
-    /// `base`, and popping at `d` raises it to `d` (the pop sequence
-    /// is non-decreasing between pushes), so scan work is amortized
-    /// O(1) per pop instead of O(window words).
+    /// the window is empty): scans start here instead of at `base`, and
+    /// popping at `d` raises it to `d` (the pop sequence is
+    /// non-decreasing between pushes), so scan work is amortized O(1)
+    /// per pop instead of O(window words).
     scan_min: Slot,
 }
 
@@ -139,40 +143,34 @@ impl ReadyQueue {
     pub fn new() -> ReadyQueue {
         ReadyQueue {
             base: 0,
-            buckets: vec![BinaryHeap::new(); BUCKETS],
+            buckets: std::iter::repeat_with(Run::new).take(BUCKETS).collect(),
             spare: Vec::new(),
             occupied: Occupancy::default(),
-            overflow: BinaryHeap::new(),
+            overflow: BTreeMap::new(),
+            len: 0,
             in_window: 0,
             scan_min: Slot::MAX,
         }
     }
 
-    /// The earliest overflow deadline (`Slot::MAX` when empty).
-    fn overflow_min(&self) -> Slot {
-        self.overflow
-            .peek()
-            .map_or(Slot::MAX, |Reverse(e)| e.priority.deadline())
-    }
-
     /// Number of entries, including stale ones.
     pub fn len(&self) -> usize {
-        self.in_window + self.overflow.len()
+        self.len
     }
 
     /// `true` iff no entries remain (stale or live).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Bucket `b`: an [`Occupancy::bucket_of`] value, or one the bitmap
     /// handed out.
-    fn bucket(&self, b: usize) -> &Bucket {
+    fn bucket(&self, b: usize) -> &Run {
         // audit: allow(panic-reach, a bucket index is below BUCKETS, the length `new` gives the array)
         &self.buckets[b]
     }
 
-    fn bucket_mut(&mut self, b: usize) -> &mut Bucket {
+    fn bucket_mut(&mut self, b: usize) -> &mut Run {
         // audit: allow(panic-reach, a bucket index is below BUCKETS, the length `new` gives the array)
         &mut self.buckets[b]
     }
@@ -192,12 +190,10 @@ impl ReadyQueue {
         self.place(entry);
     }
 
-    /// Lowers the window anchor to `new_base`, evicting into the
-    /// overflow heap the entries the shifted coverage no longer
-    /// reaches (deadlines at or beyond `new_base + DEADLINE_SLOTS`).
-    /// Those occupy bucket indices congruent to `[new_base,
-    /// old_base)`, so the walk scans only that range's occupancy words
-    /// — a below-window push costs O(evicted + words), not O(len).
+    /// Lowers the window anchor to `new_base`, moving into the overflow
+    /// map each run the lowered window no longer covers. Their buckets
+    /// are congruent to `[new_base, old_base)`, so only that range's
+    /// occupancy words are scanned: O(evicted runs + words).
     fn lower_base(&mut self, new_base: Slot) {
         let old_base = self.base;
         self.base = new_base;
@@ -205,22 +201,26 @@ impl ReadyQueue {
         let mut s = new_base;
         while let Some(hit) = self.occupied.next(s, end) {
             let b = Occupancy::bucket_of(hit);
-            let mut evicted = std::mem::take(self.bucket_mut(b));
-            self.in_window -= evicted.len();
-            self.overflow.extend(evicted.drain());
-            self.spare.push(evicted);
             self.occupied.clear(b);
+            let run = std::mem::take(self.bucket_mut(b));
+            self.in_window -= run.len();
+            // Keyed by the run's own deadline: `hit` is only congruent
+            // to it, one or more windows below.
+            if let Some(head) = run.front() {
+                self.overflow.insert(head.priority.deadline(), run);
+            }
             s = hit + 1;
         }
     }
 
-    /// Drops `entry` into its bucket (or the overflow list) without
-    /// touching `base`. Callers guarantee `deadline ≥ base`.
+    /// Drops `entry` into its run without touching `base`. Callers
+    /// guarantee `deadline ≥ base`.
     #[inline(always)]
     fn place(&mut self, entry: QueueEntry) {
         let d = entry.priority.deadline();
+        self.len += 1;
         if d >= self.base.saturating_add(DEADLINE_SLOTS) {
-            self.overflow.push(Reverse(entry));
+            self.place_beyond(d, entry);
             return;
         }
         let b = Occupancy::bucket_of(d);
@@ -229,33 +229,74 @@ impl ReadyQueue {
                 *self.bucket_mut(b) = buffer;
             }
         }
-        // Equal-deadline groups are small (one live head per task), so
-        // the per-bucket heap sift is effectively constant work.
-        self.bucket_mut(b).push(Reverse(entry));
+        insert_sorted(self.bucket_mut(b), entry);
         self.occupied.set(b);
         self.in_window += 1;
         self.scan_min = self.scan_min.min(d);
     }
 
-    /// Drains every window bucket and the overflow list into one
-    /// vector, leaving the queue structurally empty. Walks the
-    /// occupancy bitmap rather than all [`BUCKETS`] buckets,
-    /// so the cost is O(len + occupied words) — the engine drains the
-    /// window every few slots in a saturated run, and an O(bucket
-    /// count) sweep here measurably regresses whole-run time.
-    fn drain_all(&mut self) -> Vec<QueueEntry> {
-        let mut all: Vec<QueueEntry> = Vec::with_capacity(self.len());
-        // Taken out whole, which leaves the queue's own bitmap clear.
-        let mut occupied = std::mem::take(&mut self.occupied);
-        for b in occupied.drain() {
-            let mut drained = std::mem::take(self.bucket_mut(b));
-            all.extend(drained.drain().map(|Reverse(e)| e));
-            self.spare.push(drained);
+    /// [`ReadyQueue::place`] beyond the window.
+    fn place_beyond(&mut self, d: Slot, entry: QueueEntry) {
+        let spare = &mut self.spare;
+        let run = self
+            .overflow
+            .entry(d)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
+        insert_sorted(run, entry);
+    }
+
+    /// Re-anchors a drained window at the earliest overflow deadline and
+    /// moves every run the new window covers into its bucket, whole.
+    /// Returns `false` when there is nothing to move.
+    fn refill(&mut self) -> bool {
+        let Some(&first) = self.overflow.keys().next() else {
+            return false;
+        };
+        self.base = first;
+        self.scan_min = first;
+        let end = first.saturating_add(DEADLINE_SLOTS);
+        while let Some(next) = self.overflow.first_entry().filter(|e| *e.key() < end) {
+            let b = Occupancy::bucket_of(*next.key());
+            let run = next.remove();
+            self.in_window += run.len();
+            // A drained window's buckets own no buffer to park.
+            *self.bucket_mut(b) = run;
+            self.occupied.set(b);
         }
-        all.extend(self.overflow.drain().map(|Reverse(e)| e));
-        self.in_window = 0;
-        self.scan_min = Slot::MAX;
+        true
+    }
+
+    /// Takes every entry out in ascending order, leaving the queue
+    /// structurally empty and every buffer parked. Walks the occupancy
+    /// bitmap, not all [`BUCKETS`] buckets: O(len + occupied words).
+    fn drain_all(&mut self) -> Vec<QueueEntry> {
+        let mut all: Vec<QueueEntry> = Vec::with_capacity(self.len);
+        let mut from = self.scan_min;
+        while let Some(d) = self.next_bucket(from) {
+            let b = Occupancy::bucket_of(d);
+            self.occupied.clear(b);
+            let mut run = std::mem::take(self.bucket_mut(b));
+            all.extend(run.drain(..));
+            self.spare.push(run);
+            from = d.saturating_add(1);
+        }
+        for (_, mut run) in std::mem::take(&mut self.overflow) {
+            all.extend(run.drain(..));
+            self.spare.push(run);
+        }
+        (self.len, self.in_window, self.scan_min) = (0, 0, Slot::MAX);
         all
+    }
+
+    /// Re-places `entries` in a structurally empty queue, anchored at
+    /// their earliest deadline; no push is counted.
+    fn place_all(&mut self, entries: Vec<QueueEntry>) {
+        if let Some(min) = entries.iter().map(|e| e.priority.deadline()).min() {
+            self.base = min;
+        }
+        for entry in entries {
+            self.place(entry);
+        }
     }
 
     /// The earliest occupied in-window deadline `≥ from`.
@@ -275,58 +316,43 @@ impl ReadyQueue {
     pub fn front_deadline(&self) -> Option<Slot> {
         // In-window deadlines precede every overflow deadline.
         self.next_bucket(self.scan_min)
-            .or_else(|| self.overflow.peek().map(|Reverse(e)| e.priority.deadline()))
+            .or_else(|| self.overflow.keys().next().copied())
     }
 
-    /// Visits every entry (stale or live, in no particular order) whose
-    /// deadline field is `≤ limit`, without removing it. Cost is the
-    /// occupied buckets up to `limit` plus their entries; the overflow
-    /// heap is walked only when its minimum is itself due.
+    /// Visits every entry (stale or live, in ascending order) whose
+    /// deadline field is `≤ limit`, without removing it: O(due entries
+    /// + occupied words up to `limit`).
     pub fn for_each_due(&self, limit: Slot, mut visit: impl FnMut(&QueueEntry)) {
-        let mut from = self.scan_min;
-        while let Some(d) = self.next_bucket(from).filter(|d| *d <= limit) {
-            for Reverse(e) in self.bucket(Occupancy::bucket_of(d)) {
+        self.walk_sorted(|e| {
+            let due = e.priority.deadline() <= limit;
+            if due {
                 visit(e);
             }
-            from = d.saturating_add(1);
-        }
-        if self.overflow_min() <= limit {
-            for Reverse(e) in &self.overflow {
-                if e.priority.deadline() <= limit {
-                    visit(e);
-                }
-            }
-        }
+            due
+        });
     }
 
-    /// Removes and returns the minimum entry (stale or live), serving
-    /// straight from the overflow heap once the window has drained.
+    /// Removes and returns the minimum entry (stale or live), refilling
+    /// the window from the overflow runs once it has drained.
     fn pop_min(&mut self) -> Option<QueueEntry> {
-        if self.in_window == 0 {
-            // The window is empty, so the global minimum is the
-            // overflow heap's root (the packed key orders
-            // deadline-first): pop it directly — no migration — and
-            // re-anchor the empty window just below the remaining
-            // overflow. Future pushes then land in buckets while the
-            // window-below-overflow invariant holds by construction.
-            let Reverse(entry) = self.overflow.pop()?;
-            self.base = self.overflow_min().saturating_sub(DEADLINE_SLOTS);
-            return Some(entry);
+        if self.in_window == 0 && !self.refill() {
+            return None;
         }
         let d = self.next_bucket(self.scan_min)?;
         self.scan_min = d;
         let b = Occupancy::bucket_of(d);
-        let bucket = self.bucket_mut(b);
-        let Reverse(entry) = bucket.pop()?;
-        if bucket.is_empty() {
-            let buffer = std::mem::take(bucket);
+        let run = self.bucket_mut(b);
+        let entry = run.pop_front()?;
+        if run.is_empty() {
+            let buffer = std::mem::take(run);
             self.spare.push(buffer);
             self.occupied.clear(b);
         }
         self.in_window -= 1;
+        self.len -= 1;
         // `base` deliberately stays put while the window is non-empty:
         // advancing it would widen the window over deadlines that were
-        // routed to the overflow list under the old base, breaking the
+        // routed to the overflow map under the old base, breaking the
         // window-below-overflow invariant the min scan relies on. The
         // scan is bounded by the 8 bitmap words regardless.
         Some(entry)
@@ -364,8 +390,8 @@ impl ReadyQueue {
         None
     }
 
-    /// Drops every stale entry in one pass, rebuilding the buckets from
-    /// the surviving live entries.
+    /// Drops every stale entry in one pass, rebuilding the runs from
+    /// the surviving live entries; `on_drop` sees each one removed.
     ///
     /// Lazy invalidation leaves halted/withdrawn subtasks in the queue
     /// until they reach the minimum; under sustained reweighting (every
@@ -376,22 +402,17 @@ impl ReadyQueue {
     /// exceeds a multiple of the live-task bound, keeping the amortized
     /// per-slot cost constant). Removals are tallied in
     /// [`Counters::compacted_stale`], not `stale_pops` — they never
-    /// reach a pop.
-    pub fn compact(&mut self, counters: &mut Counters, is_live: impl FnMut(&QueueEntry) -> bool) {
-        self.compact_traced(counters, is_live, |_| {});
-    }
-
-    /// [`ReadyQueue::compact`] with an observer: `on_drop` is invoked
-    /// for each stale entry the sweep removes (these never reach a
-    /// pop, so [`ReadyQueue::pop_live_traced`]'s observer would miss
-    /// them).
+    /// reach a pop, so [`ReadyQueue::pop_live_traced`]'s observer would
+    /// miss them.
     pub fn compact_traced(
         &mut self,
         counters: &mut Counters,
         mut is_live: impl FnMut(&QueueEntry) -> bool,
         mut on_drop: impl FnMut(&QueueEntry),
     ) {
-        let before = self.len();
+        let before = self.len;
+        // In ascending order, so each re-placement below is an append
+        // onto a buffer the drain parked.
         let mut entries = self.drain_all();
         entries.retain(|e| {
             let live = is_live(e);
@@ -402,41 +423,21 @@ impl ReadyQueue {
         });
         counters.compactions += 1;
         counters.compacted_stale += (before - entries.len()) as u64; // audit: allow(lossy-cast, usize→u64 is lossless on the supported targets)
-                                                                     // Re-place in the drained (already-reset) structure: the bucket
-                                                                     // allocations are reused rather than rebuilt.
-        if let Some(min) = entries.iter().map(|e| e.priority.deadline()).min() {
-            self.base = min;
-        }
-        for entry in entries {
-            self.place(entry);
-        }
+        self.place_all(entries);
     }
 
     /// Hands `visit` every entry (stale ones included) in ascending
     /// order until it returns `false`; returns whether the walk reached
-    /// the end. Buckets are visited in deadline order and the overflow
-    /// heap last (its deadlines lie beyond the window's); `scratch` holds
-    /// one of them at a time while it is sorted, so a caller that keeps
-    /// the buffer allocates nothing.
-    pub fn walk_sorted(
-        &self,
-        scratch: &mut Vec<QueueEntry>,
-        mut visit: impl FnMut(&QueueEntry) -> bool,
-    ) -> bool {
-        let mut group = |heap: &Bucket| {
-            scratch.clear();
-            scratch.extend(heap.iter().map(|Reverse(e)| *e));
-            scratch.sort_unstable();
-            scratch.iter().all(&mut visit)
-        };
-        let mut from = self.base;
+    /// the end. The window's runs precede the overflow map's.
+    pub fn walk_sorted(&self, mut visit: impl FnMut(&QueueEntry) -> bool) -> bool {
+        let mut from = self.scan_min;
         while let Some(d) = self.next_bucket(from) {
-            if !group(self.bucket(Occupancy::bucket_of(d))) {
+            if !self.bucket(Occupancy::bucket_of(d)).iter().all(&mut visit) {
                 return false;
             }
             from = d.saturating_add(1);
         }
-        group(&self.overflow)
+        self.overflow.values().flatten().all(visit)
     }
 
     /// Canonical persist projection: every entry (stale ones included —
@@ -444,10 +445,10 @@ impl ReadyQueue {
     /// priority order. `QueueEntry`'s `Ord` is total over all fields,
     /// so compare-equal entries are bit-identical and the sorted vector
     /// is a canonical encoding of the queue's observable pop sequence
-    /// regardless of its internal bucket layout.
+    /// regardless of its internal layout.
     pub fn entries_sorted(&self) -> Vec<QueueEntry> {
-        let mut entries: Vec<QueueEntry> = Vec::with_capacity(self.len());
-        self.walk_sorted(&mut Vec::new(), |e| {
+        let mut entries: Vec<QueueEntry> = Vec::with_capacity(self.len);
+        self.walk_sorted(|e| {
             entries.push(*e);
             true
         });
@@ -458,31 +459,33 @@ impl ReadyQueue {
     /// entry: `shift` rewrites each one (it must add exactly `ds` to the
     /// deadline field and keep the order of any two entries — a uniform
     /// slot shift plus a per-task index shift does, since entries order
-    /// priority, then task, then index), every bucket's heap moves to
-    /// the bucket its new deadline maps to — a rotation of the bucket
-    /// array by `ds mod 512`, after which the occupancy bits are read
-    /// back off the buckets — and the window anchor and the scan hint
-    /// move along. An order-preserving rewrite keeps each heap a heap,
-    /// so the pop sequence is the shifted image of what it was.
+    /// priority, then task, then index). The bucket array rotates by
+    /// `ds mod 512`, the overflow runs are re-keyed, and the anchor and
+    /// scan hint move along; each run stays sorted, so the pop sequence
+    /// is the shifted image of what it was.
     pub fn shift_deadlines(&mut self, ds: Slot, mut shift: impl FnMut(&mut QueueEntry)) {
-        let mut rewrite = |heap: &mut Bucket| {
-            let mut entries = std::mem::take(heap).into_vec();
-            for Reverse(e) in &mut entries {
+        let mut rewrite = |run: &mut Run| {
+            for e in run {
                 let was = e.priority.deadline();
                 shift(e);
                 debug_assert_eq!(e.priority.deadline(), was + ds, "uneven deadline shift");
             }
-            *heap = BinaryHeap::from(entries);
         };
         self.buckets.rotate_right(Occupancy::bucket_of(ds));
         self.occupied = Occupancy::default();
-        for (b, bucket) in self.buckets.iter_mut().enumerate() {
-            if !bucket.is_empty() {
-                rewrite(bucket);
+        for (b, run) in self.buckets.iter_mut().enumerate() {
+            if !run.is_empty() {
+                rewrite(run);
                 self.occupied.set(b);
             }
         }
-        rewrite(&mut self.overflow);
+        self.overflow = std::mem::take(&mut self.overflow)
+            .into_iter()
+            .map(|(d, mut run)| {
+                rewrite(&mut run);
+                (d.saturating_add(ds), run)
+            })
+            .collect();
         self.base = self.base.saturating_add(ds);
         self.scan_min = self.scan_min.saturating_add(ds);
     }
@@ -493,44 +496,23 @@ impl ReadyQueue {
     /// by the snapshot, so re-counting these entries would double them.
     pub fn from_entries(entries: Vec<QueueEntry>) -> ReadyQueue {
         let mut q = ReadyQueue::new();
-        if let Some(min) = entries.iter().map(|e| e.priority.deadline()).min() {
-            q.base = min;
-        }
-        for entry in entries {
-            q.place(entry);
-        }
+        q.place_all(entries);
         q
     }
 }
 
-/// The previous binary-heap ready queue, retained as the reference
-/// implementation: differential tests drive it in lockstep with the
-/// radix [`ReadyQueue`] (their pop sequences must be identical), and
-/// `benchmark/`'s `queue.{heap,radix}_push_pop_ns.*` pair measures the
-/// two side by side. Counter semantics match `ReadyQueue` exactly.
+/// The binary-heap ready queue the deadline runs replaced, retained as
+/// the reference implementation: differential tests drive it in
+/// lockstep with [`ReadyQueue`] (their pop sequences must be
+/// identical), and `benchmark/`'s `queue.{heap,radix}_push_pop_ns.*`
+/// pair measures the two side by side. Counter semantics match
+/// `ReadyQueue` exactly.
 #[derive(Clone, Debug, Default)]
 pub struct HeapQueue {
     heap: BinaryHeap<Reverse<QueueEntry>>,
 }
 
 impl HeapQueue {
-    /// An empty queue.
-    pub fn new() -> HeapQueue {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Number of entries, including stale ones.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` iff no entries remain (stale or live).
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Counterpart of [`ReadyQueue::push`].
     pub fn push(&mut self, entry: QueueEntry, counters: &mut Counters) {
         counters.heap_pushes += 1;
@@ -561,39 +543,64 @@ impl HeapQueue {
     }
 }
 
+/// A test entry. Tie rank = task id, matching the TaskIdAsc policy's
+/// table.
+#[cfg(test)]
+fn entry(deadline: i64, b: bool, task: u32, index: u64) -> QueueEntry {
+    let priority = Priority::pack(deadline, b, deadline, task);
+    QueueEntry {
+        priority,
+        task: TaskId(task),
+        index,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(deadline: i64, b: bool, task: u32, index: u64) -> QueueEntry {
-        QueueEntry {
-            // Tie rank = task id, matching the TaskIdAsc policy's table.
-            priority: Priority::pack(deadline, b, deadline, task),
-            task: TaskId(task),
-            index,
-        }
+    /// Pops everything left, live or not, and names each entry's task.
+    fn pop_tasks(q: &mut ReadyQueue, c: &mut Counters) -> Vec<u32> {
+        std::iter::from_fn(|| q.pop_live(c, |_| true))
+            .map(|e| e.task.0)
+            .collect()
     }
 
     #[test]
     fn pops_in_pd2_order() {
-        let mut q = ReadyQueue::new();
-        let mut c = Counters::default();
+        let (mut q, mut c) = (ReadyQueue::new(), Counters::default());
         q.push(entry(7, false, 0, 1), &mut c);
         q.push(entry(5, false, 1, 1), &mut c);
         q.push(entry(5, true, 2, 1), &mut c);
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop_live(&mut c, |_| true))
-            .map(|e| e.task.0)
-            .collect();
-        assert_eq!(order, vec![2, 1, 0]); // dl 5 b=1, dl 5 b=0, dl 7
+        assert_eq!(pop_tasks(&mut q, &mut c), vec![2, 1, 0]); // dl 5 b=1, dl 5 b=0, dl 7
         assert_eq!(c.heap_pushes, 3);
         assert_eq!(c.heap_pops, 3);
         assert_eq!(c.stale_pops, 0);
     }
 
     #[test]
+    fn group_deadline_orders_equal_deadline_b1_entries() {
+        // Among equal-deadline b=1 entries, the later group deadline wins.
+        let (mut q, mut c) = (ReadyQueue::new(), Counters::default());
+        for (group_deadline, task) in [(6, 0), (9, 1)] {
+            let priority = Priority::pack(5, true, group_deadline, task);
+            let e = QueueEntry {
+                priority,
+                task: TaskId(task),
+                index: 1,
+            };
+            q.push(e, &mut c);
+        }
+        assert_eq!(
+            pop_tasks(&mut q, &mut c),
+            vec![1, 0],
+            "later group deadline is favored"
+        );
+    }
+
+    #[test]
     fn lazy_invalidation_skips_and_counts_stale() {
-        let mut q = ReadyQueue::new();
-        let mut c = Counters::default();
+        let (mut q, mut c) = (ReadyQueue::new(), Counters::default());
         q.push(entry(3, true, 0, 1), &mut c);
         q.push(entry(4, true, 1, 1), &mut c);
         // Task 0's subtask was halted: treat it as stale.
@@ -605,21 +612,19 @@ mod tests {
 
     #[test]
     fn empty_queue_returns_none() {
-        let mut q = ReadyQueue::new();
-        let mut c = Counters::default();
+        let (mut q, mut c) = (ReadyQueue::new(), Counters::default());
         assert!(q.pop_live(&mut c, |_| true).is_none());
         assert!(q.is_empty());
     }
 
     #[test]
     fn compact_drops_only_stale_entries_and_counts_them() {
-        let mut q = ReadyQueue::new();
-        let mut c = Counters::default();
+        let (mut q, mut c) = (ReadyQueue::new(), Counters::default());
         for i in 0..100u64 {
             q.push(entry(i64::try_from(i).unwrap() + 3, false, 0, i), &mut c);
         }
         // Everything with an odd index is stale.
-        q.compact(&mut c, |e| e.index % 2 == 0);
+        q.compact_traced(&mut c, |e| e.index % 2 == 0, |_| {});
         assert_eq!(q.len(), 50);
         assert_eq!(c.compactions, 1);
         assert_eq!(c.compacted_stale, 50);
@@ -633,11 +638,10 @@ mod tests {
 
     #[test]
     fn compact_on_all_live_queue_is_a_noop() {
-        let mut q = ReadyQueue::new();
-        let mut c = Counters::default();
+        let (mut q, mut c) = (ReadyQueue::new(), Counters::default());
         q.push(entry(5, false, 0, 1), &mut c);
         q.push(entry(6, false, 1, 1), &mut c);
-        q.compact(&mut c, |_| true);
+        q.compact_traced(&mut c, |_| true, |_| {});
         assert_eq!(q.len(), 2);
         assert_eq!(c.compacted_stale, 0);
     }
@@ -648,15 +652,15 @@ mod tests {
     /// the identical sequence the unswept queue would have.
     #[test]
     fn compaction_never_reorders_equal_key_survivors() {
-        let mut swept = ReadyQueue::new();
-        let mut c = Counters::default();
+        let (mut swept, mut c) = (ReadyQueue::new(), Counters::default());
         // Three equal-priority groups; interleave pushes across groups
         // and sprinkle stale entries (odd indices) through each.
         for index in 0..24u64 {
             for (task, deadline) in [(3u32, 5i64), (1, 5), (2, 9)] {
+                let priority = Priority::pack(deadline, true, deadline, 7);
                 swept.push(
                     QueueEntry {
-                        priority: Priority::pack(deadline, true, deadline, 7),
+                        priority,
                         task: TaskId(task),
                         index,
                     },
@@ -666,7 +670,8 @@ mod tests {
         }
         let mut unswept = swept.clone();
         let is_live = |e: &QueueEntry| e.index.is_multiple_of(2);
-        swept.compact(&mut c, is_live);
+        swept.compact_traced(&mut c, is_live, |_| {});
+        assert_eq!((swept.len(), c.compactions, c.compacted_stale), (36, 1, 36));
         let mut c2 = Counters::default();
         let pops = |q: &mut ReadyQueue, c: &mut Counters| -> Vec<(u32, u64)> {
             std::iter::from_fn(|| q.pop_live(c, is_live))
@@ -676,20 +681,16 @@ mod tests {
         assert_eq!(pops(&mut swept, &mut c), pops(&mut unswept, &mut c2));
     }
 
-    /// Deadlines farther than the bucket window ride the overflow list
-    /// and migrate in once the window drains — pop order still exact.
+    /// Deadlines farther than the bucket window ride the overflow runs
+    /// and move in once the window drains — pop order still exact.
     #[test]
     fn overflow_deadlines_pop_in_order() {
-        let mut q = ReadyQueue::new();
-        let mut c = Counters::default();
+        let (mut q, mut c) = (ReadyQueue::new(), Counters::default());
         q.push(entry(10, false, 0, 1), &mut c);
         q.push(entry(10_000, false, 1, 1), &mut c); // far beyond 10 + 512
         q.push(entry(700, true, 2, 1), &mut c); // also overflow
         q.push(entry(11, true, 3, 1), &mut c);
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop_live(&mut c, |_| true))
-            .map(|e| e.task.0)
-            .collect();
-        assert_eq!(order, vec![0, 3, 2, 1]);
+        assert_eq!(pop_tasks(&mut q, &mut c), vec![0, 3, 2, 1]);
         assert_eq!(c.heap_pops, 4);
     }
 
@@ -697,32 +698,24 @@ mod tests {
     /// without losing or reordering anything.
     #[test]
     fn below_window_push_rebases() {
-        let mut q = ReadyQueue::new();
-        let mut c = Counters::default();
+        let (mut q, mut c) = (ReadyQueue::new(), Counters::default());
         q.push(entry(1_000, false, 0, 1), &mut c); // base anchors at 1000
         q.push(entry(1_600, false, 1, 1), &mut c); // overflow
         q.push(entry(3, true, 2, 1), &mut c); // below base: rebase
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop_live(&mut c, |_| true))
-            .map(|e| e.task.0)
-            .collect();
-        assert_eq!(order, vec![2, 0, 1]);
+        assert_eq!(pop_tasks(&mut q, &mut c), vec![2, 0, 1]);
     }
 
     /// Popping must not widen the window over deadlines already routed
-    /// to the overflow list: after popping the 100, a push of 611 has
+    /// to the overflow map: after popping the 100, a push of 611 has
     /// to sort *after* the 600 parked in the overflow.
     #[test]
     fn window_growth_never_overtakes_overflow() {
-        let mut q = ReadyQueue::new();
-        let mut c = Counters::default();
+        let (mut q, mut c) = (ReadyQueue::new(), Counters::default());
         q.push(entry(100, false, 0, 1), &mut c); // base anchors at 100
         q.push(entry(700, false, 1, 1), &mut c); // overflow (≥ 100 + 512)
         assert_eq!(q.pop_live(&mut c, |_| true).unwrap().task, TaskId(0));
         q.push(entry(611, false, 2, 1), &mut c);
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop_live(&mut c, |_| true))
-            .map(|e| e.task.0)
-            .collect();
-        assert_eq!(order, vec![2, 1]);
+        assert_eq!(pop_tasks(&mut q, &mut c), vec![2, 1]);
     }
 
     /// `front_deadline` and `for_each_due` read what `pop` would
@@ -730,8 +723,7 @@ mod tests {
     /// exactly the entries at or below a limit — unchanged by the walk.
     #[test]
     fn front_and_due_walk_see_window_and_overflow() {
-        let mut q = ReadyQueue::new();
-        let mut c = Counters::default();
+        let (mut q, mut c) = (ReadyQueue::new(), Counters::default());
         assert_eq!(q.front_deadline(), None);
         q.for_each_due(Slot::MAX, |_| panic!("empty queue has no due entry"));
         q.push(entry(100, false, 0, 1), &mut c); // base anchors at 100
@@ -742,16 +734,15 @@ mod tests {
         let due = |q: &ReadyQueue, limit: Slot| {
             let mut seen = Vec::new();
             q.for_each_due(limit, |e| seen.push(e.task.0));
-            seen.sort_unstable();
             seen
         };
         assert_eq!(q.front_deadline(), Some(100));
         assert_eq!(due(&q, 99), Vec::<u32>::new());
-        assert_eq!(due(&q, 100), vec![0, 1]);
-        assert_eq!(due(&q, 103), vec![0, 1]);
-        assert_eq!(due(&q, 700), vec![0, 1, 2, 3]);
+        assert_eq!(due(&q, 100), vec![1, 0]);
+        assert_eq!(due(&q, 103), vec![1, 0]);
+        assert_eq!(due(&q, 700), vec![1, 0, 2, 3]);
         assert_eq!(q.len(), 5, "the walk removes nothing");
-        // Drain the window: the front moves into the overflow heap.
+        // Drain the window: the front moves into the overflow runs.
         for _ in 0..3 {
             q.pop_live(&mut c, |_| true);
         }
@@ -760,16 +751,14 @@ mod tests {
         assert_eq!(due(&q, 9_000), vec![3, 4]);
     }
 
-    /// Differential check: the radix queue and the reference heap pop
+    /// Differential check: the run queue and the reference heap pop
     /// bit-identical sequences (liveness filter included) over an
     /// adversarial interleaving of pushes, pops, and deadline ranges,
     /// with identical counters.
     #[test]
     fn radix_matches_heap_reference() {
-        let mut radix = ReadyQueue::new();
-        let mut heap = HeapQueue::new();
-        let mut cr = Counters::default();
-        let mut ch = Counters::default();
+        let (mut radix, mut heap) = (ReadyQueue::new(), HeapQueue::default());
+        let (mut cr, mut ch) = (Counters::default(), Counters::default());
         // Deterministic pseudo-random stream (xorshift).
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
         let mut rand = move || {
@@ -790,12 +779,8 @@ mod tests {
                     _ => r % 97, // dense cluster
                 };
                 let deadline = i64::try_from(round / 4 + spread).unwrap_or(0);
-                let e = entry(
-                    deadline,
-                    r % 2 == 0,
-                    u32::try_from(r % 7).unwrap_or(0),
-                    round,
-                );
+                let task = u32::try_from(r % 7).unwrap_or(0);
+                let e = entry(deadline, r % 2 == 0, task, round);
                 radix.push(e, &mut cr);
                 heap.push(e, &mut ch);
             } else {
@@ -805,7 +790,7 @@ mod tests {
                     "pop diverged at round {round}"
                 );
             }
-            assert_eq!(radix.len(), heap.len());
+            assert_eq!(radix.len(), heap.entries_sorted().len());
         }
         // Drain both completely.
         loop {
@@ -822,31 +807,29 @@ mod tests {
         assert_eq!(radix.entries_sorted(), heap.entries_sorted());
     }
 
-    /// Only occupied buckets own a buffer, so a deadline front that
-    /// walks the window four times over holds as many buffers as
-    /// buckets were occupied at once — through pops, a compaction and a
-    /// below-window push alike.
+    /// Only live runs own a buffer, so a deadline front that walks the
+    /// window four times over holds as many buffers as runs were live
+    /// at once — through pops, compactions, a below-window push that
+    /// evicts a run, and overflow runs that move in when the window
+    /// drains.
     #[test]
     fn emptied_buckets_hand_their_buffers_on() {
         fn buffers(q: &ReadyQueue) -> usize {
             let held = q.buckets.iter().filter(|b| b.capacity() > 0).count();
             let occupied = (0..BUCKETS).filter(|&b| q.occupied.is_set(b)).count();
             assert_eq!(held, occupied);
-            held + q.spare.len()
+            assert!(q.overflow.values().all(|run| run.capacity() > 0));
+            held + q.overflow.len() + q.spare.len()
         }
-        let mut q = ReadyQueue::new();
-        let mut c = Counters::default();
+        let (mut q, mut c) = (ReadyQueue::new(), Counters::default());
         // Twenty entries per deadline, three deadlines in flight; the
         // all-live compactions re-anchor the window as the engine's do.
         for t in 0..4 * DEADLINE_SLOTS {
             if t % 64 == 0 {
-                q.compact(&mut c, |_| true);
+                q.compact_traced(&mut c, |_| true, |_| {});
             }
             for task in 0..20 {
-                q.push(
-                    entry(t + 3, false, task, u64::try_from(t).unwrap_or(0)),
-                    &mut c,
-                );
+                q.push(entry(t + 3, false, task, 0), &mut c);
             }
             if t >= 2 {
                 for _ in 0..20 {
@@ -859,51 +842,25 @@ mod tests {
         }
         let front = 4 * DEADLINE_SLOTS;
         assert_eq!(q.front_deadline(), Some(front + 1));
-        q.compact(&mut c, |e| e.task.0 % 2 == 0);
+        q.compact_traced(&mut c, |e| e.task.0 % 2 == 0, |_| {});
         assert_eq!((q.len(), buffers(&q)), (20, 3));
-        // Re-anchoring 511 slots lower evicts the later deadline to the
-        // overflow heap and parks its bucket's buffer.
+        // Re-anchoring 511 slots lower moves the later deadline's run,
+        // buffer and all, into the overflow map.
         q.push(entry(front - 510, false, 0, 0), &mut c);
-        assert_eq!((q.in_window, q.overflow.len(), buffers(&q)), (11, 10, 3));
-        let order: Vec<i64> = std::iter::from_fn(|| q.pop_live(&mut c, |_| true))
-            .map(|e| e.priority.deadline())
-            .collect();
-        assert_eq!(order.len(), 21);
-        assert!(order.is_sorted());
-        assert_eq!(buffers(&q), 3);
-    }
-}
-
-#[cfg(test)]
-mod more_tests {
-    use super::*;
-    use crate::overhead::Counters;
-    use crate::priority::Priority;
-    use pfair_core::task::TaskId;
-
-    #[test]
-    fn group_deadline_orders_equal_deadline_b1_entries() {
-        // Among equal-deadline b=1 entries, the later group deadline wins.
-        let mut q = ReadyQueue::new();
-        let mut c = Counters::default();
-        q.push(
-            QueueEntry {
-                priority: Priority::pack(5, true, 6, 0),
-                task: TaskId(0),
-                index: 1,
-            },
-            &mut c,
-        );
-        q.push(
-            QueueEntry {
-                priority: Priority::pack(5, true, 9, 1),
-                task: TaskId(1),
-                index: 1,
-            },
-            &mut c,
-        );
-        let first = q.pop_live(&mut c, |_| true).unwrap();
-        assert_eq!(first.task, TaskId(1), "later group deadline is favored");
+        let held = (q.in_window, q.overflow.len(), q.spare.len(), buffers(&q));
+        assert_eq!(held, (11, 1, 0, 3));
+        assert_eq!(pop_tasks(&mut q, &mut c).len(), 21);
+        assert_eq!((buffers(&q), q.spare.len()), (3, 3));
+        // One run in the window and two beyond it take the three parked
+        // buffers; the window drains and the two move in whole.
+        for (deadline, tasks) in [(front, 5), (front + 900, 7), (front + 1_400, 3)] {
+            for task in 0..tasks {
+                q.push(entry(deadline, false, task, 0), &mut c);
+            }
+        }
+        assert_eq!((q.overflow.len(), q.spare.len(), buffers(&q)), (2, 0, 3));
+        assert_eq!(pop_tasks(&mut q, &mut c).len(), 15);
+        assert_eq!((buffers(&q), q.spare.len()), (3, 3));
     }
 }
 
@@ -916,11 +873,12 @@ mod shift_tests {
     use proptest::prelude::*;
 
     /// Pushes clustered near a moving front, some far ahead (overflow
-    /// heap), some behind it (below-window re-anchoring); pops in
+    /// runs), some behind it (below-window re-anchoring); pops in
     /// between, with every third index stale.
     #[derive(Clone, Debug)]
     enum Op {
-        Push { ahead: i64, task: u32, b: bool },
+        /// `Push(ahead, task, b)`.
+        Push(i64, u32, bool),
         Pop,
     }
 
@@ -931,11 +889,7 @@ mod shift_tests {
                 1 => -near,           // behind the front
                 _ => near,
             };
-            Op::Push {
-                ahead,
-                task,
-                b: b == 1,
-            }
+            Op::Push(ahead, task, b == 1)
         });
         let op = (0u8..3, push).prop_map(|(k, push)| if k == 0 { Op::Pop } else { push });
         prop::collection::vec(op, 0..120)
@@ -949,7 +903,7 @@ mod shift_tests {
         let mut popped = Vec::new();
         for (round, op) in (0u64..).zip(ops) {
             match *op {
-                Op::Push { ahead, task, b } => {
+                Op::Push(ahead, task, b) => {
                     let deadline = front + i64::try_from(round / 3).unwrap_or(0) + ahead;
                     let entry = QueueEntry {
                         priority: Priority::pack(deadline, b, deadline + i64::from(task), task),
@@ -990,16 +944,9 @@ mod shift_tests {
             prop_assert_eq!(live.len(), rebuilt.len());
             prop_assert_eq!(live.front_deadline(), rebuilt.front_deadline());
             prop_assert_eq!(live.entries_sorted(), entries);
-            // The sorted walk is the sorted list, and stops when told to.
-            let mut walked = Vec::new();
-            let mut scratch = Vec::new();
-            prop_assert!(live.walk_sorted(&mut scratch, |e| {
-                walked.push(*e);
-                true
-            }));
-            prop_assert_eq!(&walked, &live.entries_sorted());
+            // The sorted walk stops when told to.
             let mut seen = 0;
-            let whole = live.walk_sorted(&mut scratch, |_| {
+            let whole = live.walk_sorted(|_| {
                 seen += 1;
                 seen < 2
             });
@@ -1017,5 +964,156 @@ mod shift_tests {
             };
             prop_assert_eq!(drain(&mut live, &mut c1), drain(&mut rebuilt, &mut c2));
         }
+    }
+}
+
+/// The run queue against [`HeapQueue`], which shares no run code, at
+/// `population`'s shape: bursts of up to 10⁴ equal-deadline entries in
+/// ascending, descending and shuffled tie order; several overflow runs
+/// inside one refilled window; compaction and in-place shifts between
+/// them; below-window bursts that evict runs into the overflow map.
+/// Pops, counters, lengths, fronts and `entries_sorted` must agree.
+#[cfg(test)]
+mod heap_differential {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `Burst(ahead, len, order, b)`: `len` entries, one per task, at
+    /// deadline `front + ahead`, pushed in tie order `order` — 0
+    /// ascending, 1 descending, else shuffled by that seed.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Burst(i64, u32, u64, bool),
+        Pop(u32),
+        Compact,
+        Shift(i64),
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        let burst = (0u8..8, 0i64..400, 0u32..5, 0u64..u64::MAX, 0u8..6);
+        let burst = burst.prop_flat_map(|(kind, near, digits, seed, b)| {
+            let ahead = match kind {
+                0 | 1 => 520 + near * 4, // an overflow run
+                2 => -3 * near,          // below the window
+                _ => near,
+            };
+            let order = [0, 1, seed | 2][usize::from(b / 2)];
+            (1..=10u32.pow(digits)).prop_map(move |len| Op::Burst(ahead, len, order, b % 2 == 1))
+        });
+        let op = (0u8..10, burst, 0u32..5_000, 0i64..2_000).prop_map(|(k, burst, n, ds)| match k {
+            0..=4 => burst,
+            5..=7 => Op::Pop(n),
+            8 => Op::Compact,
+            _ => Op::Shift(ds),
+        });
+        prop::collection::vec(op, 1..24)
+    }
+
+    fn is_live(e: &QueueEntry) -> bool {
+        !e.index.is_multiple_of(3)
+    }
+
+    /// The heap has no compaction or shift of its own: a fresh heap of
+    /// its rewritten entries, pushed uncounted.
+    fn rebuilt(heap: &HeapQueue, rewrite: impl Fn(QueueEntry) -> Option<QueueEntry>) -> HeapQueue {
+        let (mut fresh, mut uncounted) = (HeapQueue::default(), Counters::default());
+        for e in heap.entries_sorted().into_iter().filter_map(rewrite) {
+            fresh.push(e, &mut uncounted);
+        }
+        fresh
+    }
+
+    fn check(ops: &[Op]) {
+        let (mut radix, mut heap) = (ReadyQueue::new(), HeapQueue::default());
+        let (mut cr, mut ch) = (Counters::default(), Counters::default());
+        let (mut front, mut index) = (1_000i64, 0u64);
+        for op in ops {
+            match *op {
+                Op::Burst(ahead, len, order, b) => {
+                    let mut tasks: Vec<u32> = (0..len).collect();
+                    match order {
+                        0 => {}
+                        1 => tasks.reverse(),
+                        // xor, then an odd multiplier: a bijection on
+                        // u64, so the keys are distinct.
+                        seed => tasks.sort_by_key(|&t| {
+                            (u64::from(t) ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        }),
+                    }
+                    let d = front + ahead;
+                    for task in tasks {
+                        index += 1;
+                        let e = entry(d, b, task, index);
+                        radix.push(e, &mut cr);
+                        heap.push(e, &mut ch);
+                    }
+                }
+                Op::Pop(n) => {
+                    for _ in 0..n {
+                        let popped = radix.pop_live(&mut cr, is_live);
+                        assert_eq!(popped, heap.pop_live(&mut ch, is_live));
+                        let Some(e) = popped else { break };
+                        front = e.priority.deadline();
+                    }
+                }
+                Op::Compact => {
+                    let (before, len) = (cr.compacted_stale, radix.len());
+                    radix.compact_traced(&mut cr, is_live, |_| {});
+                    heap = rebuilt(&heap, |e| Some(e).filter(is_live));
+                    let dropped = usize::try_from(cr.compacted_stale - before);
+                    assert_eq!(dropped, Ok(len - radix.len()));
+                }
+                Op::Shift(ds) => {
+                    let shift = |e: QueueEntry| {
+                        let p = e.priority;
+                        let (d, gd) = (p.deadline() + ds, p.group_deadline() + ds);
+                        let priority = Priority::pack(d, p.b(), gd, p.tie_rank());
+                        QueueEntry { priority, ..e }
+                    };
+                    radix.shift_deadlines(ds, |e| *e = shift(*e));
+                    heap = rebuilt(&heap, |e| Some(shift(e)));
+                    front += ds;
+                }
+            }
+            let sorted = heap.entries_sorted();
+            let first = sorted.first().map(|e| e.priority.deadline());
+            assert_eq!((radix.len(), radix.front_deadline()), (sorted.len(), first));
+            if !matches!(op, Op::Pop(_)) {
+                assert_eq!(radix.entries_sorted(), sorted);
+            }
+        }
+        while let Some(e) = radix.pop_live(&mut cr, is_live) {
+            assert_eq!(Some(e), heap.pop_live(&mut ch, is_live));
+        }
+        assert_eq!(heap.pop_live(&mut ch, is_live), None);
+        let counted = |c: &Counters| (c.heap_pushes, c.heap_pops, c.stale_pops);
+        assert_eq!(counted(&cr), counted(&ch));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn runs_pop_like_the_heap_at_population_shape(ops in arb_ops()) {
+            check(&ops);
+        }
+    }
+
+    /// The run's worst case, pinned: a 10⁴-entry burst in descending
+    /// tie order is all front inserts, and pops exactly like the heap.
+    #[test]
+    fn descending_burst_pops_like_the_heap() {
+        check(&[Op::Burst(0, 10_000, 1, false), Op::Pop(10_000)]);
+    }
+
+    /// The eviction leg by hand: two runs, then a push far enough below
+    /// to leave them two windows above their buckets' slots. Keyed by
+    /// those slots, the front would read 1 024 slots early once the
+    /// window drains.
+    #[test]
+    fn evicted_runs_keep_their_own_deadline() {
+        let (far, near) = (Op::Burst(400, 3, 1, false), Op::Burst(300, 2, 0, true));
+        let below = Op::Burst(-900, 2, 9, false);
+        check(&[far, near, below, Op::Pop(1), Op::Pop(6)]);
     }
 }

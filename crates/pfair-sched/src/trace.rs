@@ -176,9 +176,13 @@ pub struct TaskResult {
     pub icsw_total: Rational,
     /// Drift samples at each era boundary (Eqn (5)).
     pub drift: DriftTrack,
-    /// Subtask-level trace, when history recording was enabled.
-    pub history: Option<TaskHistory>,
+    /// Subtask-level trace, when history recording was enabled — boxed,
+    /// so a result that has none (every run but a history run) does not
+    /// carry its 96 bytes.
+    pub history: Option<Box<TaskHistory>>,
 }
+
+const _: () = assert!(std::mem::size_of::<TaskResult>() <= 144);
 
 impl TaskResult {
     /// Scheduled work as a percentage of the `I_PS` ideal (the metric of
@@ -219,7 +223,10 @@ impl ToJson for TaskResult {
             ("isw_total", self.isw_total.to_json()),
             ("icsw_total", self.icsw_total.to_json()),
             ("drift", self.drift.to_json()),
-            ("history", self.history.to_json()),
+            (
+                "history",
+                self.history.as_deref().map_or(Json::Null, ToJson::to_json),
+            ),
         ])
     }
 }
@@ -233,7 +240,7 @@ impl FromJson for TaskResult {
             isw_total: value.field("isw_total")?,
             icsw_total: value.field("icsw_total")?,
             drift: value.field("drift")?,
-            history: value.field("history")?,
+            history: value.field::<Option<TaskHistory>>("history")?.map(Box::new),
         })
     }
 }

@@ -13,6 +13,8 @@
 //!   module path and name, so failures reproduce exactly on re-run.
 //! * `prop_assume!` skips the current case without replacement, so a
 //!   heavily-assuming test runs fewer effective cases than `cases`.
+//! * `PROPTEST_CASES` overrides every config's case count, an explicit
+//!   [`ProptestConfig::with_cases`] included.
 
 // Stand-in for an external crate: the first-party float/unwrap policy
 // (root clippy.toml) does not apply to mirrored third-party APIs.
@@ -61,15 +63,18 @@ pub struct ProptestConfig {
 }
 
 impl ProptestConfig {
-    /// A config running `cases` random cases.
+    /// A config running `cases` random cases, or as many as the
+    /// `PROPTEST_CASES` environment variable names when it is set.
     pub fn with_cases(cases: u32) -> ProptestConfig {
+        let raised = std::env::var("PROPTEST_CASES").ok();
+        let cases = raised.and_then(|v| v.parse().ok()).unwrap_or(cases);
         ProptestConfig { cases }
     }
 }
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig { cases: 256 }
+        ProptestConfig::with_cases(256)
     }
 }
 
