@@ -250,22 +250,6 @@ fn active(finding: Finding) -> AuditEntry {
     }
 }
 
-/// Audits one file's source text against the token lints only — the
-/// v1 surface, kept for fixture corpora and spot checks. The AST
-/// passes need the whole workspace; see [`audit_workspace`].
-pub fn audit_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    let file = LexFile::lex(src);
-    let raw = token_findings(rel_path, &file, cfg);
-    let mut out: Vec<Finding> = discharge_file(rel_path, &file, raw, &[], cfg)
-        .into_iter()
-        .filter(|e| !e.allowed)
-        .map(|e| e.finding)
-        .collect();
-    out.sort();
-    out.dedup();
-    out
-}
-
 /// Lexes and parses every `.rs` file under `root` (honoring the
 /// config's `exclude` list) into a [`Workspace`].
 pub fn analyze_root(root: &Path, cfg: &Config) -> io::Result<Workspace> {
@@ -409,22 +393,32 @@ mod tests {
         cfg
     }
 
+    /// The active findings of a one-file workspace.
+    fn audit_one(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
+        let ws = Workspace {
+            files: vec![analyze_source(rel_path, src)],
+        };
+        audit_workspace(&ws, cfg).active()
+    }
+
     #[test]
     fn allow_with_reason_suppresses_one_line() {
         let src = "\
-// audit: allow(lossy-cast, u32 -> usize is lossless on 64-bit targets)
-let a = x as usize;
-let b = y as usize;
+fn f(x: u32, y: u32) {
+    // audit: allow(lossy-cast, u32 -> usize is lossless on 64-bit targets)
+    let a = x as usize;
+    let b = y as usize;
+}
 ";
-        let found = audit_source("src/lib.rs", src, &cfg_all());
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].line, 3);
+        let found = audit_one("src/lib.rs", src, &cfg_all());
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 4);
     }
 
     #[test]
     fn allow_without_reason_is_rejected() {
-        let src = "let a = x as usize; // audit: allow(lossy-cast)\n";
-        let found = audit_source("src/lib.rs", src, &cfg_all());
+        let src = "fn f(x: u32) {\n    let a = x as usize; // audit: allow(lossy-cast)\n}\n";
+        let found = audit_one("src/lib.rs", src, &cfg_all());
         let lints: Vec<&str> = found.iter().map(|f| f.lint.as_str()).collect();
         assert!(lints.contains(&lints::NO_LOSSY_CASTS));
         assert!(lints.contains(&BAD_ANNOTATION));
@@ -432,9 +426,9 @@ let b = y as usize;
 
     #[test]
     fn unused_allow_is_rejected() {
-        let src = "// audit: allow(float, stale justification)\nlet a = 1;\n";
-        let found = audit_source("src/lib.rs", src, &cfg_all());
-        assert_eq!(found.len(), 1);
+        let src = "fn f() {\n    // audit: allow(float, stale justification)\n    let a = 1;\n}\n";
+        let found = audit_one("src/lib.rs", src, &cfg_all());
+        assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].lint, BAD_ANNOTATION);
     }
 
@@ -446,10 +440,10 @@ let b = y as usize;
             .unwrap()
             .paths
             .push("crates/pfair-core".into());
-        let src = "let a = x as u32;\n";
-        assert!(audit_source("crates/whisper-sim/src/lib.rs", src, &cfg).is_empty());
+        let src = "fn f(x: u64) {\n    let a = x as u32;\n}\n";
+        assert!(audit_one("crates/whisper-sim/src/lib.rs", src, &cfg).is_empty());
         assert_eq!(
-            audit_source("crates/pfair-core/src/lag.rs", src, &cfg).len(),
+            audit_one("crates/pfair-core/src/lag.rs", src, &cfg).len(),
             1
         );
     }

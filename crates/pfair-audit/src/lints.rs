@@ -187,17 +187,24 @@ fn no_panic(file: &LexFile) -> Vec<RawFinding> {
             "unwrap" | "expect" => {
                 let after_dot = i > 0 && file.toks[i - 1].text == ".";
                 let called = file.toks.get(i + 1).is_some_and(|n| n.text == "(");
-                if after_dot && called {
-                    out.push(RawFinding {
-                        line: t.line,
-                        lint: NO_PANIC,
-                        message: format!(
-                            ".{}() in scheduling library code; propagate the error \
-                             or document the invariant with an audited expect",
-                            t.text
-                        ),
-                    });
-                }
+                // The path form (`.map(Option::unwrap)`) panics just
+                // the same, called or passed; `Foo::unwrap` is a name.
+                let path_of = (i > 1 && file.toks[i - 1].text == "::")
+                    .then(|| file.toks[i - 2].text.as_str())
+                    .filter(|ty| matches!(*ty, "Option" | "Result"));
+                let shown = match path_of {
+                    Some(ty) => format!("{ty}::{}", t.text),
+                    None if after_dot && called => format!(".{}()", t.text),
+                    None => continue,
+                };
+                out.push(RawFinding {
+                    line: t.line,
+                    lint: NO_PANIC,
+                    message: format!(
+                        "{shown} in scheduling library code; propagate the error \
+                         or document the invariant with an audited expect"
+                    ),
+                });
             }
             "panic" if file.toks.get(i + 1).is_some_and(|n| n.text == "!") => {
                 out.push(RawFinding {
@@ -436,6 +443,12 @@ mod tests {
     fn panic_lint_flags_method_calls_not_names() {
         let src = "let a = x.unwrap();\nlet b = Foo::unwrap;\nfn expect() {}\npanic!(\"boom\");\nlet c = y.expect(\"msg\");";
         assert_eq!(lines(NO_PANIC, src), vec![1, 4, 5]);
+    }
+
+    #[test]
+    fn panic_lint_flags_the_option_and_result_path_forms() {
+        let src = "let a = v.map(Option::unwrap);\nlet b = Result::expect(r, \"msg\");\nlet c = Slot::unwrap(s);";
+        assert_eq!(lines(NO_PANIC, src), vec![1, 2]);
     }
 
     #[test]

@@ -77,6 +77,8 @@ fn corpus_produces_exactly_the_expected_diagnostics() {
         ("sched/panics.rs", 4, NO_PANIC),
         ("sched/panics.rs", 9, NO_PANIC),
         ("sched/panics.rs", 13, NO_PANIC),
+        ("sched/panics.rs", 21, NO_PANIC),
+        ("sched/panics.rs", 25, NO_PANIC),
         ("sched/rational_small.rs", 11, NO_FLOAT),
         ("sched/rational_small.rs", 11, NO_LOSSY_CASTS),
         ("sched/rational_small.rs", 16, NO_LOSSY_CASTS),

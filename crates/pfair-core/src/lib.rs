@@ -40,11 +40,6 @@
 //! new **era**, inside which windows are those of a fresh task with the
 //! new weight (the `z = Id(T_j) − 1` shift in Eqns (2)–(4)).
 
-// Conventional-lint mirror of the audit's no-float-in-scheduling and
-// no-panic-in-library invariants (types/methods listed in the root
-// clippy.toml). Test code is exempt, as under audit.toml.
-#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
-
 pub mod analysis;
 pub mod arena;
 pub mod drift;

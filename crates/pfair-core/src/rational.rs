@@ -585,7 +585,6 @@ impl Rational {
     /// Lossy conversion to `f64` (for statistics and plotting only; never
     /// used in scheduling decisions).
     #[inline]
-    #[allow(clippy::disallowed_types)]
     // audit: allow(float, report-only conversion; never feeds scheduling)
     pub fn to_f64(self) -> f64 {
         // audit: allow(float, report-only conversion; never feeds scheduling)
@@ -1511,6 +1510,36 @@ mod small_path_tests {
             let (a, b) = (a << (70 * wide), b << (70 * wide));
             let k = Units::new(a).slots_at(Units::new(b));
             prop_assert_eq!(i128::from(k), Rational::new(a, b).ceil());
+        }
+    }
+
+    /// Within 10⁶ of `i128::MAX`, far above the operands above.
+    fn arb_huge() -> impl Strategy<Value = i128> {
+        (0i128..=1_000_000).prop_map(|k| i128::MAX - k)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Near-overflow cancellation: the integers share denominator 1,
+        /// and opposite signs make the sum representable, so the
+        /// same-denominator path must add them exactly.
+        #[test]
+        fn same_den_add_huge_cancellation(j in arb_huge(), k in arb_huge()) {
+            let sum = Rational::from_int(j) + Rational::from_int(-k);
+            prop_assert_eq!(sum, Rational::from_int(j - k));
+            let diff = Rational::from_int(j) - Rational::from_int(k);
+            prop_assert_eq!(diff, sum);
+        }
+
+        /// `mul_int` divides the multiplier by `gcd(n, den)` *before* the
+        /// multiply, so a huge numerator times its own denominator is
+        /// exact even though the naive product would overflow.
+        #[test]
+        fn mul_int_cancels_before_multiplying(n in arb_huge(), d in 2i64..=1000) {
+            let r = Rational::new(n, i128::from(d));
+            prop_assert_eq!(r.mul_int(d), Rational::from_int(n));
+            prop_assert_eq!(r.mul_int(0), Rational::ZERO);
         }
     }
 

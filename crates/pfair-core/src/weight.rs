@@ -94,7 +94,6 @@ impl Weight {
 
     /// Lossy conversion for statistics/plotting.
     #[inline]
-    #[allow(clippy::disallowed_types)]
     // audit: allow(float, report-only conversion; never feeds scheduling)
     pub fn to_f64(self) -> f64 {
         self.0.to_f64()

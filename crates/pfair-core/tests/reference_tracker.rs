@@ -1,9 +1,9 @@
 //! The era-unit trackers against an independent reading of Fig. 5.
 //!
 //! [`IswTracker`] and [`PsTracker`] compute in integer era units and
-//! materialize rationals on demand; `interval_equivalence.rs` compares
-//! their closed-form jumps with their own per-slot stepping, which is
-//! the same code. [`Reference`] below is the check that shares nothing
+//! materialize rationals on demand; their per-slot `advance` is a
+//! one-slot jump, so comparing it with `advance_to` checks the code
+//! against itself. [`Reference`] below is the check that shares nothing
 //! with them but [`Rational`]: Fig. 5 and the `I_PS` sum transcribed
 //! slot by slot over reduced fractions, every total a plain `+=`.
 //!

@@ -32,8 +32,6 @@
 //!   and [`SloMonitor`], windowed miss / drift / reweight-latency
 //!   watermarks with exact breach records.
 
-#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
-
 pub mod chrome;
 pub mod event;
 pub mod flight;

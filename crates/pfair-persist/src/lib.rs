@@ -35,10 +35,6 @@
 //! `recovery_equivalence` suite pins it under randomized reweighting
 //! scripts and both engine drivers.
 
-// Conventional-lint mirror of the audit's no-float and no-panic
-// invariants, as in the other scheduling crates (test code exempt).
-#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
-
 use pfair_core::time::Slot;
 use pfair_json::{obj, FromJson, Json, JsonError, ToJson};
 use pfair_obs::{NoopProbe, Probe};

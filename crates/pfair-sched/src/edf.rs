@@ -82,7 +82,6 @@ pub struct EdfRun {
 impl EdfRun {
     /// Scheduled work as a fraction of `I_PS`, per task — the drift
     /// analogue used to compare against the Pfair schemes.
-    #[allow(clippy::disallowed_types)]
     // audit: allow(float, report-only accuracy metric; never feeds scheduling)
     pub fn pct_of_ideal(&self) -> Vec<f64> {
         self.scheduled

@@ -33,11 +33,6 @@
 //! assert!(result.max_abs_drift_delta() <= rat(2, 1));
 //! ```
 
-// Conventional-lint mirror of the audit's no-float-in-scheduling and
-// no-panic-in-library invariants (types/methods listed in the root
-// clippy.toml). Test code is exempt, as under audit.toml.
-#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
-
 pub mod admission;
 pub mod calendar;
 pub mod edf;

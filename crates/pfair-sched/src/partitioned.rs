@@ -43,7 +43,6 @@ pub struct PartitionedRun {
 
 impl PartitionedRun {
     /// Scheduled work as a percentage of `I_PS`, per task.
-    #[allow(clippy::disallowed_types)]
     // audit: allow(float, report-only accuracy metric; never feeds scheduling)
     pub fn pct_of_ideal(&self) -> Vec<f64> {
         self.scheduled

@@ -187,7 +187,6 @@ const _: () = assert!(std::mem::size_of::<TaskResult>() <= 144);
 impl TaskResult {
     /// Scheduled work as a percentage of the `I_PS` ideal (the metric of
     /// Fig. 11(b)/(d)). `None` when the ideal allocation is zero.
-    #[allow(clippy::disallowed_types)]
     // audit: allow(float, report-only accuracy metric; never feeds scheduling)
     pub fn pct_of_ideal(&self) -> Option<f64> {
         if self.ps_total.is_positive() {
@@ -292,7 +291,6 @@ impl SimResult {
 
     /// Mean over tasks of the percent-of-ideal metric (tasks with zero
     /// ideal allocation are excluded).
-    #[allow(clippy::disallowed_types)]
     // audit: allow(float, report-only accuracy metric; never feeds scheduling)
     pub fn mean_pct_of_ideal(&self) -> f64 {
         // audit: allow(float, report-only accuracy metric; never feeds scheduling)

@@ -45,7 +45,6 @@ pub fn burst(n: u32, num: i128, den: i128, at: Slot, to_num: i128, to_den: i128)
 /// One task ramping from `1/from_den` to `1/to_den` (`to_den <
 /// from_den`) in `steps` multiplicative steps starting at `start`,
 /// `gap` slots apart, beside `n_background` weight-1/4 tasks.
-#[allow(clippy::disallowed_types)] // float use is the generation knob documented below
 pub fn ramp(
     from_den: i128,
     to_den: i128,

@@ -14,7 +14,15 @@
 //! IS delays (including past the calendar-ring window), rule-L leaves,
 //! admission rejections, and saturated stretches where batching never
 //! engages.
+//!
+//! One more rung holds the ideal trackers' event-driven syncs to
+//! per-slot accumulation: a history run (`with_history`) advances every
+//! task's trackers slot by slot, where every other run jumps them in
+//! closed form at releases, halts, enactments and leaves. Exact
+//! rational arithmetic is associative, so the two must report the same
+//! totals, drift samples, misses and counters.
 
+use pfair_core::rational::Rational;
 use pfair_json::ToJson;
 use pfair_obs::{MetricsProbe, NoopProbe};
 use pfair_sched::engine::{simulate, simulate_with, Engine, SimConfig};
@@ -98,10 +106,15 @@ fn workload_of(plan: &Plan) -> Workload {
 
 /// Asserts a batched run is bit-identical to the per-slot oracle on the
 /// same workload: rendered results, drift samples, counters, and the
-/// metrics registry a probe accumulates from the replayed hook stream.
+/// metrics registry a probe accumulates from the replayed hook stream;
+/// and that a history run, whose trackers advance slot by slot, reports
+/// the same aggregates.
 fn assert_tickless_matches_oracle(plan: &Plan, cfg: SimConfig) {
     let w = workload_of(plan);
     let (oracle, oracle_metrics) = simulate_with(cfg.clone().per_slot(), &w, MetricsProbe::new());
+    // A history run's rendering carries the per-slot series, so it is
+    // compared field by field below.
+    let history = simulate(cfg.clone().with_history(), &w);
     // Busy-span driver under the no-op probe: whether or not any jump
     // lands on this script, the result must match.
     let busy = simulate(cfg.clone(), &w);
@@ -122,20 +135,38 @@ fn assert_tickless_matches_oracle(plan: &Plan, cfg: SimConfig) {
         fast.to_json().to_string_pretty(),
         "rendered SimResult diverged"
     );
-    // Field-level spot checks keep failures readable.
-    assert_eq!(&oracle.counters, &fast.counters);
-    assert_eq!(&oracle.misses, &fast.misses);
-    for (o, f) in oracle.tasks.iter().zip(fast.tasks.iter()) {
-        assert_eq!(o.scheduled_count, f.scheduled_count, "task {}", o.id);
-        assert_eq!(o.ps_total, f.ps_total, "I_PS of task {}", o.id);
-        assert_eq!(o.isw_total, f.isw_total, "I_SW of task {}", o.id);
-        assert_eq!(o.icsw_total, f.icsw_total, "I_CSW of task {}", o.id);
-        assert_eq!(
-            o.drift.samples(),
-            f.drift.samples(),
-            "drift samples of task {}",
-            o.id
-        );
+    // Field-level checks keep failures readable.
+    for (rung, reference) in [("per-slot", &oracle), ("history", &history)] {
+        assert_eq!(&reference.counters, &fast.counters, "{rung} counters");
+        assert_eq!(&reference.misses, &fast.misses, "{rung} misses");
+        assert_eq!(reference.tasks.len(), fast.tasks.len());
+        for (o, f) in reference.tasks.iter().zip(fast.tasks.iter()) {
+            assert_eq!(o.id, f.id);
+            assert_eq!(
+                o.scheduled_count, f.scheduled_count,
+                "{rung}: task {}",
+                o.id
+            );
+            assert_eq!(o.ps_total, f.ps_total, "{rung}: I_PS of task {}", o.id);
+            assert_eq!(o.isw_total, f.isw_total, "{rung}: I_SW of task {}", o.id);
+            assert_eq!(o.icsw_total, f.icsw_total, "{rung}: I_CSW of task {}", o.id);
+            assert_eq!(
+                o.drift.samples(),
+                f.drift.samples(),
+                "{rung}: drift samples of task {}",
+                o.id
+            );
+        }
+    }
+    // The history run's per-slot series, net of halted corrections,
+    // must sum to the totals every run reports.
+    for t in &history.tasks {
+        let h = t.history.as_ref().expect("a history run records history");
+        let per_slot_sum = h
+            .isw_per_slot
+            .iter()
+            .fold(Rational::ZERO, |acc, a| acc + *a);
+        assert_eq!(per_slot_sum, t.isw_total, "per-slot sum of task {}", t.id);
     }
     // The probe saw the same hook stream, slot replay included.
     assert_eq!(

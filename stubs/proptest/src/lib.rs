@@ -16,10 +16,6 @@
 //! * `PROPTEST_CASES` overrides every config's case count, an explicit
 //!   [`ProptestConfig::with_cases`] included.
 
-// Stand-in for an external crate: the first-party float/unwrap policy
-// (root clippy.toml) does not apply to mirrored third-party APIs.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
-
 use core::fmt::Debug;
 use core::ops::{Range, RangeInclusive};
 

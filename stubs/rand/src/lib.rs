@@ -12,10 +12,6 @@
 //! different (but equally valid) random workloads than under the real
 //! crates.
 
-// Stand-in for an external crate: the first-party float/unwrap policy
-// (root clippy.toml) does not apply to mirrored third-party APIs.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
-
 use core::ops::{Range, RangeInclusive};
 
 /// Types that can produce a uniformly distributed value in a range.

@@ -6,10 +6,6 @@
 //! crate, and nothing in the workspace depends on the actual ChaCha
 //! keystream — only on seeded determinism.
 
-// Stand-in for an external crate: the first-party float/unwrap policy
-// (root clippy.toml) does not apply to mirrored third-party APIs.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
-
 use rand::{RngCore, SeedableRng};
 
 /// Deterministic seeded generator (SplitMix64 core).
