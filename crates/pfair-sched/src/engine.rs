@@ -194,6 +194,33 @@ struct Pending {
     initiated_at: Slot,
 }
 
+/// What the rules have parked for one task: a weight change waiting for
+/// its enactment slot, and a rule-L departure time. Only reweights and
+/// delayed leaves park anything, so this is a slab column of its own,
+/// not part of the row (see `engine/slab.rs`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Parked {
+    pending: Option<Pending>,
+    /// Time at which an initiated leave takes effect; [`NEVER`] while
+    /// none is.
+    leaving: Slot,
+}
+
+impl Parked {
+    /// Nothing parked.
+    const NOTHING: Parked = Parked {
+        pending: None,
+        leaving: NEVER,
+    };
+
+    /// Neither a change nor a departure is waiting: the next release
+    /// books its successor.
+    #[inline]
+    fn is_nothing(&self) -> bool {
+        self.pending.is_none() && self.leaving == NEVER
+    }
+}
+
 /// A released subtask the engine still tracks: 59 bytes of fields in a
 /// 64-byte record, three to a task row inline. Slots not (yet) set hold
 /// [`NEVER`], and the window is stored flat — an `Option<Slot>` takes
@@ -239,7 +266,8 @@ impl SubRec {
 /// Four per-slot-hot facts — presence (`in_system`), the ran-last-slot
 /// flag, the scheduling weight `swt(T, t)`, and the next release slot —
 /// live in the slab's dense columns instead of here, so whole-set scans
-/// never touch these rows (see `engine/slab.rs`).
+/// never touch these rows, and the rules' parked state lives in a
+/// column of its own ([`Parked`]; see `engine/slab.rs`).
 ///
 /// One contiguous row: the subtask records and the `I_SW` tracker's
 /// subtasks are inline, so in steady state the only heap block a task
@@ -258,10 +286,6 @@ struct TaskState {
     /// Recent subtask records: `prune` keeps two, and the one a release
     /// adds is settled a slot later; only a tardy task holds more.
     subs: InlineVec<SubRec, 3>,
-    pending: Option<Pending>,
-    /// Time at which an initiated leave takes effect; [`NEVER`] while
-    /// none is.
-    leaving: Slot,
     /// Window of the most recently *scheduled* subtask (rule L).
     last_scheduled: Option<SubtaskWindow>,
     isw: IswTracker,
@@ -282,7 +306,7 @@ const NO_CPU: u32 = u32::MAX;
 
 const _: () = {
     assert!(std::mem::size_of::<SubRec>() <= 64);
-    assert!(std::mem::size_of::<TaskState>() <= 800);
+    assert!(std::mem::size_of::<TaskState>() <= 736);
 };
 
 impl TaskState {
@@ -292,8 +316,6 @@ impl TaskState {
             next_index: 1,
             era_open_pending: false,
             subs: InlineVec::new(),
-            pending: None,
-            leaving: NEVER,
             last_scheduled: None,
             isw: IswTracker::new(Rational::ONE, 0),
             ps: PsTracker::new(Rational::ONE, 0),
@@ -363,6 +385,31 @@ impl TaskState {
                 .extend(self.subs.iter().take(n).map(Self::to_record));
         }
         self.subs.drop_front(n);
+    }
+
+    /// The task's end-of-run report, read out of the row where it
+    /// stands: the drift track (and in history runs the accumulators)
+    /// move into the result, the rest of the row stays behind.
+    fn take_result(&mut self, id: TaskId, record_history: bool) -> TaskResult {
+        // The growth slack of the drift track's buffer would stay
+        // allocated as long as the result lives.
+        self.drift.shrink_to_fit();
+        TaskResult {
+            id,
+            scheduled_count: self.scheduled_count,
+            ps_total: self.ps.total(),
+            isw_total: self.isw.isw_total(),
+            icsw_total: self.isw.icsw_total(),
+            drift: std::mem::take(&mut self.drift),
+            history: record_history.then(|| {
+                // A task that never joined has no accumulators.
+                let mut history = self.history.take().unwrap_or_default();
+                history
+                    .subtasks
+                    .extend(self.subs.iter().map(TaskState::to_record));
+                history
+            }),
+        }
     }
 }
 
@@ -462,11 +509,11 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// slot costs `O(due)` instead of a scan over every task.
     release_at: CalendarRing,
     /// Slot-indexed parked reweighting changes (`Pending::at`);
-    /// validated against `TaskState::pending` on firing, since a
+    /// validated against `Parked::pending` on firing, since a
     /// superseding initiation or a leave may have replaced the entry.
     enact_at: CalendarRing,
     /// Slot-indexed rule-L departures; validated against
-    /// `TaskState::leaving` on firing.
+    /// `Parked::leaving` on firing.
     leave_at: CalendarRing,
     /// Busy-span batching state machine (armed snapshot, mismatch
     /// backoff). Not persisted: a restored engine re-arms from scratch,
@@ -490,13 +537,16 @@ impl<P: Probe> Engine<P> {
     /// Builds an engine whose hooks report to `probe`.
     pub fn with_probe(config: SimConfig, workload: &Workload, probe: P) -> Engine<P> {
         let n = workload.task_count();
+        let events = workload.stream();
+        let mut tasks = TaskSlab::new(n);
+        tasks.reserve_joins(events.iter());
         Engine {
             probe,
             selector: RuleSelector::new(config.scheme.clone(), n),
             admission: AdmissionController::new(config.admission, config.processors, n),
-            events: workload.stream(),
+            events,
             next_event: 0,
-            tasks: TaskSlab::new(n),
+            tasks,
             queue: ReadyQueue::new(),
             counters: Counters::default(),
             misses: Vec::new(),
@@ -563,6 +613,8 @@ impl<P: Probe> Engine<P> {
     /// analogue of sizing from `workload.task_count()` at build time.
     /// The shard supervisor uses this to admit globally-numbered tasks
     /// (and migration rejoins under fresh ids) into a running shard.
+    /// Only the per-id columns grow, and row space is reserved for the
+    /// injected joins: a task's row is built when it joins.
     ///
     /// Growth is append-only and does not disturb existing tasks; note
     /// that under a `Ranked`/`TaskIdDesc` tie-break appended ids take
@@ -574,6 +626,7 @@ impl<P: Probe> Engine<P> {
             return;
         }
         self.tasks.ensure(n);
+        self.tasks.reserve_joins(self.injected.iter());
         self.selector.ensure_tasks(n);
         self.admission.ensure_tasks(n);
         self.tie.ensure_tasks(&self.config.tie_break, n);
@@ -838,54 +891,39 @@ impl<P: Probe> Engine<P> {
 
     /// Consumes the engine, producing the run's results and handing the
     /// probe back (a recorder probe owns the collected trace).
-    pub fn finish_with_probe(mut self) -> (SimResult, P) {
-        // End-of-run boundary: bring every still-present task's trackers
-        // up to the last simulated slot (no-op in history mode; departed
-        // tasks were synced when they left).
-        let now = self.now;
-        for id in self.tasks.present_ids() {
-            self.sync_task(id, now);
-        }
-        let record_history = self.config.record_history;
+    pub fn finish_with_probe(self) -> (SimResult, P) {
         let Engine {
-            probe,
+            mut probe,
             config,
-            tasks,
+            mut tasks,
             misses,
             counters,
             now,
             ..
         } = self;
-        // A buffer of the results' own size: collecting would reuse the
-        // rows' allocation in place, and the result would hold a row's
-        // bytes per task for as long as it lives.
-        let cold = tasks.into_cold();
-        let mut tasks = Vec::with_capacity(cold.len());
-        tasks.extend(cold.into_iter().zip(0..).map(|(mut ts, id)| {
-            // The drift track moves into the result; the growth slack
-            // of its buffer would stay allocated as long as that lives.
-            ts.drift.shrink_to_fit();
-            TaskResult {
-                id: TaskId(id),
-                scheduled_count: ts.scheduled_count,
-                ps_total: ts.ps.total(),
-                isw_total: ts.isw.isw_total(),
-                icsw_total: ts.isw.icsw_total(),
-                drift: std::mem::take(&mut ts.drift),
-                history: record_history.then(|| {
-                    // A task that never joined has no accumulators.
-                    let mut history = ts.history.take().unwrap_or_default();
-                    history
-                        .subtasks
-                        .extend(ts.subs.iter().map(TaskState::to_record));
-                    history
-                }),
-            }
-        }));
+        let record_history = config.record_history;
+        // One pass over the ids, in order. A still-present task's
+        // trackers are brought up to the last simulated slot first (a
+        // no-op in history mode; departed tasks were synced when they
+        // left), then its result is read out of the row in place. An id
+        // that never joined has no row and reports the placeholder's.
+        let mut results = Vec::with_capacity(tasks.len());
+        for id in (0u32..).map(TaskId).take(tasks.len()) {
+            let present = tasks.in_system(id);
+            results.push(match tasks.row_mut(id) {
+                Some(row) => {
+                    if present {
+                        release::sync_observed(row, id, now, &mut probe);
+                    }
+                    row.take_result(id, record_history)
+                }
+                None => tasks.blank().clone().take_result(id, record_history),
+            });
+        }
         let result = SimResult {
             processors: config.processors,
             horizon: now,
-            tasks,
+            tasks: results,
             misses,
             counters,
         };
@@ -899,12 +937,12 @@ impl<P: Probe> Engine<P> {
         self.leave_at.take_into(t, &mut due);
         Self::in_task_order(&mut due);
         for id in due.drain(..) {
-            if self.tasks.task(id).leaving != t {
+            if self.tasks.parked(id).leaving != t {
                 continue;
             }
             // The ideals stop accruing at departure; close them out.
             self.sync_task(id, t);
-            self.tasks.task_mut(id).leaving = NEVER;
+            self.tasks.park(id, |p| p.leaving = NEVER);
             self.tasks.set_in_system(id, false);
             self.admission.release(id);
         }
@@ -927,13 +965,13 @@ impl<P: Probe> Engine<P> {
         Self::in_task_order(&mut due);
         for id in due.drain(..) {
             let fire = matches!(
-                self.tasks.task(id).pending,
+                self.tasks.parked(id).pending,
                 Some(Pending { at, .. }) if at == t
             );
             if !fire {
                 continue; // superseded, cancelled, or re-parked since
             }
-            let Some(pending) = self.tasks.task_mut(id).pending.take() else {
+            let Some(pending) = self.tasks.unpark(id) else {
                 continue;
             };
             // The enactment changes the scheduling weight: advance the
@@ -1149,6 +1187,39 @@ mod tests {
         // 30 slots at 1/3, on top of what the first stay was given.
         assert_eq!(r.task(id).scheduled_count, before.scheduled_count + 10);
         assert_eq!(r.task(id).drift.samples().len(), 3);
+    }
+
+    /// Ids that never join have no row, yet count: `task_count` is every
+    /// addressable id, and `finish` reports each unjoined one exactly as
+    /// a built placeholder row would, in history runs and others.
+    #[test]
+    fn ids_that_never_join_report_placeholders() {
+        use pfair_json::ToJson;
+        let mut w = Workload::new();
+        w.join(0, 0, 1, 2).join(1, 0, 1, 3);
+        w.reweight(5, 4, 1, 4); // names id 5, which never joins
+        for config in [SimConfig::oi(1, 30), oi(1, 30)] {
+            let mut lazy = Engine::new(config.clone(), &w);
+            lazy.ensure_task_capacity(8);
+            let mut built = lazy.clone();
+            built.tasks.task_mut(TaskId(7));
+            lazy.run();
+            built.run();
+            assert_eq!(lazy.task_count(), 8);
+            assert!(lazy.tasks.row_mut(TaskId(2)).is_none(), "id 2 never joined");
+            let (lazy, built) = (lazy.finish(), built.finish());
+            assert_eq!(lazy.tasks.len(), 8);
+            for (i, t) in (0u32..).zip(&lazy.tasks).skip(2) {
+                assert_eq!(t.id, TaskId(i));
+                assert_eq!(t.scheduled_count, 0);
+                assert!(t.ps_total.is_zero() && t.icsw_total.is_zero());
+                assert!(t.drift.samples().is_empty());
+            }
+            assert_eq!(
+                lazy.to_json().to_string_pretty(),
+                built.to_json().to_string_pretty()
+            );
+        }
     }
 
     /// The engine's step/finish API agrees with `simulate`.

@@ -36,7 +36,7 @@
 //! yields an `Err`, never a panicking or silently-wrong engine.
 
 use super::slab::TaskSlab;
-use super::{Engine, PendKind, Pending, SimConfig, SubRec, TaskState, NO_CPU};
+use super::{Engine, Parked, PendKind, Pending, SimConfig, SubRec, TaskState, NO_CPU};
 use crate::admission::AdmissionController;
 use crate::calendar::CalendarRing;
 use crate::event::Event;
@@ -199,13 +199,15 @@ impl FromJson for SimConfig {
 }
 
 /// One task in interchange form: its id, the cold [`TaskState`] row
-/// and the four hot slab columns, flattened into the same per-task JSON
-/// object the format has always used (the storage split is an in-memory
-/// layout decision, not an interchange change).
+/// (the placeholder for an id whose row is not built), its parked-rule
+/// state and the four hot slab columns, flattened into the same
+/// per-task JSON object the format has always used (the storage split
+/// is an in-memory layout decision, not an interchange change).
 #[derive(Clone, Debug)]
 struct TaskSnap {
     id: TaskId,
     state: TaskState,
+    parked: Parked,
     in_system: bool,
     swt: Rational,
     next_release: Option<Slot>,
@@ -241,8 +243,8 @@ impl ToJson for TaskSnap {
             ("era_open_pending", self.state.era_open_pending.to_json()),
             ("next_release", self.next_release.to_json()),
             ("subs", self.state.subs.to_vec().to_json()),
-            ("pending", self.state.pending.to_json()),
-            ("leaving", ever(self.state.leaving).to_json()),
+            ("pending", self.parked.pending.to_json()),
+            ("leaving", ever(self.parked.leaving).to_json()),
             ("last_scheduled", self.state.last_scheduled.to_json()),
             ("isw", self.state.isw.to_json()),
             ("ps", self.state.ps.to_json()),
@@ -276,13 +278,16 @@ impl FromJson for TaskSnap {
         if subs.iter().any(|s| s.index >= next_index) {
             return Err(JsonError::new("subtask record at or past next_index"));
         }
+        let era_open_pending = value.field("era_open_pending")?;
+        let parked = Parked {
+            pending: value.field("pending")?,
+            leaving: value.field::<Option<Slot>>("leaving")?.unwrap_or(NEVER),
+        };
         let state = TaskState {
             era_base,
             next_index,
-            era_open_pending: value.field("era_open_pending")?,
+            era_open_pending,
             subs: subs.into_iter().collect(),
-            pending: value.field("pending")?,
-            leaving: value.field::<Option<Slot>>("leaving")?.unwrap_or(NEVER),
             last_scheduled: value.field("last_scheduled")?,
             isw: value.field("isw")?,
             ps: value.field("ps")?,
@@ -299,6 +304,7 @@ impl FromJson for TaskSnap {
         Ok(TaskSnap {
             id: value.field("id")?,
             state,
+            parked,
             in_system: value.field("in_system")?,
             swt: value.field("swt")?,
             next_release: value.field("next_release")?,
@@ -510,6 +516,7 @@ impl<P: Probe> Engine<P> {
                 TaskSnap {
                     id,
                     state: self.tasks.task(id).clone(),
+                    parked: *self.tasks.parked(id),
                     in_system: self.tasks.in_system(id),
                     swt: self.tasks.swt(id),
                     next_release: self.tasks.next_release(id),
@@ -573,7 +580,8 @@ impl<P: Probe> Engine<P> {
         let enact_at = snapshot.enact_at.into_ring()?;
         let leave_at = snapshot.leave_at.into_ring()?;
         // Re-column the flattened task images: cold rows into the slab,
-        // hot values back into the dense columns.
+        // parked state into its column when there is any, hot values back
+        // into the dense columns.
         let mut tasks = TaskSlab::new(n);
         for snap in snapshot.tasks {
             let id = snap.id;
@@ -582,6 +590,9 @@ impl<P: Probe> Engine<P> {
             tasks.set_next_release(id, snap.next_release);
             tasks.set_ran(id, snap.ran_last_slot);
             *tasks.task_mut(id) = snap.state;
+            if !snap.parked.is_nothing() {
+                tasks.park(id, |p| *p = snap.parked);
+            }
         }
         // Derived per-run state rebuilt rather than trusted: last slot's
         // chosen set from the ran column, the injected-event floor from
@@ -669,6 +680,35 @@ mod tests {
         let a = reference.to_json().to_string_pretty();
         let b = resumed.finish().to_json().to_string_pretty();
         assert_eq!(a, b);
+    }
+
+    /// A snapshot taken before some ids join images their unbuilt rows
+    /// as placeholders: restoring it and snapshotting again gives the
+    /// same bytes, and the resumed run — the late joins and a parked
+    /// change among them — equals the uninterrupted one.
+    #[test]
+    fn snapshot_before_a_late_join_round_trips() {
+        let config = SimConfig::oi(2, 60);
+        let mut w = busy_workload();
+        w.join(6, 30, 1, 4).join(7, 30, 1, 5).reweight(6, 41, 1, 6);
+        let reference = super::super::simulate(config.clone(), &w);
+        let mut engine = Engine::new(config, &w);
+        let snap = engine.snapshot_at(20).expect("snapshot");
+        assert!(
+            engine.tasks.row_mut(TaskId(6)).is_none(),
+            "id 6 joins later"
+        );
+        let first = snap.to_json().to_string_pretty();
+        let parsed: EngineSnapshot =
+            FromJson::from_json(&Json::parse(&first).expect("parse")).expect("decode");
+        let mut resumed = Engine::restore(parsed, NoopProbe).expect("restore");
+        let again = resumed.snapshot().expect("snapshot").to_json();
+        assert_eq!(first, again.to_string_pretty());
+        resumed.run();
+        assert_eq!(
+            reference.to_json().to_string_pretty(),
+            resumed.finish().to_json().to_string_pretty()
+        );
     }
 
     /// The serialized form is canonical: encode → decode → encode is

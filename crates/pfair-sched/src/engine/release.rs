@@ -70,24 +70,34 @@ impl TaskState {
     }
 }
 
+/// Event-driven tracker synchronization with observation: wraps
+/// [`TaskState::sync_ideals_to`] on task `id`'s row and reports the
+/// closed-form jump (when one happened) to the probe.
+pub(super) fn sync_observed<P: Probe>(
+    task: &mut TaskState,
+    id: TaskId,
+    t: Slot,
+    probe: &mut P,
+) -> SubsScan {
+    let from = task.isw.now();
+    let scan = task.sync_ideals_to(t);
+    if from < t {
+        probe.on_event(ObsEvent::TrackerAdvance {
+            task: id,
+            from,
+            to: t,
+        });
+    }
+    scan
+}
+
 impl<P: Probe> Engine<P> {
-    /// Event-driven tracker synchronization with observation: wraps
-    /// [`TaskState::sync_ideals_to`] and reports the closed-form jump
-    /// (when one happened) to the probe.
+    /// [`sync_observed`] on a task of the engine, which then reaches the
+    /// end-of-slot prune.
     pub(super) fn sync_task(&mut self, id: TaskId, t: Slot) -> SubsScan {
         // A sync can settle completions, changing prunability.
         self.touched.push(id);
-        let task = self.tasks.task_mut(id);
-        let from = task.isw.now();
-        let scan = task.sync_ideals_to(t);
-        if from < t {
-            self.probe.on_event(ObsEvent::TrackerAdvance {
-                task: id,
-                from,
-                to: t,
-            });
-        }
-        scan
+        sync_observed(self.tasks.task_mut(id), id, t, &mut self.probe)
     }
 
     /// Records `id`'s `next_release` slot in the release index. Stale
@@ -120,6 +130,9 @@ impl<P: Probe> Engine<P> {
             let scan = self.sync_task(id, t);
             let tie_rank = self.tie.rank(id);
             let swt = self.tasks.swt(id);
+            // Eqn (4) books the successor's release unless a pending
+            // change or leave suppresses it.
+            let books_successor = self.tasks.parked(id).is_nothing();
             let task = self.tasks.task_mut(id);
             let index = task.next_index;
             task.next_index += 1;
@@ -163,11 +176,7 @@ impl<P: Probe> Engine<P> {
                 missed: false,
             });
 
-            // Eqn (4): the successor's release, unless a pending change
-            // or leave suppresses it.
-            let successor =
-                (task.pending.is_none() && task.leaving == NEVER).then(|| window.next_release());
-
+            let successor = books_successor.then(|| window.next_release());
             self.tasks.set_next_release(id, successor);
             match scan.head_deadline {
                 // The task already has a schedulable head; this subtask

@@ -96,7 +96,8 @@ impl<P: Probe> Engine<P> {
         } else {
             IswTracker::new(g, t)
         };
-        // A rejoining id keeps the rest of its row: its indices go on
+        // A first join builds the row (and any unbuilt one below it); a
+        // rejoining id keeps the rest of its row: its indices go on
         // counting, and its drift track, quanta and processor carry over.
         let task = self.tasks.task_mut(id);
         task.era_base = task.next_index - 1;
@@ -123,12 +124,12 @@ impl<P: Probe> Engine<P> {
         self.halt_pending(id, t);
         let leave_at = self.rule_l_time(id, t);
         self.tasks.set_next_release(id, None);
-        self.tasks.task_mut(id).pending = None;
+        self.tasks.unpark(id);
         if leave_at == t {
             self.tasks.set_in_system(id, false);
             self.admission.release(id);
         } else {
-            self.tasks.task_mut(id).leaving = leave_at;
+            self.tasks.park(id, |p| p.leaving = leave_at);
             self.leave_at.insert(leave_at, id);
         }
     }
@@ -220,7 +221,7 @@ impl<P: Probe> Engine<P> {
             queue_ops: self.counters.heap_ops().saturating_sub(ops_before),
             halts: self.counters.halts.saturating_sub(halts_before),
         };
-        let pending = self.tasks.task(id).pending;
+        let pending = self.tasks.parked(id).pending;
         let enact_at = pending.map_or(t, |p| p.at);
         self.probe.on_event(ObsEvent::ReweightInitiated {
             task: id,
@@ -265,7 +266,7 @@ impl<P: Probe> Engine<P> {
                 "{id}: era base off the last released index before any release"
             );
             self.enact_weight(id, v);
-            self.tasks.task_mut(id).pending = None;
+            self.tasks.unpark(id);
             return Rule::Immediate;
         };
 
@@ -358,18 +359,18 @@ impl<P: Probe> Engine<P> {
             if kind == PendKind::Enact {
                 self.enact_weight(id, v);
             }
-            let task = self.tasks.task_mut(id);
-            task.era_open_pending = true;
-            task.pending = None;
+            self.tasks.task_mut(id).era_open_pending = true;
+            self.tasks.unpark(id);
             self.tasks.set_next_release(id, Some(t));
             self.note_release(id, t);
         } else {
-            self.tasks.task_mut(id).pending = Some(Pending {
+            let pending = Pending {
                 target: v,
                 at,
                 kind,
                 initiated_at: t,
-            });
+            };
+            self.tasks.park(id, |p| p.pending = Some(pending));
             self.enact_at.insert(at, id);
         }
     }

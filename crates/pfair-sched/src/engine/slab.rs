@@ -1,5 +1,6 @@
 //! Arena/SoA task storage: the engine's per-task state, split into hot
-//! columns and cold rows, keyed by the dense small-integer [`TaskId`].
+//! columns, cold rows and a parked-rule column, keyed by the dense
+//! small-integer [`TaskId`].
 //!
 //! The per-slot path asks four questions about arbitrary tasks — is it
 //! present? did it run last slot? what is its scheduling weight? when
@@ -8,7 +9,7 @@
 //! the ran-flag sweep) actually touches. They live here as dense
 //! columns: two word-scanned [`IdBitmap`]s (the `CalendarRing`
 //! occupancy-map idiom) plus two flat `Vec`s, so a scan over 10⁶ tasks
-//! is cache-linear instead of striding over 800-byte rows (`TaskState`
+//! is cache-linear instead of striding over 736-byte rows (`TaskState`
 //! is `const`-asserted to stay within that). A row's position is its
 //! task's id; the row does not repeat it.
 //! Everything else — subtask records, trackers, history — stays in the
@@ -16,12 +17,30 @@
 //! scheduling decision actually names. (The fifth hot datum, the packed
 //! PD² priority key, lives in the ready queue's entries already.)
 //!
+//! ## A task costs nothing until it joins
+//!
+//! The slab addresses ids `0..len()` from the start — the hot columns
+//! are that long — but builds a row only when something writes it:
+//! [`TaskSlab::task_mut`] builds every row up to the id it is asked
+//! for, which a join is the first to do. Until then an id has no row,
+//! and every reader sees the placeholder it would have held:
+//! [`TaskSlab::get`] answers with one shared blank row, so the snapshot
+//! image, `finish`, the busy-span arming snapshot and the history prune
+//! (a placeholder has nothing to prune) read an unbuilt id exactly as a
+//! built placeholder.
+//!
+//! The rules' parked state ([`Parked`]: a pending weight change and a
+//! rule-L departure time) is a column of its own, allocated by the
+//! first change that parks and the first leave rule L delays. A task
+//! that never reweights or leaves late carries none of it, and a
+//! release asks an empty column instead of fetching another row line.
+//!
 //! ## The one panic-reach escape
 //!
 //! Engine code used to index `Vec<TaskState>` directly at ~15 call
 //! sites, each carrying its own panic-reach allowance annotation. The
 //! slab replaces them with checked [`TaskSlab::get`] /
-//! [`TaskSlab::get_mut`] accessors plus exactly one documented escape:
+//! [`TaskSlab::row_mut`] accessors plus exactly one documented escape:
 //! [`TaskSlab::task`] / [`TaskSlab::task_mut`], which expect the id to
 //! be in range. Ids come from admitted events and queue entries, both
 //! validated against the dense id range at admission, so the escape is
@@ -33,29 +52,40 @@ use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{Slot, NEVER};
 
-use super::TaskState;
+use super::{Parked, Pending, TaskState};
+use crate::event::{Event, EventKind};
 use crate::queue::QueueEntry;
 
-/// Dense arena of per-task engine state: hot columns + cold rows.
+/// Dense arena of per-task engine state: hot columns, cold rows built
+/// at join, and the parked-rule column.
 #[derive(Clone, Debug)]
 pub(super) struct TaskSlab {
-    /// Cold rows: everything not named in a whole-set scan.
+    /// Cold rows of ids `0..cold.len()`: everything not named in a
+    /// whole-set scan. Ids above have not joined yet.
     cold: Vec<TaskState>,
+    /// The placeholder every unbuilt row reads as.
+    blank: TaskState,
+    /// Parked-rule state of ids `0..parked.len()`; empty until a change
+    /// parks or a leave is delayed, and ids above have nothing parked.
+    parked: Vec<Parked>,
     /// Hot column: task is in the system (`in_system`).
     present: IdBitmap,
     /// Hot column: task ran in the previous slot (`ran_last_slot`).
     ran: IdBitmap,
     /// Hot column: scheduling weight `swt(T, t)`.
     swt: Vec<Rational>,
-    /// Hot column: next scheduled release ([`NEVER`] = suppressed).
+    /// Hot column: next scheduled release ([`NEVER`] = suppressed). Its
+    /// length is the number of addressable ids.
     next_release: Vec<Slot>,
 }
 
 impl TaskSlab {
-    /// A slab of `n` placeholder tasks with ids `0..n`.
+    /// A slab addressing ids `0..n`, none of them built.
     pub(super) fn new(n: u32) -> TaskSlab {
         let mut slab = TaskSlab {
             cold: Vec::new(),
+            blank: TaskState::placeholder(),
+            parked: Vec::new(),
             present: IdBitmap::new(0),
             ran: IdBitmap::new(0),
             swt: Vec::new(),
@@ -65,36 +95,57 @@ impl TaskSlab {
         slab
     }
 
-    /// Number of task slots (present or not).
+    /// Number of task slots (present or not, built or not).
     pub(super) fn len(&self) -> usize {
-        self.cold.len()
+        self.next_release.len()
     }
 
-    /// Grows the slab to hold ids `0..n` (no-op when already that big);
-    /// new slots are placeholders.
+    /// Makes ids `0..n` addressable (no-op when they already are): the
+    /// hot columns grow, and no row is built.
     pub(super) fn ensure(&mut self, n: u32) {
         // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
         let n = n as usize;
-        if n <= self.cold.len() {
+        if n <= self.len() {
             return;
         }
-        self.cold.resize_with(n, TaskState::placeholder);
         self.present.grow(n);
         self.ran.grow(n);
         self.swt.resize(n, Rational::ZERO);
         self.next_release.resize(n, NEVER);
     }
 
-    /// Checked cold-row access.
-    #[inline]
-    pub(super) fn get(&self, id: TaskId) -> Option<&TaskState> {
-        self.cold.get(id.idx())
+    /// Reserves row space up to the largest id a join among `events`
+    /// names — the joins an engine is built with or has been handed —
+    /// so the rows are built in place as the ids join, in one buffer
+    /// allocated before the run instead of one regrown during it. The
+    /// space stays untouched until then.
+    pub(super) fn reserve_joins<'a>(&mut self, events: impl Iterator<Item = &'a Event>) {
+        let end = events
+            .filter(|ev| matches!(ev.kind, EventKind::Join(_)))
+            .map(|ev| ev.task.idx() + 1)
+            .max()
+            .map_or(0, |end| end.min(self.len()));
+        self.cold.reserve(end.saturating_sub(self.cold.len()));
     }
 
-    /// Checked mutable cold-row access.
+    /// Checked cold-row access: the placeholder for an addressable id
+    /// whose row is not built yet, `None` past the end.
     #[inline]
-    pub(super) fn get_mut(&mut self, id: TaskId) -> Option<&mut TaskState> {
+    pub(super) fn get(&self, id: TaskId) -> Option<&TaskState> {
+        let i = id.idx();
+        self.cold
+            .get(i)
+            .or_else(|| (i < self.len()).then_some(&self.blank))
+    }
+
+    /// The row of `id` if it is built.
+    pub(super) fn row_mut(&mut self, id: TaskId) -> Option<&mut TaskState> {
         self.cold.get_mut(id.idx())
+    }
+
+    /// The placeholder an unbuilt row reads as.
+    pub(super) fn blank(&self) -> &TaskState {
+        &self.blank
     }
 
     /// Cold row of an admitted task — the slab's single panic-reach
@@ -107,11 +158,54 @@ impl TaskSlab {
         self.get(id).expect("task id outside the admitted range")
     }
 
-    /// Mutable twin of [`TaskSlab::task`], under the same argument.
+    /// Mutable twin of [`TaskSlab::task`], under the same argument. The
+    /// first write to an id builds its row, and every unbuilt row below
+    /// it, as placeholders.
     #[inline]
     pub(super) fn task_mut(&mut self, id: TaskId) -> &mut TaskState {
+        let i = id.idx();
+        if i >= self.cold.len() {
+            self.build_to(i);
+        }
         // audit: allow(panic-reach, admitted TaskIds are dense and in range for the whole run)
-        self.get_mut(id).expect("task id outside admitted range")
+        self.cold
+            .get_mut(i)
+            .expect("task id outside admitted range")
+    }
+
+    /// Builds the rows of ids `cold.len()..=i` as placeholders (none
+    /// past the addressable range).
+    #[cold]
+    fn build_to(&mut self, i: usize) {
+        if i < self.len() {
+            let blank = &self.blank;
+            self.cold.resize_with(i + 1, || blank.clone());
+        }
+    }
+
+    /// What `id` has parked: nothing for an id beyond the column.
+    #[inline]
+    pub(super) fn parked(&self, id: TaskId) -> &Parked {
+        self.parked.get(id.idx()).unwrap_or(&Parked::NOTHING)
+    }
+
+    /// Writes `id`'s parked state through `f`; the first write allocates
+    /// the column for every addressable id (an id past them parks
+    /// nothing, like the hot-column setters).
+    pub(super) fn park(&mut self, id: TaskId, f: impl FnOnce(&mut Parked)) {
+        let i = id.idx();
+        if i >= self.parked.len() {
+            self.parked.resize(self.len(), Parked::NOTHING);
+        }
+        if let Some(parked) = self.parked.get_mut(i) {
+            f(parked);
+        }
+    }
+
+    /// Takes `id`'s pending change, if one is parked, without
+    /// allocating the column.
+    pub(super) fn unpark(&mut self, id: TaskId) -> Option<Pending> {
+        self.parked.get_mut(id.idx())?.pending.take()
     }
 
     /// Where among its task's records the subtask a queue entry names
@@ -215,16 +309,12 @@ impl TaskSlab {
             .collect()
     }
 
-    /// Prunes every cold row (the history-mode oracle prune; event-
-    /// driven runs prune only touched tasks instead).
+    /// Prunes every built row (the history-mode oracle prune; event-
+    /// driven runs prune only touched tasks instead). A placeholder has
+    /// no records, so the unbuilt rows have nothing to prune.
     pub(super) fn prune_all(&mut self) {
         for task in &mut self.cold {
             task.prune();
         }
-    }
-
-    /// Consumes the slab into its cold rows (end-of-run reporting).
-    pub(super) fn into_cold(self) -> Vec<TaskState> {
-        self.cold
     }
 }

@@ -154,6 +154,17 @@ impl Workload {
         Workload::default()
     }
 
+    /// An empty workload with room for `events` events: a generator
+    /// that knows how many it will push fills one buffer instead of
+    /// regrowing it.
+    pub fn with_capacity(events: usize) -> Workload {
+        let open = Vec::with_capacity(events);
+        Workload {
+            events: Mutex::new(Events { open, stream: None }),
+            max_task: 0,
+        }
+    }
+
     fn lock(&self) -> MutexGuard<'_, Events> {
         self.events.lock().unwrap_or_else(PoisonError::into_inner)
     }

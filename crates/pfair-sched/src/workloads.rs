@@ -168,7 +168,7 @@ pub const POPULATION_ALIGNMENT: Slot = 8192;
 /// (see the constant's docs). Fully deterministic in `(n, seed)`.
 pub fn synthetic_population(n: u32, seed: u64) -> Workload {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut w = Workload::new();
+    let mut w = Workload::with_capacity(usize::try_from(n).unwrap_or_default());
     for i in 0..n {
         let den = 512i128 << rng.gen_range(0u32..5);
         w.join(i, 0, 1, den);

@@ -9,10 +9,10 @@
 //! budget, or makes the release path allocate again. The same counters
 //! pin the two buffers that exist once: the event stream every engine
 //! of a workload shares, and the result a finished engine hands over
-//! in place of its rows.
+//! in place of its rows. An id that has not joined costs no row at all.
 //!
 //! The record and row sizes themselves are `const`-asserted where the
-//! types are defined (`SubRec` ≤ 64 and `TaskState` ≤ 800 bytes in
+//! types are defined (`SubRec` ≤ 64 and `TaskState` ≤ 736 bytes in
 //! `engine.rs`, `IswSub` ≤ 64 bytes in `pfair-core`'s `isw.rs`), so a
 //! new field that breaks the budget does not compile.
 
@@ -72,6 +72,35 @@ static ALLOCATOR: Counting = Counting;
 
 const TASKS: u32 = 2000;
 
+/// The live-bytes budget of an engine at slot 512 of a
+/// `population`-shaped run, in three parts. An engine with no task at
+/// all holds the ready queue's runs, the calendar rings, the metrics
+/// registry and the per-slot buffers (53 288 measured without a task,
+/// 54 300 beside the tasks of this run).
+const ENGINE_BYTES: isize = 55_000;
+
+/// What an addressable id costs whether or not it ever joins: its
+/// entries in the per-id tables — the slab's scheduling-weight (32 B)
+/// and next-release (8 B) columns, the admission ledger (32 B), the
+/// hybrid selector's state (16 B), the tie rank (4 B) and two bits.
+const BYTES_PER_ID: isize = 93;
+
+/// What a joined task adds: its 736-byte row (space for the rows of the
+/// joins an engine holds is reserved at once, so the buffer has no
+/// growth slack), its
+/// one-sample drift block, and its share of the queue and calendar
+/// buffers (878 measured, at 1 000, 2 000 and 4 000 tasks).
+const BYTES_PER_TASK: isize = 880;
+
+/// The budget of an engine addressing `ids` ids of which `joined` joined.
+fn budget(ids: u32, joined: u32) -> isize {
+    let (ids, joined) = (
+        isize::try_from(ids).unwrap(),
+        isize::try_from(joined).unwrap(),
+    );
+    ENGINE_BYTES + ids * BYTES_PER_ID + joined * BYTES_PER_TASK
+}
+
 /// Allowance for heap blocks that belong to the engine, not to any
 /// task: the ready queue, the three calendar rings and their occupied
 /// buckets, the event stream, the slab columns, the scratch buffers,
@@ -84,6 +113,7 @@ const ENGINE_BLOCKS: isize = 64;
 #[test]
 fn footprint() {
     a_task_is_one_row_and_one_heap_block();
+    an_id_that_never_joins_costs_no_row();
     engines_of_one_workload_share_its_stream();
 }
 
@@ -106,9 +136,10 @@ fn a_task_is_one_row_and_one_heap_block() {
          (its drift track) plus the engine's own {ENGINE_BLOCKS}"
     );
     assert!(
-        bytes <= tasks * 1065,
-        "{bytes} live bytes for {TASKS} tasks: {} per task, budget 1065 (1059 measured)",
-        bytes / tasks
+        bytes <= budget(TASKS, TASKS),
+        "{bytes} live bytes for {TASKS} tasks: {} per task, budget {} (997 measured)",
+        bytes / tasks,
+        budget(TASKS, TASKS) / tasks
     );
 
     // Every bucket of the calendar ring has been through one lap by
@@ -136,6 +167,31 @@ fn a_task_is_one_row_and_one_heap_block() {
         live * 4 <= signed(owed) * 5,
         "{live} live bytes behind a result of {owed}: the engine's rows outlive it"
     );
+}
+
+/// The same run with twice the ids, of which only the first half ever
+/// joins: the engine addresses all of them, yet what it holds fits the
+/// budget of the tasks that joined — an unjoined id costs its per-id
+/// table entries and no row (eager rows would add 736 KB here).
+fn an_id_that_never_joins_costs_no_row() {
+    let joined = TASKS / 2;
+    let workload = synthetic_population(joined, 1);
+    let bytes_before = LIVE_BYTES.load(Relaxed);
+    let config = SimConfig::oi(4, POPULATION_ALIGNMENT).without_busy_span();
+    let mut engine = Engine::with_probe(config, &workload, MetricsProbe::new());
+    engine.ensure_task_capacity(TASKS);
+    engine.run_to(512);
+    assert_eq!(engine.task_count(), TASKS as usize);
+    assert_eq!(engine.present_count(), joined as usize);
+    let bytes = LIVE_BYTES.load(Relaxed) - bytes_before;
+    assert!(
+        bytes <= budget(TASKS, joined),
+        "{bytes} live bytes for {TASKS} ids of which {joined} joined: budget {} \
+         (1 116 880 measured)",
+        budget(TASKS, joined)
+    );
+    let result = engine.finish();
+    assert_eq!(result.tasks.len(), TASKS as usize);
 }
 
 /// A workload's time-ordered stream exists once: an engine built from

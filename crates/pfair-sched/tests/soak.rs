@@ -85,10 +85,10 @@ fn peak_rss_mib() -> Option<u64> {
 /// through an 8-shard `ShardSet`. Ignored by default (seconds of CPU,
 /// 1.2 GiB); CI's `shard-smoke` job runs it by name, in release and on
 /// its own, so the process's peak RSS is this run's: printed, and gated
-/// at 1250 MiB (1191 measured; 1443 when every engine and the
-/// supervisor copied the event stream, results kept their engine's row
-/// buffers and a row took 912 bytes). libtest's "finished in" line is
-/// its timing.
+/// at 1185 MiB (1126 measured; 1191 with 800-byte rows written for every
+/// id before any joined, 1443 when every engine and the supervisor
+/// copied the event stream, results kept their engine's row buffers and
+/// a row took 912 bytes). libtest's "finished in" line is its timing.
 #[test]
 #[ignore = "10⁶ tasks, 1.2 GiB: run with --release -- --ignored"]
 fn population_1m_tasks_10k_slots() {
@@ -109,8 +109,8 @@ fn population_1m_tasks_10k_slots() {
     if let Some(peak) = peak_rss_mib() {
         println!("peak RSS {peak} MiB");
         assert!(
-            peak <= 1250,
-            "peak RSS {peak} MiB: budget 1250 (1191 measured)"
+            peak <= 1185,
+            "peak RSS {peak} MiB: budget 1185 (1126 measured)"
         );
     }
 }
