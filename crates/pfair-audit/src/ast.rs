@@ -146,27 +146,9 @@ pub struct TypeRef {
     pub head: String,
     /// Generic arguments of the final segment, one level deep.
     pub args: Vec<TypeRef>,
-    /// Levels of reference/pointer indirection stripped to reach the
-    /// head (`&&T` = 2). Raw-pointer indirection is flagged separately.
-    pub refs: u32,
-    /// True when the type involves a raw pointer (`*const` / `*mut`).
-    pub raw_ptr: bool,
 }
 
 impl TypeRef {
-    /// A type reference with just a head name.
-    pub fn named(head: &str) -> TypeRef {
-        TypeRef {
-            head: head.to_string(),
-            ..TypeRef::default()
-        }
-    }
-
-    /// True when the head names a primitive integer type.
-    pub fn is_int(&self) -> bool {
-        int_type_bits(&self.head).is_some()
-    }
-
     /// True when the head names a float type.
     pub fn is_float(&self) -> bool {
         self.head == "f32" || self.head == "f64"
@@ -507,33 +489,56 @@ pub fn walk_block(block: &Block, f: &mut impl FnMut(&Expr)) {
                 }
             }
             Stmt::Expr(e) => walk_expr(e, f),
-            Stmt::Item(item) => walk_item(item, f),
+            Stmt::Item(item) => {
+                walk_items(std::slice::from_ref(item), &mut |it, _| match &it.kind {
+                    ItemKind::Fn(FnItem { body: Some(b), .. }) => walk_block(b, f),
+                    ItemKind::Const { value: Some(e), .. } => walk_expr(e, f),
+                    _ => {}
+                });
+            }
         }
     }
 }
 
-/// Walks every expression under an item.
-pub fn walk_item(item: &Item, f: &mut impl FnMut(&Expr)) {
-    match &item.kind {
-        ItemKind::Fn(func) => {
-            if let Some(b) = &func.body {
-                walk_block(b, f);
-            }
-        }
-        ItemKind::Impl { items, .. } | ItemKind::Trait { items, .. } => {
-            for it in items {
-                walk_item(it, f);
-            }
-        }
-        ItemKind::Mod {
-            items: Some(items), ..
-        } => {
-            for it in items {
-                walk_item(it, f);
-            }
-        }
-        ItemKind::Const { value: Some(e), .. } => walk_expr(e, f),
-        _ => {}
+/// Where [`walk_items`] found an item.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ItemCtx<'a> {
+    /// The enclosing `impl`'s self type or `trait`'s name, for
+    /// associated items.
+    pub owner: Option<&'a str>,
+    /// True when the item or an enclosing one is test-only.
+    pub in_test: bool,
+}
+
+/// Visits every item depth-first in source order, parents before
+/// children, descending into `impl`, `trait` and inline `mod` bodies
+/// (not into function bodies).
+pub fn walk_items<'a>(items: &'a [Item], f: &mut impl FnMut(&'a Item, ItemCtx<'a>)) {
+    walk_items_in(items, ItemCtx::default(), f);
+}
+
+fn walk_items_in<'a>(
+    items: &'a [Item],
+    outer: ItemCtx<'a>,
+    f: &mut impl FnMut(&'a Item, ItemCtx<'a>),
+) {
+    for item in items {
+        let ctx = ItemCtx {
+            in_test: outer.in_test || item.in_test,
+            ..outer
+        };
+        f(item, ctx);
+        let (owner, inner) = match &item.kind {
+            ItemKind::Impl {
+                type_name, items, ..
+            } => (Some(type_name.as_str()), items),
+            ItemKind::Trait { name, items } => (Some(name.as_str()), items),
+            ItemKind::Mod {
+                items: Some(items), ..
+            } => (ctx.owner, items),
+            _ => continue,
+        };
+        walk_items_in(inner, ItemCtx { owner, ..ctx }, f);
     }
 }
 
@@ -629,5 +634,37 @@ pub fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
         | ExprKind::Break(None)
         | ExprKind::Continue
         | ExprKind::Unknown => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lexer::LexFile;
+    use crate::parser::parse_file;
+
+    #[test]
+    fn walk_items_reports_owner_and_test_state() {
+        let lex = LexFile::lex(
+            "fn free() {}\nimpl A { fn m(&self) {} }\ntrait T { fn d(&self) {} }\n#[cfg(test)]\nmod tests { fn t() {} impl B { fn n() {} } }",
+        );
+        let (file, errs) = parse_file(&lex);
+        assert!(errs.is_empty(), "{errs:?}");
+        let mut fns = Vec::new();
+        walk_items(&file.items, &mut |item, ctx| {
+            if let ItemKind::Fn(f) = &item.kind {
+                fns.push((f.name.as_str(), ctx.owner, ctx.in_test));
+            }
+        });
+        assert_eq!(
+            fns,
+            [
+                ("free", None, false),
+                ("m", Some("A"), false),
+                ("d", Some("T"), false),
+                ("t", None, true),
+                ("n", Some("B"), true),
+            ]
+        );
     }
 }

@@ -17,36 +17,37 @@ use crate::ast::*;
 
 /// A function in the graph.
 #[derive(Debug)]
-pub struct FnNode {
+pub struct FnNode<'a> {
     /// File the function lives in (relative, `/`-separated).
-    pub path: String,
+    pub path: &'a str,
     /// 1-based line of the `fn` item.
     pub line: u32,
-    /// Enclosing type name for methods/associated functions.
-    pub owner: Option<String>,
-    /// Bare function name.
-    pub name: String,
+    /// Enclosing type name for methods/associated functions; trait
+    /// default methods are owned by the trait.
+    pub owner: Option<&'a str>,
+    /// The function itself: name, signature and body.
+    pub func: &'a FnItem,
     /// True for `#[cfg(test)]` / `#[test]` code.
     pub in_test: bool,
     /// Indices of callees in [`CallGraph::nodes`].
     pub callees: BTreeSet<usize>,
 }
 
-impl FnNode {
+impl FnNode<'_> {
     /// `Type::name` or `name` — the spec form entry points use.
     pub fn qualified(&self) -> String {
-        match &self.owner {
-            Some(t) => format!("{t}::{}", self.name),
-            None => self.name.clone(),
+        match self.owner {
+            Some(t) => format!("{t}::{}", self.func.name),
+            None => self.func.name.clone(),
         }
     }
 }
 
 /// The workspace call graph.
 #[derive(Debug, Default)]
-pub struct CallGraph {
+pub struct CallGraph<'a> {
     /// All function nodes, in deterministic (path, line) order.
-    pub nodes: Vec<FnNode>,
+    pub nodes: Vec<FnNode<'a>>,
     /// Method name → node indices owning a method of that name.
     by_method: BTreeMap<String, Vec<usize>>,
     /// `Type::name` → node index (first definition wins).
@@ -55,47 +56,53 @@ pub struct CallGraph {
     by_free: BTreeMap<String, Vec<usize>>,
 }
 
-/// Where a function's body lives, for the edge-building walk.
-struct FnSite<'a> {
-    idx: usize,
-    func: &'a FnItem,
-    /// Owning type, for `self` receiver inference.
-    self_ty: Option<String>,
-}
-
-impl CallGraph {
+impl<'a> CallGraph<'a> {
     /// Builds the graph over `(path, file)` pairs.
-    pub fn build(files: &[(&str, &SourceFile)]) -> CallGraph {
+    pub fn build(files: &[(&'a str, &'a SourceFile)]) -> CallGraph<'a> {
         let mut g = CallGraph::default();
         // Field types of every struct in the workspace, for receiver
         // inference through `self.field.m()`.
         let mut fields: BTreeMap<String, BTreeMap<String, TypeRef>> = BTreeMap::new();
-        for (_, file) in files {
-            collect_struct_fields(&file.items, &mut fields);
-        }
         // Pass 1: nodes.
-        let mut sites: Vec<FnSite<'_>> = Vec::new();
-        for (path, file) in files {
-            collect_fns(path, &file.items, None, false, &mut g, &mut sites);
+        for &(path, file) in files {
+            walk_items(&file.items, &mut |item, ctx| match &item.kind {
+                ItemKind::Struct { name, fields: fs } => {
+                    let entry = fields.entry(name.clone()).or_default();
+                    for (f, ty) in fs {
+                        entry.insert(f.clone(), ty.clone());
+                    }
+                }
+                ItemKind::Fn(func) => g.nodes.push(FnNode {
+                    path,
+                    line: item.line,
+                    owner: ctx.owner,
+                    func,
+                    in_test: ctx.in_test,
+                    callees: BTreeSet::new(),
+                }),
+                _ => {}
+            });
         }
         for (i, node) in g.nodes.iter().enumerate() {
+            let name = node.func.name.clone();
             if node.owner.is_some() {
-                g.by_method.entry(node.name.clone()).or_default().push(i);
+                g.by_method.entry(name).or_default().push(i);
             } else {
-                g.by_free.entry(node.name.clone()).or_default().push(i);
+                g.by_free.entry(name).or_default().push(i);
             }
             g.by_qualified.entry(node.qualified()).or_insert(i);
         }
         // Pass 2: edges.
-        for site in &sites {
-            let Some(body) = &site.func.body else {
+        for i in 0..g.nodes.len() {
+            let (owner, func) = (g.nodes[i].owner, g.nodes[i].func);
+            let Some(body) = &func.body else {
                 continue;
             };
             let mut locals: BTreeMap<String, String> = BTreeMap::new();
-            if let Some(ty) = &site.self_ty {
-                locals.insert("self".to_string(), ty.clone());
+            if let Some(ty) = owner {
+                locals.insert("self".to_string(), ty.to_string());
             }
-            for p in &site.func.params {
+            for p in &func.params {
                 if let Some(n) = &p.name {
                     if !p.ty.head.is_empty() {
                         locals.insert(n.clone(), p.ty.head.clone());
@@ -104,7 +111,7 @@ impl CallGraph {
             }
             let mut callees = BTreeSet::new();
             walk_calls(body, &mut locals, &fields, &g, &mut callees);
-            g.nodes[site.idx].callees = callees;
+            g.nodes[i].callees = callees;
         }
         g
     }
@@ -119,7 +126,7 @@ impl CallGraph {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.owner.as_deref() == Some(type_name))
+            .filter(|(_, n)| n.owner == Some(type_name))
             .map(|(i, _)| i)
             .collect()
     }
@@ -130,68 +137,9 @@ impl CallGraph {
                 return vec![i];
             }
         }
-        // Unknown receiver: every method of that name.
+        // Unknown receiver: every method of that name, trait default
+        // methods included.
         self.by_method.get(name).cloned().unwrap_or_default()
-    }
-}
-
-fn collect_struct_fields(items: &[Item], out: &mut BTreeMap<String, BTreeMap<String, TypeRef>>) {
-    for item in items {
-        match &item.kind {
-            ItemKind::Struct { name, fields } => {
-                let entry = out.entry(name.clone()).or_default();
-                for (f, ty) in fields {
-                    entry.insert(f.clone(), ty.clone());
-                }
-            }
-            ItemKind::Mod {
-                items: Some(items), ..
-            } => collect_struct_fields(items, out),
-            _ => {}
-        }
-    }
-}
-
-fn collect_fns<'a>(
-    path: &str,
-    items: &'a [Item],
-    owner: Option<&str>,
-    in_test: bool,
-    g: &mut CallGraph,
-    sites: &mut Vec<FnSite<'a>>,
-) {
-    for item in items {
-        let in_test = in_test || item.in_test;
-        match &item.kind {
-            ItemKind::Fn(func) => {
-                let idx = g.nodes.len();
-                g.nodes.push(FnNode {
-                    path: path.to_string(),
-                    line: item.line,
-                    owner: owner.map(str::to_string),
-                    name: func.name.clone(),
-                    in_test,
-                    callees: BTreeSet::new(),
-                });
-                sites.push(FnSite {
-                    idx,
-                    func,
-                    self_ty: owner.map(str::to_string),
-                });
-            }
-            ItemKind::Impl {
-                type_name, items, ..
-            } => collect_fns(path, items, Some(type_name), in_test, g, sites),
-            ItemKind::Trait { name, items } => {
-                // Default methods are owned by the trait name; calls on
-                // unknown receivers fan out to them by method name.
-                collect_fns(path, items, Some(name), in_test, g, sites);
-            }
-            ItemKind::Mod {
-                items: Some(items), ..
-            } => collect_fns(path, items, owner, in_test, g, sites),
-            _ => {}
-        }
     }
 }
 
@@ -400,11 +348,12 @@ mod tests {
     use crate::lexer::LexFile;
     use crate::parser::parse_file;
 
-    fn graph(src: &str) -> CallGraph {
+    /// The graph of one file, which the test keeps alive to its end.
+    fn graph(src: &str) -> CallGraph<'static> {
         let lex = LexFile::lex(src);
         let (file, errs) = parse_file(&lex);
         assert!(errs.is_empty(), "{errs:?}");
-        CallGraph::build(&[("src/lib.rs", &file)])
+        CallGraph::build(&[("src/lib.rs", Box::leak(Box::new(file)))])
     }
 
     #[test]

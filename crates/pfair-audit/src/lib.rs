@@ -6,17 +6,17 @@
 //! compiler cannot check: lag/drift/weight arithmetic is *exact*
 //! (no floats), quantities cross integer widths only through checked
 //! conversions, scheduling library code never panics on malformed
-//! input, and unchecked wide-integer arithmetic stays quarantined in
-//! the two modules whose overflow behavior is documented policy.
+//! input, unchecked wide-integer arithmetic stays quarantined in the
+//! two modules whose overflow behavior is documented policy, and no
+//! source of per-run variation reaches a schedule.
 //!
-//! Version 2 grows the token lints into a three-stage analyzer: a
-//! hand-rolled recursive-descent parser ([`parser`]) produces per-file
-//! ASTs ([`ast`]), a workspace call graph ([`callgraph`]) links them,
-//! and four passes ([`passes`]) prove panic-freedom of the scheduling
-//! entry points, the absence of nondeterminism sources, overflow
-//! bounds of annotated arithmetic (via the interval interpreter in
-//! [`absint`]), and that float-derived values never launder into
-//! exact quantities.
+//! Five token lints ([`lints`]) check what needs no structure. For the
+//! rest, a hand-rolled recursive-descent parser ([`parser`]) produces
+//! per-file ASTs ([`ast`]), a workspace call graph ([`callgraph`])
+//! links them, and three passes ([`passes`]) prove panic-freedom of the
+//! scheduling entry points, overflow bounds of annotated arithmetic
+//! (via the interval interpreter in [`absint`]), and that
+//! float-derived values never launder into exact quantities.
 //!
 //! The standalone binary drives it:
 //!
@@ -265,7 +265,7 @@ pub fn analyze_root(root: &Path, cfg: &Config) -> io::Result<Workspace> {
 }
 
 /// The full v2 pipeline over a parsed workspace: token lints, parse
-/// errors, the four AST/call-graph passes, then allow-discharge.
+/// errors, the three AST/call-graph passes, then allow-discharge.
 pub fn audit_workspace(ws: &Workspace, cfg: &Config) -> AuditReport {
     let mut all: Vec<Finding> = Vec::new();
     let mut parse_errors = 0usize;

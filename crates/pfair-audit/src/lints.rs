@@ -12,6 +12,13 @@
 //! - [`RAW_ARITH`]: unchecked `+`/`-`/`*` on raw `i64`/`i128` operands
 //!   belongs in `rational.rs`/`time.rs`, where overflow is documented
 //!   policy, and nowhere else.
+//! - [`NONDETERMINISM`]: two runs of one task system must produce the
+//!   same schedule, so scheduling code may not contain a source of
+//!   per-run variation at all — hash-ordered collections, wall-clock
+//!   reads, thread identity, pointer-derived integers. Containment
+//!   over-approximates "no such value reaches a decision" without a
+//!   points-to analysis, and the token stream sees inside macro
+//!   arguments, where the AST passes do not look.
 //!
 //! Any lint can be suppressed for one line with
 //! `// audit: allow(<lint>, <reason>)` — on the same line or the line
@@ -19,6 +26,7 @@
 //! or an allow that suppresses nothing is itself a finding, so the
 //! escape hatch cannot rot silently.
 
+use crate::ast::int_type_bits;
 use crate::lexer::{LexFile, Tok, TokKind};
 
 /// Canonical name of the float lint.
@@ -29,10 +37,10 @@ pub const NO_LOSSY_CASTS: &str = "no-lossy-casts";
 pub const NO_PANIC: &str = "no-panic-in-library";
 /// Canonical name of the raw-arithmetic lint.
 pub const RAW_ARITH: &str = "raw-arithmetic-quarantine";
+/// Canonical name of the nondeterminism-source lint.
+pub const NONDETERMINISM: &str = "nondeterminism";
 /// Canonical name of the call-graph panic-reachability pass.
 pub const PANIC_REACH: &str = "panic-reach";
-/// Canonical name of the determinism-dataflow pass.
-pub const NONDETERMINISM: &str = "nondeterminism";
 /// Canonical name of the interval/overflow pass.
 pub const OVERFLOW_INTERVAL: &str = "overflow-interval";
 /// Canonical name of the exact-arithmetic float-taint pass.
@@ -44,7 +52,7 @@ pub const BAD_ANNOTATION: &str = "audit-annotation";
 pub const PARSE_ERROR: &str = "audit-parse";
 
 /// All real lints, with one-line descriptions (shown by `list-lints`).
-/// The first four are the PR 1 token lints; the last four are the
+/// The first five are token lints; the last three are the
 /// AST/call-graph passes.
 pub const CATALOG: &[(&str, &str)] = &[
     (
@@ -64,12 +72,12 @@ pub const CATALOG: &[(&str, &str)] = &[
         "unchecked +,-,* on raw i64/i128 operands outside rational.rs/time.rs",
     ),
     (
-        PANIC_REACH,
-        "panic sources transitively reachable from the scheduling entry points",
-    ),
-    (
         NONDETERMINISM,
         "hash-order, wall-clock, thread-id, and pointer-derived values in scheduling code",
+    ),
+    (
+        PANIC_REACH,
+        "panic sources transitively reachable from the scheduling entry points",
     ),
     (
         OVERFLOW_INTERVAL,
@@ -121,6 +129,7 @@ pub fn run_lint(lint: &str, file: &LexFile) -> Vec<RawFinding> {
         NO_LOSSY_CASTS => no_lossy_casts(file),
         NO_PANIC => no_panic(file),
         RAW_ARITH => raw_arith(file),
+        NONDETERMINISM => nondeterminism(file),
         _ => Vec::new(),
     }
 }
@@ -278,6 +287,98 @@ fn raw_arith(file: &LexFile) -> Vec<RawFinding> {
         }
     }
     out
+}
+
+fn nondeterminism(file: &LexFile) -> Vec<RawFinding> {
+    let toks = &file.toks;
+    let text = |j: usize| toks.get(j).map_or("", |t| t.text.as_str());
+    let mut out = Vec::new();
+    for (i, t) in live(file) {
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        // The segment before this one in an `a::b` path.
+        let parent = if i > 1 && text(i - 1) == "::" {
+            text(i - 2)
+        } else {
+            ""
+        };
+        // A pointer-derived value reaching an integer cast: the cast's
+        // `as`, where the finding sits.
+        let ptr_cast = match t.text.as_str() {
+            "as_ptr" | "as_mut_ptr"
+                if i > 0 && [text(i - 1), text(i + 1), text(i + 2)] == [".", "(", ")"] =>
+            {
+                int_cast_at(toks, i + 3)
+            }
+            "as" if text(i + 1) == "*" => int_cast_at(toks, pointer_type_end(toks, i + 2)),
+            _ => None,
+        };
+        let (line, message) = match (t.text.as_str(), parent, ptr_cast) {
+            (_, _, Some(j)) => (
+                toks[j].line,
+                format!(
+                    "pointer-to-`{}` cast: addresses vary per run and must not flow \
+                     into scheduling state",
+                    text(j + 1)
+                ),
+            ),
+            (ty @ ("HashMap" | "HashSet" | "RandomState" | "DefaultHasher"), _, _) => (
+                t.line,
+                format!(
+                    "`{ty}` in scheduling code: iteration order is per-process random; \
+                     use BTreeMap/BTreeSet"
+                ),
+            ),
+            ("ThreadId", _, _) => (
+                t.line,
+                "`ThreadId` in scheduling code: thread identity is nondeterministic".into(),
+            ),
+            ("current", "thread", _) => (
+                t.line,
+                "`thread::current()` in scheduling code: thread identity is nondeterministic"
+                    .into(),
+            ),
+            ("now", clock @ ("Instant" | "SystemTime"), _) => (
+                t.line,
+                format!(
+                    "`{clock}::now()` in scheduling code: wall-clock reads are \
+                     nondeterministic; drive time from the slot counter"
+                ),
+            ),
+            _ => continue,
+        };
+        out.push(RawFinding {
+            line,
+            lint: NONDETERMINISM,
+            message,
+        });
+    }
+    out
+}
+
+/// The index just past a raw-pointer type whose `*` precedes `j`.
+fn pointer_type_end(toks: &[Tok], mut j: usize) -> usize {
+    let mut depth = 0u32;
+    while let Some(t) = toks.get(j) {
+        match t.text.as_str() {
+            "(" | "[" | "<" => depth += 1,
+            ")" | "]" | ">" if depth > 0 => depth -= 1,
+            "as" | ")" | "]" | ";" | "," | "=" | "{" | "}" if depth == 0 => break,
+            _ => {}
+        }
+        j += 1;
+    }
+    j
+}
+
+/// The index of the `as` when the tokens from `j`, past closing
+/// parens, cast to an integer type.
+fn int_cast_at(toks: &[Tok], mut j: usize) -> Option<usize> {
+    while toks.get(j)?.text == ")" {
+        j += 1;
+    }
+    (toks.get(j)?.text == "as" && int_type_bits(&toks.get(j + 1)?.text).is_some()).then_some(j)
 }
 
 /// A parsed `audit: allow(lint, reason)` annotation.
@@ -461,6 +562,30 @@ mod tests {
     fn raw_arith_ignores_deref_and_arrows() {
         let src = "fn f(x: &i64) -> i64 { *x }\nlet c: fn() -> i128 = f;";
         assert!(lines(RAW_ARITH, src).is_empty());
+    }
+
+    #[test]
+    fn nondeterminism_flags_hash_types_anywhere() {
+        let src = "use std::collections::HashMap;\npub struct S { m: HashMap<u32, u32> }\npub fn f() { let m: HashSet<u8> = HashSet::new(); }\nfn g(h: DefaultHasher, t: ThreadId) {}";
+        assert_eq!(lines(NONDETERMINISM, src), vec![1, 2, 3, 3, 4, 4]);
+    }
+
+    #[test]
+    fn nondeterminism_flags_clocks_threads_and_pointer_casts() {
+        let src = "let t = Instant::now();\nlet s = std::time::SystemTime::now();\nlet id = std::thread::current();\nlet a = v.as_ptr() as usize;\nlet b = (p as *const u8) as u64;\nlet c = v.as_mut_ptr() as *mut u8 as usize;";
+        assert_eq!(lines(NONDETERMINISM, src), vec![1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn nondeterminism_sees_inside_macro_arguments() {
+        let src = "let s = format!(\"{:?}\", Instant::now());\nlet t = vec![HashSet::new()];\nlet u = format!(\"{}\", v.as_ptr() as usize);";
+        assert_eq!(lines(NONDETERMINISM, src), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn nondeterminism_leaves_names_values_and_tests_alone() {
+        let src = "use std::time::{Duration, Instant};\nuse std::collections::BTreeMap;\nfn f(x: u32, p: *const u8) -> usize { let n = now(); x as usize }\nlet q = v.as_ptr();\n#[cfg(test)]\nmod tests { fn t() { let m = HashMap::new(); } }";
+        assert!(lines(NONDETERMINISM, src).is_empty());
     }
 
     #[test]

@@ -861,11 +861,11 @@ impl<'a> Parser<'a> {
     /// (`,`, `)`, `{`, `;`, `=`, `>`, `where`).
     fn parse_type(&mut self) -> TypeRef {
         let mut ty = TypeRef::default();
-        // Reference / pointer prefix.
+        // Reference / pointer prefix, stripped: the head is what the
+        // passes resolve.
         loop {
             if self.at_punct("&") {
                 self.bump();
-                ty.refs += 1;
                 if self.peek().is_some_and(|t| t.kind == TokKind::Lifetime) {
                     self.bump();
                 }
@@ -874,7 +874,6 @@ impl<'a> Parser<'a> {
             }
             if self.at_punct("*") {
                 self.bump();
-                ty.raw_ptr = true;
                 if !self.eat_ident("const") {
                     self.eat_ident("mut");
                 }
@@ -907,7 +906,6 @@ impl<'a> Parser<'a> {
                     let inner = first.unwrap_or_default();
                     ty.head = inner.head;
                     ty.args = inner.args;
-                    ty.raw_ptr |= inner.raw_ptr;
                 }
                 ty
             }
@@ -956,7 +954,7 @@ impl<'a> Parser<'a> {
                 match t.text.as_str() {
                     "dyn" | "impl" => {
                         self.bump();
-                        let mut inner = self.parse_type();
+                        let inner = self.parse_type();
                         // `impl Fn(..) -> T + Send`: fold bounds away.
                         while self.at_punct("+") {
                             self.bump();
@@ -966,8 +964,6 @@ impl<'a> Parser<'a> {
                                 self.parse_type();
                             }
                         }
-                        inner.refs += ty.refs;
-                        inner.raw_ptr |= ty.raw_ptr;
                         return inner;
                     }
                     "fn" | "Fn" | "FnMut" | "FnOnce" => {

@@ -1,23 +1,24 @@
-//! Pass 4: float taint.
+//! Pass 3: float taint.
 //!
 //! The exactness theorems (lag/drift accounting, Theorems 3–5 of the
 //! paper) hold only if `Rational`, `Priority`, and slot-count values
-//! are computed in exact integer arithmetic end to end. The legacy
-//! token lint bans floats from the scheduling crates outright; this
-//! pass closes the laundering gap in the *float-exempt* paths
-//! (simulation geometry, metrics export): a float result may exist
-//! there, but it must never flow — even through an integer cast —
-//! into a `Rational`/`Weight`/`Priority` constructor or a
+//! are computed in exact integer arithmetic end to end. The token lint
+//! `no-float-in-scheduling` bans floats from the scheduling crates, but
+//! a line there may carry a reasoned `allow(float, ..)` annotation —
+//! `Rational::to_f64` for a plot, a percentage for a report. This pass
+//! guards what such a line produces: the float may exist, but it must
+//! never flow — through an integer cast, a method chain, or a string
+//! round-trip — into a `Rational`/`Weight`/`Priority` constructor or a
 //! slot-count-typed binding.
 //!
 //! Taint is tracked intra-procedurally per function, seeded by float
-//! literals, `f32`/`f64`-typed parameters and casts, and calls to
-//! workspace functions whose declared return type is a float. A cast
-//! to an integer type *keeps* the taint (that is the laundering this
-//! pass exists to catch). The analysis is flow-insensitive within
-//! branches and does not track taint through fields, slices, or
-//! out-of-workspace calls — those boundaries are documented in
-//! DESIGN.md and covered by the blanket float ban where it applies.
+//! literals, `f32`/`f64`-typed parameters and casts, float-producing
+//! methods (`to_f64`), and calls to workspace functions whose declared
+//! return type is a float. A cast to an integer type *keeps* the taint
+//! (that is the laundering this pass exists to catch). The analysis is
+//! flow-insensitive within branches and does not track taint through
+//! fields, slices, or out-of-workspace calls; DESIGN.md documents
+//! those boundaries.
 
 use std::collections::BTreeSet;
 
@@ -38,8 +39,16 @@ pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
     // Workspace functions with a declared float return type, by bare
     // and qualified name: calls to them are taint sources everywhere.
     let mut float_fns: BTreeSet<String> = BTreeSet::new();
-    for (_, ast) in ws.ast_refs() {
-        collect_float_fns(&ast.items, None, &mut float_fns);
+    for file in &ws.files {
+        walk_items(&file.ast.items, &mut |item, ctx| {
+            let ItemKind::Fn(f) = &item.kind else { return };
+            if f.ret.as_ref().is_some_and(TypeRef::is_float) {
+                float_fns.insert(f.name.clone());
+                if let Some(o) = ctx.owner {
+                    float_fns.insert(format!("{o}::{}", f.name));
+                }
+            }
+        });
     }
 
     let mut out = Vec::new();
@@ -47,63 +56,15 @@ pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
         if !cfg.lint_applies(FLOAT_TAINT, &file.path) {
             continue;
         }
-        for item in &file.ast.items {
-            scan_item(item, false, &float_fns, &file.path, &mut out);
-        }
+        walk_items(&file.ast.items, &mut |item, ctx| {
+            if let (ItemKind::Fn(f), false) = (&item.kind, ctx.in_test) {
+                scan_fn(f, &float_fns, &file.path, &mut out);
+            }
+        });
     }
     out.sort();
     out.dedup();
     out
-}
-
-fn collect_float_fns(items: &[Item], owner: Option<&str>, out: &mut BTreeSet<String>) {
-    for item in items {
-        match &item.kind {
-            ItemKind::Fn(f) if f.ret.as_ref().is_some_and(TypeRef::is_float) => {
-                out.insert(f.name.clone());
-                if let Some(o) = owner {
-                    out.insert(format!("{o}::{}", f.name));
-                }
-            }
-            ItemKind::Impl {
-                type_name, items, ..
-            } => collect_float_fns(items, Some(type_name), out),
-            ItemKind::Trait { name, items } => collect_float_fns(items, Some(name), out),
-            ItemKind::Mod {
-                items: Some(items), ..
-            } => collect_float_fns(items, owner, out),
-            _ => {}
-        }
-    }
-}
-
-fn scan_item(
-    item: &Item,
-    in_test: bool,
-    float_fns: &BTreeSet<String>,
-    path: &str,
-    out: &mut Vec<Finding>,
-) {
-    let in_test = in_test || item.in_test;
-    if in_test {
-        return;
-    }
-    match &item.kind {
-        ItemKind::Fn(f) => scan_fn(f, float_fns, path, out),
-        ItemKind::Impl { items, .. } | ItemKind::Trait { items, .. } => {
-            for it in items {
-                scan_item(it, in_test, float_fns, path, out);
-            }
-        }
-        ItemKind::Mod {
-            items: Some(items), ..
-        } => {
-            for it in items {
-                scan_item(it, in_test, float_fns, path, out);
-            }
-        }
-        _ => {}
-    }
 }
 
 struct FnCtx<'a> {
@@ -448,6 +409,26 @@ fn helper(x: u64) -> u64 { x }
         // `Weight::from_ratio(j, ..)` fires both the call-arg sink and
         // the `let w: Weight` binding sink; `let s: Slot = ..` fires one.
         assert_eq!(got.len(), 3, "{got:?}");
+    }
+
+    /// What an allowed float line produces may not launder through a
+    /// bit pattern or a string into an exact quantity.
+    #[test]
+    fn float_methods_taint_through_chains() {
+        let src = "
+pub fn bits(r: Rational) -> u32 {
+    let _ = Rational::from_int(r.to_f64().to_bits());
+    0
+}
+pub fn reparsed(res: &SimResult) -> Option<u64> {
+    let s: Slot = res.mean_pct().to_string().parse().ok()?;
+    None
+}
+impl SimResult { pub fn mean_pct(&self) -> f64 { 0.0 } }
+";
+        let got = findings(src);
+        let lines: Vec<u32> = got.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [3, 7], "{got:?}");
     }
 
     #[test]

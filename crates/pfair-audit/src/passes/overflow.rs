@@ -1,4 +1,4 @@
-//! Pass 3: interval/overflow analysis.
+//! Pass 2: interval/overflow analysis.
 //!
 //! Functions opted in with `// audit: prove(overflow-bounds)` are run
 //! through an abstract interpreter over the interval domain of
@@ -30,9 +30,9 @@ use crate::parser::parse_file;
 use crate::passes::Workspace;
 use crate::Finding;
 
-/// Workspace constant environment: value plus, when suffixed, the
-/// declared integer type (bits, signed), keyed by constant name.
-type ConstEnv = BTreeMap<String, (i128, Option<(u32, bool)>)>;
+/// Workspace constant table: value plus, when the declared type is a
+/// primitive integer, its (bits, signed), keyed by constant name.
+pub type ConstEnv = BTreeMap<String, (i128, Option<(u32, bool)>)>;
 
 /// The abstract value: an interval plus, when known, the expression's
 /// integer type (bits, signed).
@@ -54,15 +54,15 @@ impl AbsVal {
 }
 
 /// Runs the pass: analyzes every `prove(overflow-bounds)` function in
-/// files the `overflow-interval` lint scopes.
-pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
-    let consts = collect_consts(ws);
+/// files the `overflow-interval` lint scopes; `assume` bounds evaluate
+/// against `consts`.
+pub fn run(ws: &Workspace, cfg: &Config, consts: &ConstEnv) -> Vec<Finding> {
     let mut out = Vec::new();
     for file in &ws.files {
         if !cfg.lint_applies(OVERFLOW_INTERVAL, &file.path) {
             continue;
         }
-        analyze_file(file.path.as_str(), &file.lex, &file.ast, &consts, &mut out);
+        analyze_file(file.path.as_str(), &file.lex, &file.ast, consts, &mut out);
     }
     out.sort();
     out.dedup();
@@ -78,7 +78,11 @@ fn analyze_file(
 ) {
     // Every function item by line, for directive attachment.
     let mut fns: Vec<(u32, &FnItem, bool)> = Vec::new();
-    index_fns(&ast.items, false, &mut fns);
+    walk_items(&ast.items, &mut |item, ctx| {
+        if let ItemKind::Fn(f) = &item.kind {
+            fns.push((item.line, f, ctx.in_test));
+        }
+    });
     fns.sort_by_key(|(line, _, _)| *line);
     let next_fn = |line: u32| fns.iter().find(|(l, _, _)| *l > line);
 
@@ -141,21 +145,6 @@ fn analyze_file(
         if proven.contains(line) {
             let assumes = assumes_by_fn.remove(line).unwrap_or_default();
             analyze_fn(path, func, &assumes, consts, out);
-        }
-    }
-}
-
-fn index_fns<'a>(items: &'a [Item], in_test: bool, out: &mut Vec<(u32, &'a FnItem, bool)>) {
-    for item in items {
-        let in_test = in_test || item.in_test;
-        match &item.kind {
-            ItemKind::Fn(f) => out.push((item.line, f, in_test)),
-            ItemKind::Impl { items, .. }
-            | ItemKind::Trait { items, .. }
-            | ItemKind::Mod {
-                items: Some(items), ..
-            } => index_fns(items, in_test, out),
-            _ => {}
         }
     }
 }
@@ -894,11 +883,22 @@ fn eval_const(e: &Expr, env: &ConstEnv) -> Option<i128> {
 }
 
 /// Workspace `const`/`static` integer values, resolved iteratively so
-/// consts may reference each other across files.
-fn collect_consts(ws: &Workspace) -> ConstEnv {
+/// consts may reference each other across files and ahead of their
+/// declaration. Both the overflow pass (`assume` bounds) and
+/// panic-reach (nonzero divisors) read this one table.
+pub fn collect_consts(ws: &Workspace) -> ConstEnv {
     let mut decls: Vec<(&str, &TypeRef, &Expr)> = Vec::new();
     for file in &ws.files {
-        collect_const_decls(&file.ast.items, &mut decls);
+        walk_items(&file.ast.items, &mut |item, _| {
+            if let ItemKind::Const {
+                name,
+                ty,
+                value: Some(e),
+            } = &item.kind
+            {
+                decls.push((name, ty, e));
+            }
+        });
     }
     let mut env: ConstEnv = BTreeMap::new();
     for _ in 0..3 {
@@ -917,24 +917,6 @@ fn collect_consts(ws: &Workspace) -> ConstEnv {
         }
     }
     env
-}
-
-fn collect_const_decls<'a>(items: &'a [Item], out: &mut Vec<(&'a str, &'a TypeRef, &'a Expr)>) {
-    for item in items {
-        match &item.kind {
-            ItemKind::Const {
-                name,
-                ty,
-                value: Some(e),
-            } => out.push((name, ty, e)),
-            ItemKind::Impl { items, .. }
-            | ItemKind::Trait { items, .. }
-            | ItemKind::Mod {
-                items: Some(items), ..
-            } => collect_const_decls(items, out),
-            _ => {}
-        }
-    }
 }
 
 fn finding(path: &str, line: u32, message: String) -> Finding {
@@ -970,7 +952,7 @@ mod tests {
         };
         let mut cfg = Config::default();
         cfg.lints.entry(OVERFLOW_INTERVAL.to_string()).or_default();
-        run(&ws, &cfg)
+        run(&ws, &cfg, &collect_consts(&ws))
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::ast::*;
 use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::lints::PANIC_REACH;
+use crate::passes::overflow::ConstEnv;
 use crate::passes::Workspace;
 use crate::Finding;
 
@@ -83,37 +84,35 @@ pub struct PanicReachReport {
 }
 
 /// Runs the pass. Entry points come from the `panic-reach` lint scope;
-/// with none configured the pass is a no-op.
-pub fn run(ws: &Workspace, cfg: &Config) -> PanicReachReport {
+/// with none configured the pass is a no-op. `consts` proves divisors
+/// nonzero.
+pub fn run(ws: &Workspace, cfg: &Config, consts: &ConstEnv) -> PanicReachReport {
     let mut report = PanicReachReport::default();
     let specs = match cfg.lints.get(PANIC_REACH) {
         Some(scope) if !scope.entry_points.is_empty() => scope.entry_points.clone(),
         _ => return report,
     };
     let graph = CallGraph::build(&ws.ast_refs());
-    let consts = collect_int_consts(ws);
     // `(owner, method)` pairs defined in-tree: `self.expect(..)` on a
     // type with its own `expect` is that method, not `Option::expect`.
-    let own_methods: BTreeSet<(String, String)> = graph
+    let own_methods: BTreeSet<(&str, &str)> = graph
         .nodes
         .iter()
-        .filter_map(|n| n.owner.clone().map(|o| (o, n.name.clone())))
+        .filter_map(|n| Some((n.owner?, n.func.name.as_str())))
         .collect();
 
     // Panic sources per node, computed once.
-    let mut sources: Vec<Vec<(u32, u32, String)>> = Vec::with_capacity(graph.nodes.len());
-    let mut bodies: BTreeMap<(String, u32), &FnItem> = BTreeMap::new();
-    for file in &ws.files {
-        index_fn_bodies(&file.path, &file.ast.items, &mut bodies);
-    }
-    for node in &graph.nodes {
-        let sites = bodies
-            .get(&(node.path.clone(), node.line))
-            .and_then(|f| f.body.as_ref())
-            .map(|b| panic_sites(b, &consts, node.owner.as_deref(), &own_methods))
-            .unwrap_or_default();
-        sources.push(sites);
-    }
+    let sources: Vec<Vec<(u32, u32, String)>> = graph
+        .nodes
+        .iter()
+        .map(|node| {
+            node.func
+                .body
+                .as_ref()
+                .map(|b| panic_sites(b, consts, node.owner, &own_methods))
+                .unwrap_or_default()
+        })
+        .collect();
 
     // Per-entry BFS with a parent map for witness chains; findings are
     // deduplicated per source site across entries (the first entry to
@@ -148,7 +147,7 @@ pub fn run(ws: &Workspace, cfg: &Config) -> PanicReachReport {
                 // Every source links (one finding can stand for two
                 // calls of one chain); findings are one per line.
                 report.tokens.push(PanicToken {
-                    path: graph.nodes[idx].path.clone(),
+                    path: graph.nodes[idx].path.to_string(),
                     site_line: *line,
                     token_line: *token_line,
                 });
@@ -156,7 +155,7 @@ pub fn run(ws: &Workspace, cfg: &Config) -> PanicReachReport {
                     continue;
                 }
                 report.findings.push(Finding {
-                    path: graph.nodes[idx].path.clone(),
+                    path: graph.nodes[idx].path.to_string(),
                     line: *line,
                     lint: PANIC_REACH.to_string(),
                     message: format!("{desc} reachable from entry `{spec}` via {chain}"),
@@ -233,72 +232,14 @@ fn witness_chain(graph: &CallGraph, parent: &BTreeMap<usize, usize>, idx: usize)
     names.join(" -> ")
 }
 
-/// Workspace `const NAME: <int> = <literal>;` values, for proving
-/// divisors nonzero.
-fn collect_int_consts(ws: &Workspace) -> BTreeMap<String, i128> {
-    let mut out = BTreeMap::new();
-    for file in &ws.files {
-        collect_consts_in(&file.ast.items, &mut out);
-    }
-    out
-}
-
-fn collect_consts_in(items: &[Item], out: &mut BTreeMap<String, i128>) {
-    for item in items {
-        match &item.kind {
-            ItemKind::Const {
-                name,
-                value: Some(e),
-                ..
-            } => {
-                if let Some(v) = const_value(e, out) {
-                    out.insert(name.clone(), v);
-                }
-            }
-            ItemKind::Impl { items, .. }
-            | ItemKind::Trait { items, .. }
-            | ItemKind::Mod {
-                items: Some(items), ..
-            } => collect_consts_in(items, out),
-            _ => {}
-        }
-    }
-}
-
-/// Evaluates simple constant expressions (literals, negation, shifts,
-/// already-seen const names).
-fn const_value(e: &Expr, env: &BTreeMap<String, i128>) -> Option<i128> {
-    match &e.kind {
-        ExprKind::Int { value, .. } => *value,
-        ExprKind::Path(segs) => env.get(segs.last()?).copied(),
-        ExprKind::Unary {
-            op: UnOp::Neg,
-            expr,
-        } => const_value(expr, env)?.checked_neg(),
-        ExprKind::Binary { op, lhs, rhs } => {
-            let (a, b) = (const_value(lhs, env)?, const_value(rhs, env)?);
-            match op {
-                BinOp::Add => a.checked_add(b),
-                BinOp::Sub => a.checked_sub(b),
-                BinOp::Mul => a.checked_mul(b),
-                BinOp::Shl => a.checked_shl(u32::try_from(b).ok()?),
-                _ => None,
-            }
-        }
-        ExprKind::Cast { expr, .. } => const_value(expr, env),
-        ExprKind::Tuple(items) if items.len() == 1 => const_value(&items[0], env),
-        _ => None,
-    }
-}
-
 /// All panic source sites in a function body, as `(line, token line,
 /// description)`; the two lines differ only for a method call at the
 /// end of a multi-line chain.
 fn panic_sites(
     body: &Block,
-    consts: &BTreeMap<String, i128>,
+    consts: &ConstEnv,
     self_ty: Option<&str>,
-    own_methods: &BTreeSet<(String, String)>,
+    own_methods: &BTreeSet<(&str, &str)>,
 ) -> Vec<(u32, u32, String)> {
     let mut out = Vec::new();
     walk_block(body, &mut |e| match &e.kind {
@@ -316,7 +257,7 @@ fn panic_sites(
             // own), not the panicking `Option`/`Result` adapter.
             let shadowed = self_ty.is_some_and(|ty| {
                 matches!(&recv.kind, ExprKind::Path(segs) if segs.as_slice() == ["self"])
-                    && own_methods.contains(&(ty.to_string(), name.clone()))
+                    && own_methods.contains(&(ty, name.as_str()))
             });
             if !shadowed {
                 out.push((e.line, *name_line, format!("`.{name}()` call")));
@@ -356,13 +297,13 @@ fn panic_sites(
 }
 
 /// Conservative nonzero proof for a divisor expression.
-fn provably_nonzero(e: &Expr, consts: &BTreeMap<String, i128>) -> bool {
+fn provably_nonzero(e: &Expr, consts: &ConstEnv) -> bool {
     match &e.kind {
         ExprKind::Int { value, .. } => value.is_some_and(|v| v != 0),
         ExprKind::Path(segs) => segs
             .last()
             .and_then(|n| consts.get(n))
-            .is_some_and(|v| *v != 0),
+            .is_some_and(|(v, _)| *v != 0),
         ExprKind::Unary {
             op: UnOp::Neg,
             expr,
@@ -393,48 +334,30 @@ fn provably_nonzero(e: &Expr, consts: &BTreeMap<String, i128>) -> bool {
     }
 }
 
-fn positive(e: &Expr, consts: &BTreeMap<String, i128>) -> bool {
+fn positive(e: &Expr, consts: &ConstEnv) -> bool {
     match &e.kind {
         ExprKind::Int { value, .. } => value.is_some_and(|v| v > 0),
         ExprKind::Path(segs) => segs
             .last()
             .and_then(|n| consts.get(n))
-            .is_some_and(|v| *v > 0),
+            .is_some_and(|(v, _)| *v > 0),
         _ => false,
-    }
-}
-
-/// Indexes every function body by `(path, item line)` so graph nodes
-/// map back to their ASTs.
-fn index_fn_bodies<'a>(
-    path: &str,
-    items: &'a [Item],
-    out: &mut BTreeMap<(String, u32), &'a FnItem>,
-) {
-    for item in items {
-        match &item.kind {
-            ItemKind::Fn(f) => {
-                out.insert((path.to_string(), item.line), f);
-            }
-            ItemKind::Impl { items, .. }
-            | ItemKind::Trait { items, .. }
-            | ItemKind::Mod {
-                items: Some(items), ..
-            } => index_fn_bodies(path, items, out),
-            _ => {}
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passes::analyze_source;
+    use crate::passes::{analyze_source, overflow::collect_consts};
 
     fn ws(src: &str) -> Workspace {
         Workspace {
             files: vec![analyze_source("src/lib.rs", src)],
         }
+    }
+
+    fn run(ws: &Workspace, cfg: &Config) -> PanicReachReport {
+        super::run(ws, cfg, &collect_consts(ws))
     }
 
     fn cfg(entries: &[&str]) -> Config {
@@ -521,6 +444,24 @@ pub fn entry(t: u64, n: u64) -> u64 {
     let c = t / n.max(1);
     a + b + c + t / n
 }
+";
+        let report = run(&ws(src), &cfg(&["entry"]));
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        assert!(report.findings[0].message.contains("`/`"));
+    }
+
+    /// The shared constant table resolves names declared later, `/`,
+    /// `>>` and `T::MAX`, none of which a single in-order pass saw.
+    #[test]
+    fn derived_and_forward_constants_prove_divisors() {
+        let src = "
+pub fn entry(t: u64) -> u64 {
+    t / HALF + t % LANES + t / TOP
+}
+const HALF: u64 = FULL / 2;
+const FULL: u64 = 1 << 10;
+const LANES: u64 = u64::MAX >> 60;
+const TOP: u64 = HALF - 512;
 ";
         let report = run(&ws(src), &cfg(&["entry"]));
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);

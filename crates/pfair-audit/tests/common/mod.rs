@@ -5,9 +5,11 @@ use pfair_audit::lints::{CATALOG, NO_FLOAT, NO_LOSSY_CASTS, NO_PANIC, PANIC_REAC
 
 /// A config mirroring the real audit.toml's shape, scoped to the
 /// fixture tree: `sched/` plays the scheduling crates, `allowed/` the
-/// float-exempt report code, and `passes/` the AST/call-graph pass
-/// corpus (kept outside the token lints' scope so each pair exercises
-/// exactly one pass).
+/// float-exempt report code, and `passes/` one fixture pair per lint
+/// that the float, cast, panic and raw-arithmetic token lints leave
+/// alone, so each pair exercises exactly one lint. `nondeterminism`
+/// is a token lint scoped to the whole tree; only its pair holds a
+/// source.
 pub fn fixture_config() -> Config {
     let mut cfg = Config::default();
     for (lint, _) in CATALOG {

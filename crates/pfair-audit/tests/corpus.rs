@@ -26,10 +26,12 @@ fn corpus_produces_exactly_the_expected_diagnostics() {
         ("passes/float_taint.rs", 10, FLOAT_TAINT),
         ("passes/float_taint.rs", 10, FLOAT_TAINT),
         ("passes/nondeterminism.rs", 4, NONDETERMINISM),
-        ("passes/nondeterminism.rs", 6, NONDETERMINISM),
+        ("passes/nondeterminism.rs", 7, NONDETERMINISM),
         ("passes/nondeterminism.rs", 12, NONDETERMINISM),
         ("passes/nondeterminism.rs", 17, NONDETERMINISM),
         ("passes/nondeterminism.rs", 19, NONDETERMINISM),
+        ("passes/nondeterminism.rs", 24, NONDETERMINISM),
+        ("passes/nondeterminism.rs", 25, NONDETERMINISM),
         ("passes/overflow_interval.rs", 6, OVERFLOW_INTERVAL),
         ("passes/overflow_interval.rs", 11, OVERFLOW_INTERVAL),
         ("passes/overflow_interval.rs", 11, OVERFLOW_INTERVAL),

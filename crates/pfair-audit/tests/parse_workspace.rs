@@ -4,6 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
+use pfair_audit::ast::{walk_items, ItemKind};
 use pfair_audit::lexer::LexFile;
 use pfair_audit::parser::parse_file;
 
@@ -53,11 +54,9 @@ fn whole_workspace_parses_without_errors() {
         let src = std::fs::read_to_string(path).expect("read source");
         let lex = LexFile::lex(&src);
         let (file, errors) = parse_file(&lex);
-        let mut fns = 0usize;
-        for item in &file.items {
-            count_fns(item, &mut fns);
-        }
-        parsed_fns += fns;
+        walk_items(&file.items, &mut |item, _| {
+            parsed_fns += usize::from(matches!(item.kind, ItemKind::Fn(_)));
+        });
         for e in errors {
             failures.push(format!("{}:{}: {}", path.display(), e.line, e.message));
         }
@@ -74,24 +73,4 @@ fn whole_workspace_parses_without_errors() {
         parsed_fns > 300,
         "suspiciously few functions parsed: {parsed_fns}"
     );
-}
-
-fn count_fns(item: &pfair_audit::ast::Item, n: &mut usize) {
-    use pfair_audit::ast::ItemKind;
-    match &item.kind {
-        ItemKind::Fn(_) => *n += 1,
-        ItemKind::Impl { items, .. } | ItemKind::Trait { items, .. } => {
-            for it in items {
-                count_fns(it, n);
-            }
-        }
-        ItemKind::Mod {
-            items: Some(items), ..
-        } => {
-            for it in items {
-                count_fns(it, n);
-            }
-        }
-        _ => {}
-    }
 }

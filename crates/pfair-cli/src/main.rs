@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! pfair run <workload-file> [--render] [--verify]
-//! pfair trace [--whisper SEED] [--scheme oi|lj] [--horizon N] [--top K] [--out FILE]
+//! pfair trace [--whisper SEED] [--scheme S] [--horizon N] [--top K] [--out FILE]
 //!             [--flight FILE]
-//! pfair slo [--whisper SEED] [--scheme oi|lj] [--horizon N] [--window W]
+//! pfair slo [--whisper SEED] [--scheme S] [--horizon N] [--window W]
 //!           [--max-misses K] [--drift-budget N[/D]] [--max-reweight-latency L]
 //!           [--out FILE]
 //! pfair snapshot <workload-file> [--at K] --out FILE [--metrics-out FILE]
@@ -12,9 +12,13 @@
 //!              [--metrics-in FILE] [--metrics-out FILE] [--json OUT]
 //! pfair example                 # print a documented sample file
 //! ```
+//!
+//! `S` is a scheme as a workload file's `scheme` directive spells it:
+//! `oi`, `lj`, `hybrid-nth:N`, `hybrid-threshold:A/B` or
+//! `hybrid-budget:B/W`.
 
+use pfair_cli::parser::parse_scheme;
 use pfair_cli::slocmd::parse_budget;
-use pfair_cli::tracecmd::parse_scheme;
 use pfair_cli::{parser, run_file, RunOptions};
 use std::str::FromStr;
 
@@ -72,7 +76,8 @@ fn main() {
                 match a.as_str() {
                     "--whisper" => opts.seed = value(&mut it, "--whisper", "a seed number"),
                     "--scheme" => {
-                        opts.scheme = parsed(&mut it, "--scheme", "'oi' or 'lj'", parse_scheme);
+                        opts.scheme =
+                            parsed(&mut it, "--scheme", SCHEMES, |v| parse_scheme(v).ok());
                     }
                     "--horizon" => opts.horizon = positive(&mut it, "--horizon"),
                     "--top" => opts.top = value(&mut it, "--top", "a number"),
@@ -103,7 +108,8 @@ fn main() {
                 match a.as_str() {
                     "--whisper" => opts.seed = value(&mut it, "--whisper", "a seed number"),
                     "--scheme" => {
-                        opts.scheme = parsed(&mut it, "--scheme", "'oi' or 'lj'", parse_scheme);
+                        opts.scheme =
+                            parsed(&mut it, "--scheme", SCHEMES, |v| parse_scheme(v).ok());
                     }
                     "--horizon" => opts.horizon = positive(&mut it, "--horizon"),
                     "--window" => opts.window = positive(&mut it, "--window"),
@@ -192,17 +198,20 @@ fn main() {
 fn usage() {
     println!("usage: pfair run <workload-file> [--render] [--verify] [--json OUT] [--svg OUT]");
     println!(
-        "       pfair trace [--whisper SEED] [--scheme oi|lj] [--horizon N] [--top K] [--out FILE]"
+        "       pfair trace [--whisper SEED] [--scheme S] [--horizon N] [--top K] [--out FILE]"
     );
     println!("                   [--flight FILE]");
-    println!("       pfair slo [--whisper SEED] [--scheme oi|lj] [--horizon N] [--window W]");
+    println!("       pfair slo [--whisper SEED] [--scheme S] [--horizon N] [--window W]");
     println!("                 [--max-misses K] [--drift-budget N[/D]] [--max-reweight-latency L]");
     println!("                 [--out FILE]");
     println!("       pfair snapshot <workload-file> [--at K] --out FILE [--metrics-out FILE]");
     println!("       pfair resume <snapshot-file> [--until K --snapshot-out FILE]");
     println!("                    [--metrics-in FILE] [--metrics-out FILE] [--json OUT]");
     println!("       pfair example");
+    println!("S: {SCHEMES}");
 }
+
+const SCHEMES: &str = "oi, lj, hybrid-nth:N, hybrid-threshold:A/B or hybrid-budget:B/W";
 
 /// The argument after `flag` as `parse` reads it; without one, or with
 /// one it rejects, the run ends with `<flag> needs <what>`.

@@ -62,30 +62,34 @@ fn err(line: usize, what: impl Into<String>) -> ParseError {
     }
 }
 
-fn parse_fraction(s: &str, line: usize) -> Result<Rational, ParseError> {
+fn parse_fraction(s: &str) -> Result<Rational, String> {
     let (num, den) = s
         .split_once('/')
-        .ok_or_else(|| err(line, format!("expected num/den fraction, got '{s}'")))?;
+        .ok_or_else(|| format!("expected num/den fraction, got '{s}'"))?;
     let num: i128 = num
         .trim()
         .parse()
-        .map_err(|_| err(line, format!("bad numerator '{num}'")))?;
+        .map_err(|_| format!("bad numerator '{num}'"))?;
     let den: i128 = den
         .trim()
         .parse()
-        .map_err(|_| err(line, format!("bad denominator '{den}'")))?;
+        .map_err(|_| format!("bad denominator '{den}'"))?;
     if den == 0 {
-        return Err(err(line, "zero denominator"));
+        return Err("zero denominator".into());
     }
     Ok(Rational::new(num, den))
 }
 
 fn parse_weight(s: &str, line: usize) -> Result<Weight, ParseError> {
-    let r = parse_fraction(s, line)?;
+    let r = parse_fraction(s).map_err(|what| err(line, what))?;
     Weight::try_new(r).map_err(|e| err(line, e.to_string()))
 }
 
-fn parse_scheme(s: &str, line: usize) -> Result<Scheme, ParseError> {
+/// Parses a reweighting scheme: `oi`, `lj`, `hybrid-nth:N`,
+/// `hybrid-threshold:A/B` or `hybrid-budget:B/W`. The `scheme`
+/// directive and the `--scheme` flag of `pfair trace` / `pfair slo`
+/// both read it.
+pub fn parse_scheme(s: &str) -> Result<Scheme, String> {
     match s {
         "oi" => Ok(Scheme::Oi),
         "lj" => Ok(Scheme::LeaveJoin),
@@ -93,28 +97,24 @@ fn parse_scheme(s: &str, line: usize) -> Result<Scheme, ParseError> {
             if let Some(rest) = s.strip_prefix("hybrid-nth:") {
                 let n: u32 = rest
                     .parse()
-                    .map_err(|_| err(line, format!("bad hybrid-nth value '{rest}'")))?;
+                    .map_err(|_| format!("bad hybrid-nth value '{rest}'"))?;
                 Ok(Scheme::Hybrid(HybridPolicy::EveryNth(n.max(1))))
             } else if let Some(rest) = s.strip_prefix("hybrid-threshold:") {
                 Ok(Scheme::Hybrid(HybridPolicy::MagnitudeThreshold(
-                    parse_fraction(rest, line)?,
+                    parse_fraction(rest)?,
                 )))
             } else if let Some(rest) = s.strip_prefix("hybrid-budget:") {
                 let (b, w) = rest
                     .split_once('/')
-                    .ok_or_else(|| err(line, "hybrid-budget needs budget/window"))?;
-                let budget: u32 = b
-                    .parse()
-                    .map_err(|_| err(line, format!("bad budget '{b}'")))?;
-                let window: i64 = w
-                    .parse()
-                    .map_err(|_| err(line, format!("bad window '{w}'")))?;
+                    .ok_or("hybrid-budget needs budget/window")?;
+                let budget: u32 = b.parse().map_err(|_| format!("bad budget '{b}'"))?;
+                let window: i64 = w.parse().map_err(|_| format!("bad window '{w}'"))?;
                 Ok(Scheme::Hybrid(HybridPolicy::OiBudget {
                     budget,
                     window: window.max(1),
                 }))
             } else {
-                Err(err(line, format!("unknown scheme '{s}'")))
+                Err(format!("unknown scheme '{s}'"))
             }
         }
     }
@@ -169,7 +169,7 @@ pub fn parse(input: &str) -> Result<Spec, ParseError> {
             }
             "scheme" => {
                 need(1)?;
-                scheme = parse_scheme(rest[0], line_no)?;
+                scheme = parse_scheme(rest[0]).map_err(|what| err(line_no, what))?;
             }
             "tiebreak" => {
                 need(1)?;

@@ -16,7 +16,7 @@ use whisper_sim::{run_whisper_probed, Scenario, PROCESSORS};
 pub struct SloOptions {
     /// Scenario seed (each seed is one speaker-trajectory draw).
     pub seed: u64,
-    /// Reweighting scheme (`oi` or `lj`).
+    /// Reweighting scheme, as [`crate::parser::parse_scheme`] reads it.
     pub scheme: Scheme,
     /// Slots to simulate.
     pub horizon: i64,

@@ -16,7 +16,7 @@ use whisper_sim::{run_whisper_probed, Scenario, PROCESSORS};
 pub struct TraceOptions {
     /// Scenario seed (each seed is one speaker-trajectory draw).
     pub seed: u64,
-    /// Reweighting scheme (`oi` or `lj`).
+    /// Reweighting scheme, as [`crate::parser::parse_scheme`] reads it.
     pub scheme: Scheme,
     /// Slots to simulate.
     pub horizon: i64,
@@ -116,15 +116,6 @@ pub fn run_trace(opts: &TraceOptions) -> (String, Json, Option<Json>) {
     (out, rec.chrome_trace(), flight_dump)
 }
 
-/// Parses a `--scheme` value.
-pub fn parse_scheme(s: &str) -> Option<Scheme> {
-    match s {
-        "oi" => Some(Scheme::Oi),
-        "lj" => Some(Scheme::LeaveJoin),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,12 +172,5 @@ mod tests {
         assert!(incidents
             .iter()
             .any(|i| matches!(i.get("trigger"), Some(Json::Str(s)) if s == "request")));
-    }
-
-    #[test]
-    fn scheme_parser_accepts_both_ladder_ends() {
-        assert!(matches!(parse_scheme("oi"), Some(Scheme::Oi)));
-        assert!(matches!(parse_scheme("lj"), Some(Scheme::LeaveJoin)));
-        assert!(parse_scheme("hybrid").is_none());
     }
 }

@@ -23,6 +23,7 @@
 //! than the companion paper's exact pseudo-code.
 
 use crate::event::{EventKind, Workload};
+use crate::trace::pct_of_ideal;
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{slot_from_i128, Slot};
@@ -80,31 +81,32 @@ pub struct EdfRun {
 }
 
 impl EdfRun {
-    /// Scheduled work as a fraction of `I_PS`, per task — the drift
+    /// Scheduled work as a percentage of `I_PS`, per task — the drift
     /// analogue used to compare against the Pfair schemes.
     // audit: allow(float, report-only accuracy metric; never feeds scheduling)
     pub fn pct_of_ideal(&self) -> Vec<f64> {
-        self.scheduled
-            .iter()
-            .zip(&self.ps_totals)
-            .map(|(s, ps)| {
-                if ps.is_positive() {
-                    // audit: allow(float, report-only accuracy metric; never feeds scheduling)
-                    100.0 * *s as f64 / ps.to_f64() // audit: allow(lossy-cast, u64→f64 for reporting only)
-                } else {
-                    // audit: allow(float, report-only accuracy metric; never feeds scheduling)
-                    100.0
-                }
-            })
-            .collect()
+        baseline_pcts(&self.scheduled, &self.ps_totals)
     }
+}
+
+/// Per-task [`crate::trace::pct_of_ideal`] for the baselines, which
+/// report a task with no ideal allocation as fully served.
+// audit: allow(float, report-only accuracy metric; never feeds scheduling)
+pub(crate) fn baseline_pcts(scheduled: &[u64], ps_totals: &[Rational]) -> Vec<f64> {
+    scheduled
+        .iter()
+        .zip(ps_totals)
+        // audit: allow(float, report-only accuracy metric; never feeds scheduling)
+        .map(|(&s, &ps)| pct_of_ideal(s, ps).unwrap_or(100.0))
+        .collect()
 }
 
 /// Derives a job shape `(budget, relative deadline)` from a weight:
 /// unit-cost sporadic jobs with period/deadline `round(1/w)`, so job
 /// granularity matches the Pfair schedulers' quantum granularity
-/// regardless of the weight's reduced-fraction representation.
-fn job_shape(weight: Rational) -> (i64, i64) {
+/// regardless of the weight's reduced-fraction representation. The
+/// partitioned baseline shares it.
+pub(crate) fn job_shape(weight: Rational) -> (i64, i64) {
     let num = weight.numer();
     let den = weight.denom();
     let p = slot_from_i128(((2 * den + num) / (2 * num)).max(1)); // round(1/w)

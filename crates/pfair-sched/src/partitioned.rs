@@ -15,14 +15,18 @@
 //! 3. clamps the grant to the local spare capacity when no processor
 //!    has room — the drift-producing denial.
 //!
+//! Jobs take the global-EDF baseline's shape (unit cost, period
+//! `round(1/w)`), so both baselines schedule at the same granularity.
+//!
 //! Substitution note (see DESIGN.md): \[4\]'s exact rules are not in the
 //! supplied text; this is the natural reconstruction used as a
 //! comparative baseline.
 
+use crate::edf::{baseline_pcts, job_shape};
 use crate::event::{EventKind, Workload};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
-use pfair_core::time::{slot_from_i128, Slot};
+use pfair_core::time::Slot;
 
 /// Outcome summary of a partitioned-EDF run.
 #[derive(Clone, Debug)]
@@ -45,19 +49,7 @@ impl PartitionedRun {
     /// Scheduled work as a percentage of `I_PS`, per task.
     // audit: allow(float, report-only accuracy metric; never feeds scheduling)
     pub fn pct_of_ideal(&self) -> Vec<f64> {
-        self.scheduled
-            .iter()
-            .zip(&self.ps_totals)
-            .map(|(s, ps)| {
-                if ps.is_positive() {
-                    // audit: allow(float, report-only accuracy metric; never feeds scheduling)
-                    100.0 * *s as f64 / ps.to_f64() // audit: allow(lossy-cast, u64→f64 for reporting only)
-                } else {
-                    // audit: allow(float, report-only accuracy metric; never feeds scheduling)
-                    100.0
-                }
-            })
-            .collect()
+        baseline_pcts(&self.scheduled, &self.ps_totals)
     }
 }
 
@@ -74,15 +66,6 @@ struct PTask {
     ps_wt: Rational,
     ps_total: Rational,
     scheduled: u64,
-}
-
-/// Unit-cost sporadic job with period/deadline `round(1/w)` — the same
-/// granularity normalization as the global-EDF baseline.
-fn job_shape(weight: Rational) -> (i64, i64) {
-    let num = weight.numer();
-    let den = weight.denom();
-    let p = slot_from_i128(((2 * den + num) / (2 * num)).max(1));
-    (1, p)
 }
 
 /// Spare capacity on `cpu`, excluding task `skip`.

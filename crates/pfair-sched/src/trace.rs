@@ -184,17 +184,25 @@ pub struct TaskResult {
 
 const _: () = assert!(std::mem::size_of::<TaskResult>() <= 144);
 
+/// `scheduled` quanta as a percentage of an `I_PS` allocation — the
+/// accuracy metric of Fig. 11(b)/(d), for PD² runs and the EDF
+/// baselines alike. `None` when the allocation is zero.
+// audit: allow(float, report-only accuracy metric; never feeds scheduling)
+pub(crate) fn pct_of_ideal(scheduled: u64, ps_total: Rational) -> Option<f64> {
+    if ps_total.is_positive() {
+        // audit: allow(float, report-only accuracy metric; never feeds scheduling)
+        Some(100.0 * scheduled as f64 / ps_total.to_f64()) // audit: allow(lossy-cast, u64→f64 for reporting only)
+    } else {
+        None
+    }
+}
+
 impl TaskResult {
     /// Scheduled work as a percentage of the `I_PS` ideal (the metric of
     /// Fig. 11(b)/(d)). `None` when the ideal allocation is zero.
     // audit: allow(float, report-only accuracy metric; never feeds scheduling)
     pub fn pct_of_ideal(&self) -> Option<f64> {
-        if self.ps_total.is_positive() {
-            // audit: allow(float, report-only accuracy metric; never feeds scheduling)
-            Some(100.0 * self.scheduled_count as f64 / self.ps_total.to_f64()) // audit: allow(lossy-cast, u64→f64 for reporting only)
-        } else {
-            None
-        }
+        pct_of_ideal(self.scheduled_count, self.ps_total)
     }
 }
 
