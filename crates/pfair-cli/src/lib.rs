@@ -89,14 +89,16 @@ mod tests {
     }
 
     #[test]
-    fn json_export_roundtrips() {
-        use pfair_json::{FromJson, Json};
+    fn json_export_parses_to_the_result() {
+        use pfair_json::{Json, ToJson};
         let (_, result) = run_str(parser::EXAMPLE, RunOptions::default()).unwrap();
-        let json = to_json(&result);
-        let parsed = Json::parse(&json).unwrap();
-        let back = pfair_sched::trace::SimResult::from_json(&parsed).unwrap();
-        assert_eq!(back.horizon, result.horizon);
-        assert_eq!(back.misses.len(), result.misses.len());
+        let parsed = Json::parse(&to_json(&result)).unwrap();
+        assert_eq!(parsed.field::<i64>("horizon").unwrap(), result.horizon);
+        let Some(Json::Array(tasks)) = parsed.get("tasks") else {
+            panic!("tasks missing");
+        };
+        assert_eq!(tasks.len(), result.tasks.len());
+        assert_eq!(parsed.get("misses"), Some(&result.misses.to_json()));
     }
 
     #[test]

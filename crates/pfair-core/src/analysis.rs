@@ -10,11 +10,10 @@
 //!
 //! ```
 //! use pfair_core::{rat, Weight};
-//! use pfair_core::analysis::{hyperperiod, is_feasible, min_processors};
+//! use pfair_core::analysis::{hyperperiod, is_feasible};
 //!
 //! let set = [Weight::new(rat(8, 11)), Weight::new(rat(8, 11)), Weight::new(rat(6, 11))];
 //! assert!(is_feasible(&set, 2));      // Σ = 2 exactly
-//! assert_eq!(min_processors(&set), 2);
 //! assert_eq!(hyperperiod(&set), 11);
 //! ```
 
@@ -33,14 +32,6 @@ pub fn total_weight(weights: &[Weight]) -> Rational {
 /// which [`Weight`] already guarantees).
 pub fn is_feasible(weights: &[Weight], processors: u32) -> bool {
     total_weight(weights) <= Rational::from_int(i128::from(processors))
-}
-
-/// The minimum number of processors on which the set is feasible:
-/// `⌈Σ weights⌉`.
-pub fn min_processors(weights: &[Weight]) -> u32 {
-    // Saturating: a set whose total weight exceeds u32::MAX processors
-    // is out of scope for every caller (and for the paper).
-    u32::try_from(total_weight(weights).ceil().max(0)).unwrap_or(u32::MAX)
 }
 
 /// Overflow-checked least common multiple of two positive integers:
@@ -106,7 +97,6 @@ mod tests {
         let set = [w(1, 2), w(1, 2), w(1, 2), w(1, 2)];
         assert!(is_feasible(&set, 2));
         assert!(!is_feasible(&set, 1));
-        assert_eq!(min_processors(&set), 2);
     }
 
     #[test]
@@ -115,7 +105,6 @@ mod tests {
         let set = [w(8, 11), w(8, 11), w(6, 11)];
         assert!(is_feasible(&set, 2));
         assert_eq!(total_weight(&set), rat(2, 1));
-        assert_eq!(min_processors(&set), 2);
     }
 
     #[test]

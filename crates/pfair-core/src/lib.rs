@@ -15,7 +15,7 @@
 //! * [`time`] — quanta/slots.
 //! * [`weight`] — validated task weights in `(0, 1]`, light (`≤ 1/2`)
 //!   vs. heavy classification.
-//! * [`task`] — task/subtask identities and join-time task specs.
+//! * [`task`] — task identities.
 //! * [`window`] — subtask releases, deadlines, and b-bits for periodic,
 //!   intra-sporadic (IS), and adaptable (AIS) tasks (paper Eqns (2)–(4)).
 //! * [`ideal`] — the four ideal schedules (`I_IS`, `I_SW`, `I_CSW`,
@@ -57,8 +57,8 @@ pub use arena::{IdBitmap, InlineVec};
 pub use drift::{DriftSample, DriftTrack};
 pub use ideal::{is_ideal_table, CompletionEvent, HaltRecord, IswTracker, PsTracker};
 pub use rational::{rat, Accumulator, Rational, Units};
-pub use task::{SubtaskRef, TaskId, TaskSpec};
-pub use time::{Slot, SlotRange, NEVER};
+pub use task::TaskId;
+pub use time::{Slot, NEVER};
 pub use weight::{Weight, WeightRangeError};
 pub use window::{
     b_bit, periodic_window, periodic_windows, window_in_era, window_len, SubtaskWindow,

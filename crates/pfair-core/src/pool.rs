@@ -13,10 +13,10 @@
 //! * with one worker (or one item) the pool is bypassed entirely and
 //!   the closure runs on the calling thread, serially.
 //!
-//! The default worker count comes from the `PFAIR_THREADS` environment
-//! variable, falling back to the machine's available parallelism;
-//! callers with their own policy (CLI overrides, shard specs) pass an
-//! explicit count to [`par_map_threads`].
+//! Every caller passes its worker count to [`par_map_threads`]: a shard
+//! spec's width, or a CLI override falling back to [`default_threads`]
+//! (the `PFAIR_THREADS` environment variable, then the machine's
+//! available parallelism).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -37,23 +37,13 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Maps `f` over `items` on the default-width worker pool, returning
-/// results in input order (identical to `items.into_iter().map(f)`).
+/// Maps `f` over `items` on `threads` workers, returning results in
+/// input order (identical to `items.into_iter().map(f)`). The
+/// determinism tests compare pools of different widths; the shard
+/// supervisor threads its spec's width through here.
 ///
 /// Panics in `f` are propagated to the caller, as they would be
 /// serially — a failed assertion inside one run still aborts the sweep.
-pub fn par_map<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    par_map_threads(default_threads(), items, f)
-}
-
-/// [`par_map`] with an explicit worker count (the determinism tests
-/// compare pools of different widths; the shard supervisor threads its
-/// spec's width through here).
 pub fn par_map_threads<I, O, F>(threads: usize, items: Vec<I>, f: F) -> Vec<O>
 where
     I: Send,

@@ -1054,27 +1054,9 @@ impl Default for Accumulator {
     }
 }
 
-impl Default for Rational {
-    fn default() -> Self {
-        Rational::ZERO
-    }
-}
-
 impl From<i128> for Rational {
     fn from(n: i128) -> Self {
         Rational::from_int(n)
-    }
-}
-
-impl From<i64> for Rational {
-    fn from(n: i64) -> Self {
-        Rational::from_int(i128::from(n))
-    }
-}
-
-impl From<u32> for Rational {
-    fn from(n: u32) -> Self {
-        Rational::from_int(i128::from(n))
     }
 }
 

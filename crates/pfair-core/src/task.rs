@@ -1,13 +1,10 @@
-//! Task and subtask identities and static task descriptions.
+//! Task identities.
 //!
 //! Pfair scheduling treats each quantum of a task's execution — a
-//! *subtask* `T_i`, `i ≥ 1` — as the schedulable entity. This module
-//! defines the identifier types shared by the whole workspace and the
-//! static description of a task joining a system ([`TaskSpec`]).
+//! *subtask* `T_i`, `i ≥ 1` — as the schedulable entity; a subtask is
+//! named by its task's [`TaskId`] and its 1-based index. This module
+//! defines the identifier type shared by the whole workspace.
 
-use crate::rational::Rational;
-use crate::time::Slot;
-use crate::weight::Weight;
 use core::fmt;
 
 /// Dense, copyable task identifier. Task ids index per-task state
@@ -57,99 +54,14 @@ impl fmt::Display for TaskId {
     }
 }
 
-/// A reference to subtask `T_i`: the `index`-th quantum of task `task`
-/// (1-based, as in the paper).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SubtaskRef {
-    /// Owning task.
-    pub task: TaskId,
-    /// 1-based subtask index `i` of `T_i`.
-    pub index: u64,
-}
-
-impl SubtaskRef {
-    /// Constructs `T_i` for the given task.
-    pub fn new(task: TaskId, index: u64) -> SubtaskRef {
-        debug_assert!(index >= 1, "subtask indices are 1-based");
-        SubtaskRef { task, index }
-    }
-}
-
-impl fmt::Debug for SubtaskRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}_{}", self.task, self.index)
-    }
-}
-
-impl fmt::Display for SubtaskRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}_{}", self.task, self.index)
-    }
-}
-
-/// Static description of a task at the moment it joins the system.
-///
-/// Everything dynamic — weight changes, intra-sporadic separations,
-/// halting — is expressed through scheduler events, not here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TaskSpec {
-    /// The task's identity.
-    pub id: TaskId,
-    /// Initial weight (the paper treats the join as the first enacted
-    /// weight change).
-    pub weight: Weight,
-    /// The slot at which the task joins; `r(T_1)` equals this time.
-    pub join_at: Slot,
-}
-
-impl TaskSpec {
-    /// Convenience constructor.
-    pub fn new(id: TaskId, weight: Weight, join_at: Slot) -> TaskSpec {
-        TaskSpec {
-            id,
-            weight,
-            join_at,
-        }
-    }
-
-    /// A periodic task `(e, p)` joining at time 0, the classic Pfair
-    /// setting of paper §2.
-    pub fn periodic(id: TaskId, exec: i128, period: i128) -> TaskSpec {
-        TaskSpec {
-            id,
-            weight: Weight::new(Rational::new(exec, period)),
-            join_at: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rational::rat;
 
     #[test]
     fn ids_format_like_the_paper() {
         let t = TaskId(3);
         assert_eq!(format!("{t}"), "T3");
-        let s = SubtaskRef::new(t, 2);
-        assert_eq!(format!("{s}"), "T3_2");
-        assert_eq!(s.task.idx(), 3);
-    }
-
-    #[test]
-    fn periodic_spec_weight() {
-        let spec = TaskSpec::periodic(TaskId(0), 5, 16);
-        assert_eq!(spec.weight.value(), rat(5, 16));
-        assert_eq!(spec.join_at, 0);
-    }
-
-    #[test]
-    fn subtask_ordering_is_by_task_then_index() {
-        let a = SubtaskRef::new(TaskId(0), 2);
-        let b = SubtaskRef::new(TaskId(0), 3);
-        let c = SubtaskRef::new(TaskId(1), 1);
-        assert!(a < b);
-        assert!(b < c);
+        assert_eq!(t.idx(), 3);
     }
 }

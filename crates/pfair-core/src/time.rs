@@ -69,105 +69,13 @@ pub fn shift_ever(slot: Slot, ds: Slot) -> Option<Slot> {
     }
 }
 
-/// Inclusive-exclusive slot range `[start, end)`, used for windows and
-/// measurement intervals.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SlotRange {
-    /// First slot of the range.
-    pub start: Slot,
-    /// One past the last slot of the range.
-    pub end: Slot,
-}
-
-impl SlotRange {
-    /// Creates `[start, end)`. Empty ranges (`start >= end`) are permitted.
-    pub fn new(start: Slot, end: Slot) -> SlotRange {
-        SlotRange { start, end }
-    }
-
-    /// Number of slots in the range (zero for empty ranges).
-    pub fn len(&self) -> i64 {
-        (self.end - self.start).max(0)
-    }
-
-    /// `true` iff the range contains no slots.
-    pub fn is_empty(&self) -> bool {
-        self.start >= self.end
-    }
-
-    /// `true` iff slot `t` lies in `[start, end)`.
-    pub fn contains(&self, t: Slot) -> bool {
-        self.start <= t && t < self.end
-    }
-
-    /// Iterates over the slots of the range.
-    pub fn iter(&self) -> impl Iterator<Item = Slot> {
-        self.start..self.end
-    }
-
-    /// The intersection of two ranges (possibly empty).
-    pub fn intersect(&self, other: &SlotRange) -> SlotRange {
-        SlotRange::new(self.start.max(other.start), self.end.min(other.end))
-    }
-
-    /// `true` iff the two ranges share at least one slot.
-    pub fn overlaps(&self, other: &SlotRange) -> bool {
-        !self.intersect(other).is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn range_basics() {
-        let r = SlotRange::new(3, 7);
-        assert_eq!(r.len(), 4);
-        assert!(!r.is_empty());
-        assert!(r.contains(3));
-        assert!(r.contains(6));
-        assert!(!r.contains(7));
-        assert!(!r.contains(2));
-        assert_eq!(r.iter().collect::<Vec<_>>(), vec![3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn empty_ranges() {
-        let r = SlotRange::new(5, 5);
-        assert!(r.is_empty());
-        assert_eq!(r.len(), 0);
-        let r = SlotRange::new(7, 3);
-        assert!(r.is_empty());
-        assert_eq!(r.len(), 0);
-    }
-
-    #[test]
-    fn intersect_and_overlap() {
-        let a = SlotRange::new(0, 10);
-        let b = SlotRange::new(5, 15);
-        assert_eq!(a.intersect(&b), SlotRange::new(5, 10));
-        assert!(a.overlaps(&b));
-        let c = SlotRange::new(10, 12);
-        assert!(!a.overlaps(&c)); // [0,10) and [10,12) share no slot
-    }
-}
-
-#[cfg(test)]
-mod more_time_tests {
     use super::*;
 
     #[test]
     fn never_is_max() {
         assert_eq!(NEVER, Slot::MAX);
         const { assert!(NEVER > 1_000_000_000) };
-    }
-
-    #[test]
-    fn intersect_is_commutative_and_idempotent() {
-        let a = SlotRange::new(2, 9);
-        let b = SlotRange::new(5, 14);
-        assert_eq!(a.intersect(&b), b.intersect(&a));
-        assert_eq!(a.intersect(&a), a);
     }
 }

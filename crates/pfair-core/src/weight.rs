@@ -43,13 +43,6 @@ impl fmt::Display for WeightRangeError {
 impl std::error::Error for WeightRangeError {}
 
 impl Weight {
-    /// The maximum weight the fine-grained reweighting rules support
-    /// (`1/2`; see paper §2, "we focus exclusively on tasks with weight
-    /// at most 1/2").
-    pub fn half() -> Weight {
-        Weight(Rational::new(1, 2))
-    }
-
     /// Validates `value ∈ (0, 1]`.
     #[inline]
     pub fn try_new(value: Rational) -> Result<Weight, WeightRangeError> {
@@ -65,12 +58,6 @@ impl Weight {
     pub fn new(value: Rational) -> Weight {
         // audit: allow(panic, documented panicking constructor; library paths use try_new)
         Weight::try_new(value).expect("weight out of range")
-    }
-
-    /// Constructs the weight `e/p` of a periodic task with execution cost
-    /// `e` and period `p`.
-    pub fn from_ratio(e: i128, p: i128) -> Weight {
-        Weight::new(Rational::new(e, p))
     }
 
     /// The underlying rational value.
@@ -112,12 +99,6 @@ impl fmt::Display for Weight {
     }
 }
 
-impl From<Weight> for Rational {
-    fn from(w: Weight) -> Rational {
-        w.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,24 +122,15 @@ mod tests {
 
     #[test]
     fn light_heavy_split() {
-        assert!(Weight::from_ratio(1, 2).is_light());
-        assert!(Weight::from_ratio(3, 19).is_light());
-        assert!(Weight::from_ratio(2, 3).is_heavy());
-        assert!(Weight::from_ratio(1, 1).is_heavy());
-        assert_eq!(Weight::half().value(), rat(1, 2));
-    }
-
-    #[test]
-    fn periodic_ratio_constructor() {
-        // A periodic task with e = 5, p = 16 has weight 5/16 (Fig. 1).
-        assert_eq!(Weight::from_ratio(5, 16).value(), rat(5, 16));
-        // Reduction happens: 2/4 == 1/2.
-        assert_eq!(Weight::from_ratio(2, 4), Weight::half());
+        assert!(Weight::new(rat(1, 2)).is_light());
+        assert!(Weight::new(rat(3, 19)).is_light());
+        assert!(Weight::new(rat(2, 3)).is_heavy());
+        assert!(Weight::new(rat(1, 1)).is_heavy());
     }
 
     #[test]
     fn display_and_error_display() {
-        assert_eq!(format!("{}", Weight::from_ratio(3, 19)), "3/19");
+        assert_eq!(format!("{}", Weight::new(rat(3, 19))), "3/19");
         let err = Weight::try_new(rat(5, 2)).unwrap_err();
         assert_eq!(format!("{err}"), "weight 5/2 outside (0, 1]");
     }

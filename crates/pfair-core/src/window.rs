@@ -34,7 +34,7 @@
 //! ```
 
 use crate::rational::Rational;
-use crate::time::{slot_from_i128, Slot, SlotRange};
+use crate::time::{slot_from_i128, Slot};
 use crate::weight::Weight;
 
 /// A concrete subtask window: release, deadline, and b-bit.
@@ -71,12 +71,6 @@ impl pfair_json::FromJson for SubtaskWindow {
 }
 
 impl SubtaskWindow {
-    /// The window as a slot range `[r, d)`.
-    #[inline]
-    pub fn range(&self) -> SlotRange {
-        SlotRange::new(self.release, self.deadline)
-    }
-
     /// Window length `d − r` in slots (always ≥ 1; windows are never
     /// empty, so there is no `is_empty`).
     #[allow(clippy::len_without_is_empty)]

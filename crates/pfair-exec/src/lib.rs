@@ -240,19 +240,13 @@ fn spawn_worker(idx: u32, jobs: Arc<Mutex<Receiver<Job>>>, done: Sender<usize>) 
         .expect("spawning worker thread")
 }
 
-/// Control messages a [`Controller`] can submit from any thread.
-enum CtlMsg {
-    Reweight(TaskId, Weight),
-    Leave(TaskId),
-}
-
 /// A cloneable remote control for a running [`Executor`]: submit
-/// reweighting requests and leaves from any thread. Requests take
-/// effect at the next quantum boundary, where the engine applies the
-/// fine-grained rules O/I.
+/// reweighting requests from any thread. Requests take effect at the
+/// next quantum boundary, where the engine applies the fine-grained
+/// rules O/I.
 #[derive(Clone)]
 pub struct Controller {
-    tx: Sender<CtlMsg>,
+    tx: Sender<(TaskId, Weight)>,
 }
 
 impl Controller {
@@ -260,12 +254,7 @@ impl Controller {
     /// admission policing; heavy targets (> 1/2) are refused by the
     /// engine.
     pub fn reweight(&self, task: TaskHandle, weight: Weight) {
-        let _ = self.tx.send(CtlMsg::Reweight(task.0, weight));
-    }
-
-    /// Asks `task` to leave the system (rule L governs the exit time).
-    pub fn leave(&self, task: TaskHandle) {
-        let _ = self.tx.send(CtlMsg::Leave(task.0));
+        let _ = self.tx.send((task.0, weight));
     }
 }
 
@@ -309,8 +298,8 @@ pub struct Executor<P: Probe = NoopProbe> {
     quantum: Duration,
     job_tx: Option<Sender<Job>>,
     done_rx: Receiver<usize>,
-    ctl_tx: Sender<CtlMsg>,
-    ctl_rx: Receiver<CtlMsg>,
+    ctl_tx: Sender<(TaskId, Weight)>,
+    ctl_rx: Receiver<(TaskId, Weight)>,
     workers: Vec<JoinHandle<()>>,
     busy: Vec<bool>,
     overruns: Vec<u64>,
@@ -323,11 +312,6 @@ impl<P: Probe> Executor<P> {
         Controller {
             tx: self.ctl_tx.clone(),
         }
-    }
-
-    /// The next quantum index to run.
-    pub fn now(&self) -> Slot {
-        self.engine.now()
     }
 
     /// Runs `quanta` quanta. May be called repeatedly; the schedule
@@ -344,20 +328,12 @@ impl<P: Probe> Executor<P> {
             let t = self.engine.now();
 
             // Drain control requests; they fire in this slot.
-            while let Ok(msg) = self.ctl_rx.try_recv() {
-                let event = match msg {
-                    CtlMsg::Reweight(task, w) => Event {
-                        at: t,
-                        task,
-                        kind: EventKind::Reweight(w),
-                    },
-                    CtlMsg::Leave(task) => Event {
-                        at: t,
-                        task,
-                        kind: EventKind::Leave,
-                    },
-                };
-                self.engine.inject(event);
+            while let Ok((task, w)) = self.ctl_rx.try_recv() {
+                self.engine.inject(Event {
+                    at: t,
+                    task,
+                    kind: EventKind::Reweight(w),
+                });
             }
 
             // Collect completions from earlier slots.
@@ -516,22 +492,6 @@ mod tests {
         // The engine saw exactly one initiation, enacted fine-grained.
         assert_eq!(report.sim.counters.reweight_initiations, 1);
         assert!(report.sim.max_abs_drift_delta() <= rat(2, 1));
-    }
-
-    #[test]
-    fn leave_stops_ticks() {
-        let mut b = ExecutorBuilder::new(1).virtual_time();
-        let (h1, c1) = counter_task(&mut b, "leaver", 1, 2);
-        let (_h2, _c2) = counter_task(&mut b, "stayer", 1, 2);
-        let mut exec = b.build();
-        let ctl = exec.controller();
-        exec.run(40);
-        ctl.leave(h1);
-        exec.run(40);
-        let report = exec.shutdown();
-        // At most a few quanta after the leave request (rule L delay).
-        assert!(c1.load(Ordering::Relaxed) <= 24);
-        assert!(report.sim.is_miss_free());
     }
 
     #[test]

@@ -9,24 +9,10 @@ use pfair_core::task::TaskId;
 use pfair_sched::admission::AdmissionPolicy;
 use pfair_sched::engine::{simulate, SimConfig};
 use pfair_sched::epdf_ps::run_projected_epdf;
-use pfair_sched::event::Workload;
 use pfair_sched::priority::TieBreak;
 use pfair_sched::render::{render_task, ruler};
 use pfair_sched::trace::SimResult;
-
-fn favoring(task: u32) -> TieBreak {
-    TieBreak::Ranked(vec![(TaskId(task), 0)])
-}
-
-fn disfavoring(task: u32, total: u32) -> TieBreak {
-    TieBreak::Ranked(
-        (0..total)
-            .filter(|t| *t != task)
-            .map(|t| (TaskId(t), 0))
-            .chain(std::iter::once((TaskId(task), 1)))
-            .collect(),
-    )
-}
+use pfair_sched::workloads;
 
 fn show_task(r: &SimResult, id: TaskId, label: &str, horizon: i64) {
     println!("{}", ruler(horizon));
@@ -47,11 +33,11 @@ fn show_task(r: &SimResult, id: TaskId, label: &str, horizon: i64) {
 /// Fig. 6(b): rule O on the 4-CPU, 19×(3/20)+T system.
 pub fn fig6b() {
     println!("\n--- Fig. 6(b): T (3/20 → 1/2 at t=10) via rule O, ties favor C ---");
-    let mut w = base_fig6((3, 20));
+    let mut w = workloads::fig6_base((3, 20));
     w.reweight(0, 10, 1, 2);
     let r = simulate(
         SimConfig::oi(4, 24)
-            .with_tie_break(disfavoring(0, 20))
+            .with_tie_break(TieBreak::disfavoring(0, 20))
             .with_admission(AdmissionPolicy::Trusting)
             .with_history(),
         &w,
@@ -64,11 +50,11 @@ pub fn fig6b() {
 /// Fig. 6(c): rule I (increase) on the same system, ties favor T.
 pub fn fig6c() {
     println!("\n--- Fig. 6(c): T (3/20 → 1/2 at t=10) via rule I, ties favor T ---");
-    let mut w = base_fig6((3, 20));
+    let mut w = workloads::fig6_base((3, 20));
     w.reweight(0, 10, 1, 2);
     let r = simulate(
         SimConfig::oi(4, 24)
-            .with_tie_break(favoring(0))
+            .with_tie_break(TieBreak::favoring(0))
             .with_admission(AdmissionPolicy::Trusting)
             .with_history(),
         &w,
@@ -81,11 +67,11 @@ pub fn fig6c() {
 /// Fig. 6(d): rule I (decrease).
 pub fn fig6d() {
     println!("\n--- Fig. 6(d): T (2/5 → 3/20 at t=1) via rule I, ties favor T ---");
-    let mut w = base_fig6((2, 5));
+    let mut w = workloads::fig6_base((2, 5));
     w.reweight(0, 1, 3, 20);
     let r = simulate(
         SimConfig::oi(4, 24)
-            .with_tie_break(favoring(0))
+            .with_tie_break(TieBreak::favoring(0))
             .with_admission(AdmissionPolicy::Trusting)
             .with_history(),
         &w,
@@ -95,30 +81,15 @@ pub fn fig6d() {
     println!("  drift(T, ≥4) = -3/20  ✓ (paper value)");
 }
 
-fn base_fig6(t_weight: (i128, i128)) -> Workload {
-    let mut w = Workload::new();
-    w.join(0, 0, t_weight.0, t_weight.1);
-    for i in 1..=19 {
-        w.join(i, 0, 3, 20);
-    }
-    w
-}
-
 /// Fig. 8 / Theorem 3: PD²-LJ drift 24/10 on the 35×(1/10)+T system.
 pub fn fig8() {
     println!("\n--- Fig. 8: PD2-LJ, T (1/10 → 1/2 at t=4), 4 CPUs, 35 background tasks ---");
-    let mut w = Workload::new();
-    w.join(0, 0, 1, 10);
-    for i in 1..=35 {
-        w.join(i, 0, 1, 10);
-    }
-    w.reweight(0, 4, 1, 2);
     let r = simulate(
         SimConfig::leave_join(4, 24)
-            .with_tie_break(favoring(0))
+            .with_tie_break(TieBreak::favoring(0))
             .with_admission(AdmissionPolicy::Trusting)
             .with_history(),
-        &w,
+        &workloads::fig8(),
     );
     show_task(&r, TaskId(0), "T", 24);
     assert_eq!(r.task(TaskId(0)).drift.at(10), rat(24, 10));
@@ -128,28 +99,7 @@ pub fn fig8() {
 /// Fig. 9 / Theorem 4: the projected-deadline EPDF miss.
 pub fn fig9() {
     println!("\n--- Fig. 9: EPDF with I_PS-projected deadlines, 2 CPUs ---");
-    let mut w = Workload::new();
-    let mut id = 0u32;
-    for _ in 0..10 {
-        w.join(id, 0, 1, 7);
-        w.leave(id, 7);
-        id += 1;
-    }
-    for _ in 0..2 {
-        w.join(id, 0, 1, 6);
-        w.leave(id, 6);
-        id += 1;
-    }
-    for _ in 0..2 {
-        w.join(id, 6, 1, 14);
-        id += 1;
-    }
-    for _ in 0..5 {
-        w.join(id, 0, 1, 21);
-        w.reweight(id, 7, 1, 3);
-        id += 1;
-    }
-    let run = run_projected_epdf(2, 12, &w);
+    let run = run_projected_epdf(2, 12, &workloads::fig9());
     println!(
         "  D-task deadlines project 21 → 9 at the t=7 reweight; misses: {:?}",
         run.misses

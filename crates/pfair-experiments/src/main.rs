@@ -2,14 +2,17 @@
 //! evaluation (see DESIGN.md's experiment index).
 //!
 //! ```text
-//! pfair-experiments all                # everything below
+//! pfair-experiments all                # everything below but `room`
 //! pfair-experiments fig11-speed        # Fig. 11 (a) + (b)
 //! pfair-experiments fig11-radius       # Fig. 11 (c) + (d)
 //! pfair-experiments counterexamples    # Figs. 6, 8, 9 with exact drift values
 //! pfair-experiments windows            # Figs. 1, 3/7 ideal-allocation tables
 //! pfair-experiments tradeoff           # hybrid efficiency-vs-accuracy ladder
 //! pfair-experiments baselines          # EDF / partitioned comparison
+//! pfair-experiments extensions         # Whisper with the §5 assumptions relaxed
+//! pfair-experiments scaling            # system-size scaling, tie-break ablation
 //! pfair-experiments sharding           # ShardSet scale-out sweep
+//! pfair-experiments room               # Fig. 10's room, written to whisper_room.svg
 //!
 //! options: --runs N     (default 61, the paper's replication count)
 //!          --csv DIR    (also write the Fig. 11 curves as CSV files)

@@ -4,22 +4,21 @@
 //! A [`FlightRecorder`] is a [`Probe`] that keeps the last `N` typed
 //! [`ObsEvent`]s (a quiet span is one event, a busy span its arming
 //! and its jump, so horizon-scale runs cost ring entries per span, not
-//! per slot). When a deadline
-//! miss or a drift-budget breach is observed, the current ring contents
-//! are copied into a [`FlightIncident`] — the black-box snapshot of
-//! what led up to the failure — and recording continues. The whole
-//! state dumps to `pfair-json` ([`FlightRecorder::dump`]), which
-//! `pfair trace --flight` writes to disk; an explicit dump needs no
-//! incident at all.
+//! per slot). When a deadline miss is observed, the current ring
+//! contents are copied into a [`FlightIncident`] — the black-box
+//! snapshot of what led up to the failure — and recording continues.
+//! The whole state dumps to `pfair-json` ([`FlightRecorder::dump`]),
+//! which `pfair trace --flight` writes to disk; an explicit dump needs
+//! no incident at all.
 //!
 //! Everything is integer-exact and deterministic: the ring is a
-//! fixed-capacity `VecDeque`, incidents are capped, and overflow is
-//! counted (`dropped` events, `suppressed` incidents) rather than
-//! silently discarded.
+//! fixed-capacity `VecDeque` (256 events), incidents are capped (at 8),
+//! and overflow is counted (`dropped` events, `suppressed` incidents)
+//! rather than silently discarded. Drift against a budget is
+//! `SloMonitor`'s check, not a trigger here.
 
 use crate::event::ObsEvent;
 use crate::probe::Probe;
-use pfair_core::rational::Rational;
 use pfair_core::time::Slot;
 use pfair_json::{obj, Json, ToJson};
 use std::collections::VecDeque;
@@ -29,46 +28,26 @@ use std::collections::VecDeque;
 pub enum FlightTrigger {
     /// A subtask missed its deadline.
     DeadlineMiss,
-    /// An Eqn (5) drift sample exceeded the configured budget.
-    DriftBreach,
     /// An explicit capture request ([`FlightRecorder::capture_now`]).
     Request,
 }
 
 impl FlightTrigger {
-    /// Canonical label (`"deadline_miss"`, `"drift_breach"`,
-    /// `"request"`).
+    /// Canonical label (`"deadline_miss"`, `"request"`).
     pub fn label(self) -> &'static str {
         match self {
             FlightTrigger::DeadlineMiss => "deadline_miss",
-            FlightTrigger::DriftBreach => "drift_breach",
             FlightTrigger::Request => "request",
         }
     }
 }
 
-/// Flight-recorder configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct FlightConfig {
-    /// Ring capacity: how many recent events are retained.
-    pub capacity: usize,
-    /// Drift budget: a sample with `|drift| > budget` freezes the
-    /// ring. `None` disables drift triggering.
-    pub drift_budget: Option<Rational>,
-    /// Maximum incidents retained; further triggers are counted as
-    /// suppressed instead of allocating without bound.
-    pub max_incidents: usize,
-}
+/// Ring capacity: how many recent events are retained.
+const CAPACITY: usize = 256;
 
-impl Default for FlightConfig {
-    fn default() -> FlightConfig {
-        FlightConfig {
-            capacity: 256,
-            drift_budget: None,
-            max_incidents: 8,
-        }
-    }
-}
+/// Maximum incidents retained; further triggers are counted as
+/// suppressed instead of allocating without bound.
+const MAX_INCIDENTS: usize = 8;
 
 /// A frozen copy of the ring at trigger time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,39 +77,29 @@ impl ToJson for FlightIncident {
 /// The flight-recorder probe. See the module docs.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
-    cfg: FlightConfig,
     ring: VecDeque<ObsEvent>,
     incidents: Vec<FlightIncident>,
     /// Events evicted from the ring since the start of the run.
     dropped: u64,
-    /// Triggers ignored because `max_incidents` was reached.
+    /// Triggers ignored because `MAX_INCIDENTS` was reached.
     suppressed: u64,
 }
 
 impl Default for FlightRecorder {
     fn default() -> FlightRecorder {
-        FlightRecorder::with_config(FlightConfig::default())
-    }
-}
-
-impl FlightRecorder {
-    /// A recorder with the default configuration (256-event ring, no
-    /// drift budget, 8 incidents).
-    pub fn new() -> FlightRecorder {
-        FlightRecorder::default()
-    }
-
-    /// A recorder with an explicit configuration (capacity is clamped
-    /// to at least 1).
-    pub fn with_config(cfg: FlightConfig) -> FlightRecorder {
-        let capacity = cfg.capacity.max(1);
         FlightRecorder {
-            cfg: FlightConfig { capacity, ..cfg },
-            ring: VecDeque::with_capacity(capacity),
+            ring: VecDeque::with_capacity(CAPACITY),
             incidents: Vec::new(),
             dropped: 0,
             suppressed: 0,
         }
+    }
+}
+
+impl FlightRecorder {
+    /// An empty recorder (256-event ring, at most 8 incidents).
+    pub fn new() -> FlightRecorder {
+        FlightRecorder::default()
     }
 
     /// Current ring contents, oldest first.
@@ -148,7 +117,7 @@ impl FlightRecorder {
         self.dropped
     }
 
-    /// Triggers suppressed after `max_incidents` was reached.
+    /// Triggers suppressed after `MAX_INCIDENTS` was reached.
     pub fn suppressed(&self) -> u64 {
         self.suppressed
     }
@@ -159,17 +128,16 @@ impl FlightRecorder {
         self.capture(FlightTrigger::Request, t);
     }
 
-    /// The full recorder state as JSON: configuration echoes, the
-    /// live ring, and every captured incident.
+    /// The full recorder state as JSON: the ring capacity, the live
+    /// ring, and every captured incident.
     pub fn dump(&self) -> Json {
         obj([
             (
                 "capacity",
-                Json::Int(i128::try_from(self.cfg.capacity).unwrap_or(i128::MAX)),
+                Json::Int(i128::try_from(CAPACITY).unwrap_or(i128::MAX)),
             ),
             ("dropped", Json::Int(i128::from(self.dropped))),
             ("suppressed", Json::Int(i128::from(self.suppressed))),
-            ("drift_budget", self.cfg.drift_budget.to_json()),
             (
                 "events",
                 Json::Array(self.ring.iter().map(ToJson::to_json).collect()),
@@ -182,7 +150,7 @@ impl FlightRecorder {
     }
 
     fn push(&mut self, ev: ObsEvent) {
-        while self.ring.len() >= self.cfg.capacity {
+        while self.ring.len() >= CAPACITY {
             self.ring.pop_front();
             self.dropped = self.dropped.saturating_add(1);
         }
@@ -190,7 +158,7 @@ impl FlightRecorder {
     }
 
     fn capture(&mut self, trigger: FlightTrigger, t: Slot) {
-        if self.incidents.len() >= self.cfg.max_incidents {
+        if self.incidents.len() >= MAX_INCIDENTS {
             self.suppressed = self.suppressed.saturating_add(1);
             return;
         }
@@ -205,14 +173,8 @@ impl FlightRecorder {
 impl Probe for FlightRecorder {
     fn on_event(&mut self, ev: ObsEvent) {
         self.push(ev);
-        match ev {
-            ObsEvent::Miss { t, .. } => self.capture(FlightTrigger::DeadlineMiss, t),
-            ObsEvent::DriftSample { t, drift, .. }
-                if self.cfg.drift_budget.is_some_and(|b| drift.abs() > b) =>
-            {
-                self.capture(FlightTrigger::DriftBreach, t);
-            }
-            _ => {}
+        if let ObsEvent::Miss { t, .. } = ev {
+            self.capture(FlightTrigger::DeadlineMiss, t);
         }
     }
 }
@@ -231,24 +193,23 @@ mod tests {
         }
     }
 
-    fn drift_sample(t: Slot, drift: Rational) -> ObsEvent {
-        ObsEvent::DriftSample {
+    fn miss(t: Slot) -> ObsEvent {
+        ObsEvent::Miss {
             task: TaskId(0),
+            index: 2,
             t,
-            drift,
+            deadline: t,
         }
     }
 
     #[test]
     fn ring_is_bounded_and_counts_drops() {
-        let mut fr = FlightRecorder::with_config(FlightConfig {
-            capacity: 4,
-            ..FlightConfig::default()
-        });
-        for t in 0..10 {
+        let mut fr = FlightRecorder::new();
+        let total = Slot::try_from(CAPACITY).unwrap() + 6;
+        for t in 0..total {
             fr.on_event(schedule(t));
         }
-        assert_eq!(fr.recent().count(), 4);
+        assert_eq!(fr.recent().count(), CAPACITY);
         assert_eq!(fr.dropped(), 6);
         // Oldest entries were evicted: the ring starts at t = 6.
         assert_eq!(fr.recent().next(), Some(&schedule(6)));
@@ -262,12 +223,7 @@ mod tests {
             task: TaskId(0),
             t: 11,
         });
-        fr.on_event(ObsEvent::Miss {
-            task: TaskId(0),
-            index: 2,
-            t: 12,
-            deadline: 12,
-        });
+        fr.on_event(miss(12));
         assert_eq!(fr.incidents().len(), 1);
         let inc = &fr.incidents()[0];
         assert_eq!(inc.trigger, FlightTrigger::DeadlineMiss);
@@ -278,20 +234,20 @@ mod tests {
     }
 
     #[test]
-    fn drift_budget_triggers_and_incidents_are_capped() {
-        let mut fr = FlightRecorder::with_config(FlightConfig {
-            drift_budget: Some(rat(1, 2)),
-            max_incidents: 2,
-            ..FlightConfig::default()
+    fn only_misses_trigger_and_incidents_are_capped() {
+        let mut fr = FlightRecorder::new();
+        fr.on_event(ObsEvent::DriftSample {
+            task: TaskId(0),
+            t: 5,
+            drift: rat(-5, 2),
         });
-        fr.on_event(drift_sample(5, rat(1, 4))); // within budget
         assert!(fr.incidents().is_empty());
-        for t in [6, 7, 8] {
-            fr.on_event(drift_sample(t, rat(-2, 3))); // |.| > 1/2
+        let misses = Slot::try_from(MAX_INCIDENTS).unwrap() + 1;
+        for t in 6..6 + misses {
+            fr.on_event(miss(t));
         }
-        assert_eq!(fr.incidents().len(), 2);
+        assert_eq!(fr.incidents().len(), MAX_INCIDENTS);
         assert_eq!(fr.suppressed(), 1);
-        assert_eq!(fr.incidents()[0].trigger, FlightTrigger::DriftBreach);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod slo;
 
 pub use chrome::{ReweightSpan, TraceRecorder};
 pub use event::ObsEvent;
-pub use flight::{FlightConfig, FlightIncident, FlightRecorder, FlightTrigger};
+pub use flight::{FlightIncident, FlightRecorder, FlightTrigger};
 pub use metrics::{Histogram, MetricsProbe, Registry};
 pub use probe::{Fanout, NoopProbe, Probe, ReleaseRec, ReweightCost, Rule};
 pub use slo::{SloBreach, SloConfig, SloKind, SloMonitor};

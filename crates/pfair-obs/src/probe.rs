@@ -53,17 +53,6 @@ impl Rule {
             Rule::Immediate => "immediate",
         }
     }
-
-    /// Inverse of [`Rule::label`].
-    pub fn from_label(s: &str) -> Option<Rule> {
-        match s {
-            "O" => Some(Rule::O),
-            "I" => Some(Rule::I),
-            "LJ" => Some(Rule::Lj),
-            "immediate" => Some(Rule::Immediate),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Rule {
@@ -204,14 +193,6 @@ impl<A: Probe, B: Probe> Probe for Fanout<A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rule_labels_round_trip() {
-        for r in [Rule::O, Rule::I, Rule::Lj, Rule::Immediate] {
-            assert_eq!(Rule::from_label(r.label()), Some(r));
-        }
-        assert_eq!(Rule::from_label("nonsense"), None);
-    }
 
     /// `Fanout` hands both sides the same stream (the `NoopProbe` in
     /// the middle takes every hook), and the event-building default

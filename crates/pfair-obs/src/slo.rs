@@ -153,11 +153,6 @@ impl SloMonitor {
         }
     }
 
-    /// The configured thresholds.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
-    }
-
     /// All recorded breaches, in observation order.
     pub fn breaches(&self) -> &[SloBreach] {
         &self.breaches

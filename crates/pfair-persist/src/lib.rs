@@ -226,21 +226,6 @@ impl Journal {
         })
     }
 
-    /// Opens an existing journal for appending, after fully validating
-    /// it. Returns the journal (positioned after the last entry) and
-    /// the events recovered so far.
-    pub fn open_append(path: &Path) -> Result<(Journal, Vec<Event>), PersistError> {
-        let events = read_journal(path)?;
-        let next_seq = events.len() as u64; // audit: allow(lossy-cast, entry counts are far below 2^64)
-        Ok((
-            Journal {
-                path: path.to_path_buf(),
-                next_seq,
-            },
-            events,
-        ))
-    }
-
     /// Appends one admitted event and flushes it to disk.
     pub fn append(&mut self, event: &Event) -> Result<(), PersistError> {
         let mut line = entry_line(self.next_seq, event).to_string();
@@ -253,16 +238,6 @@ impl Journal {
             .map_err(|e| io_err(&self.path, &e))?;
         self.next_seq += 1;
         Ok(())
-    }
-
-    /// Number of entries written so far.
-    pub fn len(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// `true` iff nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.next_seq == 0
     }
 }
 
@@ -437,20 +412,8 @@ mod tests {
         for e in &events {
             journal.append(e).unwrap();
         }
-        assert_eq!(journal.len(), 2);
         let loaded = read_journal(&path).unwrap();
         assert_eq!(loaded, events);
-        // Reopening for append continues the sequence.
-        let (mut journal, recovered) = Journal::open_append(&path).unwrap();
-        assert_eq!(recovered, events);
-        journal
-            .append(&Event {
-                at: 7,
-                task: TaskId(2),
-                kind: EventKind::Delay(2),
-            })
-            .unwrap();
-        assert_eq!(read_journal(&path).unwrap().len(), 3);
         std::fs::remove_file(&path).ok();
     }
 

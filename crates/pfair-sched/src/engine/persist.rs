@@ -392,19 +392,9 @@ impl EngineSnapshot {
         self.now
     }
 
-    /// The configured horizon of the captured run.
-    pub fn horizon(&self) -> Slot {
-        self.config.horizon
-    }
-
     /// The captured configuration.
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// Number of tasks in the captured task slab.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
     }
 
     /// Cross-field invariants shared by the decoder and

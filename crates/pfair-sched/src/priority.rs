@@ -64,6 +64,24 @@ pub enum TieBreak {
 }
 
 impl TieBreak {
+    /// Ties resolved in favor of `task`; every other task by ascending
+    /// id.
+    pub fn favoring(task: u32) -> TieBreak {
+        TieBreak::Ranked(vec![(TaskId(task), 0)])
+    }
+
+    /// Ties resolved against `task`: the other ids in `0..total` all
+    /// outrank it (the figures' "ties are broken in favor of C").
+    pub fn disfavoring(task: u32, total: u32) -> TieBreak {
+        TieBreak::Ranked(
+            (0..total)
+                .filter(|t| *t != task)
+                .map(|t| (TaskId(t), 0))
+                .chain(std::iter::once((TaskId(task), 1)))
+                .collect(),
+        )
+    }
+
     /// The rank key this policy assigns to a task (smaller = favored).
     ///
     /// For `Ranked` this is an `O(table)` scan — fine for building a
@@ -171,16 +189,6 @@ impl TieTable {
     /// keeps the type panic-free.
     pub fn rank(&self, task: TaskId) -> u32 {
         self.ranks.get(task.idx()).copied().unwrap_or(u32::MAX)
-    }
-
-    /// Number of tasks ranked by this table.
-    pub fn len(&self) -> usize {
-        self.ranks.len()
-    }
-
-    /// `true` iff the table ranks no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.ranks.is_empty()
     }
 }
 

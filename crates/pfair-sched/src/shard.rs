@@ -38,19 +38,18 @@
 //! index) by an exact-rational supervisor ledger of *requested*
 //! weights, preferring shards where the join keeps the per-shard
 //! condition (W) satisfied. The ledger is a placement heuristic; each
-//! shard's own [`AdmissionPolicy`] remains the authority that clamps
-//! or rejects. Optional rebalancing migrates the lightest task from
-//! the most- to the least-loaded shard at segment boundaries whenever
-//! that strictly narrows the utilization gap.
+//! shard's own policing
+//! [`AdmissionPolicy`](crate::admission::AdmissionPolicy) remains the
+//! authority that clamps or rejects. Optional rebalancing migrates the
+//! lightest task from the most- to the least-loaded shard at segment
+//! boundaries whenever that strictly narrows the utilization gap.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crate::admission::AdmissionPolicy;
 use crate::engine::{Engine, SimConfig};
 use crate::event::{Event, EventKind, Workload};
 use crate::overhead::Counters;
-use crate::reweight::Scheme;
 use crate::trace::SimResult;
 use pfair_core::drift::DriftSample;
 use pfair_core::pool::par_map_threads;
@@ -77,10 +76,6 @@ pub struct ShardSpec {
     pub processors_per_shard: u32,
     /// Slots to simulate.
     pub horizon: Slot,
-    /// Reweighting scheme of every shard.
-    pub scheme: Scheme,
-    /// Per-shard condition-(W) policing.
-    pub admission: AdmissionPolicy,
     /// Segment length: global events are routed and rebalancing runs at
     /// multiples of this many slots.
     pub segment: Slot,
@@ -100,8 +95,6 @@ impl ShardSpec {
             shards: shards.max(1),
             processors_per_shard,
             horizon,
-            scheme: Scheme::Oi,
-            admission: AdmissionPolicy::Police,
             segment: 64,
             rebalance: false,
             threads: 1,
@@ -120,32 +113,18 @@ impl ShardSpec {
         self
     }
 
-    /// Builder-style: set the reweighting scheme.
-    pub fn with_scheme(mut self, scheme: Scheme) -> ShardSpec {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Builder-style: set the admission policy.
-    pub fn with_admission(mut self, admission: AdmissionPolicy) -> ShardSpec {
-        self.admission = admission;
-        self
-    }
-
     /// Builder-style: enable boundary rebalancing.
     pub fn with_rebalance(mut self) -> ShardSpec {
         self.rebalance = true;
         self
     }
 
-    /// Shards never batch busy spans: arming clones the whole task slab
-    /// per attempt, which is the wrong trade at population scale
-    /// (10⁵–10⁶ tasks per shard).
+    /// Every shard runs PD²-OI with policing admission. Shards never
+    /// batch busy spans: arming clones the whole task slab per attempt,
+    /// which is the wrong trade at population scale (10⁵–10⁶ tasks per
+    /// shard).
     fn engine_config(&self) -> SimConfig {
-        SimConfig::oi(self.processors_per_shard, self.horizon)
-            .with_scheme(self.scheme.clone())
-            .with_admission(self.admission)
-            .without_busy_span()
+        SimConfig::oi(self.processors_per_shard, self.horizon).without_busy_span()
     }
 }
 

@@ -160,11 +160,7 @@ mod tests {
     #[test]
     fn halted_subtasks_are_marked() {
         // Force a rule-O halt: unscheduled subtask reweighted.
-        let mut w = Workload::new();
-        w.join(0, 0, 3, 20);
-        for i in 1..=19 {
-            w.join(i, 0, 3, 20);
-        }
+        let mut w = crate::workloads::fig6_base((3, 20));
         w.reweight(0, 10, 1, 2);
         let r = simulate(
             SimConfig::oi(4, 24)

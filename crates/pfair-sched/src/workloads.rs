@@ -1,77 +1,30 @@
-//! Reusable synthetic workload generators.
+//! Reusable workload generators and the paper's worked systems.
 //!
 //! The benchmarks, stress tests, and experiment ablations all need
 //! adaptable task systems with controlled shapes. This module provides
 //! the standard ones:
 //!
-//! * [`uniform`] — `n` equal-weight tasks, the static baseline;
-//! * [`burst`] — every task requests a new weight at the same instant
-//!   (the `Ω(max(N, M log N))` simultaneous-reweight scenario of §6);
-//! * [`ramp`] — one light task climbs to a target weight through many
-//!   small steps (the up-ramp that punishes coarse-grained schemes);
 //! * [`sawtooth`] — periodic up/down cycles per task, phase-staggered;
 //! * [`churn`] — tasks continuously join and leave (the dynamic-system
 //!   setting of Srinivasan & Anderson's rules J/L);
 //! * [`random_adaptive`] — seeded random joins/reweights/delays for
 //!   fuzz-style stress, always policed to feasibility;
 //! * [`synthetic_population`] — `10⁵–10⁶` light aligned tasks for
-//!   shard-supervisor scale-out runs (PR 10).
+//!   shard-supervisor scale-out runs.
+//!
+//! and the task systems of the paper's figures, built once for the
+//! tests, the experiments and the examples that replay them:
+//!
+//! * [`fig6_base`] — Fig. 6's T plus 19 weight-3/20 tasks (Theorem 5);
+//! * [`fig8`] — Fig. 8's T plus 35 weight-1/10 tasks, T asking for 1/2
+//!   (Theorem 3);
+//! * [`fig9`] — Fig. 9's EPDF counterexample (Theorem 4).
 
 use crate::event::Workload;
-use pfair_core::rational::Rational;
 use pfair_core::time::Slot;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// `n` tasks of weight `num/den` joining at time 0.
-pub fn uniform(n: u32, num: i128, den: i128) -> Workload {
-    let mut w = Workload::new();
-    for i in 0..n {
-        w.join(i, 0, num, den);
-    }
-    w
-}
-
-/// [`uniform`] plus one simultaneous reweight of *every* task at `at`.
-pub fn burst(n: u32, num: i128, den: i128, at: Slot, to_num: i128, to_den: i128) -> Workload {
-    let mut w = uniform(n, num, den);
-    for i in 0..n {
-        w.reweight(i, at, to_num, to_den);
-    }
-    w
-}
-
-/// One task ramping from `1/from_den` to `1/to_den` (`to_den <
-/// from_den`) in `steps` multiplicative steps starting at `start`,
-/// `gap` slots apart, beside `n_background` weight-1/4 tasks.
-pub fn ramp(
-    from_den: i128,
-    to_den: i128,
-    steps: u32,
-    start: Slot,
-    gap: Slot,
-    n_background: u32,
-) -> Workload {
-    assert!(to_den < from_den && to_den >= 2);
-    let mut w = Workload::new();
-    w.join(0, 0, 1, from_den);
-    for i in 0..n_background {
-        w.join(i + 1, 0, 1, 4);
-    }
-    // Geometric interpolation of denominators: float math is confined to
-    // *choosing* integer weight parameters; the chosen weights are exact.
-    // audit: allow(float, workload-generation knob; the produced weights are exact integers)
-    let ratio = (from_den as f64 / to_den as f64).powf(1.0 / f64::from(steps)); // audit: allow(lossy-cast, workload-generation knob)
-    for k in 1..=steps {
-        // audit: allow(float, workload-generation knob; the produced weights are exact integers)
-        let interp = (from_den as f64) / ratio.powi(k as i32); // audit: allow(lossy-cast, workload-generation knob)
-                                                               // audit: allow(float, workload-generation knob; the produced weights are exact integers)
-        let den = interp.round().max(to_den as f64) as i128; // audit: allow(lossy-cast, workload-generation knob)
-        w.reweight(0, start + gap * Slot::from(k), 1, den.max(2));
-    }
-    w
-}
 
 /// `n` tasks cycling `lo → hi → lo` weights with period `period`,
 /// phase-staggered so the system's total demand stays smooth.
@@ -162,8 +115,8 @@ pub const POPULATION_ALIGNMENT: Slot = 8192;
 /// light power-of-two weights keep expected total utilization at
 /// `n · 31/40960` (< 0.1 % each), so per-shard utilization stays
 /// bounded and easy to provision — size `shards × processors_per_shard`
-/// at or above [`join_utilization`] and every shard admits its members
-/// under condition (W). All joins land at slot 0 and every window
+/// at or above the joins' total weight and every shard admits its
+/// members under condition (W). All joins land at slot 0 and every window
 /// divides [`POPULATION_ALIGNMENT`], making aligned horizons exact
 /// (see the constant's docs). Fully deterministic in `(n, seed)`.
 pub fn synthetic_population(n: u32, seed: u64) -> Workload {
@@ -176,24 +129,65 @@ pub fn synthetic_population(n: u32, seed: u64) -> Workload {
     w
 }
 
-/// Total requested utilization of the joins in a workload (a quick
-/// feasibility sniff for generated workloads).
-pub fn join_utilization(w: &Workload) -> Rational {
-    use crate::event::EventKind;
-    w.sorted_events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Join(weight) => Some(weight.value()),
-            _ => None,
-        })
-        .fold(Rational::ZERO, |a, b| a + b)
+/// The Fig. 6 base system on four processors: task T (id 0) of weight
+/// `t_weight`, then 19 weight-3/20 tasks (ids 1..=19), all joining at 0.
+pub fn fig6_base(t_weight: (i128, i128)) -> Workload {
+    let mut w = Workload::new();
+    w.join(0, 0, t_weight.0, t_weight.1); // T
+    for i in 1..=19 {
+        w.join(i, 0, 3, 20);
+    }
+    w
+}
+
+/// The Fig. 8 system on four processors: T (id 0) and 35 more tasks
+/// (ids 1..=35), all of weight 1/10, with T asking for 1/2 at time 4.
+/// Under PD²-LJ, T cannot leave before `d(T_1) + b(T_1) = 10` and
+/// accumulates drift 24/10 (Theorem 3).
+pub fn fig8() -> Workload {
+    let mut w = Workload::new();
+    w.join(0, 0, 1, 10); // T
+    for i in 1..=35 {
+        w.join(i, 0, 1, 10);
+    }
+    w.reweight(0, 4, 1, 2);
+    w
+}
+
+/// The Fig. 9 system on two processors: set A (ids 0..10, weight 1/7,
+/// leaving at 7), B (ids 10..12, 1/6, leaving at 6), C (ids 12..14,
+/// 1/14, joining at 6) and D (ids 14..19, 1/21 → 1/3 at 7). Under EPDF
+/// with `I_PS`-projected deadlines a task in D misses at time 9
+/// (Theorem 4); the system itself is feasible.
+pub fn fig9() -> Workload {
+    let mut w = Workload::new();
+    let mut id = 0u32;
+    for _ in 0..10 {
+        w.join(id, 0, 1, 7);
+        w.leave(id, 7);
+        id += 1;
+    }
+    for _ in 0..2 {
+        w.join(id, 0, 1, 6);
+        w.leave(id, 6);
+        id += 1;
+    }
+    for _ in 0..2 {
+        w.join(id, 6, 1, 14);
+        id += 1;
+    }
+    for _ in 0..5 {
+        w.join(id, 0, 1, 21);
+        w.reweight(id, 7, 1, 3); // deadline projection jumps 21 → 9
+        id += 1;
+    }
+    w
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{simulate, SimConfig};
-    use pfair_core::rational::rat;
 
     #[test]
     fn synthetic_population_is_deterministic_and_bounded() {
@@ -206,35 +200,12 @@ mod tests {
             a.sorted_events(),
             synthetic_population(2000, 8).sorted_events()
         );
-        let util = join_utilization(&a);
-        assert!(util >= rat(2000, 8192) && util <= rat(2000, 512));
-        assert!(a
-            .sorted_events()
-            .iter()
-            .all(|e| e.at == 0 && matches!(e.kind, crate::event::EventKind::Join(_))));
-    }
-
-    #[test]
-    fn uniform_and_burst_run_clean() {
-        let r = simulate(SimConfig::oi(2, 60), &uniform(8, 1, 4));
-        assert!(r.is_miss_free());
-        let r = simulate(SimConfig::oi(2, 60), &burst(8, 1, 8, 10, 1, 5));
-        assert!(r.is_miss_free());
-        assert_eq!(r.counters.reweight_initiations, 8);
-    }
-
-    #[test]
-    fn ramp_climbs_monotonically() {
-        let w = ramp(40, 3, 10, 5, 8, 2);
-        let mut last = rat(1, 40);
-        for e in w.sorted_events() {
-            if let crate::event::EventKind::Reweight(wt) = e.kind {
-                assert!(wt.value() >= last, "ramp must not descend");
-                last = wt.value();
-            }
-        }
-        let r = simulate(SimConfig::oi(2, 200), &w);
-        assert!(r.is_miss_free());
+        assert!(a.sorted_events().iter().all(|e| {
+            e.at == 0
+                && matches!(e.kind, crate::event::EventKind::Join(w)
+                    if w.value().numer() == 1
+                        && [512, 1024, 2048, 4096, 8192].contains(&w.value().denom()))
+        }));
     }
 
     #[test]
@@ -259,11 +230,5 @@ mod tests {
         assert_eq!(a.sorted_events(), b.sorted_events());
         let r = simulate(SimConfig::oi(2, 200), &a);
         assert!(r.is_miss_free());
-    }
-
-    #[test]
-    fn join_utilization_sums() {
-        let w = uniform(4, 1, 4);
-        assert_eq!(join_utilization(&w), rat(1, 1));
     }
 }

@@ -24,21 +24,11 @@ use proptest::prelude::*;
 /// Fig. 3(c)'s U_1–U_3).
 #[test]
 fn fig3a_rule_o_era_windows_match_fresh_task() {
-    let mut w = Workload::new();
-    w.join(0, 0, 3, 20);
-    for i in 1..=19 {
-        w.join(i, 0, 3, 20);
-    }
+    let mut w = workloads::fig6_base((3, 20));
     w.reweight(0, 10, 2, 5);
-    let disfavor_t = TieBreak::Ranked(
-        (1..20)
-            .map(|t| (TaskId(t), 0))
-            .chain(std::iter::once((TaskId(0), 1)))
-            .collect(),
-    );
     let r = simulate(
         SimConfig::oi(4, 40)
-            .with_tie_break(disfavor_t)
+            .with_tie_break(TieBreak::disfavoring(0, 20))
             .with_admission(AdmissionPolicy::Trusting)
             .with_history(),
         &w,

@@ -19,6 +19,7 @@ use pfair_sched::admission::AdmissionPolicy;
 use pfair_sched::engine::{simulate, simulate_with, Engine, SimConfig};
 use pfair_sched::event::Workload;
 use pfair_sched::trace::Miss;
+use pfair_sched::workloads;
 use proptest::prelude::*;
 
 /// Collects the `ObsEvent::Miss` stream (no miss can fall inside a
@@ -112,34 +113,16 @@ fn overloaded_uniform_system() {
     );
 }
 
-/// The Fig. 9 counterexample system of `paper_figures.rs` (leaves,
+/// The Fig. 9 counterexample system (leaves,
 /// late joins, reweights on two processors): EPDF projection misses at
 /// time 9, PD²-OI must not — under any driver, by the definition too.
 #[test]
 fn fig9_system_stays_miss_free() {
-    let mut w = Workload::new();
-    let mut id = 0u32;
-    for _ in 0..10 {
-        w.join(id, 0, 1, 7);
-        w.leave(id, 7);
-        id += 1;
-    }
-    for _ in 0..2 {
-        w.join(id, 0, 1, 6);
-        w.leave(id, 6);
-        id += 1;
-    }
-    for _ in 0..2 {
-        w.join(id, 6, 1, 14);
-        id += 1;
-    }
-    for _ in 0..5 {
-        w.join(id, 0, 1, 21);
-        w.reweight(id, 7, 1, 3);
-        id += 1;
-    }
     let cfg = SimConfig::oi(2, 420).with_admission(AdmissionPolicy::Trusting);
-    assert_eq!(assert_all_drivers_agree(&cfg, &w), Vec::new());
+    assert_eq!(
+        assert_all_drivers_agree(&cfg, &workloads::fig9()),
+        Vec::new()
+    );
 }
 
 /// Admission off, three weight-1/2 tasks and a light one on one

@@ -13,22 +13,7 @@ use pfair_sched::epdf_ps::run_projected_epdf;
 use pfair_sched::event::Workload;
 use pfair_sched::priority::TieBreak;
 use pfair_sched::trace::SimResult;
-
-/// Ties resolved in favor of the given task, everything else by id.
-fn favoring(task: u32) -> TieBreak {
-    TieBreak::Ranked(vec![(TaskId(task), 0)])
-}
-
-/// Ties resolved *against* the given task (all other tasks outrank it).
-fn disfavoring(task: u32, total: u32) -> TieBreak {
-    TieBreak::Ranked(
-        (0..total)
-            .filter(|t| *t != task)
-            .map(|t| (TaskId(t), 0))
-            .chain(std::iter::once((TaskId(task), 1)))
-            .collect(),
-    )
-}
+use pfair_sched::workloads::{fig6_base, fig8, fig9};
 
 /// Fig. 4: one processor; T of weight 2/5 and U of weight 2/5 that
 /// increases to 1/2 at time 3 by halting U_2.
@@ -65,17 +50,6 @@ fn fig4_one_processor_halt() {
     assert_eq!(era.window.deadline, 6); // fresh 1/2 task: window length 2
 }
 
-/// The Fig. 6 base system: 19 weight-3/20 tasks (ids 1..=19) plus task
-/// T (id 0) on four processors.
-fn fig6_base(t_weight: (i128, i128)) -> Workload {
-    let mut w = Workload::new();
-    w.join(0, 0, t_weight.0, t_weight.1); // T
-    for i in 1..=19 {
-        w.join(i, 0, 3, 20);
-    }
-    w
-}
-
 /// Fig. 6(a): T (3/20) leaves at time 8 (the earliest rule L allows:
 /// d(T_1) + b(T_1) = 7 + 1) and a weight-1/2 task U joins at 10.
 #[test]
@@ -84,7 +58,7 @@ fn fig6a_leave_join() {
     w.leave(0, 7); // initiated before 8; rule L defers the leave to 8
     w.join(20, 10, 1, 2); // U
     let cfg = SimConfig::oi(4, 40)
-        .with_tie_break(disfavoring(0, 21))
+        .with_tie_break(TieBreak::disfavoring(0, 21))
         .with_admission(AdmissionPolicy::Trusting)
         .with_history();
     let r = simulate(cfg, &w);
@@ -109,7 +83,7 @@ fn fig6b_rule_o() {
     let mut w = fig6_base((3, 20));
     w.reweight(0, 10, 1, 2);
     let cfg = SimConfig::oi(4, 40)
-        .with_tie_break(disfavoring(0, 20))
+        .with_tie_break(TieBreak::disfavoring(0, 20))
         .with_admission(AdmissionPolicy::Trusting)
         .with_history();
     let r = simulate(cfg, &w);
@@ -144,7 +118,7 @@ fn fig6c_rule_i_increase() {
     let mut w = fig6_base((3, 20));
     w.reweight(0, 10, 1, 2);
     let cfg = SimConfig::oi(4, 40)
-        .with_tie_break(favoring(0))
+        .with_tie_break(TieBreak::favoring(0))
         .with_admission(AdmissionPolicy::Trusting)
         .with_history();
     let r = simulate(cfg, &w);
@@ -180,7 +154,7 @@ fn fig6d_rule_i_decrease() {
     let mut w = fig6_base((2, 5));
     w.reweight(0, 1, 3, 20);
     let cfg = SimConfig::oi(4, 40)
-        .with_tie_break(favoring(0))
+        .with_tie_break(TieBreak::favoring(0))
         .with_admission(AdmissionPolicy::Trusting)
         .with_history();
     let r = simulate(cfg, &w);
@@ -205,14 +179,9 @@ fn fig6d_rule_i_decrease() {
 /// of 2.
 #[test]
 fn fig8_lj_drift_24_10() {
-    let mut w = Workload::new();
-    w.join(0, 0, 1, 10); // T
-    for i in 1..=35 {
-        w.join(i, 0, 1, 10);
-    }
-    w.reweight(0, 4, 1, 2);
+    let w = fig8();
     let cfg = SimConfig::leave_join(4, 40)
-        .with_tie_break(favoring(0))
+        .with_tie_break(TieBreak::favoring(0))
         .with_admission(AdmissionPolicy::Trusting)
         .with_history();
     let r = simulate(cfg, &w);
@@ -248,7 +217,7 @@ fn fig8_generalization_drift_grows_with_inverse_weight() {
         w.reweight(0, 1, 1, 2);
         let lj = simulate(
             SimConfig::leave_join(1, 4 * den as i64)
-                .with_tie_break(favoring(0))
+                .with_tie_break(TieBreak::favoring(0))
                 .with_admission(AdmissionPolicy::Trusting),
             &w,
         );
@@ -259,7 +228,7 @@ fn fig8_generalization_drift_grows_with_inverse_weight() {
 
         let oi = simulate(
             SimConfig::oi(1, 4 * den as i64)
-                .with_tie_break(favoring(0))
+                .with_tie_break(TieBreak::favoring(0))
                 .with_admission(AdmissionPolicy::Trusting),
             &w,
         );
@@ -273,29 +242,8 @@ fn fig8_generalization_drift_grows_with_inverse_weight() {
 /// join at 6), D (5 × 1/21 → 1/3 at 7). A task in D misses at time 9.
 #[test]
 fn fig9_epdf_projected_deadline_miss() {
-    let mut w = Workload::new();
-    let mut id = 0u32;
-    let mut d_tasks = Vec::new();
-    for _ in 0..10 {
-        w.join(id, 0, 1, 7);
-        w.leave(id, 7);
-        id += 1;
-    }
-    for _ in 0..2 {
-        w.join(id, 0, 1, 6);
-        w.leave(id, 6);
-        id += 1;
-    }
-    for _ in 0..2 {
-        w.join(id, 6, 1, 14);
-        id += 1;
-    }
-    for _ in 0..5 {
-        w.join(id, 0, 1, 21);
-        w.reweight(id, 7, 1, 3);
-        d_tasks.push(TaskId(id));
-        id += 1;
-    }
+    let w = fig9();
+    let d_tasks: Vec<TaskId> = (14..19).map(TaskId).collect();
     let run = run_projected_epdf(2, 12, &w);
     // Exactly the D-set tasks can miss, and at the projected deadline 9.
     assert!(!run.misses.is_empty(), "the counterexample must miss");
@@ -319,30 +267,9 @@ fn fig9_epdf_projected_deadline_miss() {
 /// task system).
 #[test]
 fn fig9_system_is_feasible_under_pd2_oi() {
-    let mut w = Workload::new();
-    let mut id = 0u32;
-    for _ in 0..10 {
-        w.join(id, 0, 1, 7);
-        w.leave(id, 7);
-        id += 1;
-    }
-    for _ in 0..2 {
-        w.join(id, 0, 1, 6);
-        w.leave(id, 6);
-        id += 1;
-    }
-    for _ in 0..2 {
-        w.join(id, 6, 1, 14);
-        id += 1;
-    }
-    for _ in 0..5 {
-        w.join(id, 0, 1, 21);
-        w.reweight(id, 7, 1, 3);
-        id += 1;
-    }
     let r = simulate(
         SimConfig::oi(2, 42).with_admission(AdmissionPolicy::Trusting),
-        &w,
+        &fig9(),
     );
     assert!(r.is_miss_free(), "misses: {:?}", r.misses);
 }
@@ -387,7 +314,7 @@ fn fig6_variants_respect_theorem5() {
     ] {
         let mut w = fig6_base(weight);
         w.reweight(0, at, target.0, target.1);
-        for tb in [favoring(0), disfavoring(0, 20)] {
+        for tb in [TieBreak::favoring(0), TieBreak::disfavoring(0, 20)] {
             let r = simulate(
                 SimConfig::oi(4, 60)
                     .with_tie_break(tb)

@@ -20,6 +20,7 @@
 //! d_eff        = d · (OCCLUSION_FACTOR if the pole blocks the pair)
 //! window(d_eff)= W_BASE + W_SLOPE · d_eff          search window
 //! weight       = clamp(window · K / f_cpu · f_track, [W_MIN, 1/3])
+//!                (f_cpu = 2.7 GHz, f_track = 1 kHz per pair)
 //! ```
 //!
 //! Constants are anchored so that (i) the maximum weight is the paper's
@@ -38,15 +39,6 @@
 use pfair_core::rational::Rational;
 use pfair_core::weight::Weight;
 
-/// Speed of sound used by the tracking model (m/s).
-pub const SPEED_OF_SOUND: f64 = 343.0;
-/// Tracking update frequency per speaker/microphone pair (Hz): the
-/// paper's 1,000 Hz sampling frequency per tracked object.
-pub const TRACK_HZ: f64 = 1_000.0;
-/// Simulated CPU clock (Hz): the paper's 2.7 GHz processors.
-pub const CPU_HZ: f64 = 2.7e9;
-/// Quantum length in seconds (1 ms).
-pub const QUANTUM_S: f64 = 1e-3;
 /// Distance hysteresis: a task reweights only when its effective
 /// acoustic distance has changed by 5 cm (paper §5, assumption 6).
 pub const REWEIGHT_DISTANCE_M: f64 = 0.05;
@@ -92,12 +84,6 @@ pub fn raw_weight(d_eff: f64) -> f64 {
     let w_min = MIN_WEIGHT_NUM as f64 / WEIGHT_DENOM as f64;
     let w_max = 1.0 / 3.0;
     (w_max * 10f64.powf((d_eff - SATURATION_DISTANCE_M) / DECADE_DISTANCE_M)).clamp(w_min, w_max)
-}
-
-/// CPU cycles for one tracking update at effective distance `d`
-/// (consistency view of the same calibration: weight · f_cpu / f_track).
-pub fn update_cycles(d_eff: f64) -> f64 {
-    raw_weight(d_eff) * CPU_HZ / TRACK_HZ
 }
 
 /// The quantized task weight at effective distance `d_eff`.
@@ -188,14 +174,5 @@ mod tests {
             typical > 2.0,
             "typical load {typical} should keep the system stressed"
         );
-    }
-
-    #[test]
-    fn update_cycles_track_the_weight() {
-        let d = 0.6;
-        let w = raw_weight(d);
-        assert!((update_cycles(d) * TRACK_HZ / CPU_HZ - w).abs() < 1e-12);
-        let _ = QUANTUM_S; // documented constant, exercised by whisper runs
-        let _ = SPEED_OF_SOUND;
     }
 }

@@ -207,55 +207,3 @@ mod tests {
         }
     }
 }
-
-/// The weight signal of one speaker/microphone pair over the run: the
-/// quantized weight in force at each slot, after the 5 cm hysteresis.
-/// This is the raw adaptive signal the schedulers chase — useful for
-/// plotting and for reasoning about a scenario's difficulty.
-pub fn weight_trace(sc: &Scenario, speaker: usize, mic: usize) -> Vec<(Slot, f64)> {
-    assert!(speaker < SPEAKERS && mic < MICS);
-    let mut rng = ChaCha8Rng::seed_from_u64(sc.seed);
-    let phases: Vec<f64> = (0..SPEAKERS)
-        .map(|_| rng.gen_range(0.0..std::f64::consts::TAU))
-        .collect();
-    let mics = microphones();
-    let mut out = Vec::with_capacity(HORIZON as usize);
-    let mut anchor = f64::NEG_INFINITY;
-    let mut current = 0.0;
-    for t in 0..HORIZON {
-        let pos = speaker_position(sc, phases[speaker], t);
-        let d = acoustic_distance(sc, pos, mics[mic]);
-        if (d - anchor).abs() >= REWEIGHT_DISTANCE_M {
-            anchor = d;
-            current = weight_at(d).to_f64();
-        }
-        out.push((t, current));
-    }
-    out
-}
-
-#[cfg(test)]
-mod weight_trace_tests {
-    use super::*;
-
-    #[test]
-    fn trace_matches_workload_events() {
-        let sc = Scenario::new(2.9, 0.25, true, 3);
-        let trace = weight_trace(&sc, 0, 0);
-        assert_eq!(trace.len(), HORIZON as usize);
-        // The trace is piecewise constant with multiple steps.
-        let steps = trace.windows(2).filter(|w| w[0].1 != w[1].1).count();
-        assert!(steps > 5, "expected several weight changes, got {steps}");
-        // All values are in the calibrated band (0, 1/3].
-        for (_, w) in &trace {
-            assert!(*w > 0.0 && *w <= 1.0 / 3.0 + 1e-12);
-        }
-    }
-
-    #[test]
-    fn trace_is_deterministic_and_pair_specific() {
-        let sc = Scenario::new(2.0, 0.25, true, 8);
-        assert_eq!(weight_trace(&sc, 1, 2), weight_trace(&sc, 1, 2));
-        assert_ne!(weight_trace(&sc, 1, 2), weight_trace(&sc, 0, 0));
-    }
-}

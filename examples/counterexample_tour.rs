@@ -15,6 +15,7 @@
 
 use pfair_repro::prelude::*;
 use pfair_repro::sched::epdf_ps::run_projected_epdf;
+use pfair_repro::sched::workloads::{fig6_base, fig8, fig9};
 
 fn main() {
     theorem3();
@@ -23,10 +24,20 @@ fn main() {
     println!("\nall three lower-bound demonstrations behave exactly as the paper proves.");
 }
 
-/// Theorem 3: sweep the initial weight down and watch PD²-LJ's one-event
-/// drift blow up while PD²-OI's stays under 2.
+/// Theorem 3: Fig. 8's single event already drifts past 2 under PD²-LJ;
+/// sweeping the initial weight down, its drift grows without bound while
+/// PD²-OI's stays under 2.
 fn theorem3() {
-    println!("Theorem 3 — PD2-LJ is coarse-grained (Fig. 8 generalization)");
+    println!("Theorem 3 — PD2-LJ is coarse-grained (Fig. 8 and its generalization)");
+    let fig8_lj = simulate(
+        SimConfig::leave_join(4, 24)
+            .with_tie_break(TieBreak::favoring(0))
+            .with_admission(AdmissionPolicy::Trusting),
+        &fig8(),
+    );
+    let drift = fig8_lj.task(TaskId(0)).drift.at(10);
+    println!("  Fig. 8: T (1/10 → 1/2 at t=4) has drift {drift} = 24/10 at t=10 under LJ");
+    assert_eq!(drift, rat(24, 10));
     println!("{:>10} {:>14} {:>14}", "weight", "LJ drift", "OI drift");
     for c in [1i128, 2, 4, 9, 19] {
         let den = 2 * (c + 1);
@@ -50,28 +61,7 @@ fn theorem3() {
 /// Theorem 4: the Fig. 9 system under projected-deadline EPDF.
 fn theorem4() {
     println!("Theorem 4 — every EPDF scheme can incur drift (Fig. 9)");
-    let mut w = Workload::new();
-    let mut id = 0u32;
-    for _ in 0..10 {
-        w.join(id, 0, 1, 7);
-        w.leave(id, 7);
-        id += 1;
-    }
-    for _ in 0..2 {
-        w.join(id, 0, 1, 6);
-        w.leave(id, 6);
-        id += 1;
-    }
-    for _ in 0..2 {
-        w.join(id, 6, 1, 14);
-        id += 1;
-    }
-    for _ in 0..5 {
-        w.join(id, 0, 1, 21);
-        w.reweight(id, 7, 1, 3); // deadline projection jumps 21 → 9
-        id += 1;
-    }
-    let run = run_projected_epdf(2, 12, &w);
+    let run = run_projected_epdf(2, 12, &fig9());
     for m in &run.misses {
         println!(
             "  task {} quantum {} missed its projected deadline {}",
@@ -94,11 +84,7 @@ fn theorem5() {
         ),
         ("decrease 2/5 → 3/20", (2, 5), (3, 20), 1),
     ] {
-        let mut w = Workload::new();
-        w.join(0, 0, initial.0, initial.1);
-        for i in 1..=19 {
-            w.join(i, 0, 3, 20);
-        }
+        let mut w = fig6_base(initial);
         w.reweight(0, at, target.0, target.1);
         let r = simulate(SimConfig::oi(4, 60), &w);
         let delta = r.task(TaskId(0)).drift.max_abs_delta();
