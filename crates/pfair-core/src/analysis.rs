@@ -17,7 +17,7 @@
 //! assert_eq!(hyperperiod(&set), 11);
 //! ```
 
-use crate::rational::{Rational, Units};
+use crate::rational::Rational;
 use crate::weight::Weight;
 
 /// Total weight (utilization) of a task set.
@@ -46,7 +46,8 @@ pub fn checked_lcm(a: i128, b: i128) -> Option<i128> {
     if a <= 0 || b <= 0 {
         return None;
     }
-    Units::new(a).checked_lcm(Units::new(b)).map(Units::get)
+    // `a/b` in lowest terms has denominator `b / gcd(a, b)`.
+    a.checked_mul(Rational::new(a, b).denom())
 }
 
 /// The hyperperiod of a task set: the least common multiple of the
@@ -59,8 +60,11 @@ pub fn checked_lcm(a: i128, b: i128) -> Option<i128> {
 /// common multiple overflows `i128`.
 pub fn hyperperiod(weights: &[Weight]) -> i128 {
     assert!(!weights.is_empty(), "hyperperiod of an empty task set");
-    let periods = weights.iter().map(|w| Units::new(w.value().denom()));
-    periods.fold(Units::new(1), Units::lcm).get()
+    let mut periods = weights.iter().map(|w| i128::from(w.denom()));
+    periods
+        .try_fold(1, checked_lcm)
+        // audit: allow(panic, documented contract: the hyperperiod panics when it overflows i128)
+        .expect("Rational mul overflow")
 }
 
 /// Classifies a task set for the reweighting rules: all-light sets can

@@ -67,9 +67,9 @@ pub struct HaltRecord {
     pub slot_allocs: Vec<(Slot, Rational)>,
 }
 
-/// One subtask as `I_SW` follows it: 56 bytes of fields in a 64-byte
-/// record ([`Units`] is 16-aligned), three to a tracker inline.
-/// `const`-asserted below, so a new field cannot silently outgrow it.
+/// One subtask as `I_SW` follows it: six words, three to a tracker
+/// inline. `const`-asserted below, so a new field cannot silently
+/// outgrow it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct IswSub {
     index: u64,
@@ -94,7 +94,7 @@ struct IswSub {
     halted_at: Slot,
 }
 
-const _: () = assert!(core::mem::size_of::<IswSub>() <= 64);
+const _: () = assert!(core::mem::size_of::<IswSub>() <= 48);
 
 impl IswSub {
     fn is_complete(&self) -> bool {
@@ -260,7 +260,7 @@ impl pfair_json::FromJson for IswTracker {
     /// strictly index-sorted, allocations inside `[0, 1]` (checked per
     /// subtask), completion implying a full quantum — and re-derives the
     /// era unit from the decoded values the way
-    /// [`IswTracker::set_swt`] does, so a unit too large to represent is
+    /// [`IswTracker::set_swt`] does, so a unit or a count beyond `i64` is
     /// a decoding error.
     fn from_json(value: &pfair_json::Json) -> Result<Self, pfair_json::JsonError> {
         let images: Vec<SubImage> = value.field("subs")?;
@@ -286,13 +286,14 @@ impl pfair_json::FromJson for IswTracker {
         let swt: Rational = value.field("swt")?;
         let unit = images
             .iter()
-            .try_fold(Units::new(swt.denom()), |unit, i| {
-                unit.checked_lcm(Units::new(i.alloc.denom()))
+            .try_fold(Units::new(1), |unit, i| {
+                unit.checked_lcm(Units::checked_denom(i.alloc)?)
             })
-            .ok_or_else(|| pfair_json::JsonError::new("I_SW era unit exceeds the i128 range"))?;
+            .and_then(|unit| unit.checked_lcm(Units::checked_denom(swt)?))
+            .ok_or_else(|| pfair_json::JsonError::new("I_SW era unit exceeds the i64 range"))?;
         let count = |r: Rational| {
             Units::checked_of(r, unit)
-                .ok_or_else(|| pfair_json::JsonError::new("I_SW quantity exceeds the i128 range"))
+                .ok_or_else(|| pfair_json::JsonError::new("I_SW quantity exceeds the i64 range"))
         };
         let mut total = Accumulator::from(value.field::<Rational>("total")?);
         total.rebase(unit);
@@ -398,11 +399,15 @@ impl IswTracker {
     /// Creates a tracker for a task whose first enacted weight is `swt`
     /// and which joins at slot `join_at` (no slots before `join_at` are
     /// processed).
+    ///
+    /// # Panics
+    /// Panics if `swt`'s denominator does not fit `i64` (the documented
+    /// `Rational` overflow contract).
     pub fn new(swt: Rational, join_at: Slot) -> IswTracker {
         let mut total = Accumulator::new();
-        total.rebase(Units::new(swt.denom()));
+        total.rebase(Units::denom(swt));
         IswTracker {
-            rate: Units::new(swt.numer()),
+            rate: Units::of(swt, total.unit()),
             subs: InlineVec::new(),
             total,
             halted_loss: Rational::ZERO,
@@ -450,7 +455,9 @@ impl IswTracker {
 
     /// The era unit: every allocation the tracker holds or hands out
     /// before the next [`IswTracker::set_swt`] is a multiple of `1/unit`.
-    fn unit(&self) -> Units {
+    /// The unit that enactment derives divides `lcm(den(swt), unit)`,
+    /// which is what the engine's arithmetic budget bounds.
+    pub fn unit(&self) -> Units {
         self.total.unit()
     }
 
@@ -488,11 +495,11 @@ impl IswTracker {
     /// retained record carries it.
     ///
     /// # Panics
-    /// Panics if the unit overflows `i128` (the documented `Rational`
+    /// Panics if the unit overflows `i64` (the documented `Rational`
     /// overflow contract).
     pub fn set_swt(&mut self, swt: Rational) {
         let old = self.unit();
-        let unit = self.subs.iter().fold(Units::new(swt.denom()), |unit, s| {
+        let unit = self.subs.iter().fold(Units::denom(swt), |unit, s| {
             unit.lcm(s.alloc.denom_over(old))
         });
         if unit != old {
@@ -1500,7 +1507,7 @@ mod shift_tests {
             tr in arb_tracker(),
             ds in 0i64..5_000,
             di in 0u64..5_000,
-            gain in 0i128..1_000_000,
+            gain in 0i64..1_000_000,
         ) {
             let gain = Units::new(gain);
             let mut image = tr.clone();
@@ -1527,7 +1534,7 @@ mod shift_tests {
             let (ds, di, gain) = match which {
                 0 => (Slot::MAX, 0, Units::ZERO),
                 1 => (0, u64::MAX, Units::ZERO),
-                _ => (0, 0, Units::new(i128::MAX)),
+                _ => (0, 0, Units::new(i64::MAX)),
             };
             let fits = tr.shift_fits(ds, di, gain);
             // An index shift only overflows if there is a record to

@@ -15,6 +15,7 @@
 use crate::arena::ThinVec;
 use crate::rational::Rational;
 use crate::time::Slot;
+use crate::weight::Weight;
 
 /// Incremental `I_PS` allocation of a single task.
 ///
@@ -26,7 +27,7 @@ use crate::time::Slot;
 /// equal when they hold the same values, however each splits its total.
 #[derive(Clone, Debug)]
 pub struct PsTracker {
-    wt: Rational,
+    wt: Weight,
     /// `A(I_PS, T, 0, now)` less the slots counted in `active`.
     base: Rational,
     /// Active (unsuspended) slots accrued at `wt` and not yet in `base`.
@@ -70,7 +71,7 @@ impl pfair_json::FromJson for PsTracker {
             return Err(pfair_json::JsonError::new("empty I_PS suspension interval"));
         }
         Ok(PsTracker {
-            wt: value.field("wt")?,
+            wt: value.field::<Weight>("wt")?,
             base: value.field("total")?,
             active: 0,
             now: value.field("now")?,
@@ -81,9 +82,12 @@ impl pfair_json::FromJson for PsTracker {
 
 impl PsTracker {
     /// A task of initial weight `wt` joining at `join_at`.
+    ///
+    /// # Panics
+    /// Panics if `wt` is not a [`Weight`].
     pub fn new(wt: Rational, join_at: Slot) -> PsTracker {
         PsTracker {
-            wt,
+            wt: Weight::new(wt),
             base: Rational::ZERO,
             active: 0,
             now: join_at,
@@ -103,7 +107,7 @@ impl PsTracker {
 
     /// The current actual weight `wt(T, now)`.
     pub fn wt(&self) -> Rational {
-        self.wt
+        self.wt.value()
     }
 
     /// `A(I_PS, T, 0, now)`.
@@ -111,7 +115,7 @@ impl PsTracker {
         if self.active == 0 {
             return self.base;
         }
-        self.base + self.wt.mul_int(self.active)
+        self.base + self.wt.value().mul_int(self.active)
     }
 
     /// The next slot `advance` will process.
@@ -122,13 +126,16 @@ impl PsTracker {
 
     /// Initiates a weight change: slot allocations from the current slot
     /// onward use `wt`. (Under `I_PS`, initiation *is* enactment.)
+    ///
+    /// # Panics
+    /// Panics if `wt` is not a [`Weight`].
     #[inline]
     pub fn set_wt(&mut self, wt: Rational) {
         if self.active != 0 {
             self.base = self.total();
             self.active = 0;
         }
-        self.wt = wt;
+        self.wt = Weight::new(wt);
     }
 
     /// Accrues slot `t`'s allocation (`wt(T, t) · 1`, or zero while
@@ -259,7 +266,7 @@ impl PsTracker {
     /// Panics if `t` is behind the tracker's current slot.
     #[inline]
     pub fn advance_to(&mut self, t: Slot) -> Rational {
-        let added = self.wt.mul_int(self.count_to(t));
+        let added = self.wt.value().mul_int(self.count_to(t));
         self.base += added;
         added
     }
@@ -464,7 +471,7 @@ mod shift_tests {
                 edit(&mut t);
                 wrong.push((what, t));
             };
-            with("wt", &|t| t.wt += rat(1, 64));
+            with("wt", &|t| t.wt = Weight::new(t.wt.value() / rat(2, 1)));
             with("base", &|t| t.base += rat(1, 64));
             with("now", &|t| t.now += 1);
             with("a suspension more", &|t| t.suspend_between(t.now + 5, t.now + 6));

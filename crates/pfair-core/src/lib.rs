@@ -11,10 +11,11 @@
 //! build on:
 //!
 //! * [`rational`] — overflow-checked exact rationals (`i128`); every
-//!   weight, allocation, lag, and drift value in the workspace is one.
+//!   allocation, lag, and drift value in the workspace is one, and
+//!   [`Units`] counts an era's allocations in checked `i64`.
 //! * [`time`] — quanta/slots.
-//! * [`weight`] — validated task weights in `(0, 1]`, light (`≤ 1/2`)
-//!   vs. heavy classification.
+//! * [`weight`] — validated task weights in `(0, 1]` with 64-bit
+//!   components, light (`≤ 1/2`) vs. heavy classification.
 //! * [`task`] — task identities.
 //! * [`window`] — subtask releases, deadlines, and b-bits for periodic,
 //!   intra-sporadic (IS), and adaptable (AIS) tasks (paper Eqns (2)–(4)).

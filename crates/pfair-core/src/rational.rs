@@ -45,9 +45,8 @@
 //! `Rational`s at all: every quantity there is an integer multiple of
 //! one `1/unit`, so [`Units`] counts the multiples and [`Accumulator`]
 //! sums them — integer adds, one multiply and one division per subtask,
-//! no gcd — under the same checked-overflow contract and the same kind
-//! of native-`i64` gate, and a `Rational` is built only where a value
-//! is read.
+//! no gcd — in checked native `i64` under the same overflow contract,
+//! and a `Rational` is built only where a value is read.
 //!
 //! ```
 //! use pfair_core::rational::{rat, Rational};
@@ -366,6 +365,13 @@ impl Rational {
         }
     }
 
+    /// `num/den` from components already in canonical form (`den > 0`,
+    /// coprime): what a narrow copy of a `Rational` hands back.
+    #[inline]
+    pub(crate) const fn from_canonical(num: i128, den: i128) -> Rational {
+        Rational { num, den }
+    }
+
     /// Constructs the integer `n` as a rational.
     #[inline]
     pub const fn from_int(n: i128) -> Rational {
@@ -681,49 +687,13 @@ impl Rational {
 /// multiple of `1/unit` (DESIGN.md, "The era-unit invariant"), so the
 /// bookkeeping needs integer adds, one multiply and one division per
 /// subtask and no gcd at all; a canonical [`Rational`] is built only
-/// where a value is read ([`Units::over`]). Same contract as
-/// `Rational`: every operation is overflow-checked and panics with the
-/// module's documented messages instead of wrapping, and operands
-/// inside the small-operand gate (module docs) run in native `i64`.
+/// where a value is read ([`Units::over`]). Counts are native `i64`: the
+/// engine admits a weight only if every count its era can reach fits
+/// (DESIGN.md, "The arithmetic budget"). Same contract as `Rational`
+/// beyond that: every operation is overflow-checked and panics with the
+/// module's documented messages instead of wrapping.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Units(i128);
-
-/// `⌈a / b⌉` for positive native operands.
-// audit: prove(overflow-bounds)
-// audit: assume(a in 1..=9223372036854775806)
-// audit: assume(b in 1..=9223372036854775806)
-#[inline]
-fn ceil_div_native(a: i64, b: i64) -> i64 {
-    let q = a / b; // audit: allow(panic-reach, b is positive by the caller's gate)
-    let r = a % b; // audit: allow(panic-reach, b is positive by the caller's gate)
-    if r > 0 {
-        q + 1
-    } else {
-        q
-    }
-}
-
-/// `a · n` inside the gate.
-// audit: prove(overflow-bounds)
-// audit: assume(a in -2147483648..=2147483647)
-// audit: assume(n in -2147483648..=2147483647)
-#[inline]
-fn times_small(a: i64, n: i64) -> i64 {
-    a * n
-}
-
-/// `gcd(|a|, |b|)` as a non-negative `i128`: the binary `u64` gcd when
-/// both magnitudes fit, Euclid on `u128` otherwise.
-#[inline]
-fn gcd_i128(a: i128, b: i128) -> i128 {
-    let (ua, ub) = (a.unsigned_abs(), b.unsigned_abs());
-    let g = match (u64::try_from(ua), u64::try_from(ub)) {
-        (Ok(x), Ok(y)) => u128::from(gcd_u64(x, y)),
-        _ => gcd(ua, ub),
-    };
-    // audit: allow(panic-reach, unreachable: the gcd divides a positive denominator or unit and fits i128)
-    i128::try_from(g).expect("Rational: gcd exceeds i128")
-}
+pub struct Units(i64);
 
 impl Units {
     /// Nothing.
@@ -731,13 +701,13 @@ impl Units {
 
     /// `n` units.
     #[inline]
-    pub const fn new(n: i128) -> Units {
+    pub const fn new(n: i64) -> Units {
         Units(n)
     }
 
     /// The count itself.
     #[inline]
-    pub const fn get(self) -> i128 {
+    pub const fn get(self) -> i64 {
         self.0
     }
 
@@ -759,23 +729,43 @@ impl Units {
         self.0 < 0
     }
 
+    /// `r`'s reduced denominator as a unit, `None` if it does not fit
+    /// `i64`.
+    #[inline]
+    pub fn checked_denom(r: Rational) -> Option<Units> {
+        i64::try_from(r.den).ok().map(Units)
+    }
+
+    /// [`Units::checked_denom`] under the module's overflow contract.
+    ///
+    /// # Panics
+    /// Panics if the denominator does not fit `i64`.
+    #[inline]
+    pub fn denom(r: Rational) -> Units {
+        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        Units::checked_denom(r).expect("Rational mul overflow")
+    }
+
     /// `r` counted in `unit`s, for a `unit` that is a multiple of `r`'s
     /// denominator (otherwise the count would not be an integer);
-    /// `None` if the count overflows `i128`.
+    /// `None` if the count overflows `i64`.
     #[inline]
     pub fn checked_of(r: Rational, unit: Units) -> Option<Units> {
-        debug_assert!(unit.0 % r.den == 0, "{r} is not a multiple of 1/{}", unit.0);
-        if r.den == unit.0 {
-            return Some(Units(r.num));
-        }
-        let scale = unit.0 / r.den; // audit: allow(panic-reach, den is positive by the Rational invariant)
-        r.num.checked_mul(scale).map(Units)
+        let unit = i128::from(unit.0);
+        debug_assert!(unit % r.den == 0, "{r} is not a multiple of 1/{unit}");
+        let count = if r.den == unit {
+            r.num
+        } else {
+            // `den` is positive by the `Rational` invariant.
+            r.num.checked_mul(unit / r.den.max(1))?
+        };
+        i64::try_from(count).ok().map(Units)
     }
 
     /// [`Units::checked_of`] under the module's overflow contract.
     ///
     /// # Panics
-    /// Panics if the count overflows `i128`.
+    /// Panics if the count overflows `i64`.
     #[inline]
     pub fn of(r: Rational, unit: Units) -> Units {
         // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
@@ -789,37 +779,40 @@ impl Units {
     /// Panics if `unit` is zero.
     #[inline]
     pub fn over(self, unit: Units) -> Rational {
-        Rational::new(self.0, unit.0)
+        Rational::new(i128::from(self.0), i128::from(unit.0))
     }
 
-    /// The denominator of `self/unit` in lowest terms.
+    /// The denominator of `self/unit` in lowest terms, for a positive
+    /// `unit`.
     #[inline]
     pub fn denom_over(self, unit: Units) -> Units {
         if self.0 == 0 {
             return Units(1);
         }
-        let g = gcd_i128(self.0, unit.0);
-        Units(unit.0 / g) // audit: allow(panic-reach, the gcd of a nonzero count is at least 1)
+        // `gcd_small` is at least 1 already; `.max(1)` is the form the
+        // panic-reach pass reads as nonzero.
+        Units(unit.0 / gcd_small(self.0, unit.0).max(1))
     }
 
     /// The least common multiple of two positive units, `None` if it
-    /// overflows `i128`.
+    /// overflows `i64`.
     #[inline]
     pub fn checked_lcm(self, other: Units) -> Option<Units> {
         debug_assert!(self.0 > 0 && other.0 > 0, "units are positive");
-        // audit: allow(panic-reach, units are positive by contract)
-        if self.0 % other.0 == 0 {
+        // Units are positive; `.max(1)` is that in the form the
+        // panic-reach pass reads as nonzero.
+        if self.0 % other.0.max(1) == 0 {
             return Some(self);
         }
-        let g = gcd_i128(self.0, other.0);
-        // audit: allow(panic-reach, the gcd of positive units is at least 1)
-        (self.0 / g).checked_mul(other.0).map(Units)
+        (self.0 / gcd_small(self.0, other.0).max(1))
+            .checked_mul(other.0)
+            .map(Units)
     }
 
     /// The least common multiple of two positive units.
     ///
     /// # Panics
-    /// Panics if it overflows `i128`.
+    /// Panics if it overflows `i64`.
     #[inline]
     pub fn lcm(self, other: Units) -> Units {
         // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
@@ -830,7 +823,7 @@ impl Units {
     /// that is a multiple of the quantity's reduced denominator.
     ///
     /// # Panics
-    /// Panics if the count overflows `i128`.
+    /// Panics if the count overflows `i64`.
     #[inline]
     pub fn rescaled(self, from: Units, to: Units) -> Units {
         if self.0 == 0 || from == to {
@@ -842,25 +835,17 @@ impl Units {
     /// `self · n` for a slot count `n`.
     ///
     /// # Panics
-    /// Panics if the product overflows `i128`.
+    /// Panics if the product overflows `i64`.
     #[inline]
     pub fn times(self, n: i64) -> Units {
-        if let (Some(a), Ok(n)) = (small(self.0), i32::try_from(n)) {
-            return Units(i128::from(times_small(a, i64::from(n))));
-        }
         // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-        let product = self
-            .0
-            .checked_mul(i128::from(n))
-            .expect("Rational mul_int overflow");
-        Units(product)
+        Units(self.0.checked_mul(n).expect("Rational mul_int overflow"))
     }
 
     /// Whole slots until a quantity growing by `rate` per slot has
-    /// covered `self`: `⌈self / rate⌉`, saturating at `i64::MAX` — the
-    /// one spelling of "slots until `I_SW` completes the subtask".
-    /// `0` for a non-positive `self`, and `i64::MAX` ("never") for a
-    /// non-positive `rate`.
+    /// covered `self`: `⌈self / rate⌉` — the one spelling of "slots
+    /// until `I_SW` completes the subtask". `0` for a non-positive
+    /// `self`, and `i64::MAX` ("never") for a non-positive `rate`.
     #[inline]
     pub fn slots_at(self, rate: Units) -> i64 {
         if self.0 <= 0 {
@@ -869,16 +854,19 @@ impl Units {
         if rate.0 <= 0 {
             return i64::MAX;
         }
-        if let (Ok(a), Ok(b)) = (i64::try_from(self.0), i64::try_from(rate.0)) {
-            if a < i64::MAX && b < i64::MAX {
-                return ceil_div_native(a, b);
-            }
-        }
-        let q = self.0 / rate.0; // audit: allow(panic-reach, rate is positive on this path)
-        let r = self.0 % rate.0; // audit: allow(panic-reach, rate is positive on this path)
-        let k = if r > 0 { q + 1 } else { q }; // no overflow: a nonzero remainder means rate ≥ 2
-        i64::try_from(k).unwrap_or(i64::MAX)
+        ceil_div_positive(self.0, rate.0)
     }
+}
+
+/// `⌈a / b⌉` for positive operands, as `(a − 1) / b + 1`: neither step
+/// can overflow. `b.max(1)` is `b` itself in the form the panic-reach
+/// pass reads as nonzero.
+// audit: prove(overflow-bounds)
+// audit: assume(a in 1..=9223372036854775807)
+// audit: assume(b in 1..=9223372036854775807)
+#[inline]
+fn ceil_div_positive(a: i64, b: i64) -> i64 {
+    (a - 1) / b.max(1) + 1
 }
 
 impl Add for Units {
@@ -923,16 +911,15 @@ impl Sub for Units {
 ///
 /// The payoff is the era-constant case the ideal trackers live in:
 /// every `I_SW` allocation within an era is a multiple of the era's
-/// unit, so [`Accumulator::add_units`] is one checked `i128` add and no
+/// unit, so [`Accumulator::add_units`] is one checked `i64` add and no
 /// gcd at all. The count is folded into the base — the only place a gcd
 /// runs — when the unit changes ([`Accumulator::rebase`], once per
 /// enacted weight change) and the value is materialized only where it
-/// is read ([`Accumulator::finish`]). [`Accumulator::push`] takes
-/// arbitrary rationals: one whose denominator is the current unit costs
-/// the same single add, any other rebases onto its denominator. The
-/// count may grow larger than a reduced chain would, which is covered
-/// by the same documented overflow-panics contract as the rest of this
-/// module. Equality compares values, not representations.
+/// is read ([`Accumulator::finish`]). The base is a `Rational`: it sums
+/// every era so far, so its denominator is not bounded by any one era's
+/// unit. The count may grow larger than a reduced chain would, which is
+/// covered by the same documented overflow-panics contract as the rest
+/// of this module. Equality compares values, not representations.
 #[derive(Clone, Copy, Debug)]
 pub struct Accumulator {
     base: Rational,
@@ -960,7 +947,7 @@ impl Accumulator {
     /// Adds `n/unit` to the running sum.
     ///
     /// # Panics
-    /// Panics if the count overflows `i128`.
+    /// Panics if the count overflows `i64`.
     #[inline]
     pub fn add_units(&mut self, n: Units) {
         self.num += n;
@@ -982,16 +969,6 @@ impl Accumulator {
         self.base = self.finish();
         self.num = Units::ZERO;
         self.unit = unit;
-    }
-
-    /// Adds `r` to the running sum.
-    ///
-    /// # Panics
-    /// Panics on overflow (same contract as `Rational` addition).
-    #[inline]
-    pub fn push(&mut self, r: Rational) {
-        self.rebase(Units(r.den));
-        self.num += Units(r.num);
     }
 
     /// What [`Accumulator::add_units`] has counted since the last fold.
@@ -1307,7 +1284,8 @@ mod tests {
         let mut acc = Accumulator::new();
         let mut chained = Rational::ZERO;
         for t in terms {
-            acc.push(t);
+            acc.rebase(Units::checked_denom(t).expect("a small denominator"));
+            acc.add_units(Units::of(t, acc.unit()));
             chained += t;
             assert_eq!(acc.finish(), chained);
         }
@@ -1338,9 +1316,8 @@ mod tests {
     #[should_panic(expected = "Rational add overflow")]
     fn accumulator_overflow_is_descriptive() {
         let mut acc = Accumulator::new();
-        acc.push(Rational::new(i128::MAX - 1, i128::MAX));
-        acc.push(Rational::new(i128::MAX - 1, i128::MAX - 2));
-        let _ = acc.finish();
+        acc.add_units(Units::new(i64::MAX - 1));
+        acc.add_units(Units::new(2));
     }
 
     #[test]
@@ -1366,15 +1343,16 @@ mod tests {
         assert_eq!(remaining.slots_at(Units::ZERO), i64::MAX);
     }
 
-    /// Both sides of the native gates compute the same values, and what
-    /// does not fit panics instead of wrapping.
+    /// Counts up to `i64::MAX` stay exact, and what does not fit is
+    /// `None` or a panic instead of a wrapped value.
     #[test]
     fn units_wide_operands_stay_exact() {
-        let big = Units::new(1 << 100);
-        assert_eq!(big.times(3).get(), 3 << 100);
-        assert_eq!(Units::new(3 << 100).slots_at(big), 3);
-        assert_eq!(Units::new((3 << 100) + 1).slots_at(big), 4);
-        assert_eq!(Units::new(i128::MAX).slots_at(Units::new(1)), i64::MAX);
+        let big = Units::new(1 << 60);
+        assert_eq!(big.times(3).get(), 3 << 60);
+        assert_eq!(Units::new(3 << 60).slots_at(big), 3);
+        assert_eq!(Units::new((3 << 60) + 1).slots_at(big), 4);
+        assert_eq!(Units::new(i64::MAX).slots_at(Units::new(1)), i64::MAX);
+        assert_eq!(Units::new(i64::MAX).slots_at(Units::new(i64::MAX)), 1);
         let (p, q) = (Units::new(2_147_483_629), Units::new(2_147_483_647));
         let unit = p.lcm(q);
         assert_eq!(unit.get(), 2_147_483_629 * 2_147_483_647);
@@ -1382,19 +1360,33 @@ mod tests {
         assert_eq!(third, q);
         assert_eq!(third.rescaled(unit, p), Units::new(1));
         assert_eq!(third.denom_over(unit), p);
-        assert_eq!(Units::new(1 << 126).checked_lcm(Units::new(3)), None);
+        assert_eq!(Units::new(1 << 62).checked_lcm(Units::new(3)), None);
+        assert_eq!(
+            Units::checked_of(rat(1, 2), Units::new(1 << 62)),
+            Some(Units::new(1 << 61))
+        );
+        assert_eq!(
+            Units::checked_of(rat(1, 1), Units::new(i64::MAX)),
+            Some(Units::new(i64::MAX))
+        );
+        assert_eq!(Units::checked_of(rat(2, 1), Units::new(i64::MAX)), None);
+        assert_eq!(
+            Units::checked_denom(rat(1, i128::from(i64::MAX))),
+            Some(Units::new(i64::MAX))
+        );
+        assert_eq!(Units::checked_denom(rat(1, 1 << 63)), None);
     }
 
     #[test]
     #[should_panic(expected = "Rational mul_int overflow")]
     fn units_times_overflow_panics() {
-        let _ = Units::new(i128::MAX / 2).times(3);
+        let _ = Units::new(i64::MAX / 2).times(3);
     }
 
     #[test]
     #[should_panic(expected = "Rational add overflow")]
     fn units_add_overflow_panics() {
-        let _ = Units::new(i128::MAX) + Units::new(1);
+        let _ = Units::new(i64::MAX) + Units::new(1);
     }
 }
 
@@ -1484,14 +1476,15 @@ mod small_path_tests {
             prop_assert_eq!(a.rank_window(k), wide);
         }
 
-        /// `Units::slots_at` on both sides of its native gate is the
-        /// ceiling of the exact quotient.
+        /// `Units::slots_at` is the ceiling of the exact quotient, small
+        /// operands and ones near `i64::MAX` alike.
         #[test]
         fn slots_at_is_the_exact_ceiling(a in arb_component(), b in arb_component(), wide in 0u32..2) {
             prop_assume!(a > 0 && b > 0);
-            let (a, b) = (a << (70 * wide), b << (70 * wide));
+            let (a, b) = (a << (22 * wide), b << (22 * wide));
+            let (a, b) = (i64::try_from(a).expect("fits"), i64::try_from(b).expect("fits"));
             let k = Units::new(a).slots_at(Units::new(b));
-            prop_assert_eq!(i128::from(k), Rational::new(a, b).ceil());
+            prop_assert_eq!(i128::from(k), Rational::new(a.into(), b.into()).ceil());
         }
     }
 

@@ -6,71 +6,112 @@
 //! weight at most `1/2`; heavy tasks need the group-deadline machinery
 //! deferred to the first author's dissertation. The [`Weight`] type
 //! enforces the open-closed range `(0, 1]` at construction, and
-//! [`Weight::is_light`] distinguishes the supported class.
+//! [`Weight::is_light`] distinguishes the supported class. Its reduced
+//! components must fit `i64`: a task's exact bookkeeping is priced in
+//! 64-bit integers (DESIGN.md, "The arithmetic budget").
 
 use crate::rational::Rational;
+use core::cmp::Ordering;
 use core::fmt;
+use core::num::NonZeroI64;
 
-/// A validated task weight: a rational in `(0, 1]`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Weight(Rational);
+/// A validated task weight: a rational in `(0, 1]` whose reduced
+/// components fit `i64`.
+///
+/// Stored narrow — 16 bytes, and 16 as an `Option<Weight>` through the
+/// nonzero denominator — because every task holds its weights for the
+/// whole run: its scheduling weight, its `I_PS` weight, its admission
+/// commitment and the weights its events ask for. [`Weight::value`]
+/// hands back the exact [`Rational`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Weight {
+    num: i64,
+    den: NonZeroI64,
+}
 
 impl pfair_json::ToJson for Weight {
     fn to_json(&self) -> pfair_json::Json {
-        self.0.to_json()
+        self.value().to_json()
     }
 }
 
 impl pfair_json::FromJson for Weight {
-    /// Deserialization re-validates the `(0, 1]` range, so untrusted
-    /// data cannot construct an out-of-range weight.
+    /// Deserialization re-validates the `(0, 1]` range and the 64-bit
+    /// components, so untrusted data cannot construct a weight the
+    /// type could not hold.
     fn from_json(value: &pfair_json::Json) -> Result<Weight, pfair_json::JsonError> {
         let value = Rational::from_json(value)?;
         Weight::try_new(value).map_err(|e| pfair_json::JsonError::new(e.to_string()))
     }
 }
 
-/// Error returned when a ratio outside `(0, 1]` is used as a weight.
+/// Error returned when a ratio is not a weight: outside `(0, 1]`, or in
+/// it with a reduced component beyond `i64`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WeightRangeError(pub Rational);
 
 impl fmt::Display for WeightRangeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "weight {} outside (0, 1]", self.0)
+        let r = self.0;
+        if r.is_positive() && r <= Rational::ONE {
+            write!(f, "weight {r} has a denominator beyond 64 bits")
+        } else {
+            write!(f, "weight {r} outside (0, 1]")
+        }
     }
 }
 
 impl std::error::Error for WeightRangeError {}
 
 impl Weight {
-    /// Validates `value ∈ (0, 1]`.
+    /// Validates `value ∈ (0, 1]` with reduced components in `i64`.
     #[inline]
     pub fn try_new(value: Rational) -> Result<Weight, WeightRangeError> {
-        if value.is_positive() && value <= Rational::ONE {
-            Ok(Weight(value))
-        } else {
-            Err(WeightRangeError(value))
+        if !value.is_positive() || value > Rational::ONE {
+            return Err(WeightRangeError(value));
+        }
+        // `0 < num ≤ den`, so the denominator is the wider component.
+        match (i64::try_from(value.numer()), i64::try_from(value.denom())) {
+            (Ok(num), Ok(den)) => NonZeroI64::new(den)
+                .map(|den| Weight { num, den })
+                .ok_or(WeightRangeError(value)),
+            _ => Err(WeightRangeError(value)),
         }
     }
 
-    /// Constructs a weight, panicking when `value ∉ (0, 1]`. Preferred in
-    /// tests and example code; library paths use [`Weight::try_new`].
+    /// Constructs a weight, panicking when [`Weight::try_new`] refuses
+    /// `value`. Preferred in tests and example code; library paths use
+    /// [`Weight::try_new`].
     pub fn new(value: Rational) -> Weight {
-        // audit: allow(panic, documented panicking constructor; library paths use try_new)
+        // audit: allow(panic-reach, documented panicking constructor; the trackers take only weights the engine admitted)
         Weight::try_new(value).expect("weight out of range")
     }
 
     /// The underlying rational value.
     #[inline]
     pub fn value(self) -> Rational {
-        self.0
+        Rational::from_canonical(i128::from(self.num), i128::from(self.den.get()))
+    }
+
+    /// The reduced numerator.
+    #[inline]
+    pub fn numer(self) -> i64 {
+        self.num
+    }
+
+    /// The reduced denominator (the task's period for `e/p` in lowest
+    /// terms).
+    #[inline]
+    pub fn denom(self) -> i64 {
+        self.den.get()
     }
 
     /// `true` iff the weight is at most `1/2` (the class the reweighting
     /// rules of this library support).
     #[inline]
     pub fn is_light(self) -> bool {
-        self.0 <= Rational::new(1, 2)
+        // `num ≤ den`, so `den − num` cannot overflow.
+        self.num <= self.den.get() - self.num
     }
 
     /// `true` iff the weight exceeds `1/2`.
@@ -83,19 +124,59 @@ impl Weight {
     #[inline]
     // audit: allow(float, report-only conversion; never feeds scheduling)
     pub fn to_f64(self) -> f64 {
-        self.0.to_f64()
+        self.value().to_f64()
+    }
+
+    /// A share that may be zero, as a rational: `None` reads `0`. The
+    /// engine's weight columns and ledgers hold `Option<Weight>` where a
+    /// task's share is absent, and their interchange form has always
+    /// written that absence as the rational zero.
+    #[inline]
+    pub fn share(w: Option<Weight>) -> Rational {
+        w.map_or(Rational::ZERO, Weight::value)
+    }
+
+    /// The inverse of [`Weight::share`]: zero is `None`, anything else
+    /// must be a weight.
+    pub fn try_share(r: Rational) -> Result<Option<Weight>, WeightRangeError> {
+        if r.is_zero() {
+            return Ok(None);
+        }
+        Weight::try_new(r).map(Some)
     }
 }
 
+impl PartialOrd for Weight {
+    #[inline]
+    fn partial_cmp(&self, other: &Weight) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Weight {
+    /// By value: the cross products of two 64-bit fractions fit `i128`.
+    #[inline]
+    fn cmp(&self, other: &Weight) -> Ordering {
+        let lhs = i128::from(self.num) * i128::from(other.den.get());
+        let rhs = i128::from(other.num) * i128::from(self.den.get());
+        lhs.cmp(&rhs)
+    }
+}
+
+const _: () = {
+    assert!(core::mem::size_of::<Weight>() == 16);
+    assert!(core::mem::size_of::<Option<Weight>>() == 16);
+};
+
 impl fmt::Debug for Weight {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        write!(f, "{}", self.value())
     }
 }
 
 impl fmt::Display for Weight {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        write!(f, "{}", self.value())
     }
 }
 
@@ -133,5 +214,43 @@ mod tests {
         assert_eq!(format!("{}", Weight::new(rat(3, 19))), "3/19");
         let err = Weight::try_new(rat(5, 2)).unwrap_err();
         assert_eq!(format!("{err}"), "weight 5/2 outside (0, 1]");
+    }
+
+    /// Components beyond `i64` are refused, and the message says so;
+    /// `i64::MAX` itself is a denominator.
+    #[test]
+    fn denominators_beyond_64_bits_are_refused() {
+        let edge = rat(1, i128::from(i64::MAX));
+        assert_eq!(Weight::new(edge).value(), edge);
+        assert_eq!(Weight::new(edge).denom(), i64::MAX);
+        for den in [1i128 << 63, (1 << 64) + 1] {
+            let err = Weight::try_new(rat(1, den)).unwrap_err();
+            assert_eq!(err, WeightRangeError(rat(1, den)));
+            assert_eq!(
+                format!("{err}"),
+                format!("weight 1/{den} has a denominator beyond 64 bits")
+            );
+        }
+    }
+
+    /// Ordering is by value, not by component.
+    #[test]
+    fn order_is_by_value() {
+        let (third, half) = (Weight::new(rat(1, 3)), Weight::new(rat(1, 2)));
+        assert!(third < half);
+        assert!(Weight::new(rat(2, 5)) > third);
+        assert_eq!(Weight::new(rat(2, 4)).cmp(&half), Ordering::Equal);
+        assert_eq!(half.max(third), half);
+        assert!(Weight::new(rat(1, 2)).is_light());
+        assert!(Weight::new(rat(2, 3)).is_heavy());
+    }
+
+    #[test]
+    fn shares_read_absence_as_zero() {
+        assert_eq!(Weight::share(None), Rational::ZERO);
+        assert_eq!(Weight::try_share(Rational::ZERO), Ok(None));
+        let w = Weight::new(rat(3, 19));
+        assert_eq!(Weight::try_share(Weight::share(Some(w))), Ok(Some(w)));
+        assert!(Weight::try_share(rat(3, 2)).is_err());
     }
 }

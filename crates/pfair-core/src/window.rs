@@ -202,6 +202,25 @@ pub fn window_and_group_deadline(weight: Weight, k: u64, release: Slot) -> (Subt
     )
 }
 
+/// How far past its release a window at `weight` can put its deadline
+/// or its group deadline, whatever its rank: at most `⌈1/w⌉ + 1` for the
+/// deadline (the bracketed length of Eqn (2) is `⌈k/w⌉ − ⌊(k − 1)/w⌋ <
+/// 1/w + 2`), and for a heavy `w < 1` at most `⌈1/(1 − w)⌉` more for the
+/// group deadline (the closed form above exceeds `d` by less than
+/// `1/(1 − w) + 1`). Saturates instead of overflowing; what the engine's
+/// arithmetic budget adds to the horizon.
+pub fn window_reach(weight: Weight) -> Slot {
+    let (num, den) = (weight.numer(), weight.denom());
+    // `num ≥ 1`, and `den − num ≥ 1` whenever the weight is below one.
+    let deadline = (den / num.max(1)).saturating_add(2);
+    if weight.is_light() || num == den {
+        return deadline;
+    }
+    deadline
+        .saturating_add(den / (den - num).max(1))
+        .saturating_add(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,7 +512,7 @@ mod group_deadline_tests {
     /// periods of ranks. The release-path evaluation must agree with
     /// Eqns (2)–(4) read literally (`i128` floors and ceilings), with
     /// the stand-alone window functions, and — for heavy weights — with
-    /// the successor walk.
+    /// the successor walk; and no window reaches past [`window_reach`].
     #[test]
     fn every_small_weight_matches_the_definition() {
         for den in 1i128..=40 {
@@ -521,9 +540,22 @@ mod group_deadline_tests {
                     } else {
                         assert_eq!(gd, group_deadline_by_walk(wt, k, release), "{case}");
                     }
+                    let reach = deadline.max(gd) - release;
+                    assert!(reach <= window_reach(wt), "{case}: reach {reach}");
                 }
             }
         }
+    }
+
+    /// The reach saturates instead of overflowing at the extremes of
+    /// 64-bit weights.
+    #[test]
+    fn window_reach_saturates_at_the_64_bit_extremes() {
+        let max = i128::from(i64::MAX);
+        assert_eq!(window_reach(w(1, 2)), 4);
+        assert_eq!(window_reach(w(1, 1)), 3);
+        assert_eq!(window_reach(w(1, max)), Slot::MAX);
+        assert_eq!(window_reach(w(max - 1, max)), Slot::MAX);
     }
 
     /// Group deadlines are non-decreasing in the subtask index.

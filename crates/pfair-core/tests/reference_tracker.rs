@@ -432,11 +432,12 @@ fn reference_reproduces_fig7() {
     assert_eq!(r.ps_total, rat(24, 19) + rat(4, 5));
 }
 
-/// Denominators at the edge of the native-`i64` gate, across a straddle:
-/// the unit is their 62-bit product and everything stays exact.
+/// Denominators near the top of what the 64-bit era units hold, across
+/// a straddle: the unit is their 58-bit product, every count of the run
+/// (a dozen quanta of it) fits, and everything stays exact.
 #[test]
 fn denominators_near_the_gate_stay_exact_across_a_straddle() {
-    let (q1, q2) = (2_147_483_629, 2_147_483_647);
+    let (q1, q2) = (536_870_879, 536_870_909);
     let era = |weight, end| Era {
         weight,
         subs: 3,
@@ -446,10 +447,10 @@ fn denominators_near_the_gate_stay_exact_across_a_straddle() {
     };
     for end in [EraEnd::Straddle, EraEnd::Wait, EraEnd::Halt] {
         let plan = [
-            era((715_827_883, q1), end),
-            era((1_431_655_765, q2), end),
+            era((178_956_959, q1), end),
+            era((357_913_939, q2), end),
             era((1, 3), end),
-            era((1_073_741_827, q1), end),
+            era((268_435_439, q1), end),
         ];
         run_plan(&plan, vec![1, 3, 2]);
     }
@@ -457,7 +458,8 @@ fn denominators_near_the_gate_stay_exact_across_a_straddle() {
 
 /// What does not fit panics with the documented `Rational` overflow
 /// message instead of wrapping: two coprime 64-bit denominators have no
-/// 127-bit common unit.
+/// 64-bit common unit. The engine never gets here: its arithmetic budget
+/// refuses such a reweight at initiation, before any tracker sees it.
 #[test]
 #[should_panic(expected = "overflow")]
 fn an_unrepresentable_unit_panics() {

@@ -127,6 +127,7 @@ impl TraceRecorder {
                 | ObsEvent::StaleDrop { task, .. }
                 | ObsEvent::ReweightInitiated { task, .. }
                 | ObsEvent::ReweightEnacted { task, .. }
+                | ObsEvent::Refused { task, .. }
                 | ObsEvent::TrackerAdvance { task, .. }
                 | ObsEvent::ExecOverrun { task, .. }
                 | ObsEvent::ExecSkip { task, .. }

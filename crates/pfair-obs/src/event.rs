@@ -10,7 +10,7 @@
 //! probe reads it; the JSON export below is the only exhaustive match
 //! over it besides the Chrome export.
 
-use crate::probe::{ReweightCost, Rule};
+use crate::probe::{Refusal, ReweightCost, Rule};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
@@ -89,6 +89,16 @@ pub enum ObsEvent {
         cost: ReweightCost,
         /// Projected enactment slot.
         enact_at: Slot,
+    },
+    /// A join or reweight initiation refused before admission wrote
+    /// anything: the run goes on as if the request had not been made.
+    Refused {
+        /// Task whose request was refused.
+        task: TaskId,
+        /// Slot of the request.
+        t: Slot,
+        /// Why.
+        reason: Refusal,
     },
     /// Reweighting enactment.
     ReweightEnacted {
@@ -258,6 +268,12 @@ impl ToJson for ObsEvent {
                 ("halts", u64_json(cost.halts)),
                 ("enact_at", slot_json(*enact_at)),
             ]),
+            ObsEvent::Refused { task, t, reason } => obj([
+                ("kind", Json::Str("refused".into())),
+                ("task", task.to_json()),
+                ("t", slot_json(*t)),
+                ("reason", Json::Str(reason.label().into())),
+            ]),
             ObsEvent::ReweightEnacted {
                 task,
                 t,
@@ -384,6 +400,11 @@ mod tests {
                     halts: 1,
                 },
                 enact_at: 8,
+            },
+            ObsEvent::Refused {
+                task: TaskId(3),
+                t: 4,
+                reason: Refusal::UnitBudget,
             },
             ObsEvent::ReweightEnacted {
                 task: TaskId(0),

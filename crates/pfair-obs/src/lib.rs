@@ -43,5 +43,5 @@ pub use chrome::{ReweightSpan, TraceRecorder};
 pub use event::ObsEvent;
 pub use flight::{FlightIncident, FlightRecorder, FlightTrigger};
 pub use metrics::{Histogram, MetricsProbe, Registry};
-pub use probe::{Fanout, NoopProbe, Probe, ReleaseRec, ReweightCost, Rule};
+pub use probe::{Fanout, NoopProbe, Probe, Refusal, ReleaseRec, ReweightCost, Rule};
 pub use slo::{SloBreach, SloConfig, SloKind, SloMonitor};

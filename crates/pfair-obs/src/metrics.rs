@@ -510,6 +510,7 @@ impl Probe for MetricsProbe {
                 self.reg.record("reweight.latency", width(t, enact_at));
             }
             ObsEvent::ReweightEnacted { .. } => self.reg.inc("reweight.enacted", 1),
+            ObsEvent::Refused { .. } => self.reg.inc("refused", 1),
             ObsEvent::TrackerAdvance { from, to, .. } => {
                 self.reg.inc("tracker.advances", 1);
                 self.reg.record("tracker.jump_width", width(from, to));
@@ -638,7 +639,13 @@ mod tests {
             from: 1,
             to: 9,
         });
+        p.on_event(ObsEvent::Refused {
+            task,
+            t: 9,
+            reason: crate::probe::Refusal::UnitBudget,
+        });
         let reg = p.into_registry();
+        assert_eq!(reg.counter("refused"), 1);
         assert_eq!(reg.counter("slots"), 2);
         assert_eq!(reg.counter("reweight.initiated"), 1);
         assert_eq!(reg.counter("reweight.rule.O"), 1);

@@ -61,6 +61,37 @@ impl std::fmt::Display for Rule {
     }
 }
 
+/// Why the engine refused a join or a reweight initiation outright —
+/// before admission's ledger was written, so the request left no trace
+/// but the [`ObsEvent::Refused`] that names it. (A request condition W
+/// cannot fit at all is not refused here: admission clamps it, or drops
+/// a join silently when nothing is left.)
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Refusal {
+    /// A join for a task that is already in the system.
+    AlreadyPresent,
+    /// The granted weight's reduced components do not fit `i64`.
+    WideWeight,
+    /// `lcm(den(target), era unit) × (horizon + 1)` exceeds `i64::MAX`:
+    /// some era-unit count of the run could not be represented.
+    UnitBudget,
+    /// A window at the granted weight could put a deadline or group
+    /// deadline outside the packed priority key's exact `±2⁴⁶` band.
+    DeadlineBand,
+}
+
+impl Refusal {
+    /// Canonical short label, as the JSON export writes it.
+    pub fn label(self) -> &'static str {
+        match self {
+            Refusal::AlreadyPresent => "already_present",
+            Refusal::WideWeight => "wide_weight",
+            Refusal::UnitBudget => "unit_budget",
+            Refusal::DeadlineBand => "deadline_band",
+        }
+    }
+}
+
 /// Cost measured while a reweighting initiation's rules ran: the
 /// *direct* cost, charged at initiation time. Deferred cost (stale
 /// queue entries stranded by the halts, the era-opening release push)

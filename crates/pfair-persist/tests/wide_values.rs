@@ -1,0 +1,156 @@
+//! Weights and tracker counts are 64-bit in memory; a persisted value
+//! that does not fit is a decoding error, never a panic or a silently
+//! truncated engine.
+//!
+//! Each case takes the golden snapshot (`fixtures/oi_midrun.snapshot.json`),
+//! sets one denominator to 2⁶³ (one past `i64::MAX`) or to 2⁶⁴ + 1,
+//! re-seals it so the checksum holds, and decodes. The journal case
+//! writes one entry whose event asks for such a weight.
+
+use pfair_json::{obj, Json};
+use pfair_persist::{
+    fnv1a64, read_journal, seal, snapshot_from_str, Journal, PersistError, SNAPSHOT_FORMAT,
+};
+
+const SNAPSHOT: &str = include_str!("fixtures/oi_midrun.snapshot.json");
+
+/// Denominators one past what an `i64` holds.
+const WIDE: [i128; 2] = [1 << 63, (1 << 64) + 1];
+
+/// One step of a path into a JSON tree.
+enum Step {
+    Key(&'static str),
+    At(usize),
+}
+use Step::{At, Key};
+
+fn node<'a>(mut json: &'a mut Json, path: &[Step]) -> &'a mut Json {
+    for step in path {
+        json = match (step, json) {
+            (Key(key), Json::Object(fields)) => {
+                let found = fields.iter_mut().find(|(k, _)| k == key);
+                &mut found.unwrap_or_else(|| panic!("no key `{key}`")).1
+            }
+            (At(i), Json::Array(items)) => &mut items[*i],
+            _ => panic!("path does not match the fixture"),
+        };
+    }
+    json
+}
+
+/// The fixture's body with the rational at `path` given denominator
+/// `den`, sealed again.
+fn with_den(path: &[Step], den: i128) -> String {
+    let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
+    let mut body = envelope.get("body").expect("envelope body").clone();
+    *node(&mut body, path) = Json::Int(den);
+    seal(SNAPSHOT_FORMAT, body).to_string_pretty()
+}
+
+/// Task 5 joined at 1/100 and has a decrease to 1/200 parked; task 4's
+/// first subtask was halted holding 1/20.
+fn weight_paths() -> Vec<(&'static str, Vec<Step>)> {
+    let task = |i| vec![Key("tasks"), At(i)];
+    let under = |mut p: Vec<Step>, rest: &[&'static str]| {
+        p.extend(rest.iter().map(|&k| Key(k)));
+        p
+    };
+    vec![
+        (
+            "a join event's weight",
+            vec![
+                Key("events"),
+                At(0),
+                Key("event"),
+                Key("weight"),
+                Key("den"),
+            ],
+        ),
+        ("a scheduling weight", under(task(5), &["swt", "den"])),
+        ("an I_PS weight", under(task(5), &["ps", "wt", "den"])),
+        ("an I_SW weight", under(task(5), &["isw", "swt", "den"])),
+        (
+            "a pending target",
+            under(task(5), &["pending", "target", "den"]),
+        ),
+        (
+            "a ledger commitment",
+            vec![Key("committed"), At(5), Key("den")],
+        ),
+        ("an I_SW allocation", {
+            let mut p = under(task(4), &["isw", "subs"]);
+            p.extend([At(0), Key("cum"), Key("den")]);
+            p
+        }),
+    ]
+}
+
+#[test]
+fn the_resealed_fixture_still_decodes() {
+    let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
+    let body = envelope.get("body").expect("envelope body").clone();
+    let text = seal(SNAPSHOT_FORMAT, body).to_string_pretty();
+    assert!(snapshot_from_str(&text).is_ok());
+    // And the edit helper changes what it names: 100 is task 5's join.
+    let same = with_den(
+        &[
+            Key("events"),
+            At(0),
+            Key("event"),
+            Key("weight"),
+            Key("den"),
+        ],
+        100,
+    );
+    assert!(snapshot_from_str(&same).is_ok());
+}
+
+#[test]
+fn a_weight_or_count_beyond_64_bits_is_a_format_error() {
+    for (what, path) in weight_paths() {
+        for den in WIDE {
+            match snapshot_from_str(&with_den(&path, den)) {
+                Err(PersistError::Format(message)) => {
+                    assert!(
+                        message.contains("64 bits") || message.contains("i64 range"),
+                        "{what} with denominator {den}: {message}"
+                    );
+                }
+                Err(other) => panic!("{what} with denominator {den}: {other}"),
+                Ok(_) => panic!("{what} with denominator {den} decoded"),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_journal_entry_beyond_64_bits_is_a_format_error() {
+    let dir = std::env::temp_dir().join(format!("pfair-wide-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("journal.jsonl");
+    Journal::create(&path).expect("create");
+    let header = std::fs::read_to_string(&path).expect("read header");
+    for den in WIDE {
+        // A well-formed entry, checksum included, whose event asks for
+        // weight 1/den: only the weight is wrong.
+        let event = Json::parse(&format!(
+            r#"{{"at":3,"task":1,"event":{{"kind":"reweight","weight":{{"num":1,"den":{den}}}}}}}"#
+        ))
+        .expect("event parses");
+        let body = obj([("seq", Json::Int(0)), ("event", event.clone())]);
+        let checksum = format!("{:016x}", fnv1a64(body.to_string().as_bytes()));
+        let line = obj([
+            ("seq", Json::Int(0)),
+            ("event", event),
+            ("checksum", Json::Str(checksum)),
+        ]);
+        std::fs::write(&path, format!("{header}{line}\n")).expect("write journal");
+        match read_journal(&path) {
+            Err(PersistError::Format(message)) => {
+                assert!(message.contains("64 bits"), "denominator {den}: {message}");
+            }
+            other => panic!("denominator {den}: {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}

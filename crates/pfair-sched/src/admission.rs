@@ -58,7 +58,8 @@ impl pfair_json::FromJson for AdmissionPolicy {
 pub struct AdmissionController {
     policy: AdmissionPolicy,
     capacity: Rational,
-    committed: Vec<Rational>, // by task id; ZERO = not in system
+    /// By task id; `None` = not in the system.
+    committed: Vec<Option<Weight>>,
     /// Running `Σ committed`, maintained at every table write so
     /// admission decisions are O(1) instead of an O(n) fold — at 10⁵–10⁶
     /// tasks the fold dominated every join. Exact by construction: the
@@ -74,7 +75,7 @@ impl AdmissionController {
             policy,
             capacity: Rational::from_int(i128::from(processors)),
             // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
-            committed: vec![Rational::ZERO; tasks as usize],
+            committed: vec![None; tasks as usize],
             total: Rational::ZERO,
         }
     }
@@ -86,7 +87,7 @@ impl AdmissionController {
         // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
         let tasks = tasks as usize;
         if tasks > self.committed.len() {
-            self.committed.resize(tasks, Rational::ZERO);
+            self.committed.resize(tasks, None);
         }
     }
 
@@ -99,13 +100,18 @@ impl AdmissionController {
     /// slot that already holds `value` — a decrease request, or the
     /// enactment of an increase committed at request time — leaves the
     /// total alone: `total − x + x` is `total`, two gcds later.
-    fn set_committed(&mut self, task: TaskId, value: Rational) {
+    fn set_committed(&mut self, task: TaskId, value: Option<Weight>) {
         let slot = &mut self.committed[task.idx()]; // audit: allow(panic-reach, committed table is sized to the task-set, idx is validated at admission)
         if *slot == value {
             return;
         }
-        self.total = self.total - *slot + value;
+        self.total = self.total - Weight::share(*slot) + Weight::share(value);
         *slot = value;
+    }
+
+    /// The commitment of `task` (`None` while it has none).
+    fn committed(&self, task: TaskId) -> Option<Weight> {
+        self.committed.get(task.idx()).copied().flatten()
     }
 
     /// Processes a request to set task `task`'s weight to `want`
@@ -121,47 +127,58 @@ impl AdmissionController {
     /// task claim it while the old weight is still being scheduled.
     /// [`AdmissionController::note_enacted`] performs the deferred
     /// reduction.
+    ///
+    /// One [`AdmissionController::grant`] and, if the grant is a
+    /// [`Weight`], its [`AdmissionController::commit`].
     pub fn request(&mut self, task: TaskId, want: Weight) -> Option<Weight> {
-        let cur = self.committed[task.idx()]; // audit: allow(panic-reach, committed table is sized to the task-set, idx is validated at admission)
-        let want_v: Rational = want.value();
-        let granted = match self.policy {
-            AdmissionPolicy::Trusting => want_v,
+        let granted = Weight::try_new(self.grant(task, want)?).ok()?;
+        self.commit(task, granted);
+        Some(granted)
+    }
+
+    /// What [`AdmissionController::request`] would grant, without
+    /// writing the ledger: `None` if nothing can be granted. A clamped
+    /// grant is the capacity left over, so its denominator is the
+    /// ledger's, which need not fit a [`Weight`]; the engine refuses
+    /// such a grant before it commits anything.
+    pub fn grant(&self, task: TaskId, want: Weight) -> Option<Rational> {
+        let want_v = want.value();
+        let cur = Weight::share(self.committed(task));
+        match self.policy {
+            AdmissionPolicy::Trusting => Some(want_v),
+            AdmissionPolicy::Police if want_v <= cur => Some(want_v),
             AdmissionPolicy::Police => {
-                if want_v <= cur {
-                    want_v
-                } else {
-                    let headroom = self.available();
-                    let granted = (cur + headroom).min(want_v);
-                    if !granted.is_positive() {
-                        return None;
-                    }
-                    granted
-                }
+                let granted = (cur + self.available()).min(want_v);
+                granted.is_positive().then_some(granted)
             }
-        };
-        // Commitments only rise at request time; they fall at enactment.
-        self.set_committed(task, cur.max(granted));
-        Weight::try_new(granted).ok()
+        }
+    }
+
+    /// Commits a grant: commitments only rise at request time; they
+    /// fall at enactment.
+    pub fn commit(&mut self, task: TaskId, granted: Weight) {
+        let cur = self.committed(task);
+        self.set_committed(task, cur.max(Some(granted)));
     }
 
     /// Releases a leaving task's commitment. Under PD²-LJ semantics the
     /// capacity only truly frees at the leave time; callers invoke this
     /// at that point.
     pub fn release(&mut self, task: TaskId) {
-        self.set_committed(task, Rational::ZERO);
+        self.set_committed(task, None);
     }
 
     /// Records an enacted weight change: the task's scheduling weight is
     /// now exactly `enacted`, so the commitment settles there — in
     /// particular, this is where a decrease's capacity finally frees.
     pub fn note_enacted(&mut self, task: TaskId, enacted: Weight) {
-        self.set_committed(task, enacted.value());
+        self.set_committed(task, Some(enacted));
     }
 
     /// The per-task commitment table, for persistence. Policy and
     /// capacity are derived from the simulation config at restore time;
     /// the commitments are the only mutable state.
-    pub fn committed_parts(&self) -> &[Rational] {
+    pub fn committed_parts(&self) -> &[Option<Weight>] {
         &self.committed
     }
 
@@ -169,9 +186,11 @@ impl AdmissionController {
     pub fn from_parts(
         policy: AdmissionPolicy,
         processors: u32,
-        committed: Vec<Rational>,
+        committed: Vec<Option<Weight>>,
     ) -> AdmissionController {
-        let total = committed.iter().fold(Rational::ZERO, |acc, c| acc + *c);
+        let total = committed
+            .iter()
+            .fold(Rational::ZERO, |acc, &c| acc + Weight::share(c));
         AdmissionController {
             policy,
             capacity: Rational::from_int(i128::from(processors)),
@@ -307,7 +326,9 @@ mod tests {
                         granted[task] = Rational::ZERO;
                     }
                 }
-                prop_assert_eq!(ac.committed_parts(), &twin.committed[..]);
+                let committed: Vec<Rational> =
+                    ac.committed_parts().iter().map(|&c| Weight::share(c)).collect();
+                prop_assert_eq!(committed, twin.committed.clone());
                 prop_assert_eq!(ac.total, twin.total());
                 prop_assert_eq!(ac.available(), twin.capacity - twin.total());
             }

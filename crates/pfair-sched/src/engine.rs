@@ -52,6 +52,7 @@ use pfair_core::ideal::{IswTracker, PsTracker};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{ever, slot_index, Slot, NEVER};
+use pfair_core::weight::Weight;
 use pfair_core::window::SubtaskWindow;
 use pfair_obs::{NoopProbe, ObsEvent, Probe, ReleaseRec};
 use std::sync::Arc;
@@ -185,7 +186,7 @@ enum PendKind {
 /// entries are validated away when their slot arrives).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Pending {
-    target: Rational,
+    target: Weight,
     /// Fires in step 2 of this slot.
     at: Slot,
     kind: PendKind,
@@ -306,7 +307,7 @@ const NO_CPU: u32 = u32::MAX;
 
 const _: () = {
     assert!(std::mem::size_of::<SubRec>() <= 64);
-    assert!(std::mem::size_of::<TaskState>() <= 736);
+    assert!(std::mem::size_of::<TaskState>() <= 656);
 };
 
 impl TaskState {
@@ -1568,13 +1569,32 @@ mod tests {
         e.step();
     }
 
+    /// A second join of a present task is refused, not fatal: the run
+    /// completes, reports the one refusal, and is the single-join run.
     #[test]
-    #[should_panic(expected = "joined twice")]
-    fn double_join_panics() {
-        let mut w = Workload::new();
-        w.join(0, 0, 1, 4);
-        w.join(0, 1, 1, 4);
-        let _ = simulate(SimConfig::oi(1, 10), &w);
+    fn double_join_is_refused() {
+        use pfair_json::ToJson;
+        use pfair_obs::{Refusal, TraceRecorder};
+        let mut once = Workload::new();
+        once.join(0, 0, 1, 4);
+        let mut twice = once.clone();
+        twice.join(0, 1, 1, 4);
+        let config = SimConfig::oi(1, 10);
+        let (result, trace) = simulate_with(config.clone(), &twice, TraceRecorder::new());
+        let refused: Vec<ObsEvent> = (trace.events().iter())
+            .filter(|e| matches!(e, ObsEvent::Refused { .. }))
+            .copied()
+            .collect();
+        let expected = ObsEvent::Refused {
+            task: TaskId(0),
+            t: 1,
+            reason: Refusal::AlreadyPresent,
+        };
+        assert_eq!(refused, [expected]);
+        assert_eq!(
+            result.to_json().to_string(),
+            simulate(config, &once).to_json().to_string()
+        );
     }
 }
 

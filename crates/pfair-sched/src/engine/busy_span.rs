@@ -56,9 +56,10 @@ use crate::queue::QueueEntry;
 use crate::reweight::RuleSelector;
 use pfair_core::analysis::checked_lcm;
 use pfair_core::drift::DriftTrack;
-use pfair_core::rational::{Rational, Units};
+use pfair_core::rational::Units;
 use pfair_core::task::TaskId;
 use pfair_core::time::{shift_ever, Slot};
+use pfair_core::weight::Weight;
 use pfair_core::window::SubtaskWindow;
 use pfair_obs::{ObsEvent, Probe};
 
@@ -171,7 +172,7 @@ struct SpanProbe {
     misses_len: usize,
     next_event: usize,
     selector: Option<RuleSelector>,
-    committed: Vec<Rational>,
+    committed: Vec<Option<Weight>>,
     /// Verification's working memory: per-task deltas, ring contents
     /// under comparison.
     deltas: Vec<TaskDelta>,
@@ -188,7 +189,7 @@ struct SpanProbe {
 struct ArmedTask {
     present: bool,
     ran: bool,
-    swt: Rational,
+    swt: Option<Weight>,
     next_release: Option<Slot>,
     drift_len: usize,
     parked: Parked,
@@ -215,7 +216,7 @@ impl TaskDelta {
         Some(TaskDelta {
             d_index: self.d_index.checked_mul(k)?,
             sched: self.sched.checked_mul(k)?,
-            isw_gain: Units::new(self.isw_gain.get().checked_mul(i128::from(k))?),
+            isw_gain: Units::new(self.isw_gain.get().checked_mul(i64::try_from(k).ok()?)?),
             ps_gain: self.ps_gain.checked_mul(i64::try_from(k).ok()?)?,
         })
     }
@@ -381,7 +382,8 @@ impl<P: Probe> Engine<P> {
         for id in self.tasks.present_iter() {
             if let Some(r) = self.tasks.next_release(id) {
                 if r < end {
-                    acc = checked_lcm(acc, self.tasks.swt(id).denom())?;
+                    let den = self.tasks.swt(id).map_or(1, Weight::denom);
+                    acc = checked_lcm(acc, i128::from(den))?;
                     if acc > i128::from(MAX_SPAN_PERIOD) {
                         return None;
                     }
@@ -659,15 +661,16 @@ fn task_delta(
     // `den`. The period must be a whole multiple of `den` and the
     // observed rank delta must match — this pins the extrapolation to
     // the closed-form window math, not just to one lucky period.
-    let den = armed.swt.denom();
-    let num = armed.swt.numer();
-    if den <= 0 || num <= 0 || armed.drift_len != tb.drift.samples().len() {
+    let Some(swt) = armed.swt else {
+        return Err(fail);
+    };
+    if armed.drift_len != tb.drift.samples().len() {
         return Err(fail);
     }
-    let rank_gain = i128::from(period) / den; // audit: allow(panic-reach, den is checked positive just above)
-    if i128::from(period) % den != 0
-        || i128::from(d_index) != rank_gain.checked_mul(num).ok_or(fail)?
-    {
+    // A weight's denominator is positive; `.max(1)` is that fact in the
+    // form the panic-reach pass reads as nonzero.
+    let rank_gain = i128::from(period / swt.denom().max(1)) * i128::from(swt.numer());
+    if period % swt.denom().max(1) != 0 || i128::from(d_index) != rank_gain {
         return Err(fail);
     }
     match (armed.next_release, live.next_release(id)) {

@@ -32,7 +32,8 @@
 //!
 //! Decoders re-validate every cross-field invariant they can state
 //! (dense task ids, index-ordered subtask records, cursor bounds,
-//! ring-window membership), so a corrupted or hand-edited snapshot
+//! ring-window membership, weights and tracker counts that fit the
+//! 64-bit fields holding them), so a corrupted or hand-edited snapshot
 //! yields an `Err`, never a panicking or silently-wrong engine.
 
 use super::slab::TaskSlab;
@@ -48,10 +49,30 @@ use crate::trace::Miss;
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{ever, Slot, NEVER};
+use pfair_core::weight::Weight;
 use pfair_core::window::SubtaskWindow;
 use pfair_json::{obj, FromJson, Json, JsonError, ToJson};
 use pfair_obs::Probe;
 use std::sync::Arc;
+
+/// A weight column entry or ledger commitment in interchange form: the
+/// rational it has always been written as, zero for none. Decoding
+/// holds a nonzero share to be a [`Weight`].
+struct Share(Option<Weight>);
+
+impl ToJson for Share {
+    fn to_json(&self) -> Json {
+        Weight::share(self.0).to_json()
+    }
+}
+
+impl FromJson for Share {
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        Weight::try_share(Rational::from_json(value)?)
+            .map(Share)
+            .map_err(|e| JsonError::new(e.to_string()))
+    }
+}
 
 impl ToJson for PendKind {
     fn to_json(&self) -> Json {
@@ -209,7 +230,7 @@ struct TaskSnap {
     state: TaskState,
     parked: Parked,
     in_system: bool,
-    swt: Rational,
+    swt: Option<Weight>,
     next_release: Option<Slot>,
     ran_last_slot: bool,
 }
@@ -237,7 +258,7 @@ impl ToJson for TaskSnap {
             ("id", self.id.to_json()),
             ("in_system", self.in_system.to_json()),
             ("wt", TaskSnap::wt(&self.state).to_json()),
-            ("swt", self.swt.to_json()),
+            ("swt", Share(self.swt).to_json()),
             ("era_base", self.state.era_base.to_json()),
             ("next_index", self.state.next_index.to_json()),
             ("era_open_pending", self.state.era_open_pending.to_json()),
@@ -306,7 +327,7 @@ impl FromJson for TaskSnap {
             state,
             parked,
             in_system: value.field("in_system")?,
-            swt: value.field("swt")?,
+            swt: value.field::<Share>("swt")?.0,
             next_release: value.field("next_release")?,
             ran_last_slot: value.field("ran_last_slot")?,
         })
@@ -376,7 +397,7 @@ pub struct EngineSnapshot {
     tasks: Vec<TaskSnap>,
     queue: Vec<QueueEntry>,
     selector: RuleSelector,
-    committed: Vec<Rational>,
+    committed: Vec<Option<Weight>>,
     counters: Counters,
     misses: Vec<Miss>,
     now: Slot,
@@ -443,7 +464,10 @@ impl ToJson for EngineSnapshot {
             ("tasks", self.tasks.to_json()),
             ("queue", self.queue.to_json()),
             ("selector", self.selector.to_json()),
-            ("committed", self.committed.to_json()),
+            (
+                "committed",
+                Json::Array(self.committed.iter().map(|&c| Share(c).to_json()).collect()),
+            ),
             ("counters", self.counters.to_json()),
             ("misses", self.misses.to_json()),
             ("now", self.now.to_json()),
@@ -464,7 +488,10 @@ impl FromJson for EngineSnapshot {
             tasks: value.field("tasks")?,
             queue: value.field("queue")?,
             selector: value.field("selector")?,
-            committed: value.field("committed")?,
+            committed: (value.field::<Vec<Share>>("committed")?)
+                .into_iter()
+                .map(|c| c.0)
+                .collect(),
             counters: value.field("counters")?,
             misses: value.field("misses")?,
             now: value.field("now")?,

@@ -22,7 +22,6 @@ use crate::priority::Priority;
 use crate::queue::QueueEntry;
 use pfair_core::task::TaskId;
 use pfair_core::time::{Slot, NEVER};
-use pfair_core::weight::Weight;
 use pfair_core::window::window_and_group_deadline;
 use pfair_obs::{ObsEvent, Probe, ReleaseRec};
 
@@ -129,7 +128,8 @@ impl<P: Probe> Engine<P> {
             // `subs` and the tracker's retained records bounded.
             let scan = self.sync_task(id, t);
             let tie_rank = self.tie.rank(id);
-            let swt = self.tasks.swt(id);
+            // audit: allow(panic-reach, engine invariant: a present task has joined, so its weight column is set)
+            let weight = self.tasks.swt(id).expect("a present task without a weight");
             // Eqn (4) books the successor's release unless a pending
             // change or leave suppresses it.
             let books_successor = self.tasks.parked(id).is_nothing();
@@ -137,8 +137,6 @@ impl<P: Probe> Engine<P> {
             let index = task.next_index;
             task.next_index += 1;
             let rank = index - task.era_base;
-            // audit: allow(panic-reach, engine invariant: reweight rules keep swt within (0 and 1])
-            let weight = Weight::try_new(swt).expect("invalid scheduling weight");
             let (window, gd) = window_and_group_deadline(weight, rank, t);
             let era_first = task.era_open_pending;
             task.era_open_pending = false;

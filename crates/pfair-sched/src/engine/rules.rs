@@ -27,15 +27,23 @@
 //! it (§3.2's "skipped" event; property (C)): the rules simply run again
 //! against the current state. An intra-sporadic delay (the `θ` of Eqn
 //! (4)) moves the next release later and suspends `I_PS` in between.
+//!
+//! Before any of that, a join or initiation passes the arithmetic budget
+//! ([`Engine::budget`]): the request is refused, with an
+//! [`ObsEvent::Refused`] and nothing else, if a count or a deadline it
+//! can lead to would not be representable. Everything after it then
+//! computes in 64 bits without a fallback.
 
 use super::{Engine, PendKind, Pending};
+use crate::priority::SLOT_BOUND;
 use crate::reweight::RuleChoice;
 use pfair_core::ideal::{IswTracker, PsTracker};
-use pfair_core::rational::Rational;
+use pfair_core::rational::{Rational, Units};
 use pfair_core::task::TaskId;
 use pfair_core::time::{ever, Slot, NEVER};
 use pfair_core::weight::Weight;
-use pfair_obs::{ObsEvent, Probe, ReweightCost, Rule};
+use pfair_core::window::window_reach;
+use pfair_obs::{ObsEvent, Probe, Refusal, ReweightCost, Rule};
 
 impl<P: Probe> Engine<P> {
     /// Enacts scheduling weight `v` for `id` — the one place a task's
@@ -45,15 +53,79 @@ impl<P: Probe> Engine<P> {
     /// (indices above it rank within the new era), and the enactment is
     /// counted and reported to admission. The caller has synchronized
     /// the trackers to the current slot, under the closing weight.
-    pub(super) fn enact_weight(&mut self, id: TaskId, v: Rational) {
-        self.tasks.set_swt(id, v);
+    pub(super) fn enact_weight(&mut self, id: TaskId, v: Weight) {
+        self.tasks.set_swt(id, Some(v));
         let task = self.tasks.task_mut(id);
-        task.isw.set_swt(v);
+        task.isw.set_swt(v.value());
         task.era_base = task.next_index - 1;
         self.counters.reweight_enactments += 1;
-        if let Ok(w) = Weight::try_new(v) {
-            self.admission.note_enacted(id, w);
+        self.admission.note_enacted(id, v);
+    }
+
+    /// The arithmetic budget (DESIGN.md, "The arithmetic budget"):
+    /// `granted` as a [`Weight`] if everything the request can lead to
+    /// is representable, the reason for refusing it if not. `era_unit`
+    /// is the task's current era unit for a reweight initiation and
+    /// `None` for a join, whose trackers start afresh. Three checks:
+    ///
+    /// * the reduced components fit `i64`;
+    /// * `lcm(den, era_unit) × (horizon + 1)` fits `i64`. The unit
+    ///   [`Engine::enact_weight`] derives divides that lcm (no other
+    ///   enactment can come between an initiation and its own), and no
+    ///   era-unit count of the run — a rate, a subtask's allocation, the
+    ///   `I_SW` total since the unit last changed — exceeds the unit
+    ///   times the slots simulated;
+    /// * every window at the weight, released before the horizon, keeps
+    ///   its deadline and group deadline inside the packed key's exact
+    ///   band ([`window_reach`]).
+    fn budget(&self, granted: Rational, era_unit: Option<Units>) -> Result<Weight, Refusal> {
+        let w = Weight::try_new(granted).map_err(|_| Refusal::WideWeight)?;
+        let den = Units::new(w.denom());
+        let unit = era_unit.map_or(Some(den), |u| den.checked_lcm(u));
+        let horizon = self.config.horizon;
+        let counts = unit
+            .zip(horizon.checked_add(1))
+            .and_then(|(unit, slots)| unit.get().checked_mul(slots));
+        if counts.is_none() {
+            return Err(Refusal::UnitBudget);
         }
+        if horizon.saturating_add(window_reach(w)) >= SLOT_BOUND {
+            return Err(Refusal::DeadlineBand);
+        }
+        Ok(w)
+    }
+
+    /// Admission for a join or an initiation: condition W's grant, the
+    /// arithmetic budget, and only then the ledger's commitment. `None`
+    /// when nothing can be granted (silent, as condition W always was)
+    /// or when the budget refuses (reported).
+    fn admit(
+        &mut self,
+        id: TaskId,
+        t: Slot,
+        want: Weight,
+        era_unit: Option<Units>,
+    ) -> Option<Weight> {
+        let granted = self.admission.grant(id, want)?;
+        match self.budget(granted, era_unit) {
+            Ok(w) => {
+                self.admission.commit(id, w);
+                Some(w)
+            }
+            Err(reason) => {
+                self.refuse(id, t, reason);
+                None
+            }
+        }
+    }
+
+    /// Reports a request refused before anything was written.
+    fn refuse(&mut self, id: TaskId, t: Slot, reason: Refusal) {
+        self.probe.on_event(ObsEvent::Refused {
+            task: id,
+            t,
+            reason,
+        });
     }
 
     /// Intra-sporadic separation (Eqn (4)'s `θ(T_{j+1}) − θ(T_j)` term):
@@ -82,12 +154,14 @@ impl<P: Probe> Engine<P> {
     }
 
     pub(super) fn handle_join(&mut self, id: TaskId, t: Slot, want: Weight) {
-        let Some(granted) = self.admission.request(id, want) else {
-            return; // join rejected: no capacity at all
+        if self.tasks.in_system(id) {
+            self.refuse(id, t, Refusal::AlreadyPresent);
+            return;
+        }
+        let Some(granted) = self.admit(id, t, want, None) else {
+            return;
         };
         let record_history = self.config.record_history;
-        // audit: allow(panic-reach, run-invariant assertion, a violation is a scheduler bug and must abort)
-        assert!(!self.tasks.in_system(id), "{id} joined twice");
         let g: Rational = granted.value();
         // History runs retain per-slot halt corrections; event-driven runs
         // keep the tracker's memory bounded instead.
@@ -108,7 +182,7 @@ impl<P: Probe> Engine<P> {
             task.history.get_or_insert_with(Box::default);
         }
         self.tasks.set_in_system(id, true);
-        self.tasks.set_swt(id, g);
+        self.tasks.set_swt(id, Some(granted));
         self.tasks.set_ran(id, false);
         self.tasks.set_next_release(id, Some(t));
         self.note_release(id, t);
@@ -184,17 +258,17 @@ impl<P: Probe> Engine<P> {
         // heavy tasks schedule correctly (group-deadline tie-break) but
         // may not reweight, nor may a task reweight into the heavy
         // class. Such requests are rejected and counted.
-        let currently_heavy = self.tasks.swt(id) > Rational::new(1, 2);
+        let currently_heavy = self.tasks.swt(id).is_some_and(Weight::is_heavy);
         if currently_heavy || want.is_heavy() {
             self.counters.rejected_heavy_reweights += 1;
             return;
         }
-        let Some(granted) = self.admission.request(id, want) else {
+        let unit = self.tasks.task(id).isw.unit();
+        let Some(v) = self.admit(id, t, want, Some(unit)) else {
             return;
         };
         self.counters.reweight_initiations += 1;
-        let v: Rational = granted.value();
-        let old_swt = self.tasks.swt(id);
+        let old_swt = Weight::share(self.tasks.swt(id));
 
         // Catch the trackers up to the initiation boundary first: `I_PS`
         // accrues the old weight up to `t` before `set_wt`, and the rules
@@ -202,12 +276,12 @@ impl<P: Probe> Engine<P> {
         self.sync_task(id, t);
 
         // The actual weight (and I_PS) changes at initiation, always.
-        self.tasks.task_mut(id).ps.set_wt(v);
+        self.tasks.task_mut(id).ps.set_wt(v.value());
 
         let tasks = &self.tasks;
         let choice = self
             .selector
-            .choose(id, t, old_swt, v, || tasks.task(id).drift.at(t));
+            .choose(id, t, old_swt, v.value(), || tasks.task(id).drift.at(t));
         // Direct per-event cost: queue operations and halts performed
         // while the rules run. Deferred cost (stale entries stranded by
         // the halts) is attributed later via the stale-pop/drop hooks.
@@ -245,7 +319,7 @@ impl<P: Probe> Engine<P> {
     /// is superseded: the rules re-run against the current state, which
     /// realizes the "skipped event" semantics of §3.2 and property (C).
     /// Returns the rule that resolved the initiation (probe reporting).
-    fn reweight_oi(&mut self, id: TaskId, t: Slot, v: Rational) -> Rule {
+    fn reweight_oi(&mut self, id: TaskId, t: Slot, v: Weight) -> Rule {
         let (last, d_passed) = {
             let task = self.tasks.task(id);
             let last = task.last_released().copied();
@@ -284,7 +358,7 @@ impl<P: Probe> Engine<P> {
             // yet be complete in I_SW, but a *superseding* initiation may
             // find its completion already known — then the wait resolves
             // to a concrete time immediately.
-            let increase = v > self.tasks.swt(id);
+            let increase = Some(v) > self.tasks.swt(id);
             if increase {
                 // I(i): enact immediately; era-opening release waits for
                 // D(I_SW, T_j) + b(T_j).
@@ -343,7 +417,7 @@ impl<P: Probe> Engine<P> {
     /// Leave/join reweighting (PD²-LJ): withdraw unscheduled subtasks,
     /// wait out rule L on the last-scheduled subtask, rejoin with the new
     /// weight. Returns [`Rule::Lj`] (probe reporting).
-    fn reweight_lj(&mut self, id: TaskId, t: Slot, v: Rational) -> Rule {
+    fn reweight_lj(&mut self, id: TaskId, t: Slot, v: Weight) -> Rule {
         self.halt_pending(id, t);
         let at = self.rule_l_time(id, t);
         self.park_or_enact(id, t, v, at, PendKind::Enact);
@@ -352,7 +426,7 @@ impl<P: Probe> Engine<P> {
 
     /// Installs a pending change, or fires it on the spot when its time
     /// is the current slot (enactments for slot `t` have already run).
-    fn park_or_enact(&mut self, id: TaskId, t: Slot, v: Rational, at: Slot, kind: PendKind) {
+    fn park_or_enact(&mut self, id: TaskId, t: Slot, v: Weight, at: Slot, kind: PendKind) {
         let fire_now = at <= t;
         self.tasks.set_next_release(id, None);
         if fire_now {

@@ -9,7 +9,7 @@
 //! the ran-flag sweep) actually touches. They live here as dense
 //! columns: two word-scanned [`IdBitmap`]s (the `CalendarRing`
 //! occupancy-map idiom) plus two flat `Vec`s, so a scan over 10⁶ tasks
-//! is cache-linear instead of striding over 736-byte rows (`TaskState`
+//! is cache-linear instead of striding over 656-byte rows (`TaskState`
 //! is `const`-asserted to stay within that). A row's position is its
 //! task's id; the row does not repeat it.
 //! Everything else — subtask records, trackers, history — stays in the
@@ -48,9 +48,9 @@
 //! stating that argument instead of one per call site.
 
 use pfair_core::arena::IdBitmap;
-use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{Slot, NEVER};
+use pfair_core::weight::Weight;
 
 use super::{Parked, Pending, TaskState};
 use crate::event::{Event, EventKind};
@@ -72,8 +72,9 @@ pub(super) struct TaskSlab {
     present: IdBitmap,
     /// Hot column: task ran in the previous slot (`ran_last_slot`).
     ran: IdBitmap,
-    /// Hot column: scheduling weight `swt(T, t)`.
-    swt: Vec<Rational>,
+    /// Hot column: scheduling weight `swt(T, t)`; `None` until the id
+    /// first joins.
+    swt: Vec<Option<Weight>>,
     /// Hot column: next scheduled release ([`NEVER`] = suppressed). Its
     /// length is the number of addressable ids.
     next_release: Vec<Slot>,
@@ -110,7 +111,7 @@ impl TaskSlab {
         }
         self.present.grow(n);
         self.ran.grow(n);
-        self.swt.resize(n, Rational::ZERO);
+        self.swt.resize(n, None);
         self.next_release.resize(n, NEVER);
     }
 
@@ -246,15 +247,17 @@ impl TaskSlab {
         self.ran.set(id.idx(), value);
     }
 
-    /// Hot column: scheduling weight of `id`.
+    /// Hot column: scheduling weight of `id`, `None` before its first
+    /// join.
     #[inline]
-    pub(super) fn swt(&self, id: TaskId) -> Rational {
-        self.swt.get(id.idx()).copied().unwrap_or(Rational::ZERO)
+    pub(super) fn swt(&self, id: TaskId) -> Option<Weight> {
+        self.swt.get(id.idx()).copied().flatten()
     }
 
-    /// Sets the scheduling weight.
+    /// Sets the scheduling weight (`None` only when restoring an id that
+    /// never joined).
     #[inline]
-    pub(super) fn set_swt(&mut self, id: TaskId, value: Rational) {
+    pub(super) fn set_swt(&mut self, id: TaskId, value: Option<Weight>) {
         if let Some(slot) = self.swt.get_mut(id.idx()) {
             *slot = value;
         }

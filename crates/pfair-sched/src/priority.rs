@@ -194,7 +194,7 @@ impl TieTable {
 
 /// Half-width of the exactly-representable slot band: slots in
 /// `[-2^46, 2^46)` bias into the 47-bit fields losslessly.
-const SLOT_BOUND: Slot = 1 << 46;
+pub(crate) const SLOT_BOUND: Slot = 1 << 46;
 /// All-ones 47-bit field, used to complement the group deadline so a
 /// *later* group deadline packs *smaller*.
 const FIELD_MASK: u128 = (1 << 47) - 1;

@@ -292,7 +292,7 @@ impl ShardSet {
                     task: p.local,
                     kind: EventKind::Reweight(w),
                 });
-                let old = self.weights[g].map_or(Rational::ZERO, Weight::value);
+                let old = Weight::share(self.weights[g]);
                 self.util[p.shard] = self.util[p.shard] - old + w.value();
                 self.weights[g] = Some(w);
             }
@@ -354,8 +354,7 @@ impl ShardSet {
     fn depart(&mut self, g: usize, shard: usize) {
         // audit: allow(lossy-cast, global event task ids are u32 by construction)
         self.members[shard].remove(&(g as u32));
-        let w = self.weights[g].map_or(Rational::ZERO, Weight::value);
-        self.util[shard] -= w;
+        self.util[shard] -= Weight::share(self.weights[g]);
         self.route[g] = None;
     }
 

@@ -12,8 +12,9 @@
 //! in place of its rows. An id that has not joined costs no row at all.
 //!
 //! The record and row sizes themselves are `const`-asserted where the
-//! types are defined (`SubRec` ≤ 64 and `TaskState` ≤ 736 bytes in
-//! `engine.rs`, `IswSub` ≤ 64 bytes in `pfair-core`'s `isw.rs`), so a
+//! types are defined (`SubRec` ≤ 64 and `TaskState` ≤ 656 bytes in
+//! `engine.rs`, `IswSub` ≤ 48 bytes in `pfair-core`'s `isw.rs`, a
+//! `Weight` and an `Option<Weight>` 16 bytes in its `weight.rs`), so a
 //! new field that breaks the budget does not compile.
 
 // The counting allocator is the one `unsafe impl` this workspace has;
@@ -76,21 +77,22 @@ const TASKS: u32 = 2000;
 /// `population`-shaped run, in three parts. An engine with no task at
 /// all holds the ready queue's runs, the calendar rings, the metrics
 /// registry and the per-slot buffers (53 288 measured without a task,
-/// 54 300 beside the tasks of this run).
+/// 54 400 beside the tasks of this run).
 const ENGINE_BYTES: isize = 55_000;
 
 /// What an addressable id costs whether or not it ever joins: its
-/// entries in the per-id tables — the slab's scheduling-weight (32 B)
-/// and next-release (8 B) columns, the admission ledger (32 B), the
-/// hybrid selector's state (16 B), the tie rank (4 B) and two bits.
-const BYTES_PER_ID: isize = 93;
+/// entries in the per-id tables — the slab's scheduling-weight (16 B)
+/// and next-release (8 B) columns, the admission ledger (16 B), the
+/// hybrid selector's state (16 B), the tie rank (4 B) and two bits
+/// (60.3 measured).
+const BYTES_PER_ID: isize = 61;
 
-/// What a joined task adds: its 736-byte row (space for the rows of the
+/// What a joined task adds: its 656-byte row (space for the rows of the
 /// joins an engine holds is reserved at once, so the buffer has no
-/// growth slack), its
-/// one-sample drift block, and its share of the queue and calendar
-/// buffers (878 measured, at 1 000, 2 000 and 4 000 tasks).
-const BYTES_PER_TASK: isize = 880;
+/// growth slack), its one-sample drift block, and its share of the
+/// queue and calendar buffers (798 measured, at 1 000, 2 000 and 4 000
+/// tasks).
+const BYTES_PER_TASK: isize = 800;
 
 /// The budget of an engine addressing `ids` ids of which `joined` joined.
 fn budget(ids: u32, joined: u32) -> isize {
@@ -137,7 +139,7 @@ fn a_task_is_one_row_and_one_heap_block() {
     );
     assert!(
         bytes <= budget(TASKS, TASKS),
-        "{bytes} live bytes for {TASKS} tasks: {} per task, budget {} (997 measured)",
+        "{bytes} live bytes for {TASKS} tasks: {} per task, budget {} (885 measured)",
         bytes / tasks,
         budget(TASKS, TASKS) / tasks
     );
@@ -172,7 +174,7 @@ fn a_task_is_one_row_and_one_heap_block() {
 /// The same run with twice the ids, of which only the first half ever
 /// joins: the engine addresses all of them, yet what it holds fits the
 /// budget of the tasks that joined — an unjoined id costs its per-id
-/// table entries and no row (eager rows would add 736 KB here).
+/// table entries and no row (eager rows would add 656 KB here).
 fn an_id_that_never_joins_costs_no_row() {
     let joined = TASKS / 2;
     let workload = synthetic_population(joined, 1);
@@ -187,7 +189,7 @@ fn an_id_that_never_joins_costs_no_row() {
     assert!(
         bytes <= budget(TASKS, joined),
         "{bytes} live bytes for {TASKS} ids of which {joined} joined: budget {} \
-         (1 116 880 measured)",
+         (972 880 measured)",
         budget(TASKS, joined)
     );
     let result = engine.finish();

@@ -85,7 +85,8 @@ fn peak_rss_mib() -> Option<u64> {
 /// through an 8-shard `ShardSet`. Ignored by default (seconds of CPU,
 /// 1.2 GiB); CI's `shard-smoke` job runs it by name, in release and on
 /// its own, so the process's peak RSS is this run's: printed, and gated
-/// at 1185 MiB (1126 measured; 1191 with 800-byte rows written for every
+/// at 1013 MiB (965 measured; 1126 with 128-bit weights, era units and
+/// events, 1191 with 800-byte rows written for every
 /// id before any joined, 1443 when every engine and the supervisor
 /// copied the event stream, results kept their engine's row buffers and
 /// a row took 912 bytes). libtest's "finished in" line is its timing.
@@ -109,8 +110,8 @@ fn population_1m_tasks_10k_slots() {
     if let Some(peak) = peak_rss_mib() {
         println!("peak RSS {peak} MiB");
         assert!(
-            peak <= 1185,
-            "peak RSS {peak} MiB: budget 1185 (1126 measured)"
+            peak <= 1013,
+            "peak RSS {peak} MiB: budget 1013 (965 measured)"
         );
     }
 }
