@@ -14,28 +14,11 @@
 //!   the closure runs on the calling thread, serially.
 //!
 //! Every caller passes its worker count to [`par_map_threads`]: a shard
-//! spec's width, or a CLI override falling back to [`default_threads`]
-//! (the `PFAIR_THREADS` environment variable, then the machine's
-//! available parallelism).
+//! spec's width, or a CLI `--threads` value falling back to the
+//! machine's available parallelism.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Environment variable naming the worker-thread count.
-pub const THREADS_ENV: &str = "PFAIR_THREADS";
-
-/// Resolves the default worker-thread count: `PFAIR_THREADS`, then the
-/// machine's available parallelism.
-pub fn default_threads() -> usize {
-    if let Some(n) = std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
 
 /// Maps `f` over `items` on `threads` workers, returning results in
 /// input order (identical to `items.into_iter().map(f)`). The

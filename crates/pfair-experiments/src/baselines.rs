@@ -4,8 +4,7 @@
 //! paper's concluding remarks made measurable.
 
 use crate::runner;
-use pfair_sched::edf::{run_global_edf, EdfReweightMode};
-use pfair_sched::partitioned::run_partitioned_edf;
+use pfair_sched::edf::{run_edf, EdfBaseline, EdfReweightMode};
 use pfair_sched::reweight::Scheme;
 use whisper_sim::scenario::{generate_workload, HORIZON, PROCESSORS};
 use whisper_sim::stats::summarize;
@@ -20,93 +19,67 @@ pub struct BaselineRow {
     pub pct_of_ideal: f64,
     /// Mean deadline misses per run.
     pub misses: f64,
-    /// Mean migrations per run (0 by construction for partitioned EDF's
-    /// schedule; its reweight-forced repartitions are listed instead).
+    /// Mean migrations per run: a task changing processor under PD²,
+    /// none counted under global EDF, and the reweight-forced
+    /// repartitions under partitioned EDF.
     pub migrations: f64,
+}
+
+/// Aggregates per-run `[% of ideal, misses, migrations]` into a row.
+fn row(label: &str, runs: &[[f64; 3]]) -> BaselineRow {
+    let mean = |k: usize| summarize(&runs.iter().map(|r| r[k]).collect::<Vec<_>>()).mean;
+    BaselineRow {
+        label: label.into(),
+        pct_of_ideal: mean(0),
+        misses: mean(1),
+        migrations: mean(2),
+    }
 }
 
 /// Runs every scheduler on the same seeds and aggregates.
 pub fn compare(speed: f64, radius: f64, runs: u64) -> Vec<BaselineRow> {
     let seeds: Vec<u64> = (0..runs).collect();
+    let scenario = |seed| Scenario::new(speed, radius, true, seed);
     let mut rows = Vec::new();
 
     for (label, scheme) in [("PD2-OI", Scheme::Oi), ("PD2-LJ", Scheme::LeaveJoin)] {
-        let metrics: Vec<_> = runner::par_map(seeds.clone(), |seed| {
-            run_whisper(&Scenario::new(speed, radius, true, seed), scheme.clone())
+        let runs = runner::par_map(seeds.clone(), |seed| {
+            let m = run_whisper(&scenario(seed), scheme.clone());
+            [
+                m.pct_of_ideal,
+                m.misses as f64,
+                m.counters.migrations as f64,
+            ]
         });
-        rows.push(BaselineRow {
-            label: label.into(),
-            pct_of_ideal: summarize(&metrics.iter().map(|m| m.pct_of_ideal).collect::<Vec<_>>())
-                .mean,
-            misses: summarize(&metrics.iter().map(|m| m.misses as f64).collect::<Vec<_>>()).mean,
-            migrations: summarize(
-                &metrics
-                    .iter()
-                    .map(|m| m.counters.migrations as f64)
-                    .collect::<Vec<_>>(),
-            )
-            .mean,
-        });
+        rows.push(row(label, &runs));
     }
 
-    for (label, mode) in [
-        ("global EDF (boundary)", EdfReweightMode::AtBoundary),
-        ("global EDF (immediate)", EdfReweightMode::Immediate),
+    for (label, baseline) in [
+        (
+            "global EDF (boundary)",
+            EdfBaseline::Global(EdfReweightMode::AtBoundary),
+        ),
+        (
+            "global EDF (immediate)",
+            EdfBaseline::Global(EdfReweightMode::Immediate),
+        ),
+        ("partitioned EDF", EdfBaseline::Partitioned),
     ] {
-        let runs: Vec<_> = runner::par_map(seeds.clone(), |seed| {
-            let w = generate_workload(&Scenario::new(speed, radius, true, seed));
-            run_global_edf(PROCESSORS, HORIZON, &w, mode)
+        let runs = runner::par_map(seeds.clone(), |seed| {
+            let r = run_edf(
+                PROCESSORS,
+                HORIZON,
+                &generate_workload(&scenario(seed)),
+                baseline,
+            );
+            let p = r.pct_of_ideal();
+            [
+                p.iter().sum::<f64>() / p.len().max(1) as f64,
+                r.misses.len() as f64,
+                r.migrations as f64,
+            ]
         });
-        rows.push(BaselineRow {
-            label: label.into(),
-            pct_of_ideal: summarize(
-                &runs
-                    .iter()
-                    .map(|r| {
-                        let p = r.pct_of_ideal();
-                        p.iter().sum::<f64>() / p.len().max(1) as f64
-                    })
-                    .collect::<Vec<_>>(),
-            )
-            .mean,
-            misses: summarize(
-                &runs
-                    .iter()
-                    .map(|r| r.misses.len() as f64)
-                    .collect::<Vec<_>>(),
-            )
-            .mean,
-            migrations: 0.0,
-        });
-    }
-
-    {
-        let runs: Vec<_> = runner::par_map(seeds.clone(), |seed| {
-            let w = generate_workload(&Scenario::new(speed, radius, true, seed));
-            run_partitioned_edf(PROCESSORS, HORIZON, &w)
-        });
-        rows.push(BaselineRow {
-            label: "partitioned EDF".into(),
-            pct_of_ideal: summarize(
-                &runs
-                    .iter()
-                    .map(|r| {
-                        let p = r.pct_of_ideal();
-                        p.iter().sum::<f64>() / p.len().max(1) as f64
-                    })
-                    .collect::<Vec<_>>(),
-            )
-            .mean,
-            misses: summarize(
-                &runs
-                    .iter()
-                    .map(|r| r.misses.len() as f64)
-                    .collect::<Vec<_>>(),
-            )
-            .mean,
-            migrations: summarize(&runs.iter().map(|r| r.migrations as f64).collect::<Vec<_>>())
-                .mean,
-        });
+        rows.push(row(label, &runs));
     }
 
     rows

@@ -16,7 +16,7 @@
 //!
 //! options: --runs N     (default 61, the paper's replication count)
 //!          --csv DIR    (also write the Fig. 11 curves as CSV files)
-//!          --threads N  (worker threads; overrides PFAIR_THREADS)
+//!          --threads N  (worker threads; default: available parallelism)
 //! ```
 
 mod baselines;

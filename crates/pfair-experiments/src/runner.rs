@@ -7,9 +7,8 @@
 //! the same machinery); this module keeps the experiment-facing CLI
 //! policy: the `--threads` override.
 //!
-//! The worker count comes from the `--threads` CLI override, then the
-//! `PFAIR_THREADS` environment variable, then the machine's available
-//! parallelism.
+//! The worker count comes from the `--threads` CLI override, else the
+//! machine's available parallelism.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -19,19 +18,19 @@ use pfair_core::pool::par_map_threads;
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Installs a process-wide worker-count override (the `--threads` CLI
-/// flag). Takes precedence over `PFAIR_THREADS`.
+/// flag).
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n.max(1), Ordering::Relaxed);
 }
 
-/// Resolves the worker-thread count: CLI override, then
-/// `PFAIR_THREADS`, then the machine's available parallelism.
+/// Resolves the worker-thread count: CLI override, else the machine's
+/// available parallelism.
 pub fn threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if forced >= 1 {
         return forced;
     }
-    pfair_core::pool::default_threads()
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Maps `f` over `items` on the configured worker pool, returning
@@ -98,7 +97,7 @@ mod tests {
                 "parallel output diverged at {workers} workers"
             );
         }
-        // And through the env-configured entry point used by sweeps.
+        // And through the default-width entry point used by sweeps.
         let swept = par_map(mixed_scheme_jobs(), |(cfg, w)| simulate(cfg, &w));
         assert_eq!(render(&swept), serial);
     }

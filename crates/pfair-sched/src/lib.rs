@@ -42,7 +42,6 @@ pub mod event;
 pub mod lag_analysis;
 mod occupancy;
 pub mod overhead;
-pub mod partitioned;
 pub mod priority;
 pub mod queue;
 pub mod render;

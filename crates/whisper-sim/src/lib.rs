@@ -58,19 +58,14 @@ pub struct WhisperMetrics {
 /// Runs one Whisper scenario under the given reweighting scheme on the
 /// paper's four-processor, 1 ms-quantum system.
 pub fn run_whisper(sc: &Scenario, scheme: Scheme) -> WhisperMetrics {
-    run_whisper_for(sc, scheme, HORIZON)
+    run_whisper_probed(sc, scheme, HORIZON, NoopProbe).0
 }
 
-/// [`run_whisper`] with an explicit horizon (used by benchmarks).
-pub fn run_whisper_for(sc: &Scenario, scheme: Scheme, horizon: Slot) -> WhisperMetrics {
-    run_whisper_probed(sc, scheme, horizon, NoopProbe).0
-}
-
-/// [`run_whisper_for`] observed through a probe: every engine event of
-/// the Whisper run (releases, reweights with per-event cost, tracker
-/// jumps, …) is reported to `probe`, which is handed back alongside
-/// the metrics. Used by `pfair-cli trace` to render a full Chrome
-/// trace of a scenario.
+/// [`run_whisper`] up to `horizon`, observed through a probe: every
+/// engine event of the Whisper run (releases, reweights with per-event
+/// cost, tracker jumps, …) is reported to `probe`, which is handed back
+/// alongside the metrics. Used by `pfair-cli trace` to render a full
+/// Chrome trace of a scenario.
 pub fn run_whisper_probed<P: Probe>(
     sc: &Scenario,
     scheme: Scheme,
@@ -116,7 +111,7 @@ mod tests {
     #[test]
     fn probed_run_matches_and_records_reweights() {
         let sc = Scenario::new(2.0, 0.25, true, 3);
-        let plain = run_whisper_for(&sc, Scheme::Oi, 500);
+        let (plain, _) = run_whisper_probed(&sc, Scheme::Oi, 500, NoopProbe);
         let (probed, rec) =
             run_whisper_probed(&sc, Scheme::Oi, 500, pfair_obs::TraceRecorder::new());
         assert_eq!(plain.counters, probed.counters);

@@ -1,18 +1,20 @@
-//! Integration tests of the baseline schedulers (global EDF,
-//! partitioned EDF, projected-deadline EPDF) against the Whisper
-//! workload — the cross-scheme comparison of the companion papers.
+//! Integration tests of the EDF baselines (global and partitioned)
+//! against the Whisper workload — the cross-scheme comparison of the
+//! companion papers.
 
-use pfair_repro::sched::edf::{run_global_edf, EdfReweightMode};
-use pfair_repro::sched::partitioned::run_partitioned_edf;
+use pfair_repro::sched::edf::{run_edf, EdfBaseline, EdfReweightMode, EdfRun};
 use pfair_repro::whisper::{generate_workload, Scenario, HORIZON, PROCESSORS};
 
+const BOUNDARY: EdfBaseline = EdfBaseline::Global(EdfReweightMode::AtBoundary);
+const IMMEDIATE: EdfBaseline = EdfBaseline::Global(EdfReweightMode::Immediate);
+
 /// Global EDF with boundary reweighting runs the Whisper workload
-/// without deadline misses (it is never over-utilized after policing is
-/// unnecessary: requested total stays under M).
+/// without deadline misses: the requested total weight never exceeds M,
+/// so the system is never over-committed and needs no policing.
 #[test]
 fn global_edf_boundary_handles_whisper() {
     let w = generate_workload(&Scenario::new(2.0, 0.25, true, 3));
-    let run = run_global_edf(PROCESSORS, HORIZON, &w, EdfReweightMode::AtBoundary);
+    let run = run_edf(PROCESSORS, HORIZON, &w, BOUNDARY);
     assert!(run.misses.is_empty(), "misses: {:?}", run.misses.len());
     // Every task completed a substantial share of its ideal.
     for pct in run.pct_of_ideal() {
@@ -29,9 +31,9 @@ fn global_edf_immediate_is_more_accurate() {
     const SEEDS: u64 = 5;
     for seed in 0..SEEDS {
         let w = generate_workload(&Scenario::new(2.9, 0.25, true, seed));
-        let imm = run_global_edf(PROCESSORS, HORIZON, &w, EdfReweightMode::Immediate);
-        let bnd = run_global_edf(PROCESSORS, HORIZON, &w, EdfReweightMode::AtBoundary);
-        let mean = |r: &pfair_repro::sched::edf::EdfRun| {
+        let imm = run_edf(PROCESSORS, HORIZON, &w, IMMEDIATE);
+        let bnd = run_edf(PROCESSORS, HORIZON, &w, BOUNDARY);
+        let mean = |r: &EdfRun| {
             let p = r.pct_of_ideal();
             p.iter().sum::<f64>() / p.len() as f64
         };
@@ -50,7 +52,7 @@ fn partitioned_edf_pays_migrations_or_clamps() {
     let mut total_friction = 0u64;
     for seed in 0..4 {
         let w = generate_workload(&Scenario::new(2.9, 0.40, true, seed));
-        let run = run_partitioned_edf(PROCESSORS, HORIZON, &w);
+        let run = run_edf(PROCESSORS, HORIZON, &w, EdfBaseline::Partitioned);
         total_friction += run.migrations + run.clamped + run.rejected_joins;
     }
     assert!(
@@ -64,7 +66,7 @@ fn partitioned_edf_pays_migrations_or_clamps() {
 #[test]
 fn partitioned_edf_completes_most_work() {
     let w = generate_workload(&Scenario::new(2.0, 0.25, true, 9));
-    let run = run_partitioned_edf(PROCESSORS, HORIZON, &w);
+    let run = run_edf(PROCESSORS, HORIZON, &w, EdfBaseline::Partitioned);
     let pcts = run.pct_of_ideal();
     let mean = pcts.iter().sum::<f64>() / pcts.len() as f64;
     assert!(mean > 60.0, "mean pct {mean}");
