@@ -30,7 +30,7 @@
 //! analyses.
 
 use crate::arena::InlineVec;
-use crate::rational::{Accumulator, Rational, Units};
+use crate::rational::{Accumulator, EraSum, Rational, Units};
 use crate::time::{ever, shift_ever, Slot, NEVER};
 use std::collections::BTreeMap;
 
@@ -340,7 +340,10 @@ impl pfair_json::FromJson for IswTracker {
 /// total is an [`Accumulator`] counting in the same unit, and a
 /// [`Rational`] is built only where a value is read. Two trackers are
 /// equal when they hold the same values, whatever unit each counts in.
-#[derive(Clone, Debug)]
+/// The two sums across eras (the total's base and the halted loss) are
+/// [`EraSum`]s, one word each while zero, and [`Clone::clone_from`]
+/// writes into the boxes a nonzero one already holds.
+#[derive(Debug)]
 pub struct IswTracker {
     /// `swt(T, now)` in era units.
     rate: Units,
@@ -350,7 +353,7 @@ pub struct IswTracker {
     /// `A(I_SW, T, 0, now)`; the unit it counts in is the era unit.
     total: Accumulator,
     /// Σ over halted subtasks of their lost allocation.
-    halted_loss: Rational,
+    halted_loss: EraSum,
     /// Next slot to be processed by `advance`.
     now: Slot,
     /// What table builders and history runs opt into; `None` on the
@@ -395,6 +398,31 @@ impl PartialEq for IswTracker {
 
 impl Eq for IswTracker {}
 
+const _: () = assert!(core::mem::size_of::<IswTracker>() <= 216);
+
+impl Clone for IswTracker {
+    fn clone(&self) -> Self {
+        IswTracker {
+            rate: self.rate,
+            subs: self.subs.clone(),
+            total: self.total.clone(),
+            halted_loss: self.halted_loss.clone(),
+            now: self.now,
+            retention: self.retention.clone(),
+        }
+    }
+
+    /// Field by field, so the era sums' boxes are reused.
+    fn clone_from(&mut self, source: &Self) {
+        self.rate = source.rate;
+        self.subs.clone_from(&source.subs);
+        self.total.clone_from(&source.total);
+        self.halted_loss.clone_from(&source.halted_loss);
+        self.now = source.now;
+        self.retention.clone_from(&source.retention);
+    }
+}
+
 impl IswTracker {
     /// Creates a tracker for a task whose first enacted weight is `swt`
     /// and which joins at slot `join_at` (no slots before `join_at` are
@@ -410,7 +438,7 @@ impl IswTracker {
             rate: Units::of(swt, total.unit()),
             subs: InlineVec::new(),
             total,
-            halted_loss: Rational::ZERO,
+            halted_loss: EraSum::ZERO,
             now: join_at,
             retention: None,
         }
@@ -473,6 +501,7 @@ impl IswTracker {
     }
 
     /// `A(I_SW, T, 0, now)`.
+    #[inline]
     pub fn isw_total(&self) -> Rational {
         self.total.finish()
     }
@@ -480,8 +509,12 @@ impl IswTracker {
     /// `A(I_CSW, T, 0, now)`: the `I_SW` total minus everything granted
     /// to subtasks that have (so far) halted. Exact at era boundaries —
     /// see the module docs for why no later halt can invalidate it.
+    #[inline]
     pub fn icsw_total(&self) -> Rational {
-        self.isw_total() - self.halted_loss
+        if self.halted_loss.is_zero() {
+            return self.isw_total();
+        }
+        self.isw_total() - self.halted_loss.get()
     }
 
     /// Enacts a weight change: allocations from the current slot onward
@@ -1295,6 +1328,33 @@ mod advance_to_tests {
         assert!(IswTracker::from_json(&Json::parse(&odd).unwrap()).is_err());
     }
 
+    /// Equality and the interchange form agree whether the era sums are
+    /// zero (no box) or not: a tracker decoded from its image equals it
+    /// and re-renders to the same bytes, before and after a halt and a
+    /// weight change make the halted loss and the total's base nonzero.
+    #[test]
+    fn era_sums_agree_across_json_zero_or_not() {
+        use pfair_json::{FromJson, Json, ToJson};
+        let round_trip = |tr: &IswTracker| {
+            let text = tr.to_json().to_string();
+            let back = IswTracker::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(&back, tr);
+            assert_eq!(back.to_json().to_string(), text);
+        };
+        let mut tr = IswTracker::new(rat(3, 19), 0);
+        round_trip(&tr);
+        assert!(tr.halted_loss.is_zero());
+        tr.add_subtask(1, 0, true, false);
+        tr.add_subtask(2, 6, false, true);
+        tr.sync_to(8, |_, _| {});
+        tr.halt(2, 8);
+        tr.set_swt(rat(2, 5));
+        assert_eq!(tr.halted_loss.get(), rat(5, 19));
+        assert_ne!(tr, IswTracker::new(rat(2, 5), 8));
+        round_trip(&tr);
+        assert_eq!(tr.icsw_total(), Rational::ONE);
+    }
+
     /// The with-history fallback still jumps correctly (delegating to
     /// the per-slot path) so callers need not branch.
     #[test]
@@ -1456,7 +1516,7 @@ mod shift_tests {
         with("rate", &|t| t.rate += Units::new(1));
         with("halted loss", &|t| t.halted_loss += rat(1, 7));
         with("unit", &|t| t.total.rebase(t.unit().times(2)));
-        with("total base", &|t| t.total = t.total.plus(rat(1, 3)));
+        with("total base", &|t| t.total = t.total.clone().plus(rat(1, 3)));
         with("keep_retired", &|t| {
             let r = t.retention.get_or_insert_default();
             r.keep_retired = !r.keep_retired;

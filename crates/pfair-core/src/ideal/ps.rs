@@ -13,7 +13,7 @@
 //! current weight, which this tracker accumulates exactly.
 
 use crate::arena::ThinVec;
-use crate::rational::Rational;
+use crate::rational::{EraSum, Rational};
 use crate::time::Slot;
 use crate::weight::Weight;
 
@@ -25,11 +25,13 @@ use crate::weight::Weight;
 /// the gcds of an exact add happen when the weight changes
 /// ([`PsTracker::set_wt`]) and where the total is read. Two trackers are
 /// equal when they hold the same values, however each splits its total.
-#[derive(Clone, Debug)]
+/// The base is an [`EraSum`]: one word until a weight change or a
+/// per-slot history advance makes it nonzero.
+#[derive(Debug)]
 pub struct PsTracker {
     wt: Weight,
     /// `A(I_PS, T, 0, now)` less the slots counted in `active`.
-    base: Rational,
+    base: EraSum,
     /// Active (unsuspended) slots accrued at `wt` and not yet in `base`.
     active: i64,
     now: Slot,
@@ -50,6 +52,29 @@ impl PartialEq for PsTracker {
 }
 
 impl Eq for PsTracker {}
+
+const _: () = assert!(core::mem::size_of::<PsTracker>() <= 48);
+
+impl Clone for PsTracker {
+    fn clone(&self) -> Self {
+        PsTracker {
+            wt: self.wt,
+            base: self.base.clone(),
+            active: self.active,
+            now: self.now,
+            suspensions: self.suspensions.clone(),
+        }
+    }
+
+    /// Field by field, so the base's box is reused.
+    fn clone_from(&mut self, source: &Self) {
+        self.wt = source.wt;
+        self.base.clone_from(&source.base);
+        self.active = source.active;
+        self.now = source.now;
+        self.suspensions.clone_from(&source.suspensions);
+    }
+}
 
 impl pfair_json::ToJson for PsTracker {
     fn to_json(&self) -> pfair_json::Json {
@@ -88,7 +113,7 @@ impl PsTracker {
     pub fn new(wt: Rational, join_at: Slot) -> PsTracker {
         PsTracker {
             wt: Weight::new(wt),
-            base: Rational::ZERO,
+            base: EraSum::ZERO,
             active: 0,
             now: join_at,
             suspensions: ThinVec::new(),
@@ -111,11 +136,16 @@ impl PsTracker {
     }
 
     /// `A(I_PS, T, 0, now)`.
+    #[inline]
     pub fn total(&self) -> Rational {
         if self.active == 0 {
-            return self.base;
+            return self.base.get();
         }
-        self.base + self.wt.value().mul_int(self.active)
+        let counted = self.wt.value().mul_int(self.active);
+        if self.base.is_zero() {
+            return counted;
+        }
+        self.base.get() + counted
     }
 
     /// The next slot `advance` will process.
@@ -132,7 +162,7 @@ impl PsTracker {
     #[inline]
     pub fn set_wt(&mut self, wt: Rational) {
         if self.active != 0 {
-            self.base = self.total();
+            self.base.set(self.total());
             self.active = 0;
         }
         self.wt = Weight::new(wt);
@@ -420,6 +450,35 @@ mod advance_to_tests {
     fn backwards_jump_panics() {
         let mut ps = PsTracker::new(rat(1, 3), 7);
         ps.advance_to(3);
+    }
+
+    /// Equality and the interchange form agree whether the base is zero
+    /// (no box) or not: a decoded tracker equals the original and
+    /// re-renders to the same bytes, and equals one that reached the
+    /// same total along another split.
+    #[test]
+    fn era_sum_base_agrees_across_json_zero_or_not() {
+        use pfair_json::{FromJson, Json, ToJson};
+        let round_trip = |ps: &PsTracker| {
+            let text = ps.to_json().to_string();
+            let back = PsTracker::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(&back, ps);
+            assert_eq!(back.to_json().to_string(), text);
+        };
+        let mut ps = PsTracker::new(rat(3, 19), 0);
+        round_trip(&ps);
+        ps.sync_to(8);
+        assert!(ps.base.is_zero());
+        round_trip(&ps);
+        ps.set_wt(rat(2, 5));
+        assert_eq!(ps.base.get(), rat(24, 19));
+        ps.sync_to(10);
+        round_trip(&ps);
+        let mut stepped = PsTracker::new(rat(3, 19), 0);
+        stepped.advance_to(8);
+        stepped.set_wt(rat(2, 5));
+        stepped.advance_to(10);
+        assert_eq!(stepped, ps);
     }
 }
 

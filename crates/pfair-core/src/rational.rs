@@ -501,18 +501,32 @@ impl Rational {
         small(self.num).zip(small(self.den))
     }
 
-    /// Checked addition used by the operator impls.
+    /// `self + rhs`, or `None` if an intermediate overflows `i128` —
+    /// the form for sums of untrusted length, such as a ledger of every
+    /// admitted weight. The `+` operator panics there instead.
     #[inline]
-    fn checked_add(self, rhs: Rational) -> Rational {
+    pub fn checked_add(self, rhs: Rational) -> Option<Rational> {
         if let (Some((a, b)), Some((c, d))) = (self.small_parts(), rhs.small_parts()) {
-            return add_small(a, b, c, d);
+            return Some(add_small(a, b, c, d));
         }
         self.add_wide(rhs)
     }
 
-    /// Addition in checked `i128` — any operands.
+    /// `self − rhs`, or `None` on overflow ([`Rational::checked_add`]).
     #[inline]
-    fn add_wide(self, rhs: Rational) -> Rational {
+    pub fn checked_sub(self, rhs: Rational) -> Option<Rational> {
+        if let (Some((a, b)), Some((c, d))) = (self.small_parts(), rhs.small_parts()) {
+            return Some(add_small(a, b, -c, d));
+        }
+        self.add_wide(Rational {
+            num: rhs.num.checked_neg()?,
+            den: rhs.den,
+        })
+    }
+
+    /// Addition in checked `i128` — any operands; `None` on overflow.
+    #[inline]
+    fn add_wide(self, rhs: Rational) -> Option<Rational> {
         if self.den == rhs.den {
             // Same-denominator fast path: a/d + c/d = (a+c)/d, skipping
             // the denominator gcd and the two cross-multiplies. The
@@ -520,30 +534,23 @@ impl Rational {
             // (g = d collapses both scale factors to 1), so the result
             // and the overflow point are identical — only the reduction
             // inside `new` remains.
-            let num = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-                .num
-                .checked_add(rhs.num)
-                .expect("Rational add overflow");
-            return Rational::new(num, self.den);
+            return Some(Rational::new(self.num.checked_add(rhs.num)?, self.den));
         }
         // a/b + c/d = (a*d + c*b) / (b*d); reduce via g = gcd(b, d) first to
-        // keep intermediates small (the classic Knuth trick).
-        let g = i128::try_from(gcd(self.den.unsigned_abs(), rhs.den.unsigned_abs())) // audit: allow(panic-reach, unreachable: the gcd divides a positive denominator or unit and fits i128)
-            .expect("Rational add: gcd exceeds i128");
+        // keep intermediates small (the classic Knuth trick). The gcd
+        // divides a positive denominator, so it fits.
+        let g = i128::try_from(gcd(self.den.unsigned_abs(), rhs.den.unsigned_abs())).ok()?;
         let (b, d) = (self.den / g, rhs.den / g); // audit: allow(panic-reach, divisor is a gcd or a normalized denominator, both nonzero by construction)
-        let num = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        let num = self
             .num
-            .checked_mul(d)
-            .and_then(|x| rhs.num.checked_mul(b).and_then(|y| x.checked_add(y)))
-            .expect("Rational add overflow");
-        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-        let den = self.den.checked_mul(d).expect("Rational add overflow");
-        Rational::new(num, den)
+            .checked_mul(d)?
+            .checked_add(rhs.num.checked_mul(b)?)?;
+        Some(Rational::new(num, self.den.checked_mul(d)?))
     }
 
     /// Checked multiplication used by the operator impls.
     #[inline]
-    fn checked_mul(self, rhs: Rational) -> Rational {
+    fn product(self, rhs: Rational) -> Rational {
         if let (Some((a, b)), Some((c, d))) = (self.small_parts(), rhs.small_parts()) {
             return mul_small(a, b, c, d);
         }
@@ -906,6 +913,99 @@ impl Sub for Units {
     }
 }
 
+/// A cumulative sum across eras that most tasks never move off zero:
+/// one word, with the `Rational` boxed by the first nonzero write.
+///
+/// A task that never changes weight and never halts a subtask keeps
+/// every such sum (the trackers' bases, the halted loss) at zero for
+/// its whole life, so it pays a pointer instead of 32 bytes each — the
+/// [`crate::arena::ThinVec`] idiom. `None` is zero and the only
+/// representation of zero, so the derived equality is equality by
+/// value, and [`EraSum::set`] and [`Clone::clone_from`] write into an
+/// existing box instead of allocating a fresh one. The interchange
+/// form is the `Rational` itself.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct EraSum(Option<Box<Rational>>);
+
+const _: () = assert!(core::mem::size_of::<EraSum>() == 8);
+
+impl EraSum {
+    /// Zero: no box.
+    pub const ZERO: EraSum = EraSum(None);
+
+    /// The sum's value.
+    #[inline]
+    pub fn get(&self) -> Rational {
+        self.0.as_deref().copied().unwrap_or(Rational::ZERO)
+    }
+
+    /// `true` iff the sum is zero (and so holds no box).
+    #[inline]
+    pub fn is_zero(&self) -> bool {
+        self.0.is_none()
+    }
+
+    /// Sets the sum to `r`: zero drops the box, a nonzero value reuses
+    /// it (allocating one only if there was none).
+    #[inline]
+    pub fn set(&mut self, r: Rational) {
+        if r.is_zero() {
+            self.0 = None;
+        } else if let Some(boxed) = self.0.as_deref_mut() {
+            *boxed = r;
+        } else {
+            self.0 = Some(Box::new(r));
+        }
+    }
+}
+
+impl Clone for EraSum {
+    fn clone(&self) -> Self {
+        EraSum(self.0.clone())
+    }
+
+    /// Reuses `self`'s box when both sums are nonzero.
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.set(source.get());
+    }
+}
+
+impl From<Rational> for EraSum {
+    fn from(r: Rational) -> EraSum {
+        let mut sum = EraSum::ZERO;
+        sum.set(r);
+        sum
+    }
+}
+
+impl AddAssign<Rational> for EraSum {
+    /// # Panics
+    /// Panics on overflow (same contract as `Rational` addition).
+    #[inline]
+    fn add_assign(&mut self, r: Rational) {
+        if !r.is_zero() {
+            self.set(self.get() + r);
+        }
+    }
+}
+
+impl pfair_json::ToJson for EraSum {
+    fn to_json(&self) -> pfair_json::Json {
+        self.get().to_json()
+    }
+
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        self.get().write_json(w);
+    }
+}
+
+impl pfair_json::FromJson for EraSum {
+    fn from_json(value: &pfair_json::Json) -> Result<EraSum, pfair_json::JsonError> {
+        Rational::from_json(value).map(EraSum::from)
+    }
+}
+
 /// Exact running sum with the reduction deferred for a whole era: a
 /// canonical `base` plus an un-normalized count of `1/unit`s.
 ///
@@ -915,14 +1015,15 @@ impl Sub for Units {
 /// gcd at all. The count is folded into the base — the only place a gcd
 /// runs — when the unit changes ([`Accumulator::rebase`], once per
 /// enacted weight change) and the value is materialized only where it
-/// is read ([`Accumulator::finish`]). The base is a `Rational`: it sums
+/// is read ([`Accumulator::finish`]). The base is an [`EraSum`]: it sums
 /// every era so far, so its denominator is not bounded by any one era's
-/// unit. The count may grow larger than a reduced chain would, which is
-/// covered by the same documented overflow-panics contract as the rest
-/// of this module. Equality compares values, not representations.
-#[derive(Clone, Copy, Debug)]
+/// unit, and it stays one word until a fold makes it nonzero. The count
+/// may grow larger than a reduced chain would, which is covered by the
+/// same documented overflow-panics contract as the rest of this module.
+/// Equality compares values, not representations.
+#[derive(Debug)]
 pub struct Accumulator {
-    base: Rational,
+    base: EraSum,
     num: Units,
     unit: Units,
 }
@@ -932,7 +1033,7 @@ impl Accumulator {
     #[inline]
     pub const fn new() -> Accumulator {
         Accumulator {
-            base: Rational::ZERO,
+            base: EraSum::ZERO,
             num: Units::ZERO,
             unit: Units(1),
         }
@@ -966,8 +1067,10 @@ impl Accumulator {
         if unit == self.unit {
             return;
         }
-        self.base = self.finish();
-        self.num = Units::ZERO;
+        if !self.num.is_zero() {
+            self.base.set(self.finish());
+            self.num = Units::ZERO;
+        }
         self.unit = unit;
     }
 
@@ -1001,9 +1104,30 @@ impl Accumulator {
     #[inline]
     pub fn finish(&self) -> Rational {
         if self.num.is_zero() {
-            return self.base;
+            return self.base.get();
         }
-        self.base + self.num.over(self.unit)
+        let counted = self.num.over(self.unit);
+        if self.base.is_zero() {
+            return counted;
+        }
+        self.base.get() + counted
+    }
+}
+
+impl Clone for Accumulator {
+    fn clone(&self) -> Self {
+        Accumulator {
+            base: self.base.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `self`'s base box ([`EraSum`]'s `clone_from`).
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.base.clone_from(&source.base);
+        self.num = source.num;
+        self.unit = source.unit;
     }
 }
 
@@ -1041,7 +1165,8 @@ impl Add for Rational {
     type Output = Rational;
     #[inline]
     fn add(self, rhs: Rational) -> Rational {
-        self.checked_add(rhs)
+        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        self.checked_add(rhs).expect("Rational add overflow")
     }
 }
 
@@ -1059,7 +1184,7 @@ impl Sub for Rational {
         if let (Some((a, b)), Some((c, d))) = (self.small_parts(), rhs.small_parts()) {
             return add_small(a, b, -c, d);
         }
-        self.add_wide(-rhs)
+        self + -rhs
     }
 }
 
@@ -1088,7 +1213,7 @@ impl Mul for Rational {
     type Output = Rational;
     #[inline]
     fn mul(self, rhs: Rational) -> Rational {
-        self.checked_mul(rhs)
+        self.product(rhs)
     }
 }
 
@@ -1096,7 +1221,7 @@ impl Mul<i128> for Rational {
     type Output = Rational;
     #[inline]
     fn mul(self, rhs: i128) -> Rational {
-        self.checked_mul(Rational::from_int(rhs))
+        self.product(Rational::from_int(rhs))
     }
 }
 
@@ -1104,7 +1229,7 @@ impl Div for Rational {
     type Output = Rational;
     #[inline]
     fn div(self, rhs: Rational) -> Rational {
-        self.checked_mul(rhs.recip())
+        self.product(rhs.recip())
     }
 }
 
@@ -1118,29 +1243,29 @@ impl PartialOrd for Rational {
 impl Ord for Rational {
     #[inline]
     fn cmp(&self, other: &Rational) -> Ordering {
-        if let (Some((a, b)), Some((c, d))) = (self.small_parts(), other.small_parts()) {
-            return cmp_small(a, b, c, d);
-        }
-        self.cmp_wide(other)
+        // audit: allow(panic-reach, documented overflow contract of Rational arithmetic)
+        self.checked_cmp(other).expect("Rational cmp overflow")
     }
 }
 
 impl Rational {
-    /// Comparison in checked `i128` — any operands.
+    /// The ordering of `self` and `other`, or `None` if the cross
+    /// products overflow `i128` ([`Rational::checked_add`]'s form).
     #[inline]
-    fn cmp_wide(&self, other: &Rational) -> Ordering {
-        // a/b ? c/d  <=>  a*d ? c*b  (b, d > 0). Overflow-checked.
-        // audit: allow(panic-reach, documented overflow contract of Rational arithmetic)
-        let lhs = self
-            .num
-            .checked_mul(other.den)
-            .expect("Rational cmp overflow");
-        // audit: allow(panic-reach, documented overflow contract of Rational arithmetic)
-        let rhs = other
-            .num
-            .checked_mul(self.den)
-            .expect("Rational cmp overflow");
-        lhs.cmp(&rhs)
+    pub fn checked_cmp(&self, other: &Rational) -> Option<Ordering> {
+        if let (Some((a, b)), Some((c, d))) = (self.small_parts(), other.small_parts()) {
+            return Some(cmp_small(a, b, c, d));
+        }
+        self.cmp_wide(other)
+    }
+
+    /// Comparison in checked `i128` — any operands; `None` on overflow.
+    #[inline]
+    fn cmp_wide(&self, other: &Rational) -> Option<Ordering> {
+        // a/b ? c/d  <=>  a*d ? c*b  (b, d > 0).
+        let lhs = self.num.checked_mul(other.den)?;
+        let rhs = other.num.checked_mul(self.den)?;
+        Some(lhs.cmp(&rhs))
     }
 }
 
@@ -1309,7 +1434,62 @@ mod tests {
         acc.rebase(Units::new(5));
         acc.add_units(Units::new(2));
         assert_eq!(acc.finish(), rat(1, 3) + rat(12, 19) + rat(2, 5));
-        assert_eq!(acc.plus(rat(1, 2)).finish(), acc.finish() + rat(1, 2));
+        assert_eq!(
+            acc.clone().plus(rat(1, 2)).finish(),
+            acc.finish() + rat(1, 2)
+        );
+    }
+
+    /// Zero is the one representation without a box: a sum driven back
+    /// to zero drops it and equals [`EraSum::ZERO`], and equality is by
+    /// value either way.
+    #[test]
+    fn era_sum_is_boxed_only_while_nonzero() {
+        let mut sum = EraSum::ZERO;
+        sum += Rational::ZERO;
+        assert!(sum.is_zero() && sum.0.is_none());
+        sum += rat(1, 3);
+        assert!(sum.0.is_some());
+        assert_eq!(sum.get(), rat(1, 3));
+        assert_eq!(sum, EraSum::from(rat(2, 6)));
+        assert_ne!(sum, EraSum::ZERO);
+        sum += rat(-1, 3);
+        assert!(sum.0.is_none());
+        assert_eq!(sum, EraSum::ZERO);
+        assert_eq!(EraSum::from(Rational::ZERO), EraSum::ZERO);
+        assert_eq!(size_of::<EraSum>(), size_of::<usize>());
+    }
+
+    /// `clone_from` between nonzero sums writes into the box the target
+    /// already holds; from zero it drops the box.
+    #[test]
+    fn era_sum_clone_from_reuses_the_box() {
+        let mut sum = EraSum::from(rat(1, 3));
+        let before: *const Rational = sum.0.as_deref().expect("nonzero");
+        sum.clone_from(&EraSum::from(rat(2, 5)));
+        let after: *const Rational = sum.0.as_deref().expect("nonzero");
+        assert!(core::ptr::eq(before, after));
+        assert_eq!(sum.get(), rat(2, 5));
+        let mut acc = Accumulator::from(rat(1, 7));
+        let before: *const Rational = acc.base.0.as_deref().expect("nonzero");
+        acc.clone_from(&Accumulator::from(rat(3, 7)));
+        let after: *const Rational = acc.base.0.as_deref().expect("nonzero");
+        assert!(core::ptr::eq(before, after));
+        assert_eq!(acc.finish(), rat(3, 7));
+        sum.clone_from(&EraSum::ZERO);
+        assert!(sum.0.is_none());
+    }
+
+    /// The interchange form is the `Rational` itself, zero included.
+    #[test]
+    fn era_sum_json_is_the_rational() {
+        use pfair_json::{FromJson, Json, ToJson};
+        for r in [Rational::ZERO, rat(-5, 12), rat(7, 1)] {
+            let text = EraSum::from(r).to_json().to_string();
+            assert_eq!(text, r.to_json().to_string());
+            let back = EraSum::from_json(&Json::parse(&text).expect("valid JSON"));
+            assert_eq!(back.expect("a rational"), EraSum::from(r));
+        }
     }
 
     #[test]
@@ -1437,8 +1617,8 @@ mod small_path_tests {
 
         #[test]
         fn add_sub_mul_match_the_wide_path(a in arb_operand(), b in arb_operand()) {
-            prop_assert_eq!(a + b, a.add_wide(b));
-            prop_assert_eq!(a - b, a.add_wide(-b));
+            prop_assert_eq!(Some(a + b), a.add_wide(b));
+            prop_assert_eq!(Some(a - b), a.add_wide(-b));
             prop_assert_eq!(a * b, a.mul_wide(b));
         }
 
@@ -1450,7 +1630,7 @@ mod small_path_tests {
 
         #[test]
         fn cmp_matches_the_wide_path(a in arb_operand(), b in arb_operand()) {
-            prop_assert_eq!(a.cmp(&b), a.cmp_wide(&b));
+            prop_assert_eq!(Some(a.cmp(&b)), a.cmp_wide(&b));
         }
 
         #[test]

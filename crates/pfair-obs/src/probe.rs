@@ -78,6 +78,10 @@ pub enum Refusal {
     /// A window at the granted weight could put a deadline or group
     /// deadline outside the packed priority key's exact `±2⁴⁶` band.
     DeadlineBand,
+    /// Admission's exact ledger of committed weights could not represent
+    /// the sum the request would leave (coprime denominators make that
+    /// sum's denominator their product).
+    LedgerBudget,
 }
 
 impl Refusal {
@@ -88,6 +92,7 @@ impl Refusal {
             Refusal::WideWeight => "wide_weight",
             Refusal::UnitBudget => "unit_budget",
             Refusal::DeadlineBand => "deadline_band",
+            Refusal::LedgerBudget => "ledger_budget",
         }
     }
 }

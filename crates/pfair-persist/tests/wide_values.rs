@@ -8,9 +8,11 @@
 //! writes one entry whose event asks for such a weight.
 
 use pfair_json::{obj, Json};
+use pfair_obs::NoopProbe;
 use pfair_persist::{
     fnv1a64, read_journal, seal, snapshot_from_str, Journal, PersistError, SNAPSHOT_FORMAT,
 };
+use pfair_sched::engine::Engine;
 
 const SNAPSHOT: &str = include_str!("fixtures/oi_midrun.snapshot.json");
 
@@ -153,4 +155,33 @@ fn a_journal_entry_beyond_64_bits_is_a_format_error() {
         }
     }
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+/// Every commitment fits 64 bits, but the admission ledger is their
+/// exact sum: at `1/p` for the six largest primes below 2³¹ its
+/// denominator needs 186 bits. The snapshot decodes; restoring an
+/// engine from it is refused, not a panic.
+#[test]
+fn a_ledger_sum_beyond_i128_is_refused_at_restore() {
+    const PRIMES: [i128; 6] = [
+        2_147_483_647,
+        2_147_483_629,
+        2_147_483_587,
+        2_147_483_579,
+        2_147_483_563,
+        2_147_483_549,
+    ];
+    let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
+    let mut body = envelope.get("body").expect("envelope body").clone();
+    for (slot, p) in PRIMES.into_iter().enumerate() {
+        *node(&mut body, &[Key("committed"), At(slot), Key("num")]) = Json::Int(1);
+        *node(&mut body, &[Key("committed"), At(slot), Key("den")]) = Json::Int(p);
+    }
+    let text = seal(SNAPSHOT_FORMAT, body).to_string_pretty();
+    let snapshot = snapshot_from_str(&text).expect("every commitment is a 64-bit weight");
+    let refused = Engine::restore(snapshot, NoopProbe).err();
+    assert!(
+        refused.as_deref().is_some_and(|e| e.contains("ledger")),
+        "{refused:?}"
+    );
 }

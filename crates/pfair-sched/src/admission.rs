@@ -11,6 +11,14 @@
 //! its commitment is the pending target, not the current `swt`. The
 //! controller therefore tracks `committed(T) = max(swt(T), pending
 //! target)` and grants an increase only up to `M − Σ committed`.
+//!
+//! The running sum is exact, so its denominator is the lcm of the
+//! committed weights' — a few coprime 31-bit denominators are past
+//! `i128`. Every ledger computation is checked: a request whose grant or
+//! commitment the ledger cannot represent is [`LedgerOverflow`], which
+//! the engine reports as a refusal, and a lowering write the ledger
+//! cannot represent keeps the old, higher commitment (conservative for
+//! condition (W)).
 
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
@@ -53,6 +61,22 @@ impl pfair_json::FromJson for AdmissionPolicy {
     }
 }
 
+/// The ledger cannot represent the sum a request would leave: the
+/// request is refused whole, and nothing is written.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LedgerOverflow;
+
+/// What [`AdmissionController::grant`] computed for a request: the
+/// share it may have, and the ledger total that committing the share
+/// leaves — computed, checked, not yet written.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Grant {
+    /// The share granted: the request itself, or (clamped) the
+    /// capacity left over, whose denominator is the ledger's.
+    pub share: Rational,
+    total: Rational,
+}
+
 /// Tracks per-task weight commitments and enforces (W).
 #[derive(Clone, Debug)]
 pub struct AdmissionController {
@@ -91,22 +115,28 @@ impl AdmissionController {
         }
     }
 
-    /// Capacity not yet committed.
-    pub fn available(&self) -> Rational {
-        self.capacity - self.total
+    /// Capacity not yet committed; `None` if the ledger cannot
+    /// represent it.
+    pub fn available(&self) -> Option<Rational> {
+        self.capacity.checked_sub(self.total)
     }
 
-    /// Writes one commitment slot, keeping the running total exact. A
-    /// slot that already holds `value` — a decrease request, or the
-    /// enactment of an increase committed at request time — leaves the
-    /// total alone: `total − x + x` is `total`, two gcds later.
+    /// Lowers (or clears) one commitment, keeping the running total
+    /// exact. A slot that already holds `value` — the enactment of an
+    /// increase committed at request time — leaves the total alone; a
+    /// total the ledger cannot represent leaves the slot at its old,
+    /// higher value.
     fn set_committed(&mut self, task: TaskId, value: Option<Weight>) {
-        let slot = &mut self.committed[task.idx()]; // audit: allow(panic-reach, committed table is sized to the task-set, idx is validated at admission)
-        if *slot == value {
+        let cur = self.committed(task);
+        if cur == value {
             return;
         }
-        self.total = self.total - Weight::share(*slot) + Weight::share(value);
-        *slot = value;
+        let total = (self.total.checked_sub(Weight::share(cur)))
+            .and_then(|t| t.checked_add(Weight::share(value)));
+        if let (Some(total), Some(slot)) = (total, self.committed.get_mut(task.idx())) {
+            *slot = value;
+            self.total = total;
+        }
     }
 
     /// The commitment of `task` (`None` while it has none).
@@ -131,34 +161,53 @@ impl AdmissionController {
     /// One [`AdmissionController::grant`] and, if the grant is a
     /// [`Weight`], its [`AdmissionController::commit`].
     pub fn request(&mut self, task: TaskId, want: Weight) -> Option<Weight> {
-        let granted = Weight::try_new(self.grant(task, want)?).ok()?;
-        self.commit(task, granted);
+        let grant = self.grant(task, want).ok()??;
+        let granted = Weight::try_new(grant.share).ok()?;
+        self.commit(task, granted, grant);
         Some(granted)
     }
 
     /// What [`AdmissionController::request`] would grant, without
-    /// writing the ledger: `None` if nothing can be granted. A clamped
-    /// grant is the capacity left over, so its denominator is the
-    /// ledger's, which need not fit a [`Weight`]; the engine refuses
-    /// such a grant before it commits anything.
-    pub fn grant(&self, task: TaskId, want: Weight) -> Option<Rational> {
+    /// writing the ledger: `Ok(None)` if nothing can be granted, and
+    /// [`LedgerOverflow`] if the grant or the total its commitment
+    /// leaves is not representable. A clamped grant is the capacity left over, so
+    /// its denominator is the ledger's, which need not fit a [`Weight`];
+    /// the engine refuses such a grant before it commits anything.
+    pub fn grant(&self, task: TaskId, want: Weight) -> Result<Option<Grant>, LedgerOverflow> {
         let want_v = want.value();
-        let cur = Weight::share(self.committed(task));
-        match self.policy {
-            AdmissionPolicy::Trusting => Some(want_v),
-            AdmissionPolicy::Police if want_v <= cur => Some(want_v),
+        let cur_v = Weight::share(self.committed(task));
+        let decrease = want_v.checked_cmp(&cur_v).ok_or(LedgerOverflow)?.is_le();
+        let share = match self.policy {
+            AdmissionPolicy::Trusting => want_v,
+            AdmissionPolicy::Police if decrease => want_v,
             AdmissionPolicy::Police => {
-                let granted = (cur + self.available()).min(want_v);
-                granted.is_positive().then_some(granted)
+                let headroom = self.available().and_then(|a| a.checked_add(cur_v));
+                let headroom = headroom.ok_or(LedgerOverflow)?;
+                let clamped = headroom.checked_cmp(&want_v).ok_or(LedgerOverflow)?.is_lt();
+                let share = if clamped { headroom } else { want_v };
+                if !share.is_positive() {
+                    return Ok(None);
+                }
+                share
             }
-        }
+        };
+        // A decrease is committed at enactment ([`Self::note_enacted`]).
+        let total = if decrease {
+            self.total
+        } else {
+            let rises = (self.total.checked_sub(cur_v)).and_then(|t| t.checked_add(share));
+            rises.ok_or(LedgerOverflow)?
+        };
+        Ok(Some(Grant { share, total }))
     }
 
-    /// Commits a grant: commitments only rise at request time; they
-    /// fall at enactment.
-    pub fn commit(&mut self, task: TaskId, granted: Weight) {
-        let cur = self.committed(task);
-        self.set_committed(task, cur.max(Some(granted)));
+    /// Commits `grant`, granted as the weight `granted`: commitments
+    /// only rise at request time; they fall at enactment.
+    pub fn commit(&mut self, task: TaskId, granted: Weight, grant: Grant) {
+        if let Some(slot) = self.committed.get_mut(task.idx()) {
+            *slot = (*slot).max(Some(granted));
+            self.total = grant.total;
+        }
     }
 
     /// Releases a leaving task's commitment. Under PD²-LJ semantics the
@@ -182,21 +231,21 @@ impl AdmissionController {
         &self.committed
     }
 
-    /// Rebuilds a controller from a persisted commitment table.
+    /// Rebuilds a controller from a persisted commitment table; `None`
+    /// if the ledger cannot represent its sum.
     pub fn from_parts(
         policy: AdmissionPolicy,
         processors: u32,
         committed: Vec<Option<Weight>>,
-    ) -> AdmissionController {
-        let total = committed
-            .iter()
-            .fold(Rational::ZERO, |acc, &c| acc + Weight::share(c));
-        AdmissionController {
+    ) -> Option<AdmissionController> {
+        let total = (committed.iter())
+            .try_fold(Rational::ZERO, |acc, &c| acc.checked_add(Weight::share(c)))?;
+        Some(AdmissionController {
             policy,
             capacity: Rational::from_int(i128::from(processors)),
             committed,
             total,
-        }
+        })
     }
 }
 
@@ -221,13 +270,13 @@ mod tests {
         // committed until the decrease is *enacted* — the old scheduling
         // weight is still running (condition (W) is instantaneous).
         assert_eq!(ac.request(TaskId(1), w(1, 4)), Some(w(1, 4)));
-        assert_eq!(ac.available(), Rational::ZERO);
+        assert_eq!(ac.available(), Some(Rational::ZERO));
         assert_eq!(ac.request(TaskId(0), w(3, 4)), Some(w(1, 2)));
         // Enactment frees it …
         ac.note_enacted(TaskId(1), w(1, 4));
         // … and the next increase may claim it.
         assert_eq!(ac.request(TaskId(0), w(3, 4)), Some(w(3, 4)));
-        assert_eq!(ac.available(), Rational::ZERO);
+        assert_eq!(ac.available(), Some(Rational::ZERO));
     }
 
     #[test]
@@ -243,7 +292,7 @@ mod tests {
         assert_eq!(ac.request(TaskId(0), w(1, 1)), Some(w(1, 1)));
         assert_eq!(ac.request(TaskId(1), w(1, 1)), Some(w(1, 1)));
         // Over-committed — Trusting does not police.
-        assert!(ac.available().is_negative());
+        assert!(ac.available().is_some_and(Rational::is_negative));
     }
 
     #[test]
@@ -330,7 +379,7 @@ mod tests {
                     ac.committed_parts().iter().map(|&c| Weight::share(c)).collect();
                 prop_assert_eq!(committed, twin.committed.clone());
                 prop_assert_eq!(ac.total, twin.total());
-                prop_assert_eq!(ac.available(), twin.capacity - twin.total());
+                prop_assert_eq!(ac.available(), Some(twin.capacity - twin.total()));
             }
         }
     }

@@ -307,7 +307,7 @@ const NO_CPU: u32 = u32::MAX;
 
 const _: () = {
     assert!(std::mem::size_of::<SubRec>() <= 64);
-    assert!(std::mem::size_of::<TaskState>() <= 656);
+    assert!(std::mem::size_of::<TaskState>() <= 560);
 };
 
 impl TaskState {

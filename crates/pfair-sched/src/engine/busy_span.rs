@@ -55,7 +55,6 @@ use crate::priority::Priority;
 use crate::queue::QueueEntry;
 use crate::reweight::RuleSelector;
 use pfair_core::analysis::checked_lcm;
-use pfair_core::drift::DriftTrack;
 use pfair_core::rational::Units;
 use pfair_core::task::TaskId;
 use pfair_core::time::{shift_ever, Slot};
@@ -196,6 +195,56 @@ struct ArmedTask {
     row: TaskState,
 }
 
+impl ArmedTask {
+    /// An entry no arming has written yet.
+    fn unarmed() -> ArmedTask {
+        ArmedTask {
+            present: false,
+            ran: false,
+            swt: None,
+            next_release: None,
+            drift_len: 0,
+            parked: Parked::NOTHING,
+            row: TaskState::placeholder(),
+        }
+    }
+
+    /// Writes task `id` as armed over this entry, reusing the heap
+    /// blocks the entry's row already holds. The row's drift track and
+    /// history are never written: they stay empty.
+    fn arm(&mut self, tasks: &TaskSlab, id: TaskId, task: &TaskState) {
+        self.present = tasks.in_system(id);
+        self.ran = tasks.ran_last_slot(id);
+        self.swt = tasks.swt(id);
+        self.next_release = tasks.next_release(id);
+        self.drift_len = task.drift.samples().len();
+        self.parked = *tasks.parked(id);
+        let TaskState {
+            era_base,
+            next_index,
+            era_open_pending,
+            subs,
+            last_scheduled,
+            isw,
+            ps,
+            drift: _,
+            scheduled_count,
+            last_cpu,
+            history: _,
+        } = task;
+        let row = &mut self.row;
+        row.era_base = *era_base;
+        row.next_index = *next_index;
+        row.era_open_pending = *era_open_pending;
+        row.subs.clone_from(subs);
+        row.last_scheduled = *last_scheduled;
+        row.isw.clone_from(isw);
+        row.ps.clone_from(ps);
+        row.scheduled_count = *scheduled_count;
+        row.last_cpu = *last_cpu;
+    }
+}
+
 /// Verified per-period deltas of one task, used to extrapolate `Φ^k`:
 /// integers all, as the engine and the ideal trackers count them.
 #[derive(Clone, Copy, Debug, Default)]
@@ -330,28 +379,26 @@ impl<P: Probe> Engine<P> {
         let tasks = &self.tasks;
         let probe = &mut self.busy.probe;
         (probe.t0, probe.base, probe.period, probe.end) = (now, period, period, end);
-        probe.tasks.clear();
         // `get` answers every addressable id, built or not, so this
-        // takes all `tasks.len()` of them.
-        probe.tasks.extend((0u32..).map(TaskId).map_while(|id| {
-            let task = tasks.get(id)?;
-            Some(ArmedTask {
-                present: tasks.in_system(id),
-                ran: tasks.ran_last_slot(id),
-                swt: tasks.swt(id),
-                next_release: tasks.next_release(id),
-                drift_len: task.drift.samples().len(),
-                parked: *tasks.parked(id),
-                row: TaskState {
-                    subs: task.subs.clone(),
-                    isw: task.isw.clone(),
-                    ps: task.ps.clone(),
-                    drift: DriftTrack::new(),
-                    history: None,
-                    ..*task
-                },
-            })
-        }));
+        // takes all `tasks.len()` of them. The previous arming's entries
+        // are written over in place: a task's era sums reuse their boxes,
+        // so re-arming allocates nothing for a task it has seen before.
+        let mut armed = 0;
+        for id in (0u32..).map(TaskId) {
+            let Some(task) = tasks.get(id) else {
+                break;
+            };
+            match probe.tasks.get_mut(armed) {
+                Some(entry) => entry.arm(tasks, id, task),
+                None => {
+                    let mut entry = ArmedTask::unarmed();
+                    entry.arm(tasks, id, task);
+                    probe.tasks.push(entry);
+                }
+            }
+            armed += 1;
+        }
+        probe.tasks.truncate(armed);
         probe.queue.clear();
         self.queue.walk_sorted(|e| {
             probe.queue.push(*e);

@@ -624,14 +624,16 @@ impl<P: Probe> Engine<P> {
             .min()
             .unwrap_or(NEVER);
         let run_limit = snapshot.config.horizon;
+        let admission = AdmissionController::from_parts(
+            snapshot.config.admission,
+            snapshot.config.processors,
+            snapshot.committed,
+        )
+        .ok_or("committed weights sum beyond the admission ledger's range")?;
         Ok(Engine {
             probe,
             selector: snapshot.selector,
-            admission: AdmissionController::from_parts(
-                snapshot.config.admission,
-                snapshot.config.processors,
-                snapshot.committed,
-            ),
+            admission,
             events: snapshot.events,
             next_event: snapshot.next_event,
             tasks,

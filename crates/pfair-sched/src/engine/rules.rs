@@ -35,6 +35,7 @@
 //! computes in 64 bits without a fallback.
 
 use super::{Engine, PendKind, Pending};
+use crate::admission::LedgerOverflow;
 use crate::priority::SLOT_BOUND;
 use crate::reweight::RuleChoice;
 use pfair_core::ideal::{IswTracker, PsTracker};
@@ -98,7 +99,7 @@ impl<P: Probe> Engine<P> {
     /// Admission for a join or an initiation: condition W's grant, the
     /// arithmetic budget, and only then the ledger's commitment. `None`
     /// when nothing can be granted (silent, as condition W always was)
-    /// or when the budget refuses (reported).
+    /// or when the ledger or the budget refuses (reported).
     fn admit(
         &mut self,
         id: TaskId,
@@ -106,10 +107,16 @@ impl<P: Probe> Engine<P> {
         want: Weight,
         era_unit: Option<Units>,
     ) -> Option<Weight> {
-        let granted = self.admission.grant(id, want)?;
-        match self.budget(granted, era_unit) {
-            Ok(w) => {
-                self.admission.commit(id, w);
+        let admitted = match self.admission.grant(id, want) {
+            Ok(grant) => {
+                let grant = grant?;
+                self.budget(grant.share, era_unit).map(|w| (w, grant))
+            }
+            Err(LedgerOverflow) => Err(Refusal::LedgerBudget),
+        };
+        match admitted {
+            Ok((w, grant)) => {
+                self.admission.commit(id, w, grant);
                 Some(w)
             }
             Err(reason) => {

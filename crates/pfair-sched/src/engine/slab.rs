@@ -9,7 +9,7 @@
 //! the ran-flag sweep) actually touches. They live here as dense
 //! columns: two word-scanned [`IdBitmap`]s (the `CalendarRing`
 //! occupancy-map idiom) plus two flat `Vec`s, so a scan over 10⁶ tasks
-//! is cache-linear instead of striding over 656-byte rows (`TaskState`
+//! is cache-linear instead of striding over 560-byte rows (`TaskState`
 //! is `const`-asserted to stay within that). A row's position is its
 //! task's id; the row does not repeat it.
 //! Everything else — subtask records, trackers, history — stays in the

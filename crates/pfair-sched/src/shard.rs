@@ -40,10 +40,17 @@
 //! condition (W) satisfied. The ledger is a placement heuristic; each
 //! shard's own policing
 //! [`AdmissionPolicy`](crate::admission::AdmissionPolicy) remains the
-//! authority that clamps or rejects. Optional rebalancing migrates the
-//! lightest task from the most- to the least-loaded shard at segment
-//! boundaries whenever that strictly narrows the utilization gap.
+//! authority that clamps or rejects. The ledger's arithmetic is
+//! checked: a join or a reweight whose booking the ledger cannot
+//! represent (a few coprime 31-bit denominators are past `i128`) is
+//! refused before it reaches a shard and counted as
+//! `shard.refused_placements`, a comparison it cannot make keeps the
+//! earlier shard, and a migration it cannot book does not happen.
+//! Optional rebalancing migrates the lightest task from the most- to
+//! the least-loaded shard at segment boundaries whenever that strictly
+//! narrows the utilization gap.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -164,6 +171,9 @@ pub struct ShardSet {
     util: Vec<Rational>,
     now: Slot,
     migrations: u64,
+    /// Joins and reweights the ledger could not book, hence never
+    /// routed.
+    refused_placements: u64,
 }
 
 impl ShardSet {
@@ -189,6 +199,7 @@ impl ShardSet {
             util: vec![Rational::ZERO; shards],
             now: 0,
             migrations: 0,
+            refused_placements: 0,
             spec,
         }
     }
@@ -274,7 +285,11 @@ impl ShardSet {
                     return;
                 }
                 let shard = self.place(w.value());
-                self.admit(g, shard, w, event.at);
+                let Some(util) = self.util[shard].checked_add(w.value()) else {
+                    self.refused_placements += 1;
+                    return;
+                };
+                self.admit(g, shard, w, event.at, util);
             }
             EventKind::Leave => {
                 let Some(p) = self.route[g] else { return };
@@ -287,13 +302,19 @@ impl ShardSet {
             }
             EventKind::Reweight(w) => {
                 let Some(p) = self.route[g] else { return };
+                let old = Weight::share(self.weights[g]);
+                let util =
+                    (self.util[p.shard].checked_sub(old)).and_then(|u| u.checked_add(w.value()));
+                let Some(util) = util else {
+                    self.refused_placements += 1;
+                    return;
+                };
                 self.engines[p.shard].inject(Event {
                     at: event.at,
                     task: p.local,
                     kind: EventKind::Reweight(w),
                 });
-                let old = Weight::share(self.weights[g]);
-                self.util[p.shard] = self.util[p.shard] - old + w.value();
+                self.util[p.shard] = util;
                 self.weights[g] = Some(w);
             }
             EventKind::Delay(by) => {
@@ -310,28 +331,35 @@ impl ShardSet {
     /// Least-utilized shard that keeps per-shard condition (W)
     /// satisfied with the new weight; ties to the lowest index. Falls
     /// back to the least-utilized shard overall (whose admission policy
-    /// then clamps or rejects) when no shard fits.
+    /// then clamps or rejects) when no shard fits. A comparison the
+    /// ledger cannot make counts as "not less".
     fn place(&self, w: Rational) -> usize {
         // `u + w ≤ cap` as `u ≤ cap − w`: one subtraction per join, one
-        // comparison per shard.
+        // comparison per shard. Both operands are 64-bit.
         let room = Rational::from_int(i128::from(self.spec.processors_per_shard)) - w;
+        let cmp_is = |a: &Rational, b: &Rational, ord: fn(Ordering) -> bool| {
+            a.checked_cmp(b).is_some_and(ord)
+        };
         let mut fitting: Option<usize> = None;
         let mut least = 0usize;
         for (s, u) in self.util.iter().enumerate() {
-            if *u < self.util[least] {
+            if cmp_is(u, &self.util[least], Ordering::is_lt) {
                 least = s;
             }
-            if *u <= room && fitting.is_none_or(|b| *u < self.util[b]) {
+            if cmp_is(u, &room, Ordering::is_le)
+                && fitting.is_none_or(|b| cmp_is(u, &self.util[b], Ordering::is_lt))
+            {
                 fitting = Some(s);
             }
         }
         fitting.unwrap_or(least)
     }
 
-    /// Admits global task `g` into `shard` under a fresh local id. The
-    /// caller grows the shard's tables to `local_count[shard]` before
-    /// the shard next runs.
-    fn admit(&mut self, g: usize, shard: usize, w: Weight, at: Slot) {
+    /// Admits global task `g` into `shard` under a fresh local id, with
+    /// `util` the shard's ledger once `w` is booked. The caller grows
+    /// the shard's tables to `local_count[shard]` before the shard next
+    /// runs.
+    fn admit(&mut self, g: usize, shard: usize, w: Weight, at: Slot, util: Rational) {
         let local = TaskId(self.local_count[shard]);
         self.local_count[shard] += 1;
         self.engines[shard].inject(Event {
@@ -346,15 +374,18 @@ impl ShardSet {
         self.incarnations.push((global, placement));
         self.weights[g] = Some(w);
         self.members[shard].insert(global);
-        self.util[shard] += w.value();
+        self.util[shard] = util;
     }
 
     /// Drops global task `g` from the supervisor's books (the engine
-    /// may still be draining it under the rule-L departure delay).
+    /// may still be draining it under the rule-L departure delay). A
+    /// ledger that cannot represent the lower sum keeps the higher one.
     fn depart(&mut self, g: usize, shard: usize) {
         // audit: allow(lossy-cast, global event task ids are u32 by construction)
         self.members[shard].remove(&(g as u32));
-        self.util[shard] -= Weight::share(self.weights[g]);
+        if let Some(util) = self.util[shard].checked_sub(Weight::share(self.weights[g])) {
+            self.util[shard] = util;
+        }
         self.route[g] = None;
     }
 
@@ -362,8 +393,8 @@ impl ShardSet {
     /// boundary: a `Leave` on its source shard, a fresh-id `Join` with
     /// its recorded weight on `to` — both injected, both policed by the
     /// shards' own admission. Returns `false` (and does nothing) when
-    /// the task is not in the system, `to` is out of range, or the
-    /// task already lives on `to`.
+    /// the task is not in the system or already lives on `to`, `to` is
+    /// out of range, or `to`'s ledger cannot book the task's weight.
     pub fn migrate_task(&mut self, global: u32, to: usize) -> bool {
         let g = TaskId(global).idx();
         if g >= self.route.len() || to >= self.spec.shards {
@@ -376,13 +407,16 @@ impl ShardSet {
         let Some(w) = self.weights[g] else {
             return false;
         };
+        let Some(util) = self.util[to].checked_add(w.value()) else {
+            return false;
+        };
         self.engines[p.shard].inject(Event {
             at: self.now,
             task: p.local,
             kind: EventKind::Leave,
         });
         self.depart(g, p.shard);
-        self.admit(g, to, w, self.now);
+        self.admit(g, to, w, self.now, util);
         self.engines[to].ensure_task_capacity(self.local_count[to]);
         self.migrations += 1;
         true
@@ -399,14 +433,16 @@ impl ShardSet {
         }
         let (mut hi, mut lo) = (0usize, 0usize);
         for (s, u) in self.util.iter().enumerate() {
-            if *u > self.util[hi] {
+            if u.checked_cmp(&self.util[hi]).is_some_and(Ordering::is_gt) {
                 hi = s;
             }
-            if *u < self.util[lo] {
+            if u.checked_cmp(&self.util[lo]).is_some_and(Ordering::is_lt) {
                 lo = s;
             }
         }
-        let gap = self.util[hi] - self.util[lo];
+        let Some(gap) = self.util[hi].checked_sub(self.util[lo]) else {
+            return;
+        };
         if !gap.is_positive() {
             return;
         }
@@ -416,7 +452,8 @@ impl ShardSet {
                 continue;
             };
             let w = w.value();
-            if w + w <= gap && best.is_none_or(|(bw, bg)| (w, g) < (bw, bg)) {
+            let narrows = (w + w).checked_cmp(&gap).is_some_and(Ordering::is_le);
+            if narrows && best.is_none_or(|(bw, bg)| (w, g) < (bw, bg)) {
                 best = Some((w, g));
             }
         }
@@ -457,6 +494,9 @@ impl ShardSet {
             results.push(result);
         }
         registry.inc("shard.migrations", self.migrations);
+        if self.refused_placements > 0 {
+            registry.inc("shard.refused_placements", self.refused_placements);
+        }
         // Group the incarnation log by global id with a counting sort
         // (stable, so each task's placements stay in join order):
         // `starts[g]..starts[g + 1]` is task `g`'s run of `grouped`.

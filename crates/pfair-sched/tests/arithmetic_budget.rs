@@ -4,7 +4,8 @@
 //! 64-bit integer; a join or an initiation whose arithmetic could leave
 //! that range is refused before admission writes anything, with one
 //! `ObsEvent::Refused` and no other trace. These tests hold the three
-//! checks at their boundaries. CI runs this file in release mode too:
+//! checks at their boundaries, and the exact ledgers of committed
+//! weights (admission's and the shard supervisor's) at theirs. CI runs this file in release mode too:
 //! the checked `i64` arithmetic must hold without debug assertions.
 
 use pfair_core::rational::{rat, Rational};
@@ -14,6 +15,7 @@ use pfair_json::ToJson;
 use pfair_obs::{ObsEvent, Refusal, TraceRecorder};
 use pfair_sched::engine::{simulate, simulate_with, Engine, SimConfig};
 use pfair_sched::event::Workload;
+use pfair_sched::shard::{ShardSet, ShardSpec};
 use pfair_sched::trace::SimResult;
 use pfair_sched::verify::verify;
 
@@ -139,4 +141,72 @@ fn deadlines_past_the_packed_band_are_refused() {
         assert_eq!(refusals(engine.probe_mut()), expected, "horizon {horizon}");
         assert_eq!(engine.present_count(), usize::from(!refused));
     }
+}
+
+/// The six largest primes below 2³¹: the exact sum of their
+/// reciprocals has their product as its denominator, 186 bits.
+const PRIMES: [i128; 6] = [
+    2_147_483_647,
+    2_147_483_629,
+    2_147_483_587,
+    2_147_483_579,
+    2_147_483_563,
+    2_147_483_549,
+];
+
+/// Joins at slot 0 with weights `1/p` for the first `n` primes.
+fn prime_joins(n: usize) -> Workload {
+    let mut w = Workload::new();
+    for (task, &p) in (0u32..).zip(&PRIMES[..n]) {
+        w.join(task, 0, 1, p);
+    }
+    w
+}
+
+fn task_images(result: &SimResult) -> Vec<String> {
+    (result.tasks.iter())
+        .map(|t| t.to_json().to_string())
+        .collect()
+}
+
+/// Every weight passes the arithmetic budget, but admission's ledger
+/// of four of them already holds a 124-bit denominator: the fifth and
+/// sixth joins would leave a sum no `i128` rational holds. Each is
+/// refused as `ledger_budget`, and the run equals the one without them.
+#[test]
+fn a_ledger_past_i128_refuses_the_join() {
+    let config = SimConfig::oi(2, 64);
+    let (result, trace) = simulate_with(config.clone(), &prime_joins(6), TraceRecorder::new());
+    assert_eq!(
+        refusals(&trace),
+        [
+            (TaskId(4), 0, Refusal::LedgerBudget),
+            (TaskId(5), 0, Refusal::LedgerBudget)
+        ]
+    );
+    let without = simulate(config, &prime_joins(4));
+    assert_eq!(task_images(&result)[..4], task_images(&without));
+    assert!((result.tasks[4..].iter()).all(|t| t.scheduled_count == 0 && t.ps_total.is_zero()));
+    assert_eq!(result.misses, without.misses);
+    assert_eq!(result.counters, without.counters);
+}
+
+/// The shard supervisor's utilisation ledger has the same edge: a
+/// one-shard set refuses to place the fifth and sixth joins, counts
+/// them, and otherwise reports the run without them, whose registry
+/// has no such counter.
+#[test]
+fn a_shard_ledger_past_i128_refuses_the_placement() {
+    let report = ShardSet::new(ShardSpec::new(1, 2, 64), &prime_joins(6)).finish();
+    let without = ShardSet::new(ShardSpec::new(1, 2, 64), &prime_joins(4)).finish();
+    assert_eq!(report.registry.counter("shard.refused_placements"), 2);
+    // Written only when one happens, so other reports keep their bytes.
+    assert!(!(without.registry.snapshot_text()).contains("refused_placements"));
+    let images = |tasks: &[pfair_sched::shard::GlobalTaskSummary]| -> Vec<String> {
+        tasks.iter().map(|t| t.to_json().to_string()).collect()
+    };
+    assert_eq!(images(&report.tasks)[..4], images(&without.tasks));
+    assert!((report.tasks[4..].iter()).all(|t| t.scheduled_count == 0));
+    assert_eq!(report.scheduled_quanta(), without.scheduled_quanta());
+    assert_eq!(report.misses(), without.misses());
 }

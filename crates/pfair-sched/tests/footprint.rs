@@ -12,10 +12,14 @@
 //! in place of its rows. An id that has not joined costs no row at all.
 //!
 //! The record and row sizes themselves are `const`-asserted where the
-//! types are defined (`SubRec` ≤ 64 and `TaskState` ≤ 656 bytes in
-//! `engine.rs`, `IswSub` ≤ 48 bytes in `pfair-core`'s `isw.rs`, a
-//! `Weight` and an `Option<Weight>` 16 bytes in its `weight.rs`), so a
-//! new field that breaks the budget does not compile.
+//! types are defined (`SubRec` ≤ 64 and `TaskState` ≤ 560 bytes in
+//! `engine.rs`; in `pfair-core`, `IswSub` ≤ 48 and `IswTracker` ≤ 216
+//! bytes in `isw.rs`, `PsTracker` ≤ 48 in `ps.rs`, an `EraSum` one word
+//! in `rational.rs`, a `Weight` and an `Option<Weight>` 16 bytes in
+//! `weight.rs`), so a new field that breaks the budget does not compile.
+//! A task's sums across eras are boxed by their first nonzero write, so
+//! a task that reweights pays for them and one that never does pays a
+//! word each.
 
 // The counting allocator is the one `unsafe impl` this workspace has;
 // it forwards to `System` and touches nothing but three counters.
@@ -26,7 +30,7 @@ use pfair_obs::MetricsProbe;
 use pfair_sched::engine::{Engine, SimConfig};
 use pfair_sched::event::{Event, Workload};
 use pfair_sched::trace::TaskResult;
-use pfair_sched::workloads::{synthetic_population, POPULATION_ALIGNMENT};
+use pfair_sched::workloads::{sawtooth, synthetic_population, POPULATION_ALIGNMENT};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 
@@ -73,6 +77,11 @@ static ALLOCATOR: Counting = Counting;
 
 const TASKS: u32 = 2000;
 
+/// One sawtooth cycle: every phase below the 512-slot period has its
+/// drop back (half a period later) before this horizon, and no second
+/// cycle starts in time to.
+const SAWTOOTH_HORIZON: i64 = 768;
+
 /// The live-bytes budget of an engine at slot 512 of a
 /// `population`-shaped run, in three parts. An engine with no task at
 /// all holds the ready queue's runs, the calendar rings, the metrics
@@ -87,12 +96,12 @@ const ENGINE_BYTES: isize = 55_000;
 /// (60.3 measured).
 const BYTES_PER_ID: isize = 61;
 
-/// What a joined task adds: its 656-byte row (space for the rows of the
+/// What a joined task adds: its 560-byte row (space for the rows of the
 /// joins an engine holds is reserved at once, so the buffer has no
 /// growth slack), its one-sample drift block, and its share of the
-/// queue and calendar buffers (798 measured, at 1 000, 2 000 and 4 000
+/// queue and calendar buffers (702 measured, at 1 000, 2 000 and 4 000
 /// tasks).
-const BYTES_PER_TASK: isize = 800;
+const BYTES_PER_TASK: isize = 704;
 
 /// The budget of an engine addressing `ids` ids of which `joined` joined.
 fn budget(ids: u32, joined: u32) -> isize {
@@ -116,6 +125,8 @@ const ENGINE_BLOCKS: isize = 64;
 fn footprint() {
     a_task_is_one_row_and_one_heap_block();
     an_id_that_never_joins_costs_no_row();
+    a_reweighted_task_adds_at_most_three_sum_boxes();
+    re_arming_a_busy_span_allocates_nothing();
     engines_of_one_workload_share_its_stream();
 }
 
@@ -139,7 +150,7 @@ fn a_task_is_one_row_and_one_heap_block() {
     );
     assert!(
         bytes <= budget(TASKS, TASKS),
-        "{bytes} live bytes for {TASKS} tasks: {} per task, budget {} (885 measured)",
+        "{bytes} live bytes for {TASKS} tasks: {} per task, budget {} (789 measured)",
         bytes / tasks,
         budget(TASKS, TASKS) / tasks
     );
@@ -174,7 +185,7 @@ fn a_task_is_one_row_and_one_heap_block() {
 /// The same run with twice the ids, of which only the first half ever
 /// joins: the engine addresses all of them, yet what it holds fits the
 /// budget of the tasks that joined — an unjoined id costs its per-id
-/// table entries and no row (eager rows would add 656 KB here).
+/// table entries and no row (eager rows would add 560 KB here).
 fn an_id_that_never_joins_costs_no_row() {
     let joined = TASKS / 2;
     let workload = synthetic_population(joined, 1);
@@ -189,11 +200,80 @@ fn an_id_that_never_joins_costs_no_row() {
     assert!(
         bytes <= budget(TASKS, joined),
         "{bytes} live bytes for {TASKS} ids of which {joined} joined: budget {} \
-         (972 880 measured)",
+         (876 880 measured)",
         budget(TASKS, joined)
     );
     let result = engine.finish();
     assert_eq!(result.tasks.len(), TASKS as usize);
+}
+
+/// Every task reweights once: up to twice its weight at a staggered
+/// slot and back half a period later (one cycle of
+/// [`sawtooth`]). Rules O and I give a row up to three nonzero era sums
+/// — the `I_SW` total's base, its halted loss and the `I_PS` base — and
+/// each is one 32-byte box, so after the storm a task holds no more
+/// heap blocks than its drift block and three boxes.
+fn a_reweighted_task_adds_at_most_three_sum_boxes() {
+    let workload = sawtooth(TASKS, (1, 1024), (1, 512), 512, SAWTOOTH_HORIZON);
+    let blocks_before = LIVE_BLOCKS.load(Relaxed);
+    let config = SimConfig::oi(4, SAWTOOTH_HORIZON).without_busy_span();
+    let mut engine = Engine::with_probe(config, &workload, MetricsProbe::new());
+    engine.run_to(SAWTOOTH_HORIZON);
+    let tasks = isize::try_from(TASKS).unwrap();
+    let blocks = LIVE_BLOCKS.load(Relaxed) - blocks_before;
+    assert!(
+        blocks <= tasks * (1 + 3) + ENGINE_BLOCKS,
+        "{blocks} live heap blocks for {TASKS} reweighted tasks: more than a drift \
+         block and three era-sum boxes per task plus the engine's own {ENGINE_BLOCKS} \
+         (5 787 measured)"
+    );
+    let result = engine.finish();
+    assert!(result.counters.reweight_enactments >= u64::from(TASKS));
+}
+
+/// The busy-span driver snapshots every row when it arms, era sums
+/// included. Eight tasks reweight from 1/4 to 1/2 at slot 1 — each
+/// `I_PS` base and, for those rule O halts, the halted loss become
+/// nonzero — and then repeat with period 2 on four processors,
+/// as a twin that joins at 1/2 (no sums) does. Driven in 64-slot
+/// segments, both arm once a segment. Writing each snapshot over the
+/// last one's rows reuses their boxes, so the armings cost the
+/// reweighted system less than one allocation each beyond what they
+/// cost its twin (copying the sums afresh would cost twelve).
+fn re_arming_a_busy_span_allocates_nothing() {
+    let (mut reweighted, mut twin) = (Workload::new(), Workload::new());
+    for task in 0..8 {
+        reweighted.join(task, 0, 1, 4).reweight(task, 1, 1, 2);
+        twin.join(task, 0, 1, 2);
+    }
+    let (allocations, arms) = allocations_over_armings(&reweighted);
+    let (twin_allocations, twin_arms) = allocations_over_armings(&twin);
+    assert!(
+        arms >= 60 && twin_arms >= 60,
+        "{arms} / {twin_arms} armings"
+    );
+    assert!(
+        allocations < twin_allocations + arms,
+        "{allocations} allocations over {arms} armings, {twin_allocations} for a twin \
+         with zero sums: re-arming copies the era sums afresh"
+    );
+}
+
+/// Allocations and armings of a four-processor engine over `workload`
+/// from slot 128 to 4096, driven in 64-slot segments.
+fn allocations_over_armings(workload: &Workload) -> (u64, u64) {
+    let mut engine = Engine::new(SimConfig::oi(4, 4096), workload);
+    engine.run_to(128);
+    let arms_before = engine.driver_mix().arms;
+    let allocations_before = ALLOCATIONS.load(Relaxed);
+    for end in (192..=4096).step_by(64) {
+        engine.run_to(end);
+    }
+    let allocations = ALLOCATIONS.load(Relaxed) - allocations_before;
+    let arms = engine.driver_mix().arms - arms_before;
+    assert!(engine.finish().is_miss_free());
+    let allocations = u64::try_from(allocations).unwrap();
+    (allocations, arms)
 }
 
 /// A workload's time-ordered stream exists once: an engine built from

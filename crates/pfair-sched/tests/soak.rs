@@ -85,7 +85,8 @@ fn peak_rss_mib() -> Option<u64> {
 /// through an 8-shard `ShardSet`. Ignored by default (seconds of CPU,
 /// 1.2 GiB); CI's `shard-smoke` job runs it by name, in release and on
 /// its own, so the process's peak RSS is this run's: printed, and gated
-/// at 1013 MiB (965 measured; 1126 with 128-bit weights, era units and
+/// at 919 MiB (875 measured; 965 with every task's three era sums held
+/// as inline `Rational`s, 1126 with 128-bit weights, era units and
 /// events, 1191 with 800-byte rows written for every
 /// id before any joined, 1443 when every engine and the supervisor
 /// copied the event stream, results kept their engine's row buffers and
@@ -110,8 +111,8 @@ fn population_1m_tasks_10k_slots() {
     if let Some(peak) = peak_rss_mib() {
         println!("peak RSS {peak} MiB");
         assert!(
-            peak <= 1013,
-            "peak RSS {peak} MiB: budget 1013 (965 measured)"
+            peak <= 919,
+            "peak RSS {peak} MiB: budget 919 (875 measured)"
         );
     }
 }
