@@ -13,6 +13,7 @@ use pfair_sched::engine::Engine;
 
 const SNAPSHOT: &str = include_str!("fixtures/oi_midrun.snapshot.json");
 const RESULT: &str = include_str!("fixtures/oi_midrun.result.json");
+const JOURNAL: &str = include_str!("fixtures/journal.jsonl");
 
 fn array<'a>(value: &'a Json, key: &str) -> &'a [Json] {
     match value.get(key) {
@@ -69,4 +70,42 @@ fn parent_written_snapshot_resumes_to_the_parents_result() {
     let mut rendered = resumed.finish().to_json().to_string_pretty();
     rendered.push('\n');
     assert_eq!(rendered, RESULT);
+}
+
+/// A journal's header and entry lines are the older binary's bytes, and
+/// read back to the events that wrote them.
+#[test]
+fn journal_lines_match_the_golden() {
+    use pfair_core::rational::rat;
+    use pfair_core::task::TaskId;
+    use pfair_core::weight::Weight;
+    use pfair_persist::{read_journal, Journal};
+    use pfair_sched::event::{Event, EventKind};
+
+    let events = [
+        Event {
+            at: 0,
+            task: TaskId(0),
+            kind: EventKind::Join(Weight::new(rat(1, 3))),
+        },
+        Event {
+            at: 4,
+            task: TaskId(0),
+            kind: EventKind::Reweight(Weight::new(rat(1, 2))),
+        },
+        Event {
+            at: 7,
+            task: TaskId(0),
+            kind: EventKind::Delay(3),
+        },
+    ];
+    let path = std::env::temp_dir().join(format!("pfair-golden-journal-{}", std::process::id()));
+    let mut journal = Journal::create(&path).expect("create the journal");
+    for event in &events {
+        journal.append(event).expect("append");
+    }
+    let written = std::fs::read_to_string(&path).expect("read the journal");
+    assert_eq!(written, JOURNAL);
+    assert_eq!(read_journal(&path).expect("journal reads back"), events);
+    std::fs::remove_file(&path).ok();
 }
