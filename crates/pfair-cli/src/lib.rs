@@ -24,14 +24,6 @@ pub struct RunOptions {
     pub verify: bool,
 }
 
-/// Serializes a full result (exact rationals included) as JSON, for
-/// downstream tooling. The codec is integer-exact (`pfair-json`), so
-/// rational components survive beyond `f64` precision.
-pub fn to_json(result: &SimResult) -> String {
-    use pfair_json::ToJson;
-    result.to_json().to_string_pretty()
-}
-
 /// Parses and runs a workload file's contents; returns the formatted
 /// report and the raw result.
 pub fn run_str(input: &str, opts: RunOptions) -> Result<(String, SimResult), parser::ParseError> {
@@ -92,13 +84,14 @@ mod tests {
     fn json_export_parses_to_the_result() {
         use pfair_json::{Json, ToJson};
         let (_, result) = run_str(parser::EXAMPLE, RunOptions::default()).unwrap();
-        let parsed = Json::parse(&to_json(&result)).unwrap();
+        let parsed = Json::parse(&result.to_json_pretty()).unwrap();
         assert_eq!(parsed.field::<i64>("horizon").unwrap(), result.horizon);
         let Some(Json::Array(tasks)) = parsed.get("tasks") else {
             panic!("tasks missing");
         };
         assert_eq!(tasks.len(), result.tasks.len());
-        assert_eq!(parsed.get("misses"), Some(&result.misses.to_json()));
+        let misses = parsed.get("misses").expect("misses");
+        assert_eq!(misses.to_json_compact(), result.misses.to_json_compact());
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use pfair_cli::parser::parse_scheme;
 use pfair_cli::slocmd::parse_budget;
 use pfair_cli::{parser, run_file, RunOptions};
+use pfair_json::ToJson;
 use std::str::FromStr;
 
 fn main() {
@@ -47,7 +48,7 @@ fn main() {
                 Ok((report, result)) => {
                     print!("{report}");
                     if let Some(p) = json_path {
-                        std::fs::write(&p, pfair_cli::to_json(&result))
+                        std::fs::write(&p, result.to_json_pretty())
                             .unwrap_or_else(|e| die(&format!("writing {p}: {e}")));
                         println!("wrote {p}");
                     }
@@ -91,12 +92,11 @@ fn main() {
             }
             let (report, chrome, flight) = pfair_cli::tracecmd::run_trace(&opts);
             print!("{report}");
-            std::fs::write(&out_path, chrome.to_string_pretty())
+            std::fs::write(&out_path, chrome)
                 .unwrap_or_else(|e| die(&format!("writing {out_path}: {e}")));
             println!("wrote {out_path} (load in Perfetto or chrome://tracing)");
             if let (Some(p), Some(dump)) = (flight_path, flight) {
-                std::fs::write(&p, dump.to_string_pretty())
-                    .unwrap_or_else(|e| die(&format!("writing {p}: {e}")));
+                std::fs::write(&p, dump).unwrap_or_else(|e| die(&format!("writing {p}: {e}")));
                 println!("wrote {p} (flight-recorder dump)");
             }
         }
@@ -129,8 +129,7 @@ fn main() {
             let (report, json) = pfair_cli::slocmd::run_slo(&opts);
             print!("{report}");
             if let Some(p) = out_path {
-                std::fs::write(&p, json.to_string_pretty())
-                    .unwrap_or_else(|e| die(&format!("writing {p}: {e}")));
+                std::fs::write(&p, json).unwrap_or_else(|e| die(&format!("writing {p}: {e}")));
                 println!("wrote {p} (SLO dump)");
             }
         }

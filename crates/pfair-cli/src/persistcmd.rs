@@ -103,7 +103,7 @@ pub fn resume_file(
     let mut out = crate::report::summary(&result);
     out.push_str(&crate::report::driver_mix(&mix));
     if let Some(p) = &opts.json_out {
-        std::fs::write(p, crate::to_json(&result)).map_err(|e| format!("writing {p}: {e}"))?;
+        std::fs::write(p, result.to_json_pretty()).map_err(|e| format!("writing {p}: {e}"))?;
         out.push_str(&format!("wrote {p}\n"));
     }
     if let Some(p) = &opts.metrics_out {
@@ -114,7 +114,7 @@ pub fn resume_file(
 }
 
 fn write_registry(path: &str, reg: &Registry) -> Result<(), String> {
-    let mut text = reg.to_json().to_string_pretty();
+    let mut text = reg.to_json_pretty();
     text.push('\n');
     std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))
 }
@@ -201,8 +201,8 @@ mod tests {
 
         use pfair_json::ToJson;
         assert_eq!(
-            reference.unwrap().to_json().to_string_pretty(),
-            chained.unwrap().to_json().to_string_pretty()
+            reference.unwrap().to_json_pretty(),
+            chained.unwrap().to_json_pretty()
         );
         assert_eq!(reference_metrics, std::fs::read_to_string(&m_last).unwrap());
         assert!(std::fs::read_to_string(&last).unwrap().contains("horizon"));

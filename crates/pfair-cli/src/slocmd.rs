@@ -5,7 +5,7 @@
 //! a span, so horizon-scale batched runs pay O(1) per span.
 
 use pfair_core::rational::Rational;
-use pfair_json::{obj, Json, ToJson};
+use pfair_json::JsonWriter;
 use pfair_obs::{SloConfig, SloMonitor};
 use pfair_sched::reweight::Scheme;
 use std::fmt::Write as _;
@@ -59,8 +59,9 @@ pub fn parse_budget(s: &str) -> Option<Rational> {
 
 /// Runs the scenario under the SLO monitor and returns the
 /// human-readable report plus the monitor's JSON dump (config,
-/// watermarks, breaches) wrapped with the run parameters.
-pub fn run_slo(opts: &SloOptions) -> (String, Json) {
+/// watermarks, breaches) wrapped with the run parameters, pretty
+/// printed.
+pub fn run_slo(opts: &SloOptions) -> (String, String) {
     // audit: allow(no-float-in-scheduling, Whisper scenario knobs; speed/radius feed weight inputs, not schedules)
     let sc = Scenario::new(2.9, 0.25, true, opts.seed);
     let cfg = SloConfig {
@@ -86,27 +87,23 @@ pub fn run_slo(opts: &SloOptions) -> (String, Json) {
     out.push('\n');
     out.push_str(&slo.report());
 
-    let json = obj([
-        (
-            "run",
-            obj([
-                ("seed", Json::Int(i128::from(opts.seed))),
-                ("scheme", format!("{:?}", opts.scheme).to_json()),
-                ("horizon", Json::Int(i128::from(opts.horizon))),
-                (
-                    "misses",
-                    Json::Int(i128::try_from(metrics.misses).unwrap_or(i128::MAX)),
-                ),
-            ]),
-        ),
-        ("slo", slo.to_json()),
-    ]);
-    (out, json)
+    let mut w = JsonWriter::pretty();
+    w.begin_object().key("run");
+    w.begin_object()
+        .field("seed", &opts.seed)
+        .field("scheme", &format!("{:?}", opts.scheme))
+        .field("horizon", &opts.horizon)
+        .field("misses", &metrics.misses);
+    w.end_object();
+    w.field("slo", &slo);
+    w.end_object();
+    (out, w.into_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfair_json::Json;
 
     #[test]
     fn slo_report_and_json_on_a_clean_run() {
@@ -117,7 +114,7 @@ mod tests {
         let (report, json) = run_slo(&opts);
         assert!(report.contains("SLO report"));
         assert!(report.contains("no SLO breaches"));
-        let parsed = Json::parse(&json.to_string_pretty()).unwrap();
+        let parsed = Json::parse(&json).unwrap();
         assert!(parsed.get("run").and_then(|r| r.get("horizon")).is_some());
         let slo = parsed.get("slo").expect("slo section");
         for key in ["config", "watermarks", "breaches", "suppressed"] {
@@ -136,7 +133,7 @@ mod tests {
         };
         let (report, json) = run_slo(&opts);
         assert!(report.contains("drift_budget"), "report: {report}");
-        let parsed = Json::parse(&json.to_string_pretty()).unwrap();
+        let parsed = Json::parse(&json).unwrap();
         let Some(Json::Array(breaches)) = parsed.get("slo").and_then(|s| s.get("breaches")) else {
             panic!("breaches must be an array");
         };

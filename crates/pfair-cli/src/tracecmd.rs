@@ -5,7 +5,7 @@
 //! With `--flight`, the flight recorder riding the same run dumps its
 //! event ring and incidents as a second JSON document.
 
-use pfair_json::Json;
+use pfair_json::ToJson;
 use pfair_obs::{Fanout, FlightRecorder, MetricsProbe, TraceRecorder};
 use pfair_sched::reweight::Scheme;
 use std::fmt::Write as _;
@@ -41,8 +41,9 @@ impl Default for TraceOptions {
 /// Runs the scenario and returns the human-readable report, the Chrome
 /// trace-event JSON document, and — when `opts.flight` is set — the
 /// flight-recorder dump (an explicit end-of-run capture, so the dump
-/// always carries at least one incident even on a clean run).
-pub fn run_trace(opts: &TraceOptions) -> (String, Json, Option<Json>) {
+/// always carries at least one incident even on a clean run); both
+/// documents pretty printed.
+pub fn run_trace(opts: &TraceOptions) -> (String, String, Option<String>) {
     // audit: allow(no-float-in-scheduling, Whisper scenario knobs; speed/radius feed weight inputs, not schedules)
     let sc = Scenario::new(2.9, 0.25, true, opts.seed);
     let probe = Fanout(
@@ -111,7 +112,7 @@ pub fn run_trace(opts: &TraceOptions) -> (String, Json, Option<Json>) {
             flight.dropped(),
             flight.incidents().len()
         );
-        flight.dump()
+        flight.to_json_pretty()
     });
     (out, rec.chrome_trace(), flight_dump)
 }
@@ -119,6 +120,7 @@ pub fn run_trace(opts: &TraceOptions) -> (String, Json, Option<Json>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfair_json::Json;
 
     #[test]
     fn trace_report_lists_costed_reweights_and_valid_chrome_json() {
@@ -135,8 +137,7 @@ mod tests {
         assert!(report.contains("top 5 most expensive"));
         // The document must survive a serialize/parse round trip and
         // carry the Chrome trace envelope with reweight spans.
-        let text = chrome.to_string_pretty();
-        let parsed = Json::parse(&text).unwrap();
+        let parsed = Json::parse(&chrome).unwrap();
         let events = parsed.get("traceEvents").unwrap();
         let Json::Array(items) = events else {
             panic!("traceEvents must be an array")
@@ -160,7 +161,7 @@ mod tests {
         let (report, _, flight) = run_trace(&opts);
         assert!(report.contains("flight recorder:"));
         let dump = flight.expect("--flight produces a dump");
-        let parsed = Json::parse(&dump.to_string_pretty()).unwrap();
+        let parsed = Json::parse(&dump).unwrap();
         for key in ["capacity", "dropped", "suppressed", "events", "incidents"] {
             assert!(parsed.get(key).is_some(), "dump missing `{key}`");
         }

@@ -1,35 +1,44 @@
 //! Every JSON document the `pfair` binary writes, byte for byte.
 //!
 //! The files under `fixtures/` were written by an older binary (see
-//! `fixtures/README.md`); each command here runs the same invocation in
-//! a fresh directory and compares what it wrote with the fixture. A
-//! failed comparison keeps the directory and names it.
+//! `fixtures/README.md`). Each invocation below runs in one fresh
+//! directory holding the fixture workload, and every file it writes is
+//! compared with the fixture of that name. A failed comparison keeps
+//! the directory and names it.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
 const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
 
-/// A working directory holding the fixture workload; `pfair` runs
-/// inside it, so file arguments are bare names.
-struct Dir(PathBuf);
+/// Each invocation, and the files it writes.
+const INVOCATIONS: [(&str, &[&str]); 4] = [
+    (
+        "trace --whisper 0 --horizon 120 --top 5 --out trace.json --flight flight.json",
+        &["trace.json", "flight.json"],
+    ),
+    (
+        "slo --whisper 0 --horizon 120 --window 60 --out slo.json",
+        &["slo.json"],
+    ),
+    ("run workload.txt --json run.json", &["run.json"]),
+    (
+        "snapshot workload.txt --at 10 --out snapshot.json --metrics-out snapshot_metrics.json",
+        &["snapshot_metrics.json"],
+    ),
+];
 
-impl Dir {
-    fn new(name: &str) -> Dir {
-        let dir = std::env::temp_dir().join(format!("pfair-golden-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create the working directory");
-        std::fs::copy(
-            Path::new(FIXTURES).join("workload.txt"),
-            dir.join("workload.txt"),
-        )
+#[test]
+fn every_written_document_matches_its_golden() {
+    let fixtures = Path::new(FIXTURES);
+    let dir = std::env::temp_dir().join(format!("pfair-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the working directory");
+    std::fs::copy(fixtures.join("workload.txt"), dir.join("workload.txt"))
         .expect("copy the workload");
-        Dir(dir)
-    }
-
-    fn pfair(&self, args: &str) {
+    for (args, written) in INVOCATIONS {
         let out = Command::new(env!("CARGO_BIN_EXE_pfair"))
-            .current_dir(&self.0)
+            .current_dir(&dir)
             .args(args.split_whitespace())
             .output()
             .expect("spawn pfair");
@@ -38,57 +47,17 @@ impl Dir {
             "`pfair {args}` failed ({}): {}; files kept in {}",
             out.status,
             String::from_utf8_lossy(&out.stderr),
-            self.0.display()
+            dir.display()
         );
+        for name in written {
+            let bytes = std::fs::read(dir.join(name)).expect("read an output file");
+            let golden = std::fs::read(fixtures.join(name)).expect("read a fixture");
+            assert!(
+                bytes == golden,
+                "{name} differs from its fixture; files kept in {}",
+                dir.display()
+            );
+        }
     }
-
-    /// The file `pfair` wrote as `name` equals the fixture of that name.
-    fn assert_golden(&self, name: &str) {
-        let written = std::fs::read(self.0.join(name)).expect("read an output file");
-        let golden = std::fs::read(Path::new(FIXTURES).join(name)).expect("read a fixture");
-        assert!(
-            written == golden,
-            "{name} differs from its fixture; files kept in {}",
-            self.0.display()
-        );
-    }
-
-    fn remove(self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-#[test]
-fn trace_and_flight_documents_match_the_goldens() {
-    let dir = Dir::new("trace");
-    dir.pfair("trace --whisper 0 --horizon 120 --top 5 --out trace.json --flight flight.json");
-    dir.assert_golden("trace.json");
-    dir.assert_golden("flight.json");
-    dir.remove();
-}
-
-#[test]
-fn slo_document_matches_the_golden() {
-    let dir = Dir::new("slo");
-    dir.pfair("slo --whisper 0 --horizon 120 --window 60 --out slo.json");
-    dir.assert_golden("slo.json");
-    dir.remove();
-}
-
-#[test]
-fn run_result_with_history_matches_the_golden() {
-    let dir = Dir::new("run");
-    dir.pfair("run workload.txt --json run.json");
-    dir.assert_golden("run.json");
-    dir.remove();
-}
-
-#[test]
-fn snapshot_metrics_registry_matches_the_golden() {
-    let dir = Dir::new("snapshot");
-    dir.pfair(
-        "snapshot workload.txt --at 10 --out snapshot.json --metrics-out snapshot_metrics.json",
-    );
-    dir.assert_golden("snapshot_metrics.json");
-    dir.remove();
+    let _ = std::fs::remove_dir_all(&dir);
 }

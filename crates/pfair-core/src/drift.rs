@@ -56,16 +56,10 @@ pub struct DriftTrack {
 }
 
 impl pfair_json::ToJson for DriftSample {
-    fn to_json(&self) -> pfair_json::Json {
-        pfair_json::obj([("at", self.at.to_json()), ("drift", self.drift.to_json())])
-    }
-
     fn write_json(&self, w: &mut pfair_json::JsonWriter) {
-        w.begin_object();
-        w.key("at");
-        self.at.write_json(w);
-        w.key("drift");
-        self.drift.write_json(w);
+        w.begin_object()
+            .field("at", &self.at)
+            .field("drift", &self.drift);
         w.end_object();
     }
 }
@@ -80,8 +74,9 @@ impl pfair_json::FromJson for DriftSample {
 }
 
 impl pfair_json::ToJson for DriftTrack {
-    fn to_json(&self) -> pfair_json::Json {
-        pfair_json::obj([("samples", self.samples.to_json())])
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object().field("samples", &self.samples);
+        w.end_object();
     }
 }
 

@@ -151,7 +151,7 @@ struct SubImage {
 }
 
 impl pfair_json::ToJson for SubImage {
-    fn to_json(&self) -> pfair_json::Json {
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
         let sub = &self.sub;
         let pred = (sub.pred_gap != 0).then(|| sub.index - sub.pred_gap);
         let (cum, final_slot_alloc) = if sub.is_complete() {
@@ -159,16 +159,16 @@ impl pfair_json::ToJson for SubImage {
         } else {
             (self.alloc, Rational::ZERO)
         };
-        pfair_json::obj([
-            ("index", sub.index.to_json()),
-            ("release", sub.release.to_json()),
-            ("pred", pred.to_json()),
-            ("cum", cum.to_json()),
-            ("complete_at", ever(sub.complete_at).to_json()),
-            ("final_slot_alloc", final_slot_alloc.to_json()),
-            ("halted_at", sub.halted_at.to_json()),
-            ("slot_allocs", self.slot_allocs.to_json()),
-        ])
+        w.begin_object()
+            .field("index", &sub.index)
+            .field("release", &sub.release)
+            .field("pred", &pred)
+            .field("cum", &cum)
+            .field("complete_at", &ever(sub.complete_at))
+            .field("final_slot_alloc", &final_slot_alloc)
+            .field("halted_at", &sub.halted_at)
+            .field("slot_allocs", &self.slot_allocs);
+        w.end_object();
     }
 }
 
@@ -229,29 +229,25 @@ impl pfair_json::FromJson for SubImage {
 }
 
 impl pfair_json::ToJson for IswTracker {
-    fn to_json(&self) -> pfair_json::Json {
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
         let unit = self.unit();
-        let subs: Vec<SubImage> = self
-            .subs
-            .iter()
-            .map(|&sub| SubImage {
+        w.begin_object().field("swt", &self.swt()).key("subs");
+        w.begin_array();
+        for &sub in &self.subs {
+            SubImage {
                 sub,
                 alloc: sub.alloc.over(unit),
                 slot_allocs: self.slot_allocs_of(sub.index),
-            })
-            .collect();
-        pfair_json::obj([
-            ("swt", self.swt().to_json()),
-            ("subs", subs.to_json()),
-            ("total", self.isw_total().to_json()),
-            ("halted_loss", self.halted_loss.to_json()),
-            ("now", self.now.to_json()),
-            ("keep_retired", self.keep_retired().to_json()),
-            (
-                "record_slot_allocs",
-                self.slot_history().is_some().to_json(),
-            ),
-        ])
+            }
+            .write_json(w);
+        }
+        w.end_array();
+        w.field("total", &self.isw_total())
+            .field("halted_loss", &self.halted_loss)
+            .field("now", &self.now)
+            .field("keep_retired", &self.keep_retired())
+            .field("record_slot_allocs", &self.slot_history().is_some());
+        w.end_object();
     }
 }
 
@@ -1290,7 +1286,7 @@ mod advance_to_tests {
         for t in 0..8 {
             tr.advance(t);
         }
-        let text = tr.to_json().to_string();
+        let text = tr.to_json_compact();
         assert_eq!(
             text,
             concat!(
@@ -1306,12 +1302,12 @@ mod advance_to_tests {
         );
         let mut back = IswTracker::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, tr);
-        assert_eq!(back.to_json().to_string(), text);
+        assert_eq!(back.to_json_compact(), text);
         let rec = back.halt(2, 8);
         assert_eq!(rec, tr.halt(2, 8));
         assert_eq!(rec.slot_allocs, vec![(6, rat(2, 19)), (7, rat(3, 19))]);
         assert_eq!(back.slot_history_len(), 0);
-        assert_eq!(back.to_json().to_string(), tr.to_json().to_string());
+        assert_eq!(back.to_json_compact(), tr.to_json_compact());
 
         // A breakdown on a tracker that records none, or a final-slot
         // allocation on an incomplete subtask, is not a state the
@@ -1336,10 +1332,10 @@ mod advance_to_tests {
     fn era_sums_agree_across_json_zero_or_not() {
         use pfair_json::{FromJson, Json, ToJson};
         let round_trip = |tr: &IswTracker| {
-            let text = tr.to_json().to_string();
+            let text = tr.to_json_compact();
             let back = IswTracker::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(&back, tr);
-            assert_eq!(back.to_json().to_string(), text);
+            assert_eq!(back.to_json_compact(), text);
         };
         let mut tr = IswTracker::new(rat(3, 19), 0);
         round_trip(&tr);

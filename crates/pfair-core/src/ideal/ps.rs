@@ -77,13 +77,13 @@ impl Clone for PsTracker {
 }
 
 impl pfair_json::ToJson for PsTracker {
-    fn to_json(&self) -> pfair_json::Json {
-        pfair_json::obj([
-            ("wt", self.wt.to_json()),
-            ("total", self.total().to_json()),
-            ("now", self.now.to_json()),
-            ("suspensions", self.suspensions.to_vec().to_json()),
-        ])
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object()
+            .field("wt", &self.wt)
+            .field("total", &self.total())
+            .field("now", &self.now)
+            .field("suspensions", &*self.suspensions);
+        w.end_object();
     }
 }
 
@@ -460,10 +460,10 @@ mod advance_to_tests {
     fn era_sum_base_agrees_across_json_zero_or_not() {
         use pfair_json::{FromJson, Json, ToJson};
         let round_trip = |ps: &PsTracker| {
-            let text = ps.to_json().to_string();
+            let text = ps.to_json_compact();
             let back = PsTracker::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(&back, ps);
-            assert_eq!(back.to_json().to_string(), text);
+            assert_eq!(back.to_json_compact(), text);
         };
         let mut ps = PsTracker::new(rat(3, 19), 0);
         round_trip(&ps);

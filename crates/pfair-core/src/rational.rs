@@ -73,19 +73,10 @@ pub struct Rational {
 impl pfair_json::ToJson for Rational {
     /// Serializes structurally as `{"num": …, "den": …}` — the codec is
     /// integer-exact, so components survive beyond `f64` precision.
-    fn to_json(&self) -> pfair_json::Json {
-        pfair_json::obj([
-            ("num", pfair_json::Json::Int(self.num)),
-            ("den", pfair_json::Json::Int(self.den)),
-        ])
-    }
-
     fn write_json(&self, w: &mut pfair_json::JsonWriter) {
-        w.begin_object();
-        w.key("num");
-        w.int(self.num);
-        w.key("den");
-        w.int(self.den);
+        w.begin_object()
+            .field("num", &self.num)
+            .field("den", &self.den);
         w.end_object();
     }
 }
@@ -991,10 +982,6 @@ impl AddAssign<Rational> for EraSum {
 }
 
 impl pfair_json::ToJson for EraSum {
-    fn to_json(&self) -> pfair_json::Json {
-        self.get().to_json()
-    }
-
     fn write_json(&self, w: &mut pfair_json::JsonWriter) {
         self.get().write_json(w);
     }
@@ -1485,8 +1472,8 @@ mod tests {
     fn era_sum_json_is_the_rational() {
         use pfair_json::{FromJson, Json, ToJson};
         for r in [Rational::ZERO, rat(-5, 12), rat(7, 1)] {
-            let text = EraSum::from(r).to_json().to_string();
-            assert_eq!(text, r.to_json().to_string());
+            let text = EraSum::from(r).to_json_compact();
+            assert_eq!(text, r.to_json_compact());
             let back = EraSum::from_json(&Json::parse(&text).expect("valid JSON"));
             assert_eq!(back.expect("a rational"), EraSum::from(r));
         }
@@ -1772,7 +1759,7 @@ mod json_tests {
     #[test]
     fn roundtrip_and_normalization() {
         let a = rat(-3, 19);
-        let json = a.to_json().to_string();
+        let json = a.to_json_compact();
         let back: Rational = from_str(&json).unwrap();
         assert_eq!(back, a);
         // Unreduced / sign-denormalized input is canonicalized.
@@ -1791,7 +1778,7 @@ mod json_tests {
         // Beyond f64's 2^53 integer precision: a float-backed codec
         // would corrupt these; the exact-integer codec must not.
         let big = Rational::new(i128::MAX - 1, i128::MAX);
-        let back: Rational = from_str(&big.to_json().to_string()).unwrap();
+        let back: Rational = from_str(&big.to_json_compact()).unwrap();
         assert_eq!(back, big);
     }
 

@@ -13,8 +13,8 @@ use core::fmt;
 pub struct TaskId(pub u32);
 
 impl pfair_json::ToJson for TaskId {
-    fn to_json(&self) -> pfair_json::Json {
-        pfair_json::Json::Int(i128::from(self.0))
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.int(i128::from(self.0));
     }
 }
 

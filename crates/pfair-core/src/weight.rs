@@ -30,8 +30,8 @@ pub struct Weight {
 }
 
 impl pfair_json::ToJson for Weight {
-    fn to_json(&self) -> pfair_json::Json {
-        self.value().to_json()
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        self.value().write_json(w);
     }
 }
 

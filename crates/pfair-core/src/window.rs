@@ -51,12 +51,12 @@ pub struct SubtaskWindow {
 }
 
 impl pfair_json::ToJson for SubtaskWindow {
-    fn to_json(&self) -> pfair_json::Json {
-        pfair_json::obj([
-            ("release", self.release.to_json()),
-            ("deadline", self.deadline.to_json()),
-            ("b", self.b.to_json()),
-        ])
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object()
+            .field("release", &self.release)
+            .field("deadline", &self.deadline)
+            .field("b", &self.b);
+        w.end_object();
     }
 }
 

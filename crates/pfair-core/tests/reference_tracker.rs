@@ -29,7 +29,7 @@ use pfair_core::rational::{rat, Rational};
 use pfair_core::time::Slot;
 use pfair_core::weight::Weight;
 use pfair_core::window::{b_bit, window_in_era};
-use pfair_json::{FromJson, ToJson};
+use pfair_json::{FromJson, Json, ToJson};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -255,10 +255,12 @@ impl Pair {
         }
         // The interchange image holds values only: decoding re-derives
         // the unit, and the result is the same tracker.
-        let back = IswTracker::from_json(&self.isw.to_json()).unwrap();
+        let text = self.isw.to_json_compact();
+        let back = IswTracker::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, self.isw);
-        assert_eq!(back.to_json().to_string(), self.isw.to_json().to_string());
-        let ps_back = PsTracker::from_json(&self.ps.to_json()).unwrap();
+        assert_eq!(back.to_json_compact(), text);
+        let ps_text = self.ps.to_json_compact();
+        let ps_back = PsTracker::from_json(&Json::parse(&ps_text).unwrap()).unwrap();
         assert_eq!(ps_back, self.ps);
         if self.cursor.is_multiple_of(4) {
             self.isw = back;

@@ -71,7 +71,7 @@ mod tests {
 
     fn render(results: &[pfair_sched::trace::SimResult]) -> Vec<String> {
         use pfair_json::ToJson;
-        results.iter().map(|r| r.to_json().to_string()).collect()
+        results.iter().map(ToJson::to_json_compact).collect()
     }
 
     use pfair_sched::engine::{simulate, SimConfig};
@@ -118,7 +118,7 @@ mod tests {
                     let events: Vec<String> = rec
                         .events()
                         .iter()
-                        .map(|e| pfair_json::ToJson::to_json(e).to_string())
+                        .map(pfair_json::ToJson::to_json_compact)
                         .collect();
                     format!(
                         "{}\n{}\n{}",

@@ -1,7 +1,8 @@
 //! # pfair-json
 //!
 //! A small, dependency-free JSON codec used to export simulation
-//! results (`pfair-sched`'s `SimResult` tree) for downstream tooling.
+//! results (`pfair-sched`'s `SimResult`, snapshots, traces) for
+//! downstream tooling and to read snapshots and journals back.
 //!
 //! It exists instead of `serde_json` for two reasons. First, this build
 //! environment cannot fetch crates.io dependencies (see
@@ -14,23 +15,38 @@
 //! end to end; non-integer numbers are a *parse error* by design, and
 //! rationals serialize structurally as `{"num": …, "den": …}`.
 //!
-//! Serialization has one formatter, [`JsonWriter`]: a [`Json`] tree is
-//! replayed into it, and [`ToJson::write_json`] lets large reports
-//! stream into it without building the tree — same bytes either way.
+//! The two directions are shaped differently. Writing has one
+//! formatter, [`JsonWriter`], and one writer per type: a [`ToJson`]
+//! impl streams its value into it, and nothing is built on the way
+//! out. Reading goes through a tree: a [`Json`] is what [`Json::parse`]
+//! returns, and [`FromJson`] validates a type out of it at the input
+//! boundary. A parsed tree writes itself back through the same
+//! formatter, so a document read and written again keeps its bytes.
 //!
 //! ```
-//! use pfair_json::{Json, ToJson, FromJson};
+//! use pfair_json::{FromJson, Json, JsonWriter, ToJson};
 //!
 //! let v = Json::parse(r#"{"num": 170141183460469231731687303715884105727, "den": 1}"#).unwrap();
 //! assert_eq!(v.get("num").and_then(Json::as_int), Some(i128::MAX));
 //! let round = i128::from_json(&Json::Int(42)).unwrap();
 //! assert_eq!(round, 42);
-//! assert_eq!(true.to_json().to_string(), "true");
+//!
+//! struct Span(u64, bool);
+//! impl ToJson for Span {
+//!     fn write_json(&self, w: &mut JsonWriter) {
+//!         w.begin_object().field("at", &self.0).field("open", &self.1);
+//!         w.end_object();
+//!     }
+//! }
+//! assert_eq!(Span(3, true).to_json_compact(), r#"{"at":3,"open":true}"#);
 //! ```
 
 use std::fmt;
 
-/// A JSON value with exact integer numbers.
+/// A parsed JSON value with exact integer numbers: what
+/// [`Json::parse`] returns and [`FromJson`] reads. Writing does not go
+/// through it; a tree writes itself back through [`ToJson`] like any
+/// other value.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Json {
     /// `null`.
@@ -71,24 +87,23 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Serialization into [`Json`] values.
+/// Serialization: each type writes itself into a [`JsonWriter`], the
+/// one formatter, so a value has exactly one rendering in each layout.
 pub trait ToJson {
-    /// The JSON representation of `self`.
-    fn to_json(&self) -> Json;
+    /// Streams `self` into `w`.
+    fn write_json(&self, w: &mut JsonWriter);
 
-    /// Streams `self` into `w`: the same bytes `self.to_json()` writes
-    /// through the same writer, without building the tree. The default
-    /// builds it; types that dominate large reports (integers,
-    /// rationals, vectors, the shard report rows) override it.
-    fn write_json(&self, w: &mut JsonWriter) {
-        self.to_json().write(w);
-    }
-
-    /// Pretty rendering (two-space indentation) streamed through
-    /// [`ToJson::write_json`]; byte-identical to
-    /// `self.to_json().to_string_pretty()`.
+    /// Pretty rendering (two-space indentation).
     fn to_json_pretty(&self) -> String {
         let mut w = JsonWriter::pretty();
+        self.write_json(&mut w);
+        w.into_string()
+    }
+
+    /// Compact rendering (no whitespace): the canonical text checksums
+    /// cover.
+    fn to_json_compact(&self) -> String {
+        let mut w = JsonWriter::compact();
         self.write_json(&mut w);
         w.into_string()
     }
@@ -143,17 +158,11 @@ impl Json {
         }
         Ok(v)
     }
+}
 
-    /// Pretty serialization with two-space indentation.
-    pub fn to_string_pretty(&self) -> String {
-        let mut w = JsonWriter::pretty();
-        self.write(&mut w);
-        w.into_string()
-    }
-
-    /// Replays the tree into `w` — the tree rendering is the streamed
-    /// one, so both produce the same bytes by construction.
-    pub fn write(&self, w: &mut JsonWriter) {
+/// A parsed tree writes itself back by replaying its nodes.
+impl ToJson for Json {
+    fn write_json(&self, w: &mut JsonWriter) {
         match self {
             Json::Null => w.null(),
             Json::Bool(b) => w.bool(*b),
@@ -162,15 +171,14 @@ impl Json {
             Json::Array(items) => {
                 w.begin_array();
                 for item in items {
-                    item.write(w);
+                    item.write_json(w);
                 }
                 w.end_array();
             }
             Json::Object(fields) => {
                 w.begin_object();
                 for (k, v) in fields {
-                    w.key(k);
-                    v.write(w);
+                    w.field(k, v);
                 }
                 w.end_object();
             }
@@ -178,24 +186,15 @@ impl Json {
     }
 }
 
-/// Compact serialization comes from `Display`: `value.to_string()`.
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut w = JsonWriter::compact();
-        self.write(&mut w);
-        f.write_str(&w.into_string())
-    }
-}
-
-/// Streaming JSON serializer: the one formatter behind [`Json`]'s
-/// renderings and [`ToJson::write_json`].
+/// Streaming JSON serializer: the one formatter behind every
+/// [`ToJson::write_json`].
 ///
 /// Callers emit a value as a sequence of calls — scalars, or
-/// `begin_*` … `end_*` around the members, with [`JsonWriter::key`]
-/// before each object member — and the writer places commas, newlines
-/// and indentation. It does not check that the calls nest into a valid
-/// document; [`Json::write`] and the `write_json` overrides are the
-/// callers, and the equivalence tests pin their output to the tree's.
+/// `begin_*` … `end_*` around the members, with [`JsonWriter::field`]
+/// (or [`JsonWriter::key`] and then the value) for each object member —
+/// and the writer places commas, newlines and indentation. It does not
+/// check that the calls nest into a valid document; the `write_json`
+/// bodies are its callers, and the golden documents pin their bytes.
 #[derive(Debug)]
 pub struct JsonWriter {
     out: String,
@@ -288,8 +287,9 @@ impl JsonWriter {
     }
 
     /// Opens an object.
-    pub fn begin_object(&mut self) {
+    pub fn begin_object(&mut self) -> &mut JsonWriter {
         self.begin('{');
+        self
     }
 
     /// Closes the innermost open object.
@@ -298,8 +298,9 @@ impl JsonWriter {
     }
 
     /// Opens an array.
-    pub fn begin_array(&mut self) {
+    pub fn begin_array(&mut self) -> &mut JsonWriter {
         self.begin('[');
+        self
     }
 
     /// Closes the innermost open array.
@@ -316,6 +317,13 @@ impl JsonWriter {
             self.out.push(' ');
         }
         self.after_key = true;
+    }
+
+    /// The object member `key: value`.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) -> &mut JsonWriter {
+        self.key(key);
+        value.write_json(self);
+        self
     }
 
     /// `null`.
@@ -588,9 +596,6 @@ impl Parser<'_> {
 macro_rules! impl_json_ints {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Int(i128::from(*self))
-            }
             fn write_json(&self, w: &mut JsonWriter) {
                 w.int(i128::from(*self));
             }
@@ -614,9 +619,6 @@ macro_rules! impl_json_ints {
 impl_json_ints!(i8, i16, i32, i64, u8, u16, u32, u64);
 
 impl ToJson for i128 {
-    fn to_json(&self) -> Json {
-        Json::Int(*self)
-    }
     fn write_json(&self, w: &mut JsonWriter) {
         w.int(*self);
     }
@@ -631,9 +633,6 @@ impl FromJson for i128 {
 }
 
 impl ToJson for usize {
-    fn to_json(&self) -> Json {
-        Json::Int(*self as i128)
-    }
     fn write_json(&self, w: &mut JsonWriter) {
         w.int(*self as i128);
     }
@@ -648,9 +647,16 @@ impl FromJson for usize {
     }
 }
 
+/// `()` is `null`, as in an envelope that carries no body.
+impl ToJson for () {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.null();
+    }
+}
+
 impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.bool(*self);
     }
 }
 
@@ -663,9 +669,15 @@ impl FromJson for bool {
     }
 }
 
+impl ToJson for str {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.string(self);
+    }
+}
+
 impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.string(self);
     }
 }
 
@@ -679,10 +691,10 @@ impl FromJson for String {
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter) {
         match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
+            Some(v) => v.write_json(w),
+            None => w.null(),
         }
     }
 }
@@ -696,10 +708,7 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(ToJson::to_json).collect())
-    }
+impl<T: ToJson> ToJson for [T] {
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_array();
         for item in self {
@@ -718,9 +727,24 @@ impl<T: FromJson> FromJson for Vec<T> {
     }
 }
 
+impl<T: ToJson + ?Sized> ToJson for Box<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.as_slice().write_json(w);
+    }
+}
+
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Array(vec![self.0.to_json(), self.1.to_json()])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array();
+        self.0.write_json(w);
+        self.1.write_json(w);
+        w.end_array();
     }
 }
 
@@ -735,19 +759,13 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
     }
 }
 
-/// Builds an object value from `(key, value)` pairs.
-pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-    Json::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn object<const N: usize>(fields: [(&str, Json); N]) -> Json {
+        Json::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
+    }
 
     #[test]
     fn parses_scalars() {
@@ -763,7 +781,7 @@ mod tests {
     #[test]
     fn i128_extremes_roundtrip_exactly() {
         for n in [i128::MAX, i128::MIN, 0, -1, 2i128.pow(64)] {
-            let text = Json::Int(n).to_string();
+            let text = Json::Int(n).to_json_compact();
             assert_eq!(Json::parse(&text).unwrap(), Json::Int(n));
         }
     }
@@ -776,22 +794,23 @@ mod tests {
 
     #[test]
     fn nested_roundtrip_compact_and_pretty() {
-        let v = obj([
+        let v = object([
             ("xs", Json::Array(vec![Json::Int(1), Json::Null])),
             ("name", Json::Str("T0".into())),
-            ("inner", obj([("b", Json::Bool(false))])),
+            ("inner", object([("b", Json::Bool(false))])),
         ]);
-        for text in [v.to_string(), v.to_string_pretty()] {
+        for text in [v.to_json_compact(), v.to_json_pretty()] {
             assert_eq!(Json::parse(&text).unwrap(), v);
         }
     }
 
-    /// The streamed calls and the tree replay share one formatter: the
-    /// same document written call by call equals both tree renderings,
-    /// empty containers and escapes included.
+    /// A parsed tree writes itself back through the same formatter as
+    /// the calls that wrote it: the same document written call by call
+    /// equals both of the tree's renderings, empty containers and
+    /// escapes included.
     #[test]
-    fn streamed_calls_equal_the_tree_renderings() {
-        let tree = obj([
+    fn written_calls_equal_the_tree_replay() {
+        let tree = object([
             ("empty_array", Json::Array(vec![])),
             ("empty_object", Json::Object(vec![])),
             ("text", Json::Str("a\"b\\c\n\r\t\u{1}é🦀".into())),
@@ -799,7 +818,7 @@ mod tests {
                 "nested",
                 Json::Array(vec![
                     Json::Int(-7),
-                    obj([("k", Json::Null)]),
+                    object([("k", Json::Null)]),
                     Json::Array(vec![Json::Bool(true)]),
                 ]),
             ),
@@ -828,10 +847,10 @@ mod tests {
             w.end_object();
             w.into_string()
         };
-        assert_eq!(stream(JsonWriter::pretty()), tree.to_string_pretty());
-        assert_eq!(stream(JsonWriter::compact()), tree.to_string());
-        assert_eq!(Json::parse(&tree.to_string_pretty()).unwrap(), tree);
-        assert!(tree.to_string().contains("\\u0001"));
+        assert_eq!(stream(JsonWriter::pretty()), tree.to_json_pretty());
+        assert_eq!(stream(JsonWriter::compact()), tree.to_json_compact());
+        assert_eq!(Json::parse(&tree.to_json_pretty()).unwrap(), tree);
+        assert!(tree.to_json_compact().contains("\\u0001"));
     }
 
     /// Indentation deeper than the writer's one-copy padding (64
@@ -852,7 +871,7 @@ mod tests {
             expected.push_str(&" ".repeat(2 * level));
             expected.push(']');
         }
-        assert_eq!(tree.to_string_pretty(), expected);
+        assert_eq!(tree.to_json_pretty(), expected);
     }
 
     /// The `u64` digit loop and the wide fallback agree with `Display`
@@ -875,7 +894,7 @@ mod tests {
         ];
         for n in cases.into_iter().chain([i128::MAX, i128::MIN]) {
             assert_eq!(n.to_json_pretty(), n.to_string());
-            assert_eq!(Json::Int(n).to_string(), n.to_string());
+            assert_eq!(Json::Int(n).to_json_compact(), n.to_string());
         }
         assert_eq!(
             vec![3u64, 40, 500].to_json_pretty(),
@@ -908,7 +927,7 @@ mod tests {
 
     #[test]
     fn field_lookup_reports_missing_keys() {
-        let v = obj([("a", Json::Int(1))]);
+        let v = object([("a", Json::Int(1))]);
         assert_eq!(v.field::<i64>("a").unwrap(), 1);
         let e = v.field::<i64>("b").unwrap_err();
         assert!(e.message.contains("missing field `b`"));
@@ -917,6 +936,6 @@ mod tests {
     #[test]
     fn unicode_strings_roundtrip() {
         let v = Json::Str("π ≈ 3, émue, 🦀".to_string());
-        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        assert_eq!(Json::parse(&v.to_json_compact()).unwrap(), v);
     }
 }

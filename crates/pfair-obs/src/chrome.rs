@@ -16,11 +16,11 @@
 //! are slot counts, and the export goes through `pfair-json`, whose
 //! only number type is `i128`.
 
-use crate::event::{slot_json, u64_json, ObsEvent};
+use crate::event::ObsEvent;
 use crate::probe::{Probe, Rule};
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
-use pfair_json::{obj, Json, ToJson};
+use pfair_json::JsonWriter;
 use std::collections::BTreeMap;
 
 /// One reweighting event from initiation to enactment, with its
@@ -106,15 +106,15 @@ impl TraceRecorder {
         }
     }
 
-    /// The Chrome trace-event JSON document for this recording.
+    /// The Chrome trace-event JSON document for this recording, pretty
+    /// printed.
     ///
     /// Layout: pid 1 carries the schedule — one thread per task with
     /// 1-slot `run` spans, reweight spans from initiation to
     /// enactment, and instants for halts/preemptions/era releases;
     /// pid 2 carries the closed-form tracker jumps as spans whose
     /// duration is the interval width. Timestamps are slot numbers.
-    pub fn chrome_trace(&self) -> Json {
-        let mut trace: Vec<Json> = Vec::new();
+    pub fn chrome_trace(&self) -> String {
         let mut tids: Vec<TaskId> = Vec::new();
         let mut has_spans = false;
         for ev in &self.events {
@@ -147,100 +147,71 @@ impl TraceRecorder {
             }
         }
         tids.sort_unstable();
+        let mut w = JsonWriter::pretty();
+        w.begin_object()
+            .field("displayTimeUnit", "ms")
+            .key("traceEvents");
+        w.begin_array();
         // Process/thread metadata so the viewers label the lanes.
         for (pid, pname) in [(1, "schedule"), (2, "ideal trackers")] {
-            trace.push(obj([
-                ("name", Json::Str("process_name".into())),
-                ("ph", Json::Str("M".into())),
-                ("pid", Json::Int(pid)),
-                ("tid", Json::Int(0)),
-                ("args", obj([("name", Json::Str(pname.into()))])),
-            ]));
+            metadata(&mut w, "process_name", pid, 0, pname);
             for task in &tids {
-                trace.push(obj([
-                    ("name", Json::Str("thread_name".into())),
-                    ("ph", Json::Str("M".into())),
-                    ("pid", Json::Int(pid)),
-                    ("tid", task.to_json()),
-                    ("args", obj([("name", Json::Str(format!("T{}", task.0)))])),
-                ]));
+                metadata(&mut w, "thread_name", pid, task.0, &format!("T{}", task.0));
             }
         }
         // Closed-form spans get their own single-lane process: one
         // slice per quiet span / busy-span jump, whatever the width.
         if has_spans {
-            trace.push(obj([
-                ("name", Json::Str("process_name".into())),
-                ("ph", Json::Str("M".into())),
-                ("pid", Json::Int(3)),
-                ("tid", Json::Int(0)),
-                (
-                    "args",
-                    obj([("name", Json::Str("closed-form spans".into()))]),
-                ),
-            ]));
+            metadata(&mut w, "process_name", 3, 0, "closed-form spans");
         }
         // Reweight spans: initiation → enactment, cost in args.
         for span in &self.spans {
             let end = span.enacted_at.unwrap_or(span.initiated_at);
             let dur = end.checked_sub(span.initiated_at).unwrap_or(0).max(1);
-            trace.push(obj([
-                ("name", Json::Str(format!("reweight {}", span.rule))),
-                ("cat", Json::Str("reweight".into())),
-                ("ph", Json::Str("X".into())),
-                ("ts", slot_json(span.initiated_at)),
-                ("dur", slot_json(dur)),
-                ("pid", Json::Int(1)),
-                ("tid", span.task.to_json()),
-                (
-                    "args",
-                    obj([
-                        ("rule", Json::Str(span.rule.label().into())),
-                        ("halts", u64_json(span.halts)),
-                        ("queue_ops", u64_json(span.queue_ops)),
-                        ("total_cost", u64_json(span.total_cost())),
-                        ("initiated_at", slot_json(span.initiated_at)),
-                        ("enacted_at", span.enacted_at.to_json()),
-                        ("superseded", Json::Bool(span.superseded)),
-                    ]),
-                ),
-            ]));
+            let name = format!("reweight {}", span.rule);
+            open_slice(
+                &mut w,
+                &name,
+                "reweight",
+                span.initiated_at,
+                dur,
+                1,
+                span.task.0,
+            )
+            .field("rule", span.rule.label())
+            .field("halts", &span.halts)
+            .field("queue_ops", &span.queue_ops)
+            .field("total_cost", &span.total_cost())
+            .field("initiated_at", &span.initiated_at)
+            .field("enacted_at", &span.enacted_at)
+            .field("superseded", &span.superseded);
+            close_slice(&mut w);
         }
         for ev in &self.events {
             match ev {
                 ObsEvent::Schedule { task, index, t } => {
-                    trace.push(obj([
-                        ("name", Json::Str("run".into())),
-                        ("cat", Json::Str("schedule".into())),
-                        ("ph", Json::Str("X".into())),
-                        ("ts", slot_json(*t)),
-                        ("dur", Json::Int(1)),
-                        ("pid", Json::Int(1)),
-                        ("tid", task.to_json()),
-                        ("args", obj([("subtask", u64_json(*index))])),
-                    ]));
+                    open_slice(&mut w, "run", "schedule", *t, 1, 1, task.0).field("subtask", index);
+                    close_slice(&mut w);
                 }
                 ObsEvent::TrackerAdvance { task, from, to } => {
-                    let dur = to.checked_sub(*from).unwrap_or(0).max(1);
-                    trace.push(obj([
-                        ("name", Json::Str("advance_to".into())),
-                        ("cat", Json::Str("tracker".into())),
-                        ("ph", Json::Str("X".into())),
-                        ("ts", slot_json(*from)),
-                        ("dur", slot_json(dur)),
-                        ("pid", Json::Int(2)),
-                        ("tid", task.to_json()),
-                        (
-                            "args",
-                            obj([("width", slot_json(to.checked_sub(*from).unwrap_or(0)))]),
-                        ),
-                    ]));
+                    let width = to.checked_sub(*from).unwrap_or(0);
+                    open_slice(
+                        &mut w,
+                        "advance_to",
+                        "tracker",
+                        *from,
+                        width.max(1),
+                        2,
+                        task.0,
+                    )
+                    .field("width", &width);
+                    close_slice(&mut w);
                 }
                 ObsEvent::Halt { task, index, t } => {
-                    trace.push(instant("halt", "reweight", *t, *task, Some(*index)));
+                    instant(&mut w, "halt", "reweight", *t, *task, Some(*index));
                 }
                 ObsEvent::Preempt { task, t } => {
-                    trace.push(instant("preempt", "schedule", *t, *task, None));
+                    instant(&mut w, "preempt", "schedule", *t, *task, None);
                 }
                 ObsEvent::Release {
                     task,
@@ -249,35 +220,23 @@ impl TraceRecorder {
                     era_first: true,
                     ..
                 } => {
-                    trace.push(instant("era release", "release", *t, *task, Some(*index)));
+                    instant(&mut w, "era release", "release", *t, *task, Some(*index));
                 }
                 ObsEvent::ExecOverrun { task, t } => {
-                    trace.push(instant("overrun", "exec", *t, *task, None));
+                    instant(&mut w, "overrun", "exec", *t, *task, None);
                 }
                 ObsEvent::ExecSkip { task, t } => {
-                    trace.push(instant("skip", "exec", *t, *task, None));
+                    instant(&mut w, "skip", "exec", *t, *task, None);
                 }
                 ObsEvent::Miss { task, index, t, .. } => {
-                    trace.push(instant("miss", "deadline", *t, *task, Some(*index)));
+                    instant(&mut w, "miss", "deadline", *t, *task, Some(*index));
                 }
                 ObsEvent::QuietSpan { from, to, holes } => {
-                    let dur = to.checked_sub(*from).unwrap_or(0).max(1);
-                    trace.push(obj([
-                        ("name", Json::Str("quiet span".into())),
-                        ("cat", Json::Str("span".into())),
-                        ("ph", Json::Str("X".into())),
-                        ("ts", slot_json(*from)),
-                        ("dur", slot_json(dur)),
-                        ("pid", Json::Int(3)),
-                        ("tid", Json::Int(0)),
-                        (
-                            "args",
-                            obj([
-                                ("width", slot_json(to.checked_sub(*from).unwrap_or(0))),
-                                ("holes", u64_json(*holes)),
-                            ]),
-                        ),
-                    ]));
+                    let width = to.checked_sub(*from).unwrap_or(0);
+                    open_slice(&mut w, "quiet span", "span", *from, width.max(1), 3, 0)
+                        .field("width", &width)
+                        .field("holes", holes);
+                    close_slice(&mut w);
                 }
                 ObsEvent::BusySpanJump {
                     t0,
@@ -292,53 +251,83 @@ impl TraceRecorder {
                         .ok()
                         .and_then(|k| k.checked_mul(*period))
                         .unwrap_or(0);
-                    trace.push(obj([
-                        ("name", Json::Str("busy-span jump".into())),
-                        ("cat", Json::Str("span".into())),
-                        ("ph", Json::Str("X".into())),
-                        ("ts", slot_json(*t1)),
-                        ("dur", slot_json(width.max(1))),
-                        ("pid", Json::Int(3)),
-                        ("tid", Json::Int(0)),
-                        (
-                            "args",
-                            obj([
-                                ("t0", slot_json(*t0)),
-                                ("periods", u64_json(*periods)),
-                                ("period", slot_json(*period)),
-                                ("releases_per_period", u64_json(*releases)),
-                                ("schedules_per_period", u64_json(*schedules)),
-                                ("queue_ops_per_period", u64_json(*queue_ops)),
-                            ]),
-                        ),
-                    ]));
+                    open_slice(&mut w, "busy-span jump", "span", *t1, width.max(1), 3, 0)
+                        .field("t0", t0)
+                        .field("periods", periods)
+                        .field("period", period)
+                        .field("releases_per_period", releases)
+                        .field("schedules_per_period", schedules)
+                        .field("queue_ops_per_period", queue_ops);
+                    close_slice(&mut w);
                 }
                 _ => {}
             }
         }
-        obj([
-            ("displayTimeUnit", Json::Str("ms".into())),
-            ("traceEvents", Json::Array(trace)),
-        ])
+        w.end_array();
+        w.end_object();
+        w.into_string()
     }
 }
 
+/// A `ph: "M"` metadata event naming lane `tid` of process `pid`.
+fn metadata(w: &mut JsonWriter, kind: &str, pid: i64, tid: u32, name: &str) {
+    w.begin_object()
+        .field("name", kind)
+        .field("ph", "M")
+        .field("pid", &pid)
+        .field("tid", &tid)
+        .key("args");
+    w.begin_object().field("name", name);
+    w.end_object();
+    w.end_object();
+}
+
+/// Opens a `ph: "X"` complete event and its `args` object; the caller
+/// writes the args and [`close_slice`] closes both.
+fn open_slice<'w>(
+    w: &'w mut JsonWriter,
+    name: &str,
+    cat: &str,
+    ts: Slot,
+    dur: Slot,
+    pid: i64,
+    tid: u32,
+) -> &'w mut JsonWriter {
+    w.begin_object()
+        .field("name", name)
+        .field("cat", cat)
+        .field("ph", "X")
+        .field("ts", &ts)
+        .field("dur", &dur)
+        .field("pid", &pid)
+        .field("tid", &tid)
+        .key("args");
+    w.begin_object()
+}
+
+/// Closes the `args` object and the event [`open_slice`] opened.
+fn close_slice(w: &mut JsonWriter) {
+    w.end_object();
+    w.end_object();
+}
+
 /// A `ph: "i"` thread-scoped instant event.
-fn instant(name: &str, cat: &str, t: Slot, task: TaskId, index: Option<u64>) -> Json {
-    let args = match index {
-        Some(i) => obj([("subtask", u64_json(i))]),
-        None => Json::Object(Vec::new()),
-    };
-    obj([
-        ("name", Json::Str(name.into())),
-        ("cat", Json::Str(cat.into())),
-        ("ph", Json::Str("i".into())),
-        ("s", Json::Str("t".into())),
-        ("ts", slot_json(t)),
-        ("pid", Json::Int(1)),
-        ("tid", task.to_json()),
-        ("args", args),
-    ])
+fn instant(w: &mut JsonWriter, name: &str, cat: &str, t: Slot, task: TaskId, index: Option<u64>) {
+    w.begin_object()
+        .field("name", name)
+        .field("cat", cat)
+        .field("ph", "i")
+        .field("s", "t")
+        .field("ts", &t)
+        .field("pid", &1)
+        .field("tid", &task)
+        .key("args");
+    w.begin_object();
+    if let Some(i) = index {
+        w.field("subtask", &i);
+    }
+    w.end_object();
+    w.end_object();
 }
 
 /// Quiet spans and busy-span jumps are single collapsed events
@@ -422,6 +411,7 @@ impl Probe for TraceRecorder {
 mod tests {
     use super::*;
     use crate::probe::ReweightCost;
+    use pfair_json::Json;
 
     fn initiated(task: u32, t: Slot, rule: Rule, queue_ops: u64, halts: u64) -> ObsEvent {
         ObsEvent::ReweightInitiated {
@@ -551,9 +541,7 @@ mod tests {
             to: 8,
         });
 
-        let json = rec.chrome_trace();
-        let text = json.to_string_pretty();
-        assert_eq!(Json::parse(&text).unwrap(), json);
+        let json = Json::parse(&rec.chrome_trace()).unwrap();
 
         let Some(Json::Array(events)) = json.get("traceEvents") else {
             panic!("traceEvents missing");
@@ -610,7 +598,7 @@ mod tests {
             deadline: 5013,
         });
 
-        let json = rec.chrome_trace();
+        let json = Json::parse(&rec.chrome_trace()).unwrap();
         let Some(Json::Array(events)) = json.get("traceEvents") else {
             panic!("traceEvents missing");
         };

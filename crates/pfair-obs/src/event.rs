@@ -14,7 +14,7 @@ use crate::probe::{Refusal, ReweightCost, Rule};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
-use pfair_json::{obj, Json, ToJson};
+use pfair_json::{JsonWriter, ToJson};
 
 /// One typed engine/executor event, in emission order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -199,16 +199,9 @@ pub enum ObsEvent {
 // Events travel by value through every hook; keep them a cache line.
 const _: () = assert!(std::mem::size_of::<ObsEvent>() <= 64);
 
-pub(crate) fn slot_json(t: Slot) -> Json {
-    Json::Int(i128::from(t))
-}
-
-pub(crate) fn u64_json(v: u64) -> Json {
-    Json::Int(i128::from(v))
-}
-
 impl ToJson for ObsEvent {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
         match self {
             ObsEvent::Release {
                 task,
@@ -216,100 +209,83 @@ impl ToJson for ObsEvent {
                 t,
                 deadline,
                 era_first,
-            } => obj([
-                ("kind", Json::Str("release".into())),
-                ("task", task.to_json()),
-                ("index", u64_json(*index)),
-                ("t", slot_json(*t)),
-                ("deadline", slot_json(*deadline)),
-                ("era_first", Json::Bool(*era_first)),
-            ]),
-            ObsEvent::Schedule { task, index, t } => obj([
-                ("kind", Json::Str("schedule".into())),
-                ("task", task.to_json()),
-                ("index", u64_json(*index)),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::Preempt { task, t } => obj([
-                ("kind", Json::Str("preempt".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::Halt { task, index, t } => obj([
-                ("kind", Json::Str("halt".into())),
-                ("task", task.to_json()),
-                ("index", u64_json(*index)),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::StalePop { task, index, t } => obj([
-                ("kind", Json::Str("stale_pop".into())),
-                ("task", task.to_json()),
-                ("index", u64_json(*index)),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::StaleDrop { task, index, t } => obj([
-                ("kind", Json::Str("stale_drop".into())),
-                ("task", task.to_json()),
-                ("index", u64_json(*index)),
-                ("t", slot_json(*t)),
-            ]),
+            } => w
+                .field("kind", "release")
+                .field("task", task)
+                .field("index", index)
+                .field("t", t)
+                .field("deadline", deadline)
+                .field("era_first", era_first),
+            ObsEvent::Schedule { task, index, t } => w
+                .field("kind", "schedule")
+                .field("task", task)
+                .field("index", index)
+                .field("t", t),
+            ObsEvent::Preempt { task, t } => {
+                w.field("kind", "preempt").field("task", task).field("t", t)
+            }
+            ObsEvent::Halt { task, index, t } => w
+                .field("kind", "halt")
+                .field("task", task)
+                .field("index", index)
+                .field("t", t),
+            ObsEvent::StalePop { task, index, t } => w
+                .field("kind", "stale_pop")
+                .field("task", task)
+                .field("index", index)
+                .field("t", t),
+            ObsEvent::StaleDrop { task, index, t } => w
+                .field("kind", "stale_drop")
+                .field("task", task)
+                .field("index", index)
+                .field("t", t),
             ObsEvent::ReweightInitiated {
                 task,
                 t,
                 rule,
                 cost,
                 enact_at,
-            } => obj([
-                ("kind", Json::Str("reweight_initiated".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-                ("rule", Json::Str(rule.label().into())),
-                ("queue_ops", u64_json(cost.queue_ops)),
-                ("halts", u64_json(cost.halts)),
-                ("enact_at", slot_json(*enact_at)),
-            ]),
-            ObsEvent::Refused { task, t, reason } => obj([
-                ("kind", Json::Str("refused".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-                ("reason", Json::Str(reason.label().into())),
-            ]),
+            } => w
+                .field("kind", "reweight_initiated")
+                .field("task", task)
+                .field("t", t)
+                .field("rule", rule.label())
+                .field("queue_ops", &cost.queue_ops)
+                .field("halts", &cost.halts)
+                .field("enact_at", enact_at),
+            ObsEvent::Refused { task, t, reason } => w
+                .field("kind", "refused")
+                .field("task", task)
+                .field("t", t)
+                .field("reason", reason.label()),
             ObsEvent::ReweightEnacted {
                 task,
                 t,
                 initiated_at,
-            } => obj([
-                ("kind", Json::Str("reweight_enacted".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-                ("initiated_at", slot_json(*initiated_at)),
-            ]),
-            ObsEvent::TrackerAdvance { task, from, to } => obj([
-                ("kind", Json::Str("tracker_advance".into())),
-                ("task", task.to_json()),
-                ("from", slot_json(*from)),
-                ("to", slot_json(*to)),
-            ]),
-            ObsEvent::ExecOverrun { task, t } => obj([
-                ("kind", Json::Str("exec_overrun".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::ExecSkip { task, t } => obj([
-                ("kind", Json::Str("exec_skip".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-            ]),
-            ObsEvent::QuietSpan { from, to, holes } => obj([
-                ("kind", Json::Str("quiet_span".into())),
-                ("from", slot_json(*from)),
-                ("to", slot_json(*to)),
-                ("holes", u64_json(*holes)),
-            ]),
-            ObsEvent::SpanArmed { t0 } => obj([
-                ("kind", Json::Str("span_armed".into())),
-                ("t0", slot_json(*t0)),
-            ]),
+            } => w
+                .field("kind", "reweight_enacted")
+                .field("task", task)
+                .field("t", t)
+                .field("initiated_at", initiated_at),
+            ObsEvent::TrackerAdvance { task, from, to } => w
+                .field("kind", "tracker_advance")
+                .field("task", task)
+                .field("from", from)
+                .field("to", to),
+            ObsEvent::ExecOverrun { task, t } => w
+                .field("kind", "exec_overrun")
+                .field("task", task)
+                .field("t", t),
+            ObsEvent::ExecSkip { task, t } => w
+                .field("kind", "exec_skip")
+                .field("task", task)
+                .field("t", t),
+            ObsEvent::QuietSpan { from, to, holes } => w
+                .field("kind", "quiet_span")
+                .field("from", from)
+                .field("to", to)
+                .field("holes", holes),
+            ObsEvent::SpanArmed { t0 } => w.field("kind", "span_armed").field("t0", t0),
             ObsEvent::BusySpanJump {
                 t0,
                 t1,
@@ -318,35 +294,33 @@ impl ToJson for ObsEvent {
                 releases,
                 schedules,
                 queue_ops,
-            } => obj([
-                ("kind", Json::Str("busy_span_jump".into())),
-                ("t0", slot_json(*t0)),
-                ("t1", slot_json(*t1)),
-                ("periods", u64_json(*periods)),
-                ("period", slot_json(*period)),
-                ("releases", u64_json(*releases)),
-                ("schedules", u64_json(*schedules)),
-                ("queue_ops", u64_json(*queue_ops)),
-            ]),
+            } => w
+                .field("kind", "busy_span_jump")
+                .field("t0", t0)
+                .field("t1", t1)
+                .field("periods", periods)
+                .field("period", period)
+                .field("releases", releases)
+                .field("schedules", schedules)
+                .field("queue_ops", queue_ops),
             ObsEvent::Miss {
                 task,
                 index,
                 t,
                 deadline,
-            } => obj([
-                ("kind", Json::Str("miss".into())),
-                ("task", task.to_json()),
-                ("index", u64_json(*index)),
-                ("t", slot_json(*t)),
-                ("deadline", slot_json(*deadline)),
-            ]),
-            ObsEvent::DriftSample { task, t, drift } => obj([
-                ("kind", Json::Str("drift_sample".into())),
-                ("task", task.to_json()),
-                ("t", slot_json(*t)),
-                ("drift", drift.to_json()),
-            ]),
-        }
+            } => w
+                .field("kind", "miss")
+                .field("task", task)
+                .field("index", index)
+                .field("t", t)
+                .field("deadline", deadline),
+            ObsEvent::DriftSample { task, t, drift } => w
+                .field("kind", "drift_sample")
+                .field("task", task)
+                .field("t", t)
+                .field("drift", drift),
+        };
+        w.end_object();
     }
 }
 
@@ -356,6 +330,7 @@ mod tests {
     use crate::chrome::TraceRecorder;
     use crate::flight::FlightRecorder;
     use crate::probe::{Fanout, Probe};
+    use pfair_json::Json;
 
     /// One event of every variant.
     fn sample_events() -> Vec<ObsEvent> {
@@ -453,15 +428,15 @@ mod tests {
         ]
     }
 
-    /// The export parses back to the tree it printed, and every variant
-    /// has a `kind` of its own.
+    /// The export parses, both layouts to the same tree, and every
+    /// variant has a `kind` of its own.
     #[test]
     fn obs_events_export_one_kind_per_variant() {
         let sample = sample_events();
         let mut kinds = Vec::new();
         for ev in &sample {
-            let json = ev.to_json();
-            assert_eq!(Json::parse(&json.to_string_pretty()).unwrap(), json);
+            let json = Json::parse(&ev.to_json_pretty()).unwrap();
+            assert_eq!(Json::parse(&ev.to_json_compact()).unwrap(), json);
             let Some(Json::Str(kind)) = json.get("kind") else {
                 panic!("no kind on {ev:?}");
             };

@@ -7,9 +7,9 @@
 //! per slot). When a deadline miss is observed, the current ring
 //! contents are copied into a [`FlightIncident`] — the black-box
 //! snapshot of what led up to the failure — and recording continues.
-//! The whole state dumps to `pfair-json` ([`FlightRecorder::dump`]),
-//! which `pfair trace --flight` writes to disk; an explicit dump needs
-//! no incident at all.
+//! The whole state dumps to `pfair-json` (the recorder's [`ToJson`]
+//! rendering), which `pfair trace --flight` writes to disk; an explicit
+//! dump needs no incident at all.
 //!
 //! Everything is integer-exact and deterministic: the ring is a
 //! fixed-capacity `VecDeque` (256 events), incidents are capped (at 8),
@@ -20,7 +20,7 @@
 use crate::event::ObsEvent;
 use crate::probe::Probe;
 use pfair_core::time::Slot;
-use pfair_json::{obj, Json, ToJson};
+use pfair_json::{JsonWriter, ToJson};
 use std::collections::VecDeque;
 
 /// What froze the ring into a [`FlightIncident`].
@@ -62,15 +62,12 @@ pub struct FlightIncident {
 }
 
 impl ToJson for FlightIncident {
-    fn to_json(&self) -> Json {
-        obj([
-            ("trigger", Json::Str(self.trigger.label().into())),
-            ("t", Json::Int(i128::from(self.t))),
-            (
-                "events",
-                Json::Array(self.events.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("trigger", self.trigger.label())
+            .field("t", &self.t)
+            .field("events", &self.events);
+        w.end_object();
     }
 }
 
@@ -128,27 +125,6 @@ impl FlightRecorder {
         self.capture(FlightTrigger::Request, t);
     }
 
-    /// The full recorder state as JSON: the ring capacity, the live
-    /// ring, and every captured incident.
-    pub fn dump(&self) -> Json {
-        obj([
-            (
-                "capacity",
-                Json::Int(i128::try_from(CAPACITY).unwrap_or(i128::MAX)),
-            ),
-            ("dropped", Json::Int(i128::from(self.dropped))),
-            ("suppressed", Json::Int(i128::from(self.suppressed))),
-            (
-                "events",
-                Json::Array(self.ring.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "incidents",
-                Json::Array(self.incidents.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-
     fn push(&mut self, ev: ObsEvent) {
         while self.ring.len() >= CAPACITY {
             self.ring.pop_front();
@@ -170,6 +146,25 @@ impl FlightRecorder {
     }
 }
 
+/// The dump: the ring capacity, the live ring and every captured
+/// incident.
+impl ToJson for FlightRecorder {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("capacity", &CAPACITY)
+            .field("dropped", &self.dropped)
+            .field("suppressed", &self.suppressed)
+            .key("events");
+        w.begin_array();
+        for ev in &self.ring {
+            ev.write_json(w);
+        }
+        w.end_array();
+        w.field("incidents", &self.incidents);
+        w.end_object();
+    }
+}
+
 impl Probe for FlightRecorder {
     fn on_event(&mut self, ev: ObsEvent) {
         self.push(ev);
@@ -184,6 +179,7 @@ mod tests {
     use super::*;
     use pfair_core::rational::rat;
     use pfair_core::task::TaskId;
+    use pfair_json::Json;
 
     fn schedule(t: Slot) -> ObsEvent {
         ObsEvent::Schedule {
@@ -270,9 +266,7 @@ mod tests {
         fr.capture_now(160_012);
         assert_eq!(fr.recent().count(), 2);
 
-        let dump = fr.dump();
-        let text = dump.to_string_pretty();
-        let parsed = pfair_json::Json::parse(&text).expect("dump parses");
+        let parsed = Json::parse(&fr.to_json_pretty()).expect("dump parses");
         assert_eq!(parsed.get("dropped").and_then(Json::as_int), Some(0));
         let Some(Json::Array(events)) = parsed.get("events") else {
             panic!("events missing");

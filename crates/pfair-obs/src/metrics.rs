@@ -11,10 +11,10 @@
 //! allocation, no data-dependent layout — snapshots of identical runs
 //! are byte-identical regardless of arrival order.
 
-use crate::event::{u64_json, ObsEvent};
+use crate::event::ObsEvent;
 use crate::probe::{Probe, ReleaseRec, Rule};
 use pfair_core::time::Slot;
-use pfair_json::{FromJson, Json, JsonError, ToJson};
+use pfair_json::{FromJson, Json, JsonError, JsonWriter, ToJson};
 
 /// Number of histogram buckets: bucket 0 for the value 0, buckets
 /// 1..=64 for the 64 possible bit lengths of a `u64`.
@@ -143,21 +143,22 @@ impl Histogram {
 }
 
 impl ToJson for Histogram {
-    fn to_json(&self) -> Json {
-        let buckets = self
-            .buckets()
-            .into_iter()
-            .map(|(lo, hi, c)| Json::Array(vec![u64_json(lo), u64_json(hi), u64_json(c)]))
-            .collect();
-        pfair_json::obj([
-            ("count", u64_json(self.count)),
-            (
-                "sum",
-                Json::Int(i128::try_from(self.sum).unwrap_or(i128::MAX)),
-            ),
-            ("max", u64_json(self.max)),
-            ("buckets", Json::Array(buckets)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("count", &self.count)
+            .field("sum", &i128::try_from(self.sum).unwrap_or(i128::MAX))
+            .field("max", &self.max)
+            .key("buckets");
+        w.begin_array();
+        for (lo, hi, c) in self.buckets() {
+            w.begin_array();
+            w.int(i128::from(lo));
+            w.int(i128::from(hi));
+            w.int(i128::from(c));
+            w.end_array();
+        }
+        w.end_array();
+        w.end_object();
     }
 }
 
@@ -320,14 +321,10 @@ impl Registry {
     /// produce byte-identical snapshots.
     pub fn snapshot_text(&self) -> String {
         let mut out = String::new();
-        let mut counters: Vec<&(String, u64)> = self.counters.iter().collect();
-        counters.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (name, v) in counters {
+        for (name, v) in by_name(&self.counters) {
             out.push_str(&format!("counter {name} = {v}\n"));
         }
-        let mut hists: Vec<&(String, Histogram)> = self.histograms.iter().collect();
-        hists.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (name, h) in hists {
+        for (name, h) in by_name(&self.histograms) {
             out.push_str(&format!(
                 "hist {name}: count={} sum={} max={}",
                 h.count(),
@@ -348,23 +345,20 @@ impl Registry {
 }
 
 impl ToJson for Registry {
-    fn to_json(&self) -> Json {
-        let mut counters: Vec<(String, Json)> = self
-            .counters
-            .iter()
-            .map(|(n, v)| (n.clone(), u64_json(*v)))
-            .collect();
-        counters.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut hists: Vec<(String, Json)> = self
-            .histograms
-            .iter()
-            .map(|(n, h)| (n.clone(), h.to_json()))
-            .collect();
-        hists.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        pfair_json::obj([
-            ("counters", Json::Object(counters)),
-            ("histograms", Json::Object(hists)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object().key("counters");
+        w.begin_object();
+        for (name, v) in by_name(&self.counters) {
+            w.field(name, v);
+        }
+        w.end_object();
+        w.key("histograms");
+        w.begin_object();
+        for (name, h) in by_name(&self.histograms) {
+            w.field(name, h);
+        }
+        w.end_object();
+        w.end_object();
     }
 }
 
@@ -390,6 +384,14 @@ impl FromJson for Registry {
         }
         Ok(reg)
     }
+}
+
+/// `entries` sorted by name: the canonical order of both of a
+/// registry's renderings.
+fn by_name<T>(entries: &[(String, T)]) -> Vec<&(String, T)> {
+    let mut sorted: Vec<&(String, T)> = entries.iter().collect();
+    sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    sorted
 }
 
 /// Width of a slot interval as a `u64` (0 when `to ≤ from`).
@@ -601,8 +603,7 @@ mod tests {
         r.inc("a", 3);
         r.record("h", 0);
         r.record("h", 9);
-        let json = r.to_json();
-        let text = json.to_string_pretty();
+        let text = r.to_json_pretty();
         let parsed = Json::parse(&text).unwrap();
         let back = Registry::from_json(&parsed).unwrap();
         assert_eq!(back.counter("a"), 3);
@@ -610,7 +611,7 @@ mod tests {
         assert_eq!(back.histogram("h").unwrap().count(), 2);
         assert_eq!(back.histogram("h").unwrap().sum(), 9);
         // Canonical form survives the round trip byte-for-byte.
-        assert_eq!(back.to_json().to_string_pretty(), text);
+        assert_eq!(back.to_json_pretty(), text);
     }
 
     #[test]

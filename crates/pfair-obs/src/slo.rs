@@ -18,13 +18,13 @@
 //! construction, so a span contributes nothing and costs O(1).
 //!
 //! Rendered by [`SloMonitor::report`] and the `pfair slo` subcommand;
-//! serialized by [`SloMonitor::to_json`].
+//! serialized by the monitor's [`ToJson`] rendering.
 
 use crate::event::ObsEvent;
 use crate::probe::{Probe, ReleaseRec};
 use pfair_core::rational::Rational;
 use pfair_core::time::Slot;
-use pfair_json::{obj, Json, ToJson};
+use pfair_json::{JsonWriter, ToJson};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
@@ -95,13 +95,13 @@ pub struct SloBreach {
 }
 
 impl ToJson for SloBreach {
-    fn to_json(&self) -> Json {
-        obj([
-            ("kind", Json::Str(self.kind.label().into())),
-            ("t", Json::Int(i128::from(self.t))),
-            ("observed", self.observed.to_json()),
-            ("threshold", self.threshold.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("kind", self.kind.label())
+            .field("t", &self.t)
+            .field("observed", &self.observed)
+            .field("threshold", &self.threshold);
+        w.end_object();
     }
 }
 
@@ -200,54 +200,6 @@ impl SloMonitor {
             observed,
             threshold,
         });
-    }
-
-    /// The monitor state as JSON: thresholds, watermarks, breaches.
-    pub fn to_json(&self) -> Json {
-        obj([
-            (
-                "config",
-                obj([
-                    ("window", Json::Int(i128::from(self.cfg.window))),
-                    ("max_misses", Json::Int(i128::from(self.cfg.max_misses))),
-                    ("drift_budget", self.cfg.drift_budget.to_json()),
-                    (
-                        "max_reweight_latency",
-                        self.cfg.max_reweight_latency.map(i128::from).to_json(),
-                    ),
-                ]),
-            ),
-            (
-                "watermarks",
-                obj([
-                    ("misses_total", Json::Int(i128::from(self.misses_total))),
-                    (
-                        "peak_window_misses",
-                        Json::Int(i128::from(self.peak_window_misses)),
-                    ),
-                    ("peak_window_at", Json::Int(i128::from(self.peak_window_at))),
-                    ("max_abs_drift", self.max_abs_drift.to_json()),
-                    (
-                        "max_abs_drift_at",
-                        Json::Int(i128::from(self.max_abs_drift_at)),
-                    ),
-                    ("drift_samples", Json::Int(i128::from(self.drift_samples))),
-                    (
-                        "max_reweight_latency",
-                        Json::Int(i128::from(self.max_latency)),
-                    ),
-                    (
-                        "max_reweight_latency_at",
-                        Json::Int(i128::from(self.max_latency_at)),
-                    ),
-                ]),
-            ),
-            (
-                "breaches",
-                Json::Array(self.breaches.iter().map(ToJson::to_json).collect()),
-            ),
-            ("suppressed", Json::Int(i128::from(self.suppressed))),
-        ])
     }
 
     /// A human-readable report of thresholds, watermarks, and
@@ -374,6 +326,34 @@ impl SloMonitor {
     }
 }
 
+/// The monitor state: thresholds, watermarks, breaches.
+impl ToJson for SloMonitor {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let cfg = &self.cfg;
+        w.begin_object().key("config");
+        w.begin_object()
+            .field("window", &cfg.window)
+            .field("max_misses", &cfg.max_misses)
+            .field("drift_budget", &cfg.drift_budget)
+            .field("max_reweight_latency", &cfg.max_reweight_latency);
+        w.end_object();
+        w.key("watermarks");
+        w.begin_object()
+            .field("misses_total", &self.misses_total)
+            .field("peak_window_misses", &self.peak_window_misses)
+            .field("peak_window_at", &self.peak_window_at)
+            .field("max_abs_drift", &self.max_abs_drift)
+            .field("max_abs_drift_at", &self.max_abs_drift_at)
+            .field("drift_samples", &self.drift_samples)
+            .field("max_reweight_latency", &self.max_latency)
+            .field("max_reweight_latency_at", &self.max_latency_at);
+        w.end_object();
+        w.field("breaches", &self.breaches)
+            .field("suppressed", &self.suppressed);
+        w.end_object();
+    }
+}
+
 /// Verified spans contain no misses, reweights, or era openings, so a
 /// span contributes nothing to any signal.
 impl Probe for SloMonitor {
@@ -397,6 +377,7 @@ mod tests {
     use super::*;
     use pfair_core::rational::rat;
     use pfair_core::task::TaskId;
+    use pfair_json::Json;
 
     fn miss(index: u64, t: Slot) -> ObsEvent {
         ObsEvent::Miss {
@@ -493,9 +474,7 @@ mod tests {
         assert!(report.contains("[miss_rate] at slot 40"));
         assert!(report.contains("[drift_budget] at slot 41: observed 5/2 > threshold 2"));
 
-        let json = m.to_json();
-        let text = json.to_string_pretty();
-        let parsed = Json::parse(&text).expect("report json parses");
+        let parsed = Json::parse(&m.to_json_pretty()).expect("report json parses");
         let Some(Json::Array(breaches)) = parsed.get("breaches") else {
             panic!("breaches missing");
         };

@@ -36,7 +36,7 @@
 //! scripts and both engine drivers.
 
 use pfair_core::time::Slot;
-use pfair_json::{obj, FromJson, Json, JsonError, ToJson};
+use pfair_json::{FromJson, Json, JsonError, JsonWriter, ToJson};
 use pfair_obs::{NoopProbe, Probe};
 use pfair_sched::engine::{Engine, EngineSnapshot, SimConfig};
 use pfair_sched::event::{Event, Workload};
@@ -111,18 +111,31 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The checksum of a body: FNV-1a-64 of its compact canonical
 /// encoding, as 16 lowercase hex digits.
-fn checksum_of(body: &Json) -> String {
-    format!("{:016x}", fnv1a64(body.to_string().as_bytes()))
+fn checksum(compact: &str) -> String {
+    format!("{:016x}", fnv1a64(compact.as_bytes()))
 }
 
-/// Wraps a body in a versioned, checksummed envelope.
-pub fn seal(format: &str, body: Json) -> Json {
-    obj([
-        ("format", format.to_string().to_json()),
-        ("version", Json::Int(FORMAT_VERSION)),
-        ("checksum", checksum_of(&body).to_json()),
-        ("body", body),
-    ])
+/// A body in its versioned, checksummed envelope.
+struct Sealed<'a, T: ?Sized> {
+    format: &'a str,
+    body: &'a T,
+}
+
+impl<T: ToJson + ?Sized> ToJson for Sealed<'_, T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("format", self.format)
+            .field("version", &FORMAT_VERSION)
+            .field("checksum", &checksum(&self.body.to_json_compact()))
+            .field("body", self.body);
+        w.end_object();
+    }
+}
+
+/// Wraps a body in a versioned, checksummed envelope, to be rendered in
+/// either layout.
+pub fn seal<'a, T: ToJson + ?Sized>(format: &'a str, body: &'a T) -> impl ToJson + 'a {
+    Sealed { format, body }
 }
 
 /// Opens an envelope: checks the format tag, the version, and the
@@ -148,7 +161,7 @@ pub fn open(format: &str, envelope: &Json) -> Result<Json, PersistError> {
     let body = envelope
         .get("body")
         .ok_or_else(|| PersistError::Format("missing envelope body".to_string()))?;
-    let actual = checksum_of(body);
+    let actual = checksum(&body.to_json_compact());
     if stated != actual {
         return Err(PersistError::Format(format!(
             "checksum mismatch: envelope states {stated}, body hashes to {actual}"
@@ -162,7 +175,7 @@ pub fn open(format: &str, envelope: &Json) -> Result<Json, PersistError> {
 /// Serializes a snapshot into its on-disk envelope text (pretty-printed;
 /// the checksum covers the compact body, so formatting is free).
 pub fn snapshot_to_string(snapshot: &EngineSnapshot) -> String {
-    let mut out = seal(SNAPSHOT_FORMAT, snapshot.to_json()).to_string_pretty();
+    let mut out = seal(SNAPSHOT_FORMAT, snapshot).to_json_pretty();
     out.push('\n');
     out
 }
@@ -200,24 +213,19 @@ pub struct Journal {
     next_seq: u64,
 }
 
-fn entry_body(seq: u64, event: &Event) -> Json {
-    obj([("seq", seq.to_json()), ("event", event.to_json())])
-}
-
-fn entry_line(seq: u64, event: &Event) -> Json {
-    let body = entry_body(seq, event);
-    obj([
-        ("seq", seq.to_json()),
-        ("event", event.to_json()),
-        ("checksum", checksum_of(&body).to_json()),
-    ])
+/// The checksum of a journal entry, over its `{"seq", "event"}` prefix.
+fn entry_checksum(seq: u64, event: &Event) -> String {
+    let mut w = JsonWriter::compact();
+    w.begin_object().field("seq", &seq).field("event", event);
+    w.end_object();
+    checksum(&w.into_string())
 }
 
 impl Journal {
     /// Creates (truncating) a journal at `path` and writes its header.
     pub fn create(path: &Path) -> Result<Journal, PersistError> {
-        let header = seal(JOURNAL_FORMAT, Json::Null);
-        let mut text = header.to_string();
+        // The header carries no body: `null`.
+        let mut text = seal(JOURNAL_FORMAT, &()).to_json_compact();
         text.push('\n');
         fs::write(path, text).map_err(|e| io_err(path, &e))?;
         Ok(Journal {
@@ -228,7 +236,13 @@ impl Journal {
 
     /// Appends one admitted event and flushes it to disk.
     pub fn append(&mut self, event: &Event) -> Result<(), PersistError> {
-        let mut line = entry_line(self.next_seq, event).to_string();
+        let mut w = JsonWriter::compact();
+        w.begin_object()
+            .field("seq", &self.next_seq)
+            .field("event", event)
+            .field("checksum", &entry_checksum(self.next_seq, event));
+        w.end_object();
+        let mut line = w.into_string();
         line.push('\n');
         let mut file = fs::OpenOptions::new()
             .append(true)
@@ -272,7 +286,7 @@ pub fn read_journal(path: &Path) -> Result<Vec<Event>, PersistError> {
         }
         let event: Event = entry.field("event")?;
         let stated: String = entry.field("checksum")?;
-        let actual = checksum_of(&entry_body(seq, &event));
+        let actual = entry_checksum(seq, &event);
         if stated != actual {
             return Err(PersistError::Format(format!(
                 "journal entry {seq} checksum mismatch: stated {stated}, hashes to {actual}"
@@ -359,13 +373,14 @@ mod tests {
 
     #[test]
     fn envelope_round_trips_and_detects_tampering() {
-        let body = obj([("x", 7u64.to_json())]);
-        let sealed = seal(SNAPSHOT_FORMAT, body.clone());
+        let body = Json::parse(r#"{"x":7}"#).unwrap();
+        let text = seal(SNAPSHOT_FORMAT, &body).to_json_compact();
+        let sealed = Json::parse(&text).unwrap();
         assert_eq!(open(SNAPSHOT_FORMAT, &sealed).unwrap(), body);
         // Wrong format tag.
         assert!(open(JOURNAL_FORMAT, &sealed).is_err());
         // Tampered body.
-        let text = sealed.to_string().replace("\"x\":7", "\"x\":8");
+        let text = text.replace("\"x\":7", "\"x\":8");
         let reparsed = Json::parse(&text).unwrap();
         assert!(matches!(
             open(SNAPSHOT_FORMAT, &reparsed),
@@ -380,7 +395,7 @@ mod tests {
         let snap = engine.snapshot_at(9).unwrap();
         write_snapshot(&path, &snap).unwrap();
         let back = read_snapshot(&path).unwrap();
-        assert_eq!(snap.to_json(), back.to_json());
+        assert_eq!(snap.to_json_compact(), back.to_json_compact());
         std::fs::remove_file(&path).ok();
     }
 
@@ -471,8 +486,8 @@ mod tests {
         for segments in [1, 2, 3, 7] {
             let segmented = run_segments(config.clone(), &w, segments).unwrap();
             assert_eq!(
-                reference.to_json().to_string_pretty(),
-                segmented.to_json().to_string_pretty(),
+                reference.to_json_pretty(),
+                segmented.to_json_pretty(),
                 "{segments} segments"
             );
         }

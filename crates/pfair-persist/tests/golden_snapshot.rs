@@ -8,7 +8,7 @@
 
 use pfair_json::{Json, ToJson};
 use pfair_obs::NoopProbe;
-use pfair_persist::{snapshot_from_str, snapshot_to_string};
+use pfair_persist::{seal, snapshot_from_str, snapshot_to_string, PersistError, SNAPSHOT_FORMAT};
 use pfair_sched::engine::Engine;
 
 const SNAPSHOT: &str = include_str!("fixtures/oi_midrun.snapshot.json");
@@ -64,10 +64,10 @@ fn parent_written_snapshot_resumes_to_the_parents_result() {
     .expect("restore");
     engine.run();
     resumed.run();
-    let mut rendered = engine.finish().to_json().to_string_pretty();
+    let mut rendered = engine.finish().to_json_pretty();
     rendered.push('\n');
     assert_eq!(rendered, RESULT);
-    let mut rendered = resumed.finish().to_json().to_string_pretty();
+    let mut rendered = resumed.finish().to_json_pretty();
     rendered.push('\n');
     assert_eq!(rendered, RESULT);
 }
@@ -83,22 +83,15 @@ fn journal_lines_match_the_golden() {
     use pfair_sched::event::{Event, EventKind};
 
     let events = [
-        Event {
-            at: 0,
-            task: TaskId(0),
-            kind: EventKind::Join(Weight::new(rat(1, 3))),
-        },
-        Event {
-            at: 4,
-            task: TaskId(0),
-            kind: EventKind::Reweight(Weight::new(rat(1, 2))),
-        },
-        Event {
-            at: 7,
-            task: TaskId(0),
-            kind: EventKind::Delay(3),
-        },
-    ];
+        (0, EventKind::Join(Weight::new(rat(1, 3)))),
+        (4, EventKind::Reweight(Weight::new(rat(1, 2)))),
+        (7, EventKind::Delay(3)),
+    ]
+    .map(|(at, kind)| Event {
+        at,
+        task: TaskId(0),
+        kind,
+    });
     let path = std::env::temp_dir().join(format!("pfair-golden-journal-{}", std::process::id()));
     let mut journal = Journal::create(&path).expect("create the journal");
     for event in &events {
@@ -108,4 +101,32 @@ fn journal_lines_match_the_golden() {
     assert_eq!(written, JOURNAL);
     assert_eq!(read_journal(&path).expect("journal reads back"), events);
     std::fs::remove_file(&path).ok();
+}
+
+/// The counters decode strictly: a sealed body whose counters lack
+/// `compactions` is a format error, not a zero.
+#[test]
+fn a_snapshot_without_compactions_is_a_decode_error() {
+    let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
+    let mut body = envelope.get("body").expect("envelope body").clone();
+    let Json::Object(fields) = &mut body else {
+        panic!("the body is an object");
+    };
+    let Some((_, Json::Object(counters))) = fields.iter_mut().find(|(k, _)| k == "counters") else {
+        panic!("the body holds counters");
+    };
+    let before = counters.len();
+    counters.retain(|(k, _)| k != "compactions");
+    assert_eq!(
+        counters.len(),
+        before - 1,
+        "the fixture carries `compactions`"
+    );
+    let text = seal(SNAPSHOT_FORMAT, &body).to_json_pretty();
+    match snapshot_from_str(&text) {
+        Err(PersistError::Format(message)) => {
+            assert!(message.contains("compactions"), "{message}");
+        }
+        other => panic!("decoded without `compactions`: {other:?}"),
+    }
 }

@@ -39,7 +39,7 @@ fn assert_recovery_matches(w: &Workload, cfg: SimConfig, snap_at: i64) {
     let mut engine = Engine::with_probe(cfg, w, MetricsProbe::new());
     let snapshot = engine.snapshot_at(snap_at).expect("snapshot");
     let snapshot_text = snapshot_to_string(&snapshot);
-    let registry_text = engine.probe_mut().registry().to_json().to_string_pretty();
+    let registry_text = engine.probe_mut().registry().to_json_pretty();
     drop(engine); // process death: only the two texts survive
 
     let recovered = snapshot_from_str(&snapshot_text).expect("snapshot recovers");
@@ -52,8 +52,8 @@ fn assert_recovery_matches(w: &Workload, cfg: SimConfig, snap_at: i64) {
 
     // One canonical rendering covers every field SimResult reports.
     assert_eq!(
-        reference.to_json().to_string_pretty(),
-        result.to_json().to_string_pretty(),
+        reference.to_json_pretty(),
+        result.to_json_pretty(),
         "rendered SimResult diverged after recovery at slot {snap_at}"
     );
     // Field-level spot checks keep failures readable.
@@ -124,8 +124,8 @@ proptest! {
         let reference = simulate(cfg.clone(), &w);
         let segmented = run_segments(cfg, &w, segments).expect("segmented run");
         prop_assert_eq!(
-            reference.to_json().to_string_pretty(),
-            segmented.to_json().to_string_pretty()
+            reference.to_json_pretty(),
+            segmented.to_json_pretty()
         );
     }
 }
@@ -216,8 +216,8 @@ fn journal_replay_recovers_post_snapshot_events() {
     replay(&mut resumed, &replayed);
     resumed.run();
     assert_eq!(
-        reference.to_json().to_string_pretty(),
-        resumed.finish().to_json().to_string_pretty()
+        reference.to_json_pretty(),
+        resumed.finish().to_json_pretty()
     );
     std::fs::remove_file(&path).ok();
 }

@@ -119,18 +119,18 @@ proptest! {
     /// Events (the journal payload) encode canonically.
     #[test]
     fn event_encoding_is_canonical(event in arb_event()) {
-        let first = event.to_json().to_string();
+        let first = event.to_json_compact();
         let back = Event::from_json(&Json::parse(&first).expect("parse")).expect("decode");
-        prop_assert_eq!(first, back.to_json().to_string());
+        prop_assert_eq!(first, back.to_json_compact());
     }
 
     /// Configs (schemes, tie-breaks, admission policies) encode
     /// canonically.
     #[test]
     fn config_encoding_is_canonical(cfg in arb_config()) {
-        let first = cfg.to_json().to_string();
+        let first = cfg.to_json_compact();
         let back = SimConfig::from_json(&Json::parse(&first).expect("parse")).expect("decode");
-        prop_assert_eq!(first, back.to_json().to_string());
+        prop_assert_eq!(first, back.to_json_compact());
     }
 
     /// Full snapshot envelopes encode canonically: encode → decode →
@@ -227,10 +227,10 @@ proptest! {
     /// The envelope rejects wrong formats and future versions outright.
     #[test]
     fn envelope_rejects_foreign_and_future_artifacts(n in 0u64..1000) {
-        let body = pfair_json::obj([("n", n.to_json())]);
-        let sealed = seal(SNAPSHOT_FORMAT, body.clone());
+        let text = seal(SNAPSHOT_FORMAT, &n).to_json_compact();
+        let sealed = Json::parse(&text).expect("parse");
         prop_assert!(open(JOURNAL_FORMAT, &sealed).is_err());
-        let future = sealed.to_string().replace("\"version\":1", "\"version\":2");
+        let future = text.replace("\"version\":1", "\"version\":2");
         let reparsed = Json::parse(&future).expect("parse");
         prop_assert!(open(SNAPSHOT_FORMAT, &reparsed).is_err());
     }

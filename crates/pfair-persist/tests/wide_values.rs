@@ -7,7 +7,7 @@
 //! re-seals it so the checksum holds, and decodes. The journal case
 //! writes one entry whose event asks for such a weight.
 
-use pfair_json::{obj, Json};
+use pfair_json::{Json, ToJson};
 use pfair_obs::NoopProbe;
 use pfair_persist::{
     fnv1a64, read_journal, seal, snapshot_from_str, Journal, PersistError, SNAPSHOT_FORMAT,
@@ -46,7 +46,8 @@ fn with_den(path: &[Step], den: i128) -> String {
     let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
     let mut body = envelope.get("body").expect("envelope body").clone();
     *node(&mut body, path) = Json::Int(den);
-    seal(SNAPSHOT_FORMAT, body).to_string_pretty()
+    let text = seal(SNAPSHOT_FORMAT, &body).to_json_pretty();
+    text
 }
 
 /// Task 5 joined at 1/100 and has a decrease to 1/200 parked; task 4's
@@ -90,8 +91,8 @@ fn weight_paths() -> Vec<(&'static str, Vec<Step>)> {
 #[test]
 fn the_resealed_fixture_still_decodes() {
     let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
-    let body = envelope.get("body").expect("envelope body").clone();
-    let text = seal(SNAPSHOT_FORMAT, body).to_string_pretty();
+    let body = envelope.get("body").expect("envelope body");
+    let text = seal(SNAPSHOT_FORMAT, body).to_json_pretty();
     assert!(snapshot_from_str(&text).is_ok());
     // And the edit helper changes what it names: 100 is task 5's join.
     let same = with_den(
@@ -135,17 +136,12 @@ fn a_journal_entry_beyond_64_bits_is_a_format_error() {
     for den in WIDE {
         // A well-formed entry, checksum included, whose event asks for
         // weight 1/den: only the weight is wrong.
-        let event = Json::parse(&format!(
+        let event = format!(
             r#"{{"at":3,"task":1,"event":{{"kind":"reweight","weight":{{"num":1,"den":{den}}}}}}}"#
-        ))
-        .expect("event parses");
-        let body = obj([("seq", Json::Int(0)), ("event", event.clone())]);
-        let checksum = format!("{:016x}", fnv1a64(body.to_string().as_bytes()));
-        let line = obj([
-            ("seq", Json::Int(0)),
-            ("event", event),
-            ("checksum", Json::Str(checksum)),
-        ]);
+        );
+        let prefix = format!(r#"{{"seq":0,"event":{event}}}"#);
+        let checksum = format!("{:016x}", fnv1a64(prefix.as_bytes()));
+        let line = format!(r#"{{"seq":0,"event":{event},"checksum":"{checksum}"}}"#);
         std::fs::write(&path, format!("{header}{line}\n")).expect("write journal");
         match read_journal(&path) {
             Err(PersistError::Format(message)) => {
@@ -177,7 +173,7 @@ fn a_ledger_sum_beyond_i128_is_refused_at_restore() {
         *node(&mut body, &[Key("committed"), At(slot), Key("num")]) = Json::Int(1);
         *node(&mut body, &[Key("committed"), At(slot), Key("den")]) = Json::Int(p);
     }
-    let text = seal(SNAPSHOT_FORMAT, body).to_string_pretty();
+    let text = seal(SNAPSHOT_FORMAT, &body).to_json_pretty();
     let snapshot = snapshot_from_str(&text).expect("every commitment is a 64-bit weight");
     let refused = Engine::restore(snapshot, NoopProbe).err();
     assert!(

@@ -40,11 +40,11 @@ pub enum AdmissionPolicy {
 }
 
 impl pfair_json::ToJson for AdmissionPolicy {
-    fn to_json(&self) -> pfair_json::Json {
-        match self {
-            AdmissionPolicy::Trusting => "trusting".to_string().to_json(),
-            AdmissionPolicy::Police => "police".to_string().to_json(),
-        }
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.string(match self {
+            AdmissionPolicy::Trusting => "trusting",
+            AdmissionPolicy::Police => "police",
+        });
     }
 }
 

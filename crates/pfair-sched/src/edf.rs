@@ -208,27 +208,24 @@ pub fn run_edf(
             match ev.kind {
                 EventKind::Join(w) => {
                     let w = w.value();
-                    // A rejoin starts global EDF's totals afresh;
-                    // partitioned EDF keeps them.
-                    let (placed, (ps_total, scheduled)) = match baseline {
-                        EdfBaseline::Global(_) => (Some(0), (Rational::ZERO, 0)),
-                        EdfBaseline::Partitioned => (
-                            first_fit(&tasks, pools, i, w),
-                            (tasks[i].ps_total, tasks[i].scheduled),
-                        ),
+                    let placed = match baseline {
+                        EdfBaseline::Global(_) => Some(0),
+                        EdfBaseline::Partitioned => first_fit(&tasks, pools, i, w),
                     };
                     let Some(pool) = placed else {
                         rejected_joins += 1;
                         continue;
                     };
+                    // A rejoin keeps the task's totals, as the PD²
+                    // engine's result row does.
                     tasks[i] = EdfTask {
                         active: true,
                         pool,
                         weight: w,
                         next_release: t,
                         ps_wt: w,
-                        ps_total,
-                        scheduled,
+                        ps_total: tasks[i].ps_total,
+                        scheduled: tasks[i].scheduled,
                         ..ABSENT
                     };
                 }
@@ -394,16 +391,16 @@ mod tests {
     }
 
     #[test]
-    fn rejoin_resets_global_totals_and_keeps_partitioned_ones() {
+    fn rejoin_keeps_the_totals_under_every_baseline() {
         // Quanta at 0, 2, 4 before the leave, then 10, 12, …, 18.
         let mut w = Workload::new();
         w.join(0, 0, 1, 2);
         w.leave(0, 6);
         w.join(0, 10, 1, 2);
-        for (baseline, totals) in [(BOUNDARY, 5), (IMMEDIATE, 5), (PARTITIONED, 8)] {
+        for baseline in [BOUNDARY, IMMEDIATE, PARTITIONED] {
             let run = run_edf(1, 20, &w, baseline);
-            assert_eq!(run.scheduled, [totals], "{baseline:?}");
-            assert_eq!(run.ps_totals, [Rational::from_int(i128::from(totals))]);
+            assert_eq!(run.scheduled, [8], "{baseline:?}");
+            assert_eq!(run.ps_totals, [Rational::from_int(8)], "{baseline:?}");
             assert!(run.misses.is_empty());
         }
     }

@@ -1216,10 +1216,7 @@ mod tests {
                 assert!(t.ps_total.is_zero() && t.icsw_total.is_zero());
                 assert!(t.drift.samples().is_empty());
             }
-            assert_eq!(
-                lazy.to_json().to_string_pretty(),
-                built.to_json().to_string_pretty()
-            );
+            assert_eq!(lazy.to_json_pretty(), built.to_json_pretty());
         }
     }
 
@@ -1358,10 +1355,7 @@ mod tests {
         let fast = e.finish();
         assert!(!fast.is_miss_free());
         let oracle = simulate(cfg.per_slot(), &w);
-        assert_eq!(
-            fast.to_json().to_string_pretty(),
-            oracle.to_json().to_string_pretty()
-        );
+        assert_eq!(fast.to_json_pretty(), oracle.to_json_pretty());
     }
 
     /// Holes are counted: an under-utilized system idles processors.
@@ -1533,8 +1527,7 @@ mod tests {
         // The superseded decrease never enacts; its replacement does.
         assert_eq!(spans.iter().filter(|s| s.superseded).count(), 1);
         // The trace export stays parseable.
-        let text = rec.chrome_trace().to_string_pretty();
-        assert!(pfair_json::Json::parse(&text).is_ok());
+        assert!(pfair_json::Json::parse(&rec.chrome_trace()).is_ok());
     }
 
     /// The NoopProbe run and a probed run agree on results: probes
@@ -1592,8 +1585,8 @@ mod tests {
         };
         assert_eq!(refused, [expected]);
         assert_eq!(
-            result.to_json().to_string(),
-            simulate(config, &once).to_json().to_string()
+            result.to_json_compact(),
+            simulate(config, &once).to_json_compact()
         );
     }
 }
@@ -1621,8 +1614,8 @@ mod busy_span_rotation {
         let batched = e.finish();
         let oracle = simulate(cfg.per_slot(), w);
         assert_eq!(
-            batched.to_json().to_string_pretty(),
-            oracle.to_json().to_string_pretty(),
+            batched.to_json_pretty(),
+            oracle.to_json_pretty(),
             "busy-span run diverged from the per-slot oracle"
         );
     }

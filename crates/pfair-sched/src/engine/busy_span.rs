@@ -865,8 +865,8 @@ mod tests {
     /// overflow list, differ between a ring that was stepped and one
     /// that jumped (see [`ring_content`]).
     fn state_of<P: Probe>(e: &Engine<P>) -> (String, [Vec<(Slot, TaskId)>; 3]) {
-        let image = e.snapshot().expect("not a history run").to_json();
-        let Json::Object(fields) = image else {
+        let image = e.snapshot().expect("not a history run").to_json_compact();
+        let Ok(Json::Object(fields)) = Json::parse(&image) else {
             panic!("a snapshot renders as an object");
         };
         let rendered: Vec<(String, Json)> = fields
@@ -885,7 +885,7 @@ mod tests {
         {
             ring_content(ring, out);
         }
-        (Json::Object(rendered).to_string(), rings)
+        (Json::Object(rendered).to_json_compact(), rings)
     }
 
     /// Eight weight-1/2 tasks on four processors: saturated from slot
@@ -956,8 +956,8 @@ mod tests {
             assert_eq!(fast.now, horizon);
             assert_eq!(state_of(&fast), state_of(&stepped));
             assert_eq!(
-                fast.finish().to_json().to_string(),
-                stepped.finish().to_json().to_string()
+                fast.finish().to_json_compact(),
+                stepped.finish().to_json_compact()
             );
         }
     }
@@ -988,10 +988,8 @@ mod tests {
         assert!(mix.jumps > 0, "{mix:?}");
         fast.run();
         assert_eq!(
-            fast.finish().to_json().to_string(),
-            crate::engine::simulate(cfg.per_slot(), &w)
-                .to_json()
-                .to_string()
+            fast.finish().to_json_compact(),
+            crate::engine::simulate(cfg.per_slot(), &w).to_json_compact()
         );
     }
 
@@ -1089,7 +1087,7 @@ mod tests {
         assert_eq!(state_of(&fast), state_of(&oracle));
         let (fast, fast_metrics) = fast.finish_with_probe();
         let (oracle, oracle_metrics) = oracle.finish_with_probe();
-        assert_eq!(fast.to_json().to_string(), oracle.to_json().to_string());
+        assert_eq!(fast.to_json_compact(), oracle.to_json_compact());
         assert_eq!(
             fast_metrics.registry().snapshot_text(),
             oracle_metrics.registry().snapshot_text()

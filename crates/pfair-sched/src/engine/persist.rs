@@ -51,7 +51,7 @@ use pfair_core::task::TaskId;
 use pfair_core::time::{ever, Slot, NEVER};
 use pfair_core::weight::Weight;
 use pfair_core::window::SubtaskWindow;
-use pfair_json::{obj, FromJson, Json, JsonError, ToJson};
+use pfair_json::{FromJson, Json, JsonError, JsonWriter, ToJson};
 use pfair_obs::Probe;
 use std::sync::Arc;
 
@@ -61,8 +61,8 @@ use std::sync::Arc;
 struct Share(Option<Weight>);
 
 impl ToJson for Share {
-    fn to_json(&self) -> Json {
-        Weight::share(self.0).to_json()
+    fn write_json(&self, w: &mut JsonWriter) {
+        Weight::share(self.0).write_json(w);
     }
 }
 
@@ -75,11 +75,11 @@ impl FromJson for Share {
 }
 
 impl ToJson for PendKind {
-    fn to_json(&self) -> Json {
-        match self {
-            PendKind::Enact => "enact".to_string().to_json(),
-            PendKind::ReleaseOnly => "release_only".to_string().to_json(),
-        }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.string(match self {
+            PendKind::Enact => "enact",
+            PendKind::ReleaseOnly => "release_only",
+        });
     }
 }
 
@@ -95,13 +95,13 @@ impl FromJson for PendKind {
 }
 
 impl ToJson for Pending {
-    fn to_json(&self) -> Json {
-        obj([
-            ("target", self.target.to_json()),
-            ("at", self.at.to_json()),
-            ("kind", self.kind.to_json()),
-            ("initiated_at", self.initiated_at.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("target", &self.target)
+            .field("at", &self.at)
+            .field("kind", &self.kind)
+            .field("initiated_at", &self.initiated_at);
+        w.end_object();
     }
 }
 
@@ -120,17 +120,17 @@ impl FromJson for Pending {
 // it has always had; the flat record with `NEVER` sentinels is an
 // in-memory layout.
 impl ToJson for SubRec {
-    fn to_json(&self) -> Json {
-        obj([
-            ("index", self.index.to_json()),
-            ("window", self.window().to_json()),
-            ("group_deadline", self.group_deadline.to_json()),
-            ("era_first", self.era_first.to_json()),
-            ("scheduled_at", ever(self.scheduled_at).to_json()),
-            ("halted_at", ever(self.halted_at).to_json()),
-            ("isw_completion", ever(self.isw_completion).to_json()),
-            ("missed", self.missed.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("index", &self.index)
+            .field("window", &self.window())
+            .field("group_deadline", &self.group_deadline)
+            .field("era_first", &self.era_first)
+            .field("scheduled_at", &ever(self.scheduled_at))
+            .field("halted_at", &ever(self.halted_at))
+            .field("isw_completion", &ever(self.isw_completion))
+            .field("missed", &self.missed);
+        w.end_object();
     }
 }
 
@@ -158,15 +158,15 @@ impl FromJson for SubRec {
 // dump) and repacked on decode. `Priority::pack` clamps each field the
 // same way the original pack did, so a round trip is bit-exact.
 impl ToJson for QueueEntry {
-    fn to_json(&self) -> Json {
-        obj([
-            ("deadline", self.priority.deadline().to_json()),
-            ("b", self.priority.b().to_json()),
-            ("group_deadline", self.priority.group_deadline().to_json()),
-            ("tie_rank", self.priority.tie_rank().to_json()),
-            ("task", self.task.to_json()),
-            ("index", self.index.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("deadline", &self.priority.deadline())
+            .field("b", &self.priority.b())
+            .field("group_deadline", &self.priority.group_deadline())
+            .field("tie_rank", &self.priority.tie_rank())
+            .field("task", &self.task)
+            .field("index", &self.index);
+        w.end_object();
     }
 }
 
@@ -186,17 +186,17 @@ impl FromJson for QueueEntry {
 }
 
 impl ToJson for SimConfig {
-    fn to_json(&self) -> Json {
-        obj([
-            ("processors", self.processors.to_json()),
-            ("horizon", self.horizon.to_json()),
-            ("scheme", self.scheme.to_json()),
-            ("tie_break", self.tie_break.to_json()),
-            ("admission", self.admission.to_json()),
-            ("record_history", self.record_history.to_json()),
-            ("tickless", self.tickless.to_json()),
-            ("busy_span", self.busy_span.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("processors", &self.processors)
+            .field("horizon", &self.horizon)
+            .field("scheme", &self.scheme)
+            .field("tie_break", &self.tie_break)
+            .field("admission", &self.admission)
+            .field("record_history", &self.record_history)
+            .field("tickless", &self.tickless)
+            .field("busy_span", &self.busy_span);
+        w.end_object();
     }
 }
 
@@ -250,35 +250,34 @@ impl TaskSnap {
 }
 
 impl ToJson for TaskSnap {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter) {
         // The history accumulators exist only in history mode, which
         // `snapshot` refuses; they are not part of the interchange
         // format.
-        obj([
-            ("id", self.id.to_json()),
-            ("in_system", self.in_system.to_json()),
-            ("wt", TaskSnap::wt(&self.state).to_json()),
-            ("swt", Share(self.swt).to_json()),
-            ("era_base", self.state.era_base.to_json()),
-            ("next_index", self.state.next_index.to_json()),
-            ("era_open_pending", self.state.era_open_pending.to_json()),
-            ("next_release", self.next_release.to_json()),
-            ("subs", self.state.subs.to_vec().to_json()),
-            ("pending", self.parked.pending.to_json()),
-            ("leaving", ever(self.parked.leaving).to_json()),
-            ("last_scheduled", self.state.last_scheduled.to_json()),
-            ("isw", self.state.isw.to_json()),
-            ("ps", self.state.ps.to_json()),
-            ("drift", self.state.drift.to_json()),
-            ("scheduled_count", self.state.scheduled_count.to_json()),
-            (
+        let state = &self.state;
+        w.begin_object()
+            .field("id", &self.id)
+            .field("in_system", &self.in_system)
+            .field("wt", &TaskSnap::wt(state))
+            .field("swt", &Share(self.swt))
+            .field("era_base", &state.era_base)
+            .field("next_index", &state.next_index)
+            .field("era_open_pending", &state.era_open_pending)
+            .field("next_release", &self.next_release)
+            .field("subs", state.subs.as_slice())
+            .field("pending", &self.parked.pending)
+            .field("leaving", &ever(self.parked.leaving))
+            .field("last_scheduled", &state.last_scheduled)
+            .field("isw", &state.isw)
+            .field("ps", &state.ps)
+            .field("drift", &state.drift)
+            .field("scheduled_count", &state.scheduled_count)
+            .field(
                 "last_cpu",
-                Some(self.state.last_cpu)
-                    .filter(|&cpu| cpu != NO_CPU)
-                    .to_json(),
-            ),
-            ("ran_last_slot", self.ran_last_slot.to_json()),
-        ])
+                &Some(state.last_cpu).filter(|&cpu| cpu != NO_CPU),
+            )
+            .field("ran_last_slot", &self.ran_last_slot);
+        w.end_object();
     }
 }
 
@@ -361,12 +360,12 @@ impl RingSnap {
 }
 
 impl ToJson for RingSnap {
-    fn to_json(&self) -> Json {
-        obj([
-            ("base", self.base.to_json()),
-            ("buckets", self.buckets.to_json()),
-            ("overflow", self.overflow.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("base", &self.base)
+            .field("buckets", &self.buckets)
+            .field("overflow", &self.overflow);
+        w.end_object();
     }
 }
 
@@ -455,26 +454,28 @@ impl EngineSnapshot {
 }
 
 impl ToJson for EngineSnapshot {
-    fn to_json(&self) -> Json {
-        obj([
-            ("config", self.config.to_json()),
-            ("events", self.events.to_json()),
-            ("next_event", self.next_event.to_json()),
-            ("injected", self.injected.to_json()),
-            ("tasks", self.tasks.to_json()),
-            ("queue", self.queue.to_json()),
-            ("selector", self.selector.to_json()),
-            (
-                "committed",
-                Json::Array(self.committed.iter().map(|&c| Share(c).to_json()).collect()),
-            ),
-            ("counters", self.counters.to_json()),
-            ("misses", self.misses.to_json()),
-            ("now", self.now.to_json()),
-            ("release_at", self.release_at.to_json()),
-            ("enact_at", self.enact_at.to_json()),
-            ("leave_at", self.leave_at.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("config", &self.config)
+            .field("events", &*self.events)
+            .field("next_event", &self.next_event)
+            .field("injected", &self.injected)
+            .field("tasks", &self.tasks)
+            .field("queue", &self.queue)
+            .field("selector", &self.selector)
+            .key("committed");
+        w.begin_array();
+        for &c in &self.committed {
+            Share(c).write_json(w);
+        }
+        w.end_array();
+        w.field("counters", &self.counters)
+            .field("misses", &self.misses)
+            .field("now", &self.now)
+            .field("release_at", &self.release_at)
+            .field("enact_at", &self.enact_at)
+            .field("leave_at", &self.leave_at);
+        w.end_object();
     }
 }
 
@@ -691,13 +692,13 @@ mod tests {
         let reference = super::super::simulate(config.clone(), &w);
         let mut engine = Engine::new(config, &w);
         let snap = engine.snapshot_at(17).expect("snapshot");
-        let json = snap.to_json().to_string_pretty();
+        let json = snap.to_json_pretty();
         let parsed: EngineSnapshot =
             FromJson::from_json(&Json::parse(&json).expect("parse")).expect("decode");
         let mut resumed = Engine::restore(parsed, NoopProbe).expect("restore");
         resumed.run();
-        let a = reference.to_json().to_string_pretty();
-        let b = resumed.finish().to_json().to_string_pretty();
+        let a = reference.to_json_pretty();
+        let b = resumed.finish().to_json_pretty();
         assert_eq!(a, b);
     }
 
@@ -717,16 +718,16 @@ mod tests {
             engine.tasks.row_mut(TaskId(6)).is_none(),
             "id 6 joins later"
         );
-        let first = snap.to_json().to_string_pretty();
+        let first = snap.to_json_pretty();
         let parsed: EngineSnapshot =
             FromJson::from_json(&Json::parse(&first).expect("parse")).expect("decode");
         let mut resumed = Engine::restore(parsed, NoopProbe).expect("restore");
-        let again = resumed.snapshot().expect("snapshot").to_json();
-        assert_eq!(first, again.to_string_pretty());
+        let again = resumed.snapshot().expect("snapshot").to_json_pretty();
+        assert_eq!(first, again);
         resumed.run();
         assert_eq!(
-            reference.to_json().to_string_pretty(),
-            resumed.finish().to_json().to_string_pretty()
+            reference.to_json_pretty(),
+            resumed.finish().to_json_pretty()
         );
     }
 
@@ -736,19 +737,10 @@ mod tests {
     fn snapshot_encoding_is_canonical() {
         let mut engine = Engine::new(SimConfig::leave_join(2, 40), &busy_workload());
         let snap = engine.snapshot_at(12).expect("snapshot");
-        let first = snap.to_json().to_string_pretty();
+        let first = snap.to_json_pretty();
         let parsed: EngineSnapshot =
             FromJson::from_json(&Json::parse(&first).expect("parse")).expect("decode");
-        assert_eq!(first, parsed.to_json().to_string_pretty());
-    }
-
-    /// A snapshot streams to the bytes its tree renders to (nested
-    /// options, tuples, rationals and strings through one formatter).
-    #[test]
-    fn streamed_snapshot_equals_the_tree() {
-        let mut engine = Engine::new(SimConfig::oi(2, 40), &busy_workload());
-        let snap = engine.snapshot_at(14).expect("snapshot");
-        assert_eq!(snap.to_json_pretty(), snap.to_json().to_string_pretty());
+        assert_eq!(first, parsed.to_json_pretty());
     }
 
     /// History-mode engines refuse to snapshot.
@@ -764,7 +756,7 @@ mod tests {
     fn corrupted_cursor_is_rejected() {
         let mut engine = Engine::new(SimConfig::oi(2, 40), &busy_workload());
         let snap = engine.snapshot_at(5).expect("snapshot");
-        let json = snap.to_json().to_string_pretty();
+        let json = snap.to_json_pretty();
         let cursor = format!("\"next_event\": {}", snap.next_event);
         let tampered = json.replace(&cursor, "\"next_event\": 99");
         assert_ne!(json, tampered, "cursor field not found in the encoding");

@@ -46,22 +46,15 @@ pub struct Event {
 }
 
 impl pfair_json::ToJson for EventKind {
-    fn to_json(&self) -> pfair_json::Json {
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object();
         match self {
-            EventKind::Join(w) => pfair_json::obj([
-                ("kind", "join".to_string().to_json()),
-                ("weight", w.to_json()),
-            ]),
-            EventKind::Leave => pfair_json::obj([("kind", "leave".to_string().to_json())]),
-            EventKind::Reweight(w) => pfair_json::obj([
-                ("kind", "reweight".to_string().to_json()),
-                ("weight", w.to_json()),
-            ]),
-            EventKind::Delay(by) => pfair_json::obj([
-                ("kind", "delay".to_string().to_json()),
-                ("by", by.to_json()),
-            ]),
-        }
+            EventKind::Join(weight) => w.field("kind", "join").field("weight", weight),
+            EventKind::Leave => w.field("kind", "leave"),
+            EventKind::Reweight(weight) => w.field("kind", "reweight").field("weight", weight),
+            EventKind::Delay(by) => w.field("kind", "delay").field("by", by),
+        };
+        w.end_object();
     }
 }
 
@@ -81,12 +74,12 @@ impl pfair_json::FromJson for EventKind {
 }
 
 impl pfair_json::ToJson for Event {
-    fn to_json(&self) -> pfair_json::Json {
-        pfair_json::obj([
-            ("at", self.at.to_json()),
-            ("task", self.task.to_json()),
-            ("event", self.kind.to_json()),
-        ])
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object()
+            .field("at", &self.at)
+            .field("task", &self.task)
+            .field("event", &self.kind);
+        w.end_object();
     }
 }
 

@@ -47,25 +47,22 @@ pub struct Counters {
 }
 
 impl pfair_json::ToJson for Counters {
-    fn to_json(&self) -> pfair_json::Json {
-        pfair_json::obj([
-            ("heap_pushes", self.heap_pushes.to_json()),
-            ("heap_pops", self.heap_pops.to_json()),
-            ("stale_pops", self.stale_pops.to_json()),
-            ("reweight_initiations", self.reweight_initiations.to_json()),
-            ("reweight_enactments", self.reweight_enactments.to_json()),
-            ("halts", self.halts.to_json()),
-            ("scheduled_quanta", self.scheduled_quanta.to_json()),
-            ("slots_with_holes", self.slots_with_holes.to_json()),
-            ("migrations", self.migrations.to_json()),
-            ("preemptions", self.preemptions.to_json()),
-            (
-                "rejected_heavy_reweights",
-                self.rejected_heavy_reweights.to_json(),
-            ),
-            ("compactions", self.compactions.to_json()),
-            ("compacted_stale", self.compacted_stale.to_json()),
-        ])
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object()
+            .field("heap_pushes", &self.heap_pushes)
+            .field("heap_pops", &self.heap_pops)
+            .field("stale_pops", &self.stale_pops)
+            .field("reweight_initiations", &self.reweight_initiations)
+            .field("reweight_enactments", &self.reweight_enactments)
+            .field("halts", &self.halts)
+            .field("scheduled_quanta", &self.scheduled_quanta)
+            .field("slots_with_holes", &self.slots_with_holes)
+            .field("migrations", &self.migrations)
+            .field("preemptions", &self.preemptions)
+            .field("rejected_heavy_reweights", &self.rejected_heavy_reweights)
+            .field("compactions", &self.compactions)
+            .field("compacted_stale", &self.compacted_stale);
+        w.end_object();
     }
 }
 
@@ -83,13 +80,8 @@ impl pfair_json::FromJson for Counters {
             migrations: value.field("migrations")?,
             preemptions: value.field("preemptions")?,
             rejected_heavy_reweights: value.field("rejected_heavy_reweights")?,
-            // Absent in traces recorded before compaction existed.
-            compactions: value
-                .get("compactions")
-                .map_or(Ok(0), pfair_json::FromJson::from_json)?,
-            compacted_stale: value
-                .get("compacted_stale")
-                .map_or(Ok(0), pfair_json::FromJson::from_json)?,
+            compactions: value.field("compactions")?,
+            compacted_stale: value.field("compacted_stale")?,
         })
     }
 }
@@ -177,18 +169,19 @@ mod tests {
     fn span_arithmetic_is_per_field_and_checked() {
         use pfair_json::{FromJson, Json, ToJson};
         let numbered = |scale: u64| {
-            let Json::Object(mut fields) = Counters::default().to_json() else {
+            let zero = Counters::default().to_json_compact();
+            let Ok(Json::Object(mut fields)) = Json::parse(&zero) else {
                 panic!("counters render as an object");
             };
             for (i, (_, value)) in (1u64..).zip(&mut fields) {
-                *value = (scale * i).to_json();
+                *value = Json::Int(i128::from(scale * i));
             }
             Counters::from_json(&Json::Object(fields)).expect("a counters image")
         };
         let (base, delta) = (numbered(100), numbered(1));
         let later = base.checked_add_scaled(&delta, 7).expect("small numbers");
         let values = |c: &Counters| -> Vec<i128> {
-            let Json::Object(fields) = c.to_json() else {
+            let Ok(Json::Object(fields)) = Json::parse(&c.to_json_compact()) else {
                 panic!("counters render as an object");
             };
             fields.iter().filter_map(|(_, v)| v.as_int()).collect()

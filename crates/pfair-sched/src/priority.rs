@@ -101,17 +101,14 @@ impl TieBreak {
 }
 
 impl pfair_json::ToJson for TieBreak {
-    fn to_json(&self) -> pfair_json::Json {
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object();
         match self {
-            TieBreak::TaskIdAsc => pfair_json::obj([("kind", "task_id_asc".to_string().to_json())]),
-            TieBreak::TaskIdDesc => {
-                pfair_json::obj([("kind", "task_id_desc".to_string().to_json())])
-            }
-            TieBreak::Ranked(table) => pfair_json::obj([
-                ("kind", "ranked".to_string().to_json()),
-                ("table", table.to_json()),
-            ]),
-        }
+            TieBreak::TaskIdAsc => w.field("kind", "task_id_asc"),
+            TieBreak::TaskIdDesc => w.field("kind", "task_id_desc"),
+            TieBreak::Ranked(table) => w.field("kind", "ranked").field("table", table),
+        };
+        w.end_object();
     }
 }
 

@@ -70,26 +70,22 @@ pub enum Scheme {
 }
 
 impl pfair_json::ToJson for HybridPolicy {
-    fn to_json(&self) -> pfair_json::Json {
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object();
         match self {
-            HybridPolicy::MagnitudeThreshold(thr) => pfair_json::obj([
-                ("kind", "magnitude_threshold".to_string().to_json()),
-                ("threshold", thr.to_json()),
-            ]),
-            HybridPolicy::OiBudget { budget, window } => pfair_json::obj([
-                ("kind", "oi_budget".to_string().to_json()),
-                ("budget", budget.to_json()),
-                ("window", window.to_json()),
-            ]),
-            HybridPolicy::EveryNth(n) => pfair_json::obj([
-                ("kind", "every_nth".to_string().to_json()),
-                ("n", n.to_json()),
-            ]),
-            HybridPolicy::DriftFeedback(thr) => pfair_json::obj([
-                ("kind", "drift_feedback".to_string().to_json()),
-                ("threshold", thr.to_json()),
-            ]),
-        }
+            HybridPolicy::MagnitudeThreshold(thr) => w
+                .field("kind", "magnitude_threshold")
+                .field("threshold", thr),
+            HybridPolicy::OiBudget { budget, window } => w
+                .field("kind", "oi_budget")
+                .field("budget", budget)
+                .field("window", window),
+            HybridPolicy::EveryNth(n) => w.field("kind", "every_nth").field("n", n),
+            HybridPolicy::DriftFeedback(thr) => {
+                w.field("kind", "drift_feedback").field("threshold", thr)
+            }
+        };
+        w.end_object();
     }
 }
 
@@ -122,15 +118,14 @@ impl pfair_json::FromJson for HybridPolicy {
 }
 
 impl pfair_json::ToJson for Scheme {
-    fn to_json(&self) -> pfair_json::Json {
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object();
         match self {
-            Scheme::Oi => pfair_json::obj([("kind", "oi".to_string().to_json())]),
-            Scheme::LeaveJoin => pfair_json::obj([("kind", "leave_join".to_string().to_json())]),
-            Scheme::Hybrid(policy) => pfair_json::obj([
-                ("kind", "hybrid".to_string().to_json()),
-                ("policy", policy.to_json()),
-            ]),
-        }
+            Scheme::Oi => w.field("kind", "oi"),
+            Scheme::LeaveJoin => w.field("kind", "leave_join"),
+            Scheme::Hybrid(policy) => w.field("kind", "hybrid").field("policy", policy),
+        };
+        w.end_object();
     }
 }
 
@@ -157,12 +152,12 @@ struct HybridTaskState {
 }
 
 impl pfair_json::ToJson for HybridTaskState {
-    fn to_json(&self) -> pfair_json::Json {
-        pfair_json::obj([
-            ("oi_events_in_window", self.oi_events_in_window.to_json()),
-            ("window_start", self.window_start.to_json()),
-            ("event_counter", self.event_counter.to_json()),
-        ])
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object()
+            .field("oi_events_in_window", &self.oi_events_in_window)
+            .field("window_start", &self.window_start)
+            .field("event_counter", &self.event_counter);
+        w.end_object();
     }
 }
 
@@ -177,11 +172,11 @@ impl pfair_json::FromJson for HybridTaskState {
 }
 
 impl pfair_json::ToJson for RuleSelector {
-    fn to_json(&self) -> pfair_json::Json {
-        pfair_json::obj([
-            ("scheme", self.scheme.to_json()),
-            ("state", self.state.to_json()),
-        ])
+    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_object()
+            .field("scheme", &self.scheme)
+            .field("state", &self.state);
+        w.end_object();
     }
 }
 

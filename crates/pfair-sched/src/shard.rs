@@ -64,7 +64,7 @@ use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
 use pfair_core::weight::Weight;
-use pfair_json::{obj, Json, JsonWriter, ToJson};
+use pfair_json::{JsonWriter, ToJson};
 use pfair_obs::{MetricsProbe, Registry};
 
 // Shards cross thread boundaries inside `run`; keep the engine's
@@ -578,28 +578,13 @@ pub struct ShardSummary {
 }
 
 impl ToJson for ShardSummary {
-    fn to_json(&self) -> Json {
-        obj([
-            ("shard", self.shard.to_json()),
-            ("local_tasks", self.local_tasks.to_json()),
-            ("scheduled_quanta", self.scheduled_quanta.to_json()),
-            ("misses", self.misses.to_json()),
-            ("counters", self.counters.to_json()),
-        ])
-    }
-
     fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("shard");
-        self.shard.write_json(w);
-        w.key("local_tasks");
-        self.local_tasks.write_json(w);
-        w.key("scheduled_quanta");
-        self.scheduled_quanta.write_json(w);
-        w.key("misses");
-        self.misses.write_json(w);
-        w.key("counters");
-        self.counters.write_json(w);
+        w.begin_object()
+            .field("shard", &self.shard)
+            .field("local_tasks", &self.local_tasks)
+            .field("scheduled_quanta", &self.scheduled_quanta)
+            .field("misses", &self.misses)
+            .field("counters", &self.counters);
         w.end_object();
     }
 }
@@ -621,35 +606,20 @@ pub struct GlobalTaskSummary {
 }
 
 impl ToJson for GlobalTaskSummary {
-    fn to_json(&self) -> Json {
-        obj([
-            ("id", self.id.to_json()),
-            ("scheduled_count", self.scheduled_count.to_json()),
-            ("ps_total", self.ps_total.to_json()),
-            ("isw_total", self.isw_total.to_json()),
-            ("drift", self.drift.to_json()),
-        ])
-    }
-
     fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("id");
-        self.id.write_json(w);
-        w.key("scheduled_count");
-        self.scheduled_count.write_json(w);
-        w.key("ps_total");
-        self.ps_total.write_json(w);
-        w.key("isw_total");
-        self.isw_total.write_json(w);
-        w.key("drift");
-        self.drift.write_json(w);
+        w.begin_object()
+            .field("id", &self.id)
+            .field("scheduled_count", &self.scheduled_count)
+            .field("ps_total", &self.ps_total)
+            .field("isw_total", &self.isw_total)
+            .field("drift", &self.drift);
         w.end_object();
     }
 }
 
 /// Aggregated outcome of a sharded run.
 ///
-/// [`ShardReport::to_json`] is the full rendering (byte-identical
+/// Its [`ToJson`] rendering is the full one (byte-identical
 /// across pool widths); [`ShardReport::invariant_json`] is the subset
 /// the shard-count determinism suite pins — the figures that must not
 /// depend on how a reweight-free feasible workload was partitioned.
@@ -684,61 +654,31 @@ impl ShardReport {
     }
 
     /// The partition-invariant subset (see the type docs), rendered
-    /// canonically — streamed, like [`ToJson::to_json_pretty`] renders
-    /// the full report: at population scale the per-task rows are tens
-    /// of megabytes, and a [`Json`] tree of them costs more than the
-    /// text.
+    /// canonically through the same writer as the full report.
     pub fn invariant_json(&self) -> String {
         let mut w = JsonWriter::pretty();
-        w.begin_object();
-        w.key("horizon");
-        self.horizon.write_json(&mut w);
-        w.key("scheduled_quanta");
-        self.scheduled_quanta().write_json(&mut w);
-        w.key("misses");
-        self.misses().write_json(&mut w);
-        w.key("tasks");
-        self.tasks.write_json(&mut w);
+        w.begin_object()
+            .field("horizon", &self.horizon)
+            .field("scheduled_quanta", &self.scheduled_quanta())
+            .field("misses", &self.misses())
+            .field("tasks", &self.tasks);
         w.end_object();
         w.into_string()
     }
 }
 
 impl ToJson for ShardReport {
-    fn to_json(&self) -> Json {
-        obj([
-            ("shards", self.shards.to_json()),
-            ("processors_per_shard", self.processors_per_shard.to_json()),
-            ("horizon", self.horizon.to_json()),
-            ("migrations", self.migrations.to_json()),
-            ("scheduled_quanta", self.scheduled_quanta().to_json()),
-            ("misses", self.misses().to_json()),
-            ("per_shard", self.per_shard.to_json()),
-            ("tasks", self.tasks.to_json()),
-            ("metrics", self.registry.snapshot_text().to_json()),
-        ])
-    }
-
     fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("shards");
-        self.shards.write_json(w);
-        w.key("processors_per_shard");
-        self.processors_per_shard.write_json(w);
-        w.key("horizon");
-        self.horizon.write_json(w);
-        w.key("migrations");
-        self.migrations.write_json(w);
-        w.key("scheduled_quanta");
-        self.scheduled_quanta().write_json(w);
-        w.key("misses");
-        self.misses().write_json(w);
-        w.key("per_shard");
-        self.per_shard.write_json(w);
-        w.key("tasks");
-        self.tasks.write_json(w);
-        w.key("metrics");
-        w.string(&self.registry.snapshot_text());
+        w.begin_object()
+            .field("shards", &self.shards)
+            .field("processors_per_shard", &self.processors_per_shard)
+            .field("horizon", &self.horizon)
+            .field("migrations", &self.migrations)
+            .field("scheduled_quanta", &self.scheduled_quanta())
+            .field("misses", &self.misses())
+            .field("per_shard", &self.per_shard)
+            .field("tasks", &self.tasks)
+            .field("metrics", &self.registry.snapshot_text());
         w.end_object();
     }
 }
@@ -747,6 +687,7 @@ impl ToJson for ShardReport {
 mod tests {
     use super::*;
     use pfair_core::rational::rat;
+    use pfair_json::Json;
 
     /// `n` tasks of weight 1/4 joining at slot 0.
     fn quarters(n: u32) -> Workload {
@@ -805,40 +746,38 @@ mod tests {
         assert_eq!(report.misses(), 0);
     }
 
-    /// The invariant rendering's tree, as it was built before the
-    /// report was streamed.
-    fn invariant_tree(report: &ShardReport) -> Json {
-        obj([
-            ("horizon", report.horizon.to_json()),
-            ("scheduled_quanta", report.scheduled_quanta().to_json()),
-            ("misses", report.misses().to_json()),
-            ("tasks", report.tasks.to_json()),
-        ])
+    /// Both renderings parse back, and the invariant one is the full
+    /// one's subset, field for field.
+    fn parse_renderings(report: &ShardReport) -> Json {
+        let full = Json::parse(&report.to_json_pretty()).expect("full rendering parses");
+        let invariant = Json::parse(&report.invariant_json()).expect("invariant rendering parses");
+        let Json::Object(fields) = &invariant else {
+            panic!("the invariant rendering is an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["horizon", "scheduled_quanta", "misses", "tasks"]);
+        for (key, value) in fields {
+            assert_eq!(full.get(key), Some(value), "`{key}`");
+        }
+        full
     }
 
-    fn assert_streamed_equals_tree(report: &ShardReport) {
-        assert_eq!(
-            report.to_json_pretty(),
-            report.to_json().to_string_pretty(),
-            "full rendering"
-        );
-        assert_eq!(
-            report.invariant_json(),
-            invariant_tree(report).to_string_pretty(),
-            "invariant rendering"
-        );
-        assert!(Json::parse(&report.to_json_pretty()).is_ok());
+    fn task_row(full: &Json, index: usize) -> &Json {
+        match full.get("tasks") {
+            Some(Json::Array(rows)) => &rows[index],
+            other => panic!("`tasks` is not an array: {other:?}"),
+        }
     }
 
-    /// Streamed and tree renderings are the same bytes: on real
-    /// reports (reweights make negative drift, a gap in the global ids
+    /// The report renders to text that reads back to its values: on a
+    /// real run (reweights make negative drift, a gap in the global ids
     /// makes a row with no incarnation and an empty drift list, the
     /// metrics snapshot is a multi-line string), on a run with no tasks
     /// at all, and on a hand-built report with values no run produces
     /// (components beyond `u64`, a counter name that needs every
     /// escape).
     #[test]
-    fn streamed_renderings_equal_the_tree() {
+    fn renderings_parse_back_to_the_report() {
         let mut w = Workload::new();
         w.join(0, 0, 1, 4);
         w.join(2, 0, 2, 5); // global id 1 never joins
@@ -847,21 +786,30 @@ mod tests {
         w.reweight(0, 9, 2, 5);
         w.leave(3, 20);
         let report = ShardSet::new(ShardSpec::new(2, 1, 48).with_segment(8), &w).finish();
-        assert!(report.tasks[1].drift.is_empty());
         assert!(report
             .tasks
             .iter()
             .flat_map(|t| &t.drift)
             .any(|s| s.drift.is_negative()));
-        assert_streamed_equals_tree(&report);
+        let full = parse_renderings(&report);
+        let unjoined = task_row(&full, 1);
+        assert_eq!(unjoined.field::<u32>("id").unwrap(), 1);
+        assert_eq!(unjoined.field::<u64>("scheduled_count").unwrap(), 0);
+        assert_eq!(unjoined.get("drift"), Some(&Json::Array(vec![])));
+        assert_eq!(
+            full.field::<String>("metrics").unwrap(),
+            report.registry.snapshot_text()
+        );
 
         let empty = ShardSet::new(ShardSpec::new(3, 1, 16), &Workload::new()).finish();
-        assert!(empty.tasks.is_empty());
-        assert_streamed_equals_tree(&empty);
+        let full = parse_renderings(&empty);
+        assert_eq!(full.get("tasks"), Some(&Json::Array(vec![])));
+        assert_eq!(full.field::<u64>("scheduled_quanta").unwrap(), 0);
 
         let mut odd = report;
-        odd.registry.inc("quote\" slash\\ tab\t bell\u{7} é", 1);
-        odd.tasks.push(GlobalTaskSummary {
+        let name = "quote\" slash\\ tab\t bell\u{7} é";
+        odd.registry.inc(name, 1);
+        let wide = GlobalTaskSummary {
             id: u32::MAX,
             scheduled_count: u64::MAX,
             ps_total: rat(-(1 << 70), 3),
@@ -870,8 +818,17 @@ mod tests {
                 at: -5,
                 drift: rat(-7, 1 << 40),
             }],
-        });
-        assert_streamed_equals_tree(&odd);
+        };
+        odd.tasks.push(wide.clone());
+        let full = parse_renderings(&odd);
+        let metrics = full.field::<String>("metrics").unwrap();
+        assert_eq!(metrics, odd.registry.snapshot_text());
+        assert!(metrics.contains(name));
+        let row = task_row(&full, odd.tasks.len() - 1);
+        assert_eq!(row.field::<u64>("scheduled_count").unwrap(), u64::MAX);
+        assert_eq!(row.field::<Rational>("ps_total").unwrap(), wide.ps_total);
+        assert_eq!(row.field::<Rational>("isw_total").unwrap(), wide.isw_total);
+        assert_eq!(row.field::<Vec<DriftSample>>("drift").unwrap(), wide.drift);
     }
 
     #[test]

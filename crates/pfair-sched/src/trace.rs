@@ -15,7 +15,7 @@ use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{slot_index, Slot};
 use pfair_core::window::SubtaskWindow;
-use pfair_json::{obj, FromJson, Json, JsonError, ToJson};
+use pfair_json::{FromJson, Json, JsonError, JsonWriter, ToJson};
 
 /// A recorded deadline miss (should be empty under PD²-OI, Theorem 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,12 +61,12 @@ pub struct TaskHistory {
 }
 
 impl ToJson for Miss {
-    fn to_json(&self) -> Json {
-        obj([
-            ("task", self.task.to_json()),
-            ("index", self.index.to_json()),
-            ("deadline", self.deadline.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("task", &self.task)
+            .field("index", &self.index)
+            .field("deadline", &self.deadline);
+        w.end_object();
     }
 }
 
@@ -81,26 +81,26 @@ impl FromJson for Miss {
 }
 
 impl ToJson for SubtaskRecord {
-    fn to_json(&self) -> Json {
-        obj([
-            ("index", self.index.to_json()),
-            ("window", self.window.to_json()),
-            ("scheduled_at", self.scheduled_at.to_json()),
-            ("halted_at", self.halted_at.to_json()),
-            ("isw_completion", self.isw_completion.to_json()),
-            ("era_first", self.era_first.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("index", &self.index)
+            .field("window", &self.window)
+            .field("scheduled_at", &self.scheduled_at)
+            .field("halted_at", &self.halted_at)
+            .field("isw_completion", &self.isw_completion)
+            .field("era_first", &self.era_first);
+        w.end_object();
     }
 }
 
 impl ToJson for TaskHistory {
-    fn to_json(&self) -> Json {
-        obj([
-            ("subtasks", self.subtasks.to_json()),
-            ("scheduled_slots", self.scheduled_slots.to_json()),
-            ("isw_per_slot", self.isw_per_slot.to_json()),
-            ("halted_corrections", self.halted_corrections.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("subtasks", &self.subtasks)
+            .field("scheduled_slots", &self.scheduled_slots)
+            .field("isw_per_slot", &self.isw_per_slot)
+            .field("halted_corrections", &self.halted_corrections);
+        w.end_object();
     }
 }
 
@@ -198,31 +198,28 @@ pub struct SimResult {
 }
 
 impl ToJson for TaskResult {
-    fn to_json(&self) -> Json {
-        obj([
-            ("id", self.id.to_json()),
-            ("scheduled_count", self.scheduled_count.to_json()),
-            ("ps_total", self.ps_total.to_json()),
-            ("isw_total", self.isw_total.to_json()),
-            ("icsw_total", self.icsw_total.to_json()),
-            ("drift", self.drift.to_json()),
-            (
-                "history",
-                self.history.as_deref().map_or(Json::Null, ToJson::to_json),
-            ),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("id", &self.id)
+            .field("scheduled_count", &self.scheduled_count)
+            .field("ps_total", &self.ps_total)
+            .field("isw_total", &self.isw_total)
+            .field("icsw_total", &self.icsw_total)
+            .field("drift", &self.drift)
+            .field("history", &self.history);
+        w.end_object();
     }
 }
 
 impl ToJson for SimResult {
-    fn to_json(&self) -> Json {
-        obj([
-            ("processors", self.processors.to_json()),
-            ("horizon", self.horizon.to_json()),
-            ("tasks", self.tasks.to_json()),
-            ("misses", self.misses.to_json()),
-            ("counters", self.counters.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("processors", &self.processors)
+            .field("horizon", &self.horizon)
+            .field("tasks", &self.tasks)
+            .field("misses", &self.misses)
+            .field("counters", &self.counters);
+        w.end_object();
     }
 }
 
@@ -337,7 +334,7 @@ mod json_tests {
         w.join(0, 0, 3, 20);
         w.reweight(0, 7, 1, 2);
         let r = simulate(SimConfig::oi(2, 40).with_history(), &w);
-        let parsed = Json::parse(&r.to_json().to_string()).expect("parse");
+        let parsed = Json::parse(&r.to_json_compact()).expect("parse");
         assert_eq!(parsed.field::<i64>("horizon").unwrap(), r.horizon);
         let Some(Json::Array(tasks)) = parsed.get("tasks") else {
             panic!("tasks missing");
@@ -352,7 +349,8 @@ mod json_tests {
             ps.field::<i128>("den").unwrap(),
             r.tasks[0].ps_total.denom()
         );
-        assert_eq!(parsed.get("misses"), Some(&r.misses.to_json()));
+        let misses = parsed.get("misses").expect("misses");
+        assert_eq!(misses.to_json_compact(), r.misses.to_json_compact());
     }
 }
 

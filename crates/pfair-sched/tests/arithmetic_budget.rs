@@ -39,7 +39,7 @@ fn refusals(trace: &TraceRecorder) -> Vec<(TaskId, Slot, Refusal)> {
 }
 
 fn rendered(result: &SimResult) -> String {
-    result.to_json().to_string()
+    result.to_json_compact()
 }
 
 /// A reweight between two coprime ≈ 2⁴⁰ denominators would need an
@@ -101,8 +101,8 @@ fn a_unit_past_the_budget_is_refused() {
     alone.join(0, 0, 1, 3);
     let alone = simulate(config, &alone);
     assert_eq!(
-        result.tasks[0].to_json().to_string(),
-        alone.tasks[0].to_json().to_string()
+        result.tasks[0].to_json_compact(),
+        alone.tasks[0].to_json_compact()
     );
 }
 
@@ -164,9 +164,7 @@ fn prime_joins(n: usize) -> Workload {
 }
 
 fn task_images(result: &SimResult) -> Vec<String> {
-    (result.tasks.iter())
-        .map(|t| t.to_json().to_string())
-        .collect()
+    (result.tasks.iter()).map(ToJson::to_json_compact).collect()
 }
 
 /// Every weight passes the arithmetic budget, but admission's ledger
@@ -203,7 +201,7 @@ fn a_shard_ledger_past_i128_refuses_the_placement() {
     // Written only when one happens, so other reports keep their bytes.
     assert!(!(without.registry.snapshot_text()).contains("refused_placements"));
     let images = |tasks: &[pfair_sched::shard::GlobalTaskSummary]| -> Vec<String> {
-        tasks.iter().map(|t| t.to_json().to_string()).collect()
+        tasks.iter().map(ToJson::to_json_compact).collect()
     };
     assert_eq!(images(&report.tasks)[..4], images(&without.tasks));
     assert!((report.tasks[4..].iter()).all(|t| t.scheduled_count == 0));

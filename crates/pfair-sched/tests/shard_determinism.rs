@@ -42,9 +42,9 @@ fn report(shards: usize, threads: usize) -> pfair_sched::shard::ShardReport {
 
 #[test]
 fn pool_width_never_changes_a_report_byte() {
-    let reference = report(4, 1).to_json().to_string_pretty();
+    let reference = report(4, 1).to_json_pretty();
     for threads in [2usize, 4, 8] {
-        let candidate = report(4, threads).to_json().to_string_pretty();
+        let candidate = report(4, threads).to_json_pretty();
         assert_eq!(
             reference, candidate,
             "ShardReport diverged between 1 and {threads} worker threads"
@@ -131,7 +131,7 @@ fn migration_is_drift_bounded_leave_rejoin() {
             }
         } else {
             // Everyone else: byte-equal outcome.
-            assert_eq!(b.to_json().to_string(), m.to_json().to_string());
+            assert_eq!(b.to_json_compact(), m.to_json_compact());
         }
     }
 }

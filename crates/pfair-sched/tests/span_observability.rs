@@ -18,6 +18,7 @@
 
 use pfair_core::rational::rat;
 use pfair_core::time::Slot;
+use pfair_json::ToJson;
 use pfair_obs::{
     Fanout, FlightRecorder, FlightTrigger, MetricsProbe, NoopProbe, ObsEvent, Probe, SloConfig,
     SloMonitor, TraceRecorder,
@@ -244,7 +245,7 @@ fn slo_monitor_stays_clean_and_samples_drift_on_feasible_runs() {
     assert!(slo.is_clean());
     assert_eq!(slo.misses_total(), 0);
     // Era-opening releases sampled drift through the probe hook.
-    let rendered = slo.to_json().to_string_pretty();
+    let rendered = slo.to_json_pretty();
     assert!(rendered.contains("drift"), "report must carry drift data");
     assert!(slo.report().contains("no SLO breaches"));
 }

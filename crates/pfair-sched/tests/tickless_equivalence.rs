@@ -49,8 +49,8 @@ fn assert_tickless_matches_oracle(plan: &Plan, cfg: SimConfig) {
     // lands on this script, the result must match.
     let busy = simulate(cfg.clone(), &w);
     assert_eq!(
-        oracle.to_json().to_string_pretty(),
-        busy.to_json().to_string_pretty(),
+        oracle.to_json_pretty(),
+        busy.to_json_pretty(),
         "busy-span driver diverged from the oracle"
     );
     // `MetricsProbe` is span-aware, so this run may take quiet-span and
@@ -61,8 +61,8 @@ fn assert_tickless_matches_oracle(plan: &Plan, cfg: SimConfig) {
     // One canonical rendering covers every field SimResult reports
     // (totals, drift, misses, counters, horizon).
     assert_eq!(
-        oracle.to_json().to_string_pretty(),
-        fast.to_json().to_string_pretty(),
+        oracle.to_json_pretty(),
+        fast.to_json_pretty(),
         "rendered SimResult diverged"
     );
     // Field-level checks keep failures readable.
@@ -244,15 +244,15 @@ fn assert_busy_span_matches_oracle(plan: &Plan, cfg: SimConfig) {
         jumps > 0,
         "busy-span batching never engaged on a saturated periodic tail"
     );
-    let rendered = fast.to_json().to_string_pretty();
+    let rendered = fast.to_json_pretty();
     assert_eq!(
         rendered,
-        tickless.to_json().to_string_pretty(),
+        tickless.to_json_pretty(),
         "busy-span vs tickless diverged"
     );
     assert_eq!(
         rendered,
-        oracle.to_json().to_string_pretty(),
+        oracle.to_json_pretty(),
         "busy-span vs per-slot oracle diverged"
     );
     assert_eq!(
@@ -317,8 +317,8 @@ proptest! {
         resumed.run();
         let resumed = resumed.finish();
         prop_assert_eq!(
-            uninterrupted.to_json().to_string_pretty(),
-            resumed.to_json().to_string_pretty(),
+            uninterrupted.to_json_pretty(),
+            resumed.to_json_pretty(),
             "snapshot/restore diverged from the uninterrupted busy-span run"
         );
     }
@@ -341,9 +341,6 @@ fn long_sparse_run_is_bit_identical() {
     let cfg = SimConfig::oi(4, 5_000);
     let (oracle, om) = simulate_with(cfg.clone().per_slot(), &w, MetricsProbe::new());
     let (fast, fm) = simulate_with(cfg, &w, MetricsProbe::new());
-    assert_eq!(
-        oracle.to_json().to_string_pretty(),
-        fast.to_json().to_string_pretty()
-    );
+    assert_eq!(oracle.to_json_pretty(), fast.to_json_pretty());
     assert_eq!(om.registry().snapshot_text(), fm.registry().snapshot_text());
 }
