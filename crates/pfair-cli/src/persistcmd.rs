@@ -9,11 +9,11 @@
 //! `pfair-persist`) guarantees the chained result is bit-identical to
 //! an uninterrupted run.
 //!
-//! History mode is file-format default for `pfair run`, but snapshots
-//! refuse unbounded history accumulators, so both subcommands run the
-//! engine event-driven (`record_history = false`). Consequently a
-//! resumed result is byte-comparable to another snapshot/resume chain,
-//! not to `pfair run --json` output.
+//! A workload file asks for history (`pfair run` records it), but the
+//! history is a probe's and a snapshot carries no probe, so both
+//! subcommands drop the request (`record_history = false`).
+//! Consequently a resumed result is byte-comparable to another
+//! snapshot/resume chain, not to `pfair run --json` output.
 
 use crate::parser;
 use pfair_json::{FromJson, Json, ToJson};
@@ -55,7 +55,7 @@ pub struct ResumeOptions {
 pub fn snapshot_file(path: &str, opts: &SnapshotOptions) -> Result<String, String> {
     let input = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut spec = parser::parse(&input).map_err(|e| format!("{path}: {e}"))?;
-    // Snapshots refuse unbounded history accumulators; run event-driven.
+    // A snapshot carries no probe, so no history recorder either.
     spec.config.record_history = false;
     let at = opts.at.unwrap_or(spec.config.horizon / 2);
     let mut engine = Engine::with_probe(spec.config, &spec.workload, MetricsProbe::new());

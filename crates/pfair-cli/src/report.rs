@@ -77,7 +77,7 @@ pub fn driver_mix(mix: &DriverMix) -> String {
     )
 }
 
-/// Formats the window diagrams of every task (history mode required).
+/// Formats the window diagrams of every task (a history run's result).
 pub fn diagrams(result: &SimResult) -> String {
     let mut out = String::new();
     let horizon = result.horizon.min(120); // keep lines terminal-sized
@@ -120,15 +120,15 @@ mod tests {
         assert!(s.contains("compaction(s)"));
     }
 
-    /// Only event-driven runs leave the per-slot rung; their report says
-    /// where the slots went.
+    /// A run off the per-slot rung reports where the slots went; the
+    /// per-slot oracle has nothing to report.
     #[test]
     fn driver_mix_is_reported_once_a_span_rung_ran() {
         let mut w = Workload::new();
         for id in 0..4 {
             w.join(id, 0, 1, 2);
         }
-        let mut stepped = Engine::new(SimConfig::oi(2, 400).with_history(), &w);
+        let mut stepped = Engine::new(SimConfig::oi(2, 400).per_slot(), &w);
         stepped.run();
         assert_eq!(driver_mix(&stepped.driver_mix()), "");
         let mut spans = Engine::new(SimConfig::oi(2, 400), &w);

@@ -1,14 +1,15 @@
 //! The ideal schedule `I_IS` of a non-adaptive IS task (Fig. 2), as a
 //! per-subtask, per-slot allocation table.
 //!
-//! `I_IS` is the constant-weight special case of the `I_SW` tracker: the
-//! scheduling weight never changes and nothing halts. This module
+//! `I_IS` is the constant-weight special case of `I_SW`: the scheduling
+//! weight never changes and nothing halts, so Fig. 5 read slot by slot
+//! ([`IswReference`]) gives it directly. This module
 //! provides it as a pure function over a task's subtask offsets, which
 //! the tests use to check the allocation tables printed in Fig. 1 of the
 //! paper, and which downstream visualization code uses to render window
 //! diagrams.
 
-use crate::ideal::isw::IswTracker;
+use crate::ideal::reference::IswReference;
 use crate::rational::Rational;
 use crate::time::{index_from_rank, rank_from_index, slot_index, Slot};
 use crate::weight::Weight;
@@ -38,80 +39,32 @@ pub fn is_ideal_table(weight: Weight, offsets: &[i64], horizon: Slot) -> IsIdeal
     for w in offsets.windows(2) {
         assert!(w[0] <= w[1], "IS offsets must be non-decreasing");
     }
-    // Plain tracker (no retained history): the table is reconstructed
-    // from the completion events alone, so nothing is read back.
-    let mut tracker = IswTracker::new(weight.value(), 0);
+    // Fig. 5 slot by slot: with the weight fixed and nothing halted,
+    // `I_SW` is `I_IS`, and a subtask's allocation in a slot is what its
+    // cumulative allocation grew by.
+    let mut fig5 = IswReference::new(weight.value(), 0);
     // Build the release chain: r(T_{i+1}) = d(T_i) − b(T_i) + (θ_{i+1} − θ_i).
     let mut windows = Vec::with_capacity(n);
     let mut release = *offsets.first().unwrap_or(&0);
     for i in 1..=rank_from_index(n) {
         let win = window_in_era(weight, i, release);
         windows.push((win.release, win.deadline));
-        tracker.add_subtask(i, win.release, i == 1, i > 1 && b_bit(weight, i - 1));
+        fig5.ref_add(i, win.release, i == 1, i > 1 && b_bit(weight, i - 1));
         let idx = index_from_rank(i);
         if idx < n {
             release = win.next_release() + (offsets[idx] - offsets[idx - 1]);
         }
     }
-    // One closed-form jump over the whole horizon: the completion events
-    // carry each subtask's `D(I_IS, T_i)` and final-slot allocation, and
-    // with a constant weight those two values determine every row of the
-    // table — release slot, `swt` interiors, final remainder (Fig. 5).
-    let (_, completions) = tracker.advance_to(horizon);
-    let mut final_of: Vec<Option<(Slot, Rational)>> = vec![None; n];
-    for c in &completions {
-        final_of[index_from_rank(c.index) - 1] = Some((c.complete_at, c.final_slot_alloc));
-    }
-    let swt = weight.value();
-    let mut per_subtask = vec![vec![Rational::ZERO; slot_index(horizon)]; n];
-    let mut per_task = vec![Rational::ZERO; slot_index(horizon)];
-    for j in 0..n {
-        let (release, _) = windows[j];
-        if release >= horizon {
-            continue;
-        }
-        // Release-slot allocation (Fig. 5 line 4): full weight, or the
-        // weight minus the b=1 predecessor's final-slot allocation.
-        let open = if j > 0 && b_bit(weight, rank_from_index(j)) {
-            // The tracker asserts the predecessor completes before the
-            // successor's release, so its event is always present here.
-            assert!(
-                final_of[j - 1].is_some(),
-                "shared release without a predecessor completion"
-            );
-            let pred_final = final_of[j - 1].map_or(Rational::ZERO, |(_, f)| f);
-            swt - pred_final
-        } else {
-            swt
-        };
-        let mut write = |slot: Slot, value: Rational| {
-            per_subtask[j][slot_index(slot)] = value;
-            per_task[slot_index(slot)] += value;
-        };
-        match final_of[j] {
-            Some((done_at, final_alloc)) => {
-                let last = done_at - 1;
-                if last == release {
-                    // Single-slot window (weight-one case): the release
-                    // allocation is the final one.
-                    write(release, final_alloc);
-                } else {
-                    write(release, open);
-                    for u in (release + 1)..last {
-                        write(u, swt);
-                    }
-                    write(last, final_alloc);
-                }
-            }
-            // Incomplete at the horizon: the min() of Fig. 5 line 8
-            // never binds before the final slot, so every slot after
-            // the release allocates exactly `swt`.
-            None => {
-                write(release, open);
-                for u in (release + 1)..horizon {
-                    write(u, swt);
-                }
-            }
+    let slots = slot_index(horizon);
+    let mut per_subtask = vec![Vec::with_capacity(slots); n];
+    let mut per_task = Vec::with_capacity(slots);
+    let mut before = vec![Rational::ZERO; n];
+    for _ in 0..horizon {
+        per_task.push(fig5.ref_step(|_, _, _| ()));
+        let subs = fig5.ref_subs();
+        for ((rows, prev), sub) in per_subtask.iter_mut().zip(&mut before).zip(subs) {
+            rows.push(sub.cum - *prev);
+            *prev = sub.cum;
         }
     }
     IsIdealTable {

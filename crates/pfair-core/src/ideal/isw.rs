@@ -25,14 +25,13 @@
 //! ever strikes the task's most recently released subtask, so by the
 //! time anything downstream needs `A(I_CSW, T, 0, u)` at an era boundary
 //! `u`, all halts affecting the prefix `[0, u)` are known — the tracker
-//! simply maintains the running total of "lost" allocations and reports
-//! the per-slot breakdown in a [`HaltRecord`] for post-hoc per-slot
-//! analyses.
+//! simply maintains the running total of "lost" allocations. The
+//! per-slot breakdown a history run reports is read off the independent
+//! [`IswReference`](super::reference::IswReference) instead.
 
 use crate::arena::InlineVec;
 use crate::rational::{Accumulator, EraSum, Rational, Units};
 use crate::time::{ever, shift_ever, Slot, NEVER};
-use std::collections::BTreeMap;
 
 /// Emitted by [`IswTracker::advance`] when a subtask's cumulative `I_SW`
 /// allocation reaches one quantum during the processed slot.
@@ -47,24 +46,6 @@ pub struct CompletionEvent {
     /// `D(I_SW, T_i) − 1` — the quantity line 7 of Fig. 5 subtracts from
     /// the successor's release-slot allocation.
     pub final_slot_alloc: Rational,
-}
-
-/// Emitted by [`IswTracker::halt`]: everything `I_SW` had granted the
-/// halted subtask, so `I_CSW` can retroactively zero it out.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HaltRecord {
-    /// Subtask index `i` of the halted `T_i`.
-    pub index: u64,
-    /// `H(T_i)`, the halt time.
-    pub halted_at: Slot,
-    /// `A(I_SW, T_i, 0, H(T_i))`: total allocation lost to the halt.
-    pub lost: Rational,
-    /// Per-slot breakdown of `lost` (slot, allocation), for analyses that
-    /// need the per-slot `I_CSW` series. Populated only when the tracker
-    /// was built with [`IswTracker::with_slot_history`]; empty otherwise,
-    /// so long-horizon simulations carry just the running `lost` total
-    /// instead of O(horizon) entries per slow subtask.
-    pub slot_allocs: Vec<(Slot, Rational)>,
 }
 
 /// One subtask as `I_SW` follows it: six words, three to a tracker
@@ -133,22 +114,20 @@ impl IswSub {
     }
 }
 
-/// Per-slot allocations of the incomplete subtasks, keyed by (subtask
-/// index, slot): what [`HaltRecord::slot_allocs`] reports. A subtask's
-/// entries go when it completes (it can no longer halt) or halts.
-type SlotHistory = BTreeMap<(u64, Slot), Rational>;
-
-/// The interchange form of one subtask: the record plus its per-slot
-/// breakdown, as the field set the format has always had — whatever the
-/// record in memory looks like. Allocations travel as rationals; the
-/// decoded record's `alloc` is filled in once the tracker's unit is
-/// known.
+/// The interchange form of one subtask, as the field set the format has
+/// always had — whatever the record in memory looks like. Allocations
+/// travel as rationals; the decoded record's `alloc` is filled in once
+/// the tracker's unit is known. The format's per-slot breakdown
+/// (`slot_allocs`) is always written empty and must be read empty: no
+/// tracker records one.
 struct SubImage {
     sub: IswSub,
     /// `sub.alloc` as a value: cumulative, or final-slot once complete.
     alloc: Rational,
-    slot_allocs: Vec<(Slot, Rational)>,
 }
+
+/// What an image's `slot_allocs` always holds.
+const NO_SLOT_ALLOCS: &[(Slot, Rational)] = &[];
 
 impl pfair_json::ToJson for SubImage {
     fn write_json(&self, w: &mut pfair_json::JsonWriter) {
@@ -167,7 +146,7 @@ impl pfair_json::ToJson for SubImage {
             .field("complete_at", &ever(sub.complete_at))
             .field("final_slot_alloc", &final_slot_alloc)
             .field("halted_at", &sub.halted_at)
-            .field("slot_allocs", &self.slot_allocs);
+            .field("slot_allocs", NO_SLOT_ALLOCS);
         w.end_object();
     }
 }
@@ -209,6 +188,12 @@ impl pfair_json::FromJson for SubImage {
                 "I_SW final-slot allocation outside [0, 1]",
             ));
         }
+        let slot_allocs: Vec<(Slot, Rational)> = value.field("slot_allocs")?;
+        if !slot_allocs.is_empty() {
+            return Err(pfair_json::JsonError::new(
+                "per-slot I_SW breakdown on a tracker that records none",
+            ));
+        }
         Ok(SubImage {
             sub: IswSub {
                 index,
@@ -223,7 +208,6 @@ impl pfair_json::FromJson for SubImage {
             } else {
                 cum
             },
-            slot_allocs: value.field("slot_allocs")?,
         })
     }
 }
@@ -237,7 +221,6 @@ impl pfair_json::ToJson for IswTracker {
             SubImage {
                 sub,
                 alloc: sub.alloc.over(unit),
-                slot_allocs: self.slot_allocs_of(sub.index),
             }
             .write_json(w);
         }
@@ -245,8 +228,8 @@ impl pfair_json::ToJson for IswTracker {
         w.field("total", &self.isw_total())
             .field("halted_loss", &self.halted_loss)
             .field("now", &self.now)
-            .field("keep_retired", &self.keep_retired())
-            .field("record_slot_allocs", &self.slot_history().is_some());
+            .field("keep_retired", &self.keep_retired)
+            .field("record_slot_allocs", &false);
         w.end_object();
     }
 }
@@ -265,19 +248,11 @@ impl pfair_json::FromJson for IswTracker {
                 "I_SW subtasks out of index order",
             ));
         }
-        let record_slot_allocs: bool = value.field("record_slot_allocs")?;
-        if !record_slot_allocs && images.iter().any(|i| !i.slot_allocs.is_empty()) {
+        if value.field::<bool>("record_slot_allocs")? {
             return Err(pfair_json::JsonError::new(
-                "per-slot I_SW breakdown on a tracker that records none",
+                "a tracker recording per-slot I_SW allocations",
             ));
         }
-        let slot_history = record_slot_allocs.then(|| {
-            let entries = images.iter().flat_map(|i| {
-                let index = i.sub.index;
-                i.slot_allocs.iter().map(move |&(t, a)| ((index, t), a))
-            });
-            entries.collect::<SlotHistory>()
-        });
         let keep_retired: bool = value.field("keep_retired")?;
         let swt: Rational = value.field("swt")?;
         let unit = images
@@ -307,12 +282,7 @@ impl pfair_json::FromJson for IswTracker {
             total,
             halted_loss: value.field("halted_loss")?,
             now: value.field("now")?,
-            retention: (keep_retired || slot_history.is_some()).then(|| {
-                Box::new(Retention {
-                    keep_retired,
-                    slot_history,
-                })
-            }),
+            keep_retired,
         })
     }
 }
@@ -352,29 +322,16 @@ pub struct IswTracker {
     halted_loss: EraSum,
     /// Next slot to be processed by `advance`.
     now: Slot,
-    /// What table builders and history runs opt into; `None` on the
-    /// trackers a long simulation keeps by the million.
-    retention: Option<Box<Retention>>,
-}
-
-/// The opt-in memory of an [`IswTracker`]. Equality and the interchange
-/// form see the two settings, not whether a box holds them.
-#[derive(Clone, Debug, Default)]
-struct Retention {
-    /// When true, completed/halted subtasks are never dropped — needed by
-    /// table builders that read back per-subtask cumulative values.
+    /// When true, completed/halted subtasks are never dropped — needed
+    /// by table builders that read back per-subtask cumulative values.
     keep_retired: bool,
-    /// `Some` when incomplete subtasks keep a per-slot allocation
-    /// breakdown for [`HaltRecord::slot_allocs`]. Opt-in: the breakdown
-    /// grows with the horizon for slow subtasks.
-    slot_history: Option<SlotHistory>,
 }
 
 impl PartialEq for IswTracker {
     fn eq(&self, other: &IswTracker) -> bool {
         let (unit, other_unit) = (self.unit(), other.unit());
         self.now == other.now
-            && self.keep_retired() == other.keep_retired()
+            && self.keep_retired == other.keep_retired
             && self.halted_loss == other.halted_loss
             && self.subs.len() == other.subs.len()
             && if unit == other_unit {
@@ -388,7 +345,6 @@ impl PartialEq for IswTracker {
                         .all(|(a, b)| a.same_as(unit, b, other_unit))
             }
             && self.total == other.total
-            && self.slot_history() == other.slot_history()
     }
 }
 
@@ -404,7 +360,7 @@ impl Clone for IswTracker {
             total: self.total.clone(),
             halted_loss: self.halted_loss.clone(),
             now: self.now,
-            retention: self.retention.clone(),
+            keep_retired: self.keep_retired,
         }
     }
 
@@ -415,7 +371,7 @@ impl Clone for IswTracker {
         self.total.clone_from(&source.total);
         self.halted_loss.clone_from(&source.halted_loss);
         self.now = source.now;
-        self.retention.clone_from(&source.retention);
+        self.keep_retired = source.keep_retired;
     }
 }
 
@@ -436,7 +392,7 @@ impl IswTracker {
             total,
             halted_loss: EraSum::ZERO,
             now: join_at,
-            retention: None,
+            keep_retired: false,
         }
     }
 
@@ -445,36 +401,24 @@ impl IswTracker {
     /// Memory grows with the number of subtasks; meant for table builders
     /// and tests, not long-running simulations.
     pub fn new_keeping_history(swt: Rational, join_at: Slot) -> IswTracker {
-        let mut t = IswTracker::new(swt, join_at);
-        t.retention.get_or_insert_default().keep_retired = true;
-        t
+        IswTracker {
+            keep_retired: true,
+            ..IswTracker::new(swt, join_at)
+        }
     }
 
-    /// Builder-style switch: record the per-slot allocation breakdown of
-    /// incomplete subtasks so [`IswTracker::halt`] can report
-    /// [`HaltRecord::slot_allocs`] for per-slot `I_CSW` analyses. Off by
-    /// default because the breakdown is O(horizon) memory for a subtask
-    /// that never completes; without it a halt reports only the running
-    /// `lost` total, which is all the drift accounting needs. While
-    /// enabled, [`IswTracker::advance_to`] walks the interval slot by
-    /// slot (a multi-slot jump has no per-slot story to record).
-    #[must_use]
-    pub fn with_slot_history(mut self) -> IswTracker {
-        let retention = self.retention.get_or_insert_default();
-        retention.slot_history.get_or_insert_default();
-        self
-    }
-
-    fn keep_retired(&self) -> bool {
-        self.retention.as_deref().is_some_and(|r| r.keep_retired)
-    }
-
-    fn slot_history(&self) -> Option<&SlotHistory> {
-        self.retention.as_deref()?.slot_history.as_ref()
-    }
-
-    fn slot_history_mut(&mut self) -> Option<&mut SlotHistory> {
-        self.retention.as_deref_mut()?.slot_history.as_mut()
+    /// Starts the next stay of a task that left: the last stay's
+    /// subtasks go, allocation resumes at `join_at` under `swt`, and the
+    /// `I_SW` total and the halted loss carry over, so the totals are
+    /// Eqn (5)'s `A(·, T, 0, t)` across every stay. On a tracker that has
+    /// counted nothing this is [`IswTracker::new`].
+    ///
+    /// # Panics
+    /// As [`IswTracker::set_swt`].
+    pub fn rejoin(&mut self, swt: Rational, join_at: Slot) {
+        self.subs = InlineVec::new();
+        self.now = join_at;
+        self.set_swt(swt);
     }
 
     /// The era unit: every allocation the tracker holds or hands out
@@ -589,14 +533,14 @@ impl IswTracker {
     }
 
     /// Halts subtask `T_index` at time `t` (the current slot boundary).
-    /// Returns the record of everything `I_SW` had granted it, which
-    /// `I_CSW` treats as never allocated.
+    /// Returns `A(I_SW, T_index, 0, t)`, everything `I_SW` had granted
+    /// it, which `I_CSW` treats as never allocated.
     ///
     /// # Panics
     /// Panics if the subtask is unknown, already complete, or already
     /// halted — the reweighting rules only halt incomplete, unscheduled
     /// subtasks.
-    pub fn halt(&mut self, index: u64, t: Slot) -> HaltRecord {
+    pub fn halt(&mut self, index: u64, t: Slot) -> Rational {
         let unit = self.unit();
         let sub = self // audit: allow(panic-reach, predecessor is recorded at release and retained until its successor retires)
             .subs
@@ -608,26 +552,7 @@ impl IswTracker {
         sub.halted_at = t;
         let lost = sub.alloc.over(unit);
         self.halted_loss += lost;
-        let slot_allocs = self.slot_allocs_of(index);
-        if let Some(h) = self.slot_history_mut() {
-            forget_slot_allocs(h, index); // reported exactly once
-        }
-        HaltRecord {
-            index,
-            halted_at: t,
-            lost,
-            slot_allocs,
-        }
-    }
-
-    /// The recorded per-slot allocations of subtask `index`, in slot
-    /// order (empty unless [`IswTracker::with_slot_history`] is on).
-    fn slot_allocs_of(&self, index: u64) -> Vec<(Slot, Rational)> {
-        self.slot_history().map_or_else(Vec::new, |h| {
-            h.range((index, Slot::MIN)..=(index, Slot::MAX))
-                .map(|(&(_, t), &a)| (t, a))
-                .collect()
-        })
+        lost
     }
 
     /// `D(I_SW, T_index)` if the subtask has completed.
@@ -730,38 +655,13 @@ impl IswTracker {
         added
     }
 
-    /// [`IswTracker::jump`] to any `t ≥ now`, one slot at a time while
-    /// the per-slot breakdown is being recorded.
-    fn run_to(&mut self, t: Slot, mut touched: impl FnMut(&IswSub, Units)) -> Units {
+    /// [`IswTracker::jump`] to any `t ≥ now`.
+    fn run_to(&mut self, t: Slot, touched: impl FnMut(&IswSub, Units)) -> Units {
         assert!(t >= self.now, "cannot advance a tracker backwards"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
         if self.now == t {
             return Units::ZERO;
         }
-        // Taken out for the walk: `jump` borrows the whole tracker.
-        let Some(mut history) = self
-            .retention
-            .as_deref_mut()
-            .and_then(|r| r.slot_history.take())
-        else {
-            return self.jump(t, touched);
-        };
-        let unit = self.unit();
-        let mut added = Units::ZERO;
-        while self.now < t {
-            let slot = self.now;
-            added += self.jump(slot + 1, |sub, given| {
-                if sub.is_complete() {
-                    forget_slot_allocs(&mut history, sub.index); // it can no longer halt
-                } else if !given.is_zero() {
-                    history.insert((sub.index, slot), given.over(unit));
-                }
-                touched(sub, given);
-            });
-        }
-        if let Some(retention) = self.retention.as_deref_mut() {
-            retention.slot_history = Some(history);
-        }
-        added
+        self.jump(t, touched)
     }
 
     /// Processes every slot in `[now, t)` and reports each completion
@@ -813,7 +713,7 @@ impl IswTracker {
     /// task's total allocation in the slot and any completions that
     /// occurred.
     pub fn advance(&mut self, t: Slot) -> (Rational, Vec<CompletionEvent>) {
-        assert_eq!(t, self.now, "slots must be advanced in order"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
+        assert_eq!(t, self.now, "slots must be advanced in order");
         self.advance_to(t + 1)
     }
 
@@ -846,22 +746,17 @@ impl IswTracker {
     /// put), every subtask index `di` higher (predecessor
     /// back-references are distances and do not move), and the rate,
     /// the era unit, the total's base, the per-subtask allocations, the
-    /// halted loss and the retention settings as they were? If so,
+    /// halted loss and the retention setting as they were? If so,
     /// returns how many era units the total grew by; `None` on any other
     /// difference. Compares in place: nothing is built.
     pub fn gain_over_shift(&self, later: &IswTracker, ds: Slot, di: u64) -> Option<Units> {
-        let (was, is) = (self.slot_history(), later.slot_history());
         let same = self.now.checked_add(ds) == Some(later.now)
             && self.rate == later.rate
             && self.halted_loss == later.halted_loss
-            && self.keep_retired() == later.keep_retired()
+            && self.keep_retired == later.keep_retired
             && self.subs.len() == later.subs.len()
             && (self.subs.iter().zip(later.subs.iter()))
-                .all(|(a, b)| a.shifted(ds, di) == Some(*b))
-            && was.map(BTreeMap::len) == is.map(BTreeMap::len)
-            // The shift is monotone, so a shifted history keeps its order.
-            && (was.into_iter().flatten().zip(is.into_iter().flatten()))
-                .all(|((key, a), (on, b))| key_on(key, ds, di) == Some(*on) && a == b);
+                .all(|(a, b)| a.shifted(ds, di) == Some(*b));
         later.total.units_since(&self.total).filter(|_| same)
     }
 
@@ -869,8 +764,6 @@ impl IswTracker {
     pub fn shift_fits(&self, ds: Slot, di: u64, gain: Units) -> bool {
         self.now.checked_add(ds).is_some()
             && self.subs.iter().all(|s| s.shifted(ds, di).is_some())
-            && (self.slot_history().into_iter().flatten())
-                .all(|(key, _)| key_on(key, ds, di).is_some())
             && self.total.counted().get().checked_add(gain.get()).is_some()
     }
 
@@ -888,20 +781,8 @@ impl IswTracker {
         for s in &mut self.subs {
             *s = s.shifted(ds, di).unwrap_or(*s);
         }
-        if let Some(h) = self.slot_history_mut() {
-            let entries = std::mem::take(h).into_iter();
-            *h = (entries.filter_map(|(key, a)| Some((key_on(&key, ds, di)?, a)))).collect();
-        }
         self.total.add_units(gain);
         true
-    }
-
-    /// Number of per-slot breakdown entries currently retained across all
-    /// incomplete subtasks. Always 0 unless
-    /// [`IswTracker::with_slot_history`] was used — the bounded-memory
-    /// regression test pins that.
-    pub fn slot_history_len(&self) -> usize {
-        self.slot_history().map_or(0, BTreeMap::len)
     }
 
     /// Drops subtasks that can no longer influence anything: completed or
@@ -910,7 +791,7 @@ impl IswTracker {
     /// predecessor).
     #[inline]
     fn retire(&mut self) {
-        if self.keep_retired() {
+        if self.keep_retired {
             return;
         }
         // One front drop instead of repeated `pop_front`: a closed-form
@@ -949,17 +830,6 @@ fn pred_final_alloc(earlier: &[IswSub], sub: &IswSub) -> Units {
         "predecessor T_{p} not complete at successor release"
     );
     pred.alloc
-}
-
-/// The key of a per-slot allocation `ds` slots and `di` indices on.
-fn key_on(&(index, slot): &(u64, Slot), ds: Slot, di: u64) -> Option<(u64, Slot)> {
-    Some((index.checked_add(di)?, slot.checked_add(ds)?))
-}
-
-/// Drops the per-slot allocations of a subtask that completed (it can
-/// no longer halt) or halted (they are reported exactly once).
-fn forget_slot_allocs(history: &mut SlotHistory, index: u64) {
-    history.retain(|&(i, _), _| i != index);
 }
 
 #[cfg(test)]
@@ -1048,22 +918,17 @@ mod tests {
 
     /// Fig. 3(a): same task but T_2 is halted at time 8 (rule O). I_SW
     /// granted it 2/19 + 3/19 = 5/19 by then; I_CSW takes that back.
-    /// Slot history is enabled so the halt record carries the per-slot
-    /// breakdown.
     #[test]
     fn fig3a_halt_and_icsw_loss() {
         let w = rat(3, 19);
-        let mut tr = IswTracker::new(w, 0).with_slot_history();
+        let mut tr = IswTracker::new(w, 0);
         tr.add_subtask(1, 0, true, false);
         tr.add_subtask(2, 6, false, true);
         for t in 0..8 {
             tr.advance(t);
         }
         assert_eq!(tr.subtask_cum(2), Some(rat(5, 19)));
-        let rec = tr.halt(2, 8);
-        assert_eq!(rec.lost, rat(5, 19));
-        assert_eq!(rec.halted_at, 8);
-        assert_eq!(rec.slot_allocs, vec![(6, rat(2, 19)), (7, rat(3, 19))]);
+        assert_eq!(tr.halt(2, 8), rat(5, 19));
         // I_SW total counts the lost allocation; I_CSW does not.
         assert_eq!(tr.isw_total(), Rational::ONE + rat(5, 19));
         assert_eq!(tr.icsw_total(), Rational::ONE);
@@ -1242,50 +1107,20 @@ mod advance_to_tests {
         assert_eq!(tr.projected_completion(3), None);
     }
 
-    /// Without `with_slot_history` no per-slot breakdown is retained
-    /// (bounded memory over long horizons) and halts report an empty
-    /// breakdown but the exact `lost` total; with it, both survive.
+    /// The interchange form keeps the field set it has always had: a
+    /// completed subtask reports `cum = 1` beside its final-slot
+    /// allocation, and every image carries an empty per-slot breakdown
+    /// and `record_slot_allocs: false`. Decoding gives back a tracker
+    /// that is equal, re-renders to the same bytes and halts with the
+    /// same record; a breakdown, or a tracker that says it records one,
+    /// is not a state the tracker can be in.
     #[test]
-    fn slot_history_is_opt_in_and_memory_stays_bounded() {
-        // A never-completing subtask: weight tiny, horizon long.
-        let mut lean = IswTracker::new(rat(1, 1_000_000), 0);
-        lean.add_subtask(1, 0, true, false);
-        lean.advance_to(100_000);
-        assert_eq!(
-            lean.slot_history_len(),
-            0,
-            "lean tracker retains no breakdown"
-        );
-        let rec = lean.halt(1, 100_000);
-        assert_eq!(rec.lost, rat(100_000, 1_000_000));
-        assert!(rec.slot_allocs.is_empty());
-
-        let mut rich = IswTracker::new(rat(3, 19), 0).with_slot_history();
-        rich.add_subtask(1, 0, true, false);
-        rich.add_subtask(2, 6, false, true);
-        for t in 0..8 {
-            rich.advance(t);
-        }
-        assert_eq!(rich.slot_history_len(), 2); // X_2's slots 6 and 7
-        let rec = rich.halt(2, 8);
-        assert_eq!(rec.slot_allocs, vec![(6, rat(2, 19)), (7, rat(3, 19))]);
-    }
-
-    /// The interchange form does not know where the per-slot breakdown
-    /// lives: a tracker with slot history renders each incomplete
-    /// subtask's breakdown under that subtask, a completed subtask
-    /// reports `cum = 1` beside its final-slot allocation, and decoding
-    /// the text gives back a tracker that is equal, re-renders to the
-    /// same bytes and halts with the same record.
-    #[test]
-    fn slot_history_round_trips_through_json() {
+    fn json_image_keeps_its_fields() {
         use pfair_json::{FromJson, Json, ToJson};
-        let mut tr = IswTracker::new(rat(3, 19), 0).with_slot_history();
+        let mut tr = IswTracker::new(rat(3, 19), 0);
         tr.add_subtask(1, 0, true, false);
         tr.add_subtask(2, 6, false, true);
-        for t in 0..8 {
-            tr.advance(t);
-        }
+        tr.sync_to(8, |_, _| ());
         let text = tr.to_json_compact();
         assert_eq!(
             text,
@@ -1295,28 +1130,29 @@ mod advance_to_tests {
                 r#""final_slot_alloc":{"num":1,"den":19},"halted_at":9223372036854775807,"slot_allocs":[]},"#,
                 r#"{"index":2,"release":6,"pred":1,"cum":{"num":5,"den":19},"complete_at":null,"#,
                 r#""final_slot_alloc":{"num":0,"den":1},"halted_at":9223372036854775807,"#,
-                r#""slot_allocs":[[6,{"num":2,"den":19}],[7,{"num":3,"den":19}]]}],"#,
+                r#""slot_allocs":[]}],"#,
                 r#""total":{"num":24,"den":19},"halted_loss":{"num":0,"den":1},"now":8,"#,
-                r#""keep_retired":false,"record_slot_allocs":true}"#
+                r#""keep_retired":false,"record_slot_allocs":false}"#
             )
         );
         let mut back = IswTracker::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, tr);
         assert_eq!(back.to_json_compact(), text);
-        let rec = back.halt(2, 8);
-        assert_eq!(rec, tr.halt(2, 8));
-        assert_eq!(rec.slot_allocs, vec![(6, rat(2, 19)), (7, rat(3, 19))]);
-        assert_eq!(back.slot_history_len(), 0);
+        assert_eq!(back.halt(2, 8), rat(5, 19));
+        assert_eq!(tr.halt(2, 8), rat(5, 19));
         assert_eq!(back.to_json_compact(), tr.to_json_compact());
 
-        // A breakdown on a tracker that records none, or a final-slot
-        // allocation on an incomplete subtask, is not a state the
-        // tracker can be in.
-        let lean = text.replace(
-            "\"record_slot_allocs\":true",
+        let recording = text.replace(
             "\"record_slot_allocs\":false",
+            "\"record_slot_allocs\":true",
         );
-        assert!(IswTracker::from_json(&Json::parse(&lean).unwrap()).is_err());
+        assert!(IswTracker::from_json(&Json::parse(&recording).unwrap()).is_err());
+        let breakdown = text.replacen(
+            "\"slot_allocs\":[]",
+            r#""slot_allocs":[[6,{"num":2,"den":19}]]"#,
+            1,
+        );
+        assert!(IswTracker::from_json(&Json::parse(&breakdown).unwrap()).is_err());
         let odd = text.replace(
             r#""final_slot_alloc":{"num":0,"den":1}"#,
             r#""final_slot_alloc":{"num":1,"den":19}"#,
@@ -1349,29 +1185,6 @@ mod advance_to_tests {
         assert_ne!(tr, IswTracker::new(rat(2, 5), 8));
         round_trip(&tr);
         assert_eq!(tr.icsw_total(), Rational::ONE);
-    }
-
-    /// The with-history fallback still jumps correctly (delegating to
-    /// the per-slot path) so callers need not branch.
-    #[test]
-    fn with_history_fallback_is_equivalent() {
-        let mut jump = IswTracker::new(rat(5, 16), 0).with_slot_history();
-        let mut oracle = IswTracker::new(rat(5, 16), 0).with_slot_history();
-        for tr in [&mut jump, &mut oracle] {
-            tr.add_subtask(1, 0, true, false);
-            tr.add_subtask(2, 3, false, true);
-        }
-        let (jump_total, jump_events) = jump.advance_to(5);
-        let mut oracle_total = Rational::ZERO;
-        let mut oracle_events = Vec::new();
-        for t in 0..5 {
-            let (a, mut e) = oracle.advance(t);
-            oracle_total += a;
-            oracle_events.append(&mut e);
-        }
-        assert_eq!(jump_total, oracle_total);
-        assert_eq!(jump_events, oracle_events);
-        assert_eq!(jump.slot_history_len(), oracle.slot_history_len());
     }
 
     #[test]
@@ -1463,13 +1276,12 @@ mod shift_tests {
     /// `num/den` released (possibly none), advanced to `extra` slots
     /// past the last release, optionally with the last subtask halted
     /// if it is still incomplete, a weight change enacted after that (so
-    /// the unit carries two denominators) and either retention setting
-    /// on.
+    /// the unit carries two denominators) and either retention setting.
     fn arb_tracker() -> impl Strategy<Value = IswTracker> {
         (
             (1i128..=5, 2i128..=12),
             (0u64..=6, 1i64..=5),
-            (0u8..4, 0u8..4),
+            (0u8..2, 0u8..4),
             (1i128..=3, 4i128..=9),
         )
             .prop_map(
@@ -1477,8 +1289,7 @@ mod shift_tests {
                     let w = Weight::new(rat(num.min(den - 1), den));
                     let mut tr = match retention {
                         0 => IswTracker::new(w.value(), 0),
-                        1 => IswTracker::new_keeping_history(w.value(), 0),
-                        _ => IswTracker::new(w.value(), 0).with_slot_history(),
+                        _ => IswTracker::new_keeping_history(w.value(), 0),
                     };
                     let mut last = (0, 0);
                     for i in 1..=subs {
@@ -1513,10 +1324,7 @@ mod shift_tests {
         with("halted loss", &|t| t.halted_loss += rat(1, 7));
         with("unit", &|t| t.total.rebase(t.unit().times(2)));
         with("total base", &|t| t.total = t.total.clone().plus(rat(1, 3)));
-        with("keep_retired", &|t| {
-            let r = t.retention.get_or_insert_default();
-            r.keep_retired = !r.keep_retired;
-        });
+        with("keep_retired", &|t| t.keep_retired = !t.keep_retired);
         with("a record more", &|t| {
             let index = t.subs.back().map_or(1, |s| s.index + 1);
             t.subs.push_back(IswSub {
@@ -1539,21 +1347,6 @@ mod shift_tests {
                 bump(&mut t.subs.as_mut_slice()[i].halted_at);
             });
         }
-        if let Some((&(index, slot), &alloc)) = image.slot_history().and_then(|h| h.iter().next()) {
-            fn history(t: &mut IswTracker) -> &mut SlotHistory {
-                t.slot_history_mut().expect("cloned with its history")
-            }
-            with("history slot", &|t| {
-                history(t).remove(&(index, slot));
-                history(t).insert((index, slot + 1_000), alloc);
-            });
-            with("history alloc", &|t| {
-                history(t).insert((index, slot), alloc + rat(1, 5));
-            });
-            with("history entry", &|t| {
-                history(t).remove(&(index, slot));
-            });
-        }
         out
     }
 
@@ -1573,7 +1366,6 @@ mod shift_tests {
             // Same values, one period on: totals differ by the gain.
             prop_assert_eq!(image.isw_total(), tr.isw_total() + gain.over(tr.unit()));
             prop_assert_eq!(image.swt(), tr.swt());
-            prop_assert_eq!(image.slot_history_len(), tr.slot_history_len());
             // The wrong shift is not the image either.
             prop_assert_eq!(tr.gain_over_shift(&image, ds + 1, di), None);
             if !tr.subs.is_empty() {

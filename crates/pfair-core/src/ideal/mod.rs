@@ -9,7 +9,7 @@
 //!   interior of its window, with release/deadline slots adjusted so
 //!   every subtask totals exactly one quantum (Fig. 2). Provided here by
 //!   [`is_table::is_ideal_table`] as the constant-weight special case of
-//!   the tracker.
+//!   the per-slot Fig. 5 reference.
 //! * **`I_SW`** — like `I_IS` but for adaptable tasks: allocations track
 //!   the *scheduling weight* (the last enacted weight), and a halted
 //!   subtask accrues allocations until the moment it halts (Fig. 5).
@@ -20,8 +20,10 @@
 //! * **`I_CSW`** — the clairvoyant variant of `I_SW` that never allocates
 //!   to a subtask that will halt; used for correctness and drift
 //!   accounting. Obtained from the tracker by subtracting the recorded
-//!   allocations of halted subtasks ([`isw::IswTracker::icsw_total`] and
-//!   the per-slot [`isw::HaltRecord`] corrections).
+//!   allocations of halted subtasks ([`isw::IswTracker::icsw_total`]).
+//!   [`reference::IswReference`] reads both off Fig. 5 slot by slot over
+//!   plain rationals, with the per-slot allocations a halt takes back:
+//!   the check the tracker is held to, and what history runs record.
 //! * **`I_PS`** — ideal processor sharing: each task continuously
 //!   receives its *actual* weight `wt(T, t)`, with weight changes taking
 //!   effect the instant they are *initiated*. The yardstick for drift.
@@ -30,7 +32,9 @@
 pub mod is_table;
 pub mod isw;
 pub mod ps;
+pub mod reference;
 
 pub use is_table::is_ideal_table;
-pub use isw::{CompletionEvent, HaltRecord, IswTracker};
+pub use isw::{CompletionEvent, IswTracker};
 pub use ps::PsTracker;
+pub use reference::{IswReference, RefSub};

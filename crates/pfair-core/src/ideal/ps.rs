@@ -120,6 +120,19 @@ impl PsTracker {
         }
     }
 
+    /// Starts the next stay of a task that left, at weight `wt` from
+    /// `join_at` on: the total carries over (Eqn (5)'s `A(I_PS, T, 0,
+    /// t)` counts every stay) and the last stay's suspensions go. On a
+    /// tracker that has counted nothing this is [`PsTracker::new`].
+    ///
+    /// # Panics
+    /// Panics if `wt` is not a [`Weight`].
+    pub fn rejoin(&mut self, wt: Rational, join_at: Slot) {
+        self.set_wt(wt);
+        self.now = join_at;
+        self.suspensions = ThinVec::new();
+    }
+
     /// Suspends allocation for slots in `[from, until)` (IS separation:
     /// the task is between active subtasks there, so the instantaneous
     /// ideal owes it nothing). Intervals may lie in the future and may
@@ -171,7 +184,7 @@ impl PsTracker {
     /// Accrues slot `t`'s allocation (`wt(T, t) · 1`, or zero while
     /// suspended).
     pub fn advance(&mut self, t: Slot) -> Rational {
-        assert_eq!(t, self.now, "slots must be advanced in order"); // audit: allow(panic-reach, fluid trackers advance monotonically by construction, a violation is a tracker bug)
+        assert_eq!(t, self.now, "slots must be advanced in order");
         self.advance_to(t + 1)
     }
 

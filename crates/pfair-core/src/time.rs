@@ -29,7 +29,7 @@ pub fn slot_from_i128(x: i128) -> Slot {
 /// Converts a non-negative `Slot` to a container index.
 #[inline]
 pub fn slot_index(t: Slot) -> usize {
-    // audit: allow(panic-reach, slot quantities stay within the horizon enforced at admission)
+    // audit: allow(panic, slot quantities stay within the horizon enforced at admission)
     usize::try_from(t).expect("slot is not a valid container index")
 }
 

@@ -6,7 +6,7 @@
 //!   trackers under randomized weights, separations, weight changes,
 //!   and halts.
 
-use pfair_core::ideal::IswTracker;
+use pfair_core::ideal::{IswReference, IswTracker};
 use pfair_core::rational::{rat, Rational};
 use pfair_core::weight::Weight;
 use pfair_core::window::{b_bit, group_deadline, window_in_era, window_len};
@@ -184,20 +184,22 @@ proptest! {
     /// (AF4: zero allocations outside [r, D)).
     #[test]
     fn halt_accounting(w in arb_weight(), halt_after in 1i64..6) {
-        // Slot history is opt-in since the interval-advancement change;
-        // this property reads the per-slot breakdown, so enable it.
-        let mut tr = IswTracker::new_keeping_history(w.value(), 0).with_slot_history();
+        // The per-slot breakdown comes from the independent reference,
+        // driven alongside.
+        let mut tr = IswTracker::new_keeping_history(w.value(), 0);
+        let mut reference = IswReference::new(w.value(), 0);
         tr.add_subtask(1, 0, true, false);
+        reference.ref_add(1, 0, true, false);
         let halt_at = halt_after.min(window_in_era(w, 1, 0).deadline - 1);
         for t in 0..halt_at {
-            tr.advance(t);
+            prop_assert_eq!(tr.advance(t).0, reference.ref_step(|_, _, _| ()));
         }
         let cum_before = tr.subtask_cum(1).unwrap();
         prop_assume!(cum_before < Rational::ONE); // still incomplete
-        let rec = tr.halt(1, halt_at);
-        prop_assert_eq!(rec.lost, cum_before);
-        let per_slot_sum = rec
-            .slot_allocs
+        prop_assert_eq!(tr.halt(1, halt_at), cum_before);
+        let halted = reference.ref_halt(1).unwrap();
+        let per_slot_sum = halted
+            .slots
             .iter()
             .fold(Rational::ZERO, |a, (_, x)| a + *x);
         prop_assert_eq!(per_slot_sum, cum_before);

@@ -3,9 +3,10 @@
 //! [`IswTracker`] and [`PsTracker`] compute in integer era units and
 //! materialize rationals on demand; their per-slot `advance` is a
 //! one-slot jump, so comparing it with `advance_to` checks the code
-//! against itself. [`Reference`] below is the check that shares nothing
-//! with them but [`Rational`]: Fig. 5 and the `I_PS` sum transcribed
-//! slot by slot over reduced fractions, every total a plain `+=`.
+//! against itself. [`IswReference`] (the library's pure-`Rational`
+//! Fig. 5, which history runs record from) is the check that shares
+//! nothing with them but [`Rational`]; [`Reference`] below adds the
+//! `I_PS` sum, transcribed slot by slot with every total a plain `+=`.
 //!
 //! One scripted task is driven through both — eras of pairwise-coprime
 //! and weight-1 denominators, ended by a wait for `D(I_SW) + b`, by an
@@ -14,17 +15,18 @@
 //! separations and overlapping suspensions — and compared at every
 //! boundary: totals, `icsw_total`, every retained `subtask_cum`,
 //! completions with their final-slot allocations, projected
-//! completions, halt records (with the per-slot breakdown on every
-//! other plan), and the tracker's JSON image decoded back
+//! completions, halt records (whose loss the reference's per-slot
+//! breakdown must sum to), and the tracker's JSON image decoded back
 //! (which re-derives its unit from the values alone).
 //!
 //! `PROPTEST_CASES` raises the case count (CI runs this file in release
-//! mode with more). The helpers are named `ref_*` / `*_both` because
+//! mode with more). The helpers are named `model_*` / `*_both` because
 //! the static audit resolves calls by method name and reads this
-//! directory too: a `halt` or `advance` here would be wired into the
-//! engine's call graph.
+//! directory too: a `halt` or `advance` here — or a `ref_step`, which
+//! the history recorder calls on the library reference — would be
+//! wired into the engine's call graph.
 
-use pfair_core::ideal::{IswTracker, PsTracker};
+use pfair_core::ideal::{IswReference, IswTracker, PsTracker, RefSub};
 use pfair_core::rational::{rat, Rational};
 use pfair_core::time::Slot;
 use pfair_core::weight::Weight;
@@ -32,129 +34,81 @@ use pfair_core::window::{b_bit, window_in_era};
 use pfair_json::{FromJson, Json, ToJson};
 use proptest::prelude::*;
 
-#[derive(Clone, Debug)]
-struct RefSub {
-    index: u64,
-    release: Slot,
-    /// The `b = 1` predecessor sharing this subtask's release slot.
-    pred: Option<u64>,
-    cum: Rational,
-    /// Allocation in the last slot that gave it any: once complete,
-    /// `A(I_SW, T_i, D(T_i) − 1)`.
-    last_alloc: Rational,
-    /// Every nonzero per-slot allocation so far.
-    slots: Vec<(Slot, Rational)>,
-    complete_at: Option<Slot>,
-    halted: bool,
-}
-
-/// `I_SW`, `I_CSW` and `I_PS` of one task, one slot at a time.
+/// The library's `I_SW`/`I_CSW` reference plus `I_PS` of one task, one
+/// slot at a time.
 #[derive(Clone, Debug)]
 struct Reference {
-    swt: Rational,
+    isw: IswReference,
     wt: Rational,
-    subs: Vec<RefSub>,
-    isw_total: Rational,
-    lost: Rational,
     ps_total: Rational,
     suspended: Vec<(Slot, Slot)>,
-    now: Slot,
 }
 
 impl Reference {
     fn new(w: Rational) -> Reference {
         Reference {
-            swt: w,
+            isw: IswReference::new(w, 0),
             wt: w,
-            subs: Vec::new(),
-            isw_total: Rational::ZERO,
-            lost: Rational::ZERO,
             ps_total: Rational::ZERO,
             suspended: Vec::new(),
-            now: 0,
         }
     }
 
-    fn ref_add(&mut self, index: u64, release: Slot, era_first: bool, pred_b: bool) {
-        let pred = (!era_first && pred_b).then(|| {
-            let p = self.subs.iter().rev().find(|s| !s.halted);
-            p.expect("a b = 1 predecessor").index
-        });
-        self.subs.push(RefSub {
-            index,
-            release,
-            pred,
-            cum: Rational::ZERO,
-            last_alloc: Rational::ZERO,
-            slots: Vec::new(),
-            complete_at: None,
-            halted: false,
-        });
+    fn model_now(&self) -> Slot {
+        self.isw.ref_now()
+    }
+
+    fn model_add(&mut self, index: u64, release: Slot, era_first: bool, pred_b: bool) {
+        assert!(self.isw.ref_add(index, release, era_first, pred_b));
+        let shares_a_slot = self.model_sub(index).pred.is_some();
+        assert_eq!(
+            shares_a_slot,
+            pred_b && !era_first,
+            "T_{index}'s predecessor"
+        );
     }
 
     /// Fig. 5 for slot `now`, in index order, and the slot's `I_PS`
     /// share. Returns `(index, D(I_SW, T_index), final-slot allocation)`
     /// of the subtasks that completed.
-    fn ref_step(&mut self) -> Vec<(u64, Slot, Rational)> {
-        let t = self.now;
+    fn model_step(&mut self) -> Vec<(u64, Slot, Rational)> {
+        let t = self.model_now();
         let mut done = Vec::new();
-        for i in 0..self.subs.len() {
-            let s = &self.subs[i];
-            if s.halted || s.complete_at.is_some() || t < s.release {
-                continue;
-            }
-            let alloc = if t != s.release {
-                self.swt.min(Rational::ONE - s.cum)
-            } else if let Some(p) = s.pred {
-                let pred = self.subs.iter().find(|x| x.index == p).unwrap();
+        self.isw.ref_step(|i, at, a| done.push((i, at, a)));
+        for s in self.isw.ref_subs() {
+            assert!(!s.cum.is_negative() && s.cum <= Rational::ONE);
+            if let Some(p) = s.pred.filter(|_| s.release == t) {
+                let pred = self.model_sub(p);
                 assert!(pred.complete_at.is_some(), "T_{p} incomplete at {t}");
-                self.swt - pred.last_alloc
-            } else {
-                self.swt
-            };
-            assert!(!alloc.is_negative());
-            let s = &mut self.subs[i];
-            s.cum += alloc;
-            s.last_alloc = alloc;
-            if !alloc.is_zero() {
-                s.slots.push((t, alloc));
-            }
-            self.isw_total += alloc;
-            assert!(s.cum <= Rational::ONE);
-            if s.cum == Rational::ONE {
-                s.complete_at = Some(t + 1);
-                done.push((s.index, t + 1, alloc));
             }
         }
         if !self.suspended.iter().any(|&(a, b)| a <= t && t < b) {
             self.ps_total += self.wt;
         }
-        self.now = t + 1;
         done
     }
 
-    fn ref_halt(&mut self, index: u64) -> &RefSub {
-        let s = self.subs.iter_mut().find(|s| s.index == index).unwrap();
-        assert!(!s.halted && s.complete_at.is_none());
-        s.halted = true;
-        self.lost += s.cum;
-        s
+    fn model_halt(&mut self, index: u64) -> RefSub {
+        self.isw.ref_halt(index).expect("a live subtask").clone()
     }
 
-    fn ref_sub(&self, index: u64) -> &RefSub {
-        self.subs.iter().find(|s| s.index == index).unwrap()
+    fn model_sub(&self, index: u64) -> &RefSub {
+        self.isw.ref_sub(index).expect("a released subtask")
     }
 
     /// `D(I_SW, T_index)` if the weight stays what it is: found by
     /// walking a copy forward.
-    fn ref_completion(&self, index: u64) -> Slot {
+    fn model_completion(&self, index: u64) -> Slot {
         let mut ahead = self.clone();
         loop {
-            if let Some(d) = ahead.ref_sub(index).complete_at {
+            if let Some(d) = ahead.model_sub(index).complete_at {
                 return d;
             }
-            assert!(ahead.now < self.now + 100_000, "T_{index} never completes");
-            ahead.ref_step();
+            assert!(
+                ahead.model_now() < self.model_now() + 100_000,
+                "T_{index} never completes"
+            );
+            ahead.model_step();
         }
     }
 }
@@ -171,17 +125,10 @@ struct Pair {
 }
 
 impl Pair {
-    /// Every other plan keeps the per-slot breakdown, which makes the
-    /// tracker walk its jumps slot by slot and report it at a halt.
     fn new(w: Rational, chunks: Vec<i64>) -> Pair {
-        let isw = IswTracker::new(w, 0);
         Pair {
             reference: Reference::new(w),
-            isw: if chunks.len().is_multiple_of(2) {
-                isw.with_slot_history()
-            } else {
-                isw
-            },
+            isw: IswTracker::new(w, 0),
             ps: PsTracker::new(w, 0),
             chunks,
             cursor: 0,
@@ -191,14 +138,15 @@ impl Pair {
     /// Advances everything to `to`, in chunks, comparing at each
     /// boundary.
     fn advance_both(&mut self, to: Slot) {
-        while self.reference.now < to {
-            let from = self.reference.now;
+        while self.reference.model_now() < to {
+            let from = self.reference.model_now();
             let b = (from + self.chunks[self.cursor % self.chunks.len()]).min(to);
             self.cursor += 1;
-            let (isw_before, ps_before) = (self.reference.isw_total, self.reference.ps_total);
+            let (isw_before, ps_before) =
+                (self.reference.isw.ref_isw_total(), self.reference.ps_total);
             let mut expected = Vec::new();
-            while self.reference.now < b {
-                expected.extend(self.reference.ref_step());
+            while self.reference.model_now() < b {
+                expected.extend(self.reference.model_step());
             }
             let flat = |e: pfair_core::ideal::CompletionEvent| {
                 (e.index, e.complete_at, e.final_slot_alloc)
@@ -214,7 +162,7 @@ impl Pair {
                 }
                 1 => {
                     let (added, events) = self.isw.advance_to(b);
-                    assert_eq!(added, self.reference.isw_total - isw_before);
+                    assert_eq!(added, self.reference.isw.ref_isw_total() - isw_before);
                     assert_eq!(events.into_iter().map(flat).collect::<Vec<_>>(), expected);
                     assert_eq!(self.ps.advance_to(b), self.reference.ps_total - ps_before);
                 }
@@ -233,23 +181,24 @@ impl Pair {
 
     fn check_both(&mut self) {
         let r = &self.reference;
-        assert_eq!(self.isw.now(), r.now);
-        assert_eq!(self.ps.now(), r.now);
-        assert_eq!(self.isw.swt(), r.swt);
-        assert_eq!(self.isw.isw_total(), r.isw_total, "I_SW at {}", r.now);
-        assert_eq!(self.isw.icsw_total(), r.isw_total - r.lost);
-        assert_eq!(self.ps.total(), r.ps_total, "I_PS at {}", r.now);
-        for s in &r.subs {
+        let now = r.model_now();
+        assert_eq!(self.isw.now(), now);
+        assert_eq!(self.ps.now(), now);
+        assert_eq!(self.isw.swt(), r.isw.ref_swt());
+        assert_eq!(self.isw.isw_total(), r.isw.ref_isw_total(), "I_SW at {now}");
+        assert_eq!(self.isw.icsw_total(), r.isw.ref_icsw_total());
+        assert_eq!(self.ps.total(), r.ps_total, "I_PS at {now}");
+        for s in r.isw.ref_subs() {
             let live = !s.halted && s.complete_at.is_none();
             match self.isw.subtask_cum(s.index) {
                 Some(cum) => {
-                    assert_eq!(cum, s.cum, "cum of T_{} at {}", s.index, r.now);
+                    assert_eq!(cum, s.cum, "cum of T_{} at {now}", s.index);
                     assert_eq!(self.isw.completion_of(s.index), s.complete_at);
                 }
                 None => assert!(!live, "live T_{} dropped", s.index),
             }
-            if live && s.release < r.now {
-                let d = r.ref_completion(s.index);
+            if live && s.release < now {
+                let d = r.model_completion(s.index);
                 assert_eq!(self.isw.projected_completion(s.index), Some(d));
             }
         }
@@ -269,7 +218,7 @@ impl Pair {
     }
 
     fn add_both(&mut self, index: u64, release: Slot, era_first: bool, pred_b: bool) {
-        self.reference.ref_add(index, release, era_first, pred_b);
+        self.reference.model_add(index, release, era_first, pred_b);
         self.isw.add_subtask(index, release, era_first, pred_b);
     }
 
@@ -279,7 +228,7 @@ impl Pair {
     }
 
     fn enact_both(&mut self, v: Rational) {
-        self.reference.swt = v;
+        self.reference.isw.ref_set_swt(v);
         self.isw.set_swt(v);
         self.check_both();
     }
@@ -292,16 +241,14 @@ impl Pair {
     }
 
     fn halt_both(&mut self, index: u64) {
-        let now = self.reference.now;
-        let expected = self.reference.ref_halt(index);
-        let record = self.isw.halt(index, now);
-        assert_eq!(record.lost, expected.cum);
-        assert_eq!((record.index, record.halted_at), (index, now));
-        if self.chunks.len().is_multiple_of(2) {
-            assert_eq!(record.slot_allocs, expected.slots);
-        } else {
-            assert!(record.slot_allocs.is_empty());
-        }
+        let now = self.reference.model_now();
+        let expected = self.reference.model_halt(index);
+        let lost = self.isw.halt(index, now);
+        assert_eq!(lost, expected.cum);
+        // What `I_CSW` takes back, slot by slot, is what it lost.
+        let per_slot = (expected.slots.iter()).fold(Rational::ZERO, |sum, &(_, a)| sum + a);
+        assert_eq!(per_slot, lost);
+        assert!(expected.slots.iter().all(|&(t, _)| t < now));
         self.check_both();
     }
 }
@@ -378,7 +325,7 @@ fn run_plan(plan: &[Era], chunks: Vec<i64>) {
         let tc = inside(last.release + era.offset);
         pair.advance_both(tc);
         pair.initiate_both(v);
-        let complete = pair.reference.ref_sub(index).complete_at.is_some();
+        let complete = pair.reference.model_sub(index).complete_at.is_some();
         let b = Slot::from(last.b);
         open_at = match era.end {
             EraEnd::Halt if !complete => {
@@ -389,19 +336,19 @@ fn run_plan(plan: &[Era], chunks: Vec<i64>) {
             // Only an increase may be enacted on the spot: the subtask
             // sharing its final slot with the last release still fills
             // its quantum there, as that release's allocation assumes.
-            EraEnd::Straddle if v > pair.reference.swt => {
+            EraEnd::Straddle if v > pair.reference.isw.ref_swt() => {
                 pair.enact_both(v);
-                (pair.reference.ref_completion(index) + b).max(tc)
+                (pair.reference.model_completion(index) + b).max(tc)
             }
             _ => {
-                let at = (pair.reference.ref_completion(index) + b).max(tc);
+                let at = (pair.reference.model_completion(index) + b).max(tc);
                 pair.advance_both(at);
                 pair.enact_both(v);
                 at
             }
         };
     }
-    let end = pair.reference.now + 70;
+    let end = pair.reference.model_now() + 70;
     pair.advance_both(end);
 }
 
@@ -420,17 +367,17 @@ proptest! {
 #[test]
 fn reference_reproduces_fig7() {
     let mut r = Reference::new(rat(3, 19));
-    r.ref_add(1, 0, true, false);
-    r.ref_add(2, 6, false, true);
+    r.model_add(1, 0, true, false);
+    r.model_add(2, 6, false, true);
     for _ in 0..8 {
-        r.ref_step();
+        r.model_step();
     }
-    assert_eq!(r.ref_sub(2).cum, rat(5, 19));
-    r.swt = rat(2, 5);
+    assert_eq!(r.model_sub(2).cum, rat(5, 19));
+    r.isw.ref_set_swt(rat(2, 5));
     r.wt = rat(2, 5);
-    assert_eq!(r.ref_completion(2), 10);
-    r.ref_step();
-    assert_eq!(r.ref_step(), vec![(2, 10, rat(32, 95))]);
+    assert_eq!(r.model_completion(2), 10);
+    r.model_step();
+    assert_eq!(r.model_step(), vec![(2, 10, rat(32, 95))]);
     assert_eq!(r.ps_total, rat(24, 19) + rat(4, 5));
 }
 

@@ -128,6 +128,8 @@ impl TraceRecorder {
                 | ObsEvent::ReweightInitiated { task, .. }
                 | ObsEvent::ReweightEnacted { task, .. }
                 | ObsEvent::Refused { task, .. }
+                | ObsEvent::SwtSet { task, .. }
+                | ObsEvent::Depart { task, .. }
                 | ObsEvent::TrackerAdvance { task, .. }
                 | ObsEvent::ExecOverrun { task, .. }
                 | ObsEvent::ExecSkip { task, .. }

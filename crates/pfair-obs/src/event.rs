@@ -2,7 +2,8 @@
 //!
 //! Every per-entity fact the engine or executor reports — a release, a
 //! schedule, a halt, a stale queue entry, a reweight initiation or
-//! enactment, a tracker jump, a miss, a drift sample — and the
+//! enactment, a scheduling weight taking effect, a departure, a tracker
+//! jump, a miss, a drift sample — and the
 //! closed-form spans (a quiet span; a busy span's arming and its jump)
 //! are variants of this one enum, handed to
 //! [`Probe::on_event`](crate::probe::Probe::on_event) by value. A new
@@ -109,8 +110,27 @@ pub enum ObsEvent {
         /// Slot the event was initiated at.
         initiated_at: Slot,
     },
-    /// Closed-form tracker jump (event-driven bookkeeping; never in
-    /// history mode, where the trackers advance slot by slot).
+    /// A scheduling weight `swt(T, t)` took effect: at a join, with the
+    /// weight admission granted (possibly clamped), and at every
+    /// enactment. With [`ObsEvent::Depart`] and the release, schedule and
+    /// halt events, this is all it takes to replay `I_SW` (Fig. 5).
+    SwtSet {
+        /// Task whose scheduling weight changed.
+        task: TaskId,
+        /// Slot from which it allocates at `swt`.
+        t: Slot,
+        /// The scheduling weight.
+        swt: Rational,
+    },
+    /// The task left the system at `t` (rule L's time, which a leave
+    /// may have had to wait for): it is allocated nothing from `t` on.
+    Depart {
+        /// Task that left.
+        task: TaskId,
+        /// Departure slot.
+        t: Slot,
+    },
+    /// Closed-form tracker jump of the event-driven bookkeeping.
     TrackerAdvance {
         /// Task whose trackers jumped.
         task: TaskId,
@@ -267,6 +287,14 @@ impl ToJson for ObsEvent {
                 .field("task", task)
                 .field("t", t)
                 .field("initiated_at", initiated_at),
+            ObsEvent::SwtSet { task, t, swt } => w
+                .field("kind", "swt_set")
+                .field("task", task)
+                .field("t", t)
+                .field("swt", swt),
+            ObsEvent::Depart { task, t } => {
+                w.field("kind", "depart").field("task", task).field("t", t)
+            }
             ObsEvent::TrackerAdvance { task, from, to } => w
                 .field("kind", "tracker_advance")
                 .field("task", task)
@@ -385,6 +413,15 @@ mod tests {
                 task: TaskId(0),
                 t: 8,
                 initiated_at: 3,
+            },
+            ObsEvent::SwtSet {
+                task: TaskId(0),
+                t: 8,
+                swt: pfair_core::rational::rat(2, 5),
+            },
+            ObsEvent::Depart {
+                task: TaskId(1),
+                t: 9,
             },
             ObsEvent::TrackerAdvance {
                 task: TaskId(0),

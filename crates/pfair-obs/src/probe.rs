@@ -10,8 +10,9 @@
 //! Observations are [`ObsEvent`] values through one hook,
 //! [`Probe::on_event`], emitted at the slot-pipeline boundaries the
 //! paper's rules are stated at: subtask releases/schedules/preemptions,
-//! rule-O halts, reweight initiation/enactment, and the closed-form
-//! `advance_to` tracker jumps of the event-driven bookkeeping. Stale
+//! rule-O halts, reweight initiation/enactment, scheduling weights
+//! taking effect and departures, and the closed-form `advance_to`
+//! tracker jumps of the event-driven bookkeeping. Stale
 //! queue-entry discards ([`ObsEvent::StalePop`],
 //! [`ObsEvent::StaleDrop`]) are reported individually so a recorder
 //! can attribute the *deferred* queue cost of a reweighting event (the
@@ -144,8 +145,13 @@ pub struct ReleaseRec {
 /// `periods` further repetitions of that stream shifted in time: a
 /// probe whose output must equal a per-slot run's snapshots its state
 /// at the arming and scales what it accumulated since by `periods` at
-/// the jump (what [`MetricsProbe`] does); a recorder keeps both events
-/// like any other.
+/// the jump (what [`MetricsProbe`] does), or keeps the period's events
+/// and replays them once per jumped period, each repetition `period`
+/// slots later and with every task's subtask indices higher by its
+/// releases in the period (what `pfair_sched::history::HistoryRecorder`
+/// does); a recorder keeps both events like any other. Either way the
+/// engine takes the spans whatever probe is attached: no probe can ask
+/// for a per-slot run.
 ///
 /// [`MetricsProbe`]: crate::metrics::MetricsProbe
 pub trait Probe {

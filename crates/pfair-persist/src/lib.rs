@@ -318,7 +318,7 @@ pub fn replay<P: Probe>(engine: &mut Engine<P>, events: &[Event]) {
 /// bit-identical to a straight [`pfair_sched::engine::simulate`] run
 /// (the recovery suite pins this).
 ///
-/// History-mode configurations are refused, as by
+/// Configurations that ask for history are refused, as by
 /// [`Engine::snapshot`]; `segments` must be at least 1.
 pub fn run_segments(
     config: SimConfig,

@@ -24,37 +24,42 @@
 //! 5. **Selection**: up to `M` live subtasks leave the ready queue in
 //!    PD² priority order; processors are assigned with a
 //!    migration-minimizing pass.
-//! 6. **Ideal advance**: `I_SW`/`I_PS` trackers accrue slot `t`;
-//!    completions can fire pending rule-O/I waits (which then enact at
-//!    `max(t_c, D + b)` in a later slot's step 2).
-//! 7. **Miss check**: any released, unhalted, unscheduled subtask whose
+//! 6. **Miss check**: any released, unhalted, unscheduled subtask whose
 //!    deadline is `t + 1` is recorded as a miss (Theorem 2: never under
 //!    PD²-OI with admission policing). The ready queue's front deadline
 //!    rules the slot out in O(1) whenever nothing queued is due (see
 //!    `check_misses`).
 //!
-//! The driver, the timed firings of steps 1–3 and step 6 are in this
-//! file; the rules those steps apply are in `engine/rules.rs`, step 4 in
-//! `engine/release.rs`, steps 5 and 7 in `engine/select.rs`, each under
-//! the text of the paper it implements.
+//! The ideal trackers have no step of their own: they jump forward in
+//! closed form wherever a step reads or changes them (`sync_task`), so
+//! `I_SW` completions — which fire pending rule-O/I waits at `max(t_c,
+//! D + b)` — are projected, not discovered slot by slot.
+//!
+//! The driver and the timed firings of steps 1–3 are in this file; the
+//! rules those steps apply are in `engine/rules.rs`, step 4 in
+//! `engine/release.rs`, steps 5 and 6 in `engine/select.rs`, each under
+//! the text of the paper it implements. A run's subtask-level history is
+//! not the engine's business: [`crate::history::HistoryRecorder`]
+//! rebuilds it from the probe stream.
 
 use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::calendar::CalendarRing;
 use crate::event::{Event, EventKind, Workload};
+use crate::history::HistoryRecorder;
 use crate::overhead::{Counters, DriverMix};
 use crate::priority::{TieBreak, TieTable};
 use crate::queue::{compaction_threshold, QueueEntry, ReadyQueue};
 use crate::reweight::{RuleSelector, Scheme};
-use crate::trace::{Miss, SimResult, SubtaskRecord, TaskHistory, TaskResult};
+use crate::trace::{Miss, SimResult, TaskResult};
 use pfair_core::arena::InlineVec;
 use pfair_core::drift::DriftTrack;
 use pfair_core::ideal::{IswTracker, PsTracker};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
-use pfair_core::time::{ever, slot_index, Slot, NEVER};
+use pfair_core::time::{Slot, NEVER};
 use pfair_core::weight::Weight;
 use pfair_core::window::SubtaskWindow;
-use pfair_obs::{NoopProbe, ObsEvent, Probe, ReleaseRec};
+use pfair_obs::{Fanout, NoopProbe, ObsEvent, Probe, ReleaseRec};
 use std::sync::Arc;
 
 mod busy_span;
@@ -79,16 +84,19 @@ pub struct SimConfig {
     pub tie_break: TieBreak,
     /// Condition-(W) policing.
     pub admission: AdmissionPolicy,
-    /// Retain full subtask traces and per-slot ideal series.
+    /// Fill each [`TaskResult::history`]: [`simulate_with`] (and so
+    /// [`simulate`]) then runs a [`HistoryRecorder`] beside the caller's
+    /// probe. The engine itself never reads this, except to refuse a
+    /// snapshot ([`Engine::snapshot`]): a probe is never persisted.
     pub record_history: bool,
     /// Closed-form slot batching: advance over quiet spans (empty ready
     /// queue, no release or event due) in one jump instead of per-slot
     /// pipeline iterations. Output is bit-identical to the per-slot
     /// oracle, and a probe sees the span as one `ObsEvent::QuietSpan`
     /// in place of its slot starts, so this is on by default; disable
-    /// via [`SimConfig::per_slot`] to run the oracle. History runs always
-    /// use the per-slot path (the per-slot ideal series must be
-    /// materialized anyway).
+    /// via [`SimConfig::per_slot`] to run the oracle. History runs take
+    /// whichever driver the configuration names, like any other probed
+    /// run.
     pub tickless: bool,
     /// Steady busy-span batching on top of the tickless driver: when
     /// the engine detects that the whole system is repeating with a
@@ -145,7 +153,7 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style: enable history recording.
+    /// Builder-style: enable history recording ([`Self::record_history`]).
     pub fn with_history(mut self) -> SimConfig {
         self.record_history = true;
         self
@@ -296,9 +304,6 @@ struct TaskState {
     /// Processor of the task's latest quantum; [`NO_CPU`] before the
     /// first.
     last_cpu: u32,
-    /// History-mode accumulators (`subtasks` holds the pruned records);
-    /// allocated when the task joins a `record_history` run.
-    history: Option<Box<TaskHistory>>,
 }
 
 /// [`TaskState::last_cpu`] of a task that has not run yet. Processors
@@ -307,7 +312,7 @@ const NO_CPU: u32 = u32::MAX;
 
 const _: () = {
     assert!(std::mem::size_of::<SubRec>() <= 64);
-    assert!(std::mem::size_of::<TaskState>() <= 560);
+    assert!(std::mem::size_of::<TaskState>() <= 552);
 };
 
 impl TaskState {
@@ -323,7 +328,6 @@ impl TaskState {
             drift: DriftTrack::new(),
             scheduled_count: 0,
             last_cpu: NO_CPU,
-            history: None,
         }
     }
 
@@ -354,21 +358,10 @@ impl TaskState {
         self.subs.iter_mut().find(|s| s.index == index)
     }
 
-    fn to_record(s: &SubRec) -> SubtaskRecord {
-        SubtaskRecord {
-            index: s.index,
-            window: s.window(),
-            scheduled_at: ever(s.scheduled_at),
-            halted_at: ever(s.halted_at),
-            isw_completion: ever(s.isw_completion),
-            era_first: s.era_first,
-        }
-    }
-
     /// Drops records that can no longer influence the rules. Keeps every
     /// unscheduled/unhalted subtask, anything whose `I_SW` completion is
     /// still unknown (rule O may need to watch it), and the two most
-    /// recent records. History runs archive what is dropped.
+    /// recent records.
     #[inline]
     fn prune(&mut self) {
         let n = self
@@ -380,18 +373,13 @@ impl TaskState {
                 settled && !s.is_pending() && !s.missed
             })
             .count();
-        if let Some(history) = &mut self.history {
-            history
-                .subtasks
-                .extend(self.subs.iter().take(n).map(Self::to_record));
-        }
         self.subs.drop_front(n);
     }
 
     /// The task's end-of-run report, read out of the row where it
-    /// stands: the drift track (and in history runs the accumulators)
-    /// move into the result, the rest of the row stays behind.
-    fn take_result(&mut self, id: TaskId, record_history: bool) -> TaskResult {
+    /// stands: the drift track moves into the result, the rest of the
+    /// row stays behind.
+    fn take_result(&mut self, id: TaskId) -> TaskResult {
         // The growth slack of the drift track's buffer would stay
         // allocated as long as the result lives.
         self.drift.shrink_to_fit();
@@ -402,14 +390,7 @@ impl TaskState {
             isw_total: self.isw.isw_total(),
             icsw_total: self.isw.icsw_total(),
             drift: std::mem::take(&mut self.drift),
-            history: record_history.then(|| {
-                // A task that never joined has no accumulators.
-                let mut history = self.history.take().unwrap_or_default();
-                history
-                    .subtasks
-                    .extend(self.subs.iter().map(TaskState::to_record));
-                history
-            }),
+            history: None,
         }
     }
 }
@@ -648,8 +629,7 @@ impl<P: Probe> Engine<P> {
     /// With `config.tickless` (the default) quiet and steady busy spans
     /// are advanced in closed form; the result, counters, and probe
     /// stream are bit-identical to stepping every slot (see DESIGN.md,
-    /// "The driver ladder"). History runs always take the per-slot
-    /// path: they materialize per-slot ideal series.
+    /// "The driver ladder").
     pub fn run(&mut self) {
         self.run_to(self.config.horizon);
     }
@@ -658,8 +638,7 @@ impl<P: Probe> Engine<P> {
     /// segmented form of [`Engine::run`], and the engine's only driver
     /// loop. Every slot that can change state runs the full per-slot
     /// [`Engine::step`]; unless the run is the per-slot oracle
-    /// ([`SimConfig::per_slot`]) or records history, two closed forms
-    /// ride on top of it: the busy-span verifier observes every point
+    /// ([`SimConfig::per_slot`]), two closed forms ride on top of it: the busy-span verifier observes every point
     /// the driver reaches, and when the ready queue is empty the span up
     /// to the next release, event boundary (enactment, departure,
     /// stream or injected event) or `until` is skipped in one jump.
@@ -674,10 +653,9 @@ impl<P: Probe> Engine<P> {
         self.run_limit = until;
         // A span refused under the last segment's limit may arm now.
         self.busy.forget_refusal();
-        let spans = self.config.tickless && !self.config.record_history;
         while self.now < until {
             self.step_slot();
-            if !spans {
+            if !self.config.tickless {
                 continue;
             }
             self.busy_span_tick();
@@ -785,16 +763,7 @@ impl<P: Probe> Engine<P> {
         self.scratch.chosen = last;
         self.last_chosen = chosen;
 
-        // Step 6: per-slot ideal-schedule advance — history mode only,
-        // where the per-slot I_SW series must be materialized anyway.
-        // Event-driven runs instead jump the trackers forward at event
-        // boundaries (`TaskState::sync_ideals_to`), cutting ideal
-        // bookkeeping from O(slots × tasks) to O(events × tasks).
-        if self.config.record_history {
-            self.advance_ideals(t);
-        }
-
-        // Step 7: deadline misses.
+        // Step 6: deadline misses.
         self.check_misses(t);
 
         // Bound the ready queue: lazy invalidation must not let stale
@@ -803,20 +772,13 @@ impl<P: Probe> Engine<P> {
 
         // Prune: a record's prunability only changes when it is synced,
         // scheduled, or halted — all of which mark the task touched —
-        // so draining the touched list reaches every record the
-        // oracle's all-task sweep would drop. History mode keeps the
-        // all-task sweep: the archive order must match the oracle's
-        // task-by-task iteration exactly (history runs are small-n).
-        if self.config.record_history {
-            self.touched.clear();
-            self.tasks.prune_all();
-        } else {
-            let mut touched = std::mem::take(&mut self.touched);
-            for id in touched.drain(..) {
-                self.tasks.task_mut(id).prune();
-            }
-            self.touched = touched;
+        // so draining the touched list reaches every record an all-task
+        // sweep would drop.
+        let mut touched = std::mem::take(&mut self.touched);
+        for id in touched.drain(..) {
+            self.tasks.task_mut(id).prune();
         }
+        self.touched = touched;
         self.mix.per_slot_slots += 1;
         self.now = t + 1;
     }
@@ -902,12 +864,11 @@ impl<P: Probe> Engine<P> {
             now,
             ..
         } = self;
-        let record_history = config.record_history;
         // One pass over the ids, in order. A still-present task's
-        // trackers are brought up to the last simulated slot first (a
-        // no-op in history mode; departed tasks were synced when they
-        // left), then its result is read out of the row in place. An id
-        // that never joined has no row and reports the placeholder's.
+        // trackers are brought up to the last simulated slot first
+        // (departed tasks were synced when they left), then its result
+        // is read out of the row in place. An id that never joined has
+        // no row and reports the placeholder's.
         let mut results = Vec::with_capacity(tasks.len());
         for id in (0u32..).map(TaskId).take(tasks.len()) {
             let present = tasks.in_system(id);
@@ -916,9 +877,9 @@ impl<P: Probe> Engine<P> {
                     if present {
                         release::sync_observed(row, id, now, &mut probe);
                     }
-                    row.take_result(id, record_history)
+                    row.take_result(id)
                 }
-                None => tasks.blank().clone().take_result(id, record_history),
+                None => tasks.blank().clone().take_result(id),
             });
         }
         let result = SimResult {
@@ -944,10 +905,19 @@ impl<P: Probe> Engine<P> {
             // The ideals stop accruing at departure; close them out.
             self.sync_task(id, t);
             self.tasks.park(id, |p| p.leaving = NEVER);
-            self.tasks.set_in_system(id, false);
-            self.admission.release(id);
+            self.depart(id, t);
         }
         self.scratch.due = due;
+    }
+
+    /// Takes `id` out of the system at `t`, its trackers already synced
+    /// to `t`: admission gets its weight back and the probe hears of it.
+    /// Both departure sites — an immediate leave and a rule-L departure
+    /// fired from the ring — come through here.
+    fn depart(&mut self, id: TaskId, t: Slot) {
+        self.tasks.set_in_system(id, false);
+        self.admission.release(id);
+        self.probe.on_event(ObsEvent::Depart { task: id, t });
     }
 
     /// Deduplicates a slot-index bucket and restores the task-index
@@ -979,7 +949,7 @@ impl<P: Probe> Engine<P> {
             // trackers across the closing era first, under its weight.
             self.sync_task(id, t);
             match pending.kind {
-                PendKind::Enact => self.enact_weight(id, pending.target),
+                PendKind::Enact => self.enact_weight(id, t, pending.target),
                 PendKind::ReleaseOnly => {
                     // swt already switched at initiation (rule I, increase).
                 }
@@ -1012,32 +982,6 @@ impl<P: Probe> Engine<P> {
             self.apply_event(ev, t);
         }
     }
-
-    // ---- step 6 (history mode): per-slot ideal advance ------------------
-
-    /// Per-slot oracle path, active only under `record_history`: the
-    /// `isw_per_slot` series needs every slot's allocation anyway, so the
-    /// closed-form jumps buy nothing there. Event-driven runs skip this
-    /// entirely and rely on `TaskState::sync_ideals_to`.
-    fn advance_ideals(&mut self, t: Slot) {
-        for id in self.tasks.present_ids() {
-            let task = self.tasks.task_mut(id);
-            let (slot_alloc, completions) = task.isw.advance(t);
-            task.ps.advance(t);
-            if let Some(history) = &mut task.history {
-                let idx = slot_index(t);
-                if history.isw_per_slot.len() <= idx {
-                    history.isw_per_slot.resize(idx + 1, Rational::ZERO);
-                }
-                history.isw_per_slot[idx] = slot_alloc; // audit: allow(panic-reach, idx is produced by the tracker for the recorded horizon)
-            }
-            for c in completions {
-                if let Some(sub) = task.sub_mut(c.index) {
-                    sub.isw_completion = c.complete_at;
-                }
-            }
-        }
-    }
 }
 
 // The shard supervisor moves engines into scoped worker threads; this
@@ -1049,16 +993,27 @@ const _: () = {
 
 /// Runs a full simulation: build, run to horizon, collect.
 ///
-/// Literally [`simulate_with`] instantiated at [`NoopProbe`] — one code
-/// path, so the probe-free entry point and a [`NoopProbe`] engine are
-/// the same machine code.
+/// Literally [`simulate_with`] at [`NoopProbe`], so a history run is
+/// the same recorder run either way, and any other run is a
+/// [`NoopProbe`] engine's machine code.
 pub fn simulate(config: SimConfig, workload: &Workload) -> SimResult {
     simulate_with(config, workload, NoopProbe).0
 }
 
 /// Runs a full simulation under observation, returning the results and
-/// the probe (which owns whatever it collected).
+/// the probe (which owns whatever it collected). With
+/// [`SimConfig::record_history`] a [`HistoryRecorder`] rides beside
+/// `probe` and fills each [`TaskResult::history`]; the run takes the
+/// driver the configuration names either way.
 pub fn simulate_with<P: Probe>(config: SimConfig, workload: &Workload, probe: P) -> (SimResult, P) {
+    if config.record_history {
+        let probe = Fanout(HistoryRecorder::new(), probe);
+        let mut engine = Engine::with_probe(config, workload, probe);
+        engine.run();
+        let (mut result, Fanout(history, probe)) = engine.finish_with_probe();
+        history.fill(&mut result);
+        return (result, probe);
+    }
     let mut engine = Engine::with_probe(config, workload, probe);
     engine.run();
     engine.finish_with_probe()
@@ -1153,9 +1108,9 @@ mod tests {
     }
 
     /// A join on an id that was in the system before sets up a new
-    /// era and new trackers and leaves the rest of the row as the
-    /// departure left it: indices go on counting, and the quanta, the
-    /// drift track and the processor carry over.
+    /// era and a new stay of its trackers and leaves the rest of the row
+    /// as the departure left it: indices go on counting, and the quanta,
+    /// the drift track, the processor and the ideal totals carry over.
     #[test]
     fn rejoin_keeps_the_row() {
         let id = TaskId(0);
@@ -1180,7 +1135,10 @@ mod tests {
         assert!(after.era_open_pending);
         assert_eq!((after.isw.now(), after.isw.swt()), (30, rat(1, 3)));
         assert_eq!((after.ps.now(), after.ps.wt()), (30, rat(1, 3)));
-        assert!(after.ps.total().is_zero());
+        assert!(before.ps.total().is_positive());
+        assert_eq!(after.ps.total(), before.ps.total());
+        assert_eq!(after.isw.isw_total(), before.isw.isw_total());
+        assert_eq!(after.isw.icsw_total(), before.isw.icsw_total());
 
         e.run();
         let r = e.finish();
@@ -1192,15 +1150,23 @@ mod tests {
 
     /// Ids that never join have no row, yet count: `task_count` is every
     /// addressable id, and `finish` reports each unjoined one exactly as
-    /// a built placeholder row would, in history runs and others.
+    /// a built placeholder row would, with a recorded history and
+    /// without.
     #[test]
     fn ids_that_never_join_report_placeholders() {
         use pfair_json::ToJson;
         let mut w = Workload::new();
         w.join(0, 0, 1, 2).join(1, 0, 1, 3);
         w.reweight(5, 4, 1, 4); // names id 5, which never joins
-        for config in [SimConfig::oi(1, 30), oi(1, 30)] {
-            let mut lazy = Engine::new(config.clone(), &w);
+        for history in [false, true] {
+            let finish = |e: Engine<HistoryRecorder>| {
+                let (mut result, recorder) = e.finish_with_probe();
+                if history {
+                    recorder.fill(&mut result);
+                }
+                result
+            };
+            let mut lazy = Engine::with_probe(SimConfig::oi(1, 30), &w, HistoryRecorder::new());
             lazy.ensure_task_capacity(8);
             let mut built = lazy.clone();
             built.tasks.task_mut(TaskId(7));
@@ -1208,37 +1174,36 @@ mod tests {
             built.run();
             assert_eq!(lazy.task_count(), 8);
             assert!(lazy.tasks.row_mut(TaskId(2)).is_none(), "id 2 never joined");
-            let (lazy, built) = (lazy.finish(), built.finish());
+            let (lazy, built) = (finish(lazy), finish(built));
             assert_eq!(lazy.tasks.len(), 8);
             for (i, t) in (0u32..).zip(&lazy.tasks).skip(2) {
                 assert_eq!(t.id, TaskId(i));
                 assert_eq!(t.scheduled_count, 0);
                 assert!(t.ps_total.is_zero() && t.icsw_total.is_zero());
                 assert!(t.drift.samples().is_empty());
+                assert_eq!(t.history.is_some(), history);
             }
             assert_eq!(lazy.to_json_pretty(), built.to_json_pretty());
         }
     }
 
-    /// The engine's step/finish API agrees with `simulate`.
+    /// The engine's step/finish API agrees with `simulate`, history
+    /// included when the stepped engine carries the recorder.
     #[test]
     fn stepwise_equals_batch() {
+        use pfair_json::ToJson;
         let mut w = Workload::new();
         w.join(0, 0, 3, 20);
         w.join(1, 0, 2, 5);
         w.reweight(0, 7, 1, 2);
         let batch = simulate(oi(2, 50), &w);
-        let mut e = Engine::new(oi(2, 50), &w);
+        let mut e = Engine::with_probe(SimConfig::oi(2, 50), &w, HistoryRecorder::new());
         while e.now() < 50 {
             e.step();
         }
-        let stepped = e.finish();
-        assert_eq!(batch.misses, stepped.misses);
-        assert_eq!(batch.counters, stepped.counters);
-        for (a, b) in batch.tasks.iter().zip(stepped.tasks.iter()) {
-            assert_eq!(a.scheduled_count, b.scheduled_count);
-            assert_eq!(a.icsw_total, b.icsw_total);
-        }
+        let (mut stepped, recorder) = e.finish_with_probe();
+        recorder.fill(&mut stepped);
+        assert_eq!(batch.to_json_pretty(), stepped.to_json_pretty());
     }
 
     /// The tickless driver is bit-identical to the per-slot oracle on a

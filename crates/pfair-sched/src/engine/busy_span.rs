@@ -182,8 +182,7 @@ struct SpanProbe {
 /// its cold row (the placeholder for an id whose row is not built). The
 /// row's drift track is left empty in favour of its length — the track
 /// only ever grows, so the live one equals the armed one iff it is no
-/// longer — and history runs never batch, so there is no history to
-/// keep.
+/// longer.
 #[derive(Clone, Debug)]
 struct ArmedTask {
     present: bool,
@@ -210,8 +209,8 @@ impl ArmedTask {
     }
 
     /// Writes task `id` as armed over this entry, reusing the heap
-    /// blocks the entry's row already holds. The row's drift track and
-    /// history are never written: they stay empty.
+    /// blocks the entry's row already holds. The row's drift track is
+    /// never written: it stays empty.
     fn arm(&mut self, tasks: &TaskSlab, id: TaskId, task: &TaskState) {
         self.present = tasks.in_system(id);
         self.ran = tasks.ran_last_slot(id);
@@ -230,7 +229,6 @@ impl ArmedTask {
             drift: _,
             scheduled_count,
             last_cpu,
-            history: _,
         } = task;
         let row = &mut self.row;
         row.era_base = *era_base;
@@ -757,9 +755,7 @@ fn task_delta(
 
 /// Field-by-field equality for a task Φ must not move: the next-release
 /// column, the parked-rule state and the cold row ([`columns_match`]
-/// compared the other three columns). The history accumulators are
-/// excluded: busy spans only run with history recording off, so there
-/// are none on either side.
+/// compared the other three columns).
 fn task_fixed_equal(armed: &ArmedTask, live: &TaskSlab, id: TaskId) -> bool {
     let (ta, Some(tb)) = (&armed.row, live.get(id)) else {
         return false;
@@ -865,7 +861,7 @@ mod tests {
     /// overflow list, differ between a ring that was stepped and one
     /// that jumped (see [`ring_content`]).
     fn state_of<P: Probe>(e: &Engine<P>) -> (String, [Vec<(Slot, TaskId)>; 3]) {
-        let image = e.snapshot().expect("not a history run").to_json_compact();
+        let image = e.snapshot().expect("no history request").to_json_compact();
         let Ok(Json::Object(fields)) = Json::parse(&image) else {
             panic!("a snapshot renders as an object");
         };

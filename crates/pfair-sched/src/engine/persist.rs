@@ -26,9 +26,10 @@
 //! deterministic function of `config.tie_break` and the task count, and
 //! is rebuilt from them.
 //!
-//! History-mode runs (`record_history`) are refused: their per-slot
-//! accumulators grow with the horizon and belong in a [`SimResult`](crate::trace::SimResult)
-//! (via [`Engine::finish`]), not in a checkpoint.
+//! A history request (`record_history`) is refused: the history is
+//! rebuilt by a [`HistoryRecorder`](crate::history::HistoryRecorder)
+//! riding in the probe slot, and a probe is never persisted, so a
+//! resumed run could not carry it on.
 //!
 //! Decoders re-validate every cross-field invariant they can state
 //! (dense task ids, index-ordered subtask records, cursor bounds,
@@ -251,9 +252,6 @@ impl TaskSnap {
 
 impl ToJson for TaskSnap {
     fn write_json(&self, w: &mut JsonWriter) {
-        // The history accumulators exist only in history mode, which
-        // `snapshot` refuses; they are not part of the interchange
-        // format.
         let state = &self.state;
         w.begin_object()
             .field("id", &self.id)
@@ -314,7 +312,6 @@ impl FromJson for TaskSnap {
             drift: value.field("drift")?,
             scheduled_count: value.field("scheduled_count")?,
             last_cpu: value.field::<Option<u32>>("last_cpu")?.unwrap_or(NO_CPU),
-            history: None,
         };
         if value.field::<Rational>("wt")? != TaskSnap::wt(&state) {
             return Err(JsonError::new(
@@ -423,7 +420,7 @@ impl EngineSnapshot {
     /// `CalendarRing::from_parts`.
     fn validate(&self) -> Result<(), String> {
         if self.config.record_history {
-            return Err("snapshots never carry history-mode state".to_string());
+            return Err("snapshots never carry a history request".to_string());
         }
         let n = self.tasks.len();
         for (i, task) in self.tasks.iter().enumerate() {
@@ -513,17 +510,17 @@ impl<P: Probe> Engine<P> {
 
     /// Captures the complete engine state at the current slot boundary.
     ///
-    /// Fails for history-mode runs: their per-slot accumulators grow
-    /// with the horizon and are excluded from the persistence format
-    /// (collect a [`crate::trace::SimResult`] instead). Probe state is
-    /// *not* captured — observing callers persist their probe
-    /// separately (e.g. a metrics registry snapshot) and rebuild it at
-    /// restore.
+    /// Fails for a history request ([`SimConfig::record_history`]): the
+    /// history is a probe's ([`crate::history::HistoryRecorder`]), and
+    /// probe state is *not* captured — observing callers persist their
+    /// probe separately (e.g. a metrics registry snapshot) and rebuild
+    /// it at restore, which a recorder's unbounded series are not made
+    /// for (collect a [`crate::trace::SimResult`] instead).
     pub fn snapshot(&self) -> Result<EngineSnapshot, String> {
         if self.config.record_history {
             return Err(
-                "history-mode runs cannot be snapshotted: per-slot series are unbounded; \
-                 collect a SimResult instead"
+                "history runs cannot be snapshotted: the history recorder is a probe, \
+                 and probes are not persisted; collect a SimResult instead"
                     .to_string(),
             );
         }
@@ -743,7 +740,7 @@ mod tests {
         assert_eq!(first, parsed.to_json_pretty());
     }
 
-    /// History-mode engines refuse to snapshot.
+    /// Engines asked for history refuse to snapshot.
     #[test]
     fn history_mode_is_refused() {
         let config = SimConfig::oi(2, 40).with_history();

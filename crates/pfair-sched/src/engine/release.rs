@@ -35,8 +35,7 @@ impl TaskState {
     /// bit-identical to the per-slot oracle. Both trackers count in era
     /// units and report only what the engine reads — `(index,
     /// D(I_SW, T_index))` per completion — so a synchronization builds no
-    /// `Rational` at all. In history mode step 6 advances the trackers
-    /// every slot, making this a no-op.
+    /// `Rational` at all.
     ///
     /// The pass over the retained records that follows also answers
     /// what a release at `t` asks of them, so that path never rescans:

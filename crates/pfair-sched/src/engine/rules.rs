@@ -38,7 +38,6 @@ use super::{Engine, PendKind, Pending};
 use crate::admission::LedgerOverflow;
 use crate::priority::SLOT_BOUND;
 use crate::reweight::RuleChoice;
-use pfair_core::ideal::{IswTracker, PsTracker};
 use pfair_core::rational::{Rational, Units};
 use pfair_core::task::TaskId;
 use pfair_core::time::{ever, Slot, NEVER};
@@ -47,27 +46,34 @@ use pfair_core::window::window_reach;
 use pfair_obs::{ObsEvent, Probe, Refusal, ReweightCost, Rule};
 
 impl<P: Probe> Engine<P> {
-    /// Enacts scheduling weight `v` for `id` — the one place a task's
-    /// `swt` changes after its join, and so the one place its `I_SW`
-    /// tracker re-derives its era unit. The slab column and the tracker
-    /// switch, the era base moves up to the last released subtask
-    /// (indices above it rank within the new era), and the enactment is
-    /// counted and reported to admission. The caller has synchronized
-    /// the trackers to the current slot, under the closing weight.
-    pub(super) fn enact_weight(&mut self, id: TaskId, v: Weight) {
+    /// Enacts scheduling weight `v` for `id` at `t` — the one place a
+    /// task's `swt` changes after its join, and so the one place its
+    /// `I_SW` tracker re-derives its era unit. The slab column and the
+    /// tracker switch, the era base moves up to the last released
+    /// subtask (indices above it rank within the new era), and the
+    /// enactment is counted and reported to admission and the probe.
+    /// The caller has synchronized the trackers to `t`, under the
+    /// closing weight.
+    pub(super) fn enact_weight(&mut self, id: TaskId, t: Slot, v: Weight) {
         self.tasks.set_swt(id, Some(v));
         let task = self.tasks.task_mut(id);
         task.isw.set_swt(v.value());
         task.era_base = task.next_index - 1;
         self.counters.reweight_enactments += 1;
         self.admission.note_enacted(id, v);
+        self.probe.on_event(ObsEvent::SwtSet {
+            task: id,
+            t,
+            swt: v.value(),
+        });
     }
 
     /// The arithmetic budget (DESIGN.md, "The arithmetic budget"):
     /// `granted` as a [`Weight`] if everything the request can lead to
     /// is representable, the reason for refusing it if not. `era_unit`
     /// is the task's current era unit for a reweight initiation and
-    /// `None` for a join, whose trackers start afresh. Three checks:
+    /// `None` for a join, whose trackers count afresh (a rejoin carries
+    /// its totals over as era sums, not as counts). Three checks:
     ///
     /// * the reduced components fit `i64`;
     /// * `lcm(den, era_unit) × (horizon + 1)` fits `i64`. The unit
@@ -168,31 +174,26 @@ impl<P: Probe> Engine<P> {
         let Some(granted) = self.admit(id, t, want, None) else {
             return;
         };
-        let record_history = self.config.record_history;
         let g: Rational = granted.value();
-        // History runs retain per-slot halt corrections; event-driven runs
-        // keep the tracker's memory bounded instead.
-        let isw = if record_history {
-            IswTracker::new(g, t).with_slot_history()
-        } else {
-            IswTracker::new(g, t)
-        };
         // A first join builds the row (and any unbuilt one below it); a
         // rejoining id keeps the rest of its row: its indices go on
-        // counting, and its drift track, quanta and processor carry over.
+        // counting, its drift track, quanta and processor carry over,
+        // and its trackers start a new stay from the last one's totals.
         let task = self.tasks.task_mut(id);
         task.era_base = task.next_index - 1;
         task.era_open_pending = true;
-        task.isw = isw;
-        task.ps = PsTracker::new(g, t);
-        if record_history {
-            task.history.get_or_insert_with(Box::default);
-        }
+        task.isw.rejoin(g, t);
+        task.ps.rejoin(g, t);
         self.tasks.set_in_system(id, true);
         self.tasks.set_swt(id, Some(granted));
         self.tasks.set_ran(id, false);
         self.tasks.set_next_release(id, Some(t));
         self.note_release(id, t);
+        self.probe.on_event(ObsEvent::SwtSet {
+            task: id,
+            t,
+            swt: g,
+        });
     }
 
     pub(super) fn handle_leave(&mut self, id: TaskId, t: Slot) {
@@ -207,8 +208,7 @@ impl<P: Probe> Engine<P> {
         self.tasks.set_next_release(id, None);
         self.tasks.unpark(id);
         if leave_at == t {
-            self.tasks.set_in_system(id, false);
-            self.admission.release(id);
+            self.depart(id, t);
         } else {
             self.tasks.park(id, |p| p.leaving = leave_at);
             self.leave_at.insert(leave_at, id);
@@ -246,10 +246,7 @@ impl<P: Probe> Engine<P> {
         // tracker must first be caught up to the halt boundary.
         self.sync_task(id, t);
         let task = self.tasks.task_mut(id);
-        let rec = task.isw.halt(index, t);
-        if let Some(history) = &mut task.history {
-            history.halted_corrections.extend(rec.slot_allocs);
-        }
+        task.isw.halt(index, t);
         // audit: allow(panic-reach, rules only halt known live subtasks, present by the engine's slab and queue liveness invariants)
         let sub = task.sub_mut(index).expect("halting unknown subtask");
         sub.halted_at = t;
@@ -346,7 +343,7 @@ impl<P: Probe> Engine<P> {
                 self.tasks.task(id).next_index,
                 "{id}: era base off the last released index before any release"
             );
-            self.enact_weight(id, v);
+            self.enact_weight(id, t, v);
             self.tasks.unpark(id);
             return Rule::Immediate;
         };
@@ -369,7 +366,7 @@ impl<P: Probe> Engine<P> {
             if increase {
                 // I(i): enact immediately; era-opening release waits for
                 // D(I_SW, T_j) + b(T_j).
-                self.enact_weight(id, v);
+                self.enact_weight(id, t, v);
             }
             let kind = if increase {
                 PendKind::ReleaseOnly
@@ -438,7 +435,7 @@ impl<P: Probe> Engine<P> {
         self.tasks.set_next_release(id, None);
         if fire_now {
             if kind == PendKind::Enact {
-                self.enact_weight(id, v);
+                self.enact_weight(id, t, v);
             }
             self.tasks.task_mut(id).era_open_pending = true;
             self.tasks.unpark(id);

@@ -1,4 +1,4 @@
-//! Steps 5 and 7 of the slot pipeline: PD² selection and miss detection.
+//! Steps 5 and 6 of the slot pipeline: PD² selection and miss detection.
 //!
 //! In each slot PD² schedules the `M` highest-priority released,
 //! unscheduled, unhalted subtasks (paper §2; the one-processor schedule
@@ -98,9 +98,6 @@ impl<P: Probe> Engine<P> {
             sub.scheduled_at = t;
             task.last_scheduled = Some(sub.window());
             task.scheduled_count += 1;
-            if let Some(history) = &mut task.history {
-                history.scheduled_slots.push(t);
-            }
             // A live entry is its task's head (a successor is queued
             // only once the head has been chosen), so the next head is
             // the first pending record behind it.
@@ -189,7 +186,7 @@ impl<P: Probe> Engine<P> {
         free_cpus.clear();
     }
 
-    // ---- step 7: miss detection -----------------------------------------
+    // ---- step 6: miss detection -----------------------------------------
 
     /// Records every released, unhalted, unscheduled subtask whose
     /// deadline is `t + 1`, in `(task, index)` order.

@@ -12,7 +12,7 @@
 //! is cache-linear instead of striding over 560-byte rows (`TaskState`
 //! is `const`-asserted to stay within that). A row's position is its
 //! task's id; the row does not repeat it.
-//! Everything else — subtask records, trackers, history — stays in the
+//! Everything else — subtask records, trackers, drift — stays in the
 //! cold [`TaskState`] row, touched only for tasks an event or a
 //! scheduling decision actually names. (The fifth hot datum, the packed
 //! PD² priority key, lives in the ready queue's entries already.)
@@ -25,9 +25,8 @@
 //! for, which a join is the first to do. Until then an id has no row,
 //! and every reader sees the placeholder it would have held:
 //! [`TaskSlab::get`] answers with one shared blank row, so the snapshot
-//! image, `finish`, the busy-span arming snapshot and the history prune
-//! (a placeholder has nothing to prune) read an unbuilt id exactly as a
-//! built placeholder.
+//! image, `finish` and the busy-span arming snapshot read an unbuilt id
+//! exactly as a built placeholder.
 //!
 //! The rules' parked state ([`Parked`]: a pending weight change and a
 //! rule-L departure time) is a column of its own, allocated by the
@@ -278,22 +277,13 @@ impl TaskSlab {
         }
     }
 
-    /// Ids of present tasks, ascending (a bitmap word scan).
-    pub(super) fn present_ids(&self) -> Vec<TaskId> {
-        self.present
-            .iter_ones()
-            // audit: allow(lossy-cast, bitmap ids originate from u32 TaskIds)
-            .map(|i| TaskId(i as u32))
-            .collect()
-    }
-
     /// Number of present tasks.
     pub(super) fn present_count(&self) -> usize {
         self.present.count_ones()
     }
 
-    /// Iterator over present ids, ascending, without allocating — the
-    /// word-scan form of [`TaskSlab::present_ids`] for hot loops.
+    /// Iterator over present ids, ascending, without allocating (a
+    /// bitmap word scan).
     pub(super) fn present_iter(&self) -> impl Iterator<Item = TaskId> + '_ {
         self.present
             .iter_ones()
@@ -310,14 +300,5 @@ impl TaskSlab {
             // audit: allow(lossy-cast, bitmap ids originate from u32 TaskIds)
             .map(|i| TaskId(i as u32))
             .collect()
-    }
-
-    /// Prunes every built row (the history-mode oracle prune; event-
-    /// driven runs prune only touched tasks instead). A placeholder has
-    /// no records, so the unbuilt rows have nothing to prune.
-    pub(super) fn prune_all(&mut self) {
-        for task in &mut self.cold {
-            task.prune();
-        }
     }
 }

@@ -39,6 +39,7 @@ pub mod edf;
 pub mod engine;
 pub mod epdf_ps;
 pub mod event;
+pub mod history;
 pub mod lag_analysis;
 mod occupancy;
 pub mod overhead;

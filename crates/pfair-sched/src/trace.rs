@@ -1,10 +1,13 @@
 //! Simulation results and post-hoc analysis.
 //!
 //! The engine produces a [`SimResult`] per run: per-task allocation
-//! totals against the three ideal schedules, the drift history, deadline
-//! misses, and overhead counters. With `record_history` enabled it also
-//! retains the full subtask-level trace (windows, schedule slots, halts,
-//! per-slot `I_SW` allocations and halted-allocation corrections), from
+//! totals against the three ideal schedules (over every stay of a task
+//! that leaves and rejoins), the drift history, deadline misses, and
+//! overhead counters. With `record_history` enabled a
+//! [`HistoryRecorder`](crate::history::HistoryRecorder) riding in the
+//! probe slot adds the full subtask-level trace (windows, schedule
+//! slots, halts, per-slot `I_SW` allocations and halted-allocation
+//! corrections, the last two from an independent per-slot Fig. 5), from
 //! which per-slot `I_CSW` series and lag bounds can be reconstructed —
 //! the quantities the paper's proofs constrain.
 
@@ -28,7 +31,7 @@ pub struct Miss {
     pub deadline: Slot,
 }
 
-/// Full record of one subtask's life (history mode).
+/// Full record of one subtask's life (a history run).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SubtaskRecord {
     /// Subtask index `i` of `T_i`.
@@ -45,7 +48,7 @@ pub struct SubtaskRecord {
     pub era_first: bool,
 }
 
-/// Per-slot detail retained in history mode.
+/// Per-slot detail a history run records.
 #[derive(Clone, Debug, Default)]
 pub struct TaskHistory {
     /// Every subtask the task released, in index order.
@@ -144,11 +147,12 @@ pub struct TaskResult {
     pub id: TaskId,
     /// Quanta the PD² schedule granted it.
     pub scheduled_count: u64,
-    /// `A(I_PS, T, 0, end)` — end is the leave time or the horizon.
+    /// `A(I_PS, T, 0, end)` — end is the leave time or the horizon; a
+    /// task that left and rejoined counts every stay.
     pub ps_total: Rational,
-    /// `A(I_SW, T, 0, end)`.
+    /// `A(I_SW, T, 0, end)`, over every stay.
     pub isw_total: Rational,
-    /// `A(I_CSW, T, 0, end)`.
+    /// `A(I_CSW, T, 0, end)`, over every stay.
     pub icsw_total: Rational,
     /// Drift samples at each era boundary (Eqn (5)).
     pub drift: DriftTrack,

@@ -61,8 +61,8 @@ fn churn_20k_slots() {
     assert!(r.is_miss_free(), "misses: {}", r.misses.len());
 }
 
-/// History mode at scale: the recorded trace still verifies end to end
-/// (this also bounds the memory the history machinery holds, since the
+/// A history run at scale: the recorded trace still verifies end to end
+/// (this also bounds the memory the history recorder holds, since the
 /// verifier walks every record).
 #[test]
 fn long_history_run_verifies() {

@@ -15,36 +15,76 @@
 //! admission rejections, and saturated stretches where batching never
 //! engages.
 //!
-//! One more rung holds the ideal trackers' event-driven syncs to
-//! per-slot accumulation: a history run (`with_history`) advances every
-//! task's trackers slot by slot, where every other run jumps them in
-//! closed form at releases, halts, enactments and leaves. Exact
-//! rational arithmetic is associative, so the two must report the same
-//! totals, drift samples, misses and counters.
+//! History runs meet here too. A history run records each task's
+//! `I_SW` slot by slot from `pfair-core`'s pure-`Rational` Fig. 5
+//! ([`HistoryRecorder`]), beside whichever driver the configuration
+//! names, replaying a busy span's period for every period it jumps. Its
+//! histories must be byte-identical under all three drivers, its other
+//! figures those of a run without history, and its per-slot series must
+//! sum to the totals the engine's closed-form era-unit trackers report.
 
 use pfair_core::rational::Rational;
 use pfair_json::ToJson;
-use pfair_obs::{MetricsProbe, NoopProbe};
+use pfair_obs::{Fanout, MetricsProbe, NoopProbe};
 use pfair_sched::engine::{simulate, simulate_with, Engine, SimConfig};
 use pfair_sched::event::Workload;
+use pfair_sched::history::HistoryRecorder;
 use pfair_sched::reweight::{HybridPolicy, Scheme};
+use pfair_sched::trace::SimResult;
 use proptest::prelude::*;
 
 #[path = "common/plan.rs"]
 mod plan;
 use plan::{arb_plan, workload_of, Plan, TaskPlan, HORIZON};
 
+/// The history run of `w` under the default driver, after holding it
+/// to the history runs under the other two: rendered results (histories
+/// included) byte-identical, and per task the per-slot `I_SW` series
+/// summing to `isw_total` and, net of the halted corrections, to
+/// `icsw_total`.
+fn history_agrees_across_drivers(w: &Workload, cfg: &SimConfig) -> SimResult {
+    let cfg = cfg.clone().with_history();
+    let history = simulate(cfg.clone(), w);
+    let rendered = history.to_json_pretty();
+    for (rung, other) in [
+        ("per-slot", cfg.clone().per_slot()),
+        ("tickless", cfg.clone().without_busy_span()),
+    ] {
+        assert_eq!(
+            rendered,
+            simulate(other, w).to_json_pretty(),
+            "{rung} history diverged"
+        );
+    }
+    let sum =
+        |series: &mut dyn Iterator<Item = Rational>| series.fold(Rational::ZERO, |a, b| a + b);
+    for t in &history.tasks {
+        let h = t.history.as_ref().expect("a history run records history");
+        let isw = sum(&mut h.isw_per_slot.iter().copied());
+        let halted = sum(&mut h.halted_corrections.iter().map(|&(_, a)| a));
+        assert_eq!(isw, t.isw_total, "per-slot I_SW of task {}", t.id);
+        assert_eq!(
+            isw - halted,
+            t.icsw_total,
+            "per-slot I_CSW of task {}",
+            t.id
+        );
+    }
+    history
+}
+
 /// Asserts a batched run is bit-identical to the per-slot oracle on the
 /// same workload: rendered results, drift samples, counters, and the
 /// metrics registry a probe accumulates from the replayed hook stream;
-/// and that a history run, whose trackers advance slot by slot, reports
-/// the same aggregates.
+/// and that a history run, whose `I_SW` is an independent per-slot
+/// Fig. 5, agrees with itself across drivers and reports the same
+/// aggregates.
 fn assert_tickless_matches_oracle(plan: &Plan, cfg: SimConfig) {
     let w = workload_of(plan);
     let (oracle, oracle_metrics) = simulate_with(cfg.clone().per_slot(), &w, MetricsProbe::new());
     // A history run's rendering carries the per-slot series, so it is
     // compared field by field below.
-    let history = simulate(cfg.clone().with_history(), &w);
+    let history = history_agrees_across_drivers(&w, &cfg);
     // Busy-span driver under the no-op probe: whether or not any jump
     // lands on this script, the result must match.
     let busy = simulate(cfg.clone(), &w);
@@ -87,16 +127,6 @@ fn assert_tickless_matches_oracle(plan: &Plan, cfg: SimConfig) {
                 o.id
             );
         }
-    }
-    // The history run's per-slot series, net of halted corrections,
-    // must sum to the totals every run reports.
-    for t in &history.tasks {
-        let h = t.history.as_ref().expect("a history run records history");
-        let per_slot_sum = h
-            .isw_per_slot
-            .iter()
-            .fold(Rational::ZERO, |acc, a| acc + *a);
-        assert_eq!(per_slot_sum, t.isw_total, "per-slot sum of task {}", t.id);
     }
     // The probe saw the same hook stream, slot replay included.
     assert_eq!(
@@ -231,13 +261,24 @@ fn arb_saturated_plan() -> impl Strategy<Value = Plan> {
 /// maximum verification backoff). The batched run carries a
 /// `MetricsProbe`: batching must still engage under it, and the
 /// registry it scales across the jumps must be bit-identical to the one
-/// the per-slot oracle accumulates hook by hook.
+/// the per-slot oracle accumulates hook by hook. It carries a
+/// `HistoryRecorder` too, whose replay of the jumped periods must give
+/// the per-slot oracle's histories.
 fn assert_busy_span_matches_oracle(plan: &Plan, cfg: SimConfig) {
     let w = workload_of(plan);
-    let mut engine = Engine::with_probe(cfg.clone(), &w, MetricsProbe::new());
+    let probe = Fanout(MetricsProbe::new(), HistoryRecorder::new());
+    let mut engine = Engine::with_probe(cfg.clone(), &w, probe);
     engine.run();
     let jumps = engine.busy_span_jumps();
-    let (fast, fast_metrics) = engine.finish_with_probe();
+    let (fast, Fanout(fast_metrics, recorder)) = engine.finish_with_probe();
+    let history = history_agrees_across_drivers(&w, &cfg);
+    let mut replayed = fast.clone();
+    recorder.fill(&mut replayed);
+    assert_eq!(
+        replayed.to_json_pretty(),
+        history.to_json_pretty(),
+        "a jumped run's recorded history diverged"
+    );
     let tickless = simulate(cfg.clone().without_busy_span(), &w);
     let (oracle, oracle_metrics) = simulate_with(cfg.per_slot(), &w, MetricsProbe::new());
     assert!(

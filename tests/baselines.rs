@@ -71,3 +71,32 @@ fn partitioned_edf_completes_most_work() {
     let mean = pcts.iter().sum::<f64>() / pcts.len() as f64;
     assert!(mean > 60.0, "mean pct {mean}");
 }
+
+/// A task that leaves and joins again under its id keeps its ideal
+/// totals: m = 1, weight 1/2 over slots 0–10 and again over 20–30. Each
+/// total counts both stays (Eqn (5)'s `A(·, 0, t)`), so the PD² row
+/// reports 100 % of ideal, as both EDF baselines do.
+#[test]
+fn rejoin_keeps_the_ideal_totals_of_every_stay() {
+    use pfair_repro::core::rational::Rational;
+    use pfair_repro::core::task::TaskId;
+    use pfair_repro::sched::engine::{simulate, SimConfig};
+    use pfair_repro::sched::event::Workload;
+
+    let mut w = Workload::new();
+    w.join(0, 0, 1, 2).leave(0, 10).join(0, 20, 1, 2);
+    let pd2 = simulate(SimConfig::oi(1, 30), &w);
+    let task = pd2.task(TaskId(0));
+    let ten = Rational::from_int(10);
+    assert_eq!(task.scheduled_count, 10);
+    assert_eq!(
+        (task.ps_total, task.isw_total, task.icsw_total),
+        (ten, ten, ten)
+    );
+    assert_eq!(task.pct_of_ideal(), Some(100.0));
+    for baseline in [BOUNDARY, IMMEDIATE, EdfBaseline::Partitioned] {
+        let edf = run_edf(1, 30, &w, baseline);
+        assert_eq!(edf.ps_totals, [task.ps_total], "{baseline:?}");
+        assert_eq!(edf.pct_of_ideal(), [100.0], "{baseline:?}");
+    }
+}
