@@ -114,20 +114,14 @@ impl IswSub {
     }
 }
 
-/// The interchange form of one subtask, as the field set the format has
-/// always had — whatever the record in memory looks like. Allocations
-/// travel as rationals; the decoded record's `alloc` is filled in once
-/// the tracker's unit is known. The format's per-slot breakdown
-/// (`slot_allocs`) is always written empty and must be read empty: no
-/// tracker records one.
+/// The interchange form of one subtask, whatever the record in memory
+/// looks like. Allocations travel as rationals; the decoded record's
+/// `alloc` is filled in once the tracker's unit is known.
 struct SubImage {
     sub: IswSub,
     /// `sub.alloc` as a value: cumulative, or final-slot once complete.
     alloc: Rational,
 }
-
-/// What an image's `slot_allocs` always holds.
-const NO_SLOT_ALLOCS: &[(Slot, Rational)] = &[];
 
 impl pfair_json::ToJson for SubImage {
     fn write_json(&self, w: &mut pfair_json::JsonWriter) {
@@ -145,8 +139,7 @@ impl pfair_json::ToJson for SubImage {
             .field("cum", &cum)
             .field("complete_at", &ever(sub.complete_at))
             .field("final_slot_alloc", &final_slot_alloc)
-            .field("halted_at", &sub.halted_at)
-            .field("slot_allocs", NO_SLOT_ALLOCS);
+            .field("halted_at", &sub.halted_at);
         w.end_object();
     }
 }
@@ -188,12 +181,6 @@ impl pfair_json::FromJson for SubImage {
                 "I_SW final-slot allocation outside [0, 1]",
             ));
         }
-        let slot_allocs: Vec<(Slot, Rational)> = value.field("slot_allocs")?;
-        if !slot_allocs.is_empty() {
-            return Err(pfair_json::JsonError::new(
-                "per-slot I_SW breakdown on a tracker that records none",
-            ));
-        }
         Ok(SubImage {
             sub: IswSub {
                 index,
@@ -227,9 +214,7 @@ impl pfair_json::ToJson for IswTracker {
         w.end_array();
         w.field("total", &self.isw_total())
             .field("halted_loss", &self.halted_loss)
-            .field("now", &self.now)
-            .field("keep_retired", &self.keep_retired)
-            .field("record_slot_allocs", &false);
+            .field("now", &self.now);
         w.end_object();
     }
 }
@@ -248,12 +233,6 @@ impl pfair_json::FromJson for IswTracker {
                 "I_SW subtasks out of index order",
             ));
         }
-        if value.field::<bool>("record_slot_allocs")? {
-            return Err(pfair_json::JsonError::new(
-                "a tracker recording per-slot I_SW allocations",
-            ));
-        }
-        let keep_retired: bool = value.field("keep_retired")?;
         let swt: Rational = value.field("swt")?;
         let unit = images
             .iter()
@@ -282,7 +261,6 @@ impl pfair_json::FromJson for IswTracker {
             total,
             halted_loss: value.field("halted_loss")?,
             now: value.field("now")?,
-            keep_retired,
         })
     }
 }
@@ -322,16 +300,12 @@ pub struct IswTracker {
     halted_loss: EraSum,
     /// Next slot to be processed by `advance`.
     now: Slot,
-    /// When true, completed/halted subtasks are never dropped — needed
-    /// by table builders that read back per-subtask cumulative values.
-    keep_retired: bool,
 }
 
 impl PartialEq for IswTracker {
     fn eq(&self, other: &IswTracker) -> bool {
         let (unit, other_unit) = (self.unit(), other.unit());
         self.now == other.now
-            && self.keep_retired == other.keep_retired
             && self.halted_loss == other.halted_loss
             && self.subs.len() == other.subs.len()
             && if unit == other_unit {
@@ -360,7 +334,6 @@ impl Clone for IswTracker {
             total: self.total.clone(),
             halted_loss: self.halted_loss.clone(),
             now: self.now,
-            keep_retired: self.keep_retired,
         }
     }
 
@@ -371,7 +344,6 @@ impl Clone for IswTracker {
         self.total.clone_from(&source.total);
         self.halted_loss.clone_from(&source.halted_loss);
         self.now = source.now;
-        self.keep_retired = source.keep_retired;
     }
 }
 
@@ -392,18 +364,6 @@ impl IswTracker {
             total,
             halted_loss: EraSum::ZERO,
             now: join_at,
-            keep_retired: false,
-        }
-    }
-
-    /// Like [`IswTracker::new`], but retains all subtasks so callers can
-    /// read back `subtask_cum`/`completion_of` for the whole history.
-    /// Memory grows with the number of subtasks; meant for table builders
-    /// and tests, not long-running simulations.
-    pub fn new_keeping_history(swt: Rational, join_at: Slot) -> IswTracker {
-        IswTracker {
-            keep_retired: true,
-            ..IswTracker::new(swt, join_at)
         }
     }
 
@@ -745,15 +705,14 @@ impl IswTracker {
     /// on — every slot-valued field `ds` later (`NEVER` sentinels stay
     /// put), every subtask index `di` higher (predecessor
     /// back-references are distances and do not move), and the rate,
-    /// the era unit, the total's base, the per-subtask allocations, the
-    /// halted loss and the retention setting as they were? If so,
+    /// the era unit, the total's base, the per-subtask allocations and
+    /// the halted loss as they were? If so,
     /// returns how many era units the total grew by; `None` on any other
     /// difference. Compares in place: nothing is built.
     pub fn gain_over_shift(&self, later: &IswTracker, ds: Slot, di: u64) -> Option<Units> {
         let same = self.now.checked_add(ds) == Some(later.now)
             && self.rate == later.rate
             && self.halted_loss == later.halted_loss
-            && self.keep_retired == later.keep_retired
             && self.subs.len() == later.subs.len()
             && (self.subs.iter().zip(later.subs.iter()))
                 .all(|(a, b)| a.shifted(ds, di) == Some(*b));
@@ -791,9 +750,6 @@ impl IswTracker {
     /// predecessor).
     #[inline]
     fn retire(&mut self) {
-        if self.keep_retired {
-            return;
-        }
         // One front drop instead of repeated `pop_front`: a closed-form
         // era jump can retire thousands of subtasks in a single call,
         // and front-removals would make that quadratic.
@@ -998,8 +954,8 @@ mod advance_to_tests {
     /// and the completion-event streams.
     fn assert_jump_matches_oracle(num: i128, den: i128, n_subs: u64, horizon: Slot) {
         let w = Weight::new(rat(num, den));
-        let mut batch = IswTracker::new_keeping_history(w.value(), 0);
-        let mut oracle = IswTracker::new_keeping_history(w.value(), 0);
+        let mut batch = IswTracker::new(w.value(), 0);
+        let mut oracle = IswTracker::new(w.value(), 0);
         for i in 1..=n_subs {
             let win = periodic_window(w, i, 0);
             let pred_b = i > 1 && b_bit(w, i - 1);
@@ -1040,8 +996,8 @@ mod advance_to_tests {
     fn split_jumps_preserve_partial_state() {
         let w = Weight::new(rat(5, 16));
         for split in 0..=10 {
-            let mut batch = IswTracker::new_keeping_history(w.value(), 0);
-            let mut oracle = IswTracker::new_keeping_history(w.value(), 0);
+            let mut batch = IswTracker::new(w.value(), 0);
+            let mut oracle = IswTracker::new(w.value(), 0);
             for i in 1..=4u64 {
                 let win = periodic_window(w, i, 0);
                 let pred_b = i > 1 && b_bit(w, i - 1);
@@ -1107,13 +1063,10 @@ mod advance_to_tests {
         assert_eq!(tr.projected_completion(3), None);
     }
 
-    /// The interchange form keeps the field set it has always had: a
-    /// completed subtask reports `cum = 1` beside its final-slot
-    /// allocation, and every image carries an empty per-slot breakdown
-    /// and `record_slot_allocs: false`. Decoding gives back a tracker
+    /// The interchange form: a completed subtask reports `cum = 1`
+    /// beside its final-slot allocation. Decoding gives back a tracker
     /// that is equal, re-renders to the same bytes and halts with the
-    /// same record; a breakdown, or a tracker that says it records one,
-    /// is not a state the tracker can be in.
+    /// same record.
     #[test]
     fn json_image_keeps_its_fields() {
         use pfair_json::{FromJson, Json, ToJson};
@@ -1127,12 +1080,10 @@ mod advance_to_tests {
             concat!(
                 r#"{"swt":{"num":3,"den":19},"subs":["#,
                 r#"{"index":1,"release":0,"pred":null,"cum":{"num":1,"den":1},"complete_at":7,"#,
-                r#""final_slot_alloc":{"num":1,"den":19},"halted_at":9223372036854775807,"slot_allocs":[]},"#,
+                r#""final_slot_alloc":{"num":1,"den":19},"halted_at":9223372036854775807},"#,
                 r#"{"index":2,"release":6,"pred":1,"cum":{"num":5,"den":19},"complete_at":null,"#,
-                r#""final_slot_alloc":{"num":0,"den":1},"halted_at":9223372036854775807,"#,
-                r#""slot_allocs":[]}],"#,
-                r#""total":{"num":24,"den":19},"halted_loss":{"num":0,"den":1},"now":8,"#,
-                r#""keep_retired":false,"record_slot_allocs":false}"#
+                r#""final_slot_alloc":{"num":0,"den":1},"halted_at":9223372036854775807}],"#,
+                r#""total":{"num":24,"den":19},"halted_loss":{"num":0,"den":1},"now":8}"#
             )
         );
         let mut back = IswTracker::from_json(&Json::parse(&text).unwrap()).unwrap();
@@ -1142,17 +1093,6 @@ mod advance_to_tests {
         assert_eq!(tr.halt(2, 8), rat(5, 19));
         assert_eq!(back.to_json_compact(), tr.to_json_compact());
 
-        let recording = text.replace(
-            "\"record_slot_allocs\":false",
-            "\"record_slot_allocs\":true",
-        );
-        assert!(IswTracker::from_json(&Json::parse(&recording).unwrap()).is_err());
-        let breakdown = text.replacen(
-            "\"slot_allocs\":[]",
-            r#""slot_allocs":[[6,{"num":2,"den":19}]]"#,
-            1,
-        );
-        assert!(IswTracker::from_json(&Json::parse(&breakdown).unwrap()).is_err());
         let odd = text.replace(
             r#""final_slot_alloc":{"num":0,"den":1}"#,
             r#""final_slot_alloc":{"num":1,"den":19}"#,
@@ -1276,39 +1216,34 @@ mod shift_tests {
     /// `num/den` released (possibly none), advanced to `extra` slots
     /// past the last release, optionally with the last subtask halted
     /// if it is still incomplete, a weight change enacted after that (so
-    /// the unit carries two denominators) and either retention setting.
+    /// the unit carries two denominators).
     fn arb_tracker() -> impl Strategy<Value = IswTracker> {
         (
             (1i128..=5, 2i128..=12),
             (0u64..=6, 1i64..=5),
-            (0u8..2, 0u8..4),
+            0u8..4,
             (1i128..=3, 4i128..=9),
         )
-            .prop_map(
-                |((num, den), (subs, extra), (retention, ending), (n1, d1))| {
-                    let w = Weight::new(rat(num.min(den - 1), den));
-                    let mut tr = match retention {
-                        0 => IswTracker::new(w.value(), 0),
-                        _ => IswTracker::new_keeping_history(w.value(), 0),
-                    };
-                    let mut last = (0, 0);
-                    for i in 1..=subs {
-                        let win = periodic_window(w, i, 0);
-                        tr.add_subtask(i, win.release, i == 1, i > 1 && b_bit(w, i - 1));
-                        last = (i, win.release);
-                    }
-                    let stop = last.1 + extra;
-                    tr.sync_to(stop, |_, _| ());
-                    if ending >= 2 && subs > 0 && tr.completion_of(last.0).is_none() {
-                        let _ = tr.halt(last.0, stop);
-                    }
-                    if ending == 3 {
-                        tr.set_swt(rat(n1, d1));
-                        tr.sync_to(stop + 2, |_, _| ());
-                    }
-                    tr
-                },
-            )
+            .prop_map(|((num, den), (subs, extra), ending, (n1, d1))| {
+                let w = Weight::new(rat(num.min(den - 1), den));
+                let mut tr = IswTracker::new(w.value(), 0);
+                let mut last = (0, 0);
+                for i in 1..=subs {
+                    let win = periodic_window(w, i, 0);
+                    tr.add_subtask(i, win.release, i == 1, i > 1 && b_bit(w, i - 1));
+                    last = (i, win.release);
+                }
+                let stop = last.1 + extra;
+                tr.sync_to(stop, |_, _| ());
+                if ending >= 2 && subs > 0 && tr.completion_of(last.0).is_none() {
+                    let _ = tr.halt(last.0, stop);
+                }
+                if ending == 3 {
+                    tr.set_swt(rat(n1, d1));
+                    tr.sync_to(stop + 2, |_, _| ());
+                }
+                tr
+            })
     }
 
     /// Every way of getting one field of `image` wrong.
@@ -1324,7 +1259,6 @@ mod shift_tests {
         with("halted loss", &|t| t.halted_loss += rat(1, 7));
         with("unit", &|t| t.total.rebase(t.unit().times(2)));
         with("total base", &|t| t.total = t.total.clone().plus(rat(1, 3)));
-        with("keep_retired", &|t| t.keep_retired = !t.keep_retired);
         with("a record more", &|t| {
             let index = t.subs.back().map_or(1, |s| s.index + 1);
             t.subs.push_back(IswSub {

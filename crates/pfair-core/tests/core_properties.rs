@@ -129,7 +129,7 @@ proptest! {
         change_at_subtask in 2usize..4,
     ) {
         let horizon = 400i64;
-        let mut tr = IswTracker::new_keeping_history(w0.value(), 0);
+        let mut tr = IswTracker::new(w0.value(), 0);
         // Build the release chain with separations; enact a weight
         // change at the completion of subtask `change_at_subtask` by
         // simply switching swt at its deadline (a decrease-style era).
@@ -144,8 +144,7 @@ proptest! {
             let win = window_in_era(weight, rank, release);
             let era_first = rank == 1;
             let pred_b = if era_first { false } else { b_bit(weight, rank - 1) };
-            tr.add_subtask(index, win.release, era_first, pred_b);
-            sub_windows.push(win);
+            sub_windows.push((index, win, era_first, pred_b));
             // Weight change after the chosen subtask: new era.
             if i + 1 == change_at_subtask {
                 change_slot = win.deadline;
@@ -163,9 +162,17 @@ proptest! {
         }
         let n = sub_windows.len();
         let mut completions = 0usize;
+        // Each subtask is added at its release, as the usage protocol
+        // asks: the tracker retires all but the last two records.
+        let mut pending = sub_windows.iter().peekable();
         for t in 0..horizon {
             if t == change_slot {
                 tr.set_swt(w1.value());
+            }
+            while let Some((index, win, era_first, pred_b)) =
+                pending.next_if(|(_, win, _, _)| win.release == t)
+            {
+                tr.add_subtask(*index, win.release, *era_first, *pred_b);
             }
             let (slot_alloc, done) = tr.advance(t);
             // AF1: per-slot task allocation never exceeds swt.
@@ -186,7 +193,7 @@ proptest! {
     fn halt_accounting(w in arb_weight(), halt_after in 1i64..6) {
         // The per-slot breakdown comes from the independent reference,
         // driven alongside.
-        let mut tr = IswTracker::new_keeping_history(w.value(), 0);
+        let mut tr = IswTracker::new(w.value(), 0);
         let mut reference = IswReference::new(w.value(), 0);
         tr.add_subtask(1, 0, true, false);
         reference.ref_add(1, 0, true, false);
@@ -194,7 +201,7 @@ proptest! {
         for t in 0..halt_at {
             prop_assert_eq!(tr.advance(t).0, reference.ref_step(|_, _, _| ()));
         }
-        let cum_before = tr.subtask_cum(1).unwrap();
+        let cum_before = reference.ref_sub(1).unwrap().cum;
         prop_assume!(cum_before < Rational::ONE); // still incomplete
         prop_assert_eq!(tr.halt(1, halt_at), cum_before);
         let halted = reference.ref_halt(1).unwrap();

@@ -37,13 +37,14 @@
 //! ## Overruns
 //!
 //! A tick is budgeted one quantum. A closure that runs past the
-//! boundary is *not* killed (Rust can't preempt safely); instead the
-//! executor records an **overrun**, and if the task is scheduled again
-//! while its previous tick still runs, that quantum is recorded as a
-//! **skip** (the allocation is lost, exactly like an embedded
-//! budget-overrun drop). In `virtual_time` mode the dispatcher instead
-//! waits for every tick to finish before closing the slot, making runs
-//! deterministic for tests.
+//! boundary is *not* killed (Rust can't preempt safely). If the task is
+//! scheduled again while its previous tick still runs, that quantum is
+//! recorded as a **skip** (the allocation is lost, exactly like an
+//! embedded budget-overrun drop) and reported as one
+//! [`ObsEvent::ExecSkip`]; an overrun that ends before the task's next
+//! quantum costs nothing and is not recorded. In `virtual_time` mode the
+//! dispatcher instead waits for every tick to finish before closing the
+//! slot, making runs deterministic for tests.
 
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
@@ -96,7 +97,7 @@ struct RtTask {
 /// Builder for an [`Executor`].
 ///
 /// Generic over a [`Probe`] so a run can record structured engine
-/// events plus the executor-specific overrun/skip instants; the
+/// events plus the executor-specific skip instants; the
 /// default [`NoopProbe`] compiles to nothing.
 pub struct ExecutorBuilder<P: Probe = NoopProbe> {
     workers: u32,
@@ -133,9 +134,8 @@ impl<P: Probe> ExecutorBuilder<P> {
     }
 
     /// Attaches a probe, replacing any earlier one. The probe observes
-    /// every engine event of the run plus the executor's overrun/skip
-    /// instants, and comes back out of
-    /// [`Executor::shutdown_with_probe`].
+    /// every engine event of the run plus the executor's skip instants,
+    /// and comes back out of [`Executor::shutdown_with_probe`].
     pub fn with_probe<Q: Probe>(self, probe: Q) -> ExecutorBuilder<Q> {
         ExecutorBuilder {
             workers: self.workers,
@@ -201,7 +201,6 @@ impl<P: Probe> ExecutorBuilder<P> {
             ctl_rx,
             workers,
             busy: vec![false; 0],
-            overruns: Vec::new(),
             skips: Vec::new(),
         }
     }
@@ -267,8 +266,6 @@ pub struct ExecReport {
     pub names: Vec<String>,
     /// Completed ticks per task.
     pub ticks_per_task: Vec<u64>,
-    /// Ticks that ran past their quantum budget, per task.
-    pub overruns: Vec<u64>,
     /// Scheduled quanta lost because the previous tick was still
     /// running, per task.
     pub skips: Vec<u64>,
@@ -278,11 +275,6 @@ impl ExecReport {
     /// Completed ticks of one task.
     pub fn ticks(&self, h: TaskHandle) -> u64 {
         self.ticks_per_task[h.0.idx()]
-    }
-
-    /// Overruns of one task.
-    pub fn overruns(&self, h: TaskHandle) -> u64 {
-        self.overruns[h.0.idx()]
     }
 
     /// Skips of one task.
@@ -302,7 +294,6 @@ pub struct Executor<P: Probe = NoopProbe> {
     ctl_rx: Receiver<(TaskId, Weight)>,
     workers: Vec<JoinHandle<()>>,
     busy: Vec<bool>,
-    overruns: Vec<u64>,
     skips: Vec<u64>,
 }
 
@@ -319,7 +310,6 @@ impl<P: Probe> Executor<P> {
     pub fn run(&mut self, quanta: Slot) {
         if self.busy.is_empty() {
             self.busy = vec![false; self.tasks.len()];
-            self.overruns = vec![0; self.tasks.len()];
             self.skips = vec![0; self.tasks.len()];
         }
         let virtual_time = self.quantum.is_zero();
@@ -347,10 +337,7 @@ impl<P: Probe> Executor<P> {
                 if self.busy[idx] {
                     // Previous tick still running: the quantum is lost.
                     self.skips[idx] += 1;
-                    self.overruns[idx] += 1;
-                    let probe = self.engine.probe_mut();
-                    probe.on_event(ObsEvent::ExecOverrun { task: id, t });
-                    probe.on_event(ObsEvent::ExecSkip { task: id, t });
+                    (self.engine.probe_mut()).on_event(ObsEvent::ExecSkip { task: id, t });
                     continue;
                 }
                 self.busy[idx] = true;
@@ -386,7 +373,8 @@ impl<P: Probe> Executor<P> {
                     done += 1;
                 }
             } else {
-                // Real time: sleep out the quantum, then note overruns.
+                // Real time: sleep out the quantum, then collect the
+                // ticks that finished in it.
                 let elapsed = slot_start.elapsed();
                 if elapsed < self.quantum {
                     std::thread::sleep(self.quantum - elapsed);
@@ -423,7 +411,6 @@ impl<P: Probe> Executor<P> {
                 sim,
                 names,
                 ticks_per_task,
-                overruns: self.overruns,
                 skips: self.skips,
             },
             probe,
@@ -517,9 +504,9 @@ mod tests {
     #[test]
     fn real_time_mode_runs_and_reports() {
         // Short real-time run with a 1 ms quantum. Every chosen quantum
-        // is either a tick or a skip, and only an overrun skips: a loaded
-        // machine may delay a fast body past its quantum, so the exact
-        // tick counts stay with the virtual-time tests.
+        // is either a tick or a skip: a loaded machine may delay a fast
+        // body past its quantum, so the exact tick counts stay with the
+        // virtual-time tests.
         let mut b = ExecutorBuilder::new(2).quantum(Duration::from_millis(1));
         let (h1, _c1) = counter_task(&mut b, "a", 1, 2);
         let (h2, _c2) = counter_task(&mut b, "b", 1, 2);
@@ -528,7 +515,6 @@ mod tests {
         let report = exec.shutdown();
         for h in [h1, h2] {
             assert_eq!(report.ticks(h) + report.skips(h), 15);
-            assert_eq!(report.overruns(h), report.skips(h));
         }
         assert_eq!(report.names.len(), 2);
     }
@@ -536,7 +522,7 @@ mod tests {
     #[test]
     fn overrunning_body_is_skipped_not_doubled() {
         // One task's body sleeps far past its quantum: the executor must
-        // record overruns/skips and never run the body concurrently.
+        // record skips and never run the body concurrently.
         let concurrent = Arc::new(AtomicU64::new(0));
         let max_seen = Arc::new(AtomicU64::new(0));
         let (conc, maxs) = (concurrent.clone(), max_seen.clone());
@@ -557,8 +543,8 @@ mod tests {
     #[test]
     fn probe_observes_exec_skips_and_engine_events() {
         // Same overrun scenario, observed through a metrics probe: the
-        // executor-level skip/overrun instants and the engine's slot
-        // count both land in the registry.
+        // executor-level skip instants and the engine's slot count both
+        // land in the registry.
         let mut b = ExecutorBuilder::new(2)
             .quantum(Duration::from_millis(1))
             .with_probe(pfair_obs::MetricsProbe::new());
@@ -571,7 +557,6 @@ mod tests {
         let reg = probe.registry();
         assert_eq!(reg.counter("slots"), 20);
         assert_eq!(reg.counter("exec.skips"), report.skips(h));
-        assert_eq!(reg.counter("exec.overruns"), report.overruns(h));
         assert!(reg.counter("exec.skips") > 0);
         assert_eq!(
             reg.counter("schedules"),
@@ -582,8 +567,8 @@ mod tests {
     #[test]
     fn flight_recorder_and_slo_monitor_ride_the_executor() {
         // Overrun scenario again, observed by the black-box pair: the
-        // flight recorder must keep the executor-level overrun/skip
-        // instants in its ring, and the SLO monitor must stay clean (a
+        // flight recorder must keep the executor-level skip instants in
+        // its ring, and the SLO monitor must stay clean (a
         // feasible schedule has no deadline misses even when bodies
         // overrun their quanta).
         use pfair_obs::{Fanout, FlightRecorder, ObsEvent, SloConfig, SloMonitor};
@@ -600,13 +585,11 @@ mod tests {
         exec.run(20);
         let (report, Fanout(mut flight, slo)) = exec.shutdown_with_probe();
         assert!(report.skips(h) > 0);
-        let overruns = flight
-            .recent()
-            .filter(|e| matches!(e, ObsEvent::ExecOverrun { .. } | ObsEvent::ExecSkip { .. }))
-            .count();
         assert!(
-            u64::try_from(overruns).unwrap_or(0) > 0,
-            "flight ring must hold the executor overrun/skip instants"
+            flight
+                .recent()
+                .any(|e| matches!(e, ObsEvent::ExecSkip { task, .. } if *task == h.0)),
+            "flight ring must hold the executor skip instants"
         );
         assert!(flight.incidents().is_empty(), "no miss, no incident");
         flight.capture_now(20);

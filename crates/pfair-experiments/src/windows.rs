@@ -56,7 +56,7 @@ pub fn fig1b() {
 pub fn fig7() {
     println!("\n--- Fig. 7: X (3/19 → 2/5 at t=8), I_SW per-slot and I_PS totals ---");
     let w = rat(3, 19);
-    let mut isw = IswTracker::new_keeping_history(w, 0);
+    let mut isw = IswTracker::new(w, 0);
     let w519 = Weight::new(w);
     isw.add_subtask(1, 0, true, false);
     isw.add_subtask(2, 6, false, b_bit(w519, 1));

@@ -131,7 +131,6 @@ impl TraceRecorder {
                 | ObsEvent::SwtSet { task, .. }
                 | ObsEvent::Depart { task, .. }
                 | ObsEvent::TrackerAdvance { task, .. }
-                | ObsEvent::ExecOverrun { task, .. }
                 | ObsEvent::ExecSkip { task, .. }
                 | ObsEvent::Miss { task, .. }
                 | ObsEvent::DriftSample { task, .. } => Some(*task),
@@ -223,9 +222,6 @@ impl TraceRecorder {
                     ..
                 } => {
                     instant(&mut w, "era release", "release", *t, *task, Some(*index));
-                }
-                ObsEvent::ExecOverrun { task, t } => {
-                    instant(&mut w, "overrun", "exec", *t, *task, None);
                 }
                 ObsEvent::ExecSkip { task, t } => {
                     instant(&mut w, "skip", "exec", *t, *task, None);

@@ -139,14 +139,8 @@ pub enum ObsEvent {
         /// Jump end boundary.
         to: Slot,
     },
-    /// Executor tick overran its quantum budget.
-    ExecOverrun {
-        /// Task that overran.
-        task: TaskId,
-        /// Slot of the overrun.
-        t: Slot,
-    },
-    /// Executor quantum lost to a still-running previous tick.
+    /// Executor quantum lost to a previous tick still running past its
+    /// budget.
     ExecSkip {
         /// Task that lost the quantum.
         task: TaskId,
@@ -300,10 +294,6 @@ impl ToJson for ObsEvent {
                 .field("task", task)
                 .field("from", from)
                 .field("to", to),
-            ObsEvent::ExecOverrun { task, t } => w
-                .field("kind", "exec_overrun")
-                .field("task", task)
-                .field("t", t),
             ObsEvent::ExecSkip { task, t } => w
                 .field("kind", "exec_skip")
                 .field("task", task)
@@ -427,10 +417,6 @@ mod tests {
                 task: TaskId(0),
                 from: 3,
                 to: 8,
-            },
-            ObsEvent::ExecOverrun {
-                task: TaskId(2),
-                t: 5,
             },
             ObsEvent::ExecSkip {
                 task: TaskId(2),

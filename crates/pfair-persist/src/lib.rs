@@ -15,6 +15,12 @@
 //! field) is caught. Unknown formats and future versions are refused,
 //! never guessed at.
 //!
+//! The two formats are versioned apart. Snapshots are at version 2,
+//! which stopped writing what `Engine::restore` rebuilds from the task
+//! rows (the calendar rings, a task's actual weight) and the history
+//! flags no snapshot can set; a version-1 snapshot still opens, and its
+//! decoder ignores those keys. Journals are at version 1.
+//!
 //! ## Journal format
 //!
 //! A journal is JSONL: one header envelope line, then one line per
@@ -50,8 +56,19 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_FORMAT: &str = "pfair-snapshot";
 /// Format tag of journal headers.
 pub const JOURNAL_FORMAT: &str = "pfair-journal";
-/// Current (and only) version of both formats.
-pub const FORMAT_VERSION: i128 = 1;
+/// Version of the snapshots this build writes.
+pub const SNAPSHOT_VERSION: i128 = 2;
+/// Version of the journals this build writes and reads.
+pub const JOURNAL_VERSION: i128 = 1;
+
+/// The version this build writes of `format`, and the oldest it opens.
+fn versions(format: &str) -> (i128, i128) {
+    if format == SNAPSHOT_FORMAT {
+        (SNAPSHOT_VERSION, 1)
+    } else {
+        (JOURNAL_VERSION, JOURNAL_VERSION)
+    }
+}
 
 /// Failure while persisting or recovering simulation state.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,22 +142,22 @@ impl<T: ToJson + ?Sized> ToJson for Sealed<'_, T> {
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object()
             .field("format", self.format)
-            .field("version", &FORMAT_VERSION)
+            .field("version", &versions(self.format).0)
             .field("checksum", &checksum(&self.body.to_json_compact()))
             .field("body", self.body);
         w.end_object();
     }
 }
 
-/// Wraps a body in a versioned, checksummed envelope, to be rendered in
-/// either layout.
+/// Wraps a body in a checksummed envelope stamped with the version this
+/// build writes of `format`, to be rendered in either layout.
 pub fn seal<'a, T: ToJson + ?Sized>(format: &'a str, body: &'a T) -> impl ToJson + 'a {
     Sealed { format, body }
 }
 
-/// Opens an envelope: checks the format tag, the version, and the
-/// checksum, and returns the body. Every failure is an `Err`, never a
-/// panic — this is the untrusted-input boundary.
+/// Opens an envelope: checks the format tag, the version (one this
+/// build reads), and the checksum, and returns the body. Every failure
+/// is an `Err`, never a panic — this is the untrusted-input boundary.
 pub fn open(format: &str, envelope: &Json) -> Result<Json, PersistError> {
     let tag: String = envelope.field("format")?;
     if tag != format {
@@ -152,9 +169,10 @@ pub fn open(format: &str, envelope: &Json) -> Result<Json, PersistError> {
         .get("version")
         .and_then(Json::as_int)
         .ok_or_else(|| PersistError::Format("missing format version".to_string()))?;
-    if version != FORMAT_VERSION {
+    let (newest, oldest) = versions(format);
+    if !(oldest..=newest).contains(&version) {
         return Err(PersistError::Format(format!(
-            "unsupported {format} version {version} (supported: {FORMAT_VERSION})"
+            "unsupported {format} version {version} (supported: {oldest} to {newest})"
         )));
     }
     let stated: String = envelope.field("checksum")?;

@@ -1,9 +1,10 @@
 //! The snapshot format does not notice the engine's memory layout.
 //!
 //! `fixtures/oi_midrun.snapshot.json` was written by an older binary
-//! (see `fixtures/README.md`) in the middle of an overloaded PD²-OI run.
-//! Today's engine must decode it, encode it back to the same bytes, and
-//! resume it to the `SimResult` the older binary reached — whatever the
+//! (see `fixtures/README.md`) in the middle of an overloaded PD²-OI run,
+//! in the version-1 format. Today's engine must decode it, encode it as
+//! version 2 — the same body less the keys version 2 dropped — and
+//! resume it to the `SimResult` the older binary reached, whatever the
 //! task rows look like in memory by now.
 
 use pfair_json::{Json, ToJson};
@@ -14,6 +15,46 @@ use pfair_sched::engine::Engine;
 const SNAPSHOT: &str = include_str!("fixtures/oi_midrun.snapshot.json");
 const RESULT: &str = include_str!("fixtures/oi_midrun.result.json");
 const JOURNAL: &str = include_str!("fixtures/journal.jsonl");
+
+/// Keys version 2 no longer writes: the calendar rings (rebuilt from
+/// the rows at restore), the history request no snapshot carries and
+/// the `I_SW` trackers' history flags — and a task's `wt`, which its
+/// `I_PS` tracker holds.
+const DROPPED: &str =
+    "release_at enact_at leave_at record_history keep_retired record_slot_allocs slot_allocs";
+
+/// Removes the [`DROPPED`] keys anywhere in `value`, and `wt` from it
+/// when it is a task (an element of `tasks`).
+fn drop_v1_keys(value: &mut Json, task: bool) {
+    match value {
+        Json::Object(fields) => {
+            fields.retain(|(k, _)| !(DROPPED.split(' ').any(|d| d == k) || task && k == "wt"));
+            for (k, v) in fields {
+                drop_v1_keys(v, k == "tasks");
+            }
+        }
+        Json::Array(items) => items.iter_mut().for_each(|v| drop_v1_keys(v, task)),
+        _ => {}
+    }
+}
+
+/// The fixture's body with the value at `path` (keys, and indices of
+/// arrays) replaced, sealed again.
+fn with_value(path: &[&str], value: Json) -> String {
+    let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
+    let mut body = envelope.get("body").expect("envelope body").clone();
+    let mut node = &mut body;
+    for key in path {
+        node = match node {
+            Json::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect("key").1,
+            Json::Array(items) => &mut items[key.parse::<usize>().expect("an index")],
+            _ => panic!("no `{key}` in a scalar"),
+        };
+    }
+    *node = value;
+    let text = seal(SNAPSHOT_FORMAT, &body).to_json_pretty();
+    text
+}
 
 fn array<'a>(value: &'a Json, key: &str) -> &'a [Json] {
     match value.get(key) {
@@ -43,11 +84,44 @@ fn fixture_holds_the_states_it_was_built_for() {
     assert!(!array(body, "misses").is_empty(), "the run is overloaded");
 }
 
+/// A version-1 image migrates by decoding: encoded again it is the
+/// fixture's body less the dropped keys, each of which it held, sealed
+/// as version 2.
 #[test]
-fn parent_written_snapshot_reencodes_to_the_same_bytes() {
+fn parent_written_snapshot_reencodes_as_version_2() {
     let snapshot = snapshot_from_str(SNAPSHOT).expect("fixture decodes");
     assert_eq!(snapshot.now(), 30);
-    assert_eq!(snapshot_to_string(&snapshot), SNAPSHOT);
+    for key in DROPPED.split(' ') {
+        assert!(SNAPSHOT.contains(&format!("\"{key}\":")), "{key}");
+    }
+    let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
+    let mut body = envelope.get("body").expect("envelope body").clone();
+    drop_v1_keys(&mut body, false);
+    let mut expected = seal(SNAPSHOT_FORMAT, &body).to_json_pretty();
+    expected.push('\n');
+    assert!(SNAPSHOT.contains("\"version\": 1,") && expected.contains("\"version\": 2,"));
+    assert_eq!(snapshot_to_string(&snapshot), expected);
+}
+
+/// A calendar slot behind `now` is a format error: a present task's
+/// next release, a parked change's slot, a rule-L departure. At `now`
+/// itself each is a slot still to fire.
+#[test]
+fn a_calendar_slot_behind_now_is_a_format_error() {
+    for (what, path) in [
+        ("next release", ["tasks", "0", "next_release"].as_slice()),
+        ("pending change", &["tasks", "5", "pending", "at"]),
+        ("departure", &["tasks", "0", "leaving"]),
+    ] {
+        match snapshot_from_str(&with_value(path, Json::Int(29))) {
+            Err(PersistError::Format(message)) => assert!(
+                message.contains(what) && message.contains("behind snapshot slot 30"),
+                "{message}"
+            ),
+            other => panic!("{what} at 29 decoded: {other:?}"),
+        }
+        assert!(snapshot_from_str(&with_value(path, Json::Int(30))).is_ok());
+    }
 }
 
 #[test]

@@ -224,14 +224,19 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The envelope rejects wrong formats and future versions outright.
+    /// The envelope rejects wrong formats and future versions outright,
+    /// each format's versions counted apart.
     #[test]
     fn envelope_rejects_foreign_and_future_artifacts(n in 0u64..1000) {
         let text = seal(SNAPSHOT_FORMAT, &n).to_json_compact();
         let sealed = Json::parse(&text).expect("parse");
         prop_assert!(open(JOURNAL_FORMAT, &sealed).is_err());
-        let future = text.replace("\"version\":1", "\"version\":2");
-        let reparsed = Json::parse(&future).expect("parse");
-        prop_assert!(open(SNAPSHOT_FORMAT, &reparsed).is_err());
+        let future = text.replace("\"version\":2", "\"version\":3");
+        prop_assert_ne!(&future, &text);
+        prop_assert!(open(SNAPSHOT_FORMAT, &Json::parse(&future).expect("parse")).is_err());
+        let journal = seal(JOURNAL_FORMAT, &n).to_json_compact();
+        let future = journal.replace("\"version\":1", "\"version\":2");
+        prop_assert_ne!(&future, &journal);
+        prop_assert!(open(JOURNAL_FORMAT, &Json::parse(&future).expect("parse")).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! A bucketed calendar queue for slot-indexed engine events.
 //!
-//! The engine keeps three slot → task-list indexes (releases, parked
-//! enactments, rule-L departures). They were `BTreeMap<Slot, Vec<_>>`:
+//! The engine keeps two slot → task-list indexes (releases, and parked
+//! enactments and rule-L departures). They were `BTreeMap<Slot, Vec<_>>`:
 //! `O(log n)` per insert and per-slot probe, with the per-slot probe
 //! paid on *every* slot whether or not anything is due. A calendar
 //! queue exploits the access pattern instead — keys are drawn from a
@@ -35,12 +35,6 @@
 use crate::occupancy::{Occupancy, BUCKETS, WINDOW_SLOTS};
 use pfair_core::task::TaskId;
 use pfair_core::time::{Slot, NEVER};
-
-/// Occupied in-window buckets, projected as `(absolute slot, entries)`
-/// pairs — the slot-recoverable half of a persisted ring.
-pub type RingBuckets = Vec<(Slot, Vec<TaskId>)>;
-/// Far-future entries beyond the window, as `(due slot, task)` pairs.
-pub type RingOverflow = Vec<(Slot, TaskId)>;
 
 /// A slot-indexed multimap over a moving window of time.
 #[derive(Clone, Debug)]
@@ -217,60 +211,6 @@ impl CalendarRing {
     /// `true` iff the ring holds no entries at all.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Canonical persist projection of the ring: the window base, the
-    /// bucketed entries grouped by absolute slot in ascending slot
-    /// order (insertion order preserved within a slot), and the
-    /// overflow list verbatim. Each occupied bucket `b` corresponds to
-    /// the unique slot `s ∈ [base, base + WINDOW_SLOTS)` with
-    /// `s ≡ b (mod WINDOW_SLOTS)`, so the absolute slots are recoverable
-    /// without storing the rotation offset separately —
-    /// [`CalendarRing::from_parts`] rebuilds the bitmap, live count,
-    /// and overflow minimum from this projection alone.
-    pub fn persist_parts(&self) -> (Slot, RingBuckets, RingOverflow) {
-        let mut bucketed = Vec::new();
-        let mut from = self.base;
-        while let Some(slot) = self.next_in_window(from) {
-            bucketed.push((slot, self.bucket(Occupancy::bucket_of(slot)).clone()));
-            from = slot + 1;
-        }
-        (self.base, bucketed, self.overflow.clone())
-    }
-
-    /// Rebuilds a ring from a [`CalendarRing::persist_parts`]
-    /// projection, re-validating the window invariants: bucketed slots
-    /// inside `[base, base + WINDOW_SLOTS)` with non-empty entry lists, and
-    /// overflow entries strictly beyond the window.
-    pub fn from_parts(
-        base: Slot,
-        bucketed: RingBuckets,
-        overflow: RingOverflow,
-    ) -> Result<CalendarRing, String> {
-        let mut ring = CalendarRing::new(base);
-        let end = base.saturating_add(WINDOW_SLOTS);
-        for (slot, ids) in bucketed {
-            if slot < base || slot >= end {
-                return Err(format!(
-                    "bucketed slot {slot} outside window [{base}, {end})"
-                ));
-            }
-            if ids.is_empty() {
-                return Err(format!("empty bucket recorded at slot {slot}"));
-            }
-            for id in ids {
-                ring.insert(slot, id);
-            }
-        }
-        for (at, id) in overflow {
-            if at < end {
-                return Err(format!(
-                    "overflow entry at {at} inside window [{base}, {end})"
-                ));
-            }
-            ring.insert(at, id);
-        }
-        Ok(ring)
     }
 
     /// Rebases the window at `t` and pulls newly-in-range overflow
@@ -471,15 +411,12 @@ mod tests {
                         (slot >= to).then_some(slot)
                     }
                 };
-                let mut walked = Vec::new();
-                ring.for_each(|slot, id| walked.push((slot, id)));
-                let (_, buckets, overflow) = ring.persist_parts();
-                let projected: Vec<(Slot, TaskId)> = buckets
-                    .into_iter()
-                    .flat_map(|(slot, ids)| ids.into_iter().map(move |id| (slot, id)))
-                    .chain(overflow)
-                    .collect();
-                prop_assert_eq!(&walked, &projected);
+                let walk = |ring: &CalendarRing| {
+                    let mut walked = Vec::new();
+                    ring.for_each(|slot, id| walked.push((slot, id)));
+                    walked
+                };
+                let projected = walk(&ring);
                 let mut rebuilt = CalendarRing::new(to);
                 for &(slot, id) in &projected {
                     if let Some(slot) = map(slot, id) {
@@ -489,20 +426,16 @@ mod tests {
                 let mut scratch = vec![(7, TaskId(7))];
                 ring.remap(to, &mut scratch, map);
                 prop_assert_eq!(ring.len(), rebuilt.len());
-                prop_assert_eq!(ring.persist_parts(), rebuilt.persist_parts());
-                let (base, buckets, overflow) = ring.persist_parts();
-                let mut restored = CalendarRing::from_parts(base, buckets, overflow)
-                    .expect("a remapped ring is a valid projection");
-                // Same answers, slot for slot, until all three are empty.
+                prop_assert_eq!(walk(&ring), walk(&rebuilt));
+                // Same answers, slot for slot, until both are empty.
                 let mut t = to;
                 while !rebuilt.is_empty() {
                     prop_assert_eq!(ring.next_occupied(t), rebuilt.next_occupied(t));
                     t = rebuilt.next_occupied(t).expect("a non-empty ring has a next slot");
                     let due = rebuilt.take(t);
                     prop_assert_eq!(&ring.take(t), &due);
-                    prop_assert_eq!(&restored.take(t), &due);
                 }
-                prop_assert!(ring.is_empty() && restored.is_empty());
+                prop_assert!(ring.is_empty());
             }
         }
     }

@@ -190,7 +190,7 @@ enum PendKind {
 /// `I_SW` completion (`D(I_SW, T_j) + b`) are resolved eagerly at
 /// initiation from the closed-form projection — exact because the
 /// scheduling weight is era-constant until this very pending fires, and
-/// any superseding initiation replaces the pending (stale `enact_at`
+/// any superseding initiation replaces the pending (stale `parked_at`
 /// entries are validated away when their slot arrives).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Pending {
@@ -414,7 +414,7 @@ struct SubsScan {
 /// compared).
 #[derive(Clone, Debug, Default)]
 struct SlotScratch {
-    /// A calendar ring's due list (departures, enactments, releases).
+    /// A calendar ring's due list (parked rule state, releases).
     due: Vec<TaskId>,
     /// The slot's releases, for `Probe::on_release_batch`.
     batch: Vec<ReleaseRec>,
@@ -490,13 +490,11 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// arrives (a later delay/park/leave makes them stale), so each
     /// slot costs `O(due)` instead of a scan over every task.
     release_at: CalendarRing,
-    /// Slot-indexed parked reweighting changes (`Pending::at`);
-    /// validated against `Parked::pending` on firing, since a
+    /// Slot-indexed parked rule state: a task is filed at its pending
+    /// change's `Pending::at` and at its rule-L `Parked::leaving`.
+    /// Validated against the `Parked` column on firing, since a
     /// superseding initiation or a leave may have replaced the entry.
-    enact_at: CalendarRing,
-    /// Slot-indexed rule-L departures; validated against
-    /// `Parked::leaving` on firing.
-    leave_at: CalendarRing,
+    parked_at: CalendarRing,
     /// Busy-span batching state machine (armed snapshot, mismatch
     /// backoff). Not persisted: a restored engine re-arms from scratch,
     /// which cannot change its trajectory (jumps are verified no-ops
@@ -541,8 +539,7 @@ impl<P: Probe> Engine<P> {
             run_limit: config.horizon,
             tie: TieTable::new(&config.tie_break, n),
             release_at: CalendarRing::new(0),
-            enact_at: CalendarRing::new(0),
-            leave_at: CalendarRing::new(0),
+            parked_at: CalendarRing::new(0),
             busy: busy_span::BusySpanState::default(),
             mix: DriverMix::default(),
             config,
@@ -684,9 +681,8 @@ impl<P: Probe> Engine<P> {
     /// names runs the full pipeline, which fires it).
     fn next_boundary(&self, t: Slot) -> Slot {
         let stream = self.events.get(self.next_event).map_or(NEVER, |e| e.at);
-        let enact = self.enact_at.next_occupied(t).unwrap_or(NEVER);
-        let leave = self.leave_at.next_occupied(t).unwrap_or(NEVER);
-        stream.min(enact).min(leave).min(self.injected_min)
+        let parked = self.parked_at.next_occupied(t).unwrap_or(NEVER);
+        stream.min(parked).min(self.injected_min)
     }
 
     /// Advances over `start..end` in one jump. Legal because the ready
@@ -741,8 +737,7 @@ impl<P: Probe> Engine<P> {
         // Steps 1–3: timed state changes. Joins/leaves and initiations
         // come from the event stream (and online injections); enactments
         // from pending changes.
-        self.fire_departures(t);
-        self.fire_enactments(t);
+        self.fire_parked(t);
         self.fire_events(t);
         // Injected (live) events come after the stream's own events for
         // the slot, so an injection can address a task whose join is
@@ -892,13 +887,18 @@ impl<P: Probe> Engine<P> {
         (result, probe)
     }
 
-    // ---- step 1: joins & leaves -------------------------------------
+    // ---- steps 1–2: rule-L departures, then enactments ---------------
 
-    fn fire_departures(&mut self, t: Slot) {
+    /// Fires what the rules parked for slot `t`: the ring is taken once
+    /// and its due list walked twice, every departure before any
+    /// enactment. Each walk checks the row, so a stale entry is skipped
+    /// and a task with both a departure and a change parked fires each
+    /// at its own slot.
+    fn fire_parked(&mut self, t: Slot) {
         let mut due = std::mem::take(&mut self.scratch.due);
-        self.leave_at.take_into(t, &mut due);
+        self.parked_at.take_into(t, &mut due);
         Self::in_task_order(&mut due);
-        for id in due.drain(..) {
+        for &id in &due {
             if self.tasks.parked(id).leaving != t {
                 continue;
             }
@@ -907,33 +907,6 @@ impl<P: Probe> Engine<P> {
             self.tasks.park(id, |p| p.leaving = NEVER);
             self.depart(id, t);
         }
-        self.scratch.due = due;
-    }
-
-    /// Takes `id` out of the system at `t`, its trackers already synced
-    /// to `t`: admission gets its weight back and the probe hears of it.
-    /// Both departure sites — an immediate leave and a rule-L departure
-    /// fired from the ring — come through here.
-    fn depart(&mut self, id: TaskId, t: Slot) {
-        self.tasks.set_in_system(id, false);
-        self.admission.release(id);
-        self.probe.on_event(ObsEvent::Depart { task: id, t });
-    }
-
-    /// Deduplicates a slot-index bucket and restores the task-index
-    /// iteration order the per-slot scans used, keeping slot processing
-    /// deterministic and independent of insertion history.
-    fn in_task_order(due: &mut Vec<TaskId>) {
-        due.sort_unstable_by_key(|id| id.0);
-        due.dedup();
-    }
-
-    // ---- step 2: enactments ------------------------------------------
-
-    fn fire_enactments(&mut self, t: Slot) {
-        let mut due = std::mem::take(&mut self.scratch.due);
-        self.enact_at.take_into(t, &mut due);
-        Self::in_task_order(&mut due);
         for id in due.drain(..) {
             let fire = matches!(
                 self.tasks.parked(id).pending,
@@ -964,6 +937,24 @@ impl<P: Probe> Engine<P> {
             });
         }
         self.scratch.due = due;
+    }
+
+    /// Takes `id` out of the system at `t`, its trackers already synced
+    /// to `t`: admission gets its weight back and the probe hears of it.
+    /// Both departure sites — an immediate leave and a rule-L departure
+    /// fired from the ring — come through here.
+    fn depart(&mut self, id: TaskId, t: Slot) {
+        self.tasks.set_in_system(id, false);
+        self.admission.release(id);
+        self.probe.on_event(ObsEvent::Depart { task: id, t });
+    }
+
+    /// Deduplicates a slot-index bucket and restores the task-index
+    /// iteration order the per-slot scans used, keeping slot processing
+    /// deterministic and independent of insertion history.
+    fn in_task_order(due: &mut Vec<TaskId>) {
+        due.sort_unstable_by_key(|id| id.0);
+        due.dedup();
     }
 
     // ---- step 3: event-stream processing -----------------------------

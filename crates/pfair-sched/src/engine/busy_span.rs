@@ -165,8 +165,7 @@ struct SpanProbe {
     tasks: Vec<ArmedTask>,
     queue: Vec<QueueEntry>,
     release_ring: Vec<(Slot, TaskId)>,
-    enact_ring: Vec<(Slot, TaskId)>,
-    leave_ring: Vec<(Slot, TaskId)>,
+    parked_ring: Vec<(Slot, TaskId)>,
     counters: Counters,
     misses_len: usize,
     next_event: usize,
@@ -403,8 +402,7 @@ impl<P: Probe> Engine<P> {
             true
         });
         ring_content(&self.release_at, &mut probe.release_ring);
-        ring_content(&self.enact_at, &mut probe.enact_ring);
-        ring_content(&self.leave_at, &mut probe.leave_ring);
+        ring_content(&self.parked_at, &mut probe.parked_ring);
         probe.counters = self.counters;
         probe.misses_len = self.misses.len();
         probe.next_event = self.next_event;
@@ -466,8 +464,7 @@ impl<P: Probe> Engine<P> {
             || delta.rejected_heavy_reweights != 0
             || self.queue.len() != probe.queue.len()
             || self.release_at.len() != probe.release_ring.len()
-            || self.enact_at.len() != probe.enact_ring.len()
-            || self.leave_at.len() != probe.leave_ring.len()
+            || self.parked_at.len() != probe.parked_ring.len()
             || probe.selector.as_ref() != Some(&self.selector)
             || self.admission.committed_parts() != probe.committed.as_slice()
             || !columns_match(&probe.tasks, &self.tasks, period)
@@ -509,10 +506,9 @@ impl<P: Probe> Engine<P> {
                     && translate_priority(e.priority, period) == Some(live.priority)
             })
         });
-        // Calendar rings. Enactment/departure hints cannot move inside
-        // the span (an advancing task has no pending or leave, and the
-        // span boundary precedes every such hint), so Φ is the identity
-        // on those rings. Release hints shift with their owner: one
+        // Calendar rings. Parked hints cannot move inside the span (an
+        // advancing task has no pending or leave, and the span boundary
+        // precedes every such hint), so Φ is the identity on that ring. Release hints shift with their owner: one
         // consumed inside the period is missed in the live ring unless
         // the steady state re-created its successor exactly one period
         // later — the very condition under which extrapolation is sound.
@@ -528,8 +524,7 @@ impl<P: Probe> Engine<P> {
         }));
         image.sort_unstable_by_key(|&(s, id)| (s, id.0));
         if !queue_shifted
-            || !ring_is(&self.enact_at, &probe.enact_ring)
-            || !ring_is(&self.leave_at, &probe.leave_ring)
+            || !ring_is(&self.parked_at, &probe.parked_ring)
             || !ring_is(&self.release_at, image)
         {
             return SpanVerdict::Mismatch;
@@ -631,10 +626,10 @@ impl<P: Probe> Engine<P> {
         // dropped when the jump passes them — such a hint is stale (a
         // fixed task releasing inside the span fails verification), and
         // firing a stale hint is a no-op: the release path checks every
-        // hint against the task's current `next_release`. The
-        // enactment/departure rings carry no entry below the span
-        // boundary (their minimum by construction) and stay as they
-        // are; their windows just rotate a little later.
+        // hint against the task's current `next_release`. The parked
+        // ring carries no entry below the span boundary (its minimum by
+        // construction) and stays as it is; its window just rotates a
+        // little later.
         self.release_at.remap(now, scratch, |slot, id| {
             if gain(id).is_some_and(|di| di > 0) {
                 Some(slot + ds)
@@ -854,31 +849,24 @@ mod tests {
     use pfair_json::{Json, ToJson};
     use pfair_obs::MetricsProbe;
 
-    /// Everything an engine snapshot holds, in two parts: the rendered
-    /// image less the configuration (the twins below differ in it by
-    /// design) and the three rings, and the rings as content — their
+    /// Everything an engine holds, in two parts: the rendered snapshot
+    /// less the configuration (the twins below differ in it by design),
+    /// and the two rings as content, stale hints included — their
     /// window anchors, and with them the split between buckets and
     /// overflow list, differ between a ring that was stepped and one
     /// that jumped (see [`ring_content`]).
-    fn state_of<P: Probe>(e: &Engine<P>) -> (String, [Vec<(Slot, TaskId)>; 3]) {
+    fn state_of<P: Probe>(e: &Engine<P>) -> (String, [Vec<(Slot, TaskId)>; 2]) {
         let image = e.snapshot().expect("no history request").to_json_compact();
         let Ok(Json::Object(fields)) = Json::parse(&image) else {
             panic!("a snapshot renders as an object");
         };
         let rendered: Vec<(String, Json)> = fields
             .into_iter()
-            .filter(|(key, _)| key != "config" && !key.ends_with("_at"))
+            .filter(|(key, _)| key != "config")
             .collect();
-        assert_eq!(
-            rendered.len(),
-            10,
-            "three rings and the configuration left out"
-        );
-        let mut rings = [Vec::new(), Vec::new(), Vec::new()];
-        for (ring, out) in [&e.release_at, &e.enact_at, &e.leave_at]
-            .into_iter()
-            .zip(&mut rings)
-        {
+        assert_eq!(rendered.len(), 10, "the configuration left out");
+        let mut rings = [Vec::new(), Vec::new()];
+        for (ring, out) in [&e.release_at, &e.parked_at].into_iter().zip(&mut rings) {
             ring_content(ring, out);
         }
         (Json::Object(rendered).to_json_compact(), rings)

@@ -16,15 +16,20 @@
 //! - the ready queue as its sorted entry list (the heap's internal
 //!   array layout is unobservable: `QueueEntry`'s order is total, so
 //!   equal multisets of entries pop identically);
-//! - the three calendar rings (releases, enactments, departures) as
-//!   `(slot, entries)` pairs plus the far-future overflow list;
 //! - pending reweight commitments, admission commitments, hybrid
 //!   selector state, probe-independent overhead counters, and the
 //!   event stream with its cursor.
 //!
-//! The tie table is deliberately **not** serialized: it is a
-//! deterministic function of `config.tie_break` and the task count, and
-//! is rebuilt from them.
+//! What the rows determine is **not** serialized but rebuilt. The tie
+//! table is a function of `config.tie_break` and the task count. The
+//! two calendar rings only index row state: `release_at` files each
+//! present task at its `next_release`, `parked_at` each task at its
+//! parked change's slot and its rule-L departure. Every firing path
+//! checks the row before acting, so a stale hint in the live ring is a
+//! no-op, and a ring rebuilt from the rows fires exactly what it did.
+//! The admission table is kept: a decrease that supersedes a pending
+//! increase holds the higher commitment until enactment, which no row
+//! records.
 //!
 //! A history request (`record_history`) is refused: the history is
 //! rebuilt by a [`HistoryRecorder`](crate::history::HistoryRecorder)
@@ -32,10 +37,13 @@
 //! resumed run could not carry it on.
 //!
 //! Decoders re-validate every cross-field invariant they can state
-//! (dense task ids, index-ordered subtask records, cursor bounds,
-//! ring-window membership, weights and tracker counts that fit the
+//! (dense task ids, index-ordered subtask records, cursor bounds, no
+//! calendar slot behind `now`, weights and tracker counts that fit the
 //! 64-bit fields holding them), so a corrupted or hand-edited snapshot
-//! yields an `Err`, never a panicking or silently-wrong engine.
+//! yields an `Err`, never a panicking or silently-wrong engine. Keys
+//! earlier versions wrote and this one no longer reads (the rings, a
+//! task's `wt`, `config.record_history`, the trackers' history flags)
+//! are ignored, so an older image decodes as it is.
 
 use super::slab::TaskSlab;
 use super::{Engine, Parked, PendKind, Pending, SimConfig, SubRec, TaskState, NO_CPU};
@@ -194,7 +202,6 @@ impl ToJson for SimConfig {
             .field("scheme", &self.scheme)
             .field("tie_break", &self.tie_break)
             .field("admission", &self.admission)
-            .field("record_history", &self.record_history)
             .field("tickless", &self.tickless)
             .field("busy_span", &self.busy_span);
         w.end_object();
@@ -213,7 +220,7 @@ impl FromJson for SimConfig {
             scheme: value.field("scheme")?,
             tie_break: value.field("tie_break")?,
             admission: value.field("admission")?,
-            record_history: value.field("record_history")?,
+            record_history: false,
             tickless: value.field("tickless")?,
             busy_span: value.field("busy_span")?,
         })
@@ -236,27 +243,12 @@ struct TaskSnap {
     ran_last_slot: bool,
 }
 
-impl TaskSnap {
-    /// The image's `wt` field, the actual weight `wt(T, t)`: the `I_PS`
-    /// tracker holds it, except that a row no task has joined yet —
-    /// whose trackers are stand-ins of weight one — reads zero.
-    fn wt(state: &TaskState) -> Rational {
-        let joined = state.era_open_pending || state.next_index > 1;
-        if joined {
-            state.ps.wt()
-        } else {
-            Rational::ZERO
-        }
-    }
-}
-
 impl ToJson for TaskSnap {
     fn write_json(&self, w: &mut JsonWriter) {
         let state = &self.state;
         w.begin_object()
             .field("id", &self.id)
             .field("in_system", &self.in_system)
-            .field("wt", &TaskSnap::wt(state))
             .field("swt", &Share(self.swt))
             .field("era_base", &state.era_base)
             .field("next_index", &state.next_index)
@@ -313,11 +305,6 @@ impl FromJson for TaskSnap {
             scheduled_count: value.field("scheduled_count")?,
             last_cpu: value.field::<Option<u32>>("last_cpu")?.unwrap_or(NO_CPU),
         };
-        if value.field::<Rational>("wt")? != TaskSnap::wt(&state) {
-            return Err(JsonError::new(
-                "task weight disagrees with its I_PS tracker",
-            ));
-        }
         Ok(TaskSnap {
             id: value.field("id")?,
             state,
@@ -326,52 +313,6 @@ impl FromJson for TaskSnap {
             swt: value.field::<Share>("swt")?.0,
             next_release: value.field("next_release")?,
             ran_last_slot: value.field("ran_last_slot")?,
-        })
-    }
-}
-
-/// A calendar ring projected onto interchange form: the rotation base,
-/// the occupied in-window slots with their (insertion-ordered) entry
-/// lists, and the far-future overflow list. `CalendarRing::from_parts`
-/// re-validates window membership on the way back in.
-#[derive(Clone, Debug)]
-struct RingSnap {
-    base: Slot,
-    buckets: Vec<(Slot, Vec<TaskId>)>,
-    overflow: Vec<(Slot, TaskId)>,
-}
-
-impl RingSnap {
-    fn of(ring: &CalendarRing) -> RingSnap {
-        let (base, buckets, overflow) = ring.persist_parts();
-        RingSnap {
-            base,
-            buckets,
-            overflow,
-        }
-    }
-
-    fn into_ring(self) -> Result<CalendarRing, String> {
-        CalendarRing::from_parts(self.base, self.buckets, self.overflow)
-    }
-}
-
-impl ToJson for RingSnap {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object()
-            .field("base", &self.base)
-            .field("buckets", &self.buckets)
-            .field("overflow", &self.overflow);
-        w.end_object();
-    }
-}
-
-impl FromJson for RingSnap {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(RingSnap {
-            base: value.field("base")?,
-            buckets: value.field("buckets")?,
-            overflow: value.field("overflow")?,
         })
     }
 }
@@ -397,9 +338,6 @@ pub struct EngineSnapshot {
     counters: Counters,
     misses: Vec<Miss>,
     now: Slot,
-    release_at: RingSnap,
-    enact_at: RingSnap,
-    leave_at: RingSnap,
 }
 
 impl EngineSnapshot {
@@ -416,16 +354,27 @@ impl EngineSnapshot {
 
     /// Cross-field invariants shared by the decoder and
     /// [`Engine::restore`]: dense ids, sized side tables, in-range
-    /// cursors. Ring-window membership is checked separately by
-    /// `CalendarRing::from_parts`.
+    /// cursors, and no calendar slot behind `now` — a slot the rings
+    /// rebuilt at restore would file before their window and never
+    /// fire.
     fn validate(&self) -> Result<(), String> {
-        if self.config.record_history {
-            return Err("snapshots never carry a history request".to_string());
-        }
         let n = self.tasks.len();
         for (i, task) in self.tasks.iter().enumerate() {
             if task.id.idx() != i {
                 return Err(format!("task slab not dense: slot {i} holds {}", task.id));
+            }
+            let slots = [
+                ("next release", task.next_release.filter(|_| task.in_system)),
+                ("pending change", task.parked.pending.map(|p| p.at)),
+                ("departure", ever(task.parked.leaving)),
+            ];
+            for (what, at) in slots {
+                if let Some(at) = at.filter(|&at| at < self.now) {
+                    return Err(format!(
+                        "{} {what} at slot {at}, behind snapshot slot {}",
+                        task.id, self.now
+                    ));
+                }
             }
         }
         if self.selector.task_slots() != n {
@@ -468,10 +417,7 @@ impl ToJson for EngineSnapshot {
         w.end_array();
         w.field("counters", &self.counters)
             .field("misses", &self.misses)
-            .field("now", &self.now)
-            .field("release_at", &self.release_at)
-            .field("enact_at", &self.enact_at)
-            .field("leave_at", &self.leave_at);
+            .field("now", &self.now);
         w.end_object();
     }
 }
@@ -493,9 +439,6 @@ impl FromJson for EngineSnapshot {
             counters: value.field("counters")?,
             misses: value.field("misses")?,
             now: value.field("now")?,
-            release_at: value.field("release_at")?,
-            enact_at: value.field("enact_at")?,
-            leave_at: value.field("leave_at")?,
         };
         snap.validate().map_err(JsonError::new)?;
         Ok(snap)
@@ -551,9 +494,6 @@ impl<P: Probe> Engine<P> {
             counters: self.counters,
             misses: self.misses.clone(),
             now: self.now,
-            release_at: RingSnap::of(&self.release_at),
-            enact_at: RingSnap::of(&self.enact_at),
-            leave_at: RingSnap::of(&self.leave_at),
         })
     }
 
@@ -583,17 +523,15 @@ impl<P: Probe> Engine<P> {
     /// bit-identical to the uninterrupted one (module docs).
     ///
     /// Derived state is reconstructed rather than trusted: the tie
-    /// table comes from `config.tie_break`, the ready heap from the
-    /// canonical sorted entry list (no push counters are re-counted —
-    /// the snapshot's [`Counters`] already include those pushes).
+    /// table comes from `config.tie_break`, the calendar rings from the
+    /// rows (`calendars_of`), the ready heap from the canonical
+    /// sorted entry list (no push counters are re-counted — the
+    /// snapshot's [`Counters`] already include those pushes).
     pub fn restore(snapshot: EngineSnapshot, probe: P) -> Result<Engine<P>, String> {
         snapshot.validate()?;
         let n = u32::try_from(snapshot.tasks.len())
             .map_err(|_| "task count exceeds the id space".to_string())?;
         let tie = TieTable::new(&snapshot.config.tie_break, n);
-        let release_at = snapshot.release_at.into_ring()?;
-        let enact_at = snapshot.enact_at.into_ring()?;
-        let leave_at = snapshot.leave_at.into_ring()?;
         // Re-column the flattened task images: cold rows into the slab,
         // parked state into its column when there is any, hot values back
         // into the dense columns.
@@ -615,6 +553,7 @@ impl<P: Probe> Engine<P> {
         // horizon (a restored engine is not inside any `run_to`
         // segment).
         let last_chosen = tasks.ran_ids();
+        let (release_at, parked_at) = calendars_of(&tasks, snapshot.now);
         let injected_min = snapshot
             .injected
             .iter()
@@ -647,8 +586,7 @@ impl<P: Probe> Engine<P> {
             run_limit,
             tie,
             release_at,
-            enact_at,
-            leave_at,
+            parked_at,
             // Busy-span batching re-arms from scratch: an armed probe is
             // a pure optimization hint and deliberately not part of the
             // interchange format (jumps are verified no-ops, so a cold
@@ -658,6 +596,26 @@ impl<P: Probe> Engine<P> {
             config: snapshot.config,
         })
     }
+}
+
+/// The calendar rings the rows determine, anchored at `now`: each
+/// present task filed at its `next_release`, each task at its pending
+/// change's slot and at its rule-L departure, in task-id order. These
+/// are the entries of the live rings that the firing paths' row checks
+/// would act on; the live rings may hold stale hints besides.
+fn calendars_of(tasks: &TaskSlab, now: Slot) -> (CalendarRing, CalendarRing) {
+    let mut release_at = CalendarRing::new(now);
+    let mut parked_at = CalendarRing::new(now);
+    for id in (0u32..).map(TaskId).take(tasks.len()) {
+        if let (true, Some(at)) = (tasks.in_system(id), tasks.next_release(id)) {
+            release_at.insert(at, id);
+        }
+        let Parked { pending, leaving } = *tasks.parked(id);
+        for at in pending.map(|p| p.at).into_iter().chain(ever(leaving)) {
+            parked_at.insert(at, id);
+        }
+    }
+    (release_at, parked_at)
 }
 
 #[cfg(test)]
@@ -679,65 +637,40 @@ mod tests {
         w
     }
 
-    /// Snapshot at k, restore, run to H — identical to the straight
-    /// run (the full randomized matrix lives in the recovery suite;
-    /// this is the in-crate smoke check).
+    /// Snapshot at `k`, encode, decode, restore: the restored engine
+    /// snapshots to the same bytes, and runs to the result of the
+    /// uninterrupted run (the full randomized matrix lives in the
+    /// recovery suite). Ids 6 and 7 join after every cut, so their
+    /// unbuilt rows are imaged as placeholders, and the resumed run
+    /// meets their joins and a parked change among them.
     #[test]
-    fn restore_resumes_bit_identically() {
-        let config = SimConfig::oi(2, 40);
-        let w = busy_workload();
-        let reference = super::super::simulate(config.clone(), &w);
-        let mut engine = Engine::new(config, &w);
-        let snap = engine.snapshot_at(17).expect("snapshot");
-        let json = snap.to_json_pretty();
-        let parsed: EngineSnapshot =
-            FromJson::from_json(&Json::parse(&json).expect("parse")).expect("decode");
-        let mut resumed = Engine::restore(parsed, NoopProbe).expect("restore");
-        resumed.run();
-        let a = reference.to_json_pretty();
-        let b = resumed.finish().to_json_pretty();
-        assert_eq!(a, b);
-    }
-
-    /// A snapshot taken before some ids join images their unbuilt rows
-    /// as placeholders: restoring it and snapshotting again gives the
-    /// same bytes, and the resumed run — the late joins and a parked
-    /// change among them — equals the uninterrupted one.
-    #[test]
-    fn snapshot_before_a_late_join_round_trips() {
-        let config = SimConfig::oi(2, 60);
+    fn snapshots_round_trip_and_resume_bit_identically() {
         let mut w = busy_workload();
         w.join(6, 30, 1, 4).join(7, 30, 1, 5).reweight(6, 41, 1, 6);
-        let reference = super::super::simulate(config.clone(), &w);
-        let mut engine = Engine::new(config, &w);
-        let snap = engine.snapshot_at(20).expect("snapshot");
-        assert!(
-            engine.tasks.row_mut(TaskId(6)).is_none(),
-            "id 6 joins later"
-        );
-        let first = snap.to_json_pretty();
-        let parsed: EngineSnapshot =
-            FromJson::from_json(&Json::parse(&first).expect("parse")).expect("decode");
-        let mut resumed = Engine::restore(parsed, NoopProbe).expect("restore");
-        let again = resumed.snapshot().expect("snapshot").to_json_pretty();
-        assert_eq!(first, again);
-        resumed.run();
-        assert_eq!(
-            reference.to_json_pretty(),
-            resumed.finish().to_json_pretty()
-        );
-    }
-
-    /// The serialized form is canonical: encode → decode → encode is
-    /// byte-identical.
-    #[test]
-    fn snapshot_encoding_is_canonical() {
-        let mut engine = Engine::new(SimConfig::leave_join(2, 40), &busy_workload());
-        let snap = engine.snapshot_at(12).expect("snapshot");
-        let first = snap.to_json_pretty();
-        let parsed: EngineSnapshot =
-            FromJson::from_json(&Json::parse(&first).expect("parse")).expect("decode");
-        assert_eq!(first, parsed.to_json_pretty());
+        for (config, cut) in [
+            (SimConfig::oi(2, 60), 17),
+            (SimConfig::oi(2, 60), 20),
+            (SimConfig::leave_join(2, 60), 12),
+        ] {
+            let reference = super::super::simulate(config.clone(), &w);
+            let mut engine = Engine::new(config, &w);
+            let first = engine.snapshot_at(cut).expect("snapshot").to_json_pretty();
+            assert!(
+                engine.tasks.row_mut(TaskId(6)).is_none(),
+                "id 6 joins later"
+            );
+            let parsed: EngineSnapshot =
+                FromJson::from_json(&Json::parse(&first).expect("parse")).expect("decode");
+            let mut resumed = Engine::restore(parsed, NoopProbe).expect("restore");
+            let again = resumed.snapshot().expect("snapshot").to_json_pretty();
+            assert_eq!(first, again, "cut {cut}");
+            resumed.run();
+            let (a, b) = (
+                reference.to_json_pretty(),
+                resumed.finish().to_json_pretty(),
+            );
+            assert_eq!(a, b, "cut {cut}");
+        }
     }
 
     /// Engines asked for history refuse to snapshot.
@@ -746,6 +679,82 @@ mod tests {
         let config = SimConfig::oi(2, 40).with_history();
         let engine = Engine::new(config, &busy_workload());
         assert!(engine.snapshot().is_err());
+    }
+
+    /// The rings [`calendars_of`] rebuilds from the rows are the live
+    /// rings less their stale hints — the entries the firing paths' row
+    /// checks skip — on random OI/LJ/hybrid scripts, at every boundary
+    /// a random stride reaches, under the per-slot and the default
+    /// driver alike.
+    mod derivation {
+        use super::*;
+        use crate::reweight::{HybridPolicy, Scheme};
+        use proptest::prelude::*;
+
+        /// A ring's entries `keep` accepts, as a sorted set.
+        fn content(
+            ring: &CalendarRing,
+            keep: impl Fn(Slot, TaskId) -> bool,
+        ) -> Vec<(Slot, TaskId)> {
+            let mut out = Vec::new();
+            ring.for_each(|slot, id| out.extend(keep(slot, id).then_some((slot, id))));
+            out.sort_unstable_by_key(|&(slot, id)| (slot, id.0));
+            out.dedup();
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn rings_rebuilt_from_the_rows_are_the_live_ones(
+                processors in 1u32..=4,
+                joins in prop::collection::vec((2i128..=40, 0i64..=30), 1..=8),
+                events in prop::collection::vec((0u8..4, 0u32..8, 1i64..155, 2i128..=40, 1u32..600), 0..=24),
+                scheme in 0u8..3,
+                per_slot in 0u8..2,
+                stride in 1i64..40,
+            ) {
+                // Joins at 1/den; then reweights (two in four) to a light
+                // weight, delays up to 600 slots (past the ring window)
+                // and leaves, each of a joined id, in any order.
+                let mut w = Workload::new();
+                for (id, &(den, at)) in (0u32..).zip(&joins) {
+                    w.join(id, at, 1, den);
+                }
+                for &(kind, id, at, den, by) in &events {
+                    let id = id % u32::try_from(joins.len()).unwrap_or(1);
+                    match kind {
+                        0 | 1 => w.reweight(id, at, 1 + i128::from(by) % (den / 2), den),
+                        2 => w.delay(id, at, by),
+                        _ => w.leave(id, at),
+                    };
+                }
+                let config = match scheme {
+                    0 => SimConfig::oi(processors, 160),
+                    1 => SimConfig::leave_join(processors, 160),
+                    _ => SimConfig::oi(processors, 160)
+                        .with_scheme(Scheme::Hybrid(HybridPolicy::EveryNth(2))),
+                };
+                let config = if per_slot == 1 { config.per_slot() } else { config };
+                let mut e = Engine::new(config, &w);
+                while e.now < 160 {
+                    e.run_to(e.now + stride);
+                    let tasks = &e.tasks;
+                    let (release_at, parked_at) = calendars_of(tasks, e.now);
+                    let live = content(&e.release_at, |slot, id| {
+                        tasks.in_system(id) && tasks.next_release(id) == Some(slot)
+                    });
+                    prop_assert_eq!(content(&release_at, |_, _| true), live, "releases at {}", e.now);
+                    let live = content(&e.parked_at, |slot, id| {
+                        let parked = tasks.parked(id);
+                        parked.leaving == slot || parked.pending.is_some_and(|p| p.at == slot)
+                    });
+                    prop_assert_eq!(content(&parked_at, |_, _| true), live, "parked at {}", e.now);
+                    prop_assert!(e.snapshot().is_ok_and(|s| s.validate().is_ok()));
+                }
+            }
+        }
     }
 
     /// A tampered snapshot (event cursor out of range) decodes to Err.

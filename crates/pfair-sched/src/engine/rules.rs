@@ -211,7 +211,7 @@ impl<P: Probe> Engine<P> {
             self.depart(id, t);
         } else {
             self.tasks.park(id, |p| p.leaving = leave_at);
-            self.leave_at.insert(leave_at, id);
+            self.parked_at.insert(leave_at, id);
         }
     }
 
@@ -449,7 +449,7 @@ impl<P: Probe> Engine<P> {
                 initiated_at: t,
             };
             self.tasks.park(id, |p| p.pending = Some(pending));
-            self.enact_at.insert(at, id);
+            self.parked_at.insert(at, id);
         }
     }
 }
