@@ -38,9 +38,9 @@ fn drop_v1_keys(value: &mut Json, task: bool) {
     }
 }
 
-/// The fixture's body with the value at `path` (keys, and indices of
-/// arrays) replaced, sealed again.
-fn with_value(path: &[&str], value: Json) -> String {
+/// The fixture's body with `edit` applied to the value at `path`
+/// (keys, and indices of arrays), sealed again.
+fn edited(path: &[&str], edit: impl FnOnce(&mut Json)) -> String {
     let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
     let mut body = envelope.get("body").expect("envelope body").clone();
     let mut node = &mut body;
@@ -51,7 +51,7 @@ fn with_value(path: &[&str], value: Json) -> String {
             _ => panic!("no `{key}` in a scalar"),
         };
     }
-    *node = value;
+    edit(node);
     let text = seal(SNAPSHOT_FORMAT, &body).to_json_pretty();
     text
 }
@@ -113,14 +113,14 @@ fn a_calendar_slot_behind_now_is_a_format_error() {
         ("pending change", &["tasks", "5", "pending", "at"]),
         ("departure", &["tasks", "0", "leaving"]),
     ] {
-        match snapshot_from_str(&with_value(path, Json::Int(29))) {
+        match snapshot_from_str(&edited(path, |v| *v = Json::Int(29))) {
             Err(PersistError::Format(message)) => assert!(
                 message.contains(what) && message.contains("behind snapshot slot 30"),
                 "{message}"
             ),
             other => panic!("{what} at 29 decoded: {other:?}"),
         }
-        assert!(snapshot_from_str(&with_value(path, Json::Int(30))).is_ok());
+        assert!(snapshot_from_str(&edited(path, |v| *v = Json::Int(30))).is_ok());
     }
 }
 
@@ -181,22 +181,13 @@ fn journal_lines_match_the_golden() {
 /// `compactions` is a format error, not a zero.
 #[test]
 fn a_snapshot_without_compactions_is_a_decode_error() {
-    let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
-    let mut body = envelope.get("body").expect("envelope body").clone();
-    let Json::Object(fields) = &mut body else {
-        panic!("the body is an object");
-    };
-    let Some((_, Json::Object(counters))) = fields.iter_mut().find(|(k, _)| k == "counters") else {
-        panic!("the body holds counters");
-    };
-    let before = counters.len();
-    counters.retain(|(k, _)| k != "compactions");
-    assert_eq!(
-        counters.len(),
-        before - 1,
-        "the fixture carries `compactions`"
-    );
-    let text = seal(SNAPSHOT_FORMAT, &body).to_json_pretty();
+    let text = edited(&["counters"], |counters| {
+        let Json::Object(fields) = counters else {
+            panic!("the counters are an object");
+        };
+        assert!(fields.iter().any(|(k, _)| k == "compactions"));
+        fields.retain(|(k, _)| k != "compactions");
+    });
     match snapshot_from_str(&text) {
         Err(PersistError::Format(message)) => {
             assert!(message.contains("compactions"), "{message}");

@@ -68,6 +68,7 @@ mod release;
 mod rules;
 mod select;
 mod slab;
+pub use busy_span::MAX_CPU_ROTATION;
 pub use persist::EngineSnapshot;
 use slab::TaskSlab;
 
@@ -547,7 +548,7 @@ impl<P: Probe> Engine<P> {
     }
 
     /// The engine's probe (live drivers emit executor-side events —
-    /// overruns, skips — through this). The probe's span state belongs
+    /// skipped quanta — through this). The probe's span state belongs
     /// to the run: do not swap the probe out between an
     /// `ObsEvent::SpanArmed` and its `ObsEvent::BusySpanJump`, which
     /// scales what the probe accumulated since that arming.
@@ -908,15 +909,9 @@ impl<P: Probe> Engine<P> {
             self.depart(id, t);
         }
         for id in due.drain(..) {
-            let fire = matches!(
-                self.tasks.parked(id).pending,
-                Some(Pending { at, .. }) if at == t
-            );
-            if !fire {
+            let fires = matches!(self.tasks.parked(id).pending, Some(p) if p.at == t);
+            let Some(pending) = fires.then(|| self.tasks.unpark(id)).flatten() else {
                 continue; // superseded, cancelled, or re-parked since
-            }
-            let Some(pending) = self.tasks.unpark(id) else {
-                continue;
             };
             // The enactment changes the scheduling weight: advance the
             // trackers across the closing era first, under its weight.

@@ -75,7 +75,7 @@ const MAX_SPAN_PERIOD: Slot = 4096;
 const SLOT_SAFE_BOUND: Slot = 1 << 44;
 
 /// Cap on the processor-rotation probe extension, in base periods. The
-/// sticky processor assignment ([`Engine::assign_processors`]) maps each
+/// sticky processor assignment (`Engine::assign_processors`) maps each
 /// period's assignment vector to the next through a fixed function, so
 /// in a steady schedule the vectors run down a tail into a cycle of some
 /// length `q` base periods — not bounded by the order of a processor
@@ -89,7 +89,7 @@ const SLOT_SAFE_BOUND: Slot = 1 << 44;
 /// never finds `q > 4`, 6: 57 764 / 52 808, 8: 61 004 / 55 016, 12:
 /// 68 036 / 60 080; doubling to 8: 50 384 / 47 180, to 16: within 0.6 %
 /// (DESIGN.md "One re-arm" has every point).
-const MAX_CPU_ROTATION: Slot = 8;
+pub const MAX_CPU_ROTATION: Slot = 8;
 
 /// Failures in a row that re-arm at once: as many as the window takes
 /// to open fully. A verification costs less than one stepped slot and
