@@ -135,8 +135,8 @@ mod tests {
         p.to_string_lossy().into_owned()
     }
 
-    fn workload_file() -> String {
-        let path = tmp("workload.txt");
+    fn workload_file(name: &str) -> String {
+        let path = tmp(name);
         std::fs::write(&path, parser::EXAMPLE).unwrap();
         path
     }
@@ -145,7 +145,7 @@ mod tests {
     /// one-shot resume result and metrics byte for byte.
     #[test]
     fn chained_resume_matches_one_shot() {
-        let w = workload_file();
+        let w = workload_file("chain-workload.txt");
         let (s0, mid, last, m0, m_mid, m_last) = (
             tmp("c0.json"),
             tmp("c1.json"),
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn until_requires_snapshot_out() {
-        let w = workload_file();
+        let w = workload_file("lone-workload.txt");
         let s = tmp("lone.json");
         snapshot_file(
             &w,

@@ -1,12 +1,12 @@
 //! A bucketed calendar queue for slot-indexed engine events.
 //!
-//! The engine keeps two slot → task-list indexes (releases, and parked
-//! enactments and rule-L departures). They were `BTreeMap<Slot, Vec<_>>`:
-//! `O(log n)` per insert and per-slot probe, with the per-slot probe
-//! paid on *every* slot whether or not anything is due. A calendar
-//! queue exploits the access pattern instead — keys are drawn from a
-//! narrow moving window just ahead of `now`, and the consumer visits
-//! slots in nondecreasing order:
+//! The engine's task slab keeps two slot → task-list indexes over its
+//! columns (releases, and parked enactments and rule-L departures).
+//! They were `BTreeMap<Slot, Vec<_>>`: `O(log n)` per insert and per-slot
+//! probe, with the per-slot probe paid on *every* slot whether or not
+//! anything is due. A calendar queue exploits the access pattern
+//! instead — keys are drawn from a narrow moving window just ahead of
+//! `now`, and the consumer visits slots in nondecreasing order:
 //!
 //! - [`CalendarRing::insert`] is `O(1)` amortized: a push onto the
 //!   bucket `slot mod WINDOW_SLOTS` (or onto a small overflow list for the
@@ -25,12 +25,15 @@
 //! reports occupied), so rotation just rebases the window and migrates
 //! newly-in-range overflow entries into buckets.
 //!
-//! Entries are *hints*, exactly as the BTreeMap entries were: the
-//! engine re-validates each against current task state when its slot
-//! fires, so stale entries (superseded pendings, moved releases) cost
-//! one skipped id, never a wrong action. A stale entry can also make
-//! `next_occupied` conservative (an earlier boundary than necessary) —
-//! batching then splits a span, which is slower but never wrong.
+//! Entries are *hints*: the engine re-validates each against the slab's
+//! columns when its slot fires, so stale entries (superseded pendings,
+//! moved releases) cost one skipped id, never a wrong action. A stale
+//! entry can also make `next_occupied` conservative (an earlier
+//! boundary than necessary) — batching then splits a span, which is
+//! slower but never wrong. Where the clock jumps (a busy-span jump, a
+//! snapshot restore) the slab re-files each ring from its columns:
+//! [`CalendarRing::clear`] at the new `now`, then an insert per live
+//! entry, into the buffers the ring already holds.
 
 use crate::occupancy::{Occupancy, BUCKETS, WINDOW_SLOTS};
 use pfair_core::task::TaskId;
@@ -67,11 +70,6 @@ impl CalendarRing {
     }
 
     /// Bucket `b`, an [`Occupancy::bucket_of`] value.
-    fn bucket(&self, b: usize) -> &Vec<TaskId> {
-        // audit: allow(panic-reach, a bucket index is below BUCKETS, the length `new` gives the array)
-        &self.buckets[b]
-    }
-
     fn bucket_mut(&mut self, b: usize) -> &mut Vec<TaskId> {
         // audit: allow(panic-reach, a bucket index is below BUCKETS, the length `new` gives the array)
         &mut self.buckets[b]
@@ -156,51 +154,21 @@ impl CalendarRing {
         }
     }
 
-    /// Hands `visit` every entry as `(slot, task)`: the window in slot
-    /// order (insertion order within a slot), then the overflow list.
-    pub fn for_each(&self, mut visit: impl FnMut(Slot, TaskId)) {
+    /// Empties the ring and re-anchors its window at `base`, in place:
+    /// every bucket and the overflow list keep their buffers, so a ring
+    /// refilled to a like size allocates nothing. Slot for slot it then
+    /// takes like a fresh ring at `base` given the same inserts.
+    pub fn clear(&mut self, base: Slot) {
         let mut from = self.base;
         while let Some(slot) = self.next_in_window(from) {
-            for &id in self.bucket(Occupancy::bucket_of(slot)) {
-                visit(slot, id);
-            }
+            self.bucket_mut(Occupancy::bucket_of(slot)).clear();
             from = slot + 1;
         }
-        for &(slot, id) in &self.overflow {
-            visit(slot, id);
-        }
-    }
-
-    /// Re-anchors the window at `base` and moves every entry to the slot
-    /// `map` names for it (at or after `base`), dropping those it maps
-    /// to `None` — in place: the entries are drained into `scratch` in
-    /// [`CalendarRing::for_each`] order and re-inserted in that order,
-    /// so every bucket keeps its buffer and a caller that keeps
-    /// `scratch` allocates nothing. Slot for slot the result takes like
-    /// a fresh ring at `base` given the same inserts.
-    pub fn remap(
-        &mut self,
-        base: Slot,
-        scratch: &mut Vec<(Slot, TaskId)>,
-        mut map: impl FnMut(Slot, TaskId) -> Option<Slot>,
-    ) {
-        scratch.clear();
-        let mut from = self.base;
-        while let Some(slot) = self.next_in_window(from) {
-            let bucket = self.bucket_mut(Occupancy::bucket_of(slot));
-            scratch.extend(bucket.drain(..).map(|id| (slot, id)));
-            from = slot + 1;
-        }
-        scratch.append(&mut self.overflow);
+        self.overflow.clear();
         self.base = base;
         self.occupied = Occupancy::default();
         self.overflow_min = NEVER;
         self.in_window = 0;
-        for &(slot, id) in scratch.iter() {
-            if let Some(to) = map(slot, id) {
-                self.insert(to, id);
-            }
-        }
     }
 
     /// Total entries (bucketed + overflow).
@@ -220,29 +188,17 @@ impl CalendarRing {
     /// occupied one), so the buckets are empty.
     fn rotate(&mut self, t: Slot) {
         debug_assert_eq!(self.in_window, 0, "rotating over unconsumed entries");
-        if self.in_window != 0 {
-            // Defensive: a (contract-violating) skipped entry sits at a
-            // past slot, where it could alias a future bucket. Its
-            // BTreeMap equivalent — a key never queried again — would
-            // never fire either; drop it rather than misfire it.
-            for bucket in &mut self.buckets {
-                bucket.clear();
-            }
-            self.occupied = Occupancy::default();
-            self.in_window = 0;
-        }
-        self.base = t;
-        if self.overflow.is_empty() {
-            return;
-        }
-        // Filtered in place: the list keeps its buffer from one lap of
-        // the ring to the next instead of regrowing a fresh one.
-        let end = t.saturating_add(WINDOW_SLOTS);
+        // `clear` empties the buckets defensively: a (contract-violating)
+        // skipped entry sits at a past slot, where it could alias a future
+        // bucket, and its BTreeMap equivalent — a key never queried again
+        // — would never fire either. The overflow list is set aside and
+        // filtered in place, so it keeps its buffer from lap to lap.
         let mut overflow = std::mem::take(&mut self.overflow);
-        let mut kept_min = NEVER;
+        self.clear(t);
+        let end = t.saturating_add(WINDOW_SLOTS);
         overflow.retain(|&(at, id)| {
             if at >= end {
-                kept_min = kept_min.min(at);
+                self.overflow_min = self.overflow_min.min(at);
                 return true;
             }
             debug_assert!(at >= t, "overflow entry at {at} already passed");
@@ -252,7 +208,6 @@ impl CalendarRing {
             false
         });
         self.overflow = overflow;
-        self.overflow_min = kept_min;
     }
 }
 
@@ -376,25 +331,23 @@ mod tests {
         assert_eq!(got, (0..2_000).step_by(7).collect::<Vec<i64>>());
     }
 
-    /// In-place translation ([`CalendarRing::remap`]) against the
-    /// rebuild it replaced — a fresh ring at the target given the mapped
-    /// entries in projection order: window, overflow list, shifted and
-    /// kept hints ahead of the target, dropped ones behind it.
-    mod remap {
+    /// Clear-and-refile in place ([`CalendarRing::clear`], then
+    /// inserts) against a fresh ring at the new base given the same
+    /// inserts, from a ring in mid-run: window rotated by `consumed`
+    /// takes, entries in buckets and on the overflow list.
+    mod refile {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
             #[test]
-            fn in_place_remap_takes_like_a_rebuild(
+            fn cleared_ring_takes_like_a_fresh_one(
                 start in 0i64..2_000,
                 consumed in 0i64..700,
                 inserts in prop::collection::vec((0i64..1_500, 0u32..8), 0..60),
                 ds in 0i64..4_000,
-                moving in prop::collection::vec(0u8..2, 8),
+                refiled in prop::collection::vec((0i64..1_500, 0u32..8), 0..60),
             ) {
-                // A ring in mid-run: window rotated by `consumed` takes,
-                // entries in buckets and on the overflow list.
                 let mut ring = CalendarRing::new(start);
                 let now = start + consumed;
                 for t in start..now {
@@ -404,36 +357,18 @@ mod tests {
                     ring.insert(now + ahead, TaskId(id));
                 }
                 let to = now + ds;
-                let map = |slot: Slot, id: TaskId| {
-                    if moving[id.idx()] == 1 {
-                        Some(slot + ds)
-                    } else {
-                        (slot >= to).then_some(slot)
-                    }
-                };
-                let walk = |ring: &CalendarRing| {
-                    let mut walked = Vec::new();
-                    ring.for_each(|slot, id| walked.push((slot, id)));
-                    walked
-                };
-                let projected = walk(&ring);
-                let mut rebuilt = CalendarRing::new(to);
-                for &(slot, id) in &projected {
-                    if let Some(slot) = map(slot, id) {
-                        rebuilt.insert(slot, id);
-                    }
+                ring.clear(to);
+                prop_assert!(ring.is_empty());
+                let mut fresh = CalendarRing::new(to);
+                for &(ahead, id) in &refiled {
+                    ring.insert(to + ahead, TaskId(id));
+                    fresh.insert(to + ahead, TaskId(id));
                 }
-                let mut scratch = vec![(7, TaskId(7))];
-                ring.remap(to, &mut scratch, map);
-                prop_assert_eq!(ring.len(), rebuilt.len());
-                prop_assert_eq!(walk(&ring), walk(&rebuilt));
                 // Same answers, slot for slot, until both are empty.
-                let mut t = to;
-                while !rebuilt.is_empty() {
-                    prop_assert_eq!(ring.next_occupied(t), rebuilt.next_occupied(t));
-                    t = rebuilt.next_occupied(t).expect("a non-empty ring has a next slot");
-                    let due = rebuilt.take(t);
-                    prop_assert_eq!(&ring.take(t), &due);
+                while let Some(t) = fresh.next_occupied(to) {
+                    prop_assert_eq!(ring.len(), fresh.len());
+                    prop_assert_eq!(ring.next_occupied(to), Some(t));
+                    prop_assert_eq!(ring.take(t), fresh.take(t));
                 }
                 prop_assert!(ring.is_empty());
             }

@@ -43,7 +43,6 @@
 //! rebuilds it from the probe stream.
 
 use crate::admission::{AdmissionController, AdmissionPolicy};
-use crate::calendar::CalendarRing;
 use crate::event::{Event, EventKind, Workload};
 use crate::history::HistoryRecorder;
 use crate::overhead::{Counters, DriverMix};
@@ -107,9 +106,9 @@ pub struct SimConfig {
     /// next event boundary in closed form (the probe sees an
     /// `ObsEvent::SpanArmed` and, once verified, an
     /// `ObsEvent::BusySpanJump`); output is bit-identical either way.
-    /// Disable via
-    /// [`SimConfig::without_busy_span`] to benchmark the plain tickless
-    /// driver.
+    /// [`SimConfig::without_busy_span`] disables it: the benchmark does,
+    /// to time the plain tickless driver, and [`crate::shard::ShardSet`]
+    /// does on every shard (an arming copies every task, O(tasks)).
     pub busy_span: bool,
 }
 
@@ -485,17 +484,6 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// `config.tie_break` (a `Ranked` policy's `key` is a linear scan —
     /// too slow for the release hot path).
     tie: TieTable,
-    /// Slot-indexed schedule of upcoming subtask releases: tasks whose
-    /// `next_release` was set to the key slot. Entries are validated
-    /// against the task's current `next_release` when their slot
-    /// arrives (a later delay/park/leave makes them stale), so each
-    /// slot costs `O(due)` instead of a scan over every task.
-    release_at: CalendarRing,
-    /// Slot-indexed parked rule state: a task is filed at its pending
-    /// change's `Pending::at` and at its rule-L `Parked::leaving`.
-    /// Validated against the `Parked` column on firing, since a
-    /// superseding initiation or a leave may have replaced the entry.
-    parked_at: CalendarRing,
     /// Busy-span batching state machine (armed snapshot, mismatch
     /// backoff). Not persisted: a restored engine re-arms from scratch,
     /// which cannot change its trajectory (jumps are verified no-ops
@@ -539,8 +527,6 @@ impl<P: Probe> Engine<P> {
             scratch: SlotScratch::default(),
             run_limit: config.horizon,
             tie: TieTable::new(&config.tie_break, n),
-            release_at: CalendarRing::new(0),
-            parked_at: CalendarRing::new(0),
             busy: busy_span::BusySpanState::default(),
             mix: DriverMix::default(),
             config,
@@ -663,7 +649,7 @@ impl<P: Probe> Engine<P> {
             // `next_boundary` includes the earliest injection, so a due
             // (or overdue) one leaves no span to skip.
             let t = self.now;
-            let next_release = self.release_at.next_occupied(t).unwrap_or(NEVER);
+            let next_release = self.tasks.release_at.next_occupied(t).unwrap_or(NEVER);
             let end = self.next_boundary(t).min(next_release).min(until);
             if end > t {
                 self.skip_quiet_span(t, end);
@@ -682,7 +668,7 @@ impl<P: Probe> Engine<P> {
     /// names runs the full pipeline, which fires it).
     fn next_boundary(&self, t: Slot) -> Slot {
         let stream = self.events.get(self.next_event).map_or(NEVER, |e| e.at);
-        let parked = self.parked_at.next_occupied(t).unwrap_or(NEVER);
+        let parked = self.tasks.parked_at.next_occupied(t).unwrap_or(NEVER);
         stream.min(parked).min(self.injected_min)
     }
 
@@ -897,7 +883,7 @@ impl<P: Probe> Engine<P> {
     /// at its own slot.
     fn fire_parked(&mut self, t: Slot) {
         let mut due = std::mem::take(&mut self.scratch.due);
-        self.parked_at.take_into(t, &mut due);
+        self.tasks.parked_at.take_into(t, &mut due);
         Self::in_task_order(&mut due);
         for &id in &due {
             if self.tasks.parked(id).leaving != t {
@@ -924,7 +910,6 @@ impl<P: Probe> Engine<P> {
             }
             self.tasks.task_mut(id).era_open_pending = true;
             self.tasks.set_next_release(id, Some(t));
-            self.note_release(id, t);
             self.probe.on_event(ObsEvent::ReweightEnacted {
                 task: id,
                 t,

@@ -23,18 +23,20 @@
 //!    cheapest question first: cursors and counter deltas, the hot
 //!    columns, each task row — through shift-and-compare predicates
 //!    that build nothing and hand back the per-period gains as the
-//!    integers the ideal trackers keep — then the ready queue and the
-//!    calendar rings, entry by entry. Each advancing task's rank delta
-//!    must also equal the analytic `(P / den) · num`. Any deviation
-//!    aborts the attempt and the run simply continues per-slot —
-//!    batching is a pure optimization, never a semantic change.
+//!    integers the ideal trackers keep — then the ready queue, entry by
+//!    entry (the calendar rings only index verified columns). Each
+//!    advancing task's rank delta must also equal the analytic
+//!    `(P / den) · num`. Any deviation aborts the attempt and the run
+//!    simply continues per-slot — batching is a pure optimization,
+//!    never a semantic change.
 //! 3. **Jump** — the engine is deterministic and, in the absence of
 //!    events, its slot pipeline commutes with time translation, so
 //!    `F^P(A) = Φ(A)` implies `F^(kP)(A) = Φ^k(A)`. The remaining
 //!    `k = ⌊(end − t1) / P⌋` whole periods are enacted by translating
-//!    rows, queue entries and release hints where they stand, after a
-//!    pre-flight that proves no shifted field overflows: a refused jump
-//!    has touched nothing ([`Engine::apply_jump`]).
+//!    rows and queue entries where they stand, after a pre-flight that
+//!    proves no shifted field overflows: a refused jump has touched
+//!    nothing ([`Engine::apply_jump`]). The slab then re-files both
+//!    rings from the translated columns, which drops every stale hint.
 //!
 //! The attached probe follows a jump as two events through
 //! [`Probe::on_event`] like any other observation: an
@@ -49,7 +51,6 @@
 
 use super::slab::TaskSlab;
 use super::{Engine, Parked, SubRec, TaskState};
-use crate::calendar::CalendarRing;
 use crate::overhead::Counters;
 use crate::priority::Priority;
 use crate::queue::QueueEntry;
@@ -148,9 +149,9 @@ enum SpanVerdict {
 
 /// Everything [`Engine::busy_span_tick`] needs to recognize `Φ(A)` one
 /// period later: what verification reads of the state at `t0`, and
-/// nothing else. Queue and rings are held as sorted lists (ring *base*
-/// and per-slot insertion order are representation details — consumers
-/// sort-and-dedup every due set — so content is compared, not encoding).
+/// nothing else. The queue is held as its sorted entry list (the heap's
+/// layout is not observable). No calendar ring is held: the columns the
+/// rings index are held with each task.
 #[derive(Clone, Debug, Default)]
 struct SpanProbe {
     t0: Slot,
@@ -164,17 +165,13 @@ struct SpanProbe {
     end: Slot,
     tasks: Vec<ArmedTask>,
     queue: Vec<QueueEntry>,
-    release_ring: Vec<(Slot, TaskId)>,
-    parked_ring: Vec<(Slot, TaskId)>,
     counters: Counters,
     misses_len: usize,
     next_event: usize,
     selector: Option<RuleSelector>,
     committed: Vec<Option<Weight>>,
-    /// Verification's working memory: per-task deltas, ring contents
-    /// under comparison.
+    /// Verification's working memory: per-task deltas.
     deltas: Vec<TaskDelta>,
-    hints: [Vec<(Slot, TaskId)>; 2],
 }
 
 /// One task as armed: its four hot columns, its parked-rule state and
@@ -401,8 +398,6 @@ impl<P: Probe> Engine<P> {
             probe.queue.push(*e);
             true
         });
-        ring_content(&self.release_at, &mut probe.release_ring);
-        ring_content(&self.parked_at, &mut probe.parked_ring);
         probe.counters = self.counters;
         probe.misses_len = self.misses.len();
         probe.next_event = self.next_event;
@@ -442,9 +437,9 @@ impl<P: Probe> Engine<P> {
     /// remaining whole periods in one step. Cheapest checks first:
     /// cursors, counter deltas and lengths (O(1) each), the per-task
     /// tables and hot columns (one cache-linear pass each), the task
-    /// rows, and only then the contents of the ready queue and the
-    /// calendar rings. Any verdict but [`SpanVerdict::Jumped`] leaves
-    /// the engine exactly as the per-slot oracle left it.
+    /// rows, and only then the contents of the ready queue. Any verdict
+    /// but [`SpanVerdict::Jumped`] leaves the engine exactly as the
+    /// per-slot oracle left it.
     fn verify_and_apply(&mut self, probe: &mut SpanProbe) -> SpanVerdict {
         let period = probe.period;
         let t1 = probe.t0 + period;
@@ -463,8 +458,6 @@ impl<P: Probe> Engine<P> {
             || delta.halts != 0
             || delta.rejected_heavy_reweights != 0
             || self.queue.len() != probe.queue.len()
-            || self.release_at.len() != probe.release_ring.len()
-            || self.parked_at.len() != probe.parked_ring.len()
             || probe.selector.as_ref() != Some(&self.selector)
             || self.admission.committed_parts() != probe.committed.as_slice()
             || !columns_match(&probe.tasks, &self.tasks, period)
@@ -506,27 +499,7 @@ impl<P: Probe> Engine<P> {
                     && translate_priority(e.priority, period) == Some(live.priority)
             })
         });
-        // Calendar rings. Parked hints cannot move inside the span (an
-        // advancing task has no pending or leave, and the span boundary
-        // precedes every such hint), so Φ is the identity on that ring. Release hints shift with their owner: one
-        // consumed inside the period is missed in the live ring unless
-        // the steady state re-created its successor exactly one period
-        // later — the very condition under which extrapolation is sound.
-        let [live, image] = &mut probe.hints;
-        let mut ring_is = |ring: &CalendarRing, expected: &[(Slot, TaskId)]| {
-            ring_content(ring, live);
-            live.as_slice() == expected
-        };
-        image.clear();
-        image.extend(probe.release_ring.iter().map(|&(slot, id)| {
-            let by = if advancing(id).is_some() { period } else { 0 };
-            (slot.saturating_add(by), id)
-        }));
-        image.sort_unstable_by_key(|&(s, id)| (s, id.0));
-        if !queue_shifted
-            || !ring_is(&self.parked_at, &probe.parked_ring)
-            || !ring_is(&self.release_at, image)
-        {
+        if !queue_shifted {
             return SpanVerdict::Mismatch;
         }
         // Re-derive the ceiling defensively (verification above already
@@ -548,7 +521,7 @@ impl<P: Probe> Engine<P> {
             schedules: delta.scheduled_quanta,
             queue_ops: delta.heap_pushes.saturating_add(delta.heap_pops),
         });
-        if k < 1 || !self.apply_jump(k, period, deltas, &delta, live) {
+        if k < 1 || !self.apply_jump(k, period, deltas, &delta) {
             return SpanVerdict::Mismatch;
         }
         if let Some(jump) = jump {
@@ -560,19 +533,18 @@ impl<P: Probe> Engine<P> {
     /// Applies `Φ^k` to the live engine. Check-then-commit: the
     /// pre-flight walks everything the jump will shift — every slot,
     /// index, count and era-unit sum of every advancing row, every queue
-    /// entry, every release hint, the counters, the clock — and proves
-    /// each shifted value representable (slots that become priorities,
-    /// inside the packed-key band), so a refused jump returns `false`
-    /// with the engine exactly as the per-slot oracle left it, and the
-    /// commit that follows cannot fail half-way. `deltas` come in per
-    /// period and are left holding `k` periods' worth.
+    /// entry, the counters, the clock — and proves each shifted value
+    /// representable (slots that become priorities, inside the
+    /// packed-key band), so a refused jump returns `false` with the
+    /// engine exactly as the per-slot oracle left it, and the commit
+    /// that follows cannot fail half-way. `deltas` come in per period
+    /// and are left holding `k` periods' worth.
     fn apply_jump(
         &mut self,
         k: Slot,
         period: Slot,
         deltas: &mut [TaskDelta],
         delta: &Counters,
-        scratch: &mut Vec<(Slot, TaskId)>,
     ) -> bool {
         let (Ok(ki), Some(ds)) = (u64::try_from(k), period.checked_mul(k)) else {
             return false;
@@ -598,14 +570,11 @@ impl<P: Probe> Engine<P> {
                 _ => false,
             };
         }
-        // Index gain of the task an entry or hint names (`0`: fixed).
+        // Index gain of the task an entry names (`0`: fixed).
         let gain = |id: TaskId| deltas.get(id.idx()).map(|d| d.d_index);
         self.queue.for_each_due(Slot::MAX, |e| {
             fits &= translate_priority(e.priority, ds).is_some()
                 && gain(e.task).is_some_and(|di| e.index.checked_add(di).is_some());
-        });
-        self.release_at.for_each(|slot, id| {
-            fits &= gain(id).is_some_and(|di| di == 0 || slot.checked_add(ds).is_some());
         });
         if !fits {
             return false;
@@ -620,23 +589,10 @@ impl<P: Probe> Engine<P> {
             e.priority = translate_priority(e.priority, ds).unwrap_or(e.priority);
             e.index += gain(e.task).unwrap_or(0);
         });
-        // The release ring moves to the jump target: hints owned by
-        // advancing tasks shift with them; hints owned by fixed tasks
-        // keep their slot while still ahead of the target and are
-        // dropped when the jump passes them — such a hint is stale (a
-        // fixed task releasing inside the span fails verification), and
-        // firing a stale hint is a no-op: the release path checks every
-        // hint against the task's current `next_release`. The parked
-        // ring carries no entry below the span boundary (its minimum by
-        // construction) and stays as it is; its window just rotates a
-        // little later.
-        self.release_at.remap(now, scratch, |slot, id| {
-            if gain(id).is_some_and(|di| di > 0) {
-                Some(slot + ds)
-            } else {
-                (slot >= now).then_some(slot)
-            }
-        });
+        // Re-filed at the target (the hints the shift above filed go
+        // with the stale ones), every slot lies at or past it: shifted
+        // releases, and fixed releases and parked slots at or past `end`.
+        self.tasks.refile(now);
         self.counters = counters;
         self.now = now;
         self.mix.busy_span_slots += u64::try_from(ds).unwrap_or(0);
@@ -831,30 +787,20 @@ fn translate_priority(p: Priority, ds: Slot) -> Option<Priority> {
     Some(Priority::pack(deadline, p.b(), gd, p.tie_rank()))
 }
 
-/// A calendar ring's content written over `out` in canonical order:
-/// `(slot, task)` pairs sorted by slot then id. Ring base and per-slot
-/// insertion order are representation details — every consumer sorts
-/// and dedups the due set before acting on it.
-fn ring_content(ring: &CalendarRing, out: &mut Vec<(Slot, TaskId)>) {
-    out.clear();
-    ring.for_each(|slot, id| out.push((slot, id)));
-    out.sort_unstable_by_key(|&(s, id)| (s, id.0));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::SimConfig;
     use crate::event::Workload;
+    use crate::overhead::DriverMix;
     use pfair_json::{Json, ToJson};
     use pfair_obs::MetricsProbe;
 
     /// Everything an engine holds, in two parts: the rendered snapshot
     /// less the configuration (the twins below differ in it by design),
-    /// and the two rings as content, stale hints included — their
-    /// window anchors, and with them the split between buckets and
-    /// overflow list, differ between a ring that was stepped and one
-    /// that jumped (see [`ring_content`]).
+    /// and the hints of the two rings a firing path would act on. A
+    /// ring that was stepped may hold stale hints that one re-filed at a
+    /// jump no longer holds.
     fn state_of<P: Probe>(e: &Engine<P>) -> (String, [Vec<(Slot, TaskId)>; 2]) {
         let image = e.snapshot().expect("no history request").to_json_compact();
         let Ok(Json::Object(fields)) = Json::parse(&image) else {
@@ -865,11 +811,31 @@ mod tests {
             .filter(|(key, _)| key != "config")
             .collect();
         assert_eq!(rendered.len(), 10, "the configuration left out");
-        let mut rings = [Vec::new(), Vec::new()];
-        for (ring, out) in [&e.release_at, &e.parked_at].into_iter().zip(&mut rings) {
-            ring_content(ring, out);
-        }
-        (Json::Object(rendered).to_json_compact(), rings)
+        let hints = e.tasks.live_hints();
+        (Json::Object(rendered).to_json_compact(), hints)
+    }
+
+    /// Runs `w` under `cfg` and under the per-slot oracle, each with a
+    /// `MetricsProbe`; holds the two to the same counters, final state,
+    /// result and registry, and returns the default driver's mix.
+    fn run_twins(w: &Workload, cfg: SimConfig) -> DriverMix {
+        let mut fast = Engine::with_probe(cfg.clone(), w, MetricsProbe::new());
+        fast.run();
+        let mut oracle = Engine::with_probe(cfg.per_slot(), w, MetricsProbe::new());
+        oracle.run();
+        let stepped = oracle.driver_mix().per_slot_slots;
+        assert_eq!(stepped, oracle.now.unsigned_abs());
+        assert_eq!(fast.counters(), oracle.counters());
+        assert_eq!(state_of(&fast), state_of(&oracle));
+        let mix = fast.driver_mix();
+        let (fast, fast_metrics) = fast.finish_with_probe();
+        let (oracle, oracle_metrics) = oracle.finish_with_probe();
+        assert_eq!(fast.to_json_compact(), oracle.to_json_compact());
+        assert_eq!(
+            fast_metrics.registry().snapshot_text(),
+            oracle_metrics.registry().snapshot_text()
+        );
+        mix
     }
 
     /// Eight weight-1/2 tasks on four processors: saturated from slot
@@ -977,6 +943,34 @@ mod tests {
         );
     }
 
+    /// A stale release hint inside the first armed period does not
+    /// stop a jump. Eight tasks of weight 1/2 fill four processors; an
+    /// IS delay at slot 20 moves task 7's release to 50, and a second
+    /// one at 48 moves it past the horizon, leaving its hint at 50
+    /// stale, one slot into the span armed at 49. The columns the rings
+    /// index repeat with period 2, so that arming verifies and jumps at
+    /// once, and the run is the per-slot oracle's.
+    #[test]
+    fn busy_span_jumps_over_a_stale_release_hint() {
+        let mut w = halves(0);
+        w.delay(7, 20, 30).delay(7, 48, 1_000);
+        let cfg = SimConfig::oi(4, 400);
+        let mut oracle = Engine::new(cfg.clone().per_slot(), &w);
+        oracle.run_to(49);
+        assert_eq!(oracle.tasks.next_release(TaskId(7)), Some(1_050));
+        let live = oracle.tasks.live_hints()[0].len();
+        assert_eq!(oracle.tasks.release_at.len(), live + 1, "one stale hint");
+        let mut fast = Engine::new(cfg.clone(), &w);
+        fast.run_to(48);
+        let before = fast.driver_mix();
+        let mix = run_twins(&w, cfg);
+        assert_eq!(
+            (mix.arms, mix.jumps, mix.mismatches),
+            (before.arms + 1, before.jumps + 1, before.mismatches),
+            "{before:?} → {mix:?}"
+        );
+    }
+
     /// With an event in every slot no span is ever two slots long, and
     /// `try_arm` says so before it looks at a single task.
     #[test]
@@ -1046,12 +1040,7 @@ mod tests {
                 }
             };
         }
-        let cfg = SimConfig::oi(16, horizon);
-        let mut fast = Engine::with_probe(cfg.clone(), &w, MetricsProbe::new());
-        fast.run();
-        let mut oracle = Engine::with_probe(cfg.per_slot(), &w, MetricsProbe::new());
-        oracle.run();
-        let mix = fast.driver_mix();
+        let mix = run_twins(&w, SimConfig::oi(16, horizon));
         println!("busy_span_saturated_twin: {horizon} slots, {mix:?}");
         let events = u64::try_from(horizon / 2_000).unwrap_or(0) - 1;
         assert!(
@@ -1062,19 +1051,6 @@ mod tests {
         assert_eq!(
             mix.per_slot_slots + mix.quiet_span_slots + mix.busy_span_slots,
             u64::try_from(horizon).unwrap_or(0)
-        );
-        assert_eq!(
-            oracle.driver_mix().per_slot_slots,
-            u64::try_from(horizon).unwrap_or(0)
-        );
-        assert_eq!(fast.counters(), oracle.counters());
-        assert_eq!(state_of(&fast), state_of(&oracle));
-        let (fast, fast_metrics) = fast.finish_with_probe();
-        let (oracle, oracle_metrics) = oracle.finish_with_probe();
-        assert_eq!(fast.to_json_compact(), oracle.to_json_compact());
-        assert_eq!(
-            fast_metrics.registry().snapshot_text(),
-            oracle_metrics.registry().snapshot_text()
         );
     }
 }

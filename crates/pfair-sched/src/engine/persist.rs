@@ -22,11 +22,12 @@
 //!
 //! What the rows determine is **not** serialized but rebuilt. The tie
 //! table is a function of `config.tie_break` and the task count. The
-//! two calendar rings only index row state: `release_at` files each
-//! present task at its `next_release`, `parked_at` each task at its
-//! parked change's slot and its rule-L departure. Every firing path
-//! checks the row before acting, so a stale hint in the live ring is a
-//! no-op, and a ring rebuilt from the rows fires exactly what it did.
+//! two calendar rings only index the slab's columns, and the slab
+//! re-files them from the restored columns, as a busy-span jump does:
+//! each present task at its `next_release`, each task at its parked
+//! change's slot and its rule-L departure. Every firing path checks the
+//! columns before acting, so a stale hint in the live ring is a no-op,
+//! and a ring re-filed from the columns fires exactly what it did.
 //! The admission table is kept: a decrease that supersedes a pending
 //! increase holds the higher commitment until enactment, which no row
 //! records.
@@ -48,7 +49,6 @@
 use super::slab::TaskSlab;
 use super::{Engine, Parked, PendKind, Pending, SimConfig, SubRec, TaskState, NO_CPU};
 use crate::admission::AdmissionController;
-use crate::calendar::CalendarRing;
 use crate::event::Event;
 use crate::overhead::Counters;
 use crate::priority::{Priority, TieTable};
@@ -523,8 +523,8 @@ impl<P: Probe> Engine<P> {
     /// bit-identical to the uninterrupted one (module docs).
     ///
     /// Derived state is reconstructed rather than trusted: the tie
-    /// table comes from `config.tie_break`, the calendar rings from the
-    /// rows (`calendars_of`), the ready heap from the canonical
+    /// table comes from `config.tie_break`, the calendar rings are
+    /// re-filed from the columns, the ready heap from the canonical
     /// sorted entry list (no push counters are re-counted — the
     /// snapshot's [`Counters`] already include those pushes).
     pub fn restore(snapshot: EngineSnapshot, probe: P) -> Result<Engine<P>, String> {
@@ -547,13 +547,13 @@ impl<P: Probe> Engine<P> {
                 tasks.park(id, |p| *p = snap.parked);
             }
         }
+        tasks.refile(snapshot.now);
         // Derived per-run state rebuilt rather than trusted: last slot's
         // chosen set from the ran column, the injected-event floor from
         // the injected list, and the run-segment limit back at the
         // horizon (a restored engine is not inside any `run_to`
         // segment).
         let last_chosen = tasks.ran_ids();
-        let (release_at, parked_at) = calendars_of(&tasks, snapshot.now);
         let injected_min = snapshot
             .injected
             .iter()
@@ -585,8 +585,6 @@ impl<P: Probe> Engine<P> {
             scratch: super::SlotScratch::default(),
             run_limit,
             tie,
-            release_at,
-            parked_at,
             // Busy-span batching re-arms from scratch: an armed probe is
             // a pure optimization hint and deliberately not part of the
             // interchange format (jumps are verified no-ops, so a cold
@@ -596,26 +594,6 @@ impl<P: Probe> Engine<P> {
             config: snapshot.config,
         })
     }
-}
-
-/// The calendar rings the rows determine, anchored at `now`: each
-/// present task filed at its `next_release`, each task at its pending
-/// change's slot and at its rule-L departure, in task-id order. These
-/// are the entries of the live rings that the firing paths' row checks
-/// would act on; the live rings may hold stale hints besides.
-fn calendars_of(tasks: &TaskSlab, now: Slot) -> (CalendarRing, CalendarRing) {
-    let mut release_at = CalendarRing::new(now);
-    let mut parked_at = CalendarRing::new(now);
-    for id in (0u32..).map(TaskId).take(tasks.len()) {
-        if let (true, Some(at)) = (tasks.in_system(id), tasks.next_release(id)) {
-            release_at.insert(at, id);
-        }
-        let Parked { pending, leaving } = *tasks.parked(id);
-        for at in pending.map(|p| p.at).into_iter().chain(ever(leaving)) {
-            parked_at.insert(at, id);
-        }
-    }
-    (release_at, parked_at)
 }
 
 #[cfg(test)]
@@ -681,27 +659,20 @@ mod tests {
         assert!(engine.snapshot().is_err());
     }
 
-    /// The rings [`calendars_of`] rebuilds from the rows are the live
-    /// rings less their stale hints — the entries the firing paths' row
-    /// checks skip — on random OI/LJ/hybrid scripts, at every boundary
-    /// a random stride reaches, under the per-slot and the default
-    /// driver alike.
+    /// The live rings less their stale hints — the entries the firing
+    /// paths' column checks skip — hold exactly what the columns
+    /// determine, computed here from the columns alone: each present
+    /// task at its `next_release`, each task at every [`Parked`] slot.
+    /// Random OI/LJ/hybrid scripts, at every boundary a random stride
+    /// reaches, under the per-slot and the default driver alike. The
+    /// saturated leg draws denominators dividing 12, closes the
+    /// processors with static fillers of weight 1/12 and strides three
+    /// times as far, so its default-driver cases cross busy-span jumps,
+    /// which re-file both rings, between strides.
     mod derivation {
         use super::*;
         use crate::reweight::{HybridPolicy, Scheme};
         use proptest::prelude::*;
-
-        /// A ring's entries `keep` accepts, as a sorted set.
-        fn content(
-            ring: &CalendarRing,
-            keep: impl Fn(Slot, TaskId) -> bool,
-        ) -> Vec<(Slot, TaskId)> {
-            let mut out = Vec::new();
-            ring.for_each(|slot, id| out.extend(keep(slot, id).then_some((slot, id))));
-            out.sort_unstable_by_key(|&(slot, id)| (slot, id.0));
-            out.dedup();
-            out
-        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
@@ -713,44 +684,60 @@ mod tests {
                 events in prop::collection::vec((0u8..4, 0u32..8, 1i64..155, 2i128..=40, 1u32..600), 0..=24),
                 scheme in 0u8..3,
                 per_slot in 0u8..2,
+                saturated in 0u8..2,
                 stride in 1i64..40,
             ) {
                 // Joins at 1/den; then reweights (two in four) to a light
                 // weight, delays up to 600 slots (past the ring window)
                 // and leaves, each of a joined id, in any order.
+                let saturated = saturated == 1;
+                let den_of = |den: i128| match usize::try_from(den % 5) {
+                    Ok(i) if saturated => [2, 3, 4, 6, 12][i],
+                    _ => den,
+                };
                 let mut w = Workload::new();
+                let mut spare = i128::from(processors) * 12;
                 for (id, &(den, at)) in (0u32..).zip(&joins) {
-                    w.join(id, at, 1, den);
+                    w.join(id, at, 1, den_of(den));
+                    spare -= 12 / den_of(den);
                 }
                 for &(kind, id, at, den, by) in &events {
-                    let id = id % u32::try_from(joins.len()).unwrap_or(1);
+                    let (id, den) = (id % u32::try_from(joins.len()).unwrap_or(1), den_of(den));
                     match kind {
                         0 | 1 => w.reweight(id, at, 1 + i128::from(by) % (den / 2), den),
                         2 => w.delay(id, at, by),
                         _ => w.leave(id, at),
                     };
                 }
+                let (horizon, stride) = if saturated { (400, 3 * stride) } else { (160, stride) };
+                let fillers = if saturated { usize::try_from(spare).unwrap_or(0) } else { 0 };
+                for id in (0u32..).skip(joins.len()).take(fillers) {
+                    w.join(id, 0, 1, 12);
+                }
                 let config = match scheme {
-                    0 => SimConfig::oi(processors, 160),
-                    1 => SimConfig::leave_join(processors, 160),
-                    _ => SimConfig::oi(processors, 160)
+                    0 => SimConfig::oi(processors, horizon),
+                    1 => SimConfig::leave_join(processors, horizon),
+                    _ => SimConfig::oi(processors, horizon)
                         .with_scheme(Scheme::Hybrid(HybridPolicy::EveryNth(2))),
                 };
                 let config = if per_slot == 1 { config.per_slot() } else { config };
                 let mut e = Engine::new(config, &w);
-                while e.now < 160 {
+                while e.now < horizon {
                     e.run_to(e.now + stride);
                     let tasks = &e.tasks;
-                    let (release_at, parked_at) = calendars_of(tasks, e.now);
-                    let live = content(&e.release_at, |slot, id| {
-                        tasks.in_system(id) && tasks.next_release(id) == Some(slot)
-                    });
-                    prop_assert_eq!(content(&release_at, |_, _| true), live, "releases at {}", e.now);
-                    let live = content(&e.parked_at, |slot, id| {
-                        let parked = tasks.parked(id);
-                        parked.leaving == slot || parked.pending.is_some_and(|p| p.at == slot)
-                    });
-                    prop_assert_eq!(content(&parked_at, |_, _| true), live, "parked at {}", e.now);
+                    let mut expected = [Vec::new(), Vec::new()];
+                    for id in (0u32..).map(TaskId).take(tasks.len()) {
+                        let release = tasks.next_release(id).filter(|_| tasks.in_system(id));
+                        let Parked { pending, leaving } = *tasks.parked(id);
+                        expected[0].extend(release.map(|at| (at, id)));
+                        expected[1].extend(pending.map(|p| (p.at, id)));
+                        expected[1].extend(ever(leaving).map(|at| (at, id)));
+                    }
+                    for hints in &mut expected {
+                        hints.sort_unstable_by_key(|&(slot, id)| (slot, id.0));
+                        hints.dedup();
+                    }
+                    prop_assert_eq!(tasks.live_hints(), expected, "rings at {}", e.now);
                     prop_assert!(e.snapshot().is_ok_and(|s| s.validate().is_ok()));
                 }
             }

@@ -98,14 +98,6 @@ impl<P: Probe> Engine<P> {
         sync_observed(self.tasks.task_mut(id), id, t, &mut self.probe)
     }
 
-    /// Records `id`'s `next_release` slot in the release index. Stale
-    /// entries (the release was moved, suppressed, or already fired)
-    /// are filtered by the `next_release == Some(t)` check when their
-    /// slot comes up.
-    pub(super) fn note_release(&mut self, id: TaskId, at: Slot) {
-        self.release_at.insert(at, id);
-    }
-
     // ---- step 4: releases ---------------------------------------------
 
     /// Releases every valid entry of slot `t`'s due list: window
@@ -113,7 +105,7 @@ impl<P: Probe> Engine<P> {
     /// emissions.
     pub(super) fn fire_releases(&mut self, t: Slot) {
         let mut due = std::mem::take(&mut self.scratch.due);
-        self.release_at.take_into(t, &mut due);
+        self.tasks.release_at.take_into(t, &mut due);
         Self::in_task_order(&mut due);
         // The probe gets the slot's releases as one batch; without a
         // probe nothing reads it, and nothing is recorded.
@@ -192,9 +184,6 @@ impl<P: Probe> Engine<P> {
                     };
                     self.queue.push(entry, &mut self.counters);
                 }
-            }
-            if let Some(r) = successor {
-                self.note_release(id, r);
             }
             if !P::IS_NOOP {
                 batch.push(ReleaseRec {

@@ -163,7 +163,6 @@ impl<P: Probe> Engine<P> {
         let task = self.tasks.task_mut(id);
         let inactive_from = task.last_released().map_or(r_old, |s| s.deadline).max(t);
         task.ps.suspend_between(inactive_from, r_new);
-        self.note_release(id, r_new);
     }
 
     pub(super) fn handle_join(&mut self, id: TaskId, t: Slot, want: Weight) {
@@ -188,7 +187,6 @@ impl<P: Probe> Engine<P> {
         self.tasks.set_swt(id, Some(granted));
         self.tasks.set_ran(id, false);
         self.tasks.set_next_release(id, Some(t));
-        self.note_release(id, t);
         self.probe.on_event(ObsEvent::SwtSet {
             task: id,
             t,
@@ -211,7 +209,6 @@ impl<P: Probe> Engine<P> {
             self.depart(id, t);
         } else {
             self.tasks.park(id, |p| p.leaving = leave_at);
-            self.parked_at.insert(leave_at, id);
         }
     }
 
@@ -440,7 +437,6 @@ impl<P: Probe> Engine<P> {
             self.tasks.task_mut(id).era_open_pending = true;
             self.tasks.unpark(id);
             self.tasks.set_next_release(id, Some(t));
-            self.note_release(id, t);
         } else {
             let pending = Pending {
                 target: v,
@@ -449,7 +445,6 @@ impl<P: Probe> Engine<P> {
                 initiated_at: t,
             };
             self.tasks.park(id, |p| p.pending = Some(pending));
-            self.parked_at.insert(at, id);
         }
     }
 }

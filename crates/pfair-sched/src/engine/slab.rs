@@ -34,6 +34,17 @@
 //! that never reweights or leaves late carries none of it, and a
 //! release asks an empty column instead of fetching another row line.
 //!
+//! ## The calendars index the columns
+//!
+//! Two [`CalendarRing`]s index the `next_release` and parked columns by
+//! slot, and only the slab files into them: [`TaskSlab::set_next_release`]
+//! files the release it sets, [`TaskSlab::park`] each slot it parks. The
+//! engine reads and takes them. A firing path checks the columns before
+//! acting, so an entry a later write superseded is a stale hint, skipped
+//! when its slot comes. Where the clock jumps — a busy-span jump, a
+//! restore — [`TaskSlab::refile`] clears both rings in place and files
+//! the columns again, and no stale hint survives.
+//!
 //! ## The one panic-reach escape
 //!
 //! Engine code used to index `Vec<TaskState>` directly at ~15 call
@@ -48,10 +59,11 @@
 
 use pfair_core::arena::IdBitmap;
 use pfair_core::task::TaskId;
-use pfair_core::time::{Slot, NEVER};
+use pfair_core::time::{ever, Slot, NEVER};
 use pfair_core::weight::Weight;
 
 use super::{Parked, Pending, TaskState};
+use crate::calendar::CalendarRing;
 use crate::event::{Event, EventKind};
 use crate::queue::QueueEntry;
 
@@ -77,6 +89,12 @@ pub(super) struct TaskSlab {
     /// Hot column: next scheduled release ([`NEVER`] = suppressed). Its
     /// length is the number of addressable ids.
     next_release: Vec<Slot>,
+    /// Slot index over `next_release` (module docs): each task filed at
+    /// every release slot set for it.
+    pub(super) release_at: CalendarRing,
+    /// Slot index over the [`Parked`] column: each task filed at every
+    /// pending change's `at` and rule-L departure parked for it.
+    pub(super) parked_at: CalendarRing,
 }
 
 impl TaskSlab {
@@ -90,6 +108,8 @@ impl TaskSlab {
             ran: IdBitmap::new(0),
             swt: Vec::new(),
             next_release: Vec::new(),
+            release_at: CalendarRing::new(0),
+            parked_at: CalendarRing::new(0),
         };
         slab.ensure(n);
         slab
@@ -189,16 +209,25 @@ impl TaskSlab {
         self.parked.get(id.idx()).unwrap_or(&Parked::NOTHING)
     }
 
-    /// Writes `id`'s parked state through `f`; the first write allocates
-    /// the column for every addressable id (an id past them parks
-    /// nothing, like the hot-column setters).
+    /// Writes `id`'s parked state through `f` and files each slot `f`
+    /// parked anew (an unchanged pending or departure is filed already);
+    /// the first write allocates the column for every addressable id (an
+    /// id past them parks nothing, like the hot-column setters).
     pub(super) fn park(&mut self, id: TaskId, f: impl FnOnce(&mut Parked)) {
         let i = id.idx();
         if i >= self.parked.len() {
             self.parked.resize(self.len(), Parked::NOTHING);
         }
         if let Some(parked) = self.parked.get_mut(i) {
+            let was = *parked;
             f(parked);
+            let Parked { pending, leaving } = *parked;
+            if let Some(p) = pending.filter(|_| pending != was.pending) {
+                self.parked_at.insert(p.at, id);
+            }
+            if leaving != was.leaving && leaving != NEVER {
+                self.parked_at.insert(leaving, id);
+            }
         }
     }
 
@@ -269,12 +298,65 @@ impl TaskSlab {
         (raw != NEVER).then_some(raw)
     }
 
-    /// Sets (or suppresses, with `None`) the next release.
+    /// Sets (or suppresses, with `None`) the next release, and files a
+    /// set one in the release ring.
     #[inline]
     pub(super) fn set_next_release(&mut self, id: TaskId, value: Option<Slot>) {
         if let Some(slot) = self.next_release.get_mut(id.idx()) {
             *slot = value.unwrap_or(NEVER);
+            if let Some(at) = value {
+                self.release_at.insert(at, id);
+            }
         }
+    }
+
+    /// Re-files both rings from the columns, anchored at `now`: each
+    /// present task at its next release, each task at its pending
+    /// change's slot and at its rule-L departure. Stale hints go; every
+    /// bucket keeps its buffer. No slot filed may precede `now` — at a
+    /// slot boundary nothing due before it is left unfired.
+    pub(super) fn refile(&mut self, now: Slot) {
+        self.release_at.clear(now);
+        self.parked_at.clear(now);
+        for (&at, id) in self.next_release.iter().zip((0u32..).map(TaskId)) {
+            if at != NEVER && self.present.get(id.idx()) {
+                self.release_at.insert(at, id);
+            }
+        }
+        for (parked, id) in self.parked.iter().zip((0u32..).map(TaskId)) {
+            let Parked { pending, leaving } = *parked;
+            for at in pending.map(|p| p.at).into_iter().chain(ever(leaving)) {
+                self.parked_at.insert(at, id);
+            }
+        }
+    }
+
+    /// The hints of both rings a firing path would act on, each ring's
+    /// as a sorted set: present tasks at their next release, and tasks
+    /// at the parked slots they hold. Stale hints are left out. A ring
+    /// is read by taking every slot of a copy.
+    #[cfg(test)]
+    pub(super) fn live_hints(&self) -> [Vec<(Slot, TaskId)>; 2] {
+        let mut hints = [Vec::new(), Vec::new()];
+        for (ring, hints) in [&self.release_at, &self.parked_at]
+            .into_iter()
+            .zip(&mut hints)
+        {
+            let (mut ring, mut due) = (ring.clone(), Vec::new());
+            while let Some(slot) = ring.next_occupied(Slot::MIN) {
+                ring.take_into(slot, &mut due);
+                hints.extend(due.drain(..).map(|id| (slot, id)));
+            }
+            hints.sort_unstable_by_key(|&(slot, id)| (slot, id.0));
+            hints.dedup();
+        }
+        let [releases, parked] = &mut hints;
+        releases.retain(|&(slot, id)| self.in_system(id) && self.next_release(id) == Some(slot));
+        parked.retain(|&(slot, id)| {
+            let Parked { pending, leaving } = *self.parked(id);
+            leaving == slot || pending.is_some_and(|p| p.at == slot)
+        });
+        hints
     }
 
     /// Number of present tasks.
