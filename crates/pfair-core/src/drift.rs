@@ -50,9 +50,22 @@ pub struct DriftSample {
 }
 
 /// Piecewise-constant drift history of a single task.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct DriftTrack {
     samples: Vec<DriftSample>,
+}
+
+impl Clone for DriftTrack {
+    fn clone(&self) -> Self {
+        DriftTrack {
+            samples: self.samples.clone(),
+        }
+    }
+
+    /// Into the buffer this track already holds.
+    fn clone_from(&mut self, source: &Self) {
+        self.samples.clone_from(&source.samples);
+    }
 }
 
 impl pfair_json::ToJson for DriftSample {

@@ -719,21 +719,17 @@ impl IswTracker {
         later.total.units_since(&self.total).filter(|_| same)
     }
 
-    /// Whether [`IswTracker::shift`] by these amounts stays in range.
-    pub fn shift_fits(&self, ds: Slot, di: u64, gain: Units) -> bool {
-        self.now.checked_add(ds).is_some()
-            && self.subs.iter().all(|s| s.shifted(ds, di).is_some())
-            && self.total.counted().get().checked_add(gain.get()).is_some()
-    }
-
     /// Moves the tracker `ds` slots, `di` subtask indices and `gain` era
     /// units of total on, in place: `k` steady periods at once, given `k`
     /// times what [`IswTracker::gain_over_shift`] reported for one.
     /// Returns `false`, having changed nothing, if a shifted field would
-    /// overflow ([`IswTracker::shift_fits`]).
+    /// overflow.
     #[must_use]
     pub fn shift(&mut self, ds: Slot, di: u64, gain: Units) -> bool {
-        if !self.shift_fits(ds, di, gain) {
+        let fits = self.now.checked_add(ds).is_some()
+            && self.subs.iter().all(|s| s.shifted(ds, di).is_some())
+            && self.total.counted().get().checked_add(gain.get()).is_some();
+        if !fits {
             return false;
         }
         self.now += ds;
@@ -1315,7 +1311,6 @@ mod shift_tests {
         ) {
             let gain = Units::new(gain);
             let mut image = tr.clone();
-            prop_assert!(image.shift_fits(ds, di, gain));
             prop_assert!(image.shift(ds, di, gain));
             prop_assert_eq!(tr.gain_over_shift(&image, ds, di), Some(gain));
             // Same values, one period on: totals differ by the gain.
@@ -1339,11 +1334,10 @@ mod shift_tests {
                 1 => (0, u64::MAX, Units::ZERO),
                 _ => (0, 0, Units::new(i64::MAX)),
             };
-            let fits = tr.shift_fits(ds, di, gain);
             // An index shift only overflows if there is a record to
             // shift; a tracker that has counted nothing takes any gain.
-            prop_assert_eq!(fits, (which == 1 && tr.subs.is_empty())
-                || (which == 2 && tr.total.counted().is_zero()));
+            let fits = (which == 1 && tr.subs.is_empty())
+                || (which == 2 && tr.total.counted().is_zero());
             let mut image = tr.clone();
             prop_assert_eq!(image.shift(ds, di, gain), fits);
             if !fits {

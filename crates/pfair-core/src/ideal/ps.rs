@@ -204,21 +204,16 @@ impl PsTracker {
         later.active.checked_sub(self.active).filter(|_| same)
     }
 
-    /// Whether [`PsTracker::shift`] by these amounts stays in range.
-    pub fn shift_fits(&self, ds: Slot, gain: i64) -> bool {
-        self.now.checked_add(ds).is_some()
-            && self.active.checked_add(gain).is_some()
-            && (self.suspensions.iter()).all(|&(_, until)| until.checked_add(ds).is_some())
-    }
-
     /// Moves the tracker `ds` slots and `gain` active slots on, in
     /// place: `k` steady periods at once, given `k` times what
     /// [`PsTracker::gain_over_shift`] reported for one. Returns `false`,
-    /// having changed nothing, if a shifted field would overflow
-    /// ([`PsTracker::shift_fits`]).
+    /// having changed nothing, if a shifted field would overflow.
     #[must_use]
     pub fn shift(&mut self, ds: Slot, gain: i64) -> bool {
-        if !self.shift_fits(ds, gain) {
+        let fits = self.now.checked_add(ds).is_some()
+            && self.active.checked_add(gain).is_some()
+            && (self.suspensions.iter()).all(|&(_, until)| until.checked_add(ds).is_some());
+        if !fits {
             return false;
         }
         self.now += ds;

@@ -231,21 +231,18 @@ impl AdmissionController {
         &self.committed
     }
 
-    /// Rebuilds a controller from a persisted commitment table; `None`
-    /// if the ledger cannot represent its sum.
-    pub fn from_parts(
-        policy: AdmissionPolicy,
-        processors: u32,
-        committed: Vec<Option<Weight>>,
-    ) -> Option<AdmissionController> {
+    /// Writes a persisted commitment table over this one, into the
+    /// buffer it already has; `false`, having written nothing, if the
+    /// ledger cannot represent its sum.
+    pub fn load_parts(&mut self, committed: &[Option<Weight>]) -> bool {
         let total = (committed.iter())
-            .try_fold(Rational::ZERO, |acc, &c| acc.checked_add(Weight::share(c)))?;
-        Some(AdmissionController {
-            policy,
-            capacity: Rational::from_int(i128::from(processors)),
-            committed,
-            total,
-        })
+            .try_fold(Rational::ZERO, |acc, &c| acc.checked_add(Weight::share(c)));
+        let Some(total) = total else {
+            return false;
+        };
+        committed.clone_into(&mut self.committed);
+        self.total = total;
+        true
     }
 }
 

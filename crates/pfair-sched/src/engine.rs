@@ -108,7 +108,8 @@ pub struct SimConfig {
     /// `ObsEvent::BusySpanJump`); output is bit-identical either way.
     /// [`SimConfig::without_busy_span`] disables it: the benchmark does,
     /// to time the plain tickless driver, and [`crate::shard::ShardSet`]
-    /// does on every shard (an arming copies every task, O(tasks)).
+    /// does on every shard (an arming writes a snapshot image of every
+    /// task, drift track included: O(tasks)).
     pub busy_span: bool,
 }
 
@@ -284,7 +285,7 @@ impl SubRec {
 /// The row holds nothing another place already does: the task's id is
 /// its position in the slab, its actual weight `wt(T, t)` is the `I_PS`
 /// tracker's.
-#[derive(Clone, Debug)]
+#[derive(Debug, PartialEq)]
 struct TaskState {
     /// `z`: indices `> era_base` belong to the current era.
     era_base: u64,
@@ -314,6 +315,34 @@ const _: () = {
     assert!(std::mem::size_of::<SubRec>() <= 64);
     assert!(std::mem::size_of::<TaskState>() <= 552);
 };
+
+impl Clone for TaskState {
+    fn clone(&self) -> Self {
+        TaskState {
+            subs: self.subs.clone(),
+            isw: self.isw.clone(),
+            ps: self.ps.clone(),
+            drift: self.drift.clone(),
+            ..*self
+        }
+    }
+
+    /// Field by field, so the era sums' boxes and the drift track's
+    /// buffer are reused: a busy-span arming writes every row over the
+    /// last arming's, and a jump writes them back.
+    fn clone_from(&mut self, source: &Self) {
+        self.era_base = source.era_base;
+        self.next_index = source.next_index;
+        self.era_open_pending = source.era_open_pending;
+        self.subs.clone_from(&source.subs);
+        self.last_scheduled = source.last_scheduled;
+        self.isw.clone_from(&source.isw);
+        self.ps.clone_from(&source.ps);
+        self.drift.clone_from(&source.drift);
+        self.scheduled_count = source.scheduled_count;
+        self.last_cpu = source.last_cpu;
+    }
+}
 
 impl TaskState {
     fn placeholder() -> TaskState {
@@ -468,8 +497,8 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// and the tickless driver treats it as an event boundary.
     injected_min: Slot,
     /// The previous slot's chosen set. Feeds the delta ran-flag sweep
-    /// (`sweep_ran_flags`); rebuilt from the slab's `ran` bitmap after
-    /// busy-span jumps and snapshot restores.
+    /// (`sweep_ran_flags`); rebuilt from the slab's `ran` bitmap when an
+    /// image is loaded (a busy-span jump, a restore).
     last_chosen: Vec<TaskId>,
     /// Tasks whose records changed this slot (synced, scheduled, or
     /// halted) — the only candidates for pruning, drained at the end of
@@ -484,10 +513,10 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// `config.tie_break` (a `Ranked` policy's `key` is a linear scan —
     /// too slow for the release hot path).
     tie: TieTable,
-    /// Busy-span batching state machine (armed snapshot, mismatch
-    /// backoff). Not persisted: a restored engine re-arms from scratch,
-    /// which cannot change its trajectory (jumps are verified no-ops
-    /// over per-slot stepping).
+    /// Busy-span batching state machine (the armed image, mismatch
+    /// backoff). Not persisted, and not written by loading an image: a
+    /// restored engine re-arms from scratch, which cannot change its
+    /// trajectory (jumps are verified no-ops over per-slot stepping).
     busy: busy_span::BusySpanState,
     /// Slots covered per driver rung and busy-span outcomes
     /// ([`Engine::driver_mix`]).
@@ -505,8 +534,13 @@ impl Engine {
 impl<P: Probe> Engine<P> {
     /// Builds an engine whose hooks report to `probe`.
     pub fn with_probe(config: SimConfig, workload: &Workload, probe: P) -> Engine<P> {
-        let n = workload.task_count();
-        let events = workload.stream();
+        Engine::empty(config, workload.stream(), workload.task_count(), probe)
+    }
+
+    /// An engine at slot 0 addressing ids `0..n`, none of them joined,
+    /// with no event of `events` fired — what [`Engine::restore`] loads
+    /// an image into.
+    fn empty(config: SimConfig, events: Arc<Vec<Event>>, n: u32, probe: P) -> Engine<P> {
         let mut tasks = TaskSlab::new(n);
         tasks.reserve_joins(events.iter());
         Engine {

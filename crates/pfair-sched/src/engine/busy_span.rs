@@ -7,19 +7,21 @@
 //! windows recur with the period structure of Eqns (2)–(4) (a weight
 //! `num/den` advances `num` subtask ranks every `den` slots, shifting
 //! every window by `den`), so the whole engine state repeats up to a
-//! uniform translation `Φ`. This module exploits that on the live
-//! engine — `Φ` is never applied to a copy:
+//! uniform translation `Φ`. This module exploits that with the
+//! engine's own snapshot image: a jump applies `Φ` to the armed image
+//! and loads it, as a restore does.
 //!
 //! 1. **Arm** — when no enactment, departure, or stream event is due
-//!    before a far boundary, copy what verification will read at `t0`
-//!    into buffers kept from one arming to the next ([`SpanProbe`]) and
+//!    before a far boundary, write the engine's [`EngineSnapshot`] at
+//!    `t0` over the last arming's ([`Engine::snapshot_into`]: its
+//!    buffers, era sums and drift tracks included, are reused) and
 //!    compute the candidate period `P` = lcm of the scheduling-weight
 //!    denominators of every task releasing inside the span (capped;
 //!    computed with the overflow-checked [`checked_lcm`]). A span that
 //!    cannot arm is not looked at again before its far boundary.
 //! 2. **Verify** — keep stepping the per-slot oracle for exactly `P`
 //!    slots. At `t1 = t0 + P`, ask of every field the slot pipeline
-//!    reads whether the live value is the armed one shifted by `Φ`,
+//!    reads whether the live value is the imaged one shifted by `Φ`,
 //!    cheapest question first: cursors and counter deltas, the hot
 //!    columns, each task row — through shift-and-compare predicates
 //!    that build nothing and hand back the per-period gains as the
@@ -31,12 +33,14 @@
 //!    never a semantic change.
 //! 3. **Jump** — the engine is deterministic and, in the absence of
 //!    events, its slot pipeline commutes with time translation, so
-//!    `F^P(A) = Φ(A)` implies `F^(kP)(A) = Φ^k(A)`. The remaining
-//!    `k = ⌊(end − t1) / P⌋` whole periods are enacted by translating
-//!    rows and queue entries where they stand, after a pre-flight that
-//!    proves no shifted field overflows: a refused jump has touched
-//!    nothing ([`Engine::apply_jump`]). The slab then re-files both
-//!    rings from the translated columns, which drops every stale hint.
+//!    `F^P(A) = Φ(A)` implies `F^(kP)(A) = Φ^k(A)`. With
+//!    `k = ⌊(end − t1) / P⌋` whole periods left, the image at `t0` is
+//!    shifted by `k + 1` periods — advancing rows, their next releases,
+//!    the queue entries, the counters and the clock — and loaded by
+//!    [`Engine::load`], the loader [`Engine::restore`] calls; it re-files
+//!    both rings from the loaded columns, which drops every stale hint.
+//!    A shift that would overflow discards the image before anything is
+//!    loaded: a refused jump has touched nothing.
 //!
 //! The attached probe follows a jump as two events through
 //! [`Probe::on_event`] like any other observation: an
@@ -49,12 +53,11 @@
 //! equivalence proptests hold batched and per-slot runs to identical
 //! rendered results, counters and metrics snapshots.
 
+use super::persist::TaskSnap;
 use super::slab::TaskSlab;
-use super::{Engine, Parked, SubRec, TaskState};
+use super::{Engine, EngineSnapshot, SubRec, TaskState};
 use crate::overhead::Counters;
 use crate::priority::Priority;
-use crate::queue::QueueEntry;
-use crate::reweight::RuleSelector;
 use pfair_core::analysis::checked_lcm;
 use pfair_core::rational::Units;
 use pfair_core::task::TaskId;
@@ -111,8 +114,8 @@ const MAX_BACKOFF: u32 = 4;
 /// verified no-ops over per-slot stepping).
 #[derive(Clone, Debug, Default)]
 pub(super) struct BusySpanState {
-    /// The snapshot of the latest arming, awaiting its verification
-    /// slot while `armed`; its buffers serve the next arming.
+    /// The latest arming, awaiting its verification slot while `armed`;
+    /// its image's buffers serve the next arming.
     probe: SpanProbe,
     armed: bool,
     /// Consecutive failed verifications (drives window and backoff).
@@ -147,11 +150,9 @@ enum SpanVerdict {
     Mismatch,
 }
 
-/// Everything [`Engine::busy_span_tick`] needs to recognize `Φ(A)` one
-/// period later: what verification reads of the state at `t0`, and
-/// nothing else. The queue is held as its sorted entry list (the heap's
-/// layout is not observable). No calendar ring is held: the columns the
-/// rings index are held with each task.
+/// One arming: the engine's snapshot image at `t0` — what
+/// [`Engine::busy_span_tick`] recognizes `Φ(A)` by one period later, and
+/// what a jump shifts and loads — and the span's bounds.
 #[derive(Clone, Debug, Default)]
 struct SpanProbe {
     t0: Slot,
@@ -163,80 +164,10 @@ struct SpanProbe {
     period: Slot,
     /// Jump ceiling fixed at arm time: `min(next_boundary, run limit)`.
     end: Slot,
-    tasks: Vec<ArmedTask>,
-    queue: Vec<QueueEntry>,
-    counters: Counters,
-    misses_len: usize,
-    next_event: usize,
-    selector: Option<RuleSelector>,
-    committed: Vec<Option<Weight>>,
+    /// The engine at `t0`; `None` until the first arming.
+    image: Option<EngineSnapshot>,
     /// Verification's working memory: per-task deltas.
     deltas: Vec<TaskDelta>,
-}
-
-/// One task as armed: its four hot columns, its parked-rule state and
-/// its cold row (the placeholder for an id whose row is not built). The
-/// row's drift track is left empty in favour of its length — the track
-/// only ever grows, so the live one equals the armed one iff it is no
-/// longer.
-#[derive(Clone, Debug)]
-struct ArmedTask {
-    present: bool,
-    ran: bool,
-    swt: Option<Weight>,
-    next_release: Option<Slot>,
-    drift_len: usize,
-    parked: Parked,
-    row: TaskState,
-}
-
-impl ArmedTask {
-    /// An entry no arming has written yet.
-    fn unarmed() -> ArmedTask {
-        ArmedTask {
-            present: false,
-            ran: false,
-            swt: None,
-            next_release: None,
-            drift_len: 0,
-            parked: Parked::NOTHING,
-            row: TaskState::placeholder(),
-        }
-    }
-
-    /// Writes task `id` as armed over this entry, reusing the heap
-    /// blocks the entry's row already holds. The row's drift track is
-    /// never written: it stays empty.
-    fn arm(&mut self, tasks: &TaskSlab, id: TaskId, task: &TaskState) {
-        self.present = tasks.in_system(id);
-        self.ran = tasks.ran_last_slot(id);
-        self.swt = tasks.swt(id);
-        self.next_release = tasks.next_release(id);
-        self.drift_len = task.drift.samples().len();
-        self.parked = *tasks.parked(id);
-        let TaskState {
-            era_base,
-            next_index,
-            era_open_pending,
-            subs,
-            last_scheduled,
-            isw,
-            ps,
-            drift: _,
-            scheduled_count,
-            last_cpu,
-        } = task;
-        let row = &mut self.row;
-        row.era_base = *era_base;
-        row.next_index = *next_index;
-        row.era_open_pending = *era_open_pending;
-        row.subs.clone_from(subs);
-        row.last_scheduled = *last_scheduled;
-        row.isw.clone_from(isw);
-        row.ps.clone_from(ps);
-        row.scheduled_count = *scheduled_count;
-        row.last_cpu = *last_cpu;
-    }
 }
 
 /// Verified per-period deltas of one task, used to extrapolate `Φ^k`:
@@ -370,39 +301,11 @@ impl<P: Probe> Engine<P> {
             return;
         };
         self.mix.arms += 1;
-        let tasks = &self.tasks;
+        let mut image = (self.busy.probe.image.take()).unwrap_or_else(EngineSnapshot::blank);
+        self.snapshot_into(&mut image);
         let probe = &mut self.busy.probe;
         (probe.t0, probe.base, probe.period, probe.end) = (now, period, period, end);
-        // `get` answers every addressable id, built or not, so this
-        // takes all `tasks.len()` of them. The previous arming's entries
-        // are written over in place: a task's era sums reuse their boxes,
-        // so re-arming allocates nothing for a task it has seen before.
-        let mut armed = 0;
-        for id in (0u32..).map(TaskId) {
-            let Some(task) = tasks.get(id) else {
-                break;
-            };
-            match probe.tasks.get_mut(armed) {
-                Some(entry) => entry.arm(tasks, id, task),
-                None => {
-                    let mut entry = ArmedTask::unarmed();
-                    entry.arm(tasks, id, task);
-                    probe.tasks.push(entry);
-                }
-            }
-            armed += 1;
-        }
-        probe.tasks.truncate(armed);
-        probe.queue.clear();
-        self.queue.walk_sorted(|e| {
-            probe.queue.push(*e);
-            true
-        });
-        probe.counters = self.counters;
-        probe.misses_len = self.misses.len();
-        probe.next_event = self.next_event;
-        probe.selector = Some(self.selector.clone());
-        (self.admission.committed_parts()).clone_into(&mut probe.committed);
+        probe.image = Some(image);
         self.busy.armed = true;
         self.probe.on_event(ObsEvent::SpanArmed { t0: now });
     }
@@ -432,35 +335,45 @@ impl<P: Probe> Engine<P> {
         Slot::try_from(acc).ok().filter(|_| any)
     }
 
-    /// At `t1 = t0 + P`: checks that the live state is the snapshot's
-    /// image under one period of translation, and if so applies the
-    /// remaining whole periods in one step. Cheapest checks first:
-    /// cursors, counter deltas and lengths (O(1) each), the per-task
-    /// tables and hot columns (one cache-linear pass each), the task
-    /// rows, and only then the contents of the ready queue. Any verdict
-    /// but [`SpanVerdict::Jumped`] leaves the engine exactly as the
-    /// per-slot oracle left it.
+    /// At `t1 = t0 + P`: checks that the live state is the image's
+    /// under one period of translation, and if so loads the image
+    /// shifted to the last whole period before the span's end. Cheapest
+    /// checks first: cursors, counter deltas and lengths (O(1) each),
+    /// the per-task tables and hot columns (one cache-linear pass each),
+    /// the task rows, and only then the contents of the ready queue.
+    /// Any verdict but [`SpanVerdict::Jumped`] leaves the engine exactly
+    /// as the per-slot oracle left it.
     fn verify_and_apply(&mut self, probe: &mut SpanProbe) -> SpanVerdict {
-        let period = probe.period;
-        let t1 = probe.t0 + period;
+        let SpanProbe {
+            t0,
+            period,
+            end,
+            image: Some(image),
+            deltas,
+            ..
+        } = probe
+        else {
+            return SpanVerdict::Mismatch;
+        };
+        let (period, t1) = (*period, *t0 + *period);
         // Counter deltas must be non-negative, and event-driven
         // counters cannot move in an event-free span.
-        let Some(delta) = self.counters.checked_sub(&probe.counters) else {
+        let Some(delta) = self.counters.checked_sub(&image.counters) else {
             return SpanVerdict::Mismatch;
         };
         if self.now != t1
-            || self.next_event != probe.next_event
+            || self.next_event != image.next_event
             || !self.injected.is_empty()
-            || self.misses.len() != probe.misses_len
-            || self.tasks.len() != probe.tasks.len()
+            || self.misses.len() != image.misses.len()
+            || self.tasks.len() != image.tasks.len()
             || delta.reweight_initiations != 0
             || delta.reweight_enactments != 0
             || delta.halts != 0
             || delta.rejected_heavy_reweights != 0
-            || self.queue.len() != probe.queue.len()
-            || probe.selector.as_ref() != Some(&self.selector)
-            || self.admission.committed_parts() != probe.committed.as_slice()
-            || !columns_match(&probe.tasks, &self.tasks, period)
+            || self.queue.len() != image.queue.len()
+            || image.selector != self.selector
+            || self.admission.committed_parts() != image.committed.as_slice()
+            || !columns_match(&image.tasks, &self.tasks, period)
         {
             return SpanVerdict::Mismatch;
         }
@@ -469,11 +382,10 @@ impl<P: Probe> Engine<P> {
         // `task_delta` checks the processor placement last, so a
         // rotation verdict means every scheduling-visible task field
         // already matched — widening the span is worth trying.
-        let deltas = &mut probe.deltas;
         let mut rotating = false;
         deltas.clear();
-        for (armed, i) in probe.tasks.iter().zip(0u32..) {
-            match task_delta(armed, &self.tasks, TaskId(i), period, probe.end) {
+        for snap in &image.tasks {
+            match task_delta(snap, &self.tasks, period, *end) {
                 Ok(d) => deltas.push(d),
                 Err(SpanVerdict::CpuRotation) => {
                     rotating = true;
@@ -486,14 +398,14 @@ impl<P: Probe> Engine<P> {
             return SpanVerdict::CpuRotation;
         }
         let advancing = |id: TaskId| deltas.get(id.idx()).map(|d| d.d_index).filter(|&d| d > 0);
-        // Ready queue: the live queue must be the armed queue with every
+        // Ready queue: the live queue must be the imaged queue with every
         // entry translated, and every entry must belong to an advancing
         // task — a fixed task with a live queue entry would be
         // schedulable inside the span, contradicting its stasis. Φ keeps
         // the order of entries, so the two sorted walks run in step.
-        let mut armed = probe.queue.iter();
+        let mut imaged = image.queue.iter();
         let queue_shifted = self.queue.walk_sorted(|live| {
-            armed.next().is_some_and(|e| {
+            imaged.next().is_some_and(|e| {
                 e.task == live.task
                     && advancing(e.task).and_then(|d| e.index.checked_add(d)) == Some(live.index)
                     && translate_priority(e.priority, period) == Some(live.priority)
@@ -506,111 +418,74 @@ impl<P: Probe> Engine<P> {
         // implies it has not moved) and jump whole periods only. The
         // run-segment limit subsumes the horizon clamp (`run_to` never
         // sets it above the horizon).
-        let end = probe.end.min(self.next_boundary(t1)).min(self.run_limit);
+        let end = (*end).min(self.next_boundary(t1)).min(self.run_limit);
         // audit: allow(panic-reach, span_period returns a positive lcm, so the armed period is >= 1)
         let k = (end - t1) / period;
-        // Per-period sums, read before `apply_jump` leaves `deltas`
-        // holding `k` periods' worth; the no-op probe would discard the
-        // event unread.
-        let jump = (!P::IS_NOOP).then(|| ObsEvent::BusySpanJump {
-            t0: probe.t0,
-            t1,
-            periods: u64::try_from(k).unwrap_or(0),
-            period,
-            releases: (deltas.iter()).fold(0, |sum, d| sum.saturating_add(d.d_index)),
-            schedules: delta.scheduled_quanta,
-            queue_ops: delta.heap_pushes.saturating_add(delta.heap_pops),
-        });
-        if k < 1 || !self.apply_jump(k, period, deltas, &delta) {
+        // The image is at `t0`, one period behind the engine: the target
+        // is `k + 1` periods on from it. An overflow anywhere discards
+        // the image before the engine is written.
+        let shifted = k >= 1 && shift_image(image, k + 1, period, deltas, &delta).is_some();
+        if !shifted || self.load(image).is_err() {
             return SpanVerdict::Mismatch;
         }
-        if let Some(jump) = jump {
-            self.probe.on_event(jump);
+        self.mix.busy_span_slots += u64::try_from(k * period).unwrap_or(0);
+        // The no-op probe would discard the event unread.
+        if !P::IS_NOOP {
+            self.probe.on_event(ObsEvent::BusySpanJump {
+                t0: *t0,
+                t1,
+                periods: u64::try_from(k).unwrap_or(0),
+                period,
+                releases: (deltas.iter()).fold(0, |sum, d| sum.saturating_add(d.d_index)),
+                schedules: delta.scheduled_quanta,
+                queue_ops: delta.heap_pushes.saturating_add(delta.heap_pops),
+            });
         }
         SpanVerdict::Jumped
     }
+}
 
-    /// Applies `Φ^k` to the live engine. Check-then-commit: the
-    /// pre-flight walks everything the jump will shift — every slot,
-    /// index, count and era-unit sum of every advancing row, every queue
-    /// entry, the counters, the clock — and proves each shifted value
-    /// representable (slots that become priorities, inside the
-    /// packed-key band), so a refused jump returns `false` with the
-    /// engine exactly as the per-slot oracle left it, and the commit
-    /// that follows cannot fail half-way. `deltas` come in per period
-    /// and are left holding `k` periods' worth.
-    fn apply_jump(
-        &mut self,
-        k: Slot,
-        period: Slot,
-        deltas: &mut [TaskDelta],
-        delta: &Counters,
-    ) -> bool {
-        let (Ok(ki), Some(ds)) = (u64::try_from(k), period.checked_mul(k)) else {
-            return false;
-        };
-        let (Some(now), Some(counters)) = (
-            self.now.checked_add(ds),
-            self.counters.checked_add_scaled(delta, ki),
-        ) else {
-            return false;
-        };
-        let mut fits = true;
-        for (d, i) in deltas.iter_mut().zip(0u32..) {
-            // Fixed tasks keep their rows and columns verbatim (Φ is
-            // the identity on them); advancing ones always carry a
-            // release (`task_delta` requires one).
-            let id = TaskId(i);
-            fits &= match (d.times(ki), self.tasks.get(id), self.tasks.next_release(id)) {
-                (Some(s), _, _) if s.d_index == 0 => true,
-                (Some(s), Some(task), Some(r)) => {
-                    *d = s;
-                    r.checked_add(ds).is_some() && row_fits(task, ds, &s)
-                }
-                _ => false,
-            };
+/// `Φ^n` on the image, `n` periods of `period` slots: every advancing
+/// row and its next release, every queue entry, the counters (`n`
+/// times the per-period `delta`) and the clock move on; fixed tasks
+/// stay as they are. `None` if a shifted value would overflow (a slot
+/// that becomes a priority must stay inside the packed-key band); the
+/// image is then part-shifted, fit only to be discarded.
+fn shift_image(
+    image: &mut EngineSnapshot,
+    n: Slot,
+    period: Slot,
+    deltas: &[TaskDelta],
+    delta: &Counters,
+) -> Option<()> {
+    let (n, ds) = (u64::try_from(n).ok()?, period.checked_mul(n)?);
+    image.now = image.now.checked_add(ds)?;
+    image.counters = image.counters.checked_add_scaled(delta, n)?;
+    for (snap, d) in image.tasks.iter_mut().zip(deltas) {
+        // Fixed tasks keep their rows and columns verbatim (Φ is the
+        // identity on them); advancing ones always carry a release
+        // (`task_delta` requires one).
+        if d.d_index > 0 {
+            snap.next_release = Some(snap.next_release?.checked_add(ds)?);
+            row_shift(&mut snap.state, ds, &d.times(n)?)?;
         }
-        // Index gain of the task an entry names (`0`: fixed).
-        let gain = |id: TaskId| deltas.get(id.idx()).map(|d| d.d_index);
-        self.queue.for_each_due(Slot::MAX, |e| {
-            fits &= translate_priority(e.priority, ds).is_some()
-                && gain(e.task).is_some_and(|di| e.index.checked_add(di).is_some());
-        });
-        if !fits {
-            return false;
-        }
-        for (d, i) in deltas.iter().zip(0u32..) {
-            if let (true, Some(r)) = (d.d_index > 0, self.tasks.next_release(TaskId(i))) {
-                self.tasks.set_next_release(TaskId(i), Some(r + ds));
-                row_shift(self.tasks.task_mut(TaskId(i)), ds, d);
-            }
-        }
-        self.queue.shift_deadlines(ds, |e| {
-            e.priority = translate_priority(e.priority, ds).unwrap_or(e.priority);
-            e.index += gain(e.task).unwrap_or(0);
-        });
-        // Re-filed at the target (the hints the shift above filed go
-        // with the stale ones), every slot lies at or past it: shifted
-        // releases, and fixed releases and parked slots at or past `end`.
-        self.tasks.refile(now);
-        self.counters = counters;
-        self.now = now;
-        self.mix.busy_span_slots += u64::try_from(ds).unwrap_or(0);
-        // `last_chosen` stays: the `ran` column is translation-invariant
-        // (verified per task), and the slot before the target chose the
-        // tasks the slot before `t1` chose, in the same order.
-        true
     }
+    for e in &mut image.queue {
+        let gain = deltas.get(e.task.idx())?.d_index.checked_mul(n)?;
+        e.index = e.index.checked_add(gain)?;
+        e.priority = translate_priority(e.priority, ds)?;
+    }
+    Some(())
 }
 
 /// The hot columns of every task: presence, ran flag and scheduling
-/// weight as armed, the next release as armed or one period on.
-fn columns_match(armed: &[ArmedTask], live: &TaskSlab, period: Slot) -> bool {
-    armed.iter().zip(0u32..).all(|(a, i)| {
-        let id = TaskId(i);
+/// weight as imaged, the next release as imaged or one period on.
+fn columns_match(image: &[TaskSnap], live: &TaskSlab, period: Slot) -> bool {
+    image.iter().all(|a| {
+        let id = a.id;
         let release = live.next_release(id);
-        a.present == live.in_system(id)
-            && a.ran == live.ran_last_slot(id)
+        a.in_system == live.in_system(id)
+            && a.ran_last_slot == live.ran_last_slot(id)
             && a.swt == live.swt(id)
             && (release == a.next_release
                 || release == a.next_release.and_then(|r| r.checked_add(period)))
@@ -619,34 +494,38 @@ fn columns_match(armed: &[ArmedTask], live: &TaskSlab, period: Slot) -> bool {
 
 /// Decides how one task moved over the verified period: `Ok(fixed)` if
 /// Φ is the identity on it, `Ok(advancing)` if every field is the
-/// one-period translation of the snapshot *and* the rank advance
-/// matches the analytic `(P / den) · num`. The presence, ran and weight
-/// columns were compared by [`columns_match`]. The processor placement
-/// is checked last, so `Err(CpuRotation)` certifies that every
+/// one-period translation of the image *and* the rank advance matches
+/// the analytic `(P / den) · num`. The presence, ran and weight columns
+/// were compared by [`columns_match`]. The processor placement is
+/// checked last, so `Err(CpuRotation)` certifies that every
 /// scheduling-visible field already matched and only the sticky
 /// assignment's cycle outruns the period.
 fn task_delta(
-    armed: &ArmedTask,
+    snap: &TaskSnap,
     live: &TaskSlab,
-    id: TaskId,
     period: Slot,
     end: Slot,
 ) -> Result<TaskDelta, SpanVerdict> {
     let fail = SpanVerdict::Mismatch;
-    let (ta, tb) = (&armed.row, live.get(id).ok_or(fail)?);
+    let id = snap.id;
+    let (ta, tb) = (&snap.state, live.get(id).ok_or(fail)?);
     let d_index = tb.next_index.checked_sub(ta.next_index).ok_or(fail)?;
-    if !armed.present || d_index == 0 {
+    if !snap.in_system || d_index == 0 {
         // Departed, not-yet-joined and idle tasks must be entirely
-        // untouched — and stay so over the whole extrapolated span: no
-        // release scheduled before its end.
-        let fixed = task_fixed_equal(armed, live, id)
-            && !(armed.present && armed.next_release.is_some_and(|r| r < end));
+        // untouched — row, parked state and next release — and stay so
+        // over the whole extrapolated span: no release scheduled before
+        // its end.
+        let fixed = ta == tb
+            && snap.parked == *live.parked(id)
+            && snap.next_release == live.next_release(id)
+            && !(snap.in_system && snap.next_release.is_some_and(|r| r < end));
         return fixed.then(TaskDelta::default).ok_or(fail);
     }
     // Advancing task: reweighting state must be quiescent and
     // era-stable (drift samples only appear at era boundaries, so
-    // equality of the tracks is implied but checked anyway).
-    if !armed.parked.is_nothing() || !live.parked(id).is_nothing() {
+    // equality of the tracks is implied but checked anyway — by length,
+    // as a track only ever grows).
+    if !snap.parked.is_nothing() || !live.parked(id).is_nothing() {
         return Err(fail);
     }
     if ta.era_base != tb.era_base || ta.era_open_pending || tb.era_open_pending {
@@ -657,10 +536,10 @@ fn task_delta(
     // `den`. The period must be a whole multiple of `den` and the
     // observed rank delta must match — this pins the extrapolation to
     // the closed-form window math, not just to one lucky period.
-    let Some(swt) = armed.swt else {
+    let Some(swt) = snap.swt else {
         return Err(fail);
     };
-    if armed.drift_len != tb.drift.samples().len() {
+    if ta.drift.samples().len() != tb.drift.samples().len() {
         return Err(fail);
     }
     // A weight's denominator is positive; `.max(1)` is that fact in the
@@ -669,7 +548,7 @@ fn task_delta(
     if period % swt.denom().max(1) != 0 || i128::from(d_index) != rank_gain {
         return Err(fail);
     }
-    match (armed.next_release, live.next_release(id)) {
+    match (snap.next_release, live.next_release(id)) {
         (Some(ra), Some(rb)) if ra.checked_add(period) == Some(rb) => {}
         _ => return Err(fail),
     }
@@ -704,55 +583,23 @@ fn task_delta(
     Ok(delta)
 }
 
-/// Field-by-field equality for a task Φ must not move: the next-release
-/// column, the parked-rule state and the cold row ([`columns_match`]
-/// compared the other three columns).
-fn task_fixed_equal(armed: &ArmedTask, live: &TaskSlab, id: TaskId) -> bool {
-    let (ta, Some(tb)) = (&armed.row, live.get(id)) else {
-        return false;
-    };
-    armed.next_release == live.next_release(id)
-        && armed.parked == *live.parked(id)
-        && ta.era_base == tb.era_base
-        && ta.next_index == tb.next_index
-        && ta.era_open_pending == tb.era_open_pending
-        && ta.subs == tb.subs
-        && ta.last_scheduled == tb.last_scheduled
-        && ta.isw == tb.isw
-        && ta.ps == tb.ps
-        && armed.drift_len == tb.drift.samples().len()
-        && ta.scheduled_count == tb.scheduled_count
-        && ta.last_cpu == tb.last_cpu
-}
-
-/// Whether [`row_shift`] by `ds` slots and the `k`-period amounts `s`
-/// keeps every field of an advancing task's cold row representable.
-fn row_fits(task: &TaskState, ds: Slot, s: &TaskDelta) -> bool {
-    task.next_index.checked_add(s.d_index).is_some()
-        && task.scheduled_count.checked_add(s.sched).is_some()
-        && (task.last_scheduled).is_none_or(|w| shift_window(w, ds).is_some())
-        && (task.subs.iter()).all(|r| shift_sub(r, ds, s.d_index).is_some())
-        && task.isw.shift_fits(ds, s.d_index, s.isw_gain)
-        && task.ps.shift_fits(ds, s.ps_gain)
-}
-
-/// `Φ^k` on an advancing task's cold row, in place (`ds = k · P`, `s`
-/// the `k`-period amounts). The hot next-release column is shifted by
-/// [`Engine::apply_jump`], which has established [`row_fits`].
-fn row_shift(task: &mut TaskState, ds: Slot, s: &TaskDelta) {
-    task.next_index += s.d_index;
-    task.scheduled_count += s.sched;
-    task.last_scheduled = task.last_scheduled.and_then(|w| shift_window(w, ds));
-    for r in &mut task.subs {
-        *r = shift_sub(r, ds, s.d_index).unwrap_or(*r);
+/// `Φ^k` on an advancing task's row, in place (`ds = k · P`, `s` the
+/// `k`-period amounts); `None` if a shifted field would overflow.
+fn row_shift(task: &mut TaskState, ds: Slot, s: &TaskDelta) -> Option<()> {
+    task.next_index = task.next_index.checked_add(s.d_index)?;
+    task.scheduled_count = task.scheduled_count.checked_add(s.sched)?;
+    if let Some(w) = task.last_scheduled {
+        task.last_scheduled = Some(shift_window(w, ds)?);
     }
-    let moved = task.isw.shift(ds, s.d_index, s.isw_gain) && task.ps.shift(ds, s.ps_gain);
-    debug_assert!(moved, "the pre-flight admitted an overflowing shift");
+    for r in &mut task.subs {
+        *r = shift_sub(r, ds, s.d_index)?;
+    }
+    (task.isw.shift(ds, s.d_index, s.isw_gain) && task.ps.shift(ds, s.ps_gain)).then_some(())
 }
 
 /// A subtask record translated by `ds` slots and `di` ranks (a 64-byte
-/// value: comparing against it, asking whether it exists and storing it
-/// are the record's predicate, pre-flight and shift).
+/// value: comparing against it and storing it are the record's
+/// predicate and shift).
 fn shift_sub(s: &SubRec, ds: Slot, di: u64) -> Option<SubRec> {
     Some(SubRec {
         index: s.index.checked_add(di)?,

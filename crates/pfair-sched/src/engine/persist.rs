@@ -20,17 +20,23 @@
 //!   selector state, probe-independent overhead counters, and the
 //!   event stream with its cursor.
 //!
+//! One loader writes an image into an engine, `Engine::load`, and two
+//! paths call it: [`Engine::restore`], into an engine that has fired
+//! nothing yet, and every busy-span jump, which arms with this same
+//! image (`Engine::snapshot_into`, the function [`Engine::snapshot`] is
+//! built on) and loads it shifted by whole periods. Every jump of the
+//! equivalence suites therefore runs the restore path too.
+//!
 //! What the rows determine is **not** serialized but rebuilt. The tie
 //! table is a function of `config.tie_break` and the task count. The
-//! two calendar rings only index the slab's columns, and the slab
-//! re-files them from the restored columns, as a busy-span jump does:
-//! each present task at its `next_release`, each task at its parked
-//! change's slot and its rule-L departure. Every firing path checks the
-//! columns before acting, so a stale hint in the live ring is a no-op,
-//! and a ring re-filed from the columns fires exactly what it did.
-//! The admission table is kept: a decrease that supersedes a pending
-//! increase holds the higher commitment until enactment, which no row
-//! records.
+//! two calendar rings only index the slab's columns, and the loader
+//! re-files them from the loaded columns: each present task at its
+//! `next_release`, each task at its parked change's slot and its rule-L
+//! departure. Every firing path checks the columns before acting, so a
+//! stale hint in the live ring is a no-op, and a ring re-filed from the
+//! columns fires exactly what it did. The admission table is kept: a
+//! decrease that supersedes a pending increase holds the higher
+//! commitment until enactment, which no row records.
 //!
 //! A history request (`record_history`) is refused: the history is
 //! rebuilt by a [`HistoryRecorder`](crate::history::HistoryRecorder)
@@ -48,12 +54,11 @@
 
 use super::slab::TaskSlab;
 use super::{Engine, Parked, PendKind, Pending, SimConfig, SubRec, TaskState, NO_CPU};
-use crate::admission::AdmissionController;
 use crate::event::Event;
 use crate::overhead::Counters;
-use crate::priority::{Priority, TieTable};
-use crate::queue::{QueueEntry, ReadyQueue};
-use crate::reweight::RuleSelector;
+use crate::priority::Priority;
+use crate::queue::QueueEntry;
+use crate::reweight::{RuleSelector, Scheme};
 use crate::trace::Miss;
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
@@ -233,14 +238,28 @@ impl FromJson for SimConfig {
 /// per-task JSON object the format has always used (the storage split
 /// is an in-memory layout decision, not an interchange change).
 #[derive(Clone, Debug)]
-struct TaskSnap {
-    id: TaskId,
-    state: TaskState,
-    parked: Parked,
-    in_system: bool,
-    swt: Option<Weight>,
-    next_release: Option<Slot>,
-    ran_last_slot: bool,
+pub(super) struct TaskSnap {
+    pub(super) id: TaskId,
+    pub(super) state: TaskState,
+    pub(super) parked: Parked,
+    pub(super) in_system: bool,
+    pub(super) swt: Option<Weight>,
+    pub(super) next_release: Option<Slot>,
+    pub(super) ran_last_slot: bool,
+}
+
+impl TaskSnap {
+    /// Writes task `id` of `tasks` over this image, reusing the buffers
+    /// its row holds.
+    fn write(&mut self, tasks: &TaskSlab, id: TaskId) {
+        self.id = id;
+        self.state.clone_from(tasks.task(id));
+        self.parked = *tasks.parked(id);
+        self.in_system = tasks.in_system(id);
+        self.swt = tasks.swt(id);
+        self.next_release = tasks.next_release(id);
+        self.ran_last_slot = tasks.ran_last_slot(id);
+    }
 }
 
 impl ToJson for TaskSnap {
@@ -329,18 +348,36 @@ impl FromJson for TaskSnap {
 pub struct EngineSnapshot {
     config: SimConfig,
     events: Arc<Vec<Event>>,
-    next_event: usize,
+    pub(super) next_event: usize,
     injected: Vec<Event>,
-    tasks: Vec<TaskSnap>,
-    queue: Vec<QueueEntry>,
-    selector: RuleSelector,
-    committed: Vec<Option<Weight>>,
-    counters: Counters,
-    misses: Vec<Miss>,
-    now: Slot,
+    pub(super) tasks: Vec<TaskSnap>,
+    pub(super) queue: Vec<QueueEntry>,
+    pub(super) selector: RuleSelector,
+    pub(super) committed: Vec<Option<Weight>>,
+    pub(super) counters: Counters,
+    pub(super) misses: Vec<Miss>,
+    pub(super) now: Slot,
 }
 
 impl EngineSnapshot {
+    /// An image of no task at slot 0, for [`Engine::snapshot_into`] to
+    /// write over.
+    pub(super) fn blank() -> EngineSnapshot {
+        EngineSnapshot {
+            config: SimConfig::oi(0, 0),
+            events: Arc::default(),
+            next_event: 0,
+            injected: Vec::new(),
+            tasks: Vec::new(),
+            queue: Vec::new(),
+            selector: RuleSelector::new(Scheme::Oi, 0),
+            committed: Vec::new(),
+            counters: Counters::default(),
+            misses: Vec::new(),
+            now: 0,
+        }
+    }
+
     /// The slot the engine was captured at (the next slot it will
     /// simulate after [`Engine::restore`]).
     pub fn now(&self) -> Slot {
@@ -467,44 +504,53 @@ impl<P: Probe> Engine<P> {
                     .to_string(),
             );
         }
-        let tasks = (0..self.tasks.len())
-            .map(|i| {
-                // audit: allow(lossy-cast, slab ids stay within u32 by construction)
-                let id = TaskId(i as u32);
-                TaskSnap {
-                    id,
-                    state: self.tasks.task(id).clone(),
-                    parked: *self.tasks.parked(id),
-                    in_system: self.tasks.in_system(id),
-                    swt: self.tasks.swt(id),
-                    next_release: self.tasks.next_release(id),
-                    ran_last_slot: self.tasks.ran_last_slot(id),
-                }
-            })
-            .collect();
-        Ok(EngineSnapshot {
-            config: self.config.clone(),
-            events: Arc::clone(&self.events),
-            next_event: self.next_event,
-            injected: self.injected.clone(),
-            tasks,
-            queue: self.queue.entries_sorted(),
-            selector: self.selector.clone(),
-            committed: self.admission.committed_parts().to_vec(),
-            counters: self.counters,
-            misses: self.misses.clone(),
-            now: self.now,
-        })
+        let mut image = EngineSnapshot::blank();
+        self.snapshot_into(&mut image);
+        Ok(image)
+    }
+
+    /// Writes the engine's image over `image`, into the buffers it
+    /// holds: a row's era-sum boxes and drift track are reused, so
+    /// writing over an image of the same tasks allocates nothing. What
+    /// [`Engine::snapshot`] returns and what a busy-span arming keeps
+    /// (the busy-span driver arms history runs too, so nothing is
+    /// refused here).
+    pub(super) fn snapshot_into(&self, image: &mut EngineSnapshot) {
+        image.config.clone_from(&self.config);
+        image.events.clone_from(&self.events);
+        image.next_event = self.next_event;
+        image.injected.clone_from(&self.injected);
+        // `task` answers every addressable id, built or not.
+        let blank = self.tasks.blank();
+        image.tasks.resize_with(self.tasks.len(), || TaskSnap {
+            id: TaskId(0),
+            state: blank.clone(),
+            parked: Parked::NOTHING,
+            in_system: false,
+            swt: None,
+            next_release: None,
+            ran_last_slot: false,
+        });
+        for (snap, id) in image.tasks.iter_mut().zip((0u32..).map(TaskId)) {
+            snap.write(&self.tasks, id);
+        }
+        image.queue.clear();
+        self.queue.walk_sorted(|e| {
+            image.queue.push(*e);
+            true
+        });
+        image.selector.clone_from(&self.selector);
+        (self.admission.committed_parts()).clone_into(&mut image.committed);
+        image.counters = self.counters;
+        image.misses.clone_from(&self.misses);
+        image.now = self.now;
     }
 
     /// Runs the engine forward to slot `slot` (clamped to the horizon)
-    /// and captures it there.
-    ///
-    /// Advancing uses the per-slot pipeline regardless of
-    /// `config.tickless`; the tickless invariant (see
-    /// [`Engine::run`]) makes the state at any boundary identical
-    /// under both drivers, so the captured image — and every run
-    /// resumed from it — is too.
+    /// with [`Engine::run_to`], the one driver loop, and captures it
+    /// there. A run is exact across segment boundaries, so the image is
+    /// the one any driver reaches at that slot, and so is every run
+    /// resumed from it.
     pub fn snapshot_at(&mut self, slot: Slot) -> Result<EngineSnapshot, String> {
         if slot < self.now {
             return Err(format!(
@@ -512,87 +558,62 @@ impl<P: Probe> Engine<P> {
                 self.now
             ));
         }
-        let stop = slot.min(self.config.horizon);
-        while self.now < stop {
-            self.step_slot();
-        }
+        self.run_to(slot);
         self.snapshot()
     }
 
     /// Rebuilds a running engine from a snapshot; the resumed run is
     /// bit-identical to the uninterrupted one (module docs).
     ///
-    /// Derived state is reconstructed rather than trusted: the tie
-    /// table comes from `config.tie_break`, the calendar rings are
-    /// re-filed from the columns, the ready heap from the canonical
-    /// sorted entry list (no push counters are re-counted — the
-    /// snapshot's [`Counters`] already include those pushes).
+    /// The image is validated, then loaded into an engine that has
+    /// fired nothing yet by `Engine::load`, the loader a busy-span jump
+    /// calls too. Derived state is reconstructed rather than
+    /// trusted: the tie table comes from `config.tie_break`, the
+    /// calendar rings are re-filed from the columns, the ready queue is
+    /// placed from the canonical sorted entry list (no push counters
+    /// are re-counted — the snapshot's [`Counters`] already include
+    /// those pushes), and the busy-span driver re-arms from scratch.
     pub fn restore(snapshot: EngineSnapshot, probe: P) -> Result<Engine<P>, String> {
         snapshot.validate()?;
         let n = u32::try_from(snapshot.tasks.len())
             .map_err(|_| "task count exceeds the id space".to_string())?;
-        let tie = TieTable::new(&snapshot.config.tie_break, n);
-        // Re-column the flattened task images: cold rows into the slab,
-        // parked state into its column when there is any, hot values back
-        // into the dense columns.
-        let mut tasks = TaskSlab::new(n);
-        for snap in snapshot.tasks {
-            let id = snap.id;
-            tasks.set_in_system(id, snap.in_system);
-            tasks.set_swt(id, snap.swt);
-            tasks.set_next_release(id, snap.next_release);
-            tasks.set_ran(id, snap.ran_last_slot);
-            *tasks.task_mut(id) = snap.state;
-            if !snap.parked.is_nothing() {
-                tasks.park(id, |p| *p = snap.parked);
-            }
+        let events = Arc::clone(&snapshot.events);
+        let mut engine = Engine::empty(snapshot.config.clone(), events, n, probe);
+        engine.load(&snapshot)?;
+        Ok(engine)
+    }
+
+    /// Writes `image` into this engine: the one loader, behind
+    /// [`Engine::restore`] and every busy-span jump. It writes what the
+    /// image holds — the hot columns, the rows (none built for an id
+    /// that never joined), the parked state and the rings re-filed from
+    /// them, the queue, the admission ledger, the rule selector, the
+    /// counters, the misses, the event cursors and the clock — each into
+    /// the buffers already there, and rebuilds last slot's chosen set
+    /// from the `ran` column. The probe, the busy-span state, the driver
+    /// mix, the run limit, the tie table and the scratch buffers are
+    /// left alone. The engine addresses exactly the image's ids (a
+    /// restore builds it so, a jump has verified it). `Err`, with
+    /// nothing written, if the admission ledger cannot represent the
+    /// image's commitments.
+    pub(super) fn load(&mut self, image: &EngineSnapshot) -> Result<(), String> {
+        if !self.admission.load_parts(&image.committed) {
+            return Err("committed weights sum beyond the admission ledger's range".to_string());
         }
-        tasks.refile(snapshot.now);
-        // Derived per-run state rebuilt rather than trusted: last slot's
-        // chosen set from the ran column, the injected-event floor from
-        // the injected list, and the run-segment limit back at the
-        // horizon (a restored engine is not inside any `run_to`
-        // segment).
-        let last_chosen = tasks.ran_ids();
-        let injected_min = snapshot
-            .injected
-            .iter()
-            .map(|e| e.at)
-            .min()
-            .unwrap_or(NEVER);
-        let run_limit = snapshot.config.horizon;
-        let admission = AdmissionController::from_parts(
-            snapshot.config.admission,
-            snapshot.config.processors,
-            snapshot.committed,
-        )
-        .ok_or("committed weights sum beyond the admission ledger's range")?;
-        Ok(Engine {
-            probe,
-            selector: snapshot.selector,
-            admission,
-            events: snapshot.events,
-            next_event: snapshot.next_event,
-            tasks,
-            queue: ReadyQueue::from_entries(snapshot.queue),
-            counters: snapshot.counters,
-            misses: snapshot.misses,
-            now: snapshot.now,
-            injected: snapshot.injected,
-            injected_min,
-            last_chosen,
-            touched: Vec::new(),
-            scratch: super::SlotScratch::default(),
-            run_limit,
-            tie,
-            // Busy-span batching re-arms from scratch: an armed probe is
-            // a pure optimization hint and deliberately not part of the
-            // interchange format (jumps are verified no-ops, so a cold
-            // restart cannot change the trajectory).
-            busy: super::busy_span::BusySpanState::default(),
-            mix: crate::overhead::DriverMix::default(),
-            config: snapshot.config,
-        })
+        self.tasks.load(&image.tasks, image.now);
+        self.queue.reload(&image.queue);
+        self.selector.clone_from(&image.selector);
+        self.counters = image.counters;
+        self.misses.clone_from(&image.misses);
+        self.events.clone_from(&image.events);
+        self.next_event = image.next_event;
+        self.injected.clone_from(&image.injected);
+        self.injected_min = image.injected.iter().map(|e| e.at).min().unwrap_or(NEVER);
+        self.last_chosen.clear();
+        self.last_chosen.extend(self.tasks.ran_iter());
+        self.touched.clear();
+        self.now = image.now;
+        Ok(())
     }
 }
 
@@ -659,68 +680,94 @@ mod tests {
         assert!(engine.snapshot().is_err());
     }
 
-    /// The live rings less their stale hints — the entries the firing
-    /// paths' column checks skip — hold exactly what the columns
-    /// determine, computed here from the columns alone: each present
-    /// task at its `next_release`, each task at every [`Parked`] slot.
-    /// Random OI/LJ/hybrid scripts, at every boundary a random stride
-    /// reaches, under the per-slot and the default driver alike. The
+    /// Random OI/LJ/hybrid scripts under the per-slot and the default
+    /// driver, cut at every boundary a random stride reaches. The
     /// saturated leg draws denominators dividing 12, closes the
     /// processors with static fillers of weight 1/12 and strides three
-    /// times as far, so its default-driver cases cross busy-span jumps,
-    /// which re-file both rings, between strides.
+    /// times as far, so its default-driver cases cross busy-span jumps
+    /// between strides.
     mod derivation {
         use super::*;
         use crate::reweight::{HybridPolicy, Scheme};
+        use pfair_obs::MetricsProbe;
         use proptest::prelude::*;
+
+        /// One generated plan: the workload, its configuration and the
+        /// stride. Joins at 1/den; then reweights (two in four) to a
+        /// light weight, delays up to 600 slots (past the ring window)
+        /// and leaves, each of a joined id, in any order.
+        type Plan = (Workload, SimConfig, Slot);
+
+        fn arb_plan() -> impl Strategy<Value = Plan> {
+            (
+                1u32..=4,
+                prop::collection::vec((2i128..=40, 0i64..=30), 1..=8),
+                prop::collection::vec((0u8..4, 0u32..8, 1i64..155, 2i128..=40, 1u32..600), 0..=24),
+                (0u8..3, 0u8..2, 0u8..2),
+                1i64..40,
+            )
+                .prop_map(
+                    |(processors, joins, events, (scheme, per_slot, saturated), stride)| {
+                        let saturated = saturated == 1;
+                        let den_of = |den: i128| match usize::try_from(den % 5) {
+                            Ok(i) if saturated => [2, 3, 4, 6, 12][i],
+                            _ => den,
+                        };
+                        let mut w = Workload::new();
+                        let mut spare = i128::from(processors) * 12;
+                        for (id, &(den, at)) in (0u32..).zip(&joins) {
+                            w.join(id, at, 1, den_of(den));
+                            spare -= 12 / den_of(den);
+                        }
+                        for &(kind, id, at, den, by) in &events {
+                            let (id, den) =
+                                (id % u32::try_from(joins.len()).unwrap_or(1), den_of(den));
+                            match kind {
+                                0 | 1 => w.reweight(id, at, 1 + i128::from(by) % (den / 2), den),
+                                2 => w.delay(id, at, by),
+                                _ => w.leave(id, at),
+                            };
+                        }
+                        let (horizon, stride) = if saturated {
+                            (400, 3 * stride)
+                        } else {
+                            (160, stride)
+                        };
+                        let fillers = if saturated {
+                            usize::try_from(spare).unwrap_or(0)
+                        } else {
+                            0
+                        };
+                        for id in (0u32..).skip(joins.len()).take(fillers) {
+                            w.join(id, 0, 1, 12);
+                        }
+                        let config = match scheme {
+                            0 => SimConfig::oi(processors, horizon),
+                            1 => SimConfig::leave_join(processors, horizon),
+                            _ => SimConfig::oi(processors, horizon)
+                                .with_scheme(Scheme::Hybrid(HybridPolicy::EveryNth(2))),
+                        };
+                        let config = if per_slot == 1 {
+                            config.per_slot()
+                        } else {
+                            config
+                        };
+                        (w, config, stride)
+                    },
+                )
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
+            /// The live rings less their stale hints — the entries the
+            /// firing paths' column checks skip — hold exactly what the
+            /// columns determine, computed here from the columns alone:
+            /// each present task at its `next_release`, each task at
+            /// every [`Parked`] slot.
             #[test]
-            fn rings_rebuilt_from_the_rows_are_the_live_ones(
-                processors in 1u32..=4,
-                joins in prop::collection::vec((2i128..=40, 0i64..=30), 1..=8),
-                events in prop::collection::vec((0u8..4, 0u32..8, 1i64..155, 2i128..=40, 1u32..600), 0..=24),
-                scheme in 0u8..3,
-                per_slot in 0u8..2,
-                saturated in 0u8..2,
-                stride in 1i64..40,
-            ) {
-                // Joins at 1/den; then reweights (two in four) to a light
-                // weight, delays up to 600 slots (past the ring window)
-                // and leaves, each of a joined id, in any order.
-                let saturated = saturated == 1;
-                let den_of = |den: i128| match usize::try_from(den % 5) {
-                    Ok(i) if saturated => [2, 3, 4, 6, 12][i],
-                    _ => den,
-                };
-                let mut w = Workload::new();
-                let mut spare = i128::from(processors) * 12;
-                for (id, &(den, at)) in (0u32..).zip(&joins) {
-                    w.join(id, at, 1, den_of(den));
-                    spare -= 12 / den_of(den);
-                }
-                for &(kind, id, at, den, by) in &events {
-                    let (id, den) = (id % u32::try_from(joins.len()).unwrap_or(1), den_of(den));
-                    match kind {
-                        0 | 1 => w.reweight(id, at, 1 + i128::from(by) % (den / 2), den),
-                        2 => w.delay(id, at, by),
-                        _ => w.leave(id, at),
-                    };
-                }
-                let (horizon, stride) = if saturated { (400, 3 * stride) } else { (160, stride) };
-                let fillers = if saturated { usize::try_from(spare).unwrap_or(0) } else { 0 };
-                for id in (0u32..).skip(joins.len()).take(fillers) {
-                    w.join(id, 0, 1, 12);
-                }
-                let config = match scheme {
-                    0 => SimConfig::oi(processors, horizon),
-                    1 => SimConfig::leave_join(processors, horizon),
-                    _ => SimConfig::oi(processors, horizon)
-                        .with_scheme(Scheme::Hybrid(HybridPolicy::EveryNth(2))),
-                };
-                let config = if per_slot == 1 { config.per_slot() } else { config };
+            fn rings_rebuilt_from_the_rows_are_the_live_ones((w, config, stride) in arb_plan()) {
+                let horizon = config.horizon;
                 let mut e = Engine::new(config, &w);
                 while e.now < horizon {
                     e.run_to(e.now + stride);
@@ -740,6 +787,35 @@ mod tests {
                     prop_assert_eq!(tasks.live_hints(), expected, "rings at {}", e.now);
                     prop_assert!(e.snapshot().is_ok_and(|s| s.validate().is_ok()));
                 }
+            }
+
+            /// The loader on states a jump never reaches — parked
+            /// changes, IS suspensions, pending departures, stale queue
+            /// entries: at every stride an engine loads its own
+            /// snapshot, and the rest of its run equals an untouched
+            /// twin's — result, counters, metrics registry and final
+            /// snapshot.
+            #[test]
+            fn loading_its_own_image_changes_nothing((w, config, stride) in arb_plan()) {
+                let horizon = config.horizon;
+                let mut loaded = Engine::with_probe(config.clone(), &w, MetricsProbe::new());
+                let mut twin = Engine::with_probe(config, &w, MetricsProbe::new());
+                while loaded.now < horizon {
+                    let image = loaded.snapshot().expect("no history request");
+                    prop_assert!(loaded.load(&image).is_ok());
+                    loaded.run_to(loaded.now + stride);
+                    twin.run_to(twin.now + stride);
+                }
+                prop_assert_eq!(loaded.counters(), twin.counters());
+                let image = |e: &Engine<MetricsProbe>| e.snapshot().map(|s| s.to_json_compact());
+                prop_assert_eq!(image(&loaded), image(&twin));
+                let (loaded, loaded_metrics) = loaded.finish_with_probe();
+                let (twin, twin_metrics) = twin.finish_with_probe();
+                prop_assert_eq!(loaded.to_json_compact(), twin.to_json_compact());
+                prop_assert_eq!(
+                    loaded_metrics.registry().snapshot_text(),
+                    twin_metrics.registry().snapshot_text()
+                );
             }
         }
     }

@@ -25,8 +25,9 @@
 //! for, which a join is the first to do. Until then an id has no row,
 //! and every reader sees the placeholder it would have held:
 //! [`TaskSlab::get`] answers with one shared blank row, so the snapshot
-//! image, `finish` and the busy-span arming snapshot read an unbuilt id
-//! exactly as a built placeholder.
+//! image (which a busy-span arming also takes) and `finish` read an
+//! unbuilt id exactly as a built placeholder, and loading an image
+//! builds no row for an id whose image is that placeholder.
 //!
 //! The rules' parked state ([`Parked`]: a pending weight change and a
 //! rule-L departure time) is a column of its own, allocated by the
@@ -41,9 +42,10 @@
 //! files the release it sets, [`TaskSlab::park`] each slot it parks. The
 //! engine reads and takes them. A firing path checks the columns before
 //! acting, so an entry a later write superseded is a stale hint, skipped
-//! when its slot comes. Where the clock jumps — a busy-span jump, a
-//! restore — [`TaskSlab::refile`] clears both rings in place and files
-//! the columns again, and no stale hint survives.
+//! when its slot comes. Where the clock jumps — an image loaded by a
+//! busy-span jump or a restore ([`TaskSlab::load`]) — [`TaskSlab::refile`]
+//! clears both rings in place and files the columns again, and no stale
+//! hint survives.
 //!
 //! ## The one panic-reach escape
 //!
@@ -62,6 +64,7 @@ use pfair_core::task::TaskId;
 use pfair_core::time::{ever, Slot, NEVER};
 use pfair_core::weight::Weight;
 
+use super::persist::TaskSnap;
 use super::{Parked, Pending, TaskState};
 use crate::calendar::CalendarRing;
 use crate::event::{Event, EventKind};
@@ -331,6 +334,32 @@ impl TaskSlab {
         }
     }
 
+    /// Writes every task of an image into the slab — the hot columns,
+    /// the row and the parked state — and re-files both rings from them
+    /// at `now`. A built row is written over in place, its buffers
+    /// reused; an unbuilt one stays unbuilt while its image is the
+    /// placeholder it reads as (an id that never joined).
+    pub(super) fn load(&mut self, image: &[TaskSnap], now: Slot) {
+        for snap in image {
+            let id = snap.id;
+            self.set_in_system(id, snap.in_system);
+            self.set_ran(id, snap.ran_last_slot);
+            self.set_swt(id, snap.swt);
+            if let Some(slot) = self.next_release.get_mut(id.idx()) {
+                *slot = snap.next_release.unwrap_or(NEVER);
+            }
+            match self.cold.get_mut(id.idx()) {
+                Some(row) => row.clone_from(&snap.state),
+                None if snap.state == self.blank => {}
+                None => self.task_mut(id).clone_from(&snap.state),
+            }
+            if snap.parked != *self.parked(id) {
+                self.park(id, |p| *p = snap.parked);
+            }
+        }
+        self.refile(now);
+    }
+
     /// The hints of both rings a firing path would act on, each ring's
     /// as a sorted set: present tasks at their next release, and tasks
     /// at the parked slots they hold. Stale hints are left out. A ring
@@ -373,14 +402,12 @@ impl TaskSlab {
             .map(|i| TaskId(i as u32))
     }
 
-    /// Ids whose ran-last-slot bit is set, ascending — the canonical
-    /// rebuild source for the previous chosen set after a busy-span
-    /// jump or a snapshot restore.
-    pub(super) fn ran_ids(&self) -> Vec<TaskId> {
+    /// Ids whose ran-last-slot bit is set, ascending — what a loaded
+    /// image rebuilds the previous chosen set from.
+    pub(super) fn ran_iter(&self) -> impl Iterator<Item = TaskId> + '_ {
         self.ran
             .iter_ones()
             // audit: allow(lossy-cast, bitmap ids originate from u32 TaskIds)
             .map(|i| TaskId(i as u32))
-            .collect()
     }
 }

@@ -36,6 +36,10 @@
 //! spare list for the next run that opens, so the queue holds as many
 //! buffers as runs were ever live at once — not one per bucket the
 //! deadline front has passed over, which would depend on the driver.
+//! Compaction and [`ReadyQueue::reload`] (what loading an engine image
+//! does: a restore, a busy-span jump) park every run's buffer on that
+//! list and place the entries they keep or are given into those
+//! buffers; neither counts a push.
 //!
 //! `QueueEntry`'s order is total, so the pop sequence is bit-identical
 //! to a binary heap's over the same pushes; [`HeapQueue`] keeps that
@@ -266,35 +270,34 @@ impl ReadyQueue {
         true
     }
 
-    /// Takes every entry out in ascending order, leaving the queue
-    /// structurally empty and every buffer parked. Walks the occupancy
-    /// bitmap, not all [`BUCKETS`] buckets: O(len + occupied words).
-    fn drain_all(&mut self) -> Vec<QueueEntry> {
-        let mut all: Vec<QueueEntry> = Vec::with_capacity(self.len);
+    /// Takes every entry out in ascending order, handing each to `take`,
+    /// and leaves the queue structurally empty with every buffer
+    /// parked. Walks the occupancy bitmap, not all [`BUCKETS`] buckets:
+    /// O(len + occupied words).
+    fn drain_each(&mut self, mut take: impl FnMut(QueueEntry)) {
         let mut from = self.scan_min;
         while let Some(d) = self.next_bucket(from) {
             let b = Occupancy::bucket_of(d);
             self.occupied.clear(b);
             let mut run = std::mem::take(self.bucket_mut(b));
-            all.extend(run.drain(..));
+            run.drain(..).for_each(&mut take);
             self.spare.push(run);
             from = d.saturating_add(1);
         }
         for (_, mut run) in std::mem::take(&mut self.overflow) {
-            all.extend(run.drain(..));
+            run.drain(..).for_each(&mut take);
             self.spare.push(run);
         }
         (self.len, self.in_window, self.scan_min) = (0, 0, Slot::MAX);
-        all
     }
 
     /// Re-places `entries` in a structurally empty queue, anchored at
     /// their earliest deadline; no push is counted.
-    fn place_all(&mut self, entries: Vec<QueueEntry>) {
+    fn place_all(&mut self, entries: &[QueueEntry]) {
         if let Some(min) = entries.iter().map(|e| e.priority.deadline()).min() {
             self.base = min;
         }
-        for entry in entries {
+        for &entry in entries {
             self.place(entry);
         }
     }
@@ -413,17 +416,17 @@ impl ReadyQueue {
         let before = self.len;
         // In ascending order, so each re-placement below is an append
         // onto a buffer the drain parked.
-        let mut entries = self.drain_all();
-        entries.retain(|e| {
-            let live = is_live(e);
-            if !live {
-                on_drop(e);
+        let mut entries = Vec::with_capacity(self.len);
+        self.drain_each(|e| {
+            if is_live(&e) {
+                entries.push(e);
+            } else {
+                on_drop(&e);
             }
-            live
         });
         counters.compactions += 1;
         counters.compacted_stale += (before - entries.len()) as u64; // audit: allow(lossy-cast, usize→u64 is lossless on the supported targets)
-        self.place_all(entries);
+        self.place_all(&entries);
     }
 
     /// Hands `visit` every entry (stale ones included) in ascending
@@ -455,49 +458,13 @@ impl ReadyQueue {
         entries
     }
 
-    /// Moves the whole queue `ds ≥ 0` slots later without re-placing an
-    /// entry: `shift` rewrites each one (it must add exactly `ds` to the
-    /// deadline field and keep the order of any two entries — a uniform
-    /// slot shift plus a per-task index shift does, since entries order
-    /// priority, then task, then index). The bucket array rotates by
-    /// `ds mod 512`, the overflow runs are re-keyed, and the anchor and
-    /// scan hint move along; each run stays sorted, so the pop sequence
-    /// is the shifted image of what it was.
-    pub fn shift_deadlines(&mut self, ds: Slot, mut shift: impl FnMut(&mut QueueEntry)) {
-        let mut rewrite = |run: &mut Run| {
-            for e in run {
-                let was = e.priority.deadline();
-                shift(e);
-                debug_assert_eq!(e.priority.deadline(), was + ds, "uneven deadline shift");
-            }
-        };
-        self.buckets.rotate_right(Occupancy::bucket_of(ds));
-        self.occupied = Occupancy::default();
-        for (b, run) in self.buckets.iter_mut().enumerate() {
-            if !run.is_empty() {
-                rewrite(run);
-                self.occupied.set(b);
-            }
-        }
-        self.overflow = std::mem::take(&mut self.overflow)
-            .into_iter()
-            .map(|(d, mut run)| {
-                rewrite(&mut run);
-                (d.saturating_add(ds), run)
-            })
-            .collect();
-        self.base = self.base.saturating_add(ds);
-        self.scan_min = self.scan_min.saturating_add(ds);
-    }
-
-    /// Rebuilds a queue from a [`ReadyQueue::entries_sorted`]
-    /// projection without routing through [`ReadyQueue::push`] — the
-    /// restored engine's `heap_pushes` counter is carried over verbatim
-    /// by the snapshot, so re-counting these entries would double them.
-    pub fn from_entries(entries: Vec<QueueEntry>) -> ReadyQueue {
-        let mut q = ReadyQueue::new();
-        q.place_all(entries);
-        q
+    /// Replaces the queue's entries with `entries` (an
+    /// [`ReadyQueue::entries_sorted`] projection) in the buffers it
+    /// already holds — a restore's queue and a busy-span jump's. No push
+    /// is counted: the image's counters already include those pushes.
+    pub fn reload(&mut self, entries: &[QueueEntry]) {
+        self.drain_each(|_| {});
+        self.place_all(entries);
     }
 }
 
@@ -864,114 +831,11 @@ mod tests {
     }
 }
 
-/// In-place translation ([`ReadyQueue::shift_deadlines`]) against the
-/// rebuild it replaced: a fresh queue from the shifted
-/// [`ReadyQueue::entries_sorted`] list.
-#[cfg(test)]
-mod shift_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Pushes clustered near a moving front, some far ahead (overflow
-    /// runs), some behind it (below-window re-anchoring); pops in
-    /// between, with every third index stale.
-    #[derive(Clone, Debug)]
-    enum Op {
-        /// `Push(ahead, task, b)`.
-        Push(i64, u32, bool),
-        Pop,
-    }
-
-    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-        let push = (0u8..20, 0i64..90, 0u32..6, 0u8..2).prop_map(|(kind, near, task, b)| {
-            let ahead = match kind {
-                0 => 600 + near * 40, // beyond the bucket window
-                1 => -near,           // behind the front
-                _ => near,
-            };
-            Op::Push(ahead, task, b == 1)
-        });
-        let op = (0u8..3, push).prop_map(|(k, push)| if k == 0 { Op::Pop } else { push });
-        prop::collection::vec(op, 0..120)
-    }
-
-    fn is_live(e: &QueueEntry) -> bool {
-        !e.index.is_multiple_of(3)
-    }
-
-    fn drive(q: &mut ReadyQueue, c: &mut Counters, ops: &[Op], front: i64) -> Vec<QueueEntry> {
-        let mut popped = Vec::new();
-        for (round, op) in (0u64..).zip(ops) {
-            match *op {
-                Op::Push(ahead, task, b) => {
-                    let deadline = front + i64::try_from(round / 3).unwrap_or(0) + ahead;
-                    let entry = QueueEntry {
-                        priority: Priority::pack(deadline, b, deadline + i64::from(task), task),
-                        task: TaskId(task),
-                        index: round,
-                    };
-                    q.push(entry, c);
-                }
-                Op::Pop => popped.extend(q.pop_live(c, is_live)),
-            }
-        }
-        popped
-    }
-
-    proptest! {
-        #[test]
-        fn in_place_shift_pops_like_a_rebuild(
-            before in arb_ops(),
-            after in arb_ops(),
-            ds in 0i64..3_000,
-            di in prop::collection::vec(0u64..1_000, 6),
-        ) {
-            let mut c = Counters::default();
-            let mut live = ReadyQueue::new();
-            drive(&mut live, &mut c, &before, 1_000);
-            let shift = |e: &mut QueueEntry| {
-                let p = e.priority;
-                e.priority =
-                    Priority::pack(p.deadline() + ds, p.b(), p.group_deadline() + ds, p.tie_rank());
-                e.index += di[e.task.idx()];
-            };
-            // The rebuild: shift the sorted list, keep it sorted, place.
-            let mut entries = live.entries_sorted();
-            entries.iter_mut().for_each(shift);
-            prop_assert!(entries.is_sorted(), "the shift keeps the order of entries");
-            let mut rebuilt = ReadyQueue::from_entries(entries.clone());
-            live.shift_deadlines(ds, shift);
-            prop_assert_eq!(live.len(), rebuilt.len());
-            prop_assert_eq!(live.front_deadline(), rebuilt.front_deadline());
-            prop_assert_eq!(live.entries_sorted(), entries);
-            // The sorted walk stops when told to.
-            let mut seen = 0;
-            let whole = live.walk_sorted(|_| {
-                seen += 1;
-                seen < 2
-            });
-            prop_assert_eq!((whole, seen), (live.len() < 2, live.len().min(2)));
-            // From here on the two queues are indistinguishable.
-            let (mut c1, mut c2) = (c, c);
-            let front = 1_000 + ds;
-            prop_assert_eq!(
-                drive(&mut live, &mut c1, &after, front),
-                drive(&mut rebuilt, &mut c2, &after, front)
-            );
-            prop_assert_eq!(c1, c2);
-            let drain = |q: &mut ReadyQueue, c: &mut Counters| -> Vec<QueueEntry> {
-                std::iter::from_fn(|| q.pop_live(c, |_| true)).collect()
-            };
-            prop_assert_eq!(drain(&mut live, &mut c1), drain(&mut rebuilt, &mut c2));
-        }
-    }
-}
-
 /// The run queue against [`HeapQueue`], which shares no run code, at
 /// `population`'s shape: bursts of up to 10⁴ equal-deadline entries in
 /// ascending, descending and shuffled tie order; several overflow runs
-/// inside one refilled window; compaction and in-place shifts between
-/// them; below-window bursts that evict runs into the overflow map.
+/// inside one refilled window; compaction and reloads between them;
+/// below-window bursts that evict runs into the overflow map.
 /// Pops, counters, lengths, fronts and `entries_sorted` must agree.
 #[cfg(test)]
 mod heap_differential {
@@ -986,7 +850,8 @@ mod heap_differential {
         Burst(i64, u32, u64, bool),
         Pop(u32),
         Compact,
-        Shift(i64),
+        /// The queue's own entries, `ds` slots later, loaded back in.
+        Reload(i64),
     }
 
     fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -1004,7 +869,7 @@ mod heap_differential {
             0..=4 => burst,
             5..=7 => Op::Pop(n),
             8 => Op::Compact,
-            _ => Op::Shift(ds),
+            _ => Op::Reload(ds),
         });
         prop::collection::vec(op, 1..24)
     }
@@ -1013,7 +878,7 @@ mod heap_differential {
         !e.index.is_multiple_of(3)
     }
 
-    /// The heap has no compaction or shift of its own: a fresh heap of
+    /// The heap has no compaction or reload of its own: a fresh heap of
     /// its rewritten entries, pushed uncounted.
     fn rebuilt(heap: &HeapQueue, rewrite: impl Fn(QueueEntry) -> Option<QueueEntry>) -> HeapQueue {
         let (mut fresh, mut uncounted) = (HeapQueue::default(), Counters::default());
@@ -1063,14 +928,16 @@ mod heap_differential {
                     let dropped = usize::try_from(cr.compacted_stale - before);
                     assert_eq!(dropped, Ok(len - radix.len()));
                 }
-                Op::Shift(ds) => {
+                Op::Reload(ds) => {
                     let shift = |e: QueueEntry| {
                         let p = e.priority;
                         let (d, gd) = (p.deadline() + ds, p.group_deadline() + ds);
                         let priority = Priority::pack(d, p.b(), gd, p.tie_rank());
                         QueueEntry { priority, ..e }
                     };
-                    radix.shift_deadlines(ds, |e| *e = shift(*e));
+                    let shifted: Vec<QueueEntry> =
+                        radix.entries_sorted().into_iter().map(shift).collect();
+                    radix.reload(&shifted);
                     heap = rebuilt(&heap, |e| Some(shift(e)));
                     front += ds;
                 }

@@ -190,10 +190,25 @@ impl pfair_json::FromJson for RuleSelector {
 }
 
 /// Evaluates hybrid policies statefully per task.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct RuleSelector {
     scheme: Scheme,
     state: Vec<HybridTaskState>,
+}
+
+impl Clone for RuleSelector {
+    fn clone(&self) -> Self {
+        RuleSelector {
+            scheme: self.scheme.clone(),
+            state: self.state.clone(),
+        }
+    }
+
+    /// Into the state table this selector already holds.
+    fn clone_from(&mut self, source: &Self) {
+        self.scheme.clone_from(&source.scheme);
+        self.state.clone_from(&source.state);
+    }
 }
 
 impl RuleSelector {

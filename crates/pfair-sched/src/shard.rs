@@ -127,9 +127,10 @@ impl ShardSpec {
     }
 
     /// Every shard runs PD²-OI with policing admission. Shards never
-    /// batch busy spans: each arming attempt copies every task's columns
-    /// and row into buffers kept across armings, an O(tasks) copy per
-    /// attempt — the wrong trade at 10⁵ tasks per shard.
+    /// batch busy spans: each arming attempt writes the engine's
+    /// snapshot image — every task's columns and row, drift track
+    /// included — over buffers kept across armings, an O(tasks) copy
+    /// per attempt — the wrong trade at 10⁵ tasks per shard.
     fn engine_config(&self) -> SimConfig {
         SimConfig::oi(self.processors_per_shard, self.horizon).without_busy_span()
     }

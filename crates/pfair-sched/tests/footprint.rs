@@ -231,49 +231,56 @@ fn a_reweighted_task_adds_at_most_three_sum_boxes() {
     assert!(result.counters.reweight_enactments >= u64::from(TASKS));
 }
 
-/// The busy-span driver snapshots every row when it arms, era sums
-/// included. Eight tasks reweight from 1/4 to 1/2 at slot 1 — each
+/// The busy-span driver snapshots every row when it arms, era sums and
+/// drift tracks included, and a jump loads the shifted image back into
+/// the rows. Eight tasks reweight from 1/4 to 1/2 at slot 1 — each
 /// `I_PS` base and, for those rule O halts, the halted loss become
-/// nonzero — and then repeat with period 2 on four processors,
-/// as a twin that joins at 1/2 (no sums) does. Driven in 64-slot
-/// segments, both arm once a segment. Writing each snapshot over the
-/// last one's rows reuses their boxes, so the armings cost the
-/// reweighted system less than one allocation each beyond what they
-/// cost its twin (copying the sums afresh would cost twelve).
+/// nonzero — and then repeat with period 2 on four processors, as a
+/// twin that joins at 1/2 (no sums) does. Driven in 64-slot segments,
+/// both arm and jump once a segment. Writing each snapshot over the
+/// last one's rows, and each loaded image over the engine's, reuses
+/// their boxes and buffers, so the armings and jumps cost the
+/// reweighted system less than one allocation an arming beyond what
+/// they cost its twin (copying the sums afresh would cost twelve).
 fn re_arming_a_busy_span_allocates_nothing() {
     let (mut reweighted, mut twin) = (Workload::new(), Workload::new());
     for task in 0..8 {
         reweighted.join(task, 0, 1, 4).reweight(task, 1, 1, 2);
         twin.join(task, 0, 1, 2);
     }
-    let (allocations, arms) = allocations_over_armings(&reweighted);
-    let (twin_allocations, twin_arms) = allocations_over_armings(&twin);
+    let (allocations, arms, jumps) = allocations_over_armings(&reweighted);
+    let (twin_allocations, twin_arms, twin_jumps) = allocations_over_armings(&twin);
     assert!(
         arms >= 60 && twin_arms >= 60,
         "{arms} / {twin_arms} armings"
     );
     assert!(
+        jumps >= 60 && twin_jumps >= 60,
+        "{jumps} / {twin_jumps} jumps"
+    );
+    assert!(
         allocations < twin_allocations + arms,
         "{allocations} allocations over {arms} armings, {twin_allocations} for a twin \
-         with zero sums: re-arming copies the era sums afresh"
+         with zero sums: re-arming or loading copies the era sums afresh"
     );
 }
 
-/// Allocations and armings of a four-processor engine over `workload`
-/// from slot 128 to 4096, driven in 64-slot segments.
-fn allocations_over_armings(workload: &Workload) -> (u64, u64) {
+/// Allocations, armings and jumps of a four-processor engine over
+/// `workload` from slot 128 to 4096, driven in 64-slot segments.
+fn allocations_over_armings(workload: &Workload) -> (u64, u64, u64) {
     let mut engine = Engine::new(SimConfig::oi(4, 4096), workload);
     engine.run_to(128);
-    let arms_before = engine.driver_mix().arms;
+    let (arms_before, jumps_before) = (engine.driver_mix().arms, engine.busy_span_jumps());
     let allocations_before = ALLOCATIONS.load(Relaxed);
     for end in (192..=4096).step_by(64) {
         engine.run_to(end);
     }
     let allocations = ALLOCATIONS.load(Relaxed) - allocations_before;
     let arms = engine.driver_mix().arms - arms_before;
+    let jumps = engine.busy_span_jumps() - jumps_before;
     assert!(engine.finish().is_miss_free());
     let allocations = u64::try_from(allocations).unwrap();
-    (allocations, arms)
+    (allocations, arms, jumps)
 }
 
 /// A workload's time-ordered stream exists once: an engine built from

@@ -359,11 +359,12 @@ proptest! {
     }
 
     /// A snapshot taken in the middle of a busy span restores to the
-    /// identical trajectory: `snapshot_at` steps the per-slot pipeline
-    /// to an arbitrary slot (usually interior to a span the batcher
-    /// would have jumped over), and the resumed run — which re-arms
-    /// batching from scratch — must render byte-identically to the
-    /// uninterrupted batched run.
+    /// identical trajectory: `snapshot_at` runs the default driver to
+    /// an arbitrary slot (usually interior to a span the uninterrupted
+    /// batcher jumps over; the segment limit stops this run's jumps
+    /// there), and the resumed run — which re-arms batching from
+    /// scratch — must render byte-identically to the uninterrupted
+    /// batched run.
     #[test]
     fn mid_busy_span_snapshot_restores_identically(
         plan in arb_saturated_plan(),

@@ -10,11 +10,12 @@
 //! per task the per-slot `I_SW` series must sum to `isw_total` and,
 //! less the halted corrections, to `icsw_total`.
 
-use pfair_json::ToJson;
+use pfair_json::{FromJson, Json, ToJson};
 use pfair_repro::core::rational::Rational;
-use pfair_repro::sched::engine::{simulate, Engine, SimConfig};
+use pfair_repro::sched::engine::{simulate, Engine, EngineSnapshot, SimConfig};
 use pfair_repro::sched::event::Workload;
 use pfair_repro::sched::history::HistoryRecorder;
+use pfair_repro::sched::prelude::NoopProbe;
 use pfair_repro::sched::priority::TieBreak;
 use pfair_repro::sched::trace::SimResult;
 use pfair_repro::sched::verify::verify;
@@ -105,7 +106,10 @@ fn churn_with_rejoins_records_the_same_history_on_every_driver() {
 }
 
 /// A saturated steady system, where the busy-span driver jumps: the
-/// recorder replays every jumped period, at event level.
+/// recorder replays every jumped period, at event level. A jump loads
+/// an image as a restore does, so the image taken right after the first
+/// jump, round-tripped through JSON and restored, jumps again and
+/// finishes with the result of the run that was never snapshotted.
 #[test]
 fn busy_span_replay_records_the_per_slot_history() {
     let mut w = Workload::new();
@@ -116,7 +120,7 @@ fn busy_span_replay_records_the_per_slot_history() {
     w.leave(8, 600).join(8, 900, 1, 6);
     let cfg = SimConfig::oi(5, 2_000);
     let expected = assert_recorder_agrees("saturated", &w, cfg.clone());
-    let mut engine = Engine::with_probe(cfg, &w, HistoryRecorder::new());
+    let mut engine = Engine::with_probe(cfg.clone(), &w, HistoryRecorder::new());
     engine.run();
     assert!(
         engine.busy_span_jumps() > 0,
@@ -125,4 +129,25 @@ fn busy_span_replay_records_the_per_slot_history() {
     let (mut jumped, recorder) = engine.finish_with_probe();
     recorder.fill(&mut jumped);
     assert!(histories(&jumped) == histories(&expected));
+
+    let mut engine = Engine::new(cfg.clone(), &w);
+    while engine.busy_span_jumps() == 0 && engine.now() < cfg.horizon {
+        engine.run_to(engine.now() + 50);
+    }
+    assert!(engine.busy_span_jumps() > 0, "no jump before the horizon");
+    let text = engine
+        .snapshot()
+        .expect("no history request")
+        .to_json_compact();
+    let image = EngineSnapshot::from_json(&Json::parse(&text).expect("parse")).expect("decode");
+    let mut resumed = Engine::restore(image, NoopProbe).expect("restore");
+    resumed.run();
+    assert!(
+        resumed.busy_span_jumps() > 0,
+        "the restored run never jumped"
+    );
+    assert_eq!(
+        resumed.finish().to_json_compact(),
+        simulate(cfg, &w).to_json_compact()
+    );
 }
