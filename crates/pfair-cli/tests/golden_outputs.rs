@@ -24,7 +24,7 @@ const INVOCATIONS: [(&str, &[&str]); 4] = [
     ("run workload.txt --json run.json", &["run.json"]),
     (
         "snapshot workload.txt --at 10 --out snapshot.json --metrics-out snapshot_metrics.json",
-        &["snapshot_metrics.json"],
+        &["snapshot.json", "snapshot_metrics.json"],
     ),
 ];
 

@@ -6,15 +6,26 @@
 //! version 2 — the same body less the keys version 2 dropped — and
 //! resume it to the `SimResult` the older binary reached, whatever the
 //! task rows look like in memory by now.
+//!
+//! `fixtures/static_midrun.snapshot.json` is a population of tasks that
+//! never change weight, captured mid-window: the tracker images of rows
+//! that hold no trackers in memory must still be the bytes an engine
+//! that tracked every task wrote.
 
 use pfair_json::{Json, ToJson};
 use pfair_obs::NoopProbe;
 use pfair_persist::{seal, snapshot_from_str, snapshot_to_string, PersistError, SNAPSHOT_FORMAT};
-use pfair_sched::engine::Engine;
+use pfair_sched::engine::{Engine, SimConfig};
+use pfair_sched::event::Workload;
+use pfair_sched::workloads::synthetic_population;
 
 const SNAPSHOT: &str = include_str!("fixtures/oi_midrun.snapshot.json");
 const RESULT: &str = include_str!("fixtures/oi_midrun.result.json");
 const JOURNAL: &str = include_str!("fixtures/journal.jsonl");
+const STATIC_MIDRUN: &str = include_str!("fixtures/static_midrun.snapshot.json");
+
+/// The slot `STATIC_MIDRUN` was captured at.
+const STATIC_AT: i64 = 41;
 
 /// Keys version 2 no longer writes: the calendar rings (rebuilt from
 /// the rows at restore), the history request no snapshot carries and
@@ -194,4 +205,43 @@ fn a_snapshot_without_compactions_is_a_decode_error() {
         }
         other => panic!("decoded without `compactions`: {other:?}"),
     }
+}
+
+/// `synthetic_population(64, 1)` (light weights 1/512 … 1/8192, joining
+/// at 0) and three heavy tasks that never change either: 3/4, 5/7 and
+/// 1, joining at slots 3, 5 and 7, on three processors.
+fn static_midrun_run() -> Engine {
+    let mut w: Workload = synthetic_population(64, 1);
+    w.join(64, 3, 3, 4).join(65, 5, 5, 7).join(66, 7, 1, 1);
+    Engine::new(SimConfig::oi(3, 120), &w)
+}
+
+/// The static population's image at slot 41 is the golden's bytes,
+/// decodes and re-encodes to them, and resumes to the result of the run
+/// that was never captured. At that slot every task holds a released
+/// subtask `I_SW` has not completed.
+#[test]
+fn static_population_snapshots_to_the_golden() {
+    let mut engine = static_midrun_run();
+    let snapshot = engine.snapshot_at(STATIC_AT).expect("snapshot");
+    assert_eq!(snapshot_to_string(&snapshot), STATIC_MIDRUN);
+    let decoded = snapshot_from_str(STATIC_MIDRUN).expect("fixture decodes");
+    assert_eq!(snapshot_to_string(&decoded), STATIC_MIDRUN);
+
+    let envelope = Json::parse(STATIC_MIDRUN).expect("fixture parses");
+    let tasks = array(envelope.get("body").expect("envelope body"), "tasks");
+    assert_eq!(tasks.len(), 67);
+    for task in tasks {
+        let isw = task.get("isw").expect("an I_SW image");
+        let open = array(isw, "subs").iter().any(|s| !is_set(s, "complete_at"));
+        assert!(open, "{:?} holds no incomplete subtask", task.get("id"));
+    }
+
+    let mut resumed = Engine::restore(decoded, NoopProbe).expect("fixture restores");
+    engine.run();
+    resumed.run();
+    assert_eq!(
+        resumed.finish().to_json_pretty(),
+        engine.finish().to_json_pretty()
+    );
 }
