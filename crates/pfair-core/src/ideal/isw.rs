@@ -30,8 +30,10 @@
 //! [`IswReference`](super::reference::IswReference) instead.
 
 use crate::arena::InlineVec;
-use crate::rational::{Accumulator, EraSum, Rational, Units};
-use crate::time::{ever, shift_ever, Slot, NEVER};
+use crate::rational::{Accumulator, Rational, Units};
+use crate::time::{ever, shift_ever, slot_from_i128, slots_since, Slot, NEVER};
+use crate::weight::Weight;
+use crate::window::{b_bit, periodic_window};
 
 /// Emitted by [`IswTracker::advance`] when a subtask's cumulative `I_SW`
 /// allocation reaches one quantum during the processed slot.
@@ -284,10 +286,10 @@ impl pfair_json::FromJson for IswTracker {
 /// total is an [`Accumulator`] counting in the same unit, and a
 /// [`Rational`] is built only where a value is read. Two trackers are
 /// equal when they hold the same values, whatever unit each counts in.
-/// The two sums across eras (the total's base and the halted loss) are
-/// [`EraSum`]s, one word each while zero, and [`Clone::clone_from`]
-/// writes into the boxes a nonzero one already holds.
-#[derive(Debug)]
+///
+/// A task that has not changed since it joined needs no tracker at all:
+/// [`IswTracker::closed_form`] is the one it would hold.
+#[derive(Clone, Debug)]
 pub struct IswTracker {
     /// `swt(T, now)` in era units.
     rate: Units,
@@ -297,7 +299,7 @@ pub struct IswTracker {
     /// `A(I_SW, T, 0, now)`; the unit it counts in is the era unit.
     total: Accumulator,
     /// Σ over halted subtasks of their lost allocation.
-    halted_loss: EraSum,
+    halted_loss: Rational,
     /// Next slot to be processed by `advance`.
     now: Slot,
 }
@@ -324,28 +326,7 @@ impl PartialEq for IswTracker {
 
 impl Eq for IswTracker {}
 
-const _: () = assert!(core::mem::size_of::<IswTracker>() <= 216);
-
-impl Clone for IswTracker {
-    fn clone(&self) -> Self {
-        IswTracker {
-            rate: self.rate,
-            subs: self.subs.clone(),
-            total: self.total.clone(),
-            halted_loss: self.halted_loss.clone(),
-            now: self.now,
-        }
-    }
-
-    /// Field by field, so the era sums' boxes are reused.
-    fn clone_from(&mut self, source: &Self) {
-        self.rate = source.rate;
-        self.subs.clone_from(&source.subs);
-        self.total.clone_from(&source.total);
-        self.halted_loss.clone_from(&source.halted_loss);
-        self.now = source.now;
-    }
-}
+const _: () = assert!(core::mem::size_of::<IswTracker>() <= 256);
 
 impl IswTracker {
     /// Creates a tracker for a task whose first enacted weight is `swt`
@@ -362,7 +343,7 @@ impl IswTracker {
             rate: Units::of(swt, total.unit()),
             subs: InlineVec::new(),
             total,
-            halted_loss: EraSum::ZERO,
+            halted_loss: Rational::ZERO,
             now: join_at,
         }
     }
@@ -379,6 +360,71 @@ impl IswTracker {
         self.subs = InlineVec::new();
         self.now = join_at;
         self.set_swt(swt);
+    }
+
+    /// The tracker of a task that has held weight `w` since it joined at
+    /// `join` — no enactment, halt, delay or departure — synchronized at
+    /// each of its releases the way the engine does and last at `now`:
+    /// the join's era numbers its subtasks from `era_base + 1`, so
+    /// `T_{era_base + 1} … T_{next_index − 1}` are released, on the
+    /// periodic windows of their ranks and none after `now`; the tracker
+    /// holds the records `retire` keeps and the total `w · (now − join)`.
+    ///
+    /// For such a task Fig. 5 gives exactly `w` per slot, because Eqn (4)
+    /// releases the rank-`(k + 1)` subtask no later than the rank-`k`
+    /// one completes: that one collects its quantum over `[join + (k −
+    /// 1)/w, join + k/w)` and completes at `D(I_SW) = join + ⌈k/w⌉`, its
+    /// deadline `d`. So a record released before `now` is complete iff
+    /// `d ≤ now`, keeping its final slot's `k − w · (d − 1 − join)`, or
+    /// holds `w · (now − join) − (k − 1)`; one released at `now` holds
+    /// nothing yet. Which records `retire` keeps does not depend on
+    /// where the syncs between releases fell: each drops a prefix of
+    /// what the last one drops.
+    ///
+    /// # Panics
+    /// As [`IswTracker::new`], and if a count overflows `i64` (the
+    /// engine's arithmetic budget bounds every one of them).
+    pub fn closed_form(
+        w: Weight,
+        join: Slot,
+        era_base: u64,
+        next_index: u64,
+        now: Slot,
+    ) -> IswTracker {
+        let mut tr = IswTracker::new(w.value(), join);
+        let (unit, rate) = (tr.unit(), tr.rate);
+        let elapsed = slots_since(join, now);
+        let window = |rank: u64| periodic_window(w, rank, join);
+        let released = next_index.saturating_sub(era_base).saturating_sub(1);
+        // The last jump, to `now`, covered every record released before.
+        let covered = released - u64::from(released > 0 && window(released).release >= now);
+        // `⌊w · elapsed⌋` subtasks have collected their quantum by `now`.
+        let whole = u64::try_from(w.value().mul_int(elapsed).floor()).unwrap_or(0);
+        let complete = whole.min(covered);
+        let units = |n: u64| unit.times(slot_from_i128(i128::from(n)));
+        for rank in complete.min(covered.saturating_sub(2)) + 1..=released {
+            let win = window(rank);
+            let (alloc, complete_at) = if rank > covered {
+                (Units::ZERO, NEVER)
+            } else if rank <= complete {
+                // The quantum less all but the final slot's `w`.
+                let before_final = rate.times(slots_since(join, win.deadline)) - rate;
+                (units(rank) - before_final, win.deadline)
+            } else {
+                (rate.times(elapsed) - units(rank - 1), NEVER)
+            };
+            tr.subs.push_back(IswSub {
+                index: era_base + rank,
+                release: win.release,
+                pred_gap: u64::from(rank > 1 && b_bit(w, rank - 1)),
+                alloc,
+                complete_at,
+                halted_at: NEVER,
+            });
+        }
+        tr.total.add_units(rate.times(elapsed));
+        tr.now = now;
+        tr
     }
 
     /// The era unit: every allocation the tracker holds or hands out
@@ -414,7 +460,7 @@ impl IswTracker {
         if self.halted_loss.is_zero() {
             return self.isw_total();
         }
-        self.isw_total() - self.halted_loss.get()
+        self.isw_total() - self.halted_loss
     }
 
     /// Enacts a weight change: allocations from the current slot onward
@@ -1118,7 +1164,7 @@ mod advance_to_tests {
     }
 
     /// Equality and the interchange form agree whether the era sums are
-    /// zero (no box) or not: a tracker decoded from its image equals it
+    /// zero or not: a tracker decoded from its image equals it
     /// and re-renders to the same bytes, before and after a halt and a
     /// weight change make the halted loss and the total's base nonzero.
     #[test]
@@ -1138,7 +1184,7 @@ mod advance_to_tests {
         tr.sync_to(8, |_, _| {});
         tr.halt(2, 8);
         tr.set_swt(rat(2, 5));
-        assert_eq!(tr.halted_loss.get(), rat(5, 19));
+        assert_eq!(tr.halted_loss, rat(5, 19));
         assert_ne!(tr, IswTracker::new(rat(2, 5), 8));
         round_trip(&tr);
         assert_eq!(tr.icsw_total(), Rational::ONE);
@@ -1275,7 +1321,7 @@ mod shift_tests {
         with("rate", &|t| t.rate += Units::new(1));
         with("halted loss", &|t| t.halted_loss += rat(1, 7));
         with("unit", &|t| t.total.rebase(t.unit().times(2)));
-        with("total base", &|t| t.total = t.total.clone().plus(rat(1, 3)));
+        with("total base", &|t| t.total = t.total.plus(rat(1, 3)));
         with("a record more", &|t| {
             let index = t.subs.back().map_or(1, |s| s.index + 1);
             t.subs.push_back(IswSub {

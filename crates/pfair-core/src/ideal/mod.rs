@@ -28,13 +28,21 @@
 //!   receives its *actual* weight `wt(T, t)`, with weight changes taking
 //!   effect the instant they are *initiated*. The yardstick for drift.
 //!   Implemented by [`ps::PsTracker`].
+//!
+//! A task that has held one weight since it joined, with no halt, IS
+//! delay or departure, gets exactly its weight in every slot under all
+//! of them, so the engine keeps no trackers for it: [`Trackers`] is the
+//! pair one that has changed holds, and [`Trackers::closed_form`] the
+//! pair one that has not would hold.
 
 pub mod is_table;
 pub mod isw;
 pub mod ps;
 pub mod reference;
+pub mod trackers;
 
 pub use is_table::is_ideal_table;
 pub use isw::{CompletionEvent, IswTracker};
 pub use ps::PsTracker;
 pub use reference::{IswReference, RefSub};
+pub use trackers::Trackers;

@@ -13,8 +13,8 @@
 //! current weight, which this tracker accumulates exactly.
 
 use crate::arena::ThinVec;
-use crate::rational::{EraSum, Rational};
-use crate::time::Slot;
+use crate::rational::Rational;
+use crate::time::{slots_since, Slot};
 use crate::weight::Weight;
 
 /// Incremental `I_PS` allocation of a single task.
@@ -25,13 +25,11 @@ use crate::weight::Weight;
 /// the gcds of an exact add happen when the weight changes
 /// ([`PsTracker::set_wt`]) and where the total is read. Two trackers are
 /// equal when they hold the same values, however each splits its total.
-/// The base is an [`EraSum`]: one word until a weight change or a
-/// per-slot history advance makes it nonzero.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct PsTracker {
     wt: Weight,
     /// `A(I_PS, T, 0, now)` less the slots counted in `active`.
-    base: EraSum,
+    base: Rational,
     /// Active (unsuspended) slots accrued at `wt` and not yet in `base`.
     active: i64,
     now: Slot,
@@ -53,28 +51,7 @@ impl PartialEq for PsTracker {
 
 impl Eq for PsTracker {}
 
-const _: () = assert!(core::mem::size_of::<PsTracker>() <= 48);
-
-impl Clone for PsTracker {
-    fn clone(&self) -> Self {
-        PsTracker {
-            wt: self.wt,
-            base: self.base.clone(),
-            active: self.active,
-            now: self.now,
-            suspensions: self.suspensions.clone(),
-        }
-    }
-
-    /// Field by field, so the base's box is reused.
-    fn clone_from(&mut self, source: &Self) {
-        self.wt = source.wt;
-        self.base.clone_from(&source.base);
-        self.active = source.active;
-        self.now = source.now;
-        self.suspensions.clone_from(&source.suspensions);
-    }
-}
+const _: () = assert!(core::mem::size_of::<PsTracker>() <= 80);
 
 impl pfair_json::ToJson for PsTracker {
     fn write_json(&self, w: &mut pfair_json::JsonWriter) {
@@ -113,9 +90,22 @@ impl PsTracker {
     pub fn new(wt: Rational, join_at: Slot) -> PsTracker {
         PsTracker {
             wt: Weight::new(wt),
-            base: EraSum::ZERO,
+            base: Rational::ZERO,
             active: 0,
             now: join_at,
+            suspensions: ThinVec::new(),
+        }
+    }
+
+    /// The tracker of a task that has held weight `w` since it joined at
+    /// `join`, never suspended, synchronized last at `now`: `now − join`
+    /// active slots at `w`, as [`PsTracker::sync_to`] counts them.
+    pub fn closed_form(w: Weight, join: Slot, now: Slot) -> PsTracker {
+        PsTracker {
+            wt: w,
+            base: Rational::ZERO,
+            active: slots_since(join, now),
+            now,
             suspensions: ThinVec::new(),
         }
     }
@@ -152,13 +142,13 @@ impl PsTracker {
     #[inline]
     pub fn total(&self) -> Rational {
         if self.active == 0 {
-            return self.base.get();
+            return self.base;
         }
         let counted = self.wt.value().mul_int(self.active);
         if self.base.is_zero() {
             return counted;
         }
-        self.base.get() + counted
+        self.base + counted
     }
 
     /// The next slot `advance` will process.
@@ -175,7 +165,7 @@ impl PsTracker {
     #[inline]
     pub fn set_wt(&mut self, wt: Rational) {
         if self.active != 0 {
-            self.base.set(self.total());
+            self.base = self.total();
             self.active = 0;
         }
         self.wt = Weight::new(wt);
@@ -461,7 +451,7 @@ mod advance_to_tests {
     }
 
     /// Equality and the interchange form agree whether the base is zero
-    /// (no box) or not: a decoded tracker equals the original and
+    /// or not: a decoded tracker equals the original and
     /// re-renders to the same bytes, and equals one that reached the
     /// same total along another split.
     #[test]
@@ -479,7 +469,7 @@ mod advance_to_tests {
         assert!(ps.base.is_zero());
         round_trip(&ps);
         ps.set_wt(rat(2, 5));
-        assert_eq!(ps.base.get(), rat(24, 19));
+        assert_eq!(ps.base, rat(24, 19));
         ps.sync_to(10);
         round_trip(&ps);
         let mut stepped = PsTracker::new(rat(3, 19), 0);

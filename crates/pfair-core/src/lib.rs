@@ -56,8 +56,8 @@ pub mod window;
 pub use analysis::{classify, hyperperiod, is_feasible, total_weight, SetClass};
 pub use arena::{IdBitmap, InlineVec};
 pub use drift::{DriftSample, DriftTrack};
-pub use ideal::{is_ideal_table, CompletionEvent, IswTracker, PsTracker};
-pub use rational::{rat, Accumulator, EraSum, Rational, Units};
+pub use ideal::{is_ideal_table, CompletionEvent, IswTracker, PsTracker, Trackers};
+pub use rational::{rat, Accumulator, Rational, Units};
 pub use task::TaskId;
 pub use time::{Slot, NEVER};
 pub use weight::{Weight, WeightRangeError};

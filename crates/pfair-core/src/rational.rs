@@ -904,95 +904,6 @@ impl Sub for Units {
     }
 }
 
-/// A cumulative sum across eras that most tasks never move off zero:
-/// one word, with the `Rational` boxed by the first nonzero write.
-///
-/// A task that never changes weight and never halts a subtask keeps
-/// every such sum (the trackers' bases, the halted loss) at zero for
-/// its whole life, so it pays a pointer instead of 32 bytes each — the
-/// [`crate::arena::ThinVec`] idiom. `None` is zero and the only
-/// representation of zero, so the derived equality is equality by
-/// value, and [`EraSum::set`] and [`Clone::clone_from`] write into an
-/// existing box instead of allocating a fresh one. The interchange
-/// form is the `Rational` itself.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct EraSum(Option<Box<Rational>>);
-
-const _: () = assert!(core::mem::size_of::<EraSum>() == 8);
-
-impl EraSum {
-    /// Zero: no box.
-    pub const ZERO: EraSum = EraSum(None);
-
-    /// The sum's value.
-    #[inline]
-    pub fn get(&self) -> Rational {
-        self.0.as_deref().copied().unwrap_or(Rational::ZERO)
-    }
-
-    /// `true` iff the sum is zero (and so holds no box).
-    #[inline]
-    pub fn is_zero(&self) -> bool {
-        self.0.is_none()
-    }
-
-    /// Sets the sum to `r`: zero drops the box, a nonzero value reuses
-    /// it (allocating one only if there was none).
-    #[inline]
-    pub fn set(&mut self, r: Rational) {
-        if r.is_zero() {
-            self.0 = None;
-        } else if let Some(boxed) = self.0.as_deref_mut() {
-            *boxed = r;
-        } else {
-            self.0 = Some(Box::new(r));
-        }
-    }
-}
-
-impl Clone for EraSum {
-    fn clone(&self) -> Self {
-        EraSum(self.0.clone())
-    }
-
-    /// Reuses `self`'s box when both sums are nonzero.
-    #[inline]
-    fn clone_from(&mut self, source: &Self) {
-        self.set(source.get());
-    }
-}
-
-impl From<Rational> for EraSum {
-    fn from(r: Rational) -> EraSum {
-        let mut sum = EraSum::ZERO;
-        sum.set(r);
-        sum
-    }
-}
-
-impl AddAssign<Rational> for EraSum {
-    /// # Panics
-    /// Panics on overflow (same contract as `Rational` addition).
-    #[inline]
-    fn add_assign(&mut self, r: Rational) {
-        if !r.is_zero() {
-            self.set(self.get() + r);
-        }
-    }
-}
-
-impl pfair_json::ToJson for EraSum {
-    fn write_json(&self, w: &mut pfair_json::JsonWriter) {
-        self.get().write_json(w);
-    }
-}
-
-impl pfair_json::FromJson for EraSum {
-    fn from_json(value: &pfair_json::Json) -> Result<EraSum, pfair_json::JsonError> {
-        Rational::from_json(value).map(EraSum::from)
-    }
-}
-
 /// Exact running sum with the reduction deferred for a whole era: a
 /// canonical `base` plus an un-normalized count of `1/unit`s.
 ///
@@ -1002,15 +913,14 @@ impl pfair_json::FromJson for EraSum {
 /// gcd at all. The count is folded into the base — the only place a gcd
 /// runs — when the unit changes ([`Accumulator::rebase`], once per
 /// enacted weight change) and the value is materialized only where it
-/// is read ([`Accumulator::finish`]). The base is an [`EraSum`]: it sums
-/// every era so far, so its denominator is not bounded by any one era's
-/// unit, and it stays one word until a fold makes it nonzero. The count
+/// is read ([`Accumulator::finish`]). The base sums every era so far,
+/// so its denominator is not bounded by any one era's unit. The count
 /// may grow larger than a reduced chain would, which is covered by the
 /// same documented overflow-panics contract as the rest of this module.
 /// Equality compares values, not representations.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Accumulator {
-    base: EraSum,
+    base: Rational,
     num: Units,
     unit: Units,
 }
@@ -1020,7 +930,7 @@ impl Accumulator {
     #[inline]
     pub const fn new() -> Accumulator {
         Accumulator {
-            base: EraSum::ZERO,
+            base: Rational::ZERO,
             num: Units::ZERO,
             unit: Units(1),
         }
@@ -1055,7 +965,7 @@ impl Accumulator {
             return;
         }
         if !self.num.is_zero() {
-            self.base.set(self.finish());
+            self.base = self.finish();
             self.num = Units::ZERO;
         }
         self.unit = unit;
@@ -1091,30 +1001,13 @@ impl Accumulator {
     #[inline]
     pub fn finish(&self) -> Rational {
         if self.num.is_zero() {
-            return self.base.get();
+            return self.base;
         }
         let counted = self.num.over(self.unit);
         if self.base.is_zero() {
             return counted;
         }
-        self.base.get() + counted
-    }
-}
-
-impl Clone for Accumulator {
-    fn clone(&self) -> Self {
-        Accumulator {
-            base: self.base.clone(),
-            ..*self
-        }
-    }
-
-    /// Reuses `self`'s base box ([`EraSum`]'s `clone_from`).
-    #[inline]
-    fn clone_from(&mut self, source: &Self) {
-        self.base.clone_from(&source.base);
-        self.num = source.num;
-        self.unit = source.unit;
+        self.base + counted
     }
 }
 
@@ -1421,62 +1314,7 @@ mod tests {
         acc.rebase(Units::new(5));
         acc.add_units(Units::new(2));
         assert_eq!(acc.finish(), rat(1, 3) + rat(12, 19) + rat(2, 5));
-        assert_eq!(
-            acc.clone().plus(rat(1, 2)).finish(),
-            acc.finish() + rat(1, 2)
-        );
-    }
-
-    /// Zero is the one representation without a box: a sum driven back
-    /// to zero drops it and equals [`EraSum::ZERO`], and equality is by
-    /// value either way.
-    #[test]
-    fn era_sum_is_boxed_only_while_nonzero() {
-        let mut sum = EraSum::ZERO;
-        sum += Rational::ZERO;
-        assert!(sum.is_zero() && sum.0.is_none());
-        sum += rat(1, 3);
-        assert!(sum.0.is_some());
-        assert_eq!(sum.get(), rat(1, 3));
-        assert_eq!(sum, EraSum::from(rat(2, 6)));
-        assert_ne!(sum, EraSum::ZERO);
-        sum += rat(-1, 3);
-        assert!(sum.0.is_none());
-        assert_eq!(sum, EraSum::ZERO);
-        assert_eq!(EraSum::from(Rational::ZERO), EraSum::ZERO);
-        assert_eq!(size_of::<EraSum>(), size_of::<usize>());
-    }
-
-    /// `clone_from` between nonzero sums writes into the box the target
-    /// already holds; from zero it drops the box.
-    #[test]
-    fn era_sum_clone_from_reuses_the_box() {
-        let mut sum = EraSum::from(rat(1, 3));
-        let before: *const Rational = sum.0.as_deref().expect("nonzero");
-        sum.clone_from(&EraSum::from(rat(2, 5)));
-        let after: *const Rational = sum.0.as_deref().expect("nonzero");
-        assert!(core::ptr::eq(before, after));
-        assert_eq!(sum.get(), rat(2, 5));
-        let mut acc = Accumulator::from(rat(1, 7));
-        let before: *const Rational = acc.base.0.as_deref().expect("nonzero");
-        acc.clone_from(&Accumulator::from(rat(3, 7)));
-        let after: *const Rational = acc.base.0.as_deref().expect("nonzero");
-        assert!(core::ptr::eq(before, after));
-        assert_eq!(acc.finish(), rat(3, 7));
-        sum.clone_from(&EraSum::ZERO);
-        assert!(sum.0.is_none());
-    }
-
-    /// The interchange form is the `Rational` itself, zero included.
-    #[test]
-    fn era_sum_json_is_the_rational() {
-        use pfair_json::{FromJson, Json, ToJson};
-        for r in [Rational::ZERO, rat(-5, 12), rat(7, 1)] {
-            let text = EraSum::from(r).to_json_compact();
-            assert_eq!(text, r.to_json_compact());
-            let back = EraSum::from_json(&Json::parse(&text).expect("valid JSON"));
-            assert_eq!(back.expect("a rational"), EraSum::from(r));
-        }
+        assert_eq!(acc.plus(rat(1, 2)).finish(), acc.finish() + rat(1, 2));
     }
 
     #[test]

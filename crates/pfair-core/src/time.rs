@@ -47,6 +47,18 @@ pub fn index_from_rank(i: u64) -> usize {
     usize::try_from(i).expect("subtask rank exceeds usize")
 }
 
+/// Slots from `from` to `to`: what a task that has kept weight `w` since
+/// joining at `from` has been given by `to` in every ideal, in units of
+/// `w`. The engine admits no slot outside the packed priority key's band
+/// (`±2⁴⁶`), so the difference cannot overflow.
+// audit: prove(overflow-bounds)
+// audit: assume(from in -70368744177664..=70368744177664)
+// audit: assume(to in -70368744177664..=70368744177664)
+#[inline]
+pub fn slots_since(from: Slot, to: Slot) -> Slot {
+    to - from
+}
+
 /// Sentinel for "never" (e.g., the halt time of a subtask that is never
 /// halted, `H(T_j) = ∞` in the paper).
 pub const NEVER: Slot = Slot::MAX;

@@ -64,6 +64,15 @@ impl fmt::Display for WeightRangeError {
 impl std::error::Error for WeightRangeError {}
 
 impl Weight {
+    /// Weight one: a whole processor.
+    pub const ONE: Weight = Weight {
+        num: 1,
+        den: match NonZeroI64::new(1) {
+            Some(one) => one,
+            None => NonZeroI64::MAX,
+        },
+    };
+
     /// Validates `value ∈ (0, 1]` with reduced components in `i64`.
     #[inline]
     pub fn try_new(value: Rational) -> Result<Weight, WeightRangeError> {

@@ -19,6 +19,11 @@
 //! breakdown must sum to), and the tracker's JSON image decoded back
 //! (which re-derives its unit from the values alone).
 //!
+//! A task that never changes needs no trackers: the engine reads its
+//! pair off [`Trackers::closed_form`] instead, which is held here to a
+//! pair synchronized at every release the engine's way and to the
+//! reference's completions.
+//!
 //! `PROPTEST_CASES` raises the case count (CI runs this file in release
 //! mode with more). The helpers are named `model_*` / `*_both` because
 //! the static audit resolves calls by method name and reads this
@@ -26,11 +31,11 @@
 //! the history recorder calls on the library reference — would be
 //! wired into the engine's call graph.
 
-use pfair_core::ideal::{IswReference, IswTracker, PsTracker, RefSub};
+use pfair_core::ideal::{IswReference, IswTracker, PsTracker, RefSub, Trackers};
 use pfair_core::rational::{rat, Rational};
 use pfair_core::time::Slot;
 use pfair_core::weight::Weight;
-use pfair_core::window::{b_bit, window_in_era};
+use pfair_core::window::{b_bit, periodic_window, window_in_era};
 use pfair_json::{FromJson, Json, ToJson};
 use proptest::prelude::*;
 
@@ -262,7 +267,9 @@ enum EraEnd {
     /// Enacted at initiation while the last subtask is incomplete (an
     /// increase under rule I; a decrease waits instead): the straddle.
     Straddle,
-    /// The last subtask is halted at initiation (rule O).
+    /// The last subtask is halted at initiation and the change enacted
+    /// at `max(t_c, D(I_SW, T_{j−1}) + b(T_{j−1}))`, `T_{j−1}` the last
+    /// subtask not halted before it (rule O).
     Halt,
 }
 
@@ -300,6 +307,8 @@ fn run_plan(plan: &[Era], chunks: Vec<i64>) {
     let mut pair = Pair::new(value(&plan[0]), chunks);
     let mut index = 0u64;
     let mut open_at: Slot = 0;
+    // Index and window of every released subtask not halted.
+    let mut held = Vec::new();
     for (e, era) in plan.iter().enumerate() {
         let w = Weight::new(value(era));
         let mut release = open_at;
@@ -309,6 +318,7 @@ fn run_plan(plan: &[Era], chunks: Vec<i64>) {
             index += 1;
             pair.add_both(index, release, rank == 1, rank > 1 && b_bit(w, rank - 1));
             last = window_in_era(w, rank, release);
+            held.push((index, last));
             let sep = era.seps[(rank % 5) as usize];
             // An IS separation: `I_PS` owes nothing between the deadline
             // and the delayed release (twice over, now and then: the
@@ -330,8 +340,13 @@ fn run_plan(plan: &[Era], chunks: Vec<i64>) {
         open_at = match era.end {
             EraEnd::Halt if !complete => {
                 pair.halt_both(index);
+                held.pop();
+                let at = held.last().map_or(tc, |&(p, win)| {
+                    (pair.reference.model_completion(p) + Slot::from(win.b)).max(tc)
+                });
+                pair.advance_both(at);
                 pair.enact_both(v);
-                tc
+                at
             }
             // Only an increase may be enacted on the spot: the subtask
             // sharing its final slot with the last release still fills
@@ -359,6 +374,86 @@ proptest! {
         chunks in prop::collection::vec(1i64..12, 1..6),
     ) {
         run_plan(&plan, chunks);
+    }
+}
+
+/// A task of weight `w` that joined at `join` and never changed, at
+/// `now`, its subtasks numbered from `base + 1`: its pair as the engine
+/// would have kept it — synchronized at every release, at every
+/// `stride`-th slot besides when `stride` is given, and last at `now`,
+/// each subtask added at its release — and the library reference
+/// stepped slot by slot beside it, every completion of which must be
+/// the subtask's deadline `d(T_i)`. Returns the pair, the index the
+/// next release would get, and the reference.
+fn synced_static_pair(
+    w: Weight,
+    join: Slot,
+    base: u64,
+    now: Slot,
+    stride: Option<i64>,
+) -> (Trackers, u64, IswReference) {
+    let mut pair = Trackers {
+        isw: IswTracker::new(w.value(), join),
+        ps: PsTracker::new(w.value(), join),
+    };
+    let mut reference = IswReference::new(w.value(), join);
+    let mut rank = 1;
+    let mut release = join;
+    for t in join..=now {
+        let sync_here = t == release || t == now || stride.is_some_and(|k| (t - join) % k == 0);
+        if sync_here && pair.isw.now() < t {
+            pair.isw.sync_to(t, |_, _| ());
+            pair.ps.sync_to(t);
+        }
+        if t == release {
+            let pred_b = rank > 1 && b_bit(w, rank - 1);
+            pair.isw.add_subtask(base + rank, t, rank == 1, pred_b);
+            assert!(reference.ref_add(base + rank, t, rank == 1, pred_b));
+            rank += 1;
+            release = periodic_window(w, rank, join).release;
+        }
+        if t < now {
+            reference.ref_step(|i, at, _| {
+                let d = periodic_window(w, i - base, join).deadline;
+                assert_eq!(at, d, "D(I_SW, T_{i})");
+            });
+        }
+    }
+    (pair, base + rank, reference)
+}
+
+proptest! {
+    /// `closed_form` is the release-synced pair, by equality and by the
+    /// bytes of both images, for light, heavy and unit weights with
+    /// denominators up to 64, whatever the first index; its totals are
+    /// `w · (now − join)` and every retained record is the reference's.
+    #[test]
+    fn closed_form_is_the_release_synced_pair(
+        (num, den) in (1i128..=64, 1i128..=64),
+        join in 0i64..300,
+        span in 0i64..300,
+        stride in 0i64..40,
+        base in 0u64..3,
+    ) {
+        let w = Weight::new(rat(num.min(den), den));
+        let now = join + span;
+        let stride = (stride > 0).then_some(stride);
+        let (synced, next_index, reference) = synced_static_pair(w, join, base, now, stride);
+        let closed = Trackers::closed_form(w, join, base, next_index, now);
+        prop_assert_eq!(&closed, &synced);
+        prop_assert_eq!(closed.isw.to_json_compact(), synced.isw.to_json_compact());
+        prop_assert_eq!(closed.ps.to_json_compact(), synced.ps.to_json_compact());
+        let total = w.value().mul_int(span);
+        prop_assert_eq!(closed.isw.isw_total(), total);
+        prop_assert_eq!(closed.isw.icsw_total(), total);
+        prop_assert_eq!(closed.ps.total(), total);
+        prop_assert_eq!(reference.ref_isw_total(), total);
+        for s in reference.ref_subs() {
+            if let Some(cum) = closed.isw.subtask_cum(s.index) {
+                prop_assert_eq!(cum, s.cum, "cum of T_{}", s.index);
+                prop_assert_eq!(closed.isw.completion_of(s.index), s.complete_at);
+            }
+        }
     }
 }
 

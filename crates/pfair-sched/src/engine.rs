@@ -52,7 +52,6 @@ use crate::reweight::{RuleSelector, Scheme};
 use crate::trace::{Miss, SimResult, TaskResult};
 use pfair_core::arena::InlineVec;
 use pfair_core::drift::DriftTrack;
-use pfair_core::ideal::{IswTracker, PsTracker};
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{Slot, NEVER};
@@ -62,12 +61,14 @@ use pfair_obs::{Fanout, NoopProbe, ObsEvent, Probe, ReleaseRec};
 use std::sync::Arc;
 
 mod busy_span;
+mod ideal;
 mod persist;
 mod release;
 mod rules;
 mod select;
 mod slab;
 pub use busy_span::MAX_CPU_ROTATION;
+use ideal::Ideal;
 pub use persist::EngineSnapshot;
 use slab::TaskSlab;
 
@@ -279,13 +280,15 @@ impl SubRec {
 /// never touch these rows, and the rules' parked state lives in a
 /// column of its own ([`Parked`]; see `engine/slab.rs`).
 ///
-/// One contiguous row: the subtask records and the `I_SW` tracker's
-/// subtasks are inline, so in steady state the only heap block a task
-/// owns is its drift track's (`tests/footprint.rs` pins both figures).
-/// The row holds nothing another place already does: the task's id is
-/// its position in the slab, its actual weight `wt(T, t)` is the `I_PS`
-/// tracker's.
-#[derive(Debug, PartialEq)]
+/// One contiguous row: the subtask records are inline, and a task that
+/// has not changed since it joined keeps no trackers ([`Ideal`]), so
+/// the only heap block such a task owns is its drift track's; one that
+/// has changed owns one more, its trackers' box (`tests/footprint.rs`
+/// pins these figures). The row holds nothing another place already
+/// does: the task's id is its position in the slab, its scheduling
+/// weight is the slab's column, its actual weight `wt(T, t)` the
+/// `I_PS` tracker's (a static row's is its scheduling weight).
+#[derive(Debug)]
 struct TaskState {
     /// `z`: indices `> era_base` belong to the current era.
     era_base: u64,
@@ -298,8 +301,7 @@ struct TaskState {
     subs: InlineVec<SubRec, 3>,
     /// Window of the most recently *scheduled* subtask (rule L).
     last_scheduled: Option<SubtaskWindow>,
-    isw: IswTracker,
-    ps: PsTracker,
+    ideal: Ideal,
     drift: DriftTrack,
     scheduled_count: u64,
     /// Processor of the task's latest quantum; [`NO_CPU`] before the
@@ -313,21 +315,20 @@ const NO_CPU: u32 = u32::MAX;
 
 const _: () = {
     assert!(std::mem::size_of::<SubRec>() <= 64);
-    assert!(std::mem::size_of::<TaskState>() <= 552);
+    assert!(std::mem::size_of::<TaskState>() == 312);
 };
 
 impl Clone for TaskState {
     fn clone(&self) -> Self {
         TaskState {
             subs: self.subs.clone(),
-            isw: self.isw.clone(),
-            ps: self.ps.clone(),
+            ideal: self.ideal.clone(),
             drift: self.drift.clone(),
             ..*self
         }
     }
 
-    /// Field by field, so the era sums' boxes and the drift track's
+    /// Field by field, so the trackers' box and the drift track's
     /// buffer are reused: a busy-span arming writes every row over the
     /// last arming's, and a jump writes them back.
     fn clone_from(&mut self, source: &Self) {
@@ -336,8 +337,7 @@ impl Clone for TaskState {
         self.era_open_pending = source.era_open_pending;
         self.subs.clone_from(&source.subs);
         self.last_scheduled = source.last_scheduled;
-        self.isw.clone_from(&source.isw);
-        self.ps.clone_from(&source.ps);
+        self.ideal.clone_from(&source.ideal);
         self.drift.clone_from(&source.drift);
         self.scheduled_count = source.scheduled_count;
         self.last_cpu = source.last_cpu;
@@ -352,12 +352,38 @@ impl TaskState {
             era_open_pending: false,
             subs: InlineVec::new(),
             last_scheduled: None,
-            isw: IswTracker::new(Rational::ONE, 0),
-            ps: PsTracker::new(Rational::ONE, 0),
+            ideal: Ideal::BLANK,
             drift: DriftTrack::new(),
             scheduled_count: 0,
             last_cpu: NO_CPU,
         }
+    }
+
+    /// Equality of two rows of scheduling weight `w`: field by field,
+    /// the ideals by value.
+    fn same_as(&self, other: &TaskState, w: Weight) -> bool {
+        let TaskState {
+            era_base,
+            next_index,
+            era_open_pending,
+            subs,
+            last_scheduled,
+            ideal: _,
+            drift,
+            scheduled_count,
+            last_cpu,
+        } = self;
+        (*era_base, *next_index, *era_open_pending, *last_scheduled)
+            == (
+                other.era_base,
+                other.next_index,
+                other.era_open_pending,
+                other.last_scheduled,
+            )
+            && (*scheduled_count, *last_cpu) == (other.scheduled_count, other.last_cpu)
+            && *subs == other.subs
+            && *drift == other.drift
+            && self.same_ideals(other, w)
     }
 
     /// Most recently released subtask record.
@@ -406,18 +432,19 @@ impl TaskState {
     }
 
     /// The task's end-of-run report, read out of the row where it
-    /// stands: the drift track moves into the result, the rest of the
-    /// row stays behind.
-    fn take_result(&mut self, id: TaskId) -> TaskResult {
+    /// stands (`w` its scheduling weight): the drift track moves into the
+    /// result, the rest of the row stays behind.
+    fn take_result(&mut self, id: TaskId, w: Rational) -> TaskResult {
         // The growth slack of the drift track's buffer would stay
         // allocated as long as the result lives.
         self.drift.shrink_to_fit();
+        let (ps_total, isw_total, icsw_total) = self.ideal.totals(w);
         TaskResult {
             id,
             scheduled_count: self.scheduled_count,
-            ps_total: self.ps.total(),
-            isw_total: self.isw.isw_total(),
-            icsw_total: self.isw.icsw_total(),
+            ps_total,
+            isw_total,
+            icsw_total,
             drift: std::mem::take(&mut self.drift),
             history: None,
         }
@@ -888,14 +915,15 @@ impl<P: Probe> Engine<P> {
         let mut results = Vec::with_capacity(tasks.len());
         for id in (0u32..).map(TaskId).take(tasks.len()) {
             let present = tasks.in_system(id);
+            let w = Weight::share(tasks.swt(id));
             results.push(match tasks.row_mut(id) {
                 Some(row) => {
                     if present {
                         release::sync_observed(row, id, now, &mut probe);
                     }
-                    row.take_result(id)
+                    row.take_result(id, w)
                 }
-                None => tasks.blank().clone().take_result(id),
+                None => tasks.blank().clone().take_result(id, w),
             });
         }
         let result = SimResult {
@@ -1138,12 +1166,18 @@ mod tests {
         assert_eq!(after.last_scheduled, before.last_scheduled);
         assert_eq!(after.era_base + 1, after.next_index);
         assert!(after.era_open_pending);
-        assert_eq!((after.isw.now(), after.isw.swt()), (30, rat(1, 3)));
-        assert_eq!((after.ps.now(), after.ps.wt()), (30, rat(1, 3)));
-        assert!(before.ps.total().is_positive());
-        assert_eq!(after.ps.total(), before.ps.total());
-        assert_eq!(after.isw.isw_total(), before.isw.isw_total());
-        assert_eq!(after.isw.icsw_total(), before.isw.icsw_total());
+        let (Ideal::Tracked(before_ideal), Ideal::Tracked(after_ideal)) =
+            (&before.ideal, &after.ideal)
+        else {
+            panic!("a task that left keeps its trackers");
+        };
+        let (isw, ps) = (&after_ideal.isw, &after_ideal.ps);
+        assert_eq!((isw.now(), isw.swt()), (30, rat(1, 3)));
+        assert_eq!((ps.now(), ps.wt()), (30, rat(1, 3)));
+        assert!(before_ideal.ps.total().is_positive());
+        assert_eq!(ps.total(), before_ideal.ps.total());
+        assert_eq!(isw.isw_total(), before_ideal.isw.isw_total());
+        assert_eq!(isw.icsw_total(), before_ideal.isw.icsw_total());
 
         e.run();
         let r = e.finish();

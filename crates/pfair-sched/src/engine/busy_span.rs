@@ -53,6 +53,7 @@
 //! equivalence proptests hold batched and per-slot runs to identical
 //! rendered results, counters and metrics snapshots.
 
+use super::ideal::Ideal;
 use super::persist::TaskSnap;
 use super::slab::TaskSlab;
 use super::{Engine, EngineSnapshot, SubRec, TaskState};
@@ -515,7 +516,7 @@ fn task_delta(
         // untouched — row, parked state and next release — and stay so
         // over the whole extrapolated span: no release scheduled before
         // its end.
-        let fixed = ta == tb
+        let fixed = ta.same_as(tb, snap.swt.unwrap_or(Weight::ONE))
             && snap.parked == *live.parked(id)
             && snap.next_release == live.next_release(id)
             && !(snap.in_system && snap.next_release.is_some_and(|r| r < end));
@@ -563,17 +564,15 @@ fn task_delta(
     if !subs_shifted {
         return Err(fail);
     }
+    let (isw_gain, ps_gain) = ideal_gains(ta, tb, swt, period, d_index).ok_or(fail)?;
     let delta = TaskDelta {
         d_index,
         sched: tb
             .scheduled_count
             .checked_sub(ta.scheduled_count)
             .ok_or(fail)?,
-        isw_gain: ta
-            .isw
-            .gain_over_shift(&tb.isw, period, d_index)
-            .ok_or(fail)?,
-        ps_gain: ta.ps.gain_over_shift(&tb.ps, period).ok_or(fail)?,
+        isw_gain,
+        ps_gain,
     };
     // Everything scheduling-visible matches; the placement check comes
     // last so its failure is unambiguous.
@@ -581,6 +580,31 @@ fn task_delta(
         return Err(SpanVerdict::CpuRotation);
     }
     Ok(delta)
+}
+
+/// The trackers' part of an advancing task's [`TaskDelta`]: `I_SW`
+/// units and `I_PS` active slots gained over one period, if the live
+/// row's ideals are the image's one period on. Two static rows are iff
+/// they joined at the same slot and last synchronized `period` apart:
+/// their closed forms then are (a period is a whole number of the
+/// weight's windows), and [`row_shift`] moves such a row's `now` only,
+/// so they report no gains. Any other pair is compared by value.
+fn ideal_gains(
+    ta: &TaskState,
+    tb: &TaskState,
+    w: Weight,
+    period: Slot,
+    d_index: u64,
+) -> Option<(Units, i64)> {
+    if let (Ideal::Static { join, now }, Ideal::Static { join: j, now: n }) = (&ta.ideal, &tb.ideal)
+    {
+        return (join == j && now.checked_add(period) == Some(*n)).then_some((Units::ZERO, 0));
+    }
+    let (a, b) = (ta.ideal_image(w), tb.ideal_image(w));
+    Some((
+        a.isw.gain_over_shift(&b.isw, period, d_index)?,
+        a.ps.gain_over_shift(&b.ps, period)?,
+    ))
 }
 
 /// `Φ^k` on an advancing task's row, in place (`ds = k · P`, `s` the
@@ -594,7 +618,15 @@ fn row_shift(task: &mut TaskState, ds: Slot, s: &TaskDelta) -> Option<()> {
     for r in &mut task.subs {
         *r = shift_sub(r, ds, s.d_index)?;
     }
-    (task.isw.shift(ds, s.d_index, s.isw_gain) && task.ps.shift(ds, s.ps_gain)).then_some(())
+    match &mut task.ideal {
+        Ideal::Static { now, .. } => {
+            *now = now.checked_add(ds)?;
+            Some(())
+        }
+        Ideal::Tracked(trackers) => (trackers.isw.shift(ds, s.d_index, s.isw_gain)
+            && trackers.ps.shift(ds, s.ps_gain))
+        .then_some(()),
+    }
 }
 
 /// A subtask record translated by `ds` slots and `di` ranks (a 64-byte

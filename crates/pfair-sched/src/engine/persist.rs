@@ -52,6 +52,7 @@
 //! task's `wt`, `config.record_history`, the trackers' history flags)
 //! are ignored, so an older image decodes as it is.
 
+use super::ideal::Ideal;
 use super::slab::TaskSlab;
 use super::{Engine, Parked, PendKind, Pending, SimConfig, SubRec, TaskState, NO_CPU};
 use crate::event::Event;
@@ -60,6 +61,7 @@ use crate::priority::Priority;
 use crate::queue::QueueEntry;
 use crate::reweight::{RuleSelector, Scheme};
 use crate::trace::Miss;
+use pfair_core::ideal::Trackers;
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{ever, Slot, NEVER};
@@ -263,8 +265,11 @@ impl TaskSnap {
 }
 
 impl ToJson for TaskSnap {
+    /// A static row writes its closed form: the image does not show
+    /// whether a row keeps trackers.
     fn write_json(&self, w: &mut JsonWriter) {
         let state = &self.state;
+        let ideal = state.ideal_image(self.swt.unwrap_or(Weight::ONE));
         w.begin_object()
             .field("id", &self.id)
             .field("in_system", &self.in_system)
@@ -277,8 +282,8 @@ impl ToJson for TaskSnap {
             .field("pending", &self.parked.pending)
             .field("leaving", &ever(self.parked.leaving))
             .field("last_scheduled", &state.last_scheduled)
-            .field("isw", &state.isw)
-            .field("ps", &state.ps)
+            .field("isw", &ideal.isw)
+            .field("ps", &ideal.ps)
             .field("drift", &state.drift)
             .field("scheduled_count", &state.scheduled_count)
             .field(
@@ -318,8 +323,10 @@ impl FromJson for TaskSnap {
             era_open_pending,
             subs: subs.into_iter().collect(),
             last_scheduled: value.field("last_scheduled")?,
-            isw: value.field("isw")?,
-            ps: value.field("ps")?,
+            ideal: Ideal::Tracked(Box::new(Trackers {
+                isw: value.field("isw")?,
+                ps: value.field("ps")?,
+            })),
             drift: value.field("drift")?,
             scheduled_count: value.field("scheduled_count")?,
             last_cpu: value.field::<Option<u32>>("last_cpu")?.unwrap_or(NO_CPU),
@@ -510,7 +517,7 @@ impl<P: Probe> Engine<P> {
     }
 
     /// Writes the engine's image over `image`, into the buffers it
-    /// holds: a row's era-sum boxes and drift track are reused, so
+    /// holds: a row's trackers' box and drift track are reused, so
     /// writing over an image of the same tasks allocates nothing. What
     /// [`Engine::snapshot`] returns and what a busy-span arming keeps
     /// (the busy-span driver arms history runs too, so nothing is

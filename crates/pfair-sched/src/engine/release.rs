@@ -16,10 +16,19 @@
 //! successor's release. A release that opens an era is where drift is
 //! defined (Eqn (5)): `drift(T, u) = A(I_PS, T, 0, u) − A(I_CSW, T, 0, u)`
 //! is sampled at exactly that slot.
+//!
+//! A task that has not changed since it joined has no trackers to tell
+//! (`engine/ideal.rs`, "The static-row invariant"): its `I_SW` completes
+//! each subtask at its deadline, all three ideals stand at `w · (t −
+//! join)`, and its one era-opening release, at the join, samples a
+//! drift of zero. Its release writes the window and the record and
+//! nothing else.
 
+use super::ideal::Ideal;
 use super::{Engine, SubRec, SubsScan, TaskState};
 use crate::priority::Priority;
 use crate::queue::QueueEntry;
+use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{Slot, NEVER};
 use pfair_core::window::window_and_group_deadline;
@@ -37,27 +46,44 @@ impl TaskState {
     /// D(I_SW, T_index))` per completion — so a synchronization builds no
     /// `Rational` at all.
     ///
+    /// A static row has no trackers: its synchronization moves `now` and
+    /// writes each unhalted record's deadline as its completion once the
+    /// deadline is at or before `t` — the sync at which a tracker would
+    /// report it, so pruning and the snapshot see the same records.
+    ///
     /// The pass over the retained records that follows also answers
     /// what a release at `t` asks of them, so that path never rescans:
     /// see [`SubsScan`].
     fn sync_ideals_to(&mut self, t: Slot) -> SubsScan {
-        if self.isw.now() < t {
-            let subs = &mut self.subs;
-            self.isw.sync_to(t, |index, complete_at| {
-                if let Some(s) = subs.iter_mut().find(|s| s.index == index) {
-                    s.isw_completion = complete_at;
+        let closed_form = match &mut self.ideal {
+            Ideal::Static { now, .. } => {
+                *now = t.max(*now);
+                true
+            }
+            Ideal::Tracked(trackers) => {
+                if trackers.isw.now() < t {
+                    let subs = &mut self.subs;
+                    trackers.isw.sync_to(t, |index, complete_at| {
+                        if let Some(s) = subs.iter_mut().find(|s| s.index == index) {
+                            s.isw_completion = complete_at;
+                        }
+                    });
                 }
-            });
-        }
-        if self.ps.now() < t {
-            self.ps.sync_to(t);
-        }
+                if trackers.ps.now() < t {
+                    trackers.ps.sync_to(t);
+                }
+                false
+            }
+        };
         let mut scan = SubsScan {
             pred_b: None,
             head_deadline: None,
         };
-        for s in &self.subs {
+        for s in &mut self.subs {
             if s.halted_at == NEVER {
+                if closed_form && s.deadline <= t {
+                    s.isw_completion = s.deadline;
+                }
                 scan.pred_b = Some(s.b);
                 if s.scheduled_at == NEVER && scan.head_deadline.is_none() {
                     scan.head_deadline = Some(s.deadline);
@@ -77,7 +103,7 @@ pub(super) fn sync_observed<P: Probe>(
     t: Slot,
     probe: &mut P,
 ) -> SubsScan {
-    let from = task.isw.now();
+    let from = task.ideal.now();
     let scan = task.sync_ideals_to(t);
     if from < t {
         probe.on_event(ObsEvent::TrackerAdvance {
@@ -134,24 +160,28 @@ impl<P: Probe> Engine<P> {
 
             // Drift is sampled exactly at era-opening releases: `u` of
             // Eqn (5) is this slot, and the trackers currently hold
-            // A(·, 0, t).
+            // A(·, 0, t). A static row's totals are equal.
             if era_first {
-                let ps_total = task.ps.total();
-                let icsw_total = task.isw.icsw_total();
+                let (ps_total, icsw_total) = match &task.ideal {
+                    Ideal::Static { .. } => (Rational::ZERO, Rational::ZERO),
+                    Ideal::Tracked(trackers) => (trackers.ps.total(), trackers.isw.icsw_total()),
+                };
                 let drift = ps_total - icsw_total;
                 task.drift.record(t, ps_total, icsw_total);
                 self.probe
                     .on_event(ObsEvent::DriftSample { task: id, t, drift });
             }
 
-            let pred_b = if era_first {
-                false
-            } else {
-                // audit: allow(panic-reach, within an era the predecessor record is retained until its successor releases)
-                scan.pred_b
-                    .expect("non-era-first release without predecessor")
-            };
-            task.isw.add_subtask(index, t, era_first, pred_b);
+            if let Ideal::Tracked(trackers) = &mut task.ideal {
+                let pred_b = if era_first {
+                    false
+                } else {
+                    // audit: allow(panic-reach, within an era the predecessor record is retained until its successor releases)
+                    scan.pred_b
+                        .expect("non-era-first release without predecessor")
+                };
+                trackers.isw.add_subtask(index, t, era_first, pred_b);
+            }
             task.subs.push_back(SubRec {
                 index,
                 release: window.release,

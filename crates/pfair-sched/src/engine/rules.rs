@@ -55,9 +55,9 @@ impl<P: Probe> Engine<P> {
     /// The caller has synchronized the trackers to `t`, under the
     /// closing weight.
     pub(super) fn enact_weight(&mut self, id: TaskId, t: Slot, v: Weight) {
+        self.tasks.trackers(id).isw.set_swt(v.value());
         self.tasks.set_swt(id, Some(v));
         let task = self.tasks.task_mut(id);
-        task.isw.set_swt(v.value());
         task.era_base = task.next_index - 1;
         self.counters.reweight_enactments += 1;
         self.admission.note_enacted(id, v);
@@ -160,9 +160,13 @@ impl<P: Probe> Engine<P> {
         self.sync_task(id, t);
         let r_new = r_old + i64::from(by);
         self.tasks.set_next_release(id, Some(r_new));
-        let task = self.tasks.task_mut(id);
-        let inactive_from = task.last_released().map_or(r_old, |s| s.deadline).max(t);
-        task.ps.suspend_between(inactive_from, r_new);
+        let inactive_from = (self.tasks.task(id).last_released())
+            .map_or(r_old, |s| s.deadline)
+            .max(t);
+        self.tasks
+            .trackers(id)
+            .ps
+            .suspend_between(inactive_from, r_new);
     }
 
     pub(super) fn handle_join(&mut self, id: TaskId, t: Slot, want: Weight) {
@@ -181,8 +185,7 @@ impl<P: Probe> Engine<P> {
         let task = self.tasks.task_mut(id);
         task.era_base = task.next_index - 1;
         task.era_open_pending = true;
-        task.isw.rejoin(g, t);
-        task.ps.rejoin(g, t);
+        task.ideal.rejoin(g, t);
         self.tasks.set_in_system(id, true);
         self.tasks.set_swt(id, Some(granted));
         self.tasks.set_ran(id, false);
@@ -200,7 +203,10 @@ impl<P: Probe> Engine<P> {
         }
         // Totals must be settled through `t` before the task can depart
         // immediately (leave_at == t) or halt its unscheduled subtasks.
+        // A departed task's totals carry into its next stay, so it keeps
+        // trackers from here on.
         self.sync_task(id, t);
+        self.tasks.trackers(id);
         self.halt_pending(id, t);
         let leave_at = self.rule_l_time(id, t);
         self.tasks.set_next_release(id, None);
@@ -242,10 +248,9 @@ impl<P: Probe> Engine<P> {
         // `halt` takes back exactly the allocations accrued so far, so the
         // tracker must first be caught up to the halt boundary.
         self.sync_task(id, t);
-        let task = self.tasks.task_mut(id);
-        task.isw.halt(index, t);
+        self.tasks.trackers(id).isw.halt(index, t);
         // audit: allow(panic-reach, rules only halt known live subtasks, present by the engine's slab and queue liveness invariants)
-        let sub = task.sub_mut(index).expect("halting unknown subtask");
+        let sub = (self.tasks.task_mut(id).sub_mut(index)).expect("halting unknown subtask");
         sub.halted_at = t;
         self.counters.halts += 1;
         self.probe.on_event(ObsEvent::Halt { task: id, index, t });
@@ -264,7 +269,7 @@ impl<P: Probe> Engine<P> {
             self.counters.rejected_heavy_reweights += 1;
             return;
         }
-        let unit = self.tasks.task(id).isw.unit();
+        let unit = (self.tasks.task(id).ideal).unit(self.tasks.swt(id).unwrap_or(Weight::ONE));
         let Some(v) = self.admit(id, t, want, Some(unit)) else {
             return;
         };
@@ -277,7 +282,7 @@ impl<P: Probe> Engine<P> {
         self.sync_task(id, t);
 
         // The actual weight (and I_PS) changes at initiation, always.
-        self.tasks.task_mut(id).ps.set_wt(v.value());
+        self.tasks.trackers(id).ps.set_wt(v.value());
 
         let tasks = &self.tasks;
         let choice = self
@@ -376,7 +381,7 @@ impl<P: Probe> Engine<P> {
             // and re-projects), so the projection equals the slot the
             // per-slot tracker would have discovered.
             let proj = ever(tj.isw_completion)
-                .or_else(|| self.tasks.task(id).isw.projected_completion(tj.index));
+                .or_else(|| self.tasks.trackers(id).isw.projected_completion(tj.index));
             // audit: allow(panic-reach, run-invariant assertion, a violation is a scheduler bug and must abort)
             assert!(
                 proj.is_some(),
@@ -401,7 +406,7 @@ impl<P: Probe> Engine<P> {
                     // completion recorded on the SubRec, so the record is
                     // consulted before the tracker.
                     let proj = ever(p.isw_completion)
-                        .or_else(|| self.tasks.task(id).isw.projected_completion(p.index));
+                        .or_else(|| self.tasks.trackers(id).isw.projected_completion(p.index));
                     // audit: allow(panic-reach, run-invariant assertion, a violation is a scheduler bug and must abort)
                     assert!(
                         proj.is_some(),

@@ -9,8 +9,8 @@
 //! the ran-flag sweep) actually touches. They live here as dense
 //! columns: two word-scanned [`IdBitmap`]s (the `CalendarRing`
 //! occupancy-map idiom) plus two flat `Vec`s, so a scan over 10⁶ tasks
-//! is cache-linear instead of striding over 560-byte rows (`TaskState`
-//! is `const`-asserted to stay within that). A row's position is its
+//! is cache-linear instead of striding over 312-byte rows (`TaskState`
+//! is `const`-asserted at that size). A row's position is its
 //! task's id; the row does not repeat it.
 //! Everything else — subtask records, trackers, drift — stays in the
 //! cold [`TaskState`] row, touched only for tasks an event or a
@@ -60,6 +60,7 @@
 //! stating that argument instead of one per call site.
 
 use pfair_core::arena::IdBitmap;
+use pfair_core::ideal::Trackers;
 use pfair_core::task::TaskId;
 use pfair_core::time::{ever, Slot, NEVER};
 use pfair_core::weight::Weight;
@@ -194,6 +195,14 @@ impl TaskSlab {
         self.cold
             .get_mut(i)
             .expect("task id outside admitted range")
+    }
+
+    /// The trackers of `id`'s row, built from its closed form at the
+    /// scheduling weight first if the row has none: where every change
+    /// the closed form does not cover starts (`engine/ideal.rs`).
+    pub(super) fn trackers(&mut self, id: TaskId) -> &mut Trackers {
+        let w = self.swt(id).unwrap_or(Weight::ONE);
+        self.task_mut(id).trackers(w)
     }
 
     /// Builds the rows of ids `cold.len()..=i` as placeholders (none
@@ -348,9 +357,10 @@ impl TaskSlab {
             if let Some(slot) = self.next_release.get_mut(id.idx()) {
                 *slot = snap.next_release.unwrap_or(NEVER);
             }
+            let w = snap.swt.unwrap_or(Weight::ONE);
             match self.cold.get_mut(id.idx()) {
                 Some(row) => row.clone_from(&snap.state),
-                None if snap.state == self.blank => {}
+                None if snap.state.same_as(&self.blank, w) => {}
                 None => self.task_mut(id).clone_from(&snap.state),
             }
             if snap.parked != *self.parked(id) {

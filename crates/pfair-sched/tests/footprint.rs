@@ -12,14 +12,14 @@
 //! in place of its rows. An id that has not joined costs no row at all.
 //!
 //! The record and row sizes themselves are `const`-asserted where the
-//! types are defined (`SubRec` ≤ 64 and `TaskState` ≤ 560 bytes in
-//! `engine.rs`; in `pfair-core`, `IswSub` ≤ 48 and `IswTracker` ≤ 216
-//! bytes in `isw.rs`, `PsTracker` ≤ 48 in `ps.rs`, an `EraSum` one word
-//! in `rational.rs`, a `Weight` and an `Option<Weight>` 16 bytes in
-//! `weight.rs`), so a new field that breaks the budget does not compile.
-//! A task's sums across eras are boxed by their first nonzero write, so
-//! a task that reweights pays for them and one that never does pays a
-//! word each.
+//! types are defined (`SubRec` ≤ 64 bytes, `TaskState` 312 and its
+//! `Ideal` 24 in the engine; in `pfair-core`, `IswSub` ≤ 48 and
+//! `IswTracker` ≤ 256 bytes in `isw.rs`, `PsTracker` ≤ 80 in `ps.rs`, a
+//! `Weight` and an `Option<Weight>` 16 bytes in `weight.rs`), so a new
+//! field that breaks the budget does not compile. A task that has not
+//! changed since it joined keeps no trackers at all; the first change
+//! boxes them, so a task that reweights pays one block for them and one
+//! that never does pays nothing.
 
 // The counting allocator is the one `unsafe impl` this workspace has;
 // it forwards to `System` and touches nothing but three counters.
@@ -96,12 +96,12 @@ const ENGINE_BYTES: isize = 55_000;
 /// (60.3 measured).
 const BYTES_PER_ID: isize = 61;
 
-/// What a joined task adds: its 560-byte row (space for the rows of the
+/// What a joined task adds: its 312-byte row (space for the rows of the
 /// joins an engine holds is reserved at once, so the buffer has no
 /// growth slack), its one-sample drift block, and its share of the
-/// queue and calendar buffers (702 measured, at 1 000, 2 000 and 4 000
-/// tasks).
-const BYTES_PER_TASK: isize = 704;
+/// queue and calendar buffers (440.4, 446.9 and 450.1 measured, at
+/// 1 000, 2 000 and 4 000 tasks).
+const BYTES_PER_TASK: isize = 452;
 
 /// The budget of an engine addressing `ids` ids of which `joined` joined.
 fn budget(ids: u32, joined: u32) -> isize {
@@ -113,11 +113,17 @@ fn budget(ids: u32, joined: u32) -> isize {
 }
 
 /// Allowance for heap blocks that belong to the engine, not to any
-/// task: the ready queue, the three calendar rings and their occupied
+/// task: the ready queue, the two calendar rings and their occupied
 /// buckets, the event stream, the slab columns, the scratch buffers,
 /// the metrics registry. Their number does not grow with the task
 /// count; 31 are live at slot 512 of this run.
 const ENGINE_BLOCKS: isize = 64;
+
+/// The most bucket buffers the two calendar rings can keep between
+/// them: one per slot of their 512-slot windows, however many tasks
+/// file into them. A run whose releases spread over the window (a
+/// reweight storm's era openings do) keeps many of them.
+const RING_BUCKETS: isize = 2 * 512;
 
 /// One test only: the counters are process-wide, and a second test
 /// running beside this one would be counted too.
@@ -125,7 +131,7 @@ const ENGINE_BLOCKS: isize = 64;
 fn footprint() {
     a_task_is_one_row_and_one_heap_block();
     an_id_that_never_joins_costs_no_row();
-    a_reweighted_task_adds_at_most_three_sum_boxes();
+    a_reweighted_task_adds_at_most_one_box();
     re_arming_a_busy_span_allocates_nothing();
     engines_of_one_workload_share_its_stream();
 }
@@ -150,7 +156,7 @@ fn a_task_is_one_row_and_one_heap_block() {
     );
     assert!(
         bytes <= budget(TASKS, TASKS),
-        "{bytes} live bytes for {TASKS} tasks: {} per task, budget {} (789 measured)",
+        "{bytes} live bytes for {TASKS} tasks: {} per task, budget {} (535 measured)",
         bytes / tasks,
         budget(TASKS, TASKS) / tasks
     );
@@ -185,7 +191,7 @@ fn a_task_is_one_row_and_one_heap_block() {
 /// The same run with twice the ids, of which only the first half ever
 /// joins: the engine addresses all of them, yet what it holds fits the
 /// budget of the tasks that joined — an unjoined id costs its per-id
-/// table entries and no row (eager rows would add 560 KB here).
+/// table entries and no row (eager rows would add 312 KB here).
 fn an_id_that_never_joins_costs_no_row() {
     let joined = TASKS / 2;
     let workload = synthetic_population(joined, 1);
@@ -200,7 +206,7 @@ fn an_id_that_never_joins_costs_no_row() {
     assert!(
         bytes <= budget(TASKS, joined),
         "{bytes} live bytes for {TASKS} ids of which {joined} joined: budget {} \
-         (876 880 measured)",
+         (616 592 measured)",
         budget(TASKS, joined)
     );
     let result = engine.finish();
@@ -208,12 +214,14 @@ fn an_id_that_never_joins_costs_no_row() {
 }
 
 /// Every task reweights once: up to twice its weight at a staggered
-/// slot and back half a period later (one cycle of
-/// [`sawtooth`]). Rules O and I give a row up to three nonzero era sums
-/// — the `I_SW` total's base, its halted loss and the `I_PS` base — and
-/// each is one 32-byte box, so after the storm a task holds no more
-/// heap blocks than its drift block and three boxes.
-fn a_reweighted_task_adds_at_most_three_sum_boxes() {
+/// slot and back half a period later (one cycle of [`sawtooth`]). The
+/// first change builds the task's trackers in one box, and everything a
+/// reweight accrues after that — the sums across eras among it — lives
+/// in that box, so after the storm a task holds no more heap blocks than
+/// its drift block and the box. The era openings spread the releases
+/// over the calendar rings' windows, whose bucket buffers the engine
+/// keeps ([`RING_BUCKETS`]).
+fn a_reweighted_task_adds_at_most_one_box() {
     let workload = sawtooth(TASKS, (1, 1024), (1, 512), 512, SAWTOOTH_HORIZON);
     let blocks_before = LIVE_BLOCKS.load(Relaxed);
     let config = SimConfig::oi(4, SAWTOOTH_HORIZON).without_busy_span();
@@ -222,26 +230,27 @@ fn a_reweighted_task_adds_at_most_three_sum_boxes() {
     let tasks = isize::try_from(TASKS).unwrap();
     let blocks = LIVE_BLOCKS.load(Relaxed) - blocks_before;
     assert!(
-        blocks <= tasks * (1 + 3) + ENGINE_BLOCKS,
+        blocks <= tasks * (1 + 1) + ENGINE_BLOCKS + RING_BUCKETS,
         "{blocks} live heap blocks for {TASKS} reweighted tasks: more than a drift \
-         block and three era-sum boxes per task plus the engine's own {ENGINE_BLOCKS} \
-         (5 787 measured)"
+         block and a trackers' box per task plus the engine's own {ENGINE_BLOCKS} \
+         and the rings' {RING_BUCKETS} buckets (4 682 measured; a static twin 2 030)"
     );
     let result = engine.finish();
     assert!(result.counters.reweight_enactments >= u64::from(TASKS));
 }
 
-/// The busy-span driver snapshots every row when it arms, era sums and
+/// The busy-span driver snapshots every row when it arms, trackers and
 /// drift tracks included, and a jump loads the shifted image back into
-/// the rows. Eight tasks reweight from 1/4 to 1/2 at slot 1 — each
-/// `I_PS` base and, for those rule O halts, the halted loss become
-/// nonzero — and then repeat with period 2 on four processors, as a
-/// twin that joins at 1/2 (no sums) does. Driven in 64-slot segments,
-/// both arm and jump once a segment. Writing each snapshot over the
-/// last one's rows, and each loaded image over the engine's, reuses
-/// their boxes and buffers, so the armings and jumps cost the
-/// reweighted system less than one allocation an arming beyond what
-/// they cost its twin (copying the sums afresh would cost twelve).
+/// the rows. Eight tasks reweight from 1/4 to 1/2 at slot 1 — which
+/// boxes their trackers — and then repeat with period 2 on four
+/// processors, as a twin that joins at 1/2 (no trackers) does. Driven
+/// in 64-slot segments, both arm and jump once a segment. Writing each
+/// snapshot over the last one's rows, and each loaded image over the
+/// engine's, reuses their boxes and buffers, so the armings and jumps
+/// cost the reweighted system less than one allocation an arming beyond
+/// what they cost its twin (41 allocations over 62 armings measured,
+/// the twin's 40; a fresh box per row at each arming and each load
+/// would be sixteen an arming).
 fn re_arming_a_busy_span_allocates_nothing() {
     let (mut reweighted, mut twin) = (Workload::new(), Workload::new());
     for task in 0..8 {
@@ -261,7 +270,7 @@ fn re_arming_a_busy_span_allocates_nothing() {
     assert!(
         allocations < twin_allocations + arms,
         "{allocations} allocations over {arms} armings, {twin_allocations} for a twin \
-         with zero sums: re-arming or loading copies the era sums afresh"
+         with no trackers: re-arming or loading boxes the trackers afresh"
     );
 }
 

@@ -83,16 +83,17 @@ fn peak_rss_mib() -> Option<u64> {
 
 /// The population-scale acceptance run: 10⁶ tasks to a 10⁴-slot horizon
 /// through an 8-shard `ShardSet`. Ignored by default (seconds of CPU,
-/// 1.2 GiB); CI's `shard-smoke` job runs it by name, in release and on
+/// 0.7 GiB); CI's `shard-smoke` job runs it by name, in release and on
 /// its own, so the process's peak RSS is this run's: printed, and gated
-/// at 919 MiB (875 measured; 965 with every task's three era sums held
+/// at 669 MiB (638 measured; 875 with both ideal trackers in every
+/// task's row, 965 with every task's three era sums held
 /// as inline `Rational`s, 1126 with 128-bit weights, era units and
 /// events, 1191 with 800-byte rows written for every
 /// id before any joined, 1443 when every engine and the supervisor
 /// copied the event stream, results kept their engine's row buffers and
 /// a row took 912 bytes). libtest's "finished in" line is its timing.
 #[test]
-#[ignore = "10⁶ tasks, 1.2 GiB: run with --release -- --ignored"]
+#[ignore = "10⁶ tasks, 0.7 GiB: run with --release -- --ignored"]
 fn population_1m_tasks_10k_slots() {
     use pfair_sched::shard::{ShardSet, ShardSpec};
 
@@ -111,8 +112,8 @@ fn population_1m_tasks_10k_slots() {
     if let Some(peak) = peak_rss_mib() {
         println!("peak RSS {peak} MiB");
         assert!(
-            peak <= 919,
-            "peak RSS {peak} MiB: budget 919 (875 measured)"
+            peak <= 669,
+            "peak RSS {peak} MiB: budget 669 (638 measured)"
         );
     }
 }

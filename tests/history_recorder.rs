@@ -9,17 +9,24 @@
 //! On each system below the histories must also pass `verify()`, and
 //! per task the per-slot `I_SW` series must sum to `isw_total` and,
 //! less the halted corrections, to `icsw_total`.
+//!
+//! The engine keeps no trackers for a task that has not changed since
+//! it joined and reads its totals off a closed form; the recorder's
+//! series share nothing with that form, so the sums check it too, also
+//! across the slot at which a task's first change switches it over.
 
 use pfair_json::{FromJson, Json, ToJson};
 use pfair_repro::core::rational::Rational;
 use pfair_repro::sched::engine::{simulate, Engine, EngineSnapshot, SimConfig};
-use pfair_repro::sched::event::Workload;
+use pfair_repro::sched::event::{EventKind, Workload};
 use pfair_repro::sched::history::HistoryRecorder;
 use pfair_repro::sched::prelude::NoopProbe;
 use pfair_repro::sched::priority::TieBreak;
 use pfair_repro::sched::trace::SimResult;
 use pfair_repro::sched::verify::verify;
 use pfair_repro::sched::workloads::{churn, fig6_base, fig8, fig9};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// Every task's history as JSON, in id order.
 fn histories(r: &SimResult) -> Vec<String> {
@@ -150,4 +157,70 @@ fn busy_span_replay_records_the_per_slot_history() {
         resumed.finish().to_json_compact(),
         simulate(cfg, &w).to_json_compact()
     );
+}
+
+/// A population of tasks that never change, light and heavy, joining
+/// in the first slots; a seeded half of the light ones then change once,
+/// each at its own slot: a reweight (rules O and I under PD²-OI, L and
+/// J under PD²-LJ), an IS delay, or a leave and a rejoin. Each such task
+/// runs on the closed form up to that slot and on its trackers after.
+fn switch_over_population(seed: u64) -> Workload {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut w = Workload::new();
+    for id in 0..24u32 {
+        let den = rng.gen_range(3i128..=16);
+        w.join(id, rng.gen_range(0i64..4), rng.gen_range(1..=den / 3), den);
+    }
+    w.join(24, 1, 3, 4).join(25, 3, 5, 7);
+    for id in 0..24u32 {
+        if rng.gen_range(0u32..2) == 0 {
+            continue;
+        }
+        let at = rng.gen_range(6i64..110);
+        match rng.gen_range(0u32..3) {
+            0 => w.reweight(id, at, 1, rng.gen_range(3i128..=12)),
+            1 => w.delay(id, at, rng.gen_range(1u32..6)),
+            _ => w
+                .leave(id, at)
+                .join(id, at + rng.gen_range(20i64..40), 1, 8),
+        };
+    }
+    w
+}
+
+/// The switch-over population under PD²-OI and PD²-LJ: every driver
+/// rung records the same history and the totals are the recorder's; an
+/// image taken mid-window, with some tasks switched over and some not
+/// yet, round-trips through JSON and resumes to the result of the run
+/// that was never snapshotted.
+#[test]
+fn static_rows_switch_to_trackers_on_every_driver() {
+    for seed in [1, 2, 3] {
+        let w = switch_over_population(seed);
+        let changes: Vec<i64> = (w.sorted_events().iter())
+            .filter(|e| !matches!(e.kind, EventKind::Join(_)))
+            .map(|e| e.at)
+            .collect();
+        assert!(changes.iter().any(|&at| at < 57) && changes.iter().any(|&at| at > 57));
+        for cfg in [SimConfig::oi(4, 160), SimConfig::leave_join(4, 160)] {
+            let label = format!("switch-over {seed} {:?}", cfg.scheme);
+            let r = assert_recorder_agrees(&label, &w, cfg.clone());
+            assert!(r.counters.reweight_initiations > 0, "{label}: no reweight");
+
+            let mut engine = Engine::new(cfg.clone(), &w);
+            let text = engine
+                .snapshot_at(57)
+                .expect("no history request")
+                .to_json_compact();
+            let image =
+                EngineSnapshot::from_json(&Json::parse(&text).expect("parse")).expect("decode");
+            let mut resumed = Engine::restore(image, NoopProbe).expect("restore");
+            resumed.run();
+            assert_eq!(
+                resumed.finish().to_json_compact(),
+                simulate(cfg, &w).to_json_compact(),
+                "{label}: the resumed run"
+            );
+        }
+    }
 }
