@@ -11,9 +11,15 @@
 //! never change weight, captured mid-window: the tracker images of rows
 //! that hold no trackers in memory must still be the bytes an engine
 //! that tracked every task wrote.
+//!
+//! `fixtures/settled_midrun.snapshot.json` is a run whose tasks changed
+//! under rules O and I, were halted, delayed and rejoined, captured once
+//! most of those changes have settled and one is still parked: the
+//! images of rows that changed must not depend on how the engine keeps
+//! them in memory either.
 
 use pfair_json::{Json, ToJson};
-use pfair_obs::NoopProbe;
+use pfair_obs::{NoopProbe, ObsEvent, Probe, Rule};
 use pfair_persist::{seal, snapshot_from_str, snapshot_to_string, PersistError, SNAPSHOT_FORMAT};
 use pfair_sched::engine::{Engine, SimConfig};
 use pfair_sched::event::Workload;
@@ -23,9 +29,13 @@ const SNAPSHOT: &str = include_str!("fixtures/oi_midrun.snapshot.json");
 const RESULT: &str = include_str!("fixtures/oi_midrun.result.json");
 const JOURNAL: &str = include_str!("fixtures/journal.jsonl");
 const STATIC_MIDRUN: &str = include_str!("fixtures/static_midrun.snapshot.json");
+const SETTLED_MIDRUN: &str = include_str!("fixtures/settled_midrun.snapshot.json");
 
 /// The slot `STATIC_MIDRUN` was captured at.
 const STATIC_AT: i64 = 41;
+
+/// The slot `SETTLED_MIDRUN` was captured at.
+const SETTLED_AT: i64 = 97;
 
 /// Keys version 2 no longer writes: the calendar rings (rebuilt from
 /// the rows at restore), the history request no snapshot carries and
@@ -236,6 +246,87 @@ fn static_population_snapshots_to_the_golden() {
         let open = array(isw, "subs").iter().any(|s| !is_set(s, "complete_at"));
         assert!(open, "{:?} holds no incomplete subtask", task.get("id"));
     }
+
+    let mut resumed = Engine::restore(decoded, NoopProbe).expect("fixture restores");
+    engine.run();
+    resumed.run();
+    assert_eq!(
+        resumed.finish().to_json_pretty(),
+        engine.finish().to_json_pretty()
+    );
+}
+
+/// Rules and halts, as the engine reports them.
+#[derive(Default)]
+struct RuleLog {
+    rules: Vec<Rule>,
+    halts: u64,
+    departures: u64,
+}
+
+impl Probe for RuleLog {
+    fn on_event(&mut self, ev: ObsEvent) {
+        match ev {
+            ObsEvent::ReweightInitiated { rule, .. } => self.rules.push(rule),
+            ObsEvent::Halt { .. } => self.halts += 1,
+            ObsEvent::Depart { .. } => self.departures += 1,
+            _ => {}
+        }
+    }
+}
+
+/// Ten light tasks joining at 0 on three processors (PD²-OI, horizon
+/// 160, weights summing to 2.77): tasks 0, 1 and 5 are reweighted down
+/// or up and back again (1/4 → 1/8 → 1/4 at 20 and 50, 1/5 → 1/3 → 1/5
+/// at 21 and 55, 1/2 → 1/4 → 1/2 at 33 and 61), task 2 is delayed 4
+/// slots at 30, task 3 leaves at 15 and rejoins at 40, and task 4 is
+/// reweighted 2/9 → 1/9 at 95, a change still parked at 97.
+fn settled_midrun_run() -> Engine<RuleLog> {
+    let mut w = Workload::new();
+    let weights = [
+        (1, 4),
+        (1, 5),
+        (1, 6),
+        (1, 7),
+        (2, 9),
+        (1, 2),
+        (1, 3),
+        (2, 5),
+        (3, 10),
+        (1, 4),
+    ];
+    for (id, &(num, den)) in (0u32..).zip(&weights) {
+        w.join(id, 0, num, den);
+    }
+    w.reweight(0, 20, 1, 8).reweight(0, 50, 1, 4);
+    w.reweight(1, 21, 1, 3).reweight(1, 55, 1, 5);
+    w.reweight(5, 33, 1, 4).reweight(5, 61, 1, 2);
+    w.delay(2, 30, 4);
+    w.leave(3, 15).join(3, 40, 1, 7);
+    w.reweight(4, 95, 1, 9);
+    Engine::with_probe(SimConfig::oi(3, 160), &w, RuleLog::default())
+}
+
+/// The reweighted population's image at slot 97 is the golden's bytes,
+/// decodes and re-encodes to them, and resumes to the result of the run
+/// that was never captured. Before that slot rules O (with a halt) and
+/// I have both fired and a task has departed; at it one change is
+/// parked.
+#[test]
+fn settled_population_snapshots_to_the_golden() {
+    let mut engine = settled_midrun_run();
+    let snapshot = engine.snapshot_at(SETTLED_AT).expect("snapshot");
+    assert_eq!(snapshot_to_string(&snapshot), SETTLED_MIDRUN);
+    let decoded = snapshot_from_str(SETTLED_MIDRUN).expect("fixture decodes");
+    assert_eq!(snapshot_to_string(&decoded), SETTLED_MIDRUN);
+
+    let log = engine.probe_mut();
+    assert!(log.rules.contains(&Rule::O) && log.rules.contains(&Rule::I));
+    assert!(log.halts > 0 && log.departures > 0, "halts and a departure");
+    let envelope = Json::parse(SETTLED_MIDRUN).expect("fixture parses");
+    let tasks = array(envelope.get("body").expect("envelope body"), "tasks");
+    let parked: Vec<_> = tasks.iter().filter(|t| is_set(t, "pending")).collect();
+    assert_eq!(parked.len(), 1, "one change still parked");
 
     let mut resumed = Engine::restore(decoded, NoopProbe).expect("fixture restores");
     engine.run();
