@@ -17,8 +17,9 @@
 //! cumulative allocation reaches one quantum, or the halt time for a
 //! halted subtask. The reweighting rules only consult it after the fact
 //! (paper §3.2), which is exactly what this incremental tracker
-//! provides: [`IswTracker::advance`] processes one slot and reports
-//! completions as they happen.
+//! provides: [`IswTracker::advance_to`] processes any run of slots in
+//! one closed-form jump and reports completions in the order they
+//! happen.
 //!
 //! `I_CSW` (the clairvoyant variant) equals `I_SW` minus every
 //! allocation made to a subtask that is eventually halted. Halting only
@@ -31,12 +32,12 @@
 
 use crate::arena::InlineVec;
 use crate::rational::{Accumulator, Rational, Units};
-use crate::time::{ever, shift_ever, slot_from_i128, slots_since, Slot, NEVER};
+use crate::time::{ever, slot_from_i128, slots_since, Slot, NEVER};
 use crate::weight::Weight;
-use crate::window::{b_bit, periodic_window};
+use crate::window::{b_bit, periodic_window, window_in_era};
 
-/// Emitted by [`IswTracker::advance`] when a subtask's cumulative `I_SW`
-/// allocation reaches one quantum during the processed slot.
+/// Emitted by [`IswTracker::advance_to`] when a subtask's cumulative
+/// `I_SW` allocation reaches one quantum during the processed slots.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompletionEvent {
     /// Subtask index `i` of `T_i`.
@@ -63,8 +64,7 @@ struct IswSub {
     /// final slot of the `b = 1` predecessor `T_{index − pred_gap}` and
     /// gets `swt` minus that predecessor's final-slot allocation, which
     /// is known by then: the predecessor completes no later than the
-    /// successor's release slot. A distance, not an index, so a
-    /// translated tracker carries it unchanged.
+    /// successor's release slot.
     pred_gap: u64,
     /// In the tracker's era units: `A(I_SW, T_i, 0, now)` until the
     /// subtask completes; from then on that is exactly one quantum and
@@ -96,17 +96,6 @@ impl IswSub {
         } else {
             self.alloc.over(unit)
         }
-    }
-
-    /// The record `ds` slots and `di` indices on; `None` on overflow.
-    fn shifted(&self, ds: Slot, di: u64) -> Option<IswSub> {
-        Some(IswSub {
-            index: self.index.checked_add(di)?,
-            release: self.release.checked_add(ds)?,
-            complete_at: shift_ever(self.complete_at, ds)?,
-            halted_at: shift_ever(self.halted_at, ds)?,
-            ..*self
-        })
     }
 
     /// The same record, whichever units the two allocations count in.
@@ -274,9 +263,8 @@ impl pfair_json::FromJson for IswTracker {
 /// 2. [`IswTracker::add_subtask`] at (or before) each subtask release;
 /// 3. [`IswTracker::halt`] when a reweighting rule halts the
 ///    last-released subtask;
-/// 4. [`IswTracker::advance`] once per slot, in slot order — or
-///    [`IswTracker::sync_to`] / [`IswTracker::advance_to`] across any
-///    run of slots between two of the calls above.
+/// 4. [`IswTracker::sync_to`] / [`IswTracker::advance_to`] across any
+///    run of slots between two of the calls above, in slot order.
 ///
 /// The tracker computes in **era units** (DESIGN.md, "The era-unit
 /// invariant"): it keeps one positive `unit` such that the scheduling
@@ -287,7 +275,8 @@ impl pfair_json::FromJson for IswTracker {
 /// [`Rational`] is built only where a value is read. Two trackers are
 /// equal when they hold the same values, whatever unit each counts in.
 ///
-/// A task that has not changed since it joined needs no tracker at all:
+/// A task that has kept one weight since it joined, or since its
+/// current era settled, needs no tracker at all:
 /// [`IswTracker::closed_form`] is the one it would hold.
 #[derive(Clone, Debug)]
 pub struct IswTracker {
@@ -300,7 +289,8 @@ pub struct IswTracker {
     total: Accumulator,
     /// Σ over halted subtasks of their lost allocation.
     halted_loss: Rational,
-    /// Next slot to be processed by `advance`.
+    /// The boundary the tracker has been synchronized to: every slot
+    /// before it is processed.
     now: Slot,
 }
 
@@ -362,53 +352,78 @@ impl IswTracker {
         self.set_swt(swt);
     }
 
-    /// The tracker of a task that has held weight `w` since it joined at
-    /// `join` — no enactment, halt, delay or departure — synchronized at
-    /// each of its releases the way the engine does and last at `now`:
-    /// the join's era numbers its subtasks from `era_base + 1`, so
-    /// `T_{era_base + 1} … T_{next_index − 1}` are released, on the
-    /// periodic windows of their ranks and none after `now`; the tracker
-    /// holds the records `retire` keeps and the total `w · (now − join)`.
+    /// The tracker `settled` becomes at `now` when nothing but releases
+    /// happens to it: weight `w`, its era numbering subtasks from
+    /// `era_base + 1`, `T_{era_base + 1} … T_{next_index − 1}` released
+    /// on the periodic windows of their ranks, synchronized at each
+    /// release the way the engine does and last at `now`. The windows
+    /// are those of a periodic task of weight `w` joining at the
+    /// *anchor*: where the last record `settled` holds says the grid
+    /// starts, or `settled.now()` if it holds none (a task's join).
+    /// `settled` must be its own closed form (see
+    /// [`Trackers::settles`](super::Trackers::settles)), or hold no
+    /// record at all; its unit, total and halted loss carry over.
     ///
-    /// For such a task Fig. 5 gives exactly `w` per slot, because Eqn (4)
+    /// On such a grid Fig. 5 gives exactly `w` per slot, because Eqn (4)
     /// releases the rank-`(k + 1)` subtask no later than the rank-`k`
-    /// one completes: that one collects its quantum over `[join + (k −
-    /// 1)/w, join + k/w)` and completes at `D(I_SW) = join + ⌈k/w⌉`, its
-    /// deadline `d`. So a record released before `now` is complete iff
-    /// `d ≤ now`, keeping its final slot's `k − w · (d − 1 − join)`, or
-    /// holds `w · (now − join) − (k − 1)`; one released at `now` holds
-    /// nothing yet. Which records `retire` keeps does not depend on
+    /// one completes: that one collects its quantum over `[anchor + (k −
+    /// 1)/w, anchor + k/w)` and completes at `D(I_SW) = anchor +
+    /// ⌈k/w⌉`, its deadline `d`. So a record released before `now` is
+    /// complete iff `d ≤ now`, keeping its final slot's `k − w · (d − 1
+    /// − anchor)`, or holds `w · (now − anchor) − (k − 1)`; one released
+    /// at `now` holds nothing yet; and the total grows by `w · (now −
+    /// settled.now())`. Which records `retire` keeps does not depend on
     /// where the syncs between releases fell: each drops a prefix of
     /// what the last one drops.
     ///
     /// # Panics
-    /// As [`IswTracker::new`], and if a count overflows `i64` (the
-    /// engine's arithmetic budget bounds every one of them).
+    /// If a count overflows `i64` (the engine's arithmetic budget bounds
+    /// every one of them), or `now` is before `settled.now()`.
     pub fn closed_form(
+        settled: &IswTracker,
         w: Weight,
-        join: Slot,
         era_base: u64,
         next_index: u64,
         now: Slot,
     ) -> IswTracker {
-        let mut tr = IswTracker::new(w.value(), join);
-        let (unit, rate) = (tr.unit(), tr.rate);
-        let elapsed = slots_since(join, now);
-        let window = |rank: u64| periodic_window(w, rank, join);
+        let (unit, rate) = (settled.unit(), settled.rate);
+        let anchor = settled.subs.back().map_or(settled.now, |last| {
+            let rank = last.index.saturating_sub(era_base);
+            last.release - periodic_window(w, rank, 0).release
+        });
+        let mut tr = IswTracker {
+            rate,
+            subs: InlineVec::new(),
+            total: settled.total,
+            halted_loss: settled.halted_loss,
+            now,
+        };
+        let elapsed = slots_since(anchor, now);
+        let window = |rank: u64| periodic_window(w, rank, anchor);
         let released = next_index.saturating_sub(era_base).saturating_sub(1);
         // The last jump, to `now`, covered every record released before.
         let covered = released - u64::from(released > 0 && window(released).release >= now);
-        // `⌊w · elapsed⌋` subtasks have collected their quantum by `now`.
-        let whole = u64::try_from(w.value().mul_int(elapsed).floor()).unwrap_or(0);
-        let complete = whole.min(covered);
+        // A covered record is complete iff its deadline has passed, so
+        // the incomplete ones are a suffix of the covered ranks: `retire`
+        // keeps them and the last two records.
+        let mut first = covered.saturating_sub(2) + 1;
+        while first > 1 && window(first - 1).deadline > now {
+            first -= 1;
+        }
         let units = |n: u64| unit.times(slot_from_i128(i128::from(n)));
-        for rank in complete.min(covered.saturating_sub(2)) + 1..=released {
-            let win = window(rank);
+        let mut pred_b = first > 1 && b_bit(w, first - 1);
+        let mut win = window(first);
+        for rank in first..=released {
+            if rank > first {
+                // Eqn (4) with no separation: each window opens where the
+                // last one's successor is released.
+                win = window_in_era(w, rank, win.next_release());
+            }
             let (alloc, complete_at) = if rank > covered {
                 (Units::ZERO, NEVER)
-            } else if rank <= complete {
+            } else if win.deadline <= now {
                 // The quantum less all but the final slot's `w`.
-                let before_final = rate.times(slots_since(join, win.deadline)) - rate;
+                let before_final = rate.times(slots_since(anchor, win.deadline)) - rate;
                 (units(rank) - before_final, win.deadline)
             } else {
                 (rate.times(elapsed) - units(rank - 1), NEVER)
@@ -416,15 +431,21 @@ impl IswTracker {
             tr.subs.push_back(IswSub {
                 index: era_base + rank,
                 release: win.release,
-                pred_gap: u64::from(rank > 1 && b_bit(w, rank - 1)),
+                pred_gap: u64::from(pred_b),
                 alloc,
                 complete_at,
                 halted_at: NEVER,
             });
+            pred_b = win.b;
         }
-        tr.total.add_units(rate.times(elapsed));
-        tr.now = now;
+        tr.total
+            .add_units(rate.times(slots_since(settled.now, now)));
         tr
+    }
+
+    /// Whether no record of an era before `era_base + 1`'s is retained.
+    pub(super) fn holds_only_era(&self, era_base: u64) -> bool {
+        self.subs.iter().all(|s| s.index > era_base)
     }
 
     /// The era unit: every allocation the tracker holds or hands out
@@ -440,7 +461,7 @@ impl IswTracker {
         self.rate.over(self.unit())
     }
 
-    /// The next slot `advance` will process.
+    /// The boundary the tracker has been synchronized to.
     #[inline]
     pub fn now(&self) -> Slot {
         self.now
@@ -691,11 +712,11 @@ impl IswTracker {
     /// returning the total allocation over the interval and all
     /// completions that occurred in it (in completion order).
     ///
-    /// Bit-identical to calling [`IswTracker::advance`] once per slot —
-    /// exact arithmetic is associative, and each closed-form quantity
-    /// equals the per-slot recurrence's value at the same slot (asserted
-    /// by the equivalence proptests, and against an independent
-    /// pure-`Rational` reading of Fig. 5 in `tests/reference_tracker.rs`).
+    /// Bit-identical to jumping one slot at a time — exact arithmetic is
+    /// associative, and each closed-form quantity equals the per-slot
+    /// recurrence's value at the same slot (asserted by the equivalence
+    /// proptests, and against an independent pure-`Rational` reading of
+    /// Fig. 5 in `tests/reference_tracker.rs`).
     ///
     /// # Panics
     /// Panics if `t` is behind the tracker's current slot.
@@ -712,15 +733,6 @@ impl IswTracker {
             }
         });
         (added.over(unit), completions)
-    }
-
-    /// Processes slot `t` (which must be the tracker's `now`): every
-    /// live subtask's allocation per Fig. 5, in index order. Returns the
-    /// task's total allocation in the slot and any completions that
-    /// occurred.
-    pub fn advance(&mut self, t: Slot) -> (Rational, Vec<CompletionEvent>) {
-        assert_eq!(t, self.now, "slots must be advanced in order");
-        self.advance_to(t + 1)
     }
 
     /// `D(I_SW, T_index)`, discovered or projected: the recorded
@@ -745,45 +757,6 @@ impl IswTracker {
         // so the completion boundary is now+k.
         let k = (self.unit() - sub.alloc).slots_at(self.rate);
         self.now.checked_add(k)
-    }
-
-    /// The steady busy-span question: is `later` this tracker one period
-    /// on — every slot-valued field `ds` later (`NEVER` sentinels stay
-    /// put), every subtask index `di` higher (predecessor
-    /// back-references are distances and do not move), and the rate,
-    /// the era unit, the total's base, the per-subtask allocations and
-    /// the halted loss as they were? If so,
-    /// returns how many era units the total grew by; `None` on any other
-    /// difference. Compares in place: nothing is built.
-    pub fn gain_over_shift(&self, later: &IswTracker, ds: Slot, di: u64) -> Option<Units> {
-        let same = self.now.checked_add(ds) == Some(later.now)
-            && self.rate == later.rate
-            && self.halted_loss == later.halted_loss
-            && self.subs.len() == later.subs.len()
-            && (self.subs.iter().zip(later.subs.iter()))
-                .all(|(a, b)| a.shifted(ds, di) == Some(*b));
-        later.total.units_since(&self.total).filter(|_| same)
-    }
-
-    /// Moves the tracker `ds` slots, `di` subtask indices and `gain` era
-    /// units of total on, in place: `k` steady periods at once, given `k`
-    /// times what [`IswTracker::gain_over_shift`] reported for one.
-    /// Returns `false`, having changed nothing, if a shifted field would
-    /// overflow.
-    #[must_use]
-    pub fn shift(&mut self, ds: Slot, di: u64, gain: Units) -> bool {
-        let fits = self.now.checked_add(ds).is_some()
-            && self.subs.iter().all(|s| s.shifted(ds, di).is_some())
-            && self.total.counted().get().checked_add(gain.get()).is_some();
-        if !fits {
-            return false;
-        }
-        self.now += ds;
-        for s in &mut self.subs {
-            *s = s.shifted(ds, di).unwrap_or(*s);
-        }
-        self.total.add_units(gain);
-        true
     }
 
     /// Drops subtasks that can no longer influence anything: completed or
@@ -847,7 +820,7 @@ mod tests {
             let pred_b = if i > 1 { b_bit(w, i - 1) } else { false };
             tr.add_subtask(i, win.release, i == 1, pred_b);
         }
-        (0..horizon).map(|t| tr.advance(t).0).collect()
+        (0..horizon).map(|t| tr.advance_to(t + 1).0).collect()
     }
 
     /// Fig. 1(a): weight 5/16. A(I, T, 6) = 2/16 + 3/16 = 5/16, and the
@@ -870,10 +843,10 @@ mod tests {
         tr.add_subtask(1, 0, true, false);
         tr.add_subtask(2, 3, false, b_bit(w, 1));
         for t in 0..3 {
-            assert_eq!(tr.advance(t).0, rat(5, 16));
+            assert_eq!(tr.advance_to(t + 1).0, rat(5, 16));
         }
         // Slot 3: T_1 completes with 1/16, T_2 opens with 4/16.
-        let (total, completions) = tr.advance(3);
+        let (total, completions) = tr.advance_to(4);
         assert_eq!(total, rat(5, 16));
         assert_eq!(completions.len(), 1);
         assert_eq!(completions[0].index, 1);
@@ -893,20 +866,20 @@ mod tests {
         // r(X_2) = d(X_1) − b(X_1) = 7 − 1 = 6.
         tr.add_subtask(2, 6, false, true);
         for t in 0..6 {
-            tr.advance(t);
+            tr.advance_to(t + 1);
         }
         // Slot 6: X_1 completes with 1/19, X_2 opens with 3/19 − 1/19 = 2/19.
-        let (_, completions) = tr.advance(6);
+        let (_, completions) = tr.advance_to(7);
         assert_eq!(completions[0].index, 1);
         assert_eq!(completions[0].complete_at, 7);
         assert_eq!(tr.subtask_cum(2), Some(rat(2, 19)));
-        tr.advance(7); // X_2: +3/19 → 5/19
+        tr.advance_to(8); // X_2: +3/19 → 5/19
         assert_eq!(tr.subtask_cum(2), Some(rat(5, 19)));
         // Weight change to 2/5 enacted at time 8 (rule I(i): immediate).
         tr.set_swt(rat(2, 5));
-        tr.advance(8); // +2/5 → 63/95
+        tr.advance_to(9); // +2/5 → 63/95
         assert_eq!(tr.subtask_cum(2), Some(rat(63, 95)));
-        let (slot9, completions) = tr.advance(9); // +32/95 → 1
+        let (slot9, completions) = tr.advance_to(10); // +32/95 → 1
         assert_eq!(slot9, rat(32, 95));
         assert_eq!(completions.len(), 1);
         assert_eq!(completions[0].index, 2);
@@ -923,7 +896,7 @@ mod tests {
         tr.add_subtask(1, 0, true, false);
         tr.add_subtask(2, 6, false, true);
         for t in 0..8 {
-            tr.advance(t);
+            tr.advance_to(t + 1);
         }
         assert_eq!(tr.subtask_cum(2), Some(rat(5, 19)));
         assert_eq!(tr.halt(2, 8), rat(5, 19));
@@ -932,7 +905,7 @@ mod tests {
         assert_eq!(tr.icsw_total(), Rational::ONE);
         // The halted subtask receives nothing afterwards.
         tr.set_swt(rat(2, 5));
-        let (slot8, _) = tr.advance(8);
+        let (slot8, _) = tr.advance_to(9);
         assert_eq!(slot8, Rational::ZERO);
     }
 
@@ -951,7 +924,7 @@ mod tests {
         let _ = release;
         let mut done = 0;
         for t in 0..20 {
-            done += tr.advance(t).1.len();
+            done += tr.advance_to(t + 1).1.len();
         }
         assert_eq!(done, 8);
         assert_eq!(tr.isw_total(), Rational::from_int(8));
@@ -963,16 +936,8 @@ mod tests {
         let mut tr = IswTracker::new(rat(1, 2), 10);
         tr.add_subtask(1, 10, true, false);
         assert_eq!(tr.now(), 10);
-        let (a, _) = tr.advance(10);
+        let (a, _) = tr.advance_to(11);
         assert_eq!(a, rat(1, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "slots must be advanced in order")]
-    fn advancing_out_of_order_panics() {
-        let mut tr = IswTracker::new(rat(1, 2), 0);
-        tr.advance(0);
-        tr.advance(2);
     }
 
     #[test]
@@ -987,98 +952,7 @@ mod tests {
 #[cfg(test)]
 mod advance_to_tests {
     use super::*;
-    use crate::ideal::reference::IswReference;
     use crate::rational::rat;
-    use crate::weight::Weight;
-    use crate::window::{b_bit, periodic_window};
-
-    /// Two trackers with identical subtask schedules: one driven per
-    /// slot, one in a single jump; compares totals, the completion-event
-    /// streams, and per-subtask state against an [`IswReference`].
-    fn assert_jump_matches_oracle(num: i128, den: i128, n_subs: u64, horizon: Slot) {
-        let (mut batch, mut oracle, mut reference) = paired(Weight::new(rat(num, den)), n_subs);
-        let (batch_total, batch_events) = batch.advance_to(horizon);
-        let oracle_events = per_slot(&mut oracle, &mut reference, horizon);
-        assert_eq!(batch_total, oracle.isw_total(), "interval total");
-        assert_eq!(batch_events, oracle_events, "completion events");
-        assert_held_subtasks(&batch, &reference);
-        assert_held_subtasks(&oracle, &reference);
-    }
-
-    /// The jumped tracker, its per-slot oracle and a reference, each
-    /// given `T_1 ..= T_n_subs` of a periodic task of weight `w`.
-    fn paired(w: Weight, n_subs: u64) -> (IswTracker, IswTracker, IswReference) {
-        let mut pair = (IswTracker::new(w.value(), 0), IswTracker::new(w.value(), 0));
-        let mut reference = IswReference::new(w.value(), 0);
-        for i in 1..=n_subs {
-            let (release, pred_b) = (periodic_window(w, i, 0).release, i > 1 && b_bit(w, i - 1));
-            pair.0.add_subtask(i, release, i == 1, pred_b);
-            pair.1.add_subtask(i, release, i == 1, pred_b);
-            assert!(reference.ref_add(i, release, i == 1, pred_b));
-        }
-        (pair.0, pair.1, reference)
-    }
-
-    /// Steps `tr` and the reference `fig5` one slot at a time up to
-    /// `t`; returns the tracker's completion events, which must be the
-    /// reference's: every subtask's completion slot and final-slot
-    /// allocation, whether or not the tracker still holds it.
-    fn per_slot(tr: &mut IswTracker, fig5: &mut IswReference, t: Slot) -> Vec<CompletionEvent> {
-        let (mut events, mut expected) = (Vec::new(), Vec::new());
-        for slot in tr.now()..t {
-            events.append(&mut tr.advance(slot).1);
-            fig5.ref_step(|index, complete_at, final_slot_alloc| {
-                expected.push(CompletionEvent {
-                    index,
-                    complete_at,
-                    final_slot_alloc,
-                });
-            });
-        }
-        assert_eq!(events, expected, "completions against the reference");
-        events
-    }
-
-    /// `tr` agrees with the reference on the totals, and on the
-    /// cumulative and completion of each subtask it still holds; each
-    /// one it has dropped is complete.
-    fn assert_held_subtasks(tr: &IswTracker, reference: &IswReference) {
-        assert_eq!(
-            (tr.isw_total(), tr.now()),
-            (reference.ref_isw_total(), reference.ref_now())
-        );
-        for s in reference.ref_subs() {
-            match tr.subtask_cum(s.index) {
-                Some(cum) => assert_eq!((cum, tr.completion_of(s.index)), (s.cum, s.complete_at)),
-                None => assert!(s.complete_at.is_some(), "T_{} dropped incomplete", s.index),
-            }
-        }
-    }
-
-    #[test]
-    fn single_jump_matches_per_slot_for_paper_weights() {
-        assert_jump_matches_oracle(5, 16, 5, 16); // Fig. 1(a)
-        assert_jump_matches_oracle(3, 19, 3, 19); // Fig. 3/7 task X
-        assert_jump_matches_oracle(2, 5, 8, 20); // heavy-ish, b=1 chains
-        assert_jump_matches_oracle(1, 1, 6, 6); // weight one: one per slot
-        assert_jump_matches_oracle(1, 7, 3, 21); // light, b=0 everywhere
-    }
-
-    /// A jump that stops mid-window leaves the same partial cumulative
-    /// state as the per-slot oracle, and the follow-up jump finishes
-    /// identically — the era-boundary cadence the engine uses.
-    #[test]
-    fn split_jumps_preserve_partial_state() {
-        for split in 0..=10 {
-            let (mut batch, mut oracle, mut reference) = paired(Weight::new(rat(5, 16)), 4);
-            let (_, mut batch_events) = batch.advance_to(split);
-            batch_events.append(&mut batch.advance_to(10).1);
-            let oracle_events = per_slot(&mut oracle, &mut reference, 10);
-            assert_eq!(batch_events, oracle_events, "split at {split}");
-            assert_held_subtasks(&batch, &reference);
-            assert_held_subtasks(&oracle, &reference);
-        }
-    }
 
     /// Fig. 7's era change, driven by jumps: advance to the enactment
     /// boundary, change the weight, jump again. X_2 must complete at 10
@@ -1259,136 +1133,5 @@ mod era_unit_tests {
         tr.set_swt(rat(1, 3));
         assert_eq!(tr.unit(), Units::new(3));
         assert_eq!(tr.isw_total(), Rational::from_int(6));
-    }
-}
-
-/// The busy-span pair: [`IswTracker::shift`] builds the image of a
-/// tracker under `(ds, di, gain)` in place and
-/// [`IswTracker::gain_over_shift`] recognizes exactly that image — any
-/// single field off and it refuses. Field access is what makes the
-/// perturbations possible, hence a unit test.
-#[cfg(test)]
-mod shift_tests {
-    use super::*;
-    use crate::rational::rat;
-    use crate::weight::Weight;
-    use crate::window::{b_bit, periodic_window};
-    use proptest::prelude::*;
-
-    /// A tracker some way into a run: `subs` periodic subtasks of weight
-    /// `num/den` released (possibly none), advanced to `extra` slots
-    /// past the last release, optionally with the last subtask halted
-    /// if it is still incomplete, a weight change enacted after that (so
-    /// the unit carries two denominators).
-    fn arb_tracker() -> impl Strategy<Value = IswTracker> {
-        (
-            (1i128..=5, 2i128..=12),
-            (0u64..=6, 1i64..=5),
-            0u8..4,
-            (1i128..=3, 4i128..=9),
-        )
-            .prop_map(|((num, den), (subs, extra), ending, (n1, d1))| {
-                let w = Weight::new(rat(num.min(den - 1), den));
-                let mut tr = IswTracker::new(w.value(), 0);
-                let mut last = (0, 0);
-                for i in 1..=subs {
-                    let win = periodic_window(w, i, 0);
-                    tr.add_subtask(i, win.release, i == 1, i > 1 && b_bit(w, i - 1));
-                    last = (i, win.release);
-                }
-                let stop = last.1 + extra;
-                tr.sync_to(stop, |_, _| ());
-                if ending >= 2 && subs > 0 && tr.completion_of(last.0).is_none() {
-                    let _ = tr.halt(last.0, stop);
-                }
-                if ending == 3 {
-                    tr.set_swt(rat(n1, d1));
-                    tr.sync_to(stop + 2, |_, _| ());
-                }
-                tr
-            })
-    }
-
-    /// Every way of getting one field of `image` wrong.
-    fn perturbations(image: &IswTracker) -> Vec<(&'static str, IswTracker)> {
-        let mut out: Vec<(&'static str, IswTracker)> = Vec::new();
-        let mut with = |what, edit: &dyn Fn(&mut IswTracker)| {
-            let mut t = image.clone();
-            edit(&mut t);
-            out.push((what, t));
-        };
-        with("now", &|t| t.now += 1);
-        with("rate", &|t| t.rate += Units::new(1));
-        with("halted loss", &|t| t.halted_loss += rat(1, 7));
-        with("unit", &|t| t.total.rebase(t.unit().times(2)));
-        with("total base", &|t| t.total = t.total.plus(rat(1, 3)));
-        with("a record more", &|t| {
-            let index = t.subs.back().map_or(1, |s| s.index + 1);
-            t.subs.push_back(IswSub {
-                index,
-                ..IswSub::default()
-            });
-        });
-        for i in 0..image.subs.len() {
-            let bump = |slot: &mut Slot| *slot = if *slot == NEVER { 0 } else { *slot + 1 };
-            with("index", &|t| t.subs.as_mut_slice()[i].index += 1);
-            with("release", &|t| t.subs.as_mut_slice()[i].release += 1);
-            with("pred_gap", &|t| t.subs.as_mut_slice()[i].pred_gap += 1);
-            with("alloc", &|t| {
-                t.subs.as_mut_slice()[i].alloc += Units::new(1);
-            });
-            with("complete_at", &|t| {
-                bump(&mut t.subs.as_mut_slice()[i].complete_at);
-            });
-            with("halted_at", &|t| {
-                bump(&mut t.subs.as_mut_slice()[i].halted_at);
-            });
-        }
-        out
-    }
-
-    proptest! {
-        #[test]
-        fn shift_then_predicate_returns_the_gain(
-            tr in arb_tracker(),
-            ds in 0i64..5_000,
-            di in 0u64..5_000,
-            gain in 0i64..1_000_000,
-        ) {
-            let gain = Units::new(gain);
-            let mut image = tr.clone();
-            prop_assert!(image.shift(ds, di, gain));
-            prop_assert_eq!(tr.gain_over_shift(&image, ds, di), Some(gain));
-            // Same values, one period on: totals differ by the gain.
-            prop_assert_eq!(image.isw_total(), tr.isw_total() + gain.over(tr.unit()));
-            prop_assert_eq!(image.swt(), tr.swt());
-            // The wrong shift is not the image either.
-            prop_assert_eq!(tr.gain_over_shift(&image, ds + 1, di), None);
-            if !tr.subs.is_empty() {
-                prop_assert_eq!(tr.gain_over_shift(&image, ds, di + 1), None);
-            }
-            for (what, wrong) in perturbations(&image) {
-                prop_assert_eq!(tr.gain_over_shift(&wrong, ds, di), None, "perturbed {}", what);
-            }
-        }
-
-        /// A shift that would overflow any field is refused whole.
-        #[test]
-        fn overflowing_shift_changes_nothing(tr in arb_tracker(), which in 0u8..3) {
-            let (ds, di, gain) = match which {
-                0 => (Slot::MAX, 0, Units::ZERO),
-                1 => (0, u64::MAX, Units::ZERO),
-                _ => (0, 0, Units::new(i64::MAX)),
-            };
-            // An index shift only overflows if there is a record to
-            // shift; a tracker that has counted nothing takes any gain.
-            let fits = (which == 1 && tr.subs.is_empty())
-                || (which == 2 && tr.total.counted().is_zero());
-            let mut image = tr.clone();
-            prop_assert_eq!(image.shift(ds, di, gain), fits);
-            if !fits {
-                prop_assert_eq!(tr.gain_over_shift(&image, 0, 0), Some(Units::ZERO));
-            }
-        }
     }
 }

@@ -31,9 +31,11 @@
 //!
 //! A task that has held one weight since it joined, with no halt, IS
 //! delay or departure, gets exactly its weight in every slot under all
-//! of them, so the engine keeps no trackers for it: [`Trackers`] is the
-//! pair one that has changed holds, and [`Trackers::closed_form`] the
-//! pair one that has not would hold.
+//! of them, and so does a task whose current era has settled — nothing
+//! of an earlier era retained, no suspension ahead — so the engine
+//! keeps no trackers for either: [`Trackers`] is the pair a task holds
+//! while its era has not settled, and [`Trackers::closed_form`] the
+//! pair the others would hold.
 
 pub mod is_table;
 pub mod isw;

@@ -14,7 +14,7 @@
 
 use crate::arena::ThinVec;
 use crate::rational::Rational;
-use crate::time::{slots_since, Slot};
+use crate::time::Slot;
 use crate::weight::Weight;
 
 /// Incremental `I_PS` allocation of a single task.
@@ -41,11 +41,14 @@ pub struct PsTracker {
 }
 
 impl PartialEq for PsTracker {
+    /// By value; two trackers that split their totals alike compare
+    /// without multiplying either out.
     fn eq(&self, other: &PsTracker) -> bool {
         self.wt == other.wt
             && self.now == other.now
             && self.suspensions == other.suspensions
-            && self.total() == other.total()
+            && ((self.base, self.active) == (other.base, other.active)
+                || self.total() == other.total())
     }
 }
 
@@ -97,19 +100,6 @@ impl PsTracker {
         }
     }
 
-    /// The tracker of a task that has held weight `w` since it joined at
-    /// `join`, never suspended, synchronized last at `now`: `now − join`
-    /// active slots at `w`, as [`PsTracker::sync_to`] counts them.
-    pub fn closed_form(w: Weight, join: Slot, now: Slot) -> PsTracker {
-        PsTracker {
-            wt: w,
-            base: Rational::ZERO,
-            active: slots_since(join, now),
-            now,
-            suspensions: ThinVec::new(),
-        }
-    }
-
     /// Starts the next stay of a task that left, at weight `wt` from
     /// `join_at` on: the total carries over (Eqn (5)'s `A(I_PS, T, 0,
     /// t)` counts every stay) and the last stay's suspensions go. On a
@@ -121,6 +111,12 @@ impl PsTracker {
         self.set_wt(wt);
         self.now = join_at;
         self.suspensions = ThinVec::new();
+    }
+
+    /// Whether a suspension covers any slot at or after `t`: an IS
+    /// separation still owes the task nothing from there on.
+    pub fn suspended_after(&self, t: Slot) -> bool {
+        self.suspensions.iter().any(|&(_, until)| until > t)
     }
 
     /// Suspends allocation for slots in `[from, until)` (IS separation:
@@ -151,7 +147,7 @@ impl PsTracker {
         self.base + counted
     }
 
-    /// The next slot `advance` will process.
+    /// The boundary the tracker has been synchronized to.
     #[inline]
     pub fn now(&self) -> Slot {
         self.now
@@ -169,50 +165,6 @@ impl PsTracker {
             self.active = 0;
         }
         self.wt = Weight::new(wt);
-    }
-
-    /// Accrues slot `t`'s allocation (`wt(T, t) · 1`, or zero while
-    /// suspended).
-    pub fn advance(&mut self, t: Slot) -> Rational {
-        assert_eq!(t, self.now, "slots must be advanced in order");
-        self.advance_to(t + 1)
-    }
-
-    /// The steady busy-span question: is `later` this tracker one period
-    /// on — `now` and every suspension bound `ds` later, the weight and
-    /// the total's base as they were? If so, returns how many active
-    /// slots the era sum gained; `None` on any other difference.
-    /// Compares in place and builds nothing.
-    pub fn gain_over_shift(&self, later: &PsTracker, ds: Slot) -> Option<i64> {
-        let on = |(a, b): (Slot, Slot)| Some((a.checked_add(ds)?, b.checked_add(ds)?));
-        let same = self.wt == later.wt
-            && self.base == later.base
-            && self.now.checked_add(ds) == Some(later.now)
-            && self.suspensions.len() == later.suspensions.len()
-            && (self.suspensions.iter().zip(later.suspensions.iter()))
-                .all(|(&a, &b)| on(a) == Some(b));
-        later.active.checked_sub(self.active).filter(|_| same)
-    }
-
-    /// Moves the tracker `ds` slots and `gain` active slots on, in
-    /// place: `k` steady periods at once, given `k` times what
-    /// [`PsTracker::gain_over_shift`] reported for one. Returns `false`,
-    /// having changed nothing, if a shifted field would overflow.
-    #[must_use]
-    pub fn shift(&mut self, ds: Slot, gain: i64) -> bool {
-        let fits = self.now.checked_add(ds).is_some()
-            && self.active.checked_add(gain).is_some()
-            && (self.suspensions.iter()).all(|&(_, until)| until.checked_add(ds).is_some());
-        if !fits {
-            return false;
-        }
-        self.now += ds;
-        self.active += gain;
-        for (from, until) in self.suspensions.iter_mut() {
-            *from += ds;
-            *until += ds;
-        }
-        true
     }
 
     /// Slots of `[from, t)` that at least one suspension covers. The
@@ -286,7 +238,7 @@ impl PsTracker {
     /// Accrues all slots up to (but excluding) boundary `t` in one step
     /// and returns the allocation added,
     /// `A(I_PS, T, now, t) = wt · |active slots in [now, t)|` — exactly
-    /// the sum of [`PsTracker::advance`] called once per slot, which the
+    /// the sum of one-slot jumps over the interval, which the
     /// equivalence proptests assert. The product is in hand here, so it
     /// goes straight into the total.
     ///
@@ -311,16 +263,16 @@ mod tests {
     fn fig7_ps_allocations() {
         let mut ps = PsTracker::new(rat(3, 19), 0);
         for t in 0..8 {
-            ps.advance(t);
+            ps.advance_to(t + 1);
         }
         assert_eq!(ps.total(), rat(24, 19));
         ps.set_wt(rat(2, 5));
         let before_9 = {
-            ps.advance(8);
+            ps.advance_to(9);
             ps.total()
         };
-        ps.advance(9);
-        ps.advance(10);
+        ps.advance_to(10);
+        ps.advance_to(11);
         assert_eq!(ps.total() - before_9, rat(4, 5));
     }
 
@@ -331,11 +283,11 @@ mod tests {
     fn fig8_ps_total_at_10() {
         let mut ps = PsTracker::new(rat(1, 10), 0);
         for t in 0..4 {
-            ps.advance(t);
+            ps.advance_to(t + 1);
         }
         ps.set_wt(rat(1, 2));
         for t in 4..10 {
-            ps.advance(t);
+            ps.advance_to(t + 1);
         }
         assert_eq!(ps.total(), rat(17, 5));
         assert_eq!(ps.total() - Rational::ONE, rat(24, 10));
@@ -346,15 +298,8 @@ mod tests {
     fn late_join() {
         let mut ps = PsTracker::new(rat(1, 2), 10);
         assert_eq!(ps.now(), 10);
-        ps.advance(10);
+        ps.advance_to(11);
         assert_eq!(ps.total(), rat(1, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "slots must be advanced in order")]
-    fn out_of_order_panics() {
-        let mut ps = PsTracker::new(rat(1, 2), 0);
-        ps.advance(1);
     }
 }
 
@@ -366,11 +311,11 @@ mod suspension_tests {
     #[test]
     fn suspension_zeroes_allocation() {
         let mut ps = PsTracker::new(rat(1, 2), 0);
-        ps.advance(0);
+        ps.advance_to(1);
         ps.suspend_between(1, 3);
-        assert_eq!(ps.advance(1), Rational::ZERO);
-        assert_eq!(ps.advance(2), Rational::ZERO);
-        assert_eq!(ps.advance(3), rat(1, 2));
+        assert_eq!(ps.advance_to(2), Rational::ZERO);
+        assert_eq!(ps.advance_to(3), Rational::ZERO);
+        assert_eq!(ps.advance_to(4), rat(1, 2));
         assert_eq!(ps.total(), rat(1, 1));
     }
 
@@ -380,9 +325,9 @@ mod suspension_tests {
         ps.suspend_between(0, 5);
         ps.suspend_between(0, 2); // no effect
         for t in 0..5 {
-            assert_eq!(ps.advance(t), Rational::ZERO);
+            assert_eq!(ps.advance_to(t + 1), Rational::ZERO);
         }
-        assert_eq!(ps.advance(5), rat(1, 2));
+        assert_eq!(ps.advance_to(6), rat(1, 2));
     }
 }
 
@@ -390,26 +335,6 @@ mod suspension_tests {
 mod advance_to_tests {
     use super::*;
     use crate::rational::rat;
-
-    #[test]
-    fn interval_jump_matches_per_slot() {
-        // Fig. 7(b)'s schedule, advanced in two closed-form jumps.
-        let mut batch = PsTracker::new(rat(3, 19), 0);
-        assert_eq!(batch.advance_to(8), rat(24, 19));
-        batch.set_wt(rat(2, 5));
-        batch.advance_to(11);
-
-        let mut oracle = PsTracker::new(rat(3, 19), 0);
-        for t in 0..8 {
-            oracle.advance(t);
-        }
-        oracle.set_wt(rat(2, 5));
-        for t in 8..11 {
-            oracle.advance(t);
-        }
-        assert_eq!(batch.total(), oracle.total());
-        assert_eq!(batch.now(), oracle.now());
-    }
 
     #[test]
     fn overlapping_suspensions_counted_once() {
@@ -424,13 +349,13 @@ mod advance_to_tests {
         oracle.suspend_between(4, 8);
         oracle.suspend_between(20, 25);
         for t in 0..10 {
-            oracle.advance(t);
+            oracle.advance_to(t + 1);
         }
         assert_eq!(batch.total(), oracle.total());
         // The future interval must still suspend slots 20..25.
         batch.advance_to(25);
         for t in 10..25 {
-            oracle.advance(t);
+            oracle.advance_to(t + 1);
         }
         assert_eq!(batch.total(), oracle.total());
     }
@@ -477,73 +402,5 @@ mod advance_to_tests {
         stepped.set_wt(rat(2, 5));
         stepped.advance_to(10);
         assert_eq!(stepped, ps);
-    }
-}
-
-/// The busy-span pair: [`PsTracker::shift`] builds the image of a
-/// tracker under `(ds, gain)` in place and
-/// [`PsTracker::gain_over_shift`] recognizes exactly that image.
-#[cfg(test)]
-mod shift_tests {
-    use super::*;
-    use crate::rational::rat;
-    use proptest::prelude::*;
-
-    /// A tracker some way into a run: suspensions past and future (some
-    /// overlapping), a weight change, a few slots counted at the new
-    /// weight.
-    fn arb_tracker() -> impl Strategy<Value = PsTracker> {
-        (
-            (1i128..=5, 2i128..=12),
-            prop::collection::vec((0i64..60, 1i64..20), 0..4),
-            (0i64..40, 0i64..10),
-        )
-            .prop_map(|((num, den), suspensions, (first, then))| {
-                let mut ps = PsTracker::new(rat(num.min(den), den), 3);
-                for (from, len) in suspensions {
-                    ps.suspend_between(3 + from, 3 + from + len);
-                }
-                ps.sync_to(3 + first);
-                ps.set_wt(rat(1, den + 1));
-                ps.sync_to(3 + first + then);
-                ps
-            })
-    }
-
-    proptest! {
-        #[test]
-        fn shift_then_predicate_returns_the_gain(
-            ps in arb_tracker(),
-            ds in 0i64..5_000,
-            gain in 0i64..1_000_000,
-        ) {
-            let mut image = ps.clone();
-            prop_assert!(image.shift(ds, gain));
-            prop_assert_eq!(ps.gain_over_shift(&image, ds), Some(gain));
-            prop_assert_eq!(image.total(), ps.total() + ps.wt().mul_int(gain));
-            prop_assert_eq!(ps.gain_over_shift(&image, ds + 1), None);
-            let mut wrong: Vec<(&str, PsTracker)> = Vec::new();
-            let mut with = |what, edit: &dyn Fn(&mut PsTracker)| {
-                let mut t = image.clone();
-                edit(&mut t);
-                wrong.push((what, t));
-            };
-            with("wt", &|t| t.wt = Weight::new(t.wt.value() / rat(2, 1)));
-            with("base", &|t| t.base += rat(1, 64));
-            with("now", &|t| t.now += 1);
-            with("a suspension more", &|t| t.suspend_between(t.now + 5, t.now + 6));
-            for i in 0..image.suspensions.len() {
-                with("suspension start", &|t| t.suspensions[i].0 -= 1);
-                with("suspension end", &|t| t.suspensions[i].1 += 1);
-            }
-            for (what, wrong) in wrong {
-                prop_assert_eq!(ps.gain_over_shift(&wrong, ds), None, "perturbed {}", what);
-            }
-            // An overflowing shift is refused whole.
-            let mut stays = ps.clone();
-            prop_assert!(!stays.shift(Slot::MAX, 0));
-            prop_assert!(ps.active == 0 || !stays.shift(0, i64::MAX));
-            prop_assert_eq!(ps.gain_over_shift(&stays, 0), Some(0));
-        }
     }
 }

@@ -1,8 +1,10 @@
 //! The two trackers of one task, as the engine keeps them for a task
-//! that has changed since it joined.
+//! whose era has not settled, and the closed form of the pair for one
+//! whose era has.
 
 use super::isw::IswTracker;
 use super::ps::PsTracker;
+use crate::rational::Rational;
 use crate::time::Slot;
 use crate::weight::Weight;
 
@@ -17,26 +19,65 @@ pub struct Trackers {
 }
 
 impl Trackers {
-    /// The pair a task holds after keeping weight `w` since it joined at
-    /// `join` — no enactment, halt, IS delay or departure — having
-    /// released `T_{era_base + 1} … T_{next_index − 1}` and been
-    /// synchronized at each release and last at `now`:
-    /// [`IswTracker::closed_form`] and [`PsTracker::closed_form`]. All
-    /// three ideals give such a task `w · (now − join)`, so its drift is
-    /// zero.
+    /// The pair of a task joining at `join` with weight `w`: nothing
+    /// counted yet.
+    ///
+    /// # Panics
+    /// As [`IswTracker::new`] and [`PsTracker::new`].
+    pub fn new(w: Rational, join: Slot) -> Trackers {
+        Trackers {
+            isw: IswTracker::new(w, join),
+            ps: PsTracker::new(w, join),
+        }
+    }
+
+    /// The pair `settled` becomes at `now` when nothing but releases
+    /// happens to the task: [`IswTracker::closed_form`] on the era's
+    /// grid, and the `I_PS` tracker synchronized to `now`. Within such
+    /// an era all three ideals grow by `w` a slot, so the drift stays
+    /// what it was when the era settled.
+    ///
+    /// A task that has kept weight `w` since it joined at `join` — no
+    /// enactment, halt, IS delay or departure — is the special case
+    /// `settled = Trackers::new(w, join)`: its totals are `w · (now −
+    /// join)` and its drift is zero.
     ///
     /// # Panics
     /// As [`IswTracker::closed_form`].
     pub fn closed_form(
+        settled: &Trackers,
         w: Weight,
-        join: Slot,
         era_base: u64,
         next_index: u64,
         now: Slot,
     ) -> Trackers {
-        Trackers {
-            isw: IswTracker::closed_form(w, join, era_base, next_index, now),
-            ps: PsTracker::closed_form(w, join, now),
-        }
+        let mut pair = settled.clone();
+        pair.close_to(w, era_base, next_index, now);
+        pair
+    }
+
+    /// [`Trackers::closed_form`] in place: the pair becomes the one it
+    /// would be at `now`.
+    ///
+    /// # Panics
+    /// As [`IswTracker::closed_form`].
+    pub fn close_to(&mut self, w: Weight, era_base: u64, next_index: u64, now: Slot) {
+        self.isw = IswTracker::closed_form(&self.isw, w, era_base, next_index, now);
+        self.ps.sync_to(now);
+    }
+
+    /// Whether the pair, synchronized at a release of an era of weight
+    /// `w` that numbers its subtasks from `era_base + 1` (the next one
+    /// gets `next_index`), has settled: no suspension lies ahead of it,
+    /// every record it retains is of the era, and it is its own
+    /// [`Trackers::closed_form`] — every record on one grid of periodic
+    /// windows, holding what Fig. 5 gives a task that has kept `w` on
+    /// that grid. From then on, as long as only releases on that grid
+    /// happen, the closed form of this pair is the pair.
+    pub fn settles(&self, w: Weight, era_base: u64, next_index: u64) -> bool {
+        let now = self.isw.now();
+        !self.ps.suspended_after(now)
+            && self.isw.holds_only_era(era_base)
+            && IswTracker::closed_form(&self.isw, w, era_base, next_index, now) == self.isw
     }
 }

@@ -971,23 +971,6 @@ impl Accumulator {
         self.unit = unit;
     }
 
-    /// What [`Accumulator::add_units`] has counted since the last fold.
-    #[inline]
-    pub const fn counted(&self) -> Units {
-        self.num
-    }
-
-    /// How many units the sum has grown by since `earlier`, if the two
-    /// count in the same unit on the same base — one integer subtraction
-    /// within an era. `None` otherwise, or if the difference overflows.
-    #[inline]
-    pub fn units_since(&self, earlier: &Accumulator) -> Option<Units> {
-        if self.unit != earlier.unit || self.base != earlier.base {
-            return None;
-        }
-        self.num.0.checked_sub(earlier.num.0).map(Units)
-    }
-
     /// The sum with `r` added to its base: the count and its unit are
     /// untouched, so an owner that counts in era units stays in step.
     #[inline]

@@ -174,7 +174,7 @@ proptest! {
             {
                 tr.add_subtask(*index, win.release, *era_first, *pred_b);
             }
-            let (slot_alloc, done) = tr.advance(t);
+            let (slot_alloc, done) = tr.advance_to(t + 1);
             // AF1: per-slot task allocation never exceeds swt.
             prop_assert!(slot_alloc <= tr.swt(), "slot {}: {} > {}", t, slot_alloc, tr.swt());
             prop_assert!(!slot_alloc.is_negative());
@@ -199,7 +199,7 @@ proptest! {
         reference.ref_add(1, 0, true, false);
         let halt_at = halt_after.min(window_in_era(w, 1, 0).deadline - 1);
         for t in 0..halt_at {
-            prop_assert_eq!(tr.advance(t).0, reference.ref_step(|_, _, _| ()));
+            prop_assert_eq!(tr.advance_to(t + 1).0, reference.ref_step(|_, _, _| ()));
         }
         let cum_before = reference.ref_sub(1).unwrap().cum;
         prop_assume!(cum_before < Rational::ONE); // still incomplete
@@ -212,7 +212,7 @@ proptest! {
         prop_assert_eq!(per_slot_sum, cum_before);
         // After the halt, the subtask accrues nothing.
         for t in halt_at..halt_at + 5 {
-            let (alloc, _) = tr.advance(t);
+            let (alloc, _) = tr.advance_to(t + 1);
             prop_assert_eq!(alloc, Rational::ZERO);
         }
         prop_assert_eq!(tr.icsw_total(), Rational::ZERO);

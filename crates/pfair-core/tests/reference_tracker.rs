@@ -1,8 +1,8 @@
 //! The era-unit trackers against an independent reading of Fig. 5.
 //!
 //! [`IswTracker`] and [`PsTracker`] compute in integer era units and
-//! materialize rationals on demand; their per-slot `advance` is a
-//! one-slot jump, so comparing it with `advance_to` checks the code
+//! materialize rationals on demand; stepping them one slot at a time is
+//! a one-slot jump, so comparing it with a longer jump checks the code
 //! against itself. [`IswReference`] (the library's pure-`Rational`
 //! Fig. 5, which history runs record from) is the check that shares
 //! nothing with them but [`Rational`]; [`Reference`] below adds the
@@ -12,7 +12,8 @@
 //! and weight-1 denominators, ended by a wait for `D(I_SW) + b`, by an
 //! increase enacted mid-window (the straddle: the one case where the
 //! tracker's unit must carry two denominators) or by a halt, with IS
-//! separations and overlapping suspensions — and compared at every
+//! separations and overlapping suspensions, or by a leave and a rejoin
+//! — and compared at every
 //! boundary: totals, `icsw_total`, every retained `subtask_cum`,
 //! completions with their final-slot allocations, projected
 //! completions, halt records (whose loss the reference's per-slot
@@ -22,7 +23,10 @@
 //! A task that never changes needs no trackers: the engine reads its
 //! pair off [`Trackers::closed_form`] instead, which is held here to a
 //! pair synchronized at every release the engine's way and to the
-//! reference's completions.
+//! reference's completions. So does a task whose current era has
+//! settled ([`Trackers::settles`]): the scripted task is checked at
+//! every boundary against the closed form of the pair it settled with,
+//! after every way an era can open.
 //!
 //! `PROPTEST_CASES` raises the case count (CI runs this file in release
 //! mode with more). The helpers are named `model_*` / `*_both` because
@@ -40,13 +44,16 @@ use pfair_json::{FromJson, Json, ToJson};
 use proptest::prelude::*;
 
 /// The library's `I_SW`/`I_CSW` reference plus `I_PS` of one task, one
-/// slot at a time.
+/// slot at a time. The reference follows one stay; the totals of the
+/// stays before it are carried beside it.
 #[derive(Clone, Debug)]
 struct Reference {
     isw: IswReference,
     wt: Rational,
     ps_total: Rational,
     suspended: Vec<(Slot, Slot)>,
+    /// `A(I_SW)` and `A(I_CSW)` of the earlier stays.
+    carried: (Rational, Rational),
 }
 
 impl Reference {
@@ -56,11 +63,28 @@ impl Reference {
             wt: w,
             ps_total: Rational::ZERO,
             suspended: Vec::new(),
+            carried: (Rational::ZERO, Rational::ZERO),
         }
     }
 
     fn model_now(&self) -> Slot {
         self.isw.ref_now()
+    }
+
+    fn model_isw_total(&self) -> Rational {
+        self.carried.0 + self.isw.ref_isw_total()
+    }
+
+    fn model_icsw_total(&self) -> Rational {
+        self.carried.1 + self.isw.ref_icsw_total()
+    }
+
+    /// A new stay at weight `v` from `t`: the totals carry over.
+    fn model_rejoin(&mut self, v: Rational, t: Slot) {
+        self.carried = (self.model_isw_total(), self.model_icsw_total());
+        self.isw = IswReference::new(v, t);
+        self.wt = v;
+        self.suspended.clear();
     }
 
     fn model_add(&mut self, index: u64, release: Slot, era_first: bool, pred_b: bool) {
@@ -127,6 +151,12 @@ struct Pair {
     /// are advanced.
     chunks: Vec<i64>,
     cursor: usize,
+    /// The current era: its weight, the index before its first
+    /// subtask, and the index the next release gets.
+    era: (Weight, u64, u64),
+    /// The pair as it stood when the era settled, while nothing but
+    /// releases has happened since.
+    settled: Option<Trackers>,
 }
 
 impl Pair {
@@ -137,6 +167,48 @@ impl Pair {
             ps: PsTracker::new(w, 0),
             chunks,
             cursor: 0,
+            era: (Weight::new(w), 0, 1),
+            settled: None,
+        }
+    }
+
+    fn both(&self) -> Trackers {
+        Trackers {
+            isw: self.isw.clone(),
+            ps: self.ps.clone(),
+        }
+    }
+
+    /// Settles the pair if its era has: the engine asks after every
+    /// release of a row with no change pending. Returns whether it is
+    /// settled.
+    fn settle_both(&mut self) -> bool {
+        let (w, era_base, next_index) = self.era;
+        if self.settled.is_none() && self.both().settles(w, era_base, next_index) {
+            self.settled = Some(self.both());
+        }
+        self.check_settled();
+        self.settled.is_some()
+    }
+
+    /// The closed form of the settled pair is the pair, by value and by
+    /// the bytes of both images, and the reference completes every
+    /// subtask of the era at its deadline.
+    fn check_settled(&self) {
+        let Some(settled) = &self.settled else { return };
+        let (w, era_base, next_index) = self.era;
+        let now = self.reference.model_now();
+        let closed = Trackers::closed_form(settled, w, era_base, next_index, now);
+        assert_eq!(closed, self.both(), "closed form at {now}");
+        assert_eq!(closed.isw.to_json_compact(), self.isw.to_json_compact());
+        assert_eq!(closed.ps.to_json_compact(), self.ps.to_json_compact());
+        for s in (self.reference.isw.ref_subs().iter()).filter(|s| s.index > era_base) {
+            let d = window_in_era(w, s.index - era_base, s.release).deadline;
+            assert!(
+                s.complete_at.is_none_or(|at| at == d),
+                "D(I_SW, T_{})",
+                s.index
+            );
         }
     }
 
@@ -174,13 +246,14 @@ impl Pair {
                 _ => {
                     let mut got = Vec::new();
                     for t in from..b {
-                        got.extend(self.isw.advance(t).1.into_iter().map(flat));
-                        self.ps.advance(t);
+                        got.extend(self.isw.advance_to(t + 1).1.into_iter().map(flat));
+                        self.ps.advance_to(t + 1);
                     }
                     assert_eq!(got, expected);
                 }
             }
             self.check_both();
+            self.check_settled();
         }
     }
 
@@ -190,8 +263,8 @@ impl Pair {
         assert_eq!(self.isw.now(), now);
         assert_eq!(self.ps.now(), now);
         assert_eq!(self.isw.swt(), r.isw.ref_swt());
-        assert_eq!(self.isw.isw_total(), r.isw.ref_isw_total(), "I_SW at {now}");
-        assert_eq!(self.isw.icsw_total(), r.isw.ref_icsw_total());
+        assert_eq!(self.isw.isw_total(), r.model_isw_total(), "I_SW at {now}");
+        assert_eq!(self.isw.icsw_total(), r.model_icsw_total());
         assert_eq!(self.ps.total(), r.ps_total, "I_PS at {now}");
         for s in r.isw.ref_subs() {
             let live = !s.halted && s.complete_at.is_none();
@@ -225,16 +298,33 @@ impl Pair {
     fn add_both(&mut self, index: u64, release: Slot, era_first: bool, pred_b: bool) {
         self.reference.model_add(index, release, era_first, pred_b);
         self.isw.add_subtask(index, release, era_first, pred_b);
+        self.era.2 = index + 1;
     }
 
     fn initiate_both(&mut self, v: Rational) {
+        self.settled = None;
         self.reference.wt = v;
         self.ps.set_wt(v);
     }
 
+    /// Enacts `v`: the era numbering subtasks after the last released
+    /// one opens.
     fn enact_both(&mut self, v: Rational) {
+        self.settled = None;
         self.reference.isw.ref_set_swt(v);
         self.isw.set_swt(v);
+        self.era = (Weight::new(v), self.era.2 - 1, self.era.2);
+        self.check_both();
+    }
+
+    /// A new stay at weight `v` from `t`, after the trackers stood
+    /// still since the departure.
+    fn rejoin_both(&mut self, v: Rational, t: Slot) {
+        self.settled = None;
+        self.reference.model_rejoin(v, t);
+        self.isw.rejoin(v, t);
+        self.ps.rejoin(v, t);
+        self.era = (Weight::new(v), self.era.2 - 1, self.era.2);
         self.check_both();
     }
 
@@ -246,6 +336,7 @@ impl Pair {
     }
 
     fn halt_both(&mut self, index: u64) {
+        self.settled = None;
         let now = self.reference.model_now();
         let expected = self.reference.model_halt(index);
         let lost = self.isw.halt(index, now);
@@ -271,6 +362,10 @@ enum EraEnd {
     /// at `max(t_c, D(I_SW, T_{j−1}) + b(T_{j−1}))`, `T_{j−1}` the last
     /// subtask not halted before it (rule O).
     Halt,
+    /// The task leaves: the last subtask is halted if incomplete, the
+    /// rest complete, and the task rejoins at the next weight `offset`
+    /// slots later (rules L and J).
+    Rejoin,
 }
 
 #[derive(Clone, Debug)]
@@ -290,18 +385,24 @@ fn arb_era() -> impl Strategy<Value = Era> {
         (0usize..DENS.len(), 1i128..=31),
         1u64..=5,
         prop::collection::vec(0i64..3, 5),
-        0u8..3,
+        0u8..4,
         0i64..8,
     )
         .prop_map(|((d, n), subs, seps, end, offset)| Era {
             weight: (1 + (n - 1) % DENS[d], DENS[d]),
             subs,
             seps,
-            end: [EraEnd::Wait, EraEnd::Straddle, EraEnd::Halt][usize::from(end)],
+            end: [EraEnd::Wait, EraEnd::Straddle, EraEnd::Halt, EraEnd::Rejoin][usize::from(end)],
             offset,
         })
 }
 
+/// Drives the scripted task through `plan`, comparing the trackers with
+/// the reference at every boundary. At every release it also holds the
+/// settling of eras to their *quiet* releases (none delayed, none with
+/// an `I_PS` suspension still ahead): three in a row push out the
+/// records of any other era or grid, so the pair has settled; and a
+/// pair never settles on a release that is not quiet.
 fn run_plan(plan: &[Era], chunks: Vec<i64>) {
     let value = |era: &Era| rat(era.weight.0, era.weight.1);
     let mut pair = Pair::new(value(&plan[0]), chunks);
@@ -313,13 +414,28 @@ fn run_plan(plan: &[Era], chunks: Vec<i64>) {
         let w = Weight::new(value(era));
         let mut release = open_at;
         let mut last = window_in_era(w, 1, release);
+        let (mut quiet, mut delayed) = (0, false);
         for rank in 1..=era.subs {
             pair.advance_both(release);
             index += 1;
             pair.add_both(index, release, rank == 1, rank > 1 && b_bit(w, rank - 1));
+            let settled = pair.settle_both();
+            let suspended = (pair.reference.suspended.iter()).any(|&(_, until)| until > release);
+            quiet = if delayed || suspended { 0 } else { quiet + 1 };
+            assert!(quiet < 3 || settled, "T_{index}: {quiet} quiet releases");
+            assert!(
+                quiet > 0 || !settled,
+                "T_{index}: settled on a release not quiet"
+            );
             last = window_in_era(w, rank, release);
             held.push((index, last));
             let sep = era.seps[(rank % 5) as usize];
+            delayed = sep > 0;
+            if delayed {
+                // An IS delay: the engine rebuilds the trackers of a
+                // settled row before it moves the release.
+                pair.settled = None;
+            }
             // An IS separation: `I_PS` owes nothing between the deadline
             // and the delayed release (twice over, now and then: the
             // intervals may overlap).
@@ -355,6 +471,19 @@ fn run_plan(plan: &[Era], chunks: Vec<i64>) {
                 pair.enact_both(v);
                 (pair.reference.model_completion(index) + b).max(tc)
             }
+            EraEnd::Rejoin => {
+                if !complete {
+                    pair.halt_both(index);
+                    held.pop();
+                }
+                let at = held.last().map_or(tc, |&(p, win)| {
+                    (pair.reference.model_completion(p) + Slot::from(win.b)).max(tc)
+                });
+                pair.advance_both(at);
+                held.clear();
+                pair.rejoin_both(v, at + era.offset);
+                at + era.offset
+            }
             _ => {
                 let at = (pair.reference.model_completion(index) + b).max(tc);
                 pair.advance_both(at);
@@ -363,11 +492,45 @@ fn run_plan(plan: &[Era], chunks: Vec<i64>) {
             }
         };
     }
+    // The last era releases nothing more. In the engine only a parked
+    // change or a leave stops a task's releases, and either rebuilds
+    // the trackers of a settled row.
+    pair.settled = None;
     let end = pair.reference.model_now() + 70;
     pair.advance_both(end);
 }
 
+/// An era of 3 to 8 subtasks of one of the [`DENS`] weights, with IS
+/// separations after few of its ranks, ended by any way an era can
+/// end.
+fn arb_settling_era() -> impl Strategy<Value = Era> {
+    (arb_era(), 3u64..=8, 0usize..=5).prop_map(|(mut era, subs, separated)| {
+        era.subs = subs;
+        for (rank, sep) in era.seps.iter_mut().enumerate() {
+            if rank > separated {
+                *sep = 0;
+            }
+        }
+        era
+    })
+}
+
 proptest! {
+    /// After every way an era opens — the join, a rule-O wait, a rule-O
+    /// halt, a rule-I increase enacted mid-window, a leave and rejoin,
+    /// and IS separations that have ended — the pair settles once its
+    /// records are all of the era and on one grid, and from then on it
+    /// is the closed form of the pair it settled with at every boundary
+    /// (`settle_both` and `check_settled`): by value, by image bytes,
+    /// and with the reference's completions, each at its deadline.
+    #[test]
+    fn settled_form_is_the_release_synced_pair_after_every_opening(
+        plan in prop::collection::vec(arb_settling_era(), 2..7),
+        chunks in prop::collection::vec(1i64..12, 1..6),
+    ) {
+        run_plan(&plan, chunks);
+    }
+
     #[test]
     fn trackers_match_the_reference_at_every_boundary(
         plan in prop::collection::vec(arb_era(), 2..7),
@@ -392,10 +555,7 @@ fn synced_static_pair(
     now: Slot,
     stride: Option<i64>,
 ) -> (Trackers, u64, IswReference) {
-    let mut pair = Trackers {
-        isw: IswTracker::new(w.value(), join),
-        ps: PsTracker::new(w.value(), join),
-    };
+    let mut pair = Trackers::new(w.value(), join);
     let mut reference = IswReference::new(w.value(), join);
     let mut rank = 1;
     let mut release = join;
@@ -439,7 +599,7 @@ proptest! {
         let now = join + span;
         let stride = (stride > 0).then_some(stride);
         let (synced, next_index, reference) = synced_static_pair(w, join, base, now, stride);
-        let closed = Trackers::closed_form(w, join, base, next_index, now);
+        let closed = Trackers::closed_form(&Trackers::new(w.value(), join), w, base, next_index, now);
         prop_assert_eq!(&closed, &synced);
         prop_assert_eq!(closed.isw.to_json_compact(), synced.isw.to_json_compact());
         prop_assert_eq!(closed.ps.to_json_compact(), synced.ps.to_json_compact());

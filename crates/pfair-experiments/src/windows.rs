@@ -71,8 +71,8 @@ pub fn fig7() {
             isw.set_swt(rat(2, 5)); // rule I(i): enacted at initiation
             ps.set_wt(rat(2, 5));
         }
-        isw.advance(t);
-        ps.advance(t);
+        isw.advance_to(t + 1);
+        ps.advance_to(t + 1);
         let c1 = isw.subtask_cum(1).unwrap_or(Rational::ONE);
         let c2 = isw.subtask_cum(2).unwrap_or(Rational::ZERO);
         let d1 = c1 - prev[0];

@@ -19,10 +19,11 @@
 //! them in memory either.
 
 use pfair_json::{Json, ToJson};
-use pfair_obs::{NoopProbe, ObsEvent, Probe, Rule};
+use pfair_obs::NoopProbe;
 use pfair_persist::{seal, snapshot_from_str, snapshot_to_string, PersistError, SNAPSHOT_FORMAT};
 use pfair_sched::engine::{Engine, SimConfig};
 use pfair_sched::event::Workload;
+use pfair_sched::overhead::Counters;
 use pfair_sched::workloads::synthetic_population;
 
 const SNAPSHOT: &str = include_str!("fixtures/oi_midrun.snapshot.json");
@@ -36,6 +37,13 @@ const STATIC_AT: i64 = 41;
 
 /// The slot `SETTLED_MIDRUN` was captured at.
 const SETTLED_AT: i64 = 97;
+
+/// The joining weights of the tasks of `SETTLED_MIDRUN`, by id:
+/// numerators and denominators.
+const SETTLED_WEIGHTS: [[i128; 10]; 2] = [
+    [1, 1, 1, 1, 2, 1, 1, 2, 3, 1],
+    [4, 5, 6, 7, 9, 2, 3, 5, 10, 4],
+];
 
 /// Keys version 2 no longer writes: the calendar rings (rebuilt from
 /// the rows at restore), the history request no snapshot carries and
@@ -226,27 +234,16 @@ fn static_midrun_run() -> Engine {
     Engine::new(SimConfig::oi(3, 120), &w)
 }
 
-/// The static population's image at slot 41 is the golden's bytes,
-/// decodes and re-encodes to them, and resumes to the result of the run
-/// that was never captured. At that slot every task holds a released
-/// subtask `I_SW` has not completed.
-#[test]
-fn static_population_snapshots_to_the_golden() {
-    let mut engine = static_midrun_run();
-    let snapshot = engine.snapshot_at(STATIC_AT).expect("snapshot");
-    assert_eq!(snapshot_to_string(&snapshot), STATIC_MIDRUN);
-    let decoded = snapshot_from_str(STATIC_MIDRUN).expect("fixture decodes");
-    assert_eq!(snapshot_to_string(&decoded), STATIC_MIDRUN);
-
-    let envelope = Json::parse(STATIC_MIDRUN).expect("fixture parses");
-    let tasks = array(envelope.get("body").expect("envelope body"), "tasks");
-    assert_eq!(tasks.len(), 67);
-    for task in tasks {
-        let isw = task.get("isw").expect("an I_SW image");
-        let open = array(isw, "subs").iter().any(|s| !is_set(s, "complete_at"));
-        assert!(open, "{:?} holds no incomplete subtask", task.get("id"));
-    }
-
+/// The image `engine` writes at `at` is `golden`'s bytes, which decode
+/// and re-encode to themselves; the decoded image resumes to the result
+/// of the run that was never captured. Returns the image's tasks and
+/// the counters at `at`.
+fn assert_midrun_golden(mut engine: Engine, at: i64, golden: &str) -> (Vec<Json>, Counters) {
+    let snapshot = engine.snapshot_at(at).expect("snapshot");
+    let counters = *engine.counters();
+    assert_eq!(snapshot_to_string(&snapshot), golden);
+    let decoded = snapshot_from_str(golden).expect("fixture decodes");
+    assert_eq!(snapshot_to_string(&decoded), golden);
     let mut resumed = Engine::restore(decoded, NoopProbe).expect("fixture restores");
     engine.run();
     resumed.run();
@@ -254,24 +251,23 @@ fn static_population_snapshots_to_the_golden() {
         resumed.finish().to_json_pretty(),
         engine.finish().to_json_pretty()
     );
+    let envelope = Json::parse(golden).expect("fixture parses");
+    let tasks = array(envelope.get("body").expect("envelope body"), "tasks");
+    (tasks.to_vec(), counters)
 }
 
-/// Rules and halts, as the engine reports them.
-#[derive(Default)]
-struct RuleLog {
-    rules: Vec<Rule>,
-    halts: u64,
-    departures: u64,
-}
-
-impl Probe for RuleLog {
-    fn on_event(&mut self, ev: ObsEvent) {
-        match ev {
-            ObsEvent::ReweightInitiated { rule, .. } => self.rules.push(rule),
-            ObsEvent::Halt { .. } => self.halts += 1,
-            ObsEvent::Depart { .. } => self.departures += 1,
-            _ => {}
-        }
+/// The static population's image at slot 41 is the golden's bytes,
+/// decodes and re-encodes to them, and resumes to the result of the run
+/// that was never captured. At that slot every task holds a released
+/// subtask `I_SW` has not completed.
+#[test]
+fn static_population_snapshots_to_the_golden() {
+    let (tasks, _) = assert_midrun_golden(static_midrun_run(), STATIC_AT, STATIC_MIDRUN);
+    assert_eq!(tasks.len(), 67);
+    for task in &tasks {
+        let isw = task.get("isw").expect("an I_SW image");
+        let open = array(isw, "subs").iter().any(|s| !is_set(s, "complete_at"));
+        assert!(open, "{:?} holds no incomplete subtask", task.get("id"));
     }
 }
 
@@ -281,21 +277,10 @@ impl Probe for RuleLog {
 /// at 21 and 55, 1/2 → 1/4 → 1/2 at 33 and 61), task 2 is delayed 4
 /// slots at 30, task 3 leaves at 15 and rejoins at 40, and task 4 is
 /// reweighted 2/9 → 1/9 at 95, a change still parked at 97.
-fn settled_midrun_run() -> Engine<RuleLog> {
+fn settled_midrun_run() -> Engine {
     let mut w = Workload::new();
-    let weights = [
-        (1, 4),
-        (1, 5),
-        (1, 6),
-        (1, 7),
-        (2, 9),
-        (1, 2),
-        (1, 3),
-        (2, 5),
-        (3, 10),
-        (1, 4),
-    ];
-    for (id, &(num, den)) in (0u32..).zip(&weights) {
+    let [nums, dens] = SETTLED_WEIGHTS;
+    for (id, (num, den)) in (0u32..).zip(nums.into_iter().zip(dens)) {
         w.join(id, 0, num, den);
     }
     w.reweight(0, 20, 1, 8).reweight(0, 50, 1, 4);
@@ -304,35 +289,20 @@ fn settled_midrun_run() -> Engine<RuleLog> {
     w.delay(2, 30, 4);
     w.leave(3, 15).join(3, 40, 1, 7);
     w.reweight(4, 95, 1, 9);
-    Engine::with_probe(SimConfig::oi(3, 160), &w, RuleLog::default())
+    Engine::new(SimConfig::oi(3, 160), &w)
 }
 
 /// The reweighted population's image at slot 97 is the golden's bytes,
 /// decodes and re-encodes to them, and resumes to the result of the run
-/// that was never captured. Before that slot rules O (with a halt) and
-/// I have both fired and a task has departed; at it one change is
-/// parked.
+/// that was never captured. Before that slot changes have halted
+/// subtasks, and at it one change is parked.
 #[test]
 fn settled_population_snapshots_to_the_golden() {
-    let mut engine = settled_midrun_run();
-    let snapshot = engine.snapshot_at(SETTLED_AT).expect("snapshot");
-    assert_eq!(snapshot_to_string(&snapshot), SETTLED_MIDRUN);
-    let decoded = snapshot_from_str(SETTLED_MIDRUN).expect("fixture decodes");
-    assert_eq!(snapshot_to_string(&decoded), SETTLED_MIDRUN);
-
-    let log = engine.probe_mut();
-    assert!(log.rules.contains(&Rule::O) && log.rules.contains(&Rule::I));
-    assert!(log.halts > 0 && log.departures > 0, "halts and a departure");
-    let envelope = Json::parse(SETTLED_MIDRUN).expect("fixture parses");
-    let tasks = array(envelope.get("body").expect("envelope body"), "tasks");
-    let parked: Vec<_> = tasks.iter().filter(|t| is_set(t, "pending")).collect();
-    assert_eq!(parked.len(), 1, "one change still parked");
-
-    let mut resumed = Engine::restore(decoded, NoopProbe).expect("fixture restores");
-    engine.run();
-    resumed.run();
+    let (tasks, counters) = assert_midrun_golden(settled_midrun_run(), SETTLED_AT, SETTLED_MIDRUN);
     assert_eq!(
-        resumed.finish().to_json_pretty(),
-        engine.finish().to_json_pretty()
+        (counters.reweight_initiations, counters.halts > 0),
+        (7, true)
     );
+    let parked = tasks.iter().filter(|t| is_set(t, "pending")).count();
+    assert_eq!(parked, 1, "one change still parked");
 }

@@ -52,7 +52,6 @@ use crate::reweight::{RuleSelector, Scheme};
 use crate::trace::{Miss, SimResult, TaskResult};
 use pfair_core::arena::InlineVec;
 use pfair_core::drift::DriftTrack;
-use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
 use pfair_core::time::{Slot, NEVER};
 use pfair_core::weight::Weight;
@@ -283,11 +282,12 @@ impl SubRec {
 /// One contiguous row: the subtask records are inline, and a task that
 /// has not changed since it joined keeps no trackers ([`Ideal`]), so
 /// the only heap block such a task owns is its drift track's; one that
-/// has changed owns one more, its trackers' box (`tests/footprint.rs`
-/// pins these figures). The row holds nothing another place already
-/// does: the task's id is its position in the slab, its scheduling
-/// weight is the slab's column, its actual weight `wt(T, t)` the
-/// `I_PS` tracker's (a static row's is its scheduling weight).
+/// has changed owns one more, its trackers' box, which it keeps once
+/// its era settles (`tests/footprint.rs` pins these figures). The row
+/// holds nothing another place already does: the task's id is its
+/// position in the slab, its scheduling weight is the slab's column,
+/// its actual weight `wt(T, t)` the `I_PS` tracker's (a static or
+/// settled row's is its scheduling weight).
 #[derive(Debug)]
 struct TaskState {
     /// `z`: indices `> era_base` belong to the current era.
@@ -434,11 +434,11 @@ impl TaskState {
     /// The task's end-of-run report, read out of the row where it
     /// stands (`w` its scheduling weight): the drift track moves into the
     /// result, the rest of the row stays behind.
-    fn take_result(&mut self, id: TaskId, w: Rational) -> TaskResult {
+    fn take_result(&mut self, id: TaskId, w: Option<Weight>) -> TaskResult {
         // The growth slack of the drift track's buffer would stay
         // allocated as long as the result lives.
         self.drift.shrink_to_fit();
-        let (ps_total, isw_total, icsw_total) = self.ideal.totals(w);
+        let (ps_total, isw_total, icsw_total) = self.totals(w);
         TaskResult {
             id,
             scheduled_count: self.scheduled_count,
@@ -915,7 +915,7 @@ impl<P: Probe> Engine<P> {
         let mut results = Vec::with_capacity(tasks.len());
         for id in (0u32..).map(TaskId).take(tasks.len()) {
             let present = tasks.in_system(id);
-            let w = Weight::share(tasks.swt(id));
+            let w = tasks.swt(id);
             results.push(match tasks.row_mut(id) {
                 Some(row) => {
                     if present {

@@ -24,19 +24,24 @@
 //!    reads whether the live value is the imaged one shifted by `Φ`,
 //!    cheapest question first: cursors and counter deltas, the hot
 //!    columns, each task row — through shift-and-compare predicates
-//!    that build nothing and hand back the per-period gains as the
-//!    integers the ideal trackers keep — then the ready queue, entry by
-//!    entry (the calendar rings only index verified columns). Each
-//!    advancing task's rank delta must also equal the analytic
-//!    `(P / den) · num`. Any deviation aborts the attempt and the run
+//!    that build nothing — then the ready queue, entry by entry (the
+//!    calendar rings only index verified columns). Each advancing
+//!    task's rank delta must also equal the analytic `(P / den) · num`,
+//!    and its ideals must be a closed form — static or settled (see
+//!    `engine/ideal.rs`) — whose only change over the period is its
+//!    synchronization slot: a span shifts closed forms only, so a row
+//!    whose trackers are still tracked fails verification like any
+//!    other difference. Any deviation aborts the attempt and the run
 //!    simply continues per-slot — batching is a pure optimization,
 //!    never a semantic change.
 //! 3. **Jump** — the engine is deterministic and, in the absence of
 //!    events, its slot pipeline commutes with time translation, so
 //!    `F^P(A) = Φ(A)` implies `F^(kP)(A) = Φ^k(A)`. With
 //!    `k = ⌊(end − t1) / P⌋` whole periods left, the image at `t0` is
-//!    shifted by `k + 1` periods — advancing rows, their next releases,
-//!    the queue entries, the counters and the clock — and loaded by
+//!    shifted by `k + 1` periods — advancing rows (their records, and
+//!    their ideals by the synchronization slot alone), their next
+//!    releases, the queue entries, the counters and the clock — and
+//!    loaded by
 //!    [`Engine::load`], the loader [`Engine::restore`] calls; it re-files
 //!    both rings from the loaded columns, which drops every stale hint.
 //!    A shift that would overflow discards the image before anything is
@@ -53,14 +58,12 @@
 //! equivalence proptests hold batched and per-slot runs to identical
 //! rendered results, counters and metrics snapshots.
 
-use super::ideal::Ideal;
 use super::persist::TaskSnap;
 use super::slab::TaskSlab;
 use super::{Engine, EngineSnapshot, SubRec, TaskState};
 use crate::overhead::Counters;
 use crate::priority::Priority;
 use pfair_core::analysis::checked_lcm;
-use pfair_core::rational::Units;
 use pfair_core::task::TaskId;
 use pfair_core::time::{shift_ever, Slot};
 use pfair_core::weight::Weight;
@@ -171,18 +174,13 @@ struct SpanProbe {
     deltas: Vec<TaskDelta>,
 }
 
-/// Verified per-period deltas of one task, used to extrapolate `Φ^k`:
-/// integers all, as the engine and the ideal trackers count them.
+/// Verified per-period deltas of one task, used to extrapolate `Φ^k`.
 #[derive(Clone, Copy, Debug, Default)]
 struct TaskDelta {
     /// Subtask ranks gained per period (`0` for a fixed task).
     d_index: u64,
     /// `scheduled_count` gained per period.
     sched: u64,
-    /// `I_SW` allocation gained per period, in the tracker's era units.
-    isw_gain: Units,
-    /// `I_PS` active slots gained per period.
-    ps_gain: i64,
 }
 
 impl TaskDelta {
@@ -191,8 +189,6 @@ impl TaskDelta {
         Some(TaskDelta {
             d_index: self.d_index.checked_mul(k)?,
             sched: self.sched.checked_mul(k)?,
-            isw_gain: Units::new(self.isw_gain.get().checked_mul(i64::try_from(k).ok()?)?),
-            ps_gain: self.ps_gain.checked_mul(i64::try_from(k).ok()?)?,
         })
     }
 }
@@ -561,18 +557,18 @@ fn task_delta(
     let subs_shifted = ta.subs.len() == tb.subs.len()
         && (ta.subs.iter().zip(tb.subs.iter()))
             .all(|(sa, sb)| shift_sub(sa, period, d_index) == Some(*sb));
-    if !subs_shifted {
+    // A closed form a period on is the closed form of the same pair
+    // synchronized a period later (a period is a whole number of the
+    // weight's windows); a tracked row is not shifted, so it fails here.
+    if !subs_shifted || !ta.ideal.recurs_as(&tb.ideal, period) {
         return Err(fail);
     }
-    let (isw_gain, ps_gain) = ideal_gains(ta, tb, swt, period, d_index).ok_or(fail)?;
     let delta = TaskDelta {
         d_index,
         sched: tb
             .scheduled_count
             .checked_sub(ta.scheduled_count)
             .ok_or(fail)?,
-        isw_gain,
-        ps_gain,
     };
     // Everything scheduling-visible matches; the placement check comes
     // last so its failure is unambiguous.
@@ -580,31 +576,6 @@ fn task_delta(
         return Err(SpanVerdict::CpuRotation);
     }
     Ok(delta)
-}
-
-/// The trackers' part of an advancing task's [`TaskDelta`]: `I_SW`
-/// units and `I_PS` active slots gained over one period, if the live
-/// row's ideals are the image's one period on. Two static rows are iff
-/// they joined at the same slot and last synchronized `period` apart:
-/// their closed forms then are (a period is a whole number of the
-/// weight's windows), and [`row_shift`] moves such a row's `now` only,
-/// so they report no gains. Any other pair is compared by value.
-fn ideal_gains(
-    ta: &TaskState,
-    tb: &TaskState,
-    w: Weight,
-    period: Slot,
-    d_index: u64,
-) -> Option<(Units, i64)> {
-    if let (Ideal::Static { join, now }, Ideal::Static { join: j, now: n }) = (&ta.ideal, &tb.ideal)
-    {
-        return (join == j && now.checked_add(period) == Some(*n)).then_some((Units::ZERO, 0));
-    }
-    let (a, b) = (ta.ideal_image(w), tb.ideal_image(w));
-    Some((
-        a.isw.gain_over_shift(&b.isw, period, d_index)?,
-        a.ps.gain_over_shift(&b.ps, period)?,
-    ))
 }
 
 /// `Φ^k` on an advancing task's row, in place (`ds = k · P`, `s` the
@@ -618,15 +589,7 @@ fn row_shift(task: &mut TaskState, ds: Slot, s: &TaskDelta) -> Option<()> {
     for r in &mut task.subs {
         *r = shift_sub(r, ds, s.d_index)?;
     }
-    match &mut task.ideal {
-        Ideal::Static { now, .. } => {
-            *now = now.checked_add(ds)?;
-            Some(())
-        }
-        Ideal::Tracked(trackers) => (trackers.isw.shift(ds, s.d_index, s.isw_gain)
-            && trackers.ps.shift(ds, s.ps_gain))
-        .then_some(()),
-    }
+    task.ideal.shift(ds)
 }
 
 /// A subtask record translated by `ds` slots and `di` ranks (a 64-byte
@@ -669,11 +632,12 @@ fn translate_priority(p: Priority, ds: Slot) -> Option<Priority> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ideal::Ideal;
     use crate::engine::SimConfig;
     use crate::event::Workload;
     use crate::overhead::DriverMix;
     use pfair_json::{Json, ToJson};
-    use pfair_obs::MetricsProbe;
+    use pfair_obs::{MetricsProbe, NoopProbe};
 
     /// Everything an engine holds, in two parts: the rendered snapshot
     /// less the configuration (the twins below differ in it by design),
@@ -727,38 +691,48 @@ mod tests {
         w
     }
 
-    /// A jump that cannot be represented is refused whole. Every task's
-    /// indices start 64 below `u64::MAX` (a pure relabelling: only
-    /// `index − era_base` enters a window), and the horizon is far enough
-    /// for each verified span to want some 2³⁹ periods more: the one
-    /// verified period fits, the jump does not. The engine must read
-    /// exactly as before each refusal and go on stepping, equal to the
-    /// per-slot oracle slot for slot.
+    /// A jump that cannot be made is refused whole, two ways. Every
+    /// task's indices start 64 below `u64::MAX` (a pure relabelling:
+    /// only `index − era_base` enters a window), and the horizon is far
+    /// enough for each verified span to want some 2³⁹ periods more: the
+    /// one verified period fits, the jump does not. Or task 3 has its
+    /// trackers built before every tick (by value the same row): a span
+    /// shifts closed forms only, so no verification passes, and none is
+    /// filed as a refused span. The engine must read exactly as before
+    /// each tick and go on stepping, equal to the per-slot oracle slot
+    /// for slot.
     #[test]
     fn busy_span_refused_jump_is_a_no_op() {
         let cfg = SimConfig::oi(4, 1 << 40);
-        let mut fast = Engine::new(cfg.clone(), &halves(0));
-        let mut oracle = Engine::new(cfg.per_slot(), &halves(0));
-        for e in [&mut fast, &mut oracle] {
-            for id in 0..8 {
-                e.tasks.task_mut(TaskId(id)).next_index = u64::MAX - 64;
+        for keep_tracked in [false, true] {
+            let mut fast = Engine::new(cfg.clone(), &halves(0));
+            let mut oracle = Engine::new(cfg.clone().per_slot(), &halves(0));
+            for e in [&mut fast, &mut oracle] {
+                for id in (0..8).filter(|_| !keep_tracked) {
+                    e.tasks.task_mut(TaskId(id)).next_index = u64::MAX - 64;
+                }
             }
+            for _ in 0..100 {
+                fast.step_slot();
+                oracle.step_slot();
+                if keep_tracked {
+                    fast.tasks.trackers(TaskId(3));
+                }
+                let before = state_of(&fast);
+                fast.busy_span_tick();
+                assert_eq!(state_of(&fast), before, "slot {}", fast.now);
+                assert_eq!(before, state_of(&oracle), "slot {}", fast.now);
+                assert_eq!(fast.busy.refused_until, 0, "slot {}", fast.now);
+            }
+            let mix = fast.driver_mix();
+            println!("busy_span_refused_jump_is_a_no_op, tracked {keep_tracked}: {mix:?}");
+            assert_eq!(
+                (mix.jumps, mix.busy_span_slots, mix.per_slot_slots),
+                (0, 0, 100)
+            );
+            assert!(mix.arms > 2 && mix.mismatches > 2, "{mix:?}");
+            assert_eq!(mix.cpu_rotations + mix.mismatches, mix.arms, "{mix:?}");
         }
-        for _ in 0..100 {
-            fast.step_slot();
-            oracle.step_slot();
-            let before = state_of(&fast);
-            fast.busy_span_tick();
-            assert_eq!(state_of(&fast), before, "slot {}", fast.now);
-            assert_eq!(before, state_of(&oracle), "slot {}", fast.now);
-        }
-        let mix = fast.driver_mix();
-        assert_eq!(
-            (mix.jumps, mix.busy_span_slots, mix.per_slot_slots),
-            (0, 0, 100)
-        );
-        assert!(mix.arms > 2 && mix.mismatches > 2, "{mix:?}");
-        assert_eq!(mix.cpu_rotations + mix.mismatches, mix.arms, "{mix:?}");
         // The same system with room to jump does jump.
         let mut roomy = Engine::new(SimConfig::oi(4, 1 << 40), &halves(0));
         roomy.run_to(100);
@@ -850,6 +824,37 @@ mod tests {
         );
     }
 
+    /// Rows that changed settle and then jump like static ones. Eight
+    /// tasks of weight 1/2 fill four processors; at slot 10 each is
+    /// reweighted to 1/2 again, which opens a new era under rule O or
+    /// I and builds its trackers. A few releases later every row has
+    /// settled, the spans after that jump, and the run is the per-slot
+    /// oracle's.
+    #[test]
+    fn busy_span_jumps_over_settled_rows() {
+        let mut w = halves(0);
+        for t in 0..8 {
+            w.reweight(t, 10, 1, 2);
+        }
+        let cfg = SimConfig::oi(4, 400);
+        let mut fast = Engine::new(cfg.clone(), &w);
+        let rows = |e: &Engine<NoopProbe>, settled: bool| {
+            (0..8)
+                .map(|id| &e.tasks.task(TaskId(id)).ideal)
+                .all(|ideal| matches!(ideal, Ideal::Settled { .. }) == settled)
+        };
+        fast.run_to(12);
+        assert!(rows(&fast, false), "every change builds its trackers");
+        let before = fast.driver_mix();
+        fast.run_to(200);
+        assert!(rows(&fast, true), "every row has settled");
+        let mix = fast.driver_mix();
+        assert!(mix.jumps > before.jumps, "{before:?} → {mix:?}");
+        let mix = run_twins(&w, cfg);
+        println!("busy_span_jumps_over_settled_rows: {mix:?}");
+        assert!(mix.jumps > 0 && mix.busy_span_slots > mix.per_slot_slots);
+    }
+
     /// With an event in every slot no span is ever two slots long, and
     /// `try_arm` says so before it looks at a single task.
     #[test]
@@ -883,6 +888,12 @@ mod tests {
     /// the result, the counters, a `MetricsProbe`'s registry and the
     /// final engine state — and the run prints its driver mix, so a
     /// policy change that stops jumping shows as a number in the log.
+    /// Each change leaves the changed row tracked until its era settles,
+    /// and a span over a tracked row does not jump; the floors below are
+    /// the mix of the driver that still shifted tracked rows (release:
+    /// 8288 / 0 / 191712 slots, arms 310, jumps 99, rotations 257,
+    /// mismatches 134; debug: 3380 / 0 / 16620, arms 48, jumps 9,
+    /// rotations 131, mismatches 13), so a lost jump fails here.
     #[test]
     fn busy_span_saturated_twin() {
         let horizon: Slot = if cfg!(debug_assertions) {
@@ -925,6 +936,15 @@ mod tests {
         assert!(
             mix.jumps >= events,
             "a span between two events never jumped: {mix:?}"
+        );
+        let (jumps, jumped) = if cfg!(debug_assertions) {
+            (9, 16_620)
+        } else {
+            (99, 191_712)
+        };
+        assert!(
+            mix.jumps >= jumps && mix.busy_span_slots >= jumped,
+            "fewer jumps than the tracked-row driver: {mix:?}"
         );
         assert!(mix.busy_span_slots > 3 * mix.per_slot_slots, "{mix:?}");
         assert_eq!(

@@ -1,5 +1,5 @@
 //! What a task row keeps of its ideal schedules: two slots while the
-//! task has not changed since it joined, its trackers once it has.
+//! task's era has settled, its trackers while it has not.
 //!
 //! ## The static-row invariant
 //!
@@ -8,16 +8,29 @@
 //! because Eqn (4) releases `T_{i+1}` no later than `T_i` completes; so
 //! `A(I_SW) = A(I_CSW) = A(I_PS) = w · (t − join)`, `D(I_SW, T_i) =
 //! d(T_i)` (Eqns (2)–(4)), and its drift (Eqn (5)) is zero. Such a row
-//! is [`Ideal::Static`]: its trackers would be
-//! [`Trackers::closed_form`]`(w, join, era_base, next_index, now)`, and
-//! nothing else about them needs keeping. Everything the closed form
-//! does not cover starts by building them ([`TaskState::trackers`]): an
-//! enactment or an initiation, a halt, an IS delay, a leave. A rejoin
-//! finds them built, because the leave did.
+//! is [`Ideal::Static`]: its trackers would be [`Trackers::closed_form`]
+//! of the pair it joined with, and nothing else about them needs
+//! keeping.
 //!
-//! Equality is by value: a static row equals a tracked row that holds
-//! its closed form. A snapshot writes the closed form, so an image does
-//! not show which a row is; decoding builds tracked rows.
+//! The same holds inside any later era once nothing of an earlier one
+//! is left. A row with no pending change or departure settles at the
+//! first release after which its trackers retain only records of the
+//! current era, all on one grid of periodic windows and holding what
+//! Fig. 5 gives a task that kept the era's weight on that grid, with no
+//! `I_PS` suspension ahead ([`Trackers::settles`]). From then on, while
+//! only releases happen, each ideal grows by `w` a slot and every
+//! record completes at its deadline: the row is [`Ideal::Settled`], and
+//! its trackers are the closed form of the pair it settled with.
+//!
+//! Everything the closed form does not cover starts by building the
+//! trackers ([`TaskState::trackers`]): an enactment or an initiation, a
+//! halt, an IS delay, a leave. A rejoin finds them built, because the
+//! leave did.
+//!
+//! Equality is by value: a static or settled row equals a tracked row
+//! that holds its closed form. A snapshot writes the closed form, so an
+//! image does not show which a row is; decoding builds tracked rows,
+//! which settle again at their next release.
 
 use super::TaskState;
 use pfair_core::ideal::Trackers;
@@ -32,7 +45,10 @@ pub(super) enum Ideal {
     /// The task has not changed since it joined at `join`; `now` is its
     /// last synchronization (module docs).
     Static { join: Slot, now: Slot },
-    /// The task has changed: its trackers.
+    /// The task's era has settled: `settled` is its pair as it stood at
+    /// the release it settled at, `now` its last synchronization.
+    Settled { now: Slot, settled: Box<Trackers> },
+    /// The task's era has not settled: its trackers.
     Tracked(Box<Trackers>),
 }
 
@@ -45,15 +61,29 @@ impl Clone for Ideal {
                 join: *join,
                 now: *now,
             },
+            Ideal::Settled { now, settled } => Ideal::Settled {
+                now: *now,
+                settled: settled.clone(),
+            },
             Ideal::Tracked(trackers) => Ideal::Tracked(trackers.clone()),
         }
     }
 
-    /// Into the box `self` already holds, when both are tracked: a
+    /// Into the box `self` already holds, when both hold one: a
     /// busy-span arming writes every row over the last arming's.
     fn clone_from(&mut self, source: &Self) {
         match (&mut *self, source) {
             (Ideal::Tracked(mine), Ideal::Tracked(theirs)) => mine.clone_from(theirs),
+            (
+                Ideal::Settled { now, settled },
+                Ideal::Settled {
+                    now: at,
+                    settled: theirs,
+                },
+            ) => {
+                *now = *at;
+                settled.clone_from(theirs);
+            }
             _ => *self = source.clone(),
         }
     }
@@ -67,46 +97,46 @@ impl Ideal {
     #[inline]
     pub(super) fn now(&self) -> Slot {
         match self {
-            Ideal::Static { now, .. } => *now,
+            Ideal::Static { now, .. } | Ideal::Settled { now, .. } => *now,
             Ideal::Tracked(trackers) => trackers.isw.now(),
         }
     }
 
-    /// Starts a stay at weight `w` from `t`: a row that never joined
-    /// becomes static, a tracked one (every departed row) carries its
-    /// totals into the new stay.
-    pub(super) fn rejoin(&mut self, w: Rational, t: Slot) {
-        match self {
-            Ideal::Static { .. } => *self = Ideal::Static { join: t, now: t },
-            Ideal::Tracked(trackers) => {
-                trackers.isw.rejoin(w, t);
-                trackers.ps.rejoin(w, t);
-            }
-        }
-    }
-
     /// The `I_SW` era unit at scheduling weight `w`: a static row's is
-    /// `w`'s denominator, as a tracker built at the join counts in.
+    /// `w`'s denominator, a settled row's its box's (as it settled).
     pub(super) fn unit(&self, w: Weight) -> Units {
         match self {
             Ideal::Static { .. } => Units::new(w.denom()),
+            Ideal::Settled { settled, .. } => settled.isw.unit(),
             Ideal::Tracked(trackers) => trackers.isw.unit(),
         }
     }
 
-    /// `(A(I_PS), A(I_SW), A(I_CSW))` over `[0, now)`: for a static row
-    /// of weight `w` all three are `w · (now − join)`.
-    pub(super) fn totals(&self, w: Rational) -> (Rational, Rational, Rational) {
-        match self {
-            Ideal::Static { join, now } => {
-                let total = w.mul_int(slots_since(*join, *now));
-                (total, total, total)
+    /// `later` is this ideal `period` slots on with nothing but releases
+    /// in between: the same static or settled row, synchronized `period`
+    /// slots later. A tracked row never recurs this way: the busy span
+    /// shifts closed forms only.
+    pub(super) fn recurs_as(&self, later: &Ideal, period: Slot) -> bool {
+        match (self, later) {
+            (Ideal::Static { join, now }, Ideal::Static { join: j, now: n }) => {
+                join == j && now.checked_add(period) == Some(*n)
             }
-            Ideal::Tracked(trackers) => (
-                trackers.ps.total(),
-                trackers.isw.isw_total(),
-                trackers.isw.icsw_total(),
-            ),
+            (Ideal::Settled { now, settled }, Ideal::Settled { now: n, settled: s }) => {
+                now.checked_add(period) == Some(*n) && settled == s
+            }
+            _ => false,
+        }
+    }
+
+    /// Moves a static or settled row's synchronization, so its closed
+    /// form, `ds` slots on; `None` for a tracked row or on overflow.
+    pub(super) fn shift(&mut self, ds: Slot) -> Option<()> {
+        match self {
+            Ideal::Static { now, .. } | Ideal::Settled { now, .. } => {
+                *now = now.checked_add(ds)?;
+                Some(())
+            }
+            Ideal::Tracked(_) => None,
         }
     }
 }
@@ -115,40 +145,90 @@ impl TaskState {
     /// The row's trackers at scheduling weight `w`: its own, or its
     /// closed form.
     pub(super) fn ideal_image(&self, w: Weight) -> Cow<'_, Trackers> {
-        match &self.ideal {
-            Ideal::Static { join, now } => Cow::Owned(Trackers::closed_form(
-                w,
-                *join,
-                self.era_base,
-                self.next_index,
-                *now,
-            )),
-            Ideal::Tracked(trackers) => Cow::Borrowed(trackers),
-        }
+        let (mut closed, now) = match &self.ideal {
+            Ideal::Static { join, now } => (Trackers::new(w.value(), *join), *now),
+            Ideal::Settled { now, settled } => ((**settled).clone(), *now),
+            Ideal::Tracked(trackers) => return Cow::Borrowed(trackers),
+        };
+        closed.close_to(w, self.era_base, self.next_index, now);
+        Cow::Owned(closed)
     }
 
     /// The row's trackers, built from its closed form at scheduling
-    /// weight `w` first if it has none.
+    /// weight `w` first if it has none — in the box a settled row
+    /// already holds.
     pub(super) fn trackers(&mut self, w: Weight) -> &mut Trackers {
         match self.ideal {
             Ideal::Tracked(ref mut trackers) => trackers,
-            Ideal::Static { .. } => {
-                let closed = self.ideal_image(w).into_owned();
-                self.ideal = Ideal::Tracked(Box::new(closed));
+            _ => {
+                let (era_base, next_index) = (self.era_base, self.next_index);
+                self.ideal = match std::mem::replace(&mut self.ideal, Ideal::BLANK) {
+                    Ideal::Settled { now, mut settled } => {
+                        settled.close_to(w, era_base, next_index, now);
+                        Ideal::Tracked(settled)
+                    }
+                    Ideal::Static { join, now } => {
+                        let mut closed = Trackers::new(w.value(), join);
+                        closed.close_to(w, era_base, next_index, now);
+                        Ideal::Tracked(Box::new(closed))
+                    }
+                    tracked => tracked,
+                };
                 self.trackers(w)
             }
         }
     }
 
+    /// Settles a tracked row whose era has (module docs): called after
+    /// its release, `w` its scheduling weight, with no change or
+    /// departure pending.
+    pub(super) fn settle(&mut self, w: Weight) {
+        let Ideal::Tracked(trackers) = &self.ideal else {
+            return;
+        };
+        if trackers.settles(w, self.era_base, self.next_index) {
+            let now = trackers.isw.now();
+            if let Ideal::Tracked(settled) = std::mem::replace(&mut self.ideal, Ideal::BLANK) {
+                self.ideal = Ideal::Settled { now, settled };
+            }
+        }
+    }
+
+    /// Starts a stay at weight `g` from `t`, `w` the scheduling weight of
+    /// the last: a row that never joined becomes static, any other
+    /// (every departed row) carries its totals into the new stay.
+    pub(super) fn rejoin(&mut self, w: Weight, g: Rational, t: Slot) {
+        if let Ideal::Static { .. } = self.ideal {
+            self.ideal = Ideal::Static { join: t, now: t };
+            return;
+        }
+        let trackers = self.trackers(w);
+        trackers.isw.rejoin(g, t);
+        trackers.ps.rejoin(g, t);
+    }
+
+    /// `(A(I_PS), A(I_SW), A(I_CSW))` over `[0, now)` at scheduling
+    /// weight `w` (`None` for an id that never joined): for a static row
+    /// all three are `w · (now − join)`.
+    pub(super) fn totals(&self, w: Option<Weight>) -> (Rational, Rational, Rational) {
+        if let Ideal::Static { join, now } = self.ideal {
+            let total = Weight::share(w).mul_int(slots_since(join, now));
+            return (total, total, total);
+        }
+        let trackers = self.ideal_image(w.unwrap_or(Weight::ONE));
+        (
+            trackers.ps.total(),
+            trackers.isw.isw_total(),
+            trackers.isw.icsw_total(),
+        )
+    }
+
     /// The ideals of two rows of scheduling weight `w` and equal
-    /// indices, by value.
+    /// indices, by value; alike closed forms compare without being built.
     pub(super) fn same_ideals(&self, other: &TaskState, w: Weight) -> bool {
         match (&self.ideal, &other.ideal) {
-            (Ideal::Static { join, now }, Ideal::Static { join: j, now: n }) => {
-                (join, now) == (j, n)
-            }
             (Ideal::Tracked(a), Ideal::Tracked(b)) => a == b,
-            _ => self.ideal_image(w) == other.ideal_image(w),
+            (a, b) => a.recurs_as(b, 0) || self.ideal_image(w) == other.ideal_image(w),
         }
     }
 }

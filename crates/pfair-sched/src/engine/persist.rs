@@ -265,8 +265,8 @@ impl TaskSnap {
 }
 
 impl ToJson for TaskSnap {
-    /// A static row writes its closed form: the image does not show
-    /// whether a row keeps trackers.
+    /// A static or settled row writes its closed form: the image does
+    /// not show whether a row keeps trackers.
     fn write_json(&self, w: &mut JsonWriter) {
         let state = &self.state;
         let ideal = state.ideal_image(self.swt.unwrap_or(Weight::ONE));

@@ -17,12 +17,14 @@
 //! defined (Eqn (5)): `drift(T, u) = A(I_PS, T, 0, u) − A(I_CSW, T, 0, u)`
 //! is sampled at exactly that slot.
 //!
-//! A task that has not changed since it joined has no trackers to tell
-//! (`engine/ideal.rs`, "The static-row invariant"): its `I_SW` completes
-//! each subtask at its deadline, all three ideals stand at `w · (t −
-//! join)`, and its one era-opening release, at the join, samples a
-//! drift of zero. Its release writes the window and the record and
-//! nothing else.
+//! A task that has not changed since it joined, or whose era has
+//! settled, has no trackers to tell (`engine/ideal.rs`, "The static-row
+//! invariant"): its `I_SW` completes each subtask at its deadline and
+//! each ideal grows by its weight a slot. A static row's one era-opening
+//! release, at the join, samples a drift of zero; a settled row opens
+//! no era. Its release writes the window and the record and nothing
+//! else. A tracked row's release tells its trackers, and then settles
+//! the row if its era has.
 
 use super::ideal::Ideal;
 use super::{Engine, SubRec, SubsScan, TaskState};
@@ -46,17 +48,20 @@ impl TaskState {
     /// D(I_SW, T_index))` per completion — so a synchronization builds no
     /// `Rational` at all.
     ///
-    /// A static row has no trackers: its synchronization moves `now` and
-    /// writes each unhalted record's deadline as its completion once the
-    /// deadline is at or before `t` — the sync at which a tracker would
-    /// report it, so pruning and the snapshot see the same records.
+    /// A static or settled row has no trackers: its synchronization
+    /// moves `now` and writes each unhalted record's deadline as its
+    /// completion once the deadline is at or before `t` — the sync at
+    /// which a tracker would report it, so pruning and the snapshot see
+    /// the same records. (A record of an earlier era has its completion
+    /// already, or is halted: a tracker retains every other one, and a
+    /// row that retains one has not settled.)
     ///
     /// The pass over the retained records that follows also answers
     /// what a release at `t` asks of them, so that path never rescans:
     /// see [`SubsScan`].
     fn sync_ideals_to(&mut self, t: Slot) -> SubsScan {
         let closed_form = match &mut self.ideal {
-            Ideal::Static { now, .. } => {
+            Ideal::Static { now, .. } | Ideal::Settled { now, .. } => {
                 *now = t.max(*now);
                 true
             }
@@ -81,7 +86,7 @@ impl TaskState {
         };
         for s in &mut self.subs {
             if s.halted_at == NEVER {
-                if closed_form && s.deadline <= t {
+                if closed_form && s.deadline <= t && s.isw_completion == NEVER {
                     s.isw_completion = s.deadline;
                 }
                 scan.pred_b = Some(s.b);
@@ -160,11 +165,13 @@ impl<P: Probe> Engine<P> {
 
             // Drift is sampled exactly at era-opening releases: `u` of
             // Eqn (5) is this slot, and the trackers currently hold
-            // A(·, 0, t). A static row's totals are equal.
+            // A(·, 0, t). A static row's totals are equal, and a settled
+            // row opens no era: the enactment or the join that opens one
+            // builds its trackers first.
             if era_first {
                 let (ps_total, icsw_total) = match &task.ideal {
-                    Ideal::Static { .. } => (Rational::ZERO, Rational::ZERO),
                     Ideal::Tracked(trackers) => (trackers.ps.total(), trackers.isw.icsw_total()),
+                    _ => (Rational::ZERO, Rational::ZERO),
                 };
                 let drift = ps_total - icsw_total;
                 task.drift.record(t, ps_total, icsw_total);
@@ -181,6 +188,9 @@ impl<P: Probe> Engine<P> {
                         .expect("non-era-first release without predecessor")
                 };
                 trackers.isw.add_subtask(index, t, era_first, pred_b);
+            }
+            if books_successor {
+                task.settle(weight);
             }
             task.subs.push_back(SubRec {
                 index,

@@ -54,19 +54,23 @@ fn v(task: Option<TaskId>, what: impl Into<String>) -> Violation {
     }
 }
 
-/// Verifies a history-enabled result. Returns all violations found.
-///
-/// # Panics
-/// Panics if the result lacks histories (run the simulation with
-/// `record_history`).
+/// What [`verify`] reports for a task whose result carries no history.
+pub const NO_HISTORY: &str = "no history recorded (run with `record_history`)";
+
+/// Verifies a history-enabled result. Returns all violations found. A
+/// result without histories cannot be checked: each task that lacks one
+/// is reported as one violation ([`NO_HISTORY`]), and nothing else is.
 pub fn verify(result: &SimResult) -> Vec<Violation> {
+    let missing: Vec<Violation> = (result.tasks.iter())
+        .filter(|task| task.history.is_none())
+        .map(|task| v(Some(task.id), NO_HISTORY))
+        .collect();
+    if !missing.is_empty() {
+        return missing;
+    }
     let mut out = Vec::new();
     for task in &result.tasks {
-        let hist = task
-            .history
-            .as_ref()
-            // audit: allow(panic, documented precondition: caller must enable record_history)
-            .expect("verify requires record_history");
+        let Some(hist) = &task.history else { continue };
         verify_windows(task.id, hist, &mut out);
         verify_schedule_sanity(task.id, hist, &mut out);
         verify_lag_window(task.id, hist, result.horizon, &mut out);
@@ -279,14 +283,8 @@ fn verify_schedule_sanity(id: TaskId, hist: &TaskHistory, out: &mut Vec<Violatio
 /// At most `M` quanta per slot across all tasks.
 fn verify_capacity(result: &SimResult, out: &mut Vec<Violation>) {
     let mut per_slot: BTreeMap<Slot, u32> = BTreeMap::new();
-    for task in &result.tasks {
-        for s in &task
-            .history
-            .as_ref()
-            // audit: allow(panic, documented precondition: caller must enable record_history)
-            .expect("verify requires record_history")
-            .scheduled_slots
-        {
+    for hist in result.tasks.iter().filter_map(|task| task.history.as_ref()) {
+        for s in &hist.scheduled_slots {
             *per_slot.entry(*s).or_insert(0) += 1;
         }
     }
@@ -307,13 +305,8 @@ fn verify_capacity(result: &SimResult, out: &mut Vec<Violation>) {
 fn verify_misses(result: &SimResult, out: &mut Vec<Violation>) {
     let mut expected = Vec::new();
     for task in &result.tasks {
-        for sub in &task
-            .history
-            .as_ref()
-            // audit: allow(panic, documented precondition: caller must enable record_history)
-            .expect("verify requires record_history")
-            .subtasks
-        {
+        let Some(hist) = &task.history else { continue };
+        for sub in &hist.subtasks {
             let scheduled_in_time = sub.scheduled_at.is_some_and(|s| s < sub.window.deadline);
             let within_horizon = sub.window.deadline <= result.horizon;
             if within_horizon && !scheduled_in_time && sub.halted_at.is_none() {
@@ -411,12 +404,17 @@ mod tests {
         assert!(!violations.is_empty());
     }
 
+    /// A result without histories is answered, not panicked on: one
+    /// violation per task, naming it.
     #[test]
-    #[should_panic(expected = "verify requires record_history")]
-    fn historyless_result_panics() {
+    fn historyless_result_is_reported() {
         let mut w = Workload::new();
-        w.join(0, 0, 1, 2);
+        w.join(0, 0, 1, 2).join(1, 0, 1, 3);
         let r = simulate(SimConfig::oi(1, 10), &w);
-        let _ = verify(&r);
+        let expected: Vec<Violation> = [TaskId(0), TaskId(1)]
+            .into_iter()
+            .map(|id| v(Some(id), NO_HISTORY))
+            .collect();
+        assert_eq!(verify(&r), expected);
     }
 }

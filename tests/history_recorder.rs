@@ -13,15 +13,18 @@
 //! The engine keeps no trackers for a task that has not changed since
 //! it joined and reads its totals off a closed form; the recorder's
 //! series share nothing with that form, so the sums check it too, also
-//! across the slot at which a task's first change switches it over.
+//! across the slot at which a task's first change switches it over, and
+//! across the closed form of an era that has settled after a change
+//! and the change that ends it.
 
 use pfair_json::{FromJson, Json, ToJson};
 use pfair_repro::core::rational::Rational;
-use pfair_repro::sched::engine::{simulate, Engine, EngineSnapshot, SimConfig};
+use pfair_repro::sched::engine::{simulate, simulate_with, Engine, EngineSnapshot, SimConfig};
 use pfair_repro::sched::event::{EventKind, Workload};
 use pfair_repro::sched::history::HistoryRecorder;
-use pfair_repro::sched::prelude::NoopProbe;
+use pfair_repro::sched::prelude::{MetricsProbe, NoopProbe};
 use pfair_repro::sched::priority::TieBreak;
+use pfair_repro::sched::reweight::Scheme;
 use pfair_repro::sched::trace::SimResult;
 use pfair_repro::sched::verify::verify;
 use pfair_repro::sched::workloads::{churn, fig6_base, fig8, fig9};
@@ -160,41 +163,64 @@ fn busy_span_replay_records_the_per_slot_history() {
 }
 
 /// A population of tasks that never change, light and heavy, joining
-/// in the first slots; a seeded half of the light ones then change once,
-/// each at its own slot: a reweight (rules O and I under PD²-OI, L and
-/// J under PD²-LJ), an IS delay, or a leave and a rejoin. Each such task
-/// runs on the closed form up to that slot and on its trackers after.
+/// in the first slots; a seeded half of the light ones then change
+/// once, each at its own slot, and change back once the new era has
+/// had well over a hundred slots to settle: a reweight and its return
+/// to the joining weight (rules O and I under PD²-OI, L and J under
+/// PD²-LJ), two IS delays, or two leaves and rejoins, the second back at
+/// the joining weight. Each such task runs on the closed form up to its
+/// first change, on its trackers after it, on the closed form of its
+/// settled era, and on its trackers again from the second change.
+/// The light denominators of [`switch_over_population`]: their lcm,
+/// with the heavy tasks' 4 and 7, is a period the busy span can verify.
+const DENS: [i128; 6] = [3, 4, 6, 8, 12, 16];
+
 fn switch_over_population(seed: u64) -> Workload {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut w = Workload::new();
+    let mut weights = Vec::new();
     for id in 0..24u32 {
-        let den = rng.gen_range(3i128..=16);
-        w.join(id, rng.gen_range(0i64..4), rng.gen_range(1..=den / 3), den);
+        let den = DENS[rng.gen_range(0..DENS.len())];
+        let num = rng.gen_range(1..=den / 3);
+        w.join(id, rng.gen_range(0i64..4), num, den);
+        weights.push((num, den));
     }
     w.join(24, 1, 3, 4).join(25, 3, 5, 7);
-    for id in 0..24u32 {
+    for (id, &(num, den)) in (0u32..).zip(&weights) {
         if rng.gen_range(0u32..2) == 0 {
             continue;
         }
         let at = rng.gen_range(6i64..110);
+        let back = at + rng.gen_range(120i64..200);
         match rng.gen_range(0u32..3) {
-            0 => w.reweight(id, at, 1, rng.gen_range(3i128..=12)),
-            1 => w.delay(id, at, rng.gen_range(1u32..6)),
+            0 => w
+                .reweight(id, at, 1, DENS[rng.gen_range(0..DENS.len() - 1)])
+                .reweight(id, back, num, den),
+            1 => w
+                .delay(id, at, rng.gen_range(1u32..6))
+                .delay(id, back, rng.gen_range(1u32..6)),
             _ => w
                 .leave(id, at)
-                .join(id, at + rng.gen_range(20i64..40), 1, 8),
+                .join(id, at + rng.gen_range(20i64..40), 1, 8)
+                .leave(id, back)
+                .join(id, back + rng.gen_range(20i64..40), num, den),
         };
     }
     w
 }
 
 /// The switch-over population under PD²-OI and PD²-LJ: every driver
-/// rung records the same history and the totals are the recorder's; an
-/// image taken mid-window, with some tasks switched over and some not
-/// yet, round-trips through JSON and resumes to the result of the run
-/// that was never snapshotted.
+/// rung records the same history and the totals are the recorder's.
+/// Under PD²-OI the changes take rules O and I, and some halt. Images
+/// taken mid-window round-trip through JSON and resume to the result of
+/// the run that was never snapshotted: at slot 57, with some tasks
+/// switched over and some not yet, and 20 slots before the horizon,
+/// inside the span the busy span jumps once every change back has
+/// settled.
 #[test]
 fn static_rows_switch_to_trackers_on_every_driver() {
+    // Rule O and rule I initiations, and halts, under PD²-OI.
+    let mut oi = [0; 3];
     for seed in [1, 2, 3] {
         let w = switch_over_population(seed);
         let changes: Vec<i64> = (w.sorted_events().iter())
@@ -202,25 +228,40 @@ fn static_rows_switch_to_trackers_on_every_driver() {
             .map(|e| e.at)
             .collect();
         assert!(changes.iter().any(|&at| at < 57) && changes.iter().any(|&at| at > 57));
-        for cfg in [SimConfig::oi(4, 160), SimConfig::leave_join(4, 160)] {
+        for cfg in [SimConfig::oi(4, 600), SimConfig::leave_join(4, 600)] {
             let label = format!("switch-over {seed} {:?}", cfg.scheme);
             let r = assert_recorder_agrees(&label, &w, cfg.clone());
             assert!(r.counters.reweight_initiations > 0, "{label}: no reweight");
-
-            let mut engine = Engine::new(cfg.clone(), &w);
-            let text = engine
-                .snapshot_at(57)
-                .expect("no history request")
-                .to_json_compact();
-            let image =
-                EngineSnapshot::from_json(&Json::parse(&text).expect("parse")).expect("decode");
-            let mut resumed = Engine::restore(image, NoopProbe).expect("restore");
-            resumed.run();
-            assert_eq!(
-                resumed.finish().to_json_compact(),
-                simulate(cfg, &w).to_json_compact(),
-                "{label}: the resumed run"
-            );
+            if cfg.scheme == Scheme::Oi {
+                let (_, metrics) = simulate_with(cfg.clone(), &w, MetricsProbe::new());
+                for (n, key) in oi
+                    .iter_mut()
+                    .zip(["reweight.rule.O", "reweight.rule.I", "halts"])
+                {
+                    *n += metrics.registry().counter(key);
+                }
+            }
+            for at in [57, cfg.horizon - 20] {
+                let mut engine = Engine::new(cfg.clone(), &w);
+                let text = engine
+                    .snapshot_at(at)
+                    .expect("no history request")
+                    .to_json_compact();
+                assert!(
+                    at == 57 || engine.busy_span_jumps() > 0,
+                    "{label}: no jump before {at}"
+                );
+                let image =
+                    EngineSnapshot::from_json(&Json::parse(&text).expect("parse")).expect("decode");
+                let mut resumed = Engine::restore(image, NoopProbe).expect("restore");
+                resumed.run();
+                assert_eq!(
+                    resumed.finish().to_json_compact(),
+                    simulate(cfg.clone(), &w).to_json_compact(),
+                    "{label}: the run resumed at {at}"
+                );
+            }
         }
     }
+    assert!(oi.iter().all(|&n| n > 0), "rule O, rule I, halts: {oi:?}");
 }
