@@ -952,7 +952,98 @@ mod tests {
 #[cfg(test)]
 mod advance_to_tests {
     use super::*;
+    use crate::ideal::reference::IswReference;
     use crate::rational::rat;
+    use crate::weight::Weight;
+    use crate::window::{b_bit, periodic_window};
+
+    /// Two trackers with identical subtask schedules: one driven per
+    /// slot, one in a single jump; compares totals, the completion-event
+    /// streams, and per-subtask state against an [`IswReference`].
+    fn assert_jump_matches_oracle(num: i128, den: i128, n_subs: u64, horizon: Slot) {
+        let (mut batch, mut oracle, mut reference) = paired(Weight::new(rat(num, den)), n_subs);
+        let (batch_total, batch_events) = batch.advance_to(horizon);
+        let oracle_events = per_slot(&mut oracle, &mut reference, horizon);
+        assert_eq!(batch_total, oracle.isw_total(), "interval total");
+        assert_eq!(batch_events, oracle_events, "completion events");
+        assert_held_subtasks(&batch, &reference);
+        assert_held_subtasks(&oracle, &reference);
+    }
+
+    /// The jumped tracker, its per-slot oracle and a reference, each
+    /// given `T_1 ..= T_n_subs` of a periodic task of weight `w`.
+    fn paired(w: Weight, n_subs: u64) -> (IswTracker, IswTracker, IswReference) {
+        let mut pair = (IswTracker::new(w.value(), 0), IswTracker::new(w.value(), 0));
+        let mut reference = IswReference::new(w.value(), 0);
+        for i in 1..=n_subs {
+            let (release, pred_b) = (periodic_window(w, i, 0).release, i > 1 && b_bit(w, i - 1));
+            pair.0.add_subtask(i, release, i == 1, pred_b);
+            pair.1.add_subtask(i, release, i == 1, pred_b);
+            assert!(reference.ref_add(i, release, i == 1, pred_b));
+        }
+        (pair.0, pair.1, reference)
+    }
+
+    /// Steps `tr` and the reference `fig5` one slot at a time up to
+    /// `t`; returns the tracker's completion events, which must be the
+    /// reference's: every subtask's completion slot and final-slot
+    /// allocation, whether or not the tracker still holds it.
+    fn per_slot(tr: &mut IswTracker, fig5: &mut IswReference, t: Slot) -> Vec<CompletionEvent> {
+        let (mut events, mut expected) = (Vec::new(), Vec::new());
+        for slot in tr.now()..t {
+            events.append(&mut tr.advance_to(slot + 1).1);
+            fig5.ref_step(|index, complete_at, final_slot_alloc| {
+                expected.push(CompletionEvent {
+                    index,
+                    complete_at,
+                    final_slot_alloc,
+                });
+            });
+        }
+        assert_eq!(events, expected, "completions against the reference");
+        events
+    }
+
+    /// `tr` agrees with the reference on the totals, and on the
+    /// cumulative and completion of each subtask it still holds; each
+    /// one it has dropped is complete.
+    fn assert_held_subtasks(tr: &IswTracker, reference: &IswReference) {
+        assert_eq!(
+            (tr.isw_total(), tr.now()),
+            (reference.ref_isw_total(), reference.ref_now())
+        );
+        for s in reference.ref_subs() {
+            match tr.subtask_cum(s.index) {
+                Some(cum) => assert_eq!((cum, tr.completion_of(s.index)), (s.cum, s.complete_at)),
+                None => assert!(s.complete_at.is_some(), "T_{} dropped incomplete", s.index),
+            }
+        }
+    }
+
+    #[test]
+    fn single_jump_matches_per_slot_for_paper_weights() {
+        assert_jump_matches_oracle(5, 16, 5, 16); // Fig. 1(a)
+        assert_jump_matches_oracle(3, 19, 3, 19); // Fig. 3/7 task X
+        assert_jump_matches_oracle(2, 5, 8, 20); // heavy-ish, b=1 chains
+        assert_jump_matches_oracle(1, 1, 6, 6); // weight one: one per slot
+        assert_jump_matches_oracle(1, 7, 3, 21); // light, b=0 everywhere
+    }
+
+    /// A jump that stops mid-window leaves the same partial cumulative
+    /// state as the per-slot oracle, and the follow-up jump finishes
+    /// identically — the era-boundary cadence the engine uses.
+    #[test]
+    fn split_jumps_preserve_partial_state() {
+        for split in 0..=10 {
+            let (mut batch, mut oracle, mut reference) = paired(Weight::new(rat(5, 16)), 4);
+            let (_, mut batch_events) = batch.advance_to(split);
+            batch_events.append(&mut batch.advance_to(10).1);
+            let oracle_events = per_slot(&mut oracle, &mut reference, 10);
+            assert_eq!(batch_events, oracle_events, "split at {split}");
+            assert_held_subtasks(&batch, &reference);
+            assert_held_subtasks(&oracle, &reference);
+        }
+    }
 
     /// Fig. 7's era change, driven by jumps: advance to the enactment
     /// boundary, change the weight, jump again. X_2 must complete at 10

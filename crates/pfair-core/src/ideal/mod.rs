@@ -34,7 +34,7 @@
 //! of them, and so does a task whose current era has settled — nothing
 //! of an earlier era retained, no suspension ahead — so the engine
 //! keeps no trackers for either: [`Trackers`] is the pair a task holds
-//! while its era has not settled, and [`Trackers::closed_form`] the
+//! while its era has not settled, and [`Trackers::close_to`] gives the
 //! pair the others would hold.
 
 pub mod is_table;

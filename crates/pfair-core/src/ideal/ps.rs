@@ -41,14 +41,11 @@ pub struct PsTracker {
 }
 
 impl PartialEq for PsTracker {
-    /// By value; two trackers that split their totals alike compare
-    /// without multiplying either out.
     fn eq(&self, other: &PsTracker) -> bool {
         self.wt == other.wt
             && self.now == other.now
             && self.suspensions == other.suspensions
-            && ((self.base, self.active) == (other.base, other.active)
-                || self.total() == other.total())
+            && self.total() == other.total()
     }
 }
 
@@ -335,6 +332,26 @@ mod suspension_tests {
 mod advance_to_tests {
     use super::*;
     use crate::rational::rat;
+
+    #[test]
+    fn interval_jump_matches_per_slot() {
+        // Fig. 7(b)'s schedule, advanced in two closed-form jumps.
+        let mut batch = PsTracker::new(rat(3, 19), 0);
+        assert_eq!(batch.advance_to(8), rat(24, 19));
+        batch.set_wt(rat(2, 5));
+        batch.advance_to(11);
+
+        let mut oracle = PsTracker::new(rat(3, 19), 0);
+        for t in 0..8 {
+            oracle.advance_to(t + 1);
+        }
+        oracle.set_wt(rat(2, 5));
+        for t in 8..11 {
+            oracle.advance_to(t + 1);
+        }
+        assert_eq!(batch.total(), oracle.total());
+        assert_eq!(batch.now(), oracle.now());
+    }
 
     #[test]
     fn overlapping_suspensions_counted_once() {

@@ -31,33 +31,17 @@ impl Trackers {
         }
     }
 
-    /// The pair `settled` becomes at `now` when nothing but releases
-    /// happens to the task: [`IswTracker::closed_form`] on the era's
-    /// grid, and the `I_PS` tracker synchronized to `now`. Within such
-    /// an era all three ideals grow by `w` a slot, so the drift stays
-    /// what it was when the era settled.
+    /// The closed form, in place: the pair becomes what it would be at
+    /// `now` if nothing but releases happened to the task —
+    /// [`IswTracker::closed_form`] on the era's grid, and the `I_PS`
+    /// tracker synchronized to `now`. Within such an era all three
+    /// ideals grow by `w` a slot, so the drift stays what it was when
+    /// the era settled.
     ///
     /// A task that has kept weight `w` since it joined at `join` — no
-    /// enactment, halt, IS delay or departure — is the special case
-    /// `settled = Trackers::new(w, join)`: its totals are `w · (now −
-    /// join)` and its drift is zero.
-    ///
-    /// # Panics
-    /// As [`IswTracker::closed_form`].
-    pub fn closed_form(
-        settled: &Trackers,
-        w: Weight,
-        era_base: u64,
-        next_index: u64,
-        now: Slot,
-    ) -> Trackers {
-        let mut pair = settled.clone();
-        pair.close_to(w, era_base, next_index, now);
-        pair
-    }
-
-    /// [`Trackers::closed_form`] in place: the pair becomes the one it
-    /// would be at `now`.
+    /// enactment, halt, IS delay or departure — is the special case of
+    /// a pair that starts as `Trackers::new(w, join)`: its totals are
+    /// `w · (now − join)` and its drift is zero.
     ///
     /// # Panics
     /// As [`IswTracker::closed_form`].
@@ -69,11 +53,11 @@ impl Trackers {
     /// Whether the pair, synchronized at a release of an era of weight
     /// `w` that numbers its subtasks from `era_base + 1` (the next one
     /// gets `next_index`), has settled: no suspension lies ahead of it,
-    /// every record it retains is of the era, and it is its own
-    /// [`Trackers::closed_form`] — every record on one grid of periodic
-    /// windows, holding what Fig. 5 gives a task that has kept `w` on
-    /// that grid. From then on, as long as only releases on that grid
-    /// happen, the closed form of this pair is the pair.
+    /// every record it retains is of the era, and it is its own closed
+    /// form ([`Trackers::close_to`]) — every record on one grid of
+    /// periodic windows, holding what Fig. 5 gives a task that has kept
+    /// `w` on that grid. From then on, as long as only releases on that
+    /// grid happen, the closed form of this pair is the pair.
     pub fn settles(&self, w: Weight, era_base: u64, next_index: u64) -> bool {
         let now = self.isw.now();
         !self.ps.suspended_after(now)

@@ -13,17 +13,17 @@
 //! increase enacted mid-window (the straddle: the one case where the
 //! tracker's unit must carry two denominators) or by a halt, with IS
 //! separations and overlapping suspensions, or by a leave and a rejoin
-//! — and compared at every
-//! boundary: totals, `icsw_total`, every retained `subtask_cum`,
-//! completions with their final-slot allocations, projected
-//! completions, halt records (whose loss the reference's per-slot
-//! breakdown must sum to), and the tracker's JSON image decoded back
-//! (which re-derives its unit from the values alone).
+//! — and compared at every boundary: totals, `icsw_total`, every
+//! retained `subtask_cum`, completions with their final-slot
+//! allocations, projected completions, halt records (whose loss the
+//! reference's per-slot breakdown must sum to), and the tracker's JSON
+//! image decoded back (which re-derives its unit from the values
+//! alone).
 //!
 //! A task that never changes needs no trackers: the engine reads its
-//! pair off [`Trackers::closed_form`] instead, which is held here to a
-//! pair synchronized at every release the engine's way and to the
-//! reference's completions. So does a task whose current era has
+//! pair off the closed form ([`Trackers::close_to`]) instead, which is
+//! held here to a pair synchronized at every release the engine's way
+//! and to the reference's completions. So does a task whose current era has
 //! settled ([`Trackers::settles`]): the scripted task is checked at
 //! every boundary against the closed form of the pair it settled with,
 //! after every way an era can open.
@@ -198,7 +198,8 @@ impl Pair {
         let Some(settled) = &self.settled else { return };
         let (w, era_base, next_index) = self.era;
         let now = self.reference.model_now();
-        let closed = Trackers::closed_form(settled, w, era_base, next_index, now);
+        let mut closed = settled.clone();
+        closed.close_to(w, era_base, next_index, now);
         assert_eq!(closed, self.both(), "closed form at {now}");
         assert_eq!(closed.isw.to_json_compact(), self.isw.to_json_compact());
         assert_eq!(closed.ps.to_json_compact(), self.ps.to_json_compact());
@@ -583,8 +584,8 @@ fn synced_static_pair(
 }
 
 proptest! {
-    /// `closed_form` is the release-synced pair, by equality and by the
-    /// bytes of both images, for light, heavy and unit weights with
+    /// The closed form is the release-synced pair, by equality and by
+    /// the bytes of both images, for light, heavy and unit weights with
     /// denominators up to 64, whatever the first index; its totals are
     /// `w · (now − join)` and every retained record is the reference's.
     #[test]
@@ -599,7 +600,8 @@ proptest! {
         let now = join + span;
         let stride = (stride > 0).then_some(stride);
         let (synced, next_index, reference) = synced_static_pair(w, join, base, now, stride);
-        let closed = Trackers::closed_form(&Trackers::new(w.value(), join), w, base, next_index, now);
+        let mut closed = Trackers::new(w.value(), join);
+        closed.close_to(w, base, next_index, now);
         prop_assert_eq!(&closed, &synced);
         prop_assert_eq!(closed.isw.to_json_compact(), synced.isw.to_json_compact());
         prop_assert_eq!(closed.ps.to_json_compact(), synced.ps.to_json_compact());

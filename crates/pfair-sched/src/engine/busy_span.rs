@@ -41,9 +41,9 @@
 //!    shifted by `k + 1` periods — advancing rows (their records, and
 //!    their ideals by the synchronization slot alone), their next
 //!    releases, the queue entries, the counters and the clock — and
-//!    loaded by
-//!    [`Engine::load`], the loader [`Engine::restore`] calls; it re-files
-//!    both rings from the loaded columns, which drops every stale hint.
+//!    loaded by [`Engine::load`], the loader [`Engine::restore`] calls;
+//!    it re-files both rings from the loaded columns, which drops every
+//!    stale hint.
 //!    A shift that would overflow discards the image before anything is
 //!    loaded: a refused jump has touched nothing.
 //!

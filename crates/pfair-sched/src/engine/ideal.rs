@@ -8,9 +8,9 @@
 //! because Eqn (4) releases `T_{i+1}` no later than `T_i` completes; so
 //! `A(I_SW) = A(I_CSW) = A(I_PS) = w · (t − join)`, `D(I_SW, T_i) =
 //! d(T_i)` (Eqns (2)–(4)), and its drift (Eqn (5)) is zero. Such a row
-//! is [`Ideal::Static`]: its trackers would be [`Trackers::closed_form`]
-//! of the pair it joined with, and nothing else about them needs
-//! keeping.
+//! is [`Ideal::Static`]: its trackers would be the closed form
+//! ([`Trackers::close_to`]) of the pair it joined with, and nothing
+//! else about them needs keeping.
 //!
 //! The same holds inside any later era once nothing of an earlier one
 //! is left. A row with no pending change or departure settles at the
@@ -128,6 +128,20 @@ impl Ideal {
         }
     }
 
+    /// Starts a stay at weight `g` from `t`: a row that never joined
+    /// becomes static, a boxed one carries its totals into the new stay.
+    /// Every departed row is tracked: the leave built its trackers, and
+    /// no release settles a row while it is away.
+    pub(super) fn rejoin(&mut self, g: Rational, t: Slot) {
+        match self {
+            Ideal::Static { .. } => *self = Ideal::Static { join: t, now: t },
+            Ideal::Tracked(pair) | Ideal::Settled { settled: pair, .. } => {
+                pair.isw.rejoin(g, t);
+                pair.ps.rejoin(g, t);
+            }
+        }
+    }
+
     /// Moves a static or settled row's synchronization, so its closed
     /// form, `ds` slots on; `None` for a tracked row or on overflow.
     pub(super) fn shift(&mut self, ds: Slot) -> Option<()> {
@@ -192,19 +206,6 @@ impl TaskState {
                 self.ideal = Ideal::Settled { now, settled };
             }
         }
-    }
-
-    /// Starts a stay at weight `g` from `t`, `w` the scheduling weight of
-    /// the last: a row that never joined becomes static, any other
-    /// (every departed row) carries its totals into the new stay.
-    pub(super) fn rejoin(&mut self, w: Weight, g: Rational, t: Slot) {
-        if let Ideal::Static { .. } = self.ideal {
-            self.ideal = Ideal::Static { join: t, now: t };
-            return;
-        }
-        let trackers = self.trackers(w);
-        trackers.isw.rejoin(g, t);
-        trackers.ps.rejoin(g, t);
     }
 
     /// `(A(I_PS), A(I_SW), A(I_CSW))` over `[0, now)` at scheduling

@@ -182,11 +182,10 @@ impl<P: Probe> Engine<P> {
         // rejoining id keeps the rest of its row: its indices go on
         // counting, its drift track, quanta and processor carry over,
         // and its trackers start a new stay from the last one's totals.
-        let last = self.tasks.swt(id).unwrap_or(granted);
         let task = self.tasks.task_mut(id);
         task.era_base = task.next_index - 1;
         task.era_open_pending = true;
-        task.rejoin(last, g, t);
+        task.ideal.rejoin(g, t);
         self.tasks.set_in_system(id, true);
         self.tasks.set_swt(id, Some(granted));
         self.tasks.set_ran(id, false);

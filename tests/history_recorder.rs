@@ -162,6 +162,11 @@ fn busy_span_replay_records_the_per_slot_history() {
     );
 }
 
+/// Light denominators whose lcm with the heavy tasks' 4 and 7 is a
+/// period the busy span can verify: a population drawn from them jumps
+/// once its changes have settled.
+const LCM_DENS: [i128; 6] = [3, 4, 6, 8, 12, 16];
+
 /// A population of tasks that never change, light and heavy, joining
 /// in the first slots; a seeded half of the light ones then change
 /// once, each at its own slot, and change back once the new era has
@@ -171,16 +176,15 @@ fn busy_span_replay_records_the_per_slot_history() {
 /// the joining weight. Each such task runs on the closed form up to its
 /// first change, on its trackers after it, on the closed form of its
 /// settled era, and on its trackers again from the second change.
-/// The light denominators of [`switch_over_population`]: their lcm,
-/// with the heavy tasks' 4 and 7, is a period the busy span can verify.
-const DENS: [i128; 6] = [3, 4, 6, 8, 12, 16];
-
-fn switch_over_population(seed: u64) -> Workload {
+/// Light denominators are drawn from `dens` (sorted), reweights to `1/d`
+/// from its `d ≤ 12`.
+fn switch_over_population(seed: u64, dens: &[i128]) -> Workload {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut w = Workload::new();
     let mut weights = Vec::new();
+    let reweights = dens.partition_point(|&d| d <= 12);
     for id in 0..24u32 {
-        let den = DENS[rng.gen_range(0..DENS.len())];
+        let den = dens[rng.gen_range(0..dens.len())];
         let num = rng.gen_range(1..=den / 3);
         w.join(id, rng.gen_range(0i64..4), num, den);
         weights.push((num, den));
@@ -194,7 +198,7 @@ fn switch_over_population(seed: u64) -> Workload {
         let back = at + rng.gen_range(120i64..200);
         match rng.gen_range(0u32..3) {
             0 => w
-                .reweight(id, at, 1, DENS[rng.gen_range(0..DENS.len() - 1)])
+                .reweight(id, at, 1, dens[rng.gen_range(0..reweights)])
                 .reweight(id, back, num, den),
             1 => w
                 .delay(id, at, rng.gen_range(1u32..6))
@@ -209,27 +213,33 @@ fn switch_over_population(seed: u64) -> Workload {
     w
 }
 
-/// The switch-over population under PD²-OI and PD²-LJ: every driver
+/// The switch-over populations under PD²-OI and PD²-LJ: every driver
 /// rung records the same history and the totals are the recorder's.
 /// Under PD²-OI the changes take rules O and I, and some halt. Images
 /// taken mid-window round-trip through JSON and resume to the result of
 /// the run that was never snapshotted: at slot 57, with some tasks
-/// switched over and some not yet, and 20 slots before the horizon,
-/// inside the span the busy span jumps once every change back has
-/// settled.
+/// switched over and some not yet, and 20 slots before the horizon —
+/// for [`LCM_DENS`] inside the span the busy span jumps once every
+/// change back has settled. The other population draws every light
+/// denominator in 3..=16, odd and prime ones included.
 #[test]
 fn static_rows_switch_to_trackers_on_every_driver() {
     // Rule O and rule I initiations, and halts, under PD²-OI.
     let mut oi = [0; 3];
-    for seed in [1, 2, 3] {
-        let w = switch_over_population(seed);
+    let any: Vec<i128> = (3..=16).collect();
+    for (seed, dens) in [1, 2, 3]
+        .into_iter()
+        .flat_map(|s| [(s, &any[..]), (s, &LCM_DENS[..])])
+    {
+        let w = switch_over_population(seed, dens);
+        let jumps = dens == LCM_DENS;
         let changes: Vec<i64> = (w.sorted_events().iter())
             .filter(|e| !matches!(e.kind, EventKind::Join(_)))
             .map(|e| e.at)
             .collect();
         assert!(changes.iter().any(|&at| at < 57) && changes.iter().any(|&at| at > 57));
         for cfg in [SimConfig::oi(4, 600), SimConfig::leave_join(4, 600)] {
-            let label = format!("switch-over {seed} {:?}", cfg.scheme);
+            let label = format!("switch-over {seed} {dens:?} {:?}", cfg.scheme);
             let r = assert_recorder_agrees(&label, &w, cfg.clone());
             assert!(r.counters.reweight_initiations > 0, "{label}: no reweight");
             if cfg.scheme == Scheme::Oi {
@@ -248,7 +258,7 @@ fn static_rows_switch_to_trackers_on_every_driver() {
                     .expect("no history request")
                     .to_json_compact();
                 assert!(
-                    at == 57 || engine.busy_span_jumps() > 0,
+                    at == 57 || !jumps || engine.busy_span_jumps() > 0,
                     "{label}: no jump before {at}"
                 );
                 let image =
