@@ -49,22 +49,129 @@ pub struct DriftSample {
     pub drift: Rational,
 }
 
+/// One stored entry: 24 bytes, where a [`DriftSample`] takes 48.
+///
+/// A sample whose numerator and denominator both fit `i64` is one
+/// entry, `{ at, num, den }` with `den > 0`. Any other sample is three
+/// entries with `den == 0`: a marker `{ at, 0, 0 }`, then the
+/// numerator's high and low 64-bit halves in the `at` and `num` of the
+/// next entry, then the denominator's in the one after. A sample is
+/// stored narrow if and only if it fits, so equal tracks hold equal
+/// entries; and a wide sample is three `den == 0` entries from either
+/// end, so the track decodes forward and backward alike.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Entry {
+    at: i64,
+    num: i64,
+    den: i64,
+}
+
+/// `v`'s high half and the bits of its low half, as `i64`s.
+#[inline]
+fn split(v: i128) -> (i64, i64) {
+    // An arithmetic shift by 64 leaves a value in `i64`'s range, and the
+    // mask one in `u64`'s: neither conversion can fail.
+    let high = i64::try_from(v >> 64).unwrap_or_default();
+    let low = u64::try_from(v & i128::from(u64::MAX)).unwrap_or_default();
+    (high, low.cast_signed())
+}
+
+/// The `i128` whose halves [`split`] returned.
+#[inline]
+fn join(high: i64, low: i64) -> i128 {
+    (i128::from(high) << 64) | i128::from(low.cast_unsigned())
+}
+
+impl Entry {
+    #[inline]
+    fn narrow(&self) -> DriftSample {
+        DriftSample {
+            at: self.at,
+            drift: Rational::from_canonical(i128::from(self.num), i128::from(self.den)),
+        }
+    }
+
+    /// The sample a marker and its two continuation entries encode.
+    fn wide(marker: &Entry, num: &Entry, den: &Entry) -> DriftSample {
+        DriftSample {
+            at: marker.at,
+            drift: Rational::from_canonical(join(num.at, num.num), join(den.at, den.num)),
+        }
+    }
+}
+
+/// The samples of a [`DriftTrack`], in time order, decoded one at a
+/// time: what [`DriftTrack::samples`] returns.
+#[derive(Clone, Debug)]
+pub struct Samples<'a> {
+    rest: &'a [Entry],
+}
+
+impl Iterator for Samples<'_> {
+    type Item = DriftSample;
+
+    #[inline]
+    fn next(&mut self) -> Option<DriftSample> {
+        let (sample, rest) = match self.rest {
+            [e, rest @ ..] if e.den != 0 => (e.narrow(), rest),
+            [marker, num, den, rest @ ..] => (Entry::wide(marker, num, den), rest),
+            _ => return None,
+        };
+        self.rest = rest;
+        Some(sample)
+    }
+}
+
+impl DoubleEndedIterator for Samples<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<DriftSample> {
+        let (rest, sample) = match self.rest {
+            [rest @ .., e] if e.den != 0 => (rest, e.narrow()),
+            [rest @ .., marker, num, den] => (rest, Entry::wide(marker, num, den)),
+            _ => return None,
+        };
+        self.rest = rest;
+        Some(sample)
+    }
+}
+
+impl std::iter::FusedIterator for Samples<'_> {}
+
 /// Piecewise-constant drift history of a single task.
-#[derive(Debug, Default, PartialEq, Eq)]
+///
+/// The samples are stored 24 bytes each while their components fit
+/// `i64`, and exactly in three such entries when they do not (see
+/// `Entry`); [`DriftTrack::samples`] decodes them.
+#[derive(Default, PartialEq, Eq)]
 pub struct DriftTrack {
-    samples: Vec<DriftSample>,
+    entries: Vec<Entry>,
+}
+
+impl std::fmt::Debug for DriftTrack {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.samples()).finish()
+    }
 }
 
 impl Clone for DriftTrack {
     fn clone(&self) -> Self {
         DriftTrack {
-            samples: self.samples.clone(),
+            entries: self.entries.clone(),
         }
     }
 
     /// Into the buffer this track already holds.
     fn clone_from(&mut self, source: &Self) {
-        self.samples.clone_from(&source.samples);
+        self.entries.clone_from(&source.entries);
+    }
+}
+
+impl<'a> IntoIterator for &'a DriftTrack {
+    type Item = DriftSample;
+    type IntoIter = Samples<'a>;
+
+    fn into_iter(self) -> Samples<'a> {
+        self.samples()
     }
 }
 
@@ -88,7 +195,8 @@ impl pfair_json::FromJson for DriftSample {
 
 impl pfair_json::ToJson for DriftTrack {
     fn write_json(&self, w: &mut pfair_json::JsonWriter) {
-        w.begin_object().field("samples", &self.samples);
+        w.begin_object().key("samples");
+        self.write_samples(w);
         w.end_object();
     }
 }
@@ -96,13 +204,24 @@ impl pfair_json::ToJson for DriftTrack {
 impl pfair_json::FromJson for DriftTrack {
     /// Re-validates the time-ordering invariant of the samples.
     fn from_json(value: &pfair_json::Json) -> Result<Self, pfair_json::JsonError> {
-        let samples: Vec<DriftSample> = value.field("samples")?;
-        if samples.windows(2).any(|w| w[0].at > w[1].at) {
-            return Err(pfair_json::JsonError::new(
-                "drift samples out of time order",
-            ));
+        use pfair_json::{Json, JsonError};
+        let field = |message: &str| JsonError::new(format!("field `samples`: {message}"));
+        let items = match value.get("samples") {
+            Some(Json::Array(items)) => items,
+            Some(_) => return Err(field("expected an array")),
+            None => return Err(JsonError::new("missing field `samples`")),
+        };
+        let mut track = DriftTrack {
+            entries: Vec::with_capacity(items.len()),
+        };
+        for item in items {
+            let sample = DriftSample::from_json(item).map_err(|e| field(&e.message))?;
+            if track.last_at().is_some_and(|last| last > sample.at) {
+                return Err(JsonError::new("drift samples out of time order"));
+            }
+            track.push(sample);
         }
-        Ok(DriftTrack { samples })
+        Ok(track)
     }
 }
 
@@ -110,7 +229,7 @@ impl DriftTrack {
     /// An empty track (drift 0 everywhere).
     pub fn new() -> DriftTrack {
         DriftTrack {
-            samples: Vec::new(),
+            entries: Vec::new(),
         }
     }
 
@@ -121,81 +240,133 @@ impl DriftTrack {
     /// Panics if samples are recorded out of time order.
     #[inline]
     pub fn record(&mut self, u: Slot, ps_total: Rational, icsw_total: Rational) {
-        if let Some(last) = self.samples.last() {
+        if let Some(last) = self.last_at() {
             // audit: allow(panic-reach, monotone-time invariant of the drift track, a violation is an engine bug)
-            assert!(last.at <= u, "drift samples must be recorded in time order");
+            assert!(last <= u, "drift samples must be recorded in time order");
         }
-        if self.samples.is_empty() {
+        if self.entries.is_empty() {
             // Most tasks never reweight and keep the one sample their
-            // join records: give it a one-sample block, not the four a
+            // join records: give it a one-entry block, not the four a
             // first `push` would reserve.
-            self.samples.reserve_exact(1);
+            self.entries.reserve_exact(1);
         }
-        self.samples.push(DriftSample {
+        self.push(DriftSample {
             at: u,
             drift: ps_total - icsw_total,
         });
+    }
+
+    /// Appends `sample`'s entries, narrow if its components fit `i64`.
+    #[inline]
+    fn push(&mut self, sample: DriftSample) {
+        let DriftSample { at, drift } = sample;
+        match (i64::try_from(drift.numer()), i64::try_from(drift.denom())) {
+            (Ok(num), Ok(den)) => self.entries.push(Entry { at, num, den }),
+            _ => {
+                let (num_high, num_low) = split(drift.numer());
+                let (den_high, den_low) = split(drift.denom());
+                self.entries.extend([
+                    Entry { at, num: 0, den: 0 },
+                    Entry {
+                        at: num_high,
+                        num: num_low,
+                        den: 0,
+                    },
+                    Entry {
+                        at: den_high,
+                        num: den_low,
+                        den: 0,
+                    },
+                ]);
+            }
+        }
+    }
+
+    /// The slot of the latest sample.
+    #[inline]
+    fn last_at(&self) -> Option<Slot> {
+        self.samples().next_back().map(|s| s.at)
     }
 
     /// `drift(T, t)`: the most recent sample at or before `t`, or zero if
     /// no era boundary has occurred yet.
     #[inline]
     pub fn at(&self, t: Slot) -> Rational {
-        self.samples
-            .iter()
+        self.samples()
             .rev()
             .find(|s| s.at <= t)
             .map_or(Rational::ZERO, |s| s.drift)
     }
 
     /// All recorded samples, in time order.
-    pub fn samples(&self) -> &[DriftSample] {
-        &self.samples
+    #[inline]
+    pub fn samples(&self) -> Samples<'_> {
+        Samples {
+            rest: &self.entries,
+        }
+    }
+
+    /// Writes the samples as a bare JSON array, each decoded as it is
+    /// written: the `samples` member of the track's own rendering.
+    pub fn write_samples(&self, w: &mut pfair_json::JsonWriter) {
+        w.begin_array();
+        for sample in self.samples() {
+            pfair_json::ToJson::write_json(&sample, w);
+        }
+        w.end_array();
+    }
+
+    /// The number of recorded samples.
+    pub fn len(&self) -> usize {
+        self.samples().count()
+    }
+
+    /// No sample recorded yet.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Moves `other`'s samples to the end of this track, leaving `other`
+    /// empty; an empty track takes `other`'s buffer whole. The samples
+    /// are taken as they stand: `other`'s must not precede this track's.
+    pub fn append(&mut self, other: &mut DriftTrack) {
+        if self.entries.is_empty() {
+            std::mem::swap(&mut self.entries, &mut other.entries);
+        } else {
+            self.entries.append(&mut other.entries);
+        }
     }
 
     /// Releases the growth slack of the sample buffer — for a track
     /// that is done recording and about to be kept in a result.
     pub fn shrink_to_fit(&mut self) {
-        self.samples.shrink_to_fit();
-    }
-
-    /// Consumes the track into its samples, in time order.
-    pub fn into_samples(self) -> Vec<DriftSample> {
-        self.samples
+        self.entries.shrink_to_fit();
     }
 
     /// The drift *added* by each reweighting event: successive
     /// differences of the samples (the first sample differs from the
     /// implicit zero before it). Theorem 5 bounds each of these by 2 in
     /// absolute value under PD²-OI.
-    pub fn per_event_deltas(&self) -> Vec<Rational> {
-        let mut prev = Rational::ZERO;
-        self.samples
-            .iter()
-            .map(|s| {
-                let d = s.drift - prev;
-                prev = s.drift;
-                d
-            })
-            .collect()
+    pub fn per_event_deltas(&self) -> impl Iterator<Item = Rational> + '_ {
+        self.samples().scan(Rational::ZERO, |prev, s| {
+            let d = s.drift - *prev;
+            *prev = s.drift;
+            Some(d)
+        })
     }
 
     /// The largest absolute drift value ever reached.
     pub fn max_abs(&self) -> Rational {
-        self.samples
-            .iter()
+        self.samples()
             .map(|s| s.drift.abs())
-            .max()
-            .unwrap_or(Rational::ZERO)
+            .fold(Rational::ZERO, Rational::max)
     }
 
     /// The largest absolute per-event drift delta.
     pub fn max_abs_delta(&self) -> Rational {
         self.per_event_deltas()
-            .into_iter()
             .map(Rational::abs)
-            .max()
-            .unwrap_or(Rational::ZERO)
+            .fold(Rational::ZERO, Rational::max)
     }
 }
 
@@ -203,6 +374,10 @@ impl DriftTrack {
 mod tests {
     use super::*;
     use crate::rational::rat;
+
+    fn deltas(track: &DriftTrack) -> Vec<Rational> {
+        track.per_event_deltas().collect()
+    }
 
     /// Fig. 6(b): drift of T is 0 at t = 9 and 1/2 from t = 10 (the rule-O
     /// reweighting event at time 10 halts T_2, losing its 1/2 I_CSW
@@ -215,21 +390,27 @@ mod tests {
         assert_eq!(track.at(9), Rational::ZERO);
         assert_eq!(track.at(10), rat(1, 2));
         assert_eq!(track.at(100), rat(1, 2));
-        assert_eq!(track.per_event_deltas(), vec![Rational::ZERO, rat(1, 2)]);
+        assert_eq!(deltas(&track), vec![Rational::ZERO, rat(1, 2)]);
     }
 
-    /// Fig. 6(d): a weight decrease can produce negative drift (−3/20).
+    /// Fig. 6(d): T (2/5 → 3/20 at t = 1) is decreased by rule I. Over
+    /// `[0, 4)` `I_PS` gives it 2/5 in slot 0 and 3/20 in each of slots
+    /// 1–3, A(I_PS, 0, 4) = 17/20, while `I_CSW` gives T_1 its whole
+    /// quantum, A(I_CSW, 0, 4) = 1: the era opened at 4 starts at drift
+    /// −3/20, a weight decrease's negative drift.
     #[test]
     fn fig6d_negative_drift() {
         let mut track = DriftTrack::new();
-        track.record(0, Rational::ZERO, Rational::ZERO);
-        track.record(4, rat(2, 5) + rat(3, 3 * 20), Rational::ONE); // placeholder values
-                                                                    // What matters structurally: negative drift is representable and
-                                                                    // max_abs sees it.
-        let mut t2 = DriftTrack::new();
-        t2.record(4, rat(17, 20), Rational::ONE);
-        assert_eq!(t2.at(4), rat(-3, 20));
-        assert_eq!(t2.max_abs(), rat(3, 20));
+        track.record(0, Rational::ZERO, Rational::ZERO); // join
+        let ps = rat(2, 5) + rat(3, 20).mul_int(3);
+        assert_eq!(ps, rat(17, 20));
+        track.record(4, ps, Rational::ONE);
+        assert_eq!(track.at(3), Rational::ZERO);
+        assert_eq!(track.at(4), rat(-3, 20));
+        assert_eq!(track.at(100), rat(-3, 20));
+        assert_eq!(deltas(&track), vec![Rational::ZERO, rat(-3, 20)]);
+        assert_eq!(track.max_abs(), rat(3, 20));
+        assert_eq!(track.max_abs_delta(), rat(3, 20));
     }
 
     /// Fig. 8 / Theorem 3: under PD²-LJ the drift of the 1/10 → 1/2 task
@@ -240,7 +421,7 @@ mod tests {
         let mut track = DriftTrack::new();
         track.record(0, Rational::ZERO, Rational::ZERO);
         track.record(10, rat(17, 5), Rational::ONE);
-        assert_eq!(track.per_event_deltas(), vec![Rational::ZERO, rat(24, 10)]);
+        assert_eq!(deltas(&track), vec![Rational::ZERO, rat(24, 10)]);
         assert_eq!(track.max_abs_delta(), rat(24, 10));
         assert!(track.max_abs_delta() > rat(2, 1));
     }
@@ -250,7 +431,32 @@ mod tests {
         let track = DriftTrack::new();
         assert_eq!(track.at(1_000), Rational::ZERO);
         assert_eq!(track.max_abs(), Rational::ZERO);
-        assert!(track.per_event_deltas().is_empty());
+        assert_eq!(track.max_abs_delta(), Rational::ZERO);
+        assert!(track.is_empty());
+        assert_eq!(track.per_event_deltas().count(), 0);
+    }
+
+    /// A sample takes one entry while its components fit `i64` (a
+    /// denominator of 2⁶³ − 1 does) and three once one does not (2⁶³),
+    /// and decodes to itself from either end.
+    #[test]
+    fn a_sample_is_wide_exactly_when_it_does_not_fit() {
+        let fits = Rational::new(i128::from(i64::MIN), i128::from(i64::MAX));
+        let past = Rational::new(-1, 1 << 63);
+        let extreme = Rational::new(i128::MIN + 1, i128::MAX - 1);
+        let mut track = DriftTrack::new();
+        for (at, drift) in [(0, fits), (1, past), (2, extreme), (3, Rational::ONE)] {
+            track.record(at, drift, Rational::ZERO);
+        }
+        assert_eq!(track.entries.len(), 1 + 3 + 3 + 1);
+        let forward: Vec<DriftSample> = track.samples().collect();
+        let mut backward: Vec<DriftSample> = track.samples().rev().collect();
+        backward.reverse();
+        assert_eq!(forward, backward);
+        let drifts: Vec<Rational> = forward.iter().map(|s| s.drift).collect();
+        assert_eq!(drifts, [fits, past, extreme, Rational::ONE]);
+        assert_eq!(track.len(), 4);
+        assert_eq!(track.at(2), extreme);
     }
 
     #[test]

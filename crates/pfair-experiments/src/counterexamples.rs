@@ -24,7 +24,6 @@ fn show_task(r: &SimResult, id: TaskId, label: &str, horizon: i64) {
         "  drift samples: {:?}",
         tr.drift
             .samples()
-            .iter()
             .map(|s| format!("t={} drift={}", s.at, s.drift))
             .collect::<Vec<_>>()
     );

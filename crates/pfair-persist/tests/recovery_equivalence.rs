@@ -60,12 +60,7 @@ fn assert_recovery_matches(w: &Workload, cfg: SimConfig, snap_at: i64) {
     assert_eq!(&reference.counters, &result.counters);
     assert_eq!(&reference.misses, &result.misses);
     for (o, f) in reference.tasks.iter().zip(result.tasks.iter()) {
-        assert_eq!(
-            o.drift.samples(),
-            f.drift.samples(),
-            "drift samples of task {}",
-            o.id
-        );
+        assert_eq!(o.drift, f.drift, "drift samples of task {}", o.id);
     }
     // The resumed probe continued from the persisted registry: final
     // registries must be byte-identical snapshots.

@@ -1155,7 +1155,7 @@ mod tests {
         assert!(!e.tasks.in_system(id), "rule L has let the task go by now");
         let before = e.tasks.task(id).clone();
         assert!(before.next_index > 3 && before.scheduled_count > 3);
-        assert_eq!(before.drift.samples().len(), 2);
+        assert_eq!(before.drift.len(), 2);
 
         e.handle_join(id, 30, Weight::new(rat(1, 3)));
         let after = e.tasks.task(id);
@@ -1184,7 +1184,7 @@ mod tests {
         assert!(r.is_miss_free());
         // 30 slots at 1/3, on top of what the first stay was given.
         assert_eq!(r.task(id).scheduled_count, before.scheduled_count + 10);
-        assert_eq!(r.task(id).drift.samples().len(), 3);
+        assert_eq!(r.task(id).drift.len(), 3);
     }
 
     /// Ids that never join have no row, yet count: `task_count` is every
@@ -1219,7 +1219,7 @@ mod tests {
                 assert_eq!(t.id, TaskId(i));
                 assert_eq!(t.scheduled_count, 0);
                 assert!(t.ps_total.is_zero() && t.icsw_total.is_zero());
-                assert!(t.drift.samples().is_empty());
+                assert!(t.drift.is_empty());
                 assert_eq!(t.history.is_some(), history);
             }
             assert_eq!(lazy.to_json_pretty(), built.to_json_pretty());
@@ -1269,7 +1269,7 @@ mod tests {
             assert_eq!(a.ps_total, b.ps_total);
             assert_eq!(a.isw_total, b.isw_total);
             assert_eq!(a.icsw_total, b.icsw_total);
-            assert_eq!(a.drift.samples(), b.drift.samples());
+            assert_eq!(a.drift, b.drift);
         }
     }
 
@@ -1301,7 +1301,7 @@ mod tests {
                 assert_eq!(a.ps_total, b.ps_total);
                 assert_eq!(a.isw_total, b.isw_total);
                 assert_eq!(a.icsw_total, b.icsw_total);
-                assert_eq!(a.drift.samples(), b.drift.samples());
+                assert_eq!(a.drift, b.drift);
             }
         }
     }
@@ -1330,7 +1330,7 @@ mod tests {
             assert_eq!(a.ps_total, b.ps_total);
             assert_eq!(a.isw_total, b.isw_total);
             assert_eq!(a.icsw_total, b.icsw_total);
-            assert_eq!(a.drift.samples(), b.drift.samples());
+            assert_eq!(a.drift, b.drift);
         }
     }
 

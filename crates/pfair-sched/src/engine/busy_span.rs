@@ -536,7 +536,7 @@ fn task_delta(
     let Some(swt) = snap.swt else {
         return Err(fail);
     };
-    if ta.drift.samples().len() != tb.drift.samples().len() {
+    if ta.drift.len() != tb.drift.len() {
         return Err(fail);
     }
     // A weight's denominator is positive; `.max(1)` is that fact in the

@@ -58,7 +58,7 @@ use crate::engine::{Engine, SimConfig};
 use crate::event::{Event, EventKind, Workload};
 use crate::overhead::Counters;
 use crate::trace::SimResult;
-use pfair_core::drift::DriftSample;
+use pfair_core::drift::DriftTrack;
 use pfair_core::pool::par_map_threads;
 use pfair_core::rational::Rational;
 use pfair_core::task::TaskId;
@@ -530,7 +530,7 @@ impl ShardSet {
                     scheduled_count: 0,
                     ps_total: Rational::ZERO,
                     isw_total: Rational::ZERO,
-                    drift: Vec::new(),
+                    drift: DriftTrack::new(),
                 };
                 for p in &grouped[run[0]..run[1]] {
                     // Each incarnation is read once, so its drift samples
@@ -540,12 +540,7 @@ impl ShardSet {
                     summary.scheduled_count += tr.scheduled_count;
                     summary.ps_total += tr.ps_total;
                     summary.isw_total += tr.isw_total;
-                    let mut samples = std::mem::take(&mut tr.drift).into_samples();
-                    if summary.drift.is_empty() {
-                        summary.drift = samples;
-                    } else {
-                        summary.drift.append(&mut samples);
-                    }
+                    summary.drift.append(&mut tr.drift);
                 }
                 summary
             })
@@ -603,7 +598,7 @@ pub struct GlobalTaskSummary {
     /// `I_SW` allocation summed across incarnations.
     pub isw_total: Rational,
     /// Drift samples of every era, in incarnation order.
-    pub drift: Vec<DriftSample>,
+    pub drift: DriftTrack,
 }
 
 impl ToJson for GlobalTaskSummary {
@@ -613,7 +608,8 @@ impl ToJson for GlobalTaskSummary {
             .field("scheduled_count", &self.scheduled_count)
             .field("ps_total", &self.ps_total)
             .field("isw_total", &self.isw_total)
-            .field("drift", &self.drift);
+            .key("drift");
+        self.drift.write_samples(w);
         w.end_object();
     }
 }
@@ -687,6 +683,7 @@ impl ToJson for ShardReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfair_core::drift::DriftSample;
     use pfair_core::rational::rat;
     use pfair_json::Json;
 
@@ -727,7 +724,7 @@ mod tests {
             assert_eq!(summary.scheduled_count, tr.scheduled_count);
             assert_eq!(summary.ps_total, tr.ps_total);
             assert_eq!(summary.isw_total, tr.isw_total);
-            assert_eq!(summary.drift, tr.drift.samples());
+            assert_eq!(summary.drift, tr.drift);
         }
     }
 
@@ -810,16 +807,15 @@ mod tests {
         let mut odd = report;
         let name = "quote\" slash\\ tab\t bell\u{7} é";
         odd.registry.inc(name, 1);
-        let wide = GlobalTaskSummary {
+        let mut wide = GlobalTaskSummary {
             id: u32::MAX,
             scheduled_count: u64::MAX,
             ps_total: rat(-(1 << 70), 3),
             isw_total: Rational::new(i128::MIN + 1, i128::MAX),
-            drift: vec![DriftSample {
-                at: -5,
-                drift: rat(-7, 1 << 40),
-            }],
+            drift: DriftTrack::new(),
         };
+        wide.drift.record(-5, rat(-7, 1 << 40), Rational::ZERO);
+        wide.drift.record(9, wide.isw_total, Rational::ZERO);
         odd.tasks.push(wide.clone());
         let full = parse_renderings(&odd);
         let metrics = full.field::<String>("metrics").unwrap();
@@ -829,7 +825,8 @@ mod tests {
         assert_eq!(row.field::<u64>("scheduled_count").unwrap(), u64::MAX);
         assert_eq!(row.field::<Rational>("ps_total").unwrap(), wide.ps_total);
         assert_eq!(row.field::<Rational>("isw_total").unwrap(), wide.isw_total);
-        assert_eq!(row.field::<Vec<DriftSample>>("drift").unwrap(), wide.drift);
+        let drift: Vec<DriftSample> = row.field("drift").unwrap();
+        assert!(drift.into_iter().eq(wide.drift.samples()));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 use pfair_core::rational::{rat, Rational};
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
-use pfair_json::ToJson;
-use pfair_obs::{ObsEvent, Refusal, TraceRecorder};
-use pfair_sched::engine::{simulate, simulate_with, Engine, SimConfig};
+use pfair_json::{FromJson, Json, ToJson};
+use pfair_obs::{NoopProbe, ObsEvent, Refusal, TraceRecorder};
+use pfair_sched::engine::{simulate, simulate_with, Engine, EngineSnapshot, SimConfig};
 use pfair_sched::event::Workload;
 use pfair_sched::shard::{ShardSet, ShardSpec};
 use pfair_sched::trace::SimResult;
@@ -207,4 +207,53 @@ fn a_shard_ledger_past_i128_refuses_the_placement() {
     assert!((report.tasks[4..].iter()).all(|t| t.scheduled_count == 0));
     assert_eq!(report.scheduled_quanta(), without.scheduled_quanta());
     assert_eq!(report.misses(), without.misses());
+}
+
+/// Five primes just below 2¹⁸.
+const P18: [i128; 5] = [262_139, 262_133, 262_127, 262_121, 262_111];
+
+/// A task reweighted four times between 18-bit prime denominators, each
+/// change a decrease. An enactment's era unit keeps the old denominator
+/// beside the new one while the old era's records are retained, so the
+/// next initiation's budget check covers three primes: 54 bits, which a
+/// 400-slot horizon keeps inside `i64` (three 22-bit primes would not
+/// fit). But the drift sums every era, so the samples the third and
+/// fourth enactments record carry four and five primes, 72 and 90 bits. The
+/// drift track stores them wide and exact; the default driver and the
+/// `per_slot()` oracle agree on them, and a snapshot taken after the
+/// first, written to JSON and read back, resumes to the same result.
+#[test]
+fn drift_past_64_bits_is_kept_exact() {
+    let mut w = Workload::new();
+    for (era, &p) in (0i64..).zip(&P18) {
+        // Shares just below 1/2, 2/5, 1/3, 2/7 and 1/4.
+        let num = p * 2 / i128::from(4 + era);
+        if era == 0 {
+            w.join(0, 0, num, p);
+        } else {
+            w.reweight(0, 60 * era, num, p);
+        }
+    }
+    let config = SimConfig::oi(1, 400);
+    let (result, trace) = simulate_with(config.clone(), &w, TraceRecorder::new());
+    assert_eq!(refusals(&trace), []);
+    assert_eq!(result.counters.reweight_enactments, 4);
+    let track = &result.tasks[0].drift;
+    let wide = (track.samples()).find(|s| s.drift.denom() > i128::from(i64::MAX));
+    let Some(wide) = wide else {
+        panic!("no drift sample past 64 bits: {track:?}");
+    };
+    assert_eq!(
+        rendered(&result),
+        rendered(&simulate(config.clone().per_slot(), &w))
+    );
+
+    let text = Engine::new(config, &w)
+        .snapshot_at(wide.at + 1)
+        .expect("snapshot at a slot boundary")
+        .to_json_compact();
+    let image = EngineSnapshot::from_json(&Json::parse(&text).expect("parse")).expect("decode");
+    let mut resumed = Engine::restore(image, NoopProbe).expect("restore");
+    resumed.run();
+    assert_eq!(rendered(&resumed.finish()), rendered(&result));
 }

@@ -25,7 +25,6 @@
 // it forwards to `System` and touches nothing but three counters.
 #![allow(unsafe_code)]
 
-use pfair_core::drift::DriftSample;
 use pfair_obs::MetricsProbe;
 use pfair_sched::engine::{Engine, SimConfig};
 use pfair_sched::event::{Event, Workload};
@@ -98,10 +97,15 @@ const BYTES_PER_ID: isize = 61;
 
 /// What a joined task adds: its 312-byte row (space for the rows of the
 /// joins an engine holds is reserved at once, so the buffer has no
-/// growth slack), its one-sample drift block, and its share of the
-/// queue and calendar buffers (440.4, 446.9 and 450.1 measured, at
-/// 1 000, 2 000 and 4 000 tasks).
-const BYTES_PER_TASK: isize = 452;
+/// growth slack), its one-sample drift block of 24 bytes, and its share
+/// of the queue and calendar buffers (416.4, 422.9 and 426.1 measured,
+/// at 1 000, 2 000 and 4 000 tasks; 24 more each while a drift sample
+/// took 48 bytes).
+const BYTES_PER_TASK: isize = 428;
+
+/// What a drift track stores per sample whose components fit `i64`
+/// (every sample of these runs): one 24-byte entry.
+const DRIFT_SAMPLE_BYTES: usize = 24;
 
 /// The budget of an engine addressing `ids` ids of which `joined` joined.
 fn budget(ids: u32, joined: u32) -> isize {
@@ -156,7 +160,7 @@ fn a_task_is_one_row_and_one_heap_block() {
     );
     assert!(
         bytes <= budget(TASKS, TASKS),
-        "{bytes} live bytes for {TASKS} tasks: {} per task, budget {} (535 measured)",
+        "{bytes} live bytes for {TASKS} tasks: {} per task, budget {} (511 measured)",
         bytes / tasks,
         budget(TASKS, TASKS) / tasks
     );
@@ -180,8 +184,8 @@ fn a_task_is_one_row_and_one_heap_block() {
     // was not before it was built is the result, which holds a
     // `TaskResult` and a drift block per task, not a row.
     let live = LIVE_BYTES.load(Relaxed) - bytes_before;
-    let samples: usize = result.tasks.iter().map(|t| t.drift.samples().len()).sum();
-    let owed = result.tasks.len() * size_of::<TaskResult>() + samples * size_of::<DriftSample>();
+    let samples: usize = result.tasks.iter().map(|t| t.drift.len()).sum();
+    let owed = result.tasks.len() * size_of::<TaskResult>() + samples * DRIFT_SAMPLE_BYTES;
     assert!(
         live * 4 <= signed(owed) * 5,
         "{live} live bytes behind a result of {owed}: the engine's rows outlive it"
@@ -206,7 +210,7 @@ fn an_id_that_never_joins_costs_no_row() {
     assert!(
         bytes <= budget(TASKS, joined),
         "{bytes} live bytes for {TASKS} ids of which {joined} joined: budget {} \
-         (616 592 measured)",
+         (592 592 measured)",
         budget(TASKS, joined)
     );
     let result = engine.finish();

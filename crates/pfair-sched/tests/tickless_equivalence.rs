@@ -121,12 +121,7 @@ fn assert_tickless_matches_oracle(plan: &Plan, cfg: SimConfig) {
             assert_eq!(o.ps_total, f.ps_total, "{rung}: I_PS of task {}", o.id);
             assert_eq!(o.isw_total, f.isw_total, "{rung}: I_SW of task {}", o.id);
             assert_eq!(o.icsw_total, f.icsw_total, "{rung}: I_CSW of task {}", o.id);
-            assert_eq!(
-                o.drift.samples(),
-                f.drift.samples(),
-                "{rung}: drift samples of task {}",
-                o.id
-            );
+            assert_eq!(o.drift, f.drift, "{rung}: drift samples of task {}", o.id);
         }
     }
     // The probe saw the same hook stream, slot replay included.

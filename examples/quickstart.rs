@@ -37,7 +37,6 @@ fn main() {
         task0
             .drift
             .samples()
-            .iter()
             .map(|s| format!("t={} → {}", s.at, s.drift))
             .collect::<Vec<_>>()
     );

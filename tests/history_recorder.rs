@@ -111,7 +111,7 @@ fn cli_golden_system_records_the_same_history_on_every_driver() {
 fn churn_with_rejoins_records_the_same_history_on_every_driver() {
     let w = churn(6, 3, 30, 200);
     let r = assert_recorder_agrees("churn", &w, SimConfig::oi(1, 200));
-    let stays = |i: usize| (r.tasks[i].drift.samples()).len();
+    let stays = |i: usize| r.tasks[i].drift.len();
     assert!((0..6).any(|i| stays(i) > 1), "some task rejoins");
 }
 
