@@ -97,12 +97,15 @@ impl IswSub {
             self.alloc.over(unit)
         }
     }
+}
 
-    /// The same record, whichever units the two allocations count in.
-    fn same_as(&self, unit: Units, other: &IswSub, other_unit: Units) -> bool {
-        let rest = |s: &IswSub| (s.index, s.release, s.pred_gap, s.complete_at, s.halted_at);
-        rest(self) == rest(other) && self.alloc.over(unit) == other.alloc.over(other_unit)
-    }
+/// The era unit of a tracker whose weight has the reduced denominator
+/// `swt` and whose retained allocations have the reduced denominators
+/// `allocs`: their least common multiple (DESIGN.md, "The era-unit
+/// invariant"), so a function of the values alone. `None` if a
+/// denominator or the unit does not fit `i64`.
+fn era_unit(swt: Option<Units>, allocs: impl IntoIterator<Item = Option<Units>>) -> Option<Units> {
+    (allocs.into_iter()).try_fold(swt?, |unit, den| unit.checked_lcm(den?))
 }
 
 /// The interchange form of one subtask, whatever the record in memory
@@ -213,10 +216,9 @@ impl pfair_json::ToJson for IswTracker {
 impl pfair_json::FromJson for IswTracker {
     /// Re-validates the tracker invariants the methods rely on: subtasks
     /// strictly index-sorted, allocations inside `[0, 1]` (checked per
-    /// subtask), completion implying a full quantum — and re-derives the
-    /// era unit from the decoded values the way
-    /// [`IswTracker::set_swt`] does, so a unit or a count beyond `i64` is
-    /// a decoding error.
+    /// subtask), completion implying a full quantum — and derives the
+    /// era unit from the decoded values as the live tracker does, so a
+    /// unit or a count beyond `i64` is a decoding error.
     fn from_json(value: &pfair_json::Json) -> Result<Self, pfair_json::JsonError> {
         let images: Vec<SubImage> = value.field("subs")?;
         if images.windows(2).any(|w| w[0].sub.index >= w[1].sub.index) {
@@ -225,12 +227,8 @@ impl pfair_json::FromJson for IswTracker {
             ));
         }
         let swt: Rational = value.field("swt")?;
-        let unit = images
-            .iter()
-            .try_fold(Units::new(1), |unit, i| {
-                unit.checked_lcm(Units::checked_denom(i.alloc)?)
-            })
-            .and_then(|unit| unit.checked_lcm(Units::checked_denom(swt)?))
+        let allocs = images.iter().map(|i| Units::checked_denom(i.alloc));
+        let unit = era_unit(Units::checked_denom(swt), allocs)
             .ok_or_else(|| pfair_json::JsonError::new("I_SW era unit exceeds the i64 range"))?;
         let count = |r: Rational| {
             Units::checked_of(r, unit)
@@ -267,18 +265,19 @@ impl pfair_json::FromJson for IswTracker {
 ///    run of slots between two of the calls above, in slot order.
 ///
 /// The tracker computes in **era units** (DESIGN.md, "The era-unit
-/// invariant"): it keeps one positive `unit` such that the scheduling
-/// weight and every retained per-subtask allocation is an integer
-/// number of `1/unit`s, which every Fig. 5 allocation until the next
-/// `set_swt` then is too. Allocations are [`Units`] counts, the running
-/// total is an [`Accumulator`] counting in the same unit, and a
-/// [`Rational`] is built only where a value is read. Two trackers are
-/// equal when they hold the same values, whatever unit each counts in.
+/// invariant"): it counts in the least positive `unit` such that the
+/// scheduling weight and every retained per-subtask allocation is an
+/// integer number of `1/unit`s, which every Fig. 5 allocation until the
+/// next `set_swt` then is too. Allocations are [`Units`] counts, the
+/// running total is an [`Accumulator`] counting in the same unit, and a
+/// [`Rational`] is built only where a value is read. The unit is a
+/// function of the values, so two trackers holding the same values
+/// count alike, and the derived equality is equality of values.
 ///
 /// A task that has kept one weight since it joined, or since its
 /// current era settled, needs no tracker at all:
 /// [`IswTracker::closed_form`] is the one it would hold.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IswTracker {
     /// `swt(T, now)` in era units.
     rate: Units,
@@ -293,28 +292,6 @@ pub struct IswTracker {
     /// before it is processed.
     now: Slot,
 }
-
-impl PartialEq for IswTracker {
-    fn eq(&self, other: &IswTracker) -> bool {
-        let (unit, other_unit) = (self.unit(), other.unit());
-        self.now == other.now
-            && self.halted_loss == other.halted_loss
-            && self.subs.len() == other.subs.len()
-            && if unit == other_unit {
-                self.rate == other.rate && self.subs == other.subs
-            } else {
-                self.swt() == other.swt()
-                    && self
-                        .subs
-                        .iter()
-                        .zip(other.subs.iter())
-                        .all(|(a, b)| a.same_as(unit, b, other_unit))
-            }
-            && self.total == other.total
-    }
-}
-
-impl Eq for IswTracker {}
 
 const _: () = assert!(core::mem::size_of::<IswTracker>() <= 256);
 
@@ -448,10 +425,12 @@ impl IswTracker {
         self.subs.iter().all(|s| s.index > era_base)
     }
 
-    /// The era unit: every allocation the tracker holds or hands out
-    /// before the next [`IswTracker::set_swt`] is a multiple of `1/unit`.
-    /// The unit that enactment derives divides `lcm(den(swt), unit)`,
-    /// which is what the engine's arithmetic budget bounds.
+    /// The era unit: the least common multiple of `den(swt)` and the
+    /// reduced denominators of the retained allocations, so every
+    /// allocation the tracker holds or hands out before the next
+    /// [`IswTracker::set_swt`] is a multiple of `1/unit`. The unit that
+    /// enactment derives divides `lcm(den(swt), unit)`, which is what the
+    /// engine's arithmetic budget bounds.
     pub fn unit(&self) -> Units {
         self.total.unit()
     }
@@ -487,28 +466,31 @@ impl IswTracker {
     /// Enacts a weight change: allocations from the current slot onward
     /// use `swt`.
     ///
-    /// This is the one place the era unit is re-derived: canonically,
-    /// as the least common multiple of the new weight's denominator and
-    /// the reduced denominators of the retained per-subtask allocations
-    /// (rescaled here), so it is a function of the values alone and
-    /// whatever an earlier era contributed is shed as soon as no
-    /// retained record carries it.
+    /// The era unit is re-derived here for the new weight, and again at
+    /// the end of every synchronization that drops records
+    /// ([`IswTracker::unit`]), so whatever an earlier era contributed is
+    /// shed as soon as no retained record carries it.
     ///
     /// # Panics
     /// Panics if the unit overflows `i64` (the documented `Rational`
     /// overflow contract).
     pub fn set_swt(&mut self, swt: Rational) {
         let old = self.unit();
-        let unit = self.subs.iter().fold(Units::denom(swt), |unit, s| {
-            unit.lcm(s.alloc.denom_over(old))
-        });
-        if unit != old {
-            for s in &mut self.subs {
-                s.alloc = s.alloc.rescaled(old, unit);
-            }
-            self.total.rebase(unit);
-        }
+        let allocs = self.subs.iter().map(|s| Some(s.alloc.denom_over(old)));
+        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        let unit = era_unit(Units::checked_denom(swt), allocs).expect("Rational mul overflow");
+        self.recount(unit);
         self.rate = Units::of(swt, unit);
+    }
+
+    /// Counts the retained allocations and the total in `unit`, a
+    /// multiple of every allocation's reduced denominator.
+    fn recount(&mut self, unit: Units) {
+        let old = self.unit();
+        for s in &mut self.subs {
+            s.alloc = s.alloc.rescaled(old, unit);
+        }
+        self.total.rebase(unit);
     }
 
     /// Registers subtask `T_index` with the given release slot.
@@ -616,7 +598,8 @@ impl IswTracker {
     /// the fact, with the amount: a completed one reads
     /// `is_complete()`, with `alloc` its final-slot allocation. Returns
     /// the total allocated over the interval, already added to the
-    /// running total.
+    /// running total. Both count in the unit the tracker had when the
+    /// jump began: the unit is re-derived only once the pass is done.
     ///
     /// Index order matters: a successor's release-slot allocation reads
     /// the predecessor's final-slot allocation, which this very call
@@ -678,8 +661,31 @@ impl IswTracker {
             touched(sub, given);
         }
         self.total.add_units(added);
-        self.retire();
+        if self.retire() {
+            self.shed();
+        }
         added
+    }
+
+    /// Re-derives the unit once `retire` has dropped records: one may
+    /// have held an earlier era's last denominator. Nothing else in a
+    /// jump can lower the unit: an allocation adds a multiple of `swt`
+    /// to what a record held, which leaves the record's lcm with
+    /// `den(swt)` as it was. A unit that is its weight's denominator
+    /// has nothing to shed.
+    fn shed(&mut self) {
+        let (unit, rate) = (self.unit(), self.rate);
+        let den = rate.denom_over(unit);
+        if den == unit {
+            return;
+        }
+        let allocs = self.subs.iter().map(|s| Some(s.alloc.denom_over(unit)));
+        // It divides `unit`, so it fits.
+        let least = era_unit(Some(den), allocs).unwrap_or(unit);
+        if least != unit {
+            self.rate = rate.rescaled(unit, least);
+            self.recount(least);
+        }
     }
 
     /// [`IswTracker::jump`] to any `t ≥ now`.
@@ -762,9 +768,9 @@ impl IswTracker {
     /// Drops subtasks that can no longer influence anything: completed or
     /// halted subtasks other than the last two entries (the release rule
     /// of the next subtask may still reference the most recent completed
-    /// predecessor).
+    /// predecessor). Returns whether it dropped any.
     #[inline]
-    fn retire(&mut self) {
+    fn retire(&mut self) -> bool {
         // One front drop instead of repeated `pop_front`: a closed-form
         // era jump can retire thousands of subtasks in a single call,
         // and front-removals would make that quadratic.
@@ -778,6 +784,7 @@ impl IswTracker {
         if n > 0 {
             self.subs.drop_front(n);
         }
+        n > 0
     }
 }
 
@@ -1172,7 +1179,8 @@ mod era_unit_tests {
     /// 10⁴ eras alternating between two coprime denominators, every
     /// change enacted under a subtask that holds one slot of the old
     /// weight: the unit carries both denominators for the straddle and
-    /// never more, whatever the run has seen before.
+    /// never more, whatever the run has seen before; once the last
+    /// straddler has left the records, the weight's alone.
     #[test]
     fn unit_stays_within_the_lcm_over_alternating_straddles() {
         let weights = [rat(3, 19), rat(2, 5)];
@@ -1189,13 +1197,23 @@ mod era_unit_tests {
             t = tr.projected_completion(index).expect("a live subtask");
             tr.sync_to(t, |_, _| completed += 1);
         }
-        assert_eq!(completed, 10_000);
-        assert_eq!(tr.isw_total(), Rational::from_int(10_000));
+        for index in 10_001..=10_002 {
+            tr.add_subtask(index, t, true, false);
+            tr.sync_to(t + 1, |_, _| completed += 1);
+            t = tr.projected_completion(index).expect("a live subtask");
+            tr.sync_to(t, |_, _| completed += 1);
+        }
+        assert_eq!(tr.subtask_cum(10_000), None);
+        assert_eq!(tr.unit(), Units::denom(tr.swt()));
+        assert_eq!(completed, 10_002);
+        assert_eq!(tr.isw_total(), Rational::from_int(10_002));
     }
 
-    /// The unit is re-derived from the values at every enactment: it
-    /// holds a closed era's denominator exactly as long as a retained
-    /// record does.
+    /// The unit is re-derived from the values at every enactment and at
+    /// the end of every synchronization: it holds a closed era's
+    /// denominator exactly as long as a retained record does, and falls
+    /// at the synchronization that drops the last such record, without
+    /// waiting for the next enactment.
     #[test]
     fn unit_falls_back_once_no_record_carries_the_old_denominator() {
         let mut tr = IswTracker::new(rat(3, 19), 0);
@@ -1205,21 +1223,24 @@ mod era_unit_tests {
         tr.set_swt(rat(2, 5)); // T_1 holds 6/19
         assert_eq!(tr.unit(), Units::new(95));
         assert_eq!(tr.swt(), rat(2, 5));
-        // Three subtasks of the 2/5 era push T_1 out of the records...
+        // Subtasks of the 2/5 era push T_1 out of the records; the sync
+        // that drops it drops 19 from the unit.
         let mut t = tr.projected_completion(1).expect("a live subtask");
         for index in 2..=4 {
             tr.add_subtask(index, t, true, false);
             t += 3;
             tr.sync_to(t, |_, _| ());
+            let held = tr.subtask_cum(1).is_some();
+            assert_eq!(held, index < 3);
+            assert_eq!(tr.unit(), Units::new(if held { 95 } else { 5 }));
         }
-        assert_eq!(tr.subtask_cum(1), None);
-        assert_eq!(tr.unit(), Units::new(95)); // ...but only an enactment looks
         tr.set_swt(rat(1, 3));
         assert_eq!(tr.unit(), Units::new(15)); // final-slot allocations in fifths
         for index in 5..=6 {
             tr.add_subtask(index, t, true, false);
             t += 3;
             tr.sync_to(t, |_, _| ());
+            assert_eq!(tr.unit(), Units::new(if index < 6 { 15 } else { 3 }));
         }
         tr.set_swt(rat(1, 3));
         assert_eq!(tr.unit(), Units::new(3));

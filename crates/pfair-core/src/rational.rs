@@ -807,16 +807,6 @@ impl Units {
             .map(Units)
     }
 
-    /// The least common multiple of two positive units.
-    ///
-    /// # Panics
-    /// Panics if it overflows `i64`.
-    #[inline]
-    pub fn lcm(self, other: Units) -> Units {
-        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-        self.checked_lcm(other).expect("Rational mul overflow")
-    }
-
     /// The same quantity counted in `to` instead of `from`, for a `to`
     /// that is a multiple of the quantity's reduced denominator.
     ///
@@ -911,12 +901,12 @@ impl Sub for Units {
 /// every `I_SW` allocation within an era is a multiple of the era's
 /// unit, so [`Accumulator::add_units`] is one checked `i64` add and no
 /// gcd at all. The count is folded into the base — the only place a gcd
-/// runs — when the unit changes ([`Accumulator::rebase`], once per
-/// enacted weight change) and the value is materialized only where it
-/// is read ([`Accumulator::finish`]). The base sums every era so far,
-/// so its denominator is not bounded by any one era's unit. The count
-/// may grow larger than a reduced chain would, which is covered by the
-/// same documented overflow-panics contract as the rest of this module.
+/// runs — when the unit changes ([`Accumulator::rebase`]) and the value
+/// is materialized only where it is read ([`Accumulator::finish`]). The
+/// base sums every era so far, so its denominator is not bounded by any
+/// one era's unit. The count may grow larger than a reduced chain would,
+/// which is covered by the same documented overflow-panics contract as
+/// the rest of this module.
 /// Equality compares values, not representations.
 #[derive(Clone, Copy, Debug)]
 pub struct Accumulator {
@@ -1320,8 +1310,8 @@ mod tests {
         assert_eq!((remaining - rate.times(1)).over(unit), rat(32, 95));
         assert_eq!(cum.denom_over(unit), Units::new(19));
         assert_eq!(Units::ZERO.denom_over(unit), Units::new(1));
-        assert_eq!(Units::new(19).lcm(Units::new(5)), unit);
-        assert_eq!(unit.lcm(Units::new(19)), unit);
+        assert_eq!(Units::new(19).checked_lcm(Units::new(5)), Some(unit));
+        assert_eq!(unit.checked_lcm(Units::new(19)), Some(unit));
         assert_eq!(cum.rescaled(unit, Units::new(19)), Units::new(5));
         assert_eq!(cum.rescaled(unit, Units::new(190)), Units::new(50));
         // Ceiling division: exact, inexact, nothing left, never.
@@ -1342,7 +1332,7 @@ mod tests {
         assert_eq!(Units::new(i64::MAX).slots_at(Units::new(1)), i64::MAX);
         assert_eq!(Units::new(i64::MAX).slots_at(Units::new(i64::MAX)), 1);
         let (p, q) = (Units::new(2_147_483_629), Units::new(2_147_483_647));
-        let unit = p.lcm(q);
+        let unit = p.checked_lcm(q).expect("a 62-bit lcm");
         assert_eq!(unit.get(), 2_147_483_629 * 2_147_483_647);
         let third = Units::of(rat(1, 2_147_483_629), unit);
         assert_eq!(third, q);

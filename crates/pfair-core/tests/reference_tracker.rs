@@ -281,11 +281,13 @@ impl Pair {
                 assert_eq!(self.isw.projected_completion(s.index), Some(d));
             }
         }
-        // The interchange image holds values only: decoding re-derives
-        // the unit, and the result is the same tracker.
+        // The interchange image holds values only: decoding derives the
+        // unit from them, and the result is the same tracker, counting in
+        // the same unit.
         let text = self.isw.to_json_compact();
         let back = IswTracker::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, self.isw);
+        assert_eq!(back.unit(), self.isw.unit(), "unit at {now}");
         assert_eq!(back.to_json_compact(), text);
         let ps_text = self.ps.to_json_compact();
         let ps_back = PsTracker::from_json(&Json::parse(&ps_text).unwrap()).unwrap();

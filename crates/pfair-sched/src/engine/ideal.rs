@@ -102,12 +102,12 @@ impl Ideal {
         }
     }
 
-    /// The `I_SW` era unit at scheduling weight `w`: a static row's is
-    /// `w`'s denominator, a settled row's its box's (as it settled).
+    /// The `I_SW` era unit at scheduling weight `w`. A static or settled
+    /// row's is `w`'s denominator: its closed form holds records of the
+    /// current era only, each a multiple of `1/den(w)`.
     pub(super) fn unit(&self, w: Weight) -> Units {
         match self {
-            Ideal::Static { .. } => Units::new(w.denom()),
-            Ideal::Settled { settled, .. } => settled.isw.unit(),
+            Ideal::Static { .. } | Ideal::Settled { .. } => Units::new(w.denom()),
             Ideal::Tracked(trackers) => trackers.isw.unit(),
         }
     }

@@ -48,7 +48,7 @@ use pfair_obs::{ObsEvent, Probe, Refusal, ReweightCost, Rule};
 impl<P: Probe> Engine<P> {
     /// Enacts scheduling weight `v` for `id` at `t` — the one place a
     /// task's `swt` changes after its join, and so the one place its
-    /// `I_SW` tracker re-derives its era unit. The slab column and the
+    /// `I_SW` tracker's era unit can grow. The slab column and the
     /// tracker switch, the era base moves up to the last released
     /// subtask (indices above it rank within the new era), and the
     /// enactment is counted and reported to admission and the probe.
@@ -71,7 +71,8 @@ impl<P: Probe> Engine<P> {
     /// The arithmetic budget (DESIGN.md, "The arithmetic budget"):
     /// `granted` as a [`Weight`] if everything the request can lead to
     /// is representable, the reason for refusing it if not. `era_unit`
-    /// is the task's current era unit for a reweight initiation and
+    /// is the task's era unit (a function of its tracker's values, so a
+    /// restored engine reads the same) for a reweight initiation and
     /// `None` for a join, whose trackers count afresh (a rejoin carries
     /// its totals over as era sums, not as counts). Three checks:
     ///

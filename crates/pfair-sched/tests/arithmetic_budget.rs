@@ -212,48 +212,56 @@ fn a_shard_ledger_past_i128_refuses_the_placement() {
 /// Five primes just below 2¹⁸.
 const P18: [i128; 5] = [262_139, 262_133, 262_127, 262_121, 262_111];
 
-/// A task reweighted four times between 18-bit prime denominators, each
-/// change a decrease. An enactment's era unit keeps the old denominator
-/// beside the new one while the old era's records are retained, so the
-/// next initiation's budget check covers three primes: 54 bits, which a
-/// 400-slot horizon keeps inside `i64` (three 22-bit primes would not
-/// fit). But the drift sums every era, so the samples the third and
-/// fourth enactments record carry four and five primes, 72 and 90 bits. The
-/// drift track stores them wide and exact; the default driver and the
-/// `per_slot()` oracle agree on them, and a snapshot taken after the
-/// first, written to JSON and read back, resumes to the same result.
+/// Five primes just below 2²².
+const P22: [i128; 5] = [4_194_301, 4_194_287, 4_194_277, 4_194_271, 4_194_247];
+
+/// A task reweighted four times between prime denominators, each change
+/// a decrease. An enactment's era unit keeps the old denominator beside
+/// the new one only while a retained record holds an allocation made
+/// under it: the synchronization that drops the last such record drops
+/// the old prime from the unit. So each initiation's budget check
+/// covers two primes, 44 bits for the 22-bit ones, which a 400-slot
+/// horizon keeps inside `i64`. But the drift sums every era, so the
+/// samples the third and fourth enactments record carry four and five
+/// primes: 72 and 90 bits for the 18-bit ones, 88 and 110 for the
+/// 22-bit ones. The drift track stores them wide and exact; the default
+/// driver and the `per_slot()` oracle agree on them, and a snapshot
+/// taken at any slot, written to JSON and read back, resumes to the
+/// uninterrupted result: the restored engine derives the era units the
+/// live one holds, so its budget admits exactly what the live one does.
 #[test]
 fn drift_past_64_bits_is_kept_exact() {
-    let mut w = Workload::new();
-    for (era, &p) in (0i64..).zip(&P18) {
-        // Shares just below 1/2, 2/5, 1/3, 2/7 and 1/4.
-        let num = p * 2 / i128::from(4 + era);
-        if era == 0 {
-            w.join(0, 0, num, p);
-        } else {
-            w.reweight(0, 60 * era, num, p);
+    for primes in [P18, P22] {
+        let mut w = Workload::new();
+        for (era, &p) in (0i64..).zip(&primes) {
+            // Shares just below 1/2, 2/5, 1/3, 2/7 and 1/4.
+            let num = p * 2 / i128::from(4 + era);
+            if era == 0 {
+                w.join(0, 0, num, p);
+            } else {
+                w.reweight(0, 60 * era, num, p);
+            }
+        }
+        let config = SimConfig::oi(1, 400);
+        let (result, trace) = simulate_with(config.clone(), &w, TraceRecorder::new());
+        assert_eq!(refusals(&trace), [], "{primes:?}");
+        assert_eq!(result.counters.reweight_enactments, 4, "{primes:?}");
+        let track = &result.tasks[0].drift;
+        let wide = (track.samples()).any(|s| s.drift.denom() > i128::from(i64::MAX));
+        assert!(wide, "no drift sample past 64 bits: {track:?}");
+        let expected = rendered(&result);
+        assert_eq!(expected, rendered(&simulate(config.clone().per_slot(), &w)));
+
+        let mut live = Engine::new(config, &w);
+        for slot in 1..400 {
+            let text = (live.snapshot_at(slot))
+                .expect("snapshot at a slot boundary")
+                .to_json_compact();
+            let image = EngineSnapshot::from_json(&Json::parse(&text).expect("parse"));
+            let mut resumed = Engine::restore(image.expect("decode"), NoopProbe).expect("restore");
+            resumed.run();
+            let resumed = rendered(&resumed.finish());
+            assert!(resumed == expected, "{primes:?}: resumed from slot {slot}");
         }
     }
-    let config = SimConfig::oi(1, 400);
-    let (result, trace) = simulate_with(config.clone(), &w, TraceRecorder::new());
-    assert_eq!(refusals(&trace), []);
-    assert_eq!(result.counters.reweight_enactments, 4);
-    let track = &result.tasks[0].drift;
-    let wide = (track.samples()).find(|s| s.drift.denom() > i128::from(i64::MAX));
-    let Some(wide) = wide else {
-        panic!("no drift sample past 64 bits: {track:?}");
-    };
-    assert_eq!(
-        rendered(&result),
-        rendered(&simulate(config.clone().per_slot(), &w))
-    );
-
-    let text = Engine::new(config, &w)
-        .snapshot_at(wide.at + 1)
-        .expect("snapshot at a slot boundary")
-        .to_json_compact();
-    let image = EngineSnapshot::from_json(&Json::parse(&text).expect("parse")).expect("decode");
-    let mut resumed = Engine::restore(image, NoopProbe).expect("restore");
-    resumed.run();
-    assert_eq!(rendered(&resumed.finish()), rendered(&result));
 }
