@@ -30,6 +30,7 @@
 //! per-slot breakdown a history run reports is read off the independent
 //! [`IswReference`](super::reference::IswReference) instead.
 
+use super::Bases;
 use crate::arena::InlineVec;
 use crate::rational::{Accumulator, Rational, Units};
 use crate::time::{ever, slot_from_i128, slots_since, Slot, NEVER};
@@ -275,8 +276,8 @@ impl pfair_json::FromJson for IswTracker {
 /// count alike, and the derived equality is equality of values.
 ///
 /// A task that has kept one weight since it joined, or since its
-/// current era settled, needs no tracker at all:
-/// [`IswTracker::closed_form`] is the one it would hold.
+/// current era settled, needs no tracker at all: from the sums of its
+/// earlier eras, [`IswTracker::closed_form`] is the one it would hold.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IswTracker {
     /// `swt(T, now)` in era units.
@@ -329,17 +330,13 @@ impl IswTracker {
         self.set_swt(swt);
     }
 
-    /// The tracker `settled` becomes at `now` when nothing but releases
-    /// happens to it: weight `w`, its era numbering subtasks from
-    /// `era_base + 1`, `T_{era_base + 1} … T_{next_index − 1}` released
-    /// on the periodic windows of their ranks, synchronized at each
-    /// release the way the engine does and last at `now`. The windows
-    /// are those of a periodic task of weight `w` joining at the
-    /// *anchor*: where the last record `settled` holds says the grid
-    /// starts, or `settled.now()` if it holds none (a task's join).
-    /// `settled` must be its own closed form (see
-    /// [`Trackers::settles`](super::Trackers::settles)), or hold no
-    /// record at all; its unit, total and halted loss carry over.
+    /// The tracker at `now` of a task to which nothing but releases
+    /// happened since the release at `bases.since`: weight `w`, its era
+    /// numbering subtasks from `era_base + 1`, `T_{era_base + 1} …
+    /// T_{next_index − 1}` released on the periodic windows of a task of
+    /// weight `w` joining at `anchor`, synchronized at each release the
+    /// way the engine does and last at `now`. The total and the halted
+    /// loss carry over from `bases`; the unit is `w`'s denominator.
     ///
     /// On such a grid Fig. 5 gives exactly `w` per slot, because Eqn (4)
     /// releases the rank-`(k + 1)` subtask no later than the rank-`k`
@@ -349,30 +346,30 @@ impl IswTracker {
     /// complete iff `d ≤ now`, keeping its final slot's `k − w · (d − 1
     /// − anchor)`, or holds `w · (now − anchor) − (k − 1)`; one released
     /// at `now` holds nothing yet; and the total grows by `w · (now −
-    /// settled.now())`. Which records `retire` keeps does not depend on
+    /// bases.since)`. Which records `retire` keeps does not depend on
     /// where the syncs between releases fell: each drops a prefix of
     /// what the last one drops.
     ///
     /// # Panics
     /// If a count overflows `i64` (the engine's arithmetic budget bounds
-    /// every one of them), or `now` is before `settled.now()`.
+    /// every one of them), or `now` is before `bases.since`.
     pub fn closed_form(
-        settled: &IswTracker,
         w: Weight,
+        bases: &Bases,
+        anchor: Slot,
         era_base: u64,
         next_index: u64,
         now: Slot,
     ) -> IswTracker {
-        let (unit, rate) = (settled.unit(), settled.rate);
-        let anchor = settled.subs.back().map_or(settled.now, |last| {
-            let rank = last.index.saturating_sub(era_base);
-            last.release - periodic_window(w, rank, 0).release
-        });
+        let (unit, rate) = (Units::new(w.denom()), Units::new(w.numer()));
+        let mut total = bases.isw_total;
+        total.rebase(unit);
+        total.add_units(rate.times(slots_since(bases.since, now)));
         let mut tr = IswTracker {
             rate,
             subs: InlineVec::new(),
-            total: settled.total,
-            halted_loss: settled.halted_loss,
+            total,
+            halted_loss: bases.halted_loss,
             now,
         };
         let elapsed = slots_since(anchor, now);
@@ -415,13 +412,21 @@ impl IswTracker {
             });
             pred_b = win.b;
         }
-        tr.total
-            .add_units(rate.times(slots_since(settled.now, now)));
         tr
     }
 
+    /// `A(I_SW, T, 0, now)` as the era sum it is kept in.
+    pub(super) fn sum(&self) -> Accumulator {
+        self.total
+    }
+
+    /// What halted subtasks were allocated: `A(I_SW) − A(I_CSW)`.
+    pub(super) fn halted_loss(&self) -> Rational {
+        self.halted_loss
+    }
+
     /// Whether no record of an era before `era_base + 1`'s is retained.
-    pub(super) fn holds_only_era(&self, era_base: u64) -> bool {
+    pub fn holds_only_era(&self, era_base: u64) -> bool {
         self.subs.iter().all(|s| s.index > era_base)
     }
 

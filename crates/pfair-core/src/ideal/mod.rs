@@ -34,8 +34,8 @@
 //! of them, and so does a task whose current era has settled — nothing
 //! of an earlier era retained, no suspension ahead — so the engine
 //! keeps no trackers for either: [`Trackers`] is the pair a task holds
-//! while its era has not settled, and [`Trackers::close_to`] gives the
-//! pair the others would hold.
+//! while its era has not settled, and [`Trackers::closed`] builds the
+//! pair the others would hold from the few [`Bases`] they keep.
 
 pub mod is_table;
 pub mod isw;
@@ -47,4 +47,4 @@ pub use is_table::is_ideal_table;
 pub use isw::{CompletionEvent, IswTracker};
 pub use ps::PsTracker;
 pub use reference::{IswReference, RefSub};
-pub use trackers::Trackers;
+pub use trackers::{Bases, Trackers};

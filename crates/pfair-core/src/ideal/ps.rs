@@ -13,25 +13,23 @@
 //! current weight, which this tracker accumulates exactly.
 
 use crate::arena::ThinVec;
-use crate::rational::Rational;
-use crate::time::Slot;
+use crate::rational::{Accumulator, Rational, Units};
+use crate::time::{slots_since, Slot};
 use crate::weight::Weight;
 
 /// Incremental `I_PS` allocation of a single task.
 ///
-/// The running total is an *era sum*: a canonical base plus a count of
-/// active slots accrued at the current weight and not yet multiplied
-/// out. [`PsTracker::sync_to`] only counts slots; the one multiply and
-/// the gcds of an exact add happen when the weight changes
-/// ([`PsTracker::set_wt`]) and where the total is read. Two trackers are
-/// equal when they hold the same values, however each splits its total.
+/// The running total is an era sum ([`Accumulator`]) counting in
+/// `1/den(wt)`s: [`PsTracker::sync_to`] adds `num(wt)` of them per active
+/// slot, and the gcds of an exact add happen only when the weight's
+/// denominator changes ([`PsTracker::set_wt`]) and where the total is
+/// read. Two trackers are equal when they hold the same values, however
+/// each splits its total.
 #[derive(Clone, Debug)]
 pub struct PsTracker {
     wt: Weight,
-    /// `A(I_PS, T, 0, now)` less the slots counted in `active`.
-    base: Rational,
-    /// Active (unsuspended) slots accrued at `wt` and not yet in `base`.
-    active: i64,
+    /// `A(I_PS, T, 0, now)`.
+    total: Accumulator,
     now: Slot,
     /// Slot intervals `[from, until)` during which allocation is zero —
     /// the "zero between active subtasks" case that intra-sporadic
@@ -45,7 +43,7 @@ impl PartialEq for PsTracker {
         self.wt == other.wt
             && self.now == other.now
             && self.suspensions == other.suspensions
-            && self.total() == other.total()
+            && self.total == other.total
     }
 }
 
@@ -72,12 +70,11 @@ impl pfair_json::FromJson for PsTracker {
         if suspensions.iter().any(|(from, until)| from >= until) {
             return Err(pfair_json::JsonError::new("empty I_PS suspension interval"));
         }
+        let now = value.field("now")?;
+        let total = Accumulator::from(value.field::<Rational>("total")?);
         Ok(PsTracker {
-            wt: value.field::<Weight>("wt")?,
-            base: value.field("total")?,
-            active: 0,
-            now: value.field("now")?,
             suspensions: suspensions.into(),
+            ..PsTracker::closed_form(value.field("wt")?, total, now, now)
         })
     }
 }
@@ -88,13 +85,33 @@ impl PsTracker {
     /// # Panics
     /// Panics if `wt` is not a [`Weight`].
     pub fn new(wt: Rational, join_at: Slot) -> PsTracker {
-        PsTracker {
-            wt: Weight::new(wt),
-            base: Rational::ZERO,
-            active: 0,
-            now: join_at,
+        PsTracker::closed_form(Weight::new(wt), Accumulator::new(), join_at, join_at)
+    }
+
+    /// The tracker at `now` of a task that had `total` at `since` and
+    /// has run at weight `wt` with no suspension since.
+    pub(super) fn closed_form(wt: Weight, total: Accumulator, since: Slot, now: Slot) -> PsTracker {
+        let mut ps = PsTracker {
+            wt,
+            total,
+            now,
             suspensions: ThinVec::new(),
-        }
+        };
+        ps.total.rebase(Units::new(wt.denom()));
+        ps.count(slots_since(since, now));
+        ps
+    }
+
+    /// `A(I_PS, T, 0, now)` as the era sum it is kept in.
+    pub(super) fn sum(&self) -> Accumulator {
+        self.total
+    }
+
+    /// Counts `slots` active slots at `wt` into the total.
+    #[inline]
+    fn count(&mut self, slots: i64) {
+        self.total
+            .add_units(Units::new(self.wt.numer()).times(slots));
     }
 
     /// Starts the next stay of a task that left, at weight `wt` from
@@ -105,15 +122,7 @@ impl PsTracker {
     /// # Panics
     /// Panics if `wt` is not a [`Weight`].
     pub fn rejoin(&mut self, wt: Rational, join_at: Slot) {
-        self.set_wt(wt);
-        self.now = join_at;
-        self.suspensions = ThinVec::new();
-    }
-
-    /// Whether a suspension covers any slot at or after `t`: an IS
-    /// separation still owes the task nothing from there on.
-    pub fn suspended_after(&self, t: Slot) -> bool {
-        self.suspensions.iter().any(|&(_, until)| until > t)
+        *self = PsTracker::closed_form(Weight::new(wt), self.total, join_at, join_at);
     }
 
     /// Suspends allocation for slots in `[from, until)` (IS separation:
@@ -134,14 +143,7 @@ impl PsTracker {
     /// `A(I_PS, T, 0, now)`.
     #[inline]
     pub fn total(&self) -> Rational {
-        if self.active == 0 {
-            return self.base;
-        }
-        let counted = self.wt.value().mul_int(self.active);
-        if self.base.is_zero() {
-            return counted;
-        }
-        self.base + counted
+        self.total.finish()
     }
 
     /// The boundary the tracker has been synchronized to.
@@ -157,11 +159,8 @@ impl PsTracker {
     /// Panics if `wt` is not a [`Weight`].
     #[inline]
     pub fn set_wt(&mut self, wt: Rational) {
-        if self.active != 0 {
-            self.base = self.total();
-            self.active = 0;
-        }
         self.wt = Weight::new(wt);
+        self.total.rebase(Units::new(self.wt.denom()));
     }
 
     /// Slots of `[from, t)` that at least one suspension covers. The
@@ -229,7 +228,8 @@ impl PsTracker {
     /// Panics if `t` is behind the tracker's current slot.
     #[inline]
     pub fn sync_to(&mut self, t: Slot) {
-        self.active += self.count_to(t);
+        let slots = self.count_to(t);
+        self.count(slots);
     }
 
     /// Accrues all slots up to (but excluding) boundary `t` in one step
@@ -243,9 +243,9 @@ impl PsTracker {
     /// Panics if `t` is behind the tracker's current slot.
     #[inline]
     pub fn advance_to(&mut self, t: Slot) -> Rational {
-        let added = self.wt.value().mul_int(self.count_to(t));
-        self.base += added;
-        added
+        let slots = self.count_to(t);
+        self.count(slots);
+        self.wt.value().mul_int(slots)
     }
 }
 
@@ -392,8 +392,8 @@ mod advance_to_tests {
         ps.advance_to(3);
     }
 
-    /// Equality and the interchange form agree whether the base is zero
-    /// or not: a decoded tracker equals the original and
+    /// Equality and the interchange form agree whether the era sum's base
+    /// is zero or not: a decoded tracker equals the original and
     /// re-renders to the same bytes, and equals one that reached the
     /// same total along another split.
     #[test]
@@ -408,10 +408,12 @@ mod advance_to_tests {
         let mut ps = PsTracker::new(rat(3, 19), 0);
         round_trip(&ps);
         ps.sync_to(8);
-        assert!(ps.base.is_zero());
+        // All of it counted in nineteenths, the base still zero.
+        assert_eq!((ps.total.unit(), ps.total()), (Units::new(19), rat(24, 19)));
         round_trip(&ps);
         ps.set_wt(rat(2, 5));
-        assert_eq!(ps.base, rat(24, 19));
+        // Counting in fifths now: 24/19 went into the base.
+        assert_eq!((ps.total.unit(), ps.total()), (Units::new(5), rat(24, 19)));
         ps.sync_to(10);
         round_trip(&ps);
         let mut stepped = PsTracker::new(rat(3, 19), 0);

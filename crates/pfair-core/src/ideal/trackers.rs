@@ -1,11 +1,10 @@
 //! The two trackers of one task, as the engine keeps them for a task
-//! whose era has not settled, and the closed form of the pair for one
-//! whose era has.
+//! whose era has not settled, and their closed form for one whose has.
 
 use super::isw::IswTracker;
 use super::ps::PsTracker;
-use crate::rational::Rational;
-use crate::time::Slot;
+use crate::rational::{Accumulator, Rational};
+use crate::time::{slots_since, Slot};
 use crate::weight::Weight;
 
 /// A task's `I_SW` tracker (which also yields `I_CSW`) and its `I_PS`
@@ -18,50 +17,84 @@ pub struct Trackers {
     pub ps: PsTracker,
 }
 
-impl Trackers {
-    /// The pair of a task joining at `join` with weight `w`: nothing
-    /// counted yet.
-    ///
-    /// # Panics
-    /// As [`IswTracker::new`] and [`PsTracker::new`].
-    pub fn new(w: Rational, join: Slot) -> Trackers {
-        Trackers {
-            isw: IswTracker::new(w, join),
-            ps: PsTracker::new(w, join),
+/// The sums of a task's earlier eras that its closed form reads, taken
+/// at `since`, a release of its current era. The two totals are era
+/// sums as the trackers keep them, so settling copies them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Bases {
+    /// The slot the sums are taken at.
+    pub since: Slot,
+    /// `A(I_SW, T, 0, since)`.
+    pub isw_total: Accumulator,
+    /// `A(I_SW) − A(I_CSW)` at `since`: what halted subtasks received.
+    pub halted_loss: Rational,
+    /// `A(I_PS, T, 0, since)`.
+    pub ps_total: Accumulator,
+}
+
+impl Bases {
+    /// The bases of a task joining at `at`: nothing counted yet.
+    pub const fn join(at: Slot) -> Bases {
+        Bases {
+            since: at,
+            isw_total: Accumulator::new(),
+            halted_loss: Rational::ZERO,
+            ps_total: Accumulator::new(),
         }
     }
 
-    /// The closed form, in place: the pair becomes what it would be at
-    /// `now` if nothing but releases happened to the task —
-    /// [`IswTracker::closed_form`] on the era's grid, and the `I_PS`
-    /// tracker synchronized to `now`. Within such an era all three
-    /// ideals grow by `w` a slot, so the drift stays what it was when
-    /// the era settled.
-    ///
-    /// A task that has kept weight `w` since it joined at `join` — no
-    /// enactment, halt, IS delay or departure — is the special case of
-    /// a pair that starts as `Trackers::new(w, join)`: its totals are
-    /// `w · (now − join)` and its drift is zero.
+    /// `(A(I_PS), A(I_SW), A(I_CSW))` over `[0, now)` of the closed form
+    /// of weight `w`: each base plus `w · (now − since)`.
+    pub fn sums_at(&self, w: Weight, now: Slot) -> (Rational, Rational, Rational) {
+        let grown = w.value().mul_int(slots_since(self.since, now));
+        let isw = self.isw_total.finish() + grown;
+        (self.ps_total.finish() + grown, isw, isw - self.halted_loss)
+    }
+}
+
+impl Trackers {
+    /// The pair at `now` of a task to which only releases on one grid
+    /// of periodic windows of weight `w` starting at `anchor` happened
+    /// since `bases.since` ([`IswTracker::closed_form`]): each total is
+    /// its base plus `w · (now − since)`, and `I_PS` runs at `w` with no
+    /// suspension. A task that kept `w` since it joined at `anchor` has
+    /// `Bases::join(anchor)`.
     ///
     /// # Panics
     /// As [`IswTracker::closed_form`].
-    pub fn close_to(&mut self, w: Weight, era_base: u64, next_index: u64, now: Slot) {
-        self.isw = IswTracker::closed_form(&self.isw, w, era_base, next_index, now);
-        self.ps.sync_to(now);
+    pub fn closed(
+        w: Weight,
+        bases: &Bases,
+        anchor: Slot,
+        era_base: u64,
+        next_index: u64,
+        now: Slot,
+    ) -> Trackers {
+        Trackers {
+            isw: IswTracker::closed_form(w, bases, anchor, era_base, next_index, now),
+            ps: PsTracker::closed_form(w, bases.ps_total, bases.since, now),
+        }
     }
 
-    /// Whether the pair, synchronized at a release of an era of weight
-    /// `w` that numbers its subtasks from `era_base + 1` (the next one
-    /// gets `next_index`), has settled: no suspension lies ahead of it,
-    /// every record it retains is of the era, and it is its own closed
-    /// form ([`Trackers::close_to`]) — every record on one grid of
-    /// periodic windows, holding what Fig. 5 gives a task that has kept
-    /// `w` on that grid. From then on, as long as only releases on that
-    /// grid happen, the closed form of this pair is the pair.
-    pub fn settles(&self, w: Weight, era_base: u64, next_index: u64) -> bool {
-        let now = self.isw.now();
-        !self.ps.suspended_after(now)
-            && self.isw.holds_only_era(era_base)
-            && IswTracker::closed_form(&self.isw, w, era_base, next_index, now) == self.isw
+    /// The pair's own bases if, synchronized at a release on the grid
+    /// of [`Trackers::closed`], it is the closed form from them: records
+    /// of the era only ([`IswTracker::holds_only_era`], which callers
+    /// may test first), `I_PS` at `w` and no suspension, not even one
+    /// that ends at this release. The bases are copies of the trackers'
+    /// era sums, so building and comparing them reduces no sum; the
+    /// `I_PS` half, the cheap one, is compared first.
+    pub fn settles(&self, w: Weight, anchor: Slot, era_base: u64, next: u64) -> Option<Bases> {
+        let since = self.isw.now();
+        if PsTracker::closed_form(w, self.ps.sum(), since, since) != self.ps {
+            return None;
+        }
+        let bases = Bases {
+            since,
+            isw_total: self.isw.sum(),
+            halted_loss: self.isw.halted_loss(),
+            ps_total: self.ps.sum(),
+        };
+        let isw = IswTracker::closed_form(w, &bases, anchor, era_base, next, since);
+        (isw == self.isw).then_some(bases)
     }
 }

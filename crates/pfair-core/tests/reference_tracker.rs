@@ -21,12 +21,14 @@
 //! alone).
 //!
 //! A task that never changes needs no trackers: the engine reads its
-//! pair off the closed form ([`Trackers::close_to`]) instead, which is
-//! held here to a pair synchronized at every release the engine's way
-//! and to the reference's completions. So does a task whose current era has
-//! settled ([`Trackers::settles`]): the scripted task is checked at
-//! every boundary against the closed form of the pair it settled with,
-//! after every way an era can open.
+//! pair off the closed form ([`Trackers::closed`] from the join's
+//! [`Bases`]) instead, which is held here to a pair synchronized at
+//! every release the engine's way and to the reference's completions.
+//! So does a task whose current era has settled ([`Trackers::settles`]):
+//! the scripted task is checked at every boundary against the closed
+//! form from the bases it settled with, after every way an era can
+//! open, including an opening release that an IS delay moved (its
+//! `I_PS` suspension ends exactly there).
 //!
 //! `PROPTEST_CASES` raises the case count (CI runs this file in release
 //! mode with more). The helpers are named `model_*` / `*_both` because
@@ -35,8 +37,8 @@
 //! the history recorder calls on the library reference — would be
 //! wired into the engine's call graph.
 
-use pfair_core::ideal::{IswReference, IswTracker, PsTracker, RefSub, Trackers};
-use pfair_core::rational::{rat, Rational};
+use pfair_core::ideal::{Bases, IswReference, IswTracker, PsTracker, RefSub, Trackers};
+use pfair_core::rational::{rat, Accumulator, Rational};
 use pfair_core::time::Slot;
 use pfair_core::weight::Weight;
 use pfair_core::window::{b_bit, periodic_window, window_in_era};
@@ -154,9 +156,11 @@ struct Pair {
     /// The current era: its weight, the index before its first
     /// subtask, and the index the next release gets.
     era: (Weight, u64, u64),
-    /// The pair as it stood when the era settled, while nothing but
-    /// releases has happened since.
-    settled: Option<Trackers>,
+    /// Index and release of the last released subtask.
+    last: (u64, Slot),
+    /// The bases the pair settled with, while nothing but releases has
+    /// happened since.
+    settled: Option<Bases>,
 }
 
 impl Pair {
@@ -168,6 +172,7 @@ impl Pair {
             chunks,
             cursor: 0,
             era: (Weight::new(w), 0, 1),
+            last: (0, 0),
             settled: None,
         }
     }
@@ -179,27 +184,36 @@ impl Pair {
         }
     }
 
+    /// Where the era's grid starts, read off the last released subtask
+    /// the way the engine reads it off its last record.
+    fn anchor(&self) -> Slot {
+        let (w, era_base, _) = self.era;
+        let (index, release) = self.last;
+        release - periodic_window(w, index - era_base, 0).release
+    }
+
     /// Settles the pair if its era has: the engine asks after every
     /// release of a row with no change pending. Returns whether it is
     /// settled.
     fn settle_both(&mut self) -> bool {
         let (w, era_base, next_index) = self.era;
-        if self.settled.is_none() && self.both().settles(w, era_base, next_index) {
-            self.settled = Some(self.both());
+        if self.settled.is_none() {
+            self.settled = self.both().settles(w, self.anchor(), era_base, next_index);
         }
         self.check_settled();
         self.settled.is_some()
     }
 
-    /// The closed form of the settled pair is the pair, by value and by
-    /// the bytes of both images, and the reference completes every
-    /// subtask of the era at its deadline.
+    /// The closed form from the settled bases is the pair, by value and
+    /// by the bytes of both images; the pair's `I_PS` runs at the era's
+    /// weight; and the reference completes every subtask of the era at
+    /// its deadline.
     fn check_settled(&self) {
-        let Some(settled) = &self.settled else { return };
+        let Some(bases) = &self.settled else { return };
         let (w, era_base, next_index) = self.era;
         let now = self.reference.model_now();
-        let mut closed = settled.clone();
-        closed.close_to(w, era_base, next_index, now);
+        let closed = Trackers::closed(w, bases, self.anchor(), era_base, next_index, now);
+        assert_eq!(self.ps.wt(), w.value(), "I_PS weight at {now}");
         assert_eq!(closed, self.both(), "closed form at {now}");
         assert_eq!(closed.isw.to_json_compact(), self.isw.to_json_compact());
         assert_eq!(closed.ps.to_json_compact(), self.ps.to_json_compact());
@@ -302,6 +316,7 @@ impl Pair {
         self.reference.model_add(index, release, era_first, pred_b);
         self.isw.add_subtask(index, release, era_first, pred_b);
         self.era.2 = index + 1;
+        self.last = (index, release);
     }
 
     fn initiate_both(&mut self, v: Rational) {
@@ -378,6 +393,9 @@ struct Era {
     seps: Vec<i64>,
     end: EraEnd,
     offset: i64,
+    /// An IS delay of the era's opening release: `I_PS` is suspended
+    /// from the opening slot until the release.
+    open_delay: i64,
 }
 
 /// Pairwise-coprime denominators, and 1 for the weight-1 era.
@@ -388,15 +406,15 @@ fn arb_era() -> impl Strategy<Value = Era> {
         (0usize..DENS.len(), 1i128..=31),
         1u64..=5,
         prop::collection::vec(0i64..3, 5),
-        0u8..4,
-        0i64..8,
+        (0u8..4, 0i64..8, 0i64..3),
     )
-        .prop_map(|((d, n), subs, seps, end, offset)| Era {
+        .prop_map(|((d, n), subs, seps, (end, offset, open_delay))| Era {
             weight: (1 + (n - 1) % DENS[d], DENS[d]),
             subs,
             seps,
             end: [EraEnd::Wait, EraEnd::Straddle, EraEnd::Halt, EraEnd::Rejoin][usize::from(end)],
             offset,
+            open_delay,
         })
 }
 
@@ -405,7 +423,11 @@ fn arb_era() -> impl Strategy<Value = Era> {
 /// settling of eras to their *quiet* releases (none delayed, none with
 /// an `I_PS` suspension still ahead): three in a row push out the
 /// records of any other era or grid, so the pair has settled; and a
-/// pair never settles on a release that is not quiet.
+/// pair never settles on a release that is not quiet. A join or rejoin
+/// whose opening release was delayed holds nothing but the era's
+/// records there, all on the grid, and a suspension that ends exactly
+/// at that release: the pair settles at the next quiet release, not at
+/// that one.
 fn run_plan(plan: &[Era], chunks: Vec<i64>) {
     let value = |era: &Era| rat(era.weight.0, era.weight.1);
     let mut pair = Pair::new(value(&plan[0]), chunks);
@@ -415,9 +437,12 @@ fn run_plan(plan: &[Era], chunks: Vec<i64>) {
     let mut held = Vec::new();
     for (e, era) in plan.iter().enumerate() {
         let w = Weight::new(value(era));
-        let mut release = open_at;
+        // Nothing but this era's records: the join, or a rejoin.
+        let fresh = e == 0 || matches!(plan[e - 1].end, EraEnd::Rejoin);
+        pair.suspend_both(open_at, open_at + era.open_delay);
+        let mut release = open_at + era.open_delay;
         let mut last = window_in_era(w, 1, release);
-        let (mut quiet, mut delayed) = (0, false);
+        let (mut quiet, mut delayed) = (0, era.open_delay > 0);
         for rank in 1..=era.subs {
             pair.advance_both(release);
             index += 1;
@@ -430,6 +455,24 @@ fn run_plan(plan: &[Era], chunks: Vec<i64>) {
                 quiet > 0 || !settled,
                 "T_{index}: settled on a release not quiet"
             );
+            if fresh && era.open_delay > 0 && rank == 1 {
+                // The records are the closed form's; the suspension that
+                // ends here is not, so the pair does not settle yet.
+                let (_, era_base, next_index) = pair.era;
+                let bases = Bases {
+                    since: release,
+                    isw_total: Accumulator::from(pair.isw.isw_total()),
+                    halted_loss: pair.isw.isw_total() - pair.isw.icsw_total(),
+                    ps_total: Accumulator::from(pair.ps.total()),
+                };
+                let closed =
+                    Trackers::closed(w, &bases, pair.anchor(), era_base, next_index, release);
+                assert_eq!(closed.isw, pair.isw, "T_{index}: delayed opening");
+                assert_ne!(closed.ps, pair.ps, "T_{index}: delayed opening");
+            }
+            if fresh && era.open_delay > 0 && rank == 2 && quiet == 1 {
+                assert!(settled, "T_{index}: the release after a delayed opening");
+            }
             last = window_in_era(w, rank, release);
             held.push((index, last));
             let sep = era.seps[(rank % 5) as usize];
@@ -558,7 +601,10 @@ fn synced_static_pair(
     now: Slot,
     stride: Option<i64>,
 ) -> (Trackers, u64, IswReference) {
-    let mut pair = Trackers::new(w.value(), join);
+    let mut pair = Trackers {
+        isw: IswTracker::new(w.value(), join),
+        ps: PsTracker::new(w.value(), join),
+    };
     let mut reference = IswReference::new(w.value(), join);
     let mut rank = 1;
     let mut release = join;
@@ -586,10 +632,11 @@ fn synced_static_pair(
 }
 
 proptest! {
-    /// The closed form is the release-synced pair, by equality and by
-    /// the bytes of both images, for light, heavy and unit weights with
-    /// denominators up to 64, whatever the first index; its totals are
-    /// `w · (now − join)` and every retained record is the reference's.
+    /// The closed form from the join's bases is the release-synced pair,
+    /// by equality and by the bytes of both images, for light, heavy and
+    /// unit weights with denominators up to 64, whatever the first index;
+    /// its totals are `w · (now − join)`, every retained record is the
+    /// reference's, and the anchor read off the last release is the join.
     #[test]
     fn closed_form_is_the_release_synced_pair(
         (num, den) in (1i128..=64, 1i128..=64),
@@ -602,8 +649,11 @@ proptest! {
         let now = join + span;
         let stride = (stride > 0).then_some(stride);
         let (synced, next_index, reference) = synced_static_pair(w, join, base, now, stride);
-        let mut closed = Trackers::new(w.value(), join);
-        closed.close_to(w, base, next_index, now);
+        // The engine reads the anchor off the last released record.
+        let rank = next_index - 1 - base;
+        let release = periodic_window(w, rank, join).release;
+        prop_assert_eq!(release - periodic_window(w, rank, 0).release, join);
+        let closed = Trackers::closed(w, &Bases::join(join), join, base, next_index, now);
         prop_assert_eq!(&closed, &synced);
         prop_assert_eq!(closed.isw.to_json_compact(), synced.isw.to_json_compact());
         prop_assert_eq!(closed.ps.to_json_compact(), synced.ps.to_json_compact());
@@ -652,6 +702,7 @@ fn denominators_near_the_gate_stay_exact_across_a_straddle() {
         seps: vec![0, 1, 0, 2, 0],
         end,
         offset: 1,
+        open_delay: 0,
     };
     for end in [EraEnd::Straddle, EraEnd::Wait, EraEnd::Halt] {
         let plan = [

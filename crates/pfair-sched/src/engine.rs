@@ -282,8 +282,9 @@ impl SubRec {
 /// One contiguous row: the subtask records are inline, and a task that
 /// has not changed since it joined keeps no trackers ([`Ideal`]), so
 /// the only heap block such a task owns is its drift track's; one that
-/// has changed owns one more, its trackers' box, which it keeps once
-/// its era settles (`tests/footprint.rs` pins these figures). The row
+/// has changed owns one more, its trackers' box, traded for a smaller
+/// box of bases once its era settles (`tests/footprint.rs` pins these
+/// figures). The row
 /// holds nothing another place already does: the task's id is its
 /// position in the slab, its scheduling weight is the slab's column,
 /// its actual weight `wt(T, t)` the `I_PS` tracker's (a static or
@@ -360,7 +361,7 @@ impl TaskState {
     }
 
     /// Equality of two rows of scheduling weight `w`: field by field,
-    /// the ideals by value.
+    /// the ideals by value (alike closed forms without being built).
     fn same_as(&self, other: &TaskState, w: Weight) -> bool {
         let TaskState {
             era_base,
@@ -383,7 +384,8 @@ impl TaskState {
             && (*scheduled_count, *last_cpu) == (other.scheduled_count, other.last_cpu)
             && *subs == other.subs
             && *drift == other.drift
-            && self.same_ideals(other, w)
+            && (self.ideal.recurs_as(&other.ideal, 0)
+                || self.ideal_image(w) == other.ideal_image(w))
     }
 
     /// Most recently released subtask record.

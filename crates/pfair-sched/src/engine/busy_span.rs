@@ -636,7 +636,7 @@ mod tests {
     use crate::engine::SimConfig;
     use crate::event::Workload;
     use crate::overhead::DriverMix;
-    use pfair_json::{Json, ToJson};
+    use pfair_json::{FromJson, Json, ToJson};
     use pfair_obs::{MetricsProbe, NoopProbe};
 
     /// Everything an engine holds, in two parts: the rendered snapshot
@@ -769,7 +769,9 @@ mod tests {
     /// stand for: fifty tasks of weight 1/5 on twelve processors repeat
     /// with period 5 long before ids 50–59 join at slot 50 000, so the
     /// span before the join jumps, and the whole run equals the per-slot
-    /// oracle's.
+    /// oracle's. A row that never changed keeps no bases across the
+    /// jumps, and restored from a snapshot it is static again, before
+    /// and after its next release; the restored run ends the same.
     #[test]
     fn busy_span_jumps_before_a_late_join() {
         let late: Slot = 50_000;
@@ -789,9 +791,24 @@ mod tests {
         );
         let mix = fast.driver_mix();
         assert!(mix.jumps > 0, "{mix:?}");
+        let is_static = |e: &Engine<NoopProbe>| {
+            let ideal = &e.tasks.task(TaskId(0)).ideal;
+            matches!(ideal, Ideal::Closed { bases: None, .. })
+        };
+        assert!(is_static(&fast), "a row that never changed");
+        let image = fast.snapshot().expect("snapshot").to_json_compact();
+        let parsed = FromJson::from_json(&Json::parse(&image).expect("parse")).expect("decode");
+        let mut resumed = Engine::restore(parsed, NoopProbe).expect("restore");
+        assert!(is_static(&resumed), "decoded static");
+        let next = resumed.tasks.next_release(TaskId(0)).expect("a release");
+        resumed.run_to(next + 1);
+        assert!(is_static(&resumed), "static after its next release");
         fast.run();
+        resumed.run();
+        let result = fast.finish().to_json_compact();
+        assert_eq!(result, resumed.finish().to_json_compact());
         assert_eq!(
-            fast.finish().to_json_compact(),
+            result,
             crate::engine::simulate(cfg.per_slot(), &w).to_json_compact()
         );
     }
@@ -841,7 +858,7 @@ mod tests {
         let rows = |e: &Engine<NoopProbe>, settled: bool| {
             (0..8)
                 .map(|id| &e.tasks.task(TaskId(id)).ideal)
-                .all(|ideal| matches!(ideal, Ideal::Settled { .. }) == settled)
+                .all(|ideal| matches!(ideal, Ideal::Closed { bases: Some(_), .. }) == settled)
         };
         fast.run_to(12);
         assert!(rows(&fast, false), "every change builds its trackers");

@@ -317,7 +317,7 @@ impl FromJson for TaskSnap {
             pending: value.field("pending")?,
             leaving: value.field::<Option<Slot>>("leaving")?.unwrap_or(NEVER),
         };
-        let state = TaskState {
+        let mut state = TaskState {
             era_base,
             next_index,
             era_open_pending,
@@ -331,12 +331,16 @@ impl FromJson for TaskSnap {
             scheduled_count: value.field("scheduled_count")?,
             last_cpu: value.field::<Option<u32>>("last_cpu")?.unwrap_or(NO_CPU),
         };
+        let (in_system, swt) = (value.field("in_system")?, value.field::<Share>("swt")?.0);
+        if let Some(w) = swt.filter(|_| in_system && parked.is_nothing()) {
+            state.unbox_static(w);
+        }
         Ok(TaskSnap {
             id: value.field("id")?,
             state,
             parked,
-            in_system: value.field("in_system")?,
-            swt: value.field::<Share>("swt")?.0,
+            in_system,
+            swt,
             next_release: value.field("next_release")?,
             ran_last_slot: value.field("ran_last_slot")?,
         })

@@ -61,7 +61,7 @@ impl TaskState {
     /// see [`SubsScan`].
     fn sync_ideals_to(&mut self, t: Slot) -> SubsScan {
         let closed_form = match &mut self.ideal {
-            Ideal::Static { now, .. } | Ideal::Settled { now, .. } => {
+            Ideal::Closed { now, .. } => {
                 *now = t.max(*now);
                 true
             }
@@ -165,13 +165,13 @@ impl<P: Probe> Engine<P> {
 
             // Drift is sampled exactly at era-opening releases: `u` of
             // Eqn (5) is this slot, and the trackers currently hold
-            // A(·, 0, t). A static row's totals are equal, and a settled
-            // row opens no era: the enactment or the join that opens one
-            // builds its trackers first.
+            // A(·, 0, t). A static row's totals are all zero at its join,
+            // and a settled row opens no era: the enactment that opens
+            // one builds its trackers first.
             if era_first {
                 let (ps_total, icsw_total) = match &task.ideal {
                     Ideal::Tracked(trackers) => (trackers.ps.total(), trackers.isw.icsw_total()),
-                    _ => (Rational::ZERO, Rational::ZERO),
+                    Ideal::Closed { .. } => (Rational::ZERO, Rational::ZERO),
                 };
                 let drift = ps_total - icsw_total;
                 task.drift.record(t, ps_total, icsw_total);
@@ -189,9 +189,6 @@ impl<P: Probe> Engine<P> {
                 };
                 trackers.isw.add_subtask(index, t, era_first, pred_b);
             }
-            if books_successor {
-                task.settle(weight);
-            }
             task.subs.push_back(SubRec {
                 index,
                 release: window.release,
@@ -204,6 +201,9 @@ impl<P: Probe> Engine<P> {
                 era_first,
                 missed: false,
             });
+            if books_successor {
+                task.settle(weight);
+            }
 
             let successor = books_successor.then(|| window.next_release());
             self.tasks.set_next_release(id, successor);

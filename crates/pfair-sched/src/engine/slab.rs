@@ -198,7 +198,7 @@ impl TaskSlab {
     }
 
     /// The trackers of `id`'s row, built from its closed form at the
-    /// scheduling weight first if the row is static or settled: where every change
+    /// scheduling weight first if the row is closed: where every change
     /// the closed form does not cover starts (`engine/ideal.rs`).
     pub(super) fn trackers(&mut self, id: TaskId) -> &mut Trackers {
         let w = self.swt(id).unwrap_or(Weight::ONE);

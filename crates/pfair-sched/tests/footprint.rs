@@ -19,12 +19,14 @@
 //! field that breaks the budget does not compile. A task that has not
 //! changed since it joined keeps no trackers at all; the first change
 //! boxes them, so a task that reweights pays one block for them and one
-//! that never does pays nothing.
+//! that never does pays nothing. Once its era settles, the task trades
+//! that box for a smaller one holding the sums of its earlier eras.
 
 // The counting allocator is the one `unsafe impl` this workspace has;
-// it forwards to `System` and touches nothing but three counters.
+// it forwards to `System` and touches nothing but its counters.
 #![allow(unsafe_code)]
 
+use pfair_core::ideal::{Bases, Trackers};
 use pfair_obs::MetricsProbe;
 use pfair_sched::engine::{Engine, SimConfig};
 use pfair_sched::event::{Event, Workload};
@@ -37,11 +39,25 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+/// Live blocks the size of a settled row's [`Bases`] and of a tracked
+/// row's [`Trackers`].
+static LIVE_BASES: AtomicIsize = AtomicIsize::new(0);
+static LIVE_PAIRS: AtomicIsize = AtomicIsize::new(0);
 
 struct Counting;
 
 fn signed(size: usize) -> isize {
     isize::try_from(size).unwrap_or(isize::MAX)
+}
+
+/// Counts `blocks` more live blocks of `size` bytes by size, where the
+/// size is a box's the rows hold.
+fn count_box(size: usize, blocks: isize) {
+    if size == size_of::<Bases>() {
+        LIVE_BASES.fetch_add(blocks, Relaxed);
+    } else if size == size_of::<Trackers>() {
+        LIVE_PAIRS.fetch_add(blocks, Relaxed);
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -52,6 +68,7 @@ unsafe impl GlobalAlloc for Counting {
         ALLOCATIONS.fetch_add(1, Relaxed);
         LIVE_BLOCKS.fetch_add(1, Relaxed);
         LIVE_BYTES.fetch_add(signed(layout.size()), Relaxed);
+        count_box(layout.size(), 1);
         // SAFETY: the caller's `layout` is passed through as is.
         unsafe { System.alloc(layout) }
     }
@@ -59,6 +76,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE_BLOCKS.fetch_sub(1, Relaxed);
         LIVE_BYTES.fetch_sub(signed(layout.size()), Relaxed);
+        count_box(layout.size(), -1);
         // SAFETY: `ptr` and `layout` are the caller's, from `alloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -66,6 +84,8 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
         LIVE_BYTES.fetch_add(signed(new_size) - signed(layout.size()), Relaxed);
+        count_box(layout.size(), -1);
+        count_box(new_size, 1);
         // SAFETY: `ptr`, `layout` and `new_size` are the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -80,6 +100,10 @@ const TASKS: u32 = 2000;
 /// drop back (half a period later) before this horizon, and no second
 /// cycle starts in time to.
 const SAWTOOTH_HORIZON: i64 = 768;
+
+/// Long enough for a change at slot 256 of a task of weight 1/128 to
+/// settle: three releases of the new era push out the old one's records.
+const SETTLE_HORIZON: i64 = 1024;
 
 /// The live-bytes budget of an engine at slot 512 of a
 /// `population`-shaped run, in three parts. An engine with no task at
@@ -102,6 +126,13 @@ const BYTES_PER_ID: isize = 61;
 /// at 1 000, 2 000 and 4 000 tasks; 24 more each while a drift sample
 /// took 48 bytes).
 const BYTES_PER_TASK: isize = 428;
+
+/// What a task of [`a_settled_task_keeps_its_bases_only`] holds once
+/// it has settled, the engine's own tables shared out: its row, a drift
+/// block of three samples, its 144-byte box of bases, its per-id table
+/// entries, and its share of the event stream, the queue and the
+/// calendar buckets (809.2 measured).
+const BYTES_PER_SETTLED_TASK: isize = 811;
 
 /// What a drift track stores per sample whose components fit `i64`
 /// (every sample of these runs): one 24-byte entry.
@@ -136,6 +167,7 @@ fn footprint() {
     a_task_is_one_row_and_one_heap_block();
     an_id_that_never_joins_costs_no_row();
     a_reweighted_task_adds_at_most_one_box();
+    a_settled_task_keeps_its_bases_only();
     re_arming_a_busy_span_allocates_nothing();
     engines_of_one_workload_share_its_stream();
 }
@@ -236,11 +268,48 @@ fn a_reweighted_task_adds_at_most_one_box() {
     assert!(
         blocks <= tasks * (1 + 1) + ENGINE_BLOCKS + RING_BUCKETS,
         "{blocks} live heap blocks for {TASKS} reweighted tasks: more than a drift \
-         block and a trackers' box per task plus the engine's own {ENGINE_BLOCKS} \
+         block and one box, bases or trackers, per task plus the engine's own {ENGINE_BLOCKS} \
          and the rings' {RING_BUCKETS} buckets (4 682 measured; a static twin 2 030)"
     );
     let result = engine.finish();
     assert!(result.counters.reweight_enactments >= u64::from(TASKS));
+}
+
+/// Every task reweights once, from 1/256 up to 1/128 at a staggered
+/// slot, and the run goes on until every row has settled: each then
+/// holds its era's bases in a box of their own, not its trackers.
+fn a_settled_task_keeps_its_bases_only() {
+    let mut workload = Workload::new();
+    for task in 0..TASKS {
+        let at = 1 + i64::from(task % 256);
+        workload.join(task, 0, 1, 256).reweight(task, at, 1, 128);
+    }
+    let (bytes_before, bases_before, pairs_before) = (
+        LIVE_BYTES.load(Relaxed),
+        LIVE_BASES.load(Relaxed),
+        LIVE_PAIRS.load(Relaxed),
+    );
+    let config = SimConfig::oi(16, SETTLE_HORIZON).without_busy_span();
+    let mut engine = Engine::with_probe(config, &workload, MetricsProbe::new());
+    engine.run_to(SETTLE_HORIZON);
+    let tasks = isize::try_from(TASKS).unwrap();
+    let bytes = LIVE_BYTES.load(Relaxed) - bytes_before;
+    let bases = LIVE_BASES.load(Relaxed) - bases_before;
+    let pairs = LIVE_PAIRS.load(Relaxed) - pairs_before;
+    assert_eq!(
+        (bases, pairs),
+        (tasks, 0),
+        "live boxes of bases and of trackers: every row settled keeps its bases only"
+    );
+    assert!(
+        bytes <= tasks * BYTES_PER_SETTLED_TASK,
+        "{bytes} live bytes for {TASKS} settled tasks: {} per task, budget \
+         {BYTES_PER_SETTLED_TASK} (809.2 measured; 1 001.2 while a settled row kept \
+         its whole trackers pair)",
+        bytes / tasks
+    );
+    let result = engine.finish();
+    assert_eq!(result.counters.reweight_enactments, u64::from(TASKS));
 }
 
 /// The busy-span driver snapshots every row when it arms, trackers and
