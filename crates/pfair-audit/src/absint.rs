@@ -117,9 +117,10 @@ pub const TOP: Interval = Interval {
     hi: Bound::PosInf,
 };
 
-// The transfer functions deliberately mirror the operator names they
-// abstract (`add` models `+`); they are not the std ops traits.
-#[allow(clippy::should_implement_trait)]
+#[expect(
+    clippy::should_implement_trait,
+    reason = "the transfer functions mirror the operator names they abstract (`add` models `+`); they are not the std ops traits"
+)]
 impl Interval {
     /// The single point `v`.
     pub fn exact(v: i128) -> Interval {

@@ -235,15 +235,15 @@ allow-paths = [
     "crates/whisper-sim/src/acoustics.rs",
 ]
 
-[lint.no-lossy-casts]
+[lint.raw-arithmetic-quarantine]
 paths = ["crates/pfair-core/src"]
 "#,
         )
         .unwrap();
         assert_eq!(cfg.exclude, vec!["target", "stubs"]);
         assert_eq!(cfg.lints["no-float-in-scheduling"].allow_paths.len(), 2);
-        assert!(cfg.lint_applies("no-lossy-casts", "crates/pfair-core/src/lag.rs"));
-        assert!(!cfg.lint_applies("no-lossy-casts", "crates/pfair-core/tests/t.rs"));
+        assert!(cfg.lint_applies("raw-arithmetic-quarantine", "crates/pfair-core/src/lag.rs"));
+        assert!(!cfg.lint_applies("raw-arithmetic-quarantine", "crates/pfair-core/tests/t.rs"));
         assert!(!cfg.lint_applies(
             "no-float-in-scheduling",
             "crates/whisper-sim/src/geometry.rs"
@@ -282,8 +282,8 @@ paths = ["crates/pfair-core/src"]
         assert_eq!(err.line, 3);
         assert!(err.message.contains("no-such-lint"));
         // Alias headers canonicalize.
-        let cfg = Config::parse("[lint.panic]\npaths = [\"src\"]").unwrap();
-        assert!(cfg.lints.contains_key(crate::lints::NO_PANIC));
+        let cfg = Config::parse("[lint.float]\npaths = [\"src\"]").unwrap();
+        assert!(cfg.lints.contains_key(crate::lints::NO_FLOAT));
     }
 
     #[test]

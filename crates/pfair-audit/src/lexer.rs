@@ -39,7 +39,8 @@ pub enum TokKind {
 pub struct Tok {
     /// What kind of token this is.
     pub kind: TokKind,
-    /// The token text (for raw identifiers, without the `r#` prefix).
+    /// The token text (for raw identifiers, without the `r#` prefix;
+    /// for a string literal, its source text, quotes included).
     pub text: String,
     /// 1-based line the token starts on.
     pub line: u32,
@@ -193,11 +194,12 @@ fn lex_tokens(src: &str) -> LexFile {
             continue;
         }
         if c == '"' {
+            let start = cur.rest;
             cur.bump();
             lex_plain_string(&mut cur, '"');
             out.toks.push(Tok {
                 kind: TokKind::Str,
-                text: String::new(),
+                text: start[..start.len() - cur.rest.len()].to_string(),
                 line,
             });
             continue;
@@ -260,7 +262,7 @@ fn try_lex_prefixed(cur: &mut Cursor<'_>, line: u32) -> Option<Tok> {
             lex_plain_string(cur, '"');
             Some(Tok {
                 kind: TokKind::Str,
-                text: String::new(),
+                text: rest[..rest.len() - cur.rest.len()].to_string(),
                 line,
             })
         }
@@ -286,7 +288,7 @@ fn try_lex_prefixed(cur: &mut Cursor<'_>, line: u32) -> Option<Tok> {
                     lex_raw_string(cur, hashes);
                     Some(Tok {
                         kind: TokKind::Str,
-                        text: String::new(),
+                        text: rest[..rest.len() - cur.rest.len()].to_string(),
                         line,
                     })
                 }
@@ -541,6 +543,20 @@ mod tests {
     fn raw_strings_and_raw_idents() {
         let v = idents("let r#type = r#\"as f64 \"# ; foo");
         assert_eq!(v, vec!["let", "type", "foo"]);
+    }
+
+    /// A string literal keeps its source text, quotes included, so it
+    /// reads as no identifier or punctuation the lints look for.
+    #[test]
+    fn string_literals_keep_their_source_text() {
+        let f = LexFile::lex("f(\"a \\\" b\", r#\"(\"#, b\"as\")");
+        let strs: Vec<&str> = f
+            .toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Str)
+            .map(|t| t.text.as_str())
+            .collect();
+        assert_eq!(strs, ["\"a \\\" b\"", "r#\"(\"#", "b\"as\""]);
     }
 
     #[test]

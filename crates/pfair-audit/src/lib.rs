@@ -2,15 +2,16 @@
 //! reproduction.
 //!
 //! The repository's claim to reproduce "Task Reweighting on
-//! Multiprocessors: Efficiency versus Accuracy" rests on invariants the
-//! compiler cannot check: lag/drift/weight arithmetic is *exact*
-//! (no floats), quantities cross integer widths only through checked
-//! conversions, scheduling library code never panics on malformed
-//! input, unchecked wide-integer arithmetic stays quarantined in the
-//! two modules whose overflow behavior is documented policy, and no
-//! source of per-run variation reaches a schedule.
+//! Multiprocessors: Efficiency versus Accuracy" rests on invariants
+//! neither the compiler nor clippy can check: lag/drift/weight
+//! arithmetic is *exact* (no floats, not even a suffixed literal),
+//! unchecked wide-integer arithmetic stays quarantined in the two
+//! modules whose overflow behavior is documented policy, and no panic
+//! is reachable from the scheduling entry points. (Casts, panicking
+//! calls and nondeterminism sources are clippy's lints; see the root
+//! `clippy.toml`.)
 //!
-//! Five token lints ([`lints`]) check what needs no structure. For the
+//! Two token lints ([`lints`]) check what needs no structure. For the
 //! rest, a hand-rolled recursive-descent parser ([`parser`]) produces
 //! per-file ASTs ([`ast`]), a workspace call graph ([`callgraph`])
 //! links them, and three passes ([`passes`]) prove panic-freedom of the
@@ -145,10 +146,11 @@ fn token_findings(rel_path: &str, file: &LexFile, cfg: &Config) -> Vec<Finding> 
 /// reasons, unknown lint names, and allows that suppress nothing are
 /// findings themselves, so the escape hatch cannot rot silently.
 ///
-/// One allow per panic site: a reasoned `allow(panic-reach, ..)` also
-/// discharges the `no-panic-in-library` finding of the same call
-/// (`tokens` links the two lines) — reachability from an entry point is
-/// the stronger statement. Not the reverse.
+/// One annotation per panic site: a reasoned
+/// `#[expect(clippy::disallowed_methods | clippy::panic, ..)]` under the
+/// same line rule discharges a `panic-reach` finding when its lints
+/// flag every source the finding stands for (`tokens`); asserts,
+/// indexing and division still need `allow(panic-reach, ..)`.
 fn discharge_file(
     rel_path: &str,
     lex: &LexFile,
@@ -169,17 +171,40 @@ fn discharge_file(
             allows
                 .iter()
                 .enumerate()
-                .find(|(_, a)| a.lint.as_deref() == Ok(lint) && a.line == l)
+                .find(|(_, a)| a.clippy.is_none() && a.lint.as_deref() == Ok(lint) && a.line == l)
         };
         at(line).or_else(|| line.checked_sub(1).and_then(at))
     };
+    // An attribute on the line covers a source its lint flags; the
+    // finding is discharged when every source behind it is covered.
+    let expected = |f: &Finding| {
+        let at = |l: u32| {
+            let attr = |k: Option<&str>| {
+                allows
+                    .iter()
+                    .find(|a| a.line == l && k.is_some() && a.clippy == k)
+            };
+            tokens
+                .iter()
+                .filter(|t| f.lint == lints::PANIC_REACH && t.path == rel_path && t.line == f.line)
+                .map(|t| attr(t.clippy))
+                .collect::<Option<Vec<_>>>()?
+                .first()
+                .copied()
+        };
+        at(f.line).or_else(|| f.line.checked_sub(1).and_then(at))
+    };
     for f in raw {
-        let via_reach = tokens
-            .iter()
-            .filter(|t| f.lint == lints::NO_PANIC && t.path == rel_path && t.token_line == f.line)
-            .find_map(|t| covering(lints::PANIC_REACH, t.site_line))
-            .filter(|(_, a)| !a.reason.is_empty());
-        match via_reach.or_else(|| covering(&f.lint, f.line)) {
+        if let Some(a) = expected(&f) {
+            let reason = Some(a.reason.clone());
+            out.push(AuditEntry {
+                finding: f,
+                allowed: true,
+                reason,
+            });
+            continue;
+        }
+        match covering(&f.lint, f.line) {
             Some((idx, a)) if !a.reason.is_empty() => {
                 used_allow[idx] = true;
                 out.push(AuditEntry {
@@ -226,7 +251,9 @@ fn discharge_file(
                         .join(", ")
                 ),
             })),
-            Ok(lint) if !used_allow[idx] && cfg.lint_applies(lint, rel_path) => {
+            Ok(lint)
+                if !used_allow[idx] && a.clippy.is_none() && cfg.lint_applies(lint, rel_path) =>
+            {
                 out.push(active(Finding {
                     path: rel_path.to_string(),
                     line: a.line,
@@ -405,9 +432,9 @@ mod tests {
     fn allow_with_reason_suppresses_one_line() {
         let src = "\
 fn f(x: u32, y: u32) {
-    // audit: allow(lossy-cast, u32 -> usize is lossless on 64-bit targets)
-    let a = x as usize;
-    let b = y as usize;
+    // audit: allow(float, a report-only ratio)
+    let a = f64::from(x);
+    let b = f64::from(y);
 }
 ";
         let found = audit_one("src/lib.rs", src, &cfg_all());
@@ -417,10 +444,10 @@ fn f(x: u32, y: u32) {
 
     #[test]
     fn allow_without_reason_is_rejected() {
-        let src = "fn f(x: u32) {\n    let a = x as usize; // audit: allow(lossy-cast)\n}\n";
+        let src = "fn f(x: u32) {\n    let a = f64::from(x); // audit: allow(float)\n}\n";
         let found = audit_one("src/lib.rs", src, &cfg_all());
         let lints: Vec<&str> = found.iter().map(|f| f.lint.as_str()).collect();
-        assert!(lints.contains(&lints::NO_LOSSY_CASTS));
+        assert!(lints.contains(&lints::NO_FLOAT));
         assert!(lints.contains(&BAD_ANNOTATION));
     }
 
@@ -436,11 +463,11 @@ fn f(x: u32, y: u32) {
     fn out_of_scope_paths_are_clean() {
         let mut cfg = cfg_all();
         cfg.lints
-            .get_mut(lints::NO_LOSSY_CASTS)
+            .get_mut(lints::NO_FLOAT)
             .unwrap()
             .paths
             .push("crates/pfair-core".into());
-        let src = "fn f(x: u64) {\n    let a = x as u32;\n}\n";
+        let src = "fn f(x: u32) {\n    let a = f64::from(x);\n}\n";
         assert!(audit_one("crates/whisper-sim/src/lib.rs", src, &cfg).is_empty());
         assert_eq!(
             audit_one("crates/pfair-core/src/lag.rs", src, &cfg).len(),
@@ -473,62 +500,99 @@ pub fn entry(v: &[u64]) -> u64 {
         assert!(report.entry_points[0].panic_free);
     }
 
-    /// One allow per panic site: the reachability allow on a chain's
-    /// first line also discharges the token lint's finding on the
-    /// `.expect(` line, so a `panic` allow left beside it suppresses
-    /// nothing; a `panic` allow alone never discharges reachability.
-    #[test]
-    fn panic_reach_allow_discharges_the_sites_token_finding() {
+    /// The report of a one-file workspace whose entry point is `entry`.
+    fn audit_entry(src: &str) -> AuditReport {
         let mut cfg = cfg_all();
         cfg.lints
             .get_mut(lints::PANIC_REACH)
             .unwrap()
             .entry_points
             .push("entry".into());
-        let audit = |src: &str| {
-            let ws = Workspace {
-                files: vec![analyze_source("src/lib.rs", src)],
-            };
-            audit_workspace(&ws, &cfg)
+        let ws = Workspace {
+            files: vec![analyze_source("src/lib.rs", src)],
         };
+        audit_workspace(&ws, &cfg)
+    }
 
-        let report = audit(
-            "\
-pub fn entry(v: Option<u64>) -> u64 {
-    // audit: allow(panic-reach, callers pass Some)
-    v
-        // audit: allow(panic, stale twin)
-        .expect(\"some\")
-}
-",
-        );
-        let allowed: Vec<(u32, &str)> = report
+    /// Asserts that `src`'s one reachable panic site is discharged with
+    /// `reason` and its entry point proves panic-free.
+    fn assert_discharged(src: &str, reason: &str) {
+        let report = audit_entry(src);
+        assert!(report.active().is_empty(), "{:?}", report.active());
+        let allowed: Vec<(&str, Option<&str>)> = report
             .entries
             .iter()
-            .filter(|e| e.allowed && e.reason.as_deref() == Some("callers pass Some"))
-            .map(|e| (e.finding.line, e.finding.lint.as_str()))
+            .filter(|e| e.allowed)
+            .map(|e| (e.finding.lint.as_str(), e.reason.as_deref()))
             .collect();
-        assert_eq!(allowed, [(3, lints::PANIC_REACH), (5, lints::NO_PANIC)]);
-        let active = report.active();
-        assert_eq!(active.len(), 1, "{active:?}");
-        assert_eq!(
-            (active[0].line, active[0].lint.as_str()),
-            (4, BAD_ANNOTATION)
-        );
+        assert_eq!(allowed, [(lints::PANIC_REACH, Some(reason))]);
         assert!(report.entry_points[0].panic_free);
+    }
 
-        let report = audit(
-            "\
-pub fn entry(v: Option<u64>) -> u64 {
-    // audit: allow(panic, not the stronger statement)
-    v.expect(\"some\")
-}
-",
-        );
+    /// Asserts that `src`'s one reachable panic site stays active.
+    fn assert_standing(src: &str) {
+        let report = audit_entry(src);
         let active = report.active();
         assert_eq!(active.len(), 1, "{active:?}");
         assert_eq!(active[0].lint, lints::PANIC_REACH);
         assert!(!report.entry_points[0].panic_free);
+    }
+
+    /// One annotation per panic site: the `#[expect]` clippy needs for
+    /// an `.expect()` also discharges its reachability, under the
+    /// comment's line rule, and leaves no unused allow.
+    #[test]
+    fn reasoned_expect_discharges_a_reachable_expect_call() {
+        assert_discharged(
+            "pub fn entry(v: Option<u64>) -> u64 {\n    #[expect(clippy::disallowed_methods, reason = \"callers pass Some\")]\n    let x = v\n        .expect(\"some\");\n    x\n}\n",
+            "callers pass Some",
+        );
+    }
+
+    #[test]
+    fn reasoned_expect_discharges_a_reachable_panic_macro() {
+        assert_discharged(
+            "pub fn entry(v: Option<u64>) -> u64 {\n    let Some(x) = v else {\n        #[expect(clippy::panic, reason = \"callers pass Some\")]\n        panic!(\"none\");\n    };\n    x\n}\n",
+            "callers pass Some",
+        );
+    }
+
+    /// rustfmt wraps a long attribute over several lines; the line rule
+    /// counts from its last, so it still covers the statement below.
+    #[test]
+    fn a_wrapped_expect_covers_the_statement_below_it() {
+        assert_discharged(
+            "pub fn entry(v: Option<u64>) -> u64 {\n    #[expect(\n        clippy::disallowed_methods,\n        reason = \"callers pass Some\"\n    )]\n    let x = v.expect(\"some\");\n    x\n}\n",
+            "callers pass Some",
+        );
+    }
+
+    #[test]
+    fn an_expect_without_a_reason_discharges_nothing() {
+        assert_standing(
+            "pub fn entry(v: Option<u64>) -> u64 {\n    #[expect(clippy::disallowed_methods)]\n    let x = v.expect(\"some\");\n    x\n}\n",
+        );
+    }
+
+    #[test]
+    fn an_expect_of_another_lint_discharges_nothing() {
+        assert_standing(
+            "pub fn entry(v: Option<u64>) -> u64 {\n    #[expect(clippy::as_conversions, reason = \"callers pass Some\")]\n    let x = v.expect(\"some\");\n    x\n}\n",
+        );
+    }
+
+    /// No clippy lint the tree turns on flags an `assert!` or an index,
+    /// so neither a `clippy::panic` nor a `disallowed_methods` expect
+    /// vouches for one, alone or beside a call it does cover.
+    #[test]
+    fn an_expect_over_an_assert_or_an_index_discharges_nothing() {
+        for src in [
+            "pub fn entry(v: u64) -> u64 {\n    #[expect(clippy::panic, reason = \"callers pass nonzero\")]\n    assert!(v > 0);\n    v\n}\n",
+            "pub fn entry(v: &[u64]) -> u64 {\n    #[expect(clippy::disallowed_methods, reason = \"callers pass one\")]\n    let x = v[0];\n    x\n}\n",
+            "pub fn entry(v: &[u64]) -> u64 {\n    #[expect(clippy::disallowed_methods, reason = \"callers pass two\")]\n    let x = v[0] + v.first().copied().expect(\"one\");\n    x\n}\n",
+        ] {
+            assert_standing(src);
+        }
     }
 
     #[test]

@@ -5,40 +5,30 @@
 //!
 //! - [`NO_FLOAT`]: lag/drift/weight reasoning is exact rational
 //!   arithmetic; a float anywhere near it silently breaks Theorems 3–5.
-//! - [`NO_LOSSY_CASTS`]: time, weight, and lag quantities travel between
-//!   integer widths only through `From`/`TryFrom`/checked helpers.
-//! - [`NO_PANIC`]: library code in the scheduling crates must surface
-//!   errors, not `unwrap()`; the executor is meant to run unattended.
 //! - [`RAW_ARITH`]: unchecked `+`/`-`/`*` on raw `i64`/`i128` operands
 //!   belongs in `rational.rs`/`time.rs`, where overflow is documented
 //!   policy, and nowhere else.
-//! - [`NONDETERMINISM`]: two runs of one task system must produce the
-//!   same schedule, so scheduling code may not contain a source of
-//!   per-run variation at all — hash-ordered collections, wall-clock
-//!   reads, thread identity, pointer-derived integers. Containment
-//!   over-approximates "no such value reaches a decision" without a
-//!   points-to analysis, and the token stream sees inside macro
-//!   arguments, where the AST passes do not look.
+//!
+//! Casts, panicking calls and nondeterminism sources are clippy's
+//! (`as_conversions`, `panic`, and the root `clippy.toml`'s
+//! `disallowed-methods` / `disallowed-types`), turned on at the
+//! scheduling crates' roots.
 //!
 //! Any lint can be suppressed for one line with
 //! `// audit: allow(<lint>, <reason>)` — on the same line or the line
 //! directly above. The annotation **must** carry a reason; a bare allow
 //! or an allow that suppresses nothing is itself a finding, so the
-//! escape hatch cannot rot silently.
+//! escape hatch cannot rot silently. A reasoned
+//! `#[expect(clippy::disallowed_methods | clippy::panic, reason = "…")]`
+//! reads as the `panic-reach` discharge of the `unwrap` / `expect` /
+//! `panic!` it covers (see [`parse_allows`]).
 
-use crate::ast::int_type_bits;
 use crate::lexer::{LexFile, Tok, TokKind};
 
 /// Canonical name of the float lint.
 pub const NO_FLOAT: &str = "no-float-in-scheduling";
-/// Canonical name of the cast lint.
-pub const NO_LOSSY_CASTS: &str = "no-lossy-casts";
-/// Canonical name of the panic lint.
-pub const NO_PANIC: &str = "no-panic-in-library";
 /// Canonical name of the raw-arithmetic lint.
 pub const RAW_ARITH: &str = "raw-arithmetic-quarantine";
-/// Canonical name of the nondeterminism-source lint.
-pub const NONDETERMINISM: &str = "nondeterminism";
 /// Canonical name of the call-graph panic-reachability pass.
 pub const PANIC_REACH: &str = "panic-reach";
 /// Canonical name of the interval/overflow pass.
@@ -50,30 +40,23 @@ pub const BAD_ANNOTATION: &str = "audit-annotation";
 /// Pseudo-lint reporting files the parser could not fully shape; a
 /// parse error is an analysis blind spot, so it gates like a finding.
 pub const PARSE_ERROR: &str = "audit-parse";
+/// The clippy lint that flags `Option`/`Result` `unwrap` and `expect`
+/// (through the root `clippy.toml`'s `disallowed-methods`).
+pub const CLIPPY_METHODS: &str = "disallowed_methods";
+/// The clippy lint that flags `panic!`.
+pub const CLIPPY_PANIC: &str = "panic";
 
 /// All real lints, with one-line descriptions (shown by `list-lints`).
-/// The first five are token lints; the last three are the
-/// AST/call-graph passes.
+/// The first two are token lints; the last three are the AST/call-graph
+/// passes.
 pub const CATALOG: &[(&str, &str)] = &[
     (
         NO_FLOAT,
         "f32/f64 are forbidden where exact rational arithmetic is required",
     ),
     (
-        NO_LOSSY_CASTS,
-        "bare `as` numeric casts must be From/TryFrom or a checked helper",
-    ),
-    (
-        NO_PANIC,
-        "unwrap()/expect()/panic! are forbidden in scheduling library code",
-    ),
-    (
         RAW_ARITH,
         "unchecked +,-,* on raw i64/i128 operands outside rational.rs/time.rs",
-    ),
-    (
-        NONDETERMINISM,
-        "hash-order, wall-clock, thread-id, and pointer-derived values in scheduling code",
     ),
     (
         PANIC_REACH,
@@ -93,11 +76,8 @@ pub const CATALOG: &[(&str, &str)] = &[
 pub fn canonical_lint(name: &str) -> Option<&'static str> {
     match name {
         NO_FLOAT | "float" => Some(NO_FLOAT),
-        NO_LOSSY_CASTS | "lossy-cast" => Some(NO_LOSSY_CASTS),
-        NO_PANIC | "panic" => Some(NO_PANIC),
         RAW_ARITH | "raw-arithmetic" => Some(RAW_ARITH),
         PANIC_REACH => Some(PANIC_REACH),
-        NONDETERMINISM | "nondet" => Some(NONDETERMINISM),
         OVERFLOW_INTERVAL | "overflow" => Some(OVERFLOW_INTERVAL),
         FLOAT_TAINT => Some(FLOAT_TAINT),
         _ => None,
@@ -115,21 +95,13 @@ pub struct RawFinding {
     pub message: String,
 }
 
-const NUMERIC_TYPES: &[&str] = &[
-    "i8", "i16", "i32", "i64", "i128", "isize", "u8", "u16", "u32", "u64", "u128", "usize", "f32",
-    "f64",
-];
-
 /// Runs `lint` over a lexed file, returning findings in source order.
 /// Test regions (`#[cfg(test)]` / `#[test]` / `#[bench]` items) are
 /// skipped for every lint: test code may take shortcuts.
 pub fn run_lint(lint: &str, file: &LexFile) -> Vec<RawFinding> {
     match lint {
         NO_FLOAT => no_float(file),
-        NO_LOSSY_CASTS => no_lossy_casts(file),
-        NO_PANIC => no_panic(file),
         RAW_ARITH => raw_arith(file),
-        NONDETERMINISM => nondeterminism(file),
         _ => Vec::new(),
     }
 }
@@ -157,72 +129,6 @@ fn no_float(file: &LexFile) -> Vec<RawFinding> {
                           (use pfair_core::Rational)"
                     .into(),
             });
-        }
-    }
-    out
-}
-
-fn no_lossy_casts(file: &LexFile) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for (i, t) in live(file) {
-        if t.kind != TokKind::Ident || t.text != "as" {
-            continue;
-        }
-        let Some(next) = file.toks.get(i + 1) else {
-            continue;
-        };
-        if next.kind == TokKind::Ident && NUMERIC_TYPES.contains(&next.text.as_str()) {
-            out.push(RawFinding {
-                line: t.line,
-                lint: NO_LOSSY_CASTS,
-                message: format!(
-                    "bare `as {}` cast on a scheduling quantity; use From/TryFrom \
-                     or a checked helper",
-                    next.text
-                ),
-            });
-        }
-    }
-    out
-}
-
-fn no_panic(file: &LexFile) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for (i, t) in live(file) {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        match t.text.as_str() {
-            "unwrap" | "expect" => {
-                let after_dot = i > 0 && file.toks[i - 1].text == ".";
-                let called = file.toks.get(i + 1).is_some_and(|n| n.text == "(");
-                // The path form (`.map(Option::unwrap)`) panics just
-                // the same, called or passed; `Foo::unwrap` is a name.
-                let path_of = (i > 1 && file.toks[i - 1].text == "::")
-                    .then(|| file.toks[i - 2].text.as_str())
-                    .filter(|ty| matches!(*ty, "Option" | "Result"));
-                let shown = match path_of {
-                    Some(ty) => format!("{ty}::{}", t.text),
-                    None if after_dot && called => format!(".{}()", t.text),
-                    None => continue,
-                };
-                out.push(RawFinding {
-                    line: t.line,
-                    lint: NO_PANIC,
-                    message: format!(
-                        "{shown} in scheduling library code; propagate the error \
-                         or document the invariant with an audited expect"
-                    ),
-                });
-            }
-            "panic" if file.toks.get(i + 1).is_some_and(|n| n.text == "!") => {
-                out.push(RawFinding {
-                    line: t.line,
-                    lint: NO_PANIC,
-                    message: "panic! in scheduling library code; return an error instead".into(),
-                });
-            }
-            _ => {}
         }
     }
     out
@@ -289,107 +195,20 @@ fn raw_arith(file: &LexFile) -> Vec<RawFinding> {
     out
 }
 
-fn nondeterminism(file: &LexFile) -> Vec<RawFinding> {
-    let toks = &file.toks;
-    let text = |j: usize| toks.get(j).map_or("", |t| t.text.as_str());
-    let mut out = Vec::new();
-    for (i, t) in live(file) {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        // The segment before this one in an `a::b` path.
-        let parent = if i > 1 && text(i - 1) == "::" {
-            text(i - 2)
-        } else {
-            ""
-        };
-        // A pointer-derived value reaching an integer cast: the cast's
-        // `as`, where the finding sits.
-        let ptr_cast = match t.text.as_str() {
-            "as_ptr" | "as_mut_ptr"
-                if i > 0 && [text(i - 1), text(i + 1), text(i + 2)] == [".", "(", ")"] =>
-            {
-                int_cast_at(toks, i + 3)
-            }
-            "as" if text(i + 1) == "*" => int_cast_at(toks, pointer_type_end(toks, i + 2)),
-            _ => None,
-        };
-        let (line, message) = match (t.text.as_str(), parent, ptr_cast) {
-            (_, _, Some(j)) => (
-                toks[j].line,
-                format!(
-                    "pointer-to-`{}` cast: addresses vary per run and must not flow \
-                     into scheduling state",
-                    text(j + 1)
-                ),
-            ),
-            (ty @ ("HashMap" | "HashSet" | "RandomState" | "DefaultHasher"), _, _) => (
-                t.line,
-                format!(
-                    "`{ty}` in scheduling code: iteration order is per-process random; \
-                     use BTreeMap/BTreeSet"
-                ),
-            ),
-            ("ThreadId", _, _) => (
-                t.line,
-                "`ThreadId` in scheduling code: thread identity is nondeterministic".into(),
-            ),
-            ("current", "thread", _) => (
-                t.line,
-                "`thread::current()` in scheduling code: thread identity is nondeterministic"
-                    .into(),
-            ),
-            ("now", clock @ ("Instant" | "SystemTime"), _) => (
-                t.line,
-                format!(
-                    "`{clock}::now()` in scheduling code: wall-clock reads are \
-                     nondeterministic; drive time from the slot counter"
-                ),
-            ),
-            _ => continue,
-        };
-        out.push(RawFinding {
-            line,
-            lint: NONDETERMINISM,
-            message,
-        });
-    }
-    out
-}
-
-/// The index just past a raw-pointer type whose `*` precedes `j`.
-fn pointer_type_end(toks: &[Tok], mut j: usize) -> usize {
-    let mut depth = 0u32;
-    while let Some(t) = toks.get(j) {
-        match t.text.as_str() {
-            "(" | "[" | "<" => depth += 1,
-            ")" | "]" | ">" if depth > 0 => depth -= 1,
-            "as" | ")" | "]" | ";" | "," | "=" | "{" | "}" if depth == 0 => break,
-            _ => {}
-        }
-        j += 1;
-    }
-    j
-}
-
-/// The index of the `as` when the tokens from `j`, past closing
-/// parens, cast to an integer type.
-fn int_cast_at(toks: &[Tok], mut j: usize) -> Option<usize> {
-    while toks.get(j)?.text == ")" {
-        j += 1;
-    }
-    (toks.get(j)?.text == "as" && int_type_bits(&toks.get(j + 1)?.text).is_some()).then_some(j)
-}
-
-/// A parsed `audit: allow(lint, reason)` annotation.
+/// A parsed `audit: allow(lint, reason)` annotation, or a reasoned
+/// `#[expect(clippy::…)]` read as a `panic-reach` discharge.
 #[derive(Clone, Debug)]
 pub struct Allow {
-    /// 1-based line the annotation comment starts on.
+    /// 1-based line the annotation comment or attribute starts on.
     pub line: u32,
     /// Canonical lint name, or `Err(raw)` for an unknown lint.
     pub lint: Result<&'static str, String>,
     /// The justification, possibly empty.
     pub reason: String,
+    /// For an attribute, the clippy lint it expects ([`CLIPPY_METHODS`]
+    /// or [`CLIPPY_PANIC`]): it discharges only the panic sources that
+    /// lint flags. `None` for a comment.
+    pub clippy: Option<&'static str>,
 }
 
 /// An `// audit: prove(<property>)` directive: opts the next function
@@ -419,8 +238,17 @@ pub struct Assume {
 
 /// Extracts `audit: allow(..)` annotations from a file's comments. A
 /// single comment may carry several `;`-separated clauses
-/// (`// audit: allow(panic, r1); allow(panic-reach, r2)`), each
+/// (`// audit: allow(float, r1); allow(panic-reach, r2)`), each
 /// suppressing its own lint on the same covered line.
+///
+/// An outer `#[expect(clippy::disallowed_methods, reason = "…")]` or
+/// `#[expect(clippy::panic, reason = "…")]` is one `panic-reach` allow
+/// per lint it names, on the attribute's last line: clippy already holds the
+/// call to a reason, so the site needs no second annotation. One
+/// without a reason discharges nothing (clippy's
+/// `allow_attributes_without_reason` flags it), and rustc's
+/// `unfulfilled_lint_expectations`, not this audit, reports one that
+/// covers no call.
 pub fn parse_allows(file: &LexFile) -> Vec<Allow> {
     let mut out = Vec::new();
     for c in &file.comments {
@@ -449,6 +277,7 @@ pub fn parse_allows(file: &LexFile) -> Vec<Allow> {
                 line: c.line,
                 lint: canonical_lint(name).ok_or_else(|| name.to_string()),
                 reason: reason.to_string(),
+                clippy: None,
             });
             rest = after_kw[close + 1..]
                 .trim_start()
@@ -456,7 +285,49 @@ pub fn parse_allows(file: &LexFile) -> Vec<Allow> {
                 .unwrap_or("");
         }
     }
+    let toks = &file.toks;
+    let text = |j: usize| toks.get(j).map_or("", |t| t.text.as_str());
+    for (i, t) in toks.iter().enumerate() {
+        if [t.text.as_str(), text(i + 1), text(i + 2), text(i + 3)] != ["#", "[", "expect", "("] {
+            continue;
+        }
+        let (mut lints, mut reason) = (Vec::new(), "");
+        let mut j = i + 4;
+        while j < toks.len() && text(j) != ")" {
+            match [text(j), text(j + 1)] {
+                ["clippy", "::"] => lints.extend(
+                    [CLIPPY_METHODS, CLIPPY_PANIC]
+                        .into_iter()
+                        .filter(|l| *l == text(j + 2)),
+                ),
+                ["reason", "="] if toks.get(j + 2).is_some_and(|t| t.kind == TokKind::Str) => {
+                    reason = string_body(text(j + 2));
+                }
+                _ => {}
+            }
+            j += 1;
+        }
+        // The attribute's last line: it covers the statement below it,
+        // however rustfmt wraps it.
+        let Some(close) = toks.get(j + 1).filter(|_| !reason.is_empty()) else {
+            continue;
+        };
+        out.extend(lints.into_iter().map(|lint| Allow {
+            line: close.line,
+            lint: Ok(PANIC_REACH),
+            reason: reason.to_string(),
+            clippy: Some(lint),
+        }));
+    }
     out
+}
+
+/// The body of a string literal's source text (`"…"` or `r#"…"#`).
+fn string_body(lit: &str) -> &str {
+    let raw = lit.trim_start_matches('r');
+    let hashes = raw.len() - raw.trim_start_matches('#').len();
+    raw.get(hashes + 1..raw.len().saturating_sub(hashes + 1))
+        .unwrap_or("")
 }
 
 /// Extracts `audit: prove(..)` directives.
@@ -535,24 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn cast_lint_flags_numeric_targets_only() {
-        let src = "let a = x as u32;\nlet b = y as Weight;\nlet c = z as usize;";
-        assert_eq!(lines(NO_LOSSY_CASTS, src), vec![1, 3]);
-    }
-
-    #[test]
-    fn panic_lint_flags_method_calls_not_names() {
-        let src = "let a = x.unwrap();\nlet b = Foo::unwrap;\nfn expect() {}\npanic!(\"boom\");\nlet c = y.expect(\"msg\");";
-        assert_eq!(lines(NO_PANIC, src), vec![1, 4, 5]);
-    }
-
-    #[test]
-    fn panic_lint_flags_the_option_and_result_path_forms() {
-        let src = "let a = v.map(Option::unwrap);\nlet b = Result::expect(r, \"msg\");\nlet c = Slot::unwrap(s);";
-        assert_eq!(lines(NO_PANIC, src), vec![1, 2]);
-    }
-
-    #[test]
     fn raw_arith_needs_a_wide_operand() {
         let src = "let a = x as i128 * y;\nlet b = p + 1i64;\nlet c = p + 1;\nlet d = -x;\nlet e = a * b;\nlet f = num * t as i128;";
         assert_eq!(lines(RAW_ARITH, src), vec![1, 2, 6]);
@@ -565,37 +418,13 @@ mod tests {
     }
 
     #[test]
-    fn nondeterminism_flags_hash_types_anywhere() {
-        let src = "use std::collections::HashMap;\npub struct S { m: HashMap<u32, u32> }\npub fn f() { let m: HashSet<u8> = HashSet::new(); }\nfn g(h: DefaultHasher, t: ThreadId) {}";
-        assert_eq!(lines(NONDETERMINISM, src), vec![1, 2, 3, 3, 4, 4]);
-    }
-
-    #[test]
-    fn nondeterminism_flags_clocks_threads_and_pointer_casts() {
-        let src = "let t = Instant::now();\nlet s = std::time::SystemTime::now();\nlet id = std::thread::current();\nlet a = v.as_ptr() as usize;\nlet b = (p as *const u8) as u64;\nlet c = v.as_mut_ptr() as *mut u8 as usize;";
-        assert_eq!(lines(NONDETERMINISM, src), vec![1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn nondeterminism_sees_inside_macro_arguments() {
-        let src = "let s = format!(\"{:?}\", Instant::now());\nlet t = vec![HashSet::new()];\nlet u = format!(\"{}\", v.as_ptr() as usize);";
-        assert_eq!(lines(NONDETERMINISM, src), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn nondeterminism_leaves_names_values_and_tests_alone() {
-        let src = "use std::time::{Duration, Instant};\nuse std::collections::BTreeMap;\nfn f(x: u32, p: *const u8) -> usize { let n = now(); x as usize }\nlet q = v.as_ptr();\n#[cfg(test)]\nmod tests { fn t() { let m = HashMap::new(); } }";
-        assert!(lines(NONDETERMINISM, src).is_empty());
-    }
-
-    #[test]
     fn multi_clause_allows_parse_from_one_comment() {
         let f = LexFile::lex(
-            "// audit: allow(panic, slot fits by construction); allow(panic-reach, clamp bounds the index)\nlet x = v[i];",
+            "// audit: allow(float, slot fits by construction); allow(panic-reach, clamp bounds the index)\nlet x = v[i] as f64;",
         );
         let allows = parse_allows(&f);
         assert_eq!(allows.len(), 2);
-        assert_eq!(allows[0].lint, Ok(NO_PANIC));
+        assert_eq!(allows[0].lint, Ok(NO_FLOAT));
         assert_eq!(allows[1].lint, Ok(PANIC_REACH));
         assert_eq!(allows[1].reason, "clamp bounds the index");
         assert_eq!(allows[0].line, allows[1].line);
@@ -619,14 +448,41 @@ mod tests {
     #[test]
     fn allows_parse_with_and_without_reason() {
         let f = LexFile::lex(
-            "// audit: allow(lossy-cast, u32 -> usize is lossless here)\nlet x = 1;\n// audit: allow(float)\n// audit: allow(bogus, hm)",
+            "// audit: allow(raw-arithmetic, the product fits i128 here)\nlet x = 1;\n// audit: allow(float)\n// audit: allow(bogus, hm)",
         );
         let allows = parse_allows(&f);
         assert_eq!(allows.len(), 3);
-        assert_eq!(allows[0].lint, Ok(NO_LOSSY_CASTS));
+        assert_eq!(allows[0].lint, Ok(RAW_ARITH));
         assert!(!allows[0].reason.is_empty());
         assert_eq!(allows[1].lint, Ok(NO_FLOAT));
         assert!(allows[1].reason.is_empty());
         assert!(allows[2].lint.is_err());
+    }
+
+    #[test]
+    fn reasoned_clippy_expects_parse_as_panic_reach_allows() {
+        let f = LexFile::lex(
+            "#[expect(clippy::disallowed_methods, reason = \"callers pass Some\")]\nlet a = v.expect(\"some\");\n\
+             #[expect(clippy::panic, clippy::disallowed_methods, reason = r#\"both \"kinds\"\"#)]\nlet b = 1;\n\
+             #[expect(clippy::disallowed_methods)]\nlet c = 2;\n\
+             #[expect(clippy::as_conversions, reason = \"not a panic\")]\nlet d = 3;\n\
+             #![expect(clippy::panic, reason = \"module-wide\")]",
+        );
+        let allows = parse_allows(&f);
+        let got: Vec<(u32, Option<&str>, &str)> = allows
+            .iter()
+            .map(|a| {
+                assert_eq!(a.lint, Ok(PANIC_REACH));
+                (a.line, a.clippy, a.reason.as_str())
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (1, Some(CLIPPY_METHODS), "callers pass Some"),
+                (3, Some(CLIPPY_PANIC), "both \"kinds\""),
+                (3, Some(CLIPPY_METHODS), "both \"kinds\""),
+            ]
+        );
     }
 }

@@ -1484,7 +1484,6 @@ impl<'a> Parser<'a> {
                 match self.peek() {
                     Some(t) if t.kind == TokKind::Ident => {
                         let name = t.text.clone();
-                        let name_line = t.line;
                         self.bump();
                         // Turbofish: `.collect::<Vec<_>>()`.
                         if self.at_punct("::") && self.punct_at(1, "<") {
@@ -1499,7 +1498,6 @@ impl<'a> Parser<'a> {
                                 ExprKind::MethodCall {
                                     recv: Box::new(e),
                                     name,
-                                    name_line,
                                     args,
                                 },
                             );

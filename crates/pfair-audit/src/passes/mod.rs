@@ -67,7 +67,7 @@ pub struct PassOutput {
     /// Panic-reach entry-point statuses (raw: `panic_free` before
     /// discharge; the report layer recomputes it afterwards).
     pub entry_points: Vec<panic_reach::EntryStatus>,
-    /// Token lines of the reported panic-reach sites.
+    /// The sources behind the reported panic-reach findings.
     pub panic_tokens: Vec<panic_reach::PanicToken>,
 }
 

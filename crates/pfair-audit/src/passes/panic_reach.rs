@@ -8,7 +8,9 @@
 //! graph over-approximates edges (see [`crate::callgraph`]), so a
 //! clean result is a proof relative to the modeled sources, while each
 //! reported site may be a false positive — survivors are discharged
-//! with a typed `// audit: allow(panic-reach, <reason>)` at the site.
+//! with a typed `// audit: allow(panic-reach, <reason>)` at the site,
+//! or, for an `unwrap`/`expect`/`panic!`, by the reasoned
+//! `#[expect(clippy::…)]` clippy already asks for there.
 //!
 //! Soundness boundary: macro-generated code, trait-object dispatch to
 //! methods defined outside the workspace, and panics inside the
@@ -22,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::ast::*;
 use crate::callgraph::CallGraph;
 use crate::config::Config;
-use crate::lints::PANIC_REACH;
+use crate::lints::{CLIPPY_METHODS, CLIPPY_PANIC, PANIC_REACH};
 use crate::passes::overflow::ConstEnv;
 use crate::passes::Workspace;
 use crate::Finding;
@@ -58,18 +60,19 @@ pub struct EntryStatus {
     pub reachable: Vec<String>,
 }
 
-/// Where the token lints see a reported panic source: a finding sits
-/// on the line its expression starts (`site_line`), the
-/// `no-panic-in-library` token lint on the line of the `unwrap` /
-/// `expect` / `panic!` token itself (`token_line`).
+/// One reachable panic source behind a finding, and the clippy lint
+/// that flags it too: an `#[expect]` of that lint with a reason
+/// discharges the finding when it covers every source on the line.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PanicToken {
     /// File of the source site.
     pub path: String,
-    /// Line of the `panic-reach` finding.
-    pub site_line: u32,
-    /// Line of the panicking call's own token.
-    pub token_line: u32,
+    /// Line of the `panic-reach` finding (where its expression starts).
+    pub line: u32,
+    /// [`CLIPPY_METHODS`] for `unwrap` / `expect`, [`CLIPPY_PANIC`] for
+    /// `panic!`; `None` for the sources clippy does not flag (asserts,
+    /// indexing, division).
+    pub clippy: Option<&'static str>,
 }
 
 /// The pass's full output.
@@ -79,7 +82,7 @@ pub struct PanicReachReport {
     pub findings: Vec<Finding>,
     /// Per-entry resolution status, in config order.
     pub entry_points: Vec<EntryStatus>,
-    /// One link per finding, for the driver's allow-discharge.
+    /// Every source behind a finding, for `discharge_file`.
     pub tokens: Vec<PanicToken>,
 }
 
@@ -102,7 +105,7 @@ pub fn run(ws: &Workspace, cfg: &Config, consts: &ConstEnv) -> PanicReachReport 
         .collect();
 
     // Panic sources per node, computed once.
-    let sources: Vec<Vec<(u32, u32, String)>> = graph
+    let sources: Vec<Vec<(u32, Option<&'static str>, String)>> = graph
         .nodes
         .iter()
         .map(|node| {
@@ -143,13 +146,13 @@ pub fn run(ws: &Workspace, cfg: &Config, consts: &ConstEnv) -> PanicReachReport 
             }
             panic_free = false;
             let chain = witness_chain(&graph, &parent, idx);
-            for (line, token_line, desc) in &sources[idx] {
+            for (line, clippy, desc) in &sources[idx] {
                 // Every source links (one finding can stand for two
                 // calls of one chain); findings are one per line.
                 report.tokens.push(PanicToken {
                     path: graph.nodes[idx].path.to_string(),
-                    site_line: *line,
-                    token_line: *token_line,
+                    line: *line,
+                    clippy: *clippy,
                 });
                 if !reported.insert((idx, *line)) {
                     continue;
@@ -232,26 +235,21 @@ fn witness_chain(graph: &CallGraph, parent: &BTreeMap<usize, usize>, idx: usize)
     names.join(" -> ")
 }
 
-/// All panic source sites in a function body, as `(line, token line,
-/// description)`; the two lines differ only for a method call at the
-/// end of a multi-line chain.
+/// All panic source sites in a function body, as `(line, clippy lint
+/// that also flags it, description)`.
 fn panic_sites(
     body: &Block,
     consts: &ConstEnv,
     self_ty: Option<&str>,
     own_methods: &BTreeSet<(&str, &str)>,
-) -> Vec<(u32, u32, String)> {
+) -> Vec<(u32, Option<&'static str>, String)> {
     let mut out = Vec::new();
     walk_block(body, &mut |e| match &e.kind {
         ExprKind::Macro { name, .. } if PANIC_MACROS.contains(&name.as_str()) => {
-            out.push((e.line, e.line, format!("`{name}!` macro")));
+            let clippy = (name == "panic").then_some(CLIPPY_PANIC);
+            out.push((e.line, clippy, format!("`{name}!` macro")));
         }
-        ExprKind::MethodCall {
-            recv,
-            name,
-            name_line,
-            ..
-        } if PANIC_METHODS.contains(&name.as_str()) => {
+        ExprKind::MethodCall { recv, name, .. } if PANIC_METHODS.contains(&name.as_str()) => {
             // `self.expect(..)` where the owning type defines its own
             // `expect` is that method (its body is analyzed on its
             // own), not the panicking `Option`/`Result` adapter.
@@ -260,11 +258,12 @@ fn panic_sites(
                     && own_methods.contains(&(ty, name.as_str()))
             });
             if !shadowed {
-                out.push((e.line, *name_line, format!("`.{name}()` call")));
+                let clippy = matches!(name.as_str(), "unwrap" | "expect").then_some(CLIPPY_METHODS);
+                out.push((e.line, clippy, format!("`.{name}()` call")));
             }
         }
         ExprKind::Index { .. } => {
-            out.push((e.line, e.line, "unchecked `[..]` index".to_string()));
+            out.push((e.line, None, "unchecked `[..]` index".to_string()));
         }
         ExprKind::Binary {
             op: op @ (BinOp::Div | BinOp::Rem),
@@ -274,7 +273,7 @@ fn panic_sites(
             let sym = if *op == BinOp::Div { "/" } else { "%" };
             out.push((
                 e.line,
-                e.line,
+                None,
                 format!("`{sym}` with unproven-nonzero divisor"),
             ));
         }
@@ -285,7 +284,7 @@ fn panic_sites(
         } if !provably_nonzero(rhs, consts) => {
             out.push((
                 e.line,
-                e.line,
+                None,
                 "compound divide with unproven-nonzero divisor".to_string(),
             ));
         }

@@ -1,6 +1,6 @@
 // Fixture: floating point leaking into scheduling code.
-// Expected: no-float-in-scheduling at lines 5, 6, 9, 10;
-//           no-lossy-casts at line 10.
+// Expected: no-float-in-scheduling at lines 5, 6, 9, 10
+//           (the cast at line 10 is clippy's `as_conversions`).
 pub struct LagEstimate {
     pub approx: f64,
     pub tolerance: f32,

@@ -3,9 +3,9 @@
 // panicking unwraps instead of surfaced decode errors, and a line
 // checksum accumulated in floating point before being truncated back
 // into the integer domain it is compared in.
-// Expected: no-lossy-casts at line 10; no-panic-in-library at lines
-//           16 and 17; no-float at lines 23 and 25; no-lossy-casts at
-//           line 27.
+// Expected: no-float at lines 23 and 25 (the casts at lines 10
+//           and 27 and the unwraps at lines 16 and 17 are clippy's;
+//           the suffixed literal at line 23 is not).
 pub fn entry_count(len: usize) -> u32 {
     len as u32
 }

@@ -2,9 +2,9 @@
 // `format!` arguments. A macro's token tree stays raw in the AST
 // (`ExprKind::Macro { toks }`): no pass and not the call graph reads
 // it, so `MacroSched::run` — a configured panic-reach entry point —
-// still proves panic-free. Only the token lints see inside.
-// Expected: no-lossy-casts at line 20; no-panic-in-library at line 21;
-//           no-float-in-scheduling at line 22; nothing from any pass.
+// still proves panic-free. The token lints and clippy see inside.
+// Expected: no-float-in-scheduling at line 22; nothing from any pass
+//           (the cast at line 20 and the unwrap at line 21 are clippy's).
 pub struct MacroSched {
     slots: Vec<u64>,
 }

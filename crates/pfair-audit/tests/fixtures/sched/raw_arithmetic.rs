@@ -1,7 +1,7 @@
 // Fixture: unchecked wide-integer arithmetic outside the quarantine.
 // Expected: raw-arithmetic-quarantine at lines 6, 11;
-//           no-lossy-casts at line 6 (the cast itself);
-//           audit-annotation at line 18 (unused allow).
+//           audit-annotation at line 18 (unused allow). The cast
+//           itself at line 6 is clippy's `as_conversions`.
 pub fn lag_numerator(num: i128, den: i128, t: i64) -> i128 {
     num * t as i128
 }

@@ -61,9 +61,9 @@ pub fn checked_lcm(a: i128, b: i128) -> Option<i128> {
 pub fn hyperperiod(weights: &[Weight]) -> i128 {
     assert!(!weights.is_empty(), "hyperperiod of an empty task set");
     let mut periods = weights.iter().map(|w| i128::from(w.denom()));
+    #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
     periods
         .try_fold(1, checked_lcm)
-        // audit: allow(panic, documented contract: the hyperperiod panics when it overflows i128)
         .expect("Rational mul overflow")
 }
 

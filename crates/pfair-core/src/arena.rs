@@ -93,9 +93,9 @@ impl IdBitmap {
 
     /// Number of set ids.
     pub fn count_ones(&self) -> usize {
+        #[expect(clippy::as_conversions, reason = "a u32 popcount→usize is lossless")]
         self.words
             .iter()
-            // audit: allow(lossy-cast, u32 popcount→usize is lossless on the supported targets)
             .map(|w| w.count_ones() as usize)
             .sum::<usize>()
     }
@@ -109,7 +109,7 @@ impl IdBitmap {
                 if rest == 0 {
                     return None;
                 }
-                // audit: allow(lossy-cast, trailing_zeros of a u64 is at most 64)
+                #[expect(clippy::as_conversions, reason = "trailing_zeros of a u64 is ≤ 64")]
                 let bit = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
                 Some(base + bit)
@@ -125,9 +125,10 @@ impl IdBitmap {
 /// for those that have nothing to do on an unallocated list. Equality,
 /// `Debug` and `Clone` see the elements only: an emptied list equals a
 /// fresh one, and its clone owns no heap block.
-// The extra allocation clippy warns of is the trade: it is paid in the
-// exceptional state, and every other row is two words smaller.
-#[allow(clippy::box_collection)]
+#[expect(
+    clippy::box_collection,
+    reason = "the extra allocation is paid in the exceptional state, and every other row is two words smaller"
+)]
 pub struct ThinVec<T>(Option<Box<Vec<T>>>);
 
 impl<T> ThinVec<T> {

@@ -35,7 +35,7 @@ use crate::arena::InlineVec;
 use crate::rational::{Accumulator, Rational, Units};
 use crate::time::{ever, slot_from_i128, slots_since, Slot, NEVER};
 use crate::weight::Weight;
-use crate::window::{b_bit, periodic_window, window_in_era};
+use crate::window::{b_bit, periodic_release, periodic_window, window_in_era};
 
 /// Emitted by [`IswTracker::advance_to`] when a subtask's cumulative
 /// `I_SW` allocation reaches one quantum during the processed slots.
@@ -376,7 +376,8 @@ impl IswTracker {
         let window = |rank: u64| periodic_window(w, rank, anchor);
         let released = next_index.saturating_sub(era_base).saturating_sub(1);
         // The last jump, to `now`, covered every record released before.
-        let covered = released - u64::from(released > 0 && window(released).release >= now);
+        let covered =
+            released - u64::from(released > 0 && periodic_release(w, released, anchor) >= now);
         // A covered record is complete iff its deadline has passed, so
         // the incomplete ones are a suffix of the covered ranks: `retire`
         // keeps them and the last two records.
@@ -482,7 +483,7 @@ impl IswTracker {
     pub fn set_swt(&mut self, swt: Rational) {
         let old = self.unit();
         let allocs = self.subs.iter().map(|s| Some(s.alloc.denom_over(old)));
-        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
         let unit = era_unit(Units::checked_denom(swt), allocs).expect("Rational mul overflow");
         self.recount(unit);
         self.rate = Units::of(swt, unit);
@@ -523,7 +524,11 @@ impl IswTracker {
         let pred_gap = if era_first || !pred_b {
             0
         } else {
-            let pred = self // audit: allow(panic-reach, predecessor is recorded at release and retained until its successor retires)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "predecessor is recorded at release and retained until its successor retires"
+            )]
+            let pred = self
                 .subs
                 .iter()
                 .rev()
@@ -556,7 +561,11 @@ impl IswTracker {
     /// subtasks.
     pub fn halt(&mut self, index: u64, t: Slot) -> Rational {
         let unit = self.unit();
-        let sub = self // audit: allow(panic-reach, predecessor is recorded at release and retained until its successor retires)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "predecessor is recorded at release and retained until its successor retires"
+        )]
+        let sub = self
             .subs
             .iter_mut()
             .find(|s| s.index == index)
@@ -801,7 +810,10 @@ impl IswTracker {
 /// one call, and a linear scan would make the jump quadratic.
 fn pred_final_alloc(earlier: &[IswSub], sub: &IswSub) -> Units {
     let p = sub.index - sub.pred_gap;
-    // audit: allow(panic-reach, predecessor is recorded at release and retained until its successor retires)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "predecessor is recorded at release and retained until its successor retires"
+    )]
     let pred = earlier
         .binary_search_by_key(&p, |s| s.index)
         .ok()

@@ -41,6 +41,16 @@
 //! new **era**, inside which windows are those of a fresh task with the
 //! new weight (the `z = Id(T_j) − 1` shift in Eqns (2)–(4)).
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::as_conversions,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::panic
+    )
+)]
+
 pub mod analysis;
 pub mod arena;
 pub mod drift;

@@ -55,12 +55,14 @@ where
                         if i >= n {
                             return local;
                         }
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "a poisoned slot means a sibling worker already panicked; that panic is re-raised to the caller, so this is never the first failure; and the atomic counter hands each index to exactly one worker"
+                        )]
                         let item = slots[i]
                             .lock()
-                            // audit: allow(panic, a poisoned slot means a sibling worker already panicked; that panic is re-raised to the caller, so this is never the first failure)
                             .expect("a worker panicked while claiming an item")
                             .take()
-                            // audit: allow(panic, the atomic counter hands each index to exactly one worker)
                             .expect("each index is claimed exactly once");
                         local.push((i, f(item)));
                     }

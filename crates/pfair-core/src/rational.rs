@@ -333,18 +333,21 @@ impl Rational {
     #[inline]
     fn new_wide(num: i128, den: i128) -> Rational {
         let (num, den) = if den < 0 {
-            (
-                num.checked_neg() // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-                    .expect("Rational::new overflow: numerator is i128::MIN"),
-                den.checked_neg() // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
-                    .expect("Rational::new overflow: denominator is i128::MIN"),
-            )
+            #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
+            let num = num
+                .checked_neg()
+                .expect("Rational::new overflow: numerator is i128::MIN");
+            #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
+            let den = den
+                .checked_neg()
+                .expect("Rational::new overflow: denominator is i128::MIN");
+            (num, den)
         } else {
             (num, den)
         };
         // g divides the (positive) denominator, so it always fits in i128.
         let g = gcd(num.unsigned_abs(), den.unsigned_abs());
-        // audit: allow(panic-reach, unreachable: the gcd divides a positive denominator or unit and fits i128)
+        #[expect(clippy::disallowed_methods, reason = "gcds of denominators fit i128")]
         let g = i128::try_from(g).expect("Rational::new: gcd exceeds i128");
         if g <= 1 {
             Rational { num, den }
@@ -411,7 +414,8 @@ impl Rational {
     /// Panics if the numerator is `i128::MIN`.
     #[inline]
     pub fn abs(self) -> Rational {
-        let num = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
+        let num = self
             .num
             .checked_abs()
             .expect("Rational::abs overflow: numerator is i128::MIN");
@@ -471,9 +475,11 @@ impl Rational {
     #[inline]
     fn mul_int_wide(self, n: i64) -> Rational {
         let n = i128::from(n);
-        let g = i128::try_from(gcd(n.unsigned_abs(), self.den.unsigned_abs())) // audit: allow(panic-reach, unreachable: the gcd divides a positive denominator or unit and fits i128)
+        #[expect(clippy::disallowed_methods, reason = "gcds of denominators fit i128")]
+        let g = i128::try_from(gcd(n.unsigned_abs(), self.den.unsigned_abs()))
             .expect("Rational mul_int: gcd exceeds i128");
-        let num = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
+        let num = self
             .num
             .checked_mul(n / g) // audit: allow(panic-reach, divisor is a gcd or a normalized denominator, both nonzero by construction)
             .expect("Rational mul_int overflow");
@@ -553,14 +559,18 @@ impl Rational {
     fn mul_wide(self, rhs: Rational) -> Rational {
         // Cross-reduce before multiplying to keep intermediates small.
         // Each gcd divides a positive denominator, so both fit in i128.
-        let g1 = i128::try_from(gcd(self.num.unsigned_abs(), rhs.den.unsigned_abs())) // audit: allow(panic-reach, unreachable: the gcd divides a positive denominator or unit and fits i128)
+        #[expect(clippy::disallowed_methods, reason = "gcds of denominators fit i128")]
+        let g1 = i128::try_from(gcd(self.num.unsigned_abs(), rhs.den.unsigned_abs()))
             .expect("Rational mul: gcd exceeds i128");
-        let g2 = i128::try_from(gcd(rhs.num.unsigned_abs(), self.den.unsigned_abs())) // audit: allow(panic-reach, unreachable: the gcd divides a positive denominator or unit and fits i128)
+        #[expect(clippy::disallowed_methods, reason = "gcds of denominators fit i128")]
+        let g2 = i128::try_from(gcd(rhs.num.unsigned_abs(), self.den.unsigned_abs()))
             .expect("Rational mul: gcd exceeds i128");
-        let num = (self.num / g1) // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
+        let num = (self.num / g1) // audit: allow(panic-reach, divisor is a gcd or a normalized denominator, both nonzero by construction)
             .checked_mul(rhs.num / g2) // audit: allow(panic-reach, divisor is a gcd or a normalized denominator, both nonzero by construction)
             .expect("Rational mul overflow");
-        let den = (self.den / g2) // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
+        let den = (self.den / g2) // audit: allow(panic-reach, divisor is a gcd or a normalized denominator, both nonzero by construction)
             .checked_mul(rhs.den / g1) // audit: allow(panic-reach, divisor is a gcd or a normalized denominator, both nonzero by construction)
             .expect("Rational mul overflow");
         Rational::new(num, den)
@@ -591,8 +601,10 @@ impl Rational {
     #[inline]
     // audit: allow(float, report-only conversion; never feeds scheduling)
     pub fn to_f64(self) -> f64 {
+        #[expect(clippy::as_conversions, reason = "i128→f64 for reporting only")]
         // audit: allow(float, report-only conversion; never feeds scheduling)
-        self.num as f64 / self.den as f64 // audit: allow(lossy-cast, i128→f64 for reporting only)
+        let ratio = self.num as f64 / self.den as f64;
+        ratio
     }
 
     /// `⌊n / self⌋` for an integer `n` — the floor of `n` divided by this
@@ -614,7 +626,7 @@ impl Rational {
     #[inline]
     fn div_floor_int_wide(self, n: i128) -> i128 {
         // n / (num/den) = n*den / num
-        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
         let prod = n.checked_mul(self.den).expect("div_floor_int overflow");
         prod.div_euclid(self.num)
     }
@@ -637,7 +649,7 @@ impl Rational {
     /// Ceiling quotient in checked `i128` — any operands, `self > 0`.
     #[inline]
     fn div_ceil_int_wide(self, n: i128) -> i128 {
-        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
         let prod = n.checked_mul(self.den).expect("div_ceil_int overflow");
         // Same negation-free ceiling as `Rational::ceil`.
         let q = prod.div_euclid(self.num);
@@ -740,7 +752,7 @@ impl Units {
     /// Panics if the denominator does not fit `i64`.
     #[inline]
     pub fn denom(r: Rational) -> Units {
-        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
         Units::checked_denom(r).expect("Rational mul overflow")
     }
 
@@ -766,7 +778,7 @@ impl Units {
     /// Panics if the count overflows `i64`.
     #[inline]
     pub fn of(r: Rational, unit: Units) -> Units {
-        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
         Units::checked_of(r, unit).expect("Rational mul_int overflow")
     }
 
@@ -826,7 +838,7 @@ impl Units {
     /// Panics if the product overflows `i64`.
     #[inline]
     pub fn times(self, n: i64) -> Units {
-        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
         Units(self.0.checked_mul(n).expect("Rational mul_int overflow"))
     }
 
@@ -863,11 +875,8 @@ impl Add for Units {
     /// Panics if the sum overflows `i128`.
     #[inline]
     fn add(self, rhs: Units) -> Units {
-        let sum = self
-            .0
-            .checked_add(rhs.0)
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
-            .expect("Rational add overflow");
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
+        let sum = self.0.checked_add(rhs.0).expect("Rational add overflow");
         Units(sum)
     }
 }
@@ -885,11 +894,8 @@ impl Sub for Units {
     /// Panics if the difference overflows `i128`.
     #[inline]
     fn sub(self, rhs: Units) -> Units {
-        let difference = self
-            .0
-            .checked_sub(rhs.0)
-            // audit: allow(panic, documented overflow contract of Rational arithmetic)
-            .expect("Rational add overflow");
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
+        let difference = self.0.checked_sub(rhs.0).expect("Rational add overflow");
         Units(difference)
     }
 }
@@ -1018,7 +1024,7 @@ impl Add for Rational {
     type Output = Rational;
     #[inline]
     fn add(self, rhs: Rational) -> Rational {
-        // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
         self.checked_add(rhs).expect("Rational add overflow")
     }
 }
@@ -1054,7 +1060,8 @@ impl Neg for Rational {
     /// Panics if the numerator is `i128::MIN`.
     #[inline]
     fn neg(self) -> Rational {
-        let num = self // audit: allow(panic-reach, documented contract: Rational panics on i128 overflow instead of wrapping)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
+        let num = self
             .num
             .checked_neg()
             .expect("Rational::neg overflow: numerator is i128::MIN");
@@ -1096,7 +1103,7 @@ impl PartialOrd for Rational {
 impl Ord for Rational {
     #[inline]
     fn cmp(&self, other: &Rational) -> Ordering {
-        // audit: allow(panic-reach, documented overflow contract of Rational arithmetic)
+        #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
         self.checked_cmp(other).expect("Rational cmp overflow")
     }
 }

@@ -28,7 +28,9 @@ impl TaskId {
     /// The id as a `usize` index.
     #[inline]
     pub fn idx(self) -> usize {
-        self.0 as usize // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+        #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
+        let i = self.0 as usize;
+        i
     }
 
     /// Builds an id from a container index (inverse of [`TaskId::idx`]).
@@ -37,7 +39,7 @@ impl TaskId {
     /// Panics if `i` exceeds `u32::MAX`.
     #[inline]
     pub fn from_index(i: usize) -> TaskId {
-        // audit: allow(panic, task counts are u32-bounded by construction)
+        #[expect(clippy::disallowed_methods, reason = "task counts are u32-bounded")]
         TaskId(u32::try_from(i).expect("task index exceeds u32"))
     }
 }

@@ -22,28 +22,28 @@ pub type Slot = i64;
 /// Narrows an exact `i128` window/lag quantity to a `Slot`.
 #[inline]
 pub fn slot_from_i128(x: i128) -> Slot {
-    // audit: allow(panic-reach, slot quantities stay within the horizon enforced at admission)
+    #[expect(clippy::disallowed_methods, reason = "slots stay within the horizon")]
     Slot::try_from(x).expect("slot quantity exceeds the i64 range")
 }
 
 /// Converts a non-negative `Slot` to a container index.
 #[inline]
 pub fn slot_index(t: Slot) -> usize {
-    // audit: allow(panic, slot quantities stay within the horizon enforced at admission)
+    #[expect(clippy::disallowed_methods, reason = "slots stay within the horizon")]
     usize::try_from(t).expect("slot is not a valid container index")
 }
 
 /// Converts a container index to the `u64` subtask-rank domain.
 #[inline]
 pub fn rank_from_index(i: usize) -> u64 {
-    // audit: allow(panic, infallible on the supported 64-bit targets)
+    #[expect(clippy::disallowed_methods, reason = "infallible on 64-bit targets")]
     u64::try_from(i).expect("index exceeds u64")
 }
 
 /// Converts a `u64` subtask index/rank to a container index.
 #[inline]
 pub fn index_from_rank(i: u64) -> usize {
-    // audit: allow(panic, ranks are horizon-bounded; out-of-range means corrupted state)
+    #[expect(clippy::disallowed_methods, reason = "ranks are horizon-bounded")]
     usize::try_from(i).expect("subtask rank exceeds usize")
 }
 

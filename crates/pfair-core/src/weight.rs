@@ -92,7 +92,10 @@ impl Weight {
     /// `value`. Preferred in tests and example code; library paths use
     /// [`Weight::try_new`].
     pub fn new(value: Rational) -> Weight {
-        // audit: allow(panic-reach, documented panicking constructor; the trackers take only weights the engine admitted)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "documented panicking constructor; the trackers take only weights the engine admitted"
+        )]
         Weight::try_new(value).expect("weight out of range")
     }
 

@@ -71,9 +71,8 @@ impl pfair_json::FromJson for SubtaskWindow {
 }
 
 impl SubtaskWindow {
-    /// Window length `d − r` in slots (always ≥ 1; windows are never
-    /// empty, so there is no `is_empty`).
-    #[allow(clippy::len_without_is_empty)]
+    /// Window length `d − r` in slots (always ≥ 1).
+    #[expect(clippy::len_without_is_empty, reason = "a window is never empty")]
     #[inline]
     pub fn len(&self) -> i64 {
         self.deadline - self.release
@@ -121,16 +120,22 @@ pub fn window_in_era(weight: Weight, k: u64, release: Slot) -> SubtaskWindow {
     }
 }
 
+/// Release of subtask `T_i` of a periodic task of weight `w` that joined
+/// at time `join_at` with no separations: `r = join_at + ⌊(i−1)/w⌋`
+/// (paper §2). One division, where [`periodic_window`] takes four.
+#[inline]
+pub fn periodic_release(weight: Weight, i: u64, join_at: Slot) -> Slot {
+    join_at + slot_from_i128(weight.value().div_floor_int(i128::from(i) - 1))
+}
+
 /// Window of subtask `T_i` of a periodic task of weight `w` that joined
-/// at time `join_at` with no separations: `r = join_at + ⌊(i−1)/w⌋`,
+/// at time `join_at` with no separations: `r` is [`periodic_release`],
 /// `d = join_at + ⌈i/w⌉` (paper §2).
 #[inline]
 pub fn periodic_window(weight: Weight, i: u64, join_at: Slot) -> SubtaskWindow {
-    let w: Rational = weight.value();
-    let release = join_at + slot_from_i128(w.div_floor_int(i128::from(i) - 1));
     SubtaskWindow {
-        release,
-        deadline: join_at + slot_from_i128(w.div_ceil_int(i128::from(i))),
+        release: periodic_release(weight, i, join_at),
+        deadline: join_at + slot_from_i128(weight.value().div_ceil_int(i128::from(i))),
         b: b_bit(weight, i),
     }
 }
@@ -531,6 +536,8 @@ mod group_deadline_tests {
                     };
                     let case = format!("weight {num}/{den} rank {k}");
                     assert_eq!(periodic_window(wt, k, 0), expected, "{case}");
+                    assert_eq!(periodic_release(wt, k, 0), release, "{case}");
+                    assert_eq!(periodic_release(wt, k, 7), release + 7, "{case}");
                     assert_eq!(b_bit(wt, k), b, "{case}");
                     assert_eq!(window_len(wt, k), deadline - release, "{case}");
                     let (win, gd) = window_and_group_deadline(wt, k, release);

@@ -46,6 +46,16 @@
 //! dispatcher instead waits for every tick to finish before closing the
 //! slot, making runs deterministic for tests.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::as_conversions,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::panic
+    )
+)]
+
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
 use pfair_core::weight::Weight;
@@ -153,7 +163,7 @@ impl<P: Probe> ExecutorBuilder<P> {
         weight: Weight,
         body: impl FnMut(Tick) + Send + 'static,
     ) -> TaskHandle {
-        // audit: allow(panic, builder capacity limit; more than u32::MAX tasks is a caller error)
+        #[expect(clippy::disallowed_methods, reason = "u32::MAX tasks is the limit")]
         let id = TaskId(u32::try_from(self.tasks.len()).expect("more than u32::MAX tasks"));
         self.tasks.push((name.into(), weight, Box::new(body)));
         TaskHandle(id)
@@ -164,9 +174,9 @@ impl<P: Probe> ExecutorBuilder<P> {
     pub fn build(self) -> Executor<P> {
         let mut workload = Workload::new();
         for (i, (_, weight, _)) in self.tasks.iter().enumerate() {
+            #[expect(clippy::disallowed_methods, reason = "add_task bounds ids to u32")]
             workload.push(Event {
                 at: 0,
-                // audit: allow(panic, task count was bounded to u32 at registration)
                 task: TaskId(u32::try_from(i).expect("more than u32::MAX tasks")),
                 kind: EventKind::Join(*weight),
             });
@@ -218,6 +228,7 @@ struct Job {
 /// received from, and a body is re-entered whole), so the rest of the
 /// pool keeps running as it did under a non-poisoning mutex.
 fn spawn_worker(idx: u32, jobs: Arc<Mutex<Receiver<Job>>>, done: Sender<usize>) -> JoinHandle<()> {
+    #[expect(clippy::disallowed_methods, reason = "spawn failure is unrecoverable")]
     std::thread::Builder::new()
         .name(format!("pfair-worker-{idx}"))
         .spawn(move || loop {
@@ -235,7 +246,6 @@ fn spawn_worker(idx: u32, jobs: Arc<Mutex<Receiver<Job>>>, done: Sender<usize>) 
             // failure is then expected and harmless.
             let _ = done.send(job.task_idx);
         })
-        // audit: allow(panic, OS thread-spawn failure is unrecoverable at this layer)
         .expect("spawning worker thread")
 }
 
@@ -314,7 +324,11 @@ impl<P: Probe> Executor<P> {
         }
         let virtual_time = self.quantum.is_zero();
         for _ in 0..quanta {
-            let slot_start = Instant::now(); // audit: allow(nondeterminism, the executor paces real quanta by wall clock, pacing never feeds back into the simulated schedule)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the executor paces real quanta by wall clock, pacing never feeds back into the simulated schedule"
+            )]
+            let slot_start = Instant::now();
             let t = self.engine.now();
 
             // Drain control requests; they fire in this slot.
@@ -348,16 +362,18 @@ impl<P: Probe> Executor<P> {
                     budget: self.quantum,
                 };
                 task.ticks += 1;
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "dispatch after shutdown is a caller error, and a dead worker pool means a task body panicked; stop loudly"
+                )]
                 self.job_tx
                     .as_ref()
-                    // audit: allow(panic, dispatch after shutdown is a caller error)
                     .expect("executor already shut down")
                     .send(Job {
                         task_idx: idx,
                         body: task.body.clone(),
                         tick,
                     })
-                    // audit: allow(panic, a dead worker pool means a task body panicked; stop loudly)
                     .expect("worker pool gone");
                 dispatched += 1;
             }
@@ -367,7 +383,7 @@ impl<P: Probe> Executor<P> {
                 // ticks have completed.
                 let mut done = 0;
                 while done < dispatched {
-                    // audit: allow(panic, a dead worker pool means a task body panicked; stop loudly)
+                    #[expect(clippy::disallowed_methods, reason = "a dead pool: a body panicked")]
                     let idx = self.done_rx.recv().expect("worker pool gone");
                     self.busy[idx] = false;
                     done += 1;

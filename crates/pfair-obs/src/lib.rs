@@ -32,6 +32,16 @@
 //!   and [`SloMonitor`], windowed miss / drift / reweight-latency
 //!   watermarks with exact breach records.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::as_conversions,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::panic
+    )
+)]
+
 pub mod chrome;
 pub mod event;
 pub mod flight;

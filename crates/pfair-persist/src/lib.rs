@@ -41,6 +41,16 @@
 //! `recovery_equivalence` suite pins it under randomized reweighting
 //! scripts and both engine drivers.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::as_conversions,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::panic
+    )
+)]
+
 use pfair_core::time::Slot;
 use pfair_json::{FromJson, Json, JsonError, JsonWriter, ToJson};
 use pfair_obs::{NoopProbe, Probe};
@@ -296,7 +306,8 @@ pub fn read_journal(path: &Path) -> Result<Vec<Event>, PersistError> {
         let entry = Json::parse(line)
             .map_err(|e| PersistError::Format(format!("journal line {}: {}", i + 2, e.message)))?;
         let seq: u64 = entry.field("seq")?;
-        let expected = events.len() as u64; // audit: allow(lossy-cast, entry counts are far below 2^64)
+        #[expect(clippy::as_conversions, reason = "entry counts are far below 2^64")]
+        let expected = events.len() as u64;
         if seq != expected {
             return Err(PersistError::Format(format!(
                 "journal sequence gap: expected {expected}, found {seq}"

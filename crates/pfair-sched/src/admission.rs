@@ -95,10 +95,10 @@ pub struct AdmissionController {
 impl AdmissionController {
     /// A controller for `processors` processors and task ids `0..tasks`.
     pub fn new(policy: AdmissionPolicy, processors: u32, tasks: u32) -> AdmissionController {
+        #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
         AdmissionController {
             policy,
             capacity: Rational::from_int(i128::from(processors)),
-            // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
             committed: vec![None; tasks as usize],
             total: Rational::ZERO,
         }
@@ -108,7 +108,7 @@ impl AdmissionController {
     /// when already that big). New slots carry zero commitment, so the
     /// running total is unchanged.
     pub fn ensure_tasks(&mut self, tasks: u32) {
-        // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+        #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
         let tasks = tasks as usize;
         if tasks > self.committed.len() {
             self.committed.resize(tasks, None);

@@ -190,12 +190,14 @@ pub fn run_edf(
     workload: &Workload,
     baseline: EdfBaseline,
 ) -> EdfRun {
-    let m = processors as usize; // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+    #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
+    let m = processors as usize;
     let (pools, width) = match baseline {
         EdfBaseline::Global(_) => (1, m),
         EdfBaseline::Partitioned => (m, 1),
     };
-    let n = workload.task_count() as usize; // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+    #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
+    let n = workload.task_count() as usize;
     let mut tasks = vec![ABSENT; n];
     let stream = workload.stream();
     let mut events = stream.iter().peekable();

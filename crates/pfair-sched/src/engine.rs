@@ -650,7 +650,7 @@ impl<P: Probe> Engine<P> {
     /// ranks after the existing ones (see [`TieTable::ensure_tasks`]),
     /// so suppliers that need those policies should size up front.
     pub fn ensure_task_capacity(&mut self, n: u32) {
-        // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+        #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
         if (n as usize) <= self.tasks.len() {
             return;
         }

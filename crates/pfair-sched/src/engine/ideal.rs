@@ -39,7 +39,7 @@ use pfair_core::ideal::{Bases, Trackers};
 use pfair_core::rational::{Rational, Units};
 use pfair_core::time::Slot;
 use pfair_core::weight::Weight;
-use pfair_core::window::periodic_window;
+use pfair_core::window::periodic_release;
 use std::borrow::Cow;
 
 /// A task row's ideal schedules.
@@ -149,7 +149,7 @@ impl TaskState {
     pub(super) fn anchor(&self, w: Weight) -> Slot {
         self.subs.back().map_or(self.ideal.now(), |last| {
             let rank = last.index.saturating_sub(self.era_base);
-            last.release - periodic_window(w, rank, 0).release
+            last.release - periodic_release(w, rank, 0)
         })
     }
 

@@ -150,7 +150,7 @@ impl<P: Probe> Engine<P> {
             // `subs` and the tracker's retained records bounded.
             let scan = self.sync_task(id, t);
             let tie_rank = self.tie.rank(id);
-            // audit: allow(panic-reach, engine invariant: a present task has joined, so its weight column is set)
+            #[expect(clippy::disallowed_methods, reason = "a present task has a weight")]
             let weight = self.tasks.swt(id).expect("a present task without a weight");
             // Eqn (4) books the successor's release unless a pending
             // change or leave suppresses it.
@@ -183,7 +183,10 @@ impl<P: Probe> Engine<P> {
                 let pred_b = if era_first {
                     false
                 } else {
-                    // audit: allow(panic-reach, within an era the predecessor record is retained until its successor releases)
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "within an era the predecessor record is retained until its successor releases"
+                    )]
                     scan.pred_b
                         .expect("non-era-first release without predecessor")
                 };

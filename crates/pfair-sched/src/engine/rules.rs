@@ -250,7 +250,10 @@ impl<P: Probe> Engine<P> {
         // tracker must first be caught up to the halt boundary.
         self.sync_task(id, t);
         self.tasks.trackers(id).isw.halt(index, t);
-        // audit: allow(panic-reach, rules only halt known live subtasks, present by the engine's slab and queue liveness invariants)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "rules only halt known live subtasks, present by the engine's slab and queue liveness invariants"
+        )]
         let sub = (self.tasks.task_mut(id).sub_mut(index)).expect("halting unknown subtask");
         sub.halted_at = t;
         self.counters.halts += 1;

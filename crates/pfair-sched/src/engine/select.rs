@@ -51,7 +51,9 @@ impl<P: Probe> Engine<P> {
         }
         let tasks = &self.tasks;
         stopped.retain(|&id| !tasks.ran_last_slot(id) && tasks.task(id).head().is_some());
-        self.counters.preemptions += stopped.len() as u64; // audit: allow(lossy-cast, usize→u64 is lossless on the supported targets)
+        #[expect(clippy::as_conversions, reason = "usize→u64 is lossless")]
+        let preempted = stopped.len() as u64;
+        self.counters.preemptions += preempted;
         stopped.sort_unstable_by_key(|id| id.0);
         for id in stopped.drain(..) {
             self.probe.on_event(ObsEvent::Preempt { task: id, t });
@@ -69,7 +71,8 @@ impl<P: Probe> Engine<P> {
     /// task's next queue entry — is left in `scratch.promoted` for
     /// [`Engine::promote_successors`].
     pub(super) fn pop_and_schedule(&mut self, t: Slot) -> Vec<TaskId> {
-        let m = self.config.processors as usize; // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+        #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
+        let m = self.config.processors as usize;
         let mut chosen = std::mem::take(&mut self.scratch.chosen);
         chosen.clear();
         while chosen.len() < m {
@@ -93,7 +96,7 @@ impl<P: Probe> Engine<P> {
             // the end-of-slot prune.
             self.touched.push(entry.task);
             let task = self.tasks.task_mut(entry.task);
-            // audit: allow(panic-reach, pop_live just verified the subtask is present and live)
+            #[expect(clippy::disallowed_methods, reason = "pop_live verified the subtask")]
             let sub = task.subs.get_mut(at).expect("live entry lost its subtask");
             sub.scheduled_at = t;
             task.last_scheduled = Some(sub.window());
@@ -146,7 +149,8 @@ impl<P: Probe> Engine<P> {
     /// Greedy sticky assignment: tasks keep their previous processor when
     /// free; otherwise they migrate (and are counted).
     fn assign_processors(&mut self, chosen: &[TaskId]) {
-        let m = self.config.processors as usize; // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+        #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
+        let m = self.config.processors as usize;
         let SlotScratch {
             cpu_taken,
             unplaced,
@@ -156,7 +160,7 @@ impl<P: Probe> Engine<P> {
         cpu_taken.clear();
         cpu_taken.resize(m, false);
         for &id in chosen {
-            // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+            #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
             let last = self.tasks.task(id).last_cpu as usize;
             // `NO_CPU` names no processor.
             match cpu_taken.get_mut(last) {
@@ -170,12 +174,13 @@ impl<P: Probe> Engine<P> {
         // Highest first, so `pop` hands out the lowest free processor.
         free_cpus.extend(
             (0..self.config.processors)
-                .rev()
-                // audit: allow(lossy-cast, u32→usize is lossless on the supported targets); allow(panic-reach, cpu ids are < processors, the length of cpu_taken)
-                .filter(|c| !cpu_taken[*c as usize]),
+                .zip(cpu_taken.iter())
+                .filter(|(_, taken)| !**taken)
+                .map(|(c, _)| c)
+                .rev(),
         );
         for id in unplaced.drain(..) {
-            // audit: allow(panic-reach, PD² selection never chooses more than `processors` tasks)
+            #[expect(clippy::disallowed_methods, reason = "PD² picks ≤ `processors` tasks")]
             let cpu = free_cpus.pop().expect("more chosen tasks than processors");
             let task = self.tasks.task_mut(id);
             if task.last_cpu != NO_CPU {

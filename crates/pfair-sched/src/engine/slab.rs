@@ -127,7 +127,7 @@ impl TaskSlab {
     /// Makes ids `0..n` addressable (no-op when they already are): the
     /// hot columns grow, and no row is built.
     pub(super) fn ensure(&mut self, n: u32) {
-        // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+        #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
         let n = n as usize;
         if n <= self.len() {
             return;
@@ -178,7 +178,7 @@ impl TaskSlab {
     /// id range, so the lookup cannot fail in a correct engine.
     #[inline]
     pub(super) fn task(&self, id: TaskId) -> &TaskState {
-        // audit: allow(panic-reach, admitted TaskIds are dense and in range for the whole run)
+        #[expect(clippy::disallowed_methods, reason = "admitted ids are in range")]
         self.get(id).expect("task id outside the admitted range")
     }
 
@@ -191,7 +191,7 @@ impl TaskSlab {
         if i >= self.cold.len() {
             self.build_to(i);
         }
-        // audit: allow(panic-reach, admitted TaskIds are dense and in range for the whole run)
+        #[expect(clippy::disallowed_methods, reason = "admitted ids are in range")]
         self.cold
             .get_mut(i)
             .expect("task id outside admitted range")
@@ -406,18 +406,14 @@ impl TaskSlab {
     /// Iterator over present ids, ascending, without allocating (a
     /// bitmap word scan).
     pub(super) fn present_iter(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.present
-            .iter_ones()
-            // audit: allow(lossy-cast, bitmap ids originate from u32 TaskIds)
-            .map(|i| TaskId(i as u32))
+        #[expect(clippy::as_conversions, reason = "bitmap ids are u32 TaskIds")]
+        self.present.iter_ones().map(|i| TaskId(i as u32))
     }
 
     /// Ids whose ran-last-slot bit is set, ascending — what a loaded
     /// image rebuilds the previous chosen set from.
     pub(super) fn ran_iter(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.ran
-            .iter_ones()
-            // audit: allow(lossy-cast, bitmap ids originate from u32 TaskIds)
-            .map(|i| TaskId(i as u32))
+        #[expect(clippy::as_conversions, reason = "bitmap ids are u32 TaskIds")]
+        self.ran.iter_ones().map(|i| TaskId(i as u32))
     }
 }

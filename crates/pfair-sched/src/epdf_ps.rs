@@ -75,7 +75,7 @@ fn released(p: &PTask) -> bool {
 /// Runs the projected-deadline EPDF scheduler over the workload on
 /// `processors` processors for `horizon` slots.
 pub fn run_projected_epdf(processors: u32, horizon: Slot, workload: &Workload) -> ProjectedRun {
-    // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+    #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
     let n = workload.task_count() as usize;
     let mut tasks: Vec<PTask> = (0..n)
         .map(|_| PTask {
@@ -136,7 +136,7 @@ pub fn run_projected_epdf(processors: u32, horizon: Slot, workload: &Workload) -
             .map(|(i, p)| (projected_deadline(p, t), i))
             .collect();
         eligible.sort();
-        // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+        #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
         for &(_, i) in eligible.iter().take(processors as usize) {
             tasks[i].done += 1;
             scheduled[i] += 1;

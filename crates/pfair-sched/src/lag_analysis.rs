@@ -54,10 +54,10 @@ pub fn system_series(result: &SimResult) -> SystemSeries {
     let mut ideal = vec![Rational::ZERO; n];
     let mut scheduled = vec![0u32; n];
     for task in &result.tasks {
+        #[expect(clippy::disallowed_methods, reason = "callers enable record_history")]
         let hist = task
             .history
             .as_ref()
-            // audit: allow(panic, documented precondition: caller must enable record_history)
             .expect("system_series requires record_history");
         for (t, a) in hist.icsw_per_slot().iter().enumerate() {
             if t < n {

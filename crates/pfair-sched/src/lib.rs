@@ -33,6 +33,16 @@
 //! assert!(result.max_abs_drift_delta() <= rat(2, 1));
 //! ```
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::as_conversions,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::panic
+    )
+)]
+
 pub mod admission;
 pub mod calendar;
 pub mod edf;

@@ -425,7 +425,9 @@ impl ReadyQueue {
             }
         });
         counters.compactions += 1;
-        counters.compacted_stale += (before - entries.len()) as u64; // audit: allow(lossy-cast, usize→u64 is lossless on the supported targets)
+        #[expect(clippy::as_conversions, reason = "usize→u64 is lossless")]
+        let stale = (before - entries.len()) as u64;
+        counters.compacted_stale += stale;
         self.place_all(&entries);
     }
 

@@ -13,6 +13,12 @@
 //! Legend: `[` release, `)` one past the deadline, `X` the slot PD²
 //! scheduled the subtask in, `#` a halted subtask's halt slot.
 
+#![expect(
+    clippy::as_conversions,
+    clippy::disallowed_methods,
+    reason = "a display emitter: its casts place characters on a ruler and it may panic on malformed plot geometry; it decides nothing in a schedule"
+)]
+
 use crate::trace::{SubtaskRecord, TaskHistory};
 use pfair_core::time::Slot;
 

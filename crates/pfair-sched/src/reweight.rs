@@ -214,9 +214,9 @@ impl Clone for RuleSelector {
 impl RuleSelector {
     /// A selector for the given scheme over task ids `0..tasks`.
     pub fn new(scheme: Scheme, tasks: u32) -> RuleSelector {
+        #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
         RuleSelector {
             scheme,
-            // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
             state: vec![HybridTaskState::default(); tasks as usize],
         }
     }
@@ -229,7 +229,7 @@ impl RuleSelector {
     /// Grows the per-task state table to cover ids `0..tasks` (no-op
     /// when already that big); new slots start in the default state.
     pub fn ensure_tasks(&mut self, tasks: u32) {
-        // audit: allow(lossy-cast, u32→usize is lossless on the supported targets)
+        #[expect(clippy::as_conversions, reason = "u32→usize is lossless")]
         let tasks = tasks as usize;
         if tasks > self.state.len() {
             self.state.resize(tasks, HybridTaskState::default());

@@ -369,7 +369,7 @@ impl ShardSet {
             kind: EventKind::Join(w),
         });
         let placement = Placement { shard, local };
-        // audit: allow(lossy-cast, global event task ids are u32 by construction)
+        #[expect(clippy::as_conversions, reason = "global task ids fit u32")]
         let global = g as u32;
         self.route[g] = Some(placement);
         self.incarnations.push((global, placement));
@@ -382,7 +382,7 @@ impl ShardSet {
     /// may still be draining it under the rule-L departure delay). A
     /// ledger that cannot represent the lower sum keeps the higher one.
     fn depart(&mut self, g: usize, shard: usize) {
-        // audit: allow(lossy-cast, global event task ids are u32 by construction)
+        #[expect(clippy::as_conversions, reason = "global task ids fit u32")]
         self.members[shard].remove(&(g as u32));
         if let Some(util) = self.util[shard].checked_sub(Weight::share(self.weights[g])) {
             self.util[shard] = util;
@@ -524,8 +524,8 @@ impl ShardSet {
             .windows(2)
             .enumerate()
             .map(|(g, run)| {
+                #[expect(clippy::as_conversions, reason = "global task ids fit u32")]
                 let mut summary = GlobalTaskSummary {
-                    // audit: allow(lossy-cast, global event task ids are u32 by construction)
                     id: g as u32,
                     scheduled_count: 0,
                     ps_total: Rational::ZERO,

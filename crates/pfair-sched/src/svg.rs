@@ -8,6 +8,12 @@
 //! era-opening windows, and a slot ruler along the top. No external
 //! dependencies — the SVG is assembled textually.
 
+#![expect(
+    clippy::as_conversions,
+    clippy::disallowed_methods,
+    reason = "a display emitter: its casts place pixels and it may panic on malformed plot geometry; it decides nothing in a schedule"
+)]
+
 use crate::trace::{SimResult, SubtaskRecord};
 use pfair_core::time::Slot;
 use std::fmt::Write as _;

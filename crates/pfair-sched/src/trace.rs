@@ -170,8 +170,9 @@ const _: () = assert!(std::mem::size_of::<TaskResult>() <= 144);
 // audit: allow(float, report-only accuracy metric; never feeds scheduling)
 pub(crate) fn pct_of_ideal(scheduled: u64, ps_total: Rational) -> Option<f64> {
     if ps_total.is_positive() {
+        #[expect(clippy::as_conversions, reason = "u64→f64 for reporting only")]
         // audit: allow(float, report-only accuracy metric; never feeds scheduling)
-        Some(100.0 * scheduled as f64 / ps_total.to_f64()) // audit: allow(lossy-cast, u64→f64 for reporting only)
+        Some(100.0 * scheduled as f64 / ps_total.to_f64())
     } else {
         None
     }
@@ -262,8 +263,10 @@ impl SimResult {
             // audit: allow(float, report-only accuracy metric; never feeds scheduling)
             0.0
         } else {
+            #[expect(clippy::as_conversions, reason = "usize→f64 for reporting only")]
             // audit: allow(float, report-only accuracy metric; never feeds scheduling)
-            vals.iter().sum::<f64>() / vals.len() as f64 // audit: allow(lossy-cast, usize→f64 for reporting only)
+            let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+            mean
         }
     }
 

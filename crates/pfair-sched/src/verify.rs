@@ -157,7 +157,7 @@ fn check_era_chain(era: &[&SubtaskRecord]) -> Result<(), String> {
     let mut lo = Rational::ZERO; // strict lower bound
     let mut hi = rat(2, 1); // strict upper bound (weights ≤ 1 < 2)
     for (k0, sub) in era.iter().enumerate() {
-        // audit: allow(panic, era lengths are horizon-bounded and fit i128)
+        #[expect(clippy::disallowed_methods, reason = "era lengths are horizon-bounded")]
         let k = i128::try_from(k0).expect("era index exceeds i128") + 1;
         if k0 > 0 {
             let prev = era[k0 - 1];

@@ -22,9 +22,10 @@
 //! that never does pays nothing. Once its era settles, the task trades
 //! that box for a smaller one holding the sums of its earlier eras.
 
-// The counting allocator is the one `unsafe impl` this workspace has;
-// it forwards to `System` and touches nothing but its counters.
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "the counting allocator is the one `unsafe impl` this workspace has; it forwards to `System` and touches nothing but its counters"
+)]
 
 use pfair_core::ideal::{Bases, Trackers};
 use pfair_obs::MetricsProbe;
