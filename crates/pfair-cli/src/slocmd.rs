@@ -4,12 +4,12 @@
 //! drift against a rational budget, reweight latency). No signal reads
 //! a span, so horizon-scale batched runs pay O(1) per span.
 
+use crate::tracecmd::whisper_probed;
 use pfair_core::rational::Rational;
 use pfair_json::JsonWriter;
 use pfair_obs::{SloConfig, SloMonitor};
 use pfair_sched::reweight::Scheme;
 use std::fmt::Write as _;
-use whisper_sim::{run_whisper_probed, Scenario, PROCESSORS};
 
 /// Options for an SLO run.
 #[derive(Clone, Debug)]
@@ -62,23 +62,14 @@ pub fn parse_budget(s: &str) -> Option<Rational> {
 /// watermarks, breaches) wrapped with the run parameters, pretty
 /// printed.
 pub fn run_slo(opts: &SloOptions) -> (String, String) {
-    // audit: allow(no-float-in-scheduling, Whisper scenario knobs; speed/radius feed weight inputs, not schedules)
-    let sc = Scenario::new(2.9, 0.25, true, opts.seed);
     let cfg = SloConfig {
         window: opts.window,
         max_misses: opts.max_misses,
         drift_budget: opts.drift_budget,
         max_reweight_latency: opts.max_reweight_latency,
     };
-    let (metrics, slo) =
-        run_whisper_probed(&sc, opts.scheme.clone(), opts.horizon, SloMonitor::new(cfg));
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "whisper seed {}, scheme {:?}, horizon {} on {} processors",
-        opts.seed, opts.scheme, opts.horizon, PROCESSORS
-    );
+    let (mut out, metrics, slo) =
+        whisper_probed(opts.seed, &opts.scheme, opts.horizon, SloMonitor::new(cfg));
     let _ = writeln!(
         out,
         "run summary: {} misses; {:.2}% of ideal",

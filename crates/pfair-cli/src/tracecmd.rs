@@ -6,10 +6,10 @@
 //! event ring and incidents as a second JSON document.
 
 use pfair_json::ToJson;
-use pfair_obs::{Fanout, FlightRecorder, MetricsProbe, TraceRecorder};
+use pfair_obs::{Fanout, FlightRecorder, MetricsProbe, Probe, TraceRecorder};
 use pfair_sched::reweight::Scheme;
 use std::fmt::Write as _;
-use whisper_sim::{run_whisper_probed, Scenario, PROCESSORS};
+use whisper_sim::{run_whisper_probed, Scenario, WhisperMetrics, PROCESSORS};
 
 /// Options for a trace run.
 #[derive(Clone, Debug)]
@@ -38,27 +38,36 @@ impl Default for TraceOptions {
     }
 }
 
+/// Runs the Whisper scenario `pfair trace` and `pfair slo` share
+/// (speed 2.9, radius 0.25, occlusion on) under `probe`, and returns
+/// the report's header line beside the run's metrics and the probe.
+pub(crate) fn whisper_probed<P: Probe>(
+    seed: u64,
+    scheme: &Scheme,
+    horizon: i64,
+    probe: P,
+) -> (String, WhisperMetrics, P) {
+    // audit: allow(no-float-in-scheduling, Whisper scenario knobs; speed/radius feed weight inputs, not schedules)
+    let sc = Scenario::new(2.9, 0.25, true, seed);
+    let (metrics, probe) = run_whisper_probed(&sc, scheme.clone(), horizon, probe);
+    let header = format!(
+        "whisper seed {seed}, scheme {scheme:?}, horizon {horizon} on {PROCESSORS} processors\n"
+    );
+    (header, metrics, probe)
+}
+
 /// Runs the scenario and returns the human-readable report, the Chrome
 /// trace-event JSON document, and — when `opts.flight` is set — the
 /// flight-recorder dump (an explicit end-of-run capture, so the dump
 /// always carries at least one incident even on a clean run); both
 /// documents pretty printed.
 pub fn run_trace(opts: &TraceOptions) -> (String, String, Option<String>) {
-    // audit: allow(no-float-in-scheduling, Whisper scenario knobs; speed/radius feed weight inputs, not schedules)
-    let sc = Scenario::new(2.9, 0.25, true, opts.seed);
     let probe = Fanout(
         TraceRecorder::new(),
         Fanout(MetricsProbe::new(), FlightRecorder::new()),
     );
-    let (metrics, Fanout(rec, Fanout(mp, mut flight))) =
-        run_whisper_probed(&sc, opts.scheme.clone(), opts.horizon, probe);
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "whisper seed {}, scheme {:?}, horizon {} on {} processors",
-        opts.seed, opts.scheme, opts.horizon, PROCESSORS
-    );
+    let (mut out, metrics, Fanout(rec, Fanout(mp, mut flight))) =
+        whisper_probed(opts.seed, &opts.scheme, opts.horizon, probe);
     let _ = writeln!(
         out,
         "misses {}; max drift {:.3}; {:.2}% of ideal",

@@ -578,6 +578,12 @@ impl IswTracker {
         lost
     }
 
+    /// Each retained record as `(index, release, D(I_SW, T_i), H(T_i))`,
+    /// [`NEVER`] for a completion or halt still to come.
+    pub fn records(&self) -> impl Iterator<Item = (u64, Slot, Slot, Slot)> + '_ {
+        (self.subs.iter()).map(|s| (s.index, s.release, s.complete_at, s.halted_at))
+    }
+
     /// `D(I_SW, T_index)` if the subtask has completed.
     pub fn completion_of(&self, index: u64) -> Option<Slot> {
         self.subs

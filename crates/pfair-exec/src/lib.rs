@@ -40,11 +40,17 @@
 //! boundary is *not* killed (Rust can't preempt safely). If the task is
 //! scheduled again while its previous tick still runs, that quantum is
 //! recorded as a **skip** (the allocation is lost, exactly like an
-//! embedded budget-overrun drop) and reported as one
-//! [`ObsEvent::ExecSkip`]; an overrun that ends before the task's next
-//! quantum costs nothing and is not recorded. In `virtual_time` mode the
-//! dispatcher instead waits for every tick to finish before closing the
-//! slot, making runs deterministic for tests.
+//! embedded budget-overrun drop) and counted in [`ExecReport::skips`];
+//! an overrun that ends before the task's next quantum costs nothing and
+//! is not recorded. In `virtual_time` mode the dispatcher instead waits
+//! for every tick to finish before closing the slot, making runs
+//! deterministic for tests.
+//!
+//! ## Horizon
+//!
+//! An executor runs at most 1 000 000 quanta in its lifetime (2.8 hours
+//! at the default 10 ms quantum). [`Executor::run`] stops there and
+//! returns how many quanta it ran, so a caller sees a run cut short.
 
 #![cfg_attr(
     not(test),
@@ -59,7 +65,6 @@
 use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
 use pfair_core::weight::Weight;
-use pfair_obs::{NoopProbe, ObsEvent, Probe};
 use pfair_sched::engine::{Engine, SimConfig};
 use pfair_sched::event::{Event, EventKind, Workload};
 use pfair_sched::trace::SimResult;
@@ -75,7 +80,7 @@ use std::time::{Duration, Instant};
 // regression in `pfair-sched` fails this crate's build, not a user's.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<Engine<NoopProbe>>();
+    assert_send::<Engine>();
 };
 
 /// The most quanta an executor may ever run.
@@ -105,15 +110,10 @@ struct RtTask {
 }
 
 /// Builder for an [`Executor`].
-///
-/// Generic over a [`Probe`] so a run can record structured engine
-/// events plus the executor-specific skip instants; the
-/// default [`NoopProbe`] compiles to nothing.
-pub struct ExecutorBuilder<P: Probe = NoopProbe> {
+pub struct ExecutorBuilder {
     workers: u32,
     quantum: Duration,
     tasks: Vec<(String, Weight, TaskBody)>,
-    probe: P,
 }
 
 impl ExecutorBuilder {
@@ -124,35 +124,20 @@ impl ExecutorBuilder {
             workers,
             quantum: Duration::from_millis(10),
             tasks: Vec::new(),
-            probe: NoopProbe,
         }
     }
-}
 
-impl<P: Probe> ExecutorBuilder<P> {
     /// Sets the quantum length.
-    pub fn quantum(mut self, quantum: Duration) -> ExecutorBuilder<P> {
+    pub fn quantum(mut self, quantum: Duration) -> ExecutorBuilder {
         self.quantum = quantum;
         self
     }
 
     /// Virtual time: no sleeping; each slot closes when all of its
     /// ticks have completed. Deterministic — intended for tests.
-    pub fn virtual_time(mut self) -> ExecutorBuilder<P> {
+    pub fn virtual_time(mut self) -> ExecutorBuilder {
         self.quantum = Duration::ZERO;
         self
-    }
-
-    /// Attaches a probe, replacing any earlier one. The probe observes
-    /// every engine event of the run plus the executor's skip instants,
-    /// and comes back out of [`Executor::shutdown_with_probe`].
-    pub fn with_probe<Q: Probe>(self, probe: Q) -> ExecutorBuilder<Q> {
-        ExecutorBuilder {
-            workers: self.workers,
-            quantum: self.quantum,
-            tasks: self.tasks,
-            probe,
-        }
     }
 
     /// Registers a task with an initial weight and its per-tick body.
@@ -171,7 +156,7 @@ impl<P: Probe> ExecutorBuilder<P> {
 
     /// Builds the executor (spawns the worker pool; the clock starts on
     /// the first [`Executor::run`] call).
-    pub fn build(self) -> Executor<P> {
+    pub fn build(self) -> Executor {
         let mut workload = Workload::new();
         for (i, (_, weight, _)) in self.tasks.iter().enumerate() {
             #[expect(clippy::disallowed_methods, reason = "add_task bounds ids to u32")]
@@ -181,8 +166,7 @@ impl<P: Probe> ExecutorBuilder<P> {
                 kind: EventKind::Join(*weight),
             });
         }
-        let engine =
-            Engine::with_probe(SimConfig::oi(self.workers, HORIZON), &workload, self.probe);
+        let engine = Engine::new(SimConfig::oi(self.workers, HORIZON), &workload);
         let tasks: Vec<RtTask> = self
             .tasks
             .into_iter()
@@ -203,15 +187,15 @@ impl<P: Probe> ExecutorBuilder<P> {
 
         Executor {
             engine,
-            tasks,
             quantum: self.quantum,
             job_tx: Some(job_tx),
             done_rx,
             ctl_tx,
             ctl_rx,
             workers,
-            busy: vec![false; 0],
-            skips: Vec::new(),
+            busy: vec![false; tasks.len()],
+            skips: vec![0; tasks.len()],
+            tasks,
         }
     }
 }
@@ -294,8 +278,8 @@ impl ExecReport {
 }
 
 /// The PD² real-time executor. Build with [`ExecutorBuilder`].
-pub struct Executor<P: Probe = NoopProbe> {
-    engine: Engine<P>,
+pub struct Executor {
+    engine: Engine,
     tasks: Vec<RtTask>,
     quantum: Duration,
     job_tx: Option<Sender<Job>>,
@@ -307,7 +291,7 @@ pub struct Executor<P: Probe = NoopProbe> {
     skips: Vec<u64>,
 }
 
-impl<P: Probe> Executor<P> {
+impl Executor {
     /// A remote control usable from any thread.
     pub fn controller(&self) -> Controller {
         Controller {
@@ -316,13 +300,11 @@ impl<P: Probe> Executor<P> {
     }
 
     /// Runs `quanta` quanta. May be called repeatedly; the schedule
-    /// continues where it left off.
-    pub fn run(&mut self, quanta: Slot) {
-        if self.busy.is_empty() {
-            self.busy = vec![false; self.tasks.len()];
-            self.skips = vec![0; self.tasks.len()];
-        }
+    /// continues where it left off. Returns the quanta run, which falls
+    /// short of `quanta` only at the executor's horizon (module docs).
+    pub fn run(&mut self, quanta: Slot) -> Slot {
         let virtual_time = self.quantum.is_zero();
+        let quanta = quanta.min(HORIZON.saturating_sub(self.engine.now()));
         for _ in 0..quanta {
             #[expect(
                 clippy::disallowed_methods,
@@ -351,7 +333,6 @@ impl<P: Probe> Executor<P> {
                 if self.busy[idx] {
                     // Previous tick still running: the quantum is lost.
                     self.skips[idx] += 1;
-                    (self.engine.probe_mut()).on_event(ObsEvent::ExecSkip { task: id, t });
                     continue;
                 }
                 self.busy[idx] = true;
@@ -398,6 +379,7 @@ impl<P: Probe> Executor<P> {
                 self.drain_done();
             }
         }
+        quanta
     }
 
     fn drain_done(&mut self) {
@@ -407,13 +389,7 @@ impl<P: Probe> Executor<P> {
     }
 
     /// Stops the worker pool and returns the report.
-    pub fn shutdown(self) -> ExecReport {
-        self.shutdown_with_probe().0
-    }
-
-    /// [`Executor::shutdown`], also handing back the probe with
-    /// everything it recorded over the run.
-    pub fn shutdown_with_probe(mut self) -> (ExecReport, P) {
+    pub fn shutdown(mut self) -> ExecReport {
         // Closing the job channel terminates the workers.
         self.job_tx = None;
         for w in self.workers.drain(..) {
@@ -421,16 +397,12 @@ impl<P: Probe> Executor<P> {
         }
         let ticks_per_task = self.tasks.iter().map(|t| t.ticks).collect();
         let names = self.tasks.iter().map(|t| t.name.clone()).collect();
-        let (sim, probe) = self.engine.finish_with_probe();
-        (
-            ExecReport {
-                sim,
-                names,
-                ticks_per_task,
-                skips: self.skips,
-            },
-            probe,
-        )
+        ExecReport {
+            sim: self.engine.finish(),
+            names,
+            ticks_per_task,
+            skips: self.skips,
+        }
     }
 }
 
@@ -536,6 +508,14 @@ mod tests {
     }
 
     #[test]
+    fn a_report_before_any_run_counts_every_task() {
+        let mut b = ExecutorBuilder::new(1).virtual_time();
+        let (h, _) = counter_task(&mut b, "idle", 1, 2);
+        let report = b.build().shutdown();
+        assert_eq!((report.ticks(h), report.skips(h)), (0, 0));
+    }
+
+    #[test]
     fn overrunning_body_is_skipped_not_doubled() {
         // One task's body sleeps far past its quantum: the executor must
         // record skips and never run the body concurrently.
@@ -557,61 +537,11 @@ mod tests {
     }
 
     #[test]
-    fn probe_observes_exec_skips_and_engine_events() {
-        // Same overrun scenario, observed through a metrics probe: the
-        // executor-level skip instants and the engine's slot count both
-        // land in the registry.
-        let mut b = ExecutorBuilder::new(2)
-            .quantum(Duration::from_millis(1))
-            .with_probe(pfair_obs::MetricsProbe::new());
-        let h = b.task("slow", Weight::new(rat(1, 2)), |_| {
-            std::thread::sleep(Duration::from_millis(4));
-        });
-        let mut exec = b.build();
-        exec.run(20);
-        let (report, probe) = exec.shutdown_with_probe();
-        let reg = probe.registry();
-        assert_eq!(reg.counter("slots"), 20);
-        assert_eq!(reg.counter("exec.skips"), report.skips(h));
-        assert!(reg.counter("exec.skips") > 0);
-        assert_eq!(
-            reg.counter("schedules"),
-            report.sim.counters.scheduled_quanta
-        );
-    }
-
-    #[test]
-    fn flight_recorder_and_slo_monitor_ride_the_executor() {
-        // Overrun scenario again, observed by the black-box pair: the
-        // flight recorder must keep the executor-level skip instants in
-        // its ring, and the SLO monitor must stay clean (a
-        // feasible schedule has no deadline misses even when bodies
-        // overrun their quanta).
-        use pfair_obs::{Fanout, FlightRecorder, ObsEvent, SloConfig, SloMonitor};
-        let mut b = ExecutorBuilder::new(2)
-            .quantum(Duration::from_millis(1))
-            .with_probe(Fanout(
-                FlightRecorder::new(),
-                SloMonitor::new(SloConfig::default()),
-            ));
-        let h = b.task("slow", Weight::new(rat(1, 2)), |_| {
-            std::thread::sleep(Duration::from_millis(4));
-        });
-        let mut exec = b.build();
-        exec.run(20);
-        let (report, Fanout(mut flight, slo)) = exec.shutdown_with_probe();
-        assert!(report.skips(h) > 0);
-        assert!(
-            flight
-                .recent()
-                .any(|e| matches!(e, ObsEvent::ExecSkip { task, .. } if *task == h.0)),
-            "flight ring must hold the executor skip instants"
-        );
-        assert!(flight.incidents().is_empty(), "no miss, no incident");
-        flight.capture_now(20);
-        assert_eq!(flight.incidents().len(), 1, "explicit capture works");
-        assert!(slo.is_clean(), "feasible run must not breach the SLO");
-        assert_eq!(slo.misses_total(), 0);
+    fn run_stops_at_the_horizon() {
+        let mut exec = ExecutorBuilder::new(1).virtual_time().build();
+        assert_eq!(exec.run(HORIZON + 1), HORIZON);
+        assert_eq!(exec.run(1), 0);
+        assert!(exec.shutdown().sim.is_miss_free());
     }
 }
 

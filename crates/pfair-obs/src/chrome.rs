@@ -131,7 +131,6 @@ impl TraceRecorder {
                 | ObsEvent::SwtSet { task, .. }
                 | ObsEvent::Depart { task, .. }
                 | ObsEvent::TrackerAdvance { task, .. }
-                | ObsEvent::ExecSkip { task, .. }
                 | ObsEvent::Miss { task, .. }
                 | ObsEvent::DriftSample { task, .. } => Some(*task),
                 ObsEvent::QuietSpan { .. } | ObsEvent::BusySpanJump { .. } => {
@@ -222,9 +221,6 @@ impl TraceRecorder {
                     ..
                 } => {
                     instant(&mut w, "era release", "release", *t, *task, Some(*index));
-                }
-                ObsEvent::ExecSkip { task, t } => {
-                    instant(&mut w, "skip", "exec", *t, *task, None);
                 }
                 ObsEvent::Miss { task, index, t, .. } => {
                     instant(&mut w, "miss", "deadline", *t, *task, Some(*index));

@@ -1,7 +1,7 @@
 //! [`ObsEvent`]: the one observation vocabulary.
 //!
-//! Every per-entity fact the engine or executor reports — a release, a
-//! schedule, a halt, a stale queue entry, a reweight initiation or
+//! Every per-entity fact the engine reports — a release, a schedule,
+//! a halt, a stale queue entry, a reweight initiation or
 //! enactment, a scheduling weight taking effect, a departure, a tracker
 //! jump, a miss, a drift sample — and the
 //! closed-form spans (a quiet span; a busy span's arming and its jump)
@@ -17,7 +17,7 @@ use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
 use pfair_json::{JsonWriter, ToJson};
 
-/// One typed engine/executor event, in emission order.
+/// One typed engine event, in emission order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ObsEvent {
     /// Subtask release (`era_first` marks an era-opening release).
@@ -138,14 +138,6 @@ pub enum ObsEvent {
         from: Slot,
         /// Jump end boundary.
         to: Slot,
-    },
-    /// Executor quantum lost to a previous tick still running past its
-    /// budget.
-    ExecSkip {
-        /// Task that lost the quantum.
-        task: TaskId,
-        /// Slot of the skip.
-        t: Slot,
     },
     /// A quiet span `[from, to)` skipped in closed form — one event
     /// for the whole span instead of O(width) slot starts.
@@ -294,10 +286,6 @@ impl ToJson for ObsEvent {
                 .field("task", task)
                 .field("from", from)
                 .field("to", to),
-            ObsEvent::ExecSkip { task, t } => w
-                .field("kind", "exec_skip")
-                .field("task", task)
-                .field("t", t),
             ObsEvent::QuietSpan { from, to, holes } => w
                 .field("kind", "quiet_span")
                 .field("from", from)
@@ -417,10 +405,6 @@ mod tests {
                 task: TaskId(0),
                 from: 3,
                 to: 8,
-            },
-            ObsEvent::ExecSkip {
-                task: TaskId(2),
-                t: 6,
             },
             ObsEvent::QuietSpan {
                 from: 10,

@@ -11,9 +11,9 @@
 //! * [`event`] — [`ObsEvent`], the typed observation every probe
 //!   reads, and its JSON codecs. A new kind of observation is a new
 //!   variant plus an arm in whichever probe reads it.
-//! * [`probe`] — [`Probe`], a statically dispatched tap the engine and
-//!   executor are generic over: `on_event(ObsEvent)` plus the clock
-//!   tick and the hook that lends a slot's release batch whole. The
+//! * [`probe`] — [`Probe`], a statically dispatched tap the engine is
+//!   generic over: `on_event(ObsEvent)` plus the clock tick and the
+//!   hook that lends a slot's release batch whole. The
 //!   default [`NoopProbe`]
 //!   compiles every hook to nothing (`benchmark/`'s
 //!   `obs.metrics_probe_ratio` and `obs.trace_probe_ratio` price the

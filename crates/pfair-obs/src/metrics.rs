@@ -521,7 +521,6 @@ impl Probe for MetricsProbe {
             ObsEvent::SpanArmed { t0 } => self.arm_span(t0),
             ObsEvent::BusySpanJump { t0, periods, .. } => self.scale_span(t0, periods),
             ObsEvent::Miss { .. } => self.reg.inc("misses", 1),
-            ObsEvent::ExecSkip { .. } => self.reg.inc("exec.skips", 1),
             _ => {}
         }
     }

@@ -125,9 +125,9 @@ pub struct ReleaseRec {
     pub era_first: bool,
 }
 
-/// Structured-event tap for the engine and executor. Every method has
-/// a default body, so an implementation overrides only what it
-/// observes and the rest compiles away.
+/// Structured-event tap for the engine. Every method has a default
+/// body, so an implementation overrides only what it observes and the
+/// rest compiles away.
 ///
 /// [`Probe::on_event`] carries every observation as an [`ObsEvent`] by
 /// value. The other two hooks are the clock tick and the one call that

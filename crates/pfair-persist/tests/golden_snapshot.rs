@@ -67,12 +67,8 @@ fn drop_v1_keys(value: &mut Json, task: bool) {
     }
 }
 
-/// The fixture's body with `edit` applied to the value at `path`
-/// (keys, and indices of arrays), sealed again.
-fn edited(path: &[&str], edit: impl FnOnce(&mut Json)) -> String {
-    let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
-    let mut body = envelope.get("body").expect("envelope body").clone();
-    let mut node = &mut body;
+/// The value at `path` (keys, and indices of arrays) in `node`.
+fn at<'a>(mut node: &'a mut Json, path: &[&str]) -> &'a mut Json {
     for key in path {
         node = match node {
             Json::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect("key").1,
@@ -80,9 +76,25 @@ fn edited(path: &[&str], edit: impl FnOnce(&mut Json)) -> String {
             _ => panic!("no `{key}` in a scalar"),
         };
     }
-    edit(node);
+    node
+}
+
+/// The body of `fixture` with `edit` applied to the value at `path`,
+/// sealed again.
+fn edited(fixture: &str, path: &[&str], edit: impl FnOnce(&mut Json)) -> String {
+    let envelope = Json::parse(fixture).expect("fixture parses");
+    let mut body = envelope.get("body").expect("envelope body").clone();
+    edit(at(&mut body, path));
     let text = seal(SNAPSHOT_FORMAT, &body).to_json_pretty();
     text
+}
+
+/// The message of the format error decoding `text` gives.
+fn format_error(text: &str) -> String {
+    match snapshot_from_str(text) {
+        Err(PersistError::Format(message)) => message,
+        other => panic!("decoded: {other:?}"),
+    }
 }
 
 fn array<'a>(value: &'a Json, key: &str) -> &'a [Json] {
@@ -142,15 +154,70 @@ fn a_calendar_slot_behind_now_is_a_format_error() {
         ("pending change", &["tasks", "5", "pending", "at"]),
         ("departure", &["tasks", "0", "leaving"]),
     ] {
-        match snapshot_from_str(&edited(path, |v| *v = Json::Int(29))) {
-            Err(PersistError::Format(message)) => assert!(
-                message.contains(what) && message.contains("behind snapshot slot 30"),
-                "{message}"
-            ),
-            other => panic!("{what} at 29 decoded: {other:?}"),
-        }
-        assert!(snapshot_from_str(&edited(path, |v| *v = Json::Int(30))).is_ok());
+        let message = format_error(&edited(SNAPSHOT, path, |v| *v = Json::Int(29)));
+        assert!(
+            message.contains(what) && message.contains("behind snapshot slot 30"),
+            "{message}"
+        );
+        assert!(snapshot_from_str(&edited(SNAPSHOT, path, |v| *v = Json::Int(30))).is_ok());
     }
+}
+
+/// Emptying the `I_SW` image of any present task of the three goldens
+/// is a format error: each such task holds a record `I_SW` still
+/// allocates to. `oi_midrun`'s task 7 left at slot 6: its one record is
+/// halted, and its next release would open an era, so there is nothing
+/// for its image to lack.
+#[test]
+fn an_isw_image_without_the_rows_open_records_is_a_format_error() {
+    for golden in [SNAPSHOT, STATIC_MIDRUN, SETTLED_MIDRUN] {
+        let envelope = Json::parse(golden).expect("fixture parses");
+        let tasks = array(envelope.get("body").expect("envelope body"), "tasks").len();
+        for id in 0..tasks {
+            let path = ["tasks", &id.to_string(), "isw", "subs"];
+            let text = edited(golden, &path, |subs| *subs = Json::Array(Vec::new()));
+            if golden == SNAPSHOT && id == 7 {
+                assert!(snapshot_from_str(&text).is_ok());
+            } else {
+                let message = format_error(&text);
+                assert!(
+                    message.contains("I_SW image lacks open record"),
+                    "{message}"
+                );
+            }
+        }
+    }
+}
+
+/// A record the row and the `I_SW` image both hold agrees on its
+/// completion (and on its release and halt slot), and the image holds
+/// the completed predecessor a `b = 1` successor's release reads.
+#[test]
+fn an_isw_image_that_contradicts_the_row_is_a_format_error() {
+    // `settled_midrun`'s task 0: both hold T_20, completed at 95.
+    let text = edited(
+        SETTLED_MIDRUN,
+        &["tasks", "0", "isw", "subs", "1", "complete_at"],
+        |v| *v = Json::Int(96),
+    );
+    let message = format_error(&text);
+    assert!(
+        message.contains("disagrees with the row on T_20"),
+        "{message}"
+    );
+
+    // `oi_midrun`'s task 0: T_22 (b = 1) is its last record; claim it
+    // complete in the row and drop it from the image, so the release at
+    // 30 would find no predecessor to read.
+    let text = edited(SNAPSHOT, &["tasks", "0"], |task| {
+        *at(task, &["subs", "19", "isw_completion"]) = Json::Int(29);
+        let Json::Array(subs) = at(task, &["isw", "subs"]) else {
+            panic!("the image's records are an array");
+        };
+        subs.pop();
+    });
+    let message = format_error(&text);
+    assert!(message.contains("lacks the predecessor T_22"), "{message}");
 }
 
 #[test]
@@ -210,19 +277,15 @@ fn journal_lines_match_the_golden() {
 /// `compactions` is a format error, not a zero.
 #[test]
 fn a_snapshot_without_compactions_is_a_decode_error() {
-    let text = edited(&["counters"], |counters| {
+    let text = edited(SNAPSHOT, &["counters"], |counters| {
         let Json::Object(fields) = counters else {
             panic!("the counters are an object");
         };
         assert!(fields.iter().any(|(k, _)| k == "compactions"));
         fields.retain(|(k, _)| k != "compactions");
     });
-    match snapshot_from_str(&text) {
-        Err(PersistError::Format(message)) => {
-            assert!(message.contains("compactions"), "{message}");
-        }
-        other => panic!("decoded without `compactions`: {other:?}"),
-    }
+    let message = format_error(&text);
+    assert!(message.contains("compactions"), "{message}");
 }
 
 /// `synthetic_population(64, 1)` (light weights 1/512 … 1/8192, joining

@@ -596,10 +596,9 @@ impl<P: Probe> Engine<P> {
         }
     }
 
-    /// The engine's probe (live drivers emit executor-side events —
-    /// skipped quanta — through this). The probe's span state belongs
-    /// to the run: do not swap the probe out between an
-    /// `ObsEvent::SpanArmed` and its `ObsEvent::BusySpanJump`, which
+    /// The engine's probe, to read what it recorded mid-run. The probe's
+    /// span state belongs to the run: do not swap the probe out between
+    /// an `ObsEvent::SpanArmed` and its `ObsEvent::BusySpanJump`, which
     /// scales what the probe accumulated since that arming.
     pub fn probe_mut(&mut self) -> &mut P {
         &mut self.probe

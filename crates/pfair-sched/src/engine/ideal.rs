@@ -32,12 +32,14 @@
 //! its closed form. A snapshot writes the closed form, so an image does
 //! not show which a row is; decoding builds a static row where the image
 //! is the static closed form ([`TaskState::unbox_static`]) and tracked
-//! rows elsewhere, which settle again at their next release.
+//! rows elsewhere, which settle again at their next release. It refuses
+//! a tracked row whose image contradicts its records
+//! ([`TaskState::check_isw`]).
 
 use super::TaskState;
 use pfair_core::ideal::{Bases, Trackers};
 use pfair_core::rational::{Rational, Units};
-use pfair_core::time::Slot;
+use pfair_core::time::{Slot, NEVER};
 use pfair_core::weight::Weight;
 use pfair_core::window::periodic_release;
 use std::borrow::Cow;
@@ -190,6 +192,35 @@ impl TaskState {
             let (now, bases) = (b.since, Some(Box::new(b)));
             self.ideal = Ideal::Closed { now, bases };
         }
+    }
+
+    /// Refuses an `I_SW` image that contradicts the row's records. The
+    /// two lists need not match: the image may still hold a completed
+    /// record the row has pruned, and the row older records the image
+    /// has retired. But a record both hold agrees on its release, halt
+    /// slot and completion, and the image holds every record `I_SW`
+    /// still allocates to (no completion, not halted) and the
+    /// predecessor the next release reads: the last unhalted record,
+    /// when its `b` is 1, the row opens no era first and `reads_pred`
+    /// (a present task with nothing parked).
+    pub(super) fn check_isw(&self, reads_pred: bool) -> Result<(), String> {
+        let Ideal::Tracked(trackers) = &self.ideal else {
+            return Ok(());
+        };
+        let reads_pred = reads_pred && !self.era_open_pending;
+        let pred = self.subs.iter().rev().find(|s| s.halted_at == NEVER);
+        let pred = pred.filter(|p| p.b && reads_pred).map(|p| p.index);
+        for s in &self.subs {
+            let row = (s.index, s.release, s.isw_completion, s.halted_at);
+            let fault = match trackers.isw.records().find(|r| r.0 == s.index) {
+                Some(image) if image != row => "disagrees with the row on",
+                None if s.isw_completion == NEVER && s.halted_at == NEVER => "lacks open record",
+                None if pred == Some(s.index) => "lacks the predecessor",
+                _ => continue,
+            };
+            return Err(format!("I_SW image {fault} T_{}", s.index));
+        }
+        Ok(())
     }
 
     /// A decoded row of a present task with nothing parked, at scheduling

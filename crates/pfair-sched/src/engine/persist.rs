@@ -46,7 +46,8 @@
 //! Decoders re-validate every cross-field invariant they can state
 //! (dense task ids, index-ordered subtask records, cursor bounds, no
 //! calendar slot behind `now`, weights and tracker counts that fit the
-//! 64-bit fields holding them), so a corrupted or hand-edited snapshot
+//! 64-bit fields holding them, `I_SW` images that agree with their
+//! rows' records), so a corrupted or hand-edited snapshot
 //! yields an `Err`, never a panicking or silently-wrong engine. Keys
 //! earlier versions wrote and this one no longer reads (the rings, a
 //! task's `wt`, `config.record_history`, the trackers' history flags)
@@ -424,6 +425,8 @@ impl EngineSnapshot {
                     ));
                 }
             }
+            let reads_pred = task.in_system && task.parked.is_nothing();
+            (task.state.check_isw(reads_pred)).map_err(|e| format!("{} {e}", task.id))?;
         }
         if self.selector.task_slots() != n {
             return Err("selector state table does not match the task count".to_string());

@@ -6,7 +6,8 @@
 //! "speeds up", a steady `renderer`, and a background `logger`. The
 //! reweighting request is submitted from the main thread through a
 //! [`Controller`] while the executor runs, and is enacted by rules O/I
-//! with constant drift.
+//! with constant drift. The report ends with the quanta each stage lost
+//! to a tick that overran its budget.
 //!
 //! ```sh
 //! cargo run --release --example realtime_executor
@@ -68,6 +69,12 @@ fn main() {
 
     let report = exec.shutdown();
     assert!(report.sim.is_miss_free());
+    // A skip is a scheduled quantum lost to a tick still running past
+    // its budget; how many a run loses depends on the machine's load.
+    let skips: Vec<String> = (report.names.iter().zip(&report.skips))
+        .map(|(name, n)| format!("{name} {n}"))
+        .collect();
+    println!("  skipped quanta, both phases: {}", skips.join(", "));
     println!(
         "\nengine view: 1 initiation, {} enactment(s), max per-event drift {} (bound: 2)",
         report.sim.counters.reweight_enactments,
