@@ -235,15 +235,15 @@ allow-paths = [
     "crates/whisper-sim/src/acoustics.rs",
 ]
 
-[lint.raw-arithmetic-quarantine]
+[lint.float-taint]
 paths = ["crates/pfair-core/src"]
 "#,
         )
         .unwrap();
         assert_eq!(cfg.exclude, vec!["target", "stubs"]);
         assert_eq!(cfg.lints["no-float-in-scheduling"].allow_paths.len(), 2);
-        assert!(cfg.lint_applies("raw-arithmetic-quarantine", "crates/pfair-core/src/lag.rs"));
-        assert!(!cfg.lint_applies("raw-arithmetic-quarantine", "crates/pfair-core/tests/t.rs"));
+        assert!(cfg.lint_applies("float-taint", "crates/pfair-core/src/lag.rs"));
+        assert!(!cfg.lint_applies("float-taint", "crates/pfair-core/tests/t.rs"));
         assert!(!cfg.lint_applies(
             "no-float-in-scheduling",
             "crates/whisper-sim/src/geometry.rs"

@@ -5,13 +5,12 @@
 //! Multiprocessors: Efficiency versus Accuracy" rests on invariants
 //! neither the compiler nor clippy can check: lag/drift/weight
 //! arithmetic is *exact* (no floats, not even a suffixed literal),
-//! unchecked wide-integer arithmetic stays quarantined in the two
-//! modules whose overflow behavior is documented policy, and no panic
-//! is reachable from the scheduling entry points. (Casts, panicking
-//! calls and nondeterminism sources are clippy's lints; see the root
-//! `clippy.toml`.)
+//! annotated integer arithmetic stays inside its declared bounds, and
+//! no panic is reachable from the scheduling entry points. (Casts,
+//! panicking calls and nondeterminism sources are clippy's lints; see
+//! the root `clippy.toml`.)
 //!
-//! Two token lints ([`lints`]) check what needs no structure. For the
+//! One token lint ([`lints`]) checks what needs no structure. For the
 //! rest, a hand-rolled recursive-descent parser ([`parser`]) produces
 //! per-file ASTs ([`ast`]), a workspace call graph ([`callgraph`])
 //! links them, and three passes ([`passes`]) prove panic-freedom of the
@@ -291,7 +290,7 @@ pub fn analyze_root(root: &Path, cfg: &Config) -> io::Result<Workspace> {
     Ok(ws)
 }
 
-/// The full v2 pipeline over a parsed workspace: token lints, parse
+/// The full v2 pipeline over a parsed workspace: the token lint, parse
 /// errors, the three AST/call-graph passes, then allow-discharge.
 pub fn audit_workspace(ws: &Workspace, cfg: &Config) -> AuditReport {
     let mut all: Vec<Finding> = Vec::new();

@@ -5,9 +5,6 @@
 //!
 //! - [`NO_FLOAT`]: lag/drift/weight reasoning is exact rational
 //!   arithmetic; a float anywhere near it silently breaks Theorems 3–5.
-//! - [`RAW_ARITH`]: unchecked `+`/`-`/`*` on raw `i64`/`i128` operands
-//!   belongs in `rational.rs`/`time.rs`, where overflow is documented
-//!   policy, and nowhere else.
 //!
 //! Casts, panicking calls and nondeterminism sources are clippy's
 //! (`as_conversions`, `panic`, and the root `clippy.toml`'s
@@ -27,8 +24,6 @@ use crate::lexer::{LexFile, Tok, TokKind};
 
 /// Canonical name of the float lint.
 pub const NO_FLOAT: &str = "no-float-in-scheduling";
-/// Canonical name of the raw-arithmetic lint.
-pub const RAW_ARITH: &str = "raw-arithmetic-quarantine";
 /// Canonical name of the call-graph panic-reachability pass.
 pub const PANIC_REACH: &str = "panic-reach";
 /// Canonical name of the interval/overflow pass.
@@ -47,16 +42,12 @@ pub const CLIPPY_METHODS: &str = "disallowed_methods";
 pub const CLIPPY_PANIC: &str = "panic";
 
 /// All real lints, with one-line descriptions (shown by `list-lints`).
-/// The first two are token lints; the last three are the AST/call-graph
+/// The first is a token lint; the last three are the AST/call-graph
 /// passes.
 pub const CATALOG: &[(&str, &str)] = &[
     (
         NO_FLOAT,
         "f32/f64 are forbidden where exact rational arithmetic is required",
-    ),
-    (
-        RAW_ARITH,
-        "unchecked +,-,* on raw i64/i128 operands outside rational.rs/time.rs",
     ),
     (
         PANIC_REACH,
@@ -76,7 +67,6 @@ pub const CATALOG: &[(&str, &str)] = &[
 pub fn canonical_lint(name: &str) -> Option<&'static str> {
     match name {
         NO_FLOAT | "float" => Some(NO_FLOAT),
-        RAW_ARITH | "raw-arithmetic" => Some(RAW_ARITH),
         PANIC_REACH => Some(PANIC_REACH),
         OVERFLOW_INTERVAL | "overflow" => Some(OVERFLOW_INTERVAL),
         FLOAT_TAINT => Some(FLOAT_TAINT),
@@ -101,7 +91,6 @@ pub struct RawFinding {
 pub fn run_lint(lint: &str, file: &LexFile) -> Vec<RawFinding> {
     match lint {
         NO_FLOAT => no_float(file),
-        RAW_ARITH => raw_arith(file),
         _ => Vec::new(),
     }
 }
@@ -128,67 +117,6 @@ fn no_float(file: &LexFile) -> Vec<RawFinding> {
                 message: "floating point where exact rational arithmetic is required \
                           (use pfair_core::Rational)"
                     .into(),
-            });
-        }
-    }
-    out
-}
-
-/// True when the token can end an operand expression, making a
-/// following `-`/`*` a binary operator rather than a unary one.
-fn ends_operand(t: &Tok) -> bool {
-    matches!(
-        t.kind,
-        TokKind::Ident | TokKind::Int { .. } | TokKind::Float
-    ) || t.text == ")"
-        || t.text == "]"
-}
-
-/// True when token `i` is a raw wide-integer operand: a suffixed
-/// `i64`/`i128` literal, or the `i64`/`i128` of an `as` cast.
-fn wide_raw_operand(file: &LexFile, i: usize) -> bool {
-    match &file.toks[i].kind {
-        TokKind::Int { suffix: Some(s) } => s == "i64" || s == "i128",
-        TokKind::Ident => {
-            (file.toks[i].text == "i64" || file.toks[i].text == "i128")
-                && i > 0
-                && file.toks[i - 1].text == "as"
-        }
-        _ => false,
-    }
-}
-
-fn raw_arith(file: &LexFile) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for (i, t) in live(file) {
-        if t.kind != TokKind::Punct || !matches!(t.text.as_str(), "+" | "-" | "*") {
-            continue;
-        }
-        let binary = i > 0 && ends_operand(&file.toks[i - 1]);
-        if !binary {
-            continue;
-        }
-        let lhs_wide = wide_raw_operand(file, i - 1);
-        // The right operand is wide when it is itself a suffixed
-        // literal, or a simple operand immediately cast (`* t as i128`).
-        let rhs_wide = (file.toks.get(i + 1).is_some() && wide_raw_operand(file, i + 1))
-            || (matches!(
-                file.toks.get(i + 1).map(|t| &t.kind),
-                Some(TokKind::Ident | TokKind::Int { .. })
-            ) && file.toks.get(i + 2).is_some_and(|t| t.text == "as")
-                && file
-                    .toks
-                    .get(i + 3)
-                    .is_some_and(|t| t.text == "i64" || t.text == "i128"));
-        if lhs_wide || rhs_wide {
-            out.push(RawFinding {
-                line: t.line,
-                lint: RAW_ARITH,
-                message: format!(
-                    "unchecked `{}` on a raw i64/i128 operand; quarantine wide \
-                     arithmetic in rational.rs/time.rs or use checked_* methods",
-                    t.text
-                ),
             });
         }
     }
@@ -406,18 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_arith_needs_a_wide_operand() {
-        let src = "let a = x as i128 * y;\nlet b = p + 1i64;\nlet c = p + 1;\nlet d = -x;\nlet e = a * b;\nlet f = num * t as i128;";
-        assert_eq!(lines(RAW_ARITH, src), vec![1, 2, 6]);
-    }
-
-    #[test]
-    fn raw_arith_ignores_deref_and_arrows() {
-        let src = "fn f(x: &i64) -> i64 { *x }\nlet c: fn() -> i128 = f;";
-        assert!(lines(RAW_ARITH, src).is_empty());
-    }
-
-    #[test]
     fn multi_clause_allows_parse_from_one_comment() {
         let f = LexFile::lex(
             "// audit: allow(float, slot fits by construction); allow(panic-reach, clamp bounds the index)\nlet x = v[i] as f64;",
@@ -448,11 +364,11 @@ mod tests {
     #[test]
     fn allows_parse_with_and_without_reason() {
         let f = LexFile::lex(
-            "// audit: allow(raw-arithmetic, the product fits i128 here)\nlet x = 1;\n// audit: allow(float)\n// audit: allow(bogus, hm)",
+            "// audit: allow(overflow, the product fits i128 here)\nlet x = 1;\n// audit: allow(float)\n// audit: allow(bogus, hm)",
         );
         let allows = parse_allows(&f);
         assert_eq!(allows.len(), 3);
-        assert_eq!(allows[0].lint, Ok(RAW_ARITH));
+        assert_eq!(allows[0].lint, Ok(OVERFLOW_INTERVAL));
         assert!(!allows[0].reason.is_empty());
         assert_eq!(allows[1].lint, Ok(NO_FLOAT));
         assert!(allows[1].reason.is_empty());

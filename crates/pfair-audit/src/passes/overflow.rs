@@ -379,8 +379,8 @@ fn eval_expr(e: &Expr, ctx: &mut Ctx<'_>) -> AbsVal {
                     let iv = if v.iv.subset_of(&range) {
                         v.iv
                     } else {
-                        // Lossy: `as` wraps; the token lint owns the
-                        // style question, the value is the full range.
+                        // Lossy: `as` wraps; clippy owns the style
+                        // question, the value is the full range.
                         range
                     };
                     AbsVal {

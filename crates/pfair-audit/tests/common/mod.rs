@@ -1,13 +1,13 @@
 //! Shared fixture-tree configuration for the integration tests.
 
 use pfair_audit::config::Config;
-use pfair_audit::lints::{CATALOG, NO_FLOAT, PANIC_REACH, RAW_ARITH};
+use pfair_audit::lints::{CATALOG, NO_FLOAT, PANIC_REACH};
 
 /// A config mirroring the real audit.toml's shape, scoped to the
 /// fixture tree: `sched/` plays the scheduling crates, `allowed/` the
 /// float-exempt report code, and `passes/` one fixture pair per pass
-/// that the float and raw-arithmetic token lints leave alone, so each
-/// pair exercises exactly one pass.
+/// that the float token lint leaves alone, so each pair exercises
+/// exactly one pass.
 pub fn fixture_config() -> Config {
     let mut cfg = Config::default();
     for (lint, _) in CATALOG {
@@ -16,11 +16,6 @@ pub fn fixture_config() -> Config {
     let float = cfg.lints.get_mut(NO_FLOAT).unwrap();
     float.paths.extend(["sched".into(), "allowed".into()]);
     float.allow_paths.push("allowed".into());
-    cfg.lints
-        .get_mut(RAW_ARITH)
-        .unwrap()
-        .paths
-        .push("sched".into());
     cfg.lints
         .get_mut(PANIC_REACH)
         .unwrap()

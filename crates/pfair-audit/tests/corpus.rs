@@ -4,9 +4,7 @@
 use std::path::Path;
 
 use pfair_audit::audit_root;
-use pfair_audit::lints::{
-    BAD_ANNOTATION, FLOAT_TAINT, NO_FLOAT, OVERFLOW_INTERVAL, PANIC_REACH, RAW_ARITH,
-};
+use pfair_audit::lints::{BAD_ANNOTATION, FLOAT_TAINT, NO_FLOAT, OVERFLOW_INTERVAL, PANIC_REACH};
 
 mod common;
 use common::fixture_config;
@@ -30,30 +28,21 @@ fn corpus_produces_exactly_the_expected_diagnostics() {
         ("passes/panic_reach.rs", 14, PANIC_REACH),
         ("passes/panic_reach.rs", 18, PANIC_REACH),
         ("sched/bad_annotation.rs", 4, BAD_ANNOTATION),
+        ("sched/bad_annotation.rs", 5, BAD_ANNOTATION),
         ("sched/busy_span.rs", 11, NO_FLOAT),
-        ("sched/busy_span.rs", 17, RAW_ARITH),
         ("sched/float_in_kernel.rs", 5, NO_FLOAT),
         ("sched/float_in_kernel.rs", 6, NO_FLOAT),
         ("sched/float_in_kernel.rs", 9, NO_FLOAT),
         ("sched/float_in_kernel.rs", 10, NO_FLOAT),
-        ("sched/interval_advance.rs", 9, RAW_ARITH),
-        ("sched/interval_advance.rs", 10, RAW_ARITH),
         ("sched/journal_replay.rs", 23, NO_FLOAT),
         ("sched/journal_replay.rs", 25, NO_FLOAT),
         ("sched/macro_args.rs", 22, NO_FLOAT),
         ("sched/obs_aggregation.rs", 8, NO_FLOAT),
         ("sched/obs_aggregation.rs", 9, NO_FLOAT),
-        ("sched/packed_priority.rs", 9, RAW_ARITH),
         ("sched/rational_small.rs", 11, NO_FLOAT),
-        ("sched/rational_small.rs", 16, RAW_ARITH),
         ("sched/rational_small.rs", 29, OVERFLOW_INTERVAL),
-        ("sched/raw_arithmetic.rs", 6, RAW_ARITH),
-        ("sched/raw_arithmetic.rs", 11, RAW_ARITH),
-        ("sched/raw_arithmetic.rs", 18, BAD_ANNOTATION),
         ("sched/span_digest.rs", 10, NO_FLOAT),
-        ("sched/span_digest.rs", 15, RAW_ARITH),
         ("sched/task_slab.rs", 10, NO_FLOAT),
-        ("sched/task_slab.rs", 15, RAW_ARITH),
     ]
     .into_iter()
     .map(|(p, l, lint)| (p.to_string(), l, lint.to_string()))

@@ -3,10 +3,10 @@
 // before the horizon, raw arithmetic for the batched lag delta, lossy
 // casts back into the slot domain, and a panic instead of a mismatch
 // verdict when the probe index is out of range.
-// Expected: no-float-in-scheduling at line 11;
-//           raw-arithmetic-quarantine at line 17. (The casts at lines
+// Expected: no-float-in-scheduling at line 11. (The casts at lines
 //           11, 12 and 17 and the unwrap at line 22 are clippy's:
-//           `as_conversions`, `disallowed_methods`.)
+//           `as_conversions`, `disallowed_methods`; the product at
+//           line 17 is no lint's.)
 pub fn whole_periods(horizon: i64, t0: i64, period: i64) -> i64 {
     let est = (horizon - t0) as f64 / period as f64;
     est as i64

@@ -2,9 +2,9 @@
 // without the sanctioned helpers — raw wide arithmetic for the
 // completion count, a lossy slot cast, and a panic instead of a
 // documented invariant.
-// Expected: raw-arithmetic-quarantine at lines 9 and 10 (the
-//           casts at lines 9 and 11 and the unwrap at line 16 are
-//           clippy's).
+// Expected: no audit finding (the casts at lines 9 and 11 and the
+//           unwrap at line 16 are clippy's; the arithmetic at lines
+//           9 and 10 is no lint's).
 pub fn completion_slots(rem_num: i128, swt_den: i64, cum: i128) -> i64 {
     let scaled = rem_num * swt_den as i128;
     let k = scaled / (cum + 1i128);

@@ -2,9 +2,9 @@
 // conversions — the deadline bias is raw suffixed-literal arithmetic
 // flowing through bare `as` width changes, and unpacking panics on
 // out-of-band keys instead of propagating the invariant.
-// Expected: raw-arithmetic-quarantine at line 9 (the casts at
-//           lines 9, 10 and 16 and the unwrap at line 17 are
-//           clippy's).
+// Expected: no audit finding (the casts at lines 9, 10 and 16 and
+//           the unwrap at line 17 are clippy's; the add at line 9 is
+//           no lint's).
 pub fn pack_key(deadline: i64, b: bool, tie: u32) -> u128 {
     let biased = (deadline + 70368744177664i64) as u128;
     let low = (tie as u128) | (u128::from(!b) << 32);

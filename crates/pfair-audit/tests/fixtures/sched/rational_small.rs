@@ -4,9 +4,9 @@
 // raw cross product, a panicking narrowing, and a proof obligation
 // whose contract is one bit too wide for the product it covers.
 // Expected: no-float-in-scheduling at line 11;
-//           raw-arithmetic-quarantine at line 16;
 //           overflow-interval at line 29 (the casts at lines 11 and
-//           16 and the unwrap at line 21 are clippy's).
+//           16 and the unwrap at line 21 are clippy's; the product
+//           at line 16 is no lint's).
 pub fn fits_gate(num: i128) -> bool {
     (num as f64).abs() < 2147483648.0
 }

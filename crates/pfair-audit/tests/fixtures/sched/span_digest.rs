@@ -3,9 +3,9 @@
 // a float estimate of the scaled schedule total, a lossy cast back
 // into the counter domain, raw arithmetic for the per-period release
 // total, and a panicking per-task lookup in the digest.
-// Expected: no-float-in-scheduling at line 10;
-//           raw-arithmetic-quarantine at line 15 (the casts at lines
-//           10 and 15 and the unwrap at line 20 are clippy's).
+// Expected: no-float-in-scheduling at line 10 (the casts at lines
+//           10 and 15 and the unwrap at line 20 are clippy's; the
+//           product at line 15 is no lint's).
 pub fn scaled_schedules(per_period: u64, periods: u64) -> u64 {
     (per_period as f64 * periods as f64) as u64
 }

@@ -3,9 +3,9 @@
 // next-release column, a lossy cast from bitmap word index into the
 // slot domain with raw offset arithmetic, and a panicking cold-row
 // lookup.
-// Expected: no-float-in-scheduling at line 10;
-//           raw-arithmetic-quarantine at line 15 (the casts at lines
-//           10 and 15 and the unwrap at line 20 are clippy's).
+// Expected: no-float-in-scheduling at line 10 (the casts at lines
+//           10 and 15 and the unwrap at line 20 are clippy's; the
+//           offset arithmetic at line 15 is no lint's).
 pub fn mean_release(next_release: &[i64], present: i64) -> i64 {
     (next_release.iter().sum::<i64>() as f64 / present as f64) as i64
 }

@@ -22,12 +22,17 @@
 //! happen.
 //!
 //! `I_CSW` (the clairvoyant variant) equals `I_SW` minus every
-//! allocation made to a subtask that is eventually halted. Halting only
-//! ever strikes the task's most recently released subtask, so by the
-//! time anything downstream needs `A(I_CSW, T, 0, u)` at an era boundary
-//! `u`, all halts affecting the prefix `[0, u)` are known — the tracker
-//! simply maintains the running total of "lost" allocations. The
-//! per-slot breakdown a history run reports is read off the independent
+//! allocation made to a subtask that is halted before `I_SW` completes
+//! it. A rule-O reweight halts the last-released subtask; a leave and
+//! an LJ reweight halt every subtask PD² has not scheduled, and of a
+//! tardy task some of those `I_SW` has already completed. Such a
+//! subtask has nothing left to halt: its quantum stays in `I_CSW`, and
+//! [`IswTracker::halt`] takes back zero (DESIGN.md, "Halting a tardy
+//! subtask"). At an era boundary `u` every subtask of the earlier eras
+//! is complete or halted in `I_SW` (the rules enact no earlier), so no
+//! later halt changes `A(I_CSW, T, 0, u)` — the tracker simply
+//! maintains the running total of "lost" allocations. The per-slot
+//! breakdown a history run reports is read off the independent
 //! [`IswReference`](super::reference::IswReference) instead.
 
 use super::Bases;
@@ -260,8 +265,8 @@ impl pfair_json::FromJson for IswTracker {
 /// Usage protocol (driven by the scheduler engine):
 /// 1. [`IswTracker::set_swt`] whenever a weight change is *enacted*;
 /// 2. [`IswTracker::add_subtask`] at (or before) each subtask release;
-/// 3. [`IswTracker::halt`] when a reweighting rule halts the
-///    last-released subtask;
+/// 3. [`IswTracker::halt`] when a reweighting rule or a leave halts an
+///    unscheduled subtask;
 /// 4. [`IswTracker::sync_to`] / [`IswTracker::advance_to`] across any
 ///    run of slots between two of the calls above, in slot order.
 ///
@@ -552,27 +557,25 @@ impl IswTracker {
     }
 
     /// Halts subtask `T_index` at time `t` (the current slot boundary).
-    /// Returns `A(I_SW, T_index, 0, t)`, everything `I_SW` had granted
-    /// it, which `I_CSW` treats as never allocated.
+    /// Returns what `I_SW` had granted it and still allocates, which
+    /// `I_CSW` treats as never allocated: `A(I_SW, T_index, 0, t)` for
+    /// an incomplete subtask, zero for one `I_SW` has completed — a
+    /// tardy subtask's quantum stays in `I_CSW`. A retained record is
+    /// marked halted either way; one `retire` has dropped is complete.
     ///
     /// # Panics
-    /// Panics if the subtask is unknown, already complete, or already
-    /// halted — the reweighting rules only halt incomplete, unscheduled
-    /// subtasks.
+    /// Panics if the subtask is already halted — the engine halts a
+    /// subtask at most once.
     pub fn halt(&mut self, index: u64, t: Slot) -> Rational {
         let unit = self.unit();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "predecessor is recorded at release and retained until its successor retires"
-        )]
-        let sub = self
-            .subs
-            .iter_mut()
-            .find(|s| s.index == index)
-            .expect("halting unknown subtask");
-        assert!(!sub.is_complete(), "halting a complete subtask"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
+        let Some(sub) = self.subs.iter_mut().find(|s| s.index == index) else {
+            return Rational::ZERO;
+        };
         assert!(sub.halted_at == NEVER, "halting a halted subtask"); // audit: allow(panic-reach, Fig. 5 bookkeeping invariant of the ideal tracker, a violation is a tracker bug)
         sub.halted_at = t;
+        if sub.is_complete() {
+            return Rational::ZERO;
+        }
         let lost = sub.alloc.over(unit);
         self.halted_loss += lost;
         lost
@@ -937,6 +940,28 @@ mod tests {
         tr.set_swt(rat(2, 5));
         let (slot8, _) = tr.advance_to(9);
         assert_eq!(slot8, Rational::ZERO);
+    }
+
+    /// A leave halts a tardy task's unscheduled subtasks, some of which
+    /// `I_SW` completed long ago: those take nothing back, whether the
+    /// tracker retains their record or has retired it.
+    #[test]
+    fn halting_a_completed_subtask_takes_nothing_back() {
+        let w = Weight::new(rat(1, 2));
+        let mut tr = IswTracker::new(w.value(), 0);
+        for i in 1..=4 {
+            let win = periodic_window(w, i, 0);
+            tr.add_subtask(i, win.release, i == 1, i > 1 && b_bit(w, i - 1));
+        }
+        tr.advance_to(7);
+        assert_eq!(tr.completion_of(2), None, "retired");
+        assert_eq!(tr.completion_of(3), Some(6));
+        assert_eq!(tr.halt(2, 7), Rational::ZERO);
+        assert_eq!(tr.halt(3, 7), Rational::ZERO);
+        assert_eq!(tr.halt(4, 7), rat(1, 2));
+        assert_eq!(tr.icsw_total(), Rational::from_int(3));
+        let halted: Vec<_> = tr.records().map(|r| (r.0, r.3)).collect();
+        assert_eq!(halted, [(3, 7), (4, 7)]);
     }
 
     /// Completed subtasks total exactly one quantum each: after a long

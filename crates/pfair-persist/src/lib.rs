@@ -1,35 +1,28 @@
 //! # pfair-persist
 //!
 //! Durable simulation state for the PD² engine: versioned, checksummed
-//! **snapshots**, an append-only **event journal**, and a **segmented
-//! runner** that executes a long horizon as resumable chunks.
+//! **snapshots** and a **segmented runner** that executes a long
+//! horizon as resumable chunks.
 //!
 //! ## Envelope format
 //!
-//! Both artifact kinds share one envelope: a JSON object with a
-//! `format` tag, a `version` number, an FNV-1a-64 `checksum` of the
-//! canonical *compact* encoding of the body, and the `body` itself.
-//! [`open`] re-derives the checksum from the parsed body — whitespace
-//! and file-level pretty-printing are outside the integrity boundary,
-//! while any semantic change to the body (a digit, a flag, a dropped
-//! field) is caught. Unknown formats and future versions are refused,
-//! never guessed at.
+//! A snapshot travels in an envelope: a JSON object with a `format`
+//! tag (`pfair-snapshot`), a `version` number, an FNV-1a-64 `checksum`
+//! of the canonical *compact* encoding of the body, and the `body`
+//! itself. [`open`] re-derives the checksum from the parsed body —
+//! whitespace and file-level pretty-printing are outside the integrity
+//! boundary, while any semantic change to the body (a digit, a flag, a
+//! dropped field) is caught. Foreign tags and future versions are
+//! refused, never guessed at.
 //!
-//! The two formats are versioned apart. Snapshots are at version 2,
-//! which stopped writing what `Engine::restore` rebuilds from the task
-//! rows (the calendar rings, a task's actual weight) and the history
-//! flags no snapshot can set; a version-1 snapshot still opens, and its
-//! decoder ignores those keys. Journals are at version 1.
+//! Snapshots are at version 2, which stopped writing what
+//! `Engine::restore` rebuilds from the task rows (the calendar rings, a
+//! task's actual weight) and the history flags no snapshot can set; a
+//! version-1 snapshot still opens, and its decoder ignores those keys.
 //!
-//! ## Journal format
-//!
-//! A journal is JSONL: one header envelope line, then one line per
-//! admitted mutation (join/leave/reweight/delay), each a `{"seq",
-//! "event", "checksum"}` record whose checksum covers the compact
-//! `{"seq", "event"}` prefix. Sequence numbers are dense from 0, so
-//! truncation, reordering, and line-level corruption are all detected
-//! on load. Replay is [`Engine::inject`] in sequence order — exactly
-//! the path online (executor-fed) events take.
+//! A snapshot is the one persistence format. It carries the workload's
+//! whole event stream, the cursor into it and every pending online
+//! injection, so a restored engine needs nothing beside it.
 //!
 //! ## Persistence invariant
 //!
@@ -53,32 +46,19 @@
 
 use pfair_core::time::Slot;
 use pfair_json::{FromJson, Json, JsonError, JsonWriter, ToJson};
-use pfair_obs::{NoopProbe, Probe};
+use pfair_obs::NoopProbe;
 use pfair_sched::engine::{Engine, EngineSnapshot, SimConfig};
-use pfair_sched::event::{Event, Workload};
+use pfair_sched::event::Workload;
 use pfair_sched::trace::SimResult;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Format tag of snapshot envelopes.
 pub const SNAPSHOT_FORMAT: &str = "pfair-snapshot";
-/// Format tag of journal headers.
-pub const JOURNAL_FORMAT: &str = "pfair-journal";
-/// Version of the snapshots this build writes.
+/// Version of the snapshots this build writes; it opens every version
+/// from 1 up to this one.
 pub const SNAPSHOT_VERSION: i128 = 2;
-/// Version of the journals this build writes and reads.
-pub const JOURNAL_VERSION: i128 = 1;
-
-/// The version this build writes of `format`, and the oldest it opens.
-fn versions(format: &str) -> (i128, i128) {
-    if format == SNAPSHOT_FORMAT {
-        (SNAPSHOT_VERSION, 1)
-    } else {
-        (JOURNAL_VERSION, JOURNAL_VERSION)
-    }
-}
 
 /// Failure while persisting or recovering simulation state.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -121,68 +101,59 @@ fn io_err(path: &Path, e: &std::io::Error) -> PersistError {
     }
 }
 
-/// FNV-1a-64 over a byte string: the integrity checksum of every
-/// persisted artifact. Small, dependency-free, and byte-exact across
-/// platforms — this is a corruption detector, not a cryptographic
-/// commitment.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+/// The checksum of a body: FNV-1a-64 of its compact canonical
+/// encoding, as 16 lowercase hex digits. Small, dependency-free, and
+/// byte-exact across platforms — this is a corruption detector, not a
+/// cryptographic commitment.
+fn checksum(compact: &str) -> String {
     const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = OFFSET_BASIS;
-    for &b in bytes {
+    for &b in compact.as_bytes() {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(PRIME);
     }
-    hash
-}
-
-/// The checksum of a body: FNV-1a-64 of its compact canonical
-/// encoding, as 16 lowercase hex digits.
-fn checksum(compact: &str) -> String {
-    format!("{:016x}", fnv1a64(compact.as_bytes()))
+    format!("{hash:016x}")
 }
 
 /// A body in its versioned, checksummed envelope.
-struct Sealed<'a, T: ?Sized> {
-    format: &'a str,
-    body: &'a T,
-}
+struct Sealed<'a, T: ?Sized>(&'a T);
 
 impl<T: ToJson + ?Sized> ToJson for Sealed<'_, T> {
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object()
-            .field("format", self.format)
-            .field("version", &versions(self.format).0)
-            .field("checksum", &checksum(&self.body.to_json_compact()))
-            .field("body", self.body);
+            .field("format", SNAPSHOT_FORMAT)
+            .field("version", &SNAPSHOT_VERSION)
+            .field("checksum", &checksum(&self.0.to_json_compact()))
+            .field("body", self.0);
         w.end_object();
     }
 }
 
-/// Wraps a body in a checksummed envelope stamped with the version this
-/// build writes of `format`, to be rendered in either layout.
-pub fn seal<'a, T: ToJson + ?Sized>(format: &'a str, body: &'a T) -> impl ToJson + 'a {
-    Sealed { format, body }
+/// Wraps a body in a checksummed snapshot envelope stamped with the
+/// version this build writes, to be rendered in either layout.
+pub fn seal<T: ToJson + ?Sized>(body: &T) -> impl ToJson + '_ {
+    Sealed(body)
 }
 
-/// Opens an envelope: checks the format tag, the version (one this
-/// build reads), and the checksum, and returns the body. Every failure
-/// is an `Err`, never a panic — this is the untrusted-input boundary.
-pub fn open(format: &str, envelope: &Json) -> Result<Json, PersistError> {
+/// Opens a snapshot envelope: checks the format tag, the version (one
+/// this build reads), and the checksum, and returns the body. Every
+/// failure is an `Err`, never a panic — this is the untrusted-input
+/// boundary.
+pub fn open(envelope: &Json) -> Result<Json, PersistError> {
     let tag: String = envelope.field("format")?;
-    if tag != format {
+    if tag != SNAPSHOT_FORMAT {
         return Err(PersistError::Format(format!(
-            "expected a `{format}` artifact, found `{tag}`"
+            "expected a `{SNAPSHOT_FORMAT}` artifact, found `{tag}`"
         )));
     }
     let version = envelope
         .get("version")
         .and_then(Json::as_int)
         .ok_or_else(|| PersistError::Format("missing format version".to_string()))?;
-    let (newest, oldest) = versions(format);
-    if !(oldest..=newest).contains(&version) {
+    if !(1..=SNAPSHOT_VERSION).contains(&version) {
         return Err(PersistError::Format(format!(
-            "unsupported {format} version {version} (supported: {oldest} to {newest})"
+            "unsupported {SNAPSHOT_FORMAT} version {version} (supported: 1 to {SNAPSHOT_VERSION})"
         )));
     }
     let stated: String = envelope.field("checksum")?;
@@ -203,7 +174,7 @@ pub fn open(format: &str, envelope: &Json) -> Result<Json, PersistError> {
 /// Serializes a snapshot into its on-disk envelope text (pretty-printed;
 /// the checksum covers the compact body, so formatting is free).
 pub fn snapshot_to_string(snapshot: &EngineSnapshot) -> String {
-    let mut out = seal(SNAPSHOT_FORMAT, snapshot).to_json_pretty();
+    let mut out = seal(snapshot).to_json_pretty();
     out.push('\n');
     out
 }
@@ -211,7 +182,7 @@ pub fn snapshot_to_string(snapshot: &EngineSnapshot) -> String {
 /// Parses and validates a snapshot from envelope text.
 pub fn snapshot_from_str(text: &str) -> Result<EngineSnapshot, PersistError> {
     let envelope = Json::parse(text)?;
-    let body = open(SNAPSHOT_FORMAT, &envelope)?;
+    let body = open(&envelope)?;
     Ok(EngineSnapshot::from_json(&body)?)
 }
 
@@ -224,116 +195,6 @@ pub fn write_snapshot(path: &Path, snapshot: &EngineSnapshot) -> Result<(), Pers
 pub fn read_snapshot(path: &Path) -> Result<EngineSnapshot, PersistError> {
     let text = fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
     snapshot_from_str(&text)
-}
-
-// ---- journal ---------------------------------------------------------
-
-/// An append-only journal of admitted workload mutations.
-///
-/// Create with [`Journal::create`], append [`Event`]s as they are
-/// admitted, and recover them later with [`read_journal`] /
-/// [`replay`]. Each line is individually checksummed and sequence
-/// numbers are dense, so any truncation or corruption surfaces on
-/// load.
-#[derive(Debug)]
-pub struct Journal {
-    path: PathBuf,
-    next_seq: u64,
-}
-
-/// The checksum of a journal entry, over its `{"seq", "event"}` prefix.
-fn entry_checksum(seq: u64, event: &Event) -> String {
-    let mut w = JsonWriter::compact();
-    w.begin_object().field("seq", &seq).field("event", event);
-    w.end_object();
-    checksum(&w.into_string())
-}
-
-impl Journal {
-    /// Creates (truncating) a journal at `path` and writes its header.
-    pub fn create(path: &Path) -> Result<Journal, PersistError> {
-        // The header carries no body: `null`.
-        let mut text = seal(JOURNAL_FORMAT, &()).to_json_compact();
-        text.push('\n');
-        fs::write(path, text).map_err(|e| io_err(path, &e))?;
-        Ok(Journal {
-            path: path.to_path_buf(),
-            next_seq: 0,
-        })
-    }
-
-    /// Appends one admitted event and flushes it to disk.
-    pub fn append(&mut self, event: &Event) -> Result<(), PersistError> {
-        let mut w = JsonWriter::compact();
-        w.begin_object()
-            .field("seq", &self.next_seq)
-            .field("event", event)
-            .field("checksum", &entry_checksum(self.next_seq, event));
-        w.end_object();
-        let mut line = w.into_string();
-        line.push('\n');
-        let mut file = fs::OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| io_err(&self.path, &e))?;
-        file.write_all(line.as_bytes())
-            .map_err(|e| io_err(&self.path, &e))?;
-        self.next_seq += 1;
-        Ok(())
-    }
-}
-
-/// Loads and fully validates a journal: header envelope, per-line
-/// checksums, and dense sequence numbers. Any defect is an `Err`.
-pub fn read_journal(path: &Path) -> Result<Vec<Event>, PersistError> {
-    let text = fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
-    let mut lines = text.lines();
-    let header_line = lines
-        .next()
-        .ok_or_else(|| PersistError::Format("empty journal (missing header)".to_string()))?;
-    let header = Json::parse(header_line)?;
-    let header_body = open(JOURNAL_FORMAT, &header)?;
-    if header_body != Json::Null {
-        return Err(PersistError::Format(
-            "journal header carries an unexpected body".to_string(),
-        ));
-    }
-    let mut events = Vec::new();
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let entry = Json::parse(line)
-            .map_err(|e| PersistError::Format(format!("journal line {}: {}", i + 2, e.message)))?;
-        let seq: u64 = entry.field("seq")?;
-        #[expect(clippy::as_conversions, reason = "entry counts are far below 2^64")]
-        let expected = events.len() as u64;
-        if seq != expected {
-            return Err(PersistError::Format(format!(
-                "journal sequence gap: expected {expected}, found {seq}"
-            )));
-        }
-        let event: Event = entry.field("event")?;
-        let stated: String = entry.field("checksum")?;
-        let actual = entry_checksum(seq, &event);
-        if stated != actual {
-            return Err(PersistError::Format(format!(
-                "journal entry {seq} checksum mismatch: stated {stated}, hashes to {actual}"
-            )));
-        }
-        events.push(event);
-    }
-    Ok(events)
-}
-
-/// Replays journaled events into a (typically restored) engine, in
-/// sequence order, through the same injection path live drivers use.
-/// Past-dated events fire at the engine's next step, exactly as they
-/// would have when first injected.
-pub fn replay<P: Probe>(engine: &mut Engine<P>, events: &[Event]) {
-    for event in events {
-        engine.inject(*event);
-    }
 }
 
 // ---- segmented runs --------------------------------------------------
@@ -377,11 +238,7 @@ pub fn run_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfair_core::rational::rat;
-    use pfair_core::task::TaskId;
-    use pfair_core::weight::Weight;
     use pfair_sched::engine::simulate;
-    use pfair_sched::event::EventKind;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -403,16 +260,17 @@ mod tests {
     #[test]
     fn envelope_round_trips_and_detects_tampering() {
         let body = Json::parse(r#"{"x":7}"#).unwrap();
-        let text = seal(SNAPSHOT_FORMAT, &body).to_json_compact();
+        let text = seal(&body).to_json_compact();
         let sealed = Json::parse(&text).unwrap();
-        assert_eq!(open(SNAPSHOT_FORMAT, &sealed).unwrap(), body);
+        assert_eq!(open(&sealed).unwrap(), body);
         // Wrong format tag.
-        assert!(open(JOURNAL_FORMAT, &sealed).is_err());
+        let foreign = text.replace(SNAPSHOT_FORMAT, "pfair-other");
+        assert!(open(&Json::parse(&foreign).unwrap()).is_err());
         // Tampered body.
         let text = text.replace("\"x\":7", "\"x\":8");
         let reparsed = Json::parse(&text).unwrap();
         assert!(matches!(
-            open(SNAPSHOT_FORMAT, &reparsed),
+            open(&reparsed),
             Err(PersistError::Format(m)) if m.contains("checksum mismatch")
         ));
     }
@@ -435,76 +293,6 @@ mod tests {
         for cut in [1, text.len() / 4, text.len() / 2, text.len() - 2] {
             assert!(snapshot_from_str(&text[..cut]).is_err(), "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn journal_appends_and_replays() {
-        let path = tmp("journal.jsonl");
-        let mut journal = Journal::create(&path).unwrap();
-        let events = [
-            Event {
-                at: 3,
-                task: TaskId(0),
-                kind: EventKind::Reweight(Weight::new(rat(1, 4))),
-            },
-            Event {
-                at: 5,
-                task: TaskId(1),
-                kind: EventKind::Leave,
-            },
-        ];
-        for e in &events {
-            journal.append(e).unwrap();
-        }
-        let loaded = read_journal(&path).unwrap();
-        assert_eq!(loaded, events);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupted_journal_line_is_rejected() {
-        let path = tmp("journal-bad.jsonl");
-        let mut journal = Journal::create(&path).unwrap();
-        journal
-            .append(&Event {
-                at: 3,
-                task: TaskId(0),
-                kind: EventKind::Leave,
-            })
-            .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        // Flip the event's slot without updating the checksum.
-        let bad = text.replace("\"at\":3", "\"at\":4");
-        assert_ne!(text, bad);
-        std::fs::write(&path, bad).unwrap();
-        assert!(matches!(
-            read_journal(&path),
-            Err(PersistError::Format(m)) if m.contains("checksum mismatch")
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn journal_sequence_gap_is_rejected() {
-        let path = tmp("journal-gap.jsonl");
-        let mut journal = Journal::create(&path).unwrap();
-        let e = Event {
-            at: 3,
-            task: TaskId(0),
-            kind: EventKind::Leave,
-        };
-        journal.append(&e).unwrap();
-        journal.append(&e).unwrap();
-        // Drop the first entry line (header stays): seq now starts at 1.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines.remove(1);
-        std::fs::write(&path, lines.join("\n")).unwrap();
-        assert!(matches!(
-            read_journal(&path),
-            Err(PersistError::Format(m)) if m.contains("sequence gap")
-        ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use pfair_json::{Json, ToJson};
 use pfair_obs::NoopProbe;
-use pfair_persist::{seal, snapshot_from_str, snapshot_to_string, PersistError, SNAPSHOT_FORMAT};
+use pfair_persist::{seal, snapshot_from_str, snapshot_to_string, PersistError};
 use pfair_sched::engine::{Engine, SimConfig};
 use pfair_sched::event::Workload;
 use pfair_sched::overhead::Counters;
@@ -28,7 +28,6 @@ use pfair_sched::workloads::synthetic_population;
 
 const SNAPSHOT: &str = include_str!("fixtures/oi_midrun.snapshot.json");
 const RESULT: &str = include_str!("fixtures/oi_midrun.result.json");
-const JOURNAL: &str = include_str!("fixtures/journal.jsonl");
 const STATIC_MIDRUN: &str = include_str!("fixtures/static_midrun.snapshot.json");
 const SETTLED_MIDRUN: &str = include_str!("fixtures/settled_midrun.snapshot.json");
 
@@ -85,7 +84,7 @@ fn edited(fixture: &str, path: &[&str], edit: impl FnOnce(&mut Json)) -> String 
     let envelope = Json::parse(fixture).expect("fixture parses");
     let mut body = envelope.get("body").expect("envelope body").clone();
     edit(at(&mut body, path));
-    let text = seal(SNAPSHOT_FORMAT, &body).to_json_pretty();
+    let text = seal(&body).to_json_pretty();
     text
 }
 
@@ -138,7 +137,7 @@ fn parent_written_snapshot_reencodes_as_version_2() {
     let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
     let mut body = envelope.get("body").expect("envelope body").clone();
     drop_v1_keys(&mut body, false);
-    let mut expected = seal(SNAPSHOT_FORMAT, &body).to_json_pretty();
+    let mut expected = seal(&body).to_json_pretty();
     expected.push('\n');
     assert!(SNAPSHOT.contains("\"version\": 1,") && expected.contains("\"version\": 2,"));
     assert_eq!(snapshot_to_string(&snapshot), expected);
@@ -240,37 +239,6 @@ fn parent_written_snapshot_resumes_to_the_parents_result() {
     let mut rendered = resumed.finish().to_json_pretty();
     rendered.push('\n');
     assert_eq!(rendered, RESULT);
-}
-
-/// A journal's header and entry lines are the older binary's bytes, and
-/// read back to the events that wrote them.
-#[test]
-fn journal_lines_match_the_golden() {
-    use pfair_core::rational::rat;
-    use pfair_core::task::TaskId;
-    use pfair_core::weight::Weight;
-    use pfair_persist::{read_journal, Journal};
-    use pfair_sched::event::{Event, EventKind};
-
-    let events = [
-        (0, EventKind::Join(Weight::new(rat(1, 3)))),
-        (4, EventKind::Reweight(Weight::new(rat(1, 2)))),
-        (7, EventKind::Delay(3)),
-    ]
-    .map(|(at, kind)| Event {
-        at,
-        task: TaskId(0),
-        kind,
-    });
-    let path = std::env::temp_dir().join(format!("pfair-golden-journal-{}", std::process::id()));
-    let mut journal = Journal::create(&path).expect("create the journal");
-    for event in &events {
-        journal.append(event).expect("append");
-    }
-    let written = std::fs::read_to_string(&path).expect("read the journal");
-    assert_eq!(written, JOURNAL);
-    assert_eq!(read_journal(&path).expect("journal reads back"), events);
-    std::fs::remove_file(&path).ok();
 }
 
 /// The counters decode strictly: a sealed body whose counters lack

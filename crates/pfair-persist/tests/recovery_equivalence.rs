@@ -10,19 +10,13 @@
 //! (rules O/I/L/J), IS delays past the calendar-ring window, rule-L
 //! leaves, and admission rejections; every case is checked under both
 //! the tickless driver and the per-slot oracle. A separate suite of
-//! deterministic tests covers segmented execution and journal replay
-//! after a mid-run crash.
+//! deterministic tests covers segmented execution.
 
-use pfair_core::rational::rat;
-use pfair_core::task::TaskId;
-use pfair_core::weight::Weight;
 use pfair_json::{FromJson, Json, ToJson};
-use pfair_obs::{MetricsProbe, NoopProbe, Registry};
-use pfair_persist::{
-    read_journal, replay, run_segments, snapshot_from_str, snapshot_to_string, Journal,
-};
+use pfair_obs::{MetricsProbe, Registry};
+use pfair_persist::{run_segments, snapshot_from_str, snapshot_to_string};
 use pfair_sched::engine::{simulate, simulate_with, Engine, SimConfig};
-use pfair_sched::event::{Event, EventKind, Workload};
+use pfair_sched::event::Workload;
 use pfair_sched::reweight::{HybridPolicy, Scheme};
 use proptest::prelude::*;
 
@@ -145,74 +139,4 @@ fn long_sparse_recovery_is_bit_identical() {
         assert_recovery_matches(&w, cfg.clone(), snap_at);
     }
     assert_recovery_matches(&w, cfg.per_slot(), 2_600);
-}
-
-/// Crash/recover with an event journal: events admitted *after* the
-/// checkpoint are journaled; recovery restores the snapshot, replays
-/// the journal through the online-injection path, and finishes
-/// identically to the run that never crashed.
-#[test]
-fn journal_replay_recovers_post_snapshot_events() {
-    let mut w = Workload::new();
-    for t in 0..4 {
-        w.join(t, 0, 1, 6);
-    }
-    w.reweight(0, 40, 1, 3);
-    let cfg = SimConfig::oi(2, 200);
-
-    let late_events = [
-        Event {
-            at: 120,
-            task: TaskId(1),
-            kind: EventKind::Reweight(Weight::new(rat(1, 4))),
-        },
-        Event {
-            at: 140,
-            task: TaskId(2),
-            kind: EventKind::Delay(9),
-        },
-        Event {
-            at: 150,
-            task: TaskId(3),
-            kind: EventKind::Leave,
-        },
-    ];
-
-    // Reference: the same online events arrive and the process lives.
-    let mut reference_engine = Engine::new(cfg.clone(), &w);
-    for e in &late_events {
-        reference_engine.inject(*e);
-    }
-    reference_engine.run();
-    let reference = reference_engine.finish();
-
-    // Interrupted: checkpoint at slot 100, then the late events arrive
-    // and are journaled; the process dies before simulating them.
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "pfair-recovery-journal-{}.jsonl",
-        std::process::id()
-    ));
-    let mut engine = Engine::new(cfg, &w);
-    let snapshot_text = snapshot_to_string(&engine.snapshot_at(100).expect("snapshot"));
-    let mut journal = Journal::create(&path).expect("journal");
-    for e in &late_events {
-        engine.inject(*e); // the doomed process also saw them
-        journal.append(e).expect("append");
-    }
-    drop(engine);
-    drop(journal);
-
-    // Recovery: snapshot + journal are all that survived.
-    let recovered = snapshot_from_str(&snapshot_text).expect("snapshot recovers");
-    let mut resumed = Engine::restore(recovered, NoopProbe).expect("restore");
-    let replayed = read_journal(&path).expect("journal loads");
-    assert_eq!(replayed.as_slice(), late_events.as_slice());
-    replay(&mut resumed, &replayed);
-    resumed.run();
-    assert_eq!(
-        reference.to_json_pretty(),
-        resumed.finish().to_json_pretty()
-    );
-    std::fs::remove_file(&path).ok();
 }

@@ -4,14 +4,11 @@
 //!
 //! Each case takes the golden snapshot (`fixtures/oi_midrun.snapshot.json`),
 //! sets one denominator to 2⁶³ (one past `i64::MAX`) or to 2⁶⁴ + 1,
-//! re-seals it so the checksum holds, and decodes. The journal case
-//! writes one entry whose event asks for such a weight.
+//! re-seals it so the checksum holds, and decodes.
 
 use pfair_json::{Json, ToJson};
 use pfair_obs::NoopProbe;
-use pfair_persist::{
-    fnv1a64, read_journal, seal, snapshot_from_str, Journal, PersistError, SNAPSHOT_FORMAT,
-};
+use pfair_persist::{seal, snapshot_from_str, PersistError};
 use pfair_sched::engine::Engine;
 
 const SNAPSHOT: &str = include_str!("fixtures/oi_midrun.snapshot.json");
@@ -46,7 +43,7 @@ fn with_den(path: &[Step], den: i128) -> String {
     let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
     let mut body = envelope.get("body").expect("envelope body").clone();
     *node(&mut body, path) = Json::Int(den);
-    let text = seal(SNAPSHOT_FORMAT, &body).to_json_pretty();
+    let text = seal(&body).to_json_pretty();
     text
 }
 
@@ -92,7 +89,7 @@ fn weight_paths() -> Vec<(&'static str, Vec<Step>)> {
 fn the_resealed_fixture_still_decodes() {
     let envelope = Json::parse(SNAPSHOT).expect("fixture parses");
     let body = envelope.get("body").expect("envelope body");
-    let text = seal(SNAPSHOT_FORMAT, body).to_json_pretty();
+    let text = seal(body).to_json_pretty();
     assert!(snapshot_from_str(&text).is_ok());
     // And the edit helper changes what it names: 100 is task 5's join.
     let same = with_den(
@@ -126,33 +123,6 @@ fn a_weight_or_count_beyond_64_bits_is_a_format_error() {
     }
 }
 
-#[test]
-fn a_journal_entry_beyond_64_bits_is_a_format_error() {
-    let dir = std::env::temp_dir().join(format!("pfair-wide-journal-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("journal.jsonl");
-    Journal::create(&path).expect("create");
-    let header = std::fs::read_to_string(&path).expect("read header");
-    for den in WIDE {
-        // A well-formed entry, checksum included, whose event asks for
-        // weight 1/den: only the weight is wrong.
-        let event = format!(
-            r#"{{"at":3,"task":1,"event":{{"kind":"reweight","weight":{{"num":1,"den":{den}}}}}}}"#
-        );
-        let prefix = format!(r#"{{"seq":0,"event":{event}}}"#);
-        let checksum = format!("{:016x}", fnv1a64(prefix.as_bytes()));
-        let line = format!(r#"{{"seq":0,"event":{event},"checksum":"{checksum}"}}"#);
-        std::fs::write(&path, format!("{header}{line}\n")).expect("write journal");
-        match read_journal(&path) {
-            Err(PersistError::Format(message)) => {
-                assert!(message.contains("64 bits"), "denominator {den}: {message}");
-            }
-            other => panic!("denominator {den}: {other:?}"),
-        }
-    }
-    std::fs::remove_dir_all(&dir).expect("remove temp dir");
-}
-
 /// Every commitment fits 64 bits, but the admission ledger is their
 /// exact sum: at `1/p` for the six largest primes below 2³¹ its
 /// denominator needs 186 bits. The snapshot decodes; restoring an
@@ -173,7 +143,7 @@ fn a_ledger_sum_beyond_i128_is_refused_at_restore() {
         *node(&mut body, &[Key("committed"), At(slot), Key("num")]) = Json::Int(1);
         *node(&mut body, &[Key("committed"), At(slot), Key("den")]) = Json::Int(p);
     }
-    let text = seal(SNAPSHOT_FORMAT, &body).to_json_pretty();
+    let text = seal(&body).to_json_pretty();
     let snapshot = snapshot_from_str(&text).expect("every commitment is a 64-bit weight");
     let refused = Engine::restore(snapshot, NoopProbe).err();
     assert!(

@@ -18,6 +18,7 @@ use pfair_obs::{ObsEvent, Probe};
 use pfair_sched::admission::AdmissionPolicy;
 use pfair_sched::engine::{simulate, simulate_with, Engine, SimConfig};
 use pfair_sched::event::Workload;
+use pfair_sched::priority::TieBreak;
 use pfair_sched::trace::Miss;
 use pfair_sched::workloads;
 use proptest::prelude::*;
@@ -179,17 +180,45 @@ fn tardy_heads_under_leave_join() {
     assert_eq!(misses.len(), 105);
 }
 
+/// A leave and a reweight strike tardy tasks: eight tasks of weight
+/// 1/10 share one processor until one of them asks for 1/2, after
+/// which subtasks run past their deadlines, and `I_SW` has completed
+/// some of the unscheduled subtasks task 1's leave halts. A halt of
+/// such a subtask takes nothing back: it ran its quantum in `I_SW`.
+#[test]
+fn a_leave_halts_subtasks_ideal_has_completed() {
+    for (task, at) in [(5, 38), (3, 37)] {
+        let mut w = Workload::new();
+        for i in 0..8u32 {
+            w.join(i, 0, 1, 10);
+        }
+        w.reweight(task, at, 1, 2);
+        w.leave(1, 72);
+        let cfg = SimConfig::oi(1, 120)
+            .with_admission(AdmissionPolicy::Trusting)
+            .with_tie_break(TieBreak::TaskIdDesc);
+        let misses = assert_all_drivers_agree(&cfg, &w);
+        assert!(!misses.is_empty(), "task {task} at {at}: no tardiness");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random overloaded systems (joins at scattered times, IS delays,
-    /// no halting events): every driver reports the definition's list.
+    /// up to three leaves or reweights at any slot, under OI or LJ and
+    /// either id tie break): every driver reports the definition's
+    /// list.
     #[test]
     fn random_overloads_match_the_definition(
         tasks in prop::collection::vec((0i64..24, 1i128..=3, 2i128..=9, 0i64..60, 0u32..5), 3..9),
+        changes in prop::collection::vec((0usize..8, 0i64..120, 0u32..3, 1i128..=3, 2i128..=9), 0..=3),
         processors in 1u32..=2,
+        scheme in 0u32..2,
+        tie_break in 0u32..2,
     ) {
         let mut w = Workload::new();
+        let n = tasks.len();
         for (id, (join_at, num, den, delay_at, delay_by)) in tasks.into_iter().enumerate() {
             let id = u32::try_from(id).expect("few tasks");
             w.join(id, join_at, num.min(den), den);
@@ -197,7 +226,27 @@ proptest! {
                 w.delay(id, delay_at, delay_by);
             }
         }
-        let cfg = SimConfig::oi(processors, 120).with_admission(AdmissionPolicy::Trusting);
+        for (task, at, kind, num, den) in changes {
+            let id = u32::try_from(task % n).expect("few tasks");
+            if kind == 0 {
+                w.leave(id, at);
+            } else {
+                w.reweight(id, at, num.min(den), den);
+            }
+        }
+        let cfg = if scheme == 0 {
+            SimConfig::oi(processors, 120)
+        } else {
+            SimConfig::leave_join(processors, 120)
+        };
+        let tie_break = if tie_break == 0 {
+            TieBreak::TaskIdAsc
+        } else {
+            TieBreak::TaskIdDesc
+        };
+        let cfg = cfg
+            .with_admission(AdmissionPolicy::Trusting)
+            .with_tie_break(tie_break);
         assert_all_drivers_agree(&cfg, &w);
     }
 }
