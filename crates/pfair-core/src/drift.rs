@@ -30,8 +30,8 @@
 //! use pfair_core::rat;
 //!
 //! let mut track = DriftTrack::new();
-//! track.record(0, rat(0, 1), rat(0, 1));   // join: zero drift
-//! track.record(10, rat(3, 2), rat(1, 1));  // Fig. 6(b): drift 1/2 from t = 10
+//! track.record(0, rat(0, 1));              // join: zero drift
+//! track.record(10, rat(3, 2) - rat(1, 1)); // Fig. 6(b): drift 1/2 from t = 10
 //! assert_eq!(track.at(9), rat(0, 1));
 //! assert_eq!(track.at(10), rat(1, 2));
 //! assert_eq!(track.max_abs_delta(), rat(1, 2)); // fine-grained: ≤ 2
@@ -234,12 +234,13 @@ impl DriftTrack {
     }
 
     /// Records the drift established at era boundary `u`:
-    /// `ps_total − icsw_total`, both evaluated over `[0, u)`.
+    /// `A(I_PS, T, 0, u) − A(I_CSW, T, 0, u)`, which the caller takes
+    /// once and may report too.
     ///
     /// # Panics
     /// Panics if samples are recorded out of time order.
     #[inline]
-    pub fn record(&mut self, u: Slot, ps_total: Rational, icsw_total: Rational) {
+    pub fn record(&mut self, u: Slot, drift: Rational) {
         if let Some(last) = self.last_at() {
             // audit: allow(panic-reach, monotone-time invariant of the drift track, a violation is an engine bug)
             assert!(last <= u, "drift samples must be recorded in time order");
@@ -250,10 +251,7 @@ impl DriftTrack {
             // first `push` would reserve.
             self.entries.reserve_exact(1);
         }
-        self.push(DriftSample {
-            at: u,
-            drift: ps_total - icsw_total,
-        });
+        self.push(DriftSample { at: u, drift });
     }
 
     /// Appends `sample`'s entries, narrow if its components fit `i64`.
@@ -385,8 +383,8 @@ mod tests {
     #[test]
     fn fig6b_drift_steps_at_era_boundary() {
         let mut track = DriftTrack::new();
-        track.record(0, Rational::ZERO, Rational::ZERO); // join
-        track.record(10, rat(3, 2), Rational::ONE); // reweight enacted at 10
+        track.record(0, Rational::ZERO); // join
+        track.record(10, rat(3, 2) - Rational::ONE); // reweight enacted at 10
         assert_eq!(track.at(9), Rational::ZERO);
         assert_eq!(track.at(10), rat(1, 2));
         assert_eq!(track.at(100), rat(1, 2));
@@ -401,10 +399,10 @@ mod tests {
     #[test]
     fn fig6d_negative_drift() {
         let mut track = DriftTrack::new();
-        track.record(0, Rational::ZERO, Rational::ZERO); // join
+        track.record(0, Rational::ZERO); // join
         let ps = rat(2, 5) + rat(3, 20).mul_int(3);
         assert_eq!(ps, rat(17, 20));
-        track.record(4, ps, Rational::ONE);
+        track.record(4, ps - Rational::ONE);
         assert_eq!(track.at(3), Rational::ZERO);
         assert_eq!(track.at(4), rat(-3, 20));
         assert_eq!(track.at(100), rat(-3, 20));
@@ -419,8 +417,8 @@ mod tests {
     #[test]
     fn fig8_lj_per_event_delta() {
         let mut track = DriftTrack::new();
-        track.record(0, Rational::ZERO, Rational::ZERO);
-        track.record(10, rat(17, 5), Rational::ONE);
+        track.record(0, Rational::ZERO);
+        track.record(10, rat(17, 5) - Rational::ONE);
         assert_eq!(deltas(&track), vec![Rational::ZERO, rat(24, 10)]);
         assert_eq!(track.max_abs_delta(), rat(24, 10));
         assert!(track.max_abs_delta() > rat(2, 1));
@@ -446,7 +444,7 @@ mod tests {
         let extreme = Rational::new(i128::MIN + 1, i128::MAX - 1);
         let mut track = DriftTrack::new();
         for (at, drift) in [(0, fits), (1, past), (2, extreme), (3, Rational::ONE)] {
-            track.record(at, drift, Rational::ZERO);
+            track.record(at, drift);
         }
         assert_eq!(track.entries.len(), 1 + 3 + 3 + 1);
         let forward: Vec<DriftSample> = track.samples().collect();
@@ -463,7 +461,7 @@ mod tests {
     #[should_panic(expected = "time order")]
     fn out_of_order_samples_panic() {
         let mut track = DriftTrack::new();
-        track.record(10, Rational::ZERO, Rational::ZERO);
-        track.record(5, Rational::ZERO, Rational::ZERO);
+        track.record(10, Rational::ZERO);
+        track.record(5, Rational::ZERO);
     }
 }

@@ -366,59 +366,59 @@ impl IswTracker {
         next_index: u64,
         now: Slot,
     ) -> IswTracker {
-        let (unit, rate) = (Units::new(w.denom()), Units::new(w.numer()));
-        let mut total = bases.isw_total;
-        total.rebase(unit);
-        total.add_units(rate.times(slots_since(bases.since, now)));
         let mut tr = IswTracker {
-            rate,
+            rate: Units::ZERO,
             subs: InlineVec::new(),
-            total,
-            halted_loss: bases.halted_loss,
+            total: Accumulator::new(),
+            halted_loss: Rational::ZERO,
             now,
         };
-        let elapsed = slots_since(anchor, now);
-        let window = |rank: u64| periodic_window(w, rank, anchor);
-        let released = next_index.saturating_sub(era_base).saturating_sub(1);
-        // The last jump, to `now`, covered every record released before.
-        let covered =
-            released - u64::from(released > 0 && periodic_release(w, released, anchor) >= now);
-        // A covered record is complete iff its deadline has passed, so
-        // the incomplete ones are a suffix of the covered ranks: `retire`
-        // keeps them and the last two records.
-        let mut first = covered.saturating_sub(2) + 1;
-        while first > 1 && window(first - 1).deadline > now {
-            first -= 1;
-        }
-        let units = |n: u64| unit.times(slot_from_i128(i128::from(n)));
-        let mut pred_b = first > 1 && b_bit(w, first - 1);
-        let mut win = window(first);
-        for rank in first..=released {
-            if rank > first {
-                // Eqn (4) with no separation: each window opens where the
-                // last one's successor is released.
-                win = window_in_era(w, rank, win.next_release());
-            }
-            let (alloc, complete_at) = if rank > covered {
-                (Units::ZERO, NEVER)
-            } else if win.deadline <= now {
-                // The quantum less all but the final slot's `w`.
-                let before_final = rate.times(slots_since(anchor, win.deadline)) - rate;
-                (units(rank) - before_final, win.deadline)
-            } else {
-                (rate.times(elapsed) - units(rank - 1), NEVER)
-            };
-            tr.subs.push_back(IswSub {
-                index: era_base + rank,
-                release: win.release,
-                pred_gap: u64::from(pred_b),
-                alloc,
-                complete_at,
-                halted_at: NEVER,
-            });
-            pred_b = win.b;
-        }
+        tr.become_closed_form(w, bases, anchor, era_base, next_index, now);
         tr
+    }
+
+    /// Writes [`IswTracker::closed_form`] over this tracker where it
+    /// stands: each field in place, no tracker built and moved.
+    ///
+    /// # Panics
+    /// As [`IswTracker::closed_form`].
+    pub(super) fn become_closed_form(
+        &mut self,
+        w: Weight,
+        bases: &Bases,
+        anchor: Slot,
+        era_base: u64,
+        next_index: u64,
+        now: Slot,
+    ) {
+        let (unit, rate) = (Units::new(w.denom()), Units::new(w.numer()));
+        self.total = bases.isw_total;
+        self.total.rebase(unit);
+        self.total
+            .add_units(rate.times(slots_since(bases.since, now)));
+        self.rate = rate;
+        self.halted_loss = bases.halted_loss;
+        self.now = now;
+        self.subs.drop_front(self.subs.len());
+        for sub in grid_records(w, anchor, era_base, next_index, now) {
+            self.subs.push_back(sub);
+        }
+    }
+
+    /// Whether, synchronized at a release on the grid of
+    /// [`IswTracker::closed_form`], the tracker holds what the closed form
+    /// from its own sums would: weight `w` counted in `w`'s denominator,
+    /// and the grid's records and nothing else. The sums are the
+    /// closed form's by construction, so nothing is reduced and no
+    /// tracker is built: the records are compared as the grid yields
+    /// them.
+    pub(super) fn is_grid(&self, w: Weight, anchor: Slot, era_base: u64, next_index: u64) -> bool {
+        if self.unit() != Units::new(w.denom()) || self.rate != Units::new(w.numer()) {
+            return false;
+        }
+        let mut mine = self.subs.iter();
+        grid_records(w, anchor, era_base, next_index, self.now).all(|r| mine.next() == Some(&r))
+            && mine.next().is_none()
     }
 
     /// `A(I_SW, T, 0, now)` as the era sum it is kept in.
@@ -482,16 +482,27 @@ impl IswTracker {
     /// ([`IswTracker::unit`]), so whatever an earlier era contributed is
     /// shed as soon as no retained record carries it.
     ///
+    /// Every value counts whole in `lcm(unit, den(swt))`, so the tracker
+    /// recounts into that (one multiply a value) and then sheds what the
+    /// new values do not need, as a synchronization does; only when
+    /// that lcm passes `i64` are the values' denominators taken one by
+    /// one.
+    ///
     /// # Panics
     /// Panics if the unit overflows `i64` (the documented `Rational`
     /// overflow contract).
     pub fn set_swt(&mut self, swt: Rational) {
         let old = self.unit();
-        let allocs = self.subs.iter().map(|s| Some(s.alloc.denom_over(old)));
+        let fine = Units::checked_denom(swt).and_then(|den| old.checked_lcm(den));
+        let fine = fine.or_else(|| {
+            let allocs = self.subs.iter().map(|s| Some(s.alloc.denom_over(old)));
+            era_unit(Units::checked_denom(swt), allocs)
+        });
         #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
-        let unit = era_unit(Units::checked_denom(swt), allocs).expect("Rational mul overflow");
+        let unit = fine.expect("Rational mul overflow");
         self.recount(unit);
         self.rate = Units::of(swt, unit);
+        self.shed();
     }
 
     /// Counts the retained allocations and the total in `unit`, a
@@ -690,24 +701,32 @@ impl IswTracker {
         added
     }
 
-    /// Re-derives the unit once `retire` has dropped records: one may
-    /// have held an earlier era's last denominator. Nothing else in a
-    /// jump can lower the unit: an allocation adds a multiple of `swt`
-    /// to what a record held, which leaves the record's lcm with
-    /// `den(swt)` as it was. A unit that is its weight's denominator
-    /// has nothing to shed.
+    /// Re-derives the unit once `retire` has dropped records (one may
+    /// have held an earlier era's last denominator) or `set_swt` has
+    /// refined it. Nothing else in a jump can lower the unit: an
+    /// allocation adds a multiple of `swt` to what a record held, which
+    /// leaves the record's lcm with `den(swt)` as it was.
+    ///
+    /// A value `n/unit` has the reduced denominator `unit / gcd(n,
+    /// unit)`, so the lcm of the rate's and the allocations' is `unit /
+    /// g` with `g` the gcd of the unit and all their counts: the gcds
+    /// stop at the first `g` of 1, which is the rate's own for a unit
+    /// that is its weight's denominator.
     fn shed(&mut self) {
         let (unit, rate) = (self.unit(), self.rate);
-        let den = rate.denom_over(unit);
-        if den == unit {
-            return;
-        }
-        let allocs = self.subs.iter().map(|s| Some(s.alloc.denom_over(unit)));
-        // It divides `unit`, so it fits.
-        let least = era_unit(Some(den), allocs).unwrap_or(unit);
-        if least != unit {
-            self.rate = rate.rescaled(unit, least);
-            self.recount(least);
+        let mut g = rate.gcd(unit);
+        let mut subs = self.subs.iter();
+        while g != Units::new(1) {
+            match subs.next() {
+                Some(s) => g = s.alloc.gcd(g),
+                None => {
+                    // `g` divides `unit` and is at least 1.
+                    let least = Units::new(unit.get() / g.get().max(1));
+                    self.rate = rate.rescaled(unit, least);
+                    self.recount(least);
+                    return;
+                }
+            }
         }
     }
 
@@ -809,6 +828,62 @@ impl IswTracker {
         }
         n > 0
     }
+}
+
+/// The records [`IswTracker::closed_form`] retains, in index order:
+/// those `retire` keeps of `T_{era_base + 1} … T_{next_index − 1}`
+/// released on the periodic windows of weight `w` from `anchor`, as a
+/// tracker synchronized at each release and last at `now` holds them.
+fn grid_records(
+    w: Weight,
+    anchor: Slot,
+    era_base: u64,
+    next_index: u64,
+    now: Slot,
+) -> impl Iterator<Item = IswSub> {
+    let (unit, rate) = (Units::new(w.denom()), Units::new(w.numer()));
+    let elapsed = slots_since(anchor, now);
+    let window = move |rank: u64| periodic_window(w, rank, anchor);
+    let released = next_index.saturating_sub(era_base).saturating_sub(1);
+    // The last jump, to `now`, covered every record released before.
+    let covered =
+        released - u64::from(released > 0 && periodic_release(w, released, anchor) >= now);
+    // A covered record is complete iff its deadline has passed, so
+    // the incomplete ones are a suffix of the covered ranks: `retire`
+    // keeps them and the last two records.
+    let mut first = covered.saturating_sub(2) + 1;
+    while first > 1 && window(first - 1).deadline > now {
+        first -= 1;
+    }
+    let units = move |n: u64| unit.times(slot_from_i128(i128::from(n)));
+    let mut pred_b = first > 1 && b_bit(w, first - 1);
+    let mut win = window(first);
+    (first..=released).map(move |rank| {
+        if rank > first {
+            // Eqn (4) with no separation: each window opens where the
+            // last one's successor is released.
+            win = window_in_era(w, rank, win.next_release());
+        }
+        let (alloc, complete_at) = if rank > covered {
+            (Units::ZERO, NEVER)
+        } else if win.deadline <= now {
+            // The quantum less all but the final slot's `w`.
+            let before_final = rate.times(slots_since(anchor, win.deadline)) - rate;
+            (units(rank) - before_final, win.deadline)
+        } else {
+            (rate.times(elapsed) - units(rank - 1), NEVER)
+        };
+        let sub = IswSub {
+            index: era_base + rank,
+            release: win.release,
+            pred_gap: u64::from(pred_b),
+            alloc,
+            complete_at,
+            halted_at: NEVER,
+        };
+        pred_b = win.b;
+        sub
+    })
 }
 
 /// Final-slot allocation of the predecessor `pred_gap` indices before

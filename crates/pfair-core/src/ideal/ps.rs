@@ -19,12 +19,13 @@ use crate::weight::Weight;
 
 /// Incremental `I_PS` allocation of a single task.
 ///
-/// The running total is an era sum ([`Accumulator`]) counting in
-/// `1/den(wt)`s: [`PsTracker::sync_to`] adds `num(wt)` of them per active
-/// slot, and the gcds of an exact add happen only when the weight's
-/// denominator changes ([`PsTracker::set_wt`]) and where the total is
-/// read. Two trackers are equal when they hold the same values, however
-/// each splits its total.
+/// The running total is an era sum ([`Accumulator`]) counting in a
+/// multiple of `1/den(wt)`: [`PsTracker::sync_to`] adds `wt`'s count of
+/// them per active slot, and the gcds of an exact add happen only when
+/// the weight changes to a denominator the unit is not a multiple of
+/// ([`PsTracker::set_wt`]) and where the total is read. Two trackers
+/// are equal when they hold the same values, however each splits its
+/// total.
 #[derive(Clone, Debug)]
 pub struct PsTracker {
     wt: Weight,
@@ -97,9 +98,29 @@ impl PsTracker {
             now,
             suspensions: ThinVec::new(),
         };
-        ps.total.rebase(Units::new(wt.denom()));
+        ps.recount_for_wt();
         ps.count(slots_since(since, now));
         ps
+    }
+
+    /// Keeps the total's unit if `wt`'s rate is a whole count in it (the
+    /// unit of an earlier, finer weight), and counts in `den(wt)`
+    /// otherwise: a weight change that returns to a coarser denominator
+    /// folds nothing into the era sum's base.
+    #[inline]
+    fn recount_for_wt(&mut self) {
+        let den = self.wt.denom();
+        // `den` is a positive denominator.
+        if self.total.unit().get() % den.max(1) != 0 {
+            self.total.rebase(Units::new(den));
+        }
+    }
+
+    /// Whether this is the closed form at `since` from its own total:
+    /// weight `w`, synchronized at `since`, and no suspension left, not
+    /// even one that ends there.
+    pub(super) fn is_closed_at(&self, w: Weight, since: Slot) -> bool {
+        self.wt == w && self.now == since && self.suspensions.is_empty()
     }
 
     /// `A(I_PS, T, 0, now)` as the era sum it is kept in.
@@ -107,11 +128,19 @@ impl PsTracker {
         self.total
     }
 
-    /// Counts `slots` active slots at `wt` into the total.
+    /// Counts `slots` active slots at `wt` into the total, whose unit is
+    /// a multiple of `den(wt)`.
     #[inline]
     fn count(&mut self, slots: i64) {
-        self.total
-            .add_units(Units::new(self.wt.numer()).times(slots));
+        let (unit, den) = (self.total.unit().get(), self.wt.denom());
+        let rate = Units::new(self.wt.numer());
+        // `den` is a positive denominator.
+        let rate = if unit == den {
+            rate
+        } else {
+            rate.times(unit / den.max(1))
+        };
+        self.total.add_units(rate.times(slots));
     }
 
     /// Starts the next stay of a task that left, at weight `wt` from
@@ -160,7 +189,7 @@ impl PsTracker {
     #[inline]
     pub fn set_wt(&mut self, wt: Rational) {
         self.wt = Weight::new(wt);
-        self.total.rebase(Units::new(self.wt.denom()));
+        self.recount_for_wt();
     }
 
     /// Slots of `[from, t)` that at least one suspension covers. The

@@ -76,25 +76,55 @@ impl Trackers {
         }
     }
 
+    /// Writes [`Trackers::closed`] over this pair where it stands: a
+    /// box a settled pair left is filled again without building a pair
+    /// and moving it in.
+    ///
+    /// # Panics
+    /// As [`IswTracker::closed_form`].
+    pub fn become_closed(
+        &mut self,
+        w: Weight,
+        bases: &Bases,
+        anchor: Slot,
+        era_base: u64,
+        next_index: u64,
+        now: Slot,
+    ) {
+        (self.isw).become_closed_form(w, bases, anchor, era_base, next_index, now);
+        self.ps = PsTracker::closed_form(w, bases.ps_total, bases.since, now);
+    }
+
     /// The pair's own bases if, synchronized at a release on the grid
     /// of [`Trackers::closed`], it is the closed form from them: records
     /// of the era only ([`IswTracker::holds_only_era`], which callers
     /// may test first), `I_PS` at `w` and no suspension, not even one
     /// that ends at this release. The bases are copies of the trackers'
-    /// era sums, so building and comparing them reduces no sum; the
-    /// `I_PS` half, the cheap one, is compared first.
+    /// era sums, so the closed form from them holds these sums: the
+    /// pair is decided by its weights, its suspensions and its records
+    /// alone, against the grid's records as they are computed, and no
+    /// closed form is built.
     pub fn settles(&self, w: Weight, anchor: Slot, era_base: u64, next: u64) -> Option<Bases> {
         let since = self.isw.now();
-        if PsTracker::closed_form(w, self.ps.sum(), since, since) != self.ps {
-            return None;
-        }
-        let bases = Bases {
+        let closed = self.ps.is_closed_at(w, since) && self.isw.is_grid(w, anchor, era_base, next);
+        closed.then(|| Bases {
             since,
             isw_total: self.isw.sum(),
             halted_loss: self.isw.halted_loss(),
             ps_total: self.ps.sum(),
-        };
-        let isw = IswTracker::closed_form(w, &bases, anchor, era_base, next, since);
-        (isw == self.isw).then_some(bases)
+        })
+    }
+
+    /// `drift = A(I_PS) − A(I_CSW)` over `[0, now)` (Eqn (5)), the two
+    /// totals differenced in their common unit: where both trackers
+    /// count in one unit from one base, a single reduction.
+    pub fn drift(&self) -> Rational {
+        let counted = self.ps.sum().minus(&self.isw.sum());
+        let loss = self.isw.halted_loss();
+        if loss.is_zero() {
+            counted
+        } else {
+            counted + loss
+        }
     }
 }

@@ -804,6 +804,26 @@ impl Units {
         Units(unit.0 / gcd_small(self.0, unit.0).max(1))
     }
 
+    /// `gcd(|self|, unit)` for a positive `unit`: the largest divisor of
+    /// `unit` that the count is a whole multiple of (`unit` itself for a
+    /// zero count). Where one divides the other — a rate of one, an
+    /// allocation the unit's divisor goes into — that is a remainder,
+    /// not a gcd.
+    #[inline]
+    pub fn gcd(self, unit: Units) -> Units {
+        // `unit` is positive; `.max(1)` is that in the form the
+        // panic-reach pass reads as nonzero.
+        if self.0 % unit.0.max(1) == 0 {
+            return unit;
+        }
+        let count = self.0.unsigned_abs();
+        if unit.0.unsigned_abs().is_multiple_of(count) {
+            // It divides the positive `unit`, so it fits.
+            return Units(i64::try_from(count).unwrap_or(1));
+        }
+        Units(gcd_small(self.0, unit.0))
+    }
+
     /// The least common multiple of two positive units, `None` if it
     /// overflows `i64`.
     #[inline]
@@ -813,6 +833,9 @@ impl Units {
         // panic-reach pass reads as nonzero.
         if self.0 % other.0.max(1) == 0 {
             return Some(self);
+        }
+        if other.0 % self.0.max(1) == 0 {
+            return Some(other);
         }
         (self.0 / gcd_small(self.0, other.0).max(1))
             .checked_mul(other.0)
@@ -829,7 +852,30 @@ impl Units {
         if self.0 == 0 || from == to {
             return self;
         }
-        Units::of(self.over(from), to)
+        match self.exactly_in(from, to) {
+            Some(count) => count,
+            None => Units::of(self.over(from), to),
+        }
+    }
+
+    /// The same quantity counted in `to` instead of `from`, when one unit
+    /// is a multiple of the other and the count comes out whole: one
+    /// multiply or one division, no gcd. `None` otherwise, or if the
+    /// count overflows `i64`.
+    #[inline]
+    pub fn exactly_in(self, from: Units, to: Units) -> Option<Units> {
+        // Units are positive; `.max(1)` is that in the form the
+        // panic-reach pass reads as nonzero.
+        let (from, to) = (from.0, to.0);
+        if to % from.max(1) == 0 {
+            return self.0.checked_mul(to / from.max(1)).map(Units);
+        }
+        let k = if from % to.max(1) == 0 {
+            from / to.max(1)
+        } else {
+            0
+        };
+        (k > 0 && self.0 % k.max(1) == 0).then(|| Units(self.0 / k.max(1)))
     }
 
     /// `self · n` for a slot count `n`.
@@ -947,9 +993,12 @@ impl Accumulator {
         self.num += n;
     }
 
-    /// Switches to counting in `unit`s, folding what was counted in the
-    /// old unit into the base (no work when the unit does not change or
-    /// nothing was counted).
+    /// Switches to counting in `unit`s. What was counted in the old unit
+    /// is recounted in the new one when that is exact
+    /// ([`Units::exactly_in`]: a unit that refines the old one, or a
+    /// coarser one the count divides into), and folded into the base
+    /// otherwise — the one case that reduces. No work when the unit does
+    /// not change or nothing was counted.
     ///
     /// # Panics
     /// Panics if `unit` is not positive, or on overflow (same contract
@@ -961,10 +1010,50 @@ impl Accumulator {
             return;
         }
         if !self.num.is_zero() {
-            self.base = self.finish();
-            self.num = Units::ZERO;
+            match self.num.exactly_in(self.unit, unit) {
+                Some(count) => self.num = count,
+                None => {
+                    self.base = self.finish();
+                    self.num = Units::ZERO;
+                }
+            }
         }
         self.unit = unit;
+    }
+
+    /// `self − other` in canonical form. Where one unit is the other's
+    /// multiple the counts are differenced in the finer unit, so two
+    /// sums from one base differ by that difference alone: one
+    /// reduction, and a sum of the two differences where the bases
+    /// differ.
+    ///
+    /// # Panics
+    /// On overflow (same contract as `Rational` subtraction).
+    #[inline]
+    pub fn minus(&self, other: &Accumulator) -> Rational {
+        // Both counts in the finer unit, when one refines the other.
+        let (unit, mine, theirs) = if self.unit.0 % other.unit.0.max(1) == 0 {
+            (
+                self.unit,
+                Some(self.num),
+                other.num.exactly_in(other.unit, self.unit),
+            )
+        } else {
+            (
+                other.unit,
+                self.num.exactly_in(self.unit, other.unit),
+                Some(other.num),
+            )
+        };
+        let Some((mine, theirs)) = mine.zip(theirs) else {
+            return self.finish() - other.finish();
+        };
+        let counted = (mine - theirs).over(unit);
+        if self.base == other.base {
+            counted
+        } else {
+            (self.base - other.base) + counted
+        }
     }
 
     /// The sum with `r` added to its base: the count and its unit are
@@ -1471,6 +1560,71 @@ mod small_path_tests {
             let k = Units::new(a).slots_at(Units::new(b));
             prop_assert_eq!(i128::from(k), Rational::new(a.into(), b.into()).ceil());
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Two sums walked through random units and counts: a rebase
+        /// never changes a value (whether it recounts or folds), the
+        /// counted difference is the difference of the values, and a
+        /// unit's gcd with a count is the reduced denominator's
+        /// complement.
+        #[test]
+        fn era_sums_recount_exactly(
+            steps in prop::collection::vec((0usize..12, -50i64..=50, 0u8..2), 1..24),
+        ) {
+            // Divisors of 5 040, so every base stays a multiple of 1/5 040.
+            const UNITS: [i64; 12] = [1, 2, 3, 4, 6, 8, 12, 16, 48, 60, 240, 5040];
+            let (mut a, mut b) = (Accumulator::new(), Accumulator::new());
+            for (unit, n, which) in steps {
+                let unit = Units::new(UNITS[unit]);
+                let acc = if which == 0 { &mut a } else { &mut b };
+                let before = acc.finish();
+                acc.rebase(unit);
+                prop_assert_eq!(acc.finish(), before);
+                prop_assert_eq!(acc.unit(), unit);
+                acc.add_units(Units::new(n));
+                prop_assert_eq!(acc.finish(), before + Units::new(n).over(unit));
+                prop_assert_eq!(a.minus(&b), a.finish() - b.finish());
+                let g = Units::new(n).gcd(unit);
+                prop_assert_eq!(unit.get() / g.get(), Units::new(n).denom_over(unit).get());
+            }
+        }
+    }
+
+    /// A rebase to a multiple of the unit, or to a divisor the count
+    /// goes into, recounts without touching the base; any other folds.
+    #[test]
+    fn rebase_recounts_where_it_can() {
+        let mut acc = Accumulator::new();
+        acc.rebase(Units::new(8));
+        acc.add_units(Units::new(3));
+        acc.rebase(Units::new(16));
+        assert_eq!((acc.base, acc.num), (Rational::ZERO, Units::new(6)));
+        acc.add_units(Units::new(2));
+        acc.rebase(Units::new(4));
+        assert_eq!((acc.base, acc.num), (Rational::ZERO, Units::new(2)));
+        acc.rebase(Units::new(6));
+        assert_eq!((acc.base, acc.num), (rat(1, 2), Units::ZERO));
+        assert_eq!(
+            Units::new(6).exactly_in(Units::new(8), Units::new(4)),
+            Some(Units::new(3))
+        );
+        assert_eq!(Units::new(5).exactly_in(Units::new(8), Units::new(4)), None);
+        assert_eq!(
+            Units::new(5).exactly_in(Units::new(8), Units::new(12)),
+            None
+        );
+        assert_eq!(
+            Units::new(1 << 62).exactly_in(Units::new(1), Units::new(4)),
+            None
+        );
+        let (x, y) = (Accumulator::from(rat(1, 3)), Accumulator::new());
+        assert_eq!(x.minus(&y), rat(1, 3));
+        assert_eq!(Units::new(1).gcd(Units::new(480)), Units::new(1));
+        assert_eq!(Units::new(-6).gcd(Units::new(4)), Units::new(2));
+        assert_eq!(Units::ZERO.gcd(Units::new(7)), Units::new(7));
     }
 
     /// Within 10⁶ of `i128::MAX`, far above the operands above.

@@ -88,6 +88,16 @@ impl Weight {
         }
     }
 
+    /// `1/den` for a positive `den`, built as it stands: a unit fraction
+    /// is in lowest terms, so nothing is reduced. `None` for `den < 1`.
+    #[inline]
+    pub const fn one_over(den: i64) -> Option<Weight> {
+        match NonZeroI64::new(den) {
+            Some(den) if den.get() > 0 => Some(Weight { num: 1, den }),
+            _ => None,
+        }
+    }
+
     /// Constructs a weight, panicking when [`Weight::try_new`] refuses
     /// `value`. Preferred in tests and example code; library paths use
     /// [`Weight::try_new`].
@@ -211,6 +221,18 @@ mod tests {
             Weight::try_new(rat(-1, 2)),
             Err(WeightRangeError(rat(-1, 2)))
         );
+    }
+
+    #[test]
+    fn unit_fractions_need_no_reduction() {
+        assert_eq!(Weight::one_over(512), Some(Weight::new(rat(1, 512))));
+        assert_eq!(Weight::one_over(1), Some(Weight::ONE));
+        assert_eq!(
+            Weight::one_over(i64::MAX).map(Weight::denom),
+            Some(i64::MAX)
+        );
+        assert_eq!(Weight::one_over(0), None);
+        assert_eq!(Weight::one_over(-3), None);
     }
 
     #[test]

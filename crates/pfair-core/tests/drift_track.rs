@@ -107,7 +107,7 @@ fn arb_samples() -> impl Strategy<Value = Vec<DriftSample>> {
 fn track_of(samples: &[DriftSample]) -> DriftTrack {
     let mut track = DriftTrack::new();
     for s in samples {
-        track.record(s.at, s.drift, Rational::ZERO);
+        track.record(s.at, s.drift);
     }
     track
 }

@@ -19,8 +19,15 @@
 //! the engine reports as a refusal, and a lowering write the ledger
 //! cannot represent keeps the old, higher commitment (conservative for
 //! condition (W)).
+//!
+//! While it can, the ledger keeps the sum as a count of `1/unit`s, the
+//! unit a multiple of every committed weight's denominator: a request
+//! then compares and adds integers and reduces nothing (the one
+//! reduction is a clamped grant's share). Where a count would leave
+//! `i64` the sum is the exact rational it always was, and every answer
+//! is the one the exact sum gives either way.
 
-use pfair_core::rational::Rational;
+use pfair_core::rational::{Rational, Units};
 use pfair_core::task::TaskId;
 use pfair_core::weight::Weight;
 
@@ -74,7 +81,82 @@ pub struct Grant {
     /// The share granted: the request itself, or (clamped) the
     /// capacity left over, whose denominator is the ledger's.
     pub share: Rational,
-    total: Rational,
+    total: Ledger,
+}
+
+/// `Σ committed` (module docs): `n` counted in `1/unit`s, or an exact
+/// rational where counts in `i64` cannot hold it.
+#[derive(Clone, Copy, Debug)]
+enum Ledger {
+    Counted { n: Units, unit: Units },
+    Exact(Rational),
+}
+
+impl PartialEq for Ledger {
+    /// By value, whatever unit each counts in.
+    fn eq(&self, other: &Ledger) -> bool {
+        self.value() == other.value()
+    }
+}
+
+impl Eq for Ledger {}
+
+impl Ledger {
+    const ZERO: Ledger = Ledger::Counted {
+        n: Units::ZERO,
+        unit: Units::new(1),
+    };
+
+    /// `r` as a ledger: its own count when its components fit `i64`.
+    fn of(r: Rational) -> Ledger {
+        match (i64::try_from(r.numer()), Units::checked_denom(r)) {
+            (Ok(n), Some(unit)) => Ledger::Counted {
+                n: Units::new(n),
+                unit,
+            },
+            _ => Ledger::Exact(r),
+        }
+    }
+
+    /// The sum in canonical form.
+    fn value(self) -> Rational {
+        match self {
+            Ledger::Counted { n, unit } => n.over(unit),
+            Ledger::Exact(r) => r,
+        }
+    }
+
+    /// The sum and `shares`, all counted in one unit that each is a whole
+    /// count of — the ledger's, refined to the lcm where a share's
+    /// denominator does not divide it; `None` where a count or the unit
+    /// would leave `i64`.
+    fn counts<const N: usize>(self, shares: [Rational; N]) -> Option<(i64, Units, [i64; N])> {
+        let Ledger::Counted { mut n, mut unit } = self else {
+            return None;
+        };
+        for share in shares {
+            let fine = unit.checked_lcm(Units::checked_denom(share)?)?;
+            n = n.exactly_in(unit, fine)?;
+            unit = fine;
+        }
+        let mut counts = [0; N];
+        for (count, share) in counts.iter_mut().zip(shares) {
+            *count = Units::checked_of(share, unit)?.get();
+        }
+        Some((n.get(), unit, counts))
+    }
+
+    /// `self − out + into`, `None` if the ledger cannot represent it.
+    fn swap(self, out: Rational, into: Rational) -> Option<Ledger> {
+        if let Some((n, unit, [out, into])) = self.counts([out, into]) {
+            if let Some(n) = n.checked_sub(out).and_then(|n| n.checked_add(into)) {
+                let n = Units::new(n);
+                return Some(Ledger::Counted { n, unit });
+            }
+        }
+        let total = self.value().checked_sub(out)?.checked_add(into)?;
+        Some(Ledger::of(total))
+    }
 }
 
 /// Tracks per-task weight commitments and enforces (W).
@@ -87,9 +169,9 @@ pub struct AdmissionController {
     /// Running `Σ committed`, maintained at every table write so
     /// admission decisions are O(1) instead of an O(n) fold — at 10⁵–10⁶
     /// tasks the fold dominated every join. Exact by construction: the
-    /// sum is updated with the same exact-rational arithmetic the fold
-    /// would use.
-    total: Rational,
+    /// sum is counted exactly, or updated with the same exact-rational
+    /// arithmetic the fold would use.
+    total: Ledger,
 }
 
 impl AdmissionController {
@@ -100,7 +182,7 @@ impl AdmissionController {
             policy,
             capacity: Rational::from_int(i128::from(processors)),
             committed: vec![None; tasks as usize],
-            total: Rational::ZERO,
+            total: Ledger::ZERO,
         }
     }
 
@@ -118,7 +200,30 @@ impl AdmissionController {
     /// Capacity not yet committed; `None` if the ledger cannot
     /// represent it.
     pub fn available(&self) -> Option<Rational> {
-        self.capacity.checked_sub(self.total)
+        self.capacity.checked_sub(self.total.value())
+    }
+
+    /// What `task`, committed at `cur`, may hold under policing: `want`
+    /// if it fits in the capacity left over with `cur` returned to it,
+    /// and that headroom otherwise; `None` if the ledger cannot
+    /// represent it.
+    fn police(&self, cur: Rational, want: Rational) -> Option<Rational> {
+        if let Some((n, unit, [cur_n, want_n])) = self.total.counts([cur, want]) {
+            let capacity = i64::try_from(self.capacity.numer()).ok();
+            let room = (capacity.and_then(|m| m.checked_mul(unit.get())))
+                .and_then(|m| m.checked_sub(n)?.checked_add(cur_n));
+            if let Some(room) = room {
+                let clamped = room < want_n;
+                return Some(if clamped {
+                    Units::new(room).over(unit)
+                } else {
+                    want
+                });
+            }
+        }
+        let headroom = self.available()?.checked_add(cur)?;
+        let clamped = headroom.checked_cmp(&want)?.is_lt();
+        Some(if clamped { headroom } else { want })
     }
 
     /// Lowers (or clears) one commitment, keeping the running total
@@ -131,8 +236,7 @@ impl AdmissionController {
         if cur == value {
             return;
         }
-        let total = (self.total.checked_sub(Weight::share(cur)))
-            .and_then(|t| t.checked_add(Weight::share(value)));
+        let total = self.total.swap(Weight::share(cur), Weight::share(value));
         if let (Some(total), Some(slot)) = (total, self.committed.get_mut(task.idx())) {
             *slot = value;
             self.total = total;
@@ -181,10 +285,7 @@ impl AdmissionController {
             AdmissionPolicy::Trusting => want_v,
             AdmissionPolicy::Police if decrease => want_v,
             AdmissionPolicy::Police => {
-                let headroom = self.available().and_then(|a| a.checked_add(cur_v));
-                let headroom = headroom.ok_or(LedgerOverflow)?;
-                let clamped = headroom.checked_cmp(&want_v).ok_or(LedgerOverflow)?.is_lt();
-                let share = if clamped { headroom } else { want_v };
+                let share = self.police(cur_v, want_v).ok_or(LedgerOverflow)?;
                 if !share.is_positive() {
                     return Ok(None);
                 }
@@ -195,8 +296,7 @@ impl AdmissionController {
         let total = if decrease {
             self.total
         } else {
-            let rises = (self.total.checked_sub(cur_v)).and_then(|t| t.checked_add(share));
-            rises.ok_or(LedgerOverflow)?
+            self.total.swap(cur_v, share).ok_or(LedgerOverflow)?
         };
         Ok(Some(Grant { share, total }))
     }
@@ -237,7 +337,7 @@ impl AdmissionController {
     pub fn load_parts(&mut self, committed: &[Option<Weight>]) -> bool {
         let total = (committed.iter())
             .try_fold(Rational::ZERO, |acc, &c| acc.checked_add(Weight::share(c)));
-        let Some(total) = total else {
+        let Some(total) = total.map(Ledger::of) else {
             return false;
         };
         committed.clone_into(&mut self.committed);
@@ -375,7 +475,7 @@ mod tests {
                 let committed: Vec<Rational> =
                     ac.committed_parts().iter().map(|&c| Weight::share(c)).collect();
                 prop_assert_eq!(committed, twin.committed.clone());
-                prop_assert_eq!(ac.total, twin.total());
+                prop_assert_eq!(ac.total.value(), twin.total());
                 prop_assert_eq!(ac.available(), Some(twin.capacity - twin.total()));
             }
         }

@@ -25,6 +25,15 @@
 //! reports occupied), so rotation just rebases the window and migrates
 //! newly-in-range overflow entries into buckets.
 //!
+//! A sparse ring — fewer than `SPARE_BUFFERS` entries in its window —
+//! parks the buffer of a bucket a take or a clear empties on a spare
+//! list for the next bucket that opens with none, the ready queue's
+//! idiom, while the list holds fewer than `SPARE_BUFFERS`. So a small
+//! engine, whose few releases spread over the whole window, keeps about
+//! one buffer per bucket occupied at once, not one per bucket its
+//! window has passed over. A dense ring occupies every bucket again
+//! within a lap, so each bucket keeps its buffer in place.
+//!
 //! Entries are *hints*: the engine re-validates each against the slab's
 //! columns when its slot fires, so stale entries (superseded pendings,
 //! moved releases) cost one skipped id, never a wrong action. A stale
@@ -36,6 +45,10 @@
 //! entry, into the buffers the ring already holds.
 
 use crate::occupancy::{Occupancy, BUCKETS, WINDOW_SLOTS};
+
+/// The most emptied buckets' buffers a ring keeps on its spare list,
+/// and the fewest entries that make a ring dense (module docs).
+const SPARE_BUFFERS: usize = 64;
 use pfair_core::task::TaskId;
 use pfair_core::time::{Slot, NEVER};
 
@@ -54,6 +67,9 @@ pub struct CalendarRing {
     overflow_min: Slot,
     /// Live entry count across the buckets.
     in_window: usize,
+    /// Buffers a sparse ring's emptied buckets parked, for the next
+    /// bucket that opens with none; at most [`SPARE_BUFFERS`].
+    spare: Vec<Vec<TaskId>>,
 }
 
 impl CalendarRing {
@@ -66,6 +82,7 @@ impl CalendarRing {
             overflow: Vec::new(),
             overflow_min: NEVER,
             in_window: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -77,7 +94,10 @@ impl CalendarRing {
 
     /// Registers `id` at slot `at`. `at` must not precede the last
     /// consumed slot (the engine only schedules future work).
-    #[inline]
+    // `always`: with the hint alone the spare-buffer branch in `place`
+    // keeps this out of line in `Engine<P>::step_slot` (DESIGN.md "One
+    // quantum"), as it does `take_into`.
+    #[inline(always)]
     pub fn insert(&mut self, at: Slot, id: TaskId) {
         debug_assert!(at >= self.base, "insert at {at} before window base");
         if at >= self.base.saturating_add(WINDOW_SLOTS) {
@@ -88,13 +108,44 @@ impl CalendarRing {
         self.place(at, id);
     }
 
-    /// Files `id` in the bucket of in-window slot `at`.
-    #[inline]
+    /// Files `id` in the bucket of in-window slot `at`; a bucket with no
+    /// buffer (so empty) takes a spare one if there is one.
+    #[inline(always)]
     fn place(&mut self, at: Slot, id: TaskId) {
         let b = Occupancy::bucket_of(at);
+        if self.bucket_mut(b).capacity() == 0 {
+            self.unpark(b);
+        }
         self.bucket_mut(b).push(id);
         self.occupied.set(b);
         self.in_window += 1;
+    }
+
+    /// Gives the empty bucket `b` a spare buffer, if there is one. Out of
+    /// line, as [`CalendarRing::park`], so that `place` and `take_into`
+    /// stay small enough to inline into the slot pipeline.
+    #[inline(never)]
+    fn unpark(&mut self, b: usize) {
+        if let Some(buffer) = self.spare.pop() {
+            *self.bucket_mut(b) = buffer;
+        }
+    }
+
+    /// Whether an emptied bucket's buffer goes to the spare list: the
+    /// ring is sparse and the list not full (module docs).
+    #[inline]
+    fn parks(&self) -> bool {
+        self.in_window < SPARE_BUFFERS && self.spare.len() < SPARE_BUFFERS
+    }
+
+    /// Moves the emptied bucket `b`'s buffer onto the spare list, for a
+    /// ring that [`CalendarRing::parks`].
+    #[inline(never)]
+    fn park(&mut self, b: usize) {
+        let buffer = std::mem::take(self.bucket_mut(b));
+        if buffer.capacity() > 0 {
+            self.spare.push(buffer);
+        }
     }
 
     /// Removes and returns every entry registered at slot `t`.
@@ -107,9 +158,10 @@ impl CalendarRing {
 
     /// [`CalendarRing::take`] into a caller-owned buffer: the entries
     /// registered at slot `t` are appended to `out` in insertion order
-    /// and the bucket keeps its allocation for the next lap of the
-    /// ring, so a consumer that visits every slot allocates nothing.
-    #[inline]
+    /// and the bucket's buffer is parked for the next bucket that opens
+    /// or kept in place, so a consumer that visits every slot allocates
+    /// nothing once the buffers have grown to the slots' sizes.
+    #[inline(always)]
     pub fn take_into(&mut self, t: Slot, out: &mut Vec<TaskId>) {
         if t >= self.base.saturating_add(WINDOW_SLOTS) {
             self.rotate(t);
@@ -124,6 +176,9 @@ impl CalendarRing {
         let taken = bucket.len();
         out.append(bucket);
         self.in_window -= taken;
+        if self.parks() {
+            self.park(b);
+        }
     }
 
     /// The earliest occupied in-window slot `≥ from`.
@@ -155,13 +210,18 @@ impl CalendarRing {
     }
 
     /// Empties the ring and re-anchors its window at `base`, in place:
-    /// every bucket and the overflow list keep their buffers, so a ring
-    /// refilled to a like size allocates nothing. Slot for slot it then
-    /// takes like a fresh ring at `base` given the same inserts.
+    /// every bucket's buffer is parked or kept and the overflow list
+    /// keeps its own, so a ring refilled to a like size allocates
+    /// nothing. Slot for slot it then takes like a fresh ring at `base`
+    /// given the same inserts.
     pub fn clear(&mut self, base: Slot) {
         let mut from = self.base;
         while let Some(slot) = self.next_in_window(from) {
-            self.bucket_mut(Occupancy::bucket_of(slot)).clear();
+            let b = Occupancy::bucket_of(slot);
+            self.bucket_mut(b).clear();
+            if self.parks() {
+                self.park(b);
+            }
             from = slot + 1;
         }
         self.overflow.clear();

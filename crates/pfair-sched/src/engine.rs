@@ -623,7 +623,12 @@ impl<P: Probe> Engine<P> {
         // The event may fire inside a span found unarmable.
         self.busy.forget_refusal();
         self.injected_min = self.injected_min.min(event.at);
-        self.injected.push(event);
+        // The backlog is ordered by firing slot, injection order within
+        // one: after every event that fires no later than this one.
+        let fires = event.at.max(self.now);
+        let now = self.now;
+        let pos = (self.injected).partition_point(|e| e.at.max(now) <= fires);
+        self.injected.insert(pos, event);
     }
 
     /// Number of task slots the engine can address (ids `0..n`,
@@ -721,6 +726,9 @@ impl<P: Probe> Engine<P> {
             }
         }
         self.run_limit = self.config.horizon;
+        if self.now >= self.config.horizon {
+            self.tasks.drop_spares();
+        }
     }
 
     /// The earliest upcoming slot at which anything other than a
@@ -855,29 +863,31 @@ impl<P: Probe> Engine<P> {
     }
 
     /// Applies injected events due at or before `t`, in injection
-    /// order, and drops them from the backlog in the same pass (no
-    /// handler touches the backlog, so it can be taken for the scan).
-    /// The scan only runs on slots that can fire something
-    /// (`injected_min` gates it), so a long-lived backlog of
-    /// future-dated injections costs nothing per slot; a backlog that
-    /// fired completely gives its buffer back — a shard's whole
-    /// population arrives through here at slot 0 and nothing after.
+    /// order, and drops them from the backlog. The backlog is ordered
+    /// by firing slot ([`Engine::inject`]: an event's `at`, or the step
+    /// after its injection if that is later), so the due events are its
+    /// prefix and nothing else is read: a long-lived backlog of
+    /// future-dated injections costs nothing per slot, and one handed
+    /// over a segment at a time costs its due events. The scan only runs
+    /// on slots that can fire something (`injected_min` gates it); a
+    /// backlog that fired completely gives its buffer back — a shard's
+    /// whole population arrives through here at slot 0 and nothing
+    /// after. No handler touches the backlog, so it is taken for the
+    /// pass.
     fn fire_injected(&mut self, t: Slot) {
         if self.injected_min > t {
             return;
         }
         let mut backlog = std::mem::take(&mut self.injected);
-        backlog.retain(|ev| {
-            if ev.at > t {
-                return true;
-            }
-            self.apply_event(*ev, t);
-            false
-        });
+        // A later event fires later: its `at` is its firing slot.
+        let due = backlog.partition_point(|ev| ev.at <= t);
+        for ev in backlog.drain(..due) {
+            self.apply_event(ev, t);
+        }
         if backlog.is_empty() {
             backlog = Vec::new();
         }
-        self.injected_min = backlog.iter().map(|e| e.at).min().unwrap_or(NEVER);
+        self.injected_min = backlog.first().map_or(NEVER, |e| e.at);
         self.injected = backlog;
     }
 
@@ -1430,6 +1440,37 @@ mod tests {
         let hist = r.task(TaskId(0)).history.as_ref().unwrap();
         let last_era = hist.subtasks.iter().rev().find(|s| s.era_first).unwrap();
         assert_eq!(last_era.window.len(), 2);
+    }
+
+    /// Injected events fire in injection order whatever their `at`: two
+    /// overdue reweights handed over out of `at` order both initiate at
+    /// the next step, the later-injected one last, so its target is the
+    /// change left standing; a future-dated one injected between them
+    /// waits for its slot.
+    #[test]
+    fn overdue_injections_fire_in_injection_order() {
+        let mut w = Workload::new();
+        w.join(0, 0, 1, 4);
+        let mut e = Engine::new(oi(1, 60), &w);
+        e.run_to(10);
+        let reweight = |at, den| Event {
+            at,
+            task: TaskId(0),
+            kind: EventKind::Reweight(Weight::new(rat(1, den))),
+        };
+        e.inject(reweight(8, 8));
+        e.inject(reweight(40, 5));
+        e.inject(reweight(5, 6));
+        e.step();
+        let standing = |e: &Engine| {
+            let pending = e.tasks.parked(TaskId(0)).pending;
+            pending.map_or(e.tasks.swt(TaskId(0)), |p| Some(p.target))
+        };
+        assert_eq!(e.counters().reweight_initiations, 2);
+        assert_eq!(standing(&e), Some(Weight::new(rat(1, 6))));
+        e.run_to(41);
+        assert_eq!(e.counters().reweight_initiations, 3);
+        assert_eq!(standing(&e), Some(Weight::new(rat(1, 5))));
     }
 
     /// Long horizon under sustained rule-O halting: stale entries with

@@ -59,6 +59,35 @@ pub(super) enum Ideal {
 
 const _: () = assert!(std::mem::size_of::<Ideal>() == 24);
 
+/// A box a row gave back at a transition ([`Spares`]).
+#[derive(Clone, Debug)]
+struct Spare<T>(Box<T>);
+
+/// Boxes rows gave back at a transition, for the next transition the
+/// other way to fill in place: the trackers' boxes of rows that settled,
+/// the bases' boxes of settled rows that built trackers again. A slot's
+/// settlings and the next slots' changes trade a few dozen at most, so
+/// each list keeps at most [`Spares::MOST`], and the engine lets them go
+/// once its run reaches the horizon
+/// ([`super::slab::TaskSlab::drop_spares`]): what it holds then is the
+/// rows' own. A run driven in segments keeps them from one to the next.
+#[derive(Clone, Debug, Default)]
+pub(super) struct Spares {
+    pairs: Vec<Spare<Trackers>>,
+    bases: Vec<Spare<Bases>>,
+}
+
+impl Spares {
+    const MOST: usize = 64;
+
+    /// Keeps `boxed` in `list` if it is not full.
+    fn keep<T>(list: &mut Vec<Spare<T>>, boxed: Box<T>) {
+        if list.len() < Spares::MOST {
+            list.push(Spare(boxed));
+        }
+    }
+}
+
 impl Clone for Ideal {
     fn clone(&self) -> Self {
         match self {
@@ -170,27 +199,56 @@ impl TaskState {
     }
 
     /// The row's trackers, built from its closed form at scheduling
-    /// weight `w` first if it has none.
-    pub(super) fn trackers(&mut self, w: Weight) -> &mut Trackers {
-        if let Ideal::Closed { .. } = self.ideal {
-            self.ideal = Ideal::Tracked(Box::new(self.ideal_image(w).into_owned()));
+    /// weight `w` first if it has none: written in place into a box a
+    /// settled row gave back, if `spares` holds one, and the row's box
+    /// of bases given back in turn.
+    pub(super) fn trackers(&mut self, w: Weight, spares: &mut Spares) -> &mut Trackers {
+        if let Ideal::Closed { now, bases } = &mut self.ideal {
+            let (now, bases) = (*now, bases.take());
+            let anchor = self.anchor(w);
+            let b = bases.as_deref().copied().unwrap_or(Bases::join(anchor));
+            let (era_base, next) = (self.era_base, self.next_index);
+            let pair = match spares.pairs.pop() {
+                Some(Spare(mut pair)) => {
+                    pair.become_closed(w, &b, anchor, era_base, next, now);
+                    pair
+                }
+                None => Box::new(Trackers::closed(w, &b, anchor, era_base, next, now)),
+            };
+            if let Some(bases) = bases {
+                Spares::keep(&mut spares.bases, bases);
+            }
+            self.ideal = Ideal::Tracked(pair);
         }
         match self.ideal {
             Ideal::Tracked(ref mut trackers) => trackers,
-            Ideal::Closed { .. } => self.trackers(w),
+            Ideal::Closed { .. } => self.trackers(w, spares),
         }
     }
 
     /// Settles a tracked row whose era has (module docs), after a release
-    /// at scheduling weight `w` with nothing parked.
-    pub(super) fn settle(&mut self, w: Weight) {
+    /// at scheduling weight `w` with nothing parked: its bases go into a
+    /// box from `spares` if it holds one, and its trackers' box to them.
+    pub(super) fn settle(&mut self, w: Weight, spares: &mut Spares) {
         let trackers = match &self.ideal {
             Ideal::Tracked(trackers) if trackers.isw.holds_only_era(self.era_base) => trackers,
             _ => return,
         };
-        if let Some(b) = trackers.settles(w, self.anchor(w), self.era_base, self.next_index) {
-            let (now, bases) = (b.since, Some(Box::new(b)));
-            self.ideal = Ideal::Closed { now, bases };
+        let Some(b) = trackers.settles(w, self.anchor(w), self.era_base, self.next_index) else {
+            return;
+        };
+        let bases = match spares.bases.pop() {
+            Some(Spare(mut reused)) => {
+                *reused = b;
+                reused
+            }
+            None => Box::new(b),
+        };
+        let (now, bases) = (b.since, Some(bases));
+        if let Ideal::Tracked(pair) =
+            std::mem::replace(&mut self.ideal, Ideal::Closed { now, bases })
+        {
+            Spares::keep(&mut spares.pairs, pair);
         }
     }
 

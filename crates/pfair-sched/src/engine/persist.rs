@@ -622,6 +622,10 @@ impl<P: Probe> Engine<P> {
         self.events.clone_from(&image.events);
         self.next_event = image.next_event;
         self.injected.clone_from(&image.injected);
+        // In firing order (`Engine::inject`), as a live engine's image
+        // already is.
+        let now = image.now;
+        self.injected.sort_by_key(|e| e.at.max(now));
         self.injected_min = image.injected.iter().map(|e| e.at).min().unwrap_or(NEVER);
         self.last_chosen.clear();
         self.last_chosen.extend(self.tasks.ran_iter());

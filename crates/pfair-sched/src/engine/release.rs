@@ -169,12 +169,11 @@ impl<P: Probe> Engine<P> {
             // and a settled row opens no era: the enactment that opens
             // one builds its trackers first.
             if era_first {
-                let (ps_total, icsw_total) = match &task.ideal {
-                    Ideal::Tracked(trackers) => (trackers.ps.total(), trackers.isw.icsw_total()),
-                    Ideal::Closed { .. } => (Rational::ZERO, Rational::ZERO),
+                let drift = match &task.ideal {
+                    Ideal::Tracked(trackers) => trackers.drift(),
+                    Ideal::Closed { .. } => Rational::ZERO,
                 };
-                let drift = ps_total - icsw_total;
-                task.drift.record(t, ps_total, icsw_total);
+                task.drift.record(t, drift);
                 self.probe
                     .on_event(ObsEvent::DriftSample { task: id, t, drift });
             }
@@ -205,7 +204,7 @@ impl<P: Probe> Engine<P> {
                 missed: false,
             });
             if books_successor {
-                task.settle(weight);
+                self.tasks.settle(id, weight);
             }
 
             let successor = books_successor.then(|| window.next_release());

@@ -65,6 +65,7 @@ use pfair_core::task::TaskId;
 use pfair_core::time::{ever, Slot, NEVER};
 use pfair_core::weight::Weight;
 
+use super::ideal::Spares;
 use super::persist::TaskSnap;
 use super::{Parked, Pending, TaskState};
 use crate::calendar::CalendarRing;
@@ -99,6 +100,9 @@ pub(super) struct TaskSlab {
     /// Slot index over the [`Parked`] column: each task filed at every
     /// pending change's `at` and rule-L departure parked for it.
     pub(super) parked_at: CalendarRing,
+    /// Boxes rows gave back at a transition between closed and tracked,
+    /// which the next transitions fill in place (`engine/ideal.rs`).
+    spares: Spares,
 }
 
 impl TaskSlab {
@@ -114,6 +118,7 @@ impl TaskSlab {
             next_release: Vec::new(),
             release_at: CalendarRing::new(0),
             parked_at: CalendarRing::new(0),
+            spares: Spares::default(),
         };
         slab.ensure(n);
         slab
@@ -187,14 +192,19 @@ impl TaskSlab {
     /// it, as placeholders.
     #[inline]
     pub(super) fn task_mut(&mut self, id: TaskId) -> &mut TaskState {
+        self.task_and_spares(id).0
+    }
+
+    /// [`TaskSlab::task_mut`], beside the spare boxes.
+    #[inline]
+    fn task_and_spares(&mut self, id: TaskId) -> (&mut TaskState, &mut Spares) {
         let i = id.idx();
         if i >= self.cold.len() {
             self.build_to(i);
         }
         #[expect(clippy::disallowed_methods, reason = "admitted ids are in range")]
-        self.cold
-            .get_mut(i)
-            .expect("task id outside admitted range")
+        let row = (self.cold.get_mut(i)).expect("task id outside admitted range");
+        (row, &mut self.spares)
     }
 
     /// The trackers of `id`'s row, built from its closed form at the
@@ -202,7 +212,22 @@ impl TaskSlab {
     /// the closed form does not cover starts (`engine/ideal.rs`).
     pub(super) fn trackers(&mut self, id: TaskId) -> &mut Trackers {
         let w = self.swt(id).unwrap_or(Weight::ONE);
-        self.task_mut(id).trackers(w)
+        let (row, spares) = self.task_and_spares(id);
+        row.trackers(w, spares)
+    }
+
+    /// Settles `id`'s row at scheduling weight `w` if its era has
+    /// (`engine/ideal.rs`), trading its trackers' box for a spare box
+    /// of bases.
+    pub(super) fn settle(&mut self, id: TaskId, w: Weight) {
+        let (row, spares) = self.task_and_spares(id);
+        row.settle(w, spares);
+    }
+
+    /// Lets the spare boxes go: what a run holds once it reaches the
+    /// horizon is the rows' own.
+    pub(super) fn drop_spares(&mut self) {
+        self.spares = Spares::default();
     }
 
     /// Builds the rows of ids `cold.len()..=i` as placeholders (none

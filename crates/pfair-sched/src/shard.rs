@@ -814,8 +814,8 @@ mod tests {
             isw_total: Rational::new(i128::MIN + 1, i128::MAX),
             drift: DriftTrack::new(),
         };
-        wide.drift.record(-5, rat(-7, 1 << 40), Rational::ZERO);
-        wide.drift.record(9, wide.isw_total, Rational::ZERO);
+        wide.drift.record(-5, rat(-7, 1 << 40));
+        wide.drift.record(9, wide.isw_total);
         odd.tasks.push(wide.clone());
         let full = parse_renderings(&odd);
         let metrics = full.field::<String>("metrics").unwrap();

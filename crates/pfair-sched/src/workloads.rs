@@ -20,8 +20,10 @@
 //!   (Theorem 3);
 //! * [`fig9`] — Fig. 9's EPDF counterexample (Theorem 4).
 
-use crate::event::Workload;
+use crate::event::{Event, EventKind, Workload};
+use pfair_core::task::TaskId;
 use pfair_core::time::Slot;
+use pfair_core::weight::Weight;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -123,8 +125,14 @@ pub fn synthetic_population(n: u32, seed: u64) -> Workload {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut w = Workload::with_capacity(usize::try_from(n).unwrap_or_default());
     for i in 0..n {
-        let den = 512i128 << rng.gen_range(0u32..5);
-        w.join(i, 0, 1, den);
+        // `1/den` is in lowest terms: built without a reduction, so the
+        // generator's cost does not hang on `Rational::new` being inlined.
+        let den = 512i64 << rng.gen_range(0u32..5);
+        if let Some(weight) = Weight::one_over(den) {
+            let (at, task) = (0, TaskId(i));
+            let kind = EventKind::Join(weight);
+            w.push(Event { at, task, kind });
+        }
     }
     w
 }

@@ -132,8 +132,9 @@ const BYTES_PER_TASK: isize = 428;
 /// it has settled, the engine's own tables shared out: its row, a drift
 /// block of three samples, its 144-byte box of bases, its per-id table
 /// entries, and its share of the event stream, the queue and the
-/// calendar buckets (809.2 measured).
-const BYTES_PER_SETTLED_TASK: isize = 811;
+/// calendar buckets (805.2 measured; 809.2 before a sparse calendar
+/// ring recycled its buckets' buffers).
+const BYTES_PER_SETTLED_TASK: isize = 807;
 
 /// What a drift track stores per sample whose components fit `i64`
 /// (every sample of these runs): one 24-byte entry.
@@ -152,14 +153,17 @@ fn budget(ids: u32, joined: u32) -> isize {
 /// task: the ready queue, the two calendar rings and their occupied
 /// buckets, the event stream, the slab columns, the scratch buffers,
 /// the metrics registry. Their number does not grow with the task
-/// count; 31 are live at slot 512 of this run.
-const ENGINE_BLOCKS: isize = 64;
+/// count; 36 are live at slot 512 of this run.
+const ENGINE_BLOCKS: isize = 40;
 
-/// The most bucket buffers the two calendar rings can keep between
-/// them: one per slot of their 512-slot windows, however many tasks
-/// file into them. A run whose releases spread over the window (a
-/// reweight storm's era openings do) keeps many of them.
-const RING_BUCKETS: isize = 2 * 512;
+/// Bucket buffers the two calendar rings keep between them beyond the
+/// engine's own, however many tasks file into them: at most one per
+/// slot of their 512-slot windows, and a sparse ring (fewer than 64
+/// entries) one per bucket occupied at once and up to 64 spares. A run
+/// whose releases spread over the window (a reweight storm's era
+/// openings do) keeps many of them: 433 in
+/// [`a_reweighted_task_adds_at_most_one_box`].
+const RING_BUCKETS: isize = 448;
 
 /// One test only: the counters are process-wide, and a second test
 /// running beside this one would be counted too.
@@ -171,6 +175,8 @@ fn footprint() {
     a_settled_task_keeps_its_bases_only();
     re_arming_a_busy_span_allocates_nothing();
     engines_of_one_workload_share_its_stream();
+    a_reweight_event_reuses_the_boxes_of_the_last();
+    a_small_engine_allocates_per_task_not_per_slot();
 }
 
 fn a_task_is_one_row_and_one_heap_block() {
@@ -270,7 +276,7 @@ fn a_reweighted_task_adds_at_most_one_box() {
         blocks <= tasks * (1 + 1) + ENGINE_BLOCKS + RING_BUCKETS,
         "{blocks} live heap blocks for {TASKS} reweighted tasks: more than a drift \
          block and one box, bases or trackers, per task plus the engine's own {ENGINE_BLOCKS} \
-         and the rings' {RING_BUCKETS} buckets (4 682 measured; a static twin 2 030)"
+         and the rings' {RING_BUCKETS} buckets (4 469 measured; a static twin 2 030)"
     );
     let result = engine.finish();
     assert!(result.counters.reweight_enactments >= u64::from(TASKS));
@@ -305,7 +311,7 @@ fn a_settled_task_keeps_its_bases_only() {
     assert!(
         bytes <= tasks * BYTES_PER_SETTLED_TASK,
         "{bytes} live bytes for {TASKS} settled tasks: {} per task, budget \
-         {BYTES_PER_SETTLED_TASK} (809.2 measured; 1 001.2 while a settled row kept \
+         {BYTES_PER_SETTLED_TASK} (805.2 measured; 1 001.2 while a settled row kept \
          its whole trackers pair)",
         bytes / tasks
     );
@@ -322,9 +328,10 @@ fn a_settled_task_keeps_its_bases_only() {
 /// snapshot over the last one's rows, and each loaded image over the
 /// engine's, reuses their boxes and buffers, so the armings and jumps
 /// cost the reweighted system less than one allocation an arming beyond
-/// what they cost its twin (41 allocations over 62 armings measured,
-/// the twin's 40; a fresh box per row at each arming and each load
-/// would be sixteen an arming).
+/// what they cost its twin (no allocation over 62 armings measured, nor
+/// the twin's, the calendar buckets' buffers recycled; 41 and 40 while
+/// each bucket kept its own; a fresh box per row at each arming and
+/// each load would be sixteen an arming).
 fn re_arming_a_busy_span_allocates_nothing() {
     let (mut reweighted, mut twin) = (Workload::new(), Workload::new());
     for task in 0..8 {
@@ -390,4 +397,74 @@ fn engines_of_one_workload_share_its_stream() {
         "two engines added {grown} live bytes to a stream of {stream}: one holds a copy"
     );
     drop(engines);
+}
+
+/// Tasks of [`a_reweight_event_reuses_the_boxes_of_the_last`], each
+/// toggling between two weights every [`TOGGLE_PERIOD`] slots.
+const TOGGLING_TASKS: u32 = 256;
+const TOGGLE_PERIOD: i64 = 512;
+const TOGGLE_HORIZON: i64 = 8192;
+
+/// Each task toggles `1/64 ↔ 1/32` every 512 slots, phases spread over
+/// the period, so every change settles (three releases of its era, at
+/// most 192 slots) before the next and a few dozen rows are tracked at
+/// any one time. A change builds the row's trackers and its settling
+/// gives them back: a change fills a trackers' box a settling gave
+/// back, and gives back its box of bases for a settling to fill. So
+/// once the first changes have boxed what the churn needs, a reweight
+/// event allocates little beyond its drift track's growth and the
+/// calendar buckets' buffers the spread releases grow.
+fn a_reweight_event_reuses_the_boxes_of_the_last() {
+    let mut workload = Workload::new();
+    for task in 0..TOGGLING_TASKS {
+        workload.join(task, 0, 1, 64);
+        let mut at = 1 + i64::from(task) * TOGGLE_PERIOD / i64::from(TOGGLING_TASKS);
+        let mut up = true;
+        while at < TOGGLE_HORIZON {
+            workload.reweight(task, at, 1, if up { 32 } else { 64 });
+            (at, up) = (at + TOGGLE_PERIOD, !up);
+        }
+    }
+    let config = SimConfig::oi(8, TOGGLE_HORIZON).without_busy_span();
+    let mut engine = Engine::with_probe(config, &workload, MetricsProbe::new());
+    let allocations_before = ALLOCATIONS.load(Relaxed);
+    engine.run_to(TOGGLE_HORIZON);
+    let allocations = u64::try_from(ALLOCATIONS.load(Relaxed) - allocations_before).unwrap();
+    let events = engine.counters().reweight_initiations;
+    let result = engine.finish();
+    assert!(result.is_miss_free());
+    assert!(
+        events >= 15 * u64::from(TOGGLING_TASKS),
+        "{events} initiations"
+    );
+    assert!(
+        allocations * 100 <= events * 85,
+        "{allocations} allocations over {events} reweight events, more than 0.85 an event: \
+         a change or a settling boxes afresh again (3 331 measured, 0.81 an event; 11 612 \
+         while each change boxed its trackers and each settling its bases)"
+    );
+}
+
+/// A Whisper-sized engine — twelve static tasks of weights `q/2520` on
+/// four processors — over its 1 000 slots: its releases spread over
+/// every bucket of the calendar rings' windows, and an emptied bucket
+/// parks its buffer for the next to open, so building and running the
+/// engine allocates per task and per bucket open at once, not per
+/// bucket it passes over.
+fn a_small_engine_allocates_per_task_not_per_slot() {
+    let mut workload = Workload::new();
+    for task in 0..12 {
+        workload.join(task, 0, 25 + 70 * i128::from(task), 2520);
+    }
+    let config = SimConfig::oi(4, 1_000).without_busy_span();
+    let allocations_before = ALLOCATIONS.load(Relaxed);
+    let mut engine = Engine::new(config, &workload);
+    engine.run_to(1_000);
+    let allocations = ALLOCATIONS.load(Relaxed) - allocations_before;
+    assert!(engine.finish().is_miss_free());
+    assert!(
+        allocations <= 12 * 8,
+        "{allocations} allocations to build and run a 12-task engine over 1 000 slots: \
+         more than 8 a task (77 measured; 590 while each calendar bucket grew a buffer)"
+    );
 }
