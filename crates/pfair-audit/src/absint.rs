@@ -117,10 +117,6 @@ pub const TOP: Interval = Interval {
     hi: Bound::PosInf,
 };
 
-#[expect(
-    clippy::should_implement_trait,
-    reason = "the transfer functions mirror the operator names they abstract (`add` models `+`); they are not the std ops traits"
-)]
 impl Interval {
     /// The single point `v`.
     pub fn exact(v: i128) -> Interval {

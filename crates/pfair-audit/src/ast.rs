@@ -5,11 +5,10 @@
 //! consume — item nesting, function signatures, struct field types,
 //! and expressions with resolved operator precedence — and collapses
 //! what they do not (patterns beyond simple binders, lifetimes,
-//! generic bounds, attribute bodies). Every node carries the 1-based
+//! generic arguments, attribute bodies, macro arguments, and the items
+//! no pass reads). Every node carries the 1-based
 //! source line of its first token so findings and `audit: allow`
 //! annotations line up with the original file.
-
-use crate::lexer::Tok;
 
 /// One parsed source file.
 #[derive(Debug, Default)]
@@ -39,15 +38,11 @@ pub enum ItemKind {
     Impl {
         /// Head of the self type (`Engine` in `impl<P> Engine<P>`).
         type_name: String,
-        /// Head of the implemented trait, when this is a trait impl.
-        trait_name: Option<String>,
-        /// Associated items (functions, consts, types).
+        /// Associated items (functions, consts).
         items: Vec<Item>,
     },
     /// `mod name;` or `mod name { .. }`.
     Mod {
-        /// Module name.
-        name: String,
         /// Inline body, `None` for out-of-line modules.
         items: Option<Vec<Item>>,
     },
@@ -58,23 +53,12 @@ pub enum ItemKind {
         /// Named fields with their types (empty for tuple/unit forms).
         fields: Vec<(String, TypeRef)>,
     },
-    /// `enum Name { .. }`.
-    Enum {
-        /// Type name.
-        name: String,
-    },
     /// `trait Name { .. }` with its associated items.
     Trait {
         /// Trait name.
         name: String,
         /// Associated items; default methods carry bodies.
         items: Vec<Item>,
-    },
-    /// A `use` declaration; each leaf path is recorded separately
-    /// (`use a::{b, c::d}` yields `[a,b]` and `[a,c,d]`).
-    Use {
-        /// Flattened leaf paths.
-        paths: Vec<Vec<String>>,
     },
     /// `const NAME: Ty = expr;` or `static NAME: Ty = expr;`.
     Const {
@@ -85,28 +69,9 @@ pub enum ItemKind {
         /// Initializer, when parseable.
         value: Option<Expr>,
     },
-    /// `type Name = Ty;`.
-    TypeAlias {
-        /// Alias name.
-        name: String,
-        /// Aliased type.
-        ty: TypeRef,
-    },
-    /// `macro_rules! name { .. }` — body not analyzed.
-    MacroDef {
-        /// Macro name.
-        name: String,
-    },
-    /// A top-level macro invocation (`proptest! { .. }`); the raw
-    /// token tree is kept for conservative scanning.
-    MacroCall {
-        /// Invoked macro's name (last path segment).
-        name: String,
-        /// The delimited token tree, delimiters excluded.
-        toks: Vec<Tok>,
-    },
-    /// `extern crate`, `extern "C" { .. }`, or anything else skipped
-    /// structurally.
+    /// An item no pass reads, skipped structurally: `use`, `enum`,
+    /// `type`, a macro definition or invocation, `extern crate`,
+    /// `extern "C" { .. }`.
     Other,
 }
 
@@ -115,8 +80,6 @@ pub enum ItemKind {
 pub struct FnItem {
     /// Function name.
     pub name: String,
-    /// True when the first parameter is a `self` receiver.
-    pub has_self: bool,
     /// Non-`self` parameters.
     pub params: Vec<Param>,
     /// Declared return type, `None` for `()`.
@@ -136,23 +99,14 @@ pub struct Param {
 }
 
 /// A type reference, reduced to what resolution and the interval
-/// analysis consume: the head path segment and one level of generic
-/// arguments.
+/// analysis consume: the head path segment.
 #[derive(Debug, Clone, Default)]
 pub struct TypeRef {
     /// Last segment of the main path with generics stripped
-    /// (`Vec` in `std::vec::Vec<TaskId>`, `i64` in `&mut i64`).
-    /// Empty when the type is a tuple, fn pointer, or inferred.
+    /// (`Vec` in `std::vec::Vec<TaskId>`, `i64` in `&mut i64`, `[]`
+    /// for a slice or array). Empty when the type is a tuple or
+    /// inferred.
     pub head: String,
-    /// Generic arguments of the final segment, one level deep.
-    pub args: Vec<TypeRef>,
-}
-
-impl TypeRef {
-    /// True when the head names a float type.
-    pub fn is_float(&self) -> bool {
-        self.head == "f32" || self.head == "f64"
-    }
 }
 
 /// Bit width and signedness of a primitive integer type name;
@@ -275,12 +229,6 @@ pub enum ExprKind {
         /// Explicit type suffix.
         suffix: Option<String>,
     },
-    /// Float literal.
-    Float,
-    /// String literal.
-    Str,
-    /// Char or byte literal.
-    Char,
     /// A path: `a::b::c` (turbofish generics dropped). Single-segment
     /// paths are local variables or type names.
     Path(Vec<String>),
@@ -348,12 +296,11 @@ pub enum ExprKind {
     },
     /// `expr?`.
     Try(Box<Expr>),
-    /// `name!(..)` / `name![..]` / `name!{..}` with its raw tokens.
+    /// `name!(..)` / `name![..]` / `name!{..}`; its arguments are
+    /// skipped.
     Macro {
         /// Macro name (last path segment).
         name: String,
-        /// Token tree, delimiters excluded.
-        toks: Vec<Tok>,
     },
     /// `Path { field: expr, .. }`.
     StructLit {
@@ -414,8 +361,6 @@ pub enum ExprKind {
     },
     /// `|params| body` / `move |params| body`.
     Closure {
-        /// Parameter binder names (when simple).
-        params: Vec<Option<String>>,
         /// Closure body.
         body: Box<Expr>,
     },
@@ -423,8 +368,6 @@ pub enum ExprKind {
     Return(Option<Box<Expr>>),
     /// `break expr?`.
     Break(Option<Box<Expr>>),
-    /// `continue`.
-    Continue,
     /// `lo..hi`, `lo..=hi`, with either side optional.
     Range {
         /// Lower bound.
@@ -432,8 +375,9 @@ pub enum ExprKind {
         /// Upper bound.
         hi: Option<Box<Expr>>,
     },
-    /// A sub-tree the parser could not shape; analysis treats it as
-    /// opaque. Kept instead of failing the file so one exotic
+    /// An expression no pass looks into: a literal other than an
+    /// integer, `continue`, or a sub-tree the parser could not shape.
+    /// The last is kept instead of failing the file, so one exotic
     /// expression does not hide a whole function from the passes.
     Unknown,
 }
@@ -622,14 +566,10 @@ pub fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
             }
         }
         ExprKind::Int { .. }
-        | ExprKind::Float
-        | ExprKind::Str
-        | ExprKind::Char
         | ExprKind::Path(_)
         | ExprKind::Macro { .. }
         | ExprKind::Return(None)
         | ExprKind::Break(None)
-        | ExprKind::Continue
         | ExprKind::Unknown => {}
     }
 }

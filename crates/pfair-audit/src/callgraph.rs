@@ -20,8 +20,6 @@ use crate::ast::*;
 pub struct FnNode<'a> {
     /// File the function lives in (relative, `/`-separated).
     pub path: &'a str,
-    /// 1-based line of the `fn` item.
-    pub line: u32,
     /// Enclosing type name for methods/associated functions; trait
     /// default methods are owned by the trait.
     pub owner: Option<&'a str>,
@@ -74,7 +72,6 @@ impl<'a> CallGraph<'a> {
                 }
                 ItemKind::Fn(func) => g.nodes.push(FnNode {
                     path,
-                    line: item.line,
                     owner: ctx.owner,
                     func,
                     in_test: ctx.in_test,

@@ -11,15 +11,12 @@ use std::fmt;
 
 use crate::lints::canonical_lint;
 
-/// Scope of one lint: where it applies and where it is switched off.
+/// Scope of one lint: where it applies and what it starts from.
 #[derive(Clone, Debug, Default)]
 pub struct LintScope {
     /// Path prefixes (relative to the audited root, `/`-separated) the
     /// lint applies to. Empty means the whole tree.
     pub paths: Vec<String>,
-    /// Path prefixes exempted from the lint, taking precedence over
-    /// `paths`.
-    pub allow_paths: Vec<String>,
     /// For the panic-reach pass: the functions whose transitive call
     /// trees must be panic-free, as `Type::method`, `Type::*`, or a
     /// free-function name.
@@ -74,8 +71,7 @@ impl Config {
         let Some(scope) = self.lints.get(lint) else {
             return false;
         };
-        let in_scope = scope.paths.is_empty() || scope.paths.iter().any(|p| path_matches(path, p));
-        in_scope && !scope.allow_paths.iter().any(|p| path_matches(path, p))
+        scope.paths.is_empty() || scope.paths.iter().any(|p| path_matches(path, p))
     }
 
     /// Parses the `audit.toml` subset described in the module docs.
@@ -96,7 +92,7 @@ impl Config {
                 })?;
                 section = name.trim().to_string();
                 // A bare `[lint.x]` header enables the lint tree-wide;
-                // it must not require a paths/allow-paths key to exist.
+                // it must not require a paths key to exist.
                 // Unknown lint names are configuration rot and are
                 // rejected here, with the header's line.
                 if let Some(lint) = section.strip_prefix("lint.") {
@@ -158,7 +154,6 @@ impl Config {
             let scope = self.lints.entry(lint.to_string()).or_default();
             match key {
                 "paths" => scope.paths = values,
-                "allow-paths" => scope.allow_paths = values,
                 "entry-points" => scope.entry_points = values,
                 _ => {
                     return Err(ConfigError {
@@ -229,26 +224,18 @@ mod tests {
 [audit]
 exclude = ["target", "stubs"]
 
-[lint.no-float-in-scheduling]
-allow-paths = [
-    "crates/whisper-sim/src/geometry.rs",  # trig
-    "crates/whisper-sim/src/acoustics.rs",
+[lint.overflow-interval]
+paths = [
+    "crates/pfair-core/src",  # the rational fast paths
+    "crates/pfair-sched/src",
 ]
-
-[lint.float-taint]
-paths = ["crates/pfair-core/src"]
 "#,
         )
         .unwrap();
         assert_eq!(cfg.exclude, vec!["target", "stubs"]);
-        assert_eq!(cfg.lints["no-float-in-scheduling"].allow_paths.len(), 2);
-        assert!(cfg.lint_applies("float-taint", "crates/pfair-core/src/lag.rs"));
-        assert!(!cfg.lint_applies("float-taint", "crates/pfair-core/tests/t.rs"));
-        assert!(!cfg.lint_applies(
-            "no-float-in-scheduling",
-            "crates/whisper-sim/src/geometry.rs"
-        ));
-        assert!(cfg.lint_applies("no-float-in-scheduling", "crates/pfair-core/src/lag.rs"));
+        assert!(cfg.lint_applies("overflow-interval", "crates/pfair-core/src/lag.rs"));
+        assert!(!cfg.lint_applies("overflow-interval", "crates/pfair-core/tests/t.rs"));
+        assert!(!cfg.lint_applies("panic-reach", "crates/pfair-core/src/lag.rs"));
     }
 
     #[test]
@@ -267,8 +254,8 @@ paths = ["crates/pfair-core/src"]
 
     #[test]
     fn bare_lint_header_enables_the_lint_tree_wide() {
-        let cfg = Config::parse("[lint.no-float-in-scheduling]").unwrap();
-        assert!(cfg.lint_applies("no-float-in-scheduling", "crates/x/src/lib.rs"));
+        let cfg = Config::parse("[lint.panic-reach]").unwrap();
+        assert!(cfg.lint_applies("panic-reach", "crates/x/src/lib.rs"));
     }
 
     #[test]
@@ -282,8 +269,10 @@ paths = ["crates/pfair-core/src"]
         assert_eq!(err.line, 3);
         assert!(err.message.contains("no-such-lint"));
         // Alias headers canonicalize.
-        let cfg = Config::parse("[lint.float]\npaths = [\"src\"]").unwrap();
-        assert!(cfg.lints.contains_key(crate::lints::NO_FLOAT));
+        let cfg = Config::parse("[lint.overflow]\npaths = [\"src\"]").unwrap();
+        assert!(cfg.lints.contains_key(crate::lints::OVERFLOW_INTERVAL));
+        // Floats are clippy's: no float lint is left to configure.
+        assert!(Config::parse("[lint.float-taint]").is_err());
     }
 
     #[test]

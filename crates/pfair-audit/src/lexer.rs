@@ -7,11 +7,11 @@
 //! plain/raw/byte string literals, char literals versus lifetimes, raw
 //! identifiers, and numeric literals with their type suffixes.
 //!
-//! It deliberately does not build a syntax tree; the lints in
-//! [`crate::lints`] are defined so that token-level context (a couple of
-//! tokens of lookbehind/lookahead) decides them.
+//! It builds no syntax tree: [`crate::parser`] shapes the token stream,
+//! and [`crate::lints`] reads the `audit:` directives from its comments
+//! and clippy's `#[expect]` attributes from its tokens.
 
-/// Token classification, as fine-grained as the lints need.
+/// Token classification, as fine-grained as the parser needs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword (keywords are not distinguished).

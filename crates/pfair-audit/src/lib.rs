@@ -2,21 +2,21 @@
 //! reproduction.
 //!
 //! The repository's claim to reproduce "Task Reweighting on
-//! Multiprocessors: Efficiency versus Accuracy" rests on invariants
-//! neither the compiler nor clippy can check: lag/drift/weight
-//! arithmetic is *exact* (no floats, not even a suffixed literal),
-//! annotated integer arithmetic stays inside its declared bounds, and
-//! no panic is reachable from the scheduling entry points. (Casts,
-//! panicking calls and nondeterminism sources are clippy's lints; see
-//! the root `clippy.toml`.)
+//! Multiprocessors: Efficiency versus Accuracy" rests on two invariants
+//! neither the compiler nor clippy can check: annotated integer
+//! arithmetic stays inside its declared bounds, and no panic is
+//! reachable from the scheduling entry points. (Lag, drift and weight
+//! arithmetic is exact: in the scheduling crates a float type, float
+//! arithmetic, a cast and a lossy `to_f64` are clippy's lints, so a
+//! float that carries a run-time value comes only from a line clippy
+//! flags and an `#[expect]` argues for; see the root `clippy.toml`.
+//! Casts, panicking calls and nondeterminism sources are clippy's too.)
 //!
-//! One token lint ([`lints`]) checks what needs no structure. For the
-//! rest, a hand-rolled recursive-descent parser ([`parser`]) produces
-//! per-file ASTs ([`ast`]), a workspace call graph ([`callgraph`])
-//! links them, and three passes ([`passes`]) prove panic-freedom of the
-//! scheduling entry points, overflow bounds of annotated arithmetic
-//! (via the interval interpreter in [`absint`]), and that
-//! float-derived values never launder into exact quantities.
+//! A hand-rolled recursive-descent parser ([`parser`]) produces
+//! per-file ASTs ([`ast`]), a workspace call graph (`callgraph`) links
+//! them, and two passes (`passes`) prove panic-freedom of the
+//! scheduling entry points and overflow bounds of annotated arithmetic
+//! (via the interval interpreter in `absint`).
 //!
 //! The standalone binary drives it:
 //!
@@ -31,14 +31,14 @@
 //! <reason>)` comments, which must carry a reason and must actually
 //! suppress something.
 
-pub mod absint;
+pub(crate) mod absint;
 pub mod ast;
-pub mod callgraph;
+pub(crate) mod callgraph;
 pub mod config;
 pub mod lexer;
 pub mod lints;
 pub mod parser;
-pub mod passes;
+pub(crate) mod passes;
 pub mod report;
 
 use std::collections::BTreeMap;
@@ -49,7 +49,7 @@ use std::path::{Path, PathBuf};
 
 use config::Config;
 use lexer::LexFile;
-use lints::{parse_allows, run_lint, RawFinding, BAD_ANNOTATION, CATALOG, PARSE_ERROR};
+use lints::{parse_allows, BAD_ANNOTATION, CATALOG, PARSE_ERROR};
 use passes::panic_reach::{EntryStatus, PanicToken};
 use passes::{analyze_source, Workspace};
 
@@ -111,32 +111,6 @@ impl AuditReport {
             .map(|e| e.finding.clone())
             .collect()
     }
-}
-
-/// Token-lint findings for one lexed file, scoped by `cfg`.
-fn token_findings(rel_path: &str, file: &LexFile, cfg: &Config) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (lint, _) in CATALOG {
-        if !cfg.lint_applies(lint, rel_path) {
-            continue;
-        }
-        let mut raw = run_lint(lint, file);
-        raw.dedup_by(|a, b| a.line == b.line && a.lint == b.lint);
-        for RawFinding {
-            line,
-            lint,
-            message,
-        } in raw
-        {
-            out.push(Finding {
-                path: rel_path.to_string(),
-                line,
-                lint: lint.to_string(),
-                message,
-            });
-        }
-    }
-    out
 }
 
 /// Discharges one file's findings against its `audit: allow`
@@ -278,7 +252,7 @@ fn active(finding: Finding) -> AuditEntry {
 
 /// Lexes and parses every `.rs` file under `root` (honoring the
 /// config's `exclude` list) into a [`Workspace`].
-pub fn analyze_root(root: &Path, cfg: &Config) -> io::Result<Workspace> {
+pub(crate) fn analyze_root(root: &Path, cfg: &Config) -> io::Result<Workspace> {
     let mut paths = Vec::new();
     collect_rs_files(root, root, cfg, &mut paths)?;
     paths.sort();
@@ -290,13 +264,12 @@ pub fn analyze_root(root: &Path, cfg: &Config) -> io::Result<Workspace> {
     Ok(ws)
 }
 
-/// The full v2 pipeline over a parsed workspace: the token lint, parse
-/// errors, the three AST/call-graph passes, then allow-discharge.
-pub fn audit_workspace(ws: &Workspace, cfg: &Config) -> AuditReport {
+/// The full v2 pipeline over a parsed workspace: parse errors, the two
+/// AST/call-graph passes, then allow-discharge.
+pub(crate) fn audit_workspace(ws: &Workspace, cfg: &Config) -> AuditReport {
     let mut all: Vec<Finding> = Vec::new();
     let mut parse_errors = 0usize;
     for file in &ws.files {
-        all.extend(token_findings(&file.path, &file.lex, cfg));
         for e in &file.errors {
             parse_errors += 1;
             all.push(Finding {
@@ -427,32 +400,45 @@ mod tests {
         audit_workspace(&ws, cfg).active()
     }
 
+    /// The config with `entry` as panic-reach's one entry point.
+    fn cfg_entry() -> Config {
+        let mut cfg = cfg_all();
+        cfg.lints
+            .get_mut(lints::PANIC_REACH)
+            .unwrap()
+            .entry_points
+            .push("entry".into());
+        cfg
+    }
+
     #[test]
     fn allow_with_reason_suppresses_one_line() {
         let src = "\
-fn f(x: u32, y: u32) {
-    // audit: allow(float, a report-only ratio)
-    let a = f64::from(x);
-    let b = f64::from(y);
+pub fn entry(v: &[u64]) -> u64 {
+    // audit: allow(panic-reach, callers pass two slots)
+    let a = v[0];
+    let b = v[1];
+    a.wrapping_add(b)
 }
 ";
-        let found = audit_one("src/lib.rs", src, &cfg_all());
+        let found = audit_one("src/lib.rs", src, &cfg_entry());
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].line, 4);
     }
 
     #[test]
     fn allow_without_reason_is_rejected() {
-        let src = "fn f(x: u32) {\n    let a = f64::from(x); // audit: allow(float)\n}\n";
-        let found = audit_one("src/lib.rs", src, &cfg_all());
+        let src = "pub fn entry(v: &[u64]) -> u64 {\n    v[0] // audit: allow(panic-reach)\n}\n";
+        let found = audit_one("src/lib.rs", src, &cfg_entry());
         let lints: Vec<&str> = found.iter().map(|f| f.lint.as_str()).collect();
-        assert!(lints.contains(&lints::NO_FLOAT));
+        assert!(lints.contains(&lints::PANIC_REACH));
         assert!(lints.contains(&BAD_ANNOTATION));
     }
 
     #[test]
     fn unused_allow_is_rejected() {
-        let src = "fn f() {\n    // audit: allow(float, stale justification)\n    let a = 1;\n}\n";
+        let src =
+            "fn f() {\n    // audit: allow(panic-reach, stale justification)\n    let a = 1;\n}\n";
         let found = audit_one("src/lib.rs", src, &cfg_all());
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].lint, BAD_ANNOTATION);
@@ -462,11 +448,11 @@ fn f(x: u32, y: u32) {
     fn out_of_scope_paths_are_clean() {
         let mut cfg = cfg_all();
         cfg.lints
-            .get_mut(lints::NO_FLOAT)
+            .get_mut(lints::OVERFLOW_INTERVAL)
             .unwrap()
             .paths
             .push("crates/pfair-core".into());
-        let src = "fn f(x: u32) {\n    let a = f64::from(x);\n}\n";
+        let src = "// audit: prove(overflow-bounds)\npub fn f(x: i64) -> i64 {\n    x * 8\n}\n";
         assert!(audit_one("crates/whisper-sim/src/lib.rs", src, &cfg).is_empty());
         assert_eq!(
             audit_one("crates/pfair-core/src/lag.rs", src, &cfg).len(),
@@ -482,12 +468,7 @@ pub fn entry(v: &[u64]) -> u64 {
     v[0]
 }
 ";
-        let mut cfg = cfg_all();
-        cfg.lints
-            .get_mut(lints::PANIC_REACH)
-            .unwrap()
-            .entry_points
-            .push("entry".into());
+        let cfg = cfg_entry();
         let ws = Workspace {
             files: vec![analyze_source("src/lib.rs", src)],
         };
@@ -501,12 +482,7 @@ pub fn entry(v: &[u64]) -> u64 {
 
     /// The report of a one-file workspace whose entry point is `entry`.
     fn audit_entry(src: &str) -> AuditReport {
-        let mut cfg = cfg_all();
-        cfg.lints
-            .get_mut(lints::PANIC_REACH)
-            .unwrap()
-            .entry_points
-            .push("entry".into());
+        let cfg = cfg_entry();
         let ws = Workspace {
             files: vec![analyze_source("src/lib.rs", src)],
         };
@@ -597,12 +573,7 @@ pub fn entry(v: &[u64]) -> u64 {
     #[test]
     fn workspace_pipeline_reports_undischarged_reachability() {
         let src = "pub fn entry(v: &[u64]) -> u64 { v[0] }\n";
-        let mut cfg = cfg_all();
-        cfg.lints
-            .get_mut(lints::PANIC_REACH)
-            .unwrap()
-            .entry_points
-            .push("entry".into());
+        let cfg = cfg_entry();
         let ws = Workspace {
             files: vec![analyze_source("src/lib.rs", src)],
         };

@@ -1,17 +1,13 @@
-//! The lint catalog.
+//! The lint catalog and the source directives the passes read.
 //!
-//! Each lint enforces one invariant the paper's correctness story rests
-//! on (see DESIGN.md, "Invariant catalog & static audit"):
+//! Each pass proves one invariant the paper's correctness story rests
+//! on and clippy cannot check (see DESIGN.md, "Invariant catalog &
+//! static audit"). Floats, casts, panicking calls and nondeterminism
+//! sources are clippy's (`float_arithmetic`, `as_conversions`, `panic`,
+//! and the root `clippy.toml`'s `disallowed-methods` /
+//! `disallowed-types`), turned on at the scheduling crates' roots.
 //!
-//! - [`NO_FLOAT`]: lag/drift/weight reasoning is exact rational
-//!   arithmetic; a float anywhere near it silently breaks Theorems 3–5.
-//!
-//! Casts, panicking calls and nondeterminism sources are clippy's
-//! (`as_conversions`, `panic`, and the root `clippy.toml`'s
-//! `disallowed-methods` / `disallowed-types`), turned on at the
-//! scheduling crates' roots.
-//!
-//! Any lint can be suppressed for one line with
+//! Any finding can be suppressed for one line with
 //! `// audit: allow(<lint>, <reason>)` — on the same line or the line
 //! directly above. The annotation **must** carry a reason; a bare allow
 //! or an allow that suppresses nothing is itself a finding, so the
@@ -20,16 +16,12 @@
 //! reads as the `panic-reach` discharge of the `unwrap` / `expect` /
 //! `panic!` it covers (see [`parse_allows`]).
 
-use crate::lexer::{LexFile, Tok, TokKind};
+use crate::lexer::{LexFile, TokKind};
 
-/// Canonical name of the float lint.
-pub const NO_FLOAT: &str = "no-float-in-scheduling";
 /// Canonical name of the call-graph panic-reachability pass.
 pub const PANIC_REACH: &str = "panic-reach";
 /// Canonical name of the interval/overflow pass.
 pub const OVERFLOW_INTERVAL: &str = "overflow-interval";
-/// Canonical name of the exact-arithmetic float-taint pass.
-pub const FLOAT_TAINT: &str = "float-taint";
 /// Pseudo-lint reporting malformed or unused `audit: allow` annotations.
 pub const BAD_ANNOTATION: &str = "audit-annotation";
 /// Pseudo-lint reporting files the parser could not fully shape; a
@@ -41,14 +33,9 @@ pub const CLIPPY_METHODS: &str = "disallowed_methods";
 /// The clippy lint that flags `panic!`.
 pub const CLIPPY_PANIC: &str = "panic";
 
-/// All real lints, with one-line descriptions (shown by `list-lints`).
-/// The first is a token lint; the last three are the AST/call-graph
-/// passes.
+/// The two AST/call-graph passes, with one-line descriptions (shown by
+/// `list-lints`).
 pub const CATALOG: &[(&str, &str)] = &[
-    (
-        NO_FLOAT,
-        "f32/f64 are forbidden where exact rational arithmetic is required",
-    ),
     (
         PANIC_REACH,
         "panic sources transitively reachable from the scheduling entry points",
@@ -57,70 +44,15 @@ pub const CATALOG: &[(&str, &str)] = &[
         OVERFLOW_INTERVAL,
         "interval analysis of `audit: prove(overflow-bounds)` functions",
     ),
-    (
-        FLOAT_TAINT,
-        "float/lossy values must never flow into Rational, Priority, or slot counts",
-    ),
 ];
 
 /// Short aliases accepted inside `audit: allow(..)` annotations.
 pub fn canonical_lint(name: &str) -> Option<&'static str> {
     match name {
-        NO_FLOAT | "float" => Some(NO_FLOAT),
         PANIC_REACH => Some(PANIC_REACH),
         OVERFLOW_INTERVAL | "overflow" => Some(OVERFLOW_INTERVAL),
-        FLOAT_TAINT => Some(FLOAT_TAINT),
         _ => None,
     }
-}
-
-/// One diagnostic, before path-level filtering.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RawFinding {
-    /// 1-based source line.
-    pub line: u32,
-    /// Canonical lint name.
-    pub lint: &'static str,
-    /// Human-readable explanation.
-    pub message: String,
-}
-
-/// Runs `lint` over a lexed file, returning findings in source order.
-/// Test regions (`#[cfg(test)]` / `#[test]` / `#[bench]` items) are
-/// skipped for every lint: test code may take shortcuts.
-pub fn run_lint(lint: &str, file: &LexFile) -> Vec<RawFinding> {
-    match lint {
-        NO_FLOAT => no_float(file),
-        _ => Vec::new(),
-    }
-}
-
-fn live(file: &LexFile) -> impl Iterator<Item = (usize, &Tok)> {
-    file.toks
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !file.in_test[*i])
-}
-
-fn no_float(file: &LexFile) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for (_, t) in live(file) {
-        let hit = match &t.kind {
-            TokKind::Ident => t.text == "f32" || t.text == "f64",
-            TokKind::Float => true,
-            _ => false,
-        };
-        if hit {
-            out.push(RawFinding {
-                line: t.line,
-                lint: NO_FLOAT,
-                message: "floating point where exact rational arithmetic is required \
-                          (use pfair_core::Rational)"
-                    .into(),
-            });
-        }
-    }
-    out
 }
 
 /// A parsed `audit: allow(lint, reason)` annotation, or a reasoned
@@ -166,7 +98,7 @@ pub struct Assume {
 
 /// Extracts `audit: allow(..)` annotations from a file's comments. A
 /// single comment may carry several `;`-separated clauses
-/// (`// audit: allow(float, r1); allow(panic-reach, r2)`), each
+/// (`// audit: allow(overflow, r1); allow(panic-reach, r2)`), each
 /// suppressing its own lint on the same covered line.
 ///
 /// An outer `#[expect(clippy::disallowed_methods, reason = "…")]` or
@@ -314,33 +246,14 @@ fn directive_body<'a>(text: &'a str, keyword: &str) -> Option<&'a str> {
 mod tests {
     use super::*;
 
-    fn lines(lint: &str, src: &str) -> Vec<u32> {
-        run_lint(lint, &LexFile::lex(src))
-            .iter()
-            .map(|f| f.line)
-            .collect()
-    }
-
-    #[test]
-    fn float_lint_sees_types_and_literals() {
-        let src = "fn f(x: f64) -> f32 {\n    0.5\n}";
-        assert_eq!(lines(NO_FLOAT, src), vec![1, 1, 2]);
-    }
-
-    #[test]
-    fn float_lint_skips_tests_and_comments() {
-        let src = "// f64 here\n#[cfg(test)]\nmod tests {\n    fn t() -> f64 { 1.0 }\n}";
-        assert!(lines(NO_FLOAT, src).is_empty());
-    }
-
     #[test]
     fn multi_clause_allows_parse_from_one_comment() {
         let f = LexFile::lex(
-            "// audit: allow(float, slot fits by construction); allow(panic-reach, clamp bounds the index)\nlet x = v[i] as f64;",
+            "// audit: allow(overflow, slot fits by construction); allow(panic-reach, clamp bounds the index)\nlet x = v[i] * 2;",
         );
         let allows = parse_allows(&f);
         assert_eq!(allows.len(), 2);
-        assert_eq!(allows[0].lint, Ok(NO_FLOAT));
+        assert_eq!(allows[0].lint, Ok(OVERFLOW_INTERVAL));
         assert_eq!(allows[1].lint, Ok(PANIC_REACH));
         assert_eq!(allows[1].reason, "clamp bounds the index");
         assert_eq!(allows[0].line, allows[1].line);
@@ -364,13 +277,13 @@ mod tests {
     #[test]
     fn allows_parse_with_and_without_reason() {
         let f = LexFile::lex(
-            "// audit: allow(overflow, the product fits i128 here)\nlet x = 1;\n// audit: allow(float)\n// audit: allow(bogus, hm)",
+            "// audit: allow(overflow, the product fits i128 here)\nlet x = 1;\n// audit: allow(panic-reach)\n// audit: allow(bogus, hm)",
         );
         let allows = parse_allows(&f);
         assert_eq!(allows.len(), 3);
         assert_eq!(allows[0].lint, Ok(OVERFLOW_INTERVAL));
         assert!(!allows[0].reason.is_empty());
-        assert_eq!(allows[1].lint, Ok(NO_FLOAT));
+        assert_eq!(allows[1].lint, Ok(PANIC_REACH));
         assert!(allows[1].reason.is_empty());
         assert!(allows[2].lint.is_err());
     }

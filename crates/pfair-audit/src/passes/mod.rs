@@ -6,7 +6,6 @@
 //! `// audit: allow(<lint>, <reason>)` annotations. See DESIGN.md
 //! "Audit v2" for each pass's soundness boundary.
 
-pub mod float_taint;
 pub mod overflow;
 pub mod panic_reach;
 
@@ -59,7 +58,7 @@ pub fn analyze_source(path: &str, src: &str) -> AnalyzedFile {
     }
 }
 
-/// Combined output of the three passes.
+/// Combined output of the two passes.
 #[derive(Debug, Default)]
 pub struct PassOutput {
     /// Raw findings, before allow-discharge.
@@ -71,14 +70,13 @@ pub struct PassOutput {
     pub panic_tokens: Vec<panic_reach::PanicToken>,
 }
 
-/// Runs all three passes in a fixed order over one table of workspace
+/// Runs both passes in a fixed order over one table of workspace
 /// constants.
 pub fn run_all(ws: &Workspace, cfg: &Config) -> PassOutput {
     let consts = overflow::collect_consts(ws);
     let reach = panic_reach::run(ws, cfg, &consts);
     let mut findings = reach.findings;
     findings.extend(overflow::run(ws, cfg, &consts));
-    findings.extend(float_taint::run(ws, cfg));
     PassOutput {
         findings,
         entry_points: reach.entry_points,

@@ -116,8 +116,8 @@ mod tests {
                     finding: Finding {
                         path: "src/a.rs".into(),
                         line: 3,
-                        lint: "no-float-in-library".into(),
-                        message: "float literal `1.5`".into(),
+                        lint: "overflow-interval".into(),
+                        message: "`*` may overflow `i64`".into(),
                     },
                     allowed: false,
                     reason: None,
@@ -141,7 +141,7 @@ mod tests {
         assert!(json.starts_with("{\n  \"version\": 2,\n"));
         assert!(json.contains("\"active\": 1"));
         assert!(json.contains("\"allowed\": 1"));
-        assert!(json.contains("\"no-float-in-library\": 1"));
+        assert!(json.contains("\"overflow-interval\": 1"));
         assert!(json.contains("\\\"x\\\""), "escaped quotes: {json}");
         assert!(json.contains("\"reason\": \"bounded by caller\""));
         assert!(json.ends_with("]\n}\n"));

@@ -1,10 +1,10 @@
 // Fixture: a cast, a panicking lookup and a float written inside
-// `format!` arguments. A macro's token tree stays raw in the AST
-// (`ExprKind::Macro { toks }`): no pass and not the call graph reads
-// it, so `MacroSched::run` — a configured panic-reach entry point —
-// still proves panic-free. The token lints and clippy see inside.
-// Expected: no-float-in-scheduling at line 22; nothing from any pass
-//           (the cast at line 20 and the unwrap at line 21 are clippy's).
+// `format!` arguments. The AST keeps only a macro's name
+// (`ExprKind::Macro { name }`): no pass and not the call graph reads
+// its arguments, so `MacroSched::run` — a configured panic-reach entry
+// point — still proves panic-free. Clippy sees inside.
+// Expected: nothing from any pass (the cast at line 20, the unwrap at
+//           line 21 and the `f64` at line 22 are clippy's).
 pub struct MacroSched {
     slots: Vec<u64>,
 }

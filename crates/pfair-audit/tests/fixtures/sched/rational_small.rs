@@ -3,10 +3,10 @@
 // magnitude test for the gate, components narrowed with `as` into a
 // raw cross product, a panicking narrowing, and a proof obligation
 // whose contract is one bit too wide for the product it covers.
-// Expected: no-float-in-scheduling at line 11;
-//           overflow-interval at line 29 (the casts at lines 11 and
-//           16 and the unwrap at line 21 are clippy's; the product
-//           at line 16 is no lint's).
+// Expected: overflow-interval at line 29 (the float and the casts
+//           at lines 11 and 16 and the unwrap at line 21 are clippy's:
+//           `disallowed_types`, `as_conversions`, `disallowed_methods`;
+//           the product at line 16 is no lint's).
 pub fn fits_gate(num: i128) -> bool {
     (num as f64).abs() < 2147483648.0
 }

@@ -5,6 +5,11 @@
 //! ([`report`]). The binary in `main.rs` is a thin shell over
 //! [`run_file`].
 
+// The CLI computes nothing in floats; it formats the report floats the
+// engine hands it. A float type or float arithmetic is clippy's to flag
+// (`clippy.toml` lists `f64` and `f32`).
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::float_arithmetic))]
+
 pub mod parser;
 pub mod persistcmd;
 pub mod report;

@@ -17,6 +17,11 @@
 //! `oi`, `lj`, `hybrid-nth:N`, `hybrid-threshold:A/B` or
 //! `hybrid-budget:B/W`.
 
+// The CLI computes nothing in floats; it formats the report floats the
+// engine hands it. A float type or float arithmetic is clippy's to flag
+// (`clippy.toml` lists `f64` and `f32`).
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::float_arithmetic))]
+
 use pfair_cli::parser::parse_scheme;
 use pfair_cli::slocmd::parse_budget;
 use pfair_cli::{parser, run_file, RunOptions};

@@ -47,7 +47,6 @@ pub(crate) fn whisper_probed<P: Probe>(
     horizon: i64,
     probe: P,
 ) -> (String, WhisperMetrics, P) {
-    // audit: allow(no-float-in-scheduling, Whisper scenario knobs; speed/radius feed weight inputs, not schedules)
     let sc = Scenario::new(2.9, 0.25, true, seed);
     let (metrics, probe) = run_whisper_probed(&sc, scheme.clone(), horizon, probe);
     let header = format!(

@@ -599,12 +599,14 @@ impl Rational {
     /// Lossy conversion to `f64` (for statistics and plotting only; never
     /// used in scheduling decisions).
     #[inline]
-    // audit: allow(float, report-only conversion; never feeds scheduling)
+    #[expect(
+        clippy::as_conversions,
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "the one exact-to-float conversion, for reporting only"
+    )]
     pub fn to_f64(self) -> f64 {
-        #[expect(clippy::as_conversions, reason = "i128→f64 for reporting only")]
-        // audit: allow(float, report-only conversion; never feeds scheduling)
-        let ratio = self.num as f64 / self.den as f64;
-        ratio
+        self.num as f64 / self.den as f64
     }
 
     /// `⌊n / self⌋` for an integer `n` — the floor of `n` divided by this

@@ -144,7 +144,11 @@ impl Weight {
 
     /// Lossy conversion for statistics/plotting.
     #[inline]
-    // audit: allow(float, report-only conversion; never feeds scheduling)
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "report-only conversion; never feeds scheduling"
+    )]
     pub fn to_f64(self) -> f64 {
         self.value().to_f64()
     }

@@ -41,6 +41,10 @@
 //! assert_eq!(Span(3, true).to_json_compact(), r#"{"at":3,"open":true}"#);
 //! ```
 
+// The codec is exact-integer: a float type or float arithmetic is
+// clippy's to flag (`clippy.toml` lists `f64` and `f32`).
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::float_arithmetic))]
+
 use std::fmt;
 
 /// A parsed JSON value with exact integer numbers: what

@@ -38,6 +38,7 @@
         clippy::as_conversions,
         clippy::disallowed_methods,
         clippy::disallowed_types,
+        clippy::float_arithmetic,
         clippy::panic
     )
 )]

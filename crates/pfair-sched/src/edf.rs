@@ -97,12 +97,15 @@ impl EdfRun {
     /// Scheduled work as a percentage of `I_PS`, per task — the drift
     /// analogue used to compare against the Pfair schemes. A task with
     /// no ideal allocation counts as fully served.
-    // audit: allow(float, report-only accuracy metric; never feeds scheduling)
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "report-only accuracy metric; never feeds scheduling"
+    )]
     pub fn pct_of_ideal(&self) -> Vec<f64> {
         self.scheduled
             .iter()
             .zip(&self.ps_totals)
-            // audit: allow(float, report-only accuracy metric; never feeds scheduling)
             .map(|(&s, &ps)| pct_of_ideal(s, ps).unwrap_or(100.0))
             .collect()
     }

@@ -167,11 +167,15 @@ const _: () = assert!(std::mem::size_of::<TaskResult>() <= 144);
 /// `scheduled` quanta as a percentage of an `I_PS` allocation — the
 /// accuracy metric of Fig. 11(b)/(d), for PD² runs and the EDF
 /// baselines alike. `None` when the allocation is zero.
-// audit: allow(float, report-only accuracy metric; never feeds scheduling)
+#[expect(
+    clippy::as_conversions,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "report-only accuracy metric; never feeds scheduling"
+)]
 pub(crate) fn pct_of_ideal(scheduled: u64, ps_total: Rational) -> Option<f64> {
     if ps_total.is_positive() {
-        #[expect(clippy::as_conversions, reason = "u64→f64 for reporting only")]
-        // audit: allow(float, report-only accuracy metric; never feeds scheduling)
         Some(100.0 * scheduled as f64 / ps_total.to_f64())
     } else {
         None
@@ -181,7 +185,11 @@ pub(crate) fn pct_of_ideal(scheduled: u64, ps_total: Rational) -> Option<f64> {
 impl TaskResult {
     /// Scheduled work as a percentage of the `I_PS` ideal (the metric of
     /// Fig. 11(b)/(d)). `None` when the ideal allocation is zero.
-    // audit: allow(float, report-only accuracy metric; never feeds scheduling)
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "report-only accuracy metric; never feeds scheduling"
+    )]
     pub fn pct_of_ideal(&self) -> Option<f64> {
         pct_of_ideal(self.scheduled_count, self.ps_total)
     }
@@ -251,22 +259,23 @@ impl SimResult {
 
     /// Mean over tasks of the percent-of-ideal metric (tasks with zero
     /// ideal allocation are excluded).
-    // audit: allow(float, report-only accuracy metric; never feeds scheduling)
+    #[expect(
+        clippy::as_conversions,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "report-only accuracy metric; never feeds scheduling"
+    )]
     pub fn mean_pct_of_ideal(&self) -> f64 {
-        // audit: allow(float, report-only accuracy metric; never feeds scheduling)
         let vals: Vec<f64> = self
             .tasks
             .iter()
             .filter_map(TaskResult::pct_of_ideal)
             .collect();
         if vals.is_empty() {
-            // audit: allow(float, report-only accuracy metric; never feeds scheduling)
             0.0
         } else {
-            #[expect(clippy::as_conversions, reason = "usize→f64 for reporting only")]
-            // audit: allow(float, report-only accuracy metric; never feeds scheduling)
-            let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-            mean
+            vals.iter().sum::<f64>() / vals.len() as f64
         }
     }
 

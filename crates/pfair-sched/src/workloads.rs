@@ -91,7 +91,6 @@ pub fn random_adaptive(n: u32, events: u32, horizon: Slot, seed: u64) -> Workloa
     for _ in 0..events {
         let task = rng.gen_range(0..n);
         let at = rng.gen_range(1..horizon);
-        // audit: allow(float, RNG event-mix probability; not scheduling arithmetic)
         if rng.gen_bool(0.85) {
             let (num, den) = rand_weight(&mut rng);
             w.reweight(task, at, num, den);
