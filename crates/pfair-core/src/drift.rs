@@ -254,6 +254,34 @@ impl DriftTrack {
         self.push(DriftSample { at: u, drift });
     }
 
+    /// Before a sample at `u` of a run that ends at `end`: where the
+    /// buffer is full and holds four entries or more, grows it by what
+    /// the track's pace so far predicts up to `end` — as many entries
+    /// again per slot as it holds per slot since its first sample, and
+    /// an eighth more — by at least half and at most eight times what
+    /// it holds. A
+    /// task that keeps changing at a steady pace then regrows its buffer
+    /// twice a run, to four entries and to about its run's count,
+    /// instead of at every doubling; one that changed once or twice
+    /// keeps the four entries its second sample took, and a static one
+    /// its one.
+    pub fn reserve_until(&mut self, u: Slot, end: Slot) {
+        let held = self.entries.len();
+        if held < 4 || held < self.entries.capacity() {
+            return;
+        }
+        let since = self.entries.first().map_or(u, |e| e.at);
+        let (elapsed, ahead) = (u.saturating_sub(since), end.saturating_sub(u).max(0));
+        // `held` entries over `elapsed` slots, projected over `ahead`,
+        // and an eighth more: a pace read off a few samples is rough.
+        let held_wide = i128::try_from(held).unwrap_or(i128::MAX);
+        let paced = held_wide.saturating_mul(i128::from(ahead)) / i128::from(elapsed).max(1);
+        let paced = usize::try_from(paced).unwrap_or(usize::MAX);
+        let paced = paced.saturating_add(paced / 8 + 1);
+        self.entries
+            .reserve_exact(paced.clamp(held / 2, held.saturating_mul(8)));
+    }
+
     /// Appends `sample`'s entries, narrow if its components fit `i64`.
     #[inline]
     fn push(&mut self, sample: DriftSample) {
@@ -375,6 +403,30 @@ mod tests {
 
     fn deltas(track: &DriftTrack) -> Vec<Rational> {
         track.per_event_deltas().collect()
+    }
+
+    /// A task changing every 100 slots of a 2 400-slot run takes a
+    /// one-entry block at its join, four entries at its first change and
+    /// its run's worth at its fourth, and never grows again; a static
+    /// one keeps its one entry.
+    #[test]
+    fn a_steady_changer_grows_its_buffer_three_times() {
+        let mut track = DriftTrack::new();
+        let mut capacities = vec![];
+        for u in (0..2_400).step_by(100) {
+            track.reserve_until(u, 2_400);
+            track.record(u, rat(u.into(), 7));
+            let capacity = track.entries.capacity();
+            if capacities.last() != Some(&capacity) {
+                capacities.push(capacity);
+            }
+        }
+        assert_eq!(track.len(), 24);
+        assert_eq!(capacities, [1, 4, 27]);
+        let mut static_row = DriftTrack::new();
+        static_row.reserve_until(0, 2_400);
+        static_row.record(0, Rational::ZERO);
+        assert_eq!(static_row.entries.capacity(), 1);
     }
 
     /// Fig. 6(b): drift of T is 0 at t = 9 and 1/2 from t = 10 (the rule-O

@@ -213,7 +213,7 @@ impl pfair_json::ToJson for IswTracker {
         }
         w.end_array();
         w.field("total", &self.isw_total())
-            .field("halted_loss", &self.halted_loss)
+            .field("halted_loss", &self.lost.finish())
             .field("now", &self.now);
         w.end_object();
     }
@@ -241,7 +241,9 @@ impl pfair_json::FromJson for IswTracker {
                 .ok_or_else(|| pfair_json::JsonError::new("I_SW quantity exceeds the i64 range"))
         };
         let mut total = Accumulator::from(value.field::<Rational>("total")?);
-        total.rebase(unit);
+        let per = total.per(unit);
+        let mut lost = Accumulator::from(value.field::<Rational>("halted_loss")?);
+        lost.refine(total.unit());
         Ok(IswTracker {
             rate: count(swt)?,
             subs: images
@@ -254,7 +256,9 @@ impl pfair_json::FromJson for IswTracker {
                 })
                 .collect::<Result<_, pfair_json::JsonError>>()?,
             total,
-            halted_loss: value.field("halted_loss")?,
+            lost,
+            unit,
+            per,
             now: value.field("now")?,
         })
     }
@@ -274,32 +278,53 @@ impl pfair_json::FromJson for IswTracker {
 /// invariant"): it counts in the least positive `unit` such that the
 /// scheduling weight and every retained per-subtask allocation is an
 /// integer number of `1/unit`s, which every Fig. 5 allocation until the
-/// next `set_swt` then is too. Allocations are [`Units`] counts, the
-/// running total is an [`Accumulator`] counting in the same unit, and a
+/// next `set_swt` then is too. Allocations are [`Units`] counts, and a
 /// [`Rational`] is built only where a value is read. The unit is a
 /// function of the values, so two trackers holding the same values
-/// count alike, and the derived equality is equality of values.
+/// count alike, and equality is equality of values. The running total
+/// and the halted loss are [`Accumulator`]s, refined to every era unit
+/// the tracker counts in: they count in a multiple of the unit, and
+/// stay that fine when the unit sheds.
 ///
 /// A task that has kept one weight since it joined, or since its
 /// current era settled, needs no tracker at all: from the sums of its
 /// earlier eras, [`IswTracker::closed_form`] is the one it would hold.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct IswTracker {
     /// `swt(T, now)` in era units.
     rate: Units,
     /// Index-sorted. `retire` keeps two retired subtasks plus the live
     /// ones — three in steady state — so the records stay inline.
     subs: InlineVec<IswSub, 3>,
-    /// `A(I_SW, T, 0, now)`; the unit it counts in is the era unit.
+    /// `A(I_SW, T, 0, now)`.
     total: Accumulator,
-    /// Σ over halted subtasks of their lost allocation.
-    halted_loss: Rational,
+    /// Σ over halted subtasks of their lost allocation, refined along
+    /// with `total`, so the two count in one unit until a fold.
+    lost: Accumulator,
+    /// The era unit.
+    unit: Units,
+    /// `total`'s units per era unit ([`Accumulator::per`]), kept so a
+    /// jump's add divides nothing.
+    per: i64,
     /// The boundary the tracker has been synchronized to: every slot
     /// before it is processed.
     now: Slot,
 }
 
 const _: () = assert!(core::mem::size_of::<IswTracker>() <= 256);
+
+impl PartialEq for IswTracker {
+    /// By value: `per` follows from how the sums came to count as they
+    /// do, which two equal trackers need not share.
+    fn eq(&self, other: &IswTracker) -> bool {
+        (self.rate, self.unit, self.now) == (other.rate, other.unit, other.now)
+            && self.subs == other.subs
+            && self.total == other.total
+            && self.lost == other.lost
+    }
+}
+
+impl Eq for IswTracker {}
 
 impl IswTracker {
     /// Creates a tracker for a task whose first enacted weight is `swt`
@@ -310,13 +335,16 @@ impl IswTracker {
     /// Panics if `swt`'s denominator does not fit `i64` (the documented
     /// `Rational` overflow contract).
     pub fn new(swt: Rational, join_at: Slot) -> IswTracker {
+        let unit = Units::denom(swt);
         let mut total = Accumulator::new();
-        total.rebase(Units::denom(swt));
+        total.refine(unit);
         IswTracker {
-            rate: Units::of(swt, total.unit()),
+            rate: Units::of(swt, unit),
             subs: InlineVec::new(),
+            lost: total.clone(),
             total,
-            halted_loss: Rational::ZERO,
+            unit,
+            per: 1,
             now: join_at,
         }
     }
@@ -370,7 +398,9 @@ impl IswTracker {
             rate: Units::ZERO,
             subs: InlineVec::new(),
             total: Accumulator::new(),
-            halted_loss: Rational::ZERO,
+            lost: Accumulator::new(),
+            unit: Units::new(1),
+            per: 1,
             now,
         };
         tr.become_closed_form(w, bases, anchor, era_base, next_index, now);
@@ -392,12 +422,13 @@ impl IswTracker {
         now: Slot,
     ) {
         let (unit, rate) = (Units::new(w.denom()), Units::new(w.numer()));
-        self.total = bases.isw_total;
-        self.total.rebase(unit);
-        self.total
-            .add_units(rate.times(slots_since(bases.since, now)));
+        self.total.clone_from(&bases.isw_total);
+        self.per = self.total.per(unit);
+        let grown = rate.times(slots_since(bases.since, now));
+        self.total.add_units_per(grown, unit, self.per);
+        self.lost.clone_from(&bases.halted_loss);
         self.rate = rate;
-        self.halted_loss = bases.halted_loss;
+        self.unit = unit;
         self.now = now;
         self.subs.drop_front(self.subs.len());
         for sub in grid_records(w, anchor, era_base, next_index, now) {
@@ -421,14 +452,28 @@ impl IswTracker {
             && mine.next().is_none()
     }
 
-    /// `A(I_SW, T, 0, now)` as the era sum it is kept in.
-    pub(super) fn sum(&self) -> Accumulator {
-        self.total
+    /// `A(I_SW, T, 0, now)` as the sum it is kept in.
+    pub(super) fn sum(&self) -> &Accumulator {
+        &self.total
     }
 
-    /// What halted subtasks were allocated: `A(I_SW) − A(I_CSW)`.
-    pub(super) fn halted_loss(&self) -> Rational {
-        self.halted_loss
+    /// What halted subtasks were allocated, `A(I_SW) − A(I_CSW)`, as the
+    /// sum it is kept in.
+    pub(super) fn halted_loss(&self) -> &Accumulator {
+        &self.lost
+    }
+
+    /// `A(I_CSW, T, 0, now)` as a sum: the total less the halted loss,
+    /// one integer difference while the loss counts in a divisor of the
+    /// total's unit and neither has folded.
+    pub(super) fn icsw_sum(&self) -> Accumulator {
+        let mut icsw = self.total.clone();
+        match self.lost.counted() {
+            Some((lost, _)) if lost.is_zero() => {}
+            Some((lost, unit)) => icsw.add_units(Units::ZERO - lost, unit),
+            None => icsw = Accumulator::from(self.icsw_total()),
+        }
+        icsw
     }
 
     /// Whether no record of an era before `era_base + 1`'s is retained.
@@ -443,7 +488,7 @@ impl IswTracker {
     /// enactment derives divides `lcm(den(swt), unit)`, which is what the
     /// engine's arithmetic budget bounds.
     pub fn unit(&self) -> Units {
-        self.total.unit()
+        self.unit
     }
 
     /// The current scheduling weight `swt(T, now)`.
@@ -468,10 +513,7 @@ impl IswTracker {
     /// see the module docs for why no later halt can invalidate it.
     #[inline]
     pub fn icsw_total(&self) -> Rational {
-        if self.halted_loss.is_zero() {
-            return self.isw_total();
-        }
-        self.isw_total() - self.halted_loss
+        self.total.minus(&self.lost)
     }
 
     /// Enacts a weight change: allocations from the current slot onward
@@ -500,19 +542,23 @@ impl IswTracker {
         });
         #[expect(clippy::disallowed_methods, reason = "documented overflow panic")]
         let unit = fine.expect("Rational mul overflow");
+        self.total.refine(unit);
+        self.lost.refine(self.total.unit());
         self.recount(unit);
         self.rate = Units::of(swt, unit);
         self.shed();
     }
 
-    /// Counts the retained allocations and the total in `unit`, a
-    /// multiple of every allocation's reduced denominator.
+    /// Counts the retained allocations in `unit`, a multiple of every
+    /// allocation's reduced denominator and a divisor of the sums' unit,
+    /// which stays a multiple of every unit the tracker has counted in.
     fn recount(&mut self, unit: Units) {
-        let old = self.unit();
+        let old = self.unit;
         for s in &mut self.subs {
             s.alloc = s.alloc.rescaled(old, unit);
         }
-        self.total.rebase(unit);
+        self.unit = unit;
+        self.per = self.total.per(unit);
     }
 
     /// Registers subtask `T_index` with the given release slot.
@@ -587,9 +633,9 @@ impl IswTracker {
         if sub.is_complete() {
             return Rational::ZERO;
         }
-        let lost = sub.alloc.over(unit);
-        self.halted_loss += lost;
-        lost
+        let lost = sub.alloc;
+        self.lost.add_units(lost, unit);
+        lost.over(unit)
     }
 
     /// Each retained record as `(index, release, D(I_SW, T_i), H(T_i))`,
@@ -694,7 +740,7 @@ impl IswTracker {
             added += given;
             touched(sub, given);
         }
-        self.total.add_units(added);
+        self.total.add_units_per(added, unit, self.per);
         if self.retire() {
             self.shed();
         }
@@ -1273,13 +1319,13 @@ mod advance_to_tests {
         };
         let mut tr = IswTracker::new(rat(3, 19), 0);
         round_trip(&tr);
-        assert!(tr.halted_loss.is_zero());
+        assert_eq!(tr.lost.finish(), Rational::ZERO);
         tr.add_subtask(1, 0, true, false);
         tr.add_subtask(2, 6, false, true);
         tr.sync_to(8, |_, _| {});
         tr.halt(2, 8);
         tr.set_swt(rat(2, 5));
-        assert_eq!(tr.halted_loss, rat(5, 19));
+        assert_eq!(tr.lost.finish(), rat(5, 19));
         assert_ne!(tr, IswTracker::new(rat(2, 5), 8));
         round_trip(&tr);
         assert_eq!(tr.icsw_total(), Rational::ONE);

@@ -19,18 +19,19 @@ use crate::weight::Weight;
 
 /// Incremental `I_PS` allocation of a single task.
 ///
-/// The running total is an era sum ([`Accumulator`]) counting in a
-/// multiple of `1/den(wt)`: [`PsTracker::sync_to`] adds `wt`'s count of
-/// them per active slot, and the gcds of an exact add happen only when
-/// the weight changes to a denominator the unit is not a multiple of
-/// ([`PsTracker::set_wt`]) and where the total is read. Two trackers
-/// are equal when they hold the same values, however each splits its
-/// total.
+/// The running total is an [`Accumulator`] refined to every weight's
+/// denominator: [`PsTracker::sync_to`] adds `wt`'s count of `1/den(wt)`s
+/// per active slot, one multiply into the total's unit, and no gcd runs
+/// until the total is read. Two trackers are equal when they hold the
+/// same values, however each counts its total.
 #[derive(Clone, Debug)]
 pub struct PsTracker {
     wt: Weight,
     /// `A(I_PS, T, 0, now)`.
     total: Accumulator,
+    /// `total`'s units per `1/den(wt)` ([`Accumulator::per`]), kept so
+    /// a synchronization divides nothing.
+    per: i64,
     now: Slot,
     /// Slot intervals `[from, until)` during which allocation is zero —
     /// the "zero between active subtasks" case that intra-sporadic
@@ -50,7 +51,7 @@ impl PartialEq for PsTracker {
 
 impl Eq for PsTracker {}
 
-const _: () = assert!(core::mem::size_of::<PsTracker>() <= 80);
+const _: () = assert!(core::mem::size_of::<PsTracker>() <= 64);
 
 impl pfair_json::ToJson for PsTracker {
     fn write_json(&self, w: &mut pfair_json::JsonWriter) {
@@ -95,25 +96,13 @@ impl PsTracker {
         let mut ps = PsTracker {
             wt,
             total,
+            per: 1,
             now,
             suspensions: ThinVec::new(),
         };
-        ps.recount_for_wt();
+        ps.per = ps.total.per(Units::new(wt.denom()));
         ps.count(slots_since(since, now));
         ps
-    }
-
-    /// Keeps the total's unit if `wt`'s rate is a whole count in it (the
-    /// unit of an earlier, finer weight), and counts in `den(wt)`
-    /// otherwise: a weight change that returns to a coarser denominator
-    /// folds nothing into the era sum's base.
-    #[inline]
-    fn recount_for_wt(&mut self) {
-        let den = self.wt.denom();
-        // `den` is a positive denominator.
-        if self.total.unit().get() % den.max(1) != 0 {
-            self.total.rebase(Units::new(den));
-        }
     }
 
     /// Whether this is the closed form at `since` from its own total:
@@ -123,24 +112,16 @@ impl PsTracker {
         self.wt == w && self.now == since && self.suspensions.is_empty()
     }
 
-    /// `A(I_PS, T, 0, now)` as the era sum it is kept in.
-    pub(super) fn sum(&self) -> Accumulator {
-        self.total
+    /// `A(I_PS, T, 0, now)` as the sum it is kept in.
+    pub(super) fn sum(&self) -> &Accumulator {
+        &self.total
     }
 
-    /// Counts `slots` active slots at `wt` into the total, whose unit is
-    /// a multiple of `den(wt)`.
+    /// Counts `slots` active slots at `wt` into the total.
     #[inline]
     fn count(&mut self, slots: i64) {
-        let (unit, den) = (self.total.unit().get(), self.wt.denom());
-        let rate = Units::new(self.wt.numer());
-        // `den` is a positive denominator.
-        let rate = if unit == den {
-            rate
-        } else {
-            rate.times(unit / den.max(1))
-        };
-        self.total.add_units(rate.times(slots));
+        let (rate, den) = (Units::new(self.wt.numer()), Units::new(self.wt.denom()));
+        self.total.add_units_per(rate.times(slots), den, self.per);
     }
 
     /// Starts the next stay of a task that left, at weight `wt` from
@@ -151,7 +132,8 @@ impl PsTracker {
     /// # Panics
     /// Panics if `wt` is not a [`Weight`].
     pub fn rejoin(&mut self, wt: Rational, join_at: Slot) {
-        *self = PsTracker::closed_form(Weight::new(wt), self.total, join_at, join_at);
+        let total = core::mem::take(&mut self.total);
+        *self = PsTracker::closed_form(Weight::new(wt), total, join_at, join_at);
     }
 
     /// Suspends allocation for slots in `[from, until)` (IS separation:
@@ -189,7 +171,7 @@ impl PsTracker {
     #[inline]
     pub fn set_wt(&mut self, wt: Rational) {
         self.wt = Weight::new(wt);
-        self.recount_for_wt();
+        self.per = self.total.per(Units::new(self.wt.denom()));
     }
 
     /// Slots of `[from, t)` that at least one suspension covers. The
@@ -437,12 +419,13 @@ mod advance_to_tests {
         let mut ps = PsTracker::new(rat(3, 19), 0);
         round_trip(&ps);
         ps.sync_to(8);
-        // All of it counted in nineteenths, the base still zero.
+        // All of it counted in nineteenths.
         assert_eq!((ps.total.unit(), ps.total()), (Units::new(19), rat(24, 19)));
         round_trip(&ps);
         ps.set_wt(rat(2, 5));
-        // Counting in fifths now: 24/19 went into the base.
-        assert_eq!((ps.total.unit(), ps.total()), (Units::new(5), rat(24, 19)));
+        // Counting in 95ths now: 24/19 recounted, nothing folded.
+        assert_eq!((ps.total.unit(), ps.total()), (Units::new(95), rat(24, 19)));
+        assert!(!ps.total.is_folded());
         ps.sync_to(10);
         round_trip(&ps);
         let mut stepped = PsTracker::new(rat(3, 19), 0);

@@ -18,16 +18,16 @@ pub struct Trackers {
 }
 
 /// The sums of a task's earlier eras that its closed form reads, taken
-/// at `since`, a release of its current era. The two totals are era
-/// sums as the trackers keep them, so settling copies them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// at `since`, a release of its current era. The sums are kept as the
+/// trackers keep them, so settling copies them.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Bases {
     /// The slot the sums are taken at.
     pub since: Slot,
     /// `A(I_SW, T, 0, since)`.
     pub isw_total: Accumulator,
     /// `A(I_SW) − A(I_CSW)` at `since`: what halted subtasks received.
-    pub halted_loss: Rational,
+    pub halted_loss: Accumulator,
     /// `A(I_PS, T, 0, since)`.
     pub ps_total: Accumulator,
 }
@@ -38,7 +38,7 @@ impl Bases {
         Bases {
             since: at,
             isw_total: Accumulator::new(),
-            halted_loss: Rational::ZERO,
+            halted_loss: Accumulator::new(),
             ps_total: Accumulator::new(),
         }
     }
@@ -48,7 +48,8 @@ impl Bases {
     pub fn sums_at(&self, w: Weight, now: Slot) -> (Rational, Rational, Rational) {
         let grown = w.value().mul_int(slots_since(self.since, now));
         let isw = self.isw_total.finish() + grown;
-        (self.ps_total.finish() + grown, isw, isw - self.halted_loss)
+        let icsw = isw - self.halted_loss.finish();
+        (self.ps_total.finish() + grown, isw, icsw)
     }
 }
 
@@ -72,7 +73,7 @@ impl Trackers {
     ) -> Trackers {
         Trackers {
             isw: IswTracker::closed_form(w, bases, anchor, era_base, next_index, now),
-            ps: PsTracker::closed_form(w, bases.ps_total, bases.since, now),
+            ps: PsTracker::closed_form(w, bases.ps_total.clone(), bases.since, now),
         }
     }
 
@@ -92,7 +93,7 @@ impl Trackers {
         now: Slot,
     ) {
         (self.isw).become_closed_form(w, bases, anchor, era_base, next_index, now);
-        self.ps = PsTracker::closed_form(w, bases.ps_total, bases.since, now);
+        self.ps = PsTracker::closed_form(w, bases.ps_total.clone(), bases.since, now);
     }
 
     /// The pair's own bases if, synchronized at a release on the grid
@@ -109,22 +110,17 @@ impl Trackers {
         let closed = self.ps.is_closed_at(w, since) && self.isw.is_grid(w, anchor, era_base, next);
         closed.then(|| Bases {
             since,
-            isw_total: self.isw.sum(),
-            halted_loss: self.isw.halted_loss(),
-            ps_total: self.ps.sum(),
+            isw_total: self.isw.sum().clone(),
+            halted_loss: self.isw.halted_loss().clone(),
+            ps_total: self.ps.sum().clone(),
         })
     }
 
-    /// `drift = A(I_PS) − A(I_CSW)` over `[0, now)` (Eqn (5)), the two
-    /// totals differenced in their common unit: where both trackers
-    /// count in one unit from one base, a single reduction.
+    /// `drift = A(I_PS) − A(I_CSW)` over `[0, now)` (Eqn (5)). Both sums
+    /// are refined to every denominator the task's weights have had, so
+    /// where neither has folded they count in one unit, or one in a
+    /// multiple of the other's: one integer difference and one reduction.
     pub fn drift(&self) -> Rational {
-        let counted = self.ps.sum().minus(&self.isw.sum());
-        let loss = self.isw.halted_loss();
-        if loss.is_zero() {
-            counted
-        } else {
-            counted + loss
-        }
+        self.ps.sum().minus(&self.isw.icsw_sum())
     }
 }

@@ -948,23 +948,32 @@ impl Sub for Units {
     }
 }
 
-/// Exact running sum with the reduction deferred for a whole era: a
-/// canonical `base` plus an un-normalized count of `1/unit`s.
+/// Exact running sum in one unit that only gets finer: a count of
+/// `1/unit`s, plus a canonical base that is zero until a recount would
+/// leave `i64`.
 ///
-/// The payoff is the era-constant case the ideal trackers live in:
-/// every `I_SW` allocation within an era is a multiple of the era's
-/// unit, so [`Accumulator::add_units`] is one checked `i64` add and no
-/// gcd at all. The count is folded into the base — the only place a gcd
-/// runs — when the unit changes ([`Accumulator::rebase`]) and the value
-/// is materialized only where it is read ([`Accumulator::finish`]). The
-/// base sums every era so far, so its denominator is not bounded by any
-/// one era's unit. The count may grow larger than a reduced chain would,
-/// which is covered by the same documented overflow-panics contract as
-/// the rest of this module.
-/// Equality compares values, not representations.
-#[derive(Clone, Copy, Debug)]
+/// Every sum on the reweight path is one: the ideal trackers' totals,
+/// the halted loss, admission's `Σ committed`. A caller adds a count in
+/// its own unit ([`Accumulator::add_units`]); the accumulator counts in a
+/// multiple of every unit it has been given, so an add is one multiply
+/// and one checked `i64` add, and two sums that saw the same
+/// denominators count alike: their difference is one integer difference
+/// and one reduction ([`Accumulator::minus`]). The unit changes only in
+/// a refinement ([`Accumulator::refine`]), so an owner that adds in one
+/// unit keeps the factor between the two ([`Accumulator::per`]) and
+/// divides nothing per add. A refinement recounts the sum into
+/// `lcm(unit, new)` while the lcm and the recounted count fit `i64`; past
+/// that the count folds into the base and counting restarts in the new
+/// unit, and an add whose count would leave `i64` folds too, keeping the
+/// unit: the one place a gcd runs before the value is read
+/// ([`Accumulator::finish`]). The base is boxed, so a sum that never
+/// folds is three words and no `Rational`. Beyond the base the module's
+/// overflow contract holds: a base that leaves `i128` panics with its
+/// documented message. Equality compares values, not representations.
+#[derive(Clone, Debug)]
 pub struct Accumulator {
-    base: Rational,
+    /// What folded in; `None` for zero.
+    base: Option<Box<Rational>>,
     num: Units,
     unit: Units,
 }
@@ -974,116 +983,198 @@ impl Accumulator {
     #[inline]
     pub const fn new() -> Accumulator {
         Accumulator {
-            base: Rational::ZERO,
+            base: None,
             num: Units::ZERO,
             unit: Units(1),
         }
     }
 
-    /// The unit [`Accumulator::add_units`] currently counts in.
+    /// The unit the sum counts in: a multiple of every unit it was given
+    /// since it last folded.
     #[inline]
     pub const fn unit(&self) -> Units {
         self.unit
     }
 
-    /// Adds `n/unit` to the running sum.
-    ///
-    /// # Panics
-    /// Panics if the count overflows `i64`.
+    /// `n/unit`, counting in `unit`, for a positive `unit`.
     #[inline]
-    pub fn add_units(&mut self, n: Units) {
-        self.num += n;
+    pub const fn of(n: Units, unit: Units) -> Accumulator {
+        debug_assert!(unit.is_positive(), "units are positive");
+        Accumulator {
+            base: None,
+            num: n,
+            unit,
+        }
     }
 
-    /// Switches to counting in `unit`s. What was counted in the old unit
-    /// is recounted in the new one when that is exact
-    /// ([`Units::exactly_in`]: a unit that refines the old one, or a
-    /// coarser one the count divides into), and folded into the base
-    /// otherwise — the one case that reduces. No work when the unit does
-    /// not change or nothing was counted.
+    /// The sum as `(count, unit)`, when nothing is folded into the base.
+    #[inline]
+    pub fn counted(&self) -> Option<(Units, Units)> {
+        self.base.is_none().then_some((self.num, self.unit))
+    }
+
+    /// Whether a count has ever folded into the base.
+    #[inline]
+    pub fn is_folded(&self) -> bool {
+        self.base.is_some()
+    }
+
+    /// The sum recounted in `lcm(self.unit, unit)`, `None` if the lcm or
+    /// the count leaves `i64`.
+    #[inline]
+    fn recounted(&self, unit: Units) -> Option<(Units, Units)> {
+        let fine = self.unit.checked_lcm(unit)?;
+        // Units are positive; `.max(1)` is that in the form the
+        // panic-reach pass reads as nonzero.
+        let count = self.num.0.checked_mul(fine.0 / self.unit.0.max(1))?;
+        Some((Units(count), fine))
+    }
+
+    /// Counts in a multiple of `unit` from now on: the sum is recounted
+    /// in `lcm(self.unit, unit)` (one multiply), or, where that leaves
+    /// `i64`, folded into the base to count afresh in `unit`. No work
+    /// when `unit` divides the unit already.
     ///
     /// # Panics
-    /// Panics if `unit` is not positive, or on overflow (same contract
-    /// as `Rational` addition).
-    #[inline]
-    pub fn rebase(&mut self, unit: Units) {
+    /// Panics if `unit` is not positive, or if a fold leaves `i128` (same
+    /// contract as `Rational` addition).
+    pub fn refine(&mut self, unit: Units) {
         assert!(unit.is_positive(), "Rational with zero denominator"); // audit: allow(panic-reach, documented contract: zero denominators and non-positive divisors panic)
-        if unit == self.unit {
+        if self.unit.0 % unit.0.max(1) == 0 {
             return;
         }
-        if !self.num.is_zero() {
-            match self.num.exactly_in(self.unit, unit) {
-                Some(count) => self.num = count,
-                None => {
-                    self.base = self.finish();
-                    self.num = Units::ZERO;
-                }
+        match self.recounted(unit) {
+            Some((num, fine)) => (self.num, self.unit) = (num, fine),
+            None => {
+                self.fold(Rational::ZERO);
+                self.unit = unit;
             }
         }
-        self.unit = unit;
     }
 
-    /// `self − other` in canonical form. Where one unit is the other's
-    /// multiple the counts are differenced in the finer unit, so two
-    /// sums from one base differ by that difference alone: one
-    /// reduction, and a sum of the two differences where the bases
-    /// differ.
+    /// Adds `n/unit`, refining to `unit` first if the sum does not count
+    /// in a multiple of it.
+    ///
+    /// # Panics
+    /// As [`Accumulator::refine`].
+    #[inline]
+    pub fn add_units(&mut self, n: Units, unit: Units) {
+        let per = self.per(unit);
+        self.add_units_per(n, unit, per);
+    }
+
+    /// How many of the sum's units make one `unit`, refining to `unit`
+    /// first if that is not whole: one division, whose remainder says
+    /// whether it is. The unit changes only in a refinement, so an owner
+    /// that adds in one unit many times keeps this and adds with
+    /// [`Accumulator::add_units_per`], dividing nothing.
+    ///
+    /// # Panics
+    /// As [`Accumulator::refine`].
+    #[inline]
+    pub fn per(&mut self, unit: Units) -> i64 {
+        if unit == self.unit {
+            return 1;
+        }
+        // Units are positive; `.max(1)` is that in the form the
+        // panic-reach pass reads as nonzero.
+        if self.unit.0 % unit.0.max(1) != 0 {
+            self.refine(unit);
+        }
+        self.unit.0 / unit.0.max(1)
+    }
+
+    /// Adds `n/unit`, for the `per` that [`Accumulator::per`] gave for
+    /// `unit` with no refinement since: one multiply and one add, and a
+    /// fold where the count would leave `i64`.
+    #[inline]
+    pub fn add_units_per(&mut self, n: Units, unit: Units, per: i64) {
+        debug_assert_eq!(unit.0.checked_mul(per), Some(self.unit.0), "a stale `per`");
+        match n.0.checked_mul(per).and_then(|n| self.num.0.checked_add(n)) {
+            Some(sum) => self.num = Units(sum),
+            None => self.fold(n.over(unit)),
+        }
+    }
+
+    /// The sum so far plus `r` into the base; counting restarts at zero
+    /// in the same unit.
+    #[cold]
+    #[inline(never)]
+    fn fold(&mut self, r: Rational) {
+        let sum = self.finish() + r;
+        self.base = (!sum.is_zero()).then(|| Box::new(sum));
+        self.num = Units::ZERO;
+    }
+
+    /// The sum with `r` added: counted where `r`'s components fit `i64`,
+    /// folded into the base otherwise.
+    ///
+    /// # Panics
+    /// As [`Accumulator::refine`].
+    #[must_use]
+    pub fn plus(mut self, r: Rational) -> Accumulator {
+        match (i64::try_from(r.num), Units::checked_denom(r)) {
+            (Ok(n), Some(unit)) => self.add_units(Units(n), unit),
+            _ => self.fold(r),
+        }
+        self
+    }
+
+    /// `self − other` in canonical form. Two sums that count in one unit,
+    /// or where one unit is the other's multiple, and have folded nothing
+    /// differ by one integer difference and one reduction; others by the
+    /// difference of their values.
     ///
     /// # Panics
     /// On overflow (same contract as `Rational` subtraction).
     #[inline]
     pub fn minus(&self, other: &Accumulator) -> Rational {
-        // Both counts in the finer unit, when one refines the other.
-        let (unit, mine, theirs) = if self.unit.0 % other.unit.0.max(1) == 0 {
-            (
-                self.unit,
-                Some(self.num),
-                other.num.exactly_in(other.unit, self.unit),
-            )
-        } else {
-            (
-                other.unit,
-                self.num.exactly_in(self.unit, other.unit),
-                Some(other.num),
-            )
-        };
-        let Some((mine, theirs)) = mine.zip(theirs) else {
-            return self.finish() - other.finish();
-        };
-        let counted = (mine - theirs).over(unit);
-        if self.base == other.base {
-            counted
-        } else {
-            (self.base - other.base) + counted
+        if self.base.is_none() && other.base.is_none() {
+            let (a, b) = (i128::from(self.num.0), i128::from(other.num.0));
+            let (u, v) = (self.unit.0, other.unit.0);
+            // Units are positive; `.max(1)` is that in the form the
+            // panic-reach pass reads as nonzero. Each product of two
+            // `i64`s, and their difference, fits `i128`.
+            if u == v {
+                return Rational::new(a - b, i128::from(u));
+            }
+            if u % v.max(1) == 0 {
+                return Rational::new(a - b * i128::from(u / v.max(1)), i128::from(u));
+            }
+            if v % u.max(1) == 0 {
+                return Rational::new(a * i128::from(v / u.max(1)) - b, i128::from(v));
+            }
         }
-    }
-
-    /// The sum with `r` added to its base: the count and its unit are
-    /// untouched, so an owner that counts in era units stays in step.
-    #[inline]
-    #[must_use]
-    pub fn plus(mut self, r: Rational) -> Accumulator {
-        self.base += r;
-        self
+        self.finish() - other.finish()
     }
 
     /// The exact sum so far in canonical form.
+    ///
+    /// # Panics
+    /// On overflow (same contract as `Rational` addition).
     #[inline]
     pub fn finish(&self) -> Rational {
-        if self.num.is_zero() {
-            return self.base;
+        match &self.base {
+            None => self.num.over(self.unit),
+            Some(base) if self.num.is_zero() => **base,
+            Some(base) => **base + self.num.over(self.unit),
         }
+    }
+
+    /// [`Accumulator::finish`], `None` where the sum leaves `i128`.
+    #[inline]
+    pub fn checked_finish(&self) -> Option<Rational> {
         let counted = self.num.over(self.unit);
-        if self.base.is_zero() {
-            return counted;
+        match &self.base {
+            None => Some(counted),
+            Some(base) => base.checked_add(counted),
         }
-        self.base + counted
     }
 }
 
 impl PartialEq for Accumulator {
     fn eq(&self, other: &Accumulator) -> bool {
-        if self.unit == other.unit && self.base == other.base {
+        if self.base.is_none() && other.base.is_none() && self.unit == other.unit {
             return self.num == other.num;
         }
         self.finish() == other.finish()
@@ -1093,7 +1184,8 @@ impl PartialEq for Accumulator {
 impl Eq for Accumulator {}
 
 impl From<Rational> for Accumulator {
-    /// A sum that starts at `r`, counting in whole units.
+    /// A sum that starts at `r`: counted in `den(r)` where its components
+    /// fit `i64`.
     fn from(r: Rational) -> Accumulator {
         Accumulator::new().plus(r)
     }
@@ -1360,40 +1452,81 @@ mod tests {
         let mut acc = Accumulator::new();
         let mut chained = Rational::ZERO;
         for t in terms {
-            acc.rebase(Units::checked_denom(t).expect("a small denominator"));
-            acc.add_units(Units::of(t, acc.unit()));
+            let unit = Units::checked_denom(t).expect("a small denominator");
+            acc.add_units(Units::of(t, unit), unit);
             chained += t;
             assert_eq!(acc.finish(), chained);
         }
+        assert!(!acc.is_folded());
+        assert_eq!(acc.unit(), Units::new(19 * 16));
         assert_eq!(Accumulator::new().finish(), Rational::ZERO);
     }
 
-    /// An era of unit counts is one fold: the base only moves when the
-    /// unit does, and equality sees through the representation.
+    /// The unit only gets finer: what was counted is recounted in the
+    /// lcm, nothing folds, and equality sees through the representation.
     #[test]
-    fn accumulator_counts_in_era_units() {
+    fn accumulator_counts_in_a_finer_unit() {
         let mut acc = Accumulator::from(rat(1, 3));
-        acc.rebase(Units::new(19));
+        acc.refine(Units::new(19));
         for n in [3, 2, 7] {
-            acc.add_units(Units::new(n));
+            acc.add_units(Units::new(n), Units::new(19));
         }
-        assert_eq!(acc.unit(), Units::new(19));
+        assert_eq!(acc.unit(), Units::new(57));
         assert_eq!(acc.finish(), rat(1, 3) + rat(12, 19));
-        let folded = Accumulator::from(acc.finish());
-        assert_eq!(acc, folded);
-        assert_ne!(acc, folded.plus(rat(1, 19)));
-        acc.rebase(Units::new(5));
-        acc.add_units(Units::new(2));
+        let other = Accumulator::from(acc.finish());
+        assert_eq!(acc, other);
+        assert_ne!(acc, other.clone().plus(rat(1, 19)));
+        acc.add_units(Units::new(2), Units::new(5));
+        assert_eq!(acc.unit(), Units::new(285));
         assert_eq!(acc.finish(), rat(1, 3) + rat(12, 19) + rat(2, 5));
-        assert_eq!(acc.plus(rat(1, 2)).finish(), acc.finish() + rat(1, 2));
+        assert_eq!(
+            acc.clone().plus(rat(1, 2)).finish(),
+            acc.finish() + rat(1, 2)
+        );
+        assert!(!acc.is_folded());
+        assert_eq!(acc.minus(&other), rat(2, 5));
+    }
+
+    /// Tasks toggling `1/12 ↔ 1/8 ↔ 1/15` count in 120ths from the
+    /// second change on, and never fold.
+    #[test]
+    fn toggling_denominators_leave_the_base_zero() {
+        let mut acc = Accumulator::new();
+        let mut exact = Rational::ZERO;
+        for round in 0..300_i64 {
+            let den = [12, 8, 15][usize::try_from(round % 3).expect("small")];
+            acc.refine(Units::new(den));
+            acc.add_units(Units::new(round), Units::new(den));
+            exact += rat(i128::from(round), i128::from(den));
+            assert_eq!(acc.finish(), exact);
+        }
+        assert!(acc.base.is_none());
+        assert_eq!(acc.unit(), Units::new(120));
+    }
+
+    /// Past `i64` a recount folds into the base, and so does an add;
+    /// the sum stays exact either way.
+    #[test]
+    fn accumulator_folds_only_past_i64() {
+        let big = Units::new((1 << 40) + 15);
+        let mut acc = Accumulator::new();
+        acc.add_units(Units::new(3), big);
+        acc.refine(Units::new((1 << 30) + 3));
+        assert!(acc.is_folded());
+        assert_eq!(acc.finish(), Units::new(3).over(big));
+        let mut acc = Accumulator::new();
+        acc.add_units(Units::new(i64::MAX - 1), Units::new(1));
+        acc.add_units(Units::new(2), Units::new(1));
+        assert!(acc.is_folded());
+        assert_eq!(acc.finish(), Rational::from_int(i128::from(i64::MAX) + 1));
     }
 
     #[test]
     #[should_panic(expected = "Rational add overflow")]
     fn accumulator_overflow_is_descriptive() {
-        let mut acc = Accumulator::new();
-        acc.add_units(Units::new(i64::MAX - 1));
-        acc.add_units(Units::new(2));
+        let mut acc = Accumulator::from(Rational::from_int(i128::MAX));
+        acc.add_units(Units::new(1), Units::new(1));
+        let _ = acc.finish();
     }
 
     #[test]
@@ -1567,48 +1700,34 @@ mod small_path_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// Two sums walked through random units and counts: a rebase
-        /// never changes a value (whether it recounts or folds), the
-        /// counted difference is the difference of the values, and a
-        /// unit's gcd with a count is the reduced denominator's
+        /// A unit's gcd with a count is the reduced denominator's
         /// complement.
         #[test]
-        fn era_sums_recount_exactly(
-            steps in prop::collection::vec((0usize..12, -50i64..=50, 0u8..2), 1..24),
-        ) {
-            // Divisors of 5 040, so every base stays a multiple of 1/5 040.
+        fn unit_gcd_is_the_denominator_complement(unit in 0usize..12, n in -50i64..=50) {
             const UNITS: [i64; 12] = [1, 2, 3, 4, 6, 8, 12, 16, 48, 60, 240, 5040];
-            let (mut a, mut b) = (Accumulator::new(), Accumulator::new());
-            for (unit, n, which) in steps {
-                let unit = Units::new(UNITS[unit]);
-                let acc = if which == 0 { &mut a } else { &mut b };
-                let before = acc.finish();
-                acc.rebase(unit);
-                prop_assert_eq!(acc.finish(), before);
-                prop_assert_eq!(acc.unit(), unit);
-                acc.add_units(Units::new(n));
-                prop_assert_eq!(acc.finish(), before + Units::new(n).over(unit));
-                prop_assert_eq!(a.minus(&b), a.finish() - b.finish());
-                let g = Units::new(n).gcd(unit);
-                prop_assert_eq!(unit.get() / g.get(), Units::new(n).denom_over(unit).get());
-            }
+            let unit = Units::new(UNITS[unit]);
+            let g = Units::new(n).gcd(unit);
+            prop_assert_eq!(unit.get() / g.get(), Units::new(n).denom_over(unit).get());
         }
     }
 
-    /// A rebase to a multiple of the unit, or to a divisor the count
-    /// goes into, recounts without touching the base; any other folds.
+    /// A refinement recounts in the lcm and leaves the base alone; a
+    /// unit the sum already counts in a multiple of is no work.
     #[test]
-    fn rebase_recounts_where_it_can() {
+    fn refine_recounts_in_the_lcm() {
         let mut acc = Accumulator::new();
-        acc.rebase(Units::new(8));
-        acc.add_units(Units::new(3));
-        acc.rebase(Units::new(16));
-        assert_eq!((acc.base, acc.num), (Rational::ZERO, Units::new(6)));
-        acc.add_units(Units::new(2));
-        acc.rebase(Units::new(4));
-        assert_eq!((acc.base, acc.num), (Rational::ZERO, Units::new(2)));
-        acc.rebase(Units::new(6));
-        assert_eq!((acc.base, acc.num), (rat(1, 2), Units::ZERO));
+        acc.refine(Units::new(8));
+        acc.add_units(Units::new(3), Units::new(8));
+        acc.refine(Units::new(16));
+        assert_eq!((acc.base.is_none(), acc.num), (true, Units::new(6)));
+        acc.add_units(Units::new(2), Units::new(16));
+        acc.refine(Units::new(4));
+        assert_eq!((acc.unit, acc.num), (Units::new(16), Units::new(8)));
+        acc.refine(Units::new(6));
+        assert_eq!(
+            (acc.base.is_none(), acc.unit, acc.num),
+            (true, Units::new(48), Units::new(24))
+        );
         assert_eq!(
             Units::new(6).exactly_in(Units::new(8), Units::new(4)),
             Some(Units::new(3))

@@ -462,7 +462,7 @@ fn run_plan(plan: &[Era], chunks: Vec<i64>) {
                 let bases = Bases {
                     since: release,
                     isw_total: Accumulator::from(pair.isw.isw_total()),
-                    halted_loss: pair.isw.isw_total() - pair.isw.icsw_total(),
+                    halted_loss: Accumulator::from(pair.isw.isw_total() - pair.isw.icsw_total()),
                     ps_total: Accumulator::from(pair.ps.total()),
                 };
                 let closed =

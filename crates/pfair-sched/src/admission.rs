@@ -20,14 +20,15 @@
 //! cannot represent keeps the old, higher commitment (conservative for
 //! condition (W)).
 //!
-//! While it can, the ledger keeps the sum as a count of `1/unit`s, the
-//! unit a multiple of every committed weight's denominator: a request
-//! then compares and adds integers and reduces nothing (the one
-//! reduction is a clamped grant's share). Where a count would leave
-//! `i64` the sum is the exact rational it always was, and every answer
-//! is the one the exact sum gives either way.
+//! The ledger is an [`Accumulator`], the one counted sum of the reweight
+//! path: while it can, a count of `1/unit`s, the unit a multiple of every
+//! committed weight's denominator, so a request compares and adds
+//! integers and reduces nothing (the one reduction is a clamped grant's
+//! share). Where a count would leave `i64` the sum folds into the exact
+//! rational it always was, and every answer is the one the exact sum
+//! gives either way.
 
-use pfair_core::rational::{Rational, Units};
+use pfair_core::rational::{Accumulator, Rational, Units};
 use pfair_core::task::TaskId;
 use pfair_core::weight::Weight;
 
@@ -76,87 +77,48 @@ pub struct LedgerOverflow;
 /// What [`AdmissionController::grant`] computed for a request: the
 /// share it may have, and the ledger total that committing the share
 /// leaves — computed, checked, not yet written.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Grant {
     /// The share granted: the request itself, or (clamped) the
     /// capacity left over, whose denominator is the ledger's.
     pub share: Rational,
-    total: Ledger,
+    total: Accumulator,
 }
 
-/// `Σ committed` (module docs): `n` counted in `1/unit`s, or an exact
-/// rational where counts in `i64` cannot hold it.
-#[derive(Clone, Copy, Debug)]
-enum Ledger {
-    Counted { n: Units, unit: Units },
-    Exact(Rational),
+/// The ledger and `shares`, all counted in one unit that each is a
+/// whole count of — the ledger's, refined to the shares' denominators;
+/// `None` where the ledger folds, or a share's count or denominator
+/// would leave `i64`.
+fn counts<const N: usize>(
+    total: &Accumulator,
+    shares: [Rational; N],
+) -> Option<(i64, Units, [i64; N])> {
+    let mut total = total.clone();
+    for share in shares {
+        total.refine(Units::checked_denom(share)?);
+    }
+    let (n, unit) = total.counted()?;
+    let mut counts = [0; N];
+    for (count, share) in counts.iter_mut().zip(shares) {
+        *count = Units::checked_of(share, unit)?.get();
+    }
+    Some((n.get(), unit, counts))
 }
 
-impl PartialEq for Ledger {
-    /// By value, whatever unit each counts in.
-    fn eq(&self, other: &Ledger) -> bool {
-        self.value() == other.value()
-    }
-}
-
-impl Eq for Ledger {}
-
-impl Ledger {
-    const ZERO: Ledger = Ledger::Counted {
-        n: Units::ZERO,
-        unit: Units::new(1),
-    };
-
-    /// `r` as a ledger: its own count when its components fit `i64`.
-    fn of(r: Rational) -> Ledger {
-        match (i64::try_from(r.numer()), Units::checked_denom(r)) {
-            (Ok(n), Some(unit)) => Ledger::Counted {
-                n: Units::new(n),
-                unit,
-            },
-            _ => Ledger::Exact(r),
+/// `total − out + into`, `None` if the ledger cannot represent it: a
+/// count where the three count in one unit, and the exact sum, counted
+/// again where it fits, otherwise.
+fn swap(total: &Accumulator, out: Rational, into: Rational) -> Option<Accumulator> {
+    if let Some((n, unit, [out, into])) = counts(total, [out, into]) {
+        if let Some(n) = n.checked_sub(out).and_then(|n| n.checked_add(into)) {
+            return Some(Accumulator::of(Units::new(n), unit));
         }
     }
-
-    /// The sum in canonical form.
-    fn value(self) -> Rational {
-        match self {
-            Ledger::Counted { n, unit } => n.over(unit),
-            Ledger::Exact(r) => r,
-        }
-    }
-
-    /// The sum and `shares`, all counted in one unit that each is a whole
-    /// count of — the ledger's, refined to the lcm where a share's
-    /// denominator does not divide it; `None` where a count or the unit
-    /// would leave `i64`.
-    fn counts<const N: usize>(self, shares: [Rational; N]) -> Option<(i64, Units, [i64; N])> {
-        let Ledger::Counted { mut n, mut unit } = self else {
-            return None;
-        };
-        for share in shares {
-            let fine = unit.checked_lcm(Units::checked_denom(share)?)?;
-            n = n.exactly_in(unit, fine)?;
-            unit = fine;
-        }
-        let mut counts = [0; N];
-        for (count, share) in counts.iter_mut().zip(shares) {
-            *count = Units::checked_of(share, unit)?.get();
-        }
-        Some((n.get(), unit, counts))
-    }
-
-    /// `self − out + into`, `None` if the ledger cannot represent it.
-    fn swap(self, out: Rational, into: Rational) -> Option<Ledger> {
-        if let Some((n, unit, [out, into])) = self.counts([out, into]) {
-            if let Some(n) = n.checked_sub(out).and_then(|n| n.checked_add(into)) {
-                let n = Units::new(n);
-                return Some(Ledger::Counted { n, unit });
-            }
-        }
-        let total = self.value().checked_sub(out)?.checked_add(into)?;
-        Some(Ledger::of(total))
-    }
+    let sum = total
+        .checked_finish()?
+        .checked_sub(out)?
+        .checked_add(into)?;
+    Some(Accumulator::from(sum))
 }
 
 /// Tracks per-task weight commitments and enforces (W).
@@ -171,7 +133,7 @@ pub struct AdmissionController {
     /// tasks the fold dominated every join. Exact by construction: the
     /// sum is counted exactly, or updated with the same exact-rational
     /// arithmetic the fold would use.
-    total: Ledger,
+    total: Accumulator,
 }
 
 impl AdmissionController {
@@ -182,7 +144,7 @@ impl AdmissionController {
             policy,
             capacity: Rational::from_int(i128::from(processors)),
             committed: vec![None; tasks as usize],
-            total: Ledger::ZERO,
+            total: Accumulator::new(),
         }
     }
 
@@ -200,7 +162,7 @@ impl AdmissionController {
     /// Capacity not yet committed; `None` if the ledger cannot
     /// represent it.
     pub fn available(&self) -> Option<Rational> {
-        self.capacity.checked_sub(self.total.value())
+        self.capacity.checked_sub(self.total.checked_finish()?)
     }
 
     /// What `task`, committed at `cur`, may hold under policing: `want`
@@ -208,7 +170,7 @@ impl AdmissionController {
     /// and that headroom otherwise; `None` if the ledger cannot
     /// represent it.
     fn police(&self, cur: Rational, want: Rational) -> Option<Rational> {
-        if let Some((n, unit, [cur_n, want_n])) = self.total.counts([cur, want]) {
+        if let Some((n, unit, [cur_n, want_n])) = counts(&self.total, [cur, want]) {
             let capacity = i64::try_from(self.capacity.numer()).ok();
             let room = (capacity.and_then(|m| m.checked_mul(unit.get())))
                 .and_then(|m| m.checked_sub(n)?.checked_add(cur_n));
@@ -236,7 +198,7 @@ impl AdmissionController {
         if cur == value {
             return;
         }
-        let total = self.total.swap(Weight::share(cur), Weight::share(value));
+        let total = swap(&self.total, Weight::share(cur), Weight::share(value));
         if let (Some(total), Some(slot)) = (total, self.committed.get_mut(task.idx())) {
             *slot = value;
             self.total = total;
@@ -294,9 +256,9 @@ impl AdmissionController {
         };
         // A decrease is committed at enactment ([`Self::note_enacted`]).
         let total = if decrease {
-            self.total
+            self.total.clone()
         } else {
-            self.total.swap(cur_v, share).ok_or(LedgerOverflow)?
+            swap(&self.total, cur_v, share).ok_or(LedgerOverflow)?
         };
         Ok(Some(Grant { share, total }))
     }
@@ -337,7 +299,7 @@ impl AdmissionController {
     pub fn load_parts(&mut self, committed: &[Option<Weight>]) -> bool {
         let total = (committed.iter())
             .try_fold(Rational::ZERO, |acc, &c| acc.checked_add(Weight::share(c)));
-        let Some(total) = total.map(Ledger::of) else {
+        let Some(total) = total.map(Accumulator::from) else {
             return false;
         };
         committed.clone_into(&mut self.committed);
@@ -475,7 +437,7 @@ mod tests {
                 let committed: Vec<Rational> =
                     ac.committed_parts().iter().map(|&c| Weight::share(c)).collect();
                 prop_assert_eq!(committed, twin.committed.clone());
-                prop_assert_eq!(ac.total.value(), twin.total());
+                prop_assert_eq!(ac.total.finish(), twin.total());
                 prop_assert_eq!(ac.available(), Some(twin.capacity - twin.total()));
             }
         }

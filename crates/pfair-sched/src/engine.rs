@@ -57,6 +57,7 @@ use pfair_core::time::{Slot, NEVER};
 use pfair_core::weight::Weight;
 use pfair_core::window::SubtaskWindow;
 use pfair_obs::{Fanout, NoopProbe, ObsEvent, Probe, ReleaseRec};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 mod busy_span;
@@ -519,8 +520,9 @@ pub struct Engine<P: Probe = NoopProbe> {
     misses: Vec<Miss>,
     now: Slot,
     /// Events injected online (e.g., by the real-time executor), merged
-    /// into the stream at each step.
-    injected: Vec<Event>,
+    /// into the stream at each step; a queue, so a slot takes its due
+    /// prefix off the front without moving the rest.
+    injected: VecDeque<Event>,
     /// Earliest `at` among `injected` ([`NEVER`] when empty): the
     /// per-slot injection scan only runs on slots that can fire one,
     /// and the tickless driver treats it as an event boundary.
@@ -583,7 +585,7 @@ impl<P: Probe> Engine<P> {
             counters: Counters::default(),
             misses: Vec::new(),
             now: 0,
-            injected: Vec::new(),
+            injected: VecDeque::new(),
             injected_min: NEVER,
             last_chosen: Vec::new(),
             touched: Vec::new(),
@@ -869,11 +871,12 @@ impl<P: Probe> Engine<P> {
     /// prefix and nothing else is read: a long-lived backlog of
     /// future-dated injections costs nothing per slot, and one handed
     /// over a segment at a time costs its due events. The scan only runs
-    /// on slots that can fire something (`injected_min` gates it); a
-    /// backlog that fired completely gives its buffer back — a shard's
-    /// whole population arrives through here at slot 0 and nothing
-    /// after. No handler touches the backlog, so it is taken for the
-    /// pass.
+    /// on slots that can fire something (`injected_min` gates it), and
+    /// the due prefix leaves the front of the queue in O(due), however
+    /// long the rest; a backlog that fired completely gives its buffer
+    /// back — a shard's whole population arrives through here at slot 0
+    /// and nothing after. No handler touches the backlog, so it is taken
+    /// for the pass.
     fn fire_injected(&mut self, t: Slot) {
         if self.injected_min > t {
             return;
@@ -885,9 +888,9 @@ impl<P: Probe> Engine<P> {
             self.apply_event(ev, t);
         }
         if backlog.is_empty() {
-            backlog = Vec::new();
+            backlog = VecDeque::new();
         }
-        self.injected_min = backlog.first().map_or(NEVER, |e| e.at);
+        self.injected_min = backlog.front().map_or(NEVER, |e| e.at);
         self.injected = backlog;
     }
 

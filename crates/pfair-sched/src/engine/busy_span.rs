@@ -16,9 +16,10 @@
 //!    `t0` over the last arming's ([`Engine::snapshot_into`]: its
 //!    buffers, era sums and drift tracks included, are reused) and
 //!    compute the candidate period `P` = lcm of the scheduling-weight
-//!    denominators of every task releasing inside the span (capped;
-//!    computed with the overflow-checked [`checked_lcm`]). A span that
-//!    cannot arm is not looked at again before its far boundary.
+//!    denominators of every task releasing inside the span, given up at
+//!    the first denominator or partial lcm longer than the span can
+//!    verify and jump ([`Units::checked_lcm`]). A span that cannot arm
+//!    is not looked at again before its far boundary.
 //! 2. **Verify** — keep stepping the per-slot oracle for exactly `P`
 //!    slots. At `t1 = t0 + P`, ask of every field the slot pipeline
 //!    reads whether the live value is the imaged one shifted by `Φ`,
@@ -63,7 +64,7 @@ use super::slab::TaskSlab;
 use super::{Engine, EngineSnapshot, SubRec, TaskState};
 use crate::overhead::Counters;
 use crate::priority::Priority;
-use pfair_core::analysis::checked_lcm;
+use pfair_core::rational::Units;
 use pfair_core::task::TaskId;
 use pfair_core::time::{shift_ever, Slot};
 use pfair_core::weight::Weight;
@@ -291,7 +292,7 @@ impl<P: Probe> Engine<P> {
             None
         } else {
             self.mix.period_scans += 1;
-            self.span_period(end).filter(|p| now + 2 * p <= end)
+            self.span_period(end, ((end - now) / 2).min(MAX_SPAN_PERIOD))
         };
         let Some(period) = period else {
             self.busy.refused_until = end;
@@ -311,9 +312,11 @@ impl<P: Probe> Engine<P> {
     /// every in-system task releasing before `end`. Tasks with no
     /// release due in the span contribute nothing (they must stay
     /// entirely fixed, which verification enforces). `None` when no
-    /// task releases, the lcm overflows, or it exceeds the cap.
-    fn span_period(&self, end: Slot) -> Option<Slot> {
-        let mut acc: i128 = 1;
+    /// task releases, or at the first releasing task whose denominator,
+    /// or the lcm so far, exceeds `most` — the longest period the span
+    /// can verify and jump, which no lcm comes back below.
+    fn span_period(&self, end: Slot, most: Slot) -> Option<Slot> {
+        let mut acc = Units::new(1);
         let mut any = false;
         // A pure hot-column scan: presence bitmap word-walk, then the
         // next_release and swt columns — the cold rows stay untouched.
@@ -321,15 +324,18 @@ impl<P: Probe> Engine<P> {
             if let Some(r) = self.tasks.next_release(id) {
                 if r < end {
                     let den = self.tasks.swt(id).map_or(1, Weight::denom);
-                    acc = checked_lcm(acc, i128::from(den))?;
-                    if acc > i128::from(MAX_SPAN_PERIOD) {
+                    if den > most {
+                        return None;
+                    }
+                    acc = acc.checked_lcm(Units::new(den))?;
+                    if acc.get() > most {
                         return None;
                     }
                     any = true;
                 }
             }
         }
-        Slot::try_from(acc).ok().filter(|_| any)
+        any.then_some(acc.get())
     }
 
     /// At `t1 = t0 + P`: checks that the live state is the image's
@@ -963,6 +969,24 @@ mod tests {
             mix.jumps >= jumps && mix.busy_span_slots >= jumped,
             "fewer jumps than the tracked-row driver: {mix:?}"
         );
+        // The whole mix, scans and verdicts, as a `span_period` that
+        // scanned every releasing task before refusing left it.
+        let (arms, scans, rotations, mismatches) = if cfg!(debug_assertions) {
+            (48, 58, 131, 13)
+        } else {
+            (310, 407, 257, 134)
+        };
+        assert_eq!(
+            (
+                mix.arms,
+                mix.period_scans,
+                mix.cpu_rotations,
+                mix.mismatches
+            ),
+            (arms, scans, rotations, mismatches),
+            "{mix:?}"
+        );
+        assert_eq!((mix.longest_rotation, mix.longest_backoff), (8, 192));
         assert!(mix.busy_span_slots > 3 * mix.per_slot_slots, "{mix:?}");
         assert_eq!(
             mix.per_slot_slots + mix.quiet_span_slots + mix.busy_span_slots,

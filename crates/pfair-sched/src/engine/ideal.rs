@@ -190,9 +190,10 @@ impl TaskState {
         match &self.ideal {
             Ideal::Closed { now, bases } => {
                 let anchor = self.anchor(w);
-                let b = bases.as_deref().copied().unwrap_or(Bases::join(anchor));
+                let join = Bases::join(anchor);
+                let b = bases.as_deref().unwrap_or(&join);
                 let (era_base, next) = (self.era_base, self.next_index);
-                Cow::Owned(Trackers::closed(w, &b, anchor, era_base, next, *now))
+                Cow::Owned(Trackers::closed(w, b, anchor, era_base, next, *now))
             }
             Ideal::Tracked(trackers) => Cow::Borrowed(trackers),
         }
@@ -206,14 +207,15 @@ impl TaskState {
         if let Ideal::Closed { now, bases } = &mut self.ideal {
             let (now, bases) = (*now, bases.take());
             let anchor = self.anchor(w);
-            let b = bases.as_deref().copied().unwrap_or(Bases::join(anchor));
+            let join = Bases::join(anchor);
+            let b = bases.as_deref().unwrap_or(&join);
             let (era_base, next) = (self.era_base, self.next_index);
             let pair = match spares.pairs.pop() {
                 Some(Spare(mut pair)) => {
-                    pair.become_closed(w, &b, anchor, era_base, next, now);
+                    pair.become_closed(w, b, anchor, era_base, next, now);
                     pair
                 }
-                None => Box::new(Trackers::closed(w, &b, anchor, era_base, next, now)),
+                None => Box::new(Trackers::closed(w, b, anchor, era_base, next, now)),
             };
             if let Some(bases) = bases {
                 Spares::keep(&mut spares.bases, bases);
@@ -237,6 +239,7 @@ impl TaskState {
         let Some(b) = trackers.settles(w, self.anchor(w), self.era_base, self.next_index) else {
             return;
         };
+        let now = b.since;
         let bases = match spares.bases.pop() {
             Some(Spare(mut reused)) => {
                 *reused = b;
@@ -244,7 +247,7 @@ impl TaskState {
             }
             None => Box::new(b),
         };
-        let (now, bases) = (b.since, Some(bases));
+        let bases = Some(bases);
         if let Ideal::Tracked(pair) =
             std::mem::replace(&mut self.ideal, Ideal::Closed { now, bases })
         {
@@ -301,8 +304,10 @@ impl TaskState {
         match &self.ideal {
             Ideal::Closed { now, bases } => {
                 let w = w.unwrap_or(Weight::ONE);
-                let b = (bases.as_deref().copied()).unwrap_or_else(|| Bases::join(self.anchor(w)));
-                b.sums_at(w, *now)
+                match bases.as_deref() {
+                    Some(b) => b.sums_at(w, *now),
+                    None => Bases::join(self.anchor(w)).sums_at(w, *now),
+                }
             }
             Ideal::Tracked(t) => (t.ps.total(), t.isw.isw_total(), t.isw.icsw_total()),
         }

@@ -533,7 +533,8 @@ impl<P: Probe> Engine<P> {
         image.config.clone_from(&self.config);
         image.events.clone_from(&self.events);
         image.next_event = self.next_event;
-        image.injected.clone_from(&self.injected);
+        image.injected.clear();
+        image.injected.extend(&self.injected);
         // `task` answers every addressable id, built or not.
         let blank = self.tasks.blank();
         image.tasks.resize_with(self.tasks.len(), || TaskSnap {
@@ -621,11 +622,12 @@ impl<P: Probe> Engine<P> {
         self.misses.clone_from(&image.misses);
         self.events.clone_from(&image.events);
         self.next_event = image.next_event;
-        self.injected.clone_from(&image.injected);
+        self.injected.clear();
+        self.injected.extend(&image.injected);
         // In firing order (`Engine::inject`), as a live engine's image
         // already is.
         let now = image.now;
-        self.injected.sort_by_key(|e| e.at.max(now));
+        (self.injected.make_contiguous()).sort_by_key(|e| e.at.max(now));
         self.injected_min = image.injected.iter().map(|e| e.at).min().unwrap_or(NEVER);
         self.last_chosen.clear();
         self.last_chosen.extend(self.tasks.ran_iter());

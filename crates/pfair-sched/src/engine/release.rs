@@ -173,6 +173,7 @@ impl<P: Probe> Engine<P> {
                     Ideal::Tracked(trackers) => trackers.drift(),
                     Ideal::Closed { .. } => Rational::ZERO,
                 };
+                task.drift.reserve_until(t, self.config.horizon);
                 task.drift.record(t, drift);
                 self.probe
                     .on_event(ObsEvent::DriftSample { task: id, t, drift });

@@ -135,3 +135,25 @@ fn migration_is_drift_bounded_leave_rejoin() {
         }
     }
 }
+
+/// The segment is how much of the stream the supervisor hands each
+/// shard at a time, and nothing a shard does may depend on it: a
+/// reweighting workload driven in 64-slot segments and in one segment
+/// the length of the horizon (no rebalancing, so no segment boundary
+/// decides anything) renders the same report, byte for byte.
+#[test]
+fn segment_length_never_changes_a_report_byte() {
+    let horizon = 1_200;
+    let w = workloads::random_adaptive(96, 600, horizon, SEED);
+    let render = |segment: i64| {
+        let mut set = ShardSet::new(ShardSpec::new(4, 4, horizon).with_segment(segment), &w);
+        set.run();
+        set.finish()
+    };
+    let (short, whole) = (render(64), render(horizon));
+    assert!(
+        short.tasks.iter().any(|t| t.drift.len() > 1),
+        "the tasks reweight"
+    );
+    assert_eq!(short.to_json_pretty(), whole.to_json_pretty());
+}
